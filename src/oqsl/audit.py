@@ -33,7 +33,7 @@ from .dynamics import (
     evolve_kraus_heisenberg,
     evolve_unitary_heisenberg,
 )
-from .linalg import DensityState, hs_norm, op_norm, tr_norm, variance
+from .linalg import DEFAULT_TOL, DensityState, hs_norm, op_norm, tr_norm, variance
 from .sysdl import SystemSpec
 
 UNITARY_T = 1.0
@@ -271,7 +271,8 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
         out[("MIN_NORM", "unitary")] = (
             bounds.oqsl_min_norm(e0, eT, op_norm(prod), tr_norm(prod), T_u).T_qsl - T_u
         )
-        ct1, ct2 = bounds.battery_bounds(trial.O, trial.H - trial.O, rho, ugrid)
+        # the battery observable is O under the total drive H: traj already is its trajectory
+        ct1, ct2 = bounds._battery_core(traj, trial.O, trial.H - trial.O, rho, 1.0, DEFAULT_TOL)
         out[("BATTERY_CT1", "unitary")] = ct1.T_qsl - T_u
         out[("BATTERY_CT2", "unitary")] = ct2.T_qsl - T_u
         trace = bounds.two_time_correlation(trial.O, traj, rho)

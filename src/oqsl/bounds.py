@@ -58,9 +58,6 @@ BOUND_IDS = frozenset(
     }
 )
 
-RATE_CHECKS = ("RATE_ROBERTSON", "RATE_HOLDER_OP", "RATE_CS_HS")
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One bound evaluation: identifier, horizon T, bound value, validity."""
@@ -118,11 +115,14 @@ def _mean_speed(speeds: np.ndarray, grid: TimeGrid) -> float:
 # unitary-dynamics bounds
 
 
-def _mt_integral_core(bound_id, traj, delta_H, hbar, eps_var, digest_extra=()):
+def _mt_integral_core(bound_id, traj, delta_H, hbar, eps_var):
     if delta_H <= 0:
         raise ValidationError(f"{bound_id}: energy spread must be positive")
     d_expect = np.abs(np.diff(traj.expect))
-    mid_std = 0.5 * (traj.stddev[:-1] + traj.stddev[1:])
+    # the spread at the true cell midpoints: averaging the endpoint spreads
+    # overestimates the integrand where dO -> 0 and can push T_qsl above T
+    grid = traj.grid
+    mid_std = traj.stddev_at(grid.times()[:-1] + 0.5 * grid.h)
     usable = mid_std >= eps_var
     contrib = np.where(usable & (d_expect > ZERO_TOL), d_expect / np.where(usable, mid_std, 1.0), 0.0)
     integral = float(contrib.sum())
@@ -136,7 +136,7 @@ def _mt_integral_core(bound_id, traj, delta_H, hbar, eps_var, digest_extra=()):
         "expect_start": float(traj.expect[0]),
         "expect_end": float(traj.expect[-1]),
     }
-    digest = _digest(traj.expect, traj.stddev, delta_H, hbar, *digest_extra)
+    digest = _digest(traj.expect, traj.stddev, delta_H, hbar)
     return _report(bound_id, T, tqsl, digest, details)
 
 
@@ -150,8 +150,9 @@ def oqsl_mt_integral(
 
     T_qsl = (hbar / 2 dH) * sum_cells |d<O>| / dO(midpoint),
 
-    by the midpoint rule over grid cells; cells whose midpoint spread falls
-    below ``eps_var`` contribute zero and are counted in the details.
+    by the midpoint rule over grid cells, with dO evaluated in closed form at
+    each cell's midpoint; cells whose midpoint spread falls below ``eps_var``
+    contribute zero and are counted in the details.
     """
     if traj.kind != "unitary":
         raise ValidationError("MT_INTEGRAL requires a unitary-kind trajectory")
@@ -356,7 +357,8 @@ def oqsl_state_independent(O0: np.ndarray, traj: ObservableTrajectory) -> BoundR
     if traj.kind not in ("unitary", "lindblad"):
         raise ValidationError("STATE_INDEP requires a unitary- or lindblad-kind trajectory")
     O0 = as_matrix(O0, "observable")
-    num = abs(complex(np.trace(O0 @ (traj.O_samples[-1] - O0))))
+    OT = traj.at(-1)
+    num = abs(complex(np.trace(O0 @ (OT - O0))))
     o0_hs = hs_norm(O0)
     lam = _mean_speed(traj.gen_speed_hs, traj.grid)
     tqsl = _ratio("STATE_INDEP", num, o0_hs * lam, "||O(0)||_hs * mean speed")
@@ -365,7 +367,7 @@ def oqsl_state_independent(O0: np.ndarray, traj: ObservableTrajectory) -> BoundR
         "o0_hs": o0_hs,
         "lambda_T": lam,
     }
-    digest = _digest(O0, traj.O_samples[-1], traj.gen_speed_hs)
+    digest = _digest(O0, OT, traj.gen_speed_hs)
     return _report("STATE_INDEP", traj.grid.duration, tqsl, digest, details)
 
 
@@ -396,7 +398,13 @@ def battery_bounds(
     if not is_hermitian(HT, tol):
         raise ValidationError("total hamiltonian is not Hermitian within tolerance")
     traj = evolve_unitary_heisenberg(HB, HT, rho, grid, hbar=hbar, tol=tol)
-    T = grid.duration
+    return _battery_core(traj, HB, HC, rho, hbar, tol)
+
+
+def _battery_core(traj, HB, HC, rho, hbar, tol):
+    """CT1 and CT2 on ``traj``, the unitary trajectory of HB under HB + HC."""
+    HT = HB + HC
+    T = traj.grid.duration
 
     delta_HT = float(np.sqrt(variance(HT, rho, tol)))
     if delta_HT <= tol:
@@ -448,7 +456,7 @@ def two_time_correlation(
         raise ValidationError("observable is not Hermitian within tolerance")
     if A0.shape[0] != traj.dim:
         raise ValidationError(f"dimension mismatch: {A0.shape[0]} vs {traj.dim}")
-    first = np.einsum("tab,bc,ca->t", traj.O_samples, A0, rho.matrix)
+    first = traj.trace_with(A0 @ rho.matrix)
     mean0 = float(np.trace(A0 @ rho.matrix).real)
     C = first - traj.expect * mean0
     c0 = complex(C[0])
@@ -517,8 +525,8 @@ def commutator_qsl(
         raise ValidationError(f"dimension mismatch: {B0.shape[0]} vs {traj.dim}")
     bound_id = "COMM_CLOSED" if kind == "closed" else "COMM_OPEN"
 
-    comms = B0[None] @ traj.O_samples - traj.O_samples @ B0[None]
-    expect_c = np.einsum("tab,ba->t", comms, rho.matrix)
+    # tr([B, O(t)] rho) = tr(O(t) (rho B - B rho))
+    expect_c = traj.trace_with(rho.matrix @ B0 - B0 @ rho.matrix)
     num = abs(complex(expect_c[-1]))
     # closed dynamics: gen_speed_op holds ||[H, A]||_op / hbar
     speeds = traj.gen_speed_op * (hbar if kind == "closed" else 1.0)
@@ -572,7 +580,9 @@ def rate_audit(
     differences of the sampled expectations. For unitary trajectories the
     Robertson bound 2 dO dH / hbar and the Hoelder bound 2 ||H O(t)||_op / hbar
     apply; for Lindblad trajectories the Cauchy-Schwarz bound
-    sqrt(tr rho^2) ||L^dag[O(t)]||_hs applies.
+    sqrt(tr rho^2) ||L^dag[O(t)]||_hs applies. A unitary trajectory must be
+    generated by ``system.hamiltonian``, which then commutes with U(t), so
+    ||H O(t)||_op = ||U^dag(t) H O(0) U(t)||_op = ||H O(0)||_op is constant.
 
     ``_flip_robertson_sign`` is a test-only hook that negates the Robertson
     right-hand side so auditor mutations are detectable.
@@ -588,8 +598,7 @@ def rate_audit(
         if _flip_robertson_sign:
             rhs_rob = -rhs_rob
         violations["RATE_ROBERTSON"] = float((lhs - rhs_rob).max())
-        prods = system.hamiltonian[None] @ traj.O_samples[1:-1]
-        rhs_hold = 2.0 / hbar * np.linalg.svd(prods, compute_uv=False)[:, 0]
+        rhs_hold = 2.0 / hbar * op_norm(system.hamiltonian @ traj.at(0))
         violations["RATE_HOLDER_OP"] = float((lhs - rhs_hold).max())
     elif traj.kind == "lindblad":
         rhs_cs = np.sqrt(rho.purity) * traj.gen_speed_hs[1:-1]

@@ -105,11 +105,28 @@ def _candidate_bounds(spec: SystemSpec, cfg: RunConfig, O: np.ndarray) -> list[s
     return ["KRAUS"]
 
 
-def _evaluate_bounds(spec: SystemSpec, cfg: RunConfig, requested: list[str]) -> list[bounds.BoundReport]:
-    O = spec.observable(cfg.observable)
-    hbar = cfg.hbar if cfg.hbar is not None else spec.hbar
+def _effective_hbar(spec: SystemSpec, cfg: RunConfig) -> float:
+    if cfg.hbar is None:
+        return spec.hbar
+    if spec.kind == "kraus":
+        raise ValidationError("--hbar does not apply to a kraus system: its Kraus family has no hbar")
+    return cfg.hbar
+
+
+def _evolve(spec: SystemSpec, cfg: RunConfig, O: np.ndarray, hbar: float):
     rho = spec.initial_state
     grid = TimeGrid(0.0, cfg.t_max, cfg.steps)
+    if spec.kind == "unitary":
+        return evolve_unitary_heisenberg(O, spec.hamiltonian, rho, grid, hbar=hbar, tol=cfg.tol)
+    if spec.kind == "lindblad":
+        return evolve_lindblad_heisenberg(O, spec.generator(hbar), rho, grid, tol=cfg.tol)
+    return evolve_kraus_heisenberg(O, spec.generator(), rho, grid, tol=cfg.tol)
+
+
+def _evaluate_bounds(spec: SystemSpec, cfg: RunConfig, requested: list[str]) -> list[bounds.BoundReport]:
+    O = spec.observable(cfg.observable)
+    hbar = _effective_hbar(spec, cfg)
+    rho = spec.initial_state
     candidates = _candidate_bounds(spec, cfg, O)
 
     if requested == ["ALL"]:
@@ -125,16 +142,11 @@ def _evaluate_bounds(spec: SystemSpec, cfg: RunConfig, requested: list[str]) -> 
             )
         wanted = requested
 
-    if spec.kind == "unitary":
-        traj = evolve_unitary_heisenberg(O, spec.hamiltonian, rho, grid, hbar=hbar, tol=cfg.tol)
-    elif spec.kind == "lindblad":
-        gen = spec.generator()
-        traj = evolve_lindblad_heisenberg(O, gen, rho, grid, tol=cfg.tol)
-    else:
-        traj = evolve_kraus_heisenberg(O, spec.generator(), rho, grid, tol=cfg.tol)
-
+    traj = _evolve(spec, cfg, O, hbar)
+    grid = traj.grid
     e0, eT = float(traj.expect[0]), float(traj.expect[-1])
     T = grid.duration
+    battery = None
     reports = []
     for bid in wanted:
         if bid == "MT_INTEGRAL":
@@ -160,7 +172,7 @@ def _evaluate_bounds(spec: SystemSpec, cfg: RunConfig, requested: list[str]) -> 
         elif bid == "GENERATOR_HS":
             reports.append(bounds.oqsl_generator_hs(traj, rho))
         elif bid == "DELCAMPO":
-            gen = spec.generator()
+            gen = spec.generator(hbar)
             states = evolve_lindblad_schrodinger(rho, gen, grid, tol=cfg.tol)
             lrho0_hs2 = hs_norm(lindblad_apply(gen, rho.matrix, 0.0)) ** 2
             reports.append(bounds.qsl_delcampo(rho, states[-1], lrho0_hs2, T))
@@ -168,12 +180,12 @@ def _evaluate_bounds(spec: SystemSpec, cfg: RunConfig, requested: list[str]) -> 
             reports.append(bounds.oqsl_kraus(traj, rho))
         elif bid == "STATE_INDEP":
             reports.append(bounds.oqsl_state_independent(O, traj))
-        elif bid == "BATTERY_CT1":
-            ct1, _ = _battery(spec, cfg, O, rho, grid, hbar)
-            reports.append(ct1)
-        elif bid == "BATTERY_CT2":
-            _, ct2 = _battery(spec, cfg, O, rho, grid, hbar)
-            reports.append(ct2)
+        elif bid in ("BATTERY_CT1", "BATTERY_CT2"):
+            if battery is None:
+                # the named observable is the battery Hamiltonian and the file Hamiltonian
+                # the total drive: traj is the battery's trajectory, their difference the field
+                battery = bounds._battery_core(traj, O, spec.hamiltonian - O, rho, hbar, cfg.tol)
+            reports.append(battery[0] if bid == "BATTERY_CT1" else battery[1])
         elif bid == "CORR_CLOSED":
             trace = bounds.two_time_correlation(O, traj, rho, tol=cfg.tol)
             reports.append(
@@ -191,13 +203,6 @@ def _evaluate_bounds(spec: SystemSpec, cfg: RunConfig, requested: list[str]) -> 
         else:
             raise ValidationError(f"unknown bound id {bid!r}")
     return reports
-
-
-def _battery(spec, cfg, O, rho, grid, hbar):
-    # the named observable is the battery Hamiltonian; the file Hamiltonian
-    # is the total drive, so the charging field is their difference
-    HC = spec.hamiltonian - O
-    return bounds.battery_bounds(O, HC, rho, grid, hbar=hbar, tol=cfg.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +280,8 @@ def cmd_evolve(cfg: RunConfig, out, err) -> int:
     if not cfg.observable or cfg.observable not in spec.observables:
         print(f"evolve: unknown or missing observable {cfg.observable!r}", file=err)
         return EXIT_INPUT
-    O = spec.observable(cfg.observable)
-    hbar = cfg.hbar if cfg.hbar is not None else spec.hbar
-    grid = TimeGrid(0.0, cfg.t_max, cfg.steps)
-    if spec.kind == "unitary":
-        traj = evolve_unitary_heisenberg(O, spec.hamiltonian, spec.initial_state, grid, hbar=hbar, tol=cfg.tol)
-    elif spec.kind == "lindblad":
-        traj = evolve_lindblad_heisenberg(O, spec.generator(), spec.initial_state, grid, tol=cfg.tol)
-    else:
-        traj = evolve_kraus_heisenberg(O, spec.generator(), spec.initial_state, grid, tol=cfg.tol)
-    times = grid.times()
+    traj = _evolve(spec, cfg, spec.observable(cfg.observable), _effective_hbar(spec, cfg))
+    times = traj.grid.times()
     if cfg.fmt == "json":
         payload = {
             "schema": "oqsl.evolve/v1",
@@ -362,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tmax", type=float, required=True, help="evolution horizon T")
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--bounds", default="ALL", help="comma-separated bound ids or ALL")
-    sp.add_argument("--hbar", type=float, default=None, help="override the file hbar")
+    sp.add_argument("--hbar", type=float, default=None, help="override the file hbar (not for kraus systems)")
 
     sp = sub.add_parser("evolve", help="emit the observable trajectory")
     add_common(sp)

@@ -1,15 +1,19 @@
 """Heisenberg-picture observable trajectories and Schrodinger-picture state
 trajectories under unitary, Lindblad-adjoint, and Kraus dynamics.
 
-Unitary trajectories are exact (propagator per grid point, evaluated in the
-Hamiltonian eigenbasis); Lindblad trajectories use fixed-step classical RK4.
-Kraus trajectories are evaluated directly from the operator family, with
-operator time-derivatives taken by finite differences on the grid.
+Unitary trajectories are exact and hold no per-sample matrices: H is
+diagonalized once, and every expectation, spread, correlation or commutator
+expectation along the grid is one phase-matrix product in its eigenbasis.
+Their generator speeds are constant, and ``O_samples`` is built only on
+demand. Lindblad trajectories use fixed-step classical RK4 and store O(t)
+per grid point. Kraus trajectories are evaluated directly from the operator
+family, with operator time-derivatives taken by finite differences on the
+grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -20,7 +24,6 @@ from .linalg import (
     NumericError,
     ValidationError,
     as_matrix,
-    commutator,
     is_hermitian,
     mat_exp,
     require_finite,
@@ -245,55 +248,125 @@ class KrausGenerator:
 GeneratorSpec = Union[UnitaryGenerator, LindbladGenerator, KrausGenerator]
 
 
-def kraus_completeness_defect(family: KrausFamily, t: float) -> float:
-    """Max-entry deviation of sum_i K_i^dag K_i from the identity at time t."""
-    K = family.operators(t)
-    acc = np.einsum("iab,iac->bc", K.conj(), K)
-    return float(np.abs(acc - np.eye(family.dim)).max())
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ObservableTrajectory:
-    """Samples of a Heisenberg-picture observable along a time grid.
+    """A Heisenberg-picture observable O(t) along a time grid, with its
+    expectation <O(t)>, spread dO(t) and generator speeds at every grid point.
 
     ``gen_speed_hs`` / ``gen_speed_op`` hold the Hilbert-Schmidt and operator
     norms of the generator applied to O(t) (for Kraus dynamics: the summed
-    norms of K_i^dag(t) O(0) dK_i/dt).
+    norms of K_i^dag(t) O(0) dK_i/dt). Lindblad and Kraus trajectories store
+    O(t) per grid point; :class:`UnitaryTrajectory` does not. Bounds read O(t)
+    only through :meth:`trace_with` and :meth:`at`.
     """
 
     kind: str
     grid: TimeGrid
-    O_samples: np.ndarray = field(compare=False)
-    expect: np.ndarray = field(compare=False)
-    stddev: np.ndarray = field(compare=False)
-    gen_speed_hs: np.ndarray = field(compare=False)
-    gen_speed_op: np.ndarray = field(compare=False)
+    # left out of repr, which would otherwise build a unitary trajectory's samples
+    O_samples: np.ndarray | None = field(repr=False)
+    expect: np.ndarray
+    stddev: np.ndarray
+    gen_speed_hs: np.ndarray
+    gen_speed_op: np.ndarray
     hbar: float = 1.0
 
     @property
     def dim(self) -> int:
         return self.O_samples.shape[1]
 
-    def prefix(self, k: int) -> "ObservableTrajectory":
-        """Restriction to the first k grid cells (k >= 2)."""
+    def trace_with(self, M: np.ndarray) -> np.ndarray:
+        """tr(O(t) M) at every grid point (complex)."""
+        return np.einsum("tab,ba->t", self.O_samples, M)
+
+    def at(self, k: int) -> np.ndarray:
+        """O(t_k) at grid index k; a negative k counts from the end."""
+        return self.O_samples[k]
+
+    def _prefix_grid(self, k: int) -> TimeGrid:
         if not 2 <= k <= self.grid.steps:
             raise ValidationError(f"prefix length {k} outside [2, {self.grid.steps}]")
-        t = self.grid.times()
-        sub = TimeGrid(self.grid.t0, float(t[k]), k)
-        return ObservableTrajectory(
-            kind=self.kind,
-            grid=sub,
-            O_samples=self.O_samples[: k + 1],
-            expect=self.expect[: k + 1],
-            stddev=self.stddev[: k + 1],
-            gen_speed_hs=self.gen_speed_hs[: k + 1],
-            gen_speed_op=self.gen_speed_op[: k + 1],
-            hbar=self.hbar,
-        )
+        return TimeGrid(self.grid.t0, float(self.grid.times()[k]), k)
+
+    def prefix(self, k: int) -> "ObservableTrajectory":
+        """Restriction to the first k grid cells (k >= 2)."""
+        per_sample = ("O_samples", "expect", "stddev", "gen_speed_hs", "gen_speed_op")
+        return replace(self, grid=self._prefix_grid(k), **{f: getattr(self, f)[: k + 1] for f in per_sample})
+
+
+class UnitaryTrajectory(ObservableTrajectory):
+    """O(t) = U^dag(t) O U(t) under a constant Hamiltonian H = V diag(w) V^dag.
+
+    Holds the frequencies w / hbar, the eigenvectors V, and the observable and
+    state in the eigenbasis, O~ = V^dag O V and rho~ = V^dag rho V. With the
+    phases E[t, a] = exp(i t w_a / hbar), tr(O(t) M) is the row sum of
+    (E @ (O~ * M~^T)) * conj(E), so no per-sample matrix is formed.
+    [H, O(t)] = U^dag [H, O] U, so both generator speeds are constant.
+    ``O_samples`` is built on first access and cached.
+    """
+
+    def __init__(self, grid: TimeGrid, freqs, vectors, O_eig, rho_eig, hbar: float, tol: float):
+        self._freqs, self._vectors, self._O_eig, self._rho_eig, self._tol = freqs, vectors, O_eig, rho_eig, tol
+        expect, stddev = self._moments(grid.times())
+        # [H, O] / hbar in the eigenbasis; both norms are unitarily invariant
+        comm = (freqs[:, None] - freqs[None, :]) * O_eig
+        speed_hs = np.full(grid.steps + 1, np.linalg.norm(comm))
+        speed_op = np.full(grid.steps + 1, np.linalg.svd(comm, compute_uv=False)[0])
+        super().__init__("unitary", grid, None, expect, stddev, speed_hs, speed_op, hbar)
+
+    @property
+    def O_samples(self) -> np.ndarray:
+        if self._samples is None:
+            self._samples = self._samples_at(self.grid.times())
+        return self._samples
+
+    @O_samples.setter
+    def O_samples(self, value) -> None:
+        self._samples = value
+
+    @property
+    def dim(self) -> int:
+        return self._vectors.shape[0]
+
+    def trace_with(self, M: np.ndarray) -> np.ndarray:
+        V = self._vectors
+        return self._phase_trace(self._O_eig * (V.conj().T @ M @ V).T, self.grid.times())
+
+    def at(self, k: int) -> np.ndarray:
+        return self._samples_at(np.atleast_1d(self.grid.times()[k]))[0]
+
+    def stddev_at(self, times) -> np.ndarray:
+        """dO(t) at arbitrary times, from the closed form."""
+        return self._moments(np.asarray(times, dtype=float))[1]
+
+    def prefix(self, k: int) -> "UnitaryTrajectory":
+        grid = self._prefix_grid(k)
+        return UnitaryTrajectory(grid, self._freqs, self._vectors, self._O_eig, self._rho_eig, self.hbar, self._tol)
+
+    def _phase_trace(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+        E = np.exp(1j * np.outer(times, self._freqs))
+        return np.einsum("ta,ta->t", E @ X, E.conj())
+
+    def _moments(self, times: np.ndarray):
+        rho_t = self._rho_eig.T
+        mean = self._phase_trace(self._O_eig * rho_t, times).real
+        second = self._phase_trace((self._O_eig @ self._O_eig) * rho_t, times).real
+        return mean, _spread(mean, second, self._tol)
+
+    def _samples_at(self, times: np.ndarray) -> np.ndarray:
+        E = np.exp(1j * np.outer(times, self._freqs))
+        Ot = E[:, :, None] * self._O_eig[None] * E.conj()[:, None, :]
+        return self._vectors @ Ot @ self._vectors.conj().T
+
+
+def _spread(mean: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
+    var = second - mean * mean
+    if var.min() < -tol:
+        raise NumericError(f"variance {var.min():.3e} below -tolerance along trajectory")
+    return np.sqrt(np.clip(var, 0.0, None))
 
 
 def _batch_expect(Os: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -301,20 +374,8 @@ def _batch_expect(Os: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _batch_stddev(Os: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
-    mean = _batch_expect(Os, rho)
     second = np.einsum("tab,tbc,ca->t", Os, Os, rho).real
-    var = second - mean * mean
-    if var.min() < -tol:
-        raise NumericError(f"variance {var.min():.3e} below -tolerance along trajectory")
-    return np.sqrt(np.clip(var, 0.0, None))
-
-
-def _batch_hs(Ms: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("tab,tab->t", Ms.conj(), Ms).real)
-
-
-def _batch_op(Ms: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(Ms, compute_uv=False)[:, 0]
+    return _spread(_batch_expect(Os, rho), second, tol)
 
 
 def _check_state(rho: DensityState, dim: int) -> None:
@@ -344,8 +405,8 @@ def evolve_unitary_heisenberg(
     grid: TimeGrid,
     hbar: float = 1.0,
     tol: float = DEFAULT_TOL,
-) -> ObservableTrajectory:
-    """Exact O(t) = U^dag(t) O(0) U(t) per grid point, in the eigenbasis of H."""
+) -> UnitaryTrajectory:
+    """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of H."""
     O0 = as_matrix(O0, "observable")
     H = as_matrix(H, "hamiltonian")
     require_finite(O0, "observable")
@@ -361,23 +422,8 @@ def evolve_unitary_heisenberg(
     _check_state(rho, O0.shape[0])
 
     w, V = np.linalg.eigh(H)
-    Ot = V.conj().T @ O0 @ V
-    gaps = (w[:, None] - w[None, :]) / hbar
-    times = grid.times()
-    phases = np.exp(1j * times[:, None, None] * gaps[None, :, :])
-    Os = V @ (phases * Ot[None, :, :]) @ V.conj().T
-
-    comms = H[None] @ Os - Os @ H[None]
-    return ObservableTrajectory(
-        kind="unitary",
-        grid=grid,
-        O_samples=Os,
-        expect=_batch_expect(Os, rho.matrix),
-        stddev=_batch_stddev(Os, rho.matrix, tol),
-        gen_speed_hs=_batch_hs(comms) / hbar,
-        gen_speed_op=_batch_op(comms) / hbar,
-        hbar=hbar,
-    )
+    Vd = V.conj().T
+    return UnitaryTrajectory(grid, w / hbar, V, Vd @ O0 @ V, Vd @ rho.matrix @ V, hbar, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +499,8 @@ def _adjoint_speeds(gen: LindbladGenerator, Os: np.ndarray, times: np.ndarray):
     for L, Ld, LdL, rate in _jump_terms(gen):
         g = np.asarray(rate_at(rate, times), dtype=float)[:, None, None]
         rhs = rhs + g * (Ld[None] @ Os @ L[None] - 0.5 * (LdL[None] @ Os + Os @ LdL[None]))
-    return _batch_hs(rhs), _batch_op(rhs)
+    speed_hs = np.sqrt(np.einsum("tab,tab->t", rhs.conj(), rhs).real)
+    return speed_hs, np.linalg.svd(rhs, compute_uv=False)[:, 0]
 
 
 def _check_rates_on_grid(gen: LindbladGenerator, times: np.ndarray) -> None:

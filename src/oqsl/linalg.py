@@ -39,10 +39,6 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def dagger(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
-
-
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex matrix or raise ValidationError."""
     A = np.asarray(M, dtype=complex)
@@ -112,14 +108,6 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape != B.shape:
         raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
     return A @ B - B @ A
-
-
-def anticommutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return A @ B + B @ A
 
 
 @dataclass(frozen=True)

@@ -252,11 +252,13 @@ class SystemSpec:
             )
         return self.observables[name]
 
-    def generator(self) -> GeneratorSpec:
+    def generator(self, hbar: float | None = None) -> GeneratorSpec:
+        """The system's dynamics, with ``hbar`` in place of the file's when given."""
+        hbar = self.hbar if hbar is None else hbar
         if self.kind == "unitary":
-            return UnitaryGenerator(H=self.hamiltonian, hbar=self.hbar)
+            return UnitaryGenerator(H=self.hamiltonian, hbar=hbar)
         if self.kind == "lindblad":
-            return LindbladGenerator(H=self.hamiltonian, jumps=self.jumps, hbar=self.hbar)
+            return LindbladGenerator(H=self.hamiltonian, jumps=self.jumps, hbar=hbar)
         if self.kind == "kraus":
             if self.kraus is None:
                 raise ValidationError("kraus kind requires a kraus family")

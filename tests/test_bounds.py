@@ -118,6 +118,15 @@ def test_mt_integral_requires_unitary_kind():
         oqsl_mt_integral(traj, 1.0)
 
 
+def test_mt_integral_midpoint_spread_stays_below_horizon():
+    # each cell gives |cos 2t - cos 2(t + h)| / (2 |sin(2t + h)|) = sin h < h
+    # exactly when the spread is taken at the true cell midpoint
+    for steps in (250, 1000, 4000):
+        rep = oqsl_mt_integral(tight_trajectory(steps), 1.0)
+        assert rep.T_qsl == pytest.approx(steps * np.sin(T_HALF_PI / steps), abs=1e-9)
+        assert rep.T_qsl <= T_HALF_PI
+
+
 def test_mt_integral_counts_skipped_cells():
     rep = oqsl_mt_integral(tight_trajectory(100), 1.0)
     assert rep.details["cells"] == 100

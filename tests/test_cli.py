@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oqsl.cli import main
+from oqsl.dynamics import LindbladGenerator, TimeGrid, evolve_lindblad_heisenberg
 from oqsl.sysdl import builtin_text, parse_system
 
 DEPHASING = "src/oqsl/systems/dephasing.sys"
@@ -81,6 +82,47 @@ def test_bound_all_on_tight_includes_battery(tight_path):
     assert {"MT_INTEGRAL", "SELF_INVERSE", "PURITY_HS", "MIN_NORM", "GENERATOR_HS",
             "STATE_INDEP", "BATTERY_CT1", "BATTERY_CT2", "CORR_CLOSED"} <= ids
     assert "STATE_MT" not in ids  # sigma_x is not a projector
+
+
+def test_bound_all_on_tight_readme_horizon_passes(tight_path):
+    # the README horizon sits 3e-8 below pi / 2, inside the tight bounds' reach
+    code, out, err = run_cli(
+        ["bound", "--system", tight_path, "--observable", "O", "--tmax", "1.5707963",
+         "--bounds", "ALL", "--format", "json"]
+    )
+    assert code == 0, err
+    reports = {r["bound_id"]: r for r in json.loads(out)["reports"]}
+    assert reports["MT_INTEGRAL"]["T_qsl"] == pytest.approx(np.pi / 2, abs=1e-5)
+    assert reports["BATTERY_CT1"]["T_qsl"] == reports["MT_INTEGRAL"]["T_qsl"]
+
+
+def test_bound_all_evolves_once_and_matches_battery_bounds(monkeypatch, tmp_path):
+    import oqsl.bounds
+    import oqsl.cli
+
+    calls = []
+    evolve = oqsl.cli.evolve_unitary_heisenberg
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    for module in (oqsl.cli, oqsl.bounds):
+        monkeypatch.setattr(module, "evolve_unitary_heisenberg", counted)
+    p = tmp_path / "battery.sys"
+    p.write_text(builtin_text("battery"))
+    code, out, err = run_cli(
+        ["bound", "--system", str(p), "--observable", "HB", "--tmax", "1.0", "--format", "json"]
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+    reports = {r["bound_id"]: r for r in json.loads(out)["reports"]}
+    spec = parse_system(builtin_text("battery"))
+    HB = spec.observable("HB")
+    ct1, ct2 = oqsl.bounds.battery_bounds(HB, spec.hamiltonian - HB, spec.initial_state, TimeGrid(0.0, 1.0, 1000))
+    assert reports["BATTERY_CT1"]["T_qsl"] == pytest.approx(ct1.T_qsl, rel=1e-12)
+    assert reports["BATTERY_CT2"]["T_qsl"] == pytest.approx(ct2.T_qsl, rel=1e-12)
+    assert reports["BATTERY_CT2"]["inputs_digest"] == ct2.inputs_digest
 
 
 def test_bound_commutator_needs_partner(tmp_path):
@@ -221,6 +263,38 @@ def test_evolve_hbar_override(tight_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["expect"][-1] == pytest.approx(np.cos(1.0), abs=1e-9)
+
+
+def test_evolve_hbar_override_applies_to_lindblad(tmp_path):
+    p = tmp_path / "qutrit_decay.sys"
+    p.write_text(builtin_text("qutrit_decay"))
+    outputs = {}
+    for hbar in ("1", "2"):
+        code, out, err = run_cli(
+            ["evolve", "--system", str(p), "--observable", "C", "--tmax", "1", "--steps", "100",
+             "--hbar", hbar, "--format", "json"]
+        )
+        assert code == 0, err
+        outputs[hbar] = json.loads(out)
+    # <C> stays 0 from this diagonal state; the generator speeds carry the hbar
+    assert outputs["1"]["gen_speed_hs"] != outputs["2"]["gen_speed_hs"]
+    spec = parse_system(builtin_text("qutrit_decay"))
+    gen = LindbladGenerator(H=spec.hamiltonian, jumps=spec.jumps, hbar=2.0)
+    traj = evolve_lindblad_heisenberg(spec.observable("C"), gen, spec.initial_state, TimeGrid(0.0, 1.0, 100))
+    assert outputs["2"]["expect"] == traj.expect.tolist()
+    assert outputs["2"]["gen_speed_hs"] == traj.gen_speed_hs.tolist()
+
+
+@pytest.mark.parametrize("command", ["bound", "evolve"])
+def test_hbar_override_rejected_for_kraus(command, tmp_path):
+    p = tmp_path / "kraus_dephasing.sys"
+    p.write_text(builtin_text("kraus_dephasing"))
+    code, out, err = run_cli(
+        [command, "--system", str(p), "--observable", "O", "--tmax", "1", "--hbar", "2"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "--hbar" in err
 
 
 def test_evolve_json(dephasing_path):
