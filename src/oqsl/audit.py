@@ -4,10 +4,13 @@ inequalities, and Heisenberg/Schrodinger duality.
 The random sampler lives here, behind the audit command, so the core library
 stays deterministic and side-effect free. Every trial owns a generator seeded
 from (seed, dim, index); summaries are therefore bit-identical for a fixed
-seed and independent of worker scheduling. Lindblad master-equation
-integration is batched across trials of equal dimension; per-trial bound
-evaluation runs on a thread pool capped by ``max_workers`` or the
-``OQSL_THREADS`` environment variable.
+seed and independent of worker scheduling. The Lindblad evolution of all
+trials of one dimension, in both pictures, is one call to the kernel that
+the CLI also uses (``dynamics.propagate_lindblad``): the audit's rates are
+constant, so each step is one batched mat-vec with the exact propagator.
+Per-trial bound evaluation, including the Lindblad generator speeds, runs on
+a thread pool capped by ``max_workers`` or the ``OQSL_THREADS`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -24,14 +27,11 @@ from .dynamics import (
     DephasingKraus,
     KrausGenerator,
     LindbladGenerator,
-    ObservableTrajectory,
     TimeGrid,
-    _adjoint_speeds,
-    _batch_expect,
-    _batch_stddev,
-    _rk4,
     evolve_kraus_heisenberg,
     evolve_unitary_heisenberg,
+    lindblad_trajectory,
+    propagate_lindblad,
 )
 from .linalg import DEFAULT_TOL, DensityState, hs_norm, op_norm, tr_norm, variance
 from .sysdl import SystemSpec
@@ -164,54 +164,17 @@ def _sample_trial(seed: int, dim: int, index: int) -> _Trial:
 
 
 def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
-    """RK4-integrate every trial's Heisenberg observable and Schrodinger state
-    at once; attaches (n_times, d, d) sample arrays to each trial."""
+    """Evolve every trial's Heisenberg observable and Schrodinger state at
+    once through the shared Lindblad kernel; attaches (n_times, d, d) sample
+    arrays to each trial."""
     if not trials:
         return
-    H = np.stack([t.H for t in trials])
-    Ls = np.stack([[L for L, _ in t.jumps] for t in trials])
-    gammas = np.array([[g for _, g in t.jumps] for t in trials])
-    Lds = Ls.conj().swapaxes(-1, -2)
-    LdLs = Lds @ Ls
-    n_jumps = Ls.shape[1]
-
-    def rhs_heis(_, O):
-        out = 1j * (H @ O - O @ H)
-        for k in range(n_jumps):
-            g = gammas[:, k, None, None]
-            out = out + g * (Lds[:, k] @ O @ Ls[:, k] - 0.5 * (LdLs[:, k] @ O + O @ LdLs[:, k]))
-        return out
-
-    def rhs_schr(_, r):
-        out = -1j * (H @ r - r @ H)
-        for k in range(n_jumps):
-            g = gammas[:, k, None, None]
-            out = out + g * (Ls[:, k] @ r @ Lds[:, k] - 0.5 * (LdLs[:, k] @ r + r @ LdLs[:, k]))
-        return out
-
-    times = grid.times()
-    O0 = np.stack([t.O for t in trials])
-    rho0 = np.stack([t.rho.matrix for t in trials])
-    O_traj = _rk4(rhs_heis, O0.astype(complex), times)
-    rho_traj = _rk4(rhs_schr, rho0.astype(complex), times)
-    for j, t in enumerate(trials):
-        t.lind_O = O_traj[:, j]
-        t.lind_rho = rho_traj[:, j]
-
-
-def _lindblad_trajectory(trial: _Trial, gen: LindbladGenerator, grid: TimeGrid) -> ObservableTrajectory:
-    times = grid.times()
-    speed_hs, speed_op = _adjoint_speeds(gen, trial.lind_O, times)
-    return ObservableTrajectory(
-        kind="lindblad",
-        grid=grid,
-        O_samples=trial.lind_O,
-        expect=_batch_expect(trial.lind_O, trial.rho.matrix),
-        stddev=_batch_stddev(trial.lind_O, trial.rho.matrix, 1e-9),
-        gen_speed_hs=speed_hs,
-        gen_speed_op=speed_op,
-        hbar=gen.hbar,
-    )
+    gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
+    O_traj = propagate_lindblad(gens, np.stack([t.O for t in trials]), grid, heisenberg=True)
+    rho_traj = propagate_lindblad(gens, np.stack([t.rho.matrix for t in trials]), grid, heisenberg=False)
+    for t, O_samples, rho_samples in zip(trials, O_traj, rho_traj):
+        t.lind_O = O_samples
+        t.lind_rho = rho_samples
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +250,7 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
 
     # --- Lindblad dynamics (batched samples attached by the block integrator)
     gen = LindbladGenerator(H=trial.H, jumps=trial.jumps)
-    ltraj = _lindblad_trajectory(trial, gen, lgrid)
+    ltraj = lindblad_trajectory(gen, trial.lind_O, rho, lgrid)
     T_l = lgrid.duration
     out[("GENERATOR_HS", "lindblad")] = bounds.oqsl_generator_hs(ltraj, rho).T_qsl - T_l
     out[("STATE_INDEP", "lindblad")] = bounds.oqsl_state_independent(trial.O, ltraj).T_qsl - T_l

@@ -5,14 +5,20 @@ Unitary trajectories are exact and hold no per-sample matrices: H is
 diagonalized once, and every expectation, spread, correlation or commutator
 expectation along the grid is one phase-matrix product in its eigenbasis.
 Their generator speeds are constant, and ``O_samples`` is built only on
-demand. Lindblad trajectories use fixed-step classical RK4 and store O(t)
-per grid point. Kraus trajectories are evaluated directly from the operator
-family, with operator time-derivatives taken by finite differences on the
-grid.
+demand.
+
+Lindblad trajectories store O(t) per grid point and come from one
+batch-first kernel, :func:`propagate_lindblad`, which the audit also calls.
+With rates constant in time and d <= EXACT_MAX_DIM each step is one mat-vec
+with the exact propagator exp(h L); otherwise it integrates by fixed-step
+RK4. Kraus trajectories call the operator family once per grid time and
+work on the whole (n_times, n_ops, d, d) stack, with time-derivatives taken
+by finite differences along the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
@@ -30,6 +36,9 @@ from .linalg import (
 )
 
 INSTABILITY_LIMIT = 1e12
+# the largest dimension at which constant-rate Lindblad evolution takes the
+# exact route: above it, the d^2 x d^2 propagator costs more than RK4
+EXACT_MAX_DIM = 16
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +188,11 @@ class DephasingKraus:
     def operators(self, t: float) -> np.ndarray:
         if t < 0:
             raise ValidationError("dephasing family is defined for t >= 0")
-        e = np.exp(-self.gamma * t)
-        a = np.sqrt((1.0 + e) / 2.0)
-        b = np.sqrt((1.0 - e) / 2.0)
-        k0 = np.diag([a, a]).astype(complex)
-        k1 = np.diag([b, -b]).astype(complex)
-        return np.stack([k0, k1])
+        e = math.exp(-self.gamma * t)
+        a = math.sqrt((1.0 + e) / 2.0)
+        b = math.sqrt((1.0 - e) / 2.0)
+        # K0 = a I and K1 = b Z, from a flat list: the audit calls this per grid time
+        return np.array([a, 0.0, 0.0, a, b, 0.0, 0.0, -b], dtype=complex).reshape(2, 2, 2)
 
 
 class TabulatedKraus:
@@ -210,7 +218,10 @@ class TabulatedKraus:
         self.n_ops = K.shape[1]
 
     def operators(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
+        # the nearer of the two table times around t (the lower one on a tie)
+        i = int(np.clip(np.searchsorted(self.times, t), 1, self.times.size - 1))
+        if t - self.times[i - 1] <= self.times[i] - t:
+            i -= 1
         if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
             raise ValidationError(f"time {t!r} is not on the tabulated Kraus grid")
         return self.ops[i]
@@ -430,13 +441,6 @@ def evolve_unitary_heisenberg(
 # Lindblad dynamics
 
 
-def _jump_terms(gen: LindbladGenerator):
-    out = []
-    for L, rate in gen.jumps:
-        out.append((L, L.conj().T, L.conj().T @ L, rate))
-    return out
-
-
 def lindblad_adjoint(gen: LindbladGenerator, O: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Adjoint generator acting on an observable:
 
@@ -445,13 +449,7 @@ def lindblad_adjoint(gen: LindbladGenerator, O: np.ndarray, t: float = 0.0) -> n
     O = as_matrix(O, "observable")
     if O.shape != gen.H.shape:
         raise ValidationError(f"dimension mismatch: {O.shape} vs {gen.H.shape}")
-    out = (1j / gen.hbar) * (gen.H @ O - O @ gen.H)
-    for L, Ld, LdL, rate in _jump_terms(gen):
-        g = float(rate_at(rate, t))
-        if g < 0:
-            raise ValidationError(f"negative rate {g!r} at t={t!r}")
-        out = out + g * (Ld @ O @ L - 0.5 * (LdL @ O + O @ LdL))
-    return out
+    return _apply_at(gen, O, t, heisenberg=True)
 
 
 def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -462,21 +460,28 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> n
     rho = as_matrix(rho, "state")
     if rho.shape != gen.H.shape:
         raise ValidationError(f"dimension mismatch: {rho.shape} vs {gen.H.shape}")
-    out = (-1j / gen.hbar) * (gen.H @ rho - rho @ gen.H)
-    for L, Ld, LdL, rate in _jump_terms(gen):
-        g = float(rate_at(rate, t))
-        if g < 0:
-            raise ValidationError(f"negative rate {g!r} at t={t!r}")
-        out = out + g * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
-    return out
+    return _apply_at(gen, rho, t, heisenberg=False)
+
+
+def _apply_at(gen: LindbladGenerator, X: np.ndarray, t: float, heisenberg: bool) -> np.ndarray:
+    g = _rates_at(gen, t)
+    if (g < 0).any():
+        raise ValidationError(f"negative rate {float(g.min())!r} at t={t!r}")
+    return _matrix_form(gen.H, _jump_stack(gen), gen.hbar, heisenberg)(X[None], g)[0]
+
+
+def _jump_stack(gen: LindbladGenerator) -> np.ndarray:
+    """The jump operators of gen, shape (J, d, d)."""
+    return np.array([L for L, _ in gen.jumps], dtype=complex).reshape(len(gen.jumps), gen.dim, gen.dim)
 
 
 def _rk4(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Classical fixed-step RK4; returns samples at every grid time."""
+    """Classical fixed-step RK4 on a batch y0 of shape (B, ...); returns the
+    samples at every grid time, shape (B, n_times, ...)."""
     n = times.size - 1
     h = times[1] - times[0]
-    out = np.empty((n + 1,) + y0.shape, dtype=complex)
-    out[0] = y0
+    out = np.empty((y0.shape[0], n + 1) + y0.shape[1:], dtype=complex)
+    out[:, 0] = y0
     y = y0
     for i in range(n):
         t = times[i]
@@ -485,22 +490,148 @@ def _rk4(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
         k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.abs(y).max() > INSTABILITY_LIMIT:
-            raise NumericError(
-                "integration became unstable; reduce the step size (increase steps)"
-            )
-        out[i + 1] = y
+        _check_stable(y)
+        out[:, i + 1] = y
     return out
 
 
-def _adjoint_speeds(gen: LindbladGenerator, Os: np.ndarray, times: np.ndarray):
-    """Batched ||L^dag[O(t)]|| along the samples (Hilbert-Schmidt and operator)."""
-    rhs = (1j / gen.hbar) * (gen.H[None] @ Os - Os @ gen.H[None])
-    for L, Ld, LdL, rate in _jump_terms(gen):
-        g = np.asarray(rate_at(rate, times), dtype=float)[:, None, None]
-        rhs = rhs + g * (Ld[None] @ Os @ L[None] - 0.5 * (LdL[None] @ Os + Os @ LdL[None]))
-    speed_hs = np.sqrt(np.einsum("tab,tab->t", rhs.conj(), rhs).real)
-    return speed_hs, np.linalg.svd(rhs, compute_uv=False)[:, 0]
+def _check_stable(y: np.ndarray) -> None:
+    if not np.abs(y).max() <= INSTABILITY_LIMIT:
+        raise NumericError("integration became unstable; reduce the step size (increase steps)")
+
+
+def _constant_rates(gen: LindbladGenerator) -> list[float] | None:
+    """The jump rates of gen when none varies in time, else None."""
+    rates = []
+    for _, rate in gen.jumps:
+        if isinstance(rate, RateTable):
+            if np.any(rate.values != rate.values[0]):
+                return None
+            rate = rate.values[0]
+        rates.append(float(rate))
+    return rates
+
+
+def _takes_exact_route(gen: LindbladGenerator) -> bool:
+    return gen.dim <= EXACT_MAX_DIM and _constant_rates(gen) is not None
+
+
+def liouvillian(gen: LindbladGenerator, heisenberg: bool) -> np.ndarray:
+    """The d^2 x d^2 matrix of the adjoint generator (``heisenberg``) or of the
+    Schrodinger generator, acting on row-major vec(X), for constant rates.
+
+    With vec(A X B) = (A kron B^T) vec(X), each is built from its own formula,
+    so their duality can be tested.
+    """
+    rates = _constant_rates(gen)
+    if rates is None:
+        raise ValidationError("a Liouvillian matrix needs rates constant in time")
+    H, I = gen.H, np.eye(gen.dim)
+    comm = np.kron(H, I) - np.kron(I, H.T)
+    out = (1j if heisenberg else -1j) / gen.hbar * comm
+    for (L, _), g in zip(gen.jumps, rates):
+        LdL = L.conj().T @ L
+        anti = np.kron(LdL, I) + np.kron(I, LdL.T)
+        jump = np.kron(L.conj().T, L.T) if heisenberg else np.kron(L, L.conj())
+        out = out + g * (jump - 0.5 * anti)
+    return out
+
+
+def _matrix_form(H, Ls, hbar, heisenberg: bool):
+    """The generator in matrix form, f(y, g), on a stack y of shape (N, d, d).
+
+    H, hbar and the jumps Ls (shape (..., J, d, d)) broadcast against y; g
+    holds the J rates of each of the N matrices, shape (N, J).
+    """
+    Lds = Ls.conj().swapaxes(-1, -2)
+    LdLs = Lds @ Ls
+    left, right = (Lds, Ls) if heisenberg else (Ls, Lds)
+    c = (1j if heisenberg else -1j) / hbar
+
+    def f(y, g):
+        out = c * (H @ y - y @ H)
+        for k in range(Ls.shape[-3]):
+            LdL = LdLs[..., k, :, :]
+            jump = left[..., k, :, :] @ y @ right[..., k, :, :]
+            out = out + g[:, k, None, None] * (jump - 0.5 * (LdL @ y + y @ LdL))
+        return out
+
+    return f
+
+
+def _rates_at(gen: LindbladGenerator, times) -> np.ndarray:
+    """The jump rates at each of the given times, shape (n_times, J)."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return np.array([rate_at(rate, times) for _, rate in gen.jumps]).reshape(len(gen.jumps), times.size).T
+
+
+def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool) -> np.ndarray:
+    """The batch-first Lindblad kernel: evolves y0[b] (shape (B, d, d)) under
+    gens[b], observables when ``heisenberg`` else states, and returns the
+    samples at every grid time, shape (B, steps + 1, d, d). The generators
+    share one dimension and one number of jumps.
+
+    When every rate is constant and d <= EXACT_MAX_DIM, each step is one
+    mat-vec with the exact propagator exp(h L), computed once per generator.
+    Otherwise the master equation is integrated by fixed-step RK4. Both
+    routes reject a blow-up, and a state's trace is checked at every sample.
+    """
+    times = grid.times()
+    for gen in gens:
+        _check_rates_on_grid(gen, times)
+    y0 = np.asarray(y0, dtype=complex)
+    B, d = y0.shape[:2]
+    if all(_takes_exact_route(gen) for gen in gens):
+        P = mat_exp(grid.h * np.stack([liouvillian(gen, heisenberg) for gen in gens]))
+        out = np.empty((B, times.size, d * d), dtype=complex)
+        y = out[:, 0] = y0.reshape(B, d * d)
+        for i in range(1, times.size):
+            y = out[:, i] = np.einsum("bij,bj->bi", P, y)
+            _check_stable(y)
+        out = out.reshape(B, times.size, d, d)
+    else:
+        f = _matrix_form(
+            np.stack([gen.H for gen in gens]),
+            np.stack([_jump_stack(gen) for gen in gens]),
+            np.array([gen.hbar for gen in gens])[:, None, None],
+            heisenberg,
+        )
+        const = [_constant_rates(gen) for gen in gens]
+        if None in const:
+            out = _rk4(lambda t, y: f(y, np.concatenate([_rates_at(gen, t) for gen in gens])), y0, times)
+        else:
+            g = np.array(const, dtype=float)
+            out = _rk4(lambda t, y: f(y, g), y0, times)
+    if not heisenberg:
+        if np.abs(np.einsum("btaa->bt", out.real) - 1.0).max() > 1e-8:
+            raise NumericError("trace not preserved to 1e-8; reduce the step size")
+    return out
+
+
+def lindblad_trajectory(
+    gen: LindbladGenerator,
+    O_samples: np.ndarray,
+    rho: DensityState,
+    grid: TimeGrid,
+    tol: float = DEFAULT_TOL,
+) -> ObservableTrajectory:
+    """The trajectory of Heisenberg samples O(t) from :func:`propagate_lindblad`,
+    with the Hilbert-Schmidt and operator norms of L^dag[O(t)] at every sample."""
+    n, d = O_samples.shape[:2]
+    if _takes_exact_route(gen):
+        rhs = (O_samples.reshape(n, d * d) @ liouvillian(gen, heisenberg=True).T).reshape(n, d, d)
+    else:
+        rhs = _matrix_form(gen.H, _jump_stack(gen), gen.hbar, heisenberg=True)(O_samples, _rates_at(gen, grid.times()))
+    return ObservableTrajectory(
+        kind="lindblad",
+        grid=grid,
+        O_samples=O_samples,
+        expect=_batch_expect(O_samples, rho.matrix),
+        stddev=_batch_stddev(O_samples, rho.matrix, tol),
+        gen_speed_hs=np.sqrt(np.einsum("tab,tab->t", rhs.conj(), rhs).real),
+        gen_speed_op=np.linalg.svd(rhs, compute_uv=False)[:, 0],
+        hbar=gen.hbar,
+    )
 
 
 def _check_rates_on_grid(gen: LindbladGenerator, times: np.ndarray) -> None:
@@ -517,7 +648,7 @@ def evolve_lindblad_heisenberg(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
 ) -> ObservableTrajectory:
-    """RK4 integration of dO/dt = (i/hbar)[H, O] + D[O] on the grid."""
+    """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through :func:`propagate_lindblad`."""
     O0 = as_matrix(O0, "observable")
     require_finite(O0, "observable")
     if not is_hermitian(O0, tol):
@@ -525,31 +656,8 @@ def evolve_lindblad_heisenberg(
     if O0.shape != gen.H.shape:
         raise ValidationError(f"dimension mismatch: {O0.shape} vs {gen.H.shape}")
     _check_state(rho, gen.dim)
-    times = grid.times()
-    _check_rates_on_grid(gen, times)
-
-    terms = _jump_terms(gen)
-    H, hbar = gen.H, gen.hbar
-
-    def rhs(t, O):
-        out = (1j / hbar) * (H @ O - O @ H)
-        for L, Ld, LdL, rate in terms:
-            g = float(rate_at(rate, t))
-            out = out + g * (Ld @ O @ L - 0.5 * (LdL @ O + O @ LdL))
-        return out
-
-    Os = _rk4(rhs, O0, times)
-    speed_hs, speed_op = _adjoint_speeds(gen, Os, times)
-    return ObservableTrajectory(
-        kind="lindblad",
-        grid=grid,
-        O_samples=Os,
-        expect=_batch_expect(Os, rho.matrix),
-        stddev=_batch_stddev(Os, rho.matrix, tol),
-        gen_speed_hs=speed_hs,
-        gen_speed_op=speed_op,
-        hbar=hbar,
-    )
+    Os = propagate_lindblad([gen], O0[None], grid, heisenberg=True)[0]
+    return lindblad_trajectory(gen, Os, rho, grid, tol)
 
 
 def evolve_lindblad_schrodinger(
@@ -558,30 +666,16 @@ def evolve_lindblad_schrodinger(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
 ) -> list[DensityState]:
-    """RK4 integration of the state-picture master equation along the grid.
+    """The state-picture master equation along the grid, through
+    :func:`propagate_lindblad`.
 
-    Trace preservation is verified to 1e-8; positivity loss beyond tolerance
-    is reported as a warning rather than an error.
+    Trace preservation is verified to 1e-8. The samples are validated as one
+    stack; positivity loss beyond tolerance is reported as one warning naming
+    the worst sample rather than as an error.
     """
     _check_state(rho0, gen.dim)
-    times = grid.times()
-    _check_rates_on_grid(gen, times)
-
-    terms = _jump_terms(gen)
-    H, hbar = gen.H, gen.hbar
-
-    def rhs(t, r):
-        out = (-1j / hbar) * (H @ r - r @ H)
-        for L, Ld, LdL, rate in terms:
-            g = float(rate_at(rate, t))
-            out = out + g * (L @ r @ Ld - 0.5 * (LdL @ r + r @ LdL))
-        return out
-
-    samples = _rk4(rhs, rho0.matrix, times)
-    traces = np.einsum("taa->t", samples).real
-    if np.abs(traces - 1.0).max() > 1e-8:
-        raise NumericError("trace not preserved to 1e-8; reduce the step size")
-    return [DensityState.from_matrix(r, tol=tol, on_indefinite="warn") for r in samples]
+    samples = propagate_lindblad([gen], rho0.matrix[None], grid, heisenberg=False)[0]
+    return DensityState.from_stack(samples, tol=tol, on_indefinite="warn")
 
 
 # ---------------------------------------------------------------------------
@@ -629,28 +723,19 @@ def evolve_kraus_heisenberg(
     _check_state(rho, family.dim)
 
     times = grid.times()
-    n = times.size
-    d = family.dim
-    Os = np.empty((n, d, d), dtype=complex)
-    speed_hs = np.empty(n)
-    speed_op = np.empty(n)
-    for j, t in enumerate(times):
-        K = family.operators(float(t))
-        defect = float(np.abs(np.einsum("iab,iac->bc", K.conj(), K) - np.eye(d)).max())
-        if defect > max(tol, 1e-8):
-            raise ValidationError(
-                f"Kraus completeness violated at t={t!r} (defect {defect:.3e})"
-            )
-        Os[j] = np.einsum("iba,bc,icd->ad", K.conj(), O0, K)
-        hs_total = 0.0
-        op_total = 0.0
-        for i in range(family.n_ops):
-            dK = kraus_derivative(family, i, float(t), grid.h, t_min=grid.t0, t_max=grid.t1)
-            M = K[i].conj().T @ O0 @ dK
-            hs_total += float(np.linalg.norm(M))
-            op_total += float(np.linalg.svd(M, compute_uv=False)[0])
-        speed_hs[j] = hs_total
-        speed_op[j] = op_total
+    K = np.array([family.operators(t) for t in times.tolist()])
+    defect = np.abs(np.einsum("tiab,tiac->tbc", K.conj(), K) - np.eye(family.dim)).max(axis=(1, 2))
+    bad = np.flatnonzero(defect > max(tol, 1e-8))
+    if bad.size:
+        j = bad[0]
+        raise ValidationError(f"Kraus completeness violated at t={times[j]!r} (defect {defect[j]:.3e})")
+    KdO = K.conj().swapaxes(-1, -2) @ O0
+    Os = (KdO @ K).sum(axis=1)
+    # np.gradient is kraus_derivative's scheme on the grid: central differences
+    # inside, one-sided at the two ends
+    M = KdO @ np.gradient(K, grid.h, axis=0)
+    speed_hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=1)
+    speed_op = np.linalg.svd(M, compute_uv=False)[..., 0].sum(axis=1)
 
     return ObservableTrajectory(
         kind="kraus",

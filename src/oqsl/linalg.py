@@ -93,8 +93,11 @@ def tr_norm(M: np.ndarray) -> float:
 
 
 def mat_exp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential e^A (scaling-and-squaring with Pade approximant)."""
-    A = as_matrix(A)
+    """Matrix exponential e^A (scaling-and-squaring with Pade approximant) of
+    a square matrix, or of every matrix in a stack of shape (..., n, n)."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValidationError(f"matrix must be square, got shape {A.shape}")
     require_finite(A)
     E = scipy.linalg.expm(A)
     if not np.isfinite(E).all():
@@ -129,25 +132,44 @@ class DensityState:
         ``on_indefinite='warn'`` downgrades a positivity failure to a warning,
         which integrators use for states that drift slightly indefinite.
         """
-        rho = as_matrix(rho, "state")
-        require_finite(rho, "state")
-        if not is_hermitian(rho, tol):
+        return cls.from_stack(as_matrix(rho, "state")[None], tol, on_indefinite)[0]
+
+    @classmethod
+    def from_stack(
+        cls,
+        stack,
+        tol: float = DEFAULT_TOL,
+        on_indefinite: str = "raise",
+    ) -> "list[DensityState]":
+        """Validate a stack of states, shape (n, d, d), at once and wrap each.
+
+        The checks are those of :meth:`from_matrix`, made with one eigvalsh
+        call over the stack; a positivity failure reports the worst sample.
+        """
+        stack = np.asarray(stack, dtype=complex)
+        require_finite(stack, "state")
+        if np.abs(stack - stack.conj().swapaxes(-1, -2)).max() > tol:
             raise ValidationError("state is not Hermitian within tolerance")
-        tr = complex(np.trace(rho)).real
-        if abs(tr - 1.0) > tol:
-            raise ValidationError(f"state trace {tr!r} differs from 1 beyond tolerance")
-        wmin = float(np.linalg.eigvalsh(rho).min())
-        if wmin < -tol:
+        tr = np.einsum("taa->t", stack).real
+        k = int(np.abs(tr - 1.0).argmax())
+        if abs(tr[k] - 1.0) > tol:
+            raise ValidationError(f"state trace {float(tr[k])!r} differs from 1 beyond tolerance")
+        w = np.linalg.eigvalsh(stack)
+        wmin = w.min(axis=1)
+        k = int(wmin.argmin())
+        if wmin[k] < -tol:
+            where = f" at sample {k}" if len(stack) > 1 else ""
             if on_indefinite == "warn":
                 warnings.warn(
-                    f"state has negative eigenvalue {wmin:.3e} beyond tolerance",
+                    f"state{where} has negative eigenvalue {wmin[k]:.3e} beyond tolerance",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             else:
-                raise ValidationError(f"state not positive semidefinite (min eig {wmin:.3e})")
-        purity = float(np.trace(rho @ rho).real)
-        return cls(matrix=rho, purity=purity)
+                raise ValidationError(f"state{where} not positive semidefinite (min eig {wmin[k]:.3e})")
+        # tr(rho^2) as the sum of the squared eigenvalues
+        purity = (w * w).sum(axis=1)
+        return [cls(matrix=rho, purity=float(p)) for rho, p in zip(stack, purity)]
 
     @classmethod
     def pure(cls, ket) -> "DensityState":

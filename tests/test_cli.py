@@ -197,10 +197,12 @@ def test_bound_parse_failure_exit_2(tmp_path):
 
 
 def test_bound_numeric_failure_exit_3(tmp_path):
+    # d = 32 is above the exact route's limit, so this constant stiff rate is
+    # integrated by RK4, which 10 steps drive unstable
     p = tmp_path / "stiff.sys"
     p.write_text(
-        "[system]\ndim = 2\n[state]\nket = [0.70710678, 0.70710678]\n"
-        "[jump]\npauli = 1.0 Z\nrate = 1e9\n[observable O]\npauli = 1.0 X\n"
+        "[system]\ndim = 32\n[state]\nket = [" + ", ".join(["1"] * 32) + "]\n"
+        "[jump]\npauli = 1.0 ZIIII\nrate = 1e9\n[observable O]\npauli = 1.0 XIIII\n"
     )
     code, out, err = run_cli(
         ["bound", "--system", str(p), "--observable", "O", "--tmax", "1.0", "--steps", "10"]

@@ -224,20 +224,41 @@ def test_lindblad_zero_rates_reduce_to_unitary(rng):
 
 
 def test_rk4_fourth_order_convergence():
-    gen = dephasing_generator(1.0)
+    # a time-varying rate keeps this on RK4: the ramp gamma(t) = t / 2, whose
+    # x component decays as exp(-t^2 / 2)
+    table = RateTable(times=[0.0, 2.0], values=[0.0, 1.0])
+    gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, table),))
     errors = {}
     for steps in (100, 200):
         grid = TimeGrid(0.0, np.pi / 2, steps)
         traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
-        errors[steps] = np.abs(traj.expect - np.exp(-grid.times())).max()
+        errors[steps] = np.abs(traj.expect - np.exp(-(grid.times() ** 2) / 2.0)).max()
     ratio = errors[100] / errors[200]
     assert 12.0 <= ratio <= 20.0
 
 
 def test_lindblad_instability_detected():
-    gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
+    # a time-varying rate keeps this on RK4, where h * gamma ~ 1e8 blows up
+    table = RateTable(times=[0.0, 1.0], values=[1e9, 2e9])
+    gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, table),))
     with pytest.raises(NumericError):
         evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 10))
+
+
+def test_constant_rate_takes_exact_route():
+    # the former RK4 inputs: the exact propagator has no step-size error
+    gen = dephasing_generator(1.0)
+    for steps in (100, 200):
+        grid = TimeGrid(0.0, np.pi / 2, steps)
+        traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
+        assert np.abs(traj.expect - np.exp(-grid.times())).max() <= 1e-12
+
+
+def test_exact_route_stable_at_huge_rate():
+    gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
+    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 10))
+    for values in (traj.O_samples, traj.expect, traj.stddev, traj.gen_speed_hs, traj.gen_speed_op):
+        assert np.isfinite(values).all()
 
 
 def test_hermiticity_preserved_all_kinds(rng):
@@ -269,6 +290,22 @@ def test_schrodinger_dephasing_off_diagonal_decay():
     ]
     assert max(errs) <= 1e-8
     assert abs(np.trace(states[-1].matrix) - 1.0) <= 1e-10
+
+
+def test_schrodinger_samples_validated_as_one_stack(recwarn):
+    states = evolve_lindblad_schrodinger(PLUS, dephasing_generator(1.0), TimeGrid(0.0, 1.0, 100))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert len(states) == 101
+    assert all(s.purity == pytest.approx(np.trace(s.matrix @ s.matrix).real, abs=1e-15) for s in states)
+
+    stack = np.array([PLUS.matrix] * 4)
+    stack[2] = np.diag([1.1, -0.1])
+    with pytest.warns(RuntimeWarning, match="sample 2 has negative eigenvalue") as caught:
+        wrapped = DensityState.from_stack(stack, on_indefinite="warn")
+    assert len(caught) == 1
+    assert np.array_equal([s.matrix for s in wrapped], stack)
+    with pytest.raises(ValidationError):
+        DensityState.from_stack(stack)
 
 
 def test_schrodinger_diagonal_state_stationary():
@@ -326,6 +363,30 @@ def test_kraus_identity_is_fixed_point():
     assert max(np.abs(traj.O_samples - identity(2)[None]).max(axis=(1, 2))) <= 1e-12
 
 
+def test_kraus_grid_batch_matches_per_sample_route(rng):
+    # a qutrit family K_i(t) = U(t) K_i(0) with U(t) = exp(-i t H): the
+    # per-sample loop with kraus_derivative is the reference
+    H = oracles.random_hermitian(rng, 3)
+    Q, _ = np.linalg.qr(oracles.random_matrix(rng, 6))
+    K0 = Q[:, :3].reshape(2, 3, 3)  # sum_i K_i^dag K_i = 1 from orthonormal columns
+    fam = FunctionKraus(lambda t: oracles.expm_hermitian_oracle(H, -1j * t) @ K0, dim=3, n_ops=2)
+    O = oracles.random_hermitian(rng, 3)
+    rho = DensityState.pure(oracles.random_ket(rng, 3))
+    grid = TimeGrid(0.0, 0.9, 30)
+    traj = evolve_kraus_heisenberg(O, KrausGenerator(fam), rho, grid)
+    # half a step of slack on the domain: here t_29 + h rounds above t_30 = T,
+    # which would switch kraus_derivative to a one-sided difference at t_29
+    lo, hi = grid.t0 - grid.h / 2, grid.t1 + grid.h / 2
+    for j, t in enumerate(grid.times()):
+        K = fam.operators(t)
+        assert np.abs(traj.O_samples[j] - sum(k.conj().T @ O @ k for k in K)).max() <= 1e-12
+        Ms = [K[i].conj().T @ O @ kraus_derivative(fam, i, t, grid.h, t_min=lo, t_max=hi) for i in range(2)]
+        assert traj.gen_speed_hs[j] == pytest.approx(sum(np.linalg.norm(M) for M in Ms), rel=1e-9)
+        assert traj.gen_speed_op[j] == pytest.approx(
+            sum(oracles.jacobi_singular_values(M)[0] for M in Ms), rel=1e-9
+        )
+
+
 def test_kraus_completeness_enforced():
     bad = TabulatedKraus(
         times=[0.0, 0.5, 1.0],
@@ -344,6 +405,18 @@ def test_tabulated_kraus_grid_alignment():
     assert np.abs(a.expect - b.expect).max() <= 1e-12
     with pytest.raises(ValidationError):
         tab.operators(0.33)
+
+
+def test_tabulated_kraus_lookup_ends_and_between():
+    times = np.array([0.0, 0.25, 0.5, 1.0])
+    ops = np.arange(4)[:, None, None, None] * identity(2)[None, None]
+    tab = TabulatedKraus(times=times, ops=ops)
+    assert tab.operators(0.0)[0, 0, 0] == 0.0
+    assert tab.operators(1.0)[0, 0, 0] == 3.0
+    assert tab.operators(0.5 + 1e-13)[0, 0, 0] == 2.0
+    for t in (0.75, 0.3, -0.1, 1.2):
+        with pytest.raises(ValidationError, match="not on the tabulated Kraus grid"):
+            tab.operators(t)
 
 
 def test_kraus_derivative_constant_family():
