@@ -596,12 +596,7 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool) -
             np.array([gen.hbar for gen in gens])[:, None, None],
             heisenberg,
         )
-        const = [_constant_rates(gen) for gen in gens]
-        if None in const:
-            out = _rk4(lambda t, y: f(y, np.concatenate([_rates_at(gen, t) for gen in gens])), y0, times)
-        else:
-            g = np.array(const, dtype=float)
-            out = _rk4(lambda t, y: f(y, g), y0, times)
+        out = _rk4(lambda t, y: f(y, np.concatenate([_rates_at(gen, t) for gen in gens])), y0, times)
     if not heisenberg:
         if np.abs(np.einsum("btaa->bt", out.real) - 1.0).max() > 1e-8:
             raise NumericError("trace not preserved to 1e-8; reduce the step size")

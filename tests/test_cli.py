@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oqsl.cli import main
-from oqsl.dynamics import LindbladGenerator, TimeGrid, evolve_lindblad_heisenberg
+from oqsl.dynamics import EXACT_MAX_DIM, LindbladGenerator, TimeGrid, _takes_exact_route, evolve_lindblad_heisenberg
 from oqsl.sysdl import builtin_text, parse_system
 
 DEPHASING = "src/oqsl/systems/dephasing.sys"
@@ -197,18 +197,38 @@ def test_bound_parse_failure_exit_2(tmp_path):
 
 
 def test_bound_numeric_failure_exit_3(tmp_path):
-    # d = 32 is above the exact route's limit, so this constant stiff rate is
-    # integrated by RK4, which 10 steps drive unstable
-    p = tmp_path / "stiff.sys"
-    p.write_text(
-        "[system]\ndim = 32\n[state]\nket = [" + ", ".join(["1"] * 32) + "]\n"
-        "[jump]\npauli = 1.0 ZIIII\nrate = 1e9\n[observable O]\npauli = 1.0 XIIII\n"
+    # .sys rates are constant, so the stiff jump is put on the smallest qubit
+    # register above the exact route's limit: RK4 integrates it, and 10 steps
+    # drive it unstable
+    n = EXACT_MAX_DIM.bit_length()
+    dim = 2**n
+    text = (
+        f"[system]\ndim = {dim}\n[state]\nket = [" + ", ".join(["1"] * dim) + "]\n"
+        f"[jump]\npauli = 1.0 Z{'I' * (n - 1)}\nrate = 1e9\n[observable O]\npauli = 1.0 X{'I' * (n - 1)}\n"
     )
+    assert not _takes_exact_route(parse_system(text).generator())
+    p = tmp_path / "stiff.sys"
+    p.write_text(text)
     code, out, err = run_cli(
         ["bound", "--system", str(p), "--observable", "O", "--tmax", "1.0", "--steps", "10"]
     )
     assert code == 3
     assert "numeric error" in err
+
+
+def test_bound_stiff_constant_rate_takes_exact_route(tmp_path):
+    # the same stiff rate on a qubit is evolved exactly, with no step-size limit
+    p = tmp_path / "stiff.sys"
+    p.write_text(
+        "[system]\ndim = 2\n[state]\nket = [0.70710678, 0.70710678]\n"
+        "[jump]\npauli = 1.0 Z\nrate = 1e9\n[observable O]\npauli = 1.0 X\n"
+    )
+    code, out, err = run_cli(
+        ["bound", "--system", str(p), "--observable", "O", "--tmax", "1.0", "--steps", "10", "--format", "json"]
+    )
+    assert code == 0, err
+    reports = json.loads(out)["reports"]
+    assert reports and all(np.isfinite(r["T_qsl"]) for r in reports)
 
 
 def test_bound_json_schema(dephasing_path):

@@ -56,12 +56,17 @@ def test_exact_route_matches_rk4_reference(dim):
 
 @pytest.mark.parametrize("dim", [3, EXACT_MAX_DIM + 1])
 def test_generator_speeds_match_matrix_form(dim):
-    # d = 3 takes the exact route, d = EXACT_MAX_DIM + 1 RK4: both speeds
-    # must be the norms of the matrix-form adjoint at every sample
+    # d = 3 takes the exact route, which takes the speeds from the Liouvillian,
+    # so its reference is the matrix-form adjoint; d = EXACT_MAX_DIM + 1 takes
+    # RK4, which uses the matrix form, so its reference is the Liouvillian
     gen, O, rho = _random_case(dim, seed=1)
     grid = TimeGrid(0.0, 0.5, 20)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid)
-    rhs = np.array([lindblad_adjoint(gen, Ot) for Ot in traj.O_samples])
+    if dim <= EXACT_MAX_DIM:
+        rhs = np.array([lindblad_adjoint(gen, Ot) for Ot in traj.O_samples])
+    else:
+        Os = traj.O_samples.reshape(grid.steps + 1, dim * dim)
+        rhs = (Os @ liouvillian(gen, heisenberg=True).T).reshape(-1, dim, dim)
     assert np.abs(traj.gen_speed_hs - np.linalg.norm(rhs, axis=(1, 2))).max() <= 1e-12
     for k in (0, 7, grid.steps):
         assert traj.gen_speed_op[k] == pytest.approx(oracles.jacobi_singular_values(rhs[k])[0], abs=1e-12)
