@@ -33,7 +33,7 @@ from .dynamics import (
     lindblad_trajectory,
     propagate_lindblad,
 )
-from .linalg import DEFAULT_TOL, DensityState, hs_norm, op_norm, tr_norm, variance
+from .linalg import DEFAULT_TOL, DensityState, ValidationError, hs_norm, op_norm, tr_norm, variance
 from .sysdl import SystemSpec
 
 UNITARY_T = 1.0
@@ -292,7 +292,10 @@ def _resolve_workers(max_workers) -> int:
     if max_workers is None:
         env = os.environ.get("OQSL_THREADS", "").strip()
         if env:
-            max_workers = int(env)
+            try:
+                max_workers = int(env)
+            except ValueError:
+                raise ValidationError(f"OQSL_THREADS must be an integer, got {env!r}") from None
         else:
             max_workers = min(4, os.cpu_count() or 1)
     return max(1, int(max_workers))
@@ -307,6 +310,7 @@ def run_audit(
     _flip_robertson_sign: bool = False,
 ) -> AuditSummary:
     """Run the full validity/rate/duality sweep and aggregate max violations."""
+    workers = _resolve_workers(max_workers)
     lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
     all_trials: list[_Trial] = []
     for dim, count in ((2, n_qubit), (3, n_qutrit)):
@@ -314,7 +318,6 @@ def run_audit(
         _integrate_lindblad_block(block, lgrid)
         all_trials.extend(block)
 
-    workers = _resolve_workers(max_workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda t: _evaluate_trial(t, _flip_robertson_sign), all_trials))
 

@@ -317,6 +317,8 @@ def cmd_scenario(cfg: RunConfig, out, err) -> int:
 
 
 def cmd_audit(cfg: RunConfig, out, err) -> int:
+    if cfg.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {cfg.trials}")
     summary = audit_mod.run_audit(
         n_qubit=cfg.trials,
         n_qutrit=cfg.trials // 2,

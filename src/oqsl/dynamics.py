@@ -686,12 +686,15 @@ def kraus_derivative(
     t_max: float = np.inf,
 ) -> np.ndarray:
     """Finite-difference dK_i/dt: central in the interior, one-sided at the
-    domain endpoints."""
+    domain endpoints. The choice allows a few ulps of slack at both ends, so
+    a grid time whose t + h rounds just past t_max keeps the central
+    difference."""
     if h <= 0:
         raise ValidationError("finite-difference step h must be positive")
-    if t - h >= t_min and t + h <= t_max:
+    slack = 4 * np.spacing(abs(t) + h)
+    if t - h >= t_min - slack and t + h <= t_max + slack:
         return (family.operators(t + h)[i] - family.operators(t - h)[i]) / (2.0 * h)
-    if t - h < t_min:
+    if t - h < t_min - slack:
         return (family.operators(t + h)[i] - family.operators(t)[i]) / h
     return (family.operators(t)[i] - family.operators(t - h)[i]) / h
 

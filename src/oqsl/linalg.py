@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-9
 
@@ -99,6 +98,10 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValidationError(f"matrix must be square, got shape {A.shape}")
     require_finite(A)
+    # Imported here, not at module level: only the exact Lindblad route calls
+    # mat_exp, and scipy.linalg would otherwise be most of every start-up.
+    import scipy.linalg
+
     E = scipy.linalg.expm(A)
     if not np.isfinite(E).all():
         raise NumericError("matrix exponential overflowed")

@@ -69,6 +69,13 @@ def test_audit_respects_thread_env(monkeypatch):
     assert summary.passed
 
 
+def test_audit_rejects_non_integer_thread_env(monkeypatch):
+    monkeypatch.setenv("OQSL_THREADS", "abc")
+    err = io.StringIO()
+    assert main(["audit", "--trials", "2"], out=io.StringIO(), err=err) == 2
+    assert "OQSL_THREADS" in err.getvalue() and "'abc'" in err.getvalue()
+
+
 def test_audit_cli_roundtrip():
     out, err = io.StringIO(), io.StringIO()
     code = main(["audit", "--trials", "4", "--seed", "5"], out=out, err=err)

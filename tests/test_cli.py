@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oqsl
+from oqsl import audit
 from oqsl.cli import main
 from oqsl.dynamics import EXACT_MAX_DIM, LindbladGenerator, TimeGrid, _takes_exact_route, evolve_lindblad_heisenberg
 from oqsl.sysdl import builtin_text, parse_system
@@ -386,3 +392,48 @@ def test_parse_error_position(tmp_path):
 def test_parse_missing_file():
     code, out, err = run_cli(["parse", "--system", "/nonexistent/x.sys"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# audit command
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_audit_rejects_fewer_than_one_trial(trials, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("audit sampled a trial")
+
+    monkeypatch.setattr(audit, "_sample_trial", no_sampling)
+    code, out, err = run_cli(["audit", "--trials", trials, "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert "--trials must be at least 1" in err
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy is loaded only by the exact Lindblad route (linalg.mat_exp)
+
+SYSTEMS = Path(oqsl.__file__).parent / "systems"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["parse", "--system", str(SYSTEMS / "two_qubit.sys")],
+        ["bound", "--system", str(SYSTEMS / "battery.sys"), "--observable", "HB", "--tmax", "1", "--bounds", "ALL"],
+        ["bound", "--system", str(SYSTEMS / "kraus_dephasing.sys"), "--observable", "O", "--tmax", "1.5708"]
+        + ["--bounds", "ALL"],
+    ],
+    ids=["import", "parse", "bound-unitary", "bound-kraus"],
+)
+def test_scipy_not_imported(argv):
+    # a fresh interpreter, so no other test's import of scipy can hide one here
+    code = "import sys, oqsl\n"
+    if argv is not None:
+        code += f"import io, oqsl.cli\nassert oqsl.cli.main({argv!r}, out=io.StringIO()) == 0\n"
+    code += "assert 'scipy' not in sys.modules\n"
+    src = str(Path(oqsl.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

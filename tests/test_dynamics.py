@@ -374,9 +374,9 @@ def test_kraus_grid_batch_matches_per_sample_route(rng):
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     grid = TimeGrid(0.0, 0.9, 30)
     traj = evolve_kraus_heisenberg(O, KrausGenerator(fam), rho, grid)
-    # half a step of slack on the domain: here t_29 + h rounds above t_30 = T,
-    # which would switch kraus_derivative to a one-sided difference at t_29
-    lo, hi = grid.t0 - grid.h / 2, grid.t1 + grid.h / 2
+    # the grid's exact domain: here t_29 + h rounds above t_30 = T, which must
+    # not switch kraus_derivative to a one-sided difference at t_29
+    lo, hi = grid.t0, grid.t1
     for j, t in enumerate(grid.times()):
         K = fam.operators(t)
         assert np.abs(traj.O_samples[j] - sum(k.conj().T @ O @ k for k in K)).max() <= 1e-12
