@@ -4,11 +4,15 @@ the worked qubit examples."""
 
 from .bounds import (
     BOUND_IDS,
+    REGISTRY,
     BoundReport,
+    BoundSpec,
     CorrelationTrace,
+    EvalContext,
     battery_bounds,
     commutator_qsl,
     corr_qsl,
+    evaluate_all,
     oqsl_generator_hs,
     oqsl_kraus,
     oqsl_min_norm,
@@ -36,10 +40,7 @@ from .dynamics import (
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,
     evolve_unitary_heisenberg,
-    kraus_derivative,
-    lindblad_adjoint,
     lindblad_apply,
-    unitary_propagator,
 )
 from .linalg import (
     DensityState,

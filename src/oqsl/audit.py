@@ -33,7 +33,7 @@ from .dynamics import (
     lindblad_trajectory,
     propagate_lindblad,
 )
-from .linalg import DEFAULT_TOL, DensityState, ValidationError, hs_norm, op_norm, tr_norm, variance
+from .linalg import DensityState, ValidationError, op_norm, sigma_x
 from .sysdl import SystemSpec
 
 UNITARY_T = 1.0
@@ -181,106 +181,49 @@ def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
 # per-trial evaluation
 
 
-def _system_for(trial: _Trial, kind: str, jumps=()) -> SystemSpec:
-    return SystemSpec(
-        dim=trial.dim,
-        hbar=1.0,
-        kind=kind,
-        hamiltonian=trial.H,
-        initial_state=trial.rho,
-        observables={"O": trial.O},
-        jumps=tuple(jumps),
-        kraus=None,
-        metadata={},
-    )
+def _system_for(trial: _Trial, kind: str) -> SystemSpec:
+    jumps = trial.jumps if kind == "lindblad" else ()
+    return SystemSpec(trial.dim, 1.0, kind, trial.H, trial.rho, {"O": trial.O}, jumps)
 
 
 def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
-    out: dict[tuple[str, str], float] = {}
-    rho = trial.rho
+    """T_qsl - T for every registry bound that applies under the trial's
+    unitary, Lindblad and (qubit only) Kraus dynamics, the rate inequalities
+    and the Heisenberg/Schrodinger duality. H is diagonalized once: the
+    self-inverse and projector slots reuse O's eigenbasis."""
+    rho, O, H = trial.rho, trial.O, trial.H
     ugrid = TimeGrid(0.0, UNITARY_T, UNITARY_STEPS)
     lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
-    T_u = ugrid.duration
-
-    # --- unitary dynamics
-    traj = evolve_unitary_heisenberg(trial.O, trial.H, rho, ugrid)
-    delta_H = float(np.sqrt(variance(trial.H, rho)))
-    if delta_H > 1e-9:
-        out[("MT_INTEGRAL", "unitary")] = bounds.oqsl_mt_integral(traj, delta_H).T_qsl - T_u
-        traj_si = evolve_unitary_heisenberg(trial.O_si, trial.H, rho, ugrid)
-        out[("SELF_INVERSE", "unitary")] = (
-            bounds.oqsl_self_inverse(
-                float(traj_si.expect[0]), float(traj_si.expect[-1]), delta_H, T_u
-            ).T_qsl
-            - T_u
-        )
-        traj_p = evolve_unitary_heisenberg(trial.P, trial.H, rho, ugrid)
-        p0 = float(np.clip(traj_p.expect[0], 0.0, 1.0))
-        pT = float(np.clip(traj_p.expect[-1], 0.0, 1.0))
-        out[("STATE_MT", "unitary")] = (
-            bounds.state_qsl_projector(p0, pT, delta_H, T_u).T_qsl - T_u
-        )
-    e0, eT = float(traj.expect[0]), float(traj.expect[-1])
-    prod = trial.O @ trial.H
-    out[("PURITY_HS", "unitary")] = (
-        bounds.oqsl_purity_hs(e0, eT, rho, hs_norm(prod), T_u).T_qsl - T_u
+    gen = LindbladGenerator(H=H, jumps=trial.jumps)
+    c = trial.comm_coeffs
+    B = c[0] * np.eye(trial.dim) + c[1] * O + c[2] * (O @ O)
+    unitary = bounds.EvalContext(
+        "unitary", ugrid, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, ugrid),
+        H=H, B=B, self_inverse=trial.O_si, projector=trial.P,
     )
-    out[("GENERATOR_HS", "unitary")] = bounds.oqsl_generator_hs(traj, rho).T_qsl - T_u
-    out[("STATE_INDEP", "unitary")] = bounds.oqsl_state_independent(trial.O, traj).T_qsl - T_u
-    audit_u = bounds.rate_audit(traj, _system_for(trial, "unitary"), _flip_robertson_sign=flip_robertson)
-    for name, v in audit_u.violations.items():
-        out[(name, "unitary")] = v
-    if trial.pure:
-        out[("MIN_NORM", "unitary")] = (
-            bounds.oqsl_min_norm(e0, eT, op_norm(prod), tr_norm(prod), T_u).T_qsl - T_u
-        )
-        # the battery observable is O under the total drive H: traj already is its trajectory
-        ct1, ct2 = bounds._battery_core(traj, trial.O, trial.H - trial.O, rho, 1.0, DEFAULT_TOL)
-        out[("BATTERY_CT1", "unitary")] = ct1.T_qsl - T_u
-        out[("BATTERY_CT2", "unitary")] = ct2.T_qsl - T_u
-        trace = bounds.two_time_correlation(trial.O, traj, rho)
-        out[("CORR_CLOSED", "unitary")] = (
-            bounds.corr_qsl(trace, op_norm(trial.O), traj.gen_speed_op, kind="closed").T_qsl - T_u
-        )
-        c = trial.comm_coeffs
-        B = c[0] * np.eye(trial.dim) + c[1] * trial.O + c[2] * (trial.O @ trial.O)
-        out[("COMM_CLOSED", "unitary")] = (
-            bounds.commutator_qsl(B, traj, rho, kind="closed").T_qsl - T_u
+    # the Lindblad samples come from the block integrator
+    lindblad = bounds.EvalContext(
+        "lindblad", lgrid, O, rho, lambda: lindblad_trajectory(gen, trial.lind_O, rho, lgrid), H=H, B=B
+    )
+    contexts = [unitary, lindblad]
+    if trial.dim == 2:
+        kgrid = TimeGrid(0.0, KRAUS_T, KRAUS_STEPS)
+        kgen = KrausGenerator(DephasingKraus(trial.kraus_gamma))
+        contexts.append(
+            bounds.EvalContext("kraus", kgrid, sigma_x, rho, lambda: evolve_kraus_heisenberg(sigma_x, kgen, rho, kgrid))
         )
 
-    # --- Lindblad dynamics (batched samples attached by the block integrator)
-    gen = LindbladGenerator(H=trial.H, jumps=trial.jumps)
-    ltraj = lindblad_trajectory(gen, trial.lind_O, rho, lgrid)
-    T_l = lgrid.duration
-    out[("GENERATOR_HS", "lindblad")] = bounds.oqsl_generator_hs(ltraj, rho).T_qsl - T_l
-    out[("STATE_INDEP", "lindblad")] = bounds.oqsl_state_independent(trial.O, ltraj).T_qsl - T_l
-    audit_l = bounds.rate_audit(ltraj, _system_for(trial, "lindblad", trial.jumps))
-    for name, v in audit_l.violations.items():
-        out[(name, "lindblad")] = v
+    out: dict[tuple[str, str], float] = {}
+    for ctx in contexts:
+        for report in bounds.evaluate_all(ctx):
+            out[(report.bound_id, ctx.kind)] = report.T_qsl - ctx.T
+    for ctx in (unitary, lindblad):
+        audit = bounds.rate_audit(ctx.traj, _system_for(trial, ctx.kind), _flip_robertson_sign=flip_robertson)
+        for name, v in audit.violations.items():
+            out[(name, ctx.kind)] = v
     lhs = np.einsum("ab,tba->t", trial.O, trial.lind_rho).real
     rhs = np.einsum("tab,ba->t", trial.lind_O, rho.matrix).real
     out[("DUALITY", "lindblad")] = float(np.abs(lhs - rhs).max())
-    if trial.pure:
-        trace = bounds.two_time_correlation(trial.O, ltraj, rho)
-        out[("CORR_OPEN", "lindblad")] = (
-            bounds.corr_qsl(trace, op_norm(trial.O), ltraj.gen_speed_op, kind="open").T_qsl - T_l
-        )
-        c = trial.comm_coeffs
-        B = c[0] * np.eye(trial.dim) + c[1] * trial.O + c[2] * (trial.O @ trial.O)
-        out[("COMM_OPEN", "lindblad")] = (
-            bounds.commutator_qsl(B, ltraj, rho, kind="open").T_qsl - T_l
-        )
-
-    # --- Kraus dynamics (closed-form dephasing family; qubit only)
-    if trial.dim == 2:
-        kgrid = TimeGrid(0.0, KRAUS_T, KRAUS_STEPS)
-        ktraj = evolve_kraus_heisenberg(
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            KrausGenerator(DephasingKraus(trial.kraus_gamma)),
-            rho,
-            kgrid,
-        )
-        out[("KRAUS", "kraus")] = bounds.oqsl_kraus(ktraj, rho).T_qsl - kgrid.duration
     return out
 
 
@@ -289,16 +232,22 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
 
 
 def _resolve_workers(max_workers) -> int:
+    """The worker count: ``max_workers`` (the --workers flag), else the
+    OQSL_THREADS environment variable, else min(4, cpus). A count below 1
+    is an error that names where it came from."""
+    source = "--workers"
     if max_workers is None:
         env = os.environ.get("OQSL_THREADS", "").strip()
-        if env:
-            try:
-                max_workers = int(env)
-            except ValueError:
-                raise ValidationError(f"OQSL_THREADS must be an integer, got {env!r}") from None
-        else:
-            max_workers = min(4, os.cpu_count() or 1)
-    return max(1, int(max_workers))
+        if not env:
+            return min(4, os.cpu_count() or 1)
+        source = "OQSL_THREADS"
+        try:
+            max_workers = int(env)
+        except ValueError:
+            raise ValidationError(f"OQSL_THREADS must be an integer, got {env!r}") from None
+    if max_workers < 1:
+        raise ValidationError(f"{source} must be at least 1, got {max_workers}")
+    return int(max_workers)
 
 
 def run_audit(

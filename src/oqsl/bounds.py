@@ -1,8 +1,15 @@
 """Speed-limit bound evaluation for observables, states, batteries,
-correlation functions, and commutators, plus the rate-inequality auditor.
+correlation functions, and commutators, the bound registry, and the
+rate-inequality auditor.
 
 Every evaluator returns a :class:`BoundReport` whose ``valid`` flag states
 whether the actual horizon T respects the computed lower bound T_qsl.
+:data:`REGISTRY` is the one table of bounds: each :class:`BoundSpec` names
+the dynamics kinds it applies to, what else it needs (a spread of the
+energy, a pure state, a self-inverse or projector observable, a second
+observable, the final Schrodinger state), and how it evaluates on an
+:class:`EvalContext`. The CLI, the audit and the scenarios all evaluate
+through it, and the table order is the report order.
 Conventions shared by all bounds:
 
 * a numerator within ``ZERO_TOL`` of zero yields T_qsl = 0 exactly (an
@@ -17,10 +24,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .dynamics import ObservableTrajectory, TimeGrid, evolve_unitary_heisenberg
+from .dynamics import ObservableTrajectory, TimeGrid, evolve_unitary_heisenberg, lindblad_apply
 from .linalg import (
     DEFAULT_TOL,
     DensityState,
@@ -37,26 +45,9 @@ from .linalg import (
 ZERO_TOL = 1e-12
 EPS_VAR = 1e-12
 VALID_TOL = 1e-6
+# the energy spread at or below which the spread-based unitary bounds do not apply
+SPREAD_TOL = 1e-9
 
-BOUND_IDS = frozenset(
-    {
-        "MT_INTEGRAL",
-        "SELF_INVERSE",
-        "STATE_MT",
-        "PURITY_HS",
-        "MIN_NORM",
-        "GENERATOR_HS",
-        "DELCAMPO",
-        "KRAUS",
-        "STATE_INDEP",
-        "BATTERY_CT1",
-        "BATTERY_CT2",
-        "CORR_CLOSED",
-        "CORR_OPEN",
-        "COMM_CLOSED",
-        "COMM_OPEN",
-    }
-)
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -547,16 +538,6 @@ def commutator_qsl(
 # auxiliary quantities and the rate auditor
 
 
-def observable_distance(Ot: np.ndarray, O0: np.ndarray, rho: DensityState) -> float:
-    """Normalized expectation distance |tr[(O(t) - O(0)) rho]| / (2 ||O(0)||_op)."""
-    Ot = as_matrix(Ot, "O(t)")
-    O0 = as_matrix(O0, "O(0)")
-    denom = op_norm(O0)
-    if denom <= 0.0:
-        raise ValidationError("observable distance needs a nonzero reference observable")
-    return abs(complex(np.trace((Ot - O0) @ rho.matrix))) / (2.0 * denom)
-
-
 @dataclass(frozen=True)
 class RateAuditReport:
     """Max pointwise violation (LHS - RHS) per applicable rate inequality."""
@@ -606,3 +587,167 @@ def rate_audit(
     else:
         raise ValidationError("rate audit applies to unitary or lindblad trajectories")
     return RateAuditReport(kind=traj.kind, violations=violations)
+
+
+# ---------------------------------------------------------------------------
+# the bound registry
+
+
+class _once:
+    """A property computed on first read, then stored on the instance. Before
+    Python 3.12 functools.cached_property holds one lock per class while it
+    computes, which would serialize the audit's contexts across threads."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+@dataclass(eq=False)
+class EvalContext:
+    """What the bounds read for one observable O under one dynamics; each
+    derived quantity (the trajectory, dH, O H, the battery pair, the final
+    state) is computed once, on first use.
+
+    ``evolve`` returns O's trajectory on ``grid``, so bounds can be selected
+    before anything evolves. ``self_inverse`` and ``projector`` are the
+    observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
+    observables whose unitary trajectories reuse O's eigenbasis. ``B`` is the
+    commutator bounds' second observable; ``final_state`` returns the
+    Schrodinger state at T and ``generator`` is the Lindblad generator, both
+    for DELCAMPO.
+    """
+
+    kind: str
+    grid: TimeGrid
+    O: np.ndarray
+    rho: DensityState
+    evolve: Callable[[], ObservableTrajectory]
+    H: np.ndarray | None = None
+    hbar: float = 1.0
+    tol: float = DEFAULT_TOL
+    B: np.ndarray | None = None
+    self_inverse: np.ndarray | None = None
+    projector: np.ndarray | None = None
+    final_state: Callable[[], DensityState] | None = None
+    generator: object = None
+
+    @property
+    def T(self) -> float:
+        return self.grid.duration
+
+    @_once
+    def traj(self) -> ObservableTrajectory:
+        return self.evolve()
+
+    @_once
+    def delta_H(self) -> float:
+        return float(np.sqrt(variance(self.H, self.rho, self.tol)))
+
+    @_once
+    def oh(self) -> np.ndarray:
+        return self.O @ self.H
+
+    @_once
+    def battery(self) -> tuple[BoundReport, BoundReport]:
+        # O is the battery Hamiltonian and H the total drive, so traj is the
+        # battery's trajectory and H - O the charging field
+        return _battery_core(self.traj, self.O, self.H - self.O, self.rho, self.hbar, self.tol)
+
+    @_once
+    def rho_T(self) -> DensityState:
+        return self.final_state()
+
+    def ends(self, slot: np.ndarray | None = None) -> tuple[float, float]:
+        """<M(0)> and <M(T)> for the slot observable M, by default O."""
+        traj = self.traj if slot is None or slot is self.O else self.traj.observable(slot)
+        return float(traj.expect[0]), float(traj.expect[-1])
+
+    def has(self, need: str) -> bool:
+        if need == "spread":
+            return self.delta_H > SPREAD_TOL
+        if need == "pure":
+            return self.rho.is_pure()
+        return getattr(self, need) is not None
+
+
+def _state_mt(c: EvalContext) -> BoundReport:
+    p0, pT = (float(np.clip(p, 0.0, 1.0)) for p in c.ends(c.projector))
+    return state_qsl_projector(p0, pT, c.delta_H, c.T, hbar=c.hbar, tol=c.tol)
+
+
+def _corr(c: EvalContext, kind: str) -> BoundReport:
+    trace = two_time_correlation(c.O, c.traj, c.rho, tol=c.tol)
+    # closed dynamics: gen_speed_op holds ||[H, A]||_op / hbar
+    speeds = c.traj.gen_speed_op * c.hbar if kind == "closed" else c.traj.gen_speed_op
+    return corr_qsl(trace, op_norm(c.O), speeds, hbar=c.hbar, kind=kind)
+
+
+def _delcampo(c: EvalContext) -> BoundReport:
+    lrho0_hs2 = hs_norm(lindblad_apply(c.generator, c.rho.matrix, 0.0)) ** 2
+    return qsl_delcampo(c.rho, c.rho_T, lrho0_hs2, c.T)
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """A bound: its id, the dynamics kinds it applies to, the context entries
+    it needs (:meth:`EvalContext.has`), and its evaluation on a context."""
+
+    id: str
+    kinds: tuple
+    needs: tuple
+    evaluate: Callable[[EvalContext], BoundReport]
+
+
+_U, _L, _UL = ("unitary",), ("lindblad",), ("unitary", "lindblad")
+
+REGISTRY = (
+    BoundSpec("MT_INTEGRAL", _U, ("spread",), lambda c: oqsl_mt_integral(c.traj, c.delta_H, hbar=c.hbar)),
+    BoundSpec("STATE_MT", _U, ("spread", "projector"), _state_mt),
+    BoundSpec(
+        "SELF_INVERSE",
+        _U,
+        ("spread", "self_inverse"),
+        lambda c: oqsl_self_inverse(*c.ends(c.self_inverse), c.delta_H, c.T, hbar=c.hbar, tol=c.tol),
+    ),
+    BoundSpec("PURITY_HS", _U, (), lambda c: oqsl_purity_hs(*c.ends(), c.rho, hs_norm(c.oh), c.T, hbar=c.hbar)),
+    BoundSpec("GENERATOR_HS", _UL, (), lambda c: oqsl_generator_hs(c.traj, c.rho)),
+    BoundSpec("DELCAMPO", _L, ("final_state",), _delcampo),
+    BoundSpec("STATE_INDEP", _UL, (), lambda c: oqsl_state_independent(c.O, c.traj)),
+    BoundSpec(
+        "MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), op_norm(c.oh), tr_norm(c.oh), c.T, hbar=c.hbar)
+    ),
+    BoundSpec("BATTERY_CT1", _U, ("pure",), lambda c: c.battery[0]),
+    BoundSpec("BATTERY_CT2", _U, ("pure",), lambda c: c.battery[1]),
+    BoundSpec("CORR_CLOSED", _U, ("pure",), lambda c: _corr(c, "closed")),
+    BoundSpec("CORR_OPEN", _L, ("pure",), lambda c: _corr(c, "open")),
+    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind="closed")),
+    BoundSpec("COMM_OPEN", _L, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind="open")),
+    BoundSpec("KRAUS", ("kraus",), (), lambda c: oqsl_kraus(c.traj, c.rho)),
+)
+
+BOUND_IDS = tuple(spec.id for spec in REGISTRY)
+
+
+def select(ctx: EvalContext, ids=None) -> list[BoundSpec]:
+    """The entries named by ``ids``, in that order, or every entry that
+    applies to ctx, in table order, when ``ids`` is None. Naming an entry
+    that does not apply is an error."""
+    specs = {s.id: s for s in REGISTRY if ctx.kind in s.kinds and all(ctx.has(n) for n in s.needs)}
+    bad = [b for b in ids or () if b not in specs]
+    if bad:
+        raise ValidationError(f"bound(s) not applicable to this {ctx.kind} system/observable: {', '.join(bad)}")
+    return list(specs.values()) if ids is None else [specs[b] for b in ids]
+
+
+def evaluate_all(ctx: EvalContext, ids=None) -> list[BoundReport]:
+    """Evaluate the entries :func:`select` picks, in its order."""
+    return [s.evaluate(ctx) for s in select(ctx, ids)]

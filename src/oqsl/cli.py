@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,22 +19,15 @@ import numpy as np
 from . import audit as audit_mod
 from . import bounds, scenarios
 from .dynamics import (
+    LindbladGenerator,
     TimeGrid,
+    UnitaryGenerator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,
     evolve_unitary_heisenberg,
-    lindblad_apply,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    NumericError,
-    ValidationError,
-    hs_norm,
-    op_norm,
-    tr_norm,
-    variance,
-)
+from .linalg import DEFAULT_TOL, NumericError, ValidationError
 from .sysdl import ParseError, SystemSpec, parse_system, serialize_system
 
 BOUND_CSV_HEADER = "bound_id,T,T_qsl,valid"
@@ -71,40 +64,6 @@ def _f12(x: float) -> str:
 # bound evaluation on a parsed system
 
 
-def _is_self_inverse(O: np.ndarray, tol: float) -> bool:
-    return bool(np.abs(O @ O - np.eye(O.shape[0])).max() <= max(tol, 1e-9))
-
-
-def _is_projector(O: np.ndarray, tol: float) -> bool:
-    return bool(np.abs(O @ O - O).max() <= max(tol, 1e-9))
-
-
-def _candidate_bounds(spec: SystemSpec, cfg: RunConfig, O: np.ndarray) -> list[str]:
-    pure = spec.initial_state.is_pure()
-    if spec.kind == "unitary":
-        delta_H = float(np.sqrt(variance(spec.hamiltonian, spec.initial_state, cfg.tol)))
-        ids = ["PURITY_HS", "GENERATOR_HS", "STATE_INDEP"]
-        if delta_H > 1e-9:
-            ids.insert(0, "MT_INTEGRAL")
-            if _is_self_inverse(O, cfg.tol):
-                ids.insert(1, "SELF_INVERSE")
-            if _is_projector(O, cfg.tol):
-                ids.insert(1, "STATE_MT")
-        if pure:
-            ids += ["MIN_NORM", "BATTERY_CT1", "BATTERY_CT2", "CORR_CLOSED"]
-            if cfg.observable_b:
-                ids.append("COMM_CLOSED")
-        return ids
-    if spec.kind == "lindblad":
-        ids = ["GENERATOR_HS", "DELCAMPO", "STATE_INDEP"]
-        if pure:
-            ids.append("CORR_OPEN")
-            if cfg.observable_b:
-                ids.append("COMM_OPEN")
-        return ids
-    return ["KRAUS"]
-
-
 def _effective_hbar(spec: SystemSpec, cfg: RunConfig) -> float:
     if cfg.hbar is None:
         return spec.hbar
@@ -113,96 +72,54 @@ def _effective_hbar(spec: SystemSpec, cfg: RunConfig) -> float:
     return cfg.hbar
 
 
-def _evolve(spec: SystemSpec, cfg: RunConfig, O: np.ndarray, hbar: float):
+def _evolve(gen, O: np.ndarray, rho, grid: TimeGrid, tol: float):
+    """The Heisenberg trajectory of O under the generator gen."""
+    if isinstance(gen, UnitaryGenerator):
+        return evolve_unitary_heisenberg(O, gen.H, rho, grid, hbar=gen.hbar, tol=tol)
+    if isinstance(gen, LindbladGenerator):
+        return evolve_lindblad_heisenberg(O, gen, rho, grid, tol=tol)
+    return evolve_kraus_heisenberg(O, gen, rho, grid, tol=tol)
+
+
+def _context(spec: SystemSpec, cfg: RunConfig) -> bounds.EvalContext:
+    """The evaluation context of the named observable; nothing evolves yet."""
+    O = spec.observable(cfg.observable)
+    hbar = _effective_hbar(spec, cfg)
+    gen = spec.generator(hbar, cfg.tol)
     rho = spec.initial_state
     grid = TimeGrid(0.0, cfg.t_max, cfg.steps)
-    if spec.kind == "unitary":
-        return evolve_unitary_heisenberg(O, spec.hamiltonian, rho, grid, hbar=hbar, tol=cfg.tol)
+    OO, slot_tol = O @ O, max(cfg.tol, 1e-9)
+    final_state = None
     if spec.kind == "lindblad":
-        return evolve_lindblad_heisenberg(O, spec.generator(hbar), rho, grid, tol=cfg.tol)
-    return evolve_kraus_heisenberg(O, spec.generator(), rho, grid, tol=cfg.tol)
+        def final_state():
+            return evolve_lindblad_schrodinger(rho, gen, grid, tol=cfg.tol)[-1]
+
+    return bounds.EvalContext(
+        kind=spec.kind,
+        grid=grid,
+        O=O,
+        rho=rho,
+        evolve=lambda: _evolve(gen, O, rho, grid, cfg.tol),
+        H=spec.hamiltonian,
+        hbar=hbar,
+        tol=cfg.tol,
+        B=spec.observable(cfg.observable_b) if cfg.observable_b else None,
+        self_inverse=O if np.abs(OO - np.eye(spec.dim)).max() <= slot_tol else None,
+        projector=O if np.abs(OO - O).max() <= slot_tol else None,
+        final_state=final_state,
+        generator=gen,
+    )
 
 
 def _evaluate_bounds(spec: SystemSpec, cfg: RunConfig, requested: list[str]) -> list[bounds.BoundReport]:
-    O = spec.observable(cfg.observable)
-    hbar = _effective_hbar(spec, cfg)
-    rho = spec.initial_state
-    candidates = _candidate_bounds(spec, cfg, O)
-
-    if requested == ["ALL"]:
-        wanted = candidates
-    else:
-        unknown = [b for b in requested if b not in bounds.BOUND_IDS]
-        if unknown:
-            raise ValidationError(f"unknown bound id(s): {', '.join(unknown)}")
-        bad = [b for b in requested if b not in candidates]
-        if bad:
-            raise ValidationError(
-                f"bound(s) not applicable to this {spec.kind} system/observable: {', '.join(bad)}"
-            )
-        wanted = requested
-
-    traj = _evolve(spec, cfg, O, hbar)
-    grid = traj.grid
-    e0, eT = float(traj.expect[0]), float(traj.expect[-1])
-    T = grid.duration
-    battery = None
-    reports = []
-    for bid in wanted:
-        if bid == "MT_INTEGRAL":
-            delta_H = float(np.sqrt(variance(spec.hamiltonian, rho, cfg.tol)))
-            reports.append(bounds.oqsl_mt_integral(traj, delta_H, hbar=hbar))
-        elif bid == "SELF_INVERSE":
-            delta_H = float(np.sqrt(variance(spec.hamiltonian, rho, cfg.tol)))
-            reports.append(bounds.oqsl_self_inverse(e0, eT, delta_H, T, hbar=hbar, tol=cfg.tol))
-        elif bid == "STATE_MT":
-            delta_H = float(np.sqrt(variance(spec.hamiltonian, rho, cfg.tol)))
-            p0 = float(np.clip(e0, 0.0, 1.0))
-            pT = float(np.clip(eT, 0.0, 1.0))
-            reports.append(bounds.state_qsl_projector(p0, pT, delta_H, T, hbar=hbar, tol=cfg.tol))
-        elif bid == "PURITY_HS":
-            reports.append(
-                bounds.oqsl_purity_hs(e0, eT, rho, hs_norm(O @ spec.hamiltonian), T, hbar=hbar)
-            )
-        elif bid == "MIN_NORM":
-            prod = O @ spec.hamiltonian
-            reports.append(
-                bounds.oqsl_min_norm(e0, eT, op_norm(prod), tr_norm(prod), T, hbar=hbar)
-            )
-        elif bid == "GENERATOR_HS":
-            reports.append(bounds.oqsl_generator_hs(traj, rho))
-        elif bid == "DELCAMPO":
-            gen = spec.generator(hbar)
-            states = evolve_lindblad_schrodinger(rho, gen, grid, tol=cfg.tol)
-            lrho0_hs2 = hs_norm(lindblad_apply(gen, rho.matrix, 0.0)) ** 2
-            reports.append(bounds.qsl_delcampo(rho, states[-1], lrho0_hs2, T))
-        elif bid == "KRAUS":
-            reports.append(bounds.oqsl_kraus(traj, rho))
-        elif bid == "STATE_INDEP":
-            reports.append(bounds.oqsl_state_independent(O, traj))
-        elif bid in ("BATTERY_CT1", "BATTERY_CT2"):
-            if battery is None:
-                # the named observable is the battery Hamiltonian and the file Hamiltonian
-                # the total drive: traj is the battery's trajectory, their difference the field
-                battery = bounds._battery_core(traj, O, spec.hamiltonian - O, rho, hbar, cfg.tol)
-            reports.append(battery[0] if bid == "BATTERY_CT1" else battery[1])
-        elif bid == "CORR_CLOSED":
-            trace = bounds.two_time_correlation(O, traj, rho, tol=cfg.tol)
-            reports.append(
-                bounds.corr_qsl(trace, op_norm(O), traj.gen_speed_op * hbar, hbar=hbar, kind="closed")
-            )
-        elif bid == "CORR_OPEN":
-            trace = bounds.two_time_correlation(O, traj, rho, tol=cfg.tol)
-            reports.append(
-                bounds.corr_qsl(trace, op_norm(O), traj.gen_speed_op, hbar=hbar, kind="open")
-            )
-        elif bid in ("COMM_CLOSED", "COMM_OPEN"):
-            B = spec.observable(cfg.observable_b)
-            kind = "closed" if bid == "COMM_CLOSED" else "open"
-            reports.append(bounds.commutator_qsl(B, traj, rho, hbar=hbar, kind=kind))
-        else:
-            raise ValidationError(f"unknown bound id {bid!r}")
-    return reports
+    ctx = _context(spec, cfg)
+    if ctx.B is not None and not any("B" in s.needs for s in bounds.select(ctx)):
+        state = "pure" if ctx.rho.is_pure() else "mixed"
+        raise ValidationError(
+            "--observable-b feeds only COMM_CLOSED/COMM_OPEN, which need a pure state under unitary "
+            f"or lindblad dynamics; neither applies to this {spec.kind} system with a {state} state"
+        )
+    return bounds.evaluate_all(ctx, None if requested == ["ALL"] else requested)
 
 
 # ---------------------------------------------------------------------------
@@ -217,31 +134,11 @@ def _read_system(cfg: RunConfig) -> SystemSpec:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read system file: {exc}") from exc
-    try:
-        return parse_system(text, tol=cfg.tol)
-    except ParseError as exc:
-        raise ParseError(exc.diagnostics) from exc
+    return parse_system(text, tol=cfg.tol)
 
 
 def cmd_bound(cfg: RunConfig, out, err) -> int:
-    try:
-        spec = _read_system(cfg)
-    except ParseError as exc:
-        print(exc.render(cfg.system_path or "<sysdl>"), file=err)
-        return EXIT_INPUT
-    if not cfg.observable:
-        print("bound: missing --observable name", file=err)
-        return EXIT_INPUT
-    if cfg.observable not in spec.observables:
-        print(
-            f"bound: unknown observable {cfg.observable!r}; "
-            f"declared: {', '.join(sorted(spec.observables)) or 'none'}",
-            file=err,
-        )
-        return EXIT_INPUT
-    if cfg.observable_b and cfg.observable_b not in spec.observables:
-        print(f"bound: unknown observable {cfg.observable_b!r}", file=err)
-        return EXIT_INPUT
+    spec = _read_system(cfg)
     reports = _evaluate_bounds(spec, cfg, cfg.bounds)
     if cfg.fmt == "json":
         payload = {
@@ -251,17 +148,7 @@ def cmd_bound(cfg: RunConfig, out, err) -> int:
             "kind": spec.kind,
             "T": cfg.t_max,
             "steps": cfg.steps,
-            "reports": [
-                {
-                    "bound_id": r.bound_id,
-                    "T": r.T,
-                    "T_qsl": r.T_qsl,
-                    "valid": r.valid,
-                    "inputs_digest": r.inputs_digest,
-                    "details": r.details,
-                }
-                for r in reports
-            ],
+            "reports": [asdict(r) for r in reports],
         }
         print(json.dumps(payload, sort_keys=True), file=out)
     else:
@@ -272,15 +159,10 @@ def cmd_bound(cfg: RunConfig, out, err) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out, err) -> int:
-    try:
-        spec = _read_system(cfg)
-    except ParseError as exc:
-        print(exc.render(cfg.system_path or "<sysdl>"), file=err)
-        return EXIT_INPUT
-    if not cfg.observable or cfg.observable not in spec.observables:
-        print(f"evolve: unknown or missing observable {cfg.observable!r}", file=err)
-        return EXIT_INPUT
-    traj = _evolve(spec, cfg, spec.observable(cfg.observable), _effective_hbar(spec, cfg))
+    spec = _read_system(cfg)
+    O = spec.observable(cfg.observable)
+    gen = spec.generator(_effective_hbar(spec, cfg), cfg.tol)
+    traj = _evolve(gen, O, spec.initial_state, TimeGrid(0.0, cfg.t_max, cfg.steps), cfg.tol)
     times = traj.grid.times()
     if cfg.fmt == "json":
         payload = {
@@ -304,13 +186,6 @@ def cmd_evolve(cfg: RunConfig, out, err) -> int:
 
 
 def cmd_scenario(cfg: RunConfig, out, err) -> int:
-    if cfg.scenario not in scenarios.SCENARIOS:
-        print(
-            f"scenario: unknown scenario {cfg.scenario!r}; "
-            f"available: {', '.join(sorted(scenarios.SCENARIOS))}",
-            file=err,
-        )
-        return EXIT_INPUT
     result = scenarios.run_scenario(cfg.scenario)
     print(result.to_json() if cfg.fmt == "json" else result.to_csv(), end="", file=out)
     return EXIT_OK if result.passed else EXIT_NUMERIC
@@ -331,11 +206,7 @@ def cmd_audit(cfg: RunConfig, out, err) -> int:
 
 
 def cmd_parse(cfg: RunConfig, out, err) -> int:
-    try:
-        spec = _read_system(cfg)
-    except ParseError as exc:
-        print(exc.render(cfg.system_path or "<sysdl>"), file=err)
-        return EXIT_INPUT
+    spec = _read_system(cfg)
     print(serialize_system(spec), end="", file=out)
     return EXIT_OK
 
@@ -386,23 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for src, dst in (
-        ("system", "system_path"),
-        ("observable", "observable"),
-        ("observable_b", "observable_b"),
-        ("tmax", "t_max"),
-        ("steps", "steps"),
-        ("format", "fmt"),
-        ("seed", "seed"),
-        ("hbar", "hbar"),
-        ("tol", "tol"),
-        ("trials", "trials"),
-        ("name", "scenario"),
-        ("workers", "workers"),
-    ):
-        if hasattr(args, src) and getattr(args, src) is not None:
-            setattr(cfg, dst, getattr(args, src))
+    renamed = {"system": "system_path", "tmax": "t_max", "format": "fmt", "name": "scenario"}
+    cfg = RunConfig(**{renamed.get(k, k): v for k, v in vars(args).items() if v is not None and k != "bounds"})
     if hasattr(args, "bounds"):
         cfg.bounds = [b.strip() for b in str(args.bounds).split(",") if b.strip()]
         if not cfg.bounds:
@@ -428,13 +284,12 @@ COMMANDS = {
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    args = _build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         return COMMANDS[cfg.command](cfg, out, err)
     except ParseError as exc:
-        print(exc.render(), file=err)
+        print(exc.render(getattr(args, "system", "<sysdl>")), file=err)
         return EXIT_INPUT
     except ValidationError as exc:
         print(f"error: {exc}", file=err)

@@ -114,15 +114,17 @@ def rate_at(rate: Rate, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitaryGenerator:
-    """Closed dynamics generated by a time-independent Hermitian Hamiltonian."""
+    """Closed dynamics generated by a time-independent Hermitian Hamiltonian,
+    Hermitian within ``tol``."""
 
     H: np.ndarray = field(compare=False)
     hbar: float = 1.0
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         H = as_matrix(self.H, "hamiltonian")
         require_finite(H, "hamiltonian")
-        if not is_hermitian(H):
+        if not is_hermitian(H, self.tol):
             raise ValidationError("hamiltonian is not Hermitian within tolerance")
         if self.hbar <= 0:
             raise ValidationError("hbar must be positive")
@@ -135,16 +137,18 @@ class UnitaryGenerator:
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Markovian open dynamics: Hamiltonian plus jump operators with rates."""
+    """Markovian open dynamics: a Hamiltonian, Hermitian within ``tol``, plus
+    jump operators with rates."""
 
     H: np.ndarray = field(compare=False)
     jumps: tuple = ()
     hbar: float = 1.0
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         H = as_matrix(self.H, "hamiltonian")
         require_finite(H, "hamiltonian")
-        if not is_hermitian(H):
+        if not is_hermitian(H, self.tol):
             raise ValidationError("hamiltonian is not Hermitian within tolerance")
         if self.hbar <= 0:
             raise ValidationError("hbar must be positive")
@@ -357,6 +361,14 @@ class UnitaryTrajectory(ObservableTrajectory):
         grid = self._prefix_grid(k)
         return UnitaryTrajectory(grid, self._freqs, self._vectors, self._O_eig, self._rho_eig, self.hbar, self._tol)
 
+    def observable(self, O0: np.ndarray) -> "UnitaryTrajectory":
+        """The trajectory of another observable under the same Hamiltonian,
+        state and grid, over this one's eigenbasis: H is not diagonalized again."""
+        O0 = _checked_observable(O0, self.dim, self._tol)
+        V = self._vectors
+        Vd = V.conj().T
+        return UnitaryTrajectory(self.grid, self._freqs, V, Vd @ O0 @ V, self._rho_eig, self.hbar, self._tol)
+
     def _phase_trace(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
         E = np.exp(1j * np.outer(times, self._freqs))
         return np.einsum("ta,ta->t", E @ X, E.conj())
@@ -394,19 +406,19 @@ def _check_state(rho: DensityState, dim: int) -> None:
         raise ValidationError(f"state dimension {rho.matrix.shape[0]} != {dim}")
 
 
+def _checked_observable(O0, dim: int, tol: float) -> np.ndarray:
+    """O0 as a finite Hermitian (dim, dim) matrix, else ValidationError."""
+    O0 = as_matrix(O0, "observable")
+    require_finite(O0, "observable")
+    if not is_hermitian(O0, tol):
+        raise ValidationError("observable is not Hermitian within tolerance")
+    if O0.shape != (dim, dim):
+        raise ValidationError(f"dimension mismatch: {O0.shape} vs {(dim, dim)}")
+    return O0
+
+
 # ---------------------------------------------------------------------------
 # unitary dynamics
-
-
-def unitary_propagator(H: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """U(t) = exp(-i H t / hbar) for a Hermitian Hamiltonian."""
-    H = as_matrix(H, "hamiltonian")
-    require_finite(H, "hamiltonian")
-    if not is_hermitian(H):
-        raise ValidationError("hamiltonian is not Hermitian within tolerance")
-    if hbar <= 0:
-        raise ValidationError("hbar must be positive")
-    return mat_exp(-1j * float(t) / hbar * H)
 
 
 def evolve_unitary_heisenberg(
@@ -418,19 +430,14 @@ def evolve_unitary_heisenberg(
     tol: float = DEFAULT_TOL,
 ) -> UnitaryTrajectory:
     """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of H."""
-    O0 = as_matrix(O0, "observable")
     H = as_matrix(H, "hamiltonian")
-    require_finite(O0, "observable")
     require_finite(H, "hamiltonian")
-    if O0.shape != H.shape:
-        raise ValidationError(f"dimension mismatch: {O0.shape} vs {H.shape}")
-    if not is_hermitian(O0, tol):
-        raise ValidationError("observable is not Hermitian within tolerance")
     if not is_hermitian(H, tol):
         raise ValidationError("hamiltonian is not Hermitian within tolerance")
     if hbar <= 0:
         raise ValidationError("hbar must be positive")
-    _check_state(rho, O0.shape[0])
+    O0 = _checked_observable(O0, H.shape[0], tol)
+    _check_state(rho, H.shape[0])
 
     w, V = np.linalg.eigh(H)
     Vd = V.conj().T
@@ -441,17 +448,6 @@ def evolve_unitary_heisenberg(
 # Lindblad dynamics
 
 
-def lindblad_adjoint(gen: LindbladGenerator, O: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Adjoint generator acting on an observable:
-
-    (i/hbar)[H, O] + sum_k gamma_k(t) (L_k^dag O L_k - (1/2){L_k^dag L_k, O}).
-    """
-    O = as_matrix(O, "observable")
-    if O.shape != gen.H.shape:
-        raise ValidationError(f"dimension mismatch: {O.shape} vs {gen.H.shape}")
-    return _apply_at(gen, O, t, heisenberg=True)
-
-
 def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Schrodinger-picture generator acting on a state:
 
@@ -460,14 +456,10 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> n
     rho = as_matrix(rho, "state")
     if rho.shape != gen.H.shape:
         raise ValidationError(f"dimension mismatch: {rho.shape} vs {gen.H.shape}")
-    return _apply_at(gen, rho, t, heisenberg=False)
-
-
-def _apply_at(gen: LindbladGenerator, X: np.ndarray, t: float, heisenberg: bool) -> np.ndarray:
     g = _rates_at(gen, t)
     if (g < 0).any():
         raise ValidationError(f"negative rate {float(g.min())!r} at t={t!r}")
-    return _matrix_form(gen.H, _jump_stack(gen), gen.hbar, heisenberg)(X[None], g)[0]
+    return _matrix_form(gen.H, _jump_stack(gen), gen.hbar, heisenberg=False)(rho[None], g)[0]
 
 
 def _jump_stack(gen: LindbladGenerator) -> np.ndarray:
@@ -644,12 +636,7 @@ def evolve_lindblad_heisenberg(
     tol: float = DEFAULT_TOL,
 ) -> ObservableTrajectory:
     """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through :func:`propagate_lindblad`."""
-    O0 = as_matrix(O0, "observable")
-    require_finite(O0, "observable")
-    if not is_hermitian(O0, tol):
-        raise ValidationError("observable is not Hermitian within tolerance")
-    if O0.shape != gen.H.shape:
-        raise ValidationError(f"dimension mismatch: {O0.shape} vs {gen.H.shape}")
+    O0 = _checked_observable(O0, gen.dim, tol)
     _check_state(rho, gen.dim)
     Os = propagate_lindblad([gen], O0[None], grid, heisenberg=True)[0]
     return lindblad_trajectory(gen, Os, rho, grid, tol)
@@ -677,28 +664,6 @@ def evolve_lindblad_schrodinger(
 # Kraus dynamics
 
 
-def kraus_derivative(
-    family: KrausFamily,
-    i: int,
-    t: float,
-    h: float,
-    t_min: float = 0.0,
-    t_max: float = np.inf,
-) -> np.ndarray:
-    """Finite-difference dK_i/dt: central in the interior, one-sided at the
-    domain endpoints. The choice allows a few ulps of slack at both ends, so
-    a grid time whose t + h rounds just past t_max keeps the central
-    difference."""
-    if h <= 0:
-        raise ValidationError("finite-difference step h must be positive")
-    slack = 4 * np.spacing(abs(t) + h)
-    if t - h >= t_min - slack and t + h <= t_max + slack:
-        return (family.operators(t + h)[i] - family.operators(t - h)[i]) / (2.0 * h)
-    if t - h < t_min - slack:
-        return (family.operators(t + h)[i] - family.operators(t)[i]) / h
-    return (family.operators(t)[i] - family.operators(t - h)[i]) / h
-
-
 def evolve_kraus_heisenberg(
     O0: np.ndarray,
     gen: KrausGenerator,
@@ -711,13 +676,8 @@ def evolve_kraus_heisenberg(
     Also records the summed speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| used by
     the Kraus-map speed-limit bound.
     """
-    O0 = as_matrix(O0, "observable")
-    require_finite(O0, "observable")
-    if not is_hermitian(O0, tol):
-        raise ValidationError("observable is not Hermitian within tolerance")
     family = gen.family
-    if O0.shape[0] != family.dim:
-        raise ValidationError(f"dimension mismatch: {O0.shape[0]} vs {family.dim}")
+    O0 = _checked_observable(O0, family.dim, tol)
     _check_state(rho, family.dim)
 
     times = grid.times()
@@ -729,8 +689,7 @@ def evolve_kraus_heisenberg(
         raise ValidationError(f"Kraus completeness violated at t={times[j]!r} (defect {defect[j]:.3e})")
     KdO = K.conj().swapaxes(-1, -2) @ O0
     Os = (KdO @ K).sum(axis=1)
-    # np.gradient is kraus_derivative's scheme on the grid: central differences
-    # inside, one-sided at the two ends
+    # dK/dt by central differences along the grid, one-sided at its two ends
     M = KdO @ np.gradient(K, grid.h, axis=0)
     speed_hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=1)
     speed_op = np.linalg.svd(M, compute_uv=False)[..., 0].sum(axis=1)

@@ -25,7 +25,7 @@ from .dynamics import (
     evolve_unitary_heisenberg,
     lindblad_apply,
 )
-from .linalg import DensityState, ValidationError, hs_norm, op_norm, sigma_x, sigma_z, tr_norm, variance
+from .linalg import DensityState, ValidationError, hs_norm, sigma_x, sigma_z
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
@@ -68,32 +68,21 @@ def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:
     T = np.pi / 2.0
     rho = DensityState.pure(PLUS)
     grid = TimeGrid(0.0, T, steps)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, rho, grid)
-    delta_H = float(np.sqrt(variance(sigma_z, rho)))
-    e0, eT = float(traj.expect[0]), float(traj.expect[-1])
-
-    mt = bounds.oqsl_mt_integral(traj, delta_H)
-    si = bounds.oqsl_self_inverse(e0, eT, delta_H, T)
-    # survival probability of the initial state through its projector
-    proj = rho.matrix.copy()
-    ptraj = evolve_unitary_heisenberg(proj, sigma_z, rho, grid)
-    p0 = float(np.clip(ptraj.expect[0], 0.0, 1.0))
-    pT = float(np.clip(ptraj.expect[-1], 0.0, 1.0))
-    smt = bounds.state_qsl_projector(p0, pT, delta_H, T)
-    prod = sigma_x @ sigma_z
-    phs = bounds.oqsl_purity_hs(e0, eT, rho, hs_norm(prod), T)
-    mn = bounds.oqsl_min_norm(e0, eT, op_norm(prod), tr_norm(prod), T)
-
-    refs = {
-        "MT_INTEGRAL": (mt.T_qsl, T),
-        "SELF_INVERSE": (si.T_qsl, T),
-        "STATE_MT": (smt.T_qsl, T),
-        "PURITY_HS": (phs.T_qsl, 1.0 / np.sqrt(2.0)),
-        "MIN_NORM": (mn.T_qsl, 1.0),
-    }
+    ctx = bounds.EvalContext(
+        kind="unitary",
+        grid=grid,
+        O=sigma_x,
+        rho=rho,
+        evolve=lambda: evolve_unitary_heisenberg(sigma_x, sigma_z, rho, grid),
+        H=sigma_z,
+        self_inverse=sigma_x,
+        # survival probability of the initial state through its projector
+        projector=rho.matrix,
+    )
+    refs = {"MT_INTEGRAL": T, "SELF_INVERSE": T, "STATE_MT": T, "PURITY_HS": 1.0 / np.sqrt(2.0), "MIN_NORM": 1.0}
     rows = [
-        {"bound": name, "value": val, "reference": ref, "abs_err": abs(val - ref)}
-        for name, (val, ref) in refs.items()
+        {"bound": r.bound_id, "value": r.T_qsl, "reference": refs[r.bound_id], "abs_err": abs(r.T_qsl - refs[r.bound_id])}
+        for r in bounds.evaluate_all(ctx, list(refs))
     ]
     tol = 1e-4
     passed = all(r["abs_err"] <= tol for r in rows)
@@ -177,12 +166,12 @@ def scenario_battery_degenerate(steps: int = 2000) -> ScenarioResult:
     grid = TimeGrid(0.0, T, steps)
     ct1, ct2 = bounds.battery_bounds(HB, HC, rho, grid)
 
-    HT = HB + HC
-    delta_HT = float(np.sqrt(variance(HT, rho)))
     # survival probability of the initial state under the same drive
-    ptraj = evolve_unitary_heisenberg(rho.matrix.copy(), HT, rho, grid)
-    pT = float(np.clip(ptraj.expect[-1], 0.0, 1.0))
-    smt = bounds.state_qsl_projector(1.0, pT, delta_HT, T)
+    P, HT = rho.matrix, HB + HC
+    ctx = bounds.EvalContext(
+        "unitary", grid, P, rho, lambda: evolve_unitary_heisenberg(P, HT, rho, grid), H=HT, projector=P
+    )
+    [smt] = bounds.evaluate_all(ctx, ["STATE_MT"])
 
     rows = [
         {"quantity": "BATTERY_CT1", "value": ct1.T_qsl, "reference": 0.0, "abs_err": abs(ct1.T_qsl)},
@@ -254,5 +243,5 @@ SCENARIOS = {
 
 def run_scenario(name: str) -> ScenarioResult:
     if name not in SCENARIOS:
-        raise ValidationError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
+        raise ValidationError(f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}")
     return SCENARIOS[name]()

@@ -252,13 +252,14 @@ class SystemSpec:
             )
         return self.observables[name]
 
-    def generator(self, hbar: float | None = None) -> GeneratorSpec:
-        """The system's dynamics, with ``hbar`` in place of the file's when given."""
+    def generator(self, hbar: float | None = None, tol: float = DEFAULT_TOL) -> GeneratorSpec:
+        """The system's dynamics, with ``hbar`` in place of the file's when
+        given; ``tol`` is the Hamiltonian's Hermiticity tolerance."""
         hbar = self.hbar if hbar is None else hbar
         if self.kind == "unitary":
-            return UnitaryGenerator(H=self.hamiltonian, hbar=hbar)
+            return UnitaryGenerator(H=self.hamiltonian, hbar=hbar, tol=tol)
         if self.kind == "lindblad":
-            return LindbladGenerator(H=self.hamiltonian, jumps=self.jumps, hbar=hbar)
+            return LindbladGenerator(H=self.hamiltonian, jumps=self.jumps, hbar=hbar, tol=tol)
         if self.kind == "kraus":
             if self.kraus is None:
                 raise ValidationError("kraus kind requires a kraus family")

@@ -6,12 +6,17 @@ exponentials of Hermitian generators from an eigendecomposition (not the
 Pade scaling-and-squaring route), traces from explicit double loops. Unitary
 trajectories are checked against the dense per-sample route they replaced,
 and constant-rate Lindblad trajectories against the batched RK4 integration
-that the exact propagator replaced.
+that the exact propagator replaced. The per-time propagator, adjoint
+generator and Kraus derivative are the references for the library's
+eigenbasis, Liouvillian and grid-batched routes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from oqsl.dynamics import rate_at
+from oqsl.linalg import ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
 
 
 def jacobi_singular_values(M, tol: float = 1e-14, max_sweeps: int = 100) -> np.ndarray:
@@ -152,3 +157,43 @@ def rk4_lindblad_route(H, Ls, gammas, y0, times, hbar: float = 1.0, heisenberg: 
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(y)
     return np.stack(out, axis=1)
+
+
+def unitary_propagator(H, t: float, hbar: float = 1.0) -> np.ndarray:
+    """U(t) = exp(-i H t / hbar) for a Hermitian Hamiltonian, by Pade scaling
+    and squaring."""
+    H = as_matrix(H, "hamiltonian")
+    require_finite(H, "hamiltonian")
+    if not is_hermitian(H):
+        raise ValidationError("hamiltonian is not Hermitian within tolerance")
+    if hbar <= 0:
+        raise ValidationError("hbar must be positive")
+    return mat_exp(-1j * float(t) / hbar * H)
+
+
+def lindblad_adjoint(gen, O, t: float = 0.0) -> np.ndarray:
+    """The adjoint generator on one observable, term by term:
+
+    (i/hbar)[H, O] + sum_k gamma_k(t) (L_k^dag O L_k - (1/2){L_k^dag L_k, O}).
+    """
+    O = np.asarray(O, dtype=complex)
+    out = (1j / gen.hbar) * (gen.H @ O - O @ gen.H)
+    for L, rate in gen.jumps:
+        Ld = L.conj().T
+        out = out + float(rate_at(rate, t)) * (Ld @ O @ L - 0.5 * (Ld @ L @ O + O @ Ld @ L))
+    return out
+
+
+def kraus_derivative(family, i: int, t: float, h: float, t_min: float = 0.0, t_max: float = np.inf) -> np.ndarray:
+    """Finite-difference dK_i/dt: central in the interior, one-sided at the
+    domain endpoints. The choice allows a few ulps of slack at both ends, so
+    a grid time whose t + h rounds just past t_max keeps the central
+    difference."""
+    if h <= 0:
+        raise ValidationError("finite-difference step h must be positive")
+    slack = 4 * np.spacing(abs(t) + h)
+    if t - h >= t_min - slack and t + h <= t_max + slack:
+        return (family.operators(t + h)[i] - family.operators(t - h)[i]) / (2.0 * h)
+    if t - h < t_min - slack:
+        return (family.operators(t + h)[i] - family.operators(t)[i]) / h
+    return (family.operators(t)[i] - family.operators(t - h)[i]) / h

@@ -1,9 +1,12 @@
 import io
 
+import numpy as np
 import pytest
 
+from oqsl import audit
 from oqsl.audit import run_audit
 from oqsl.cli import main
+from oqsl.linalg import variance
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +88,41 @@ def test_audit_cli_roundtrip():
     out2 = io.StringIO()
     assert main(["audit", "--trials", "4", "--seed", "5"], out=out2, err=io.StringIO()) == 0
     assert out.getvalue() == out2.getvalue()
+
+
+def _no_sampling(*args):
+    raise AssertionError("audit sampled a trial")
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_audit_rejects_workers_below_one(workers, monkeypatch):
+    monkeypatch.setattr(audit, "_sample_trial", _no_sampling)
+    err = io.StringIO()
+    assert main(["audit", "--trials", "1", "--workers", workers], out=io.StringIO(), err=err) == 2
+    assert f"--workers must be at least 1, got {workers}" in err.getvalue()
+
+
+def test_audit_rejects_thread_env_below_one(monkeypatch):
+    monkeypatch.setattr(audit, "_sample_trial", _no_sampling)
+    monkeypatch.setenv("OQSL_THREADS", "0")
+    err = io.StringIO()
+    assert main(["audit", "--trials", "1"], out=io.StringIO(), err=err) == 2
+    assert "OQSL_THREADS must be at least 1, got 0" in err.getvalue()
+
+
+def test_audit_trial_diagonalizes_h_once(monkeypatch):
+    # O, the self-inverse O_si and the projector P all evolve under one H
+    trial = audit._sample_trial(1, 3, 0)
+    assert np.sqrt(variance(trial.H, trial.rho)) > 1e-9
+    audit._integrate_lindblad_block([trial], audit.TimeGrid(0.0, audit.LINDBLAD_T, audit.LINDBLAD_STEPS))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    out = audit._evaluate_trial(trial, False)
+    assert {("MT_INTEGRAL", "unitary"), ("SELF_INVERSE", "unitary"), ("STATE_MT", "unitary")} <= set(out)
+    assert len(calls) == 1

@@ -7,7 +7,6 @@ from oqsl.bounds import (
     battery_bounds,
     commutator_qsl,
     corr_qsl,
-    observable_distance,
     oqsl_generator_hs,
     oqsl_kraus,
     oqsl_min_norm,
@@ -624,12 +623,6 @@ def test_rate_audit_mutation_hook_detects_sign_flip():
     traj = tight_trajectory(500)
     rep = rate_audit(traj, make_system(sigma_z, PLUS), _flip_robertson_sign=True)
     assert rep.violations["RATE_ROBERTSON"] > 0.1
-
-
-def test_observable_distance():
-    assert observable_distance(sigma_x, sigma_x, PLUS) == 0.0
-    d = observable_distance(-sigma_x, sigma_x, PLUS)
-    assert d == pytest.approx(1.0, abs=1e-12)  # |<-1 - 1>| / (2 * 1)
 
 
 def test_bound_ids_catalog():

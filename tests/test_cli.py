@@ -16,6 +16,7 @@ from oqsl.sysdl import builtin_text, parse_system
 
 DEPHASING = "src/oqsl/systems/dephasing.sys"
 TIGHT = "src/oqsl/systems/tight_qubit.sys"
+SYSTEMS = Path(oqsl.__file__).parent / "systems"
 
 
 @pytest.fixture
@@ -147,6 +148,73 @@ def test_bound_commutator_needs_partner(tmp_path):
     assert code == 0, err
     row, = parse_csv(out)
     assert row["valid"] == "true"
+
+
+# the --bounds ALL report order on each built-in system, at the benchmark's
+# observables and horizons: the registry's table order, filtered
+UNITARY_PURE = ["PURITY_HS", "GENERATOR_HS", "STATE_INDEP", "MIN_NORM", "BATTERY_CT1", "BATTERY_CT2", "CORR_CLOSED"]
+REPORT_ORDER = [
+    ("dephasing", "O", None, "1.5708", ["GENERATOR_HS", "DELCAMPO", "STATE_INDEP", "CORR_OPEN"]),
+    ("kraus_dephasing", "O", None, "1.5708", ["KRAUS"]),
+    ("battery", "HB", None, "1.0", ["MT_INTEGRAL", "SELF_INVERSE"] + UNITARY_PURE),
+    ("qutrit_decay", "N", None, "1.0", ["GENERATOR_HS", "DELCAMPO", "STATE_INDEP"]),
+    ("two_qubit", "A", None, "1.0", UNITARY_PURE),
+    ("two_qubit", "A", "B", "1.0", UNITARY_PURE + ["COMM_CLOSED"]),
+    ("tight_qubit", "O", None, "1.5707963", ["MT_INTEGRAL", "SELF_INVERSE"] + UNITARY_PURE),
+]
+
+
+def _bound_argv(name, obs, obs_b, tmax, *extra):
+    argv = ["bound", "--system", str(SYSTEMS / f"{name}.sys"), "--observable", obs, "--tmax", tmax]
+    return argv + (["--observable-b", obs_b] if obs_b else []) + list(extra)
+
+
+@pytest.mark.parametrize(
+    "name,obs,obs_b,tmax,expected", REPORT_ORDER, ids=[f"{c[0]}{'+B' if c[2] else ''}" for c in REPORT_ORDER]
+)
+def test_bound_all_report_order(name, obs, obs_b, tmax, expected):
+    code, out, err = run_cli(_bound_argv(name, obs, obs_b, tmax, "--bounds", "ALL"))
+    assert code == 0, err
+    assert [r["bound_id"] for r in parse_csv(out)] == expected
+
+
+@pytest.mark.parametrize("name,obs,obs_b,tmax,expected", REPORT_ORDER[2:4], ids=["battery", "qutrit_decay"])
+def test_bound_explicit_list_keeps_its_order(name, obs, obs_b, tmax, expected):
+    wanted = expected[::-1]
+    code, out, err = run_cli(_bound_argv(name, obs, obs_b, tmax, "--bounds", ",".join(wanted)))
+    assert code == 0, err
+    assert [r["bound_id"] for r in parse_csv(out)] == wanted
+    # a bound that does not apply is named, whatever its place in the list
+    other = "KRAUS"
+    code, out, err = run_cli(_bound_argv(name, obs, obs_b, tmax, "--bounds", f"{wanted[0]},{other}"))
+    assert code == 2 and out == ""
+    assert f"bound(s) not applicable to this {parse_system(builtin_text(name)).kind} system/observable: {other}" in err
+
+
+@pytest.mark.parametrize(
+    "name,obs,obs_b",
+    [("kraus_dephasing", "O", "O"), ("qutrit_decay", "N", "C")],
+    ids=["kraus", "mixed-state"],
+)
+def test_bound_observable_b_without_commutator_bound_rejected(name, obs, obs_b):
+    code, out, err = run_cli(_bound_argv(name, obs, obs_b, "1", "--bounds", "ALL"))
+    assert code == 2 and out == ""
+    assert "--observable-b feeds only COMM_CLOSED/COMM_OPEN" in err and "pure state" in err
+
+
+@pytest.mark.parametrize("jump", ["", "[jump]\npauli = 1.0 Z\nrate = 0.1\n"], ids=["unitary", "lindblad"])
+def test_bound_tol_reaches_the_generator(jump, tmp_path):
+    # a Hamiltonian Hermitian only within --tol parses, so it must also evolve
+    p = tmp_path / "loose.sys"
+    p.write_text(
+        "[system]\ndim = 2\n[hamiltonian]\nmatrix = [[1, 0.5+1e-7i], [0.5, -1]]\n"
+        f"[state]\nket = [1, 0]\n{jump}[observable O]\npauli = 1.0 X\n"
+    )
+    argv = ["bound", "--system", str(p), "--observable", "O", "--tmax", "1", "--bounds", "GENERATOR_HS"]
+    code, out, err = run_cli(argv + ["--tol", "1e-6"])
+    assert code == 0, err
+    code, out, err = run_cli(argv)
+    assert code == 2 and "not Hermitian" in err
 
 
 def test_bound_all_with_mixed_state_skips_pure_only_bounds(tmp_path):
@@ -412,8 +480,6 @@ def test_audit_rejects_fewer_than_one_trial(trials, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # start-up: scipy is loaded only by the exact Lindblad route (linalg.mat_exp)
-
-SYSTEMS = Path(oqsl.__file__).parent / "systems"
 
 
 @pytest.mark.parametrize(

@@ -16,10 +16,7 @@ from oqsl.dynamics import (
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,
     evolve_unitary_heisenberg,
-    kraus_derivative,
-    lindblad_adjoint,
     lindblad_apply,
-    unitary_propagator,
 )
 from oqsl.linalg import (
     DensityState,
@@ -34,6 +31,7 @@ from oqsl.linalg import (
 )
 
 import oracles
+from oracles import kraus_derivative, lindblad_adjoint, unitary_propagator
 
 PLUS = DensityState.pure([1.0, 1.0])
 

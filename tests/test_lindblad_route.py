@@ -12,13 +12,13 @@ from oqsl.dynamics import (
     TimeGrid,
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,
-    lindblad_adjoint,
     lindblad_apply,
     liouvillian,
 )
 from oqsl.linalg import DensityState, op_norm
 
 import oracles
+from oracles import lindblad_adjoint
 
 HBAR = 1.7
 GRID = TimeGrid(0.0, 0.6, 300)
