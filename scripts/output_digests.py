@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the CLI's ``--format json`` output for a fixed set of
-commands: ``bound --bounds ALL`` on the six built-in systems, the four
-scenarios, and ``audit --trials 100 --seed 1``.
+"""Print the sha256 of the CLI's output for a fixed set of commands: the
+``--format json`` output of ``bound --bounds ALL`` on the six built-in
+systems, of the four scenarios and of ``audit --trials 100 --seed 1``, and
+the canonical reprint of ``parse`` on the six built-in systems.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -42,6 +43,8 @@ def commands():
     for name in SCENARIOS:
         yield f"scenario:{name}", ["scenario", name, "--format", "json"]
     yield "audit", ["audit", "--trials", "100", "--seed", "1", "--format", "json"]
+    for fname, *_ in BUILTIN_BOUNDS:
+        yield f"parse:{fname}", ["parse", "--system", str(SYSTEMS / fname)]
 
 
 def main() -> int:

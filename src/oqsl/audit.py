@@ -34,7 +34,6 @@ from .dynamics import (
     propagate_lindblad,
 )
 from .linalg import DensityState, ValidationError, op_norm, sigma_x
-from .sysdl import SystemSpec
 
 UNITARY_T = 1.0
 UNITARY_STEPS = 1600
@@ -181,11 +180,6 @@ def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
 # per-trial evaluation
 
 
-def _system_for(trial: _Trial, kind: str) -> SystemSpec:
-    jumps = trial.jumps if kind == "lindblad" else ()
-    return SystemSpec(trial.dim, 1.0, kind, trial.H, trial.rho, {"O": trial.O}, jumps)
-
-
 def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
     """T_qsl - T for every registry bound that applies under the trial's
     unitary, Lindblad and (qubit only) Kraus dynamics, the rate inequalities
@@ -218,7 +212,7 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
         for report in bounds.evaluate_all(ctx):
             out[(report.bound_id, ctx.kind)] = report.T_qsl - ctx.T
     for ctx in (unitary, lindblad):
-        audit = bounds.rate_audit(ctx.traj, _system_for(trial, ctx.kind), _flip_robertson_sign=flip_robertson)
+        audit = bounds.rate_audit(ctx, _flip_robertson_sign=flip_robertson)
         for name, v in audit.violations.items():
             out[(name, ctx.kind)] = v
     lhs = np.einsum("ab,tba->t", trial.O, trial.lind_rho).real

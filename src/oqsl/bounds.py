@@ -79,12 +79,12 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _report(bound_id, T, T_qsl, digest, details, valid_tol=VALID_TOL) -> BoundReport:
+def _report(bound_id, T, T_qsl, digest, details) -> BoundReport:
     return BoundReport(
         bound_id=bound_id,
         T=float(T),
         T_qsl=float(T_qsl),
-        valid=bool(T_qsl <= T + valid_tol),
+        valid=bool(T_qsl <= T + VALID_TOL),
         inputs_digest=digest,
         details=details,
     )
@@ -106,7 +106,7 @@ def _mean_speed(speeds: np.ndarray, grid: TimeGrid) -> float:
 # unitary-dynamics bounds
 
 
-def _mt_integral_core(bound_id, traj, delta_H, hbar, eps_var):
+def _mt_integral_core(bound_id, traj, delta_H, hbar):
     if delta_H <= 0:
         raise ValidationError(f"{bound_id}: energy spread must be positive")
     d_expect = np.abs(np.diff(traj.expect))
@@ -114,7 +114,7 @@ def _mt_integral_core(bound_id, traj, delta_H, hbar, eps_var):
     # overestimates the integrand where dO -> 0 and can push T_qsl above T
     grid = traj.grid
     mid_std = traj.stddev_at(grid.times()[:-1] + 0.5 * grid.h)
-    usable = mid_std >= eps_var
+    usable = mid_std >= EPS_VAR
     contrib = np.where(usable & (d_expect > ZERO_TOL), d_expect / np.where(usable, mid_std, 1.0), 0.0)
     integral = float(contrib.sum())
     T = traj.grid.duration
@@ -131,23 +131,18 @@ def _mt_integral_core(bound_id, traj, delta_H, hbar, eps_var):
     return _report(bound_id, T, tqsl, digest, details)
 
 
-def oqsl_mt_integral(
-    traj: ObservableTrajectory,
-    delta_H: float,
-    hbar: float = 1.0,
-    eps_var: float = EPS_VAR,
-) -> BoundReport:
+def oqsl_mt_integral(traj: ObservableTrajectory, delta_H: float, hbar: float = 1.0) -> BoundReport:
     """Path-integral bound for unitary dynamics:
 
     T_qsl = (hbar / 2 dH) * sum_cells |d<O>| / dO(midpoint),
 
     by the midpoint rule over grid cells, with dO evaluated in closed form at
-    each cell's midpoint; cells whose midpoint spread falls below ``eps_var``
+    each cell's midpoint; cells whose midpoint spread falls below ``EPS_VAR``
     contribute zero and are counted in the details.
     """
     if traj.kind != "unitary":
         raise ValidationError("MT_INTEGRAL requires a unitary-kind trajectory")
-    return _mt_integral_core("MT_INTEGRAL", traj, delta_H, hbar, eps_var)
+    return _mt_integral_core("MT_INTEGRAL", traj, delta_H, hbar)
 
 
 def oqsl_self_inverse(
@@ -408,7 +403,7 @@ def _battery_core(traj, HB, HC, rho, hbar, tol):
             {"delta_H_total": delta_HT, "integral": 0.0, "stationary": 1},
         )
     else:
-        ct1 = _mt_integral_core("BATTERY_CT1", traj, delta_HT, hbar, EPS_VAR)
+        ct1 = _mt_integral_core("BATTERY_CT1", traj, delta_HT, hbar)
 
     if not rho.is_pure():
         raise ValidationError("BATTERY_CT2 requires a pure initial state")
@@ -550,39 +545,32 @@ class RateAuditReport:
         return max(self.violations.values()) if self.violations else float("-inf")
 
 
-def rate_audit(
-    traj: ObservableTrajectory,
-    system,
-    _flip_robertson_sign: bool = False,
-) -> RateAuditReport:
-    """Check the applicable rate inequalities along a trajectory.
+def rate_audit(ctx: EvalContext, _flip_robertson_sign: bool = False) -> RateAuditReport:
+    """Check the applicable rate inequalities along the context's trajectory.
 
     Interior grid points only; the left side |d<O>/dt| comes from central
     differences of the sampled expectations. For unitary trajectories the
     Robertson bound 2 dO dH / hbar and the Hoelder bound 2 ||H O(t)||_op / hbar
     apply; for Lindblad trajectories the Cauchy-Schwarz bound
     sqrt(tr rho^2) ||L^dag[O(t)]||_hs applies. A unitary trajectory must be
-    generated by ``system.hamiltonian``, which then commutes with U(t), so
+    generated by ``ctx.H``, which then commutes with U(t), so
     ||H O(t)||_op = ||U^dag(t) H O(0) U(t)||_op = ||H O(0)||_op is constant.
 
     ``_flip_robertson_sign`` is a test-only hook that negates the Robertson
     right-hand side so auditor mutations are detectable.
     """
-    h = traj.grid.h
-    lhs = np.abs(traj.expect[2:] - traj.expect[:-2]) / (2.0 * h)
-    rho = system.initial_state
-    hbar = system.hbar
+    traj = ctx.traj
+    lhs = np.abs(traj.expect[2:] - traj.expect[:-2]) / (2.0 * traj.grid.h)
     violations: dict[str, float] = {}
     if traj.kind == "unitary":
-        delta_H = float(np.sqrt(variance(system.hamiltonian, rho)))
-        rhs_rob = 2.0 / hbar * traj.stddev[1:-1] * delta_H
+        rhs_rob = 2.0 / ctx.hbar * traj.stddev[1:-1] * ctx.delta_H
         if _flip_robertson_sign:
             rhs_rob = -rhs_rob
         violations["RATE_ROBERTSON"] = float((lhs - rhs_rob).max())
-        rhs_hold = 2.0 / hbar * op_norm(system.hamiltonian @ traj.at(0))
+        rhs_hold = 2.0 / ctx.hbar * op_norm(ctx.H @ traj.at(0))
         violations["RATE_HOLDER_OP"] = float((lhs - rhs_hold).max())
     elif traj.kind == "lindblad":
-        rhs_cs = np.sqrt(rho.purity) * traj.gen_speed_hs[1:-1]
+        rhs_cs = np.sqrt(ctx.rho.purity) * traj.gen_speed_hs[1:-1]
         violations["RATE_CS_HS"] = float((lhs - rhs_cs).max())
     else:
         raise ValidationError("rate audit applies to unitary or lindblad trajectories")

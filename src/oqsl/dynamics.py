@@ -287,7 +287,6 @@ class ObservableTrajectory:
     stddev: np.ndarray
     gen_speed_hs: np.ndarray
     gen_speed_op: np.ndarray
-    hbar: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -323,14 +322,14 @@ class UnitaryTrajectory(ObservableTrajectory):
     ``O_samples`` is built on first access and cached.
     """
 
-    def __init__(self, grid: TimeGrid, freqs, vectors, O_eig, rho_eig, hbar: float, tol: float):
+    def __init__(self, grid: TimeGrid, freqs, vectors, O_eig, rho_eig, tol: float):
         self._freqs, self._vectors, self._O_eig, self._rho_eig, self._tol = freqs, vectors, O_eig, rho_eig, tol
         expect, stddev = self._moments(grid.times())
         # [H, O] / hbar in the eigenbasis; both norms are unitarily invariant
         comm = (freqs[:, None] - freqs[None, :]) * O_eig
         speed_hs = np.full(grid.steps + 1, np.linalg.norm(comm))
         speed_op = np.full(grid.steps + 1, np.linalg.svd(comm, compute_uv=False)[0])
-        super().__init__("unitary", grid, None, expect, stddev, speed_hs, speed_op, hbar)
+        super().__init__("unitary", grid, None, expect, stddev, speed_hs, speed_op)
 
     @property
     def O_samples(self) -> np.ndarray:
@@ -359,7 +358,7 @@ class UnitaryTrajectory(ObservableTrajectory):
 
     def prefix(self, k: int) -> "UnitaryTrajectory":
         grid = self._prefix_grid(k)
-        return UnitaryTrajectory(grid, self._freqs, self._vectors, self._O_eig, self._rho_eig, self.hbar, self._tol)
+        return UnitaryTrajectory(grid, self._freqs, self._vectors, self._O_eig, self._rho_eig, self._tol)
 
     def observable(self, O0: np.ndarray) -> "UnitaryTrajectory":
         """The trajectory of another observable under the same Hamiltonian,
@@ -367,7 +366,7 @@ class UnitaryTrajectory(ObservableTrajectory):
         O0 = _checked_observable(O0, self.dim, self._tol)
         V = self._vectors
         Vd = V.conj().T
-        return UnitaryTrajectory(self.grid, self._freqs, V, Vd @ O0 @ V, self._rho_eig, self.hbar, self._tol)
+        return UnitaryTrajectory(self.grid, self._freqs, V, Vd @ O0 @ V, self._rho_eig, self._tol)
 
     def _phase_trace(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
         E = np.exp(1j * np.outer(times, self._freqs))
@@ -441,7 +440,7 @@ def evolve_unitary_heisenberg(
 
     w, V = np.linalg.eigh(H)
     Vd = V.conj().T
-    return UnitaryTrajectory(grid, w / hbar, V, Vd @ O0 @ V, Vd @ rho.matrix @ V, hbar, tol)
+    return UnitaryTrajectory(grid, w / hbar, V, Vd @ O0 @ V, Vd @ rho.matrix @ V, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +616,6 @@ def lindblad_trajectory(
         stddev=_batch_stddev(O_samples, rho.matrix, tol),
         gen_speed_hs=np.sqrt(np.einsum("tab,tab->t", rhs.conj(), rhs).real),
         gen_speed_op=np.linalg.svd(rhs, compute_uv=False)[:, 0],
-        hbar=gen.hbar,
     )
 
 
@@ -702,7 +700,6 @@ def evolve_kraus_heisenberg(
         stddev=_batch_stddev(Os, rho.matrix, tol),
         gen_speed_hs=speed_hs,
         gen_speed_op=speed_op,
-        hbar=1.0,
     )
 
 

@@ -1,7 +1,7 @@
 """Parser for the plain-text ``.sys`` system-description format.
 
 A file is a sequence of ``[section]`` headers with one ``key = value``
-declaration per line; ``#`` starts a comment. Sections:
+declaration per line; ``#`` starts a comment. Sections and their keys:
 
 * ``[system]`` -- ``dim`` (required), ``hbar`` (default 1.0), optional
   ``kind`` (unitary | lindblad | kraus).
@@ -15,6 +15,10 @@ declaration per line; ``#`` starts a comment. Sections:
 * ``[observable NAME]`` -- repeatable; ``pauli``/``matrix``.
 * ``[kraus]`` -- ``family = dephasing`` with ``gamma``, or
   ``family = tabulated`` with repeated ``time = <t>`` / ``K = <matrix>`` lines.
+
+One table, ``_SECTIONS``, lists these keys. A key a section does not accept,
+a second declaration of a key or of its alternative (``pauli``/``matrix``,
+``ket``/``matrix``), and a ``[kraus]`` key of the other family are errors.
 
 Pauli expressions follow ``coeff WORD (+|- coeff WORD)*`` where coefficients
 are real or complex literals (``a``, ``a+bi``, ``a-bi``, ``bi``, ``-bi``) and
@@ -284,6 +288,31 @@ class _Section:
     decls: list
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The keys a section accepts. Each key maps to a slot that holds one
+    declaration; keys that share a slot are alternatives, and a key whose
+    slot is None may repeat. ``required`` slots must be declared."""
+
+    keys: dict
+    required: tuple = ()
+    repeatable: bool = False
+    named: bool = False
+
+
+_OPERATOR = {"pauli": "operator", "matrix": "operator"}
+_SECTIONS = {
+    "system": _Layout({"dim": "dim", "hbar": "hbar", "kind": "kind"}, required=("dim",)),
+    "hamiltonian": _Layout(_OPERATOR),
+    "state": _Layout({"ket": "state", "matrix": "state"}, required=("state",)),
+    "jump": _Layout({**_OPERATOR, "rate": "rate"}, required=("operator",), repeatable=True),
+    "observable": _Layout(_OPERATOR, required=("operator",), repeatable=True, named=True),
+    "kraus": _Layout({"family": "family", "gamma": "gamma", "time": None, "k": None}, required=("family",)),
+}
+# the [kraus] keys that belong to one family
+_KRAUS_FAMILY = {"gamma": "dephasing", "time": "tabulated", "k": "tabulated"}
+
+
 def _scan(text: str, diags: list[Diagnostic]) -> list[_Section]:
     sections: list[_Section] = []
     current: _Section | None = None
@@ -323,64 +352,172 @@ def _scan(text: str, diags: list[Diagnostic]) -> list[_Section]:
     return sections
 
 
-def _one_decl(section: _Section, keys: tuple, diags: list[Diagnostic], required=False):
-    found = [d for d in section.decls if d.key in keys]
-    for extra in section.decls:
-        if extra.key not in keys:
-            diags.append(
-                Diagnostic(
-                    extra.line,
-                    extra.key_col,
-                    f"unknown key {extra.key!r} in [{section.name}] section",
-                )
-            )
-    if len(found) > 1:
-        for d in found[1:]:
-            diags.append(Diagnostic(d.line, d.key_col, f"duplicate {d.key!r} declaration"))
-    if required and not found:
-        diags.append(
-            Diagnostic(section.line, 1, f"[{section.name}] section needs one of: {', '.join(keys)}")
-        )
-    return found[0] if found else None
+def _read(sec: _Section, layout: _Layout, diags: list[Diagnostic]) -> dict:
+    """``sec``'s declarations by slot. Every unknown key, every second
+    declaration of a slot and every missing required slot is a diagnostic;
+    the declarations of keys without a slot stay in ``sec.decls``."""
+    slots: dict[str, _Decl] = {}
+    for d in sec.decls:
+        if d.key not in layout.keys:
+            diags.append(Diagnostic(d.line, d.key_col, f"unknown key {d.key!r} in [{sec.name}] section"))
+            continue
+        slot = layout.keys[d.key]
+        if slot in slots:
+            first = slots[slot].line
+            message = f"duplicate {slot} declaration in [{sec.name}] (first on line {first})"
+            diags.append(Diagnostic(d.line, d.key_col, message))
+        elif slot is not None:
+            slots[slot] = d
+    for slot in layout.required:
+        if slot not in slots:
+            keys = " or ".join(k for k, s in layout.keys.items() if s == slot)
+            diags.append(Diagnostic(sec.line, 1, f"[{sec.name}] section needs a {keys} declaration"))
+    return slots
 
 
-def _parse_operator(decl: _Decl, dim: int, n_qubits, diags: list[Diagnostic]):
-    """Dispatch a 'pauli =' or 'matrix =' declaration into a dim x dim matrix."""
+def _convert(decl: _Decl | None, convert, diags: list[Diagnostic], default=None):
+    """``convert(decl.value)``, or ``default`` without a declaration; a
+    ValueError from ``convert`` becomes a diagnostic at the value."""
+    if decl is None:
+        return default
     try:
-        if decl.key == "pauli":
-            if n_qubits is None:
-                diags.append(
-                    Diagnostic(decl.line, decl.value_col, f"pauli expressions need dim a power of 2, got {dim}")
-                )
-                return None
+        return convert(decl.value)
+    except ValueError as exc:
+        diags.append(Diagnostic(decl.line, decl.value_col, str(exc)))
+        return None
+
+
+def _real(ok=lambda v: True, message: str = ""):
+    """A converter to a finite float v that fails with ``message.format(v)``
+    unless ``ok(v)``."""
+
+    def convert(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            raise ValueError(f"malformed number {text!r}") from None
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite number {text!r}")
+        if not ok(v):
+            raise ValueError(message.format(v))
+        return v
+
+    return convert
+
+
+def _dim(text: str) -> int:
+    try:
+        dim = int(text)
+    except ValueError:
+        raise ValueError(f"malformed integer {text!r}") from None
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dim {dim} exceeds the supported maximum {MAX_DIM}")
+    return dim
+
+
+def _choice(what: str, options: tuple):
+    def convert(text: str) -> str:
+        if text.lower() not in options:
+            raise ValueError(f"unknown {what} {text!r}")
+        return text.lower()
+
+    return convert
+
+
+def _parse_operator(decl: _Decl | None, dim: int, n_qubits, diags: list[Diagnostic], hermitian=None, tol=DEFAULT_TOL):
+    """A 'pauli =' declaration, or any other as a matrix literal, as a dim x
+    dim matrix; None after a diagnostic or without a declaration. When
+    ``hermitian`` names the operator it must be Hermitian within ``tol``."""
+    if decl is None:
+        return None
+    try:
+        if decl.key != "pauli":
+            M = _parse_matrix(decl.value, decl.line, decl.value_col)
+            if M.shape[0] != dim:
+                _fail(decl.line, decl.value_col, f"matrix is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}")
+        elif n_qubits is None:
+            _fail(decl.line, decl.value_col, f"pauli expressions need dim a power of 2, got {dim}")
+        else:
             try:
-                return parse_pauli_expr(decl.value, n_qubits)
+                M = parse_pauli_expr(decl.value, n_qubits)
             except ParseError as exc:
                 d = exc.diagnostics[0]
-                diags.append(Diagnostic(decl.line, decl.value_col + d.col - 1, d.message))
-                return None
-        M = _parse_matrix(decl.value, decl.line, decl.value_col)
-        if M.shape[0] != dim:
-            diags.append(
-                Diagnostic(decl.line, decl.value_col, f"matrix is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}")
-            )
-            return None
+                _fail(decl.line, decl.value_col + d.col - 1, d.message)
+        if hermitian is not None and not is_hermitian(M, tol):
+            _fail(decl.line, decl.value_col, f"{hermitian} is not Hermitian within tolerance")
         return M
     except ParseError as exc:
         diags.extend(exc.diagnostics)
         return None
 
 
-def _parse_float(decl: _Decl, diags: list[Diagnostic]):
+def _parse_state(decl: _Decl | None, dim: int, tol: float, diags: list[Diagnostic]):
+    if decl is None:
+        return None
     try:
-        v = float(decl.value)
-    except ValueError:
-        diags.append(Diagnostic(decl.line, decl.value_col, f"malformed number {decl.value!r}"))
+        if decl.key == "ket":
+            vec = _parse_vector(decl.value, decl.line, decl.value_col)
+            if vec.size != dim:
+                _fail(decl.line, decl.value_col, f"ket has {vec.size} entries, expected {dim}")
+            if not np.isfinite(vec).all() or np.linalg.norm(vec) == 0:
+                _fail(decl.line, decl.value_col, "ket must be a nonzero finite vector")
+            return DensityState.pure(vec)
+        M = _parse_matrix(decl.value, decl.line, decl.value_col)
+        if M.shape[0] != dim:
+            _fail(decl.line, decl.value_col, f"state is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}")
+        try:
+            return DensityState.from_matrix(M, tol=tol)
+        except ValidationError as exc:
+            _fail(decl.line, decl.value_col, f"invalid state: {exc}")
+    except ParseError as exc:
+        diags.extend(exc.diagnostics)
+    return None
+
+
+def _parse_kraus(sec: _Section, slots: dict, dim: int, diags: list[Diagnostic]):
+    """The [kraus] family, or None after a diagnostic."""
+    family = _convert(slots.get("family"), _choice("kraus family", ("dephasing", "tabulated")), diags)
+    if family is None:
         return None
-    if not np.isfinite(v):
-        diags.append(Diagnostic(decl.line, decl.value_col, f"non-finite number {decl.value!r}"))
+    for d in sec.decls:
+        owner = _KRAUS_FAMILY.get(d.key, family)
+        if owner != family:
+            message = f"{d.key!r} is a key of family = {owner}, not of family = {family}"
+            diags.append(Diagnostic(d.line, d.key_col, message))
+    if family == "dephasing":
+        gamma = _convert(slots.get("gamma"), _real(lambda v: v >= 0, "negative dephasing strength {!r}"), diags)
+        if dim != 2:
+            diags.append(Diagnostic(sec.line, 1, "dephasing kraus family requires dim = 2"))
+        elif "gamma" not in slots:
+            diags.append(Diagnostic(sec.line, 1, "dephasing kraus family requires gamma"))
+        elif gamma is not None:
+            return DephasingKraus(gamma)
         return None
-    return v
+    times: list[float] = []
+    ops: list[list[np.ndarray]] = []
+    for d in sec.decls:
+        if d.key == "time":
+            t = _convert(d, _real(), diags)
+            if t is not None:
+                times.append(t)
+                ops.append([])
+        elif d.key == "k":
+            if not times:
+                diags.append(Diagnostic(d.line, d.key_col, "'K =' before any 'time =' declaration"))
+                continue
+            K = _parse_operator(d, dim, None, diags)
+            if K is not None:
+                ops[-1].append(K)
+    if len({len(K) for K in ops}) > 1:  # a ragged table would make np.array raise
+        diags.append(Diagnostic(sec.line, 1, "every tabulated time needs the same number of K operators"))
+        return None
+    try:
+        return TabulatedKraus(times, np.array(ops))
+    except ValidationError as exc:
+        diags.append(Diagnostic(sec.line, 1, str(exc)))
+        return None
 
 
 def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
@@ -390,260 +527,71 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
     or validation failure; a partially-valid spec is never returned.
     """
     diags: list[Diagnostic] = []
-    sections = _scan(text, diags)
+    # section name -> [(section, its declarations by slot)]
+    found: dict[str, list[tuple[_Section, dict]]] = {}
+    for sec in _scan(text, diags):
+        layout = _SECTIONS.get(sec.name)
+        if layout is None:
+            diags.append(Diagnostic(sec.line, 1, f"unknown section [{sec.name}]"))
+        elif layout.named and sec.arg is None:
+            diags.append(Diagnostic(sec.line, 1, f"[{sec.name}] section needs a name: [{sec.name} NAME]"))
+        elif sec.name in found and not layout.repeatable:
+            diags.append(Diagnostic(sec.line, 1, f"duplicate [{sec.name}] section"))
+        elif layout.named and any(s.arg == sec.arg for s, _ in found.get(sec.name, [])):
+            diags.append(Diagnostic(sec.line, 1, f"duplicate {sec.name} {sec.arg!r}"))
+        else:
+            if sec.arg is not None and not layout.named:
+                diags.append(Diagnostic(sec.line, 1, f"section [{sec.name}] takes no name argument"))
+            found.setdefault(sec.name, []).append((sec, _read(sec, layout, diags)))
+    for name in ("system", "state"):
+        if name not in found:
+            diags.append(Diagnostic(1, 1, f"missing required [{name}] section"))
 
-    by_name: dict[str, list[_Section]] = {}
-    for s in sections:
-        by_name.setdefault(s.name, []).append(s)
+    def slots(name: str) -> dict:
+        return found[name][0][1] if name in found else {}
 
-    known = {"system", "hamiltonian", "state", "jump", "observable", "kraus"}
-    for s in sections:
-        if s.name not in known:
-            diags.append(Diagnostic(s.line, 1, f"unknown section [{s.name}]"))
-        if s.name != "observable" and s.arg is not None:
-            diags.append(Diagnostic(s.line, 1, f"section [{s.name}] takes no name argument"))
-    for name in ("system", "hamiltonian", "state", "kraus"):
-        for dup in by_name.get(name, [])[1:]:
-            diags.append(Diagnostic(dup.line, 1, f"duplicate [{name}] section"))
-
-    # --- [system]
-    dim = None
-    hbar = 1.0
-    kind_decl = None
-    if "system" not in by_name:
-        diags.append(Diagnostic(1, 1, "missing required [system] section"))
-    else:
-        sec = by_name["system"][0]
-        seen = set()
-        for d in sec.decls:
-            if d.key in seen:
-                diags.append(Diagnostic(d.line, d.key_col, f"duplicate {d.key!r} declaration"))
-                continue
-            seen.add(d.key)
-            if d.key == "dim":
-                try:
-                    dim = int(d.value)
-                except ValueError:
-                    diags.append(Diagnostic(d.line, d.value_col, f"malformed integer {d.value!r}"))
-                    continue
-                if dim < 1:
-                    diags.append(Diagnostic(d.line, d.value_col, f"dim must be positive, got {dim}"))
-                    dim = None
-                elif dim > MAX_DIM:
-                    diags.append(Diagnostic(d.line, d.value_col, f"dim {dim} exceeds the supported maximum {MAX_DIM}"))
-                    dim = None
-            elif d.key == "hbar":
-                v = _parse_float(d, diags)
-                if v is not None:
-                    if v <= 0:
-                        diags.append(Diagnostic(d.line, d.value_col, f"hbar must be positive, got {v!r}"))
-                    else:
-                        hbar = v
-            elif d.key == "kind":
-                if d.value.lower() not in ("unitary", "lindblad", "kraus"):
-                    diags.append(Diagnostic(d.line, d.value_col, f"unknown dynamics kind {d.value!r}"))
-                else:
-                    kind_decl = d.value.lower()
-            else:
-                diags.append(Diagnostic(d.line, d.key_col, f"unknown key {d.key!r} in [system] section"))
-        if dim is None and not any("dim" == d.key for d in sec.decls):
-            diags.append(Diagnostic(sec.line, 1, "[system] section must declare dim"))
+    system = slots("system")
+    dim = _convert(system.get("dim"), _dim, diags)
+    hbar = _convert(system.get("hbar"), _real(lambda v: v > 0, "hbar must be positive, got {!r}"), diags, 1.0)
+    kind = _convert(system.get("kind"), _choice("dynamics kind", ("unitary", "lindblad", "kraus")), diags)
     if dim is None:
-        raise ParseError(diags or [Diagnostic(1, 1, "missing system dimension")])
+        raise ParseError(diags)
+    n_qubits = dim.bit_length() - 1 if dim >= 2 and (dim & (dim - 1)) == 0 else None
 
-    n_qubits = None
-    if dim >= 2 and (dim & (dim - 1)) == 0:
-        n_qubits = dim.bit_length() - 1
-
-    # --- [hamiltonian]
-    H = np.zeros((dim, dim), dtype=complex)
-    if "hamiltonian" in by_name:
-        sec = by_name["hamiltonian"][0]
-        decl = _one_decl(sec, ("pauli", "matrix"), diags)
-        if decl is not None:
-            M = _parse_operator(decl, dim, n_qubits, diags)
-            if M is not None:
-                if not is_hermitian(M, tol):
-                    diags.append(Diagnostic(decl.line, decl.value_col, "hamiltonian is not Hermitian within tolerance"))
-                else:
-                    H = M
-
-    # --- [state]
-    state = None
-    if "state" not in by_name:
-        diags.append(Diagnostic(1, 1, "missing required [state] section"))
-    else:
-        sec = by_name["state"][0]
-        decl = _one_decl(sec, ("ket", "matrix"), diags, required=True)
-        if decl is not None:
-            try:
-                if decl.key == "ket":
-                    vec = _parse_vector(decl.value, decl.line, decl.value_col)
-                    if vec.size != dim:
-                        diags.append(Diagnostic(decl.line, decl.value_col, f"ket has {vec.size} entries, expected {dim}"))
-                    elif not np.isfinite(vec).all() or np.linalg.norm(vec) == 0:
-                        diags.append(Diagnostic(decl.line, decl.value_col, "ket must be a nonzero finite vector"))
-                    else:
-                        state = DensityState.pure(vec)
-                else:
-                    M = _parse_matrix(decl.value, decl.line, decl.value_col)
-                    if M.shape[0] != dim:
-                        diags.append(Diagnostic(decl.line, decl.value_col, f"state is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}"))
-                    else:
-                        try:
-                            state = DensityState.from_matrix(M, tol=tol)
-                        except ValidationError as exc:
-                            diags.append(Diagnostic(decl.line, decl.value_col, f"invalid state: {exc}"))
-            except ParseError as exc:
-                diags.extend(exc.diagnostics)
-
-    # --- [jump]*
+    H = _parse_operator(slots("hamiltonian").get("operator"), dim, n_qubits, diags, "hamiltonian", tol)
+    state = _parse_state(slots("state").get("state"), dim, tol, diags)
     jumps = []
-    for sec in by_name.get("jump", []):
-        op_decl = None
-        rate = 1.0
-        seen = set()
-        for d in sec.decls:
-            if d.key in ("pauli", "matrix"):
-                if "op" in seen:
-                    diags.append(Diagnostic(d.line, d.key_col, "duplicate operator declaration in [jump]"))
-                    continue
-                seen.add("op")
-                op_decl = d
-            elif d.key == "rate":
-                if "rate" in seen:
-                    diags.append(Diagnostic(d.line, d.key_col, "duplicate 'rate' declaration"))
-                    continue
-                seen.add("rate")
-                v = _parse_float(d, diags)
-                if v is not None:
-                    if v < 0:
-                        diags.append(Diagnostic(d.line, d.value_col, f"negative rate {v!r}"))
-                    else:
-                        rate = v
-            else:
-                diags.append(Diagnostic(d.line, d.key_col, f"unknown key {d.key!r} in [jump] section"))
-        if op_decl is None:
-            diags.append(Diagnostic(sec.line, 1, "[jump] section needs a pauli or matrix operator"))
-            continue
-        L = _parse_operator(op_decl, dim, n_qubits, diags)
+    for _, jump in found.get("jump", []):
+        rate = _convert(jump.get("rate"), _real(lambda v: v >= 0, "negative rate {!r}"), diags, 1.0)
+        L = _parse_operator(jump.get("operator"), dim, n_qubits, diags)
         if L is not None:
             jumps.append((L, rate))
-
-    # --- [observable NAME]*
     observables: dict[str, np.ndarray] = {}
-    for sec in by_name.get("observable", []):
-        if sec.arg is None:
-            diags.append(Diagnostic(sec.line, 1, "[observable] section needs a name: [observable NAME]"))
-            continue
-        if sec.arg in observables:
-            diags.append(Diagnostic(sec.line, 1, f"duplicate observable {sec.arg!r}"))
-            continue
-        decl = _one_decl(sec, ("pauli", "matrix"), diags, required=True)
-        if decl is None:
-            continue
-        M = _parse_operator(decl, dim, n_qubits, diags)
+    for sec, obs in found.get("observable", []):
+        M = _parse_operator(obs.get("operator"), dim, n_qubits, diags, f"observable {sec.arg!r}", tol)
         if M is not None:
-            if not is_hermitian(M, tol):
-                diags.append(Diagnostic(decl.line, decl.value_col, f"observable {sec.arg!r} is not Hermitian within tolerance"))
-            else:
-                observables[sec.arg] = M
+            observables[sec.arg] = M
+    kraus = _parse_kraus(*found["kraus"][0], dim, diags) if "kraus" in found else None
 
-    # --- [kraus]
-    kraus = None
-    if "kraus" in by_name:
-        sec = by_name["kraus"][0]
-        family = None
-        gamma = None
-        times: list[float] = []
-        ops_per_time: list[list[np.ndarray]] = []
-        for d in sec.decls:
-            if d.key == "family":
-                if family is not None:
-                    diags.append(Diagnostic(d.line, d.key_col, "duplicate 'family' declaration"))
-                elif d.value.lower() not in ("dephasing", "tabulated"):
-                    diags.append(Diagnostic(d.line, d.value_col, f"unknown kraus family {d.value!r}"))
-                else:
-                    family = d.value.lower()
-            elif d.key == "gamma":
-                v = _parse_float(d, diags)
-                if v is not None:
-                    if v < 0:
-                        diags.append(Diagnostic(d.line, d.value_col, f"negative dephasing strength {v!r}"))
-                    else:
-                        gamma = v
-            elif d.key == "time":
-                v = _parse_float(d, diags)
-                if v is not None:
-                    times.append(v)
-                    ops_per_time.append([])
-            elif d.key == "k":
-                if not times:
-                    diags.append(Diagnostic(d.line, d.key_col, "'K =' before any 'time =' declaration"))
-                    continue
-                try:
-                    M = _parse_matrix(d.value, d.line, d.value_col)
-                except ParseError as exc:
-                    diags.extend(exc.diagnostics)
-                    continue
-                if M.shape[0] != dim:
-                    diags.append(Diagnostic(d.line, d.value_col, f"Kraus operator is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}"))
-                else:
-                    ops_per_time[-1].append(M)
-            else:
-                diags.append(Diagnostic(d.line, d.key_col, f"unknown key {d.key!r} in [kraus] section"))
-        if family == "dephasing":
-            if dim != 2:
-                diags.append(Diagnostic(sec.line, 1, "dephasing kraus family requires dim = 2"))
-            elif gamma is None:
-                diags.append(Diagnostic(sec.line, 1, "dephasing kraus family requires gamma"))
-            else:
-                kraus = DephasingKraus(gamma)
-        elif family == "tabulated":
-            counts = {len(ops) for ops in ops_per_time}
-            if len(times) < 2:
-                diags.append(Diagnostic(sec.line, 1, "tabulated kraus family needs at least two times"))
-            elif len(counts) != 1 or counts == {0}:
-                diags.append(Diagnostic(sec.line, 1, "every tabulated time needs the same nonzero number of K operators"))
-            elif np.any(np.diff(times) <= 0):
-                diags.append(Diagnostic(sec.line, 1, "tabulated kraus times must be strictly increasing"))
-            else:
-                try:
-                    kraus = TabulatedKraus(times, np.array(ops_per_time))
-                except ValidationError as exc:
-                    diags.append(Diagnostic(sec.line, 1, str(exc)))
-        elif family is None:
-            diags.append(Diagnostic(sec.line, 1, "[kraus] section needs 'family = dephasing' or 'family = tabulated'"))
-
-    # --- dynamics kind
-    kind = kind_decl
     if kind is None:
         if kraus is not None and jumps:
             diags.append(Diagnostic(1, 1, "both jump operators and a kraus family given; declare kind in [system]"))
-        elif kraus is not None:
-            kind = "kraus"
-        elif jumps:
-            kind = "lindblad"
-        else:
-            kind = "unitary"
+        kind = "kraus" if kraus is not None else "lindblad" if jumps else "unitary"
     elif kind == "kraus" and kraus is None:
         diags.append(Diagnostic(1, 1, "kind = kraus requires a [kraus] section"))
 
     if diags:
         raise ParseError(diags)
-    assert state is not None
-
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return SystemSpec(
         dim=dim,
         hbar=hbar,
         kind=kind,
-        hamiltonian=H,
+        hamiltonian=np.zeros((dim, dim), dtype=complex) if H is None else H,
         initial_state=state,
         observables=observables,
         jumps=tuple(jumps),
         kraus=kraus,
-        metadata={"source_digest": digest},
+        metadata={"source_digest": hashlib.sha256(text.encode("utf-8")).hexdigest()},
     )
 
 

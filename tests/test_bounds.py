@@ -4,6 +4,7 @@ import pytest
 from oqsl.bounds import (
     BOUND_IDS,
     CorrelationTrace,
+    EvalContext,
     battery_bounds,
     commutator_qsl,
     corr_qsl,
@@ -45,7 +46,6 @@ from oqsl.linalg import (
     tr_norm,
     variance,
 )
-from oqsl.sysdl import SystemSpec
 
 import oracles
 
@@ -59,18 +59,8 @@ def tight_trajectory(steps=4000):
     return evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid)
 
 
-def make_system(H, rho, kind="unitary", jumps=()):
-    return SystemSpec(
-        dim=H.shape[0],
-        hbar=1.0,
-        kind=kind,
-        hamiltonian=H,
-        initial_state=rho,
-        observables={},
-        jumps=tuple(jumps),
-        kraus=None,
-        metadata={},
-    )
+def audit_context(traj, O, H, rho):
+    return EvalContext(traj.kind, traj.grid, O, rho, lambda: traj, H=H)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +496,10 @@ def test_corr_qsl_commuting_case_zero():
 def test_corr_qsl_closed_value_and_validity():
     T = 1.2
     grid = TimeGrid(0.0, T, 800)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, GROUND, grid)
+    hbar = 1.0
+    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, GROUND, grid, hbar=hbar)
     trace = two_time_correlation(sigma_x, traj, GROUND)
-    rep = corr_qsl(trace, op_norm(sigma_x), traj.gen_speed_op * traj.hbar, kind="closed")
+    rep = corr_qsl(trace, op_norm(sigma_x), traj.gen_speed_op * hbar, kind="closed")
     assert rep.T_qsl == pytest.approx(abs(np.sin(T)) / 2.0, abs=1e-9)
     assert rep.T_qsl <= T + 1e-6
 
@@ -598,15 +589,14 @@ def test_commutator_kind_must_match_trajectory():
 
 def test_rate_audit_tight_qubit_saturates_robertson():
     traj = tight_trajectory()
-    system = make_system(sigma_z, PLUS)
-    rep = rate_audit(traj, system)
+    rep = rate_audit(audit_context(traj, sigma_x, sigma_z, PLUS))
     assert abs(rep.violations["RATE_ROBERTSON"]) <= 1e-5
     assert rep.violations["RATE_HOLDER_OP"] <= 1e-6
 
 
 def test_rate_audit_conserved_observable():
     traj = evolve_unitary_heisenberg(sigma_z, sigma_z, PLUS, TimeGrid(0.0, 1.0, 100))
-    rep = rate_audit(traj, make_system(sigma_z, PLUS))
+    rep = rate_audit(audit_context(traj, sigma_z, sigma_z, PLUS))
     assert rep.violations["RATE_ROBERTSON"] <= 0.0
     assert rep.violations["RATE_HOLDER_OP"] <= 0.0
 
@@ -614,14 +604,14 @@ def test_rate_audit_conserved_observable():
 def test_rate_audit_lindblad_cauchy_schwarz(rng):
     gen = dephasing_generator(1.0)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 800))
-    rep = rate_audit(traj, make_system(np.zeros((2, 2)), PLUS, kind="lindblad", jumps=gen.jumps))
+    rep = rate_audit(audit_context(traj, sigma_x, np.zeros((2, 2)), PLUS))
     assert rep.kind == "lindblad"
     assert rep.violations["RATE_CS_HS"] <= 1e-6
 
 
 def test_rate_audit_mutation_hook_detects_sign_flip():
     traj = tight_trajectory(500)
-    rep = rate_audit(traj, make_system(sigma_z, PLUS), _flip_robertson_sign=True)
+    rep = rate_audit(audit_context(traj, sigma_x, sigma_z, PLUS), _flip_robertson_sign=True)
     assert rep.violations["RATE_ROBERTSON"] > 0.1
 
 

@@ -457,6 +457,23 @@ def test_parse_error_position(tmp_path):
     assert "bad.sys:2:" in err
 
 
+@pytest.mark.parametrize(
+    "kraus,line",
+    [
+        ("family = dephasing\ngamma = 1.0\ngamma = 5.0\n", 8),
+        ("family = dephasing\ngamma = 1.0\ntime = 0.0\nK = [[1, 0], [0, 1]]\n", 8),
+        ("family = tabulated\ngamma = 1.0\ntime = 0.0\nK = [[1, 0], [0, 1]]\ntime = 0.5\nK = [[1, 0], [0, 1]]\n", 7),
+    ],
+    ids=["second-gamma", "tabulated-keys-under-dephasing", "gamma-under-tabulated"],
+)
+def test_parse_rejects_kraus_keys_it_would_ignore(tmp_path, kraus, line):
+    p = tmp_path / "k.sys"
+    p.write_text("[system]\ndim = 2\n[state]\nket = [1, 0]\n[kraus]\n" + kraus)
+    code, out, err = run_cli(["parse", "--system", str(p)])
+    assert code == 2 and out == ""
+    assert f"k.sys:{line}:" in err
+
+
 def test_parse_missing_file():
     code, out, err = run_cli(["parse", "--system", "/nonexistent/x.sys"])
     assert code == 2

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from oqsl.dynamics import DephasingKraus, TabulatedKraus
 from oqsl.linalg import PAULI, ValidationError, sigma_x, sigma_z
 from oqsl.sysdl import (
+    _SECTIONS,
     Diagnostic,
     ParseError,
     SystemSpec,
@@ -242,6 +246,10 @@ def test_negative_rate_diagnostic_position():
         ("[system]\ndim = 2\ndim = 3\n[state]\nket = [1, 0]\n", "duplicate"),
         ("[system]\ndim = 2\n[state]\nket = [1, 0]\njunk line\n", "expected 'key = value'"),
         ("[system]\ndim = 2\n[state]\nket = [1, 0]\n[observable]\npauli = 1.0 X\n", "needs a name"),
+        (
+            "[system]\ndim = 2\n[state]\nket = [1, 0]\n[observable O]\npauli = 1i X\n[observable O]\npauli = 1.0 Z\n",
+            "duplicate observable",
+        ),
         ("[system]\ndim = 3\n[state]\nket = [1, 0, 0]\n[hamiltonian]\npauli = 1.0 Z\n", "power of 2"),
         ("key = 1\n", "outside any section"),
         ("[system]\ndim = 2\nhbar = -1\n[state]\nket = [1, 0]\n", "hbar must be positive"),
@@ -253,6 +261,61 @@ def test_validation_diagnostics(text, fragment):
     rendered = exc_info.value.render("t.sys")
     assert fragment in rendered
     assert all(d.line >= 1 and d.col >= 1 for d in exc_info.value.diagnostics)
+
+
+# every slot of every section declared once, and a valid value for each key
+FULL = {
+    "system": ["dim = 2", "hbar = 1.0", "kind = lindblad"],
+    "hamiltonian": ["pauli = 1.0 Z"],
+    "state": ["ket = [1, 0]"],
+    "jump": ["pauli = 1.0 Z", "rate = 0.5"],
+    "observable": ["pauli = 1.0 X"],
+    "kraus": ["family = dephasing", "gamma = 1.0"],
+}
+VALUES = {
+    "dim": "2", "hbar": "1.0", "kind": "lindblad", "pauli": "1.0 X", "matrix": "[[1, 0], [0, 1]]",
+    "ket": "[1, 0]", "rate": "0.5", "family": "dephasing", "gamma": "1.0",
+}
+
+
+def _sys_text(sections: dict) -> str:
+    lines = []
+    for name, decls in sections.items():
+        lines += ["[observable O]" if name == "observable" else f"[{name}]", *decls]
+    return "\n".join(lines) + "\n"
+
+
+def _reader_cases():
+    """(id, section, its declarations, whether the fault is on the last
+    declaration or on the section header)."""
+    for name, layout in _SECTIONS.items():
+        yield f"{name}-unknown", name, FULL[name] + ["bogus = 1"], "last"
+        for key, slot in layout.keys.items():
+            if slot is not None:
+                yield f"{name}-second-{key}", name, FULL[name] + [f"{key} = {VALUES[key]}"], "last"
+        for slot in layout.required:
+            kept = [d for d in FULL[name] if layout.keys[d.split(" = ")[0]] != slot]
+            yield f"{name}-missing-{slot}", name, kept, "header"
+
+
+READER_CASES = list(_reader_cases())
+
+
+@pytest.mark.parametrize("section,decls,where", [c[1:] for c in READER_CASES], ids=[c[0] for c in READER_CASES])
+def test_section_reader_reports_each_key_fault_once(section, decls, where):
+    text = _sys_text({**FULL, section: decls})
+    with pytest.raises(ParseError) as exc_info:
+        parse_system(text)
+    (diag,) = exc_info.value.diagnostics
+    header = next(i for i, line in enumerate(text.splitlines(), start=1) if line.startswith(f"[{section}"))
+    assert diag.line == (header + len(decls) if where == "last" else header)
+
+
+def test_readme_format_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+    spec = parse_system(block)
+    assert spec.kind == "lindblad" and set(spec.observables) == {"O"}
 
 
 def test_kind_inference_and_override():

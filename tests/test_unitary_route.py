@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oqsl.bounds import (
+    EvalContext,
     commutator_qsl,
     corr_qsl,
     oqsl_generator_hs,
@@ -16,7 +17,6 @@ from oqsl.bounds import (
 )
 from oqsl.dynamics import TimeGrid, evolve_unitary_heisenberg
 from oqsl.linalg import DensityState, hs_norm, op_norm, sigma_z
-from oqsl.sysdl import SystemSpec
 
 import oracles
 
@@ -119,11 +119,7 @@ def test_state_independent_and_rate_audit_match_dense_route(case):
     ref_change = abs(np.trace(A @ (Os[-1] - A)))
     assert rep.details["overlap_change"] == pytest.approx(ref_change, abs=1e-11 * hs_norm(A) ** 2)
 
-    system = SystemSpec(
-        dim=H.shape[0], hbar=hbar, kind="unitary", hamiltonian=H, initial_state=rho,
-        observables={}, jumps=(), kraus=None, metadata={},
-    )
-    audit = rate_audit(traj, system)
+    audit = rate_audit(EvalContext("unitary", GRID, A, rho, lambda: traj, H=H, hbar=hbar))
     lhs = np.abs(expect[2:] - expect[:-2]) / (2.0 * GRID.h)
     holder = 2.0 / hbar * np.linalg.svd(H[None] @ Os[1:-1], compute_uv=False)[:, 0]
     scale = op_norm(H) * op_norm(A) / hbar
