@@ -9,11 +9,31 @@ every output byte-identical:
 
     python scripts/output_digests.py > digests.txt
 
+A change that reorders floating-point sums moves the digests but not the
+values. For it, save the outputs of each checkout and compare every number
+in them to a relative tolerance:
+
+    python scripts/output_digests.py --save old/     # in the parent checkout
+    python scripts/output_digests.py --save new/     # in the changed checkout
+    python scripts/output_digests.py --compare old/ new/
+
+``--compare`` prints, per command, the largest difference of any number,
+|a - b| / max(|a|, |b|, ATOL / RTOL): relative for ordinary values and
+absolute (scaled by 1 / RTOL) near zero, and infinite where a NaN or an
+infinity meets anything else. It exits 1 when one exceeds RTOL = 1e-12 or
+when anything but a number differs. JSON outputs are compared
+number by number, except their ``inputs_digest`` fields, which hash the
+floats a bound read and so move with any last-digit change; other outputs
+must be identical.
+
 Each command runs as its own ``python -m oqsl`` process against the ``src/``
 tree next to this script.
 """
 
+import argparse
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +52,10 @@ BUILTIN_BOUNDS = (
     ("tight_qubit.sys", "O", None, 1.5707963),
 )
 SCENARIOS = ("tight-qubit", "dephasing", "battery-degenerate", "kraus-dephasing")
+# JSON keys whose values hash floating-point inputs
+DIGEST_KEYS = {"inputs_digest"}
+# --compare passes a number within RTOL relative, or ATOL absolute near zero
+RTOL, ATOL = 1e-12, 1e-14
 
 
 def commands():
@@ -47,7 +71,87 @@ def commands():
         yield f"parse:{fname}", ["parse", "--system", str(SYSTEMS / fname)]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def number_pairs(a, b, path: str = ""):
+    """Yield (path, x, y) for the numbers at the same place in two parsed
+    JSON values; raise ValueError where anything else differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise ValueError(f"{path or '.'}: keys {sorted(a.keys() ^ b.keys())} differ")
+        for key in a:
+            if key not in DIGEST_KEYS:
+                yield from number_pairs(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise ValueError(f"{path}: lengths {len(a)} and {len(b)} differ")
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from number_pairs(x, y, f"{path}[{i}]")
+    elif _is_number(a) and _is_number(b):
+        yield path, float(a), float(b)
+    elif a != b:
+        raise ValueError(f"{path}: {a!r} and {b!r} differ")
+
+
+def largest_difference(old: str, new: str):
+    """(difference, path, count) for the two outputs of one command: the
+    largest |a - b| / max(|a|, |b|, ATOL / RTOL) over their numbers (inf
+    where a NaN or an infinity meets anything else), where it occurs, and how
+    many numbers were compared. Raises ValueError when anything but a number
+    differs."""
+    try:
+        pairs = list(number_pairs(json.loads(old), json.loads(new)))
+    except json.JSONDecodeError:
+        if old != new:
+            raise ValueError("non-JSON outputs differ") from None
+        return 0.0, "", 0
+    worst, where = 0.0, ""
+    for path, x, y in pairs:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        diff = abs(x - y) / max(abs(x), abs(y), ATOL / RTOL)
+        if math.isnan(diff):  # NaN against a number, or inf against anything else
+            diff = math.inf
+        if diff > worst:
+            worst, where = diff, path
+    return worst, where, len(pairs)
+
+
+def _file(label: str) -> str:
+    return label.replace(":", "_") + ".out"
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    failed = 0
+    for label, _ in commands():
+        old, new = (d / _file(label) for d in (old_dir, new_dir))
+        if not (old.is_file() and new.is_file()):
+            print(f"MISSING  {label}")
+            failed += 1
+            continue
+        try:
+            diff, where, count = largest_difference(old.read_text(), new.read_text())
+        except ValueError as exc:
+            print(f"DIFFERS  {label}: {exc}")
+            failed += 1
+            continue
+        ok = diff <= RTOL
+        failed += not ok
+        print(f"{'ok' if ok else 'OVER':7}  {diff:.2e}  {count:6d} numbers  {label}  {where}".rstrip())
+    return 1 if failed else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, metavar="DIR", help="also write each command's output into DIR")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"), help="compare two --save directories")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.save:
+        args.save.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for label, argv in commands():
         proc = subprocess.run(
@@ -55,6 +159,8 @@ def main() -> int:
         )
         digest = hashlib.sha256(proc.stdout).hexdigest()
         print(f"{digest}  exit={proc.returncode}  {label}")
+        if args.save:
+            (args.save / _file(label)).write_bytes(proc.stdout)
     return 0
 
 

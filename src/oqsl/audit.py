@@ -7,10 +7,10 @@ from (seed, dim, index); summaries are therefore bit-identical for a fixed
 seed and independent of worker scheduling. The Lindblad evolution of all
 trials of one dimension, in both pictures, is one call to the kernel that
 the CLI also uses (``dynamics.propagate_lindblad``): the audit's rates are
-constant, so each step is one batched mat-vec with the exact propagator.
-Per-trial bound evaluation, including the Lindblad generator speeds, runs on
-a thread pool capped by ``max_workers`` or the ``OQSL_THREADS`` environment
-variable.
+constant, so each step is one batched mat-vec with the exact propagator, and
+the kernel also returns the generator speeds. The two dimensions' blocks,
+then the per-trial bound evaluations, run on a thread pool capped by
+``max_workers`` or the ``OQSL_THREADS`` environment variable.
 """
 
 from __future__ import annotations
@@ -136,6 +136,7 @@ class _Trial:
     kraus_gamma: float
     # batched-integration results, attached after sampling
     lind_O: np.ndarray | None = None
+    lind_speeds: np.ndarray | None = None
     lind_rho: np.ndarray | None = None
 
 
@@ -169,10 +170,11 @@ def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
     if not trials:
         return
     gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
-    O_traj = propagate_lindblad(gens, np.stack([t.O for t in trials]), grid, heisenberg=True)
-    rho_traj = propagate_lindblad(gens, np.stack([t.rho.matrix for t in trials]), grid, heisenberg=False)
-    for t, O_samples, rho_samples in zip(trials, O_traj, rho_traj):
+    O_traj, speeds = propagate_lindblad(gens, np.stack([t.O for t in trials]), grid, heisenberg=True)
+    rho_traj, _ = propagate_lindblad(gens, np.stack([t.rho.matrix for t in trials]), grid, heisenberg=False)
+    for t, O_samples, O_speeds, rho_samples in zip(trials, O_traj, speeds, rho_traj):
         t.lind_O = O_samples
+        t.lind_speeds = O_speeds
         t.lind_rho = rho_samples
 
 
@@ -188,7 +190,6 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
     rho, O, H = trial.rho, trial.O, trial.H
     ugrid = TimeGrid(0.0, UNITARY_T, UNITARY_STEPS)
     lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
-    gen = LindbladGenerator(H=H, jumps=trial.jumps)
     c = trial.comm_coeffs
     B = c[0] * np.eye(trial.dim) + c[1] * O + c[2] * (O @ O)
     unitary = bounds.EvalContext(
@@ -197,7 +198,7 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
     )
     # the Lindblad samples come from the block integrator
     lindblad = bounds.EvalContext(
-        "lindblad", lgrid, O, rho, lambda: lindblad_trajectory(gen, trial.lind_O, rho, lgrid), H=H, B=B
+        "lindblad", lgrid, O, rho, lambda: lindblad_trajectory(trial.lind_O, trial.lind_speeds, rho, lgrid), H=H, B=B
     )
     contexts = [unitary, lindblad]
     if trial.dim == 2:
@@ -255,13 +256,10 @@ def run_audit(
     """Run the full validity/rate/duality sweep and aggregate max violations."""
     workers = _resolve_workers(max_workers)
     lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
-    all_trials: list[_Trial] = []
-    for dim, count in ((2, n_qubit), (3, n_qutrit)):
-        block = [_sample_trial(seed, dim, i) for i in range(count)]
-        _integrate_lindblad_block(block, lgrid)
-        all_trials.extend(block)
-
+    blocks = [[_sample_trial(seed, dim, i) for i in range(count)] for dim, count in ((2, n_qubit), (3, n_qutrit))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(lambda block: _integrate_lindblad_block(block, lgrid), blocks))
+        all_trials = [t for block in blocks for t in block]
         results = list(pool.map(lambda t: _evaluate_trial(t, _flip_robertson_sign), all_trials))
 
     worst: dict[tuple[str, str], float] = {}

@@ -7,17 +7,19 @@ expectation along the grid is one phase-matrix product in its eigenbasis.
 Their generator speeds are constant, and ``O_samples`` is built only on
 demand.
 
-Lindblad trajectories store O(t) per grid point and come from one
-batch-first kernel, :func:`propagate_lindblad`, which the audit also calls.
-With rates constant in time and d <= EXACT_MAX_DIM each step is one mat-vec
-with the exact propagator exp(h L); otherwise it integrates by fixed-step
-RK4. Kraus trajectories call the operator family once per grid time and
-work on the whole (n_times, n_ops, d, d) stack, with time-derivatives taken
-by finite differences along the grid.
+Lindblad trajectories store O(t) and its generator speeds per grid point,
+from one batch-first kernel, :func:`propagate_lindblad`, which the audit
+also calls. With rates constant in time and d <= EXACT_MAX_DIM each step is
+one batched mat-vec with the exact propagator exp(h L); otherwise RK4 on
+the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, whose first
+stage gives the speeds. Kraus trajectories call the operator family once
+per grid time and work on the whole (n_times, n_ops, d, d) stack, with
+time-derivatives taken by finite differences along the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Union
@@ -396,7 +398,7 @@ def _batch_expect(Os: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _batch_stddev(Os: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
-    second = np.einsum("tab,tbc,ca->t", Os, Os, rho).real
+    second = np.einsum("tab,tba->t", Os, Os @ rho).real
     return _spread(_batch_expect(Os, rho), second, tol)
 
 
@@ -458,17 +460,14 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> n
     g = _rates_at(gen, t)
     if (g < 0).any():
         raise ValidationError(f"negative rate {float(g.min())!r} at t={t!r}")
-    return _matrix_form(gen.H, _jump_stack(gen), gen.hbar, heisenberg=False)(rho[None], g)[0]
+    return _fused_form([gen], heisenberg=False)(t, rho[None])[0]
 
 
-def _jump_stack(gen: LindbladGenerator) -> np.ndarray:
-    """The jump operators of gen, shape (J, d, d)."""
-    return np.array([L for L, _ in gen.jumps], dtype=complex).reshape(len(gen.jumps), gen.dim, gen.dim)
-
-
-def _rk4(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Classical fixed-step RK4 on a batch y0 of shape (B, ...); returns the
-    samples at every grid time, shape (B, n_times, ...)."""
+def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.ndarray:
+    """Classical fixed-step RK4 of dy/dt = f(t, y) on a batch y0 of shape
+    (B, d, d); returns the samples at every grid time, shape (B, n_times, d, d).
+    The first stage is f at the sample, so ``speeds`` (shape (B, n_times, 2)),
+    when given, takes the norms of f at every sample from it."""
     n = times.size - 1
     h = times[1] - times[0]
     out = np.empty((y0.shape[0], n + 1) + y0.shape[1:], dtype=complex)
@@ -476,14 +475,24 @@ def _rk4(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     y = y0
     for i in range(n):
         t = times[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k1 = f(t, y)
+        if speeds is not None:
+            speeds[:, i] = _norms(k1)
+        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = f(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_stable(y)
         out[:, i + 1] = y
+    if speeds is not None:
+        speeds[:, n] = _norms(f(times[n], y))
     return out
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """The Hilbert-Schmidt and operator norms of each matrix in X, shape (..., 2)."""
+    hs = np.sqrt(np.einsum("...ab,...ab->...", X.conj(), X).real)
+    return np.stack([hs, np.linalg.svd(X, compute_uv=False)[..., 0]], axis=-1)
 
 
 def _check_stable(y: np.ndarray) -> None:
@@ -491,60 +500,53 @@ def _check_stable(y: np.ndarray) -> None:
         raise NumericError("integration became unstable; reduce the step size (increase steps)")
 
 
-def _constant_rates(gen: LindbladGenerator) -> list[float] | None:
-    """The jump rates of gen when none varies in time, else None."""
-    rates = []
-    for _, rate in gen.jumps:
-        if isinstance(rate, RateTable):
-            if np.any(rate.values != rate.values[0]):
-                return None
-            rate = rate.values[0]
-        rates.append(float(rate))
-    return rates
+def _constant_rates(gen: LindbladGenerator) -> bool:
+    """Whether no jump rate of gen varies in time."""
+    return all(not isinstance(r, RateTable) or (r.values == r.values[0]).all() for _, r in gen.jumps)
 
 
 def _takes_exact_route(gen: LindbladGenerator) -> bool:
-    return gen.dim <= EXACT_MAX_DIM and _constant_rates(gen) is not None
+    return gen.dim <= EXACT_MAX_DIM and _constant_rates(gen)
 
 
 def liouvillian(gen: LindbladGenerator, heisenberg: bool) -> np.ndarray:
     """The d^2 x d^2 matrix of the adjoint generator (``heisenberg``) or of the
-    Schrodinger generator, acting on row-major vec(X), for constant rates.
-
-    With vec(A X B) = (A kron B^T) vec(X), each is built from its own formula,
-    so their duality can be tested.
-    """
-    rates = _constant_rates(gen)
-    if rates is None:
+    Schrodinger generator, acting on row-major vec(X), for constant rates:
+    column i d + j is the generator applied to the matrix unit E_ij."""
+    if not _constant_rates(gen):
         raise ValidationError("a Liouvillian matrix needs rates constant in time")
-    H, I = gen.H, np.eye(gen.dim)
-    comm = np.kron(H, I) - np.kron(I, H.T)
-    out = (1j if heisenberg else -1j) / gen.hbar * comm
-    for (L, _), g in zip(gen.jumps, rates):
-        LdL = L.conj().T @ L
-        anti = np.kron(LdL, I) + np.kron(I, LdL.T)
-        jump = np.kron(L.conj().T, L.T) if heisenberg else np.kron(L, L.conj())
-        out = out + g * (jump - 0.5 * anti)
-    return out
+    n = gen.dim * gen.dim
+    return _fused_form([gen], heisenberg)(0.0, np.eye(n).reshape(n, gen.dim, gen.dim)).reshape(n, n).T
 
 
-def _matrix_form(H, Ls, hbar, heisenberg: bool):
-    """The generator in matrix form, f(y, g), on a stack y of shape (N, d, d).
-
-    H, hbar and the jumps Ls (shape (..., J, d, d)) broadcast against y; g
-    holds the J rates of each of the N matrices, shape (N, J).
-    """
+def _fused_form(gens, heisenberg: bool):
+    """The generators in fused form, f(t, y) on a stack y of shape (B, d, d)
+    (y[b] under gens[b]; y need not be Hermitian), with 2 + 2J matmuls:
+    f(y) = A y + y A' + sum_k gamma_k(t) left_k y right_k, where
+    A = c H - K, A' = -c H - K (A^dag for a Hermitian H) and
+    K = (1/2) sum_k gamma_k(t) L_k^dag L_k; c = i/hbar and (left, right) =
+    (L^dag, L) for observables, c = -i/hbar and (L, L^dag) for states. The
+    terms are built once for constant rates."""
+    d, J = gens[0].dim, len(gens[0].jumps)
+    Ls = np.array([[L for L, _ in gen.jumps] for gen in gens], dtype=complex).reshape(len(gens), J, d, d)
     Lds = Ls.conj().swapaxes(-1, -2)
-    LdLs = Lds @ Ls
+    half_LdL = 0.5 * (Lds @ Ls)
     left, right = (Lds, Ls) if heisenberg else (Ls, Lds)
-    c = (1j if heisenberg else -1j) / hbar
+    cH = np.stack([(1j if heisenberg else -1j) / gen.hbar * gen.H for gen in gens])
+    constant = all(_constant_rates(gen) for gen in gens)
 
-    def f(y, g):
-        out = c * (H @ y - y @ H)
-        for k in range(Ls.shape[-3]):
-            LdL = LdLs[..., k, :, :]
-            jump = left[..., k, :, :] @ y @ right[..., k, :, :]
-            out = out + g[:, k, None, None] * (jump - 0.5 * (LdL @ y + y @ LdL))
+    @functools.lru_cache(maxsize=1)  # RK4's second and third stages share a time
+    def terms(t):
+        g = np.concatenate([_rates_at(gen, t) for gen in gens])
+        K = np.einsum("bk,bkij->bij", g, half_LdL)
+        return cH - K, -cH - K, g[:, :, None, None] * left
+
+    def f(t, y):
+        A, Ad, g_left = terms(0.0 if constant else t)
+        out = A @ y
+        out += y @ Ad
+        for k in range(J):
+            out += g_left[:, k] @ y @ right[:, k]
         return out
 
     return f
@@ -556,74 +558,68 @@ def _rates_at(gen: LindbladGenerator, times) -> np.ndarray:
     return np.array([rate_at(rate, times) for _, rate in gen.jumps]).reshape(len(gen.jumps), times.size).T
 
 
-def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool) -> np.ndarray:
+def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     """The batch-first Lindblad kernel: evolves y0[b] (shape (B, d, d)) under
-    gens[b], observables when ``heisenberg`` else states, and returns the
-    samples at every grid time, shape (B, steps + 1, d, d). The generators
-    share one dimension and one number of jumps.
+    gens[b], observables when ``heisenberg`` else states. The generators
+    share one dimension and one number of jumps. Returns the samples at every
+    grid time, shape (B, steps + 1, d, d), and for observables the
+    Hilbert-Schmidt and operator norms of L^dag[O(t)] there, shape
+    (B, steps + 1, 2) (for states, None).
 
     When every rate is constant and d <= EXACT_MAX_DIM, each step is one
-    mat-vec with the exact propagator exp(h L), computed once per generator.
-    Otherwise the master equation is integrated by fixed-step RK4. Both
-    routes reject a blow-up, and a state's trace is checked at every sample.
+    batched mat-vec with the exact propagator exp(h L), computed once per
+    generator, and the speeds apply L to the samples. Otherwise the master
+    equation is integrated by fixed-step RK4 on the fused generator, whose
+    first stage gives the speeds. Both routes reject a blow-up, and a
+    state's trace is checked at every sample.
     """
     times = grid.times()
     for gen in gens:
-        _check_rates_on_grid(gen, times)
+        bad = np.flatnonzero((_rates_at(gen, times) < 0).any(axis=0))
+        if bad.size:
+            raise ValidationError(f"jump operator {bad[0]} has negative rate on the grid")
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
+    speeds = np.empty((B, times.size, 2)) if heisenberg else None
     if all(_takes_exact_route(gen) for gen in gens):
-        P = mat_exp(grid.h * np.stack([liouvillian(gen, heisenberg) for gen in gens]))
+        Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
+        P = mat_exp(grid.h * Lv)
         out = np.empty((B, times.size, d * d), dtype=complex)
         y = out[:, 0] = y0.reshape(B, d * d)
         for i in range(1, times.size):
             y = out[:, i] = np.einsum("bij,bj->bi", P, y)
             _check_stable(y)
         out = out.reshape(B, times.size, d, d)
+        if heisenberg:
+            for b in range(B):
+                speeds[b] = _norms((out[b].reshape(-1, d * d) @ Lv[b].T).reshape(-1, d, d))
     else:
-        f = _matrix_form(
-            np.stack([gen.H for gen in gens]),
-            np.stack([_jump_stack(gen) for gen in gens]),
-            np.array([gen.hbar for gen in gens])[:, None, None],
-            heisenberg,
-        )
-        out = _rk4(lambda t, y: f(y, np.concatenate([_rates_at(gen, t) for gen in gens])), y0, times)
+        out = _rk4(_fused_form(gens, heisenberg), y0, times, speeds)
     if not heisenberg:
-        if np.abs(np.einsum("btaa->bt", out.real) - 1.0).max() > 1e-8:
+        trace = np.einsum("btaa->bt", out.real)  # one (B, steps + 1) temporary
+        if max(trace.max() - 1.0, 1.0 - trace.min()) > 1e-8:
             raise NumericError("trace not preserved to 1e-8; reduce the step size")
-    return out
+    return out, speeds
 
 
 def lindblad_trajectory(
-    gen: LindbladGenerator,
     O_samples: np.ndarray,
+    speeds: np.ndarray,
     rho: DensityState,
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
 ) -> ObservableTrajectory:
-    """The trajectory of Heisenberg samples O(t) from :func:`propagate_lindblad`,
-    with the Hilbert-Schmidt and operator norms of L^dag[O(t)] at every sample."""
-    n, d = O_samples.shape[:2]
-    if _takes_exact_route(gen):
-        rhs = (O_samples.reshape(n, d * d) @ liouvillian(gen, heisenberg=True).T).reshape(n, d, d)
-    else:
-        rhs = _matrix_form(gen.H, _jump_stack(gen), gen.hbar, heisenberg=True)(O_samples, _rates_at(gen, grid.times()))
+    """The trajectory of Heisenberg samples O(t) and their generator speeds,
+    as :func:`propagate_lindblad` returns them for one generator."""
     return ObservableTrajectory(
         kind="lindblad",
         grid=grid,
         O_samples=O_samples,
         expect=_batch_expect(O_samples, rho.matrix),
         stddev=_batch_stddev(O_samples, rho.matrix, tol),
-        gen_speed_hs=np.sqrt(np.einsum("tab,tab->t", rhs.conj(), rhs).real),
-        gen_speed_op=np.linalg.svd(rhs, compute_uv=False)[:, 0],
+        gen_speed_hs=speeds[:, 0],
+        gen_speed_op=speeds[:, 1],
     )
-
-
-def _check_rates_on_grid(gen: LindbladGenerator, times: np.ndarray) -> None:
-    for k, (_, rate) in enumerate(gen.jumps):
-        g = np.asarray(rate_at(rate, times), dtype=float)
-        if g.min() < 0:
-            raise ValidationError(f"jump operator {k} has negative rate on the grid")
 
 
 def evolve_lindblad_heisenberg(
@@ -636,8 +632,8 @@ def evolve_lindblad_heisenberg(
     """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through :func:`propagate_lindblad`."""
     O0 = _checked_observable(O0, gen.dim, tol)
     _check_state(rho, gen.dim)
-    Os = propagate_lindblad([gen], O0[None], grid, heisenberg=True)[0]
-    return lindblad_trajectory(gen, Os, rho, grid, tol)
+    Os, speeds = propagate_lindblad([gen], O0[None], grid, heisenberg=True)
+    return lindblad_trajectory(Os[0], speeds[0], rho, grid, tol)
 
 
 def evolve_lindblad_schrodinger(
@@ -654,8 +650,8 @@ def evolve_lindblad_schrodinger(
     the worst sample rather than as an error.
     """
     _check_state(rho0, gen.dim)
-    samples = propagate_lindblad([gen], rho0.matrix[None], grid, heisenberg=False)[0]
-    return DensityState.from_stack(samples, tol=tol, on_indefinite="warn")
+    samples, _ = propagate_lindblad([gen], rho0.matrix[None], grid, heisenberg=False)
+    return DensityState.from_stack(samples[0], tol=tol, on_indefinite="warn")
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,8 @@ class SystemSpec:
 
 @dataclass
 class _Decl:
-    key: str
+    key: str  # lower case, for matching
+    name: str  # the key as written, for diagnostics
     value: str
     line: int
     key_col: int
@@ -340,14 +341,14 @@ def _scan(text: str, diags: list[Diagnostic]) -> list[_Section]:
             diags.append(Diagnostic(lineno, indent + 1, "declaration outside any section"))
             continue
         key_part, value_part = line.split("=", 1)
-        key = key_part.strip().lower()
+        key = key_part.strip()
         if not key:
             diags.append(Diagnostic(lineno, indent + 1, "missing key before '='"))
             continue
         value = value_part.strip()
         value_col = len(key_part) + 2 + (len(value_part) - len(value_part.lstrip()))
         current.decls.append(
-            _Decl(key=key, value=value, line=lineno, key_col=indent + 1, value_col=value_col)
+            _Decl(key=key.lower(), name=key, value=value, line=lineno, key_col=indent + 1, value_col=value_col)
         )
     return sections
 
@@ -359,7 +360,7 @@ def _read(sec: _Section, layout: _Layout, diags: list[Diagnostic]) -> dict:
     slots: dict[str, _Decl] = {}
     for d in sec.decls:
         if d.key not in layout.keys:
-            diags.append(Diagnostic(d.line, d.key_col, f"unknown key {d.key!r} in [{sec.name}] section"))
+            diags.append(Diagnostic(d.line, d.key_col, f"unknown key {d.name!r} in [{sec.name}] section"))
             continue
         slot = layout.keys[d.key]
         if slot in slots:
@@ -484,7 +485,7 @@ def _parse_kraus(sec: _Section, slots: dict, dim: int, diags: list[Diagnostic]):
     for d in sec.decls:
         owner = _KRAUS_FAMILY.get(d.key, family)
         if owner != family:
-            message = f"{d.key!r} is a key of family = {owner}, not of family = {family}"
+            message = f"{d.name!r} is a key of family = {owner}, not of family = {family}"
             diags.append(Diagnostic(d.line, d.key_col, message))
     if family == "dephasing":
         gamma = _convert(slots.get("gamma"), _real(lambda v: v >= 0, "negative dephasing strength {!r}"), diags)
@@ -495,21 +496,21 @@ def _parse_kraus(sec: _Section, slots: dict, dim: int, diags: list[Diagnostic]):
         elif gamma is not None:
             return DephasingKraus(gamma)
         return None
-    times: list[float] = []
+    # a bad time or K keeps its place, so that it is the table's only diagnostic
+    n_diags = len(diags)
+    times: list[float | None] = []
     ops: list[list[np.ndarray]] = []
     for d in sec.decls:
         if d.key == "time":
-            t = _convert(d, _real(), diags)
-            if t is not None:
-                times.append(t)
-                ops.append([])
+            times.append(_convert(d, _real(), diags))
+            ops.append([])
         elif d.key == "k":
             if not times:
                 diags.append(Diagnostic(d.line, d.key_col, "'K =' before any 'time =' declaration"))
                 continue
-            K = _parse_operator(d, dim, None, diags)
-            if K is not None:
-                ops[-1].append(K)
+            ops[-1].append(_parse_operator(d, dim, None, diags))
+    if len(diags) > n_diags:
+        return None
     if len({len(K) for K in ops}) > 1:  # a ragged table would make np.array raise
         diags.append(Diagnostic(sec.line, 1, "every tabulated time needs the same number of K operators"))
         return None
@@ -577,7 +578,7 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
         if kraus is not None and jumps:
             diags.append(Diagnostic(1, 1, "both jump operators and a kraus family given; declare kind in [system]"))
         kind = "kraus" if kraus is not None else "lindblad" if jumps else "unitary"
-    elif kind == "kraus" and kraus is None:
+    elif kind == "kraus" and "kraus" not in found:
         diags.append(Diagnostic(1, 1, "kind = kraus requires a [kraus] section"))
 
     if diags:

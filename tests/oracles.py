@@ -5,10 +5,13 @@ from a hand-rolled one-sided Jacobi iteration (not LAPACK's SVD), matrix
 exponentials of Hermitian generators from an eigendecomposition (not the
 Pade scaling-and-squaring route), traces from explicit double loops. Unitary
 trajectories are checked against the dense per-sample route they replaced,
-and constant-rate Lindblad trajectories against the batched RK4 integration
-that the exact propagator replaced. The per-time propagator, adjoint
-generator and Kraus derivative are the references for the library's
-eigenbasis, Liouvillian and grid-batched routes.
+constant-rate Lindblad trajectories against the batched RK4 integration
+that the exact propagator replaced, and the fused Lindblad generator and
+the Liouvillian built from it against the matrix form and the Kronecker
+construction they replaced. The per-time propagator, adjoint generator and
+Kraus derivative are the references for the library's eigenbasis,
+Liouvillian and grid-batched routes, and the three-operand second moment for
+the trajectories' spreads.
 """
 
 from __future__ import annotations
@@ -157,6 +160,57 @@ def rk4_lindblad_route(H, Ls, gammas, y0, times, hbar: float = 1.0, heisenberg: 
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(y)
     return np.stack(out, axis=1)
+
+
+def lindblad_matrix_form(gens, y, t, heisenberg: bool = True) -> np.ndarray:
+    """The Lindblad generator in matrix form, 2 + 4J matmuls per call: the
+    route the fused generator replaced,
+
+    c [H, y] + sum_k gamma_k(t) (left_k y right_k - (1/2){L_k^dag L_k, y}),
+
+    with c = i/hbar, (left, right) = (L^dag, L) for observables
+    (``heisenberg``) and c = -i/hbar, (left, right) = (L, L^dag) for states.
+    y[b] (shape (B, d, d)) is acted on by gens[b], with every rate evaluated
+    at t: one time, or one time per matrix.
+    """
+    y = np.asarray(y, dtype=complex)
+    H = np.stack([gen.H for gen in gens])
+    Ls = np.stack([np.array([L for L, _ in gen.jumps], dtype=complex).reshape(-1, gen.dim, gen.dim) for gen in gens])
+    hbar = np.array([gen.hbar for gen in gens])[:, None, None]
+    times = np.broadcast_to(np.asarray(t, dtype=float), (len(gens),))
+    g = np.array([[float(rate_at(rate, tb)) for _, rate in gen.jumps] for gen, tb in zip(gens, times)])
+    Lds = Ls.conj().swapaxes(-1, -2)
+    LdLs = Lds @ Ls
+    left, right = (Lds, Ls) if heisenberg else (Ls, Lds)
+    out = (1j if heisenberg else -1j) / hbar * (H @ y - y @ H)
+    for k in range(Ls.shape[1]):
+        LdL = LdLs[:, k]
+        jump = left[:, k] @ y @ right[:, k]
+        out = out + g[:, k, None, None] * (jump - 0.5 * (LdL @ y + y @ LdL))
+    return out
+
+
+def kron_liouvillian(gen, heisenberg: bool) -> np.ndarray:
+    """The d^2 x d^2 Liouvillian on row-major vec(X) for constant rates, from
+    vec(A X B) = (A kron B^T) vec(X): the construction the library's
+    matrix-unit route replaced."""
+    H, I = gen.H, np.eye(gen.dim)
+    out = (1j if heisenberg else -1j) / gen.hbar * (np.kron(H, I) - np.kron(I, H.T))
+    for L, rate in gen.jumps:
+        LdL = L.conj().T @ L
+        anti = np.kron(LdL, I) + np.kron(I, LdL.T)
+        jump = np.kron(L.conj().T, L.T) if heisenberg else np.kron(L, L.conj())
+        out = out + float(rate_at(rate, 0.0)) * (jump - 0.5 * anti)
+    return out
+
+
+def three_operand_stddev(Os, rho) -> np.ndarray:
+    """dO(t) with the second moment tr(O(t) O(t) rho) as one three-operand
+    contraction, the form the library's batched matmul replaced."""
+    Os, rho = np.asarray(Os), np.asarray(rho)
+    mean = np.einsum("tab,ba->t", Os, rho).real
+    second = np.einsum("tab,tbc,ca->t", Os, Os, rho).real
+    return np.sqrt(np.clip(second - mean * mean, 0.0, None))
 
 
 def unitary_propagator(H, t: float, hbar: float = 1.0) -> np.ndarray:

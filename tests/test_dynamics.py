@@ -385,6 +385,22 @@ def test_kraus_grid_batch_matches_per_sample_route(rng):
         )
 
 
+def test_spreads_match_three_operand_second_moment(rng):
+    # a full-rank mixed state, so no term of tr(O(t) O(t) rho) vanishes
+    W = oracles.random_matrix(rng, 3)
+    rho = DensityState.from_matrix(W @ W.conj().T / np.trace(W @ W.conj().T).real)
+    O = oracles.random_hermitian(rng, 3)
+    grid = TimeGrid(0.0, 0.9, 30)
+    Q, _ = np.linalg.qr(oracles.random_matrix(rng, 6))
+    H, K0 = oracles.random_hermitian(rng, 3), Q[:, :3].reshape(2, 3, 3)
+    fam = FunctionKraus(lambda t: oracles.expm_hermitian_oracle(H, -1j * t) @ K0, dim=3, n_ops=2)
+    for traj in (
+        evolve_lindblad_heisenberg(O, random_lindblad(rng, 3), rho, grid),
+        evolve_kraus_heisenberg(O, KrausGenerator(fam), rho, grid),
+    ):
+        assert np.abs(traj.stddev - oracles.three_operand_stddev(traj.O_samples, rho.matrix)).max() <= 1e-12
+
+
 def test_kraus_completeness_enforced():
     bad = TabulatedKraus(
         times=[0.0, 0.5, 1.0],

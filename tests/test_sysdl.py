@@ -231,6 +231,25 @@ def test_negative_rate_diagnostic_position():
     assert all(d.line >= 1 and d.col >= 1 for d in diags)
 
 
+KRAUS_TABLE = "[system]\ndim = 2\nkind = kraus\n[state]\nket = [1, 0]\n[kraus]\nfamily = tabulated\n"
+KRAUS_NAN_TIME = KRAUS_TABLE + "time = 0.0\nK = [[1, 0], [0, 1]]\ntime = nan\nK = [[1, 0], [0, 1]]\n"
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        (KRAUS_NAN_TIME, 10),
+        (KRAUS_TABLE + "time = 0.0\nK = [[1, 0], [0, 1]]\ntime = 1.0\nK = [[1, 0], [0]]\n", 11),
+    ],
+    ids=["bad-time", "bad-K"],
+)
+def test_kraus_table_fault_is_its_only_diagnostic(text, line):
+    with pytest.raises(ParseError) as exc_info:
+        parse_system(text)
+    (diag,) = exc_info.value.diagnostics
+    assert diag.line == line
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -253,6 +272,12 @@ def test_negative_rate_diagnostic_position():
         ("[system]\ndim = 3\n[state]\nket = [1, 0, 0]\n[hamiltonian]\npauli = 1.0 Z\n", "power of 2"),
         ("key = 1\n", "outside any section"),
         ("[system]\ndim = 2\nhbar = -1\n[state]\nket = [1, 0]\n", "hbar must be positive"),
+        (KRAUS_NAN_TIME, "t.sys:10:8: non-finite number 'nan'"),
+        ("[system]\ndim = 2\nFoo = 1\n[state]\nket = [1, 0]\n", "unknown key 'Foo'"),
+        (
+            "[system]\ndim = 2\n[state]\nket = [1, 0]\n[kraus]\nfamily = dephasing\ngamma = 1\nK = [[1, 0], [0, 1]]\n",
+            "'K' is a key of family = tabulated",
+        ),
     ],
 )
 def test_validation_diagnostics(text, fragment):
