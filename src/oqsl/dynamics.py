@@ -492,7 +492,14 @@ def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.
 def _norms(X: np.ndarray) -> np.ndarray:
     """The Hilbert-Schmidt and operator norms of each matrix in X, shape (..., 2)."""
     hs = np.sqrt(np.einsum("...ab,...ab->...", X.conj(), X).real)
-    return np.stack([hs, np.linalg.svd(X, compute_uv=False)[..., 0]], axis=-1)
+    return np.stack([hs, _op_norms(X)], axis=-1)
+
+
+def _op_norms(X: np.ndarray) -> np.ndarray:
+    """The operator norm of each matrix in X, shape (...), as the square root
+    of the largest eigenvalue of X^dag X (clipped at 0, so X = 0 gives 0)."""
+    gram = X.conj().swapaxes(-1, -2) @ X
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
 
 
 def _check_stable(y: np.ndarray) -> None:
@@ -686,7 +693,7 @@ def evolve_kraus_heisenberg(
     # dK/dt by central differences along the grid, one-sided at its two ends
     M = KdO @ np.gradient(K, grid.h, axis=0)
     speed_hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=1)
-    speed_op = np.linalg.svd(M, compute_uv=False)[..., 0].sum(axis=1)
+    speed_op = _op_norms(M).sum(axis=1)
 
     return ObservableTrajectory(
         kind="kraus",

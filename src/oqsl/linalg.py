@@ -92,17 +92,39 @@ def tr_norm(M: np.ndarray) -> float:
 
 
 def mat_exp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential e^A (scaling-and-squaring with Pade approximant) of
-    a square matrix, or of every matrix in a stack of shape (..., n, n)."""
+    """Matrix exponential e^A of a square matrix, or of every matrix in a
+    stack of shape (..., n, n), by scaling and squaring a truncated Taylor
+    series.
+
+    s is the least integer with theta = ||A||_1 / 2^s <= 1/2, where ||A||_1
+    is the largest 1-norm over the stack, and m the least degree whose
+    remainder bound theta^(m+1) / (m+1)! e^theta is at most 2^-53. The
+    degree-m series of A / 2^s is summed by Horner's rule and squared s times.
+    """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValidationError(f"matrix must be square, got shape {A.shape}")
     require_finite(A)
-    # Imported here, not at module level: only the exact Lindblad route calls
-    # mat_exp, and scipy.linalg would otherwise be most of every start-up.
-    import scipy.linalg
-
-    E = scipy.linalg.expm(A)
+    norm = float(np.abs(A).sum(axis=-2).max(initial=0.0))
+    if not np.isfinite(norm):
+        raise NumericError("matrix exponential overflowed")
+    s, theta = 0, norm
+    while theta > 0.5:
+        s, theta = s + 1, theta / 2.0
+    m, remainder = 0, theta * np.exp(theta)
+    while remainder > 2.0**-53:
+        m += 1
+        remainder *= theta / (m + 1)
+    X = A / 2.0**s
+    eye = np.eye(A.shape[-1], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = eye + X / max(m, 1)  # the innermost Horner factor, of degree at least 1
+        for k in range(m - 1, 0, -1):
+            E = X @ E
+            E /= k
+            E += eye
+        for _ in range(s):
+            E = E @ E
     if not np.isfinite(E).all():
         raise NumericError("matrix exponential overflowed")
     return E

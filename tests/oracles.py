@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths under test: singular values come
 from a hand-rolled one-sided Jacobi iteration (not LAPACK's SVD), matrix
-exponentials of Hermitian generators from an eigendecomposition (not the
-Pade scaling-and-squaring route), traces from explicit double loops. Unitary
+exponentials of Hermitian generators from an eigendecomposition and of any
+matrix from scipy's Pade scaling and squaring (not the library's Taylor
+route, which replaced it), traces from explicit double loops. Unitary
 trajectories are checked against the dense per-sample route they replaced,
 constant-rate Lindblad trajectories against the batched RK4 integration
 that the exact propagator replaced, and the fused Lindblad generator and
@@ -17,9 +18,10 @@ the trajectories' spreads.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from oqsl.dynamics import rate_at
-from oqsl.linalg import ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
+from oqsl.linalg import ValidationError, as_matrix, is_hermitian, require_finite
 
 
 def jacobi_singular_values(M, tol: float = 1e-14, max_sweeps: int = 100) -> np.ndarray:
@@ -55,6 +57,12 @@ def jacobi_singular_values(M, tol: float = 1e-14, max_sweeps: int = 100) -> np.n
             break
     sv = np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
     return np.sort(sv)[::-1]
+
+
+def scipy_expm(A) -> np.ndarray:
+    """e^A of a square matrix or of every matrix in a stack, by scipy's Pade
+    scaling and squaring: the route the library's Taylor series replaced."""
+    return scipy.linalg.expm(np.asarray(A, dtype=complex))
 
 
 def expm_hermitian_oracle(H, scale: complex) -> np.ndarray:
@@ -215,14 +223,14 @@ def three_operand_stddev(Os, rho) -> np.ndarray:
 
 def unitary_propagator(H, t: float, hbar: float = 1.0) -> np.ndarray:
     """U(t) = exp(-i H t / hbar) for a Hermitian Hamiltonian, by Pade scaling
-    and squaring."""
+    and squaring (:func:`scipy_expm`)."""
     H = as_matrix(H, "hamiltonian")
     require_finite(H, "hamiltonian")
     if not is_hermitian(H):
         raise ValidationError("hamiltonian is not Hermitian within tolerance")
     if hbar <= 0:
         raise ValidationError("hbar must be positive")
-    return mat_exp(-1j * float(t) / hbar * H)
+    return scipy_expm(-1j * float(t) / hbar * H)
 
 
 def lindblad_adjoint(gen, O, t: float = 0.0) -> np.ndarray:

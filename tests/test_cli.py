@@ -496,7 +496,7 @@ def test_audit_rejects_fewer_than_one_trial(trials, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy is loaded only by the exact Lindblad route (linalg.mat_exp)
+# start-up: no oqsl process loads scipy, the exact Lindblad route included
 
 
 @pytest.mark.parametrize(
@@ -507,8 +507,14 @@ def test_audit_rejects_fewer_than_one_trial(trials, monkeypatch):
         ["bound", "--system", str(SYSTEMS / "battery.sys"), "--observable", "HB", "--tmax", "1", "--bounds", "ALL"],
         ["bound", "--system", str(SYSTEMS / "kraus_dephasing.sys"), "--observable", "O", "--tmax", "1.5708"]
         + ["--bounds", "ALL"],
+        ["bound", "--system", str(SYSTEMS / "dephasing.sys"), "--observable", "O", "--tmax", "1.5708"]
+        + ["--bounds", "ALL"],
+        ["bound", "--system", str(SYSTEMS / "qutrit_decay.sys"), "--observable", "N", "--tmax", "1", "--bounds", "ALL"],
+        ["scenario", "dephasing"],
+        ["audit", "--trials", "2"],
     ],
-    ids=["import", "parse", "bound-unitary", "bound-kraus"],
+    ids=["import", "parse", "bound-unitary", "bound-kraus"]
+    + ["bound-dephasing", "bound-qutrit-decay", "scenario", "audit"],
 )
 def test_scipy_not_imported(argv):
     # a fresh interpreter, so no other test's import of scipy can hide one here

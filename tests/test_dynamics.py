@@ -11,6 +11,7 @@ from oqsl.dynamics import (
     RateTable,
     TabulatedKraus,
     TimeGrid,
+    _op_norms,
     dephasing_generator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
@@ -383,6 +384,21 @@ def test_kraus_grid_batch_matches_per_sample_route(rng):
         assert traj.gen_speed_op[j] == pytest.approx(
             sum(oracles.jacobi_singular_values(M)[0] for M in Ms), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_op_norms_match_svd(rng, dim):
+    # the Gram-matrix operator norms against the batched SVD they replaced
+    u, v = oracles.random_matrix(rng, dim)[:2]
+    stacks = {
+        "zero": np.zeros((4, 5, dim, dim), dtype=complex),
+        "rank-1": np.array([[s * np.outer(u, v.conj()) for s in (1e-9, 1.0, 3e4)]]),
+        "random": np.array([[oracles.random_matrix(rng, dim, s) for s in (1e-6, 1.0, 50.0)] for _ in range(4)]),
+    }
+    for name, X in stacks.items():
+        got, ref = _op_norms(X), np.linalg.svd(X, compute_uv=False)[..., 0]
+        assert got.shape == ref.shape, name
+        assert (np.abs(got - ref) <= 1e-14 * ref).all(), name
 
 
 def test_spreads_match_three_operand_second_moment(rng):

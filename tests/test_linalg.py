@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqsl import audit
 from oqsl import linalg as la
+from oqsl.dynamics import LindbladGenerator, liouvillian
 from oqsl.linalg import (
     DensityState,
     NumericError,
@@ -23,6 +25,7 @@ from oqsl.linalg import (
     tr_norm,
     variance,
 )
+from oqsl.sysdl import builtin_text, parse_system
 
 import oracles
 
@@ -138,9 +141,86 @@ def test_mat_exp_unitarity(dim, seed, scale):
     assert is_unitary(mat_exp(-1j * t * H), 1e-10)
 
 
+def _liouvillian_steps(gens, h):
+    """h L and h L^dag of each generator, stacked."""
+    return np.stack([h * liouvillian(gen, heisenberg) for gen in gens for heisenberg in (False, True)])
+
+
+def _builtin_lindblad():
+    # the CLI's default 1000 steps over the README horizons
+    return [
+        _liouvillian_steps([parse_system(builtin_text(name)).generator()], T / 1000)
+        for name, T in (("dephasing", 1.5708), ("qutrit_decay", 1.0))
+    ]
+
+
+def _audit_stacks():
+    h = audit.LINDBLAD_T / audit.LINDBLAD_STEPS
+    blocks = []
+    for dim, count in ((2, 100), (3, 50)):
+        trials = [audit._sample_trial(1, dim, i) for i in range(count)]
+        blocks.append(_liouvillian_steps([LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials], h))
+    return blocks
+
+
+def _dense_lindblad_16():
+    # a random H and two random jumps of operator norm 1/2, as the
+    # benchmark's generated Lindblad systems, over 1000 steps of T = 1
+    rng = np.random.default_rng(16)
+    H = oracles.random_hermitian(rng, 16)
+    jumps = []
+    for _ in range(2):
+        L = oracles.random_matrix(rng, 16)
+        jumps.append((0.5 * L / op_norm(L), float(rng.uniform(0.1, 1.0))))
+    return [_liouvillian_steps([LindbladGenerator(H=H / op_norm(H), jumps=tuple(jumps))], 1e-3)]
+
+
+def _qubit_decay():
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    gens = [LindbladGenerator(H=sigma_z, jumps=((lower, rate),)) for rate in (1e3, 1e6, 1e9)]
+    return [_liouvillian_steps([gen], 1e-3) for gen in gens]
+
+
+def _non_normal():
+    # upper-triangular dominated, so far from normal
+    rng = np.random.default_rng(7)
+    out = []
+    for dim in (2, 3, 5, 8):
+        for norm in np.logspace(-8, 1, 10):
+            A = oracles.random_matrix(rng, dim) + np.triu(oracles.random_matrix(rng, dim, 20.0), 1)
+            out.append(norm * A / np.abs(A).sum(axis=0).max())
+    return out
+
+
+def _stack():
+    rng = np.random.default_rng(8)
+    norms = np.array([[1e-6, 1e-2, 0.4], [1.0, 3.0, 10.0]])[..., None, None]
+    A = np.array([[oracles.random_matrix(rng, 4) for _ in range(3)] for _ in range(2)])
+    return [norms * A / np.abs(A).sum(axis=-2).max(axis=-1)[..., None, None]]
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [_builtin_lindblad, _audit_stacks, _dense_lindblad_16, _qubit_decay, _non_normal, lambda: [np.zeros((3, 3))]]
+    + [_stack],
+    ids=["builtin-lindblad", "audit-stacks", "dense-lindblad-16", "qubit-decay", "non-normal", "zero", "stack"],
+)
+def test_mat_exp_matches_scipy_expm(inputs):
+    # |e^A - expm(A)|_max <= 1e-13 max(1, |A|_1) |expm(A)|_max for each matrix
+    for A in inputs():
+        E, R = mat_exp(A), oracles.scipy_expm(A)
+        assert E.shape == R.shape == A.shape
+        norm = np.abs(A).sum(axis=-2).max(axis=-1)
+        err = np.abs(E - R).max(axis=(-2, -1))
+        assert (err <= 1e-13 * np.maximum(1.0, norm) * np.abs(R).max(axis=(-2, -1))).all()
+
+
 def test_mat_exp_overflow():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
         mat_exp(np.full((2, 2), 2e3, dtype=complex))
+    # finite entries whose 1-norm overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        mat_exp(np.full((2, 2), 1e308, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

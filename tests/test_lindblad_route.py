@@ -150,4 +150,19 @@ def test_audit_block_matches_per_trial_evolution():
             traj = evolve_lindblad_heisenberg(t.O, gen, t.rho, grid)
             states = evolve_lindblad_schrodinger(t.rho, gen, grid)
             assert np.abs(t.lind_O - traj.O_samples).max() <= 1e-12
-            assert np.abs(t.lind_rho - np.array([s.matrix for s in states])).max() <= 1e-12
+            expect = np.einsum("ab,tba->t", t.O, np.array([s.matrix for s in states])).real
+            assert np.abs(t.lind_rho_expect - expect).max() <= 1e-12
+
+
+def test_audit_block_keeps_no_state_stack():
+    # of the Schrodinger samples only tr(O rho(t)) is kept; the observable
+    # samples are the one (steps + 1, d, d) stack a trial holds
+    grid = TimeGrid(0.0, audit.LINDBLAD_T, 50)
+    for dim in (2, 3):
+        trials = [audit._sample_trial(5, dim, i) for i in range(3)]
+        audit._integrate_lindblad_block(trials, grid)
+        for t in trials:
+            shape = (grid.steps + 1, dim, dim)
+            stacks = [name for name, v in vars(t).items() if isinstance(v, np.ndarray) and v.shape == shape]
+            assert stacks == ["lind_O"]
+            assert t.lind_rho_expect.shape == (grid.steps + 1,)
