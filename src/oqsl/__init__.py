@@ -41,6 +41,7 @@ from .dynamics import (
     evolve_lindblad_schrodinger,
     evolve_unitary_heisenberg,
     lindblad_apply,
+    lindblad_final_state,
 )
 from .linalg import (
     DensityState,

@@ -293,7 +293,9 @@ def qsl_delcampo(
     theta = arccos(tr[rho0 rhoT] / tr[rho0^2]),
     T_qsl = |cos theta - 1| tr[rho0^2] / sqrt(tr[(L rho0)^2]),
 
-    where the caller supplies tr[(L rho0)^2] evaluated at the initial state.
+    where the caller supplies rho(T) and tr[(L rho0)^2] evaluated at the
+    initial state. Only the end points are read, so rho(T) need not come
+    from a trajectory (:func:`~oqsl.dynamics.lindblad_final_state`).
     """
     overlap = float(np.trace(rho0.matrix @ rhoT.matrix).real)
     cos_theta = float(np.clip(overlap / rho0.purity, -1.0, 1.0))
@@ -610,8 +612,9 @@ class EvalContext:
     observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
     observables whose unitary trajectories reuse O's eigenbasis. ``B`` is the
     commutator bounds' second observable; ``final_state`` returns the
-    Schrodinger state at T and ``generator`` is the Lindblad generator, both
-    for DELCAMPO.
+    Schrodinger state at T (in the CLI, from
+    :func:`~oqsl.dynamics.lindblad_final_state`, which builds no trajectory)
+    and ``generator`` is the Lindblad generator, both for DELCAMPO.
     """
 
     kind: str

@@ -24,8 +24,9 @@ from .dynamics import (
     UnitaryGenerator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
-    evolve_lindblad_schrodinger,
+    evolve_lindblad_schrodinger,  # not called here, but bench/layers.py wraps it in this module
     evolve_unitary_heisenberg,
+    lindblad_final_state,
 )
 from .linalg import DEFAULT_TOL, NumericError, ValidationError
 from .sysdl import ParseError, SystemSpec, parse_system, serialize_system
@@ -92,7 +93,7 @@ def _context(spec: SystemSpec, cfg: RunConfig) -> bounds.EvalContext:
     final_state = None
     if spec.kind == "lindblad":
         def final_state():
-            return evolve_lindblad_schrodinger(rho, gen, grid, tol=cfg.tol)[-1]
+            return lindblad_final_state(rho, gen, grid, tol=cfg.tol)
 
     return bounds.EvalContext(
         kind=spec.kind,
@@ -194,6 +195,8 @@ def cmd_scenario(cfg: RunConfig, out, err) -> int:
 def cmd_audit(cfg: RunConfig, out, err) -> int:
     if cfg.trials < 1:
         raise ValidationError(f"--trials must be at least 1, got {cfg.trials}")
+    if cfg.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {cfg.seed}")
     summary = audit_mod.run_audit(
         n_qubit=cfg.trials,
         n_qutrit=cfg.trials // 2,
@@ -259,6 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     renamed = {"system": "system_path", "tmax": "t_max", "format": "fmt", "name": "scenario"}
     cfg = RunConfig(**{renamed.get(k, k): v for k, v in vars(args).items() if v is not None and k != "bounds"})
+    if not (np.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise ValidationError(f"--tol must be a nonnegative finite number, got {cfg.tol!r}")
     if hasattr(args, "bounds"):
         cfg.bounds = [b.strip() for b in str(args.bounds).split(",") if b.strip()]
         if not cfg.bounds:

@@ -15,6 +15,10 @@ the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, whose first
 stage gives the speeds. Kraus trajectories call the operator family once
 per grid time and work on the whole (n_times, n_ops, d, d) stack, with
 time-derivatives taken by finite differences along the grid.
+
+The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
+the action of exp(T L) on rho0 by a Taylor series on the fused form
+(:func:`lindblad_final_state`), with no trajectory.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .linalg import (
     is_hermitian,
     mat_exp,
     require_finite,
+    taylor_degree,
 )
 
 INSTABILITY_LIMIT = 1e12
@@ -114,6 +119,11 @@ def rate_at(rate: Rate, t) -> np.ndarray:
     return np.full_like(np.asarray(t, dtype=float), float(rate))
 
 
+def _check_hbar(hbar: float) -> None:
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
+
+
 @dataclass(frozen=True)
 class UnitaryGenerator:
     """Closed dynamics generated by a time-independent Hermitian Hamiltonian,
@@ -128,8 +138,7 @@ class UnitaryGenerator:
         require_finite(H, "hamiltonian")
         if not is_hermitian(H, self.tol):
             raise ValidationError("hamiltonian is not Hermitian within tolerance")
-        if self.hbar <= 0:
-            raise ValidationError("hbar must be positive")
+        _check_hbar(self.hbar)
         object.__setattr__(self, "H", H)
 
     @property
@@ -152,8 +161,7 @@ class LindbladGenerator:
         require_finite(H, "hamiltonian")
         if not is_hermitian(H, self.tol):
             raise ValidationError("hamiltonian is not Hermitian within tolerance")
-        if self.hbar <= 0:
-            raise ValidationError("hbar must be positive")
+        _check_hbar(self.hbar)
         jumps = []
         for k, (L, rate) in enumerate(self.jumps):
             L = as_matrix(L, f"jump operator {k}")
@@ -435,8 +443,7 @@ def evolve_unitary_heisenberg(
     require_finite(H, "hamiltonian")
     if not is_hermitian(H, tol):
         raise ValidationError("hamiltonian is not Hermitian within tolerance")
-    if hbar <= 0:
-        raise ValidationError("hbar must be positive")
+    _check_hbar(hbar)
     O0 = _checked_observable(O0, H.shape[0], tol)
     _check_state(rho, H.shape[0])
 
@@ -507,6 +514,12 @@ def _check_stable(y: np.ndarray) -> None:
         raise NumericError("integration became unstable; reduce the step size (increase steps)")
 
 
+def _check_trace(states: np.ndarray) -> None:
+    trace = np.einsum("...aa->...", states.real)  # one temporary of the batch shape
+    if max(trace.max() - 1.0, 1.0 - trace.min()) > 1e-8:
+        raise NumericError("trace not preserved to 1e-8; reduce the step size")
+
+
 def _constant_rates(gen: LindbladGenerator) -> bool:
     """Whether no jump rate of gen varies in time."""
     return all(not isinstance(r, RateTable) or (r.values == r.values[0]).all() for _, r in gen.jumps)
@@ -533,7 +546,8 @@ def _fused_form(gens, heisenberg: bool):
     A = c H - K, A' = -c H - K (A^dag for a Hermitian H) and
     K = (1/2) sum_k gamma_k(t) L_k^dag L_k; c = i/hbar and (left, right) =
     (L^dag, L) for observables, c = -i/hbar and (L, L^dag) for states. The
-    terms are built once for constant rates."""
+    terms are built once for constant rates; ``f.terms(t)`` returns
+    (A, A', gamma_k(t) left_k), each stacked over the batch."""
     d, J = gens[0].dim, len(gens[0].jumps)
     Ls = np.array([[L for L, _ in gen.jumps] for gen in gens], dtype=complex).reshape(len(gens), J, d, d)
     Lds = Ls.conj().swapaxes(-1, -2)
@@ -556,6 +570,7 @@ def _fused_form(gens, heisenberg: bool):
             out += g_left[:, k] @ y @ right[:, k]
         return out
 
+    f.terms = terms
     return f
 
 
@@ -603,9 +618,7 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     else:
         out = _rk4(_fused_form(gens, heisenberg), y0, times, speeds)
     if not heisenberg:
-        trace = np.einsum("btaa->bt", out.real)  # one (B, steps + 1) temporary
-        if max(trace.max() - 1.0, 1.0 - trace.min()) > 1e-8:
-            raise NumericError("trace not preserved to 1e-8; reduce the step size")
+        _check_trace(out)
     return out, speeds
 
 
@@ -659,6 +672,66 @@ def evolve_lindblad_schrodinger(
     _check_state(rho0, gen.dim)
     samples, _ = propagate_lindblad([gen], rho0.matrix[None], grid, heisenberg=False)
     return DensityState.from_stack(samples[0], tol=tol, on_indefinite="warn")
+
+
+def lindblad_final_state(
+    rho0: DensityState,
+    gen: LindbladGenerator,
+    grid: TimeGrid,
+    tol: float = DEFAULT_TOL,
+) -> DensityState:
+    """The state rho(T) = exp(T L) rho0 at the end of the grid, with no
+    trajectory and no d^2 x d^2 matrix.
+
+    For constant rates, the action of exp(T L) is s equal substeps of a
+    degree-m Taylor series summed term by term on the fused generator
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011). With the bound
+    ||L|| <= ||A||_2 + ||A'||_2 + sum_k gamma_k ||L_k||_2^2 in the
+    Frobenius-induced norm, s = ceil(T ||L|| / theta) for theta = 1/2 and
+    m = taylor_degree(T ||L|| / s). When the rates vary, or the series would
+    apply L more often than RK4 on the grid (s m > 4 steps, as for stiff
+    rates), rho(T) is the last sample of :func:`propagate_lindblad` instead.
+    Either way a blow-up is rejected, the trace is verified to 1e-8 and
+    rho(T) is validated, positivity loss beyond tolerance being a warning.
+    """
+    _check_state(rho0, gen.dim)
+    f = _fused_form([gen], heisenberg=False)
+    order = _action_order(gen, f, grid) if _constant_rates(gen) else None
+    if order is None:
+        rho = propagate_lindblad([gen], rho0.matrix[None], grid, heisenberg=False)[0][0, -1]
+    else:
+        s, m = order
+        h = grid.duration / s
+        y = rho0.matrix[None].astype(complex)
+        for _ in range(s):
+            term, y = y, y.copy()
+            for j in range(1, m + 1):
+                term = f(0.0, term)
+                term *= h / j
+                y += term
+            _check_stable(y)
+        _check_trace(y)
+        rho = y[0]
+    return DensityState.from_matrix(rho, tol=tol, on_indefinite="warn")
+
+
+def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
+    """The substeps s and degree m of the Taylor action of exp(T L) for
+    constant rates, or None when s m > 4 steps (RK4's generator calls)."""
+    A, Ad, _ = f.terms(0.0)
+    M = np.stack([A[0], Ad[0], *(L for L, _ in gen.jumps)])
+    if not np.isfinite(M).all():  # hbar so small that c H overflows
+        return None
+    theta, budget = 0.5, 4 * grid.steps
+    norms = np.linalg.svd(M, compute_uv=False)[:, 0]
+    with np.errstate(over="ignore"):
+        bound = norms[0] + norms[1] + _rates_at(gen, 0.0)[0] @ norms[2:] ** 2
+        x = grid.duration * bound / theta
+    if not x <= budget:  # an infinite norm included, before ceil can overflow
+        return None
+    s = max(math.ceil(x), 1)
+    m = taylor_degree(grid.duration * bound / s)
+    return None if s * m > budget else (s, m)
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,23 @@ def tr_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
+def taylor_degree(theta: float) -> int:
+    """The least degree m whose Taylor remainder bound for e^X with
+    ||X|| <= theta, theta^(m+1) / (m+1)! e^theta, is at most 2^-53."""
+    m, remainder = 0, theta * np.exp(theta)
+    while remainder > 2.0**-53:
+        m += 1
+        remainder *= theta / (m + 1)
+    return m
+
+
 def mat_exp(A: np.ndarray) -> np.ndarray:
     """Matrix exponential e^A of a square matrix, or of every matrix in a
     stack of shape (..., n, n), by scaling and squaring a truncated Taylor
     series.
 
     s is the least integer with theta = ||A||_1 / 2^s <= 1/2, where ||A||_1
-    is the largest 1-norm over the stack, and m the least degree whose
-    remainder bound theta^(m+1) / (m+1)! e^theta is at most 2^-53. The
+    is the largest 1-norm over the stack, and m = taylor_degree(theta). The
     degree-m series of A / 2^s is summed by Horner's rule and squared s times.
     """
     A = np.asarray(A, dtype=complex)
@@ -111,10 +120,7 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
     s, theta = 0, norm
     while theta > 0.5:
         s, theta = s + 1, theta / 2.0
-    m, remainder = 0, theta * np.exp(theta)
-    while remainder > 2.0**-53:
-        m += 1
-        remainder *= theta / (m + 1)
+    m = taylor_degree(theta)
     X = A / 2.0**s
     eye = np.eye(A.shape[-1], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):

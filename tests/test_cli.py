@@ -393,6 +393,29 @@ def test_hbar_override_rejected_for_kraus(command, tmp_path):
     assert "--hbar" in err
 
 
+@pytest.mark.parametrize("hbar", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["bound", "evolve"])
+@pytest.mark.parametrize("system", [DEPHASING, TIGHT], ids=["lindblad", "unitary"])
+def test_non_finite_hbar_rejected(system, command, hbar):
+    code, out, err = run_cli([command, "--system", system, "--observable", "O", "--tmax", "1", "--hbar", hbar])
+    assert code == 2
+    assert out == ""
+    assert "hbar must be positive" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--observable", "O", "--tmax", "1"], ["evolve", "--observable", "O", "--tmax", "1"], ["parse"]],
+    ids=["bound", "evolve", "parse"],
+)
+def test_negative_or_non_finite_tol_rejected(argv, tol):
+    code, out, err = run_cli(argv + ["--system", DEPHASING, "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "--tol must be a nonnegative finite number" in err
+
+
 def test_evolve_json(dephasing_path):
     code, out, _ = run_cli(
         [
@@ -493,6 +516,17 @@ def test_audit_rejects_fewer_than_one_trial(trials, monkeypatch):
     assert code == 2
     assert out == ""
     assert "--trials must be at least 1" in err
+
+
+def test_audit_rejects_negative_seed(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("audit sampled a trial")
+
+    monkeypatch.setattr(audit, "_sample_trial", no_sampling)
+    code, out, err = run_cli(["audit", "--seed", "-1", "--trials", "2"])
+    assert code == 2
+    assert out == ""
+    assert "--seed must be nonnegative" in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from oqsl.dynamics import (
     RateTable,
     TabulatedKraus,
     TimeGrid,
+    UnitaryGenerator,
     _op_norms,
     dephasing_generator,
     evolve_kraus_heisenberg,
@@ -234,6 +235,18 @@ def test_rk4_fourth_order_convergence():
         errors[steps] = np.abs(traj.expect - np.exp(-(grid.times() ** 2) / 2.0)).max()
     ratio = errors[100] / errors[200]
     assert 12.0 <= ratio <= 20.0
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+def test_hbar_must_be_positive_and_finite(hbar):
+    grid = TimeGrid(0.0, 1.0, 10)
+    for build in (
+        lambda: UnitaryGenerator(H=sigma_z, hbar=hbar),
+        lambda: LindbladGenerator(H=sigma_z, jumps=((sigma_z, 1.0),), hbar=hbar),
+        lambda: evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid, hbar=hbar),
+    ):
+        with pytest.raises(ValidationError, match="hbar must be positive"):
+            build()
 
 
 def test_lindblad_instability_detected():

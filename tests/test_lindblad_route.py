@@ -1,25 +1,32 @@
 """The Lindblad kernel against the batched RK4 route it replaced for constant
 rates (tests/oracles.py), its fused generator against the matrix form it
 replaced, its Liouvillian matrices against the matrix-form generators, its
-first-stage speeds against the generator at every sample, and the audit's
-batched block against per-trial evolutions."""
+first-stage speeds against the generator at every sample, the audit's
+batched block against per-trial evolutions, and the final state from the
+action of exp(T L) against the exponential of the Kronecker Liouvillian and
+the last sample of the trajectory it replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oqsl import audit
+from oqsl import audit, dynamics
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
     LindbladGenerator,
     RateTable,
     TimeGrid,
     _fused_form,
+    dephasing_generator,
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,
     lindblad_apply,
+    lindblad_final_state,
     liouvillian,
+    propagate_lindblad,
 )
-from oqsl.linalg import DensityState, op_norm
+from oqsl.linalg import DensityState, op_norm, sigma_z
 
 import oracles
 from oracles import lindblad_adjoint
@@ -166,3 +173,74 @@ def test_audit_block_keeps_no_state_stack():
             stacks = [name for name, v in vars(t).items() if isinstance(v, np.ndarray) and v.shape == shape]
             assert stacks == ["lind_O"]
             assert t.lind_rho_expect.shape == (grid.steps + 1,)
+
+
+# ---------------------------------------------------------------------------
+# the final state rho(T) from the Taylor action of exp(T L)
+
+
+def _expm_reference(gen, rho, T):
+    L = oracles.kron_liouvillian(gen, heisenberg=False)
+    d = gen.dim
+    return (oracles.scipy_expm(T * L) @ rho.matrix.reshape(-1)).reshape(d, d)
+
+
+def _no_kernel(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("propagate_lindblad called")
+
+    monkeypatch.setattr(dynamics, "propagate_lindblad", fail)
+
+
+@pytest.mark.parametrize("n_jumps", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 8, 16, 17])
+def test_final_state_matches_expm_of_liouvillian(dim, n_jumps, monkeypatch):
+    gen, _, rho = _random_case(dim, seed=5, n_jumps=n_jumps)
+    grid = TimeGrid(0.0, 2.5, 100)
+    _no_kernel(monkeypatch)  # the action route, with no fallback
+    ref = _expm_reference(gen, rho, grid.duration)
+    rho_T = lindblad_final_state(rho, gen, grid)
+    assert np.abs(rho_T.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, EXACT_MAX_DIM + 1])
+def test_final_state_matches_last_trajectory_sample(dim):
+    # d <= EXACT_MAX_DIM: the exact propagator's last sample; above it, RK4's
+    gen, _, rho = _random_case(dim, seed=6)
+    grid = TimeGrid(0.0, 1.0, 1000)
+    rho_T = lindblad_final_state(rho, gen, grid)
+    last = evolve_lindblad_schrodinger(rho, gen, grid)[-1]
+    assert np.abs(rho_T.matrix - last.matrix).max() <= 1e-12
+    assert rho_T.purity == pytest.approx(last.purity, abs=1e-12)
+
+
+PLUS = DensityState.pure([1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "gen, rho, grid",
+    [
+        # stiff: the series would need more generator calls than RK4 on 10 steps
+        (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(0.0, 1.0, 10)),
+        # rates varying in time
+        (*_random_case(5, seed=7, rate=RAMP)[::2], TimeGrid(0.0, 1.0, 25)),  # (gen, rho)
+        # T ||L|| overflows
+        (dephasing_generator(1.0), PLUS, TimeGrid(0.0, 1e308, 10)),
+    ],
+    ids=["stiff", "ramp", "huge-T"],
+)
+def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
+    kernel = propagate_lindblad([gen], rho.matrix[None], grid, heisenberg=False)[0][0, -1]
+    assert np.array_equal(lindblad_final_state(rho, gen, grid).matrix, kernel)
+
+
+def test_final_state_memory_does_not_grow_with_steps():
+    gen, _, rho = _random_case(2, seed=8)
+    grid = TimeGrid(0.0, 1.0, 10**6)  # a trajectory would hold 64 MB
+    tracemalloc.start()
+    try:
+        lindblad_final_state(rho, gen, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -120,13 +120,15 @@ def _counting(monkeypatch, module, name, calls, fail=False):
 
 
 def test_cli_delcampo_evolves_the_state_once_and_the_observable_never(monkeypatch):
+    # DELCAMPO reads only rho(T): no Schrodinger trajectory is built
     calls = []
-    _counting(monkeypatch, oqsl.cli, "evolve_lindblad_schrodinger", calls)
+    _counting(monkeypatch, oqsl.cli, "lindblad_final_state", calls)
+    _counting(monkeypatch, oqsl.cli, "evolve_lindblad_schrodinger", calls, fail=True)
     _counting(monkeypatch, oqsl.cli, "evolve_lindblad_heisenberg", calls, fail=True)
     out, err = io.StringIO(), io.StringIO()
     argv = ["bound", "--system", DEPHASING, "--observable", "O", "--tmax", "1", "--bounds", "DELCAMPO,DELCAMPO"]
     assert oqsl.cli.main(argv, out=out, err=err) == 0, err.getvalue()
-    assert calls == ["evolve_lindblad_schrodinger"]
+    assert calls == ["lindblad_final_state"]
     assert [line.split(",")[0] for line in out.getvalue().splitlines()[1:]] == ["DELCAMPO", "DELCAMPO"]
 
 
