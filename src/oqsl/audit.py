@@ -4,20 +4,17 @@ inequalities, and Heisenberg/Schrodinger duality.
 The random sampler lives here, behind the audit command, so the core library
 stays deterministic and side-effect free. Every trial owns a generator seeded
 from (seed, dim, index); summaries are therefore bit-identical for a fixed
-seed and independent of worker scheduling. The Lindblad evolution of all
-trials of one dimension, in both pictures, is one call to the kernel that
-the CLI also uses (``dynamics.propagate_lindblad``): the audit's rates are
-constant, so each step is one batched mat-vec with the exact propagator, and
-the kernel also returns the generator speeds. The two dimensions' blocks,
-then the per-trial bound evaluations, run on a thread pool capped by
-``max_workers`` or the ``OQSL_THREADS`` environment variable.
+seed. The Lindblad evolution of all trials of one dimension, in both
+pictures, is one call to the kernel that the CLI also uses
+(``dynamics.propagate_lindblad``): the audit's rates are constant, so each
+step is one batched mat-vec with the exact propagator, and the kernel also
+returns the generator speeds. The two dimensions' blocks, then the
+per-trial bound evaluations, run in turn on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +30,7 @@ from .dynamics import (
     lindblad_trajectory,
     propagate_lindblad,
 )
-from .linalg import DensityState, ValidationError, op_norm, sigma_x
+from .linalg import DensityState, op_norm, sigma_x
 
 UNITARY_T = 1.0
 UNITARY_STEPS = 1600
@@ -226,41 +223,19 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
 # driver
 
 
-def _resolve_workers(max_workers) -> int:
-    """The worker count: ``max_workers`` (the --workers flag), else the
-    OQSL_THREADS environment variable, else min(4, cpus). A count below 1
-    is an error that names where it came from."""
-    source = "--workers"
-    if max_workers is None:
-        env = os.environ.get("OQSL_THREADS", "").strip()
-        if not env:
-            return min(4, os.cpu_count() or 1)
-        source = "OQSL_THREADS"
-        try:
-            max_workers = int(env)
-        except ValueError:
-            raise ValidationError(f"OQSL_THREADS must be an integer, got {env!r}") from None
-    if max_workers < 1:
-        raise ValidationError(f"{source} must be at least 1, got {max_workers}")
-    return int(max_workers)
-
-
 def run_audit(
     n_qubit: int = 100,
     n_qutrit: int = 50,
     seed: int = 42,
     tol: float = 1e-6,
-    max_workers: int | None = None,
     _flip_robertson_sign: bool = False,
 ) -> AuditSummary:
     """Run the full validity/rate/duality sweep and aggregate max violations."""
-    workers = _resolve_workers(max_workers)
     lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
     blocks = [[_sample_trial(seed, dim, i) for i in range(count)] for dim, count in ((2, n_qubit), (3, n_qutrit))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda block: _integrate_lindblad_block(block, lgrid), blocks))
-        all_trials = [t for block in blocks for t in block]
-        results = list(pool.map(lambda t: _evaluate_trial(t, _flip_robertson_sign), all_trials))
+    for block in blocks:
+        _integrate_lindblad_block(block, lgrid)
+    results = [_evaluate_trial(t, _flip_robertson_sign) for block in blocks for t in block]
 
     worst: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -583,29 +584,11 @@ def rate_audit(ctx: EvalContext, _flip_robertson_sign: bool = False) -> RateAudi
 # the bound registry
 
 
-class _once:
-    """A property computed on first read, then stored on the instance. Before
-    Python 3.12 functools.cached_property holds one lock per class while it
-    computes, which would serialize the audit's contexts across threads."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(eq=False)
 class EvalContext:
     """What the bounds read for one observable O under one dynamics; each
     derived quantity (the trajectory, dH, O H, the battery pair, the final
-    state) is computed once, on first use.
+    state) is a ``functools.cached_property``, computed once, on first use.
 
     ``evolve`` returns O's trajectory on ``grid``, so bounds can be selected
     before anything evolves. ``self_inverse`` and ``projector`` are the
@@ -635,25 +618,25 @@ class EvalContext:
     def T(self) -> float:
         return self.grid.duration
 
-    @_once
+    @cached_property
     def traj(self) -> ObservableTrajectory:
         return self.evolve()
 
-    @_once
+    @cached_property
     def delta_H(self) -> float:
         return float(np.sqrt(variance(self.H, self.rho, self.tol)))
 
-    @_once
+    @cached_property
     def oh(self) -> np.ndarray:
         return self.O @ self.H
 
-    @_once
+    @cached_property
     def battery(self) -> tuple[BoundReport, BoundReport]:
         # O is the battery Hamiltonian and H the total drive, so traj is the
         # battery's trajectory and H - O the charging field
         return _battery_core(self.traj, self.O, self.H - self.O, self.rho, self.hbar, self.tol)
 
-    @_once
+    @cached_property
     def rho_T(self) -> DensityState:
         return self.final_state()
 

@@ -54,7 +54,6 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     trials: int = 100
     scenario: str | None = None
-    workers: int | None = None
 
 
 def _f12(x: float) -> str:
@@ -197,13 +196,7 @@ def cmd_audit(cfg: RunConfig, out, err) -> int:
         raise ValidationError(f"--trials must be at least 1, got {cfg.trials}")
     if cfg.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {cfg.seed}")
-    summary = audit_mod.run_audit(
-        n_qubit=cfg.trials,
-        n_qutrit=cfg.trials // 2,
-        seed=cfg.seed,
-        tol=1e-6,
-        max_workers=cfg.workers,
-    )
+    summary = audit_mod.run_audit(n_qubit=cfg.trials, n_qutrit=cfg.trials // 2, seed=cfg.seed, tol=1e-6)
     print(summary.to_json() if cfg.fmt == "json" else summary.to_csv(), end="", file=out)
     return EXIT_OK if summary.passed else EXIT_NUMERIC
 
@@ -251,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("audit", help="randomized validity and rate-inequality sweep")
     sp.add_argument("--trials", type=int, default=100, help="qubit trials (qutrit trials = half)")
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--workers", type=int, default=None, help="worker threads (or OQSL_THREADS)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("parse", help="parse and reprint a system file canonically")
@@ -268,12 +260,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.bounds = [b.strip() for b in str(args.bounds).split(",") if b.strip()]
         if not cfg.bounds:
             raise ValidationError("--bounds must name at least one bound id or ALL")
+        unknown = [b for b in cfg.bounds if b != "ALL" and b not in bounds.BOUND_IDS]
+        if unknown:
+            raise ValidationError(f"unknown bound id(s): {', '.join(unknown)}")
         if "ALL" in cfg.bounds:
             cfg.bounds = ["ALL"]
-        else:
-            unknown = [b for b in cfg.bounds if b not in bounds.BOUND_IDS]
-            if unknown:
-                raise ValidationError(f"unknown bound id(s): {', '.join(unknown)}")
     return cfg
 
 

@@ -119,9 +119,16 @@ def rate_at(rate: Rate, t) -> np.ndarray:
     return np.full_like(np.asarray(t, dtype=float), float(rate))
 
 
-def _check_hbar(hbar: float) -> None:
+def _checked_hamiltonian(H, hbar: float, tol: float) -> np.ndarray:
+    """H as a finite matrix, Hermitian within tol, with a positive finite
+    hbar, else ValidationError."""
+    H = as_matrix(H, "hamiltonian")
+    require_finite(H, "hamiltonian")
+    if not is_hermitian(H, tol):
+        raise ValidationError("hamiltonian is not Hermitian within tolerance")
     if not (np.isfinite(hbar) and hbar > 0):
         raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
+    return H
 
 
 @dataclass(frozen=True)
@@ -134,12 +141,7 @@ class UnitaryGenerator:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        H = as_matrix(self.H, "hamiltonian")
-        require_finite(H, "hamiltonian")
-        if not is_hermitian(H, self.tol):
-            raise ValidationError("hamiltonian is not Hermitian within tolerance")
-        _check_hbar(self.hbar)
-        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "H", _checked_hamiltonian(self.H, self.hbar, self.tol))
 
     @property
     def dim(self) -> int:
@@ -157,11 +159,7 @@ class LindbladGenerator:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        H = as_matrix(self.H, "hamiltonian")
-        require_finite(H, "hamiltonian")
-        if not is_hermitian(H, self.tol):
-            raise ValidationError("hamiltonian is not Hermitian within tolerance")
-        _check_hbar(self.hbar)
+        H = _checked_hamiltonian(self.H, self.hbar, self.tol)
         jumps = []
         for k, (L, rate) in enumerate(self.jumps):
             L = as_matrix(L, f"jump operator {k}")
@@ -170,7 +168,9 @@ class LindbladGenerator:
                 raise ValidationError(f"jump operator {k} has shape {L.shape}, expected {H.shape}")
             if not isinstance(rate, RateTable):
                 rate = float(rate)
-                if not np.isfinite(rate) or rate < 0:
+                if not np.isfinite(rate):
+                    raise ValidationError(f"non-finite rate {rate!r} for jump operator {k}")
+                if rate < 0:
                     raise ValidationError(f"negative rate {rate!r} for jump operator {k}")
             jumps.append((L, rate))
         object.__setattr__(self, "H", H)
@@ -439,11 +439,7 @@ def evolve_unitary_heisenberg(
     tol: float = DEFAULT_TOL,
 ) -> UnitaryTrajectory:
     """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of H."""
-    H = as_matrix(H, "hamiltonian")
-    require_finite(H, "hamiltonian")
-    if not is_hermitian(H, tol):
-        raise ValidationError("hamiltonian is not Hermitian within tolerance")
-    _check_hbar(hbar)
+    H = _checked_hamiltonian(H, hbar, tol)
     O0 = _checked_observable(O0, H.shape[0], tol)
     _check_state(rho, H.shape[0])
 
@@ -787,6 +783,8 @@ def dephasing_generator(gamma: float, hbar: float = 1.0) -> LindbladGenerator:
     """Rate-gamma pure dephasing of a qubit: jump sigma_z at rate gamma/2."""
     from .linalg import sigma_z
 
+    if not np.isfinite(gamma):
+        raise ValidationError(f"non-finite rate {gamma!r} for dephasing")
     if gamma < 0:
         raise ValidationError("dephasing strength must be nonnegative")
     return LindbladGenerator(

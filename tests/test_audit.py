@@ -1,4 +1,5 @@
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_audit_covers_every_check(small_summary):
 
 def test_audit_deterministic_for_fixed_seed():
     a = run_audit(n_qubit=4, n_qutrit=2, seed=7)
-    b = run_audit(n_qubit=4, n_qutrit=2, seed=7, max_workers=1)
+    b = run_audit(n_qubit=4, n_qutrit=2, seed=7)
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
 
@@ -66,17 +67,19 @@ def test_audit_mutation_hook_reports_violation():
     assert not summary.passed
 
 
-def test_audit_respects_thread_env(monkeypatch):
-    monkeypatch.setenv("OQSL_THREADS", "2")
-    summary = run_audit(n_qubit=2, n_qutrit=0, seed=3)
-    assert summary.passed
+def test_audit_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"the audit started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_audit(n_qubit=2, n_qutrit=1).passed
 
 
-def test_audit_rejects_non_integer_thread_env(monkeypatch):
-    monkeypatch.setenv("OQSL_THREADS", "abc")
-    err = io.StringIO()
-    assert main(["audit", "--trials", "2"], out=io.StringIO(), err=err) == 2
-    assert "OQSL_THREADS" in err.getvalue() and "'abc'" in err.getvalue()
+def test_audit_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--trials", "1", "--workers", "2"], out=io.StringIO(), err=io.StringIO())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_audit_cli_roundtrip():
@@ -88,26 +91,6 @@ def test_audit_cli_roundtrip():
     out2 = io.StringIO()
     assert main(["audit", "--trials", "4", "--seed", "5"], out=out2, err=io.StringIO()) == 0
     assert out.getvalue() == out2.getvalue()
-
-
-def _no_sampling(*args):
-    raise AssertionError("audit sampled a trial")
-
-
-@pytest.mark.parametrize("workers", ["0", "-5"])
-def test_audit_rejects_workers_below_one(workers, monkeypatch):
-    monkeypatch.setattr(audit, "_sample_trial", _no_sampling)
-    err = io.StringIO()
-    assert main(["audit", "--trials", "1", "--workers", workers], out=io.StringIO(), err=err) == 2
-    assert f"--workers must be at least 1, got {workers}" in err.getvalue()
-
-
-def test_audit_rejects_thread_env_below_one(monkeypatch):
-    monkeypatch.setattr(audit, "_sample_trial", _no_sampling)
-    monkeypatch.setenv("OQSL_THREADS", "0")
-    err = io.StringIO()
-    assert main(["audit", "--trials", "1"], out=io.StringIO(), err=err) == 2
-    assert "OQSL_THREADS must be at least 1, got 0" in err.getvalue()
 
 
 def test_audit_trial_diagonalizes_h_once(monkeypatch):

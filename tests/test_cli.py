@@ -254,6 +254,14 @@ def test_bound_unknown_bound_id(dephasing_path):
     assert "unknown bound id" in err
 
 
+def test_bound_unknown_id_beside_all_is_not_dropped(dephasing_path):
+    code, out, err = run_cli(
+        ["bound", "--system", dephasing_path, "--observable", "O", "--tmax", "1.0", "--bounds", "ALL,NOSUCH"]
+    )
+    assert (code, out) == (2, "")
+    assert "unknown bound id(s): NOSUCH" in err
+
+
 def test_bound_inapplicable_bound_rejected(dephasing_path):
     code, out, err = run_cli(
         ["bound", "--system", dephasing_path, "--observable", "O", "--tmax", "1.0", "--bounds", "MT_INTEGRAL"]

@@ -84,6 +84,21 @@ def test_negative_constant_rate_rejected():
         LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, -0.5),))
 
 
+@pytest.mark.parametrize(
+    "rate, message",
+    [(-0.5, "negative rate -0.5"), (np.nan, "non-finite rate nan"), (np.inf, "non-finite rate inf")],
+)
+def test_constant_rate_fault_is_named(rate, message):
+    with pytest.raises(ValidationError, match=f"^{message} for jump operator 0$"):
+        LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, rate),))
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_dephasing_generator_rejects_non_finite_strength(gamma):
+    with pytest.raises(ValidationError, match=f"^non-finite rate {gamma!r} for dephasing$"):
+        dephasing_generator(gamma)
+
+
 def test_linear_rate_table_against_analytic_decay():
     # dephasing strength ramping as gamma(t) = t: x component decays as
     # exp(-integral_0^t s ds) = exp(-t^2 / 2)
@@ -246,6 +261,25 @@ def test_hbar_must_be_positive_and_finite(hbar):
         lambda: evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid, hbar=hbar),
     ):
         with pytest.raises(ValidationError, match="hbar must be positive"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "H, message",
+    [
+        (np.array([[0, 1], [0, 0]], dtype=complex), "hamiltonian is not Hermitian within tolerance"),
+        (np.array([[np.nan, 0], [0, 1]], dtype=complex), "hamiltonian has non-finite entries"),
+    ],
+    ids=["non-hermitian", "non-finite"],
+)
+def test_every_hamiltonian_entry_point_applies_one_check(H, message):
+    grid = TimeGrid(0.0, 1.0, 10)
+    for build in (
+        lambda: UnitaryGenerator(H=H),
+        lambda: LindbladGenerator(H=H, jumps=((sigma_z, 1.0),)),
+        lambda: evolve_unitary_heisenberg(sigma_x, H, PLUS, grid),
+    ):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             build()
 
 

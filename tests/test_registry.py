@@ -3,8 +3,6 @@ memoization, and the unitary trajectory of a second observable over the
 first one's eigenbasis."""
 
 import io
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -82,29 +80,6 @@ def test_context_memoizes_the_trajectory():
     ctx = EvalContext("unitary", grid, sigma_x, rho, evolve, H=sigma_z, self_inverse=sigma_x)
     evaluate_all(ctx)
     assert len(calls) == 1
-
-
-def test_contexts_evolve_concurrently():
-    # the audit evaluates one context per trial on a thread pool: computing
-    # one context's trajectory must not wait for another's
-    rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 10)
-    first_started, second_ran = threading.Event(), threading.Event()
-
-    def waits_for_second():
-        first_started.set()
-        assert second_ran.wait(timeout=10), "the second context's evolution waited for the first"
-        return evolve_unitary_heisenberg(sigma_x, sigma_z, rho, grid)
-
-    def runs():
-        second_ran.set()
-        return evolve_unitary_heisenberg(sigma_x, sigma_z, rho, grid)
-
-    first, second = (EvalContext("unitary", grid, sigma_x, rho, fn, H=sigma_z) for fn in (waits_for_second, runs))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        a = pool.submit(lambda: first.traj)
-        assert first_started.wait(timeout=10)
-        b = pool.submit(lambda: second.traj)
-        assert a.result(timeout=20) is first.traj and b.result(timeout=20) is second.traj
 
 
 def _counting(monkeypatch, module, name, calls, fail=False):
