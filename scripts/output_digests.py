@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Print the sha256 of the CLI's output for a fixed set of commands: the
 ``--format json`` output of ``bound --bounds ALL`` on the six built-in
-systems, of the four scenarios and of ``audit --trials 100 --seed 1``, and
-the canonical reprint of ``parse`` on the six built-in systems.
+systems, of the four scenarios, of ``audit --trials 100 --seed 1`` and of
+``evolve`` on ``qutrit_decay.sys``, the canonical reprint of ``parse`` on
+the six built-in systems, and the ``--format json`` output of
+``bound --bounds ALL`` and ``evolve`` on a d = 17 Lindblad system. No
+built-in system takes the Lindblad kernel's RK4 route, so this one is
+written from a fixed seed into a temporary directory; ``evolve`` prints
+every sample, so a change at the kernel's chunk boundaries shows.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -37,7 +42,10 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SYSTEMS = ROOT / "src" / "oqsl" / "systems"
@@ -52,13 +60,49 @@ BUILTIN_BOUNDS = (
     ("tight_qubit.sys", "O", None, 1.5707963),
 )
 SCENARIOS = ("tight-qubit", "dephasing", "battery-degenerate", "kraus-dephasing")
+# above the exact route's largest dimension (dynamics.EXACT_MAX_DIM = 16)
+RK4_FILE, RK4_DIM, RK4_SEED = "lindblad_17.sys", 17, 17
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
 RTOL, ATOL = 1e-12, 1e-14
 
 
-def commands():
+def _vector_literal(v) -> str:
+    return "[" + ", ".join(f"{z.real!r}{'-' if z.imag < 0 else '+'}{abs(z.imag)!r}i" for z in map(complex, v)) + "]"
+
+
+def _matrix_literal(M) -> str:
+    return "[" + ", ".join(_vector_literal(row) for row in M) + "]"
+
+
+def rk4_system_text() -> str:
+    """A random d = 17 Lindblad system with two jumps at constant rates, a
+    pure state, an observable A and B = A^2, which commutes with it."""
+    rng = np.random.default_rng(RK4_SEED)
+    d = RK4_DIM
+
+    def hermitian():
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = (G + G.conj().T) / 2.0
+        return H / np.linalg.norm(H, 2)
+
+    H, A = hermitian(), hermitian()
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    lines = ["[system]", f"dim = {d}", "kind = lindblad", "", "[hamiltonian]", f"matrix = {_matrix_literal(H)}"]
+    lines += ["", "[state]", f"ket = {_vector_literal(ket)}"]
+    for _ in range(2):
+        L = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rate = float(rng.uniform(0.1, 1.0))
+        lines += ["", "[jump]", f"matrix = {_matrix_literal(0.5 * L / np.linalg.norm(L, 2))}", f"rate = {rate!r}"]
+    for name, M in (("A", A), ("B", A @ A)):
+        lines += ["", f"[observable {name}]", f"matrix = {_matrix_literal(M)}"]
+    return "\n".join(lines) + "\n"
+
+
+def commands(workdir: Path):
+    """(label, argv) of every command; the generated system is read from
+    ``workdir``."""
     for fname, obs, obs_b, tmax in BUILTIN_BOUNDS:
         argv = ["bound", "--system", str(SYSTEMS / fname), "--observable", obs]
         if obs_b:
@@ -69,6 +113,11 @@ def commands():
     yield "audit", ["audit", "--trials", "100", "--seed", "1", "--format", "json"]
     for fname, *_ in BUILTIN_BOUNDS:
         yield f"parse:{fname}", ["parse", "--system", str(SYSTEMS / fname)]
+    evolve = ["--observable", "N", "--tmax", "1.0", "--format", "json"]
+    yield "evolve:qutrit_decay.sys", ["evolve", "--system", str(SYSTEMS / "qutrit_decay.sys"), *evolve]
+    rk4 = ["--system", str(workdir / RK4_FILE), "--observable", "A", "--tmax", "1.0", "--format", "json"]
+    yield f"bound:{RK4_FILE}", ["bound", *rk4, "--observable-b", "B", "--bounds", "ALL"]
+    yield f"evolve:{RK4_FILE}", ["evolve", *rk4]
 
 
 def _is_number(x) -> bool:
@@ -125,7 +174,7 @@ def _file(label: str) -> str:
 
 def compare(old_dir: Path, new_dir: Path) -> int:
     failed = 0
-    for label, _ in commands():
+    for label, _ in commands(Path()):
         old, new = (d / _file(label) for d in (old_dir, new_dir))
         if not (old.is_file() and new.is_file()):
             print(f"MISSING  {label}")
@@ -153,14 +202,17 @@ def main() -> int:
     if args.save:
         args.save.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for label, argv in commands():
-        proc = subprocess.run(
-            [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT
-        )
-        digest = hashlib.sha256(proc.stdout).hexdigest()
-        print(f"{digest}  exit={proc.returncode}  {label}")
-        if args.save:
-            (args.save / _file(label)).write_bytes(proc.stdout)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        (workdir / RK4_FILE).write_text(rk4_system_text(), encoding="utf-8")
+        for label, argv in commands(workdir):
+            proc = subprocess.run(
+                [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT
+            )
+            digest = hashlib.sha256(proc.stdout).hexdigest()
+            print(f"{digest}  exit={proc.returncode}  {label}")
+            if args.save:
+                (args.save / _file(label)).write_bytes(proc.stdout)
     return 0
 
 

@@ -5,11 +5,16 @@ The random sampler lives here, behind the audit command, so the core library
 stays deterministic and side-effect free. Every trial owns a generator seeded
 from (seed, dim, index); summaries are therefore bit-identical for a fixed
 seed. The Lindblad evolution of all trials of one dimension, in both
-pictures, is one call to the kernel that the CLI also uses
-(``dynamics.propagate_lindblad``): the audit's rates are constant, so each
+pictures, runs through the kernel that the CLI also uses
+(``dynamics.lindblad_chunks``): the audit's rates are constant, so each
 step is one batched mat-vec with the exact propagator, and the kernel also
-returns the generator speeds. The two dimensions' blocks, then the
-per-trial bound evaluations, run in turn on the calling thread.
+returns the generator speeds. Its chunks are reduced over the whole block as
+they arrive: each trial keeps its Heisenberg trajectory's scalar series, its
+O(0) and O(T), the series of the probe matrices that CORR_OPEN and
+COMM_OPEN read, and tr(O rho(t)) of its states, but no sample stack. Each
+dimension's block is integrated and then its trials are evaluated, on the
+calling thread, before the next block starts, so at most one block's series
+are held at once.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from .dynamics import (
     DephasingKraus,
     KrausGenerator,
     LindbladGenerator,
+    LindbladTrajectory,
     TimeGrid,
     evolve_kraus_heisenberg,
     evolve_unitary_heisenberg,
-    lindblad_trajectory,
-    propagate_lindblad,
+    lindblad_chunks,
+    lindblad_trajectories,
 )
 from .linalg import DensityState, op_norm, sigma_x
 
@@ -132,9 +138,14 @@ class _Trial:
     comm_coeffs: np.ndarray
     kraus_gamma: float
     # batched-integration results, attached after sampling
-    lind_O: np.ndarray | None = None
-    lind_speeds: np.ndarray | None = None
+    lind_traj: LindbladTrajectory | None = None
     lind_rho_expect: np.ndarray | None = None  # tr(O rho(t)), Schrodinger picture
+
+    @property
+    def B(self) -> np.ndarray:
+        """The commutator bounds' second observable, a polynomial in O."""
+        c, O = self.comm_coeffs, self.O
+        return c[0] * np.eye(self.dim) + c[1] * O + c[2] * (O @ O)
 
 
 def _sample_trial(seed: int, dim: int, index: int) -> _Trial:
@@ -162,18 +173,24 @@ def _sample_trial(seed: int, dim: int, index: int) -> _Trial:
 
 def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
     """Evolve every trial's Heisenberg observable and Schrodinger state at
-    once through the shared Lindblad kernel. Attaches to each trial its
-    (n_times, d, d) observable samples and their speeds, and of its states
+    once through the shared Lindblad kernel, reducing its chunks as they
+    arrive. Attaches to each trial its Lindblad trajectory, which keeps the
+    series of the probes CORR_OPEN and COMM_OPEN read, and of its states
     only tr(O rho(t)), which is all the duality check reads."""
     if not trials:
         return
     gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
-    O_traj, speeds = propagate_lindblad(gens, np.stack([t.O for t in trials]), grid, heisenberg=True)
-    rho_traj, _ = propagate_lindblad(gens, np.stack([t.rho.matrix for t in trials]), grid, heisenberg=False)
-    for t, O_samples, O_speeds, rho_samples in zip(trials, O_traj, speeds, rho_traj):
-        t.lind_O = O_samples
-        t.lind_speeds = O_speeds
-        t.lind_rho_expect = np.einsum("ab,tba->t", t.O, rho_samples).real
+    Os = np.stack([t.O for t in trials])
+    rhos = [t.rho for t in trials]
+    probes = [bounds.declared_probes(t.O, t.B, t.rho) for t in trials]
+    for t, traj in zip(trials, lindblad_trajectories(gens, Os, rhos, grid, probes)):
+        t.lind_traj = traj
+    rho_expect = np.empty((len(trials), grid.steps + 1))
+    for start, samples, _ in lindblad_chunks(gens, np.stack([r.matrix for r in rhos]), grid, heisenberg=False):
+        for b, (t, rho_samples) in enumerate(zip(trials, samples)):
+            rho_expect[b, start : start + samples.shape[1]] = np.einsum("ab,tba->t", t.O, rho_samples).real
+    for t, series in zip(trials, rho_expect):
+        t.lind_rho_expect = series
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +205,13 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
     rho, O, H = trial.rho, trial.O, trial.H
     ugrid = TimeGrid(0.0, UNITARY_T, UNITARY_STEPS)
     lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
-    c = trial.comm_coeffs
-    B = c[0] * np.eye(trial.dim) + c[1] * O + c[2] * (O @ O)
+    B = trial.B
     unitary = bounds.EvalContext(
         "unitary", ugrid, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, ugrid),
         H=H, B=B, self_inverse=trial.O_si, projector=trial.P,
     )
-    # the Lindblad samples come from the block integrator
-    lindblad = bounds.EvalContext(
-        "lindblad", lgrid, O, rho, lambda: lindblad_trajectory(trial.lind_O, trial.lind_speeds, rho, lgrid), H=H, B=B
-    )
+    # the Lindblad trajectory comes from the block integrator
+    lindblad = bounds.EvalContext("lindblad", lgrid, O, rho, lambda: trial.lind_traj, H=H, B=B)
     contexts = [unitary, lindblad]
     if trial.dim == 2:
         kgrid = TimeGrid(0.0, KRAUS_T, KRAUS_STEPS)
@@ -214,8 +228,8 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
         audit = bounds.rate_audit(ctx, _flip_robertson_sign=flip_robertson)
         for name, v in audit.violations.items():
             out[(name, ctx.kind)] = v
-    rhs = np.einsum("tab,ba->t", trial.lind_O, rho.matrix).real
-    out[("DUALITY", "lindblad")] = float(np.abs(trial.lind_rho_expect - rhs).max())
+    # <O(t)> in the Heisenberg picture against tr(O rho(t))
+    out[("DUALITY", "lindblad")] = float(np.abs(trial.lind_rho_expect - trial.lind_traj.expect).max())
     return out
 
 
@@ -232,10 +246,12 @@ def run_audit(
 ) -> AuditSummary:
     """Run the full validity/rate/duality sweep and aggregate max violations."""
     lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
-    blocks = [[_sample_trial(seed, dim, i) for i in range(count)] for dim, count in ((2, n_qubit), (3, n_qutrit))]
-    for block in blocks:
+    results = []
+    for dim, count in ((2, n_qubit), (3, n_qutrit)):
+        # evaluated before the next block is integrated, which drops this one
+        block = [_sample_trial(seed, dim, i) for i in range(count)]
         _integrate_lindblad_block(block, lgrid)
-    results = [_evaluate_trial(t, _flip_robertson_sign) for block in blocks for t in block]
+        results += [_evaluate_trial(t, _flip_robertson_sign) for t in block]
 
     worst: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}

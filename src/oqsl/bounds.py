@@ -427,6 +427,28 @@ def _battery_core(traj, HB, HC, rho, hbar, tol):
 # two-time correlations and commutators
 
 
+def correlation_probe(A0: np.ndarray, rho: DensityState) -> np.ndarray:
+    """A0 rho, whose series tr(A(t) A0 rho) = <A(t)A(0)> is the first term
+    of the two-time correlation."""
+    return as_matrix(A0, "observable") @ rho.matrix
+
+
+def commutator_probe(B0: np.ndarray, rho: DensityState) -> np.ndarray:
+    """rho B0 - B0 rho, whose series tr(O(t) (rho B0 - B0 rho)) is the
+    commutator expectation tr([B0, O(t)] rho)."""
+    B0 = as_matrix(B0, "observable")
+    return rho.matrix @ B0 - B0 @ rho.matrix
+
+
+def declared_probes(A0: np.ndarray, B0: np.ndarray | None, rho: DensityState) -> tuple:
+    """The probe matrices to declare before a Lindblad evolution of A0, so
+    that its trajectory keeps their series: CORR_OPEN's and, given B0,
+    COMM_OPEN's. Both bounds need a pure state; a mixed one declares none."""
+    if not rho.is_pure():
+        return ()
+    return (correlation_probe(A0, rho),) + (() if B0 is None else (commutator_probe(B0, rho),))
+
+
 def two_time_correlation(
     A0: np.ndarray,
     traj: ObservableTrajectory,
@@ -445,8 +467,9 @@ def two_time_correlation(
         raise ValidationError("observable is not Hermitian within tolerance")
     if A0.shape[0] != traj.dim:
         raise ValidationError(f"dimension mismatch: {A0.shape[0]} vs {traj.dim}")
-    first = traj.trace_with(A0 @ rho.matrix)
-    mean0 = float(np.trace(A0 @ rho.matrix).real)
+    probe = correlation_probe(A0, rho)
+    first = traj.trace_with(probe)
+    mean0 = float(np.trace(probe).real)
     C = first - traj.expect * mean0
     c0 = complex(C[0])
     if abs(c0.imag) > max(tol, 1e-8) or c0.real < -max(tol, 1e-8):
@@ -514,8 +537,7 @@ def commutator_qsl(
         raise ValidationError(f"dimension mismatch: {B0.shape[0]} vs {traj.dim}")
     bound_id = "COMM_CLOSED" if kind == "closed" else "COMM_OPEN"
 
-    # tr([B, O(t)] rho) = tr(O(t) (rho B - B rho))
-    expect_c = traj.trace_with(rho.matrix @ B0 - B0 @ rho.matrix)
+    expect_c = traj.trace_with(commutator_probe(B0, rho))
     num = abs(complex(expect_c[-1]))
     # closed dynamics: gen_speed_op holds ||[H, A]||_op / hbar
     speeds = traj.gen_speed_op * (hbar if kind == "closed" else 1.0)

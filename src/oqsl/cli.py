@@ -72,12 +72,13 @@ def _effective_hbar(spec: SystemSpec, cfg: RunConfig) -> float:
     return cfg.hbar
 
 
-def _evolve(gen, O: np.ndarray, rho, grid: TimeGrid, tol: float):
-    """The Heisenberg trajectory of O under the generator gen."""
+def _evolve(gen, O: np.ndarray, rho, grid: TimeGrid, tol: float, probes=()):
+    """The Heisenberg trajectory of O under the generator gen; a Lindblad
+    one keeps the series tr(O(t) M) of the probe matrices M."""
     if isinstance(gen, UnitaryGenerator):
         return evolve_unitary_heisenberg(O, gen.H, rho, grid, hbar=gen.hbar, tol=tol)
     if isinstance(gen, LindbladGenerator):
-        return evolve_lindblad_heisenberg(O, gen, rho, grid, tol=tol)
+        return evolve_lindblad_heisenberg(O, gen, rho, grid, tol=tol, probes=probes)
     return evolve_kraus_heisenberg(O, gen, rho, grid, tol=tol)
 
 
@@ -88,9 +89,12 @@ def _context(spec: SystemSpec, cfg: RunConfig) -> bounds.EvalContext:
     gen = spec.generator(hbar, cfg.tol)
     rho = spec.initial_state
     grid = TimeGrid(0.0, cfg.t_max, cfg.steps)
+    B = spec.observable(cfg.observable_b) if cfg.observable_b else None
     OO, slot_tol = O @ O, max(cfg.tol, 1e-9)
-    final_state = None
+    final_state, probes = None, ()
     if spec.kind == "lindblad":
+        probes = bounds.declared_probes(O, B, rho)
+
         def final_state():
             return lindblad_final_state(rho, gen, grid, tol=cfg.tol)
 
@@ -99,11 +103,11 @@ def _context(spec: SystemSpec, cfg: RunConfig) -> bounds.EvalContext:
         grid=grid,
         O=O,
         rho=rho,
-        evolve=lambda: _evolve(gen, O, rho, grid, cfg.tol),
+        evolve=lambda: _evolve(gen, O, rho, grid, cfg.tol, probes),
         H=spec.hamiltonian,
         hbar=hbar,
         tol=cfg.tol,
-        B=spec.observable(cfg.observable_b) if cfg.observable_b else None,
+        B=B,
         self_inverse=O if np.abs(OO - np.eye(spec.dim)).max() <= slot_tol else None,
         projector=O if np.abs(OO - O).max() <= slot_tol else None,
         final_state=final_state,

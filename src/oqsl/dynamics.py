@@ -7,14 +7,20 @@ expectation along the grid is one phase-matrix product in its eigenbasis.
 Their generator speeds are constant, and ``O_samples`` is built only on
 demand.
 
-Lindblad trajectories store O(t) and its generator speeds per grid point,
-from one batch-first kernel, :func:`propagate_lindblad`, which the audit
-also calls. With rates constant in time and d <= EXACT_MAX_DIM each step is
-one batched mat-vec with the exact propagator exp(h L); otherwise RK4 on
-the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, whose first
-stage gives the speeds. Kraus trajectories call the operator family once
-per grid time and work on the whole (n_times, n_ops, d, d) stack, with
-time-derivatives taken by finite differences along the grid.
+Lindblad trajectories come from one batch-first kernel,
+:func:`lindblad_chunks`, which the audit also calls. It yields the grid one
+chunk of at most CHUNK_BYTES of samples at a time, and every caller reduces
+the chunks as they arrive. A :class:`LindbladTrajectory` keeps <O(t)>,
+dO(t), both generator speeds, O(0), O(T) and tr(O(t) M) for the probe
+matrices M declared before the evolution; ``O_samples`` is built only on
+demand, by rerunning the kernel. Evolving an observable thus holds O(steps)
+scalars, one chunk and, on the exact route, the d^4 propagator. With rates
+constant in time and d <= EXACT_MAX_DIM each step is one batched mat-vec
+with the exact propagator exp(h L); otherwise RK4 on the fused form
+A y + y A^dag + sum_k gamma_k left_k y right_k, whose first stage gives the
+speeds. Kraus trajectories call the operator family once per grid time and
+work on the whole (n_times, n_ops, d, d) stack, with time-derivatives taken
+by finite differences along the grid.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
 the action of exp(T L) on rho0 by a Taylor series on the fused form
@@ -46,6 +52,9 @@ INSTABILITY_LIMIT = 1e12
 # the largest dimension at which constant-rate Lindblad evolution takes the
 # exact route: above it, the d^2 x d^2 propagator costs more than RK4
 EXACT_MAX_DIM = 16
+# the bytes one chunk of streamed Lindblad samples may take, over the whole
+# batch: the kernel's working set besides the propagator
+CHUNK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +293,9 @@ class ObservableTrajectory:
 
     ``gen_speed_hs`` / ``gen_speed_op`` hold the Hilbert-Schmidt and operator
     norms of the generator applied to O(t) (for Kraus dynamics: the summed
-    norms of K_i^dag(t) O(0) dK_i/dt). Lindblad and Kraus trajectories store
-    O(t) per grid point; :class:`UnitaryTrajectory` does not. Bounds read O(t)
-    only through :meth:`trace_with` and :meth:`at`.
+    norms of K_i^dag(t) O(0) dK_i/dt). Kraus trajectories store O(t) per
+    grid point; :class:`UnitaryTrajectory` and :class:`LindbladTrajectory`
+    do not. Bounds read O(t) only through :meth:`trace_with` and :meth:`at`.
     """
 
     kind: str
@@ -321,7 +330,22 @@ class ObservableTrajectory:
         return replace(self, grid=self._prefix_grid(k), **{f: getattr(self, f)[: k + 1] for f in per_sample})
 
 
-class UnitaryTrajectory(ObservableTrajectory):
+class _SamplesOnDemand(ObservableTrajectory):
+    """A trajectory that holds no O(t) per grid point: ``O_samples`` is
+    built by ``_build_samples`` on first access and cached."""
+
+    @property
+    def O_samples(self) -> np.ndarray:
+        if self._samples is None:
+            self._samples = self._build_samples()
+        return self._samples
+
+    @O_samples.setter
+    def O_samples(self, value) -> None:
+        self._samples = value
+
+
+class UnitaryTrajectory(_SamplesOnDemand):
     """O(t) = U^dag(t) O U(t) under a constant Hamiltonian H = V diag(w) V^dag.
 
     Holds the frequencies w / hbar, the eigenvectors V, and the observable and
@@ -341,15 +365,8 @@ class UnitaryTrajectory(ObservableTrajectory):
         speed_op = np.full(grid.steps + 1, np.linalg.svd(comm, compute_uv=False)[0])
         super().__init__("unitary", grid, None, expect, stddev, speed_hs, speed_op)
 
-    @property
-    def O_samples(self) -> np.ndarray:
-        if self._samples is None:
-            self._samples = self._samples_at(self.grid.times())
-        return self._samples
-
-    @O_samples.setter
-    def O_samples(self, value) -> None:
-        self._samples = value
+    def _build_samples(self) -> np.ndarray:
+        return self._samples_at(self.grid.times())
 
     @property
     def dim(self) -> int:
@@ -392,6 +409,65 @@ class UnitaryTrajectory(ObservableTrajectory):
         E = np.exp(1j * np.outer(times, self._freqs))
         Ot = E[:, :, None] * self._O_eig[None] * E.conj()[:, None, :]
         return self._vectors @ Ot @ self._vectors.conj().T
+
+
+class LindbladTrajectory(_SamplesOnDemand):
+    """O(t) under a Lindblad generator, reduced chunk by chunk as the kernel
+    streams it (:func:`lindblad_trajectories`).
+
+    Holds <O(t)>, dO(t), both generator speeds, O(0), O(T), and the series
+    tr(O(t) M) of each probe matrix M declared before the evolution, so
+    ``trace_with`` of a declared M and ``at`` of either end read no sample.
+    ``O_samples``, and through it ``trace_with`` of any other M and ``at`` of
+    an interior index, reruns the kernel for this one generator (``rerun``
+    returns its chunks) and is cached.
+    """
+
+    def __init__(self, grid: TimeGrid, expect, stddev, speeds, ends, probes, rerun):
+        self._speeds, self._ends, self._probes, self._rerun = speeds, ends, probes, rerun
+        super().__init__("lindblad", grid, None, expect, stddev, speeds[:, 0], speeds[:, 1])
+
+    @property
+    def dim(self) -> int:
+        return self._ends[0].shape[0]
+
+    def trace_with(self, M: np.ndarray) -> np.ndarray:
+        for probe, series in self._probes:
+            if np.array_equal(probe, M):
+                return series
+        return super().trace_with(M)
+
+    def at(self, k: int) -> np.ndarray:
+        k = range(self.grid.steps + 1)[k]
+        if k == 0:
+            return self._ends[0]
+        if k == self.grid.steps and self._ends[1] is not None:
+            return self._ends[1]
+        return self.O_samples[k]
+
+    def prefix(self, k: int) -> "LindbladTrajectory":
+        grid = self._prefix_grid(k)
+        cut = slice(0, k + 1)
+        return LindbladTrajectory(
+            grid,
+            self.expect[cut],
+            self.stddev[cut],
+            self._speeds[cut],
+            (self._ends[0], self._ends[1] if k == self.grid.steps else None),
+            tuple((probe, series[cut]) for probe, series in self._probes),
+            self._rerun,
+        )
+
+    def _build_samples(self) -> np.ndarray:
+        """The (steps + 1, d, d) stack of O(t), from a rerun of the kernel."""
+        n = self.grid.steps + 1
+        out = np.empty((n, self.dim, self.dim), dtype=complex)
+        for start, samples, _ in self._rerun():
+            if start >= n:
+                break
+            part = samples[0, : n - start]
+            out[start : start + part.shape[0]] = part
+        return out
 
 
 def _spread(mean: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
@@ -464,32 +540,6 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> n
     if (g < 0).any():
         raise ValidationError(f"negative rate {float(g.min())!r} at t={t!r}")
     return _fused_form([gen], heisenberg=False)(t, rho[None])[0]
-
-
-def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.ndarray:
-    """Classical fixed-step RK4 of dy/dt = f(t, y) on a batch y0 of shape
-    (B, d, d); returns the samples at every grid time, shape (B, n_times, d, d).
-    The first stage is f at the sample, so ``speeds`` (shape (B, n_times, 2)),
-    when given, takes the norms of f at every sample from it."""
-    n = times.size - 1
-    h = times[1] - times[0]
-    out = np.empty((y0.shape[0], n + 1) + y0.shape[1:], dtype=complex)
-    out[:, 0] = y0
-    y = y0
-    for i in range(n):
-        t = times[i]
-        k1 = f(t, y)
-        if speeds is not None:
-            speeds[:, i] = _norms(k1)
-        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_stable(y)
-        out[:, i + 1] = y
-    if speeds is not None:
-        speeds[:, n] = _norms(f(times[n], y))
-    return out
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
@@ -576,20 +626,28 @@ def _rates_at(gen: LindbladGenerator, times) -> np.ndarray:
     return np.array([rate_at(rate, times) for _, rate in gen.jumps]).reshape(len(gen.jumps), times.size).T
 
 
-def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
-    """The batch-first Lindblad kernel: evolves y0[b] (shape (B, d, d)) under
-    gens[b], observables when ``heisenberg`` else states. The generators
-    share one dimension and one number of jumps. Returns the samples at every
-    grid time, shape (B, steps + 1, d, d), and for observables the
-    Hilbert-Schmidt and operator norms of L^dag[O(t)] there, shape
-    (B, steps + 1, 2) (for states, None).
+def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
+    """The batch-first Lindblad kernel, streamed: evolves y0[b] (shape
+    (B, d, d)) under gens[b], observables when ``heisenberg`` else states,
+    and yields the grid one chunk of consecutive times at a time, as
+    (start, samples, speeds): the samples at grid indices start, start + 1,
+    ..., shape (B, n, d, d), and for observables the Hilbert-Schmidt and
+    operator norms of L^dag[O(t)] there, shape (B, n, 2) (for states, None).
+    The generators share one dimension and one number of jumps. Each chunk
+    is a new array.
+
+    A chunk's samples take at most CHUNK_BYTES, but every chunk holds at
+    least two: a one-sample remainder joins the chunk before it, because
+    numpy computes a one-row matrix product as a matrix-vector product,
+    whose sums run in another order than the exact route's speeds over
+    longer chunks.
 
     When every rate is constant and d <= EXACT_MAX_DIM, each step is one
     batched mat-vec with the exact propagator exp(h L), computed once per
-    generator, and the speeds apply L to the samples. Otherwise the master
+    generator, and the speeds apply L to each chunk. Otherwise the master
     equation is integrated by fixed-step RK4 on the fused generator, whose
-    first stage gives the speeds. Both routes reject a blow-up, and a
-    state's trace is checked at every sample.
+    first stage gives the speeds. Both routes reject a blow-up at every step,
+    and a state's trace is checked on every chunk.
     """
     times = grid.times()
     for gen in gens:
@@ -598,44 +656,106 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
             raise ValidationError(f"jump operator {bad[0]} has negative rate on the grid")
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
-    speeds = np.empty((B, times.size, 2)) if heisenberg else None
+    starts = list(range(0, times.size, max(2, CHUNK_BYTES // (16 * B * d * d))))
+    if times.size - starts[-1] == 1:
+        starts.pop()
+    spans = list(zip(starts, starts[1:] + [times.size]))
     if all(_takes_exact_route(gen) for gen in gens):
-        Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
-        P = mat_exp(grid.h * Lv)
-        out = np.empty((B, times.size, d * d), dtype=complex)
-        y = out[:, 0] = y0.reshape(B, d * d)
-        for i in range(1, times.size):
-            y = out[:, i] = np.einsum("bij,bj->bi", P, y)
-            _check_stable(y)
-        out = out.reshape(B, times.size, d, d)
-        if heisenberg:
-            for b in range(B):
-                speeds[b] = _norms((out[b].reshape(-1, d * d) @ Lv[b].T).reshape(-1, d, d))
+        chunks = _exact_chunks(gens, y0, grid.h, spans, heisenberg)
     else:
-        out = _rk4(_fused_form(gens, heisenberg), y0, times, speeds)
-    if not heisenberg:
-        _check_trace(out)
-    return out, speeds
+        chunks = _rk4_chunks(_fused_form(gens, heisenberg), y0, times, spans, heisenberg)
+    for start, samples, speeds in chunks:
+        if not heisenberg:
+            _check_trace(samples)
+        yield start, samples, speeds
 
 
-def lindblad_trajectory(
-    O_samples: np.ndarray,
-    speeds: np.ndarray,
-    rho: DensityState,
-    grid: TimeGrid,
-    tol: float = DEFAULT_TOL,
-) -> ObservableTrajectory:
-    """The trajectory of Heisenberg samples O(t) and their generator speeds,
-    as :func:`propagate_lindblad` returns them for one generator."""
-    return ObservableTrajectory(
-        kind="lindblad",
-        grid=grid,
-        O_samples=O_samples,
-        expect=_batch_expect(O_samples, rho.matrix),
-        stddev=_batch_stddev(O_samples, rho.matrix, tol),
-        gen_speed_hs=speeds[:, 0],
-        gen_speed_op=speeds[:, 1],
-    )
+def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool):
+    """The chunks of :func:`lindblad_chunks` by the exact propagator."""
+    B, d = y0.shape[:2]
+    Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
+    P = mat_exp(h * Lv)
+    y = y0.reshape(B, d * d)
+    for start, end in spans:
+        out = np.empty((B, end - start, d * d), dtype=complex)
+        for j in range(end - start):
+            if start + j:
+                y = np.einsum("bij,bj->bi", P, y)
+                _check_stable(y)
+            out[:, j] = y
+        speeds = None
+        if heisenberg:
+            speeds = np.empty((B, end - start, 2))
+            for b in range(B):
+                speeds[b] = _norms((out[b] @ Lv[b].T).reshape(-1, d, d))
+        yield start, out.reshape(B, end - start, d, d), speeds
+
+
+def _rk4_chunks(f, y: np.ndarray, times: np.ndarray, spans, heisenberg: bool):
+    """The chunks of :func:`lindblad_chunks` by classical fixed-step RK4 of
+    dy/dt = f(t, y). The first stage is f at the sample, so an observable's
+    speeds there are the norms of it."""
+    h = times[1] - times[0]
+    last = times.size - 1
+    for start, end in spans:
+        out = np.empty((y.shape[0], end - start) + y.shape[1:], dtype=complex)
+        speeds = np.empty((y.shape[0], end - start, 2)) if heisenberg else None
+        for j, i in enumerate(range(start, end)):
+            out[:, j] = y
+            if i < last or heisenberg:
+                k1 = f(times[i], y)
+            if heisenberg:
+                speeds[:, j] = _norms(k1)
+            if i == last:
+                break
+            t = times[i]
+            k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+            k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _check_stable(y)
+        yield start, out, speeds
+
+
+def lindblad_trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float = DEFAULT_TOL):
+    """The Heisenberg trajectories of O0s[b] under gens[b] in the states
+    rhos[b], reduced chunk by chunk as :func:`lindblad_chunks` streams them,
+    so no (steps + 1, d, d) stack is held. ``probes[b]`` lists the matrices M
+    whose series tr(O_b(t) M) trajectory b keeps.
+
+    <O(t)> and the probe series are contracted one generator at a time: over
+    a batch, numpy's einsum runs the sums of these contractions in another
+    order. The second moment and the speeds are taken over the whole batch.
+    On-demand samples rerun the kernel for one generator, whose propagator
+    is scaled alone (:func:`~oqsl.linalg.mat_exp` scales a stack by its
+    largest norm), so in a batch of several they can differ from the
+    reductions in the last digits.
+    """
+    B, n = len(gens), grid.steps + 1
+    rho = np.stack([r.matrix for r in rhos])
+    expect, second, speeds = np.empty((B, n)), np.empty((B, n)), np.empty((B, n, 2))
+    series = [np.empty((len(p), n), dtype=complex) for p in probes]
+    for start, samples, chunk_speeds in lindblad_chunks(gens, O0s, grid, heisenberg=True):
+        cut = slice(start, start + samples.shape[1])
+        second[:, cut] = np.einsum("ntab,ntba->nt", samples, samples @ rho[:, None]).real
+        speeds[:, cut] = chunk_speeds
+        for b, Os in enumerate(samples):
+            expect[b, cut] = _batch_expect(Os, rho[b])
+            for k, M in enumerate(probes[b]):
+                series[b][k, cut] = np.einsum("tab,ba->t", Os, M)
+    last = samples[:, -1].copy()
+    return [
+        LindbladTrajectory(
+            grid,
+            expect[b],
+            _spread(expect[b], second[b], tol),
+            speeds[b],
+            (O0s[b], last[b]),
+            tuple(zip(probes[b], series[b])),
+            functools.partial(lindblad_chunks, [gens[b]], O0s[b][None], grid, True),
+        )
+        for b in range(B)
+    ]
 
 
 def evolve_lindblad_heisenberg(
@@ -644,12 +764,14 @@ def evolve_lindblad_heisenberg(
     rho: DensityState,
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
-) -> ObservableTrajectory:
-    """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through :func:`propagate_lindblad`."""
+    probes=(),
+) -> LindbladTrajectory:
+    """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through
+    :func:`lindblad_trajectories`; ``probes`` are the matrices M whose
+    series tr(O(t) M) the trajectory keeps."""
     O0 = _checked_observable(O0, gen.dim, tol)
     _check_state(rho, gen.dim)
-    Os, speeds = propagate_lindblad([gen], O0[None], grid, heisenberg=True)
-    return lindblad_trajectory(Os[0], speeds[0], rho, grid, tol)
+    return lindblad_trajectories([gen], O0[None], [rho], grid, [probes], tol)[0]
 
 
 def evolve_lindblad_schrodinger(
@@ -658,16 +780,18 @@ def evolve_lindblad_schrodinger(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
 ) -> list[DensityState]:
-    """The state-picture master equation along the grid, through
-    :func:`propagate_lindblad`.
+    """The state-picture master equation along the grid, the chunks of
+    :func:`lindblad_chunks` joined into one stack.
 
     Trace preservation is verified to 1e-8. The samples are validated as one
     stack; positivity loss beyond tolerance is reported as one warning naming
     the worst sample rather than as an error.
     """
     _check_state(rho0, gen.dim)
-    samples, _ = propagate_lindblad([gen], rho0.matrix[None], grid, heisenberg=False)
-    return DensityState.from_stack(samples[0], tol=tol, on_indefinite="warn")
+    samples = np.empty((grid.steps + 1, gen.dim, gen.dim), dtype=complex)
+    for start, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], grid, heisenberg=False):
+        samples[start : start + chunk.shape[1]] = chunk[0]
+    return DensityState.from_stack(samples, tol=tol, on_indefinite="warn")
 
 
 def lindblad_final_state(
@@ -686,7 +810,7 @@ def lindblad_final_state(
     Frobenius-induced norm, s = ceil(T ||L|| / theta) for theta = 1/2 and
     m = taylor_degree(T ||L|| / s). When the rates vary, or the series would
     apply L more often than RK4 on the grid (s m > 4 steps, as for stiff
-    rates), rho(T) is the last sample of :func:`propagate_lindblad` instead.
+    rates), rho(T) is the last sample of :func:`lindblad_chunks` instead.
     Either way a blow-up is rejected, the trace is verified to 1e-8 and
     rho(T) is validated, positivity loss beyond tolerance being a warning.
     """
@@ -694,7 +818,9 @@ def lindblad_final_state(
     f = _fused_form([gen], heisenberg=False)
     order = _action_order(gen, f, grid) if _constant_rates(gen) else None
     if order is None:
-        rho = propagate_lindblad([gen], rho0.matrix[None], grid, heisenberg=False)[0][0, -1]
+        for _, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], grid, heisenberg=False):
+            pass
+        rho = chunk[0, -1]
     else:
         s, m = order
         h = grid.duration / s

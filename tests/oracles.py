@@ -7,9 +7,10 @@ matrix from scipy's Pade scaling and squaring (not the library's Taylor
 route, which replaced it), traces from explicit double loops. Unitary
 trajectories are checked against the dense per-sample route they replaced,
 constant-rate Lindblad trajectories against the batched RK4 integration
-that the exact propagator replaced, and the fused Lindblad generator and
-the Liouvillian built from it against the matrix form and the Kronecker
-construction they replaced. The per-time propagator, adjoint generator and
+that the exact propagator replaced, the streamed Lindblad kernel and its
+reductions against the full-stack kernel (:func:`propagate_lindblad`) that
+it replaced, and the fused Lindblad generator and the Liouvillian built from
+it against the matrix form and the Kronecker construction they replaced. The per-time propagator, adjoint generator and
 Kraus derivative are the references for the library's eigenbasis,
 Liouvillian and grid-batched routes, and the three-operand second moment for
 the trajectories' spreads.
@@ -20,8 +21,18 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from oqsl.dynamics import rate_at
-from oqsl.linalg import ValidationError, as_matrix, is_hermitian, require_finite
+from oqsl.dynamics import (
+    TimeGrid,
+    _check_stable,
+    _check_trace,
+    _fused_form,
+    _norms,
+    _rates_at,
+    _takes_exact_route,
+    liouvillian,
+    rate_at,
+)
+from oqsl.linalg import ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
 
 
 def jacobi_singular_values(M, tol: float = 1e-14, max_sweeps: int = 100) -> np.ndarray:
@@ -259,3 +270,75 @@ def kraus_derivative(family, i: int, t: float, h: float, t_min: float = 0.0, t_m
     if t - h < t_min - slack:
         return (family.operators(t + h)[i] - family.operators(t)[i]) / h
     return (family.operators(t)[i] - family.operators(t - h)[i]) / h
+
+
+# ---------------------------------------------------------------------------
+# the full-stack Lindblad kernel that the streamed one replaced
+
+
+def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
+    """The batch-first Lindblad kernel: evolves y0[b] (shape (B, d, d)) under
+    gens[b], observables when ``heisenberg`` else states. The generators
+    share one dimension and one number of jumps. Returns the samples at every
+    grid time, shape (B, steps + 1, d, d), and for observables the
+    Hilbert-Schmidt and operator norms of L^dag[O(t)] there, shape
+    (B, steps + 1, 2) (for states, None).
+
+    When every rate is constant and d <= EXACT_MAX_DIM, each step is one
+    batched mat-vec with the exact propagator exp(h L), computed once per
+    generator, and the speeds apply L to the samples. Otherwise the master
+    equation is integrated by fixed-step RK4 on the fused generator, whose
+    first stage gives the speeds. Both routes reject a blow-up, and a
+    state's trace is checked at every sample.
+    """
+    times = grid.times()
+    for gen in gens:
+        bad = np.flatnonzero((_rates_at(gen, times) < 0).any(axis=0))
+        if bad.size:
+            raise ValidationError(f"jump operator {bad[0]} has negative rate on the grid")
+    y0 = np.asarray(y0, dtype=complex)
+    B, d = y0.shape[:2]
+    speeds = np.empty((B, times.size, 2)) if heisenberg else None
+    if all(_takes_exact_route(gen) for gen in gens):
+        Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
+        P = mat_exp(grid.h * Lv)
+        out = np.empty((B, times.size, d * d), dtype=complex)
+        y = out[:, 0] = y0.reshape(B, d * d)
+        for i in range(1, times.size):
+            y = out[:, i] = np.einsum("bij,bj->bi", P, y)
+            _check_stable(y)
+        out = out.reshape(B, times.size, d, d)
+        if heisenberg:
+            for b in range(B):
+                speeds[b] = _norms((out[b].reshape(-1, d * d) @ Lv[b].T).reshape(-1, d, d))
+    else:
+        out = _rk4(_fused_form(gens, heisenberg), y0, times, speeds)
+    if not heisenberg:
+        _check_trace(out)
+    return out, speeds
+
+
+def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.ndarray:
+    """Classical fixed-step RK4 of dy/dt = f(t, y) on a batch y0 of shape
+    (B, d, d); returns the samples at every grid time, shape (B, n_times, d, d).
+    The first stage is f at the sample, so ``speeds`` (shape (B, n_times, 2)),
+    when given, takes the norms of f at every sample from it."""
+    n = times.size - 1
+    h = times[1] - times[0]
+    out = np.empty((y0.shape[0], n + 1) + y0.shape[1:], dtype=complex)
+    out[:, 0] = y0
+    y = y0
+    for i in range(n):
+        t = times[i]
+        k1 = f(t, y)
+        if speeds is not None:
+            speeds[:, i] = _norms(k1)
+        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+        k4 = f(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _check_stable(y)
+        out[:, i + 1] = y
+    if speeds is not None:
+        speeds[:, n] = _norms(f(times[n], y))
+    return out

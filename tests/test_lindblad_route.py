@@ -3,15 +3,15 @@ rates (tests/oracles.py), its fused generator against the matrix form it
 replaced, its Liouvillian matrices against the matrix-form generators, its
 first-stage speeds against the generator at every sample, the audit's
 batched block against per-trial evolutions, and the final state from the
-action of exp(T L) against the exponential of the Kronecker Liouvillian and
-the last sample of the trajectory it replaced."""
+action of exp(T L) against the exponential of the Kronecker Liouvillian, the
+last sample of the trajectory it replaced and the full-stack kernel."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oqsl import audit, dynamics
+from oqsl import audit, bounds, dynamics
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
     LindbladGenerator,
@@ -24,7 +24,6 @@ from oqsl.dynamics import (
     lindblad_apply,
     lindblad_final_state,
     liouvillian,
-    propagate_lindblad,
 )
 from oqsl.linalg import DensityState, op_norm, sigma_z
 
@@ -156,22 +155,28 @@ def test_audit_block_matches_per_trial_evolution():
             gen = LindbladGenerator(H=t.H, jumps=t.jumps)
             traj = evolve_lindblad_heisenberg(t.O, gen, t.rho, grid)
             states = evolve_lindblad_schrodinger(t.rho, gen, grid)
-            assert np.abs(t.lind_O - traj.O_samples).max() <= 1e-12
+            ours = t.lind_traj
+            assert np.abs(ours.at(-1) - traj.at(-1)).max() <= 1e-12
+            assert np.abs(ours.O_samples - traj.O_samples).max() <= 1e-12
+            for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
+                assert np.abs(getattr(ours, series) - getattr(traj, series)).max() <= 1e-12
+            for probe in bounds.declared_probes(t.O, t.B, t.rho):
+                assert np.abs(ours.trace_with(probe) - traj.trace_with(probe)).max() <= 1e-12
             expect = np.einsum("ab,tba->t", t.O, np.array([s.matrix for s in states])).real
             assert np.abs(t.lind_rho_expect - expect).max() <= 1e-12
 
 
 def test_audit_block_keeps_no_state_stack():
-    # of the Schrodinger samples only tr(O rho(t)) is kept; the observable
-    # samples are the one (steps + 1, d, d) stack a trial holds
+    # of the Schrodinger samples only tr(O rho(t)) is kept, and of the
+    # observable samples only the trajectory's series and its two ends
     grid = TimeGrid(0.0, audit.LINDBLAD_T, 50)
     for dim in (2, 3):
         trials = [audit._sample_trial(5, dim, i) for i in range(3)]
         audit._integrate_lindblad_block(trials, grid)
         for t in trials:
-            shape = (grid.steps + 1, dim, dim)
-            stacks = [name for name, v in vars(t).items() if isinstance(v, np.ndarray) and v.shape == shape]
-            assert stacks == ["lind_O"]
+            held = [*vars(t).values(), *vars(t.lind_traj).values()]
+            assert not [v for v in held if isinstance(v, np.ndarray) and v.shape == (grid.steps + 1, dim, dim)]
+            assert t.lind_traj._samples is None
             assert t.lind_rho_expect.shape == (grid.steps + 1,)
 
 
@@ -187,9 +192,9 @@ def _expm_reference(gen, rho, T):
 
 def _no_kernel(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("propagate_lindblad called")
+        raise AssertionError("lindblad_chunks called")
 
-    monkeypatch.setattr(dynamics, "propagate_lindblad", fail)
+    monkeypatch.setattr(dynamics, "lindblad_chunks", fail)
 
 
 @pytest.mark.parametrize("n_jumps", [0, 1, 2])
@@ -230,7 +235,7 @@ PLUS = DensityState.pure([1.0, 1.0])
     ids=["stiff", "ramp", "huge-T"],
 )
 def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
-    kernel = propagate_lindblad([gen], rho.matrix[None], grid, heisenberg=False)[0][0, -1]
+    kernel = oracles.propagate_lindblad([gen], rho.matrix[None], grid, heisenberg=False)[0][0, -1]
     assert np.array_equal(lindblad_final_state(rho, gen, grid).matrix, kernel)
 
 
