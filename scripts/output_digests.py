@@ -4,10 +4,11 @@
 systems, of the four scenarios, of ``audit --trials 100 --seed 1`` and of
 ``evolve`` on ``qutrit_decay.sys``, the canonical reprint of ``parse`` on
 the six built-in systems, and the ``--format json`` output of
-``bound --bounds ALL`` and ``evolve`` on a d = 17 Lindblad system. No
-built-in system takes the Lindblad kernel's RK4 route, so this one is
-written from a fixed seed into a temporary directory; ``evolve`` prints
-every sample, so a change at the kernel's chunk boundaries shows.
+``bound --bounds ALL`` and ``evolve`` and the reprint of ``parse`` on a
+d = 17 Lindblad system. No built-in system takes the Lindblad kernel's RK4
+route, so this one is written from a fixed seed into a temporary directory;
+``evolve`` prints every sample, so a change at the kernel's chunk boundaries
+shows, and ``parse`` reads and reprints its ~1,500 random matrix entries.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -118,6 +119,7 @@ def commands(workdir: Path):
     rk4 = ["--system", str(workdir / RK4_FILE), "--observable", "A", "--tmax", "1.0", "--format", "json"]
     yield f"bound:{RK4_FILE}", ["bound", *rk4, "--observable-b", "B", "--bounds", "ALL"]
     yield f"evolve:{RK4_FILE}", ["evolve", *rk4]
+    yield f"parse:{RK4_FILE}", ["parse", "--system", str(workdir / RK4_FILE)]
 
 
 def _is_number(x) -> bool:

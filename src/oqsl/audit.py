@@ -197,7 +197,7 @@ def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
 # per-trial evaluation
 
 
-def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
+def _evaluate_trial(trial: _Trial) -> dict:
     """T_qsl - T for every registry bound that applies under the trial's
     unitary, Lindblad and (qubit only) Kraus dynamics, the rate inequalities
     and the Heisenberg/Schrodinger duality. H is diagonalized once: the
@@ -225,7 +225,7 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
         for report in bounds.evaluate_all(ctx):
             out[(report.bound_id, ctx.kind)] = report.T_qsl - ctx.T
     for ctx in (unitary, lindblad):
-        audit = bounds.rate_audit(ctx, _flip_robertson_sign=flip_robertson)
+        audit = bounds.rate_audit(ctx)
         for name, v in audit.violations.items():
             out[(name, ctx.kind)] = v
     # <O(t)> in the Heisenberg picture against tr(O rho(t))
@@ -237,13 +237,7 @@ def _evaluate_trial(trial: _Trial, flip_robertson: bool) -> dict:
 # driver
 
 
-def run_audit(
-    n_qubit: int = 100,
-    n_qutrit: int = 50,
-    seed: int = 42,
-    tol: float = 1e-6,
-    _flip_robertson_sign: bool = False,
-) -> AuditSummary:
+def run_audit(n_qubit: int = 100, n_qutrit: int = 50, seed: int = 42, tol: float = 1e-6) -> AuditSummary:
     """Run the full validity/rate/duality sweep and aggregate max violations."""
     lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
     results = []
@@ -251,7 +245,7 @@ def run_audit(
         # evaluated before the next block is integrated, which drops this one
         block = [_sample_trial(seed, dim, i) for i in range(count)]
         _integrate_lindblad_block(block, lgrid)
-        results += [_evaluate_trial(t, _flip_robertson_sign) for t in block]
+        results += [_evaluate_trial(t) for t in block]
 
     worst: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}

@@ -570,7 +570,7 @@ class RateAuditReport:
         return max(self.violations.values()) if self.violations else float("-inf")
 
 
-def rate_audit(ctx: EvalContext, _flip_robertson_sign: bool = False) -> RateAuditReport:
+def rate_audit(ctx: EvalContext) -> RateAuditReport:
     """Check the applicable rate inequalities along the context's trajectory.
 
     Interior grid points only; the left side |d<O>/dt| comes from central
@@ -580,17 +580,12 @@ def rate_audit(ctx: EvalContext, _flip_robertson_sign: bool = False) -> RateAudi
     sqrt(tr rho^2) ||L^dag[O(t)]||_hs applies. A unitary trajectory must be
     generated by ``ctx.H``, which then commutes with U(t), so
     ||H O(t)||_op = ||U^dag(t) H O(0) U(t)||_op = ||H O(0)||_op is constant.
-
-    ``_flip_robertson_sign`` is a test-only hook that negates the Robertson
-    right-hand side so auditor mutations are detectable.
     """
     traj = ctx.traj
     lhs = np.abs(traj.expect[2:] - traj.expect[:-2]) / (2.0 * traj.grid.h)
     violations: dict[str, float] = {}
     if traj.kind == "unitary":
         rhs_rob = 2.0 / ctx.hbar * traj.stddev[1:-1] * ctx.delta_H
-        if _flip_robertson_sign:
-            rhs_rob = -rhs_rob
         violations["RATE_ROBERTSON"] = float((lhs - rhs_rob).max())
         rhs_hold = 2.0 / ctx.hbar * op_norm(ctx.H @ traj.at(0))
         violations["RATE_HOLDER_OP"] = float((lhs - rhs_hold).max())

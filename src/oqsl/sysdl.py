@@ -20,9 +20,12 @@ One table, ``_SECTIONS``, lists these keys. A key a section does not accept,
 a second declaration of a key or of its alternative (``pauli``/``matrix``,
 ``ket``/``matrix``), and a ``[kraus]`` key of the other family are errors.
 
-Pauli expressions follow ``coeff WORD (+|- coeff WORD)*`` where coefficients
-are real or complex literals (``a``, ``a+bi``, ``a-bi``, ``bi``, ``-bi``) and
-words are strings over I, X, Y, Z of length log2(dim).
+Ket and matrix literals nest comma-separated entries in brackets. An entry,
+like a Pauli coefficient, is ``a``, ``a+bi``, ``a-bi``, ``a+i``, ``a-i``,
+``bi``, ``+bi``, ``-bi``, ``i``, ``+i`` or ``-i`` (a, b decimal, with an
+optional exponent; a may be signed); one that overflows a float is an error.
+Pauli expressions follow ``coeff WORD (+|- coeff WORD)*`` with words over
+I, X, Y, Z of length log2(dim).
 
 Errors are reported as diagnostics with 1-based line and column positions;
 ``parse_system`` either returns a fully validated :class:`SystemSpec` or
@@ -31,6 +34,7 @@ raises :class:`ParseError` carrying every collected diagnostic.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -50,10 +54,12 @@ from .linalg import DEFAULT_TOL, DensityState, PAULI, ValidationError, is_hermit
 MAX_DIM = 512
 
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_SIGNED = rf"[+-]?{_UNSIGNED}"
-_RE_REAL = re.compile(rf"^({_SIGNED})$")
-_RE_FULL = re.compile(rf"^({_SIGNED})([+-](?:{_UNSIGNED})?)i$")
-_RE_IMAG = re.compile(rf"^([+-]?(?:{_UNSIGNED})?)i$")
+# one literal entry or Pauli coefficient, its i written j, as complex() reads it
+_ENTRY = re.compile(rf"\s*(?:[+-]?{_UNSIGNED}(?:[+-](?:{_UNSIGNED})?j)?|[+-]?(?:{_UNSIGNED})?j)\s*")
+# i -> j, a written j -> '?' (no entry matches it), and -> ' ' the four
+# separators that str.strip() removes but complex() refuses
+_AS_PYTHON = str.maketrans({"i": "j", "j": "?", **dict.fromkeys("\x1c\x1d\x1e\x1f", " ")})
+_DELIMITER = re.compile(r"([][,])")
 _RE_SECTION = re.compile(r"^\[\s*([A-Za-z_][A-Za-z0-9_-]*)(?:\s+([A-Za-z_][A-Za-z0-9_]*))?\s*\]$")
 _RE_PAULI_WORD = re.compile(r"^[IXYZ]+$")
 
@@ -88,95 +94,96 @@ def _fail(line: int, col: int, message: str):
 
 
 def parse_complex(literal: str) -> complex:
-    """Parse ``a``, ``a+bi``, ``a-bi``, ``bi``, ``-bi`` (decimal a, b) to a complex."""
-    s = literal.strip()
-    m = _RE_REAL.match(s)
-    if m:
-        return complex(float(m.group(1)), 0.0)
-    m = _RE_FULL.match(s)
-    if m:
-        re_part = float(m.group(1))
-        imag = m.group(2)
-        im_part = float(imag) if imag not in ("+", "-") else float(imag + "1")
-        return complex(re_part, im_part)
-    m = _RE_IMAG.match(s)
-    if m:
-        imag = m.group(1)
-        im_part = float(imag) if imag not in ("", "+", "-") else float((imag or "+") + "1")
-        return complex(0.0, im_part)
-    raise ParseError([Diagnostic(1, 1, f"malformed complex literal {literal.strip()!r}")])
+    """One entry of the literal grammar (see the module docstring) as a
+    finite complex."""
+    s = literal.translate(_AS_PYTHON)
+    if not _ENTRY.fullmatch(s):
+        _fail(1, 1, f"malformed complex literal {literal.strip()!r}")
+    z = complex(s)
+    if not np.isfinite(z):
+        _fail(1, 1, f"non-finite number {literal.strip()!r}")
+    return z
 
 
 def format_complex(z: complex) -> str:
     """Canonical literal whose reparse is bit-identical (signed zeros kept)."""
-    re_s = repr(float(z.real))
-    im = float(z.imag)
-    im_s = repr(im)
-    if im_s.startswith("-"):
-        return f"{re_s}{im_s}i"
-    return f"{re_s}+{im_s}i"
+    im = repr(float(z.imag))
+    return f"{float(z.real)!r}{'' if im.startswith('-') else '+'}{im}i"
 
 
-def _split_top_level(body: str, base_col: int, line: int) -> list[tuple[str, int]]:
-    """Split a bracket body on top-level commas, keeping column offsets."""
-    parts: list[tuple[str, int]] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(body):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                _fail(line, base_col + i, "unbalanced ']' in literal")
-        elif ch == "," and depth == 0:
-            parts.append((body[start:i], base_col + start))
-            start = i + 1
-    if depth != 0:
-        _fail(line, base_col, "unbalanced '[' in literal")
-    parts.append((body[start:], base_col + start))
-    return parts
-
-
-def _parse_bracketed(text: str, line: int, col: int) -> tuple[str, int]:
+def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
+    """The vector (``rank`` 1) or square matrix (``rank`` 2) literal ``text``
+    at ``line``:``col``, split once on brackets and commas. Bracket balance is
+    checked before any entry is read; then, row by row, the row's shape is
+    checked and its entries are matched with ``_ENTRY`` and converted."""
     s = text.strip()
-    offset = col + (len(text) - len(text.lstrip()))
     if not (s.startswith("[") and s.endswith("]")):
-        _fail(line, offset, "expected a bracketed literal")
-    return s[1:-1], offset + 1
+        _fail(line, col + len(text) - len(text.lstrip()), "expected a bracketed literal")
+    # text, delimiter, text, ..., text: tokens[k] is a delimiter for odd k,
+    # tokens[1] opens the literal and tokens[-2] closes it
+    tokens = _DELIMITER.split(text.translate(_AS_PYTHON))
 
+    def col_of(k: int) -> int:  # the running sum of the token lengths
+        return col + sum(map(len, tokens[:k]))
 
-def _parse_vector(text: str, line: int, col: int) -> np.ndarray:
-    body, base = _parse_bracketed(text, line, col)
-    entries = []
-    for part, pcol in _split_top_level(body, base, line):
-        if not part.strip():
-            _fail(line, pcol, "empty entry in vector literal")
-        try:
-            entries.append(parse_complex(part))
-        except ParseError as exc:
-            _fail(line, pcol, exc.diagnostics[0].message)
-    return np.array(entries, dtype=complex)
+    # the ']' that closes each '[', and the first '[' inside each group
+    close, inner, opened = {1: len(tokens) - 2}, {}, []
+    for m in re.finditer(r"[][]", "".join(tokens[3:-2:2])):
+        k = 2 * m.start() + 3
+        if tokens[k] == "[":
+            inner.setdefault(opened[-1] if opened else 1, k)
+            opened.append(k)
+        elif opened:
+            close[opened.pop()] = k
+        else:
+            _fail(line, col_of(k), "unbalanced ']' in literal")
+    if opened:
+        _fail(line, col_of(2), "unbalanced '[' in literal")
 
+    def part_end(k: int) -> int:  # the ',' or ']' after any groups that open at tokens[k]
+        while tokens[k] == "[":
+            k = close[k] + 2
+        return k
 
-def _parse_matrix(text: str, line: int, col: int) -> np.ndarray:
-    body, base = _parse_bracketed(text, line, col)
-    rows = []
-    width = None
-    for part, pcol in _split_top_level(body, base, line):
-        stripped = part.strip()
-        if not stripped:
-            _fail(line, pcol, "empty row in matrix literal")
-        row = _parse_vector(part, line, pcol)
-        if width is None:
-            width = row.size
-        elif row.size != width:
-            _fail(line, pcol, f"matrix row has {row.size} entries, expected {width}")
+    def vector(a: int) -> np.ndarray:
+        # one token per entry up to the first '[', whose part then runs on
+        k = inner.get(a, close[a])
+        entries = tokens[a + 1 : k : 2]
+        entries[-1] = "".join(tokens[k - 1 : part_end(k)])
+        bad = [*map(_ENTRY.fullmatch, entries), None].index(None)  # the first entry that does not match
+        v = np.array(list(map(complex, entries[:bad])), dtype=complex)
+        bad = min(np.flatnonzero(~np.isfinite(v)), default=bad)
+        if bad < len(entries):
+            p = a + 1 + 2 * bad
+            entry = text[col_of(p) - col : col_of(part_end(p + 1)) - col].strip()
+            if not entry:
+                _fail(line, col_of(p), "empty entry in vector literal")
+            try:
+                parse_complex(entry)
+            except ParseError as exc:
+                _fail(line, col_of(p), exc.diagnostics[0].message)
+        return v
+
+    if rank == 1:
+        return vector(1)
+    rows, p = [], 2
+    while p < len(tokens) - 1:  # the row is tokens[p:end]
+        end = part_end(p + 1)
+        lead, trail = tokens[p], tokens[end - 1]
+        if end == p + 1 and not lead.strip():
+            _fail(line, col_of(p), "empty row in matrix literal")
+        if end == p + 1 or lead.strip() or trail.strip():
+            _fail(line, col_of(p) + len(lead) - len(lead.lstrip()), "expected a bracketed literal")
+        if close[p + 1] != end - 2:
+            _fail(line, col_of(close[p + 1]), "unbalanced ']' in literal")
+        row = vector(p + 1)
+        if rows and row.size != rows[0].size:
+            _fail(line, col_of(p), f"matrix row has {row.size} entries, expected {rows[0].size}")
         rows.append(row)
-    M = np.array(rows, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        _fail(line, base, f"matrix literal is {M.shape[0]}x{width}, expected square")
-    return M
+        p = end + 1
+    if len(rows) != rows[0].size:
+        _fail(line, col_of(2), f"matrix literal is {len(rows)}x{rows[0].size}, expected square")
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +201,7 @@ def parse_pauli_expr(src: str, n_qubits: int) -> np.ndarray:
     tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", src)]
     if not tokens:
         _fail(1, 1, "empty pauli expression")
-    dim = 2**n_qubits
-    total = np.zeros((dim, dim), dtype=complex)
-    i = 0
-    sign = 1.0
+    total, i, sign = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex), 0, 1.0
     while True:
         if i >= len(tokens):
             _fail(1, tokens[-1][1] + len(tokens[-1][0]), "expected a coefficient")
@@ -214,20 +218,14 @@ def parse_pauli_expr(src: str, n_qubits: int) -> np.ndarray:
             _fail(1, word_col, f"bad character in pauli word {word!r} (alphabet I, X, Y, Z)")
         if len(word) != n_qubits:
             _fail(1, word_col, f"pauli word {word!r} has length {len(word)}, expected {n_qubits}")
-        factor = PAULI[word[0]]
-        for ch in word[1:]:
-            factor = np.kron(factor, PAULI[ch])
-        total += coeff * factor
+        total += coeff * functools.reduce(np.kron, [PAULI[ch] for ch in word])
         i += 1
         if i == len(tokens):
             return total
         op, op_col = tokens[i]
-        if op == "+":
-            sign = 1.0
-        elif op == "-":
-            sign = -1.0
-        else:
+        if op not in ("+", "-"):
             _fail(1, op_col, f"expected '+' or '-' between terms, got {op!r}")
+        sign = 1.0 if op == "+" else -1.0
         i += 1
 
 
@@ -435,7 +433,7 @@ def _parse_operator(decl: _Decl | None, dim: int, n_qubits, diags: list[Diagnost
         return None
     try:
         if decl.key != "pauli":
-            M = _parse_matrix(decl.value, decl.line, decl.value_col)
+            M = _literal(decl.value, decl.line, decl.value_col, 2)
             if M.shape[0] != dim:
                 _fail(decl.line, decl.value_col, f"matrix is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}")
         elif n_qubits is None:
@@ -459,13 +457,13 @@ def _parse_state(decl: _Decl | None, dim: int, tol: float, diags: list[Diagnosti
         return None
     try:
         if decl.key == "ket":
-            vec = _parse_vector(decl.value, decl.line, decl.value_col)
+            vec = _literal(decl.value, decl.line, decl.value_col, 1)
             if vec.size != dim:
                 _fail(decl.line, decl.value_col, f"ket has {vec.size} entries, expected {dim}")
-            if not np.isfinite(vec).all() or np.linalg.norm(vec) == 0:
+            if np.linalg.norm(vec) == 0:  # the reader has rejected non-finite entries
                 _fail(decl.line, decl.value_col, "ket must be a nonzero finite vector")
             return DensityState.pure(vec)
-        M = _parse_matrix(decl.value, decl.line, decl.value_col)
+        M = _literal(decl.value, decl.line, decl.value_col, 2)
         if M.shape[0] != dim:
             _fail(decl.line, decl.value_col, f"state is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}")
         try:

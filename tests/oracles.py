@@ -13,10 +13,15 @@ it replaced, and the fused Lindblad generator and the Liouvillian built from
 it against the matrix form and the Kronecker construction they replaced. The per-time propagator, adjoint generator and
 Kraus derivative are the references for the library's eigenbasis,
 Liouvillian and grid-batched routes, and the three-operand second moment for
-the trajectories' spreads.
+the trajectories' spreads. The ``.sys`` literal reader that walks a literal
+one character at a time and tries three complex regexes per entry
+(:func:`_parse_vector`, :func:`_parse_matrix`, :func:`parse_complex`) is the
+reference for ``sysdl``'s reader, which splits each literal once.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +38,7 @@ from oqsl.dynamics import (
     rate_at,
 )
 from oqsl.linalg import ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
+from oqsl.sysdl import Diagnostic, ParseError, _fail
 
 
 def jacobi_singular_values(M, tol: float = 1e-14, max_sweeps: int = 100) -> np.ndarray:
@@ -342,3 +348,95 @@ def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.
     if speeds is not None:
         speeds[:, n] = _norms(f(times[n], y))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the character-walking literal reader that sysdl's single-split reader replaced
+
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_SIGNED = rf"[+-]?{_UNSIGNED}"
+_RE_REAL = re.compile(rf"^({_SIGNED})$")
+_RE_FULL = re.compile(rf"^({_SIGNED})([+-](?:{_UNSIGNED})?)i$")
+_RE_IMAG = re.compile(rf"^([+-]?(?:{_UNSIGNED})?)i$")
+
+
+def parse_complex(literal: str) -> complex:
+    """Parse ``a``, ``a+bi``, ``a-bi``, ``bi``, ``-bi`` (decimal a, b) to a complex."""
+    s = literal.strip()
+    m = _RE_REAL.match(s)
+    if m:
+        return complex(float(m.group(1)), 0.0)
+    m = _RE_FULL.match(s)
+    if m:
+        re_part = float(m.group(1))
+        imag = m.group(2)
+        im_part = float(imag) if imag not in ("+", "-") else float(imag + "1")
+        return complex(re_part, im_part)
+    m = _RE_IMAG.match(s)
+    if m:
+        imag = m.group(1)
+        im_part = float(imag) if imag not in ("", "+", "-") else float((imag or "+") + "1")
+        return complex(0.0, im_part)
+    raise ParseError([Diagnostic(1, 1, f"malformed complex literal {literal.strip()!r}")])
+
+
+def _split_top_level(body: str, base_col: int, line: int) -> list[tuple[str, int]]:
+    """Split a bracket body on top-level commas, keeping column offsets."""
+    parts: list[tuple[str, int]] = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(body):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                _fail(line, base_col + i, "unbalanced ']' in literal")
+        elif ch == "," and depth == 0:
+            parts.append((body[start:i], base_col + start))
+            start = i + 1
+    if depth != 0:
+        _fail(line, base_col, "unbalanced '[' in literal")
+    parts.append((body[start:], base_col + start))
+    return parts
+
+
+def _parse_bracketed(text: str, line: int, col: int) -> tuple[str, int]:
+    s = text.strip()
+    offset = col + (len(text) - len(text.lstrip()))
+    if not (s.startswith("[") and s.endswith("]")):
+        _fail(line, offset, "expected a bracketed literal")
+    return s[1:-1], offset + 1
+
+
+def _parse_vector(text: str, line: int, col: int) -> np.ndarray:
+    body, base = _parse_bracketed(text, line, col)
+    entries = []
+    for part, pcol in _split_top_level(body, base, line):
+        if not part.strip():
+            _fail(line, pcol, "empty entry in vector literal")
+        try:
+            entries.append(parse_complex(part))
+        except ParseError as exc:
+            _fail(line, pcol, exc.diagnostics[0].message)
+    return np.array(entries, dtype=complex)
+
+
+def _parse_matrix(text: str, line: int, col: int) -> np.ndarray:
+    body, base = _parse_bracketed(text, line, col)
+    rows = []
+    width = None
+    for part, pcol in _split_top_level(body, base, line):
+        stripped = part.strip()
+        if not stripped:
+            _fail(line, pcol, "empty row in matrix literal")
+        row = _parse_vector(part, line, pcol)
+        if width is None:
+            width = row.size
+        elif row.size != width:
+            _fail(line, pcol, f"matrix row has {row.size} entries, expected {width}")
+        rows.append(row)
+    M = np.array(rows, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        _fail(line, base, f"matrix literal is {M.shape[0]}x{width}, expected square")
+    return M

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oqsl import audit
+from oqsl import audit, bounds
 from oqsl.audit import run_audit
 from oqsl.cli import main
 from oqsl.linalg import variance
@@ -61,8 +61,16 @@ def test_audit_seed_changes_output():
     assert a.to_csv() != b.to_csv()
 
 
-def test_audit_mutation_hook_reports_violation():
-    summary = run_audit(n_qubit=4, n_qutrit=0, seed=42, _flip_robertson_sign=True)
+def test_audit_mutation_hook_reports_violation(monkeypatch):
+    rate_audit = bounds.rate_audit
+
+    def flipped(ctx):
+        # a negated dH flips the sign of the Robertson right-hand side
+        ctx.delta_H = -ctx.delta_H
+        return rate_audit(ctx)
+
+    monkeypatch.setattr(bounds, "rate_audit", flipped)
+    summary = run_audit(n_qubit=4, n_qutrit=0, seed=42)
     rob = [r for r in summary.rows if r.check == "RATE_ROBERTSON"]
     assert rob and rob[0].max_violation > 0.1
     assert not summary.passed
@@ -107,7 +115,7 @@ def test_audit_trial_diagonalizes_h_once(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    out = audit._evaluate_trial(trial, False)
+    out = audit._evaluate_trial(trial)
     assert {("MT_INTEGRAL", "unitary"), ("SELF_INVERSE", "unitary"), ("STATE_MT", "unitary")} <= set(out)
     assert len(calls) == 1
 

@@ -610,8 +610,10 @@ def test_rate_audit_lindblad_cauchy_schwarz(rng):
 
 
 def test_rate_audit_mutation_hook_detects_sign_flip():
-    traj = tight_trajectory(500)
-    rep = rate_audit(audit_context(traj, sigma_x, sigma_z, PLUS), _flip_robertson_sign=True)
+    # a negated dH flips the sign of the Robertson right-hand side
+    ctx = audit_context(tight_trajectory(500), sigma_x, sigma_z, PLUS)
+    ctx.delta_H = -ctx.delta_H
+    rep = rate_audit(ctx)
     assert rep.violations["RATE_ROBERTSON"] > 0.1
 
 

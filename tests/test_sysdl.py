@@ -89,16 +89,30 @@ def spec_matrices_equal(a: SystemSpec, b: SystemSpec) -> bool:
         ("-i", complex(0.0, -1.0)),
         ("1.5-2e2i", complex(1.5, -200.0)),
         (".5+.25i", complex(0.5, 0.25)),
+        ("+i", complex(0.0, 1.0)),
+        ("1+i", complex(1.0, 1.0)),
+        ("2-i", complex(2.0, -1.0)),
+        ("+2.5i", complex(0.0, 2.5)),
+        ("+3.", complex(3.0, 0.0)),
+        (" 1e5-2E-3i ", complex(1e5, -2e-3)),
     ],
 )
 def test_parse_complex_accepts(literal, expected):
     assert parse_complex(literal) == expected
 
 
-@pytest.mark.parametrize("literal", ["", "1+", "i2", "1 + 2i", "2j", "1..2", "1e", "+-1"])
+@pytest.mark.parametrize("literal", ["", "1+", "i2", "1 + 2i", "2j", "1..2", "1e", "+-1", "inf", "nan", "1_0", "(1+2i)"])
 def test_parse_complex_rejects(literal):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc_info:
         parse_complex(literal)
+    assert exc_info.value.diagnostics[0].message == f"malformed complex literal {literal!r}"
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "1e999i", "1-1e999i", "1e999+1e999i"])
+def test_parse_complex_rejects_overflow(literal):
+    with pytest.raises(ParseError) as exc_info:
+        parse_complex(literal)
+    assert exc_info.value.diagnostics[0].message == f"non-finite number {literal!r}"
 
 
 def test_parse_complex_bit_exact_rounding():
@@ -467,6 +481,30 @@ def test_arbitrary_text_never_crashes(text):
         parse_system(text)
     except ParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# entries that overflow a float
+
+
+NON_FINITE_BASE = "[system]\ndim = 2\n[state]\nket = [1, 0]\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "body,line,col,entry",
+    [
+        ("[jump]\nmatrix = [[0, 1e999], [0, 0]]\n", 6, 14, "1e999"),
+        ("[observable O]\nmatrix = [[1, 0], [0, 1e999]]\n", 6, 22, "1e999"),
+        ("[kraus]\nfamily = tabulated\ntime = 0.0\nK = [[1, 0], [0, 1]]\ntime = 1.0\nK = [[1e999, 0], [0, 1]]\n", 10, 7, "1e999"),
+        ("[hamiltonian]\npauli = 1.0 Z + 1e999 X\n", 6, 17, "1e999"),
+    ],
+    ids=["jump", "observable", "K", "pauli-coefficient"],
+)
+def test_non_finite_entry_is_reported_where_written(body, line, col, entry):
+    with pytest.raises(ParseError) as exc_info:
+        parse_system(NON_FINITE_BASE + body)
+    assert exc_info.value.diagnostics == [Diagnostic(line, col, f"non-finite number {entry!r}")]
 
 
 def test_diagnostic_render_format():
