@@ -2,7 +2,8 @@
 """Print the sha256 of the CLI's output for a fixed set of commands: the
 ``--format json`` output of ``bound --bounds ALL`` on the six built-in
 systems, of the four scenarios, of ``audit --trials 100 --seed 1`` and of
-``evolve`` on ``qutrit_decay.sys``, the canonical reprint of ``parse`` on
+``evolve`` on ``qutrit_decay.sys`` and on ``kraus_dephasing.sys`` (whose
+per-sample Kraus speeds no bound prints), the canonical reprint of ``parse`` on
 the six built-in systems, and the ``--format json`` output of
 ``bound --bounds ALL`` and ``evolve`` and the reprint of ``parse`` on a
 d = 17 Lindblad system. No built-in system takes the Lindblad kernel's RK4
@@ -116,6 +117,8 @@ def commands(workdir: Path):
         yield f"parse:{fname}", ["parse", "--system", str(SYSTEMS / fname)]
     evolve = ["--observable", "N", "--tmax", "1.0", "--format", "json"]
     yield "evolve:qutrit_decay.sys", ["evolve", "--system", str(SYSTEMS / "qutrit_decay.sys"), *evolve]
+    evolve = ["--observable", "O", "--tmax", "1.5708", "--format", "json"]
+    yield "evolve:kraus_dephasing.sys", ["evolve", "--system", str(SYSTEMS / "kraus_dephasing.sys"), *evolve]
     rk4 = ["--system", str(workdir / RK4_FILE), "--observable", "A", "--tmax", "1.0", "--format", "json"]
     yield f"bound:{RK4_FILE}", ["bound", *rk4, "--observable-b", "B", "--bounds", "ALL"]
     yield f"evolve:{RK4_FILE}", ["evolve", *rk4]

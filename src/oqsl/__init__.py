@@ -27,7 +27,6 @@ from .bounds import (
 )
 from .dynamics import (
     DephasingKraus,
-    FunctionKraus,
     KrausGenerator,
     LindbladGenerator,
     ObservableTrajectory,

@@ -44,6 +44,10 @@ LINDBLAD_T = 0.8
 LINDBLAD_STEPS = 2000
 KRAUS_T = 1.2
 KRAUS_STEPS = 240
+# one grid per dynamics kind, shared by every trial, so its times are built once
+UNITARY_GRID = TimeGrid(0.0, UNITARY_T, UNITARY_STEPS)
+LINDBLAD_GRID = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
+KRAUS_GRID = TimeGrid(0.0, KRAUS_T, KRAUS_STEPS)
 
 
 @dataclass(frozen=True)
@@ -201,23 +205,23 @@ def _evaluate_trial(trial: _Trial) -> dict:
     """T_qsl - T for every registry bound that applies under the trial's
     unitary, Lindblad and (qubit only) Kraus dynamics, the rate inequalities
     and the Heisenberg/Schrodinger duality. H is diagonalized once: the
-    self-inverse and projector slots reuse O's eigenbasis."""
+    self-inverse and projector slots are read at the grid's two ends in O's
+    eigenbasis."""
     rho, O, H = trial.rho, trial.O, trial.H
-    ugrid = TimeGrid(0.0, UNITARY_T, UNITARY_STEPS)
-    lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
     B = trial.B
     unitary = bounds.EvalContext(
-        "unitary", ugrid, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, ugrid),
+        "unitary", UNITARY_GRID, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, UNITARY_GRID),
         H=H, B=B, self_inverse=trial.O_si, projector=trial.P,
     )
     # the Lindblad trajectory comes from the block integrator
-    lindblad = bounds.EvalContext("lindblad", lgrid, O, rho, lambda: trial.lind_traj, H=H, B=B)
+    lindblad = bounds.EvalContext("lindblad", LINDBLAD_GRID, O, rho, lambda: trial.lind_traj, H=H, B=B)
     contexts = [unitary, lindblad]
     if trial.dim == 2:
-        kgrid = TimeGrid(0.0, KRAUS_T, KRAUS_STEPS)
         kgen = KrausGenerator(DephasingKraus(trial.kraus_gamma))
         contexts.append(
-            bounds.EvalContext("kraus", kgrid, sigma_x, rho, lambda: evolve_kraus_heisenberg(sigma_x, kgen, rho, kgrid))
+            bounds.EvalContext(
+                "kraus", KRAUS_GRID, sigma_x, rho, lambda: evolve_kraus_heisenberg(sigma_x, kgen, rho, KRAUS_GRID)
+            )
         )
 
     out: dict[tuple[str, str], float] = {}
@@ -239,12 +243,11 @@ def _evaluate_trial(trial: _Trial) -> dict:
 
 def run_audit(n_qubit: int = 100, n_qutrit: int = 50, seed: int = 42, tol: float = 1e-6) -> AuditSummary:
     """Run the full validity/rate/duality sweep and aggregate max violations."""
-    lgrid = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
     results = []
     for dim, count in ((2, n_qubit), (3, n_qutrit)):
         # evaluated before the next block is integrated, which drops this one
         block = [_sample_trial(seed, dim, i) for i in range(count)]
-        _integrate_lindblad_block(block, lgrid)
+        _integrate_lindblad_block(block, LINDBLAD_GRID)
         results += [_evaluate_trial(t) for t in block]
 
     worst: dict[tuple[str, str], float] = {}

@@ -610,7 +610,7 @@ class EvalContext:
     ``evolve`` returns O's trajectory on ``grid``, so bounds can be selected
     before anything evolves. ``self_inverse`` and ``projector`` are the
     observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
-    observables whose unitary trajectories reuse O's eigenbasis. ``B`` is the
+    observables read at the grid's two ends in O's eigenbasis. ``B`` is the
     commutator bounds' second observable; ``final_state`` returns the
     Schrodinger state at T (in the CLI, from
     :func:`~oqsl.dynamics.lindblad_final_state`, which builds no trajectory)
@@ -658,9 +658,12 @@ class EvalContext:
         return self.final_state()
 
     def ends(self, slot: np.ndarray | None = None) -> tuple[float, float]:
-        """<M(0)> and <M(T)> for the slot observable M, by default O."""
-        traj = self.traj if slot is None or slot is self.O else self.traj.observable(slot)
-        return float(traj.expect[0]), float(traj.expect[-1])
+        """<M(0)> and <M(T)> for the slot observable M, by default O; another
+        M is read at the two end times alone, in O's unitary eigenbasis."""
+        if slot is None or slot is self.O:
+            return float(self.traj.expect[0]), float(self.traj.expect[-1])
+        start, end = self.traj.expect_of(slot, (self.grid.t0, self.grid.t1))
+        return float(start), float(end)
 
     def has(self, need: str) -> bool:
         if need == "spread":

@@ -18,9 +18,13 @@ scalars, one chunk and, on the exact route, the d^4 propagator. With rates
 constant in time and d <= EXACT_MAX_DIM each step is one batched mat-vec
 with the exact propagator exp(h L); otherwise RK4 on the fused form
 A y + y A^dag + sum_k gamma_k left_k y right_k, whose first stage gives the
-speeds. Kraus trajectories call the operator family once per grid time and
-work on the whole (n_times, n_ops, d, d) stack, with time-derivatives taken
-by finite differences along the grid.
+speeds. Both routes take an observable's speeds from L^dag[O(t)], which is
+Hermitian: its operator norm is its largest |eigenvalue|, in closed form for
+d = 2. An observable that is Hermitian only within ``tol`` is read, like
+``numpy.linalg.eigvalsh`` reads it, through its lower triangle. Kraus
+trajectories call the operator family once, on the whole grid, and work on
+the (n_times, n_ops, d, d) stack, with time-derivatives taken by finite
+differences along the grid.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
 the action of exp(T L) on rho0 by a Taylor series on the fused form
@@ -32,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -86,7 +90,14 @@ class TimeGrid:
         return self.t1 - self.t0
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.steps + 1)
+        """The steps + 1 sample times, built once per grid and read-only."""
+        return self._times
+
+    @functools.cached_property
+    def _times(self) -> np.ndarray:
+        times = np.linspace(self.t0, self.t1, self.steps + 1)
+        times.flags.writeable = False
+        return times
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +219,17 @@ class DephasingKraus:
         self.dim = 2
         self.n_ops = 2
 
-    def operators(self, t: float) -> np.ndarray:
-        if t < 0:
+    def operators(self, times) -> np.ndarray:
+        """(K0, K1) at each of the given times, shape times.shape + (2, 2, 2)."""
+        t = np.asarray(times, dtype=float)
+        if (t < 0).any():
             raise ValidationError("dephasing family is defined for t >= 0")
-        e = math.exp(-self.gamma * t)
-        a = math.sqrt((1.0 + e) / 2.0)
-        b = math.sqrt((1.0 - e) / 2.0)
-        # K0 = a I and K1 = b Z, from a flat list: the audit calls this per grid time
-        return np.array([a, 0.0, 0.0, a, b, 0.0, 0.0, -b], dtype=complex).reshape(2, 2, 2)
+        e = np.exp(-self.gamma * t)
+        a, b = np.sqrt((1.0 + e) / 2.0), np.sqrt((1.0 - e) / 2.0)
+        K = np.zeros(t.shape + (2, 2, 2), dtype=complex)
+        K[..., 0, 0, 0] = K[..., 0, 1, 1] = a
+        K[..., 1, 0, 0], K[..., 1, 1, 1] = b, -b
+        return K
 
 
 class TabulatedKraus:
@@ -240,32 +254,20 @@ class TabulatedKraus:
         self.dim = K.shape[2]
         self.n_ops = K.shape[1]
 
-    def operators(self, t: float) -> np.ndarray:
+    def operators(self, times) -> np.ndarray:
+        """The tabulated operators at each of the given times, shape
+        times.shape + (n_ops, d, d); a time off the table is an error."""
+        t = np.asarray(times, dtype=float)
         # the nearer of the two table times around t (the lower one on a tie)
-        i = int(np.clip(np.searchsorted(self.times, t), 1, self.times.size - 1))
-        if t - self.times[i - 1] <= self.times[i] - t:
-            i -= 1
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise ValidationError(f"time {t!r} is not on the tabulated Kraus grid")
+        i = np.clip(np.searchsorted(self.times, t), 1, self.times.size - 1)
+        i = i - (t - self.times[i - 1] <= self.times[i] - t)
+        off = np.abs(self.times[i] - t) > 1e-12 * np.maximum(1.0, np.abs(t))
+        if off.any():
+            raise ValidationError(f"time {float(t[off].flat[0])!r} is not on the tabulated Kraus grid")
         return self.ops[i]
 
 
-class FunctionKraus:
-    """Kraus family given by a callable t -> sequence of (d, d) matrices."""
-
-    def __init__(self, fn: Callable[[float], np.ndarray], dim: int, n_ops: int):
-        self.fn = fn
-        self.dim = int(dim)
-        self.n_ops = int(n_ops)
-
-    def operators(self, t: float) -> np.ndarray:
-        K = np.asarray(self.fn(t), dtype=complex)
-        if K.shape != (self.n_ops, self.dim, self.dim):
-            raise ValidationError(f"Kraus callable returned shape {K.shape}")
-        return K
-
-
-KrausFamily = Union[DephasingKraus, TabulatedKraus, FunctionKraus]
+KrausFamily = Union[DephasingKraus, TabulatedKraus]
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,7 @@ class UnitaryTrajectory(_SamplesOnDemand):
 
     def trace_with(self, M: np.ndarray) -> np.ndarray:
         V = self._vectors
-        return self._phase_trace(self._O_eig * (V.conj().T @ M @ V).T, self.grid.times())
+        return self._phase_trace(self._O_eig * (V.conj().T @ M @ V).T, self._phases(self.grid.times()))
 
     def at(self, k: int) -> np.ndarray:
         return self._samples_at(np.atleast_1d(self.grid.times()[k]))[0]
@@ -387,27 +389,33 @@ class UnitaryTrajectory(_SamplesOnDemand):
         grid = self._prefix_grid(k)
         return UnitaryTrajectory(grid, self._freqs, self._vectors, self._O_eig, self._rho_eig, self._tol)
 
-    def observable(self, O0: np.ndarray) -> "UnitaryTrajectory":
-        """The trajectory of another observable under the same Hamiltonian,
-        state and grid, over this one's eigenbasis: H is not diagonalized again."""
-        O0 = _checked_observable(O0, self.dim, self._tol)
+    def expect_of(self, M: np.ndarray, times) -> np.ndarray:
+        """<M(t)> at the given times for another observable M under the same
+        Hamiltonian and state, in this trajectory's eigenbasis: H is not
+        diagonalized again."""
+        M = _checked_observable(M, self.dim, self._tol)
         V = self._vectors
-        Vd = V.conj().T
-        return UnitaryTrajectory(self.grid, self._freqs, V, Vd @ O0 @ V, self._rho_eig, self._tol)
+        return self._phase_trace((V.conj().T @ M @ V) * self._rho_eig.T, self._phases(times)).real
 
-    def _phase_trace(self, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def _phases(self, times: np.ndarray):
+        """E[t, a] = exp(i t w_a / hbar) and its conjugate."""
         E = np.exp(1j * np.outer(times, self._freqs))
-        return np.einsum("ta,ta->t", E @ X, E.conj())
+        return E, E.conj()
+
+    @staticmethod
+    def _phase_trace(X: np.ndarray, phases) -> np.ndarray:
+        E, Ec = phases
+        return np.einsum("ta,ta->t", E @ X, Ec)
 
     def _moments(self, times: np.ndarray):
-        rho_t = self._rho_eig.T
-        mean = self._phase_trace(self._O_eig * rho_t, times).real
-        second = self._phase_trace((self._O_eig @ self._O_eig) * rho_t, times).real
+        rho_t, phases = self._rho_eig.T, self._phases(times)
+        mean = self._phase_trace(self._O_eig * rho_t, phases).real
+        second = self._phase_trace((self._O_eig @ self._O_eig) * rho_t, phases).real
         return mean, _spread(mean, second, self._tol)
 
     def _samples_at(self, times: np.ndarray) -> np.ndarray:
-        E = np.exp(1j * np.outer(times, self._freqs))
-        Ot = E[:, :, None] * self._O_eig[None] * E.conj()[:, None, :]
+        E, Ec = self._phases(times)
+        Ot = E[:, :, None] * self._O_eig[None] * Ec[:, None, :]
         return self._vectors @ Ot @ self._vectors.conj().T
 
 
@@ -543,16 +551,28 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> n
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
-    """The Hilbert-Schmidt and operator norms of each matrix in X, shape (..., 2)."""
+    """The Hilbert-Schmidt and operator norms of each Hermitian matrix in X
+    (read through its lower triangle), shape (..., 2)."""
     hs = np.sqrt(np.einsum("...ab,...ab->...", X.conj(), X).real)
-    return np.stack([hs, _op_norms(X)], axis=-1)
+    return np.stack([hs, _hermitian_op_norms(X)], axis=-1)
+
+
+def _hermitian_op_norms(X: np.ndarray) -> np.ndarray:
+    """The operator norm of each Hermitian matrix in X, shape (...): its
+    largest |eigenvalue|, from the lower triangle as ``eigvalsh`` reads it.
+    For d = 2 that is |m| + hypot((a - c) / 2, |b|) with m = (a + c) / 2,
+    for the diagonal a, c and the lower corner b, with no LAPACK call."""
+    if X.shape[-1] == 2:
+        a, c = X[..., 0, 0].real, X[..., 1, 1].real
+        return np.abs((a + c) / 2) + np.hypot((a - c) / 2, np.abs(X[..., 1, 0]))
+    w = np.linalg.eigvalsh(X)
+    return np.maximum(-w[..., 0], w[..., -1])
 
 
 def _op_norms(X: np.ndarray) -> np.ndarray:
     """The operator norm of each matrix in X, shape (...), as the square root
-    of the largest eigenvalue of X^dag X (clipped at 0, so X = 0 gives 0)."""
-    gram = X.conj().swapaxes(-1, -2) @ X
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
+    of the largest eigenvalue of the Gram matrix X^dag X."""
+    return np.sqrt(_hermitian_op_norms(X.conj().swapaxes(-1, -2) @ X))
 
 
 def _check_stable(y: np.ndarray) -> None:
@@ -646,8 +666,8 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     batched mat-vec with the exact propagator exp(h L), computed once per
     generator, and the speeds apply L to each chunk. Otherwise the master
     equation is integrated by fixed-step RK4 on the fused generator, whose
-    first stage gives the speeds. Both routes reject a blow-up at every step,
-    and a state's trace is checked on every chunk.
+    first stage gives the speeds. The exact route rejects a blow-up on every
+    chunk and RK4 at every step; a state's trace is checked on every chunk.
     """
     times = grid.times()
     for gen in gens:
@@ -671,7 +691,8 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
 
 
 def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool):
-    """The chunks of :func:`lindblad_chunks` by the exact propagator."""
+    """The chunks of :func:`lindblad_chunks` by the exact propagator. A
+    blow-up is checked once per chunk, on its samples, before the speeds."""
     B, d = y0.shape[:2]
     Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
     P = mat_exp(h * Lv)
@@ -681,13 +702,9 @@ def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool):
         for j in range(end - start):
             if start + j:
                 y = np.einsum("bij,bj->bi", P, y)
-                _check_stable(y)
             out[:, j] = y
-        speeds = None
-        if heisenberg:
-            speeds = np.empty((B, end - start, 2))
-            for b in range(B):
-                speeds[b] = _norms((out[b] @ Lv[b].T).reshape(-1, d, d))
+        _check_stable(out)
+        speeds = _norms((out @ Lv.swapaxes(-1, -2)).reshape(B, -1, d, d)) if heisenberg else None
         yield start, out.reshape(B, end - start, d, d), speeds
 
 
@@ -877,7 +894,7 @@ def evolve_kraus_heisenberg(
     _check_state(rho, family.dim)
 
     times = grid.times()
-    K = np.array([family.operators(t) for t in times.tolist()])
+    K = family.operators(times)
     defect = np.abs(np.einsum("tiab,tiac->tbc", K.conj(), K) - np.eye(family.dim)).max(axis=(1, 2))
     bad = np.flatnonzero(defect > max(tol, 1e-8))
     if bad.size:

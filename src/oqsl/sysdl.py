@@ -22,8 +22,9 @@ a second declaration of a key or of its alternative (``pauli``/``matrix``,
 
 Ket and matrix literals nest comma-separated entries in brackets. An entry,
 like a Pauli coefficient, is ``a``, ``a+bi``, ``a-bi``, ``a+i``, ``a-i``,
-``bi``, ``+bi``, ``-bi``, ``i``, ``+i`` or ``-i`` (a, b decimal, with an
-optional exponent; a may be signed); one that overflows a float is an error.
+``bi``, ``+bi``, ``-bi``, ``i``, ``+i`` or ``-i`` (a, b decimal in ASCII
+digits, with an optional exponent; a may be signed); one that overflows a
+float is an error.
 Pauli expressions follow ``coeff WORD (+|- coeff WORD)*`` with words over
 I, X, Y, Z of length log2(dim).
 
@@ -53,7 +54,7 @@ from .linalg import DEFAULT_TOL, DensityState, PAULI, ValidationError, is_hermit
 
 MAX_DIM = 512
 
-_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_UNSIGNED = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # one literal entry or Pauli coefficient, its i written j, as complex() reads it
 _ENTRY = re.compile(rf"\s*(?:[+-]?{_UNSIGNED}(?:[+-](?:{_UNSIGNED})?j)?|[+-]?(?:{_UNSIGNED})?j)\s*")
 # i -> j, a written j -> '?' (no entry matches it), and -> ' ' the four
@@ -107,8 +108,12 @@ def parse_complex(literal: str) -> complex:
 
 def format_complex(z: complex) -> str:
     """Canonical literal whose reparse is bit-identical (signed zeros kept)."""
-    im = repr(float(z.imag))
-    return f"{float(z.real)!r}{'' if im.startswith('-') else '+'}{im}i"
+    return _joined(repr(float(z.real)), repr(float(z.imag)))
+
+
+def _joined(re: str, im: str) -> str:
+    """The entry a+bi from the reprs of a and b."""
+    return f"{re}{'' if im[0] == '-' else '+'}{im}i"
 
 
 def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
@@ -460,9 +465,13 @@ def _parse_state(decl: _Decl | None, dim: int, tol: float, diags: list[Diagnosti
             vec = _literal(decl.value, decl.line, decl.value_col, 1)
             if vec.size != dim:
                 _fail(decl.line, decl.value_col, f"ket has {vec.size} entries, expected {dim}")
-            if np.linalg.norm(vec) == 0:  # the reader has rejected non-finite entries
-                _fail(decl.line, decl.value_col, "ket must be a nonzero finite vector")
-            return DensityState.pure(vec)
+            # scaled by the power of two at the largest |re| or |im|, so the
+            # norm neither overflows nor underflows and the state is unchanged
+            parts = vec.view(float)
+            try:
+                return DensityState.pure(np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex))
+            except ValidationError as exc:
+                _fail(decl.line, decl.value_col, str(exc))
         M = _literal(decl.value, decl.line, decl.value_col, 2)
         if M.shape[0] != dim:
             _fail(decl.line, decl.value_col, f"state is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}")
@@ -599,7 +608,11 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
 
 
 def _format_matrix(M: np.ndarray) -> str:
-    rows = ", ".join("[" + ", ".join(format_complex(z) for z in row) + "]" for row in M)
+    """The matrix literal of M, each entry as :func:`format_complex` writes
+    it, from one ``repr`` per float of the flattened real and imaginary parts."""
+    entries = list(map(_joined, map(repr, M.real.ravel().tolist()), map(repr, M.imag.ravel().tolist())))
+    n = M.shape[1]
+    rows = ", ".join("[" + ", ".join(entries[k : k + n]) + "]" for k in range(0, len(entries), n))
     return f"[{rows}]"
 
 

@@ -16,11 +16,18 @@ Liouvillian and grid-batched routes, and the three-operand second moment for
 the trajectories' spreads. The ``.sys`` literal reader that walks a literal
 one character at a time and tries three complex regexes per entry
 (:func:`_parse_vector`, :func:`_parse_matrix`, :func:`parse_complex`) is the
-reference for ``sysdl``'s reader, which splits each literal once.
+reference for ``sysdl``'s reader, which splits each literal once, and the
+per-entry reprint (:func:`format_matrix_per_entry`) for its flattened one.
+The Gram-matrix Lindblad speeds (:func:`gram_norms`) and a 60-digit 2x2
+eigenvalue are the references for the Hermitian operator norms; the
+per-time Kraus families (:class:`FunctionKraus`, :func:`dephasing_kraus_at`)
+for the grid-vectorized ones.
 """
 
 from __future__ import annotations
 
+import decimal
+import math
 import re
 
 import numpy as np
@@ -263,6 +270,57 @@ def lindblad_adjoint(gen, O, t: float = 0.0) -> np.ndarray:
     return out
 
 
+class FunctionKraus:
+    """Kraus family given by a callable t -> sequence of (d, d) matrices,
+    called once per time: the per-time reference for the library's
+    grid-vectorized families."""
+
+    def __init__(self, fn, dim: int, n_ops: int):
+        self.fn = fn
+        self.dim = int(dim)
+        self.n_ops = int(n_ops)
+
+    def _at(self, t: float) -> np.ndarray:
+        K = np.asarray(self.fn(t), dtype=complex)
+        if K.shape != (self.n_ops, self.dim, self.dim):
+            raise ValidationError(f"Kraus callable returned shape {K.shape}")
+        return K
+
+    def operators(self, times) -> np.ndarray:
+        """The operators at each of the given times, shape times.shape + (n_ops, d, d)."""
+        t = np.asarray(times, dtype=float)
+        K = np.array([self._at(s) for s in t.ravel().tolist()], dtype=complex)
+        return K.reshape(t.shape + (self.n_ops, self.dim, self.dim))
+
+
+def dephasing_kraus_at(gamma: float, t: float) -> np.ndarray:
+    """DephasingKraus's (K0, K1) at one time, from math.exp and math.sqrt:
+    the per-time route that the grid-vectorized family replaced."""
+    e = math.exp(-gamma * t)
+    a, b = math.sqrt((1.0 + e) / 2.0), math.sqrt((1.0 - e) / 2.0)
+    return np.array([a, 0.0, 0.0, a, b, 0.0, 0.0, -b], dtype=complex).reshape(2, 2, 2)
+
+
+def largest_abs_eigenvalue_2x2(X) -> float:
+    """The largest |eigenvalue| of a Hermitian 2x2 matrix, read through its
+    lower triangle, in 60-digit decimal arithmetic, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, c = decimal.Decimal(X[0, 0].real), decimal.Decimal(X[1, 1].real)
+        re, im = decimal.Decimal(X[1, 0].real), decimal.Decimal(X[1, 0].imag)
+        return float(abs((a + c) / 2) + (((a - c) / 2) ** 2 + re * re + im * im).sqrt())
+
+
+def gram_norms(X: np.ndarray) -> np.ndarray:
+    """The Hilbert-Schmidt and operator norms of each matrix in X, shape
+    (..., 2), the operator norm as the square root of the largest
+    ``eigvalsh`` eigenvalue of X^dag X: the form the library's Lindblad
+    speeds took, once per trial, before they read L^dag[O] as Hermitian."""
+    hs = np.sqrt(np.einsum("...ab,...ab->...", X.conj(), X).real)
+    gram = X.conj().swapaxes(-1, -2) @ X
+    return np.stack([hs, np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))], axis=-1)
+
+
 def kraus_derivative(family, i: int, t: float, h: float, t_min: float = 0.0, t_max: float = np.inf) -> np.ndarray:
     """Finite-difference dK_i/dt: central in the interior, one-sided at the
     domain endpoints. The choice allows a few ulps of slack at both ends, so
@@ -440,3 +498,15 @@ def _parse_matrix(text: str, line: int, col: int) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         _fail(line, base, f"matrix literal is {M.shape[0]}x{width}, expected square")
     return M
+
+
+def format_matrix_per_entry(M) -> str:
+    """The matrix literal of M with one ``format_complex`` call per entry, two
+    ``repr`` calls each: the reprint that ``sysdl._format_matrix`` replaced."""
+
+    def entry(z: complex) -> str:
+        im = repr(float(z.imag))
+        return f"{float(z.real)!r}{'' if im.startswith('-') else '+'}{im}i"
+
+    rows = ", ".join("[" + ", ".join(entry(z) for z in row) + "]" for row in M)
+    return f"[{rows}]"

@@ -22,7 +22,6 @@ from oqsl.bounds import (
 )
 from oqsl.dynamics import (
     DephasingKraus,
-    FunctionKraus,
     KrausGenerator,
     LindbladGenerator,
     TimeGrid,
@@ -48,6 +47,7 @@ from oqsl.linalg import (
 )
 
 import oracles
+from oracles import FunctionKraus
 
 PLUS = DensityState.pure([1.0, 1.0])
 GROUND = DensityState.pure([1.0, 0.0])

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from oqsl.dynamics import (
     DephasingKraus,
-    FunctionKraus,
     KrausGenerator,
     LindbladGenerator,
     RateTable,
     TabulatedKraus,
     TimeGrid,
     UnitaryGenerator,
+    _hermitian_op_norms,
     _op_norms,
     dephasing_generator,
     evolve_kraus_heisenberg,
@@ -33,7 +33,7 @@ from oqsl.linalg import (
 )
 
 import oracles
-from oracles import kraus_derivative, lindblad_adjoint, unitary_propagator
+from oracles import FunctionKraus, kraus_derivative, lindblad_adjoint, unitary_propagator
 
 PLUS = DensityState.pure([1.0, 1.0])
 
@@ -58,6 +58,8 @@ def test_time_grid_validation():
     g = TimeGrid(0.0, 1.0, 4)
     assert g.h == pytest.approx(0.25)
     assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
+    # built once per grid, and read-only, since every caller shares it
+    assert g.times() is g.times() and not g.times().flags.writeable
 
 
 def test_rate_table_validation():
@@ -446,6 +448,64 @@ def test_op_norms_match_svd(rng, dim):
         got, ref = _op_norms(X), np.linalg.svd(X, compute_uv=False)[..., 0]
         assert got.shape == ref.shape, name
         assert (np.abs(got - ref) <= 1e-14 * ref).all(), name
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(unit, unit, unit, unit),
+    st.tuples(unit, unit, unit, unit, unit, unit, unit, unit),
+    st.sampled_from(["general", "zero", "diagonal", "degenerate", "near-degenerate"]),
+    st.sampled_from([1e-150, 1.0, 1e150]),
+)
+def test_two_by_two_closed_form_matches_eigvalsh(hermitian, gram, shape, scale):
+    # the largest |eigenvalue| of a Hermitian 2x2 matrix, and of a Gram
+    # matrix M^dag M, to two ulp of its 60-digit value and within LAPACK's
+    # own error (up to ~10 ulp) of eigvalsh; the upper triangle is not read
+    a, c, re, im = hermitian
+    if shape in ("zero", "diagonal"):
+        re = im = 0.0
+    if shape == "zero":
+        a = c = 0.0
+    if shape in ("degenerate", "near-degenerate"):
+        c, re, im = a, (0.0 if shape == "degenerate" else 1e-9 * re), 0.0
+    X = scale * np.array([[a, 7.0], [complex(re, im), c]])
+    M = np.sqrt(scale) * (np.array(gram[:4]) + 1j * np.array(gram[4:])).reshape(2, 2)
+    for Y in (X, M.conj().T @ M):
+        got = _hermitian_op_norms(Y)
+        assert abs(got - oracles.largest_abs_eigenvalue_2x2(Y)) <= 2 * np.spacing(got)
+        # eigvalsh rescales a matrix below ~1e-146 by a factor that rounds,
+        # so it gets the lower triangle scaled by a power of two
+        low = np.tril(Y)
+        k = np.frexp(np.abs(low).max())[1]
+        w = np.ldexp(np.linalg.eigvalsh(np.ldexp(low.real, -k) + 1j * np.ldexp(low.imag, -k)), k)
+        assert abs(got - max(-w[0], w[-1])) <= 16 * np.spacing(got)
+
+
+def test_kraus_families_on_a_grid_match_per_time_calls():
+    times = TimeGrid(0.0, 3.0, 500).times()
+    K = DephasingKraus(1.7).operators(times)
+    ref = np.array([oracles.dephasing_kraus_at(1.7, t) for t in times.tolist()])
+    assert K.shape == ref.shape == (501, 2, 2, 2)
+    assert np.array_equal(np.signbit(K.view(float)), np.signbit(ref.view(float)))
+    # np.exp against math.exp: one ulp of e = exp(-gamma t), carried through
+    # a, b = sqrt((1 +- e) / 2), whose derivatives in e are 1 / (4a), -1 / (4b)
+    e = np.exp(-1.7 * times)[:, None, None, None]
+    slack = np.spacing(np.abs(ref)) + np.divide(np.spacing(e), 4 * np.abs(ref), where=ref != 0, out=np.zeros(ref.shape))
+    assert (np.abs(K - ref) <= slack).all()
+    assert DephasingKraus(1.7).operators(0.5).shape == (2, 2, 2)
+    with pytest.raises(ValidationError, match="t >= 0"):
+        DephasingKraus(1.0).operators([0.5, -0.1])
+
+    tab = TabulatedKraus(times=times, ops=ref)
+    # the lookup keeps the per-time tie rule and tolerance, bit for bit
+    query = np.concatenate([times, times[::-1] + 1e-13])
+    assert np.array_equal(tab.operators(query), np.array([tab.operators(t) for t in query.tolist()]))
+    assert np.array_equal(tab.operators(times), ref)
+    with pytest.raises(ValidationError, match="^time 0.01 is not on the tabulated Kraus grid$"):
+        tab.operators([0.0, 0.01, 0.02])
 
 
 def test_spreads_match_three_operand_second_moment(rng):

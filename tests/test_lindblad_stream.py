@@ -24,7 +24,7 @@ from oqsl.dynamics import (
     lindblad_chunks,
     lindblad_trajectories,
 )
-from oqsl.linalg import DensityState, op_norm
+from oqsl.linalg import DensityState, NumericError, mat_exp, op_norm
 
 import oracles
 
@@ -107,6 +107,40 @@ def test_audit_block_equals_full_stack_reductions(steps, monkeypatch):
         assert np.array_equal(t.lind_traj.expect, _batch_expect(O_samples, t.rho.matrix))
         assert np.array_equal(t.lind_rho_expect, np.einsum("ab,tba->t", t.O, rho_samples).real)
         assert np.array_equal(t.lind_traj.at(-1), O_samples[-1])
+
+
+@pytest.mark.parametrize(
+    "dim,rate",
+    [(2, None), (3, None), (2, RAMP), (EXACT_MAX_DIM + 1, None)],
+    ids=["exact-closed-form", "exact-eigvalsh", "rk4-closed-form", "rk4-eigvalsh"],
+)
+def test_speeds_match_the_gram_norms_they_replaced(dim, rate, monkeypatch):
+    # the speeds read L^dag[O(t)] as Hermitian; the full-stack kernel with
+    # the Gram-per-trial norms it used is the reference
+    cases = [_case(dim, seed, rate) for seed in range(3)]
+    gens, O0s = [c[0] for c in cases], np.stack([c[1] for c in cases])
+    grid = TimeGrid(0.0, 0.5, 40)
+    trajs = lindblad_trajectories(gens, O0s, [c[3] for c in cases], grid, [()] * 3)
+    monkeypatch.setattr(oracles, "_norms", oracles.gram_norms)
+    _, ref = oracles.propagate_lindblad(gens, O0s, grid, heisenberg=True)
+    for traj, speeds in zip(trajs, ref):
+        assert np.array_equal(traj.gen_speed_hs, speeds[:, 0])
+        assert (np.abs(traj.gen_speed_op - speeds[:, 1]) <= 1e-14 * speeds[:, 1]).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("heisenberg", [True, False])
+def test_exact_route_blow_up_raises_without_warnings(heisenberg, monkeypatch):
+    # a propagator ten times too large overflows to inf, then NaN, inside
+    # the one chunk, which is checked before its speeds are taken
+    gen, O, _, rho = _case(3, seed=11)
+    monkeypatch.setattr(dynamics, "mat_exp", lambda A: 10.0 * mat_exp(A))
+    grid = TimeGrid(0.0, 1.0, 400)
+    with pytest.raises(NumericError, match="unstable"):
+        if heisenberg:
+            evolve_lindblad_heisenberg(O, gen, rho, grid)
+        else:
+            evolve_lindblad_schrodinger(rho, gen, grid)
 
 
 PURE_LINDBLAD = """\

@@ -1,8 +1,9 @@
 """The ``.sys`` literal reader against the character-walking reader it
 replaced (``oracles._parse_vector`` / ``oracles._parse_matrix``): on valid
 literals both give bit-identical arrays, and on every single-character
-mutation of one both give the same first diagnostic. The one difference is
-an entry that overflows a float, which only the new reader rejects."""
+mutation of one both give the same first diagnostic. The differences are
+an entry that overflows a float and a non-ASCII digit, which only the new
+reader rejects; the mutations here insert ASCII digits only."""
 
 import re
 
@@ -156,7 +157,9 @@ def test_hand_written_faults_give_the_same_first_diagnostic(rank, text):
     assert_same(rank, text)
 
 
-MUTATIONS = "[],  \t\xa0\x1c+-.eEij0123456789xZ٣"
+# ASCII digits only: the reader accepts no other, while the replaced one read
+# any Unicode decimal digit (test_sysdl checks that one is rejected)
+MUTATIONS = "[],  \t\xa0\x1c+-.eEij0123456789xZ"
 
 
 @settings(max_examples=600, deadline=None)
@@ -170,38 +173,4 @@ def test_mutated_literals_give_the_same_first_diagnostic(case, where, how, char)
         text = text[:i] + text[i + 1 :]
     else:
         text = text[:i] + char + text[i + 1 :]
-    assert_same(rank, text)
-
-
-# diagnostics that single-character mutations of valid literals rarely reach
-@pytest.mark.parametrize(
-    "rank,text",
-    [
-        (2, "[[1], , [2]]"),
-        (2, "[[1, 2], ]"),
-        (2, "[]"),
-        (1, "[]"),
-        (1, "[1, , 2]"),
-        (1, "[1, 2, ]"),
-        (2, "[[1, 2], [3]]"),
-        (2, "[[1], [2, 3]]"),
-        (2, "[[1] [2], [3]]"),
-        (2, "[1, [2]]"),
-        (2, " [[1], x[2]] "),
-        (2, "[[1], [2]x]"),
-        (2, "[[[1]], [2]]"),
-        (1, "[1, [2, 3], x]"),
-        (1, "[1, 2]]"),
-        (1, "[[1, 2]"),
-        (2, "[[1, 2], [3, 4]"),
-        (2, "[[1e999, 2], [3, 1e999]]"),
-        (2, "[[1, 2], [3, 1e999], [x]]"),
-        (1, "[1, 1e999, x]"),
-        (1, "[1, x, 1e999]"),
-        (1, "[1 i, 2j]"),
-        (1, "[\x1c1\x1c, 2\x85]"),
-        (1, "1, 2"),
-    ],
-)
-def test_hand_written_faults_give_the_same_first_diagnostic(rank, text):
     assert_same(rank, text)

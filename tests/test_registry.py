@@ -1,6 +1,6 @@
 """The bound registry and its evaluation context: table order, applicability,
-memoization, and the unitary trajectory of a second observable over the
-first one's eigenbasis."""
+memoization, and the end values of a second observable, read in the first
+one's unitary eigenbasis."""
 
 import io
 
@@ -11,7 +11,7 @@ import oqsl.cli
 from oqsl import bounds
 from oqsl.bounds import BOUND_IDS, REGISTRY, EvalContext, evaluate_all
 from oqsl.dynamics import TimeGrid, evolve_unitary_heisenberg
-from oqsl.linalg import DensityState, ValidationError, sigma_x, sigma_z
+from oqsl.linalg import DensityState, ValidationError, op_norm, sigma_x, sigma_z
 
 import oracles
 
@@ -33,14 +33,19 @@ def _unitary_case(rng, dim=4):
     return H, O, rho, TimeGrid(0.0, 1.0, 200)
 
 
+def _unitary_context(O, H, rho, grid, **slots):
+    return EvalContext("unitary", grid, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, grid), H=H, **slots)
+
+
 def test_second_observable_matches_its_own_evolution(rng):
     H, O, rho, grid = _unitary_case(rng)
     M = oracles.random_hermitian(rng, 4)
-    via_basis = evolve_unitary_heisenberg(O, H, rho, grid).observable(M)
-    direct = evolve_unitary_heisenberg(M, H, rho, grid)
-    for field in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
-        assert np.array_equal(getattr(via_basis, field), getattr(direct, field))
-    assert np.array_equal(via_basis.trace_with(O), direct.trace_with(O))
+    ends = _unitary_context(O, H, rho, grid, self_inverse=M).ends(M)
+    direct = evolve_unitary_heisenberg(M, H, rho, grid).expect
+    assert np.abs(np.array(ends) - direct[[0, -1]]).max() <= 1e-14 * op_norm(M)
+    # O itself is read from its own trajectory
+    ctx = _unitary_context(O, H, rho, grid)
+    assert ctx.ends(O) == ctx.ends() == (ctx.traj.expect[0], ctx.traj.expect[-1])
 
 
 @pytest.mark.parametrize(
@@ -49,9 +54,9 @@ def test_second_observable_matches_its_own_evolution(rng):
     ids=["non-hermitian", "non-finite", "wrong-dim"],
 )
 def test_second_observable_keeps_the_input_checks(M):
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 10))
+    ctx = _unitary_context(sigma_x, sigma_z, DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 10))
     with pytest.raises(ValidationError):
-        traj.observable(M)
+        ctx.ends(M)
 
 
 def test_context_evaluates_every_unitary_bound_without_samples(rng):

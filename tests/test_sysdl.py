@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqsl.dynamics import DephasingKraus, TabulatedKraus
-from oqsl.linalg import PAULI, ValidationError, sigma_x, sigma_z
+from oqsl.linalg import PAULI, DensityState, ValidationError, sigma_x, sigma_z
 from oqsl.sysdl import (
     _SECTIONS,
     Diagnostic,
     ParseError,
     SystemSpec,
+    _format_matrix,
     builtin_names,
     builtin_text,
     format_complex,
@@ -21,6 +22,8 @@ from oqsl.sysdl import (
     parse_system,
     serialize_system,
 )
+
+import oracles
 
 DEPHASING_TEXT = """\
 # strength-1 dephasing written with the prefactor folded into the operator
@@ -505,6 +508,60 @@ def test_non_finite_entry_is_reported_where_written(body, line, col, entry):
     with pytest.raises(ParseError) as exc_info:
         parse_system(NON_FINITE_BASE + body)
     assert exc_info.value.diagnostics == [Diagnostic(line, col, f"non-finite number {entry!r}")]
+
+
+KET_BASE = "[system]\ndim = 2\n[state]\nket = "
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "ket,expected",
+    [
+        ("[1e200, 1e200]", [[0.5, 0.5], [0.5, 0.5]]),
+        ("[1.7e308+1.7e308i, 0]", [[1, 0], [0, 0]]),
+        ("[1e-200, -1e-200i]", [[0.5, 0.5j], [-0.5j, 0.5]]),
+        ("[5e-324, 0]", [[1, 0], [0, 0]]),
+    ],
+    ids=["norm-overflows", "modulus-overflows", "norm-underflows", "subnormal"],
+)
+def test_ket_is_normalized_without_overflow(ket, expected):
+    rho = parse_system(KET_BASE + ket + "\n").initial_state.matrix
+    assert np.abs(rho - np.array(expected)).max() <= 4e-16
+
+
+def test_ket_scaling_leaves_an_ordinary_state_unchanged():
+    rho = parse_system(KET_BASE + "[0.6, -0.3+0.7i]\n").initial_state.matrix
+    assert np.array_equal(rho, DensityState.pure([0.6, -0.3 + 0.7j]).matrix)
+
+
+def test_zero_ket_is_reported_where_written():
+    with pytest.raises(ParseError) as exc_info:
+        parse_system(KET_BASE + "[0, -0.0i]\n")
+    assert exc_info.value.diagnostics == [Diagnostic(4, 7, "ket must be a nonzero finite vector")]
+
+
+def test_non_ascii_digit_is_rejected_where_written():
+    # ARABIC-INDIC DIGIT ONE, which Python's float() and \d accept
+    with pytest.raises(ParseError) as exc_info:
+        parse_system(KET_BASE + "[\u0661, 0]\n")
+    assert exc_info.value.diagnostics == [Diagnostic(4, 8, "malformed complex literal '\u0661'")]
+    with pytest.raises(ParseError):
+        parse_complex("\u0661.5")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2 * n * n, max_size=2 * n * n)
+    )
+)
+def test_reprint_matches_per_entry_format_complex(parts):
+    # signed zeros, subnormals and large exponents included; the text is
+    # byte-identical to one format_complex call per entry
+    n = int(round((len(parts) / 2) ** 0.5))
+    M = np.empty((n, n), dtype=complex)
+    M.real, M.imag = np.reshape(parts, (2, n, n))
+    assert _format_matrix(M) == oracles.format_matrix_per_entry(M)
 
 
 def test_diagnostic_render_format():
