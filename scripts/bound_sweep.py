@@ -11,8 +11,8 @@ from oqsl.dynamics import (
     TimeGrid,
     dephasing_generator,
     evolve_lindblad_heisenberg,
-    evolve_lindblad_schrodinger,
     lindblad_apply,
+    lindblad_final_state,
 )
 from oqsl.linalg import DensityState, hs_norm, sigma_x
 
@@ -30,11 +30,11 @@ def main() -> int:
     for gamma in args.gammas:
         gen = dephasing_generator(gamma)
         traj = evolve_lindblad_heisenberg(sigma_x, gen, rho, grid)
-        states = evolve_lindblad_schrodinger(rho, gen, grid)
+        rho_T = lindblad_final_state(rho, gen, grid)
         l2 = hs_norm(lindblad_apply(gen, rho.matrix, 0.0)) ** 2
         g = oqsl_generator_hs(traj, rho).T_qsl
         s = oqsl_state_independent(sigma_x, traj).T_qsl
-        d = qsl_delcampo(rho, states[-1], l2, grid.duration).T_qsl
+        d = qsl_delcampo(rho, rho_T, l2, grid.duration).T_qsl
         print(f"{gamma:.6g},{g:.6g},{s:.6g},{d:.6g},{grid.duration:.6g}")
     return 0
 

@@ -29,10 +29,10 @@ from .dynamics import (
     DephasingKraus,
     KrausGenerator,
     LindbladGenerator,
-    ObservableTrajectory,
     RateTable,
     TabulatedKraus,
     TimeGrid,
+    Trajectory,
     UnitaryGenerator,
     dephasing_generator,
     evolve_kraus_heisenberg,

@@ -29,8 +29,8 @@ from .dynamics import (
     DephasingKraus,
     KrausGenerator,
     LindbladGenerator,
-    LindbladTrajectory,
     TimeGrid,
+    Trajectory,
     evolve_kraus_heisenberg,
     evolve_unitary_heisenberg,
     lindblad_chunks,
@@ -142,7 +142,7 @@ class _Trial:
     comm_coeffs: np.ndarray
     kraus_gamma: float
     # batched-integration results, attached after sampling
-    lind_traj: LindbladTrajectory | None = None
+    lind_traj: Trajectory | None = None
     lind_rho_expect: np.ndarray | None = None  # tr(O rho(t)), Schrodinger picture
 
     @property

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import ObservableTrajectory, TimeGrid, evolve_unitary_heisenberg, lindblad_apply
+from .dynamics import TimeGrid, Trajectory, evolve_unitary_heisenberg, lindblad_apply
 from .linalg import (
     DEFAULT_TOL,
     DensityState,
@@ -132,7 +132,7 @@ def _mt_integral_core(bound_id, traj, delta_H, hbar):
     return _report(bound_id, T, tqsl, digest, details)
 
 
-def oqsl_mt_integral(traj: ObservableTrajectory, delta_H: float, hbar: float = 1.0) -> BoundReport:
+def oqsl_mt_integral(traj: Trajectory, delta_H: float, hbar: float = 1.0) -> BoundReport:
     """Path-integral bound for unitary dynamics:
 
     T_qsl = (hbar / 2 dH) * sum_cells |d<O>| / dO(midpoint),
@@ -260,7 +260,7 @@ def oqsl_min_norm(
 # open/arbitrary-dynamics bounds
 
 
-def oqsl_generator_hs(traj: ObservableTrajectory, rho: DensityState) -> BoundReport:
+def oqsl_generator_hs(traj: Trajectory, rho: DensityState) -> BoundReport:
     """Generator-speed bound for unitary or Lindblad trajectories:
 
     T_qsl = |<O(T)> - <O(0)>| / (sqrt(tr rho^2) * Lambda_T),
@@ -316,7 +316,7 @@ def qsl_delcampo(
     return _report("DELCAMPO", T, tqsl, _digest(rho0.matrix, rhoT.matrix, lrho0_hs2, T), details)
 
 
-def oqsl_kraus(traj: ObservableTrajectory, rho: DensityState) -> BoundReport:
+def oqsl_kraus(traj: Trajectory, rho: DensityState) -> BoundReport:
     """Kraus-map bound:
 
     T_qsl = |<O(T)> - <O(0)>| / (2 sqrt(tr rho^2) * Lambda_T),
@@ -338,7 +338,7 @@ def oqsl_kraus(traj: ObservableTrajectory, rho: DensityState) -> BoundReport:
     return _report("KRAUS", traj.grid.duration, tqsl, digest, details)
 
 
-def oqsl_state_independent(O0: np.ndarray, traj: ObservableTrajectory) -> BoundReport:
+def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
     """State-independent bound from the Hilbert-Schmidt overlap of O(0), O(T):
 
     T_qsl = |tr[O(0)O(T)] - tr[O(0)^2]| / (||O(0)||_hs * Lambda_T).
@@ -451,7 +451,7 @@ def declared_probes(A0: np.ndarray, B0: np.ndarray | None, rho: DensityState) ->
 
 def two_time_correlation(
     A0: np.ndarray,
-    traj: ObservableTrajectory,
+    traj: Trajectory,
     rho: DensityState,
     tol: float = DEFAULT_TOL,
 ) -> CorrelationTrace:
@@ -512,7 +512,7 @@ def corr_qsl(
 
 def commutator_qsl(
     B0: np.ndarray,
-    traj: ObservableTrajectory,
+    traj: Trajectory,
     rho: DensityState,
     hbar: float = 1.0,
     kind: str = "closed",
@@ -621,7 +621,7 @@ class EvalContext:
     grid: TimeGrid
     O: np.ndarray
     rho: DensityState
-    evolve: Callable[[], ObservableTrajectory]
+    evolve: Callable[[], Trajectory]
     H: np.ndarray | None = None
     hbar: float = 1.0
     tol: float = DEFAULT_TOL
@@ -636,7 +636,7 @@ class EvalContext:
         return self.grid.duration
 
     @cached_property
-    def traj(self) -> ObservableTrajectory:
+    def traj(self) -> Trajectory:
         return self.evolve()
 
     @cached_property

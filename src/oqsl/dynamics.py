@@ -1,19 +1,22 @@
 """Heisenberg-picture observable trajectories and Schrodinger-picture state
 trajectories under unitary, Lindblad-adjoint, and Kraus dynamics.
 
+Every evolution of an observable returns a :class:`Trajectory` of
+reductions: <O(t)>, dO(t) and both generator speeds at every grid point,
+O(0) and O(T), and tr(O(t) M) for the probe matrices M declared before the
+evolution. No O(t) is kept at an interior time, since no bound reads one:
+``trace_with`` of an undeclared M and ``at`` of an interior index raise.
+
 Unitary trajectories are exact and hold no per-sample matrices: H is
 diagonalized once, and every expectation, spread, correlation or commutator
-expectation along the grid is one phase-matrix product in its eigenbasis.
-Their generator speeds are constant, and ``O_samples`` is built only on
-demand.
+expectation along the grid is one phase-matrix product in its eigenbasis, so
+:class:`UnitaryTrajectory` traces any M and forms O(t) at any grid index.
+Their generator speeds are constant.
 
 Lindblad trajectories come from one batch-first kernel,
 :func:`lindblad_chunks`, which the audit also calls. It yields the grid one
 chunk of at most CHUNK_BYTES of samples at a time, and every caller reduces
-the chunks as they arrive. A :class:`LindbladTrajectory` keeps <O(t)>,
-dO(t), both generator speeds, O(0), O(T) and tr(O(t) M) for the probe
-matrices M declared before the evolution; ``O_samples`` is built only on
-demand, by rerunning the kernel. Evolving an observable thus holds O(steps)
+the chunks as they arrive. Evolving an observable thus holds O(steps)
 scalars, one chunk and, on the exact route, the d^4 propagator. With rates
 constant in time and d <= EXACT_MAX_DIM each step is one batched mat-vec
 with the exact propagator exp(h L); otherwise RK4 on the fused form
@@ -24,7 +27,7 @@ d = 2. An observable that is Hermitian only within ``tol`` is read, like
 ``numpy.linalg.eigvalsh`` reads it, through its lower triangle. Kraus
 trajectories call the operator family once, on the whole grid, and work on
 the (n_times, n_ops, d, d) stack, with time-derivatives taken by finite
-differences along the grid.
+differences along the grid; the stack of O(t) is dropped once reduced.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
 the action of exp(T L) on rho0 by a Taylor series on the fused form
@@ -289,73 +292,76 @@ GeneratorSpec = Union[UnitaryGenerator, LindbladGenerator, KrausGenerator]
 
 
 @dataclass(eq=False)
-class ObservableTrajectory:
-    """A Heisenberg-picture observable O(t) along a time grid, with its
-    expectation <O(t)>, spread dO(t) and generator speeds at every grid point.
+class Trajectory:
+    """The reductions of a Heisenberg-picture observable O(t) along a time
+    grid: its expectation <O(t)>, spread dO(t) and generator speeds at every
+    grid point, O(0) and O(T), and the series tr(O(t) M) of the probe
+    matrices M declared before the evolution. No O(t) is kept per grid point.
 
     ``gen_speed_hs`` / ``gen_speed_op`` hold the Hilbert-Schmidt and operator
     norms of the generator applied to O(t) (for Kraus dynamics: the summed
-    norms of K_i^dag(t) O(0) dK_i/dt). Kraus trajectories store O(t) per
-    grid point; :class:`UnitaryTrajectory` and :class:`LindbladTrajectory`
-    do not. Bounds read O(t) only through :meth:`trace_with` and :meth:`at`.
+    norms of K_i^dag(t) O(0) dK_i/dt). ``ends`` is (O(0), O(T)), with O(T)
+    None on a prefix shorter than the grid; ``probes`` pairs each declared M
+    with its series. Bounds read O(t) only through :meth:`trace_with` and
+    :meth:`at`.
     """
 
     kind: str
     grid: TimeGrid
-    # left out of repr, which would otherwise build a unitary trajectory's samples
-    O_samples: np.ndarray | None = field(repr=False)
     expect: np.ndarray
     stddev: np.ndarray
     gen_speed_hs: np.ndarray
     gen_speed_op: np.ndarray
+    ends: tuple
+    probes: tuple = ()
 
     @property
     def dim(self) -> int:
-        return self.O_samples.shape[1]
+        return self.ends[0].shape[0]
 
     def trace_with(self, M: np.ndarray) -> np.ndarray:
-        """tr(O(t) M) at every grid point (complex)."""
-        return np.einsum("tab,ba->t", self.O_samples, M)
+        """tr(O(t) M) at every grid point (complex), for a declared probe M."""
+        for probe, series in self.probes:
+            if np.array_equal(probe, M):
+                return series
+        raise ValidationError("tr(O(t) M) needs M declared as a probe before the evolution")
 
     def at(self, k: int) -> np.ndarray:
-        """O(t_k) at grid index k; a negative k counts from the end."""
-        return self.O_samples[k]
+        """O(t_k) at an end of the grid, k = 0 or k = steps (or -1)."""
+        k = range(self.grid.steps + 1)[k]
+        if k == 0:
+            return self.ends[0]
+        if k == self.grid.steps and self.ends[1] is not None:
+            return self.ends[1]
+        raise ValidationError(f"O(t) at index {k} is not kept: only at the two ends of the evolution grid")
 
     def _prefix_grid(self, k: int) -> TimeGrid:
         if not 2 <= k <= self.grid.steps:
             raise ValidationError(f"prefix length {k} outside [2, {self.grid.steps}]")
         return TimeGrid(self.grid.t0, float(self.grid.times()[k]), k)
 
-    def prefix(self, k: int) -> "ObservableTrajectory":
+    def prefix(self, k: int) -> "Trajectory":
         """Restriction to the first k grid cells (k >= 2)."""
-        per_sample = ("O_samples", "expect", "stddev", "gen_speed_hs", "gen_speed_op")
-        return replace(self, grid=self._prefix_grid(k), **{f: getattr(self, f)[: k + 1] for f in per_sample})
+        grid, cut = self._prefix_grid(k), slice(0, k + 1)
+        return replace(
+            self,
+            grid=grid,
+            **{f: getattr(self, f)[cut] for f in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")},
+            ends=(self.ends[0], self.ends[1] if k == self.grid.steps else None),
+            probes=tuple((M, series[cut]) for M, series in self.probes),
+        )
 
 
-class _SamplesOnDemand(ObservableTrajectory):
-    """A trajectory that holds no O(t) per grid point: ``O_samples`` is
-    built by ``_build_samples`` on first access and cached."""
-
-    @property
-    def O_samples(self) -> np.ndarray:
-        if self._samples is None:
-            self._samples = self._build_samples()
-        return self._samples
-
-    @O_samples.setter
-    def O_samples(self, value) -> None:
-        self._samples = value
-
-
-class UnitaryTrajectory(_SamplesOnDemand):
+class UnitaryTrajectory(Trajectory):
     """O(t) = U^dag(t) O U(t) under a constant Hamiltonian H = V diag(w) V^dag.
 
     Holds the frequencies w / hbar, the eigenvectors V, and the observable and
     state in the eigenbasis, O~ = V^dag O V and rho~ = V^dag rho V. With the
     phases E[t, a] = exp(i t w_a / hbar), tr(O(t) M) is the row sum of
-    (E @ (O~ * M~^T)) * conj(E), so no per-sample matrix is formed.
-    [H, O(t)] = U^dag [H, O] U, so both generator speeds are constant.
-    ``O_samples`` is built on first access and cached.
+    (E @ (O~ * M~^T)) * conj(E), so no per-sample matrix is formed and any M
+    may be traced. [H, O(t)] = U^dag [H, O] U, so both generator speeds are
+    constant. ``at`` forms O(t_k) at any grid index from the closed form, so
+    ``ends`` is None.
     """
 
     def __init__(self, grid: TimeGrid, freqs, vectors, O_eig, rho_eig, tol: float):
@@ -365,21 +371,22 @@ class UnitaryTrajectory(_SamplesOnDemand):
         comm = (freqs[:, None] - freqs[None, :]) * O_eig
         speed_hs = np.full(grid.steps + 1, np.linalg.norm(comm))
         speed_op = np.full(grid.steps + 1, np.linalg.svd(comm, compute_uv=False)[0])
-        super().__init__("unitary", grid, None, expect, stddev, speed_hs, speed_op)
-
-    def _build_samples(self) -> np.ndarray:
-        return self._samples_at(self.grid.times())
+        super().__init__("unitary", grid, expect, stddev, speed_hs, speed_op, None)
 
     @property
     def dim(self) -> int:
         return self._vectors.shape[0]
 
     def trace_with(self, M: np.ndarray) -> np.ndarray:
+        """tr(O(t) M) at every grid point (complex), for any M."""
         V = self._vectors
         return self._phase_trace(self._O_eig * (V.conj().T @ M @ V).T, self._phases(self.grid.times()))
 
     def at(self, k: int) -> np.ndarray:
-        return self._samples_at(np.atleast_1d(self.grid.times()[k]))[0]
+        """O(t_k) at any grid index k; a negative k counts from the end."""
+        E, Ec = self._phases(np.atleast_1d(self.grid.times()[k]))
+        Ot = E[:, :, None] * self._O_eig[None] * Ec[:, None, :]
+        return (self._vectors @ Ot @ self._vectors.conj().T)[0]
 
     def stddev_at(self, times) -> np.ndarray:
         """dO(t) at arbitrary times, from the closed form."""
@@ -412,70 +419,6 @@ class UnitaryTrajectory(_SamplesOnDemand):
         mean = self._phase_trace(self._O_eig * rho_t, phases).real
         second = self._phase_trace((self._O_eig @ self._O_eig) * rho_t, phases).real
         return mean, _spread(mean, second, self._tol)
-
-    def _samples_at(self, times: np.ndarray) -> np.ndarray:
-        E, Ec = self._phases(times)
-        Ot = E[:, :, None] * self._O_eig[None] * Ec[:, None, :]
-        return self._vectors @ Ot @ self._vectors.conj().T
-
-
-class LindbladTrajectory(_SamplesOnDemand):
-    """O(t) under a Lindblad generator, reduced chunk by chunk as the kernel
-    streams it (:func:`lindblad_trajectories`).
-
-    Holds <O(t)>, dO(t), both generator speeds, O(0), O(T), and the series
-    tr(O(t) M) of each probe matrix M declared before the evolution, so
-    ``trace_with`` of a declared M and ``at`` of either end read no sample.
-    ``O_samples``, and through it ``trace_with`` of any other M and ``at`` of
-    an interior index, reruns the kernel for this one generator (``rerun``
-    returns its chunks) and is cached.
-    """
-
-    def __init__(self, grid: TimeGrid, expect, stddev, speeds, ends, probes, rerun):
-        self._speeds, self._ends, self._probes, self._rerun = speeds, ends, probes, rerun
-        super().__init__("lindblad", grid, None, expect, stddev, speeds[:, 0], speeds[:, 1])
-
-    @property
-    def dim(self) -> int:
-        return self._ends[0].shape[0]
-
-    def trace_with(self, M: np.ndarray) -> np.ndarray:
-        for probe, series in self._probes:
-            if np.array_equal(probe, M):
-                return series
-        return super().trace_with(M)
-
-    def at(self, k: int) -> np.ndarray:
-        k = range(self.grid.steps + 1)[k]
-        if k == 0:
-            return self._ends[0]
-        if k == self.grid.steps and self._ends[1] is not None:
-            return self._ends[1]
-        return self.O_samples[k]
-
-    def prefix(self, k: int) -> "LindbladTrajectory":
-        grid = self._prefix_grid(k)
-        cut = slice(0, k + 1)
-        return LindbladTrajectory(
-            grid,
-            self.expect[cut],
-            self.stddev[cut],
-            self._speeds[cut],
-            (self._ends[0], self._ends[1] if k == self.grid.steps else None),
-            tuple((probe, series[cut]) for probe, series in self._probes),
-            self._rerun,
-        )
-
-    def _build_samples(self) -> np.ndarray:
-        """The (steps + 1, d, d) stack of O(t), from a rerun of the kernel."""
-        n = self.grid.steps + 1
-        out = np.empty((n, self.dim, self.dim), dtype=complex)
-        for start, samples, _ in self._rerun():
-            if start >= n:
-                break
-            part = samples[0, : n - start]
-            out[start : start + part.shape[0]] = part
-        return out
 
 
 def _spread(mean: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
@@ -743,10 +686,6 @@ def lindblad_trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, t
     <O(t)> and the probe series are contracted one generator at a time: over
     a batch, numpy's einsum runs the sums of these contractions in another
     order. The second moment and the speeds are taken over the whole batch.
-    On-demand samples rerun the kernel for one generator, whose propagator
-    is scaled alone (:func:`~oqsl.linalg.mat_exp` scales a stack by its
-    largest norm), so in a batch of several they can differ from the
-    reductions in the last digits.
     """
     B, n = len(gens), grid.steps + 1
     rho = np.stack([r.matrix for r in rhos])
@@ -762,14 +701,15 @@ def lindblad_trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, t
                 series[b][k, cut] = np.einsum("tab,ba->t", Os, M)
     last = samples[:, -1].copy()
     return [
-        LindbladTrajectory(
+        Trajectory(
+            "lindblad",
             grid,
             expect[b],
             _spread(expect[b], second[b], tol),
-            speeds[b],
+            speeds[b, :, 0],
+            speeds[b, :, 1],
             (O0s[b], last[b]),
             tuple(zip(probes[b], series[b])),
-            functools.partial(lindblad_chunks, [gens[b]], O0s[b][None], grid, True),
         )
         for b in range(B)
     ]
@@ -782,7 +722,7 @@ def evolve_lindblad_heisenberg(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
     probes=(),
-) -> LindbladTrajectory:
+) -> Trajectory:
     """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through
     :func:`lindblad_trajectories`; ``probes`` are the matrices M whose
     series tr(O(t) M) the trajectory keeps."""
@@ -883,8 +823,10 @@ def evolve_kraus_heisenberg(
     rho: DensityState,
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
-) -> ObservableTrajectory:
-    """Direct evaluation of O(t) = sum_i K_i^dag(t) O(0) K_i(t) per grid point.
+) -> Trajectory:
+    """Direct evaluation of O(t) = sum_i K_i^dag(t) O(0) K_i(t) per grid point,
+    reduced to a :class:`Trajectory`: the stack of O(t) is dropped once its
+    moments and ends are taken.
 
     Also records the summed speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| used by
     the Kraus-map speed-limit bound.
@@ -907,14 +849,14 @@ def evolve_kraus_heisenberg(
     speed_hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=1)
     speed_op = _op_norms(M).sum(axis=1)
 
-    return ObservableTrajectory(
+    return Trajectory(
         kind="kraus",
         grid=grid,
-        O_samples=Os,
         expect=_batch_expect(Os, rho.matrix),
         stddev=_batch_stddev(Os, rho.matrix, tol),
         gen_speed_hs=speed_hs,
         gen_speed_op=speed_op,
+        ends=(Os[0].copy(), Os[-1].copy()),
     )
 
 

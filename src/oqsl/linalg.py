@@ -204,12 +204,16 @@ class DensityState:
 
     @classmethod
     def pure(cls, ket) -> "DensityState":
-        """Density operator |psi><psi| of a ket, normalized first."""
-        psi = np.asarray(ket, dtype=complex).reshape(-1)
-        nrm = float(np.linalg.norm(psi))
-        if nrm == 0.0 or not np.isfinite(nrm):
+        """Density operator |psi><psi| of a ket, normalized first. Before its
+        norm is taken the ket is scaled by the power of two at its largest
+        |re| or |im|, which is exact, so the norm neither overflows nor
+        underflows."""
+        parts = np.ascontiguousarray(ket, dtype=complex).reshape(-1).view(float)
+        top = np.abs(parts).max(initial=0.0)
+        if not (np.isfinite(top) and top > 0.0):
             raise ValidationError("ket must be a nonzero finite vector")
-        psi = psi / nrm
+        psi = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+        psi = psi / np.linalg.norm(psi)
         return cls(matrix=np.outer(psi, psi.conj()), purity=1.0)
 
     @classmethod

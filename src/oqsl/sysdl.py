@@ -24,7 +24,9 @@ Ket and matrix literals nest comma-separated entries in brackets. An entry,
 like a Pauli coefficient, is ``a``, ``a+bi``, ``a-bi``, ``a+i``, ``a-i``,
 ``bi``, ``+bi``, ``-bi``, ``i``, ``+i`` or ``-i`` (a, b decimal in ASCII
 digits, with an optional exponent; a may be signed); one that overflows a
-float is an error.
+float is an error. The scalar values of ``dim``, ``hbar``, ``rate``,
+``gamma`` and ``time`` are written as a signed a, again in ASCII digits
+only; ``dim`` is an integer.
 Pauli expressions follow ``coeff WORD (+|- coeff WORD)*`` with words over
 I, X, Y, Z of length log2(dim).
 
@@ -55,6 +57,8 @@ from .linalg import DEFAULT_TOL, DensityState, PAULI, ValidationError, is_hermit
 MAX_DIM = 512
 
 _UNSIGNED = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# a real scalar value (dim, hbar, rate, gamma, time): a signed entry with no i
+_REAL = re.compile(rf"[+-]?{_UNSIGNED}")
 # one literal entry or Pauli coefficient, its i written j, as complex() reads it
 _ENTRY = re.compile(rf"\s*(?:[+-]?{_UNSIGNED}(?:[+-](?:{_UNSIGNED})?j)?|[+-]?(?:{_UNSIGNED})?j)\s*")
 # i -> j, a written j -> '?' (no entry matches it), and -> ' ' the four
@@ -402,6 +406,8 @@ def _real(ok=lambda v: True, message: str = ""):
             raise ValueError(f"malformed number {text!r}") from None
         if not np.isfinite(v):
             raise ValueError(f"non-finite number {text!r}")
+        if not _REAL.fullmatch(text):
+            raise ValueError(f"malformed number {text!r}")
         if not ok(v):
             raise ValueError(message.format(v))
         return v
@@ -414,6 +420,8 @@ def _dim(text: str) -> int:
         dim = int(text)
     except ValueError:
         raise ValueError(f"malformed integer {text!r}") from None
+    if not _REAL.fullmatch(text):
+        raise ValueError(f"malformed integer {text!r}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     if dim > MAX_DIM:
@@ -465,11 +473,8 @@ def _parse_state(decl: _Decl | None, dim: int, tol: float, diags: list[Diagnosti
             vec = _literal(decl.value, decl.line, decl.value_col, 1)
             if vec.size != dim:
                 _fail(decl.line, decl.value_col, f"ket has {vec.size} entries, expected {dim}")
-            # scaled by the power of two at the largest |re| or |im|, so the
-            # norm neither overflows nor underflows and the state is unchanged
-            parts = vec.view(float)
             try:
-                return DensityState.pure(np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex))
+                return DensityState.pure(vec)
             except ValidationError as exc:
                 _fail(decl.line, decl.value_col, str(exc))
         M = _literal(decl.value, decl.line, decl.value_col, 2)

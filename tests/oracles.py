@@ -21,7 +21,9 @@ per-entry reprint (:func:`format_matrix_per_entry`) for its flattened one.
 The Gram-matrix Lindblad speeds (:func:`gram_norms`) and a 60-digit 2x2
 eigenvalue are the references for the Hermitian operator norms; the
 per-time Kraus families (:class:`FunctionKraus`, :func:`dephasing_kraus_at`)
-for the grid-vectorized ones.
+for the grid-vectorized ones. Trajectories keep no O(t) at interior times;
+:func:`samples_from_probes` rebuilds it from the probe series of the
+matrix units (:func:`matrix_units`) for comparison with these references.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def dense_unitary_route(O0, H, rho, times, hbar: float = 1.0):
 
     O(t) = V (phases * O~) V^dag is formed at every time, the commutator
     [H, O(t)] per sample, and its operator norm by a batched SVD. Returns
-    (O_samples, expect, stddev, speed_hs, speed_op).
+    (Os, expect, stddev, speed_hs, speed_op), Os the (n_times, d, d) stack.
     """
     O0, H, rho = (np.asarray(M, dtype=complex) for M in (O0, H, rho))
     w, V = np.linalg.eigh(H)
@@ -141,6 +143,26 @@ def dense_unitary_route(O0, H, rho, times, hbar: float = 1.0):
     speed_hs = np.sqrt(np.einsum("tab,tab->t", comms.conj(), comms).real) / hbar
     speed_op = np.linalg.svd(comms, compute_uv=False)[:, 0] / hbar
     return Os, expect, stddev, speed_hs, speed_op
+
+
+def matrix_units(d: int) -> np.ndarray:
+    """The d^2 matrix units E_ab (1 at row a, column b, else 0), stacked at
+    index a d + b, shape (d^2, d, d)."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+
+
+def samples_from_probes(traj) -> np.ndarray:
+    """O(t) at every grid point of ``traj``, shape (steps + 1, d, d), rebuilt
+    entry by entry from tr(O(t) E_ba) = O(t)_ab. A unitary trajectory traces
+    any matrix; any other must have been evolved with ``matrix_units(d)``
+    declared as its probes."""
+    d = traj.dim
+    units = matrix_units(d)
+    out = np.empty((traj.grid.steps + 1, d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            out[:, a, b] = traj.trace_with(units[b * d + a])
+    return out
 
 
 def dense_correlation(Os, A0, rho) -> np.ndarray:

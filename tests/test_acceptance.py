@@ -112,15 +112,18 @@ def test_criterion_2_dephasing_figure_data():
 def test_criterion_3_dephasing_dynamics():
     grid = TimeGrid(0.0, np.pi / 2.0, 1000)
     times = grid.times()
-    traj = evolve_lindblad_heisenberg(sigma_x, dephasing_generator(1.0), PLUS, grid)
+    units = oracles.matrix_units(2)
+    traj = evolve_lindblad_heisenberg(sigma_x, dephasing_generator(1.0), PLUS, grid, probes=tuple(units))
+    Os = oracles.samples_from_probes(traj)
     rk4_err = max(
-        float(np.linalg.norm(traj.O_samples[i] - np.exp(-times[i]) * sigma_x))
+        float(np.linalg.norm(Os[i] - np.exp(-times[i]) * sigma_x))
         for i in range(len(times))
     )
+    # a Kraus trajectory keeps O(t) at its two ends; <O(t)> in |+> is e^{-t}
     ktraj = evolve_kraus_heisenberg(sigma_x, KrausGenerator(DephasingKraus(1.0)), PLUS, grid)
     kraus_err = max(
-        float(np.linalg.norm(ktraj.O_samples[i] - np.exp(-times[i]) * sigma_x))
-        for i in range(len(times))
+        float(np.abs(ktraj.expect - np.exp(-times)).max()),
+        *(float(np.linalg.norm(ktraj.at(k) - np.exp(-times[k]) * sigma_x)) for k in (0, -1)),
     )
     ok = rk4_err <= 1e-8 and kraus_err <= 1e-9
     report(

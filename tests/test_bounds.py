@@ -8,6 +8,7 @@ from oqsl.bounds import (
     battery_bounds,
     commutator_qsl,
     corr_qsl,
+    declared_probes,
     oqsl_generator_hs,
     oqsl_kraus,
     oqsl_min_norm,
@@ -456,18 +457,13 @@ def test_correlation_starts_at_variance(rng):
 
 
 def test_correlation_dephasing_identically_zero():
-    traj = evolve_lindblad_heisenberg(
-        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(0.0, 1.0, 200)
-    )
+    gen, grid = dephasing_generator(1.0), TimeGrid(0.0, 1.0, 200)
+    probes = declared_probes(sigma_x, None, PLUS)
+    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=probes)
     trace = two_time_correlation(sigma_x, traj, PLUS)
-    direct = [
-        complex(
-            np.trace(traj.O_samples[i] @ sigma_x @ PLUS.matrix)
-            - np.trace(traj.O_samples[i] @ PLUS.matrix) * np.trace(sigma_x @ PLUS.matrix)
-        )
-        for i in range(0, 201, 40)
-    ]
-    assert np.abs(trace.C_samples[::40] - np.array(direct)).max() <= 1e-9
+    Os = oracles.propagate_lindblad([gen], sigma_x[None], grid, heisenberg=True)[0][0]
+    direct = oracles.dense_correlation(Os[::40], sigma_x, PLUS.matrix)
+    assert np.abs(trace.C_samples[::40] - direct).max() <= 1e-9
     assert np.abs(trace.C_samples).max() <= 1e-12
 
 
@@ -507,7 +503,8 @@ def test_corr_qsl_closed_value_and_validity():
 def test_corr_qsl_open_value_and_validity():
     T = 1.2
     traj = evolve_lindblad_heisenberg(
-        sigma_x, dephasing_generator(1.0), GROUND, TimeGrid(0.0, T, 800)
+        sigma_x, dephasing_generator(1.0), GROUND, TimeGrid(0.0, T, 800),
+        probes=declared_probes(sigma_x, None, GROUND),
     )
     trace = two_time_correlation(sigma_x, traj, GROUND)
     rep = corr_qsl(trace, op_norm(sigma_x), traj.gen_speed_op, kind="open")
@@ -563,7 +560,7 @@ def test_commutator_open_validity():
         jumps=((oracles.random_matrix(r, 4, 0.4), 0.6),),
     )
     grid = TimeGrid(0.0, 0.8, 800)
-    traj = evolve_lindblad_heisenberg(TWOQ_A, gen, rho, grid)
+    traj = evolve_lindblad_heisenberg(TWOQ_A, gen, rho, grid, probes=declared_probes(TWOQ_A, TWOQ_B, rho))
     rep = commutator_qsl(TWOQ_B, traj, rho, kind="open")
     assert rep.details["comm_expect_0"] <= 1e-12
     assert rep.T_qsl <= grid.duration + 1e-6

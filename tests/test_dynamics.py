@@ -38,6 +38,11 @@ from oracles import FunctionKraus, kraus_derivative, lindblad_adjoint, unitary_p
 PLUS = DensityState.pure([1.0, 1.0])
 
 
+def _kraus_samples(family, O, times):
+    """O(t) = sum_i K_i^dag(t) O K_i(t), one time at a time."""
+    return np.array([sum(k.conj().T @ O @ k for k in family.operators(t)) for t in times])
+
+
 def random_lindblad(rng, dim, n_jumps=2):
     jumps = tuple(
         (oracles.random_matrix(rng, dim, scale=0.5), float(rng.uniform(0, 1)))
@@ -154,9 +159,11 @@ def test_unitary_trajectory_matches_propagator_route(rng):
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     grid = TimeGrid(0.0, 1.0, 10)
     traj = evolve_unitary_heisenberg(O, H, rho, grid)
+    Os = oracles.samples_from_probes(traj)
     for i, t in enumerate(grid.times()):
         U = unitary_propagator(H, float(t))
-        assert np.abs(traj.O_samples[i] - U.conj().T @ O @ U).max() <= 1e-11
+        assert np.abs(Os[i] - U.conj().T @ O @ U).max() <= 1e-11
+        assert np.abs(traj.at(i) - U.conj().T @ O @ U).max() <= 1e-11
 
 
 def test_conserved_observable_constant():
@@ -175,11 +182,9 @@ def test_heisenberg_rate_matches_commutator(rng):
     traj = evolve_unitary_heisenberg(O, H, rho, grid)
     h = grid.h
     dexp = (traj.expect[2:] - traj.expect[:-2]) / (2 * h)
-    rates = [
-        (np.trace(commutator(traj.O_samples[i], H) @ rho.matrix) / 1j).real
-        for i in range(1, grid.steps)
-    ]
-    assert np.abs(dexp - np.array(rates)).max() <= 1e-6
+    # tr([O(t), H] rho) = tr(O(t) (H rho - rho H))
+    rates = (traj.trace_with(commutator(H, rho.matrix))[1:-1] / 1j).real
+    assert np.abs(dexp - rates).max() <= 1e-6
 
 
 def test_unitary_spectrum_constant(rng):
@@ -187,10 +192,11 @@ def test_unitary_spectrum_constant(rng):
     O = oracles.random_hermitian(rng, 4)
     rho = DensityState.pure(oracles.random_ket(rng, 4))
     traj = evolve_unitary_heisenberg(O, H, rho, TimeGrid(0.0, 2.0, 50))
-    ref = np.linalg.eigvalsh(traj.O_samples[0])
-    for Ot in traj.O_samples[::10]:
+    Os = oracles.samples_from_probes(traj)
+    ref = np.linalg.eigvalsh(Os[0])
+    for Ot in Os[::10]:
         assert np.abs(np.linalg.eigvalsh(Ot) - ref).max() <= 1e-8
-        assert abs(np.trace(Ot) - np.trace(traj.O_samples[0])) <= 1e-8
+        assert abs(np.trace(Ot) - np.trace(Os[0])) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +227,11 @@ def test_adjoint_speed_closed_form():
 def test_lindblad_dephasing_closed_form():
     gen = dephasing_generator(1.0)
     grid = TimeGrid(0.0, np.pi / 2, 1000)
-    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
+    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=tuple(oracles.matrix_units(2)))
+    Os = oracles.samples_from_probes(traj)
     times = grid.times()
     errs = [
-        np.linalg.norm(traj.O_samples[i] - np.exp(-times[i]) * sigma_x)
+        np.linalg.norm(Os[i] - np.exp(-times[i]) * sigma_x)
         for i in range(len(times))
     ]
     assert max(errs) <= 1e-8
@@ -234,10 +241,11 @@ def test_lindblad_zero_rates_reduce_to_unitary(rng):
     H = oracles.random_hermitian(rng, 2)
     gen = LindbladGenerator(H=H, jumps=((sigma_z, 0.0),))
     grid = TimeGrid(0.0, np.pi / 2, 1000)
-    a = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
+    a = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=tuple(oracles.matrix_units(2)))
     b = evolve_unitary_heisenberg(sigma_x, H, PLUS, grid)
     assert np.abs(a.expect - b.expect).max() <= 1e-8
-    assert max(np.abs(a.O_samples - b.O_samples).max(axis=(1, 2))) <= 1e-8
+    Oa, Ob = oracles.samples_from_probes(a), oracles.samples_from_probes(b)
+    assert max(np.abs(Oa - Ob).max(axis=(1, 2))) <= 1e-8
 
 
 def test_rk4_fourth_order_convergence():
@@ -304,8 +312,8 @@ def test_constant_rate_takes_exact_route():
 
 def test_exact_route_stable_at_huge_rate():
     gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
-    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 10))
-    for values in (traj.O_samples, traj.expect, traj.stddev, traj.gen_speed_hs, traj.gen_speed_op):
+    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 10), probes=tuple(oracles.matrix_units(2)))
+    for values in (oracles.samples_from_probes(traj), traj.expect, traj.stddev, traj.gen_speed_hs, traj.gen_speed_op):
         assert np.isfinite(values).all()
 
 
@@ -314,14 +322,14 @@ def test_hermiticity_preserved_all_kinds(rng):
     rho = DensityState.pure(oracles.random_ket(rng, 2))
     O = oracles.random_hermitian(rng, 2)
     H = oracles.random_hermitian(rng, 2)
-    trajs = [
-        evolve_unitary_heisenberg(O, H, rho, grid),
-        evolve_lindblad_heisenberg(O, random_lindblad(rng, 2), rho, grid),
-        evolve_kraus_heisenberg(O, KrausGenerator(DephasingKraus(0.8)), rho, grid),
-    ]
-    for traj in trajs:
-        for Ot in traj.O_samples[:: grid.steps // 4]:
-            assert is_hermitian(Ot, 1e-8)
+    unitary = evolve_unitary_heisenberg(O, H, rho, grid)
+    lindblad = evolve_lindblad_heisenberg(O, random_lindblad(rng, 2), rho, grid, probes=tuple(oracles.matrix_units(2)))
+    kraus = evolve_kraus_heisenberg(O, KrausGenerator(DephasingKraus(0.8)), rho, grid)
+    # a Kraus trajectory keeps O(t) at the two ends of its grid only
+    for Ot in [*oracles.samples_from_probes(unitary)[:: grid.steps // 4],
+               *oracles.samples_from_probes(lindblad)[:: grid.steps // 4],
+               kraus.at(0), kraus.at(-1)]:
+        assert is_hermitian(Ot, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +382,7 @@ def test_heisenberg_schrodinger_duality(dim, seed):
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid)
     states = evolve_lindblad_schrodinger(rho, gen, grid)
     lhs = np.array([np.trace(O @ s.matrix).real for s in states[:: grid.steps // 4]])
-    rhs = np.array(
-        [np.trace(Ot @ rho.matrix).real for Ot in traj.O_samples[:: grid.steps // 4]]
-    )
+    rhs = traj.expect[:: grid.steps // 4]
     assert np.abs(lhs - rhs).max() <= 1e-6
 
 
@@ -388,11 +394,11 @@ def test_kraus_dephasing_matches_lindblad_solution():
     grid = TimeGrid(0.0, np.pi / 2, 1000)
     traj = evolve_kraus_heisenberg(sigma_x, KrausGenerator(DephasingKraus(1.0)), PLUS, grid)
     times = grid.times()
-    errs = [
-        np.linalg.norm(traj.O_samples[i] - np.exp(-times[i]) * sigma_x)
-        for i in range(len(times))
-    ]
-    assert max(errs) <= 1e-9
+    # O(t) = e^{-t} sigma_x: in |+>, <O(t)> = e^{-t} and dO(t) = 0
+    assert np.abs(traj.expect - np.exp(-times)).max() <= 1e-9
+    assert np.abs(traj.stddev**2).max() <= 1e-9
+    for k in (0, -1):
+        assert np.linalg.norm(traj.at(k) - np.exp(-times[k]) * sigma_x) <= 1e-9
 
 
 def test_kraus_single_unitary_reproduces_unitary():
@@ -408,7 +414,9 @@ def test_kraus_single_unitary_reproduces_unitary():
 def test_kraus_identity_is_fixed_point():
     grid = TimeGrid(0.0, 1.0, 100)
     traj = evolve_kraus_heisenberg(identity(2), KrausGenerator(DephasingKraus(1.3)), PLUS, grid)
-    assert max(np.abs(traj.O_samples - identity(2)[None]).max(axis=(1, 2))) <= 1e-12
+    assert np.abs(traj.expect - 1.0).max() <= 1e-12
+    for k in (0, -1):
+        assert np.abs(traj.at(k) - identity(2)).max() <= 1e-12
 
 
 def test_kraus_grid_batch_matches_per_sample_route(rng):
@@ -425,9 +433,12 @@ def test_kraus_grid_batch_matches_per_sample_route(rng):
     # the grid's exact domain: here t_29 + h rounds above t_30 = T, which must
     # not switch kraus_derivative to a one-sided difference at t_29
     lo, hi = grid.t0, grid.t1
+    Os = _kraus_samples(fam, O, grid.times())
+    assert np.abs(traj.expect - np.einsum("tab,ba->t", Os, rho.matrix).real).max() <= 1e-12
+    assert np.abs(traj.stddev**2 - oracles.three_operand_stddev(Os, rho.matrix) ** 2).max() <= 1e-12
+    assert np.abs(traj.at(0) - Os[0]).max() <= 1e-12 and np.abs(traj.at(-1) - Os[-1]).max() <= 1e-12
     for j, t in enumerate(grid.times()):
         K = fam.operators(t)
-        assert np.abs(traj.O_samples[j] - sum(k.conj().T @ O @ k for k in K)).max() <= 1e-12
         Ms = [K[i].conj().T @ O @ kraus_derivative(fam, i, t, grid.h, t_min=lo, t_max=hi) for i in range(2)]
         assert traj.gen_speed_hs[j] == pytest.approx(sum(np.linalg.norm(M) for M in Ms), rel=1e-9)
         assert traj.gen_speed_op[j] == pytest.approx(
@@ -517,11 +528,10 @@ def test_spreads_match_three_operand_second_moment(rng):
     Q, _ = np.linalg.qr(oracles.random_matrix(rng, 6))
     H, K0 = oracles.random_hermitian(rng, 3), Q[:, :3].reshape(2, 3, 3)
     fam = FunctionKraus(lambda t: oracles.expm_hermitian_oracle(H, -1j * t) @ K0, dim=3, n_ops=2)
-    for traj in (
-        evolve_lindblad_heisenberg(O, random_lindblad(rng, 3), rho, grid),
-        evolve_kraus_heisenberg(O, KrausGenerator(fam), rho, grid),
-    ):
-        assert np.abs(traj.stddev - oracles.three_operand_stddev(traj.O_samples, rho.matrix)).max() <= 1e-12
+    lindblad = evolve_lindblad_heisenberg(O, random_lindblad(rng, 3), rho, grid, probes=tuple(oracles.matrix_units(3)))
+    kraus = evolve_kraus_heisenberg(O, KrausGenerator(fam), rho, grid)
+    for traj, Os in ((lindblad, oracles.samples_from_probes(lindblad)), (kraus, _kraus_samples(fam, O, grid.times()))):
+        assert np.abs(traj.stddev - oracles.three_operand_stddev(Os, rho.matrix)).max() <= 1e-12
 
 
 def test_kraus_completeness_enforced():
@@ -590,3 +600,49 @@ def test_kraus_derivative_quadratic_convergence():
 def test_kraus_derivative_rejects_bad_step():
     with pytest.raises(ValidationError):
         kraus_derivative(DephasingKraus(1.0), 0, 0.5, 0.0)
+
+
+def _reachable_arrays(obj, seen):
+    """Every array reachable from obj through containers, object attributes
+    and the arrays that views are taken of."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        if obj.base is not None:
+            yield from _reachable_arrays(obj.base, seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _reachable_arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _reachable_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _reachable_arrays(vars(obj), seen)
+
+
+@pytest.mark.parametrize("steps", [200, 2000])
+@pytest.mark.parametrize("kind", ["unitary", "lindblad", "kraus"])
+def test_no_trajectory_holds_a_sample_stack(kind, steps):
+    rng = np.random.default_rng(steps)
+    dim = 2 if kind == "kraus" else 3
+    O = oracles.random_hermitian(rng, dim)
+    rho = DensityState.pure(oracles.random_ket(rng, dim))
+    grid = TimeGrid(0.0, 1.0, steps)
+    if kind == "unitary":
+        traj = evolve_unitary_heisenberg(O, oracles.random_hermitian(rng, dim), rho, grid)
+    elif kind == "lindblad":
+        traj = evolve_lindblad_heisenberg(O, random_lindblad(rng, dim), rho, grid, probes=(O @ rho.matrix,))
+    else:
+        traj = evolve_kraus_heisenberg(O, KrausGenerator(DephasingKraus(0.8)), rho, grid)
+    # after every read a bound makes, so nothing is cached by a read either
+    traj.at(0), traj.at(-1), traj.prefix(steps // 2)
+    if kind != "kraus":
+        traj.trace_with(O @ rho.matrix)
+    stacks = [
+        a.shape
+        for a in _reachable_arrays(vars(traj), set())
+        if a.ndim >= 3 and a.shape[-2:] == (dim, dim) and steps + 1 in a.shape[:-2]
+    ]
+    assert not stacks

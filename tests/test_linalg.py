@@ -331,3 +331,19 @@ def test_density_state_pure_normalizes():
     assert rho.matrix[0, 0] == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         DensityState.pure([0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ket", [[1e200, 1e200], [1e-200, 1e-200]], ids=["norm-overflows", "norm-underflows"])
+def test_pure_normalizes_huge_and_tiny_kets_without_warnings(ket):
+    assert np.abs(DensityState.pure(ket).matrix - 0.5).max() <= 4e-16
+
+
+def test_pure_scaling_leaves_an_ordinary_ket_unchanged(rng):
+    # a power-of-two scaling is exact, so it gives the bits of psi / ||psi||
+    for scale in (1e-30, 1e-3, 1.0, 7.0, 1e30):
+        psi = scale * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        psi_n = psi / np.linalg.norm(psi)
+        assert np.array_equal(DensityState.pure(psi).matrix, np.outer(psi_n, psi_n.conj()))
+    with pytest.raises(ValidationError, match="nonzero finite"):
+        DensityState.pure([np.inf, 0.0])

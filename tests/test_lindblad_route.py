@@ -25,7 +25,7 @@ from oqsl.dynamics import (
     lindblad_final_state,
     liouvillian,
 )
-from oqsl.linalg import DensityState, op_norm, sigma_z
+from oqsl.linalg import DensityState, ValidationError, op_norm, sigma_z
 
 import oracles
 from oracles import lindblad_adjoint
@@ -59,8 +59,8 @@ def _rk4_reference(gen, y0, grid, heisenberg):
 def test_exact_route_matches_rk4_reference(dim):
     assert dim <= EXACT_MAX_DIM
     gen, O, rho = _random_case(dim)
-    traj = evolve_lindblad_heisenberg(O, gen, rho, GRID)
-    assert np.abs(traj.O_samples - _rk4_reference(gen, O, GRID, True)).max() <= 1e-9
+    traj = evolve_lindblad_heisenberg(O, gen, rho, GRID, probes=tuple(oracles.matrix_units(dim)))
+    assert np.abs(oracles.samples_from_probes(traj) - _rk4_reference(gen, O, GRID, True)).max() <= 1e-9
     states = evolve_lindblad_schrodinger(rho, gen, GRID)
     rho_t = np.array([s.matrix for s in states])
     assert np.abs(rho_t - _rk4_reference(gen, rho.matrix, GRID, False)).max() <= 1e-9
@@ -73,22 +73,23 @@ def test_generator_speeds_match_matrix_form(dim):
     # RK4 on the fused form, so its reference is the Kronecker Liouvillian
     gen, O, rho = _random_case(dim, seed=1)
     grid = TimeGrid(0.0, 0.5, 20)
-    traj = evolve_lindblad_heisenberg(O, gen, rho, grid)
+    traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
+    Os = oracles.samples_from_probes(traj)
     if dim <= EXACT_MAX_DIM:
-        rhs = np.array([lindblad_adjoint(gen, Ot) for Ot in traj.O_samples])
+        rhs = np.array([lindblad_adjoint(gen, Ot) for Ot in Os])
     else:
-        Os = traj.O_samples.reshape(grid.steps + 1, dim * dim)
-        rhs = (Os @ oracles.kron_liouvillian(gen, True).T).reshape(-1, dim, dim)
+        rhs = (Os.reshape(grid.steps + 1, dim * dim) @ oracles.kron_liouvillian(gen, True).T).reshape(-1, dim, dim)
     assert np.abs(traj.gen_speed_hs - np.linalg.norm(rhs, axis=(1, 2))).max() <= 1e-12
     for k in (0, 7, grid.steps):
         assert traj.gen_speed_op[k] == pytest.approx(oracles.jacobi_singular_values(rhs[k])[0], abs=1e-12)
 
 
 def test_rk4_route_above_crossover_matches_reference():
-    gen, O, rho = _random_case(EXACT_MAX_DIM + 1, seed=2)
+    dim = EXACT_MAX_DIM + 1
+    gen, O, rho = _random_case(dim, seed=2)
     grid = TimeGrid(0.0, 0.5, 40)
-    traj = evolve_lindblad_heisenberg(O, gen, rho, grid)
-    assert np.abs(traj.O_samples - _rk4_reference(gen, O, grid, True)).max() <= 1e-12
+    traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
+    assert np.abs(oracles.samples_from_probes(traj) - _rk4_reference(gen, O, grid, True)).max() <= 1e-12
 
 
 RAMP = RateTable([0.0, 0.3, 1.0], [0.1, 0.9, 0.4])
@@ -121,9 +122,9 @@ def test_rk4_speeds_are_the_generator_at_every_sample():
     dim = EXACT_MAX_DIM + 1
     gen, O, rho = _random_case(dim, seed=4, rate=RAMP)
     grid = TimeGrid(0.0, 1.0, 25)
-    traj = evolve_lindblad_heisenberg(O, gen, rho, grid)
+    traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
     n = grid.steps + 1
-    rhs = oracles.lindblad_matrix_form([gen] * n, traj.O_samples, grid.times())
+    rhs = oracles.lindblad_matrix_form([gen] * n, oracles.samples_from_probes(traj), grid.times())
     assert np.abs(traj.gen_speed_hs - np.linalg.norm(rhs, axis=(1, 2))).max() <= 1e-13
     assert np.abs(traj.gen_speed_op - np.linalg.svd(rhs, compute_uv=False)[:, 0]).max() <= 1e-13
     assert traj.gen_speed_op[-1] == pytest.approx(oracles.jacobi_singular_values(rhs[-1])[0], abs=1e-12)
@@ -153,14 +154,18 @@ def test_audit_block_matches_per_trial_evolution():
         audit._integrate_lindblad_block(trials, grid)
         for t in trials:
             gen = LindbladGenerator(H=t.H, jumps=t.jumps)
-            traj = evolve_lindblad_heisenberg(t.O, gen, t.rho, grid)
+            probes = bounds.declared_probes(t.O, t.B, t.rho)
+            traj = evolve_lindblad_heisenberg(t.O, gen, t.rho, grid, probes=probes)
             states = evolve_lindblad_schrodinger(t.rho, gen, grid)
             ours = t.lind_traj
-            assert np.abs(ours.at(-1) - traj.at(-1)).max() <= 1e-12
-            assert np.abs(ours.O_samples - traj.O_samples).max() <= 1e-12
+            Os = oracles.propagate_lindblad([gen], t.O[None], grid, heisenberg=True)[0][0]
+            for k in (0, -1):
+                assert np.abs(ours.at(k) - Os[k]).max() <= 1e-12
+                assert np.abs(ours.at(k) - traj.at(k)).max() <= 1e-12
+            assert np.abs(ours.expect - np.einsum("tab,ba->t", Os, t.rho.matrix).real).max() <= 1e-12
             for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
                 assert np.abs(getattr(ours, series) - getattr(traj, series)).max() <= 1e-12
-            for probe in bounds.declared_probes(t.O, t.B, t.rho):
+            for probe in probes:
                 assert np.abs(ours.trace_with(probe) - traj.trace_with(probe)).max() <= 1e-12
             expect = np.einsum("ab,tba->t", t.O, np.array([s.matrix for s in states])).real
             assert np.abs(t.lind_rho_expect - expect).max() <= 1e-12
@@ -176,7 +181,8 @@ def test_audit_block_keeps_no_state_stack():
         for t in trials:
             held = [*vars(t).values(), *vars(t.lind_traj).values()]
             assert not [v for v in held if isinstance(v, np.ndarray) and v.shape == (grid.steps + 1, dim, dim)]
-            assert t.lind_traj._samples is None
+            with pytest.raises(ValidationError, match="only at the two ends"):
+                t.lind_traj.at(1)
             assert t.lind_rho_expect.shape == (grid.steps + 1,)
 
 

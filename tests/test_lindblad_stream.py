@@ -1,8 +1,8 @@
 """The streamed Lindblad kernel: its reductions against those of the
 full-stack kernel it replaced (tests/oracles.py) across chunk boundaries,
 the production paths that must never build a (steps + 1, d, d) sample
-stack, the memory that evolving an observable holds, and the on-demand
-samples behind undeclared probes and interior samples."""
+stack, the memory that evolving an observable holds, and the errors that
+an undeclared probe and an interior sample raise."""
 
 import io
 import tracemalloc
@@ -24,7 +24,7 @@ from oqsl.dynamics import (
     lindblad_chunks,
     lindblad_trajectories,
 )
-from oqsl.linalg import DensityState, NumericError, mat_exp, op_norm
+from oqsl.linalg import DensityState, NumericError, ValidationError, mat_exp, op_norm
 
 import oracles
 
@@ -171,10 +171,16 @@ pauli = 1.0 ZI
 
 
 def test_production_paths_build_no_sample_stack(tmp_path, monkeypatch):
-    def fail(self):
-        raise AssertionError("a Lindblad sample stack was built")
+    # every bound reads the one streamed evolution: its declared probes and
+    # ends, with no second run of the kernel
+    runs = []
 
-    monkeypatch.setattr(dynamics.LindbladTrajectory, "_build_samples", fail)
+    def counted(*args, **kwargs):
+        runs.append(kwargs.get("heisenberg", args[-1]))
+        return kernel(*args, **kwargs)
+
+    kernel = dynamics.lindblad_chunks
+    monkeypatch.setattr(dynamics, "lindblad_chunks", counted)
     path = tmp_path / "pure.sys"
     path.write_text(PURE_LINDBLAD)
     out, err = io.StringIO(), io.StringIO()
@@ -182,6 +188,7 @@ def test_production_paths_build_no_sample_stack(tmp_path, monkeypatch):
     assert cli.main(argv, out=out, err=err) == 0, err.getvalue()
     ids = [line.split(",")[0] for line in out.getvalue().splitlines()[1:]]
     assert ids == ["GENERATOR_HS", "DELCAMPO", "STATE_INDEP", "CORR_OPEN", "COMM_OPEN"]
+    assert runs == [True]
     assert cli.main(["scenario", "dephasing"], out=io.StringIO(), err=err) == 0, err.getvalue()
     assert audit.run_audit(4, 2).passed
 
@@ -199,22 +206,27 @@ def test_observable_evolution_holds_no_sample_stack():
     assert peak < 4e6
 
 
-def test_on_demand_samples_serve_undeclared_probes_and_interior_samples():
+def test_undeclared_probes_and_interior_samples_raise():
     gen, O, B, rho = _case(3, seed=10)
     grid = TimeGrid(0.0, 0.7, 60)
     declared = correlation_probe(O, rho)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=(declared,))
-    series = traj.trace_with(declared)
-    assert traj._samples is None
-    M = commutator_probe(B, rho)  # not declared
-    assert np.array_equal(traj.trace_with(M), np.einsum("tab,ba->t", traj.O_samples, M))
-    assert np.array_equal(series, np.einsum("tab,ba->t", traj.O_samples, declared))
     ref, _ = oracles.propagate_lindblad([gen], O[None], grid, heisenberg=True)
-    assert np.array_equal(traj.O_samples, ref[0])
-    for k in (0, 1, 17, -2, -1):
+    series = traj.trace_with(declared)
+    assert np.array_equal(series, np.einsum("tab,ba->t", ref[0], declared))
+    with pytest.raises(ValidationError, match="declared as a probe"):
+        traj.trace_with(commutator_probe(B, rho))
+    for k in (0, -1):
         assert np.array_equal(traj.at(k), ref[0, k])
-    sub = traj.prefix(17)
-    assert np.array_equal(sub.trace_with(declared), series[:18])
-    assert np.array_equal(sub.at(-1), ref[0, 17]) and np.array_equal(sub.O_samples, ref[0, :18])
+    for k in (1, 17, -2):
+        with pytest.raises(ValidationError, match="only at the two ends"):
+            traj.at(k)
     with pytest.raises(IndexError):
         traj.at(grid.steps + 1)
+    # a shorter prefix keeps O(0) and the probe series, but not O(t_17)
+    sub = traj.prefix(17)
+    assert np.array_equal(sub.trace_with(declared), series[:18])
+    assert np.array_equal(sub.at(0), ref[0, 0])
+    with pytest.raises(ValidationError, match="only at the two ends"):
+        sub.at(-1)
+    assert np.array_equal(traj.prefix(grid.steps).at(-1), ref[0, -1])

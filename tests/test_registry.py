@@ -68,8 +68,8 @@ def test_context_evaluates_every_unitary_bound_without_samples(rng):
     )
     ids = [r.bound_id for r in evaluate_all(ctx)]
     assert ids == [b for b in BOUND_IDS if b not in ("DELCAMPO", "CORR_OPEN", "COMM_OPEN", "KRAUS")]
-    # the unitary trajectory never formed its per-sample matrices
-    assert ctx.traj._samples is None
+    # the unitary trajectory holds no per-sample matrices
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(ctx.traj).values())
     with pytest.raises(ValidationError, match="not applicable to this unitary system/observable: KRAUS"):
         bounds.select(ctx, ["PURITY_HS", "KRAUS"])
 

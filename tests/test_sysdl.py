@@ -1,3 +1,4 @@
+import io
 import re
 from pathlib import Path
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqsl.cli import main
 from oqsl.dynamics import DephasingKraus, TabulatedKraus
-from oqsl.linalg import PAULI, DensityState, ValidationError, sigma_x, sigma_z
+from oqsl.linalg import PAULI, ValidationError, sigma_x, sigma_z
 from oqsl.sysdl import (
     _SECTIONS,
     Diagnostic,
@@ -290,6 +292,10 @@ def test_kraus_table_fault_is_its_only_diagnostic(text, line):
         ("key = 1\n", "outside any section"),
         ("[system]\ndim = 2\nhbar = -1\n[state]\nket = [1, 0]\n", "hbar must be positive"),
         (KRAUS_NAN_TIME, "t.sys:10:8: non-finite number 'nan'"),
+        ("[system]\ndim = 2\nhbar = -inf\n[state]\nket = [1, 0]\n", "t.sys:3:8: non-finite number '-inf'"),
+        ("[system]\ndim = 2\nhbar = 1e999\n[state]\nket = [1, 0]\n", "t.sys:3:8: non-finite number '1e999'"),
+        ("[system]\ndim = 2\nhbar = 0x1\n[state]\nket = [1, 0]\n", "t.sys:3:8: malformed number '0x1'"),
+        ("[system]\ndim = 2.0\n[state]\nket = [1, 0]\n", "t.sys:2:7: malformed integer '2.0'"),
         ("[system]\ndim = 2\nFoo = 1\n[state]\nket = [1, 0]\n", "unknown key 'Foo'"),
         (
             "[system]\ndim = 2\n[state]\nket = [1, 0]\n[kraus]\nfamily = dephasing\ngamma = 1\nK = [[1, 0], [0, 1]]\n",
@@ -531,7 +537,8 @@ def test_ket_is_normalized_without_overflow(ket, expected):
 
 def test_ket_scaling_leaves_an_ordinary_state_unchanged():
     rho = parse_system(KET_BASE + "[0.6, -0.3+0.7i]\n").initial_state.matrix
-    assert np.array_equal(rho, DensityState.pure([0.6, -0.3 + 0.7j]).matrix)
+    psi = np.array([0.6, -0.3 + 0.7j]) / np.linalg.norm([0.6, -0.3 + 0.7j])
+    assert np.array_equal(rho, np.outer(psi, psi.conj()))
 
 
 def test_zero_ket_is_reported_where_written():
@@ -547,6 +554,34 @@ def test_non_ascii_digit_is_rejected_where_written():
     assert exc_info.value.diagnostics == [Diagnostic(4, 8, "malformed complex literal '\u0661'")]
     with pytest.raises(ParseError):
         parse_complex("\u0661.5")
+
+
+SCALAR_FILES = {
+    # key: (file with {} for the value, line and column of the value)
+    "dim": ("[system]\ndim = {}\n", 2, 7),
+    "hbar": ("[system]\ndim = 2\nhbar = {}\n", 3, 8),
+    "rate": ("[system]\ndim = 2\n[jump]\npauli = 1.0 Z\nrate = {}\n", 5, 8),
+    "gamma": ("[system]\ndim = 2\n[kraus]\nfamily = dephasing\ngamma = {}\n", 5, 9),
+    "time": ("[system]\ndim = 2\n[kraus]\nfamily = tabulated\ntime = {}\nK = [[1, 0], [0, 1]]\n", 5, 8),
+}
+
+
+@pytest.mark.parametrize("value", ["\u0662", "1_0"], ids=["arabic-indic-digit", "underscore"])
+@pytest.mark.parametrize("key", sorted(SCALAR_FILES))
+def test_scalar_outside_the_ascii_grammar_exits_2_where_written(key, value, tmp_path):
+    # Python's int() and float() read both values (as 2 and 10); the format does not
+    template, line, col = SCALAR_FILES[key]
+    path = tmp_path / "scalar.sys"
+    path.write_text(template.format(value), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["parse", "--system", str(path)], out=out, err=err) == 2
+    kind = "integer" if key == "dim" else "number"
+    assert f"{path}:{line}:{col}: malformed {kind} {value!r}" in err.getvalue().splitlines()
+
+
+def test_scalars_in_the_grammar_parse():
+    spec = parse_system("[system]\ndim = +2\nhbar = 2.\n[state]\nket = [1, 0]\n[jump]\npauli = 1.0 Z\nrate = .5e-1\n")
+    assert (spec.dim, spec.hbar, spec.jumps[0][1]) == (2, 2.0, 0.05)
 
 
 @settings(max_examples=100, deadline=None)

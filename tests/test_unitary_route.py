@@ -71,11 +71,11 @@ def test_moments_and_speeds_match_dense_route(case):
 
 def test_samples_are_built_on_demand_and_match(case):
     _, A, _, _, _, traj, (Os, *_) = case
-    assert "O_samples" not in vars(traj)
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(traj).values())
     _close(traj.at(0), A, op_norm(A))
+    _close(traj.at(GRID.steps // 2), Os[GRID.steps // 2], op_norm(A))
     _close(traj.at(-1), Os[-1], op_norm(A))
-    _close(traj.O_samples, Os, op_norm(A))
-    assert traj.O_samples is traj.O_samples
+    _close(oracles.samples_from_probes(traj), Os, op_norm(A))
 
 
 def test_prefix_matches_dense_route(case):
@@ -86,7 +86,8 @@ def test_prefix_matches_dense_route(case):
     _close(sub.expect, expect[:18], scale)
     _close(sub.stddev**2, stddev[:18] ** 2, scale)
     _close(sub.gen_speed_hs, speed_hs[:18], scale * op_norm(H) / hbar)
-    _close(sub.O_samples, Os[:18], op_norm(A))
+    _close(sub.at(-1), Os[17], op_norm(A))
+    _close(oracles.samples_from_probes(sub), Os[:18], op_norm(A))
 
 
 def test_trace_with_and_midpoint_spread(case):
