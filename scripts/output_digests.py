@@ -3,7 +3,9 @@
 ``--format json`` output of ``bound --bounds ALL`` on the six built-in
 systems, of the four scenarios, of ``audit --trials 100 --seed 1`` and of
 ``evolve`` on ``qutrit_decay.sys`` and on ``kraus_dephasing.sys`` (whose
-per-sample Kraus speeds no bound prints), the canonical reprint of ``parse`` on
+per-sample Kraus speeds no bound prints), the latter also at KRAUS_STEPS, so
+that the Kraus kernel streams several chunks and a change at their
+boundaries shows, the canonical reprint of ``parse`` on
 the six built-in systems, and the ``--format json`` output of
 ``bound --bounds ALL`` and ``evolve`` and the reprint of ``parse`` on a
 d = 17 Lindblad system. No built-in system takes the Lindblad kernel's RK4
@@ -64,6 +66,8 @@ BUILTIN_BOUNDS = (
 SCENARIOS = ("tight-qubit", "dephasing", "battery-degenerate", "kraus-dephasing")
 # above the exact route's largest dimension (dynamics.EXACT_MAX_DIM = 16)
 RK4_FILE, RK4_DIM, RK4_SEED = "lindblad_17.sys", 17, 17
+# at least three chunks of dynamics.CHUNK_BYTES on kraus_dephasing.sys
+KRAUS_STEPS = 40000
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -119,6 +123,9 @@ def commands(workdir: Path):
     yield "evolve:qutrit_decay.sys", ["evolve", "--system", str(SYSTEMS / "qutrit_decay.sys"), *evolve]
     evolve = ["--observable", "O", "--tmax", "1.5708", "--format", "json"]
     yield "evolve:kraus_dephasing.sys", ["evolve", "--system", str(SYSTEMS / "kraus_dephasing.sys"), *evolve]
+    yield f"evolve:kraus_dephasing.sys:{KRAUS_STEPS}", [
+        "evolve", "--system", str(SYSTEMS / "kraus_dephasing.sys"), *evolve, "--steps", str(KRAUS_STEPS)
+    ]
     rk4 = ["--system", str(workdir / RK4_FILE), "--observable", "A", "--tmax", "1.0", "--format", "json"]
     yield f"bound:{RK4_FILE}", ["bound", *rk4, "--observable-b", "B", "--bounds", "ALL"]
     yield f"evolve:{RK4_FILE}", ["evolve", *rk4]

@@ -9,9 +9,10 @@ pictures, runs through the kernel that the CLI also uses
 (``dynamics.lindblad_chunks``): the audit's rates are constant, so each
 step is one batched mat-vec with the exact propagator, and the kernel also
 returns the generator speeds. Its chunks are reduced over the whole block as
-they arrive: each trial keeps its Heisenberg trajectory's scalar series, its
-O(0) and O(T), the series of the probe matrices that CORR_OPEN and
-COMM_OPEN read, and tr(O rho(t)) of its states, but no sample stack. Each
+they arrive: each trial keeps its Lindblad evaluation context, whose
+trajectory holds the scalar series, O(0) and O(T) and the series of the
+probe matrices its bounds declare, and tr(O rho(t)) of its states, but no
+sample stack. Each
 dimension's block is integrated and then its trials are evaluated, on the
 calling thread, before the next block starts, so at most one block's series
 are held at once.
@@ -30,7 +31,6 @@ from .dynamics import (
     KrausGenerator,
     LindbladGenerator,
     TimeGrid,
-    Trajectory,
     evolve_kraus_heisenberg,
     evolve_unitary_heisenberg,
     lindblad_chunks,
@@ -142,7 +142,7 @@ class _Trial:
     comm_coeffs: np.ndarray
     kraus_gamma: float
     # batched-integration results, attached after sampling
-    lind_traj: Trajectory | None = None
+    lindblad: bounds.EvalContext | None = None  # its trajectory already evolved
     lind_rho_expect: np.ndarray | None = None  # tr(O rho(t)), Schrodinger picture
 
     @property
@@ -178,17 +178,19 @@ def _sample_trial(seed: int, dim: int, index: int) -> _Trial:
 def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
     """Evolve every trial's Heisenberg observable and Schrodinger state at
     once through the shared Lindblad kernel, reducing its chunks as they
-    arrive. Attaches to each trial its Lindblad trajectory, which keeps the
-    series of the probes CORR_OPEN and COMM_OPEN read, and of its states
-    only tr(O rho(t)), which is all the duality check reads."""
+    arrive. Attaches to each trial its Lindblad evaluation context, whose
+    trajectory keeps the series of the probes its bounds declare, and of its
+    states only tr(O rho(t)), which is all the duality check reads."""
     if not trials:
         return
     gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
     Os = np.stack([t.O for t in trials])
     rhos = [t.rho for t in trials]
-    probes = [bounds.declared_probes(t.O, t.B, t.rho) for t in trials]
-    for t, traj in zip(trials, lindblad_trajectories(gens, Os, rhos, grid, probes)):
-        t.lind_traj = traj
+    contexts = [bounds.EvalContext("lindblad", grid, t.O, t.rho, None, H=t.H, B=t.B) for t in trials]
+    trajs = lindblad_trajectories(gens, Os, rhos, grid, [ctx.probes for ctx in contexts])
+    for t, ctx, traj in zip(trials, contexts, trajs):
+        ctx.traj = traj
+        t.lindblad = ctx
     rho_expect = np.empty((len(trials), grid.steps + 1))
     for start, samples, _ in lindblad_chunks(gens, np.stack([r.matrix for r in rhos]), grid, heisenberg=False):
         for b, (t, rho_samples) in enumerate(zip(trials, samples)):
@@ -213,8 +215,7 @@ def _evaluate_trial(trial: _Trial) -> dict:
         "unitary", UNITARY_GRID, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, UNITARY_GRID),
         H=H, B=B, self_inverse=trial.O_si, projector=trial.P,
     )
-    # the Lindblad trajectory comes from the block integrator
-    lindblad = bounds.EvalContext("lindblad", LINDBLAD_GRID, O, rho, lambda: trial.lind_traj, H=H, B=B)
+    lindblad = trial.lindblad
     contexts = [unitary, lindblad]
     if trial.dim == 2:
         kgen = KrausGenerator(DephasingKraus(trial.kraus_gamma))
@@ -233,7 +234,7 @@ def _evaluate_trial(trial: _Trial) -> dict:
         for name, v in audit.violations.items():
             out[(name, ctx.kind)] = v
     # <O(t)> in the Heisenberg picture against tr(O rho(t))
-    out[("DUALITY", "lindblad")] = float(np.abs(trial.lind_rho_expect - trial.lind_traj.expect).max())
+    out[("DUALITY", "lindblad")] = float(np.abs(trial.lind_rho_expect - lindblad.traj.expect).max())
     return out
 
 

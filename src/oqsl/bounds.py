@@ -440,15 +440,6 @@ def commutator_probe(B0: np.ndarray, rho: DensityState) -> np.ndarray:
     return rho.matrix @ B0 - B0 @ rho.matrix
 
 
-def declared_probes(A0: np.ndarray, B0: np.ndarray | None, rho: DensityState) -> tuple:
-    """The probe matrices to declare before a Lindblad evolution of A0, so
-    that its trajectory keeps their series: CORR_OPEN's and, given B0,
-    COMM_OPEN's. Both bounds need a pure state; a mixed one declares none."""
-    if not rho.is_pure():
-        return ()
-    return (correlation_probe(A0, rho),) + (() if B0 is None else (commutator_probe(B0, rho),))
-
-
 def two_time_correlation(
     A0: np.ndarray,
     traj: Trajectory,
@@ -565,10 +556,6 @@ class RateAuditReport:
     kind: str
     violations: dict
 
-    @property
-    def max_violation(self) -> float:
-        return max(self.violations.values()) if self.violations else float("-inf")
-
 
 def rate_audit(ctx: EvalContext) -> RateAuditReport:
     """Check the applicable rate inequalities along the context's trajectory.
@@ -604,11 +591,14 @@ def rate_audit(ctx: EvalContext) -> RateAuditReport:
 @dataclass(eq=False)
 class EvalContext:
     """What the bounds read for one observable O under one dynamics; each
-    derived quantity (the trajectory, dH, O H, the battery pair, the final
-    state) is a ``functools.cached_property``, computed once, on first use.
+    derived quantity (the trajectory, its probes, dH, O H, the battery pair,
+    the final state) is a ``functools.cached_property``, computed once, on
+    first use.
 
-    ``evolve`` returns O's trajectory on ``grid``, so bounds can be selected
-    before anything evolves. ``self_inverse`` and ``projector`` are the
+    ``evolve`` returns O's trajectory on ``grid``, keeping the series of
+    :attr:`probes`, so bounds can be selected before anything evolves; a
+    caller that evolves many contexts at once, like the audit's Lindblad
+    block, sets ``traj`` instead. ``self_inverse`` and ``projector`` are the
     observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
     observables read at the grid's two ends in O's eigenbasis. ``B`` is the
     commutator bounds' second observable; ``final_state`` returns the
@@ -621,7 +611,7 @@ class EvalContext:
     grid: TimeGrid
     O: np.ndarray
     rho: DensityState
-    evolve: Callable[[], Trajectory]
+    evolve: Callable[[], Trajectory] | None
     H: np.ndarray | None = None
     hbar: float = 1.0
     tol: float = DEFAULT_TOL
@@ -638,6 +628,12 @@ class EvalContext:
     @cached_property
     def traj(self) -> Trajectory:
         return self.evolve()
+
+    @cached_property
+    def probes(self) -> tuple:
+        """The probe matrices that the applicable bounds declare, in table
+        order: the series tr(O(t) M) a Lindblad trajectory must keep."""
+        return tuple(s.probe(self) for s in select(self) if s.probe is not None)
 
     @cached_property
     def delta_H(self) -> float:
@@ -693,12 +689,15 @@ def _delcampo(c: EvalContext) -> BoundReport:
 @dataclass(frozen=True)
 class BoundSpec:
     """A bound: its id, the dynamics kinds it applies to, the context entries
-    it needs (:meth:`EvalContext.has`), and its evaluation on a context."""
+    it needs (:meth:`EvalContext.has`), its evaluation on a context, and the
+    probe matrix M whose series tr(O(t) M) it reads from a trajectory that
+    does not trace every M (:attr:`EvalContext.probes`)."""
 
     id: str
     kinds: tuple
     needs: tuple
     evaluate: Callable[[EvalContext], BoundReport]
+    probe: Callable[[EvalContext], np.ndarray] | None = None
 
 
 _U, _L, _UL = ("unitary",), ("lindblad",), ("unitary", "lindblad")
@@ -722,9 +721,15 @@ REGISTRY = (
     BoundSpec("BATTERY_CT1", _U, ("pure",), lambda c: c.battery[0]),
     BoundSpec("BATTERY_CT2", _U, ("pure",), lambda c: c.battery[1]),
     BoundSpec("CORR_CLOSED", _U, ("pure",), lambda c: _corr(c, "closed")),
-    BoundSpec("CORR_OPEN", _L, ("pure",), lambda c: _corr(c, "open")),
+    BoundSpec("CORR_OPEN", _L, ("pure",), lambda c: _corr(c, "open"), lambda c: correlation_probe(c.O, c.rho)),
     BoundSpec("COMM_CLOSED", _U, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind="closed")),
-    BoundSpec("COMM_OPEN", _L, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind="open")),
+    BoundSpec(
+        "COMM_OPEN",
+        _L,
+        ("pure", "B"),
+        lambda c: commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind="open"),
+        lambda c: commutator_probe(c.B, c.rho),
+    ),
     BoundSpec("KRAUS", ("kraus",), (), lambda c: oqsl_kraus(c.traj, c.rho)),
 )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,23 +39,6 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    system_path: str | None = None
-    observable: str | None = None
-    observable_b: str | None = None
-    t_max: float = 1.0
-    steps: int = 1000
-    bounds: list = field(default_factory=lambda: ["ALL"])
-    fmt: str = "csv"
-    seed: int = 42
-    hbar: float | None = None
-    tol: float = DEFAULT_TOL
-    trials: int = 100
-    scenario: str | None = None
-
-
 def _f12(x: float) -> str:
     return f"{x:.12g}"
 
@@ -64,12 +47,12 @@ def _f12(x: float) -> str:
 # bound evaluation on a parsed system
 
 
-def _effective_hbar(spec: SystemSpec, cfg: RunConfig) -> float:
-    if cfg.hbar is None:
+def _effective_hbar(spec: SystemSpec, args: argparse.Namespace) -> float:
+    if args.hbar is None:
         return spec.hbar
     if spec.kind == "kraus":
         raise ValidationError("--hbar does not apply to a kraus system: its Kraus family has no hbar")
-    return cfg.hbar
+    return args.hbar
 
 
 def _evolve(gen, O: np.ndarray, rho, grid: TimeGrid, tol: float, probes=()):
@@ -82,76 +65,87 @@ def _evolve(gen, O: np.ndarray, rho, grid: TimeGrid, tol: float, probes=()):
     return evolve_kraus_heisenberg(O, gen, rho, grid, tol=tol)
 
 
-def _context(spec: SystemSpec, cfg: RunConfig) -> bounds.EvalContext:
+def _context(spec: SystemSpec, args: argparse.Namespace) -> bounds.EvalContext:
     """The evaluation context of the named observable; nothing evolves yet."""
-    O = spec.observable(cfg.observable)
-    hbar = _effective_hbar(spec, cfg)
-    gen = spec.generator(hbar, cfg.tol)
+    O = spec.observable(args.observable)
+    hbar = _effective_hbar(spec, args)
+    gen = spec.generator(hbar, args.tol)
     rho = spec.initial_state
-    grid = TimeGrid(0.0, cfg.t_max, cfg.steps)
-    B = spec.observable(cfg.observable_b) if cfg.observable_b else None
-    OO, slot_tol = O @ O, max(cfg.tol, 1e-9)
-    final_state, probes = None, ()
+    grid = TimeGrid(0.0, args.tmax, args.steps)
+    B = spec.observable(args.observable_b) if args.observable_b else None
+    OO, slot_tol = O @ O, max(args.tol, 1e-9)
+    final_state = None
     if spec.kind == "lindblad":
-        probes = bounds.declared_probes(O, B, rho)
 
         def final_state():
-            return lindblad_final_state(rho, gen, grid, tol=cfg.tol)
+            return lindblad_final_state(rho, gen, grid, tol=args.tol)
 
-    return bounds.EvalContext(
+    ctx = bounds.EvalContext(
         kind=spec.kind,
         grid=grid,
         O=O,
         rho=rho,
-        evolve=lambda: _evolve(gen, O, rho, grid, cfg.tol, probes),
+        evolve=lambda: _evolve(gen, O, rho, grid, args.tol, ctx.probes),
         H=spec.hamiltonian,
         hbar=hbar,
-        tol=cfg.tol,
+        tol=args.tol,
         B=B,
         self_inverse=O if np.abs(OO - np.eye(spec.dim)).max() <= slot_tol else None,
         projector=O if np.abs(OO - O).max() <= slot_tol else None,
         final_state=final_state,
         generator=gen,
     )
+    return ctx
 
 
-def _evaluate_bounds(spec: SystemSpec, cfg: RunConfig, requested: list[str]) -> list[bounds.BoundReport]:
-    ctx = _context(spec, cfg)
+def _bound_ids(text: str) -> list[str] | None:
+    """The bound ids that --bounds names, in order, or None for ALL."""
+    ids = [b.strip() for b in text.split(",") if b.strip()]
+    if not ids:
+        raise ValidationError("--bounds must name at least one bound id or ALL")
+    unknown = [b for b in ids if b != "ALL" and b not in bounds.BOUND_IDS]
+    if unknown:
+        raise ValidationError(f"unknown bound id(s): {', '.join(unknown)}")
+    return None if "ALL" in ids else ids
+
+
+def _evaluate_bounds(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) -> list[bounds.BoundReport]:
+    ctx = _context(spec, args)
     if ctx.B is not None and not any("B" in s.needs for s in bounds.select(ctx)):
         state = "pure" if ctx.rho.is_pure() else "mixed"
         raise ValidationError(
             "--observable-b feeds only COMM_CLOSED/COMM_OPEN, which need a pure state under unitary "
             f"or lindblad dynamics; neither applies to this {spec.kind} system with a {state} state"
         )
-    return bounds.evaluate_all(ctx, None if requested == ["ALL"] else requested)
+    return bounds.evaluate_all(ctx, ids)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _read_system(cfg: RunConfig) -> SystemSpec:
-    if not cfg.system_path:
+def _read_system(args: argparse.Namespace) -> SystemSpec:
+    if not args.system:
         raise ValidationError("missing --system file path")
-    path = Path(cfg.system_path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(args.system).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read system file: {exc}") from exc
-    return parse_system(text, tol=cfg.tol)
+    return parse_system(text, tol=args.tol)
 
 
-def cmd_bound(cfg: RunConfig, out, err) -> int:
-    spec = _read_system(cfg)
-    reports = _evaluate_bounds(spec, cfg, cfg.bounds)
-    if cfg.fmt == "json":
+def cmd_bound(args: argparse.Namespace, out, err) -> int:
+    ids = _bound_ids(args.bounds)
+    spec = _read_system(args)
+    reports = _evaluate_bounds(spec, args, ids)
+    if args.format == "json":
         payload = {
             "schema": "oqsl.bound/v1",
             "system": spec.metadata.get("source_digest", ""),
-            "observable": cfg.observable,
+            "observable": args.observable,
             "kind": spec.kind,
-            "T": cfg.t_max,
-            "steps": cfg.steps,
+            "T": args.tmax,
+            "steps": args.steps,
             "reports": [asdict(r) for r in reports],
         }
         print(json.dumps(payload, sort_keys=True), file=out)
@@ -162,17 +156,17 @@ def cmd_bound(cfg: RunConfig, out, err) -> int:
     return EXIT_OK if all(r.valid for r in reports) else EXIT_NUMERIC
 
 
-def cmd_evolve(cfg: RunConfig, out, err) -> int:
-    spec = _read_system(cfg)
-    O = spec.observable(cfg.observable)
-    gen = spec.generator(_effective_hbar(spec, cfg), cfg.tol)
-    traj = _evolve(gen, O, spec.initial_state, TimeGrid(0.0, cfg.t_max, cfg.steps), cfg.tol)
+def cmd_evolve(args: argparse.Namespace, out, err) -> int:
+    spec = _read_system(args)
+    O = spec.observable(args.observable)
+    gen = spec.generator(_effective_hbar(spec, args), args.tol)
+    traj = _evolve(gen, O, spec.initial_state, TimeGrid(0.0, args.tmax, args.steps), args.tol)
     times = traj.grid.times()
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "schema": "oqsl.evolve/v1",
             "system": spec.metadata.get("source_digest", ""),
-            "observable": cfg.observable,
+            "observable": args.observable,
             "kind": spec.kind,
             "t": times.tolist(),
             "expect": traj.expect.tolist(),
@@ -189,24 +183,24 @@ def cmd_evolve(cfg: RunConfig, out, err) -> int:
     return EXIT_OK
 
 
-def cmd_scenario(cfg: RunConfig, out, err) -> int:
-    result = scenarios.run_scenario(cfg.scenario)
-    print(result.to_json() if cfg.fmt == "json" else result.to_csv(), end="", file=out)
+def cmd_scenario(args: argparse.Namespace, out, err) -> int:
+    result = scenarios.run_scenario(args.name)
+    print(result.to_json() if args.format == "json" else result.to_csv(), end="", file=out)
     return EXIT_OK if result.passed else EXIT_NUMERIC
 
 
-def cmd_audit(cfg: RunConfig, out, err) -> int:
-    if cfg.trials < 1:
-        raise ValidationError(f"--trials must be at least 1, got {cfg.trials}")
-    if cfg.seed < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {cfg.seed}")
-    summary = audit_mod.run_audit(n_qubit=cfg.trials, n_qutrit=cfg.trials // 2, seed=cfg.seed, tol=1e-6)
-    print(summary.to_json() if cfg.fmt == "json" else summary.to_csv(), end="", file=out)
+def cmd_audit(args: argparse.Namespace, out, err) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    summary = audit_mod.run_audit(n_qubit=args.trials, n_qutrit=args.trials // 2, seed=args.seed, tol=1e-6)
+    print(summary.to_json() if args.format == "json" else summary.to_csv(), end="", file=out)
     return EXIT_OK if summary.passed else EXIT_NUMERIC
 
 
-def cmd_parse(cfg: RunConfig, out, err) -> int:
-    spec = _read_system(cfg)
+def cmd_parse(args: argparse.Namespace, out, err) -> int:
+    spec = _read_system(args)
     print(serialize_system(spec), end="", file=out)
     return EXIT_OK
 
@@ -255,23 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    renamed = {"system": "system_path", "tmax": "t_max", "format": "fmt", "name": "scenario"}
-    cfg = RunConfig(**{renamed.get(k, k): v for k, v in vars(args).items() if v is not None and k != "bounds"})
-    if not (np.isfinite(cfg.tol) and cfg.tol >= 0):
-        raise ValidationError(f"--tol must be a nonnegative finite number, got {cfg.tol!r}")
-    if hasattr(args, "bounds"):
-        cfg.bounds = [b.strip() for b in str(args.bounds).split(",") if b.strip()]
-        if not cfg.bounds:
-            raise ValidationError("--bounds must name at least one bound id or ALL")
-        unknown = [b for b in cfg.bounds if b != "ALL" and b not in bounds.BOUND_IDS]
-        if unknown:
-            raise ValidationError(f"unknown bound id(s): {', '.join(unknown)}")
-        if "ALL" in cfg.bounds:
-            cfg.bounds = ["ALL"]
-    return cfg
-
-
 COMMANDS = {
     "bound": cmd_bound,
     "evolve": cmd_evolve,
@@ -286,8 +263,10 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return COMMANDS[cfg.command](cfg, out, err)
+        tol = getattr(args, "tol", DEFAULT_TOL)  # scenario and audit take no --tol
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValidationError(f"--tol must be a nonnegative finite number, got {tol!r}")
+        return COMMANDS[args.command](args, out, err)
     except ParseError as exc:
         print(exc.render(getattr(args, "system", "<sysdl>")), file=err)
         return EXIT_INPUT

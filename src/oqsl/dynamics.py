@@ -13,21 +13,21 @@ expectation along the grid is one phase-matrix product in its eigenbasis, so
 :class:`UnitaryTrajectory` traces any M and forms O(t) at any grid index.
 Their generator speeds are constant.
 
-Lindblad trajectories come from one batch-first kernel,
-:func:`lindblad_chunks`, which the audit also calls. It yields the grid one
-chunk of at most CHUNK_BYTES of samples at a time, and every caller reduces
-the chunks as they arrive. Evolving an observable thus holds O(steps)
-scalars, one chunk and, on the exact route, the d^4 propagator. With rates
-constant in time and d <= EXACT_MAX_DIM each step is one batched mat-vec
-with the exact propagator exp(h L); otherwise RK4 on the fused form
+Lindblad and Kraus kernels stream the grid in chunks of at most CHUNK_BYTES,
+and one reducer turns the chunks into trajectories as they arrive, so
+evolving an observable holds O(steps) scalars, one chunk and, on the exact
+Lindblad route, the d^4 propagator. The Lindblad kernel,
+:func:`lindblad_chunks`, which the audit also calls, evolves a batch: with
+rates constant in time and d <= EXACT_MAX_DIM each step is one batched
+mat-vec with the exact propagator exp(h L); otherwise RK4 on the fused form
 A y + y A^dag + sum_k gamma_k left_k y right_k, whose first stage gives the
-speeds. Both routes take an observable's speeds from L^dag[O(t)], which is
-Hermitian: its operator norm is its largest |eigenvalue|, in closed form for
-d = 2. An observable that is Hermitian only within ``tol`` is read, like
-``numpy.linalg.eigvalsh`` reads it, through its lower triangle. Kraus
-trajectories call the operator family once, on the whole grid, and work on
-the (n_times, n_ops, d, d) stack, with time-derivatives taken by finite
-differences along the grid; the stack of O(t) is dropped once reduced.
+speeds. Both routes take an observable's speeds, once per chunk, from
+L^dag[O(t)], which is Hermitian: its operator norm is its largest
+|eigenvalue|, in closed form for d = 2. An observable that is Hermitian only
+within ``tol`` is read, like ``numpy.linalg.eigvalsh`` reads it, through its
+lower triangle. The Kraus kernel calls the operator family on each chunk's
+times and one more on each side, so dK/dt is the central difference along
+the grid, one-sided at its ends, whatever the chunking.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
 the action of exp(T L) on rho0 by a Taylor series on the fused form
@@ -59,8 +59,8 @@ INSTABILITY_LIMIT = 1e12
 # the largest dimension at which constant-rate Lindblad evolution takes the
 # exact route: above it, the d^2 x d^2 propagator costs more than RK4
 EXACT_MAX_DIM = 16
-# the bytes one chunk of streamed Lindblad samples may take, over the whole
-# batch: the kernel's working set besides the propagator
+# the bytes one chunk of streamed Lindblad samples, or of Kraus operators, may
+# take over the whole batch: the kernel's working set is a few times this
 CHUNK_BYTES = 1 << 20
 
 
@@ -428,15 +428,6 @@ def _spread(mean: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
     return np.sqrt(np.clip(var, 0.0, None))
 
 
-def _batch_expect(Os: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.einsum("tab,ba->t", Os, rho).real
-
-
-def _batch_stddev(Os: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
-    second = np.einsum("tab,tba->t", Os, Os @ rho).real
-    return _spread(_batch_expect(Os, rho), second, tol)
-
-
 def _check_state(rho: DensityState, dim: int) -> None:
     if rho.matrix.shape[0] != dim:
         raise ValidationError(f"state dimension {rho.matrix.shape[0]} != {dim}")
@@ -599,11 +590,7 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     The generators share one dimension and one number of jumps. Each chunk
     is a new array.
 
-    A chunk's samples take at most CHUNK_BYTES, but every chunk holds at
-    least two: a one-sample remainder joins the chunk before it, because
-    numpy computes a one-row matrix product as a matrix-vector product,
-    whose sums run in another order than the exact route's speeds over
-    longer chunks.
+    A chunk's samples take at most CHUNK_BYTES (:func:`_spans`).
 
     When every rate is constant and d <= EXACT_MAX_DIM, each step is one
     batched mat-vec with the exact propagator exp(h L), computed once per
@@ -619,18 +606,29 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
             raise ValidationError(f"jump operator {bad[0]} has negative rate on the grid")
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
-    starts = list(range(0, times.size, max(2, CHUNK_BYTES // (16 * B * d * d))))
-    if times.size - starts[-1] == 1:
-        starts.pop()
-    spans = list(zip(starts, starts[1:] + [times.size]))
+    spans = _spans(times.size, 16 * B * d * d)
     if all(_takes_exact_route(gen) for gen in gens):
         chunks = _exact_chunks(gens, y0, grid.h, spans, heisenberg)
     else:
         chunks = _rk4_chunks(_fused_form(gens, heisenberg), y0, times, spans, heisenberg)
-    for start, samples, speeds in chunks:
-        if not heisenberg:
-            _check_trace(samples)
-        yield start, samples, speeds
+    if heisenberg:
+        yield from chunks  # which holds no chunk between yields
+        return
+    for start, samples, _ in chunks:
+        _check_trace(samples)
+        yield start, samples, None
+
+
+def _spans(n: int, sample_bytes: int) -> list:
+    """The (start, end) index ranges of the chunks in which n samples of
+    ``sample_bytes`` each are streamed: at most CHUNK_BYTES each, but at
+    least two samples, a one-sample remainder joining the chunk before it,
+    because numpy computes a one-row matrix product as a matrix-vector
+    product, whose sums run in another order than over longer chunks."""
+    starts = list(range(0, n, max(2, CHUNK_BYTES // sample_bytes)))
+    if n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool):
@@ -654,18 +652,18 @@ def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool):
 def _rk4_chunks(f, y: np.ndarray, times: np.ndarray, spans, heisenberg: bool):
     """The chunks of :func:`lindblad_chunks` by classical fixed-step RK4 of
     dy/dt = f(t, y). The first stage is f at the sample, so an observable's
-    speeds there are the norms of it."""
+    speeds there are the norms of it, taken once per chunk."""
     h = times[1] - times[0]
     last = times.size - 1
     for start, end in spans:
         out = np.empty((y.shape[0], end - start) + y.shape[1:], dtype=complex)
-        speeds = np.empty((y.shape[0], end - start, 2)) if heisenberg else None
+        k1s = np.empty_like(out) if heisenberg else None
         for j, i in enumerate(range(start, end)):
             out[:, j] = y
             if i < last or heisenberg:
                 k1 = f(times[i], y)
             if heisenberg:
-                speeds[:, j] = _norms(k1)
+                k1s[:, j] = k1
             if i == last:
                 break
             t = times[i]
@@ -674,45 +672,54 @@ def _rk4_chunks(f, y: np.ndarray, times: np.ndarray, spans, heisenberg: bool):
             k4 = f(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             _check_stable(y)
-        yield start, out, speeds
+        yield start, out, _norms(k1s) if heisenberg else None
 
 
-def lindblad_trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float = DEFAULT_TOL):
-    """The Heisenberg trajectories of O0s[b] under gens[b] in the states
-    rhos[b], reduced chunk by chunk as :func:`lindblad_chunks` streams them,
-    so no (steps + 1, d, d) stack is held. ``probes[b]`` lists the matrices M
-    whose series tr(O_b(t) M) trajectory b keeps.
+def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) -> list[Trajectory]:
+    """The trajectories of a stream of observable chunks (start, samples,
+    speeds), shaped as :func:`lindblad_chunks` yields them, each chunk
+    reduced as it arrives: batch entry b is read in the state rhos[b] and
+    keeps the series tr(O_b(t) M) of the matrices M in ``probes[b]``.
 
-    <O(t)> and the probe series are contracted one generator at a time: over
-    a batch, numpy's einsum runs the sums of these contractions in another
-    order. The second moment and the speeds are taken over the whole batch.
+    <O(t)> and the probe series are contracted one batch entry at a time:
+    over a batch, numpy's einsum runs their sums in another order.
     """
-    B, n = len(gens), grid.steps + 1
+    B, n = len(rhos), grid.steps + 1
     rho = np.stack([r.matrix for r in rhos])
     expect, second, speeds = np.empty((B, n)), np.empty((B, n)), np.empty((B, n, 2))
     series = [np.empty((len(p), n), dtype=complex) for p in probes]
-    for start, samples, chunk_speeds in lindblad_chunks(gens, O0s, grid, heisenberg=True):
+    for start, samples, chunk_speeds in chunks:
+        if start == 0:
+            first = samples[:, 0].copy()
         cut = slice(start, start + samples.shape[1])
         second[:, cut] = np.einsum("ntab,ntba->nt", samples, samples @ rho[:, None]).real
         speeds[:, cut] = chunk_speeds
         for b, Os in enumerate(samples):
-            expect[b, cut] = _batch_expect(Os, rho[b])
+            expect[b, cut] = np.einsum("tab,ba->t", Os, rho[b]).real
             for k, M in enumerate(probes[b]):
                 series[b][k, cut] = np.einsum("tab,ba->t", Os, M)
-    last = samples[:, -1].copy()
+        last = samples[:, -1].copy()
+        del samples, Os  # freed before the kernel builds the next chunk
     return [
         Trajectory(
-            "lindblad",
+            kind,
             grid,
             expect[b],
             _spread(expect[b], second[b], tol),
             speeds[b, :, 0],
             speeds[b, :, 1],
-            (O0s[b], last[b]),
+            (first[b], last[b]),
             tuple(zip(probes[b], series[b])),
         )
         for b in range(B)
     ]
+
+
+def lindblad_trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float = DEFAULT_TOL):
+    """The Heisenberg trajectories of O0s[b] under gens[b] in the states
+    rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]``."""
+    chunks = lindblad_chunks(gens, O0s, grid, heisenberg=True)
+    return _reduce_chunks("lindblad", chunks, rhos, grid, probes, tol)
 
 
 def evolve_lindblad_heisenberg(
@@ -824,40 +831,35 @@ def evolve_kraus_heisenberg(
     grid: TimeGrid,
     tol: float = DEFAULT_TOL,
 ) -> Trajectory:
-    """Direct evaluation of O(t) = sum_i K_i^dag(t) O(0) K_i(t) per grid point,
-    reduced to a :class:`Trajectory`: the stack of O(t) is dropped once its
-    moments and ends are taken.
+    """O(t) = sum_i K_i^dag(t) O(0) K_i(t) on the grid, with the summed
+    speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| that the Kraus-map bound reads."""
+    O0 = _checked_observable(O0, gen.dim, tol)
+    _check_state(rho, gen.dim)
+    return _reduce_chunks("kraus", _kraus_chunks(gen.family, O0, grid, tol), [rho], grid, [()], tol)[0]
 
-    Also records the summed speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| used by
-    the Kraus-map speed-limit bound.
-    """
-    family = gen.family
-    O0 = _checked_observable(O0, family.dim, tol)
-    _check_state(rho, family.dim)
 
+def _kraus_chunks(family: KrausFamily, O0: np.ndarray, grid: TimeGrid, tol: float):
+    """The Kraus kernel, chunked by :func:`_spans` on its operators: yields
+    (start, O(t), speeds) like :func:`lindblad_chunks` with a batch of one,
+    the speeds being the summed norms of K_i^dag(t) O0 dK_i/dt, after
+    checking sum_i K_i^dag K_i = 1 within max(tol, 1e-8). With one more
+    sample on each side of the chunk, ``np.gradient`` gives the central
+    difference along the grid, one-sided at its ends."""
     times = grid.times()
-    K = family.operators(times)
-    defect = np.abs(np.einsum("tiab,tiac->tbc", K.conj(), K) - np.eye(family.dim)).max(axis=(1, 2))
-    bad = np.flatnonzero(defect > max(tol, 1e-8))
-    if bad.size:
-        j = bad[0]
-        raise ValidationError(f"Kraus completeness violated at t={times[j]!r} (defect {defect[j]:.3e})")
-    KdO = K.conj().swapaxes(-1, -2) @ O0
-    Os = (KdO @ K).sum(axis=1)
-    # dK/dt by central differences along the grid, one-sided at its two ends
-    M = KdO @ np.gradient(K, grid.h, axis=0)
-    speed_hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=1)
-    speed_op = _op_norms(M).sum(axis=1)
-
-    return Trajectory(
-        kind="kraus",
-        grid=grid,
-        expect=_batch_expect(Os, rho.matrix),
-        stddev=_batch_stddev(Os, rho.matrix, tol),
-        gen_speed_hs=speed_hs,
-        gen_speed_op=speed_op,
-        ends=(Os[0].copy(), Os[-1].copy()),
-    )
+    for start, end in _spans(times.size, 16 * family.n_ops * family.dim**2):
+        lo = max(start - 1, 0)
+        window = family.operators(times[lo : end + 1])
+        own = slice(start - lo, end - lo)
+        K = window[own]
+        defect = np.abs(np.einsum("tiab,tiac->tbc", K.conj(), K) - np.eye(family.dim)).max(axis=(1, 2))
+        bad = np.flatnonzero(defect > max(tol, 1e-8))
+        if bad.size:
+            j = bad[0]
+            raise ValidationError(f"Kraus completeness violated at t={times[start + j]!r} (defect {defect[j]:.3e})")
+        KdO = K.conj().swapaxes(-1, -2) @ O0
+        M = KdO @ np.gradient(window, grid.h, axis=0)[own]
+        speeds = np.stack([np.linalg.norm(M, axis=(-2, -1)).sum(axis=1), _op_norms(M).sum(axis=1)], axis=-1)
+        yield start, (KdO @ K).sum(axis=1)[None], speeds[None]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ route, which replaced it), traces from explicit double loops. Unitary
 trajectories are checked against the dense per-sample route they replaced,
 constant-rate Lindblad trajectories against the batched RK4 integration
 that the exact propagator replaced, the streamed Lindblad kernel and its
-reductions against the full-stack kernel (:func:`propagate_lindblad`) that
-it replaced, and the fused Lindblad generator and the Liouvillian built from
+reductions against the full-stack kernel (:func:`propagate_lindblad`) and
+reductions (:func:`stack_expect`, :func:`stack_stddev`) that they replaced,
+the streamed Kraus kernel against the whole-grid one
+(:func:`kraus_full_stack`) that it replaced, and the fused Lindblad generator and the Liouvillian built from
 it against the matrix form and the Kronecker construction they replaced. The per-time propagator, adjoint generator and
 Kraus derivative are the references for the library's eigenbasis,
 Liouvillian and grid-batched routes, and the three-operand second moment for
@@ -37,16 +39,21 @@ import scipy.linalg
 
 from oqsl.dynamics import (
     TimeGrid,
+    Trajectory,
     _check_stable,
+    _check_state,
     _check_trace,
+    _checked_observable,
     _fused_form,
     _norms,
+    _op_norms,
     _rates_at,
+    _spread,
     _takes_exact_route,
     liouvillian,
     rate_at,
 )
-from oqsl.linalg import ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
+from oqsl.linalg import DEFAULT_TOL, ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
 from oqsl.sysdl import Diagnostic, ParseError, _fail
 
 
@@ -428,6 +435,54 @@ def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.
     if speeds is not None:
         speeds[:, n] = _norms(f(times[n], y))
     return out
+
+
+def stack_expect(Os: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<O(t)> from a (n_times, d, d) stack in one contraction: the full-stack
+    reduction that the streamed reducer replaced."""
+    return np.einsum("tab,ba->t", Os, rho).real
+
+
+def stack_stddev(Os: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
+    """dO(t) from a (n_times, d, d) stack in one contraction: the full-stack
+    reduction that the streamed reducer replaced."""
+    second = np.einsum("tab,tba->t", Os, Os @ rho).real
+    return _spread(stack_expect(Os, rho), second, tol)
+
+
+# ---------------------------------------------------------------------------
+# the whole-grid Kraus kernel that the streamed one replaced
+
+
+def kraus_full_stack(O0, gen, rho, grid: TimeGrid, tol: float = DEFAULT_TOL) -> Trajectory:
+    """O(t) = sum_i K_i^dag(t) O(0) K_i(t) with the family called once, on
+    the whole grid, the (steps + 1, n_ops, d, d) stacks of K, K^dag O and
+    O(t) built and then reduced; dK/dt is ``np.gradient`` along the grid,
+    central inside and one-sided at its two ends."""
+    family = gen.family
+    O0 = _checked_observable(O0, family.dim, tol)
+    _check_state(rho, family.dim)
+    times = grid.times()
+    K = family.operators(times)
+    defect = np.abs(np.einsum("tiab,tiac->tbc", K.conj(), K) - np.eye(family.dim)).max(axis=(1, 2))
+    bad = np.flatnonzero(defect > max(tol, 1e-8))
+    if bad.size:
+        j = bad[0]
+        raise ValidationError(f"Kraus completeness violated at t={times[j]!r} (defect {defect[j]:.3e})")
+    KdO = K.conj().swapaxes(-1, -2) @ O0
+    Os = (KdO @ K).sum(axis=1)
+    M = KdO @ np.gradient(K, grid.h, axis=0)
+    speed_hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=1)
+    speed_op = _op_norms(M).sum(axis=1)
+    return Trajectory(
+        kind="kraus",
+        grid=grid,
+        expect=stack_expect(Os, rho.matrix),
+        stddev=stack_stddev(Os, rho.matrix, tol),
+        gen_speed_hs=speed_hs,
+        gen_speed_op=speed_op,
+        ends=(Os[0].copy(), Os[-1].copy()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from oqsl.bounds import (
     battery_bounds,
     commutator_qsl,
     corr_qsl,
-    declared_probes,
     oqsl_generator_hs,
     oqsl_kraus,
     oqsl_min_norm,
@@ -62,6 +61,11 @@ def tight_trajectory(steps=4000):
 
 def audit_context(traj, O, H, rho):
     return EvalContext(traj.kind, traj.grid, O, rho, lambda: traj, H=H)
+
+
+def lindblad_probes(O, B, rho, grid):
+    """The probes the Lindblad bounds declare for O (and B) in rho."""
+    return EvalContext("lindblad", grid, O, rho, None, B=B).probes
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +462,7 @@ def test_correlation_starts_at_variance(rng):
 
 def test_correlation_dephasing_identically_zero():
     gen, grid = dephasing_generator(1.0), TimeGrid(0.0, 1.0, 200)
-    probes = declared_probes(sigma_x, None, PLUS)
+    probes = lindblad_probes(sigma_x, None, PLUS, grid)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=probes)
     trace = two_time_correlation(sigma_x, traj, PLUS)
     Os = oracles.propagate_lindblad([gen], sigma_x[None], grid, heisenberg=True)[0][0]
@@ -502,9 +506,9 @@ def test_corr_qsl_closed_value_and_validity():
 
 def test_corr_qsl_open_value_and_validity():
     T = 1.2
+    grid = TimeGrid(0.0, T, 800)
     traj = evolve_lindblad_heisenberg(
-        sigma_x, dephasing_generator(1.0), GROUND, TimeGrid(0.0, T, 800),
-        probes=declared_probes(sigma_x, None, GROUND),
+        sigma_x, dephasing_generator(1.0), GROUND, grid, probes=lindblad_probes(sigma_x, None, GROUND, grid)
     )
     trace = two_time_correlation(sigma_x, traj, GROUND)
     rep = corr_qsl(trace, op_norm(sigma_x), traj.gen_speed_op, kind="open")
@@ -560,7 +564,7 @@ def test_commutator_open_validity():
         jumps=((oracles.random_matrix(r, 4, 0.4), 0.6),),
     )
     grid = TimeGrid(0.0, 0.8, 800)
-    traj = evolve_lindblad_heisenberg(TWOQ_A, gen, rho, grid, probes=declared_probes(TWOQ_A, TWOQ_B, rho))
+    traj = evolve_lindblad_heisenberg(TWOQ_A, gen, rho, grid, probes=lindblad_probes(TWOQ_A, TWOQ_B, rho, grid))
     rep = commutator_qsl(TWOQ_B, traj, rho, kind="open")
     assert rep.details["comm_expect_0"] <= 1e-12
     assert rep.T_qsl <= grid.duration + 1e-6

@@ -154,10 +154,10 @@ def test_audit_block_matches_per_trial_evolution():
         audit._integrate_lindblad_block(trials, grid)
         for t in trials:
             gen = LindbladGenerator(H=t.H, jumps=t.jumps)
-            probes = bounds.declared_probes(t.O, t.B, t.rho)
+            probes = t.lindblad.probes
             traj = evolve_lindblad_heisenberg(t.O, gen, t.rho, grid, probes=probes)
             states = evolve_lindblad_schrodinger(t.rho, gen, grid)
-            ours = t.lind_traj
+            ours = t.lindblad.traj
             Os = oracles.propagate_lindblad([gen], t.O[None], grid, heisenberg=True)[0][0]
             for k in (0, -1):
                 assert np.abs(ours.at(k) - Os[k]).max() <= 1e-12
@@ -179,10 +179,10 @@ def test_audit_block_keeps_no_state_stack():
         trials = [audit._sample_trial(5, dim, i) for i in range(3)]
         audit._integrate_lindblad_block(trials, grid)
         for t in trials:
-            held = [*vars(t).values(), *vars(t.lind_traj).values()]
+            held = [*vars(t).values(), *vars(t.lindblad.traj).values()]
             assert not [v for v in held if isinstance(v, np.ndarray) and v.shape == (grid.steps + 1, dim, dim)]
             with pytest.raises(ValidationError, match="only at the two ends"):
-                t.lind_traj.at(1)
+                t.lindblad.traj.at(1)
             assert t.lind_rho_expect.shape == (grid.steps + 1,)
 
 

@@ -1,8 +1,8 @@
-"""The streamed Lindblad kernel: its reductions against those of the
-full-stack kernel it replaced (tests/oracles.py) across chunk boundaries,
-the production paths that must never build a (steps + 1, d, d) sample
-stack, the memory that evolving an observable holds, and the errors that
-an undeclared probe and an interior sample raise."""
+"""The streamed Lindblad and Kraus kernels: their reductions against those
+of the full-stack kernels they replaced (tests/oracles.py) across chunk
+boundaries, the production paths that must never build a (steps + 1, d, d)
+sample stack, the memory that evolving an observable holds, and the errors
+that an undeclared probe and an interior sample raise."""
 
 import io
 import tracemalloc
@@ -14,17 +14,19 @@ from oqsl import audit, cli, dynamics
 from oqsl.bounds import commutator_probe, correlation_probe
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
+    DephasingKraus,
+    KrausGenerator,
     LindbladGenerator,
     RateTable,
+    TabulatedKraus,
     TimeGrid,
-    _batch_expect,
-    _batch_stddev,
+    evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,
     lindblad_chunks,
     lindblad_trajectories,
 )
-from oqsl.linalg import DensityState, NumericError, ValidationError, mat_exp, op_norm
+from oqsl.linalg import DEFAULT_TOL, DensityState, NumericError, ValidationError, mat_exp, op_norm
 
 import oracles
 
@@ -71,14 +73,18 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
     assert starts == {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
 
     Os, speeds = oracles.propagate_lindblad(gens, O0s, grid, heisenberg=True)
+    norms, calls = dynamics._norms, []
+    monkeypatch.setattr(dynamics, "_norms", lambda X: calls.append(X.shape[1]) or norms(X))
     trajs = lindblad_trajectories(gens, O0s, rhos, grid, probes)
+    # both routes take the speeds once per chunk
+    assert calls == np.diff(starts + [steps + 1]).tolist()
     if batch == 1:
         trajs.append(evolve_lindblad_heisenberg(O0s[0], gens[0], rhos[0], grid, probes=probes[0]))
     for b, traj in enumerate(trajs):
         b %= batch
         rho = rhos[b].matrix
-        assert np.array_equal(traj.expect, _batch_expect(Os[b], rho))
-        assert np.array_equal(traj.stddev, _batch_stddev(Os[b], rho, 1e-9))
+        assert np.array_equal(traj.expect, oracles.stack_expect(Os[b], rho))
+        assert np.array_equal(traj.stddev, oracles.stack_stddev(Os[b], rho, 1e-9))
         assert np.array_equal(traj.gen_speed_hs, speeds[b, :, 0])
         assert np.array_equal(traj.gen_speed_op, speeds[b, :, 1])
         assert np.array_equal(traj.at(0), Os[b, 0]) and np.array_equal(traj.at(-1), Os[b, -1])
@@ -94,6 +100,61 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
         assert np.array_equal(joined, states[0])
 
 
+def _kraus_family(name, grid):
+    """The closed-form dephasing family, or a qutrit family
+    K_i(t) = exp(-i t H) K_i(0) tabulated on the grid, whose K(0) is not
+    the identity."""
+    if name == "dephasing":
+        return DephasingKraus(1.3)
+    rng = np.random.default_rng(5)
+    H = oracles.random_hermitian(rng, 3)
+    Q, _ = np.linalg.qr(oracles.random_matrix(rng, 6))
+    K0 = Q[:, :3].reshape(2, 3, 3)  # sum_i K_i^dag K_i = 1 from orthonormal columns
+    return TabulatedKraus(grid.times(), [oracles.expm_hermitian_oracle(H, -1j * t) @ K0 for t in grid.times()])
+
+
+@pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("name", ["dephasing", "tabulated"])
+def test_streamed_kraus_equals_whole_grid_kernel(name, steps, monkeypatch):
+    grid = TimeGrid(0.0, 0.6, steps)
+    family = _kraus_family(name, grid)
+    rng = np.random.default_rng([steps, family.dim])
+    O = oracles.random_hermitian(rng, family.dim)
+    W = oracles.random_matrix(rng, family.dim)
+    rho = DensityState.from_matrix(W @ W.conj().T / np.trace(W @ W.conj().T).real)
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * family.n_ops * family.dim**2)
+    starts = [start for start, _, _ in dynamics._kraus_chunks(family, O, grid, DEFAULT_TOL)]
+    assert starts == {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
+
+    gen = KrausGenerator(family)
+    ours, ref = evolve_kraus_heisenberg(O, gen, rho, grid), oracles.kraus_full_stack(O, gen, rho, grid)
+    for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
+        assert np.array_equal(getattr(ours, series), getattr(ref, series))
+    for k in (0, -1):
+        assert np.array_equal(ours.at(k), ref.at(k))
+    if name == "tabulated":
+        assert np.abs(ours.at(0) - O).max() > 0.1  # O(t0) is evolved
+
+
+def test_kraus_memory_grows_only_by_the_scalar_series():
+    # per sample, the reducer keeps <O(t)>, the second moment and two speeds
+    # (32 bytes) and the grid its time (8); with its K, K^dag O, dK/dt and
+    # O(t) stacks, the whole-grid kernel grew by 728 bytes a sample
+    gen = KrausGenerator(DephasingKraus(0.8))
+    O, rho = oracles.random_hermitian(np.random.default_rng(1), 2), DensityState.pure([1.0, 1.0])
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            evolve_kraus_heisenberg(O, gen, rho, TimeGrid(0.0, 1.0, steps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)
+    assert (peak(80_000) - peak(20_000)) / 60_000 < 48
+
+
 @pytest.mark.parametrize("steps", [CHUNK, 2 * CHUNK + 1])
 def test_audit_block_equals_full_stack_reductions(steps, monkeypatch):
     trials = [audit._sample_trial(3, 2, i) for i in range(3)]
@@ -104,9 +165,9 @@ def test_audit_block_equals_full_stack_reductions(steps, monkeypatch):
     Os, _ = oracles.propagate_lindblad(gens, np.stack([t.O for t in trials]), grid, heisenberg=True)
     states, _ = oracles.propagate_lindblad(gens, np.stack([t.rho.matrix for t in trials]), grid, heisenberg=False)
     for t, O_samples, rho_samples in zip(trials, Os, states):
-        assert np.array_equal(t.lind_traj.expect, _batch_expect(O_samples, t.rho.matrix))
+        assert np.array_equal(t.lindblad.traj.expect, oracles.stack_expect(O_samples, t.rho.matrix))
         assert np.array_equal(t.lind_rho_expect, np.einsum("ab,tba->t", t.O, rho_samples).real)
-        assert np.array_equal(t.lind_traj.at(-1), O_samples[-1])
+        assert np.array_equal(t.lindblad.traj.at(-1), O_samples[-1])
 
 
 @pytest.mark.parametrize(

@@ -118,3 +118,15 @@ def test_cli_rejects_inapplicable_bound_before_evolving(monkeypatch):
     argv = ["bound", "--system", DEPHASING, "--observable", "O", "--tmax", "1", "--bounds", "GENERATOR_HS,MT_INTEGRAL"]
     assert oqsl.cli.main(argv, out=io.StringIO(), err=err) == 2
     assert "not applicable to this lindblad system/observable: MT_INTEGRAL" in err.getvalue()
+
+
+def test_probes_are_declared_by_the_bounds_that_read_them(rng):
+    O, B = oracles.random_hermitian(rng, 3), oracles.random_hermitian(rng, 3)
+    pure, grid = DensityState.pure(oracles.random_ket(rng, 3)), TimeGrid(0.0, 1.0, 10)
+    corr, comm = EvalContext("lindblad", grid, O, pure, None, B=B).probes
+    assert np.array_equal(corr, bounds.correlation_probe(O, pure))
+    assert np.array_equal(comm, bounds.commutator_probe(B, pure))
+    assert len(EvalContext("lindblad", grid, O, pure, None).probes) == 1
+    # CORR_OPEN and COMM_OPEN need a pure state; a unitary trajectory traces any M
+    assert EvalContext("lindblad", grid, O, DensityState.maximally_mixed(3), None, B=B).probes == ()
+    assert EvalContext("unitary", grid, O, pure, None, H=O, B=B).probes == ()
