@@ -12,6 +12,10 @@ d = 17 Lindblad system. No built-in system takes the Lindblad kernel's RK4
 route, so this one is written from a fixed seed into a temporary directory;
 ``evolve`` prints every sample, so a change at the kernel's chunk boundaries
 shows, and ``parse`` reads and reprints its ~1,500 random matrix entries.
+Last, the ``--format json`` output of ``evolve`` on a d = 3 Kraus system
+whose operators are tabulated on the evolve grid, also written from a fixed
+seed: only a tabulated family shows how the Kraus kernel stacks operators
+that it reads from a table, and its 1,000 steps span two chunks.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -68,6 +72,8 @@ SCENARIOS = ("tight-qubit", "dephasing", "battery-degenerate", "kraus-dephasing"
 RK4_FILE, RK4_DIM, RK4_SEED = "lindblad_17.sys", 17, 17
 # at least three chunks of dynamics.CHUNK_BYTES on kraus_dephasing.sys
 KRAUS_STEPS = 40000
+# a tabulated Kraus family on the evolve grid: --tmax TABLE_T at the default 1000 steps
+TABLE_FILE, TABLE_DIM, TABLE_SEED, TABLE_T, TABLE_STEPS = "kraus_table_3.sys", 3, 3, 1.0, 1000
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -82,18 +88,18 @@ def _matrix_literal(M) -> str:
     return "[" + ", ".join(_vector_literal(row) for row in M) + "]"
 
 
+def _hermitian(rng, d: int) -> np.ndarray:
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    H = (G + G.conj().T) / 2.0
+    return H / np.linalg.norm(H, 2)
+
+
 def rk4_system_text() -> str:
     """A random d = 17 Lindblad system with two jumps at constant rates, a
     pure state, an observable A and B = A^2, which commutes with it."""
     rng = np.random.default_rng(RK4_SEED)
     d = RK4_DIM
-
-    def hermitian():
-        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        H = (G + G.conj().T) / 2.0
-        return H / np.linalg.norm(H, 2)
-
-    H, A = hermitian(), hermitian()
+    H, A = _hermitian(rng, d), _hermitian(rng, d)
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     lines = ["[system]", f"dim = {d}", "kind = lindblad", "", "[hamiltonian]", f"matrix = {_matrix_literal(H)}"]
     lines += ["", "[state]", f"ket = {_vector_literal(ket)}"]
@@ -103,6 +109,26 @@ def rk4_system_text() -> str:
         lines += ["", "[jump]", f"matrix = {_matrix_literal(0.5 * L / np.linalg.norm(L, 2))}", f"rate = {rate!r}"]
     for name, M in (("A", A), ("B", A @ A)):
         lines += ["", f"[observable {name}]", f"matrix = {_matrix_literal(M)}"]
+    return "\n".join(lines) + "\n"
+
+
+def kraus_table_system_text() -> str:
+    """A random d = 3 Kraus system with two operators
+    K_i(t) = exp(-i t H) K_i(0), tabulated on the grid of ``evolve --tmax
+    TABLE_T``, where sum_i K_i(0)^dag K_i(0) = 1 from orthonormal columns, a
+    pure state and an observable A."""
+    rng = np.random.default_rng(TABLE_SEED)
+    d = TABLE_DIM
+    H, A = _hermitian(rng, d), _hermitian(rng, d)
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    Q, _ = np.linalg.qr(rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d)))
+    K0 = Q.reshape(2, d, d)
+    w, V = np.linalg.eigh(H)
+    lines = ["[system]", f"dim = {d}", "kind = kraus", "", "[state]", f"ket = {_vector_literal(ket)}"]
+    lines += ["", "[observable A]", f"matrix = {_matrix_literal(A)}", "", "[kraus]", "family = tabulated"]
+    for t in np.linspace(0.0, TABLE_T, TABLE_STEPS + 1):
+        U = (V * np.exp(-1j * t * w)) @ V.conj().T
+        lines += [f"time = {float(t)!r}", *(f"K = {_matrix_literal(U @ K)}" for K in K0)]
     return "\n".join(lines) + "\n"
 
 
@@ -130,6 +156,8 @@ def commands(workdir: Path):
     yield f"bound:{RK4_FILE}", ["bound", *rk4, "--observable-b", "B", "--bounds", "ALL"]
     yield f"evolve:{RK4_FILE}", ["evolve", *rk4]
     yield f"parse:{RK4_FILE}", ["parse", "--system", str(workdir / RK4_FILE)]
+    table = ["--system", str(workdir / TABLE_FILE), "--observable", "A", "--tmax", repr(TABLE_T), "--format", "json"]
+    yield f"evolve:{TABLE_FILE}", ["evolve", *table]
 
 
 def _is_number(x) -> bool:
@@ -217,6 +245,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         (workdir / RK4_FILE).write_text(rk4_system_text(), encoding="utf-8")
+        (workdir / TABLE_FILE).write_text(kraus_table_system_text(), encoding="utf-8")
         for label, argv in commands(workdir):
             proc = subprocess.run(
                 [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT

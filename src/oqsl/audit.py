@@ -4,35 +4,31 @@ inequalities, and Heisenberg/Schrodinger duality.
 The random sampler lives here, behind the audit command, so the core library
 stays deterministic and side-effect free. Every trial owns a generator seeded
 from (seed, dim, index); summaries are therefore bit-identical for a fixed
-seed. The Lindblad evolution of all trials of one dimension, in both
-pictures, runs through the kernel that the CLI also uses
-(``dynamics.lindblad_chunks``): the audit's rates are constant, so each
-step is one batched mat-vec with the exact propagator, and the kernel also
-returns the generator speeds. Its chunks are reduced over the whole block as
-they arrive: each trial keeps its Lindblad evaluation context, whose
-trajectory holds the scalar series, O(0) and O(T) and the series of the
-probe matrices its bounds declare, and tr(O rho(t)) of its states, but no
-sample stack. Each
-dimension's block is integrated and then its trials are evaluated, on the
-calling thread, before the next block starts, so at most one block's series
-are held at once.
+seed. The trials of one dimension form a block, evolved through the batched
+kernels that the CLI also uses: Lindblad in both pictures
+(``dynamics.lindblad_chunks``, by the exact propagator, as the audit's rates
+are constant) and, for qubits, Kraus (``dynamics.kraus_trajectories``).
+Their chunks are reduced as they arrive, so each trial keeps its evaluation
+contexts, whose trajectories hold the scalar series, O(0), O(T) and the
+series its bounds and rate audit declare, and tr(O rho(t)), but no sample
+stack. A block is evaluated before the next is integrated.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bounds
 from .dynamics import (
     DephasingKraus,
-    KrausGenerator,
     LindbladGenerator,
     TimeGrid,
-    evolve_kraus_heisenberg,
+    evolve_kraus_heisenberg,  # not called here, but bench/layers.py wraps it in this module
     evolve_unitary_heisenberg,
+    kraus_trajectories,
     lindblad_chunks,
     lindblad_trajectories,
 )
@@ -84,15 +80,7 @@ class AuditSummary:
             "n_qubit": self.n_qubit,
             "n_qutrit": self.n_qutrit,
             "passed": self.passed,
-            "rows": [
-                {
-                    "check": r.check,
-                    "kind": r.kind,
-                    "max_violation": r.max_violation,
-                    "trials": r.trials,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
         return json.dumps(payload, sort_keys=True) + "\n"
 
@@ -143,6 +131,7 @@ class _Trial:
     kraus_gamma: float
     # batched-integration results, attached after sampling
     lindblad: bounds.EvalContext | None = None  # its trajectory already evolved
+    kraus: bounds.EvalContext | None = None  # qubit trials only, likewise
     lind_rho_expect: np.ndarray | None = None  # tr(O rho(t)), Schrodinger picture
 
     @property
@@ -172,25 +161,34 @@ def _sample_trial(seed: int, dim: int, index: int) -> _Trial:
 
 
 # ---------------------------------------------------------------------------
-# batched Lindblad integration across equal-dimension trials
+# batched Lindblad and Kraus integration across equal-dimension trials
 
 
 def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
     """Evolve every trial's Heisenberg observable and Schrodinger state at
-    once through the shared Lindblad kernel, reducing its chunks as they
-    arrive. Attaches to each trial its Lindblad evaluation context, whose
-    trajectory keeps the series of the probes its bounds declare, and of its
-    states only tr(O rho(t)), which is all the duality check reads."""
+    once through the shared Lindblad kernel, and for qubits sigma_x through
+    the shared Kraus kernel on KRAUS_GRID. Attaches to each trial its
+    Lindblad (and Kraus) evaluation context, evolved with the probes it
+    declares, and of its states only tr(O rho(t)), which is all the duality
+    check reads."""
     if not trials:
         return
     gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
-    Os = np.stack([t.O for t in trials])
     rhos = [t.rho for t in trials]
-    contexts = [bounds.EvalContext("lindblad", grid, t.O, t.rho, None, H=t.H, B=t.B) for t in trials]
-    trajs = lindblad_trajectories(gens, Os, rhos, grid, [ctx.probes for ctx in contexts])
+    contexts = [
+        bounds.EvalContext("lindblad", grid, t.O, t.rho, None, H=t.H, B=t.B, generator=gen, rates=True)
+        for t, gen in zip(trials, gens)
+    ]
+    trajs = lindblad_trajectories(gens, np.stack([t.O for t in trials]), rhos, grid, [ctx.probes for ctx in contexts])
     for t, ctx, traj in zip(trials, contexts, trajs):
-        ctx.traj = traj
-        t.lindblad = ctx
+        ctx.traj, t.lindblad = traj, ctx
+    if trials[0].dim == 2:
+        families = [DephasingKraus(t.kraus_gamma) for t in trials]
+        contexts = [bounds.EvalContext("kraus", KRAUS_GRID, sigma_x, t.rho, None) for t in trials]
+        O0s = np.broadcast_to(sigma_x, (len(trials), 2, 2))
+        trajs = kraus_trajectories(families, O0s, rhos, KRAUS_GRID, [ctx.probes for ctx in contexts])
+        for t, ctx, traj in zip(trials, contexts, trajs):
+            ctx.traj, t.kraus = traj, ctx
     rho_expect = np.empty((len(trials), grid.steps + 1))
     for start, samples, _ in lindblad_chunks(gens, np.stack([r.matrix for r in rhos]), grid, heisenberg=False):
         for b, (t, rho_samples) in enumerate(zip(trials, samples)):
@@ -210,20 +208,12 @@ def _evaluate_trial(trial: _Trial) -> dict:
     self-inverse and projector slots are read at the grid's two ends in O's
     eigenbasis."""
     rho, O, H = trial.rho, trial.O, trial.H
-    B = trial.B
     unitary = bounds.EvalContext(
-        "unitary", UNITARY_GRID, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, UNITARY_GRID),
-        H=H, B=B, self_inverse=trial.O_si, projector=trial.P,
+        "unitary", UNITARY_GRID, O, rho, None, H=H, B=trial.B, self_inverse=trial.O_si, projector=trial.P, rates=True
     )
+    unitary.traj = evolve_unitary_heisenberg(O, H, rho, UNITARY_GRID, probes=unitary.probes)
     lindblad = trial.lindblad
-    contexts = [unitary, lindblad]
-    if trial.dim == 2:
-        kgen = KrausGenerator(DephasingKraus(trial.kraus_gamma))
-        contexts.append(
-            bounds.EvalContext(
-                "kraus", KRAUS_GRID, sigma_x, rho, lambda: evolve_kraus_heisenberg(sigma_x, kgen, rho, KRAUS_GRID)
-            )
-        )
+    contexts = [unitary, lindblad] + ([trial.kraus] if trial.kraus else [])
 
     out: dict[tuple[str, str], float] = {}
     for ctx in contexts:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TimeGrid, Trajectory, evolve_unitary_heisenberg, lindblad_apply
+from .dynamics import TimeGrid, Trajectory, _constant_rates, evolve_unitary_heisenberg, lindblad_apply
 from .linalg import (
     DEFAULT_TOL,
     DensityState,
@@ -113,8 +113,7 @@ def _mt_integral_core(bound_id, traj, delta_H, hbar):
     d_expect = np.abs(np.diff(traj.expect))
     # the spread at the true cell midpoints: averaging the endpoint spreads
     # overestimates the integrand where dO -> 0 and can push T_qsl above T
-    grid = traj.grid
-    mid_std = traj.stddev_at(grid.times()[:-1] + 0.5 * grid.h)
+    mid_std = traj.mid_stddev
     usable = mid_std >= EPS_VAR
     contrib = np.where(usable & (d_expect > ZERO_TOL), d_expect / np.where(usable, mid_std, 1.0), 0.0)
     integral = float(contrib.sum())
@@ -557,31 +556,37 @@ class RateAuditReport:
     violations: dict
 
 
-def rate_audit(ctx: EvalContext) -> RateAuditReport:
-    """Check the applicable rate inequalities along the context's trajectory.
+def rate_probe(ctx: EvalContext) -> np.ndarray:
+    """The matrix M whose series tr(O(t) M) is d<O>/dt, by duality:
+    (i/hbar)[rho, H] under unitary dynamics, L[rho] under Lindblad dynamics
+    with rates constant in time."""
+    if ctx.kind == "unitary":
+        return 1j / ctx.hbar * (ctx.rho.matrix @ ctx.H - ctx.H @ ctx.rho.matrix)
+    if ctx.kind != "lindblad" or not _constant_rates(ctx.generator):
+        raise ValidationError("rate audit applies to unitary or lindblad trajectories, with rates constant in time")
+    return lindblad_apply(ctx.generator, ctx.rho.matrix)
 
-    Interior grid points only; the left side |d<O>/dt| comes from central
-    differences of the sampled expectations. For unitary trajectories the
-    Robertson bound 2 dO dH / hbar and the Hoelder bound 2 ||H O(t)||_op / hbar
-    apply; for Lindblad trajectories the Cauchy-Schwarz bound
+
+def rate_audit(ctx: EvalContext) -> RateAuditReport:
+    """Check the applicable rate inequalities at every grid point, the left
+    side |d<O>/dt| exact from the series of :func:`rate_probe`, which the
+    trajectory must keep (``ctx.rates``). For unitary trajectories the
+    Robertson bound 2 dO dH / hbar and the Hoelder bound 2 ||H O(t)||_op /
+    hbar apply; for Lindblad trajectories the Cauchy-Schwarz bound
     sqrt(tr rho^2) ||L^dag[O(t)]||_hs applies. A unitary trajectory must be
     generated by ``ctx.H``, which then commutes with U(t), so
-    ||H O(t)||_op = ||U^dag(t) H O(0) U(t)||_op = ||H O(0)||_op is constant.
+    ||H O(t)||_op = ||H O(0)||_op is constant.
     """
     traj = ctx.traj
-    lhs = np.abs(traj.expect[2:] - traj.expect[:-2]) / (2.0 * traj.grid.h)
-    violations: dict[str, float] = {}
+    lhs = np.abs(traj.trace_with(rate_probe(ctx)).real)
     if traj.kind == "unitary":
-        rhs_rob = 2.0 / ctx.hbar * traj.stddev[1:-1] * ctx.delta_H
-        violations["RATE_ROBERTSON"] = float((lhs - rhs_rob).max())
-        rhs_hold = 2.0 / ctx.hbar * op_norm(ctx.H @ traj.at(0))
-        violations["RATE_HOLDER_OP"] = float((lhs - rhs_hold).max())
-    elif traj.kind == "lindblad":
-        rhs_cs = np.sqrt(ctx.rho.purity) * traj.gen_speed_hs[1:-1]
-        violations["RATE_CS_HS"] = float((lhs - rhs_cs).max())
+        rhs = {
+            "RATE_ROBERTSON": 2.0 / ctx.hbar * traj.stddev * ctx.delta_H,
+            "RATE_HOLDER_OP": 2.0 / ctx.hbar * op_norm(ctx.H @ traj.at(0)),
+        }
     else:
-        raise ValidationError("rate audit applies to unitary or lindblad trajectories")
-    return RateAuditReport(kind=traj.kind, violations=violations)
+        rhs = {"RATE_CS_HS": np.sqrt(ctx.rho.purity) * traj.gen_speed_hs}
+    return RateAuditReport(kind=traj.kind, violations={name: float((lhs - r).max()) for name, r in rhs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +603,8 @@ class EvalContext:
     ``evolve`` returns O's trajectory on ``grid``, keeping the series of
     :attr:`probes`, so bounds can be selected before anything evolves; a
     caller that evolves many contexts at once, like the audit's Lindblad
-    block, sets ``traj`` instead. ``self_inverse`` and ``projector`` are the
+    and Kraus blocks, sets ``traj`` instead. ``rates`` declares the rate
+    audit's probe too. ``self_inverse`` and ``projector`` are the
     observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
     observables read at the grid's two ends in O's eigenbasis. ``B`` is the
     commutator bounds' second observable; ``final_state`` returns the
@@ -620,6 +626,7 @@ class EvalContext:
     projector: np.ndarray | None = None
     final_state: Callable[[], DensityState] | None = None
     generator: object = None
+    rates: bool = False
 
     @property
     def T(self) -> float:
@@ -632,8 +639,10 @@ class EvalContext:
     @cached_property
     def probes(self) -> tuple:
         """The probe matrices that the applicable bounds declare, in table
-        order: the series tr(O(t) M) a Lindblad trajectory must keep."""
-        return tuple(s.probe(self) for s in select(self) if s.probe is not None)
+        order, then the rate audit's when ``rates`` is set: the series
+        tr(O(t) M) the trajectory must keep."""
+        probes = tuple(s.probe(self) for s in select(self) if s.probe is not None)
+        return probes + (rate_probe(self),) if self.rates else probes
 
     @cached_property
     def delta_H(self) -> float:
@@ -681,6 +690,10 @@ def _corr(c: EvalContext, kind: str) -> BoundReport:
     return corr_qsl(trace, op_norm(c.O), speeds, hbar=c.hbar, kind=kind)
 
 
+def _comm(c: EvalContext, kind: str) -> BoundReport:
+    return commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind=kind)
+
+
 def _delcampo(c: EvalContext) -> BoundReport:
     lrho0_hs2 = hs_norm(lindblad_apply(c.generator, c.rho.matrix, 0.0)) ** 2
     return qsl_delcampo(c.rho, c.rho_T, lrho0_hs2, c.T)
@@ -690,8 +703,8 @@ def _delcampo(c: EvalContext) -> BoundReport:
 class BoundSpec:
     """A bound: its id, the dynamics kinds it applies to, the context entries
     it needs (:meth:`EvalContext.has`), its evaluation on a context, and the
-    probe matrix M whose series tr(O(t) M) it reads from a trajectory that
-    does not trace every M (:attr:`EvalContext.probes`)."""
+    probe matrix M whose series tr(O(t) M) it reads from the trajectory
+    (:attr:`EvalContext.probes`)."""
 
     id: str
     kinds: tuple
@@ -701,6 +714,7 @@ class BoundSpec:
 
 
 _U, _L, _UL = ("unitary",), ("lindblad",), ("unitary", "lindblad")
+_CORR_PROBE, _COMM_PROBE = (lambda c: correlation_probe(c.O, c.rho)), (lambda c: commutator_probe(c.B, c.rho))
 
 REGISTRY = (
     BoundSpec("MT_INTEGRAL", _U, ("spread",), lambda c: oqsl_mt_integral(c.traj, c.delta_H, hbar=c.hbar)),
@@ -720,16 +734,10 @@ REGISTRY = (
     ),
     BoundSpec("BATTERY_CT1", _U, ("pure",), lambda c: c.battery[0]),
     BoundSpec("BATTERY_CT2", _U, ("pure",), lambda c: c.battery[1]),
-    BoundSpec("CORR_CLOSED", _U, ("pure",), lambda c: _corr(c, "closed")),
-    BoundSpec("CORR_OPEN", _L, ("pure",), lambda c: _corr(c, "open"), lambda c: correlation_probe(c.O, c.rho)),
-    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind="closed")),
-    BoundSpec(
-        "COMM_OPEN",
-        _L,
-        ("pure", "B"),
-        lambda c: commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind="open"),
-        lambda c: commutator_probe(c.B, c.rho),
-    ),
+    BoundSpec("CORR_CLOSED", _U, ("pure",), lambda c: _corr(c, "closed"), _CORR_PROBE),
+    BoundSpec("CORR_OPEN", _L, ("pure",), lambda c: _corr(c, "open"), _CORR_PROBE),
+    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), lambda c: _comm(c, "closed"), _COMM_PROBE),
+    BoundSpec("COMM_OPEN", _L, ("pure", "B"), lambda c: _comm(c, "open"), _COMM_PROBE),
     BoundSpec("KRAUS", ("kraus",), (), lambda c: oqsl_kraus(c.traj, c.rho)),
 )
 

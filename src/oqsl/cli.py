@@ -56,13 +56,13 @@ def _effective_hbar(spec: SystemSpec, args: argparse.Namespace) -> float:
 
 
 def _evolve(gen, O: np.ndarray, rho, grid: TimeGrid, tol: float, probes=()):
-    """The Heisenberg trajectory of O under the generator gen; a Lindblad
-    one keeps the series tr(O(t) M) of the probe matrices M."""
+    """The Heisenberg trajectory of O under the generator gen, keeping the
+    series tr(O(t) M) of the probe matrices M."""
     if isinstance(gen, UnitaryGenerator):
-        return evolve_unitary_heisenberg(O, gen.H, rho, grid, hbar=gen.hbar, tol=tol)
+        return evolve_unitary_heisenberg(O, gen.H, rho, grid, hbar=gen.hbar, tol=tol, probes=probes)
     if isinstance(gen, LindbladGenerator):
         return evolve_lindblad_heisenberg(O, gen, rho, grid, tol=tol, probes=probes)
-    return evolve_kraus_heisenberg(O, gen, rho, grid, tol=tol)
+    return evolve_kraus_heisenberg(O, gen, rho, grid, tol=tol, probes=probes)
 
 
 def _context(spec: SystemSpec, args: argparse.Namespace) -> bounds.EvalContext:

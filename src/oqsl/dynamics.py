@@ -2,32 +2,31 @@
 trajectories under unitary, Lindblad-adjoint, and Kraus dynamics.
 
 Every evolution of an observable returns a :class:`Trajectory` of
-reductions: <O(t)>, dO(t) and both generator speeds at every grid point,
-O(0) and O(T), and tr(O(t) M) for the probe matrices M declared before the
-evolution. No O(t) is kept at an interior time, since no bound reads one:
-``trace_with`` of an undeclared M and ``at`` of an interior index raise.
+reductions, all computed before it returns: <O(t)>, dO(t) and both generator
+speeds at every grid point, O(0) and O(T), and tr(O(t) M) for the probe
+matrices M declared before the evolution. No O(t) is kept at an interior
+time: ``trace_with`` of an undeclared M and ``at`` of an interior index raise.
 
-Unitary trajectories are exact and hold no per-sample matrices: H is
-diagonalized once, and every expectation, spread, correlation or commutator
-expectation along the grid is one phase-matrix product in its eigenbasis, so
-:class:`UnitaryTrajectory` traces any M and forms O(t) at any grid index.
-Their generator speeds are constant.
+Unitary trajectories are exact and form no per-sample matrix: H is
+diagonalized once, and the moments and probe series along the grid come
+from one phase matrix in its eigenbasis. :class:`UnitaryTrajectory` keeps
+that eigen data for the spread off the grid and the expectations of another
+observable. Its generator speeds are constant.
 
-Lindblad and Kraus kernels stream the grid in chunks of at most CHUNK_BYTES,
-and one reducer turns the chunks into trajectories as they arrive, so
-evolving an observable holds O(steps) scalars, one chunk and, on the exact
-Lindblad route, the d^4 propagator. The Lindblad kernel,
-:func:`lindblad_chunks`, which the audit also calls, evolves a batch: with
-rates constant in time and d <= EXACT_MAX_DIM each step is one batched
-mat-vec with the exact propagator exp(h L); otherwise RK4 on the fused form
-A y + y A^dag + sum_k gamma_k left_k y right_k, whose first stage gives the
-speeds. Both routes take an observable's speeds, once per chunk, from
-L^dag[O(t)], which is Hermitian: its operator norm is its largest
-|eigenvalue|, in closed form for d = 2. An observable that is Hermitian only
-within ``tol`` is read, like ``numpy.linalg.eigvalsh`` reads it, through its
-lower triangle. The Kraus kernel calls the operator family on each chunk's
-times and one more on each side, so dK/dt is the central difference along
-the grid, one-sided at its ends, whatever the chunking.
+Lindblad and Kraus kernels are batch-first and stream the grid in chunks of
+about CHUNK_BYTES, which one reducer turns into trajectories as they arrive,
+so evolving a batch of observables holds O(steps) scalars per entry, one
+chunk and, on the exact Lindblad route, the d^4 propagators. With rates
+constant in time and d <= EXACT_MAX_DIM, :func:`lindblad_chunks` steps by
+one batched mat-vec with the exact propagator exp(h L); otherwise by RK4 on
+the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, whose first
+stage gives the speeds. Both routes take an observable's speeds, once per
+chunk, from L^dag[O(t)], which is Hermitian: its operator norm is its
+largest |eigenvalue|, in closed form for d = 2. An observable that is
+Hermitian only within ``tol`` is read, like ``numpy.linalg.eigvalsh`` reads
+it, through its lower triangle. The Kraus kernel calls each family on a
+chunk's times and one more on each side, so dK/dt is the central difference
+along the grid, one-sided at its ends, whatever the chunking.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
 the action of exp(T L) on rho0 by a Taylor series on the fused form
@@ -59,8 +58,8 @@ INSTABILITY_LIMIT = 1e12
 # the largest dimension at which constant-rate Lindblad evolution takes the
 # exact route: above it, the d^2 x d^2 propagator costs more than RK4
 EXACT_MAX_DIM = 16
-# the bytes one chunk of streamed Lindblad samples, or of Kraus operators, may
-# take over the whole batch: the kernel's working set is a few times this
+# the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
+# working set, may take over the whole batch
 CHUNK_BYTES = 1 << 20
 
 
@@ -270,14 +269,11 @@ class TabulatedKraus:
         return self.ops[i]
 
 
-KrausFamily = Union[DephasingKraus, TabulatedKraus]
-
-
 @dataclass(frozen=True)
 class KrausGenerator:
     """Dynamics given by a completely positive map via its Kraus family."""
 
-    family: KrausFamily
+    family: Union[DephasingKraus, TabulatedKraus]
 
     @property
     def dim(self) -> int:
@@ -302,8 +298,8 @@ class Trajectory:
     norms of the generator applied to O(t) (for Kraus dynamics: the summed
     norms of K_i^dag(t) O(0) dK_i/dt). ``ends`` is (O(0), O(T)), with O(T)
     None on a prefix shorter than the grid; ``probes`` pairs each declared M
-    with its series. Bounds read O(t) only through :meth:`trace_with` and
-    :meth:`at`.
+    with its series. Every kind serves the same reads: bounds read O(t) only
+    through :meth:`trace_with` and :meth:`at`.
     """
 
     kind: str
@@ -335,97 +331,75 @@ class Trajectory:
             return self.ends[1]
         raise ValidationError(f"O(t) at index {k} is not kept: only at the two ends of the evolution grid")
 
-    def _prefix_grid(self, k: int) -> TimeGrid:
-        if not 2 <= k <= self.grid.steps:
-            raise ValidationError(f"prefix length {k} outside [2, {self.grid.steps}]")
-        return TimeGrid(self.grid.t0, float(self.grid.times()[k]), k)
-
     def prefix(self, k: int) -> "Trajectory":
         """Restriction to the first k grid cells (k >= 2)."""
-        grid, cut = self._prefix_grid(k), slice(0, k + 1)
+        if not 2 <= k <= self.grid.steps:
+            raise ValidationError(f"prefix length {k} outside [2, {self.grid.steps}]")
+        cut = slice(0, k + 1)
         return replace(
             self,
-            grid=grid,
+            grid=TimeGrid(self.grid.t0, float(self.grid.times()[k]), k),
             **{f: getattr(self, f)[cut] for f in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")},
             ends=(self.ends[0], self.ends[1] if k == self.grid.steps else None),
             probes=tuple((M, series[cut]) for M, series in self.probes),
         )
 
 
+@dataclass(eq=False, kw_only=True)
 class UnitaryTrajectory(Trajectory):
-    """O(t) = U^dag(t) O U(t) under a constant Hamiltonian H = V diag(w) V^dag.
+    """A :class:`Trajectory` under a constant Hamiltonian H = V diag(w) V^dag,
+    with its eigen data: w / hbar, V, O~ = V^dag O V and rho~ = V^dag rho V.
+    It keeps the two closed forms that no declared probe replaces: the spread
+    off the grid (:meth:`stddev_at`) and another observable's expectation
+    (:meth:`expect_of`)."""
 
-    Holds the frequencies w / hbar, the eigenvectors V, and the observable and
-    state in the eigenbasis, O~ = V^dag O V and rho~ = V^dag rho V. With the
-    phases E[t, a] = exp(i t w_a / hbar), tr(O(t) M) is the row sum of
-    (E @ (O~ * M~^T)) * conj(E), so no per-sample matrix is formed and any M
-    may be traced. [H, O(t)] = U^dag [H, O] U, so both generator speeds are
-    constant. ``at`` forms O(t_k) at any grid index from the closed form, so
-    ``ends`` is None.
-    """
-
-    def __init__(self, grid: TimeGrid, freqs, vectors, O_eig, rho_eig, tol: float):
-        self._freqs, self._vectors, self._O_eig, self._rho_eig, self._tol = freqs, vectors, O_eig, rho_eig, tol
-        expect, stddev = self._moments(grid.times())
-        # [H, O] / hbar in the eigenbasis; both norms are unitarily invariant
-        comm = (freqs[:, None] - freqs[None, :]) * O_eig
-        speed_hs = np.full(grid.steps + 1, np.linalg.norm(comm))
-        speed_op = np.full(grid.steps + 1, np.linalg.svd(comm, compute_uv=False)[0])
-        super().__init__("unitary", grid, expect, stddev, speed_hs, speed_op, None)
-
-    @property
-    def dim(self) -> int:
-        return self._vectors.shape[0]
-
-    def trace_with(self, M: np.ndarray) -> np.ndarray:
-        """tr(O(t) M) at every grid point (complex), for any M."""
-        V = self._vectors
-        return self._phase_trace(self._O_eig * (V.conj().T @ M @ V).T, self._phases(self.grid.times()))
-
-    def at(self, k: int) -> np.ndarray:
-        """O(t_k) at any grid index k; a negative k counts from the end."""
-        E, Ec = self._phases(np.atleast_1d(self.grid.times()[k]))
-        Ot = E[:, :, None] * self._O_eig[None] * Ec[:, None, :]
-        return (self._vectors @ Ot @ self._vectors.conj().T)[0]
+    freqs: np.ndarray
+    vectors: np.ndarray
+    O_eig: np.ndarray
+    rho_eig: np.ndarray
+    tol: float
 
     def stddev_at(self, times) -> np.ndarray:
         """dO(t) at arbitrary times, from the closed form."""
-        return self._moments(np.asarray(times, dtype=float))[1]
+        return _moments(self.O_eig, self.rho_eig, _phases(self.freqs, np.asarray(times, dtype=float)), self.tol)[1]
 
-    def prefix(self, k: int) -> "UnitaryTrajectory":
-        grid = self._prefix_grid(k)
-        return UnitaryTrajectory(grid, self._freqs, self._vectors, self._O_eig, self._rho_eig, self._tol)
+    @functools.cached_property
+    def mid_stddev(self) -> np.ndarray:
+        """dO(t) at the grid's cell midpoints, which MT_INTEGRAL and BATTERY_CT1 read."""
+        return self.stddev_at(self.grid.times()[:-1] + 0.5 * self.grid.h)
 
     def expect_of(self, M: np.ndarray, times) -> np.ndarray:
         """<M(t)> at the given times for another observable M under the same
         Hamiltonian and state, in this trajectory's eigenbasis: H is not
         diagonalized again."""
-        M = _checked_observable(M, self.dim, self._tol)
-        V = self._vectors
-        return self._phase_trace((V.conj().T @ M @ V) * self._rho_eig.T, self._phases(times)).real
-
-    def _phases(self, times: np.ndarray):
-        """E[t, a] = exp(i t w_a / hbar) and its conjugate."""
-        E = np.exp(1j * np.outer(times, self._freqs))
-        return E, E.conj()
-
-    @staticmethod
-    def _phase_trace(X: np.ndarray, phases) -> np.ndarray:
-        E, Ec = phases
-        return np.einsum("ta,ta->t", E @ X, Ec)
-
-    def _moments(self, times: np.ndarray):
-        rho_t, phases = self._rho_eig.T, self._phases(times)
-        mean = self._phase_trace(self._O_eig * rho_t, phases).real
-        second = self._phase_trace((self._O_eig @ self._O_eig) * rho_t, phases).real
-        return mean, _spread(mean, second, self._tol)
+        M = _checked_observable(M, self.dim, self.tol)
+        V = self.vectors
+        return _phase_trace((V.conj().T @ M @ V) * self.rho_eig.T, _phases(self.freqs, times)).real
 
 
-def _spread(mean: np.ndarray, second: np.ndarray, tol: float) -> np.ndarray:
-    var = second - mean * mean
+def _phases(freqs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """E[t, a] = exp(i t w_a / hbar)."""
+    return np.exp(1j * np.outer(times, freqs))
+
+
+def _phase_trace(X: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """tr(O(t) M) at the times of the phase rows E, for X = O~ * M~^T in the eigenbasis."""
+    return np.einsum("ta,ta->t", E @ X, E.conj())
+
+
+def _moments(O_eig: np.ndarray, rho_eig: np.ndarray, E: np.ndarray, tol: float):
+    """<O(t)> and dO(t) at the times of the phase rows E."""
+    rho_t = rho_eig.T
+    mean = _phase_trace(O_eig * rho_t, E).real
+    second = _phase_trace((O_eig @ O_eig) * rho_t, E).real
+    return mean, _spread(second - mean * mean, tol)
+
+
+def _spread(var: np.ndarray, tol: float) -> np.ndarray:
+    """sqrt(var) in place, for var = <O^2> - <O>^2; var below -tol is an error."""
     if var.min() < -tol:
         raise NumericError(f"variance {var.min():.3e} below -tolerance along trajectory")
-    return np.sqrt(np.clip(var, 0.0, None))
+    return np.sqrt(np.clip(var, 0.0, None, out=var), out=var)
 
 
 def _check_state(rho: DensityState, dim: int) -> None:
@@ -449,21 +423,33 @@ def _checked_observable(O0, dim: int, tol: float) -> np.ndarray:
 
 
 def evolve_unitary_heisenberg(
-    O0: np.ndarray,
-    H: np.ndarray,
-    rho: DensityState,
-    grid: TimeGrid,
-    hbar: float = 1.0,
-    tol: float = DEFAULT_TOL,
+    O0: np.ndarray, H: np.ndarray, rho: DensityState, grid: TimeGrid, hbar: float = 1.0, tol: float = DEFAULT_TOL,
+    probes=(),
 ) -> UnitaryTrajectory:
-    """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of H."""
+    """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of H,
+    reduced from one phase matrix E[t, a] = exp(i t w_a / hbar): tr(O(t) M)
+    is the row sum of (E @ (O~ * M~^T)) * conj(E), so no per-sample matrix is
+    formed. [H, O(t)] = U^dag [H, O] U, so both generator speeds are
+    constant. ``probes`` are the matrices M whose series the trajectory keeps."""
     H = _checked_hamiltonian(H, hbar, tol)
     O0 = _checked_observable(O0, H.shape[0], tol)
     _check_state(rho, H.shape[0])
 
     w, V = np.linalg.eigh(H)
     Vd = V.conj().T
-    return UnitaryTrajectory(grid, w / hbar, V, Vd @ O0 @ V, Vd @ rho.matrix @ V, tol)
+    freqs, O_eig, rho_eig = w / hbar, Vd @ O0 @ V, Vd @ rho.matrix @ V
+    E = _phases(freqs, grid.times())
+    expect, stddev = _moments(O_eig, rho_eig, E, tol)
+    # [H, O] / hbar in the eigenbasis; both norms are unitarily invariant
+    comm = (freqs[:, None] - freqs[None, :]) * O_eig
+    speeds = (np.full(grid.steps + 1, x) for x in (np.linalg.norm(comm), np.linalg.svd(comm, compute_uv=False)[0]))
+    E_ends = E[[0, -1]]
+    ends = V @ (E_ends[:, :, None] * O_eig[None] * E_ends.conj()[:, None, :]) @ Vd
+    series = tuple((M, _phase_trace(O_eig * (Vd @ M @ V).T, E)) for M in probes)
+    return UnitaryTrajectory(
+        "unitary", grid, expect, stddev, *speeds, (ends[0], ends[1]), series,
+        freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -679,33 +665,38 @@ def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) 
     """The trajectories of a stream of observable chunks (start, samples,
     speeds), shaped as :func:`lindblad_chunks` yields them, each chunk
     reduced as it arrives: batch entry b is read in the state rhos[b] and
-    keeps the series tr(O_b(t) M) of the matrices M in ``probes[b]``.
+    keeps the series tr(O_b(t) M) of the matrices M in ``probes[b]``. The
+    variance is taken chunk by chunk, so the reducer holds four scalars a
+    sample: <O(t)>, the variance and the two speeds.
 
     <O(t)> and the probe series are contracted one batch entry at a time:
     over a batch, numpy's einsum runs their sums in another order.
     """
     B, n = len(rhos), grid.steps + 1
     rho = np.stack([r.matrix for r in rhos])
-    expect, second, speeds = np.empty((B, n)), np.empty((B, n)), np.empty((B, n, 2))
+    expect, var, speeds = np.empty((B, n)), np.empty((B, n)), np.empty((B, n, 2))
     series = [np.empty((len(p), n), dtype=complex) for p in probes]
     for start, samples, chunk_speeds in chunks:
         if start == 0:
             first = samples[:, 0].copy()
         cut = slice(start, start + samples.shape[1])
-        second[:, cut] = np.einsum("ntab,ntba->nt", samples, samples @ rho[:, None]).real
-        speeds[:, cut] = chunk_speeds
         for b, Os in enumerate(samples):
             expect[b, cut] = np.einsum("tab,ba->t", Os, rho[b]).real
             for k, M in enumerate(probes[b]):
                 series[b][k, cut] = np.einsum("tab,ba->t", Os, M)
+        # one product per batch entry, not one per sample
+        rho_products = (samples.reshape(B, -1, samples.shape[-1]) @ rho).reshape(samples.shape)
+        mean = expect[:, cut]
+        var[:, cut] = np.einsum("ntab,ntba->nt", samples, rho_products).real - mean * mean
+        speeds[:, cut] = chunk_speeds
         last = samples[:, -1].copy()
-        del samples, Os  # freed before the kernel builds the next chunk
+        del samples, rho_products, Os  # freed before the kernel builds the next chunk
     return [
         Trajectory(
             kind,
             grid,
             expect[b],
-            _spread(expect[b], second[b], tol),
+            _spread(var[b], tol),
             speeds[b, :, 0],
             speeds[b, :, 1],
             (first[b], last[b]),
@@ -824,42 +815,53 @@ def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
 # Kraus dynamics
 
 
+def kraus_trajectories(families, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float = DEFAULT_TOL):
+    """The Heisenberg trajectories of O0s[b] under the Kraus family families[b]
+    in the states rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]``."""
+    chunks = _kraus_chunks(families, np.asarray(O0s, dtype=complex), grid, tol)
+    return _reduce_chunks("kraus", chunks, rhos, grid, probes, tol)
+
+
 def evolve_kraus_heisenberg(
-    O0: np.ndarray,
-    gen: KrausGenerator,
-    rho: DensityState,
-    grid: TimeGrid,
-    tol: float = DEFAULT_TOL,
+    O0: np.ndarray, gen: KrausGenerator, rho: DensityState, grid: TimeGrid, tol: float = DEFAULT_TOL, probes=()
 ) -> Trajectory:
     """O(t) = sum_i K_i^dag(t) O(0) K_i(t) on the grid, with the summed
-    speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| that the Kraus-map bound reads."""
+    speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| that the Kraus-map bound reads,
+    through :func:`kraus_trajectories`."""
     O0 = _checked_observable(O0, gen.dim, tol)
     _check_state(rho, gen.dim)
-    return _reduce_chunks("kraus", _kraus_chunks(gen.family, O0, grid, tol), [rho], grid, [()], tol)[0]
+    return kraus_trajectories([gen.family], O0[None], [rho], grid, [probes], tol)[0]
 
 
-def _kraus_chunks(family: KrausFamily, O0: np.ndarray, grid: TimeGrid, tol: float):
-    """The Kraus kernel, chunked by :func:`_spans` on its operators: yields
-    (start, O(t), speeds) like :func:`lindblad_chunks` with a batch of one,
-    the speeds being the summed norms of K_i^dag(t) O0 dK_i/dt, after
-    checking sum_i K_i^dag K_i = 1 within max(tol, 1e-8). With one more
-    sample on each side of the chunk, ``np.gradient`` gives the central
-    difference along the grid, one-sided at its ends."""
+def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid, tol: float):
+    """The batch-first Kraus kernel, O0s[b] (shape (B, d, d)) under
+    families[b] (one dimension, one number of operators): yields chunks like
+    :func:`lindblad_chunks`, the speeds being the summed norms of
+    K_i^dag(t) O0 dK_i/dt, after checking sum_i K_i^dag K_i = 1 within
+    max(tol, 1e-8). With one more sample on each side of a chunk,
+    ``np.gradient`` gives the central difference along the grid, one-sided
+    at its ends. :func:`_spans` sizes a chunk by its whole working set: the
+    window of K, K^dag O, dK/dt, K^dag O dK/dt and O(t)."""
     times = grid.times()
-    for start, end in _spans(times.size, 16 * family.n_ops * family.dim**2):
+    B, d = O0s.shape[:2]
+    m = families[0].n_ops
+    for start, end in _spans(times.size, 16 * B * d * d * (4 * m + 1)):
         lo = max(start - 1, 0)
-        window = family.operators(times[lo : end + 1])
+        window = np.stack([family.operators(times[lo : end + 1]) for family in families])
         own = slice(start - lo, end - lo)
-        K = window[own]
-        defect = np.abs(np.einsum("tiab,tiac->tbc", K.conj(), K) - np.eye(family.dim)).max(axis=(1, 2))
+        K = window[:, own]
+        defect = np.abs(np.einsum("ntiab,ntiac->ntbc", K.conj(), K) - np.eye(d)).max(axis=(0, 2, 3))
         bad = np.flatnonzero(defect > max(tol, 1e-8))
         if bad.size:
             j = bad[0]
             raise ValidationError(f"Kraus completeness violated at t={times[start + j]!r} (defect {defect[j]:.3e})")
-        KdO = K.conj().swapaxes(-1, -2) @ O0
-        M = KdO @ np.gradient(window, grid.h, axis=0)[own]
-        speeds = np.stack([np.linalg.norm(M, axis=(-2, -1)).sum(axis=1), _op_norms(M).sum(axis=1)], axis=-1)
-        yield start, (KdO @ K).sum(axis=1)[None], speeds[None]
+        # one product per batch entry, not one per sample
+        KdO = (K.conj().swapaxes(-1, -2).reshape(B, -1, d) @ O0s).reshape(K.shape)
+        M = KdO @ np.gradient(window, grid.h, axis=1)[:, own]
+        speeds = np.stack([np.linalg.norm(M, axis=(-2, -1)).sum(axis=2), _op_norms(M).sum(axis=2)], axis=-1)
+        samples = (KdO @ K).sum(axis=2)
+        del window, K, KdO, M  # freed before the reducer reads the chunk
+        yield start, samples, speeds
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,14 @@ that the exact propagator replaced, the streamed Lindblad kernel and its
 reductions against the full-stack kernel (:func:`propagate_lindblad`) and
 reductions (:func:`stack_expect`, :func:`stack_stddev`) that they replaced,
 the streamed Kraus kernel against the whole-grid one
-(:func:`kraus_full_stack`) that it replaced, and the fused Lindblad generator and the Liouvillian built from
-it against the matrix form and the Kronecker construction they replaced. The per-time propagator, adjoint generator and
-Kraus derivative are the references for the library's eigenbasis,
-Liouvillian and grid-batched routes, and the three-operand second moment for
+(:func:`kraus_full_stack`) that it replaced and its batch-first chunks
+against the per-family ones (:func:`kraus_chunks_per_family`), the unitary
+trajectory's declared probe series and ends against the closed forms they
+replaced (:func:`unitary_trace_with`, :func:`unitary_at`), and the fused
+Lindblad generator and the Liouvillian built from it against the matrix
+form and the Kronecker construction they replaced. The per-time
+propagator, adjoint generator and Kraus derivative are the references for
+the library's eigenbasis, Liouvillian and grid-batched routes, and the three-operand second moment for
 the trajectories' spreads. The ``.sys`` literal reader that walks a literal
 one character at a time and tries three complex regexes per entry
 (:func:`_parse_vector`, :func:`_parse_matrix`, :func:`parse_complex`) is the
@@ -48,6 +52,7 @@ from oqsl.dynamics import (
     _norms,
     _op_norms,
     _rates_at,
+    _spans,
     _spread,
     _takes_exact_route,
     liouvillian,
@@ -446,8 +451,8 @@ def stack_expect(Os: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def stack_stddev(Os: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
     """dO(t) from a (n_times, d, d) stack in one contraction: the full-stack
     reduction that the streamed reducer replaced."""
-    second = np.einsum("tab,tba->t", Os, Os @ rho).real
-    return _spread(stack_expect(Os, rho), second, tol)
+    mean, second = stack_expect(Os, rho), np.einsum("tab,tba->t", Os, Os @ rho).real
+    return _spread(second - mean * mean, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +488,30 @@ def kraus_full_stack(O0, gen, rho, grid: TimeGrid, tol: float = DEFAULT_TOL) -> 
         gen_speed_op=speed_op,
         ends=(Os[0].copy(), Os[-1].copy()),
     )
+
+
+def kraus_chunks_per_family(family, O0: np.ndarray, grid: TimeGrid, tol: float = DEFAULT_TOL):
+    """The Kraus kernel for one family, chunked by :func:`_spans` on its
+    operators alone: yields (start, O(t), speeds) with a batch of one, the
+    speeds being the summed norms of K_i^dag(t) O0 dK_i/dt, after checking
+    sum_i K_i^dag K_i = 1 within max(tol, 1e-8). The per-family kernel that
+    the batch-first one replaced; with one more sample on each side of the
+    chunk, ``np.gradient`` gives the central difference along the grid."""
+    times = grid.times()
+    for start, end in _spans(times.size, 16 * family.n_ops * family.dim**2):
+        lo = max(start - 1, 0)
+        window = family.operators(times[lo : end + 1])
+        own = slice(start - lo, end - lo)
+        K = window[own]
+        defect = np.abs(np.einsum("tiab,tiac->tbc", K.conj(), K) - np.eye(family.dim)).max(axis=(1, 2))
+        bad = np.flatnonzero(defect > max(tol, 1e-8))
+        if bad.size:
+            j = bad[0]
+            raise ValidationError(f"Kraus completeness violated at t={times[start + j]!r} (defect {defect[j]:.3e})")
+        KdO = K.conj().swapaxes(-1, -2) @ O0
+        M = KdO @ np.gradient(window, grid.h, axis=0)[own]
+        speeds = np.stack([np.linalg.norm(M, axis=(-2, -1)).sum(axis=1), _op_norms(M).sum(axis=1)], axis=-1)
+        yield start, (KdO @ K).sum(axis=1)[None], speeds[None]
 
 
 # ---------------------------------------------------------------------------
@@ -587,3 +616,24 @@ def format_matrix_per_entry(M) -> str:
 
     rows = ", ".join("[" + ", ".join(entry(z) for z in row) + "]" for row in M)
     return f"[{rows}]"
+
+
+# ---------------------------------------------------------------------------
+# the unitary closed forms that the declared probes and ends replaced
+
+
+def unitary_trace_with(traj, M) -> np.ndarray:
+    """tr(O(t) M) at every grid point of a unitary trajectory, for any M,
+    from its eigen data and phases built for this one call: the closed form
+    that series of probes declared before the evolution replaced."""
+    V = traj.vectors
+    E = np.exp(1j * np.outer(traj.grid.times(), traj.freqs))
+    return np.einsum("ta,ta->t", E @ (traj.O_eig * (V.conj().T @ M @ V).T), E.conj())
+
+
+def unitary_at(traj, k: int) -> np.ndarray:
+    """O(t_k) of a unitary trajectory at any grid index k, from its eigen
+    data: the closed form that the kept ends (O(0), O(T)) replaced."""
+    E = np.exp(1j * np.outer(np.atleast_1d(traj.grid.times()[k]), traj.freqs))
+    Ot = E[:, :, None] * traj.O_eig[None] * E.conj()[:, None, :]
+    return (traj.vectors @ Ot @ traj.vectors.conj().T)[0]

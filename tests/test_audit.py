@@ -84,6 +84,20 @@ def test_audit_starts_no_thread(monkeypatch):
     assert run_audit(n_qubit=2, n_qutrit=1).passed
 
 
+def test_audit_evolves_kraus_trials_in_their_block(monkeypatch):
+    # the qubit trials' Kraus evolution is one batch beside the Lindblad
+    # block, kept on each trial as its evaluation context
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit evolved a Kraus trial on its own")
+
+    monkeypatch.setattr(audit, "evolve_kraus_heisenberg", refuse)
+    assert run_audit(2, 1).passed
+    trials = [audit._sample_trial(1, 2, i) for i in range(2)]
+    audit._integrate_lindblad_block(trials, audit.LINDBLAD_GRID)
+    for t in trials:
+        assert t.kraus.kind == "kraus" and t.kraus.traj.grid == audit.KRAUS_GRID
+
+
 def test_audit_has_no_workers_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--trials", "1", "--workers", "2"], out=io.StringIO(), err=io.StringIO())

@@ -6,8 +6,10 @@ from oqsl.bounds import (
     CorrelationTrace,
     EvalContext,
     battery_bounds,
+    commutator_probe,
     commutator_qsl,
     corr_qsl,
+    correlation_probe,
     oqsl_generator_hs,
     oqsl_kraus,
     oqsl_min_norm,
@@ -17,6 +19,7 @@ from oqsl.bounds import (
     oqsl_state_independent,
     qsl_delcampo,
     rate_audit,
+    rate_probe,
     state_qsl_projector,
     two_time_correlation,
 )
@@ -24,6 +27,7 @@ from oqsl.dynamics import (
     DephasingKraus,
     KrausGenerator,
     LindbladGenerator,
+    RateTable,
     TimeGrid,
     dephasing_generator,
     evolve_kraus_heisenberg,
@@ -59,8 +63,16 @@ def tight_trajectory(steps=4000):
     return evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid)
 
 
-def audit_context(traj, O, H, rho):
-    return EvalContext(traj.kind, traj.grid, O, rho, lambda: traj, H=H)
+def audit_context(O, H, rho, grid, gen=None):
+    """The context of O under H, or under the Lindblad generator gen, in rho,
+    its trajectory evolved with the rate audit's probe declared."""
+    if gen is None:
+        ctx = EvalContext("unitary", grid, O, rho, None, H=H, rates=True)
+        ctx.traj = evolve_unitary_heisenberg(O, H, rho, grid, probes=ctx.probes)
+    else:
+        ctx = EvalContext("lindblad", grid, O, rho, None, H=H, generator=gen, rates=True)
+        ctx.traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=ctx.probes)
+    return ctx
 
 
 def lindblad_probes(O, B, rho, grid):
@@ -453,7 +465,7 @@ def test_correlation_starts_at_variance(rng):
     A = oracles.random_hermitian(rng, 3)
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     H = oracles.random_hermitian(rng, 3)
-    traj = evolve_unitary_heisenberg(A, H, rho, TimeGrid(0.0, 1.0, 50))
+    traj = evolve_unitary_heisenberg(A, H, rho, TimeGrid(0.0, 1.0, 50), probes=(correlation_probe(A, rho),))
     trace = two_time_correlation(A, traj, rho)
     c0 = complex(trace.C_samples[0])
     assert c0.real == pytest.approx(variance(A, rho), abs=1e-10)
@@ -473,7 +485,7 @@ def test_correlation_dephasing_identically_zero():
 
 def test_correlation_precession_phase():
     grid = TimeGrid(0.0, 1.2, 800)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, GROUND, grid)
+    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, GROUND, grid, probes=(correlation_probe(sigma_x, GROUND),))
     trace = two_time_correlation(sigma_x, traj, GROUND)
     assert np.abs(trace.C_samples - np.exp(2j * grid.times())).max() <= 1e-8
 
@@ -487,7 +499,7 @@ def test_correlation_rejects_mixed_state():
 
 def test_corr_qsl_commuting_case_zero():
     grid = TimeGrid(0.0, 1.0, 100)
-    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, GROUND, grid)
+    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, GROUND, grid, probes=(correlation_probe(sigma_z, GROUND),))
     trace = two_time_correlation(sigma_z, traj, GROUND)
     rep = corr_qsl(trace, op_norm(sigma_z), traj.gen_speed_op, kind="closed")
     assert rep.T_qsl == 0.0
@@ -497,7 +509,8 @@ def test_corr_qsl_closed_value_and_validity():
     T = 1.2
     grid = TimeGrid(0.0, T, 800)
     hbar = 1.0
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, GROUND, grid, hbar=hbar)
+    probes = (correlation_probe(sigma_x, GROUND),)
+    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, GROUND, grid, hbar=hbar, probes=probes)
     trace = two_time_correlation(sigma_x, traj, GROUND)
     rep = corr_qsl(trace, op_norm(sigma_x), traj.gen_speed_op * hbar, kind="closed")
     assert rep.T_qsl == pytest.approx(abs(np.sin(T)) / 2.0, abs=1e-9)
@@ -540,7 +553,7 @@ def twoq_state():
 def test_commutator_closed_locality_toy():
     rho = twoq_state()
     grid = TimeGrid(0.0, 1.2, 800)
-    traj = evolve_unitary_heisenberg(TWOQ_A, TWOQ_H, rho, grid)
+    traj = evolve_unitary_heisenberg(TWOQ_A, TWOQ_H, rho, grid, probes=(commutator_probe(TWOQ_B, rho),))
     rep = commutator_qsl(TWOQ_B, traj, rho, kind="closed")
     assert rep.details["comm_expect_0"] <= 1e-12
     assert rep.details["comm_expect_T"] > 0.01
@@ -551,7 +564,7 @@ def test_commutator_closed_commuting_pair_zero():
     # A commutes with the coupling, so A(t) = A(0) commutes with B forever
     rho = twoq_state()
     A = np.kron(np.eye(2), sigma_x)
-    traj = evolve_unitary_heisenberg(A, TWOQ_H, rho, TimeGrid(0.0, 1.0, 200))
+    traj = evolve_unitary_heisenberg(A, TWOQ_H, rho, TimeGrid(0.0, 1.0, 200), probes=(commutator_probe(TWOQ_B, rho),))
     rep = commutator_qsl(TWOQ_B, traj, rho, kind="closed")
     assert rep.T_qsl == 0.0
 
@@ -589,30 +602,54 @@ def test_commutator_kind_must_match_trajectory():
 
 
 def test_rate_audit_tight_qubit_saturates_robertson():
-    traj = tight_trajectory()
-    rep = rate_audit(audit_context(traj, sigma_x, sigma_z, PLUS))
+    rep = rate_audit(audit_context(sigma_x, sigma_z, PLUS, TimeGrid(0.0, T_HALF_PI, 4000)))
     assert abs(rep.violations["RATE_ROBERTSON"]) <= 1e-5
     assert rep.violations["RATE_HOLDER_OP"] <= 1e-6
 
 
+@pytest.mark.parametrize("steps", [500, 1000, 2000])
+def test_rate_audit_is_exact_where_robertson_saturates(steps):
+    # O = sigma_x, H = sigma_z, |+>: |d<O>/dt| = 2 |sin 2t| = 2 dO dH at every
+    # t, and the central difference of <O(t)> = cos 2t falls short of it by
+    # 2 |sin 2t| (1 - sin 2h / 2h), up to (4/3) h^2
+    grid = TimeGrid(0.0, T_HALF_PI, steps)
+    ctx = audit_context(sigma_x, sigma_z, PLUS, grid)
+    rep = rate_audit(ctx)
+    assert abs(rep.violations["RATE_ROBERTSON"]) <= 1e-12
+    exact = 2.0 * np.abs(np.sin(2.0 * grid.times()))
+    assert np.abs(np.abs(ctx.traj.trace_with(rate_probe(ctx)).real) - exact).max() <= 1e-12
+    expect = ctx.traj.expect
+    central = np.abs(expect[2:] - expect[:-2]) / (2.0 * grid.h)
+    assert np.abs(central - exact[1:-1]).max() == pytest.approx(4.0 / 3.0 * grid.h**2, rel=1e-3)
+
+
 def test_rate_audit_conserved_observable():
-    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, PLUS, TimeGrid(0.0, 1.0, 100))
-    rep = rate_audit(audit_context(traj, sigma_z, sigma_z, PLUS))
+    rep = rate_audit(audit_context(sigma_z, sigma_z, PLUS, TimeGrid(0.0, 1.0, 100)))
     assert rep.violations["RATE_ROBERTSON"] <= 0.0
     assert rep.violations["RATE_HOLDER_OP"] <= 0.0
 
 
 def test_rate_audit_lindblad_cauchy_schwarz(rng):
     gen = dephasing_generator(1.0)
-    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 800))
-    rep = rate_audit(audit_context(traj, sigma_x, np.zeros((2, 2)), PLUS))
+    rep = rate_audit(audit_context(sigma_x, np.zeros((2, 2)), PLUS, TimeGrid(0.0, 1.0, 800), gen))
     assert rep.kind == "lindblad"
     assert rep.violations["RATE_CS_HS"] <= 1e-6
 
 
+def test_rate_audit_rejects_undeclared_probe_and_varying_rates():
+    grid = TimeGrid(0.0, 1.0, 50)
+    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid)
+    ctx = EvalContext("unitary", grid, sigma_x, PLUS, lambda: traj, H=sigma_z)
+    with pytest.raises(ValidationError, match="declared as a probe"):
+        rate_audit(ctx)
+    ramp = LindbladGenerator(H=sigma_z, jumps=((sigma_x, RateTable([0.0, 1.0], [0.1, 0.5])),))
+    with pytest.raises(ValidationError, match="constant in time"):
+        audit_context(sigma_x, sigma_z, PLUS, grid, ramp)
+
+
 def test_rate_audit_mutation_hook_detects_sign_flip():
     # a negated dH flips the sign of the Robertson right-hand side
-    ctx = audit_context(tight_trajectory(500), sigma_x, sigma_z, PLUS)
+    ctx = audit_context(sigma_x, sigma_z, PLUS, TimeGrid(0.0, T_HALF_PI, 500))
     ctx.delta_H = -ctx.delta_H
     rep = rate_audit(ctx)
     assert rep.violations["RATE_ROBERTSON"] > 0.1

@@ -158,12 +158,13 @@ def test_unitary_trajectory_matches_propagator_route(rng):
     O = oracles.random_hermitian(rng, 3)
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     grid = TimeGrid(0.0, 1.0, 10)
-    traj = evolve_unitary_heisenberg(O, H, rho, grid)
+    traj = evolve_unitary_heisenberg(O, H, rho, grid, probes=tuple(oracles.matrix_units(3)))
     Os = oracles.samples_from_probes(traj)
     for i, t in enumerate(grid.times()):
         U = unitary_propagator(H, float(t))
         assert np.abs(Os[i] - U.conj().T @ O @ U).max() <= 1e-11
-        assert np.abs(traj.at(i) - U.conj().T @ O @ U).max() <= 1e-11
+    for k in (0, -1):
+        assert np.abs(traj.at(k) - Os[k]).max() <= 1e-11
 
 
 def test_conserved_observable_constant():
@@ -179,7 +180,7 @@ def test_heisenberg_rate_matches_commutator(rng):
     O = O / np.linalg.svd(O, compute_uv=False)[0]
     rho = DensityState.pure(oracles.random_ket(rng, 2))
     grid = TimeGrid(0.0, 1.0, 2000)
-    traj = evolve_unitary_heisenberg(O, H, rho, grid)
+    traj = evolve_unitary_heisenberg(O, H, rho, grid, probes=(commutator(H, rho.matrix),))
     h = grid.h
     dexp = (traj.expect[2:] - traj.expect[:-2]) / (2 * h)
     # tr([O(t), H] rho) = tr(O(t) (H rho - rho H))
@@ -191,7 +192,7 @@ def test_unitary_spectrum_constant(rng):
     H = oracles.random_hermitian(rng, 4)
     O = oracles.random_hermitian(rng, 4)
     rho = DensityState.pure(oracles.random_ket(rng, 4))
-    traj = evolve_unitary_heisenberg(O, H, rho, TimeGrid(0.0, 2.0, 50))
+    traj = evolve_unitary_heisenberg(O, H, rho, TimeGrid(0.0, 2.0, 50), probes=tuple(oracles.matrix_units(4)))
     Os = oracles.samples_from_probes(traj)
     ref = np.linalg.eigvalsh(Os[0])
     for Ot in Os[::10]:
@@ -242,7 +243,7 @@ def test_lindblad_zero_rates_reduce_to_unitary(rng):
     gen = LindbladGenerator(H=H, jumps=((sigma_z, 0.0),))
     grid = TimeGrid(0.0, np.pi / 2, 1000)
     a = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=tuple(oracles.matrix_units(2)))
-    b = evolve_unitary_heisenberg(sigma_x, H, PLUS, grid)
+    b = evolve_unitary_heisenberg(sigma_x, H, PLUS, grid, probes=tuple(oracles.matrix_units(2)))
     assert np.abs(a.expect - b.expect).max() <= 1e-8
     Oa, Ob = oracles.samples_from_probes(a), oracles.samples_from_probes(b)
     assert max(np.abs(Oa - Ob).max(axis=(1, 2))) <= 1e-8
@@ -322,7 +323,7 @@ def test_hermiticity_preserved_all_kinds(rng):
     rho = DensityState.pure(oracles.random_ket(rng, 2))
     O = oracles.random_hermitian(rng, 2)
     H = oracles.random_hermitian(rng, 2)
-    unitary = evolve_unitary_heisenberg(O, H, rho, grid)
+    unitary = evolve_unitary_heisenberg(O, H, rho, grid, probes=tuple(oracles.matrix_units(2)))
     lindblad = evolve_lindblad_heisenberg(O, random_lindblad(rng, 2), rho, grid, probes=tuple(oracles.matrix_units(2)))
     kraus = evolve_kraus_heisenberg(O, KrausGenerator(DephasingKraus(0.8)), rho, grid)
     # a Kraus trajectory keeps O(t) at the two ends of its grid only
@@ -629,17 +630,16 @@ def test_no_trajectory_holds_a_sample_stack(kind, steps):
     dim = 2 if kind == "kraus" else 3
     O = oracles.random_hermitian(rng, dim)
     rho = DensityState.pure(oracles.random_ket(rng, dim))
-    grid = TimeGrid(0.0, 1.0, steps)
+    grid, probes = TimeGrid(0.0, 1.0, steps), (O @ rho.matrix,)
     if kind == "unitary":
-        traj = evolve_unitary_heisenberg(O, oracles.random_hermitian(rng, dim), rho, grid)
+        traj = evolve_unitary_heisenberg(O, oracles.random_hermitian(rng, dim), rho, grid, probes=probes)
+        traj.mid_stddev
     elif kind == "lindblad":
-        traj = evolve_lindblad_heisenberg(O, random_lindblad(rng, dim), rho, grid, probes=(O @ rho.matrix,))
+        traj = evolve_lindblad_heisenberg(O, random_lindblad(rng, dim), rho, grid, probes=probes)
     else:
-        traj = evolve_kraus_heisenberg(O, KrausGenerator(DephasingKraus(0.8)), rho, grid)
+        traj = evolve_kraus_heisenberg(O, KrausGenerator(DephasingKraus(0.8)), rho, grid, probes=probes)
     # after every read a bound makes, so nothing is cached by a read either
-    traj.at(0), traj.at(-1), traj.prefix(steps // 2)
-    if kind != "kraus":
-        traj.trace_with(O @ rho.matrix)
+    traj.at(0), traj.at(-1), traj.prefix(steps // 2), traj.trace_with(probes[0])
     stacks = [
         a.shape
         for a in _reachable_arrays(vars(traj), set())

@@ -23,6 +23,7 @@ from oqsl.dynamics import (
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,
+    kraus_trajectories,
     lindblad_chunks,
     lindblad_trajectories,
 )
@@ -100,13 +101,13 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
         assert np.array_equal(joined, states[0])
 
 
-def _kraus_family(name, grid):
+def _kraus_family(name, grid, seed=5):
     """The closed-form dephasing family, or a qutrit family
     K_i(t) = exp(-i t H) K_i(0) tabulated on the grid, whose K(0) is not
     the identity."""
     if name == "dephasing":
         return DephasingKraus(1.3)
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     H = oracles.random_hermitian(rng, 3)
     Q, _ = np.linalg.qr(oracles.random_matrix(rng, 6))
     K0 = Q[:, :3].reshape(2, 3, 3)  # sum_i K_i^dag K_i = 1 from orthonormal columns
@@ -122,8 +123,8 @@ def test_streamed_kraus_equals_whole_grid_kernel(name, steps, monkeypatch):
     O = oracles.random_hermitian(rng, family.dim)
     W = oracles.random_matrix(rng, family.dim)
     rho = DensityState.from_matrix(W @ W.conj().T / np.trace(W @ W.conj().T).real)
-    monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * family.n_ops * family.dim**2)
-    starts = [start for start, _, _ in dynamics._kraus_chunks(family, O, grid, DEFAULT_TOL)]
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * family.dim**2 * (4 * family.n_ops + 1))
+    starts = [start for start, _, _ in dynamics._kraus_chunks([family], O[None], grid, DEFAULT_TOL)]
     assert starts == {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
 
     gen = KrausGenerator(family)
@@ -136,8 +137,53 @@ def test_streamed_kraus_equals_whole_grid_kernel(name, steps, monkeypatch):
         assert np.abs(ours.at(0) - O).max() > 0.1  # O(t0) is evolved
 
 
+@pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("name", ["dephasing", "tabulated"])
+def test_batched_kraus_equals_per_family_kernel(name, steps, monkeypatch):
+    grid = TimeGrid(0.0, 0.6, steps)
+    if name == "dephasing":
+        families = [DephasingKraus(gamma) for gamma in (0.4, 1.3, 2.2)]
+    else:
+        families = [_kraus_family(name, grid, seed) for seed in (5, 6, 7)]
+    d, n_ops = families[0].dim, families[0].n_ops
+    rng = np.random.default_rng([steps, d])
+    O0s = np.stack([oracles.random_hermitian(rng, d) for _ in families])
+    rhos = [DensityState.pure(oracles.random_ket(rng, d)) for _ in families]
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * len(families) * d * d * (4 * n_ops + 1))
+    chunks = list(dynamics._kraus_chunks(families, O0s, grid, DEFAULT_TOL))
+    starts = {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
+    assert [c[0] for c in chunks] == starts
+    samples, speeds = (np.concatenate([c[i] for c in chunks], axis=1) for i in (1, 2))
+    trajs = kraus_trajectories(families, O0s, rhos, grid, [()] * len(families))
+    for family, O, rho, Os, Ss, traj in zip(families, O0s, rhos, samples, speeds, trajs):
+        # the reference cuts its chunks elsewhere: by its operators alone
+        ref = list(oracles.kraus_chunks_per_family(family, O, grid))
+        assert np.array_equal(Os, np.concatenate([c[1][0] for c in ref]))
+        assert np.array_equal(Ss, np.concatenate([c[2][0] for c in ref]))
+        whole = oracles.kraus_full_stack(O, KrausGenerator(family), rho, grid)
+        for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
+            assert np.array_equal(getattr(traj, series), getattr(whole, series))
+
+
+def test_kraus_working_set_stays_within_two_chunks():
+    # the chunks are sized by the kernel's whole working set: the window of
+    # K, K^dag O, dK/dt, K^dag O dK/dt and O(t), not K alone
+    steps = 20_000
+    gen = KrausGenerator(DephasingKraus(0.8))
+    O, rho = oracles.random_hermitian(np.random.default_rng(2), 2), DensityState.pure([1.0, 1.0])
+    tracemalloc.start()
+    try:
+        evolve_kraus_heisenberg(O, gen, rho, TimeGrid(0.0, 1.0, steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scalar series: <O(t)>, the variance, the two speeds and the times
+    scalars = 5 * 8 * (steps + 1)
+    assert peak <= 2 * dynamics.CHUNK_BYTES + scalars, f"peak traced memory {peak / 1e6:.2f} MB"
+
+
 def test_kraus_memory_grows_only_by_the_scalar_series():
-    # per sample, the reducer keeps <O(t)>, the second moment and two speeds
+    # per sample, the reducer keeps <O(t)>, the variance and two speeds
     # (32 bytes) and the grid its time (8); with its K, K^dag O, dK/dt and
     # O(t) stacks, the whole-grid kernel grew by 728 bytes a sample
     gen = KrausGenerator(DephasingKraus(0.8))

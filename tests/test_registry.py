@@ -34,7 +34,11 @@ def _unitary_case(rng, dim=4):
 
 
 def _unitary_context(O, H, rho, grid, **slots):
-    return EvalContext("unitary", grid, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, grid), H=H, **slots)
+    """The unitary context of O, whose evolution keeps the probes it declares."""
+    ctx = EvalContext(
+        "unitary", grid, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, grid, probes=ctx.probes), H=H, **slots
+    )
+    return ctx
 
 
 def test_second_observable_matches_its_own_evolution(rng):
@@ -62,10 +66,7 @@ def test_second_observable_keeps_the_input_checks(M):
 def test_context_evaluates_every_unitary_bound_without_samples(rng):
     H, O, rho, grid = _unitary_case(rng)
     P = DensityState.pure(oracles.random_ket(rng, 4)).matrix
-    ctx = EvalContext(
-        "unitary", grid, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, grid),
-        H=H, B=oracles.random_hermitian(rng, 4), self_inverse=np.eye(4), projector=P,
-    )
+    ctx = _unitary_context(O, H, rho, grid, B=oracles.random_hermitian(rng, 4), self_inverse=np.eye(4), projector=P)
     ids = [r.bound_id for r in evaluate_all(ctx)]
     assert ids == [b for b in BOUND_IDS if b not in ("DELCAMPO", "CORR_OPEN", "COMM_OPEN", "KRAUS")]
     # the unitary trajectory holds no per-sample matrices
@@ -80,7 +81,7 @@ def test_context_memoizes_the_trajectory():
 
     def evolve():
         calls.append(1)
-        return evolve_unitary_heisenberg(sigma_x, sigma_z, rho, grid)
+        return evolve_unitary_heisenberg(sigma_x, sigma_z, rho, grid, probes=ctx.probes)
 
     ctx = EvalContext("unitary", grid, sigma_x, rho, evolve, H=sigma_z, self_inverse=sigma_x)
     evaluate_all(ctx)
@@ -127,6 +128,12 @@ def test_probes_are_declared_by_the_bounds_that_read_them(rng):
     assert np.array_equal(corr, bounds.correlation_probe(O, pure))
     assert np.array_equal(comm, bounds.commutator_probe(B, pure))
     assert len(EvalContext("lindblad", grid, O, pure, None).probes) == 1
-    # CORR_OPEN and COMM_OPEN need a pure state; a unitary trajectory traces any M
+    # CORR_OPEN and COMM_OPEN need a pure state, like their closed twins
     assert EvalContext("lindblad", grid, O, DensityState.maximally_mixed(3), None, B=B).probes == ()
-    assert EvalContext("unitary", grid, O, pure, None, H=O, B=B).probes == ()
+    assert EvalContext("unitary", grid, O, DensityState.maximally_mixed(3), None, H=O, B=B).probes == ()
+    corr, comm = EvalContext("unitary", grid, O, pure, None, H=O, B=B).probes
+    assert np.array_equal(corr, bounds.correlation_probe(O, pure))
+    assert np.array_equal(comm, bounds.commutator_probe(B, pure))
+    # the rate audit declares its probe last
+    *_, rate = EvalContext("unitary", grid, O, pure, None, H=B, rates=True).probes
+    assert np.array_equal(rate, 1j * (pure.matrix @ B - B @ pure.matrix))

@@ -1,5 +1,7 @@
 """The eigenbasis unitary trajectory against the dense per-sample route it
-replaced (tests/oracles.py), and the memory that route no longer needs."""
+replaced and against the closed forms its declared probes and ends replaced
+(tests/oracles.py), the reads it no longer serves, and the memory that the
+dense route no longer needs."""
 
 import tracemalloc
 
@@ -8,15 +10,17 @@ import pytest
 
 from oqsl.bounds import (
     EvalContext,
+    commutator_probe,
     commutator_qsl,
     corr_qsl,
+    correlation_probe,
     oqsl_generator_hs,
     oqsl_state_independent,
     rate_audit,
     two_time_correlation,
 )
 from oqsl.dynamics import TimeGrid, evolve_unitary_heisenberg
-from oqsl.linalg import DensityState, hs_norm, op_norm, sigma_z
+from oqsl.linalg import DensityState, ValidationError, hs_norm, op_norm, sigma_z
 
 import oracles
 
@@ -50,10 +54,17 @@ def _close(a, b, scale, tol=1e-11):
     assert np.abs(np.asarray(a) - np.asarray(b)).max() <= tol * scale
 
 
+def _context(A, H, B, rho, hbar):
+    """The context of A whose probes are those of its bounds and its rate audit."""
+    return EvalContext("unitary", GRID, A, rho, None, H=H, hbar=hbar, B=B, rates=True)
+
+
 @pytest.fixture(params=sorted(CASES), ids=sorted(CASES))
 def case(request):
     H, A, B, rho, hbar = CASES[request.param]
-    traj = evolve_unitary_heisenberg(A, H, rho, GRID, hbar=hbar)
+    # the probes of the bounds and the rate audit, B rho, and the matrix units
+    probes = (*_context(A, H, B, rho, hbar).probes, B @ rho.matrix, *oracles.matrix_units(A.shape[0]))
+    traj = evolve_unitary_heisenberg(A, H, rho, GRID, hbar=hbar, probes=probes)
     ref = oracles.dense_unitary_route(A, H, rho.matrix, GRID.times(), hbar)
     return H, A, B, rho, hbar, traj, ref
 
@@ -73,9 +84,25 @@ def test_samples_are_built_on_demand_and_match(case):
     _, A, _, _, _, traj, (Os, *_) = case
     assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(traj).values())
     _close(traj.at(0), A, op_norm(A))
-    _close(traj.at(GRID.steps // 2), Os[GRID.steps // 2], op_norm(A))
     _close(traj.at(-1), Os[-1], op_norm(A))
     _close(oracles.samples_from_probes(traj), Os, op_norm(A))
+
+
+def test_declared_probes_and_ends_equal_the_closed_forms(case):
+    *_, traj, _ = case
+    for M, series in traj.probes:
+        assert np.array_equal(series, oracles.unitary_trace_with(traj, M))
+    for k in (0, -1):
+        assert np.array_equal(traj.at(k), oracles.unitary_at(traj, k))
+
+
+def test_undeclared_probes_and_interior_samples_raise(case):
+    _, A, B, rho, _, traj, _ = case
+    with pytest.raises(ValidationError, match="declared as a probe"):
+        traj.trace_with(B)
+    for k in (1, GRID.steps // 2, -2):
+        with pytest.raises(ValidationError, match="only at the two ends"):
+            traj.at(k)
 
 
 def test_prefix_matches_dense_route(case):
@@ -86,8 +113,9 @@ def test_prefix_matches_dense_route(case):
     _close(sub.expect, expect[:18], scale)
     _close(sub.stddev**2, stddev[:18] ** 2, scale)
     _close(sub.gen_speed_hs, speed_hs[:18], scale * op_norm(H) / hbar)
-    _close(sub.at(-1), Os[17], op_norm(A))
     _close(oracles.samples_from_probes(sub), Os[:18], op_norm(A))
+    with pytest.raises(ValidationError, match="only at the two ends"):
+        sub.at(-1)
 
 
 def test_trace_with_and_midpoint_spread(case):
@@ -98,6 +126,7 @@ def test_trace_with_and_midpoint_spread(case):
     mid = GRID.times()[:-1] + 0.5 * GRID.h
     mid_std = oracles.dense_unitary_route(A, H, rho.matrix, mid, hbar)[2]
     _close(traj.stddev_at(mid) ** 2, mid_std**2, op_norm(A) ** 2)
+    assert np.array_equal(traj.mid_stddev, traj.stddev_at(mid))
 
 
 def test_correlation_and_commutator_match_dense_route(case):
@@ -120,9 +149,12 @@ def test_state_independent_and_rate_audit_match_dense_route(case):
     ref_change = abs(np.trace(A @ (Os[-1] - A)))
     assert rep.details["overlap_change"] == pytest.approx(ref_change, abs=1e-11 * hs_norm(A) ** 2)
 
-    audit = rate_audit(EvalContext("unitary", GRID, A, rho, lambda: traj, H=H, hbar=hbar))
-    lhs = np.abs(expect[2:] - expect[:-2]) / (2.0 * GRID.h)
-    holder = 2.0 / hbar * np.linalg.svd(H[None] @ Os[1:-1], compute_uv=False)[:, 0]
+    ctx = _context(A, H, None, rho, hbar)
+    ctx.traj = traj
+    audit = rate_audit(ctx)
+    # d<A>/dt = tr((i/hbar)[H, A(t)] rho) at every grid point
+    lhs = np.abs(np.einsum("tab,ba->t", 1j / hbar * (H[None] @ Os - Os @ H[None]), rho.matrix))
+    holder = 2.0 / hbar * np.linalg.svd(H[None] @ Os, compute_uv=False)[:, 0]
     scale = op_norm(H) * op_norm(A) / hbar
     assert audit.violations["RATE_HOLDER_OP"] == pytest.approx(float((lhs - holder).max()), abs=1e-10 * scale)
 
@@ -134,7 +166,7 @@ def test_unitary_bounds_stay_far_below_one_sample_stack():
     grid = TimeGrid(0.0, 1.0, steps)
     tracemalloc.start()
     try:
-        traj = evolve_unitary_heisenberg(A, H, rho, grid)
+        traj = evolve_unitary_heisenberg(A, H, rho, grid, probes=(correlation_probe(A, rho), commutator_probe(B, rho)))
         oqsl_generator_hs(traj, rho)
         trace = two_time_correlation(A, traj, rho)
         corr_qsl(trace, op_norm(A), traj.gen_speed_op, kind="closed")
