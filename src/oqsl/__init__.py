@@ -51,8 +51,6 @@ from .linalg import (
     hs_norm,
     identity,
     is_hermitian,
-    is_positive_semidefinite,
-    is_unitary,
     mat_exp,
     op_norm,
     sigma_x,

@@ -11,12 +11,19 @@ are constant) and, for qubits, Kraus (``dynamics.kraus_trajectories``).
 Their chunks are reduced as they arrive, so each trial keeps its evaluation
 contexts, whose trajectories hold the scalar series, O(0), O(T) and the
 series its bounds and rate audit declare, and tr(O rho(t)), but no sample
-stack. A block is evaluated before the next is integrated.
+stack. The two blocks share no data: where the process may use two CPUs and
+runs no other thread, a forked child runs the qutrit block beside the qubit
+block and sends back its per-trial results, and otherwise the qubit block is
+evaluated before the qutrit block is integrated. Either way each block runs
+the same arithmetic, so the summary is the same to the last bit.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -32,7 +39,7 @@ from .dynamics import (
     lindblad_chunks,
     lindblad_trajectories,
 )
-from .linalg import DensityState, op_norm, sigma_x
+from .linalg import DensityState, NumericError, op_norm, sigma_x
 
 UNITARY_T = 1.0
 UNITARY_STEPS = 1600
@@ -232,14 +239,70 @@ def _evaluate_trial(trial: _Trial) -> dict:
 # driver
 
 
+def _run_block(seed: int, dim: int, count: int) -> list[dict]:
+    """The per-trial results of the block of ``count`` trials of dimension
+    ``dim``; its samples are dropped when it returns."""
+    block = [_sample_trial(seed, dim, i) for i in range(count)]
+    _integrate_lindblad_block(block, LINDBLAD_GRID)
+    return [_evaluate_trial(t) for t in block]
+
+
+def _may_fork(n_qubit: int, n_qutrit: int) -> bool:
+    """Whether the two blocks may run in two processes: both have trials, the
+    process may run on two CPUs (``sched_getaffinity`` exists on Linux only),
+    and it has no other thread, which a fork would not copy."""
+    if n_qubit < 1 or n_qutrit < 1 or not hasattr(os, "sched_getaffinity"):
+        return False
+    return len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+
+
+def _run_blocks_forked(seed: int, n_qubit: int, n_qutrit: int) -> list[dict]:
+    """The qubit block here and the qutrit block in a forked child, which
+    pickles its results, or the exception it raised, into a pipe; the results
+    come back in the serial order, and no child outlives the call."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = _run_block(seed, 3, n_qutrit)
+            except Exception as exc:  # re-raised in the parent
+                payload = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe)
+            status = 0
+        finally:
+            # never return into the caller, nor flush its buffers a second time
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            qubit = _run_block(seed, 2, n_qubit)
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    if code != 0:
+        # the child writes its whole payload, or dies before exit status 0
+        raise NumericError(f"the audit's qutrit block ended with exit status {code} and no result")
+    qutrit = pickle.loads(data)  # written by the child above
+    if isinstance(qutrit, Exception):
+        raise qutrit
+    return qubit + qutrit
+
+
 def run_audit(n_qubit: int = 100, n_qutrit: int = 50, seed: int = 42, tol: float = 1e-6) -> AuditSummary:
     """Run the full validity/rate/duality sweep and aggregate max violations."""
-    results = []
-    for dim, count in ((2, n_qubit), (3, n_qutrit)):
-        # evaluated before the next block is integrated, which drops this one
-        block = [_sample_trial(seed, dim, i) for i in range(count)]
-        _integrate_lindblad_block(block, LINDBLAD_GRID)
-        results += [_evaluate_trial(t) for t in block]
+    if _may_fork(n_qubit, n_qutrit):
+        results = _run_blocks_forked(seed, n_qubit, n_qutrit)
+    else:
+        results = _run_block(seed, 2, n_qubit) + _run_block(seed, 3, n_qutrit)
 
     worst: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}

@@ -52,14 +52,20 @@ SPREAD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bound evaluation: identifier, horizon T, bound value, validity."""
+    """One bound evaluation: identifier, horizon T, bound value, validity,
+    and the inputs the value was computed from, hashed on first read of
+    :attr:`inputs_digest`."""
 
     bound_id: str
     T: float
     T_qsl: float
     valid: bool
-    inputs_digest: str
     details: dict = field(default_factory=dict, compare=False)
+    inputs: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def inputs_digest(self) -> str:
+        return _digest(*self.inputs)
 
 
 @dataclass(frozen=True)
@@ -80,14 +86,14 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _report(bound_id, T, T_qsl, digest, details) -> BoundReport:
+def _report(bound_id, T, T_qsl, inputs, details) -> BoundReport:
     return BoundReport(
         bound_id=bound_id,
         T=float(T),
         T_qsl=float(T_qsl),
         valid=bool(T_qsl <= T + VALID_TOL),
-        inputs_digest=digest,
         details=details,
+        inputs=inputs,
     )
 
 
@@ -127,8 +133,8 @@ def _mt_integral_core(bound_id, traj, delta_H, hbar):
         "expect_start": float(traj.expect[0]),
         "expect_end": float(traj.expect[-1]),
     }
-    digest = _digest(traj.expect, traj.stddev, delta_H, hbar)
-    return _report(bound_id, T, tqsl, digest, details)
+    inputs = (traj.expect, traj.stddev, delta_H, hbar)
+    return _report(bound_id, T, tqsl, inputs, details)
 
 
 def oqsl_mt_integral(traj: Trajectory, delta_H: float, hbar: float = 1.0) -> BoundReport:
@@ -171,7 +177,7 @@ def oqsl_self_inverse(
     else:
         tqsl = hbar / (2.0 * delta_H) * abs(np.arcsin(eT) - np.arcsin(e0))
     details = {"expect0": e0, "expectT": eT, "delta_H": float(delta_H)}
-    return _report("SELF_INVERSE", T, tqsl, _digest(e0, eT, delta_H, hbar, T), details)
+    return _report("SELF_INVERSE", T, tqsl, (e0, eT, delta_H, hbar, T), details)
 
 
 def state_qsl_projector(
@@ -203,7 +209,7 @@ def state_qsl_projector(
     else:
         tqsl = hbar / delta_H * abs(float(np.arcsin(np.sqrt(pTc)) - np.arcsin(np.sqrt(p0c))))
     details = {"p0": p0c, "pT": pTc, "delta_H": float(delta_H)}
-    return _report("STATE_MT", T, tqsl, _digest(p0c, pTc, delta_H, hbar, T), details)
+    return _report("STATE_MT", T, tqsl, (p0c, pTc, delta_H, hbar, T), details)
 
 
 def oqsl_purity_hs(
@@ -228,7 +234,7 @@ def oqsl_purity_hs(
         "purity": rho.purity,
         "oh_hs": float(oh_hs),
     }
-    return _report("PURITY_HS", T, tqsl, _digest(expect0, expectT, rho.purity, oh_hs, hbar, T), details)
+    return _report("PURITY_HS", T, tqsl, (expect0, expectT, rho.purity, oh_hs, hbar, T), details)
 
 
 def oqsl_min_norm(
@@ -252,7 +258,7 @@ def oqsl_min_norm(
         "oh_op": float(oh_op),
         "oh_tr": float(oh_tr),
     }
-    return _report("MIN_NORM", T, tqsl, _digest(expect0, expectT, oh_op, oh_tr, hbar, T), details)
+    return _report("MIN_NORM", T, tqsl, (expect0, expectT, oh_op, oh_tr, hbar, T), details)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +284,8 @@ def oqsl_generator_hs(traj: Trajectory, rho: DensityState) -> BoundReport:
         "expect0": float(traj.expect[0]),
         "expectT": float(traj.expect[-1]),
     }
-    digest = _digest(traj.expect, traj.gen_speed_hs, rho.purity)
-    return _report("GENERATOR_HS", traj.grid.duration, tqsl, digest, details)
+    inputs = (traj.expect, traj.gen_speed_hs, rho.purity)
+    return _report("GENERATOR_HS", traj.grid.duration, tqsl, inputs, details)
 
 
 def qsl_delcampo(
@@ -312,7 +318,7 @@ def qsl_delcampo(
         "purity0": rho0.purity,
         "lrho0_hs2": float(lrho0_hs2),
     }
-    return _report("DELCAMPO", T, tqsl, _digest(rho0.matrix, rhoT.matrix, lrho0_hs2, T), details)
+    return _report("DELCAMPO", T, tqsl, (rho0.matrix, rhoT.matrix, lrho0_hs2, T), details)
 
 
 def oqsl_kraus(traj: Trajectory, rho: DensityState) -> BoundReport:
@@ -333,8 +339,8 @@ def oqsl_kraus(traj: Trajectory, rho: DensityState) -> BoundReport:
         "expect0": float(traj.expect[0]),
         "expectT": float(traj.expect[-1]),
     }
-    digest = _digest(traj.expect, traj.gen_speed_hs, rho.purity)
-    return _report("KRAUS", traj.grid.duration, tqsl, digest, details)
+    inputs = (traj.expect, traj.gen_speed_hs, rho.purity)
+    return _report("KRAUS", traj.grid.duration, tqsl, inputs, details)
 
 
 def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
@@ -355,8 +361,8 @@ def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
         "o0_hs": o0_hs,
         "lambda_T": lam,
     }
-    digest = _digest(O0, OT, traj.gen_speed_hs)
-    return _report("STATE_INDEP", traj.grid.duration, tqsl, digest, details)
+    inputs = (O0, OT, traj.gen_speed_hs)
+    return _report("STATE_INDEP", traj.grid.duration, tqsl, inputs, details)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +407,7 @@ def _battery_core(traj, HB, HC, rho, hbar, tol):
             "BATTERY_CT1",
             T,
             0.0,
-            _digest(traj.expect, delta_HT, hbar),
+            (traj.expect, delta_HT, hbar),
             {"delta_H_total": delta_HT, "integral": 0.0, "stationary": 1},
         )
     else:
@@ -418,7 +424,7 @@ def _battery_core(traj, HB, HC, rho, hbar, tol):
         "expectT": float(traj.expect[-1]),
         **{f"hbht_{k}": v for k, v in norms.items()},
     }
-    ct2 = _report("BATTERY_CT2", T, tqsl2, _digest(HB, HC, rho.matrix, T, hbar), details2)
+    ct2 = _report("BATTERY_CT2", T, tqsl2, (HB, HC, rho.matrix, T, hbar), details2)
     return ct1, ct2
 
 
@@ -496,8 +502,8 @@ def corr_qsl(
         "a0_op": float(a0_op),
         "lambda_T_op": lam,
     }
-    digest = _digest(trace.C_samples, a0_op, speeds_op, hbar)
-    return _report(bound_id, trace.grid.duration, tqsl, digest, details)
+    inputs = (trace.C_samples, a0_op, speeds_op, hbar)
+    return _report(bound_id, trace.grid.duration, tqsl, inputs, details)
 
 
 def commutator_qsl(
@@ -540,8 +546,8 @@ def commutator_qsl(
         "b0_op": b0_op,
         "lambda_T_op": lam,
     }
-    digest = _digest(B0, traj.expect, traj.gen_speed_op, rho.matrix, hbar)
-    return _report(bound_id, traj.grid.duration, tqsl, digest, details)
+    inputs = (B0, traj.expect, traj.gen_speed_op, rho.matrix, hbar)
+    return _report(bound_id, traj.grid.duration, tqsl, inputs, details)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +584,7 @@ def rate_audit(ctx: EvalContext) -> RateAuditReport:
     ||H O(t)||_op = ||H O(0)||_op is constant.
     """
     traj = ctx.traj
-    lhs = np.abs(traj.trace_with(rate_probe(ctx)).real)
+    lhs = np.abs(traj.trace_with(ctx.rate_matrix).real)
     if traj.kind == "unitary":
         rhs = {
             "RATE_ROBERTSON": 2.0 / ctx.hbar * traj.stddev * ctx.delta_H,
@@ -596,9 +602,9 @@ def rate_audit(ctx: EvalContext) -> RateAuditReport:
 @dataclass(eq=False)
 class EvalContext:
     """What the bounds read for one observable O under one dynamics; each
-    derived quantity (the trajectory, its probes, dH, O H, the battery pair,
-    the final state) is a ``functools.cached_property``, computed once, on
-    first use.
+    derived quantity (the trajectory, its probes, the rate audit's probe, dH,
+    O H, the battery pair, the final state) is a
+    ``functools.cached_property``, computed once, on first use.
 
     ``evolve`` returns O's trajectory on ``grid``, keeping the series of
     :attr:`probes`, so bounds can be selected before anything evolves; a
@@ -642,7 +648,13 @@ class EvalContext:
         order, then the rate audit's when ``rates`` is set: the series
         tr(O(t) M) the trajectory must keep."""
         probes = tuple(s.probe(self) for s in select(self) if s.probe is not None)
-        return probes + (rate_probe(self),) if self.rates else probes
+        return probes + (self.rate_matrix,) if self.rates else probes
+
+    @cached_property
+    def rate_matrix(self) -> np.ndarray:
+        """The rate audit's probe, :func:`rate_probe`, built once for the
+        declaration and the audit's read."""
+        return rate_probe(self)
 
     @cached_property
     def delta_H(self) -> float:

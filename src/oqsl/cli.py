@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +145,17 @@ def cmd_bound(args: argparse.Namespace, out, err) -> int:
             "kind": spec.kind,
             "T": args.tmax,
             "steps": args.steps,
-            "reports": [asdict(r) for r in reports],
+            "reports": [
+                {
+                    "bound_id": r.bound_id,
+                    "T": r.T,
+                    "T_qsl": r.T_qsl,
+                    "valid": r.valid,
+                    "inputs_digest": r.inputs_digest,
+                    "details": r.details,
+                }
+                for r in reports
+            ],
         }
         print(json.dumps(payload, sort_keys=True), file=out)
     else:

@@ -56,20 +56,6 @@ def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.abs(M - M.conj().T).max() <= tol)
 
 
-def is_unitary(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    M = as_matrix(M)
-    d = M.shape[0]
-    return bool(np.abs(M.conj().T @ M - np.eye(d)).max() <= tol)
-
-
-def is_positive_semidefinite(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    M = as_matrix(M)
-    if not is_hermitian(M, tol):
-        return False
-    w = np.linalg.eigvalsh(M)
-    return bool(w.min() >= -tol)
-
-
 def op_norm(M: np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value."""
     M = as_matrix(M)
@@ -215,10 +201,6 @@ class DensityState:
         psi = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
         psi = psi / np.linalg.norm(psi)
         return cls(matrix=np.outer(psi, psi.conj()), purity=1.0)
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityState":
-        return cls(matrix=np.eye(dim, dtype=complex) / dim, purity=1.0 / dim)
 
     @property
     def dim(self) -> int:

@@ -642,23 +642,3 @@ def serialize_system(spec: SystemSpec) -> str:
                 out.append(f"K = {_format_matrix(k)}")
         out.append("")
     return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# built-in systems
-
-
-def builtin_names() -> list[str]:
-    from importlib import resources
-
-    pkg = resources.files("oqsl") / "systems"
-    return sorted(p.name[: -len(".sys")] for p in pkg.iterdir() if p.name.endswith(".sys"))
-
-
-def builtin_text(name: str) -> str:
-    from importlib import resources
-
-    path = resources.files("oqsl") / "systems" / f"{name}.sys"
-    if not path.is_file():
-        raise ValidationError(f"unknown built-in system {name!r}; available: {builtin_names()}")
-    return path.read_text(encoding="utf-8")

@@ -37,6 +37,7 @@ from __future__ import annotations
 import decimal
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import scipy.linalg
@@ -58,7 +59,7 @@ from oqsl.dynamics import (
     liouvillian,
     rate_at,
 )
-from oqsl.linalg import DEFAULT_TOL, ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
+from oqsl.linalg import DEFAULT_TOL, DensityState, ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
 from oqsl.sysdl import Diagnostic, ParseError, _fail
 
 
@@ -133,6 +134,33 @@ def random_matrix(rng, dim: int, scale: float = 1.0) -> np.ndarray:
 def random_ket(rng, dim: int) -> np.ndarray:
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)
+
+
+def maximally_mixed(dim: int) -> DensityState:
+    return DensityState(matrix=np.eye(dim, dtype=complex) / dim, purity=1.0 / dim)
+
+
+def is_unitary(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    M = as_matrix(M)
+    return bool(np.abs(M.conj().T @ M - np.eye(M.shape[0])).max() <= tol)
+
+
+def is_positive_semidefinite(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    M = as_matrix(M)
+    return is_hermitian(M, tol) and bool(np.linalg.eigvalsh(M).min() >= -tol)
+
+
+def builtin_names() -> list[str]:
+    """The names of the system files shipped in ``oqsl/systems``."""
+    pkg = resources.files("oqsl") / "systems"
+    return sorted(p.name[: -len(".sys")] for p in pkg.iterdir() if p.name.endswith(".sys"))
+
+
+def builtin_text(name: str) -> str:
+    path = resources.files("oqsl") / "systems" / f"{name}.sys"
+    if not path.is_file():
+        raise ValidationError(f"unknown built-in system {name!r}; available: {builtin_names()}")
+    return path.read_text(encoding="utf-8")
 
 
 def dense_unitary_route(O0, H, rho, times, hbar: float = 1.0):

@@ -38,9 +38,10 @@ from oqsl.linalg import (
     tr_norm,
     variance,
 )
-from oqsl.sysdl import builtin_names, builtin_text, parse_system, serialize_system
+from oqsl.sysdl import parse_system, serialize_system
 
 import oracles
+from oracles import builtin_names, builtin_text
 from test_sysdl import run_mutation_fuzz, spec_matrices_equal
 
 PLUS = DensityState.pure([1.0, 1.0])

@@ -1,14 +1,53 @@
 import io
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oqsl
 from oqsl import audit, bounds
 from oqsl.audit import run_audit
 from oqsl.cli import main
-from oqsl.linalg import variance
+from oqsl.linalg import NumericError, ValidationError, variance
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the audit forks only where os.fork exists")
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    # one CPU: both blocks run in this process, in series
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    # two CPUs whatever the host offers; the list holds one entry per fork
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
+def audit_cli(trials: int, seed: int):
+    out, err = io.StringIO(), io.StringIO()
+    code = main(["audit", "--trials", str(trials), "--seed", str(seed), "--format", "json"], out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +173,7 @@ def test_audit_trial_diagonalizes_h_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_audit_holds_one_block_of_series():
+def test_audit_holds_one_block_of_series(serial):
     # each block is evaluated and dropped before the next is integrated, and
     # no trial keeps a sample stack; holding every trial's samples until the
     # last evaluation traced a 52.4 MB peak here
@@ -145,3 +184,121 @@ def test_audit_holds_one_block_of_series():
     finally:
         tracemalloc.stop()
     assert peak < 30e6
+
+
+@needs_fork
+def test_audit_forked_parent_holds_one_block(forks):
+    # the parent holds its own block and the child's results, never both
+    # blocks' series
+    tracemalloc.start()
+    try:
+        assert run_audit(100, 50, seed=1).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 1
+    assert peak < 30e6
+
+
+def test_audit_builds_each_rate_probe_once(serial, monkeypatch):
+    # the probe declared before the evolution is the one the rate audit reads
+    calls = []
+    apply = bounds.lindblad_apply
+
+    def counted(gen, rho, *args):
+        calls.append(gen)
+        return apply(gen, rho, *args)
+
+    monkeypatch.setattr(bounds, "lindblad_apply", counted)
+    assert run_audit(2, 1).passed
+    assert len(calls) == 3  # one Lindblad context per trial
+
+
+def test_audit_hashes_no_report(serial, monkeypatch):
+    # nothing the audit prints reads a report's inputs_digest
+    calls = []
+    digest = bounds._digest
+
+    def counted(*parts):
+        calls.append(parts)
+        return digest(*parts)
+
+    monkeypatch.setattr(bounds, "_digest", counted)
+    assert run_audit(2, 1).passed
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the qubit and qutrit blocks in two processes
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("trials", [1, 2, 4])
+def test_audit_forked_prints_serial_bytes(trials, seed, forks, monkeypatch):
+    forked = audit_cli(trials, seed)
+    assert forked[0] == 0, forked[2]
+    assert len(forks) == (1 if trials >= 2 else 0)  # --trials 1 has no qutrit block
+    assert_no_child()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert audit_cli(trials, seed) == forked
+    assert len(forks) == (1 if trials >= 2 else 0)
+
+
+@needs_fork
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(("error", "code", "prefix"), [(NumericError, 3, "numeric error"), (ValidationError, 2, "error")])
+def test_audit_block_error_exits_as_in_series(dim, error, code, prefix, forks, monkeypatch):
+    evaluate = audit._evaluate_trial
+
+    def failing(trial):
+        if trial.dim == dim:
+            raise error(f"trial {trial.index} of dimension {dim} failed")
+        return evaluate(trial)
+
+    monkeypatch.setattr(audit, "_evaluate_trial", failing)
+    forked = audit_cli(2, 1)
+    assert len(forks) == 1
+    assert_no_child()
+    assert forked == (code, "", f"{prefix}: trial 0 of dimension {dim} failed\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert audit_cli(2, 1) == forked
+
+
+class _Unpicklable(ValueError):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@needs_fork
+@pytest.mark.parametrize(("end", "status"), [("exit", 7), ("unpicklable", 1)])
+def test_audit_child_without_result_is_numeric_error(end, status, forks, monkeypatch):
+    evaluate, parent = audit._evaluate_trial, os.getpid()
+
+    def ending(trial):
+        if trial.dim == 3:
+            assert os.getpid() != parent, "the qutrit block ran in the parent"
+            if end == "exit":
+                os._exit(status)
+            raise _Unpicklable("cannot be sent back")
+        return evaluate(trial)
+
+    monkeypatch.setattr(audit, "_evaluate_trial", ending)
+    code, out, err = audit_cli(2, 1)
+    assert len(forks) == 1
+    assert_no_child()
+    assert (code, out) == (3, "")
+    assert err == f"numeric error: the audit's qutrit block ended with exit status {status} and no result\n"
+
+
+def test_audit_with_threaded_blas_prints_one_thread_bytes():
+    # a fork after a multi-threaded BLAS has started must neither hang nor
+    # move a digit
+    argv = [sys.executable, "-m", "oqsl", "audit", "--trials", "20", "--format", "json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(oqsl.__file__).parent.parent)}
+    runs = {
+        n: subprocess.run(argv, env={**env, "OPENBLAS_NUM_THREADS": n}, capture_output=True, text=True, timeout=60)
+        for n in ("1", "2")
+    }
+    assert runs["2"].returncode == 0, runs["2"].stderr
+    assert runs["2"].stdout == runs["1"].stdout

@@ -217,7 +217,7 @@ def test_purity_hs_no_change():
 
 
 def test_purity_hs_mixed_state_scaling():
-    mixed = DensityState.maximally_mixed(2)
+    mixed = oracles.maximally_mixed(2)
     pure_val = oqsl_purity_hs(0.0, 1.0, PLUS, np.sqrt(2.0), 1.0).T_qsl
     mixed_val = oqsl_purity_hs(0.0, 1.0, mixed, np.sqrt(2.0), 1.0).T_qsl
     assert mixed_val == pytest.approx(np.sqrt(2.0) * pure_val, abs=1e-12)
@@ -454,7 +454,7 @@ def test_battery_charging_protocol_validity():
 
 def test_battery_ct2_requires_pure_state():
     with pytest.raises(ValidationError):
-        battery_bounds(sigma_z, sigma_x, DensityState.maximally_mixed(2), TimeGrid(0.0, 1.0, 10))
+        battery_bounds(sigma_z, sigma_x, oracles.maximally_mixed(2), TimeGrid(0.0, 1.0, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,7 @@ def test_correlation_precession_phase():
 
 
 def test_correlation_rejects_mixed_state():
-    mixed = DensityState.maximally_mixed(2)
+    mixed = oracles.maximally_mixed(2)
     traj = evolve_unitary_heisenberg(sigma_x, sigma_z, mixed, TimeGrid(0.0, 1.0, 10))
     with pytest.raises(ValidationError):
         two_time_correlation(sigma_x, traj, mixed)
@@ -584,7 +584,7 @@ def test_commutator_open_validity():
 
 
 def test_commutator_requires_pure_state():
-    mixed = DensityState.maximally_mixed(4)
+    mixed = oracles.maximally_mixed(4)
     traj = evolve_unitary_heisenberg(TWOQ_A, TWOQ_H, mixed, TimeGrid(0.0, 1.0, 10))
     with pytest.raises(ValidationError):
         commutator_qsl(TWOQ_B, traj, mixed, kind="closed")

@@ -12,7 +12,9 @@ import oqsl
 from oqsl import audit
 from oqsl.cli import main
 from oqsl.dynamics import EXACT_MAX_DIM, LindbladGenerator, TimeGrid, _takes_exact_route, evolve_lindblad_heisenberg
-from oqsl.sysdl import builtin_text, parse_system
+from oqsl.sysdl import parse_system
+
+from oracles import builtin_text
 
 DEPHASING = "src/oqsl/systems/dephasing.sys"
 TIGHT = "src/oqsl/systems/tight_qubit.sys"

@@ -15,8 +15,6 @@ from oqsl.linalg import (
     hs_norm,
     identity,
     is_hermitian,
-    is_positive_semidefinite,
-    is_unitary,
     mat_exp,
     op_norm,
     sigma_x,
@@ -25,9 +23,10 @@ from oqsl.linalg import (
     tr_norm,
     variance,
 )
-from oqsl.sysdl import builtin_text, parse_system
+from oqsl.sysdl import parse_system
 
 import oracles
+from oracles import builtin_text, is_positive_semidefinite, is_unitary
 
 PLUS = DensityState.pure([1.0, 1.0])
 
@@ -256,7 +255,7 @@ def test_expectation_plus_state():
 
 
 def test_expectation_maximally_mixed():
-    assert expectation(sigma_z, DensityState.maximally_mixed(2)) == pytest.approx(0.0, abs=1e-15)
+    assert expectation(sigma_z, oracles.maximally_mixed(2)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_expectation_matches_naive_trace(rng):
@@ -323,7 +322,7 @@ def test_density_state_purity_cache(rng):
     assert rho.purity == pytest.approx(np.trace(rho.matrix @ rho.matrix).real, abs=1e-15)
     assert not rho.is_pure()
     assert DensityState.pure(oracles.random_ket(rng, 4)).is_pure()
-    assert DensityState.maximally_mixed(4).purity == pytest.approx(0.25)
+    assert oracles.maximally_mixed(4).purity == pytest.approx(0.25)
 
 
 def test_density_state_pure_normalizes():

@@ -129,8 +129,8 @@ def test_probes_are_declared_by_the_bounds_that_read_them(rng):
     assert np.array_equal(comm, bounds.commutator_probe(B, pure))
     assert len(EvalContext("lindblad", grid, O, pure, None).probes) == 1
     # CORR_OPEN and COMM_OPEN need a pure state, like their closed twins
-    assert EvalContext("lindblad", grid, O, DensityState.maximally_mixed(3), None, B=B).probes == ()
-    assert EvalContext("unitary", grid, O, DensityState.maximally_mixed(3), None, H=O, B=B).probes == ()
+    assert EvalContext("lindblad", grid, O, oracles.maximally_mixed(3), None, B=B).probes == ()
+    assert EvalContext("unitary", grid, O, oracles.maximally_mixed(3), None, H=O, B=B).probes == ()
     corr, comm = EvalContext("unitary", grid, O, pure, None, H=O, B=B).probes
     assert np.array_equal(corr, bounds.correlation_probe(O, pure))
     assert np.array_equal(comm, bounds.commutator_probe(B, pure))

@@ -16,8 +16,6 @@ from oqsl.sysdl import (
     ParseError,
     SystemSpec,
     _format_matrix,
-    builtin_names,
-    builtin_text,
     format_complex,
     parse_complex,
     parse_pauli_expr,
@@ -26,6 +24,7 @@ from oqsl.sysdl import (
 )
 
 import oracles
+from oracles import builtin_names, builtin_text
 
 DEPHASING_TEXT = """\
 # strength-1 dephasing written with the prefactor folded into the operator
