@@ -15,7 +15,10 @@ shows, and ``parse`` reads and reprints its ~1,500 random matrix entries.
 Last, the ``--format json`` output of ``evolve`` on a d = 3 Kraus system
 whose operators are tabulated on the evolve grid, also written from a fixed
 seed: only a tabulated family shows how the Kraus kernel stacks operators
-that it reads from a table, and its 1,000 steps span two chunks.
+that it reads from a table, and its 1,000 steps span two chunks. Last, two
+``bound`` runs that select a subset (SUBSETS), one unitary and one on the
+d = 17 Lindblad system, so that a change to what a selection declares,
+evolves or evaluates shows.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -74,6 +77,8 @@ RK4_FILE, RK4_DIM, RK4_SEED = "lindblad_17.sys", 17, 17
 KRAUS_STEPS = 40000
 # a tabulated Kraus family on the evolve grid: --tmax TABLE_T at the default 1000 steps
 TABLE_FILE, TABLE_DIM, TABLE_SEED, TABLE_T, TABLE_STEPS = "kraus_table_3.sys", 3, 3, 1.0, 1000
+# (file, observable, --bounds) of the subset runs, each with --observable-b B; RK4_FILE is the generated one
+SUBSETS = (("two_qubit.sys", "A", "COMM_CLOSED,GENERATOR_HS"), (RK4_FILE, "A", "COMM_OPEN,GENERATOR_HS"))
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -158,6 +163,10 @@ def commands(workdir: Path):
     yield f"parse:{RK4_FILE}", ["parse", "--system", str(workdir / RK4_FILE)]
     table = ["--system", str(workdir / TABLE_FILE), "--observable", "A", "--tmax", repr(TABLE_T), "--format", "json"]
     yield f"evolve:{TABLE_FILE}", ["evolve", *table]
+    for fname, obs, ids in SUBSETS:
+        path = workdir / fname if fname == RK4_FILE else SYSTEMS / fname
+        argv = ["--system", str(path), "--observable", obs, "--observable-b", "B", "--tmax", "1.0"]
+        yield f"bound:{fname}:{ids}", ["bound", *argv, "--bounds", ids, "--format", "json"]
 
 
 def _is_number(x) -> bool:

@@ -7,7 +7,6 @@ from .bounds import (
     REGISTRY,
     BoundReport,
     BoundSpec,
-    CorrelationTrace,
     EvalContext,
     battery_bounds,
     commutator_qsl,

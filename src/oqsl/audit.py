@@ -227,8 +227,7 @@ def _evaluate_trial(trial: _Trial) -> dict:
         for report in bounds.evaluate_all(ctx):
             out[(report.bound_id, ctx.kind)] = report.T_qsl - ctx.T
     for ctx in (unitary, lindblad):
-        audit = bounds.rate_audit(ctx)
-        for name, v in audit.violations.items():
+        for name, v in bounds.rate_audit(ctx).items():
             out[(name, ctx.kind)] = v
     # <O(t)> in the Heisenberg picture against tr(O rho(t))
     out[("DUALITY", "lindblad")] = float(np.abs(trial.lind_rho_expect - lindblad.traj.expect).max())

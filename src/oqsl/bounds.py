@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,14 +66,6 @@ class BoundReport:
     @cached_property
     def inputs_digest(self) -> str:
         return _digest(*self.inputs)
-
-
-@dataclass(frozen=True)
-class CorrelationTrace:
-    """Two-time correlation C(t) = <A(t)A(0)> - <A(t)><A(0)> on a grid."""
-
-    grid: TimeGrid
-    C_samples: np.ndarray = field(compare=False)
 
 
 def _digest(*parts) -> str:
@@ -450,7 +442,7 @@ def two_time_correlation(
     traj: Trajectory,
     rho: DensityState,
     tol: float = DEFAULT_TOL,
-) -> CorrelationTrace:
+) -> np.ndarray:
     """C(t) = <A(t)A(0)> - <A(t)><A(0)> along the trajectory of A.
 
     Defined here for pure states only; C(t) is complex in general while
@@ -470,11 +462,12 @@ def two_time_correlation(
     c0 = complex(C[0])
     if abs(c0.imag) > max(tol, 1e-8) or c0.real < -max(tol, 1e-8):
         raise NumericError(f"C(0)={c0!r} is not a nonnegative variance within tolerance")
-    return CorrelationTrace(grid=traj.grid, C_samples=C)
+    return C
 
 
 def corr_qsl(
-    trace: CorrelationTrace,
+    C: np.ndarray,
+    grid: TimeGrid,
     a0_op: float,
     speeds_op: np.ndarray,
     hbar: float = 1.0,
@@ -485,25 +478,25 @@ def corr_qsl(
     T_qsl = (hbar / 2) |C(T) - C(0)| / (||A(0)||_op * Lambda_T),
 
     where Lambda_T time-averages the operator-norm speed supplied by the
-    caller: ||[H, A(t)]||_op for closed dynamics, ||L^dag[A(t)]||_op for open
-    dynamics. |C(T) - C(0)| is the complex modulus.
+    caller on C's ``grid``: ||[H, A(t)]||_op for closed dynamics,
+    ||L^dag[A(t)]||_op for open dynamics. |C(T) - C(0)| is the complex modulus.
     """
     if kind not in ("closed", "open"):
         raise ValidationError(f"unknown correlation kind {kind!r}")
     speeds_op = np.asarray(speeds_op, dtype=float)
-    if speeds_op.shape != (trace.grid.steps + 1,):
+    if speeds_op.shape != (grid.steps + 1,):
         raise ValidationError("speed samples must match the correlation grid")
     bound_id = "CORR_CLOSED" if kind == "closed" else "CORR_OPEN"
-    num = abs(complex(trace.C_samples[-1] - trace.C_samples[0]))
-    lam = _mean_speed(speeds_op, trace.grid)
+    num = abs(complex(C[-1] - C[0]))
+    lam = _mean_speed(speeds_op, grid)
     tqsl = hbar / 2.0 * _ratio(bound_id, num, a0_op * lam, "||A(0)||_op * mean speed")
     details = {
         "corr_change": float(num),
         "a0_op": float(a0_op),
         "lambda_T_op": lam,
     }
-    inputs = (trace.C_samples, a0_op, speeds_op, hbar)
-    return _report(bound_id, trace.grid.duration, tqsl, inputs, details)
+    inputs = (C, a0_op, speeds_op, hbar)
+    return _report(bound_id, grid.duration, tqsl, inputs, details)
 
 
 def commutator_qsl(
@@ -554,14 +547,6 @@ def commutator_qsl(
 # auxiliary quantities and the rate auditor
 
 
-@dataclass(frozen=True)
-class RateAuditReport:
-    """Max pointwise violation (LHS - RHS) per applicable rate inequality."""
-
-    kind: str
-    violations: dict
-
-
 def rate_probe(ctx: EvalContext) -> np.ndarray:
     """The matrix M whose series tr(O(t) M) is d<O>/dt, by duality:
     (i/hbar)[rho, H] under unitary dynamics, L[rho] under Lindblad dynamics
@@ -573,15 +558,15 @@ def rate_probe(ctx: EvalContext) -> np.ndarray:
     return lindblad_apply(ctx.generator, ctx.rho.matrix)
 
 
-def rate_audit(ctx: EvalContext) -> RateAuditReport:
-    """Check the applicable rate inequalities at every grid point, the left
-    side |d<O>/dt| exact from the series of :func:`rate_probe`, which the
-    trajectory must keep (``ctx.rates``). For unitary trajectories the
-    Robertson bound 2 dO dH / hbar and the Hoelder bound 2 ||H O(t)||_op /
-    hbar apply; for Lindblad trajectories the Cauchy-Schwarz bound
-    sqrt(tr rho^2) ||L^dag[O(t)]||_hs applies. A unitary trajectory must be
-    generated by ``ctx.H``, which then commutes with U(t), so
-    ||H O(t)||_op = ||H O(0)||_op is constant.
+def rate_audit(ctx: EvalContext) -> dict:
+    """The largest violation (LHS - RHS) over the grid of each applicable
+    rate inequality, by name, the left side |d<O>/dt| exact from the series
+    of :func:`rate_probe`, which the trajectory must keep (``ctx.rates``).
+    For unitary trajectories the Robertson bound 2 dO dH / hbar and the
+    Hoelder bound 2 ||H O(t)||_op / hbar apply; for Lindblad trajectories
+    the Cauchy-Schwarz bound sqrt(tr rho^2) ||L^dag[O(t)]||_hs applies. A
+    unitary trajectory must be generated by ``ctx.H``, which then commutes
+    with U(t), so ||H O(t)||_op = ||H O(0)||_op is constant.
     """
     traj = ctx.traj
     lhs = np.abs(traj.trace_with(ctx.rate_matrix).real)
@@ -592,7 +577,7 @@ def rate_audit(ctx: EvalContext) -> RateAuditReport:
         }
     else:
         rhs = {"RATE_CS_HS": np.sqrt(ctx.rho.purity) * traj.gen_speed_hs}
-    return RateAuditReport(kind=traj.kind, violations={name: float((lhs - r).max()) for name, r in rhs.items()})
+    return {name: float((lhs - r).max()) for name, r in rhs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +591,16 @@ class EvalContext:
     O H, the battery pair, the final state) is a
     ``functools.cached_property``, computed once, on first use.
 
-    ``evolve`` returns O's trajectory on ``grid``, keeping the series of
-    :attr:`probes`, so bounds can be selected before anything evolves; a
-    caller that evolves many contexts at once, like the audit's Lindblad
-    and Kraus blocks, sets ``traj`` instead. ``rates`` declares the rate
-    audit's probe too. ``self_inverse`` and ``projector`` are the
-    observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
-    observables read at the grid's two ends in O's eigenbasis. ``B`` is the
-    commutator bounds' second observable; ``final_state`` returns the
+    ``ids`` is the selection that :func:`select`, :attr:`probes` and
+    :func:`evaluate_all` read: the bounds named, in order, or every
+    applicable one when None. ``evolve`` returns O's trajectory on ``grid``,
+    keeping the series of :attr:`probes`, so bounds are selected before
+    anything evolves; a caller that evolves many contexts at once, like the
+    audit's Lindblad and Kraus blocks, sets ``traj`` instead. ``rates``
+    declares the rate audit's probe too. ``self_inverse`` and ``projector``
+    are the observables of the SELF_INVERSE and STATE_MT slots: O itself, or
+    other observables read at the grid's two ends in O's eigenbasis. ``B``
+    is the commutator bounds' second observable; ``final_state`` returns the
     Schrodinger state at T (in the CLI, from
     :func:`~oqsl.dynamics.lindblad_final_state`, which builds no trajectory)
     and ``generator`` is the Lindblad generator, both for DELCAMPO.
@@ -633,6 +620,7 @@ class EvalContext:
     final_state: Callable[[], DensityState] | None = None
     generator: object = None
     rates: bool = False
+    ids: Sequence[str] | None = None
 
     @property
     def T(self) -> float:
@@ -644,9 +632,9 @@ class EvalContext:
 
     @cached_property
     def probes(self) -> tuple:
-        """The probe matrices that the applicable bounds declare, in table
-        order, then the rate audit's when ``rates`` is set: the series
-        tr(O(t) M) the trajectory must keep."""
+        """The probe matrices that the selected bounds declare, in
+        :func:`select` order, then the rate audit's when ``rates`` is set:
+        the series tr(O(t) M) the trajectory must keep."""
         probes = tuple(s.probe(self) for s in select(self) if s.probe is not None)
         return probes + (self.rate_matrix,) if self.rates else probes
 
@@ -696,10 +684,10 @@ def _state_mt(c: EvalContext) -> BoundReport:
 
 
 def _corr(c: EvalContext, kind: str) -> BoundReport:
-    trace = two_time_correlation(c.O, c.traj, c.rho, tol=c.tol)
+    C = two_time_correlation(c.O, c.traj, c.rho, tol=c.tol)
     # closed dynamics: gen_speed_op holds ||[H, A]||_op / hbar
     speeds = c.traj.gen_speed_op * c.hbar if kind == "closed" else c.traj.gen_speed_op
-    return corr_qsl(trace, op_norm(c.O), speeds, hbar=c.hbar, kind=kind)
+    return corr_qsl(C, c.traj.grid, op_norm(c.O), speeds, hbar=c.hbar, kind=kind)
 
 
 def _comm(c: EvalContext, kind: str) -> BoundReport:
@@ -723,6 +711,9 @@ class BoundSpec:
     needs: tuple
     evaluate: Callable[[EvalContext], BoundReport]
     probe: Callable[[EvalContext], np.ndarray] | None = None
+
+    def applies(self, ctx: EvalContext) -> bool:
+        return ctx.kind in self.kinds and all(ctx.has(n) for n in self.needs)
 
 
 _U, _L, _UL = ("unitary",), ("lindblad",), ("unitary", "lindblad")
@@ -756,17 +747,16 @@ REGISTRY = (
 BOUND_IDS = tuple(spec.id for spec in REGISTRY)
 
 
-def select(ctx: EvalContext, ids=None) -> list[BoundSpec]:
-    """The entries named by ``ids``, in that order, or every entry that
-    applies to ctx, in table order, when ``ids`` is None. Naming an entry
-    that does not apply is an error."""
-    specs = {s.id: s for s in REGISTRY if ctx.kind in s.kinds and all(ctx.has(n) for n in s.needs)}
-    bad = [b for b in ids or () if b not in specs]
+def select(ctx: EvalContext) -> list[BoundSpec]:
+    """The entries named by ``ctx.ids``, in that order, or every applicable
+    entry when it is None. Naming an entry that does not apply is an error."""
+    specs = {s.id: s for s in REGISTRY if s.applies(ctx)}
+    bad = [b for b in ctx.ids or () if b not in specs]
     if bad:
         raise ValidationError(f"bound(s) not applicable to this {ctx.kind} system/observable: {', '.join(bad)}")
-    return list(specs.values()) if ids is None else [specs[b] for b in ids]
+    return list(specs.values()) if ctx.ids is None else [specs[b] for b in ctx.ids]
 
 
-def evaluate_all(ctx: EvalContext, ids=None) -> list[BoundReport]:
+def evaluate_all(ctx: EvalContext) -> list[BoundReport]:
     """Evaluate the entries :func:`select` picks, in its order."""
-    return [s.evaluate(ctx) for s in select(ctx, ids)]
+    return [s.evaluate(ctx) for s in select(ctx)]

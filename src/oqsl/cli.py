@@ -64,8 +64,9 @@ def _evolve(gen, O: np.ndarray, rho, grid: TimeGrid, tol: float, probes=()):
     return evolve_kraus_heisenberg(O, gen, rho, grid, tol=tol, probes=probes)
 
 
-def _context(spec: SystemSpec, args: argparse.Namespace) -> bounds.EvalContext:
-    """The evaluation context of the named observable; nothing evolves yet."""
+def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) -> bounds.EvalContext:
+    """The evaluation context of the named observable and the bound selection
+    ``ids``, --observable-b checked against it; nothing evolves yet."""
     O = spec.observable(args.observable)
     hbar = _effective_hbar(spec, args)
     gen = spec.generator(hbar, args.tol)
@@ -93,7 +94,16 @@ def _context(spec: SystemSpec, args: argparse.Namespace) -> bounds.EvalContext:
         projector=O if np.abs(OO - O).max() <= slot_tol else None,
         final_state=final_state,
         generator=gen,
+        ids=ids,
     )
+    if B is not None and not any(s.applies(ctx) for s in bounds.REGISTRY if "B" in s.needs):
+        state = "pure" if rho.is_pure() else "mixed"
+        raise ValidationError(
+            "--observable-b feeds only COMM_CLOSED/COMM_OPEN, which need a pure state under unitary "
+            f"or lindblad dynamics; neither applies to this {spec.kind} system with a {state} state"
+        )
+    if B is not None and not any("B" in s.needs for s in bounds.select(ctx)):
+        raise ValidationError("--observable-b feeds only COMM_CLOSED/COMM_OPEN, and --bounds selects neither")
     return ctx
 
 
@@ -106,17 +116,6 @@ def _bound_ids(text: str) -> list[str] | None:
     if unknown:
         raise ValidationError(f"unknown bound id(s): {', '.join(unknown)}")
     return None if "ALL" in ids else ids
-
-
-def _evaluate_bounds(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) -> list[bounds.BoundReport]:
-    ctx = _context(spec, args)
-    if ctx.B is not None and not any("B" in s.needs for s in bounds.select(ctx)):
-        state = "pure" if ctx.rho.is_pure() else "mixed"
-        raise ValidationError(
-            "--observable-b feeds only COMM_CLOSED/COMM_OPEN, which need a pure state under unitary "
-            f"or lindblad dynamics; neither applies to this {spec.kind} system with a {state} state"
-        )
-    return bounds.evaluate_all(ctx, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def _read_system(args: argparse.Namespace) -> SystemSpec:
 def cmd_bound(args: argparse.Namespace, out, err) -> int:
     ids = _bound_ids(args.bounds)
     spec = _read_system(args)
-    reports = _evaluate_bounds(spec, args, ids)
+    reports = bounds.evaluate_all(_context(spec, args, ids))
     if args.format == "json":
         payload = {
             "schema": "oqsl.bound/v1",

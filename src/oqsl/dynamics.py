@@ -316,11 +316,16 @@ class Trajectory:
         return self.ends[0].shape[0]
 
     def trace_with(self, M: np.ndarray) -> np.ndarray:
-        """tr(O(t) M) at every grid point (complex), for a declared probe M."""
-        for probe, series in self.probes:
-            if np.array_equal(probe, M):
-                return series
-        raise ValidationError("tr(O(t) M) needs M declared as a probe before the evolution")
+        """tr(O(t) M) at every grid point (complex), for a declared probe M,
+        found by value: one lookup in a dict keyed on the probes' bytes."""
+        try:
+            return self._series_by_probe[_probe_key(M)]
+        except KeyError:
+            raise ValidationError("tr(O(t) M) needs M declared as a probe before the evolution") from None
+
+    @functools.cached_property
+    def _series_by_probe(self) -> dict:
+        return {_probe_key(M): series for M, series in self.probes}
 
     def at(self, k: int) -> np.ndarray:
         """O(t_k) at an end of the grid, k = 0 or k = steps (or -1)."""
@@ -375,6 +380,11 @@ class UnitaryTrajectory(Trajectory):
         M = _checked_observable(M, self.dim, self.tol)
         V = self.vectors
         return _phase_trace((V.conj().T @ M @ V) * self.rho_eig.T, _phases(self.freqs, times)).real
+
+
+def _probe_key(M) -> tuple:
+    """M's shape and complex bytes, equal for equal M (+0.0 turns -0.0 into 0.0)."""
+    return np.shape(M), (np.asarray(M, dtype=complex) + 0.0).tobytes()
 
 
 def _phases(freqs: np.ndarray, times: np.ndarray) -> np.ndarray:

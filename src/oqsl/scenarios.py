@@ -68,6 +68,7 @@ def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:
     T = np.pi / 2.0
     rho = DensityState.pure(PLUS)
     grid = TimeGrid(0.0, T, steps)
+    refs = {"MT_INTEGRAL": T, "SELF_INVERSE": T, "STATE_MT": T, "PURITY_HS": 1.0 / np.sqrt(2.0), "MIN_NORM": 1.0}
     ctx = bounds.EvalContext(
         kind="unitary",
         grid=grid,
@@ -78,11 +79,11 @@ def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:
         self_inverse=sigma_x,
         # survival probability of the initial state through its projector
         projector=rho.matrix,
+        ids=tuple(refs),
     )
-    refs = {"MT_INTEGRAL": T, "SELF_INVERSE": T, "STATE_MT": T, "PURITY_HS": 1.0 / np.sqrt(2.0), "MIN_NORM": 1.0}
     rows = [
         {"bound": r.bound_id, "value": r.T_qsl, "reference": refs[r.bound_id], "abs_err": abs(r.T_qsl - refs[r.bound_id])}
-        for r in bounds.evaluate_all(ctx, list(refs))
+        for r in bounds.evaluate_all(ctx)
     ]
     tol = 1e-4
     passed = all(r["abs_err"] <= tol for r in rows)
@@ -169,9 +170,10 @@ def scenario_battery_degenerate(steps: int = 2000) -> ScenarioResult:
     # survival probability of the initial state under the same drive
     P, HT = rho.matrix, HB + HC
     ctx = bounds.EvalContext(
-        "unitary", grid, P, rho, lambda: evolve_unitary_heisenberg(P, HT, rho, grid), H=HT, projector=P
+        "unitary", grid, P, rho, lambda: evolve_unitary_heisenberg(P, HT, rho, grid), H=HT, projector=P,
+        ids=("STATE_MT",),
     )
-    [smt] = bounds.evaluate_all(ctx, ["STATE_MT"])
+    [smt] = bounds.evaluate_all(ctx)
 
     rows = [
         {"quantity": "BATTERY_CT1", "value": ct1.T_qsl, "reference": 0.0, "abs_err": abs(ct1.T_qsl)},

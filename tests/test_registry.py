@@ -3,6 +3,7 @@ memoization, and the end values of a second observable, read in the first
 one's unitary eigenbasis."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oqsl import bounds
 from oqsl.bounds import BOUND_IDS, REGISTRY, EvalContext, evaluate_all
 from oqsl.dynamics import TimeGrid, evolve_unitary_heisenberg
 from oqsl.linalg import DensityState, ValidationError, op_norm, sigma_x, sigma_z
+from oqsl.sysdl import parse_system
 
 import oracles
 
@@ -72,7 +74,7 @@ def test_context_evaluates_every_unitary_bound_without_samples(rng):
     # the unitary trajectory holds no per-sample matrices
     assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(ctx.traj).values())
     with pytest.raises(ValidationError, match="not applicable to this unitary system/observable: KRAUS"):
-        bounds.select(ctx, ["PURITY_HS", "KRAUS"])
+        bounds.select(_unitary_context(O, H, rho, grid, ids=("PURITY_HS", "KRAUS")))
 
 
 def test_context_memoizes_the_trajectory():
@@ -119,6 +121,49 @@ def test_cli_rejects_inapplicable_bound_before_evolving(monkeypatch):
     argv = ["bound", "--system", DEPHASING, "--observable", "O", "--tmax", "1", "--bounds", "GENERATOR_HS,MT_INTEGRAL"]
     assert oqsl.cli.main(argv, out=io.StringIO(), err=err) == 2
     assert "not applicable to this lindblad system/observable: MT_INTEGRAL" in err.getvalue()
+
+
+TWO_QUBIT = "src/oqsl/systems/two_qubit.sys"
+
+
+def _declared_probes(monkeypatch, argv):
+    """The exit code of ``oqsl.cli.main(argv)``, its stderr, and the probes
+    it declares to each evolution it starts."""
+    declared = []
+    for name in ("evolve_unitary_heisenberg", "evolve_lindblad_heisenberg"):
+
+        def spy(*args, fn=getattr(oqsl.cli, name), probes=(), **kwargs):
+            declared.append(list(probes))
+            return fn(*args, probes=probes, **kwargs)
+
+        monkeypatch.setattr(oqsl.cli, name, spy)
+    err = io.StringIO()
+    code = oqsl.cli.main(argv, out=io.StringIO(), err=err)
+    return code, err.getvalue(), declared
+
+
+@pytest.mark.parametrize("system,obs", [(TWO_QUBIT, "A"), (DEPHASING, "O")], ids=["unitary", "lindblad"])
+def test_cli_declares_only_the_probes_of_the_selected_bounds(monkeypatch, system, obs):
+    argv = ["bound", "--system", system, "--observable", obs, "--tmax", "1", "--bounds", "GENERATOR_HS"]
+    code, err, declared = _declared_probes(monkeypatch, argv)
+    assert code == 0, err
+    assert declared == [[]]
+
+
+def test_cli_declares_the_commutator_probe_alone(monkeypatch):
+    argv = ["bound", "--system", TWO_QUBIT, "--observable", "A", "--observable-b", "B", "--tmax", "1"]
+    code, err, declared = _declared_probes(monkeypatch, argv + ["--bounds", "COMM_CLOSED"])
+    assert code == 0, err
+    spec = parse_system(Path(TWO_QUBIT).read_text())
+    [[probe]] = declared
+    assert np.array_equal(probe, bounds.commutator_probe(spec.observable("B"), spec.initial_state))
+
+
+def test_cli_rejects_observable_b_that_no_selected_bound_reads(monkeypatch):
+    argv = ["bound", "--system", TWO_QUBIT, "--observable", "A", "--observable-b", "B", "--tmax", "1"]
+    code, err, declared = _declared_probes(monkeypatch, argv + ["--bounds", "GENERATOR_HS"])
+    assert code == 2 and declared == []
+    assert "--observable-b" in err and "--bounds selects neither" in err
 
 
 def test_probes_are_declared_by_the_bounds_that_read_them(rng):

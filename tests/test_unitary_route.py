@@ -105,6 +105,18 @@ def test_undeclared_probes_and_interior_samples_raise(case):
             traj.at(k)
 
 
+def test_trace_with_finds_a_probe_by_value():
+    rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 10)
+    declared = np.diag([1.0, -1.0])  # real entries, two of them zero
+    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, rho, grid, probes=(declared,))
+    series = traj.trace_with(declared)
+    # a complex copy whose zeros carry the other sign is the same matrix
+    assert traj.trace_with(np.array([[1.0, -0.0], [-0.0, -1.0]], dtype=complex)) is series
+    # the same entries in another shape are not
+    with pytest.raises(ValidationError, match="declared as a probe"):
+        traj.trace_with(declared.reshape(1, 4))
+
+
 def test_prefix_matches_dense_route(case):
     H, A, _, _, hbar, traj, (Os, expect, stddev, speed_hs, _) = case
     sub = traj.prefix(17)
@@ -132,9 +144,9 @@ def test_trace_with_and_midpoint_spread(case):
 def test_correlation_and_commutator_match_dense_route(case):
     H, A, B, rho, hbar, traj, (Os, *_) = case
     scale = op_norm(A) * op_norm(B)
-    trace = two_time_correlation(A, traj, rho)
-    _close(trace.C_samples, oracles.dense_correlation(Os, A, rho.matrix), op_norm(A) ** 2)
-    corr = corr_qsl(trace, op_norm(A), traj.gen_speed_op * hbar, hbar=hbar, kind="closed")
+    C = two_time_correlation(A, traj, rho)
+    _close(C, oracles.dense_correlation(Os, A, rho.matrix), op_norm(A) ** 2)
+    corr = corr_qsl(C, GRID, op_norm(A), traj.gen_speed_op * hbar, hbar=hbar, kind="closed")
     assert corr.T_qsl >= 0.0
 
     rep = commutator_qsl(B, traj, rho, hbar=hbar, kind="closed")
@@ -151,12 +163,12 @@ def test_state_independent_and_rate_audit_match_dense_route(case):
 
     ctx = _context(A, H, None, rho, hbar)
     ctx.traj = traj
-    audit = rate_audit(ctx)
+    violations = rate_audit(ctx)
     # d<A>/dt = tr((i/hbar)[H, A(t)] rho) at every grid point
     lhs = np.abs(np.einsum("tab,ba->t", 1j / hbar * (H[None] @ Os - Os @ H[None]), rho.matrix))
     holder = 2.0 / hbar * np.linalg.svd(H[None] @ Os, compute_uv=False)[:, 0]
     scale = op_norm(H) * op_norm(A) / hbar
-    assert audit.violations["RATE_HOLDER_OP"] == pytest.approx(float((lhs - holder).max()), abs=1e-10 * scale)
+    assert violations["RATE_HOLDER_OP"] == pytest.approx(float((lhs - holder).max()), abs=1e-10 * scale)
 
 
 def test_unitary_bounds_stay_far_below_one_sample_stack():
@@ -168,8 +180,8 @@ def test_unitary_bounds_stay_far_below_one_sample_stack():
     try:
         traj = evolve_unitary_heisenberg(A, H, rho, grid, probes=(correlation_probe(A, rho), commutator_probe(B, rho)))
         oqsl_generator_hs(traj, rho)
-        trace = two_time_correlation(A, traj, rho)
-        corr_qsl(trace, op_norm(A), traj.gen_speed_op, kind="closed")
+        C = two_time_correlation(A, traj, rho)
+        corr_qsl(C, grid, op_norm(A), traj.gen_speed_op, kind="closed")
         commutator_qsl(B, traj, rho, kind="closed")
         _, peak = tracemalloc.get_traced_memory()
     finally:
