@@ -2,7 +2,8 @@
 bounds, run built-in scenarios, and drive the randomized audit.
 
 Exit codes: 0 on success (and all validity/pass flags true), 2 on input or
-parse errors, 3 on numeric failures (including failed validity checks).
+parse errors, 3 on numeric failures (including failed validity checks), and
+1 from the process entry when stdout is closed before the output is written.
 Results go to stdout as CSV or JSON; diagnostics go to stderr.
 """
 
@@ -15,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audit as audit_mod
-from . import bounds, scenarios
+from . import bounds
 from .dynamics import (
     LindbladGenerator,
     TimeGrid,
@@ -192,6 +192,8 @@ def cmd_evolve(args: argparse.Namespace, out, err) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace, out, err) -> int:
+    from . import scenarios  # here, so that no other command imports it
+
     result = scenarios.run_scenario(args.name)
     print(result.to_json() if args.format == "json" else result.to_csv(), end="", file=out)
     return EXIT_OK if result.passed else EXIT_NUMERIC
@@ -202,6 +204,8 @@ def cmd_audit(args: argparse.Namespace, out, err) -> int:
         raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    from . import audit as audit_mod  # here, so that no other command imports it
+
     summary = audit_mod.run_audit(n_qubit=args.trials, n_qutrit=args.trials // 2, seed=args.seed, tol=1e-6)
     print(summary.to_json() if args.format == "json" else summary.to_csv(), end="", file=out)
     return EXIT_OK if summary.passed else EXIT_NUMERIC
@@ -285,6 +289,3 @@ def main(argv=None, out=None, err=None) -> int:
         print(f"numeric error: {exc}", file=err)
         return EXIT_NUMERIC
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

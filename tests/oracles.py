@@ -10,6 +10,8 @@ constant-rate Lindblad trajectories against the batched RK4 integration
 that the exact propagator replaced, the streamed Lindblad kernel and its
 reductions against the full-stack kernel (:func:`propagate_lindblad`) and
 reductions (:func:`stack_expect`, :func:`stack_stddev`) that they replaced,
+the exact route's BLAS step against the einsum step that it replaced
+(:func:`einsum_exact_samples`),
 the streamed Kraus kernel against the whole-grid one
 (:func:`kraus_full_stack`) that it replaced and its batch-first chunks
 against the per-family ones (:func:`kraus_chunks_per_family`), the unitary
@@ -431,7 +433,7 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
         out = np.empty((B, times.size, d * d), dtype=complex)
         y = out[:, 0] = y0.reshape(B, d * d)
         for i in range(1, times.size):
-            y = out[:, i] = np.einsum("bij,bj->bi", P, y)
+            y = out[:, i] = (P @ y[..., None])[..., 0]  # the kernel's product
             _check_stable(y)
         out = out.reshape(B, times.size, d, d)
         if heisenberg:
@@ -442,6 +444,20 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     if not heisenberg:
         _check_trace(out)
     return out, speeds
+
+
+def einsum_exact_samples(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool) -> np.ndarray:
+    """The exact Lindblad route's samples at every grid time, shape
+    (B, steps + 1, d, d), stepped by the einsum mat-vec that the kernel's
+    BLAS product replaced."""
+    y0 = np.asarray(y0, dtype=complex)
+    B, d = y0.shape[:2]
+    P = mat_exp(grid.h * np.stack([liouvillian(gen, heisenberg) for gen in gens]))
+    out = np.empty((B, grid.steps + 1, d * d), dtype=complex)
+    y = out[:, 0] = y0.reshape(B, d * d)
+    for i in range(1, grid.steps + 1):
+        y = out[:, i] = np.einsum("bij,bj->bi", P, y)
+    return out.reshape(B, grid.steps + 1, d, d)
 
 
 def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.ndarray:

@@ -1,8 +1,11 @@
+import gc
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -570,3 +573,74 @@ def test_scipy_not_imported(argv):
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `python -m oqsl` and the installed script
+
+
+def _entry_env():
+    return {**os.environ, "PYTHONPATH": str(Path(oqsl.__file__).parent.parent)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_exits_without_traceback(fmt):
+    # about 1.5 MB of output, far more than a pipe buffers
+    argv = [sys.executable, "-m", "oqsl", "evolve", "--system", str(SYSTEMS / "dephasing.sys")]
+    argv += ["--observable", "O", "--tmax", "1", "--steps", "20000", "--format", fmt]
+    with subprocess.Popen(argv, env=_entry_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 1 and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        (["bound", "--system", str(SYSTEMS / "two_qubit.sys"), "--observable", "A", "--tmax", "1"], None),
+        (["evolve", "--system", str(SYSTEMS / "dephasing.sys"), "--observable", "O", "--tmax", "1"], None),
+        (["parse", "--system", str(SYSTEMS / "qutrit_decay.sys")], None),
+        (["scenario", "tight-qubit"], "oqsl.scenarios"),
+    ],
+    ids=["bound", "evolve", "parse", "scenario"],
+)
+def test_process_imports_only_the_modules_of_its_command(argv, own):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "oqsl", *argv],
+        env=_entry_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "oqsl.cli" in imported and (own is None or own in imported)
+    assert not imported & ({"oqsl.audit", "oqsl.scenarios"} - {own})
+
+
+def test_entry_freezes_the_import_heap_before_the_command():
+    # in a fresh interpreter, so that this process's heap is never frozen
+    code = (
+        "import gc, sys\n"
+        "from oqsl import __main__ as entry, cli\n"
+        "cli.COMMANDS['parse'] = lambda args, out, err: print(gc.get_freeze_count(), file=out) or 0\n"
+        f"sys.argv = ['oqsl', 'parse', '--system', {str(SYSTEMS / 'two_qubit.sys')!r}]\n"
+        "raise SystemExit(entry.run())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_entry_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+def test_in_process_main_leaves_the_heap_collectable(tight_path):
+    code, _, err = run_cli(["parse", "--system", tight_path])
+    assert code == 0, err
+    assert gc.get_freeze_count() == 0
+
+
+def test_installed_script_runs_the_module_entry():
+    pyproject = tomllib.loads((Path(oqsl.__file__).parents[2] / "pyproject.toml").read_text(encoding="utf-8"))
+    module, func = pyproject["project"]["scripts"]["oqsl"].split(":")
+    assert getattr(importlib.import_module(module), func) is importlib.import_module("oqsl.__main__").run

@@ -101,6 +101,22 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
         assert np.array_equal(joined, states[0])
 
 
+@pytest.mark.parametrize("dim, batch", [(2, 100), (3, 50), (EXACT_MAX_DIM, 1)])
+@pytest.mark.parametrize("heisenberg", [True, False])
+def test_exact_step_matches_einsum_step(dim, batch, heisenberg):
+    # the BLAS product against the einsum mat-vec that it replaced, on
+    # batches shaped like the audit's qubit and qutrit blocks and at d = 16
+    cases = [_case(dim, seed) for seed in range(batch)]
+    gens = [c[0] for c in cases]
+    assert all(dynamics._takes_exact_route(gen) for gen in gens)
+    y0s = np.stack([c[1] if heisenberg else c[3].matrix for c in cases])
+    grid = TimeGrid(0.0, 2.0, 300)
+    samples = np.concatenate([s for _, s, _ in lindblad_chunks(gens, y0s, grid, heisenberg)], axis=1)
+    ref = oracles.einsum_exact_samples(gens, y0s, grid, heisenberg)
+    scale = np.abs(ref).max(axis=(-2, -1))
+    assert (np.abs(samples - ref).max(axis=(-2, -1)) <= 1e-12 * scale).all()
+
+
 def _kraus_family(name, grid, seed=5):
     """The closed-form dephasing family, or a qutrit family
     K_i(t) = exp(-i t H) K_i(0) tabulated on the grid, whose K(0) is not
