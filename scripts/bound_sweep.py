@@ -6,15 +6,11 @@ import argparse
 
 import numpy as np
 
-from oqsl.bounds import oqsl_generator_hs, oqsl_state_independent, qsl_delcampo
-from oqsl.dynamics import (
-    TimeGrid,
-    dephasing_generator,
-    evolve_lindblad_heisenberg,
-    lindblad_apply,
-    lindblad_final_state,
-)
-from oqsl.linalg import DensityState, hs_norm, sigma_x
+from oqsl.bounds import EvalContext, evaluate_all
+from oqsl.dynamics import TimeGrid, dephasing_generator, evolve_lindblad_heisenberg, lindblad_final_state
+from oqsl.linalg import DensityState, sigma_x
+
+IDS = ("GENERATOR_HS", "STATE_INDEP", "DELCAMPO")
 
 
 def main() -> int:
@@ -28,13 +24,11 @@ def main() -> int:
     grid = TimeGrid(0.0, args.tmax, args.steps)
     print("gamma,generator_hs,state_indep,delcampo,T")
     for gamma in args.gammas:
-        gen = dephasing_generator(gamma)
-        traj = evolve_lindblad_heisenberg(sigma_x, gen, rho, grid)
-        rho_T = lindblad_final_state(rho, gen, grid)
-        l2 = hs_norm(lindblad_apply(gen, rho.matrix, 0.0)) ** 2
-        g = oqsl_generator_hs(traj, rho).T_qsl
-        s = oqsl_state_independent(sigma_x, traj).T_qsl
-        d = qsl_delcampo(rho, rho_T, l2, grid.duration).T_qsl
+        ctx = EvalContext(
+            dephasing_generator(gamma), grid, sigma_x, rho, evolve_lindblad_heisenberg,
+            final_state=lindblad_final_state, ids=IDS,
+        )
+        g, s, d = (r.T_qsl for r in evaluate_all(ctx))
         print(f"{gamma:.6g},{g:.6g},{s:.6g},{d:.6g},{grid.duration:.6g}")
     return 0
 

@@ -18,7 +18,10 @@ seed: only a tabulated family shows how the Kraus kernel stacks operators
 that it reads from a table, and its 1,000 steps span two chunks. Last, two
 ``bound`` runs that select a subset (SUBSETS), one unitary and one on the
 d = 17 Lindblad system, so that a change to what a selection declares,
-evolves or evaluates shows.
+evolves or evaluates shows, and ``bound --bounds ALL`` at ``--hbar 2`` on
+two built-in systems (HBAR_FILES), one unitary and one Lindblad: every
+built-in file has hbar = 1, so only these show a bound that reads the
+wrong hbar.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -79,6 +82,8 @@ KRAUS_STEPS = 40000
 TABLE_FILE, TABLE_DIM, TABLE_SEED, TABLE_T, TABLE_STEPS = "kraus_table_3.sys", 3, 3, 1.0, 1000
 # (file, observable, --bounds) of the subset runs, each with --observable-b B; RK4_FILE is the generated one
 SUBSETS = (("two_qubit.sys", "A", "COMM_CLOSED,GENERATOR_HS"), (RK4_FILE, "A", "COMM_OPEN,GENERATOR_HS"))
+# the built-in systems run again at --hbar HBAR, with their BUILTIN_BOUNDS arguments
+HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys")
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -141,10 +146,7 @@ def commands(workdir: Path):
     """(label, argv) of every command; the generated system is read from
     ``workdir``."""
     for fname, obs, obs_b, tmax in BUILTIN_BOUNDS:
-        argv = ["bound", "--system", str(SYSTEMS / fname), "--observable", obs]
-        if obs_b:
-            argv += ["--observable-b", obs_b]
-        yield f"bound:{fname}", argv + ["--tmax", repr(tmax), "--bounds", "ALL", "--format", "json"]
+        yield f"bound:{fname}", _bound_all(fname, obs, obs_b, tmax)
     for name in SCENARIOS:
         yield f"scenario:{name}", ["scenario", name, "--format", "json"]
     yield "audit", ["audit", "--trials", "100", "--seed", "1", "--format", "json"]
@@ -167,6 +169,17 @@ def commands(workdir: Path):
         path = workdir / fname if fname == RK4_FILE else SYSTEMS / fname
         argv = ["--system", str(path), "--observable", obs, "--observable-b", "B", "--tmax", "1.0"]
         yield f"bound:{fname}:{ids}", ["bound", *argv, "--bounds", ids, "--format", "json"]
+    for fname, obs, obs_b, tmax in BUILTIN_BOUNDS:
+        if fname in HBAR_FILES:
+            yield f"bound:{fname}:hbar={HBAR!r}", _bound_all(fname, obs, obs_b, tmax) + ["--hbar", repr(HBAR)]
+
+
+def _bound_all(fname: str, obs: str, obs_b, tmax: float) -> list:
+    """The argv of ``bound --bounds ALL --format json`` on a built-in system."""
+    argv = ["bound", "--system", str(SYSTEMS / fname), "--observable", obs]
+    if obs_b:
+        argv += ["--observable-b", obs_b]
+    return argv + ["--tmax", repr(tmax), "--bounds", "ALL", "--format", "json"]
 
 
 def _is_number(x) -> bool:

@@ -26,7 +26,6 @@ from .bounds import (
 )
 from .dynamics import (
     DephasingKraus,
-    KrausGenerator,
     LindbladGenerator,
     RateTable,
     TabulatedKraus,
@@ -45,10 +44,8 @@ from .linalg import (
     DensityState,
     NumericError,
     ValidationError,
-    commutator,
     expectation,
     hs_norm,
-    identity,
     is_hermitian,
     mat_exp,
     op_norm,

@@ -33,6 +33,7 @@ from .dynamics import (
     DephasingKraus,
     LindbladGenerator,
     TimeGrid,
+    UnitaryGenerator,
     evolve_kraus_heisenberg,  # not called here, but bench/layers.py wraps it in this module
     evolve_unitary_heisenberg,
     kraus_trajectories,
@@ -182,16 +183,13 @@ def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
         return
     gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
     rhos = [t.rho for t in trials]
-    contexts = [
-        bounds.EvalContext("lindblad", grid, t.O, t.rho, None, H=t.H, B=t.B, generator=gen, rates=True)
-        for t, gen in zip(trials, gens)
-    ]
+    contexts = [bounds.EvalContext(gen, grid, t.O, t.rho, None, B=t.B, rates=True) for t, gen in zip(trials, gens)]
     trajs = lindblad_trajectories(gens, np.stack([t.O for t in trials]), rhos, grid, [ctx.probes for ctx in contexts])
     for t, ctx, traj in zip(trials, contexts, trajs):
         ctx.traj, t.lindblad = traj, ctx
     if trials[0].dim == 2:
-        families = [DephasingKraus(t.kraus_gamma) for t in trials]
-        contexts = [bounds.EvalContext("kraus", KRAUS_GRID, sigma_x, t.rho, None) for t in trials]
+        contexts = [bounds.EvalContext(DephasingKraus(t.kraus_gamma), KRAUS_GRID, sigma_x, t.rho, None) for t in trials]
+        families = [ctx.generator for ctx in contexts]
         O0s = np.broadcast_to(sigma_x, (len(trials), 2, 2))
         trajs = kraus_trajectories(families, O0s, rhos, KRAUS_GRID, [ctx.probes for ctx in contexts])
         for t, ctx, traj in zip(trials, contexts, trajs):
@@ -214,11 +212,10 @@ def _evaluate_trial(trial: _Trial) -> dict:
     and the Heisenberg/Schrodinger duality. H is diagonalized once: the
     self-inverse and projector slots are read at the grid's two ends in O's
     eigenbasis."""
-    rho, O, H = trial.rho, trial.O, trial.H
     unitary = bounds.EvalContext(
-        "unitary", UNITARY_GRID, O, rho, None, H=H, B=trial.B, self_inverse=trial.O_si, projector=trial.P, rates=True
+        UnitaryGenerator(trial.H), UNITARY_GRID, trial.O, trial.rho, evolve_unitary_heisenberg,
+        B=trial.B, self_inverse=trial.O_si, projector=trial.P, rates=True,
     )
-    unitary.traj = evolve_unitary_heisenberg(O, H, rho, UNITARY_GRID, probes=unitary.probes)
     lindblad = trial.lindblad
     contexts = [unitary, lindblad] + ([trial.kraus] if trial.kraus else [])
 

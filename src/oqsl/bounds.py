@@ -29,7 +29,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import TimeGrid, Trajectory, _constant_rates, evolve_unitary_heisenberg, lindblad_apply
+from .dynamics import (
+    GeneratorSpec,
+    TimeGrid,
+    Trajectory,
+    UnitaryGenerator,
+    _constant_rates,
+    evolve_unitary_heisenberg,
+    lindblad_apply,
+)
 from .linalg import (
     DEFAULT_TOL,
     DensityState,
@@ -380,10 +388,7 @@ def battery_bounds(
     HC = as_matrix(HC, "charging hamiltonian")
     if HB.shape != HC.shape:
         raise ValidationError(f"dimension mismatch: {HB.shape} vs {HC.shape}")
-    HT = HB + HC
-    if not is_hermitian(HT, tol):
-        raise ValidationError("total hamiltonian is not Hermitian within tolerance")
-    traj = evolve_unitary_heisenberg(HB, HT, rho, grid, hbar=hbar, tol=tol)
+    traj = evolve_unitary_heisenberg(HB, UnitaryGenerator(HB + HC, hbar, tol), rho, grid, tol)
     return _battery_core(traj, HB, HC, rho, hbar, tol)
 
 
@@ -586,41 +591,53 @@ def rate_audit(ctx: EvalContext) -> dict:
 
 @dataclass(eq=False)
 class EvalContext:
-    """What the bounds read for one observable O under one dynamics; each
-    derived quantity (the trajectory, its probes, the rate audit's probe, dH,
-    O H, the battery pair, the final state) is a
+    """What the bounds read for one observable O under one dynamics, which
+    ``generator`` alone states: a UnitaryGenerator, a LindbladGenerator or a
+    Kraus family, whose :attr:`kind`, :attr:`H` and :attr:`hbar` the context
+    reads. Each derived quantity (the trajectory, its probes, the rate
+    audit's probe, dH, O H, the battery pair, the final state) is a
     ``functools.cached_property``, computed once, on first use.
 
     ``ids`` is the selection that :func:`select`, :attr:`probes` and
     :func:`evaluate_all` read: the bounds named, in order, or every
-    applicable one when None. ``evolve`` returns O's trajectory on ``grid``,
-    keeping the series of :attr:`probes`, so bounds are selected before
-    anything evolves; a caller that evolves many contexts at once, like the
-    audit's Lindblad and Kraus blocks, sets ``traj`` instead. ``rates``
-    declares the rate audit's probe too. ``self_inverse`` and ``projector``
-    are the observables of the SELF_INVERSE and STATE_MT slots: O itself, or
-    other observables read at the grid's two ends in O's eigenbasis. ``B``
-    is the commutator bounds' second observable; ``final_state`` returns the
-    Schrodinger state at T (in the CLI, from
-    :func:`~oqsl.dynamics.lindblad_final_state`, which builds no trajectory)
-    and ``generator`` is the Lindblad generator, both for DELCAMPO.
+    applicable one when None. ``evolve`` is an evolution entry point, called
+    as ``evolve(O, generator, rho, grid, tol, probes)`` with the series of
+    :attr:`probes` to keep, so bounds are selected before anything evolves;
+    a caller that evolves many contexts at once, like the audit's Lindblad
+    and Kraus blocks, sets ``traj`` instead. ``rates`` declares the rate
+    audit's probe too. ``self_inverse`` and ``projector`` are the
+    observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
+    observables read at the grid's two ends in O's eigenbasis. ``B`` is the
+    commutator bounds' second observable. ``final_state``, called as
+    ``final_state(rho, generator, grid, tol)``, returns the Schrodinger state
+    at T that DELCAMPO reads (:func:`~oqsl.dynamics.lindblad_final_state`,
+    which builds no trajectory).
     """
 
-    kind: str
+    generator: GeneratorSpec
     grid: TimeGrid
     O: np.ndarray
     rho: DensityState
-    evolve: Callable[[], Trajectory] | None
-    H: np.ndarray | None = None
-    hbar: float = 1.0
+    evolve: Callable[..., Trajectory] | None
     tol: float = DEFAULT_TOL
     B: np.ndarray | None = None
     self_inverse: np.ndarray | None = None
     projector: np.ndarray | None = None
-    final_state: Callable[[], DensityState] | None = None
-    generator: object = None
+    final_state: Callable[..., DensityState] | None = None
     rates: bool = False
     ids: Sequence[str] | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.generator.kind
+
+    @property
+    def H(self) -> np.ndarray:
+        return self.generator.H
+
+    @property
+    def hbar(self) -> float:
+        return self.generator.hbar
 
     @property
     def T(self) -> float:
@@ -628,7 +645,10 @@ class EvalContext:
 
     @cached_property
     def traj(self) -> Trajectory:
-        return self.evolve()
+        traj = self.evolve(self.O, self.generator, self.rho, self.grid, self.tol, probes=self.probes)
+        if traj.kind != self.kind:
+            raise ValidationError(f"a {traj.kind} evolution does not follow a {self.kind} generator")
+        return traj
 
     @cached_property
     def probes(self) -> tuple:
@@ -660,7 +680,7 @@ class EvalContext:
 
     @cached_property
     def rho_T(self) -> DensityState:
-        return self.final_state()
+        return self.final_state(self.rho, self.generator, self.grid, self.tol)
 
     def ends(self, slot: np.ndarray | None = None) -> tuple[float, float]:
         """<M(0)> and <M(T)> for the slot observable M, by default O; another

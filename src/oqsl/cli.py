@@ -18,9 +18,7 @@ import numpy as np
 
 from . import bounds
 from .dynamics import (
-    LindbladGenerator,
     TimeGrid,
-    UnitaryGenerator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,  # not called here, but bench/layers.py wraps it in this module
@@ -54,53 +52,42 @@ def _effective_hbar(spec: SystemSpec, args: argparse.Namespace) -> float:
     return args.hbar
 
 
-def _evolve(gen, O: np.ndarray, rho, grid: TimeGrid, tol: float, probes=()):
+def _evolve(O: np.ndarray, gen, rho, grid: TimeGrid, tol: float, probes=()):
     """The Heisenberg trajectory of O under the generator gen, keeping the
-    series tr(O(t) M) of the probe matrices M."""
-    if isinstance(gen, UnitaryGenerator):
-        return evolve_unitary_heisenberg(O, gen.H, rho, grid, hbar=gen.hbar, tol=tol, probes=probes)
-    if isinstance(gen, LindbladGenerator):
-        return evolve_lindblad_heisenberg(O, gen, rho, grid, tol=tol, probes=probes)
-    return evolve_kraus_heisenberg(O, gen, rho, grid, tol=tol, probes=probes)
+    series tr(O(t) M) of the probe matrices M: the evolution of gen's kind,
+    each of which takes these arguments."""
+    if gen.kind == "unitary":
+        return evolve_unitary_heisenberg(O, gen, rho, grid, tol, probes=probes)
+    if gen.kind == "lindblad":
+        return evolve_lindblad_heisenberg(O, gen, rho, grid, tol, probes=probes)
+    return evolve_kraus_heisenberg(O, gen, rho, grid, tol, probes=probes)
 
 
 def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) -> bounds.EvalContext:
     """The evaluation context of the named observable and the bound selection
     ``ids``, --observable-b checked against it; nothing evolves yet."""
     O = spec.observable(args.observable)
-    hbar = _effective_hbar(spec, args)
-    gen = spec.generator(hbar, args.tol)
-    rho = spec.initial_state
-    grid = TimeGrid(0.0, args.tmax, args.steps)
+    gen = spec.generator(_effective_hbar(spec, args), args.tol)
     B = spec.observable(args.observable_b) if args.observable_b else None
     OO, slot_tol = O @ O, max(args.tol, 1e-9)
-    final_state = None
-    if spec.kind == "lindblad":
-
-        def final_state():
-            return lindblad_final_state(rho, gen, grid, tol=args.tol)
-
     ctx = bounds.EvalContext(
-        kind=spec.kind,
-        grid=grid,
-        O=O,
-        rho=rho,
-        evolve=lambda: _evolve(gen, O, rho, grid, args.tol, ctx.probes),
-        H=spec.hamiltonian,
-        hbar=hbar,
+        gen,
+        TimeGrid(0.0, args.tmax, args.steps),
+        O,
+        spec.initial_state,
+        _evolve,
         tol=args.tol,
         B=B,
         self_inverse=O if np.abs(OO - np.eye(spec.dim)).max() <= slot_tol else None,
         projector=O if np.abs(OO - O).max() <= slot_tol else None,
-        final_state=final_state,
-        generator=gen,
+        final_state=lindblad_final_state if gen.kind == "lindblad" else None,
         ids=ids,
     )
     if B is not None and not any(s.applies(ctx) for s in bounds.REGISTRY if "B" in s.needs):
-        state = "pure" if rho.is_pure() else "mixed"
+        state = "pure" if ctx.rho.is_pure() else "mixed"
         raise ValidationError(
             "--observable-b feeds only COMM_CLOSED/COMM_OPEN, which need a pure state under unitary "
-            f"or lindblad dynamics; neither applies to this {spec.kind} system with a {state} state"
+            f"or lindblad dynamics; neither applies to this {ctx.kind} system with a {state} state"
         )
     if B is not None and not any("B" in s.needs for s in bounds.select(ctx)):
         raise ValidationError("--observable-b feeds only COMM_CLOSED/COMM_OPEN, and --bounds selects neither")
@@ -168,7 +155,7 @@ def cmd_evolve(args: argparse.Namespace, out, err) -> int:
     spec = _read_system(args)
     O = spec.observable(args.observable)
     gen = spec.generator(_effective_hbar(spec, args), args.tol)
-    traj = _evolve(gen, O, spec.initial_state, TimeGrid(0.0, args.tmax, args.steps), args.tol)
+    traj = _evolve(O, gen, spec.initial_state, TimeGrid(0.0, args.tmax, args.steps), args.tol)
     times = traj.grid.times()
     if args.format == "json":
         payload = {

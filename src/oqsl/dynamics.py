@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -107,12 +107,12 @@ class TimeGrid:
 # rates and generators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateTable:
     """Piecewise-linear nonnegative rate gamma(t) tabulated on increasing times."""
 
-    times: np.ndarray = field(compare=False)
-    values: np.ndarray = field(compare=False)
+    times: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -154,12 +154,13 @@ def _checked_hamiltonian(H, hbar: float, tol: float) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryGenerator:
     """Closed dynamics generated by a time-independent Hermitian Hamiltonian,
     Hermitian within ``tol``."""
 
-    H: np.ndarray = field(compare=False)
+    kind = "unitary"
+    H: np.ndarray
     hbar: float = 1.0
     tol: float = DEFAULT_TOL
 
@@ -171,12 +172,13 @@ class UnitaryGenerator:
         return self.H.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
     """Markovian open dynamics: a Hamiltonian, Hermitian within ``tol``, plus
     jump operators with rates."""
 
-    H: np.ndarray = field(compare=False)
+    kind = "lindblad"
+    H: np.ndarray
     jumps: tuple = ()
     hbar: float = 1.0
     tol: float = DEFAULT_TOL
@@ -205,7 +207,7 @@ class LindbladGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Kraus families
+# Kraus families, each the generator of its own dynamics
 
 
 class DephasingKraus:
@@ -213,6 +215,8 @@ class DephasingKraus:
 
     K0(t) = sqrt((1 + e^{-gamma t})/2) * I,  K1(t) = sqrt((1 - e^{-gamma t})/2) * sigma_z.
     """
+
+    kind = "kraus"
 
     def __init__(self, gamma: float):
         gamma = float(gamma)
@@ -242,6 +246,8 @@ class TabulatedKraus:
     therefore line up with the table.
     """
 
+    kind = "kraus"
+
     def __init__(self, times, ops):
         t = np.asarray(times, dtype=float)
         K = np.asarray(ops, dtype=complex)
@@ -270,18 +276,8 @@ class TabulatedKraus:
         return self.ops[i]
 
 
-@dataclass(frozen=True)
-class KrausGenerator:
-    """Dynamics given by a completely positive map via its Kraus family."""
-
-    family: Union[DephasingKraus, TabulatedKraus]
-
-    @property
-    def dim(self) -> int:
-        return self.family.dim
-
-
-GeneratorSpec = Union[UnitaryGenerator, LindbladGenerator, KrausGenerator]
+# the statements of a dynamics, each naming its kind ("unitary", "lindblad" or "kraus")
+GeneratorSpec = Union[UnitaryGenerator, LindbladGenerator, DephasingKraus, TabulatedKraus]
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +430,25 @@ def _checked_observable(O0, dim: int, tol: float) -> np.ndarray:
 
 
 def evolve_unitary_heisenberg(
-    O0: np.ndarray, H: np.ndarray, rho: DensityState, grid: TimeGrid, hbar: float = 1.0, tol: float = DEFAULT_TOL,
+    O0: np.ndarray,
+    gen: UnitaryGenerator,
+    rho: DensityState,
+    grid: TimeGrid,
+    tol: float = DEFAULT_TOL,
     probes=(),
 ) -> UnitaryTrajectory:
-    """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of H,
-    reduced from one phase matrix E[t, a] = exp(i t w_a / hbar): tr(O(t) M)
-    is the row sum of (E @ (O~ * M~^T)) * conj(E), so no per-sample matrix is
-    formed. [H, O(t)] = U^dag [H, O] U, so both generator speeds are
-    constant. ``probes`` are the matrices M whose series the trajectory keeps."""
-    H = _checked_hamiltonian(H, hbar, tol)
-    O0 = _checked_observable(O0, H.shape[0], tol)
-    _check_state(rho, H.shape[0])
+    """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of
+    gen.H, reduced from one phase matrix E[t, a] = exp(i t w_a / hbar):
+    tr(O(t) M) is the row sum of (E @ (O~ * M~^T)) * conj(E), so no
+    per-sample matrix is formed. [H, O(t)] = U^dag [H, O] U, so both
+    generator speeds are constant. ``probes`` are the matrices M whose series
+    the trajectory keeps."""
+    O0 = _checked_observable(O0, gen.dim, tol)
+    _check_state(rho, gen.dim)
 
-    w, V = np.linalg.eigh(H)
+    w, V = np.linalg.eigh(gen.H)
     Vd = V.conj().T
-    freqs, O_eig, rho_eig = w / hbar, Vd @ O0 @ V, Vd @ rho.matrix @ V
+    freqs, O_eig, rho_eig = w / gen.hbar, Vd @ O0 @ V, Vd @ rho.matrix @ V
     E = _phases(freqs, grid.times())
     expect, stddev = _moments(O_eig, rho_eig, E, tol)
     # [H, O] / hbar in the eigenbasis; both norms are unitarily invariant
@@ -837,14 +837,19 @@ def kraus_trajectories(families, O0s: np.ndarray, rhos, grid: TimeGrid, probes, 
 
 
 def evolve_kraus_heisenberg(
-    O0: np.ndarray, gen: KrausGenerator, rho: DensityState, grid: TimeGrid, tol: float = DEFAULT_TOL, probes=()
+    O0: np.ndarray,
+    family: Union[DephasingKraus, TabulatedKraus],
+    rho: DensityState,
+    grid: TimeGrid,
+    tol: float = DEFAULT_TOL,
+    probes=(),
 ) -> Trajectory:
     """O(t) = sum_i K_i^dag(t) O(0) K_i(t) on the grid, with the summed
     speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| that the Kraus-map bound reads,
     through :func:`kraus_trajectories`."""
-    O0 = _checked_observable(O0, gen.dim, tol)
-    _check_state(rho, gen.dim)
-    return kraus_trajectories([gen.family], O0[None], [rho], grid, [probes], tol)[0]
+    O0 = _checked_observable(O0, family.dim, tol)
+    _check_state(rho, family.dim)
+    return kraus_trajectories([family], O0[None], [rho], grid, [probes], tol)[0]
 
 
 def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid, tol: float):

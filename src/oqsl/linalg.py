@@ -1,5 +1,5 @@
 """Dense complex linear algebra substrate: Schatten norms, matrix exponential,
-commutators, expectation values, and density-state validation.
+expectation values, and density-state validation.
 
 All functions are pure and operate on square ``complex128`` numpy arrays.
 Intended scale is dimension <= a few hundred; everything is dense.
@@ -8,7 +8,7 @@ Intended scale is dimension <= a few hundred; everything is dense.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class ValidationError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation left the trustworthy numeric regime."""
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -122,19 +118,11 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
     return E
 
 
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return A @ B - B @ A
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
     """A validated density operator together with its cached purity tr(rho^2)."""
 
-    matrix: np.ndarray = field(compare=False)
+    matrix: np.ndarray
     purity: float
 
     @classmethod

@@ -16,8 +16,8 @@ import numpy as np
 from . import bounds
 from .dynamics import (
     DephasingKraus,
-    KrausGenerator,
     TimeGrid,
+    UnitaryGenerator,
     dephasing_generator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
@@ -70,12 +70,11 @@ def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:
     grid = TimeGrid(0.0, T, steps)
     refs = {"MT_INTEGRAL": T, "SELF_INVERSE": T, "STATE_MT": T, "PURITY_HS": 1.0 / np.sqrt(2.0), "MIN_NORM": 1.0}
     ctx = bounds.EvalContext(
-        kind="unitary",
-        grid=grid,
-        O=sigma_x,
-        rho=rho,
-        evolve=lambda: evolve_unitary_heisenberg(sigma_x, sigma_z, rho, grid),
-        H=sigma_z,
+        UnitaryGenerator(sigma_z),
+        grid,
+        sigma_x,
+        rho,
+        evolve_unitary_heisenberg,
         self_inverse=sigma_x,
         # survival probability of the initial state through its projector
         projector=rho.matrix,
@@ -168,10 +167,9 @@ def scenario_battery_degenerate(steps: int = 2000) -> ScenarioResult:
     ct1, ct2 = bounds.battery_bounds(HB, HC, rho, grid)
 
     # survival probability of the initial state under the same drive
-    P, HT = rho.matrix, HB + HC
+    P = rho.matrix
     ctx = bounds.EvalContext(
-        "unitary", grid, P, rho, lambda: evolve_unitary_heisenberg(P, HT, rho, grid), H=HT, projector=P,
-        ids=("STATE_MT",),
+        UnitaryGenerator(HB + HC), grid, P, rho, evolve_unitary_heisenberg, projector=P, ids=("STATE_MT",)
     )
     [smt] = bounds.evaluate_all(ctx)
 
@@ -208,8 +206,7 @@ def scenario_kraus_dephasing(gamma: float = 1.0, t_max: float = np.pi / 2.0, ste
         raise ValidationError("dephasing strength gamma must be positive")
     rho = DensityState.pure(PLUS)
     grid = TimeGrid(0.0, t_max, steps)
-    gen = KrausGenerator(DephasingKraus(gamma))
-    traj = evolve_kraus_heisenberg(sigma_x, gen, rho, grid)
+    traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(gamma), rho, grid)
     times = grid.times()
     analytic = np.exp(-gamma * times)
     max_err = float(np.abs(traj.expect - analytic).max())

@@ -47,7 +47,6 @@ import numpy as np
 from .dynamics import (
     DephasingKraus,
     GeneratorSpec,
-    KrausGenerator,
     LindbladGenerator,
     TabulatedKraus,
     UnitaryGenerator,
@@ -242,19 +241,19 @@ def parse_pauli_expr(src: str, n_qubits: int) -> np.ndarray:
 # system spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """Fully validated description of one experiment."""
 
     dim: int
     hbar: float
     kind: str
-    hamiltonian: np.ndarray = field(compare=False)
-    initial_state: DensityState = field(compare=False)
-    observables: dict = field(compare=False)
-    jumps: tuple = field(compare=False)
+    hamiltonian: np.ndarray
+    initial_state: DensityState
+    observables: dict
+    jumps: tuple
     kraus: object = None
-    metadata: dict = field(default_factory=dict, compare=False)
+    metadata: dict = field(default_factory=dict)
 
     def observable(self, name: str) -> np.ndarray:
         if name not in self.observables:
@@ -264,8 +263,9 @@ class SystemSpec:
         return self.observables[name]
 
     def generator(self, hbar: float | None = None, tol: float = DEFAULT_TOL) -> GeneratorSpec:
-        """The system's dynamics, with ``hbar`` in place of the file's when
-        given; ``tol`` is the Hamiltonian's Hermiticity tolerance."""
+        """The system's dynamics, its Kraus family for a kraus system, with
+        ``hbar`` in place of the file's when given; ``tol`` is the
+        Hamiltonian's Hermiticity tolerance."""
         hbar = self.hbar if hbar is None else hbar
         if self.kind == "unitary":
             return UnitaryGenerator(H=self.hamiltonian, hbar=hbar, tol=tol)
@@ -274,7 +274,7 @@ class SystemSpec:
         if self.kind == "kraus":
             if self.kraus is None:
                 raise ValidationError("kraus kind requires a kraus family")
-            return KrausGenerator(family=self.kraus)
+            return self.kraus
         raise ValidationError(f"unknown dynamics kind {self.kind!r}")
 
 

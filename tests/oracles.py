@@ -142,6 +142,18 @@ def maximally_mixed(dim: int) -> DensityState:
     return DensityState(matrix=np.eye(dim, dtype=complex) / dim, purity=1.0 / dim)
 
 
+def identity(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex)
+
+
+def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    A = as_matrix(A, "A")
+    B = as_matrix(B, "B")
+    if A.shape != B.shape:
+        raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    return A @ B - B @ A
+
+
 def is_unitary(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     M = as_matrix(M)
     return bool(np.abs(M.conj().T @ M - np.eye(M.shape[0])).max() <= tol)
@@ -503,12 +515,11 @@ def stack_stddev(Os: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
 # the whole-grid Kraus kernel that the streamed one replaced
 
 
-def kraus_full_stack(O0, gen, rho, grid: TimeGrid, tol: float = DEFAULT_TOL) -> Trajectory:
+def kraus_full_stack(O0, family, rho, grid: TimeGrid, tol: float = DEFAULT_TOL) -> Trajectory:
     """O(t) = sum_i K_i^dag(t) O(0) K_i(t) with the family called once, on
     the whole grid, the (steps + 1, n_ops, d, d) stacks of K, K^dag O and
     O(t) built and then reduced; dK/dt is ``np.gradient`` along the grid,
     central inside and one-sided at its two ends."""
-    family = gen.family
     O0 = _checked_observable(O0, family.dim, tol)
     _check_state(rho, family.dim)
     times = grid.times()

@@ -20,8 +20,8 @@ from oqsl.bounds import (
 )
 from oqsl.dynamics import (
     DephasingKraus,
-    KrausGenerator,
     TimeGrid,
+    UnitaryGenerator,
     dephasing_generator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
@@ -66,7 +66,7 @@ def test_criterion_1_tight_example():
     start = time.perf_counter()
     T = np.pi / 2.0
     grid = TimeGrid(0.0, T, 4000)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid)
+    traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, grid)
     delta_H = float(np.sqrt(variance(sigma_z, PLUS)))
     mt = oqsl_mt_integral(traj, delta_H).T_qsl
     si = oqsl_self_inverse(float(traj.expect[0]), float(traj.expect[-1]), delta_H, T).T_qsl
@@ -121,7 +121,7 @@ def test_criterion_3_dephasing_dynamics():
         for i in range(len(times))
     )
     # a Kraus trajectory keeps O(t) at its two ends; <O(t)> in |+> is e^{-t}
-    ktraj = evolve_kraus_heisenberg(sigma_x, KrausGenerator(DephasingKraus(1.0)), PLUS, grid)
+    ktraj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, grid)
     kraus_err = max(
         float(np.abs(ktraj.expect - np.exp(-times)).max()),
         *(float(np.linalg.norm(ktraj.at(k) - np.exp(-times[k]) * sigma_x)) for k in (0, -1)),
@@ -163,7 +163,7 @@ def test_criterion_6_battery_degenerate():
     grid = TimeGrid(0.0, np.pi / 4.0, 500)
     ct1, ct2 = battery_bounds(sigma_z, sigma_z, PLUS, grid)
     HT = 2.0 * sigma_z
-    ptraj = evolve_unitary_heisenberg(PLUS.matrix.copy(), HT, PLUS, grid)
+    ptraj = evolve_unitary_heisenberg(PLUS.matrix.copy(), UnitaryGenerator(HT), PLUS, grid)
     pT = float(np.clip(ptraj.expect[-1], 0.0, 1.0))
     smt = state_qsl_projector(
         1.0, pT, float(np.sqrt(variance(HT, PLUS))), grid.duration

@@ -24,10 +24,10 @@ from oqsl.bounds import (
 )
 from oqsl.dynamics import (
     DephasingKraus,
-    KrausGenerator,
     LindbladGenerator,
     RateTable,
     TimeGrid,
+    UnitaryGenerator,
     dephasing_generator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
@@ -40,7 +40,6 @@ from oqsl.linalg import (
     NumericError,
     ValidationError,
     hs_norm,
-    identity,
     op_norm,
     sigma_x,
     sigma_y,
@@ -50,7 +49,7 @@ from oqsl.linalg import (
 )
 
 import oracles
-from oracles import FunctionKraus
+from oracles import FunctionKraus, identity
 
 PLUS = DensityState.pure([1.0, 1.0])
 GROUND = DensityState.pure([1.0, 0.0])
@@ -59,24 +58,23 @@ T_HALF_PI = np.pi / 2.0
 
 def tight_trajectory(steps=4000):
     grid = TimeGrid(0.0, T_HALF_PI, steps)
-    return evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid)
+    return evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, grid)
 
 
 def audit_context(O, H, rho, grid, gen=None):
     """The context of O under H, or under the Lindblad generator gen, in rho,
     its trajectory evolved with the rate audit's probe declared."""
     if gen is None:
-        ctx = EvalContext("unitary", grid, O, rho, None, H=H, rates=True)
-        ctx.traj = evolve_unitary_heisenberg(O, H, rho, grid, probes=ctx.probes)
+        ctx = EvalContext(UnitaryGenerator(H), grid, O, rho, evolve_unitary_heisenberg, rates=True)
     else:
-        ctx = EvalContext("lindblad", grid, O, rho, None, H=H, generator=gen, rates=True)
-        ctx.traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=ctx.probes)
+        ctx = EvalContext(gen, grid, O, rho, evolve_lindblad_heisenberg, rates=True)
+    ctx.traj  # evolved here, so that a rejected rate probe raises here
     return ctx
 
 
 def lindblad_probes(O, B, rho, grid):
     """The probes the Lindblad bounds declare for O (and B) in rho."""
-    return EvalContext("lindblad", grid, O, rho, None, B=B).probes
+    return EvalContext(LindbladGenerator(np.zeros_like(O)), grid, O, rho, None, B=B).probes
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +89,7 @@ def test_mt_integral_tight_qubit():
 
 def test_mt_integral_conserved_observable():
     grid = TimeGrid(0.0, 2.0, 200)
-    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, PLUS, grid)
+    traj = evolve_unitary_heisenberg(sigma_z, UnitaryGenerator(sigma_z), PLUS, grid)
     assert oqsl_mt_integral(traj, 1.0).T_qsl == 0.0
 
 
@@ -102,7 +100,7 @@ def test_mt_integral_validity_random_qubits(rng):
         O = oracles.random_hermitian(rng, 2)
         rho = DensityState.pure(oracles.random_ket(rng, 2))
         T = float(rng.uniform(0.3, 1.2))
-        traj = evolve_unitary_heisenberg(O, H, rho, TimeGrid(0.0, T, 1500))
+        traj = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, TimeGrid(0.0, T, 1500))
         dH = float(np.sqrt(variance(H, rho)))
         if dH < 1e-9:
             continue
@@ -155,7 +153,7 @@ def test_self_inverse_no_change():
 def test_self_inverse_matches_integral_when_monotone():
     # <O(t)> = cos 2t decreases monotonically over the whole window
     for T, steps in ((T_HALF_PI, 4000), (0.6, 2000)):
-        traj = evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, TimeGrid(0.0, T, steps))
+        traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, TimeGrid(0.0, T, steps))
         mt = oqsl_mt_integral(traj, 1.0).T_qsl
         si = oqsl_self_inverse(
             float(traj.expect[0]), float(traj.expect[-1]), 1.0, T
@@ -307,7 +305,7 @@ def test_generator_hs_works_for_unitary_kind():
 
 def test_generator_hs_rejects_kraus_kind():
     traj = evolve_kraus_heisenberg(
-        sigma_x, KrausGenerator(DephasingKraus(1.0)), PLUS, TimeGrid(0.0, 1.0, 100)
+        sigma_x, DephasingKraus(1.0), PLUS, TimeGrid(0.0, 1.0, 100)
     )
     with pytest.raises(ValidationError):
         oqsl_generator_hs(traj, PLUS)
@@ -355,7 +353,7 @@ def test_delcampo_rejects_zero_speed_with_change():
 
 
 def test_kraus_bound_validity_across_horizons():
-    gen = KrausGenerator(DephasingKraus(1.0))
+    gen = DephasingKraus(1.0)
     for T in (0.3, 0.8, 1.3, T_HALF_PI):
         traj = evolve_kraus_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, T, 600))
         rep = oqsl_kraus(traj, PLUS)
@@ -366,7 +364,7 @@ def test_kraus_bound_constant_family_zero():
     fam = FunctionKraus(
         lambda t: [np.sqrt(0.5) * identity(2), np.sqrt(0.5) * sigma_z], dim=2, n_ops=2
     )
-    traj = evolve_kraus_heisenberg(sigma_x, KrausGenerator(fam), PLUS, TimeGrid(0.0, 1.0, 100))
+    traj = evolve_kraus_heisenberg(sigma_x, fam, PLUS, TimeGrid(0.0, 1.0, 100))
     rep = oqsl_kraus(traj, PLUS)
     assert rep.T_qsl == 0.0
     assert rep.details["lambda_T"] == pytest.approx(0.0, abs=1e-15)
@@ -377,7 +375,7 @@ def test_kraus_bound_single_unitary_family():
         lambda t: [oracles.expm_hermitian_oracle(sigma_z, -1j * t)], dim=2, n_ops=1
     )
     T = 1.0
-    traj = evolve_kraus_heisenberg(sigma_x, KrausGenerator(fam), PLUS, TimeGrid(0.0, T, 400))
+    traj = evolve_kraus_heisenberg(sigma_x, fam, PLUS, TimeGrid(0.0, T, 400))
     assert oqsl_kraus(traj, PLUS).T_qsl <= T + 1e-6
 
 
@@ -401,7 +399,7 @@ def test_state_independent_dephasing_saturates():
 
 
 def test_state_independent_conserved():
-    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, PLUS, TimeGrid(0.0, 1.0, 100))
+    traj = evolve_unitary_heisenberg(sigma_z, UnitaryGenerator(sigma_z), PLUS, TimeGrid(0.0, 1.0, 100))
     assert oqsl_state_independent(sigma_z, traj).T_qsl == 0.0
 
 
@@ -430,7 +428,7 @@ def test_battery_degenerate_case_exact_zeros():
     assert ct2.T_qsl == 0.0
     # the state nevertheless reaches an orthogonal configuration
     HT = 2.0 * sigma_z
-    ptraj = evolve_unitary_heisenberg(PLUS.matrix.copy(), HT, PLUS, grid)
+    ptraj = evolve_unitary_heisenberg(PLUS.matrix.copy(), UnitaryGenerator(HT), PLUS, grid)
     pT = float(np.clip(ptraj.expect[-1], 0.0, 1.0))
     smt = state_qsl_projector(1.0, pT, float(np.sqrt(variance(HT, PLUS))), grid.duration)
     assert smt.T_qsl >= 0.5
@@ -464,7 +462,9 @@ def test_correlation_starts_at_variance(rng):
     A = oracles.random_hermitian(rng, 3)
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     H = oracles.random_hermitian(rng, 3)
-    traj = evolve_unitary_heisenberg(A, H, rho, TimeGrid(0.0, 1.0, 50), probes=(correlation_probe(A, rho),))
+    traj = evolve_unitary_heisenberg(
+        A, UnitaryGenerator(H), rho, TimeGrid(0.0, 1.0, 50), probes=(correlation_probe(A, rho),)
+    )
     c0 = complex(two_time_correlation(A, traj, rho)[0])
     assert c0.real == pytest.approx(variance(A, rho), abs=1e-10)
     assert abs(c0.imag) <= 1e-10
@@ -483,21 +483,25 @@ def test_correlation_dephasing_identically_zero():
 
 def test_correlation_precession_phase():
     grid = TimeGrid(0.0, 1.2, 800)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, GROUND, grid, probes=(correlation_probe(sigma_x, GROUND),))
+    traj = evolve_unitary_heisenberg(
+        sigma_x, UnitaryGenerator(sigma_z), GROUND, grid, probes=(correlation_probe(sigma_x, GROUND),)
+    )
     C = two_time_correlation(sigma_x, traj, GROUND)
     assert np.abs(C - np.exp(2j * grid.times())).max() <= 1e-8
 
 
 def test_correlation_rejects_mixed_state():
     mixed = oracles.maximally_mixed(2)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, mixed, TimeGrid(0.0, 1.0, 10))
+    traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), mixed, TimeGrid(0.0, 1.0, 10))
     with pytest.raises(ValidationError):
         two_time_correlation(sigma_x, traj, mixed)
 
 
 def test_corr_qsl_commuting_case_zero():
     grid = TimeGrid(0.0, 1.0, 100)
-    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, GROUND, grid, probes=(correlation_probe(sigma_z, GROUND),))
+    traj = evolve_unitary_heisenberg(
+        sigma_z, UnitaryGenerator(sigma_z), GROUND, grid, probes=(correlation_probe(sigma_z, GROUND),)
+    )
     C = two_time_correlation(sigma_z, traj, GROUND)
     rep = corr_qsl(C, grid, op_norm(sigma_z), traj.gen_speed_op, kind="closed")
     assert rep.T_qsl == 0.0
@@ -508,7 +512,7 @@ def test_corr_qsl_closed_value_and_validity():
     grid = TimeGrid(0.0, T, 800)
     hbar = 1.0
     probes = (correlation_probe(sigma_x, GROUND),)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, GROUND, grid, hbar=hbar, probes=probes)
+    traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z, hbar=hbar), GROUND, grid, probes=probes)
     C = two_time_correlation(sigma_x, traj, GROUND)
     rep = corr_qsl(C, grid, op_norm(sigma_x), traj.gen_speed_op * hbar, kind="closed")
     assert rep.T_qsl == pytest.approx(abs(np.sin(T)) / 2.0, abs=1e-9)
@@ -550,7 +554,9 @@ def twoq_state():
 def test_commutator_closed_locality_toy():
     rho = twoq_state()
     grid = TimeGrid(0.0, 1.2, 800)
-    traj = evolve_unitary_heisenberg(TWOQ_A, TWOQ_H, rho, grid, probes=(commutator_probe(TWOQ_B, rho),))
+    traj = evolve_unitary_heisenberg(
+        TWOQ_A, UnitaryGenerator(TWOQ_H), rho, grid, probes=(commutator_probe(TWOQ_B, rho),)
+    )
     rep = commutator_qsl(TWOQ_B, traj, rho, kind="closed")
     assert rep.details["comm_expect_0"] <= 1e-12
     assert rep.details["comm_expect_T"] > 0.01
@@ -561,7 +567,9 @@ def test_commutator_closed_commuting_pair_zero():
     # A commutes with the coupling, so A(t) = A(0) commutes with B forever
     rho = twoq_state()
     A = np.kron(np.eye(2), sigma_x)
-    traj = evolve_unitary_heisenberg(A, TWOQ_H, rho, TimeGrid(0.0, 1.0, 200), probes=(commutator_probe(TWOQ_B, rho),))
+    traj = evolve_unitary_heisenberg(
+        A, UnitaryGenerator(TWOQ_H), rho, TimeGrid(0.0, 1.0, 200), probes=(commutator_probe(TWOQ_B, rho),)
+    )
     rep = commutator_qsl(TWOQ_B, traj, rho, kind="closed")
     assert rep.T_qsl == 0.0
 
@@ -582,14 +590,14 @@ def test_commutator_open_validity():
 
 def test_commutator_requires_pure_state():
     mixed = oracles.maximally_mixed(4)
-    traj = evolve_unitary_heisenberg(TWOQ_A, TWOQ_H, mixed, TimeGrid(0.0, 1.0, 10))
+    traj = evolve_unitary_heisenberg(TWOQ_A, UnitaryGenerator(TWOQ_H), mixed, TimeGrid(0.0, 1.0, 10))
     with pytest.raises(ValidationError):
         commutator_qsl(TWOQ_B, traj, mixed, kind="closed")
 
 
 def test_commutator_kind_must_match_trajectory():
     rho = twoq_state()
-    traj = evolve_unitary_heisenberg(TWOQ_A, TWOQ_H, rho, TimeGrid(0.0, 1.0, 10))
+    traj = evolve_unitary_heisenberg(TWOQ_A, UnitaryGenerator(TWOQ_H), rho, TimeGrid(0.0, 1.0, 10))
     with pytest.raises(ValidationError):
         commutator_qsl(TWOQ_B, traj, rho, kind="open")
 
@@ -634,8 +642,7 @@ def test_rate_audit_lindblad_cauchy_schwarz(rng):
 
 def test_rate_audit_rejects_undeclared_probe_and_varying_rates():
     grid = TimeGrid(0.0, 1.0, 50)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid)
-    ctx = EvalContext("unitary", grid, sigma_x, PLUS, lambda: traj, H=sigma_z)
+    ctx = EvalContext(UnitaryGenerator(sigma_z), grid, sigma_x, PLUS, evolve_unitary_heisenberg)
     with pytest.raises(ValidationError, match="declared as a probe"):
         rate_audit(ctx)
     ramp = LindbladGenerator(H=sigma_z, jumps=((sigma_x, RateTable([0.0, 1.0], [0.1, 0.5])),))

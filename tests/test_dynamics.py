@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from oqsl.dynamics import (
     DephasingKraus,
-    KrausGenerator,
     LindbladGenerator,
     RateTable,
     TabulatedKraus,
@@ -24,16 +23,24 @@ from oqsl.linalg import (
     DensityState,
     NumericError,
     ValidationError,
-    commutator,
-    identity,
     is_hermitian,
     sigma_x,
     sigma_y,
     sigma_z,
 )
 
+from oqsl.sysdl import parse_system
+
 import oracles
-from oracles import FunctionKraus, kraus_derivative, lindblad_adjoint, unitary_propagator
+from oracles import (
+    FunctionKraus,
+    builtin_text,
+    commutator,
+    identity,
+    kraus_derivative,
+    lindblad_adjoint,
+    unitary_propagator,
+)
 
 PLUS = DensityState.pure([1.0, 1.0])
 
@@ -146,7 +153,7 @@ def test_propagator_rejects_non_hermitian():
 
 def test_unitary_trajectory_pauli_rotation():
     grid = TimeGrid(0.0, np.pi / 2, 500)
-    traj = evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid)
+    traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, grid)
     assert np.abs(traj.expect - np.cos(2.0 * grid.times())).max() <= 1e-9
     # stddev itself is only sqrt(eps)-accurate where the variance vanishes
     assert np.abs(traj.stddev**2 - np.sin(2.0 * grid.times()) ** 2).max() <= 1e-12
@@ -158,7 +165,7 @@ def test_unitary_trajectory_matches_propagator_route(rng):
     O = oracles.random_hermitian(rng, 3)
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     grid = TimeGrid(0.0, 1.0, 10)
-    traj = evolve_unitary_heisenberg(O, H, rho, grid, probes=tuple(oracles.matrix_units(3)))
+    traj = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, grid, probes=tuple(oracles.matrix_units(3)))
     Os = oracles.samples_from_probes(traj)
     for i, t in enumerate(grid.times()):
         U = unitary_propagator(H, float(t))
@@ -169,7 +176,7 @@ def test_unitary_trajectory_matches_propagator_route(rng):
 
 def test_conserved_observable_constant():
     grid = TimeGrid(0.0, 2.0, 100)
-    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, PLUS, grid)
+    traj = evolve_unitary_heisenberg(sigma_z, UnitaryGenerator(sigma_z), PLUS, grid)
     assert np.abs(traj.expect - traj.expect[0]).max() == 0.0
 
 
@@ -180,7 +187,7 @@ def test_heisenberg_rate_matches_commutator(rng):
     O = O / np.linalg.svd(O, compute_uv=False)[0]
     rho = DensityState.pure(oracles.random_ket(rng, 2))
     grid = TimeGrid(0.0, 1.0, 2000)
-    traj = evolve_unitary_heisenberg(O, H, rho, grid, probes=(commutator(H, rho.matrix),))
+    traj = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, grid, probes=(commutator(H, rho.matrix),))
     h = grid.h
     dexp = (traj.expect[2:] - traj.expect[:-2]) / (2 * h)
     # tr([O(t), H] rho) = tr(O(t) (H rho - rho H))
@@ -192,7 +199,9 @@ def test_unitary_spectrum_constant(rng):
     H = oracles.random_hermitian(rng, 4)
     O = oracles.random_hermitian(rng, 4)
     rho = DensityState.pure(oracles.random_ket(rng, 4))
-    traj = evolve_unitary_heisenberg(O, H, rho, TimeGrid(0.0, 2.0, 50), probes=tuple(oracles.matrix_units(4)))
+    traj = evolve_unitary_heisenberg(
+        O, UnitaryGenerator(H), rho, TimeGrid(0.0, 2.0, 50), probes=tuple(oracles.matrix_units(4))
+    )
     Os = oracles.samples_from_probes(traj)
     ref = np.linalg.eigvalsh(Os[0])
     for Ot in Os[::10]:
@@ -243,7 +252,7 @@ def test_lindblad_zero_rates_reduce_to_unitary(rng):
     gen = LindbladGenerator(H=H, jumps=((sigma_z, 0.0),))
     grid = TimeGrid(0.0, np.pi / 2, 1000)
     a = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=tuple(oracles.matrix_units(2)))
-    b = evolve_unitary_heisenberg(sigma_x, H, PLUS, grid, probes=tuple(oracles.matrix_units(2)))
+    b = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(H), PLUS, grid, probes=tuple(oracles.matrix_units(2)))
     assert np.abs(a.expect - b.expect).max() <= 1e-8
     Oa, Ob = oracles.samples_from_probes(a), oracles.samples_from_probes(b)
     assert max(np.abs(Oa - Ob).max(axis=(1, 2))) <= 1e-8
@@ -265,11 +274,10 @@ def test_rk4_fourth_order_convergence():
 
 @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
 def test_hbar_must_be_positive_and_finite(hbar):
-    grid = TimeGrid(0.0, 1.0, 10)
     for build in (
         lambda: UnitaryGenerator(H=sigma_z, hbar=hbar),
         lambda: LindbladGenerator(H=sigma_z, jumps=((sigma_z, 1.0),), hbar=hbar),
-        lambda: evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid, hbar=hbar),
+        lambda: dephasing_generator(1.0, hbar=hbar),
     ):
         with pytest.raises(ValidationError, match="hbar must be positive"):
             build()
@@ -284,14 +292,25 @@ def test_hbar_must_be_positive_and_finite(hbar):
     ids=["non-hermitian", "non-finite"],
 )
 def test_every_hamiltonian_entry_point_applies_one_check(H, message):
-    grid = TimeGrid(0.0, 1.0, 10)
     for build in (
         lambda: UnitaryGenerator(H=H),
         lambda: LindbladGenerator(H=H, jumps=((sigma_z, 1.0),)),
-        lambda: evolve_unitary_heisenberg(sigma_x, H, PLUS, grid),
     ):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build()
+
+
+def test_matrix_holders_compare_and_hash_by_identity():
+    """States, generators, rate tables and systems that differ only in their
+    matrices are not equal, and none raises on == or hash."""
+    assert DensityState.pure([1.0, 0.0]) != DensityState.pure([0.0, 1.0])
+    unitary = UnitaryGenerator(sigma_x), UnitaryGenerator(sigma_z)
+    lindblad = [LindbladGenerator(H=sigma_z, jumps=((sigma_x, 1.0),)) for _ in range(2)]
+    tables = RateTable([0.0, 1.0], [0.1, 0.2]), RateTable([0.0, 1.0], [0.3, 0.4])
+    text = builtin_text("tight_qubit")
+    systems = parse_system(text), parse_system(text.replace("pauli = 1.0 Z", "pauli = 1.0 X"))
+    for a, b in (unitary, lindblad, tables, systems):
+        assert a == a and a != b and len({a, b}) == 2
 
 
 def test_lindblad_instability_detected():
@@ -323,9 +342,9 @@ def test_hermiticity_preserved_all_kinds(rng):
     rho = DensityState.pure(oracles.random_ket(rng, 2))
     O = oracles.random_hermitian(rng, 2)
     H = oracles.random_hermitian(rng, 2)
-    unitary = evolve_unitary_heisenberg(O, H, rho, grid, probes=tuple(oracles.matrix_units(2)))
+    unitary = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, grid, probes=tuple(oracles.matrix_units(2)))
     lindblad = evolve_lindblad_heisenberg(O, random_lindblad(rng, 2), rho, grid, probes=tuple(oracles.matrix_units(2)))
-    kraus = evolve_kraus_heisenberg(O, KrausGenerator(DephasingKraus(0.8)), rho, grid)
+    kraus = evolve_kraus_heisenberg(O, DephasingKraus(0.8), rho, grid)
     # a Kraus trajectory keeps O(t) at the two ends of its grid only
     for Ot in [*oracles.samples_from_probes(unitary)[:: grid.steps // 4],
                *oracles.samples_from_probes(lindblad)[:: grid.steps // 4],
@@ -393,7 +412,7 @@ def test_heisenberg_schrodinger_duality(dim, seed):
 
 def test_kraus_dephasing_matches_lindblad_solution():
     grid = TimeGrid(0.0, np.pi / 2, 1000)
-    traj = evolve_kraus_heisenberg(sigma_x, KrausGenerator(DephasingKraus(1.0)), PLUS, grid)
+    traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, grid)
     times = grid.times()
     # O(t) = e^{-t} sigma_x: in |+>, <O(t)> = e^{-t} and dO(t) = 0
     assert np.abs(traj.expect - np.exp(-times)).max() <= 1e-9
@@ -407,14 +426,14 @@ def test_kraus_single_unitary_reproduces_unitary():
         lambda t: [oracles.expm_hermitian_oracle(sigma_z, -1j * t)], dim=2, n_ops=1
     )
     grid = TimeGrid(0.0, 1.0, 200)
-    a = evolve_kraus_heisenberg(sigma_x, KrausGenerator(fam), PLUS, grid)
-    b = evolve_unitary_heisenberg(sigma_x, sigma_z, PLUS, grid)
+    a = evolve_kraus_heisenberg(sigma_x, fam, PLUS, grid)
+    b = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, grid)
     assert np.abs(a.expect - b.expect).max() <= 1e-10
 
 
 def test_kraus_identity_is_fixed_point():
     grid = TimeGrid(0.0, 1.0, 100)
-    traj = evolve_kraus_heisenberg(identity(2), KrausGenerator(DephasingKraus(1.3)), PLUS, grid)
+    traj = evolve_kraus_heisenberg(identity(2), DephasingKraus(1.3), PLUS, grid)
     assert np.abs(traj.expect - 1.0).max() <= 1e-12
     for k in (0, -1):
         assert np.abs(traj.at(k) - identity(2)).max() <= 1e-12
@@ -430,7 +449,7 @@ def test_kraus_grid_batch_matches_per_sample_route(rng):
     O = oracles.random_hermitian(rng, 3)
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     grid = TimeGrid(0.0, 0.9, 30)
-    traj = evolve_kraus_heisenberg(O, KrausGenerator(fam), rho, grid)
+    traj = evolve_kraus_heisenberg(O, fam, rho, grid)
     # the grid's exact domain: here t_29 + h rounds above t_30 = T, which must
     # not switch kraus_derivative to a one-sided difference at t_29
     lo, hi = grid.t0, grid.t1
@@ -530,7 +549,7 @@ def test_spreads_match_three_operand_second_moment(rng):
     H, K0 = oracles.random_hermitian(rng, 3), Q[:, :3].reshape(2, 3, 3)
     fam = FunctionKraus(lambda t: oracles.expm_hermitian_oracle(H, -1j * t) @ K0, dim=3, n_ops=2)
     lindblad = evolve_lindblad_heisenberg(O, random_lindblad(rng, 3), rho, grid, probes=tuple(oracles.matrix_units(3)))
-    kraus = evolve_kraus_heisenberg(O, KrausGenerator(fam), rho, grid)
+    kraus = evolve_kraus_heisenberg(O, fam, rho, grid)
     for traj, Os in ((lindblad, oracles.samples_from_probes(lindblad)), (kraus, _kraus_samples(fam, O, grid.times()))):
         assert np.abs(traj.stddev - oracles.three_operand_stddev(Os, rho.matrix)).max() <= 1e-12
 
@@ -541,15 +560,15 @@ def test_kraus_completeness_enforced():
         ops=[[0.9 * identity(2)], [0.9 * identity(2)], [0.9 * identity(2)]],
     )
     with pytest.raises(ValidationError):
-        evolve_kraus_heisenberg(sigma_x, KrausGenerator(bad), PLUS, TimeGrid(0.0, 1.0, 2))
+        evolve_kraus_heisenberg(sigma_x, bad, PLUS, TimeGrid(0.0, 1.0, 2))
 
 
 def test_tabulated_kraus_grid_alignment():
     fam = DephasingKraus(1.0)
     grid = TimeGrid(0.0, 1.0, 4)
     tab = TabulatedKraus(times=grid.times(), ops=[fam.operators(t) for t in grid.times()])
-    a = evolve_kraus_heisenberg(sigma_x, KrausGenerator(tab), PLUS, grid)
-    b = evolve_kraus_heisenberg(sigma_x, KrausGenerator(fam), PLUS, grid)
+    a = evolve_kraus_heisenberg(sigma_x, tab, PLUS, grid)
+    b = evolve_kraus_heisenberg(sigma_x, fam, PLUS, grid)
     assert np.abs(a.expect - b.expect).max() <= 1e-12
     with pytest.raises(ValidationError):
         tab.operators(0.33)
@@ -632,12 +651,14 @@ def test_no_trajectory_holds_a_sample_stack(kind, steps):
     rho = DensityState.pure(oracles.random_ket(rng, dim))
     grid, probes = TimeGrid(0.0, 1.0, steps), (O @ rho.matrix,)
     if kind == "unitary":
-        traj = evolve_unitary_heisenberg(O, oracles.random_hermitian(rng, dim), rho, grid, probes=probes)
+        traj = evolve_unitary_heisenberg(
+            O, UnitaryGenerator(oracles.random_hermitian(rng, dim)), rho, grid, probes=probes
+        )
         traj.mid_stddev
     elif kind == "lindblad":
         traj = evolve_lindblad_heisenberg(O, random_lindblad(rng, dim), rho, grid, probes=probes)
     else:
-        traj = evolve_kraus_heisenberg(O, KrausGenerator(DephasingKraus(0.8)), rho, grid, probes=probes)
+        traj = evolve_kraus_heisenberg(O, DephasingKraus(0.8), rho, grid, probes=probes)
     # after every read a bound makes, so nothing is cached by a read either
     traj.at(0), traj.at(-1), traj.prefix(steps // 2), traj.trace_with(probes[0])
     stacks = [

@@ -10,10 +10,8 @@ from oqsl.linalg import (
     DensityState,
     NumericError,
     ValidationError,
-    commutator,
     expectation,
     hs_norm,
-    identity,
     is_hermitian,
     mat_exp,
     op_norm,
@@ -26,7 +24,7 @@ from oqsl.linalg import (
 from oqsl.sysdl import parse_system
 
 import oracles
-from oracles import builtin_text, is_positive_semidefinite, is_unitary
+from oracles import builtin_text, commutator, identity, is_positive_semidefinite, is_unitary
 
 PLUS = DensityState.pure([1.0, 1.0])
 

@@ -15,7 +15,6 @@ from oqsl.bounds import commutator_probe, correlation_probe
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
     DephasingKraus,
-    KrausGenerator,
     LindbladGenerator,
     RateTable,
     TabulatedKraus,
@@ -143,8 +142,7 @@ def test_streamed_kraus_equals_whole_grid_kernel(name, steps, monkeypatch):
     starts = [start for start, _, _ in dynamics._kraus_chunks([family], O[None], grid, DEFAULT_TOL)]
     assert starts == {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
 
-    gen = KrausGenerator(family)
-    ours, ref = evolve_kraus_heisenberg(O, gen, rho, grid), oracles.kraus_full_stack(O, gen, rho, grid)
+    ours, ref = evolve_kraus_heisenberg(O, family, rho, grid), oracles.kraus_full_stack(O, family, rho, grid)
     for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
         assert np.array_equal(getattr(ours, series), getattr(ref, series))
     for k in (0, -1):
@@ -176,7 +174,7 @@ def test_batched_kraus_equals_per_family_kernel(name, steps, monkeypatch):
         ref = list(oracles.kraus_chunks_per_family(family, O, grid))
         assert np.array_equal(Os, np.concatenate([c[1][0] for c in ref]))
         assert np.array_equal(Ss, np.concatenate([c[2][0] for c in ref]))
-        whole = oracles.kraus_full_stack(O, KrausGenerator(family), rho, grid)
+        whole = oracles.kraus_full_stack(O, family, rho, grid)
         for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
             assert np.array_equal(getattr(traj, series), getattr(whole, series))
 
@@ -185,7 +183,7 @@ def test_kraus_working_set_stays_within_two_chunks():
     # the chunks are sized by the kernel's whole working set: the window of
     # K, K^dag O, dK/dt, K^dag O dK/dt and O(t), not K alone
     steps = 20_000
-    gen = KrausGenerator(DephasingKraus(0.8))
+    gen = DephasingKraus(0.8)
     O, rho = oracles.random_hermitian(np.random.default_rng(2), 2), DensityState.pure([1.0, 1.0])
     tracemalloc.start()
     try:
@@ -202,7 +200,7 @@ def test_kraus_memory_grows_only_by_the_scalar_series():
     # per sample, the reducer keeps <O(t)>, the variance and two speeds
     # (32 bytes) and the grid its time (8); with its K, K^dag O, dK/dt and
     # O(t) stacks, the whole-grid kernel grew by 728 bytes a sample
-    gen = KrausGenerator(DephasingKraus(0.8))
+    gen = DephasingKraus(0.8)
     O, rho = oracles.random_hermitian(np.random.default_rng(1), 2), DensityState.pure([1.0, 1.0])
 
     def peak(steps):

@@ -3,6 +3,7 @@ memoization, and the end values of a second observable, read in the first
 one's unitary eigenbasis."""
 
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,21 @@ import pytest
 import oqsl.cli
 from oqsl import bounds
 from oqsl.bounds import BOUND_IDS, REGISTRY, EvalContext, evaluate_all
-from oqsl.dynamics import TimeGrid, evolve_unitary_heisenberg
+from oqsl.dynamics import (
+    LindbladGenerator,
+    TabulatedKraus,
+    TimeGrid,
+    UnitaryGenerator,
+    evolve_kraus_heisenberg,
+    evolve_unitary_heisenberg,
+)
 from oqsl.linalg import DensityState, ValidationError, op_norm, sigma_x, sigma_z
 from oqsl.sysdl import parse_system
 
 import oracles
 
 DEPHASING = "src/oqsl/systems/dephasing.sys"
+TIGHT_QUBIT = "src/oqsl/systems/tight_qubit.sys"
 
 
 def test_bound_ids_follow_the_table():
@@ -37,17 +46,14 @@ def _unitary_case(rng, dim=4):
 
 def _unitary_context(O, H, rho, grid, **slots):
     """The unitary context of O, whose evolution keeps the probes it declares."""
-    ctx = EvalContext(
-        "unitary", grid, O, rho, lambda: evolve_unitary_heisenberg(O, H, rho, grid, probes=ctx.probes), H=H, **slots
-    )
-    return ctx
+    return EvalContext(UnitaryGenerator(H), grid, O, rho, evolve_unitary_heisenberg, **slots)
 
 
 def test_second_observable_matches_its_own_evolution(rng):
     H, O, rho, grid = _unitary_case(rng)
     M = oracles.random_hermitian(rng, 4)
     ends = _unitary_context(O, H, rho, grid, self_inverse=M).ends(M)
-    direct = evolve_unitary_heisenberg(M, H, rho, grid).expect
+    direct = evolve_unitary_heisenberg(M, UnitaryGenerator(H), rho, grid).expect
     assert np.abs(np.array(ends) - direct[[0, -1]]).max() <= 1e-14 * op_norm(M)
     # O itself is read from its own trajectory
     ctx = _unitary_context(O, H, rho, grid)
@@ -81,13 +87,42 @@ def test_context_memoizes_the_trajectory():
     calls = []
     rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 100)
 
-    def evolve():
+    def evolve(*args, **kwargs):
         calls.append(1)
-        return evolve_unitary_heisenberg(sigma_x, sigma_z, rho, grid, probes=ctx.probes)
+        return evolve_unitary_heisenberg(*args, **kwargs)
 
-    ctx = EvalContext("unitary", grid, sigma_x, rho, evolve, H=sigma_z, self_inverse=sigma_x)
+    ctx = EvalContext(UnitaryGenerator(sigma_z), grid, sigma_x, rho, evolve, self_inverse=sigma_x)
     evaluate_all(ctx)
     assert len(calls) == 1
+
+
+def test_context_reads_hbar_from_its_generator_as_the_cli_does():
+    # hbar is stated once, by the generator, which every bound reads through the context
+    argv = ["bound", "--system", TIGHT_QUBIT, "--observable", "O", "--tmax", "1", "--hbar", "2", "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    assert oqsl.cli.main(argv, out=out, err=err) == 0, err.getvalue()
+    reports = json.loads(out.getvalue())["reports"]
+    printed = [(r["bound_id"], r["T_qsl"], r["inputs_digest"], r["details"]) for r in reports]
+    spec = parse_system(Path(TIGHT_QUBIT).read_text())
+    gen, grid = UnitaryGenerator(sigma_z, hbar=2.0), TimeGrid(0.0, 1.0, 1000)
+    ctx = EvalContext(gen, grid, sigma_x, spec.initial_state, evolve_unitary_heisenberg, self_inverse=sigma_x)
+    assert ctx.hbar == 2.0 and ctx.H is gen.H
+    assert [(r.bound_id, r.T_qsl, r.inputs_digest, r.details) for r in evaluate_all(ctx)] == printed
+    at_one = EvalContext(UnitaryGenerator(sigma_z), grid, sigma_x, spec.initial_state, evolve_unitary_heisenberg)
+    assert evaluate_all(at_one)[0].T_qsl != printed[0][1]
+
+
+def test_context_kind_follows_its_generator():
+    grid, rho = TimeGrid(0.0, 1.0, 20), DensityState.pure([1.0, 1.0])
+    ops = np.broadcast_to(np.sqrt(0.5) * np.stack([np.eye(2), sigma_z]), (21, 2, 2, 2))
+    ctx = EvalContext(TabulatedKraus(grid.times(), ops), grid, sigma_x, rho, evolve_kraus_heisenberg)
+    assert ctx.kind == "kraus" and [s.id for s in bounds.select(ctx)] == ["KRAUS"]
+    [report] = evaluate_all(ctx)
+    assert report.bound_id == "KRAUS" and report.valid
+    # an evolution of another kind than the generator's is refused
+    wrong = EvalContext(LindbladGenerator(sigma_z), grid, sigma_x, rho, evolve_unitary_heisenberg)
+    with pytest.raises(ValidationError, match="a unitary evolution does not follow a lindblad generator"):
+        wrong.traj
 
 
 def _counting(monkeypatch, module, name, calls, fail=False):
@@ -169,16 +204,17 @@ def test_cli_rejects_observable_b_that_no_selected_bound_reads(monkeypatch):
 def test_probes_are_declared_by_the_bounds_that_read_them(rng):
     O, B = oracles.random_hermitian(rng, 3), oracles.random_hermitian(rng, 3)
     pure, grid = DensityState.pure(oracles.random_ket(rng, 3)), TimeGrid(0.0, 1.0, 10)
-    corr, comm = EvalContext("lindblad", grid, O, pure, None, B=B).probes
+    lindblad, unitary = LindbladGenerator(O), UnitaryGenerator(O)
+    corr, comm = EvalContext(lindblad, grid, O, pure, None, B=B).probes
     assert np.array_equal(corr, bounds.correlation_probe(O, pure))
     assert np.array_equal(comm, bounds.commutator_probe(B, pure))
-    assert len(EvalContext("lindblad", grid, O, pure, None).probes) == 1
+    assert len(EvalContext(lindblad, grid, O, pure, None).probes) == 1
     # CORR_OPEN and COMM_OPEN need a pure state, like their closed twins
-    assert EvalContext("lindblad", grid, O, oracles.maximally_mixed(3), None, B=B).probes == ()
-    assert EvalContext("unitary", grid, O, oracles.maximally_mixed(3), None, H=O, B=B).probes == ()
-    corr, comm = EvalContext("unitary", grid, O, pure, None, H=O, B=B).probes
+    assert EvalContext(lindblad, grid, O, oracles.maximally_mixed(3), None, B=B).probes == ()
+    assert EvalContext(unitary, grid, O, oracles.maximally_mixed(3), None, B=B).probes == ()
+    corr, comm = EvalContext(unitary, grid, O, pure, None, B=B).probes
     assert np.array_equal(corr, bounds.correlation_probe(O, pure))
     assert np.array_equal(comm, bounds.commutator_probe(B, pure))
     # the rate audit declares its probe last
-    *_, rate = EvalContext("unitary", grid, O, pure, None, H=B, rates=True).probes
+    *_, rate = EvalContext(UnitaryGenerator(B), grid, O, pure, None, rates=True).probes
     assert np.array_equal(rate, 1j * (pure.matrix @ B - B @ pure.matrix))

@@ -430,7 +430,7 @@ def test_generator_construction_by_kind():
     spec = parse_system(builtin_text("dephasing"))
     assert len(spec.generator().jumps) == 1
     spec = parse_system(builtin_text("kraus_dephasing"))
-    assert isinstance(spec.generator().family, DephasingKraus)
+    assert spec.generator() is spec.kraus and isinstance(spec.kraus, DephasingKraus)
 
 
 # ---------------------------------------------------------------------------

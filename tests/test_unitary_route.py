@@ -19,7 +19,7 @@ from oqsl.bounds import (
     rate_audit,
     two_time_correlation,
 )
-from oqsl.dynamics import TimeGrid, evolve_unitary_heisenberg
+from oqsl.dynamics import TimeGrid, UnitaryGenerator, evolve_unitary_heisenberg
 from oqsl.linalg import DensityState, ValidationError, hs_norm, op_norm, sigma_z
 
 import oracles
@@ -56,7 +56,7 @@ def _close(a, b, scale, tol=1e-11):
 
 def _context(A, H, B, rho, hbar):
     """The context of A whose probes are those of its bounds and its rate audit."""
-    return EvalContext("unitary", GRID, A, rho, None, H=H, hbar=hbar, B=B, rates=True)
+    return EvalContext(UnitaryGenerator(H, hbar=hbar), GRID, A, rho, None, B=B, rates=True)
 
 
 @pytest.fixture(params=sorted(CASES), ids=sorted(CASES))
@@ -64,7 +64,7 @@ def case(request):
     H, A, B, rho, hbar = CASES[request.param]
     # the probes of the bounds and the rate audit, B rho, and the matrix units
     probes = (*_context(A, H, B, rho, hbar).probes, B @ rho.matrix, *oracles.matrix_units(A.shape[0]))
-    traj = evolve_unitary_heisenberg(A, H, rho, GRID, hbar=hbar, probes=probes)
+    traj = evolve_unitary_heisenberg(A, UnitaryGenerator(H, hbar=hbar), rho, GRID, probes=probes)
     ref = oracles.dense_unitary_route(A, H, rho.matrix, GRID.times(), hbar)
     return H, A, B, rho, hbar, traj, ref
 
@@ -108,7 +108,7 @@ def test_undeclared_probes_and_interior_samples_raise(case):
 def test_trace_with_finds_a_probe_by_value():
     rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 10)
     declared = np.diag([1.0, -1.0])  # real entries, two of them zero
-    traj = evolve_unitary_heisenberg(sigma_z, sigma_z, rho, grid, probes=(declared,))
+    traj = evolve_unitary_heisenberg(sigma_z, UnitaryGenerator(sigma_z), rho, grid, probes=(declared,))
     series = traj.trace_with(declared)
     # a complex copy whose zeros carry the other sign is the same matrix
     assert traj.trace_with(np.array([[1.0, -0.0], [-0.0, -1.0]], dtype=complex)) is series
@@ -178,7 +178,9 @@ def test_unitary_bounds_stay_far_below_one_sample_stack():
     grid = TimeGrid(0.0, 1.0, steps)
     tracemalloc.start()
     try:
-        traj = evolve_unitary_heisenberg(A, H, rho, grid, probes=(correlation_probe(A, rho), commutator_probe(B, rho)))
+        traj = evolve_unitary_heisenberg(
+            A, UnitaryGenerator(H), rho, grid, probes=(correlation_probe(A, rho), commutator_probe(B, rho))
+        )
         oqsl_generator_hs(traj, rho)
         C = two_time_correlation(A, traj, rho)
         corr_qsl(C, grid, op_norm(A), traj.gen_speed_op, kind="closed")
