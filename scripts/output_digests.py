@@ -19,9 +19,12 @@ that it reads from a table, and its 1,000 steps span two chunks. Last, two
 ``bound`` runs that select a subset (SUBSETS), one unitary and one on the
 d = 17 Lindblad system, so that a change to what a selection declares,
 evolves or evaluates shows, and ``bound --bounds ALL`` at ``--hbar 2`` on
-two built-in systems (HBAR_FILES), one unitary and one Lindblad: every
-built-in file has hbar = 1, so only these show a bound that reads the
-wrong hbar.
+three systems (HBAR_FILES): every built-in file has hbar = 1, so only these
+show a bound that reads the wrong hbar. Two are built in, one unitary and
+one Lindblad; on the Lindblad one CORR_OPEN is 0 and B is missing, so only
+the third, the d = 17 Lindblad system (with ``--observable-b B``), whose
+H is nonzero and whose C(t) moves, shows a wrong hbar in the open
+correlation and commutator bounds.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -82,8 +85,8 @@ KRAUS_STEPS = 40000
 TABLE_FILE, TABLE_DIM, TABLE_SEED, TABLE_T, TABLE_STEPS = "kraus_table_3.sys", 3, 3, 1.0, 1000
 # (file, observable, --bounds) of the subset runs, each with --observable-b B; RK4_FILE is the generated one
 SUBSETS = (("two_qubit.sys", "A", "COMM_CLOSED,GENERATOR_HS"), (RK4_FILE, "A", "COMM_OPEN,GENERATOR_HS"))
-# the built-in systems run again at --hbar HBAR, with their BUILTIN_BOUNDS arguments
-HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys")
+# the systems run again at --hbar HBAR: built-in ones with their BUILTIN_BOUNDS arguments
+HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys", RK4_FILE)
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -160,7 +163,8 @@ def commands(workdir: Path):
         "evolve", "--system", str(SYSTEMS / "kraus_dephasing.sys"), *evolve, "--steps", str(KRAUS_STEPS)
     ]
     rk4 = ["--system", str(workdir / RK4_FILE), "--observable", "A", "--tmax", "1.0", "--format", "json"]
-    yield f"bound:{RK4_FILE}", ["bound", *rk4, "--observable-b", "B", "--bounds", "ALL"]
+    rk4_bound = ["bound", *rk4, "--observable-b", "B", "--bounds", "ALL"]
+    yield f"bound:{RK4_FILE}", rk4_bound
     yield f"evolve:{RK4_FILE}", ["evolve", *rk4]
     yield f"parse:{RK4_FILE}", ["parse", "--system", str(workdir / RK4_FILE)]
     table = ["--system", str(workdir / TABLE_FILE), "--observable", "A", "--tmax", repr(TABLE_T), "--format", "json"]
@@ -172,6 +176,8 @@ def commands(workdir: Path):
     for fname, obs, obs_b, tmax in BUILTIN_BOUNDS:
         if fname in HBAR_FILES:
             yield f"bound:{fname}:hbar={HBAR!r}", _bound_all(fname, obs, obs_b, tmax) + ["--hbar", repr(HBAR)]
+    if RK4_FILE in HBAR_FILES:
+        yield f"bound:{RK4_FILE}:hbar={HBAR!r}", rk4_bound + ["--hbar", repr(HBAR)]
 
 
 def _bound_all(fname: str, obs: str, obs_b, tmax: float) -> list:

@@ -470,81 +470,71 @@ def two_time_correlation(
     return C
 
 
-def corr_qsl(
-    C: np.ndarray,
-    grid: TimeGrid,
-    a0_op: float,
-    speeds_op: np.ndarray,
-    hbar: float = 1.0,
-    kind: str = "closed",
-) -> BoundReport:
-    """Correlation-function bound:
+def _twin_id(name: str, traj: Trajectory) -> str:
+    """The id of the closed (unitary) or open (Lindblad) twin of bound ``name``
+    that ``traj`` takes; a Kraus trajectory is rejected."""
+    if traj.kind not in ("unitary", "lindblad"):
+        raise ValidationError(f"{name} requires a unitary- or lindblad-kind trajectory")
+    return f"{name}_{'CLOSED' if traj.kind == 'unitary' else 'OPEN'}"
 
-    T_qsl = (hbar / 2) |C(T) - C(0)| / (||A(0)||_op * Lambda_T),
 
-    where Lambda_T time-averages the operator-norm speed supplied by the
-    caller on C's ``grid``: ||[H, A(t)]||_op for closed dynamics,
-    ||L^dag[A(t)]||_op for open dynamics. |C(T) - C(0)| is the complex modulus.
+def corr_qsl(C: np.ndarray, traj: Trajectory, a0_op: float) -> BoundReport:
+    """Correlation-function bound on the unitary or Lindblad trajectory of A:
+
+    T_qsl = |C(T) - C(0)| / (2 ||A(0)||_op * Lambda_T),
+
+    from |dC/dt| <= 2 ||A(0)||_op ||dA/dt||_op, where Lambda_T time-averages
+    the trajectory's ||dA/dt||_op (``gen_speed_op``). hbar enters only
+    through dA/dt, as the generator states it, so one formula serves both
+    kinds: CORR_CLOSED on a unitary trajectory, CORR_OPEN on a Lindblad one.
+    |C(T) - C(0)| is the complex modulus.
     """
-    if kind not in ("closed", "open"):
-        raise ValidationError(f"unknown correlation kind {kind!r}")
-    speeds_op = np.asarray(speeds_op, dtype=float)
-    if speeds_op.shape != (grid.steps + 1,):
-        raise ValidationError("speed samples must match the correlation grid")
-    bound_id = "CORR_CLOSED" if kind == "closed" else "CORR_OPEN"
+    bound_id = _twin_id("CORR", traj)
+    if np.shape(C) != traj.expect.shape:
+        raise ValidationError("correlation samples must match the trajectory grid")
     num = abs(complex(C[-1] - C[0]))
-    lam = _mean_speed(speeds_op, grid)
-    tqsl = hbar / 2.0 * _ratio(bound_id, num, a0_op * lam, "||A(0)||_op * mean speed")
+    lam = _mean_speed(traj.gen_speed_op, traj.grid)
+    tqsl = _ratio(bound_id, num, 2.0 * a0_op * lam, "2 ||A(0)||_op * mean speed")
     details = {
         "corr_change": float(num),
         "a0_op": float(a0_op),
         "lambda_T_op": lam,
     }
-    inputs = (C, a0_op, speeds_op, hbar)
-    return _report(bound_id, grid.duration, tqsl, inputs, details)
+    inputs = (C, a0_op, traj.gen_speed_op)
+    return _report(bound_id, traj.grid.duration, tqsl, inputs, details)
 
 
-def commutator_qsl(
-    B0: np.ndarray,
-    traj: Trajectory,
-    rho: DensityState,
-    hbar: float = 1.0,
-    kind: str = "closed",
-) -> BoundReport:
-    """Commutator-growth bound for <O(t)> = tr([B(0), A(t)] rho):
+def commutator_qsl(B0: np.ndarray, traj: Trajectory, rho: DensityState) -> BoundReport:
+    """Commutator-growth bound for <O(t)> = tr([B(0), A(t)] rho) on the
+    unitary or Lindblad trajectory of A:
 
-    T_qsl = (hbar / 2) |<O(T)>| / (||B(0)||_op * Lambda_T).
+    T_qsl = |<O(T)>| / (2 ||B(0)||_op * Lambda_T),
 
-    The observable pair is meant to commute at t = 0 (operators supported on
-    different regions), so |<O(T)>| is the full change of the commutator
-    expectation; its complex modulus is used.
+    with Lambda_T the time average of ||dA/dt||_op, which carries hbar, as
+    for :func:`corr_qsl`: COMM_CLOSED on a unitary trajectory, COMM_OPEN on a
+    Lindblad one. The observable pair is meant to commute at t = 0
+    (operators supported on different regions), so |<O(T)>| is the full
+    change of the commutator expectation; its complex modulus is used.
     """
-    if kind not in ("closed", "open"):
-        raise ValidationError(f"unknown commutator kind {kind!r}")
-    expected = "unitary" if kind == "closed" else "lindblad"
-    if traj.kind != expected:
-        raise ValidationError(f"COMM {kind} requires a {expected}-kind trajectory")
+    bound_id = _twin_id("COMM", traj)
     if not rho.is_pure():
         raise ValidationError("commutator bound requires a pure state")
     B0 = as_matrix(B0, "observable")
     if B0.shape[0] != traj.dim:
         raise ValidationError(f"dimension mismatch: {B0.shape[0]} vs {traj.dim}")
-    bound_id = "COMM_CLOSED" if kind == "closed" else "COMM_OPEN"
 
     expect_c = traj.trace_with(commutator_probe(B0, rho))
     num = abs(complex(expect_c[-1]))
-    # closed dynamics: gen_speed_op holds ||[H, A]||_op / hbar
-    speeds = traj.gen_speed_op * (hbar if kind == "closed" else 1.0)
-    lam = _mean_speed(speeds, traj.grid)
+    lam = _mean_speed(traj.gen_speed_op, traj.grid)
     b0_op = op_norm(B0)
-    tqsl = hbar / 2.0 * _ratio(bound_id, num, b0_op * lam, "||B(0)||_op * mean speed")
+    tqsl = _ratio(bound_id, num, 2.0 * b0_op * lam, "2 ||B(0)||_op * mean speed")
     details = {
         "comm_expect_0": abs(complex(expect_c[0])),
         "comm_expect_T": float(num),
         "b0_op": b0_op,
         "lambda_T_op": lam,
     }
-    inputs = (B0, traj.expect, traj.gen_speed_op, rho.matrix, hbar)
+    inputs = (B0, traj.expect, traj.gen_speed_op, rho.matrix)
     return _report(bound_id, traj.grid.duration, tqsl, inputs, details)
 
 
@@ -703,17 +693,6 @@ def _state_mt(c: EvalContext) -> BoundReport:
     return state_qsl_projector(p0, pT, c.delta_H, c.T, hbar=c.hbar, tol=c.tol)
 
 
-def _corr(c: EvalContext, kind: str) -> BoundReport:
-    C = two_time_correlation(c.O, c.traj, c.rho, tol=c.tol)
-    # closed dynamics: gen_speed_op holds ||[H, A]||_op / hbar
-    speeds = c.traj.gen_speed_op * c.hbar if kind == "closed" else c.traj.gen_speed_op
-    return corr_qsl(C, c.traj.grid, op_norm(c.O), speeds, hbar=c.hbar, kind=kind)
-
-
-def _comm(c: EvalContext, kind: str) -> BoundReport:
-    return commutator_qsl(c.B, c.traj, c.rho, hbar=c.hbar, kind=kind)
-
-
 def _delcampo(c: EvalContext) -> BoundReport:
     lrho0_hs2 = hs_norm(lindblad_apply(c.generator, c.rho.matrix, 0.0)) ** 2
     return qsl_delcampo(c.rho, c.rho_T, lrho0_hs2, c.T)
@@ -738,6 +717,8 @@ class BoundSpec:
 
 _U, _L, _UL = ("unitary",), ("lindblad",), ("unitary", "lindblad")
 _CORR_PROBE, _COMM_PROBE = (lambda c: correlation_probe(c.O, c.rho)), (lambda c: commutator_probe(c.B, c.rho))
+# each twin pair has one evaluation: the trajectory's kind picks the id it reports
+_CORR = lambda c: corr_qsl(two_time_correlation(c.O, c.traj, c.rho, tol=c.tol), c.traj, op_norm(c.O))
 
 REGISTRY = (
     BoundSpec("MT_INTEGRAL", _U, ("spread",), lambda c: oqsl_mt_integral(c.traj, c.delta_H, hbar=c.hbar)),
@@ -757,10 +738,10 @@ REGISTRY = (
     ),
     BoundSpec("BATTERY_CT1", _U, ("pure",), lambda c: c.battery[0]),
     BoundSpec("BATTERY_CT2", _U, ("pure",), lambda c: c.battery[1]),
-    BoundSpec("CORR_CLOSED", _U, ("pure",), lambda c: _corr(c, "closed"), _CORR_PROBE),
-    BoundSpec("CORR_OPEN", _L, ("pure",), lambda c: _corr(c, "open"), _CORR_PROBE),
-    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), lambda c: _comm(c, "closed"), _COMM_PROBE),
-    BoundSpec("COMM_OPEN", _L, ("pure", "B"), lambda c: _comm(c, "open"), _COMM_PROBE),
+    BoundSpec("CORR_CLOSED", _U, ("pure",), _CORR, _CORR_PROBE),
+    BoundSpec("CORR_OPEN", _L, ("pure",), _CORR, _CORR_PROBE),
+    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho), _COMM_PROBE),
+    BoundSpec("COMM_OPEN", _L, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho), _COMM_PROBE),
     BoundSpec("KRAUS", ("kraus",), (), lambda c: oqsl_kraus(c.traj, c.rho)),
 )
 

@@ -34,6 +34,8 @@ EVOLVE_CSV_HEADER = "t,expect,stddev,gen_speed_hs,gen_speed_op"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+# the smallest --tol accepted: checks against a tolerance of 0 fail on 1-ulp rounding
+TOL_FLOOR = 1e-12
 
 
 def _f12(x: float) -> str:
@@ -263,8 +265,8 @@ def main(argv=None, out=None, err=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tol = getattr(args, "tol", DEFAULT_TOL)  # scenario and audit take no --tol
-        if not (np.isfinite(tol) and tol >= 0):
-            raise ValidationError(f"--tol must be a nonnegative finite number, got {tol!r}")
+        if not (np.isfinite(tol) and tol >= TOL_FLOOR):
+            raise ValidationError(f"--tol must be a finite number of at least {TOL_FLOOR!r}, got {tol!r}")
         return COMMANDS[args.command](args, out, err)
     except ParseError as exc:
         print(exc.render(getattr(args, "system", "<sysdl>")), file=err)

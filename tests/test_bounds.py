@@ -27,6 +27,7 @@ from oqsl.dynamics import (
     LindbladGenerator,
     RateTable,
     TimeGrid,
+    Trajectory,
     UnitaryGenerator,
     dephasing_generator,
     evolve_kraus_heisenberg,
@@ -503,7 +504,8 @@ def test_corr_qsl_commuting_case_zero():
         sigma_z, UnitaryGenerator(sigma_z), GROUND, grid, probes=(correlation_probe(sigma_z, GROUND),)
     )
     C = two_time_correlation(sigma_z, traj, GROUND)
-    rep = corr_qsl(C, grid, op_norm(sigma_z), traj.gen_speed_op, kind="closed")
+    rep = corr_qsl(C, traj, op_norm(sigma_z))
+    assert rep.bound_id == "CORR_CLOSED"
     assert rep.T_qsl == 0.0
 
 
@@ -514,7 +516,7 @@ def test_corr_qsl_closed_value_and_validity():
     probes = (correlation_probe(sigma_x, GROUND),)
     traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z, hbar=hbar), GROUND, grid, probes=probes)
     C = two_time_correlation(sigma_x, traj, GROUND)
-    rep = corr_qsl(C, grid, op_norm(sigma_x), traj.gen_speed_op * hbar, kind="closed")
+    rep = corr_qsl(C, traj, op_norm(sigma_x))
     assert rep.T_qsl == pytest.approx(abs(np.sin(T)) / 2.0, abs=1e-9)
     assert rep.T_qsl <= T + 1e-6
 
@@ -526,15 +528,18 @@ def test_corr_qsl_open_value_and_validity():
         sigma_x, dephasing_generator(1.0), GROUND, grid, probes=lindblad_probes(sigma_x, None, GROUND, grid)
     )
     C = two_time_correlation(sigma_x, traj, GROUND)
-    rep = corr_qsl(C, grid, op_norm(sigma_x), traj.gen_speed_op, kind="open")
+    rep = corr_qsl(C, traj, op_norm(sigma_x))
+    assert rep.bound_id == "CORR_OPEN"
     assert rep.T_qsl == pytest.approx(T / 2.0, abs=1e-5)
     assert rep.T_qsl <= T + 1e-6
 
 
 def test_corr_qsl_zero_speed_inconsistency():
-    grid = TimeGrid(0.0, 1.0, 4)
+    # a correlation that changes along a trajectory whose speeds are all zero
+    grid, zeros = TimeGrid(0.0, 1.0, 4), np.zeros(5)
+    traj = Trajectory("unitary", grid, zeros, zeros, zeros, zeros, (np.eye(2), np.eye(2)))
     with pytest.raises(NumericError):
-        corr_qsl(np.linspace(0.0, 1.0, 5).astype(complex), grid, 1.0, np.zeros(5), kind="closed")
+        corr_qsl(np.linspace(0.0, 1.0, 5).astype(complex), traj, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +562,8 @@ def test_commutator_closed_locality_toy():
     traj = evolve_unitary_heisenberg(
         TWOQ_A, UnitaryGenerator(TWOQ_H), rho, grid, probes=(commutator_probe(TWOQ_B, rho),)
     )
-    rep = commutator_qsl(TWOQ_B, traj, rho, kind="closed")
+    rep = commutator_qsl(TWOQ_B, traj, rho)
+    assert rep.bound_id == "COMM_CLOSED"
     assert rep.details["comm_expect_0"] <= 1e-12
     assert rep.details["comm_expect_T"] > 0.01
     assert 0.0 < rep.T_qsl <= grid.duration + 1e-6
@@ -570,7 +576,7 @@ def test_commutator_closed_commuting_pair_zero():
     traj = evolve_unitary_heisenberg(
         A, UnitaryGenerator(TWOQ_H), rho, TimeGrid(0.0, 1.0, 200), probes=(commutator_probe(TWOQ_B, rho),)
     )
-    rep = commutator_qsl(TWOQ_B, traj, rho, kind="closed")
+    rep = commutator_qsl(TWOQ_B, traj, rho)
     assert rep.T_qsl == 0.0
 
 
@@ -583,7 +589,8 @@ def test_commutator_open_validity():
     )
     grid = TimeGrid(0.0, 0.8, 800)
     traj = evolve_lindblad_heisenberg(TWOQ_A, gen, rho, grid, probes=lindblad_probes(TWOQ_A, TWOQ_B, rho, grid))
-    rep = commutator_qsl(TWOQ_B, traj, rho, kind="open")
+    rep = commutator_qsl(TWOQ_B, traj, rho)
+    assert rep.bound_id == "COMM_OPEN"
     assert rep.details["comm_expect_0"] <= 1e-12
     assert rep.T_qsl <= grid.duration + 1e-6
 
@@ -592,14 +599,17 @@ def test_commutator_requires_pure_state():
     mixed = oracles.maximally_mixed(4)
     traj = evolve_unitary_heisenberg(TWOQ_A, UnitaryGenerator(TWOQ_H), mixed, TimeGrid(0.0, 1.0, 10))
     with pytest.raises(ValidationError):
-        commutator_qsl(TWOQ_B, traj, mixed, kind="closed")
+        commutator_qsl(TWOQ_B, traj, mixed)
 
 
 def test_commutator_kind_must_match_trajectory():
-    rho = twoq_state()
-    traj = evolve_unitary_heisenberg(TWOQ_A, UnitaryGenerator(TWOQ_H), rho, TimeGrid(0.0, 1.0, 10))
-    with pytest.raises(ValidationError):
-        commutator_qsl(TWOQ_B, traj, rho, kind="open")
+    # a Kraus trajectory has neither a closed nor an open twin
+    probes = (commutator_probe(sigma_z, PLUS), correlation_probe(sigma_x, PLUS))
+    traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, TimeGrid(0.0, 1.0, 10), probes=probes)
+    with pytest.raises(ValidationError, match="COMM requires a unitary- or lindblad-kind trajectory"):
+        commutator_qsl(sigma_z, traj, PLUS)
+    with pytest.raises(ValidationError, match="CORR requires a unitary- or lindblad-kind trajectory"):
+        corr_qsl(two_time_correlation(sigma_x, traj, PLUS), traj, op_norm(sigma_x))
 
 
 # ---------------------------------------------------------------------------

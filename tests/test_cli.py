@@ -13,7 +13,7 @@ import pytest
 
 import oqsl
 from oqsl import audit
-from oqsl.cli import main
+from oqsl.cli import TOL_FLOOR, main
 from oqsl.dynamics import EXACT_MAX_DIM, LindbladGenerator, TimeGrid, _takes_exact_route, evolve_lindblad_heisenberg
 from oqsl.sysdl import parse_system
 
@@ -416,7 +416,7 @@ def test_non_finite_hbar_rejected(system, command, hbar):
     assert "hbar must be positive" in err
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
 @pytest.mark.parametrize(
     "argv",
     [["bound", "--observable", "O", "--tmax", "1"], ["evolve", "--observable", "O", "--tmax", "1"], ["parse"]],
@@ -426,7 +426,22 @@ def test_negative_or_non_finite_tol_rejected(argv, tol):
     code, out, err = run_cli(argv + ["--system", DEPHASING, "--tol", tol])
     assert code == 2
     assert out == ""
-    assert "--tol must be a nonnegative finite number" in err
+    assert f"--tol must be a finite number of at least {TOL_FLOOR!r}" in err
+
+
+# each built-in once, two_qubit with its B
+@pytest.mark.parametrize("name,obs,obs_b,tmax", [c[:4] for c in REPORT_ORDER if c[2] or c[0] != "two_qubit"])
+def test_builtin_systems_pass_at_tol_floor(name, obs, obs_b, tmax):
+    # the floor sits above the 1-ulp rounding that a tolerance of 0 trips over
+    tol = ["--tol", repr(TOL_FLOOR), "--steps", "50"]
+    path = str(SYSTEMS / f"{name}.sys")
+    for argv in (
+        _bound_argv(name, obs, obs_b, tmax, "--bounds", "ALL", *tol),
+        ["evolve", "--system", path, "--observable", obs, "--tmax", tmax, *tol],
+        ["parse", "--system", path, "--tol", repr(TOL_FLOOR)],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
 
 
 def test_evolve_json(dephasing_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqsl.bounds import EvalContext, evaluate_all
 from oqsl.dynamics import (
     DephasingKraus,
     LindbladGenerator,
@@ -249,13 +250,27 @@ def test_lindblad_dephasing_closed_form():
 
 def test_lindblad_zero_rates_reduce_to_unitary(rng):
     H = oracles.random_hermitian(rng, 2)
-    gen = LindbladGenerator(H=H, jumps=((sigma_z, 0.0),))
+    rho = DensityState.pure(oracles.random_ket(rng, 2))
     grid = TimeGrid(0.0, np.pi / 2, 1000)
-    a = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=tuple(oracles.matrix_units(2)))
-    b = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(H), PLUS, grid, probes=tuple(oracles.matrix_units(2)))
-    assert np.abs(a.expect - b.expect).max() <= 1e-8
-    Oa, Ob = oracles.samples_from_probes(a), oracles.samples_from_probes(b)
-    assert max(np.abs(Oa - Ob).max(axis=(1, 2))) <= 1e-8
+    for hbar in (1.0, 2.0):
+        gen = LindbladGenerator(H=H, jumps=((sigma_z, 0.0),), hbar=hbar)
+        closed = UnitaryGenerator(H, hbar=hbar)
+        a = evolve_lindblad_heisenberg(sigma_x, gen, rho, grid, probes=tuple(oracles.matrix_units(2)))
+        b = evolve_unitary_heisenberg(sigma_x, closed, rho, grid, probes=tuple(oracles.matrix_units(2)))
+        assert np.abs(a.expect - b.expect).max() <= 1e-8
+        Oa, Ob = oracles.samples_from_probes(a), oracles.samples_from_probes(b)
+        assert max(np.abs(Oa - Ob).max(axis=(1, 2))) <= 1e-8
+        # the bounds both kinds share, and each open twin against its closed one
+        shared = ("GENERATOR_HS", "STATE_INDEP")
+        open_ = EvalContext(
+            gen, grid, sigma_x, rho, evolve_lindblad_heisenberg, B=sigma_z, ids=(*shared, "CORR_OPEN", "COMM_OPEN")
+        )
+        unitary = EvalContext(
+            closed, grid, sigma_x, rho, evolve_unitary_heisenberg, B=sigma_z, ids=(*shared, "CORR_CLOSED", "COMM_CLOSED")
+        )
+        for ra, rb in zip(evaluate_all(open_), evaluate_all(unitary), strict=True):
+            assert rb.T_qsl > 0.01
+            assert ra.T_qsl == pytest.approx(rb.T_qsl, rel=1e-8), (hbar, ra.bound_id)
 
 
 def test_rk4_fourth_order_convergence():

@@ -146,10 +146,10 @@ def test_correlation_and_commutator_match_dense_route(case):
     scale = op_norm(A) * op_norm(B)
     C = two_time_correlation(A, traj, rho)
     _close(C, oracles.dense_correlation(Os, A, rho.matrix), op_norm(A) ** 2)
-    corr = corr_qsl(C, GRID, op_norm(A), traj.gen_speed_op * hbar, hbar=hbar, kind="closed")
+    corr = corr_qsl(C, traj, op_norm(A))
     assert corr.T_qsl >= 0.0
 
-    rep = commutator_qsl(B, traj, rho, hbar=hbar, kind="closed")
+    rep = commutator_qsl(B, traj, rho)
     ref = oracles.dense_commutator_expect(Os, B, rho.matrix)
     assert rep.details["comm_expect_0"] == pytest.approx(abs(ref[0]), abs=1e-11 * scale)
     assert rep.details["comm_expect_T"] == pytest.approx(abs(ref[-1]), abs=1e-11 * scale)
@@ -183,8 +183,8 @@ def test_unitary_bounds_stay_far_below_one_sample_stack():
         )
         oqsl_generator_hs(traj, rho)
         C = two_time_correlation(A, traj, rho)
-        corr_qsl(C, grid, op_norm(A), traj.gen_speed_op, kind="closed")
-        commutator_qsl(B, traj, rho, kind="closed")
+        corr_qsl(C, traj, op_norm(A))
+        commutator_qsl(B, traj, rho)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
