@@ -24,7 +24,11 @@ show a bound that reads the wrong hbar. Two are built in, one unitary and
 one Lindblad; on the Lindblad one CORR_OPEN is 0 and B is missing, so only
 the third, the d = 17 Lindblad system (with ``--observable-b B``), whose
 H is nonzero and whose C(t) moves, shows a wrong hbar in the open
-correlation and commutator bounds.
+correlation and commutator bounds. Last, ``bound --bounds ALL`` at
+``--hbar 2`` on a qubit whose A = X and B = Y do not commute, written like
+the generated systems once as a unitary and once as a Lindblad system
+(PAIR_FILES): every other B commutes with its A at t = 0, so only these show
+a commutator bound that takes <[B, A](T)> for its change.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -87,6 +91,9 @@ TABLE_FILE, TABLE_DIM, TABLE_SEED, TABLE_T, TABLE_STEPS = "kraus_table_3.sys", 3
 SUBSETS = (("two_qubit.sys", "A", "COMM_CLOSED,GENERATOR_HS"), (RK4_FILE, "A", "COMM_OPEN,GENERATOR_HS"))
 # the systems run again at --hbar HBAR: built-in ones with their BUILTIN_BOUNDS arguments
 HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys", RK4_FILE)
+# a qubit pair A = X, B = Y that does not commute, as a unitary and as a
+# Lindblad system with the jump Z at PAIR_RATE, each run at --hbar HBAR
+PAIR_FILES, PAIR_RATE = {"pair_unitary.sys": "unitary", "pair_lindblad.sys": "lindblad"}, 0.3
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -145,6 +152,21 @@ def kraus_table_system_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def pair_system_text(kind: str) -> str:
+    """The qubit H = [[0.3, 0.5 - 0.2i], [0.5 + 0.2i, -0.4]] with the state
+    (cos 0.3, sin 0.3 e^{0.7i}) and observables A = X and B = Y, whose
+    commutator expectation is nonzero at t = 0; of ``kind`` lindblad, with
+    the jump Z at rate PAIR_RATE."""
+    H = np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.4]])
+    ket = [np.cos(0.3), np.sin(0.3) * np.exp(0.7j)]
+    lines = ["[system]", "dim = 2", f"kind = {kind}", "", "[hamiltonian]", f"matrix = {_matrix_literal(H)}"]
+    lines += ["", "[state]", f"ket = {_vector_literal(ket)}"]
+    if kind == "lindblad":
+        lines += ["", "[jump]", "pauli = 1.0 Z", f"rate = {PAIR_RATE!r}"]
+    lines += ["", "[observable A]", "pauli = 1.0 X", "", "[observable B]", "pauli = 1.0 Y"]
+    return "\n".join(lines) + "\n"
+
+
 def commands(workdir: Path):
     """(label, argv) of every command; the generated system is read from
     ``workdir``."""
@@ -178,6 +200,9 @@ def commands(workdir: Path):
             yield f"bound:{fname}:hbar={HBAR!r}", _bound_all(fname, obs, obs_b, tmax) + ["--hbar", repr(HBAR)]
     if RK4_FILE in HBAR_FILES:
         yield f"bound:{RK4_FILE}:hbar={HBAR!r}", rk4_bound + ["--hbar", repr(HBAR)]
+    for fname in PAIR_FILES:
+        argv = ["bound", "--system", str(workdir / fname), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]
+        yield f"bound:{fname}:hbar={HBAR!r}", argv + ["--bounds", "ALL", "--hbar", repr(HBAR), "--format", "json"]
 
 
 def _bound_all(fname: str, obs: str, obs_b, tmax: float) -> list:
@@ -274,6 +299,8 @@ def main() -> int:
         workdir = Path(tmp)
         (workdir / RK4_FILE).write_text(rk4_system_text(), encoding="utf-8")
         (workdir / TABLE_FILE).write_text(kraus_table_system_text(), encoding="utf-8")
+        for fname, kind in PAIR_FILES.items():
+            (workdir / fname).write_text(pair_system_text(kind), encoding="utf-8")
         for label, argv in commands(workdir):
             proc = subprocess.run(
                 [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT

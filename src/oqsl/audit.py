@@ -4,10 +4,12 @@ inequalities, and Heisenberg/Schrodinger duality.
 The random sampler lives here, behind the audit command, so the core library
 stays deterministic and side-effect free. Every trial owns a generator seeded
 from (seed, dim, index); summaries are therefore bit-identical for a fixed
-seed. The trials of one dimension form a block, evolved through the batched
-kernels that the CLI also uses: Lindblad in both pictures
-(``dynamics.lindblad_chunks``, by the exact propagator, as the audit's rates
-are constant) and, for qubits, Kraus (``dynamics.kraus_trajectories``).
+seed. Each samples the commutator bounds' second observable B independently
+of O, so the pair need not commute at t = 0. The trials of one dimension
+form a block, evolved through the batched kernels that the CLI also uses:
+Lindblad in both pictures (``dynamics.lindblad_chunks``, by the exact
+propagator, as the audit's rates are constant) and, for qubits, Kraus
+(``dynamics.kraus_trajectories``).
 Their chunks are reduced as they arrive, so each trial keeps its evaluation
 contexts, whose trajectories hold the scalar series, O(0), O(T) and the
 series its bounds and rate audit declare, and tr(O rho(t)), but no sample
@@ -128,25 +130,18 @@ def random_jump(rng, dim: int, norm: float = 0.5):
 class _Trial:
     index: int
     dim: int
-    pure: bool
     H: np.ndarray
     O: np.ndarray
     O_si: np.ndarray
     P: np.ndarray
     rho: DensityState
     jumps: tuple
-    comm_coeffs: np.ndarray
     kraus_gamma: float
+    B: np.ndarray  # the commutator bounds' second observable, independent of O
     # batched-integration results, attached after sampling
     lindblad: bounds.EvalContext | None = None  # its trajectory already evolved
     kraus: bounds.EvalContext | None = None  # qubit trials only, likewise
     lind_rho_expect: np.ndarray | None = None  # tr(O rho(t)), Schrodinger picture
-
-    @property
-    def B(self) -> np.ndarray:
-        """The commutator bounds' second observable, a polynomial in O."""
-        c, O = self.comm_coeffs, self.O
-        return c[0] * np.eye(self.dim) + c[1] * O + c[2] * (O @ O)
 
 
 def _sample_trial(seed: int, dim: int, index: int) -> _Trial:
@@ -156,15 +151,14 @@ def _sample_trial(seed: int, dim: int, index: int) -> _Trial:
     return _Trial(
         index=index,
         dim=dim,
-        pure=pure,
         H=random_hermitian(rng, dim),
         O=random_hermitian(rng, dim),
         O_si=random_self_inverse(rng, dim),
         P=DensityState.pure(ket).matrix,
         rho=random_state(rng, dim, pure),
         jumps=(random_jump(rng, dim), random_jump(rng, dim)),
-        comm_coeffs=rng.standard_normal(3),
         kraus_gamma=float(rng.uniform(0.5, 2.0)),
+        B=random_hermitian(rng, dim),
     )
 
 

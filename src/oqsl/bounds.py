@@ -470,72 +470,58 @@ def two_time_correlation(
     return C
 
 
-def _twin_id(name: str, traj: Trajectory) -> str:
-    """The id of the closed (unitary) or open (Lindblad) twin of bound ``name``
-    that ``traj`` takes; a Kraus trajectory is rejected."""
+def _growth_qsl(name, X, traj, y_op, y, details, inputs) -> BoundReport:
+    """The growth bound ``name`` (CLOSED on a unitary, OPEN on a Lindblad
+    trajectory of A) for a series X(t) = tr(A(t) M) whose probe M has trace
+    norm at most 2 ||Y(0)||_op, so that |dX/dt| <= 2 ||Y(0)||_op ||dA/dt||_op:
+
+    T_qsl = |X(T) - X(0)| / (2 ||Y(0)||_op * Lambda_T),
+
+    Lambda_T the time average of ``gen_speed_op``, which carries the
+    generator's hbar, and |X(T) - X(0)| the complex modulus."""
     if traj.kind not in ("unitary", "lindblad"):
         raise ValidationError(f"{name} requires a unitary- or lindblad-kind trajectory")
-    return f"{name}_{'CLOSED' if traj.kind == 'unitary' else 'OPEN'}"
+    bound_id = f"{name}_{'CLOSED' if traj.kind == 'unitary' else 'OPEN'}"
+    num = abs(complex(X[-1] - X[0]))
+    lam = _mean_speed(traj.gen_speed_op, traj.grid)
+    tqsl = _ratio(bound_id, num, 2.0 * y_op * lam, f"2 ||{y}(0)||_op * mean speed")
+    return _report(bound_id, traj.grid.duration, tqsl, inputs, {**details, "lambda_T_op": lam})
 
 
 def corr_qsl(C: np.ndarray, traj: Trajectory, a0_op: float) -> BoundReport:
-    """Correlation-function bound on the unitary or Lindblad trajectory of A:
+    """Correlation-growth bound on the unitary or Lindblad trajectory of A,
+    :func:`_growth_qsl` with X = C and Y = A, where C(t) = <A(t)A(0)> -
+    <A(t)><A(0)> = tr(A(t) (A(0) - <A(0)>) rho):
 
     T_qsl = |C(T) - C(0)| / (2 ||A(0)||_op * Lambda_T),
 
-    from |dC/dt| <= 2 ||A(0)||_op ||dA/dt||_op, where Lambda_T time-averages
-    the trajectory's ||dA/dt||_op (``gen_speed_op``). hbar enters only
-    through dA/dt, as the generator states it, so one formula serves both
-    kinds: CORR_CLOSED on a unitary trajectory, CORR_OPEN on a Lindblad one.
-    |C(T) - C(0)| is the complex modulus.
+    CORR_CLOSED on a unitary trajectory, CORR_OPEN on a Lindblad one.
     """
-    bound_id = _twin_id("CORR", traj)
     if np.shape(C) != traj.expect.shape:
         raise ValidationError("correlation samples must match the trajectory grid")
-    num = abs(complex(C[-1] - C[0]))
-    lam = _mean_speed(traj.gen_speed_op, traj.grid)
-    tqsl = _ratio(bound_id, num, 2.0 * a0_op * lam, "2 ||A(0)||_op * mean speed")
-    details = {
-        "corr_change": float(num),
-        "a0_op": float(a0_op),
-        "lambda_T_op": lam,
-    }
-    inputs = (C, a0_op, traj.gen_speed_op)
-    return _report(bound_id, traj.grid.duration, tqsl, inputs, details)
+    details = {"corr_change": abs(complex(C[-1] - C[0])), "a0_op": float(a0_op)}
+    return _growth_qsl("CORR", C, traj, a0_op, "A", details, (C, a0_op, traj.gen_speed_op))
 
 
 def commutator_qsl(B0: np.ndarray, traj: Trajectory, rho: DensityState) -> BoundReport:
-    """Commutator-growth bound for <O(t)> = tr([B(0), A(t)] rho) on the
-    unitary or Lindblad trajectory of A:
+    """Commutator-growth bound on the unitary or Lindblad trajectory of A,
+    :func:`_growth_qsl` with X(t) = <[B(0), A(t)]> = tr(A(t) (rho B0 - B0 rho))
+    and Y = B, for any pair A, B, commuting at t = 0 or not:
 
-    T_qsl = |<O(T)>| / (2 ||B(0)||_op * Lambda_T),
+    T_qsl = |X(T) - X(0)| / (2 ||B(0)||_op * Lambda_T),
 
-    with Lambda_T the time average of ||dA/dt||_op, which carries hbar, as
-    for :func:`corr_qsl`: COMM_CLOSED on a unitary trajectory, COMM_OPEN on a
-    Lindblad one. The observable pair is meant to commute at t = 0
-    (operators supported on different regions), so |<O(T)>| is the full
-    change of the commutator expectation; its complex modulus is used.
+    COMM_CLOSED on a unitary trajectory, COMM_OPEN on a Lindblad one.
+    ``comm_expect_0`` and ``comm_expect_T`` report |X(0)| and |X(T)|.
     """
-    bound_id = _twin_id("COMM", traj)
     if not rho.is_pure():
         raise ValidationError("commutator bound requires a pure state")
     B0 = as_matrix(B0, "observable")
     if B0.shape[0] != traj.dim:
         raise ValidationError(f"dimension mismatch: {B0.shape[0]} vs {traj.dim}")
-
-    expect_c = traj.trace_with(commutator_probe(B0, rho))
-    num = abs(complex(expect_c[-1]))
-    lam = _mean_speed(traj.gen_speed_op, traj.grid)
+    X = traj.trace_with(commutator_probe(B0, rho))
     b0_op = op_norm(B0)
-    tqsl = _ratio(bound_id, num, 2.0 * b0_op * lam, "2 ||B(0)||_op * mean speed")
-    details = {
-        "comm_expect_0": abs(complex(expect_c[0])),
-        "comm_expect_T": float(num),
-        "b0_op": b0_op,
-        "lambda_T_op": lam,
-    }
-    inputs = (B0, traj.expect, traj.gen_speed_op, rho.matrix)
-    return _report(bound_id, traj.grid.duration, tqsl, inputs, details)
+    details = {"comm_expect_0": abs(complex(X[0])), "comm_expect_T": abs(complex(X[-1])), "b0_op": b0_op}
+    return _growth_qsl("COMM", X, traj, b0_op, "B", details, (B0, traj.expect, traj.gen_speed_op, rho.matrix))
 
 
 # ---------------------------------------------------------------------------

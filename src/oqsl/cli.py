@@ -96,6 +96,15 @@ def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) 
     return ctx
 
 
+def _note_unresolved(traj, err) -> None:
+    """A stderr note when a unitary grid's samples alias: h * (max w - min w)
+    >= pi for its step h and the frequencies w of H / hbar."""
+    spread = float(traj.freqs[-1] - traj.freqs[0]) if traj.kind == "unitary" else 0.0
+    if traj.grid.h * spread >= np.pi:
+        print(f"note: the step h = {traj.grid.h:.6g} does not resolve the dynamics: h times the frequency "
+              f"spread {spread:.6g} of H / hbar is at least pi, so the samples alias", file=err)
+
+
 def _bound_ids(text: str) -> list[str] | None:
     """The bound ids that --bounds names, in order, or None for ALL."""
     ids = [b.strip() for b in text.split(",") if b.strip()]
@@ -124,7 +133,10 @@ def _read_system(args: argparse.Namespace) -> SystemSpec:
 def cmd_bound(args: argparse.Namespace, out, err) -> int:
     ids = _bound_ids(args.bounds)
     spec = _read_system(args)
-    reports = bounds.evaluate_all(_context(spec, args, ids))
+    ctx = _context(spec, args, ids)
+    if ctx.kind == "unitary":
+        _note_unresolved(ctx.traj, err)
+    reports = bounds.evaluate_all(ctx)
     if args.format == "json":
         payload = {
             "schema": "oqsl.bound/v1",
@@ -158,6 +170,7 @@ def cmd_evolve(args: argparse.Namespace, out, err) -> int:
     O = spec.observable(args.observable)
     gen = spec.generator(_effective_hbar(spec, args), args.tol)
     traj = _evolve(O, gen, spec.initial_state, TimeGrid(0.0, args.tmax, args.steps), args.tol)
+    _note_unresolved(traj, err)
     times = traj.grid.times()
     if args.format == "json":
         payload = {

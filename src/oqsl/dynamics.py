@@ -448,12 +448,16 @@ def evolve_unitary_heisenberg(
 
     w, V = np.linalg.eigh(gen.H)
     Vd = V.conj().T
-    freqs, O_eig, rho_eig = w / gen.hbar, Vd @ O0 @ V, Vd @ rho.matrix @ V
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny hbar overflows, and raises below
+        freqs, O_eig, rho_eig = w / gen.hbar, Vd @ O0 @ V, Vd @ rho.matrix @ V
+        # [H, O] / hbar in the eigenbasis; both norms are unitarily invariant
+        comm = (freqs[:, None] - freqs[None, :]) * O_eig
+        hs = np.linalg.norm(comm)
+    if not np.isfinite(hs):  # else every frequency and the operator norm, at most hs, are finite
+        raise NumericError(f"generator speed gen_speed_hs = ||[H, O] / hbar||_HS is {hs} at hbar = {gen.hbar!r}")
+    speeds = (np.full(grid.steps + 1, x) for x in (hs, np.linalg.svd(comm, compute_uv=False)[0]))
     E = _phases(freqs, grid.times())
     expect, stddev = _moments(O_eig, rho_eig, E, tol)
-    # [H, O] / hbar in the eigenbasis; both norms are unitarily invariant
-    comm = (freqs[:, None] - freqs[None, :]) * O_eig
-    speeds = (np.full(grid.steps + 1, x) for x in (np.linalg.norm(comm), np.linalg.svd(comm, compute_uv=False)[0]))
     E_ends = E[[0, -1]]
     ends = V @ (E_ends[:, :, None] * O_eig[None] * E_ends.conj()[:, None, :]) @ Vd
     series = tuple((M, _phase_trace(O_eig * (Vd @ M @ V).T, E)) for M in probes)

@@ -179,7 +179,7 @@ def _bound_argv(name, obs, obs_b, tmax, *extra):
 )
 def test_bound_all_report_order(name, obs, obs_b, tmax, expected):
     code, out, err = run_cli(_bound_argv(name, obs, obs_b, tmax, "--bounds", "ALL"))
-    assert code == 0, err
+    assert code == 0 and err == "", err
     assert [r["bound_id"] for r in parse_csv(out)] == expected
 
 
@@ -442,6 +442,30 @@ def test_builtin_systems_pass_at_tol_floor(name, obs, obs_b, tmax):
     ):
         code, _, err = run_cli(argv)
         assert code == 0, err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["bound", "evolve"])
+@pytest.mark.parametrize("name,obs", [("tight_qubit", "O"), ("two_qubit", "A"), ("battery", "HB")])
+def test_overflowed_generator_speed_is_a_numeric_error(name, obs, command):
+    # at hbar = 1e-300 the Hilbert-Schmidt norm of [H, O] / hbar overflows
+    argv = [command, "--system", str(SYSTEMS / f"{name}.sys"), "--observable", obs, "--tmax", "1"]
+    code, out, err = run_cli(argv + ["--hbar", "1e-300"])
+    assert code == 3 and out == ""
+    assert "generator speed gen_speed_hs" in err and "is inf at hbar = 1e-300" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "evolve"])
+def test_unresolved_unitary_grid_is_noted(command):
+    # h = 2e298 against the frequency spread 2 of tight_qubit's H: every sample aliases
+    code, out, err = run_cli([command, "--system", TIGHT, "--observable", "O", "--tmax", "1e300", "--steps", "50"])
+    assert code == 0
+    assert err.count("\n") == 1 and err.startswith("note: the step h = 2e+298 does not resolve the dynamics")
+    assert "frequency spread 2 of H / hbar" in err
+    if command == "bound":
+        rows = parse_csv(out)
+        assert rows[0] == {"bound_id": "MT_INTEGRAL", "T": "1e+300", "T_qsl": "36.151303672", "valid": "true"}
+        assert all(r["valid"] == "true" for r in rows)
 
 
 def test_evolve_json(dephasing_path):

@@ -9,6 +9,10 @@ evaluated through EvalContext and evaluate_all on small random systems
 * basis: conjugating H, O, B, rho and every jump or Kraus operator by one
   unitary V leaves every T_qsl as it was.
 
+A last test checks that every bound is valid (T_qsl <= T) on these systems,
+whose B is drawn independently of O, so that the commutator bounds meet
+pairs that do not commute at t = 0.
+
 Each T_qsl is compared relative to max(T_qsl, T). Over 100 seeds of each
 kind and d, the largest deviations were 9e-15 (either scaling) and 1e-13
 (basis change, STATE_INDEP); the tolerances leave a margin of 100 over them.
@@ -19,7 +23,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqsl.bounds import EvalContext, evaluate_all
@@ -35,7 +39,7 @@ from oqsl.dynamics import (
     evolve_unitary_heisenberg,
     lindblad_final_state,
 )
-from oqsl.linalg import DensityState
+from oqsl.linalg import DensityState, sigma_x, sigma_y
 from oqsl.sysdl import SystemSpec, serialize_system
 
 import oracles
@@ -160,3 +164,24 @@ def test_cli_hbar_with_doubled_hamiltonian_leaves_every_bound_unchanged(tmp_path
     assert tables[1].keys() == tables[0].keys()
     for bound_id, value in tables[0].items():
         assert tables[1][bound_id] == pytest.approx(value, rel=SCALE_RTOL), bound_id
+
+
+# a qubit whose commutator expectation <[B, A]> is already 1.65 at t = 0: at
+# hbar = 2, dividing |<[B, A](T)>| in place of its change gives 1.596 > T = 1
+NONCOMMUTING_QUBIT = dict(
+    random_system("unitary", 2, 0),
+    H=np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.4]]),
+    O=sigma_x,
+    B=sigma_y,
+    ket=np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(KINDS), dim=DIMS, seed=SEEDS, T=st.floats(0.05, 2.0))
+@example(kind="unitary", dim=2, seed=None, T=1.0)
+def test_every_bound_is_valid_on_random_pairs(kind, dim, seed, T):
+    # seed None stands for NONCOMMUTING_QUBIT at hbar = 2
+    system = NONCOMMUTING_QUBIT if seed is None else random_system(kind, dim, seed)
+    reports = evaluate_all(context(kind, system, hbar=2.0 if seed is None else 1.0, T=T))
+    assert [r.bound_id for r in reports if not r.valid] == []
