@@ -28,7 +28,11 @@ correlation and commutator bounds. Last, ``bound --bounds ALL`` at
 ``--hbar 2`` on a qubit whose A = X and B = Y do not commute, written like
 the generated systems once as a unitary and once as a Lindblad system
 (PAIR_FILES): every other B commutes with its A at t = 0, so only these show
-a commutator bound that takes <[B, A](T)> for its change.
+a commutator bound that takes <[B, A](T)> for its change. Last,
+``bound --bounds ALL`` on a random d = 4 unitary system with a pure state
+(UNITARY_FILE), also written from a fixed seed: in every built-in file
+H - O + O == H holds exactly, so only this one shows a battery row that
+reads the charging field H - O in place of H.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -94,6 +98,8 @@ HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys", RK4_FILE)
 # a qubit pair A = X, B = Y that does not commute, as a unitary and as a
 # Lindblad system with the jump Z at PAIR_RATE, each run at --hbar HBAR
 PAIR_FILES, PAIR_RATE = {"pair_unitary.sys": "unitary", "pair_lindblad.sys": "lindblad"}, 0.3
+# a random pure unitary system whose H - A + A differs from H in the last digits
+UNITARY_FILE, UNITARY_DIM, UNITARY_SEED = "unitary_4.sys", 4, 4
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -167,6 +173,20 @@ def pair_system_text(kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def unitary_system_text() -> str:
+    """A random d = 4 unitary system with a pure state and observables A and
+    B, drawn independently."""
+    rng = np.random.default_rng(UNITARY_SEED)
+    d = UNITARY_DIM
+    H, A, B = (_hermitian(rng, d) for _ in range(3))
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    lines = ["[system]", f"dim = {d}", "kind = unitary", "", "[hamiltonian]", f"matrix = {_matrix_literal(H)}"]
+    lines += ["", "[state]", f"ket = {_vector_literal(ket)}"]
+    for name, M in (("A", A), ("B", B)):
+        lines += ["", f"[observable {name}]", f"matrix = {_matrix_literal(M)}"]
+    return "\n".join(lines) + "\n"
+
+
 def commands(workdir: Path):
     """(label, argv) of every command; the generated system is read from
     ``workdir``."""
@@ -203,6 +223,8 @@ def commands(workdir: Path):
     for fname in PAIR_FILES:
         argv = ["bound", "--system", str(workdir / fname), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]
         yield f"bound:{fname}:hbar={HBAR!r}", argv + ["--bounds", "ALL", "--hbar", repr(HBAR), "--format", "json"]
+    argv = ["--system", str(workdir / UNITARY_FILE), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]
+    yield f"bound:{UNITARY_FILE}", ["bound", *argv, "--bounds", "ALL", "--format", "json"]
 
 
 def _bound_all(fname: str, obs: str, obs_b, tmax: float) -> list:
@@ -301,6 +323,7 @@ def main() -> int:
         (workdir / TABLE_FILE).write_text(kraus_table_system_text(), encoding="utf-8")
         for fname, kind in PAIR_FILES.items():
             (workdir / fname).write_text(pair_system_text(kind), encoding="utf-8")
+        (workdir / UNITARY_FILE).write_text(unitary_system_text(), encoding="utf-8")
         for label, argv in commands(workdir):
             proc = subprocess.run(
                 [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT

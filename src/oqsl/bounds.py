@@ -105,8 +105,33 @@ def _ratio(bound_id, numerator, denominator, what) -> float:
     return numerator / denominator
 
 
-def _mean_speed(speeds: np.ndarray, grid: TimeGrid) -> float:
-    return float(np.trapezoid(speeds, dx=grid.h)) / grid.duration
+def _speed_bound(bound_id, traj, change, weight, what, inputs, details, op=False) -> BoundReport:
+    """T_qsl = change / (weight * Lambda_T): the change of a series whose rate
+    is at most weight times the generator speed, Lambda_T the time average
+    (trapezoid rule) of ``traj.gen_speed_hs``, or of ``gen_speed_op`` when
+    ``op``, reported as ``lambda_T`` or ``lambda_T_op``."""
+    speeds = traj.gen_speed_op if op else traj.gen_speed_hs
+    lam = float(np.trapezoid(speeds, dx=traj.grid.h)) / traj.grid.duration
+    tqsl = _ratio(bound_id, change, weight * lam, what)
+    return _report(bound_id, traj.grid.duration, tqsl, inputs, {**details, "lambda_T_op" if op else "lambda_T": lam})
+
+
+def _expect_speed_bound(bound_id, traj, rho, weight, what) -> BoundReport:
+    """:func:`_speed_bound` on the change of <O> with the weight ``weight``
+    sqrt(tr rho^2)."""
+    change = abs(float(traj.expect[-1] - traj.expect[0]))
+    details = {"purity": rho.purity, "expect0": float(traj.expect[0]), "expectT": float(traj.expect[-1])}
+    inputs = (traj.expect, traj.gen_speed_hs, rho.purity)
+    return _speed_bound(bound_id, traj, change, weight * np.sqrt(rho.purity), what, inputs, details)
+
+
+def _norm_bound(bound_id, ends, weight, norm, what, hbar, T, inputs, details) -> BoundReport:
+    """T_qsl = hbar |<O(T)> - <O(0)>| / (2 weight norm) for ``ends`` =
+    (<O(0)>, <O(T)>): the change of <O> at a rate of at most 2 weight norm /
+    hbar."""
+    expect0, expectT = ends
+    tqsl = hbar / (2.0 * weight) * _ratio(bound_id, abs(expectT - expect0), norm, what)
+    return _report(bound_id, T, tqsl, inputs, {"expect0": float(expect0), "expectT": float(expectT), **details})
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +249,10 @@ def oqsl_purity_hs(
 
     T_qsl = (hbar / 2 sqrt(tr rho^2)) |<O(T)> - <O(0)>| / ||O(0) H||_hs.
     """
-    num = abs(expectT - expect0)
-    tqsl = hbar / (2.0 * np.sqrt(rho.purity)) * _ratio(
-        "PURITY_HS", num, oh_hs, "||O(0)H||_hs"
-    )
-    details = {
-        "expect0": float(expect0),
-        "expectT": float(expectT),
-        "purity": rho.purity,
-        "oh_hs": float(oh_hs),
-    }
-    return _report("PURITY_HS", T, tqsl, (expect0, expectT, rho.purity, oh_hs, hbar, T), details)
+    inputs = (expect0, expectT, rho.purity, oh_hs, hbar, T)
+    details = {"purity": rho.purity, "oh_hs": float(oh_hs)}
+    what = "||O(0)H||_hs"
+    return _norm_bound("PURITY_HS", (expect0, expectT), np.sqrt(rho.purity), oh_hs, what, hbar, T, inputs, details)
 
 
 def oqsl_min_norm(
@@ -249,16 +267,10 @@ def oqsl_min_norm(
 
     T_qsl = (hbar / 2) |<O(T)> - <O(0)>| / min(||O(0)H||_op, ||O(0)H||_tr).
     """
-    num = abs(expectT - expect0)
-    denom = min(oh_op, oh_tr)
-    tqsl = hbar / 2.0 * _ratio("MIN_NORM", num, denom, "min operator/trace norm")
-    details = {
-        "expect0": float(expect0),
-        "expectT": float(expectT),
-        "oh_op": float(oh_op),
-        "oh_tr": float(oh_tr),
-    }
-    return _report("MIN_NORM", T, tqsl, (expect0, expectT, oh_op, oh_tr, hbar, T), details)
+    inputs = (expect0, expectT, oh_op, oh_tr, hbar, T)
+    details = {"oh_op": float(oh_op), "oh_tr": float(oh_tr)}
+    norm, what = min(oh_op, oh_tr), "min operator/trace norm"
+    return _norm_bound("MIN_NORM", (expect0, expectT), 1.0, norm, what, hbar, T, inputs, details)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +287,7 @@ def oqsl_generator_hs(traj: Trajectory, rho: DensityState) -> BoundReport:
     """
     if traj.kind not in ("unitary", "lindblad"):
         raise ValidationError("GENERATOR_HS requires a unitary- or lindblad-kind trajectory")
-    num = abs(float(traj.expect[-1] - traj.expect[0]))
-    lam = _mean_speed(traj.gen_speed_hs, traj.grid)
-    tqsl = _ratio("GENERATOR_HS", num, np.sqrt(rho.purity) * lam, "mean generator speed")
-    details = {
-        "lambda_T": lam,
-        "purity": rho.purity,
-        "expect0": float(traj.expect[0]),
-        "expectT": float(traj.expect[-1]),
-    }
-    inputs = (traj.expect, traj.gen_speed_hs, rho.purity)
-    return _report("GENERATOR_HS", traj.grid.duration, tqsl, inputs, details)
+    return _expect_speed_bound("GENERATOR_HS", traj, rho, 1.0, "mean generator speed")
 
 
 def qsl_delcampo(
@@ -330,17 +332,7 @@ def oqsl_kraus(traj: Trajectory, rho: DensityState) -> BoundReport:
     """
     if traj.kind != "kraus":
         raise ValidationError("KRAUS requires a kraus-kind trajectory")
-    num = abs(float(traj.expect[-1] - traj.expect[0]))
-    lam = _mean_speed(traj.gen_speed_hs, traj.grid)
-    tqsl = _ratio("KRAUS", num, 2.0 * np.sqrt(rho.purity) * lam, "mean Kraus speed")
-    details = {
-        "lambda_T": lam,
-        "purity": rho.purity,
-        "expect0": float(traj.expect[0]),
-        "expectT": float(traj.expect[-1]),
-    }
-    inputs = (traj.expect, traj.gen_speed_hs, rho.purity)
-    return _report("KRAUS", traj.grid.duration, tqsl, inputs, details)
+    return _expect_speed_bound("KRAUS", traj, rho, 2.0, "mean Kraus speed")
 
 
 def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
@@ -354,19 +346,29 @@ def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
     OT = traj.at(-1)
     num = abs(complex(np.trace(O0 @ (OT - O0))))
     o0_hs = hs_norm(O0)
-    lam = _mean_speed(traj.gen_speed_hs, traj.grid)
-    tqsl = _ratio("STATE_INDEP", num, o0_hs * lam, "||O(0)||_hs * mean speed")
-    details = {
-        "overlap_change": float(num),
-        "o0_hs": o0_hs,
-        "lambda_T": lam,
-    }
+    details = {"overlap_change": float(num), "o0_hs": o0_hs}
     inputs = (O0, OT, traj.gen_speed_hs)
-    return _report("STATE_INDEP", traj.grid.duration, tqsl, inputs, details)
+    return _speed_bound("STATE_INDEP", traj, num, o0_hs, "||O(0)||_hs * mean speed", inputs, details)
 
 
 # ---------------------------------------------------------------------------
-# battery charging-time bounds
+# battery charging-time bounds: O is the battery Hamiltonian HB and H the
+# total drive HB + HC, so that H - O is the charging field HC
+
+
+def _battery_ct1(c: EvalContext) -> BoundReport:
+    if c.delta_H <= c.tol:
+        # rho is an eigenstate of the drive: nothing evolves
+        details = {"delta_H_total": c.delta_H, "integral": 0.0, "stationary": 1}
+        return _report("BATTERY_CT1", c.T, 0.0, (c.traj.expect, c.delta_H, c.hbar), details)
+    return _mt_integral_core("BATTERY_CT1", c.traj, c.delta_H, c.hbar)
+
+
+def _battery_ct2(c: EvalContext) -> BoundReport:
+    norms = {"op": op_norm(c.oh), "hs": hs_norm(c.oh), "tr": tr_norm(c.oh)}
+    details, inputs = {f"hbht_{k}": v for k, v in norms.items()}, (c.O, c.H - c.O, c.rho.matrix, c.T, c.hbar)
+    what = "min norm of HB(0)(HB+HC)"
+    return _norm_bound("BATTERY_CT2", c.ends(), 1.0, min(norms.values()), what, c.hbar, c.T, inputs, details)
 
 
 def battery_bounds(
@@ -377,51 +379,23 @@ def battery_bounds(
     hbar: float = 1.0,
     tol: float = DEFAULT_TOL,
 ) -> tuple[BoundReport, BoundReport]:
-    """Charging-time bounds for a battery Hamiltonian HB driven by HB + HC.
+    """Charging-time bounds for a battery Hamiltonian HB driven by HB + HC:
+    the registry's BATTERY_CT1 and BATTERY_CT2 on the context whose
+    observable is HB and whose generator is HB + HC.
 
-    CT1 is the path-integral bound with observable HB and the spread of the
-    total Hamiltonian; CT2 divides the stored-energy change by the smallest
-    of the operator, Hilbert-Schmidt and trace norms of HB(0) (HB + HC).
-    CT2 requires a pure initial state.
+    CT1 is MT_INTEGRAL's path integral with the spread of the total
+    Hamiltonian; CT2 is MIN_NORM's ratio over the smallest of the operator,
+    Hilbert-Schmidt and trace norms of HB(0) (HB + HC). Both require a pure
+    initial state.
     """
     HB = as_matrix(HB, "battery hamiltonian")
     HC = as_matrix(HC, "charging hamiltonian")
     if HB.shape != HC.shape:
         raise ValidationError(f"dimension mismatch: {HB.shape} vs {HC.shape}")
-    traj = evolve_unitary_heisenberg(HB, UnitaryGenerator(HB + HC, hbar, tol), rho, grid, tol)
-    return _battery_core(traj, HB, HC, rho, hbar, tol)
-
-
-def _battery_core(traj, HB, HC, rho, hbar, tol):
-    """CT1 and CT2 on ``traj``, the unitary trajectory of HB under HB + HC."""
-    HT = HB + HC
-    T = traj.grid.duration
-
-    delta_HT = float(np.sqrt(variance(HT, rho, tol)))
-    if delta_HT <= tol:
-        # rho is an eigenstate of the drive: nothing evolves.
-        ct1 = _report(
-            "BATTERY_CT1",
-            T,
-            0.0,
-            (traj.expect, delta_HT, hbar),
-            {"delta_H_total": delta_HT, "integral": 0.0, "stationary": 1},
-        )
-    else:
-        ct1 = _mt_integral_core("BATTERY_CT1", traj, delta_HT, hbar)
-
     if not rho.is_pure():
         raise ValidationError("BATTERY_CT2 requires a pure initial state")
-    prod = HB @ HT
-    norms = {"op": op_norm(prod), "hs": hs_norm(prod), "tr": tr_norm(prod)}
-    num = abs(float(traj.expect[-1] - traj.expect[0]))
-    tqsl2 = hbar / 2.0 * _ratio("BATTERY_CT2", num, min(norms.values()), "min norm of HB(0)(HB+HC)")
-    details2 = {
-        "expect0": float(traj.expect[0]),
-        "expectT": float(traj.expect[-1]),
-        **{f"hbht_{k}": v for k, v in norms.items()},
-    }
-    ct2 = _report("BATTERY_CT2", T, tqsl2, (HB, HC, rho.matrix, T, hbar), details2)
+    gen, ids = UnitaryGenerator(HB + HC, hbar, tol), ("BATTERY_CT1", "BATTERY_CT2")
+    ct1, ct2 = evaluate_all(EvalContext(gen, grid, HB, rho, evolve_unitary_heisenberg, tol=tol, ids=ids))
     return ct1, ct2
 
 
@@ -482,10 +456,8 @@ def _growth_qsl(name, X, traj, y_op, y, details, inputs) -> BoundReport:
     if traj.kind not in ("unitary", "lindblad"):
         raise ValidationError(f"{name} requires a unitary- or lindblad-kind trajectory")
     bound_id = f"{name}_{'CLOSED' if traj.kind == 'unitary' else 'OPEN'}"
-    num = abs(complex(X[-1] - X[0]))
-    lam = _mean_speed(traj.gen_speed_op, traj.grid)
-    tqsl = _ratio(bound_id, num, 2.0 * y_op * lam, f"2 ||{y}(0)||_op * mean speed")
-    return _report(bound_id, traj.grid.duration, tqsl, inputs, {**details, "lambda_T_op": lam})
+    what = f"2 ||{y}(0)||_op * mean speed"
+    return _speed_bound(bound_id, traj, abs(complex(X[-1] - X[0])), 2.0 * y_op, what, inputs, details, op=True)
 
 
 def corr_qsl(C: np.ndarray, traj: Trajectory, a0_op: float) -> BoundReport:
@@ -571,7 +543,7 @@ class EvalContext:
     ``generator`` alone states: a UnitaryGenerator, a LindbladGenerator or a
     Kraus family, whose :attr:`kind`, :attr:`H` and :attr:`hbar` the context
     reads. Each derived quantity (the trajectory, its probes, the rate
-    audit's probe, dH, O H, the battery pair, the final state) is a
+    audit's probe, dH, O H, the final state) is a
     ``functools.cached_property``, computed once, on first use.
 
     ``ids`` is the selection that :func:`select`, :attr:`probes` and
@@ -649,12 +621,6 @@ class EvalContext:
         return self.O @ self.H
 
     @cached_property
-    def battery(self) -> tuple[BoundReport, BoundReport]:
-        # O is the battery Hamiltonian and H the total drive, so traj is the
-        # battery's trajectory and H - O the charging field
-        return _battery_core(self.traj, self.O, self.H - self.O, self.rho, self.hbar, self.tol)
-
-    @cached_property
     def rho_T(self) -> DensityState:
         return self.final_state(self.rho, self.generator, self.grid, self.tol)
 
@@ -722,8 +688,8 @@ REGISTRY = (
     BoundSpec(
         "MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), op_norm(c.oh), tr_norm(c.oh), c.T, hbar=c.hbar)
     ),
-    BoundSpec("BATTERY_CT1", _U, ("pure",), lambda c: c.battery[0]),
-    BoundSpec("BATTERY_CT2", _U, ("pure",), lambda c: c.battery[1]),
+    BoundSpec("BATTERY_CT1", _U, ("pure",), _battery_ct1),
+    BoundSpec("BATTERY_CT2", _U, ("pure",), _battery_ct2),
     BoundSpec("CORR_CLOSED", _U, ("pure",), _CORR, _CORR_PROBE),
     BoundSpec("CORR_OPEN", _L, ("pure",), _CORR, _CORR_PROBE),
     BoundSpec("COMM_CLOSED", _U, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho), _COMM_PROBE),

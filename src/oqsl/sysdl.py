@@ -19,6 +19,11 @@ declaration per line; ``#`` starts a comment. Sections and their keys:
 One table, ``_SECTIONS``, lists these keys. A key a section does not accept,
 a second declaration of a key or of its alternative (``pauli``/``matrix``,
 ``ket``/``matrix``), and a ``[kraus]`` key of the other family are errors.
+When ``kind`` is omitted it is ``kraus`` with a ``[kraus]`` section,
+``lindblad`` with a ``[jump]`` and ``unitary`` otherwise. A second table,
+``_UNREAD``, lists the sections each kind does not read: ``[jump]`` and
+``[kraus]`` for unitary, ``[kraus]`` for lindblad, ``[hamiltonian]`` and
+``[jump]`` for kraus. Each such section is an error at its header.
 
 Ket and matrix literals nest comma-separated entries in brackets. An entry,
 like a Pauli coefficient, is ``a``, ``a+bi``, ``a-bi``, ``a+i``, ``a-i``,
@@ -319,6 +324,8 @@ _SECTIONS = {
 }
 # the [kraus] keys that belong to one family
 _KRAUS_FAMILY = {"gamma": "dephasing", "time": "tabulated", "k": "tabulated"}
+# the sections that each dynamics kind does not read
+_UNREAD = {"unitary": ("jump", "kraus"), "lindblad": ("kraus",), "kraus": ("hamiltonian", "jump")}
 
 
 def _scan(text: str, diags: list[Diagnostic]) -> list[_Section]:
@@ -587,11 +594,13 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
     kraus = _parse_kraus(*found["kraus"][0], dim, diags) if "kraus" in found else None
 
     if kind is None:
-        if kraus is not None and jumps:
-            diags.append(Diagnostic(1, 1, "both jump operators and a kraus family given; declare kind in [system]"))
-        kind = "kraus" if kraus is not None else "lindblad" if jumps else "unitary"
+        kind = "kraus" if "kraus" in found else "lindblad" if "jump" in found else "unitary"
     elif kind == "kraus" and "kraus" not in found:
         diags.append(Diagnostic(1, 1, "kind = kraus requires a [kraus] section"))
+    for name in _UNREAD[kind]:
+        for sec, _ in found.get(name, []):
+            message = f"[{name}] section is not read by kind = {kind}: remove it, or declare kind as one that reads it"
+            diags.append(Diagnostic(sec.line, 1, message))
 
     if diags:
         raise ParseError(diags)
@@ -624,7 +633,8 @@ def _format_matrix(M: np.ndarray) -> str:
 def serialize_system(spec: SystemSpec) -> str:
     """Canonical text form; reparsing reproduces every matrix bit-exactly."""
     out = ["[system]", f"dim = {spec.dim}", f"hbar = {spec.hbar!r}", f"kind = {spec.kind}", ""]
-    out += ["[hamiltonian]", f"matrix = {_format_matrix(spec.hamiltonian)}", ""]
+    if spec.kind != "kraus":
+        out += ["[hamiltonian]", f"matrix = {_format_matrix(spec.hamiltonian)}", ""]
     out += ["[state]", f"matrix = {_format_matrix(spec.initial_state.matrix)}", ""]
     for L, rate in spec.jumps:
         if not isinstance(rate, (int, float)):

@@ -32,6 +32,9 @@ per-time Kraus families (:class:`FunctionKraus`, :func:`dephasing_kraus_at`)
 for the grid-vectorized ones. Trajectories keep no O(t) at interior times;
 :func:`samples_from_probes` rebuilds it from the probe series of the
 matrix units (:func:`matrix_units`) for comparison with these references.
+The battery pair's own evaluator (:func:`battery_core`), which recomputed
+dH and O H from HB + HC, is the reference for the registry entries that
+read them from the evaluation context.
 """
 
 from __future__ import annotations
@@ -61,7 +64,20 @@ from oqsl.dynamics import (
     liouvillian,
     rate_at,
 )
-from oqsl.linalg import DEFAULT_TOL, DensityState, ValidationError, as_matrix, is_hermitian, mat_exp, require_finite
+from oqsl.bounds import _mt_integral_core, _ratio, _report
+from oqsl.linalg import (
+    DEFAULT_TOL,
+    DensityState,
+    ValidationError,
+    as_matrix,
+    hs_norm,
+    is_hermitian,
+    mat_exp,
+    op_norm,
+    require_finite,
+    tr_norm,
+    variance,
+)
 from oqsl.sysdl import Diagnostic, ParseError, _fail
 
 
@@ -692,3 +708,40 @@ def unitary_at(traj, k: int) -> np.ndarray:
     E = np.exp(1j * np.outer(np.atleast_1d(traj.grid.times()[k]), traj.freqs))
     Ot = E[:, :, None] * traj.O_eig[None] * E.conj()[:, None, :]
     return (traj.vectors @ Ot @ traj.vectors.conj().T)[0]
+
+
+# ---------------------------------------------------------------------------
+# the battery pair's own evaluator, which the registry entries replaced
+
+
+def battery_core(traj, HB, HC, rho, hbar, tol):
+    """CT1 and CT2 on ``traj``, the unitary trajectory of HB under HB + HC."""
+    HT = HB + HC
+    T = traj.grid.duration
+
+    delta_HT = float(np.sqrt(variance(HT, rho, tol)))
+    if delta_HT <= tol:
+        # rho is an eigenstate of the drive: nothing evolves.
+        ct1 = _report(
+            "BATTERY_CT1",
+            T,
+            0.0,
+            (traj.expect, delta_HT, hbar),
+            {"delta_H_total": delta_HT, "integral": 0.0, "stationary": 1},
+        )
+    else:
+        ct1 = _mt_integral_core("BATTERY_CT1", traj, delta_HT, hbar)
+
+    if not rho.is_pure():
+        raise ValidationError("BATTERY_CT2 requires a pure initial state")
+    prod = HB @ HT
+    norms = {"op": op_norm(prod), "hs": hs_norm(prod), "tr": tr_norm(prod)}
+    num = abs(float(traj.expect[-1] - traj.expect[0]))
+    tqsl2 = hbar / 2.0 * _ratio("BATTERY_CT2", num, min(norms.values()), "min norm of HB(0)(HB+HC)")
+    details2 = {
+        "expect0": float(traj.expect[0]),
+        "expectT": float(traj.expect[-1]),
+        **{f"hbht_{k}": v for k, v in norms.items()},
+    }
+    ct2 = _report("BATTERY_CT2", T, tqsl2, (HB, HC, rho.matrix, T, hbar), details2)
+    return ct1, ct2

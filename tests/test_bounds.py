@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oqsl.bounds import (
     BOUND_IDS,
@@ -9,6 +11,7 @@ from oqsl.bounds import (
     commutator_qsl,
     corr_qsl,
     correlation_probe,
+    evaluate_all,
     oqsl_generator_hs,
     oqsl_kraus,
     oqsl_min_norm,
@@ -453,6 +456,46 @@ def test_battery_charging_protocol_validity():
 def test_battery_ct2_requires_pure_state():
     with pytest.raises(ValidationError):
         battery_bounds(sigma_z, sigma_x, oracles.maximally_mixed(2), TimeGrid(0.0, 1.0, 10))
+
+
+def test_battery_mixed_state_is_rejected_before_anything_evolves(monkeypatch):
+    import oqsl.bounds
+
+    monkeypatch.setattr(oqsl.bounds, "evolve_unitary_heisenberg", None)
+    with pytest.raises(ValidationError, match="BATTERY_CT2 requires a pure initial state"):
+        battery_bounds(sigma_z, sigma_x, oracles.maximally_mixed(2), TimeGrid(0.0, 1.0, 10))
+
+
+BATTERY_PAIR = ("BATTERY_CT1", "BATTERY_CT2")
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(2, 4), seed=st.integers(0, 2**31 - 1), eigenstate=st.booleans())
+# rho an eigenstate of HB + HC: the stationary branch of BATTERY_CT1
+@example(dim=3, seed=0, eigenstate=True)
+def test_battery_pair_matches_its_own_evaluator(dim, seed, eigenstate):
+    rng = np.random.default_rng(seed)
+    HB, HC = oracles.random_hermitian(rng, dim), oracles.random_hermitian(rng, dim)
+    if eigenstate:
+        # HB + HC is then diagonal to the last digit, so dH = 0 exactly in |0>
+        HC = np.diag(rng.uniform(-1.0, 1.0, dim)) - HB
+    H = HB + HC
+    rho = DensityState.pure(np.eye(dim)[0] if eigenstate else oracles.random_ket(rng, dim))
+    grid, hbar, tol = TimeGrid(0.0, 1.0, 200), 1.0, 1e-9
+    traj = evolve_unitary_heisenberg(HB, UnitaryGenerator(H, hbar, tol), rho, grid, tol)
+    reports = battery_bounds(HB, HC, rho, grid, hbar, tol)
+    for report, expected in zip(reports, oracles.battery_core(traj, HB, HC, rho, hbar, tol), strict=True):
+        assert (report.bound_id, report.T_qsl, report.details) == (expected.bound_id, expected.T_qsl, expected.details)
+    assert reports[0].details.get("stationary") == (1 if eigenstate else None)
+
+    # as the CLI reads a file: H is given and the charging field is H - HB,
+    # so the oracle's HB + (H - HB) may differ from H in the last digits
+    gen = UnitaryGenerator(H, hbar, tol)
+    ctx = EvalContext(gen, grid, HB, rho, evolve_unitary_heisenberg, tol=tol, ids=BATTERY_PAIR)
+    expected_pair = oracles.battery_core(ctx.traj, HB, H - HB, rho, hbar, tol)
+    for report, expected in zip(evaluate_all(ctx), expected_pair, strict=True):
+        assert report.bound_id == expected.bound_id
+        assert report.T_qsl == pytest.approx(expected.T_qsl, rel=1e-14, abs=1e-14 * grid.duration)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,28 @@ def test_kraus_dephasing_scenario():
     assert res.passed
     by_name = {r["quantity"]: r for r in res.rows}
     assert by_name["max_expect_err"]["value"] <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+def test_kraus_dephasing_bound_is_t_over_sqrt2_at_every_gamma(gamma):
+    res = scenario_kraus_dephasing(gamma=gamma)
+    row = {r["quantity"]: r for r in res.rows}["KRAUS"]
+    assert res.passed and row["reference"] == np.pi / 2 / np.sqrt(2.0) and row["abs_err"] <= 1e-15
+
+
+def test_kraus_dephasing_fails_on_a_wrong_kraus_bound(monkeypatch):
+    from oqsl import bounds
+
+    kraus = bounds.oqsl_kraus
+
+    def halved(traj, rho):
+        report = kraus(traj, rho)
+        return replace(report, T_qsl=report.T_qsl / 2)
+
+    monkeypatch.setattr(bounds, "oqsl_kraus", halved)
+    res = scenario_kraus_dephasing()
+    row = {r["quantity"]: r for r in res.rows}["KRAUS"]
+    assert not res.passed and row["abs_err"] == pytest.approx(np.pi / 4 / np.sqrt(2.0))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -62,7 +62,7 @@ def test_output_digests_compares_numbers_to_tolerance(tmp_path):
     near = _save_dir(tmp_path / "near", dump(a=1.0 + 1e-13, zero=1e-15, digest="y"))
     proc = run_script("output_digests.py", "--compare", str(old), str(near))
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.count("ok ") == 31 and "1.00e-13" in proc.stdout
+    assert proc.stdout.count("ok ") == 32 and "1.00e-13" in proc.stdout
 
     far = _save_dir(tmp_path / "far", dump(a=1.0 + 1e-10, only="audit"))
     proc = run_script("output_digests.py", "--compare", str(old), str(far))

@@ -310,15 +310,27 @@ def test_validation_diagnostics(text, fragment):
     assert all(d.line >= 1 and d.col >= 1 for d in exc_info.value.diagnostics)
 
 
-# every slot of every section declared once, and a valid value for each key
+# every slot of every section declared once, and a valid value for each key:
+# a lindblad file, and a kraus one for [kraus], which no other kind reads
 FULL = {
     "system": ["dim = 2", "hbar = 1.0", "kind = lindblad"],
     "hamiltonian": ["pauli = 1.0 Z"],
     "state": ["ket = [1, 0]"],
     "jump": ["pauli = 1.0 Z", "rate = 0.5"],
     "observable": ["pauli = 1.0 X"],
+}
+FULL_KRAUS = {
+    "system": ["dim = 2", "hbar = 1.0", "kind = kraus"],
+    "state": ["ket = [1, 0]"],
+    "observable": ["pauli = 1.0 X"],
     "kraus": ["family = dephasing", "gamma = 1.0"],
 }
+
+
+def _full(section: str) -> dict:
+    return FULL_KRAUS if section == "kraus" else FULL
+
+
 VALUES = {
     "dim": "2", "hbar": "1.0", "kind": "lindblad", "pauli": "1.0 X", "matrix": "[[1, 0], [0, 1]]",
     "ket": "[1, 0]", "rate": "0.5", "family": "dephasing", "gamma": "1.0",
@@ -336,12 +348,13 @@ def _reader_cases():
     """(id, section, its declarations, whether the fault is on the last
     declaration or on the section header)."""
     for name, layout in _SECTIONS.items():
-        yield f"{name}-unknown", name, FULL[name] + ["bogus = 1"], "last"
+        full = _full(name)[name]
+        yield f"{name}-unknown", name, full + ["bogus = 1"], "last"
         for key, slot in layout.keys.items():
             if slot is not None:
-                yield f"{name}-second-{key}", name, FULL[name] + [f"{key} = {VALUES[key]}"], "last"
+                yield f"{name}-second-{key}", name, full + [f"{key} = {VALUES[key]}"], "last"
         for slot in layout.required:
-            kept = [d for d in FULL[name] if layout.keys[d.split(" = ")[0]] != slot]
+            kept = [d for d in full if layout.keys[d.split(" = ")[0]] != slot]
             yield f"{name}-missing-{slot}", name, kept, "header"
 
 
@@ -350,7 +363,7 @@ READER_CASES = list(_reader_cases())
 
 @pytest.mark.parametrize("section,decls,where", [c[1:] for c in READER_CASES], ids=[c[0] for c in READER_CASES])
 def test_section_reader_reports_each_key_fault_once(section, decls, where):
-    text = _sys_text({**FULL, section: decls})
+    text = _sys_text({**_full(section), section: decls})
     with pytest.raises(ParseError) as exc_info:
         parse_system(text)
     (diag,) = exc_info.value.diagnostics
@@ -378,13 +391,37 @@ def test_kind_inference_and_override():
     with pytest.raises(ParseError) as exc_info:
         parse_system(both)
     assert "declare kind" in str(exc_info.value)
-    resolved = base.format(
-        extra="kind = lindblad\n",
-        body="[jump]\npauli = 1.0 Z\nrate = 0.5\n[kraus]\nfamily = dephasing\ngamma = 1.0\n",
-    )
+    # a declared kind overrides the inference, here from no section at all
+    resolved = base.format(extra="kind = lindblad\n", body="")
     assert parse_system(resolved).kind == "lindblad"
     with pytest.raises(ParseError):
         parse_system(base.format(extra="kind = kraus\n", body=""))
+
+
+@pytest.mark.parametrize(
+    "kind,body,unread",
+    [
+        ("unitary", "[hamiltonian]\npauli = 1.0 Z\n[jump]\npauli = 1.0 Z\nrate = 5\n", ["jump"]),
+        ("lindblad", "[jump]\npauli = 1.0 Z\n[kraus]\nfamily = dephasing\ngamma = 1.0\n", ["kraus"]),
+        (
+            "kraus",
+            "[hamiltonian]\npauli = 1.0 Z\n[jump]\npauli = 1.0 Z\n[kraus]\nfamily = dephasing\ngamma = 1.0\n",
+            ["hamiltonian", "jump"],
+        ),
+    ],
+    ids=["unitary-jump", "lindblad-kraus", "kraus-hamiltonian-jump"],
+)
+def test_sections_the_kind_does_not_read_are_errors(kind, body, unread, tmp_path):
+    # each was dropped without a word, and bound exited 0 on what was left
+    text = f"[system]\ndim = 2\nkind = {kind}\n[state]\nket = [1, 0]\n{body}[observable O]\npauli = 1.0 X\n"
+    path = tmp_path / "unread.sys"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["bound", "--system", str(path), "--observable", "O", "--tmax", "1"], out=out, err=err) == 2
+    headers = {line[1:-1]: i for i, line in enumerate(text.splitlines(), start=1) if line.startswith("[")}
+    message = "section is not read by kind = {}: remove it, or declare kind as one that reads it"
+    expected = [f"{path}:{headers[name]}:1: [{name}] {message.format(kind)}" for name in unread]
+    assert err.getvalue().splitlines() == expected and out.getvalue() == ""
 
 
 def test_tabulated_kraus_parse_and_round_trip():
