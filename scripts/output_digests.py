@@ -32,7 +32,11 @@ a commutator bound that takes <[B, A](T)> for its change. Last,
 ``bound --bounds ALL`` on a random d = 4 unitary system with a pure state
 (UNITARY_FILE), also written from a fixed seed: in every built-in file
 H - O + O == H holds exactly, so only this one shows a battery row that
-reads the charging field H - O in place of H.
+reads the charging field H - O in place of H. Last, the ``--format csv``
+output of ``bound --bounds ALL`` on the six built-in systems, of ``evolve``
+on ``qutrit_decay.sys`` and ``kraus_dephasing.sys``, of the four scenarios
+and of ``audit --trials 100 --seed 1``, so that a change to how a table is
+printed shows too.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -225,14 +229,22 @@ def commands(workdir: Path):
         yield f"bound:{fname}:hbar={HBAR!r}", argv + ["--bounds", "ALL", "--hbar", repr(HBAR), "--format", "json"]
     argv = ["--system", str(workdir / UNITARY_FILE), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]
     yield f"bound:{UNITARY_FILE}", ["bound", *argv, "--bounds", "ALL", "--format", "json"]
+    for fname, obs, obs_b, tmax in BUILTIN_BOUNDS:
+        yield f"bound:{fname}:csv", _bound_all(fname, obs, obs_b, tmax, "csv")
+    for fname, obs, tmax in (("qutrit_decay.sys", "N", "1.0"), ("kraus_dephasing.sys", "O", "1.5708")):
+        argv = ["evolve", "--system", str(SYSTEMS / fname), "--observable", obs, "--tmax", tmax]
+        yield f"evolve:{fname}:csv", argv + ["--format", "csv"]
+    for name in SCENARIOS:
+        yield f"scenario:{name}:csv", ["scenario", name, "--format", "csv"]
+    yield "audit:csv", ["audit", "--trials", "100", "--seed", "1", "--format", "csv"]
 
 
-def _bound_all(fname: str, obs: str, obs_b, tmax: float) -> list:
-    """The argv of ``bound --bounds ALL --format json`` on a built-in system."""
+def _bound_all(fname: str, obs: str, obs_b, tmax: float, fmt: str = "json") -> list:
+    """The argv of ``bound --bounds ALL --format fmt`` on a built-in system."""
     argv = ["bound", "--system", str(SYSTEMS / fname), "--observable", obs]
     if obs_b:
         argv += ["--observable-b", obs_b]
-    return argv + ["--tmax", repr(tmax), "--bounds", "ALL", "--format", "json"]
+    return argv + ["--tmax", repr(tmax), "--bounds", "ALL", "--format", fmt]
 
 
 def _is_number(x) -> bool:

@@ -10,6 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from oqsl.cli import write_result
 from oqsl.scenarios import scenario_dephasing
 
 
@@ -21,7 +22,8 @@ def main() -> int:
     args = ap.parse_args()
 
     result = scenario_dephasing(gamma=args.gamma)
-    args.out.write_text(result.to_csv())
+    with args.out.open("w") as f:
+        write_result(f, "csv", result.columns, result.rows)
     print(f"wrote {len(result.rows)} rows to {args.out} (passed={result.passed})")
 
     if args.plot is not None:

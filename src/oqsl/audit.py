@@ -22,11 +22,10 @@ the same arithmetic, so the summary is the same to the last bit.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,24 +74,6 @@ class AuditSummary:
     @property
     def passed(self) -> bool:
         return all(r.max_violation <= self.tol for r in self.rows)
-
-    def to_csv(self) -> str:
-        lines = ["check,kind,max_violation,trials"]
-        for r in self.rows:
-            lines.append(f"{r.check},{r.kind},{r.max_violation:.12g},{r.trials}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": "oqsl.audit/v1",
-            "seed": self.seed,
-            "tolerance": self.tol,
-            "n_qubit": self.n_qubit,
-            "n_qutrit": self.n_qutrit,
-            "passed": self.passed,
-            "rows": [asdict(r) for r in self.rows],
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ Conventions shared by all bounds:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -47,7 +48,7 @@ from .linalg import (
     hs_norm,
     is_hermitian,
     op_norm,
-    tr_norm,
+    require_finite,
     variance,
 )
 
@@ -110,10 +111,13 @@ def _speed_bound(bound_id, traj, change, weight, what, inputs, details, op=False
     is at most weight times the generator speed, Lambda_T the time average
     (trapezoid rule) of ``traj.gen_speed_hs``, or of ``gen_speed_op`` when
     ``op``, reported as ``lambda_T`` or ``lambda_T_op``."""
-    speeds = traj.gen_speed_op if op else traj.gen_speed_hs
-    lam = float(np.trapezoid(speeds, dx=traj.grid.h)) / traj.grid.duration
+    speeds, name = (traj.gen_speed_op, "lambda_T_op") if op else (traj.gen_speed_hs, "lambda_T")
+    with np.errstate(over="ignore"):  # a huge step overflows, and raises below
+        lam = float(np.trapezoid(speeds, dx=traj.grid.h)) / traj.grid.duration
+    if not math.isfinite(lam):
+        raise NumericError(f"{bound_id}: the mean speed {name} is {lam} over T = {traj.grid.duration!r}")
     tqsl = _ratio(bound_id, change, weight * lam, what)
-    return _report(bound_id, traj.grid.duration, tqsl, inputs, {**details, "lambda_T_op" if op else "lambda_T": lam})
+    return _report(bound_id, traj.grid.duration, tqsl, inputs, {**details, name: lam})
 
 
 def _expect_speed_bound(bound_id, traj, rho, weight, what) -> BoundReport:
@@ -365,7 +369,7 @@ def _battery_ct1(c: EvalContext) -> BoundReport:
 
 
 def _battery_ct2(c: EvalContext) -> BoundReport:
-    norms = {"op": op_norm(c.oh), "hs": hs_norm(c.oh), "tr": tr_norm(c.oh)}
+    norms = {"op": c.oh_norms[0], "hs": c.oh_hs, "tr": c.oh_norms[1]}
     details, inputs = {f"hbht_{k}": v for k, v in norms.items()}, (c.O, c.H - c.O, c.rho.matrix, c.T, c.hbar)
     what = "min norm of HB(0)(HB+HC)"
     return _norm_bound("BATTERY_CT2", c.ends(), 1.0, min(norms.values()), what, c.hbar, c.T, inputs, details)
@@ -543,7 +547,7 @@ class EvalContext:
     ``generator`` alone states: a UnitaryGenerator, a LindbladGenerator or a
     Kraus family, whose :attr:`kind`, :attr:`H` and :attr:`hbar` the context
     reads. Each derived quantity (the trajectory, its probes, the rate
-    audit's probe, dH, O H, the final state) is a
+    audit's probe, dH, O H and its norms, the final state) is a
     ``functools.cached_property``, computed once, on first use.
 
     ``ids`` is the selection that :func:`select`, :attr:`probes` and
@@ -621,6 +625,19 @@ class EvalContext:
         return self.O @ self.H
 
     @cached_property
+    def oh_norms(self) -> tuple[float, float]:
+        """The operator and trace norms of O H, as op_norm and tr_norm take
+        them, from one SVD."""
+        oh = as_matrix(self.oh)
+        require_finite(oh)
+        svals = np.linalg.svd(oh, compute_uv=False)
+        return float(svals[0]), float(svals.sum())
+
+    @cached_property
+    def oh_hs(self) -> float:
+        return hs_norm(self.oh)
+
+    @cached_property
     def rho_T(self) -> DensityState:
         return self.final_state(self.rho, self.generator, self.grid, self.tol)
 
@@ -681,13 +698,11 @@ REGISTRY = (
         ("spread", "self_inverse"),
         lambda c: oqsl_self_inverse(*c.ends(c.self_inverse), c.delta_H, c.T, hbar=c.hbar, tol=c.tol),
     ),
-    BoundSpec("PURITY_HS", _U, (), lambda c: oqsl_purity_hs(*c.ends(), c.rho, hs_norm(c.oh), c.T, hbar=c.hbar)),
+    BoundSpec("PURITY_HS", _U, (), lambda c: oqsl_purity_hs(*c.ends(), c.rho, c.oh_hs, c.T, hbar=c.hbar)),
     BoundSpec("GENERATOR_HS", _UL, (), lambda c: oqsl_generator_hs(c.traj, c.rho)),
     BoundSpec("DELCAMPO", _L, ("final_state",), _delcampo),
     BoundSpec("STATE_INDEP", _UL, (), lambda c: oqsl_state_independent(c.O, c.traj)),
-    BoundSpec(
-        "MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), op_norm(c.oh), tr_norm(c.oh), c.T, hbar=c.hbar)
-    ),
+    BoundSpec("MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), *c.oh_norms, c.T, hbar=c.hbar)),
     BoundSpec("BATTERY_CT1", _U, ("pure",), _battery_ct1),
     BoundSpec("BATTERY_CT2", _U, ("pure",), _battery_ct2),
     BoundSpec("CORR_CLOSED", _U, ("pure",), _CORR, _CORR_PROBE),

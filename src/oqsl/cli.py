@@ -4,7 +4,8 @@ bounds, run built-in scenarios, and drive the randomized audit.
 Exit codes: 0 on success (and all validity/pass flags true), 2 on input or
 parse errors, 3 on numeric failures (including failed validity checks), and
 1 from the process entry when stdout is closed before the output is written.
-Results go to stdout as CSV or JSON; diagnostics go to stderr.
+Results go to stdout, as CSV or JSON through :func:`write_result` (``parse``
+reprints the system instead); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .dynamics import (
 from .linalg import DEFAULT_TOL, NumericError, ValidationError
 from .sysdl import ParseError, SystemSpec, parse_system, serialize_system
 
-BOUND_CSV_HEADER = "bound_id,T,T_qsl,valid"
-EVOLVE_CSV_HEADER = "t,expect,stddev,gen_speed_hs,gen_speed_op"
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
@@ -38,8 +36,19 @@ EXIT_NUMERIC = 3
 TOL_FLOOR = 1e-12
 
 
-def _f12(x: float) -> str:
-    return f"{x:.12g}"
+def write_result(out, fmt: str, columns, rows, /, **payload) -> None:
+    """Print a command's result to ``out``: for ``fmt`` csv, the header
+    ``columns`` over one line per row, a mapping read at the columns, whose
+    booleans print in lower case and floats as ``.12g``; for json,
+    ``payload`` on one line with sorted keys."""
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True), file=out)
+        return
+    print(",".join(columns), file=out)
+    for row in rows:
+        cells = (row[c] for c in columns)
+        print(",".join(str(v).lower() if isinstance(v, bool) else f"{v:.12g}" if isinstance(v, float) else str(v)
+                       for v in cells), file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -137,31 +146,15 @@ def cmd_bound(args: argparse.Namespace, out, err) -> int:
     if ctx.kind == "unitary":
         _note_unresolved(ctx.traj, err)
     reports = bounds.evaluate_all(ctx)
-    if args.format == "json":
-        payload = {
-            "schema": "oqsl.bound/v1",
-            "system": spec.metadata.get("source_digest", ""),
-            "observable": args.observable,
-            "kind": spec.kind,
-            "T": args.tmax,
-            "steps": args.steps,
-            "reports": [
-                {
-                    "bound_id": r.bound_id,
-                    "T": r.T,
-                    "T_qsl": r.T_qsl,
-                    "valid": r.valid,
-                    "inputs_digest": r.inputs_digest,
-                    "details": r.details,
-                }
-                for r in reports
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
-    else:
-        print(BOUND_CSV_HEADER, file=out)
-        for r in reports:
-            print(f"{r.bound_id},{_f12(r.T)},{_f12(r.T_qsl)},{str(r.valid).lower()}", file=out)
+    rows = [{"bound_id": r.bound_id, "T": r.T, "T_qsl": r.T_qsl, "valid": r.valid} for r in reports]
+    if args.format == "json":  # only JSON hashes the inputs that each bound read
+        for row, r in zip(rows, reports):
+            row.update(inputs_digest=r.inputs_digest, details=r.details)
+    write_result(
+        out, args.format, ("bound_id", "T", "T_qsl", "valid"), rows, schema="oqsl.bound/v1",
+        system=spec.metadata.get("source_digest", ""), observable=args.observable, kind=spec.kind,
+        T=args.tmax, steps=args.steps, reports=rows,
+    )
     return EXIT_OK if all(r.valid for r in reports) else EXIT_NUMERIC
 
 
@@ -171,25 +164,13 @@ def cmd_evolve(args: argparse.Namespace, out, err) -> int:
     gen = spec.generator(_effective_hbar(spec, args), args.tol)
     traj = _evolve(O, gen, spec.initial_state, TimeGrid(0.0, args.tmax, args.steps), args.tol)
     _note_unresolved(traj, err)
-    times = traj.grid.times()
-    if args.format == "json":
-        payload = {
-            "schema": "oqsl.evolve/v1",
-            "system": spec.metadata.get("source_digest", ""),
-            "observable": args.observable,
-            "kind": spec.kind,
-            "t": times.tolist(),
-            "expect": traj.expect.tolist(),
-            "stddev": traj.stddev.tolist(),
-            "gen_speed_hs": traj.gen_speed_hs.tolist(),
-            "gen_speed_op": traj.gen_speed_op.tolist(),
-        }
-        print(json.dumps(payload, sort_keys=True), file=out)
-    else:
-        print(EVOLVE_CSV_HEADER, file=out)
-        for i, t in enumerate(times):
-            row = (times[i], traj.expect[i], traj.stddev[i], traj.gen_speed_hs[i], traj.gen_speed_op[i])
-            print(",".join(_f12(float(v)) for v in row), file=out)
+    series = {name: getattr(traj, name).tolist() for name in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")}
+    series = {"t": traj.grid.times().tolist(), **series}
+    rows = (dict(zip(series, row)) for row in zip(*series.values()))
+    write_result(
+        out, args.format, tuple(series), rows, schema="oqsl.evolve/v1",
+        system=spec.metadata.get("source_digest", ""), observable=args.observable, kind=spec.kind, **series,
+    )
     return EXIT_OK
 
 
@@ -197,7 +178,10 @@ def cmd_scenario(args: argparse.Namespace, out, err) -> int:
     from . import scenarios  # here, so that no other command imports it
 
     result = scenarios.run_scenario(args.name)
-    print(result.to_json() if args.format == "json" else result.to_csv(), end="", file=out)
+    write_result(
+        out, args.format, result.columns, result.rows, schema="oqsl.scenario/v1", scenario=result.scenario_id,
+        tolerance=result.tolerance, passed=result.passed, columns=result.columns, rows=result.rows,
+    )
     return EXIT_OK if result.passed else EXIT_NUMERIC
 
 
@@ -209,7 +193,12 @@ def cmd_audit(args: argparse.Namespace, out, err) -> int:
     from . import audit as audit_mod  # here, so that no other command imports it
 
     summary = audit_mod.run_audit(n_qubit=args.trials, n_qutrit=args.trials // 2, seed=args.seed, tol=1e-6)
-    print(summary.to_json() if args.format == "json" else summary.to_csv(), end="", file=out)
+    rows = [vars(r) for r in summary.rows]
+    write_result(
+        out, args.format, ("check", "kind", "max_violation", "trials"), rows, schema="oqsl.audit/v1",
+        seed=summary.seed, tolerance=summary.tol, n_qubit=summary.n_qubit, n_qutrit=summary.n_qutrit,
+        passed=summary.passed, rows=rows,
+    )
     return EXIT_OK if summary.passed else EXIT_NUMERIC
 
 
@@ -227,10 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="oqsl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, system=True):
-        if system:
-            sp.add_argument("--system", required=True, help="path to a .sys description")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    def add_common(sp):
+        sp.add_argument("--system", required=True, help="path to a .sys description")
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="validation tolerance")
 
     sp = sub.add_parser("bound", help="evaluate speed-limit bounds for an observable")
@@ -251,15 +238,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scenario", help="run a built-in worked example")
     sp.add_argument("name", help="scenario name")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("audit", help="randomized validity and rate-inequality sweep")
     sp.add_argument("--trials", type=int, default=100, help="qubit trials (qutrit trials = half)")
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("parse", help="parse and reprint a system file canonically")
     add_common(sp)
+    for name, sp in sub.choices.items():  # parse prints the system itself, not a table
+        if name != "parse":
+            sp.add_argument("--format", choices=("csv", "json"), default="csv", help="csv or json output")
     return p
 
 

@@ -109,14 +109,15 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class RateTable:
-    """Piecewise-linear nonnegative rate gamma(t) tabulated on increasing times."""
+    """Piecewise-linear nonnegative rate gamma(t) tabulated on increasing
+    times, held as read-only copies, so that the rates stay as checked."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = np.array(self.times, dtype=float)
+        v = np.array(self.values, dtype=float)
         if t.ndim != 1 or v.shape != t.shape or t.size < 2:
             raise ValidationError("rate table needs matching 1-D times/values, length >= 2")
         if not (np.isfinite(t).all() and np.isfinite(v).all()):
@@ -125,6 +126,7 @@ class RateTable:
             raise ValidationError("rate table times must be strictly increasing")
         if v.min() < 0:
             raise ValidationError(f"negative rate {v.min()!r} in rate table")
+        t.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -479,9 +481,6 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> n
     rho = as_matrix(rho, "state")
     if rho.shape != gen.H.shape:
         raise ValidationError(f"dimension mismatch: {rho.shape} vs {gen.H.shape}")
-    g = _rates_at(gen, t)
-    if (g < 0).any():
-        raise ValidationError(f"negative rate {float(g.min())!r} at t={t!r}")
     return _fused_form([gen], heisenberg=False)(t, rho[None])[0]
 
 
@@ -510,8 +509,10 @@ def _op_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(_hermitian_op_norms(X.conj().swapaxes(-1, -2) @ X))
 
 
-def _check_stable(y: np.ndarray) -> None:
-    if not np.abs(y).max() <= INSTABILITY_LIMIT:
+def _check_stable(y: np.ndarray, limit=INSTABILITY_LIMIT) -> None:
+    """Reject a blow-up: an entry of y[b] above limit, or limit[b] for one
+    limit per batch entry."""
+    if not (np.abs(y).reshape(len(y), -1).max(axis=1) <= limit).all():
         raise NumericError("integration became unstable; reduce the step size (increase steps)")
 
 
@@ -554,7 +555,12 @@ def _fused_form(gens, heisenberg: bool):
     Lds = Ls.conj().swapaxes(-1, -2)
     half_LdL = 0.5 * (Lds @ Ls)
     left, right = (Lds, Ls) if heisenberg else (Ls, Lds)
-    cH = np.stack([(1j if heisenberg else -1j) / gen.hbar * gen.H for gen in gens])
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny hbar overflows, and raises below
+        cH = np.stack([(1j if heisenberg else -1j) / gen.hbar * gen.H for gen in gens])
+        # twice the sum of |c H| bounds each entry of c H y - y c H where |y| <= 1
+        bad = np.flatnonzero(~np.isfinite(2.0 * np.abs(cH).sum(axis=(1, 2))))
+    if bad.size:
+        raise NumericError(f"the Hamiltonian term i H / hbar overflows at hbar = {gens[bad[0]].hbar!r}")
     constant = all(_constant_rates(gen) for gen in gens)
 
     @functools.lru_cache(maxsize=1)  # RK4's second and third stages share a time
@@ -598,20 +604,22 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     per generator, and the speeds apply L to each chunk. Otherwise the master
     equation is integrated by fixed-step RK4 on the fused generator, whose
     first stage gives the speeds. The exact route rejects a blow-up on every
-    chunk and RK4 at every step; a state's trace is checked on every chunk.
+    chunk and RK4 at every step: an entry of y[b] above INSTABILITY_LIMIT
+    times max(1, max |y0[b]|), as the Heisenberg flow does not grow an
+    observable's norm and a state's entries are at most 1; a state's trace
+    is checked on every chunk.
     """
     times = grid.times()
-    for gen in gens:
-        bad = np.flatnonzero((_rates_at(gen, times) < 0).any(axis=0))
-        if bad.size:
-            raise ValidationError(f"jump operator {bad[0]} has negative rate on the grid")
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
     spans = _spans(times.size, 16 * B * d * d)
+    with np.errstate(over="ignore"):  # a huge observable's limit is the largest float
+        limit = INSTABILITY_LIMIT * np.abs(y0).reshape(B, -1).max(axis=1)
+    limit = np.clip(limit, INSTABILITY_LIMIT, np.finfo(float).max)
     if all(_takes_exact_route(gen) for gen in gens):
-        chunks = _exact_chunks(gens, y0, grid.h, spans, heisenberg)
+        chunks = _exact_chunks(gens, y0, grid.h, spans, heisenberg, limit)
     else:
-        chunks = _rk4_chunks(_fused_form(gens, heisenberg), y0, times, spans, heisenberg)
+        chunks = _rk4_chunks(_fused_form(gens, heisenberg), y0, times, spans, heisenberg, limit)
     if heisenberg:
         yield from chunks  # which holds no chunk between yields
         return
@@ -632,11 +640,12 @@ def _spans(n: int, sample_bytes: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool):
+def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool, limit):
     """The chunks of :func:`lindblad_chunks` by the exact propagator, one
     BLAS product P @ y a step with y held as a column, shape (B, d^2, 1). A
-    blow-up is checked once per chunk, on its samples, before the speeds, so
-    the steps that overflow on the way there do so silently."""
+    blow-up beyond ``limit`` is checked once per chunk, on its samples,
+    before the speeds, so the steps that overflow on the way there do so
+    silently."""
     B, d = y0.shape[:2]
     Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
     P = mat_exp(h * Lv)
@@ -648,34 +657,36 @@ def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool):
                 if start + j:
                     y = P @ y
                 out[:, j] = y[..., 0]
-        _check_stable(out)
+        _check_stable(out, limit)
         speeds = _norms((out @ Lv.swapaxes(-1, -2)).reshape(B, -1, d, d)) if heisenberg else None
         yield start, out.reshape(B, end - start, d, d), speeds
 
 
-def _rk4_chunks(f, y: np.ndarray, times: np.ndarray, spans, heisenberg: bool):
+def _rk4_chunks(f, y: np.ndarray, times: np.ndarray, spans, heisenberg: bool, limit):
     """The chunks of :func:`lindblad_chunks` by classical fixed-step RK4 of
-    dy/dt = f(t, y). The first stage is f at the sample, so an observable's
-    speeds there are the norms of it, taken once per chunk."""
+    dy/dt = f(t, y), a blow-up beyond ``limit`` checked at every step. The
+    first stage is f at the sample, so an observable's speeds there are the
+    norms of it, taken once per chunk."""
     h = times[1] - times[0]
     last = times.size - 1
     for start, end in spans:
         out = np.empty((y.shape[0], end - start) + y.shape[1:], dtype=complex)
         k1s = np.empty_like(out) if heisenberg else None
-        for j, i in enumerate(range(start, end)):
-            out[:, j] = y
-            if i < last or heisenberg:
-                k1 = f(times[i], y)
-            if heisenberg:
-                k1s[:, j] = k1
-            if i == last:
-                break
-            t = times[i]
-            k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-            k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_stable(y)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises at its step
+            for j, i in enumerate(range(start, end)):
+                out[:, j] = y
+                if i < last or heisenberg:
+                    k1 = f(times[i], y)
+                if heisenberg:
+                    k1s[:, j] = k1
+                if i == last:
+                    break
+                t = times[i]
+                k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+                k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+                k4 = f(t + h, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                _check_stable(y, limit)
         yield start, out, _norms(k1s) if heisenberg else None
 
 
@@ -815,7 +826,7 @@ def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
     constant rates, or None when s m > 4 steps (RK4's generator calls)."""
     A, Ad, _ = f.terms(0.0)
     M = np.stack([A[0], Ad[0], *(L for L, _ in gen.jumps)])
-    if not np.isfinite(M).all():  # hbar so small that c H overflows
+    if not np.isfinite(M).all():  # jumps so large that K overflows
         return None
     theta, budget = 0.5, 4 * grid.steps
     norms = np.linalg.svd(M, compute_uv=False)[:, 0]
@@ -880,8 +891,13 @@ def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid, tol: float):
             raise ValidationError(f"Kraus completeness violated at t={times[start + j]!r} (defect {defect[j]:.3e})")
         # one product per batch entry, not one per sample
         KdO = (K.conj().swapaxes(-1, -2).reshape(B, -1, d) @ O0s).reshape(K.shape)
-        M = KdO @ np.gradient(window, grid.h, axis=1)[:, own]
-        speeds = np.stack([np.linalg.norm(M, axis=(-2, -1)).sum(axis=2), _op_norms(M).sum(axis=2)], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step overflows, and raises below
+            M = KdO @ np.gradient(window, grid.h, axis=1)[:, own]
+            speeds = np.stack([np.linalg.norm(M, axis=(-2, -1)).sum(axis=2), _op_norms(M).sum(axis=2)], axis=-1)
+        bad = np.flatnonzero(~np.isfinite(speeds).all(axis=(0, 2)))
+        if bad.size:
+            t = float(times[start + bad[0]])
+            raise NumericError(f"Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite at t={t!r}, step h = {grid.h!r}")
         samples = (KdO @ K).sum(axis=2)
         del window, K, KdO, M  # freed before the reducer reads the chunk
         yield start, samples, speeds

@@ -103,6 +103,8 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
     while theta > 0.5:
         s, theta = s + 1, theta / 2.0
     m = taylor_degree(theta)
+    if s > 1023:  # 2.0**s overflows
+        raise NumericError(f"matrix exponential out of range: the 1-norm {norm:.6g} of its argument is above 2^1022")
     X = A / 2.0**s
     eye = np.eye(A.shape[-1], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,14 +1,13 @@
 """Built-in, parameter-free reproductions of the worked qubit examples,
-emitting machine-readable tables checked against closed forms.
+returning tables checked against closed forms, which the CLI prints.
 
 Each scenario fixes its grid and parameters, so repeated runs produce
-bit-identical CSV/JSON output. The default parameters double as the golden
+bit-identical rows. The default parameters double as the golden
 regression suite for the bound evaluators.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,29 +36,6 @@ class ScenarioResult:
     rows: list = field(compare=False)
     tolerance: float = 0.0
     passed: bool = False
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_cell(row[c]) for c in self.columns))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": "oqsl.scenario/v1",
-            "scenario": self.scenario_id,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "columns": list(self.columns),
-            "rows": self.rows,
-        }
-        return json.dumps(payload, sort_keys=True) + "\n"
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
 
 
 def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:

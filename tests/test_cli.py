@@ -455,6 +455,85 @@ def test_overflowed_generator_speed_is_a_numeric_error(name, obs, command):
     assert "generator speed gen_speed_hs" in err and "is inf at hbar = 1e-300" in err
 
 
+def register_text(c=1.0, dim=32):
+    """A Lindblad register of log2(dim) qubits (the RK4 route at dim = 32, the
+    exact one at dim = 2): H = X on the first qubit, the jump Z there at rate
+    0.5, the all-ones ket, or [1, 0] on one qubit, and O = c Z there."""
+    rest = "I" * (dim.bit_length() - 2)
+    ket = ", ".join(["1"] + ["1" if dim > 2 else "0"] * (dim - 1))
+    return (f"[system]\ndim = {dim}\nkind = lindblad\n[hamiltonian]\npauli = 1.0 X{rest}\n[state]\nket = [{ket}]\n"
+            f"[jump]\npauli = 1.0 Z{rest}\nrate = 0.5\n[observable O]\npauli = {c!r} Z{rest}\n")
+
+
+@pytest.mark.parametrize("dim", [2, 32], ids=["exact", "rk4"])
+def test_a_large_observable_is_not_unstable(tmp_path, dim):
+    # every bound is scale-free, and the Heisenberg flow of a Lindblad generator does not grow O
+    assert _takes_exact_route(parse_system(register_text(dim=dim)).generator()) == (dim == 2)
+    reports = {}
+    for c in (1.0, 1e13):
+        path = tmp_path / f"register_{c}.sys"
+        path.write_text(register_text(c, dim))
+        argv = ["bound", "--system", str(path), "--observable", "O", "--tmax", "1", "--format", "json"]
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        reports[c] = [(r["bound_id"], r["T_qsl"]) for r in json.loads(out)["reports"]]
+    ids = ["GENERATOR_HS", "DELCAMPO", "STATE_INDEP", "CORR_OPEN"]
+    assert [b for b, _ in reports[1.0]] == [b for b, _ in reports[1e13]] == ids
+    for (_, a), (_, b) in zip(reports[1.0], reports[1e13]):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (a, b)
+
+
+@pytest.fixture
+def register_path(tmp_path):
+    p = tmp_path / "register.sys"
+    p.write_text(register_text())
+    return str(p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "dephasing", "O", "1e308", "--steps", "2"], "matrix exponential out of range"),
+        (["bound", "qutrit_decay", "N", "1e308", "--steps", "2"], "matrix exponential out of range"),
+        (["bound", "REGISTER", "O", "1", "--hbar", "1e-150"], "integration became unstable"),
+        (["evolve", "REGISTER", "O", "1", "--hbar", "1e-150"], "integration became unstable"),
+        (["bound", "REGISTER", "O", "1e300", "--steps", "50"], "integration became unstable"),
+        (["evolve", "REGISTER", "O", "1e300", "--steps", "50"], "integration became unstable"),
+        (["bound", "dephasing", "O", "1", "--hbar", "5e-324"], "i H / hbar overflows at hbar = 5e-324"),
+        (["bound", "qutrit_decay", "N", "1", "--hbar", "5e-324"], "i H / hbar overflows at hbar = 5e-324"),
+        (["bound", "kraus_dephasing", "O", "1e-310"], "Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite"),
+        (["evolve", "kraus_dephasing", "O", "1e-310"], "Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite"),
+        (["bound", "battery", "HB", "1e308", "--steps", "2"], "GENERATOR_HS: the mean speed lambda_T is inf"),
+        (["bound", "two_qubit", "A", "1e308", "--steps", "2"], "GENERATOR_HS: the mean speed lambda_T is inf"),
+    ],
+    ids=[
+        "mat-exp-dephasing", "mat-exp-qutrit", "rk4-hbar-bound", "rk4-hbar-evolve", "rk4-tmax-bound",
+        "rk4-tmax-evolve", "hbar-dephasing", "hbar-qutrit", "kraus-bound", "kraus-evolve", "speed-battery",
+        "speed-two-qubit",
+    ],
+)
+def test_extreme_inputs_end_with_one_error_line(register_path, argv, message):
+    command, name, obs, tmax, *rest = argv
+    path = register_path if name == "REGISTER" else str(SYSTEMS / f"{name}.sys")
+    code, out, err = run_cli([command, "--system", path, "--observable", obs, "--tmax", tmax, *rest])
+    assert code == 3 and out == ""
+    # the unitary systems also note that the huge step aliases
+    (line,) = [line for line in err.splitlines() if not line.startswith("note: ")]
+    assert line.startswith("numeric error: ") and message in line
+
+
+def test_o_h_is_decomposed_once(monkeypatch):
+    # one SVD each for the unitary evolution's operator speed, the norms of O H and CORR's ||O||_op
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    argv = ["bound", "--system", str(SYSTEMS / "battery.sys"), "--observable", "HB", "--tmax", "1", "--bounds", "ALL"]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert {"PURITY_HS", "MIN_NORM", "BATTERY_CT2", "CORR_CLOSED"} <= {r["bound_id"] for r in parse_csv(out)}
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("command", ["bound", "evolve"])
 def test_unresolved_unitary_grid_is_noted(command):
     # h = 2e298 against the frequency spread 2 of tight_qubit's H: every sample aliases
@@ -547,6 +626,15 @@ def test_parse_rejects_kraus_keys_it_would_ignore(tmp_path, kraus, line):
     code, out, err = run_cli(["parse", "--system", str(p)])
     assert code == 2 and out == ""
     assert f"k.sys:{line}:" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parse_takes_no_format(dephasing_path, fmt, capsys):
+    # parse reprints the system itself, so a --format would be ignored
+    with pytest.raises(SystemExit) as exc_info:
+        main(["parse", "--system", dephasing_path, "--format", fmt], out=io.StringIO(), err=io.StringIO())
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: --format {fmt}" in capsys.readouterr().err
 
 
 def test_parse_missing_file():

@@ -84,6 +84,17 @@ def test_rate_table_validation():
     assert table.at(0.5) == pytest.approx(0.5)
 
 
+def test_rate_table_keeps_its_checked_rates():
+    # the table holds read-only copies, so a rate cannot turn negative after the check
+    values = np.array([0.5, 1.0])
+    table = RateTable(times=np.array([0.0, 1.0]), values=values)
+    for arr in (table.times, table.values):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -1.0
+    values[0] = -1.0
+    assert table.values[0] == 0.5 and table.at(0.0) == 0.5
+
+
 def test_constant_rate_table_matches_constant_rate():
     table = RateTable(times=[0.0, 2.0], values=[0.5, 0.5])
     gen_c = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 0.5),))

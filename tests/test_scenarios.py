@@ -1,9 +1,11 @@
+import io
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oqsl.cli import main
 from oqsl.linalg import ValidationError
 from oqsl.scenarios import (
     SCENARIOS,
@@ -89,24 +91,29 @@ def test_kraus_dephasing_fails_on_a_wrong_kraus_bound(monkeypatch):
     assert not res.passed and row["abs_err"] == pytest.approx(np.pi / 4 / np.sqrt(2.0))
 
 
+def printed(name, fmt):
+    """What ``oqsl scenario name --format fmt`` prints."""
+    out = io.StringIO()
+    assert main(["scenario", name, "--format", fmt], out=out, err=io.StringIO()) == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_deterministic_output(name):
-    a = run_scenario(name)
-    b = run_scenario(name)
-    assert a.to_csv() == b.to_csv()
-    assert a.to_json() == b.to_json()
+    assert printed(name, "csv") == printed(name, "csv")
+    assert printed(name, "json") == printed(name, "json")
 
 
 def test_csv_headers_stable():
-    assert run_scenario("dephasing").to_csv().splitlines()[0] == (
+    assert printed("dephasing", "csv").splitlines()[0] == (
         "T,oqsl,qsl,ref_oqsl,ref_qsl,err_oqsl,err_qsl"
     )
-    assert run_scenario("tight-qubit").to_csv().splitlines()[0] == (
+    assert printed("tight-qubit", "csv").splitlines()[0] == (
         "bound,value,reference,abs_err"
     )
 
 
 def test_json_schema_keys():
-    payload = json.loads(run_scenario("tight-qubit").to_json())
+    payload = json.loads(printed("tight-qubit", "json"))
     assert payload["schema"] == "oqsl.scenario/v1"
     assert set(payload) == {"schema", "scenario", "tolerance", "passed", "columns", "rows"}
