@@ -7,7 +7,7 @@ import argparse
 import numpy as np
 
 from oqsl.bounds import EvalContext, evaluate_all
-from oqsl.dynamics import TimeGrid, dephasing_generator, evolve_lindblad_heisenberg, lindblad_final_state
+from oqsl.dynamics import TimeGrid, dephasing_generator, evolve_lindblad_heisenberg
 from oqsl.linalg import DensityState, sigma_x
 
 IDS = ("GENERATOR_HS", "STATE_INDEP", "DELCAMPO")
@@ -26,7 +26,7 @@ def main() -> int:
     for gamma in args.gammas:
         ctx = EvalContext(
             dephasing_generator(gamma), grid, sigma_x, rho, evolve_lindblad_heisenberg,
-            final_state=lindblad_final_state, ids=IDS,
+            final_state=True, ids=IDS,
         )
         g, s, d = (r.T_qsl for r in evaluate_all(ctx))
         print(f"{gamma:.6g},{g:.6g},{s:.6g},{d:.6g},{grid.duration:.6g}")

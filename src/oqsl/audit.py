@@ -7,9 +7,9 @@ from (seed, dim, index); summaries are therefore bit-identical for a fixed
 seed. Each samples the commutator bounds' second observable B independently
 of O, so the pair need not commute at t = 0. The trials of one dimension
 form a block, evolved through the batched kernels that the CLI also uses:
-Lindblad in both pictures (``dynamics.lindblad_chunks``, by the exact
-propagator, as the audit's rates are constant) and, for qubits, Kraus
-(``dynamics.kraus_trajectories``).
+Lindblad in both pictures (observables through ``dynamics.trajectories``
+and states through ``dynamics.lindblad_chunks``, by the exact propagator, as
+the audit's rates are constant) and, for qubits, Kraus (``trajectories``).
 Their chunks are reduced as they arrive, so each trial keeps its evaluation
 contexts, whose trajectories hold the scalar series, O(0), O(T) and the
 series its bounds and rate audit declare, and tr(O rho(t)), but no sample
@@ -37,9 +37,8 @@ from .dynamics import (
     UnitaryGenerator,
     evolve_kraus_heisenberg,  # not called here, but bench/layers.py wraps it in this module
     evolve_unitary_heisenberg,
-    kraus_trajectories,
     lindblad_chunks,
-    lindblad_trajectories,
+    trajectories,
 )
 from .linalg import DensityState, NumericError, op_norm, sigma_x
 
@@ -53,6 +52,8 @@ KRAUS_STEPS = 240
 UNITARY_GRID = TimeGrid(0.0, UNITARY_T, UNITARY_STEPS)
 LINDBLAD_GRID = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
 KRAUS_GRID = TimeGrid(0.0, KRAUS_T, KRAUS_STEPS)
+# the largest violation, T_qsl - T or LHS - RHS, that a check passes with
+TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,13 @@ class AuditRow:
 @dataclass(frozen=True)
 class AuditSummary:
     seed: int
-    tol: float
     n_qubit: int
     n_qutrit: int
     rows: list = field(compare=False)
 
     @property
     def passed(self) -> bool:
-        return all(r.max_violation <= self.tol for r in self.rows)
+        return all(r.max_violation <= TOL for r in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +159,14 @@ def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
     gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
     rhos = [t.rho for t in trials]
     contexts = [bounds.EvalContext(gen, grid, t.O, t.rho, None, B=t.B, rates=True) for t, gen in zip(trials, gens)]
-    trajs = lindblad_trajectories(gens, np.stack([t.O for t in trials]), rhos, grid, [ctx.probes for ctx in contexts])
+    trajs = trajectories(gens, np.stack([t.O for t in trials]), rhos, grid, [ctx.probes for ctx in contexts])
     for t, ctx, traj in zip(trials, contexts, trajs):
         ctx.traj, t.lindblad = traj, ctx
     if trials[0].dim == 2:
         contexts = [bounds.EvalContext(DephasingKraus(t.kraus_gamma), KRAUS_GRID, sigma_x, t.rho, None) for t in trials]
         families = [ctx.generator for ctx in contexts]
         O0s = np.broadcast_to(sigma_x, (len(trials), 2, 2))
-        trajs = kraus_trajectories(families, O0s, rhos, KRAUS_GRID, [ctx.probes for ctx in contexts])
+        trajs = trajectories(families, O0s, rhos, KRAUS_GRID, [ctx.probes for ctx in contexts])
         for t, ctx, traj in zip(trials, contexts, trajs):
             ctx.traj, t.kraus = traj, ctx
     rho_expect = np.empty((len(trials), grid.steps + 1))
@@ -268,7 +268,7 @@ def _run_blocks_forked(seed: int, n_qubit: int, n_qutrit: int) -> list[dict]:
     return qubit + qutrit
 
 
-def run_audit(n_qubit: int = 100, n_qutrit: int = 50, seed: int = 42, tol: float = 1e-6) -> AuditSummary:
+def run_audit(n_qubit: int = 100, n_qutrit: int = 50, seed: int = 42) -> AuditSummary:
     """Run the full validity/rate/duality sweep and aggregate max violations."""
     if _may_fork(n_qubit, n_qutrit):
         results = _run_blocks_forked(seed, n_qubit, n_qutrit)
@@ -285,4 +285,4 @@ def run_audit(n_qubit: int = 100, n_qutrit: int = 50, seed: int = 42, tol: float
         AuditRow(check=check, kind=kind, max_violation=worst[(check, kind)], trials=counts[(check, kind)])
         for check, kind in sorted(worst)
     ]
-    return AuditSummary(seed=seed, tol=tol, n_qubit=n_qubit, n_qutrit=n_qutrit, rows=rows)
+    return AuditSummary(seed=seed, n_qubit=n_qubit, n_qutrit=n_qutrit, rows=rows)

@@ -38,6 +38,7 @@ from .dynamics import (
     _constant_rates,
     evolve_unitary_heisenberg,
     lindblad_apply,
+    lindblad_final_state,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -45,8 +46,8 @@ from .linalg import (
     NumericError,
     ValidationError,
     as_matrix,
+    checked_hermitian,
     hs_norm,
-    is_hermitian,
     op_norm,
     require_finite,
     variance,
@@ -433,11 +434,7 @@ def two_time_correlation(
     """
     if not rho.is_pure():
         raise ValidationError("two-time correlation requires a pure state")
-    A0 = as_matrix(A0, "observable")
-    if not is_hermitian(A0, tol):
-        raise ValidationError("observable is not Hermitian within tolerance")
-    if A0.shape[0] != traj.dim:
-        raise ValidationError(f"dimension mismatch: {A0.shape[0]} vs {traj.dim}")
+    A0 = checked_hermitian(A0, "observable", tol, traj.dim)
     probe = correlation_probe(A0, rho)
     first = traj.trace_with(probe)
     mean0 = float(np.trace(probe).real)
@@ -479,7 +476,7 @@ def corr_qsl(C: np.ndarray, traj: Trajectory, a0_op: float) -> BoundReport:
     return _growth_qsl("CORR", C, traj, a0_op, "A", details, (C, a0_op, traj.gen_speed_op))
 
 
-def commutator_qsl(B0: np.ndarray, traj: Trajectory, rho: DensityState) -> BoundReport:
+def commutator_qsl(B0: np.ndarray, traj: Trajectory, rho: DensityState, tol: float = DEFAULT_TOL) -> BoundReport:
     """Commutator-growth bound on the unitary or Lindblad trajectory of A,
     :func:`_growth_qsl` with X(t) = <[B(0), A(t)]> = tr(A(t) (rho B0 - B0 rho))
     and Y = B, for any pair A, B, commuting at t = 0 or not:
@@ -491,9 +488,7 @@ def commutator_qsl(B0: np.ndarray, traj: Trajectory, rho: DensityState) -> Bound
     """
     if not rho.is_pure():
         raise ValidationError("commutator bound requires a pure state")
-    B0 = as_matrix(B0, "observable")
-    if B0.shape[0] != traj.dim:
-        raise ValidationError(f"dimension mismatch: {B0.shape[0]} vs {traj.dim}")
+    B0 = checked_hermitian(B0, "observable", tol, traj.dim)
     X = traj.trace_with(commutator_probe(B0, rho))
     b0_op = op_norm(B0)
     details = {"comm_expect_0": abs(complex(X[0])), "comm_expect_T": abs(complex(X[-1])), "b0_op": b0_op}
@@ -560,10 +555,9 @@ class EvalContext:
     audit's probe too. ``self_inverse`` and ``projector`` are the
     observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
     observables read at the grid's two ends in O's eigenbasis. ``B`` is the
-    commutator bounds' second observable. ``final_state``, called as
-    ``final_state(rho, generator, grid, tol)``, returns the Schrodinger state
-    at T that DELCAMPO reads (:func:`~oqsl.dynamics.lindblad_final_state`,
-    which builds no trajectory).
+    commutator bounds' second observable. ``final_state`` makes DELCAMPO
+    applicable: it reads the Schrodinger state at T, which
+    :func:`~oqsl.dynamics.lindblad_final_state` computes with no trajectory.
     """
 
     generator: GeneratorSpec
@@ -575,7 +569,7 @@ class EvalContext:
     B: np.ndarray | None = None
     self_inverse: np.ndarray | None = None
     projector: np.ndarray | None = None
-    final_state: Callable[..., DensityState] | None = None
+    final_state: bool = False
     rates: bool = False
     ids: Sequence[str] | None = None
 
@@ -639,7 +633,7 @@ class EvalContext:
 
     @cached_property
     def rho_T(self) -> DensityState:
-        return self.final_state(self.rho, self.generator, self.grid, self.tol)
+        return lindblad_final_state(self.rho, self.generator, self.grid, self.tol)
 
     def ends(self, slot: np.ndarray | None = None) -> tuple[float, float]:
         """<M(0)> and <M(T)> for the slot observable M, by default O; another
@@ -654,6 +648,8 @@ class EvalContext:
             return self.delta_H > SPREAD_TOL
         if need == "pure":
             return self.rho.is_pure()
+        if need == "final_state":
+            return self.final_state
         return getattr(self, need) is not None
 
 
@@ -688,6 +684,7 @@ _U, _L, _UL = ("unitary",), ("lindblad",), ("unitary", "lindblad")
 _CORR_PROBE, _COMM_PROBE = (lambda c: correlation_probe(c.O, c.rho)), (lambda c: commutator_probe(c.B, c.rho))
 # each twin pair has one evaluation: the trajectory's kind picks the id it reports
 _CORR = lambda c: corr_qsl(two_time_correlation(c.O, c.traj, c.rho, tol=c.tol), c.traj, op_norm(c.O))
+_COMM = lambda c: commutator_qsl(c.B, c.traj, c.rho, tol=c.tol)
 
 REGISTRY = (
     BoundSpec("MT_INTEGRAL", _U, ("spread",), lambda c: oqsl_mt_integral(c.traj, c.delta_H, hbar=c.hbar)),
@@ -707,8 +704,8 @@ REGISTRY = (
     BoundSpec("BATTERY_CT2", _U, ("pure",), _battery_ct2),
     BoundSpec("CORR_CLOSED", _U, ("pure",), _CORR, _CORR_PROBE),
     BoundSpec("CORR_OPEN", _L, ("pure",), _CORR, _CORR_PROBE),
-    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho), _COMM_PROBE),
-    BoundSpec("COMM_OPEN", _L, ("pure", "B"), lambda c: commutator_qsl(c.B, c.traj, c.rho), _COMM_PROBE),
+    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), _COMM, _COMM_PROBE),
+    BoundSpec("COMM_OPEN", _L, ("pure", "B"), _COMM, _COMM_PROBE),
     BoundSpec("KRAUS", ("kraus",), (), lambda c: oqsl_kraus(c.traj, c.rho)),
 )
 

@@ -11,6 +11,7 @@ reprints the system instead); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,6 @@ from .dynamics import (
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,  # not called here, but bench/layers.py wraps it in this module
     evolve_unitary_heisenberg,
-    lindblad_final_state,
 )
 from .linalg import DEFAULT_TOL, NumericError, ValidationError
 from .sysdl import ParseError, SystemSpec, parse_system, serialize_system
@@ -55,12 +55,13 @@ def write_result(out, fmt: str, columns, rows, /, **payload) -> None:
 # bound evaluation on a parsed system
 
 
-def _effective_hbar(spec: SystemSpec, args: argparse.Namespace) -> float:
+def _generator(spec: SystemSpec, args: argparse.Namespace):
+    """The system's generator, with --hbar in place of the file's when given."""
     if args.hbar is None:
-        return spec.hbar
-    if spec.kind == "kraus":
+        return spec.generator
+    if spec.generator.kind == "kraus":
         raise ValidationError("--hbar does not apply to a kraus system: its Kraus family has no hbar")
-    return args.hbar
+    return dataclasses.replace(spec.generator, hbar=args.hbar)
 
 
 def _evolve(O: np.ndarray, gen, rho, grid: TimeGrid, tol: float, probes=()):
@@ -78,7 +79,7 @@ def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) 
     """The evaluation context of the named observable and the bound selection
     ``ids``, --observable-b checked against it; nothing evolves yet."""
     O = spec.observable(args.observable)
-    gen = spec.generator(_effective_hbar(spec, args), args.tol)
+    gen = _generator(spec, args)
     B = spec.observable(args.observable_b) if args.observable_b else None
     OO, slot_tol = O @ O, max(args.tol, 1e-9)
     ctx = bounds.EvalContext(
@@ -91,7 +92,7 @@ def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) 
         B=B,
         self_inverse=O if np.abs(OO - np.eye(spec.dim)).max() <= slot_tol else None,
         projector=O if np.abs(OO - O).max() <= slot_tol else None,
-        final_state=lindblad_final_state if gen.kind == "lindblad" else None,
+        final_state=True,
         ids=ids,
     )
     if B is not None and not any(s.applies(ctx) for s in bounds.REGISTRY if "B" in s.needs):
@@ -152,7 +153,7 @@ def cmd_bound(args: argparse.Namespace, out, err) -> int:
             row.update(inputs_digest=r.inputs_digest, details=r.details)
     write_result(
         out, args.format, ("bound_id", "T", "T_qsl", "valid"), rows, schema="oqsl.bound/v1",
-        system=spec.metadata.get("source_digest", ""), observable=args.observable, kind=spec.kind,
+        system=spec.metadata.get("source_digest", ""), observable=args.observable, kind=ctx.kind,
         T=args.tmax, steps=args.steps, reports=rows,
     )
     return EXIT_OK if all(r.valid for r in reports) else EXIT_NUMERIC
@@ -161,7 +162,7 @@ def cmd_bound(args: argparse.Namespace, out, err) -> int:
 def cmd_evolve(args: argparse.Namespace, out, err) -> int:
     spec = _read_system(args)
     O = spec.observable(args.observable)
-    gen = spec.generator(_effective_hbar(spec, args), args.tol)
+    gen = _generator(spec, args)
     traj = _evolve(O, gen, spec.initial_state, TimeGrid(0.0, args.tmax, args.steps), args.tol)
     _note_unresolved(traj, err)
     series = {name: getattr(traj, name).tolist() for name in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")}
@@ -169,7 +170,7 @@ def cmd_evolve(args: argparse.Namespace, out, err) -> int:
     rows = (dict(zip(series, row)) for row in zip(*series.values()))
     write_result(
         out, args.format, tuple(series), rows, schema="oqsl.evolve/v1",
-        system=spec.metadata.get("source_digest", ""), observable=args.observable, kind=spec.kind, **series,
+        system=spec.metadata.get("source_digest", ""), observable=args.observable, kind=gen.kind, **series,
     )
     return EXIT_OK
 
@@ -192,11 +193,11 @@ def cmd_audit(args: argparse.Namespace, out, err) -> int:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     from . import audit as audit_mod  # here, so that no other command imports it
 
-    summary = audit_mod.run_audit(n_qubit=args.trials, n_qutrit=args.trials // 2, seed=args.seed, tol=1e-6)
+    summary = audit_mod.run_audit(n_qubit=args.trials, n_qutrit=args.trials // 2, seed=args.seed)
     rows = [vars(r) for r in summary.rows]
     write_result(
         out, args.format, ("check", "kind", "max_violation", "trials"), rows, schema="oqsl.audit/v1",
-        seed=summary.seed, tolerance=summary.tol, n_qubit=summary.n_qubit, n_qutrit=summary.n_qutrit,
+        seed=summary.seed, tolerance=audit_mod.TOL, n_qubit=summary.n_qubit, n_qutrit=summary.n_qutrit,
         passed=summary.passed, rows=rows,
     )
     return EXIT_OK if summary.passed else EXIT_NUMERIC

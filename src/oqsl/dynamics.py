@@ -48,9 +48,10 @@ from .linalg import (
     NumericError,
     ValidationError,
     as_matrix,
-    is_hermitian,
+    checked_hermitian,
     mat_exp,
     require_finite,
+    require_squarable,
     taylor_degree,
 )
 
@@ -144,18 +145,6 @@ def rate_at(rate: Rate, t) -> np.ndarray:
     return np.full_like(np.asarray(t, dtype=float), float(rate))
 
 
-def _checked_hamiltonian(H, hbar: float, tol: float) -> np.ndarray:
-    """H as a finite matrix, Hermitian within tol, with a positive finite
-    hbar, else ValidationError."""
-    H = as_matrix(H, "hamiltonian")
-    require_finite(H, "hamiltonian")
-    if not is_hermitian(H, tol):
-        raise ValidationError("hamiltonian is not Hermitian within tolerance")
-    if not (np.isfinite(hbar) and hbar > 0):
-        raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
-    return H
-
-
 @dataclass(frozen=True, eq=False)
 class UnitaryGenerator:
     """Closed dynamics generated by a time-independent Hermitian Hamiltonian,
@@ -167,7 +156,9 @@ class UnitaryGenerator:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "H", _checked_hamiltonian(self.H, self.hbar, self.tol))
+        object.__setattr__(self, "H", checked_hermitian(self.H, "hamiltonian", self.tol))
+        if not (np.isfinite(self.hbar) and self.hbar > 0):
+            raise ValidationError(f"hbar must be positive and finite, got {self.hbar!r}")
 
     @property
     def dim(self) -> int:
@@ -186,11 +177,12 @@ class LindbladGenerator:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        H = _checked_hamiltonian(self.H, self.hbar, self.tol)
+        H = UnitaryGenerator(self.H, self.hbar, self.tol).H  # the Hamiltonian part, checked as a closed system's
         jumps = []
         for k, (L, rate) in enumerate(self.jumps):
             L = as_matrix(L, f"jump operator {k}")
             require_finite(L, f"jump operator {k}")
+            require_squarable(L, f"jump operator {k}")
             if L.shape != H.shape:
                 raise ValidationError(f"jump operator {k} has shape {L.shape}, expected {H.shape}")
             if not isinstance(rate, RateTable):
@@ -376,7 +368,7 @@ class UnitaryTrajectory(Trajectory):
         """<M(t)> at the given times for another observable M under the same
         Hamiltonian and state, in this trajectory's eigenbasis: H is not
         diagonalized again."""
-        M = _checked_observable(M, self.dim, self.tol)
+        M = checked_hermitian(M, "observable", self.tol, self.dim)
         V = self.vectors
         return _phase_trace((V.conj().T @ M @ V) * self.rho_eig.T, _phases(self.freqs, times)).real
 
@@ -387,7 +379,10 @@ def _probe_key(M) -> tuple:
 
 
 def _phases(freqs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """E[t, a] = exp(i t w_a / hbar)."""
+    """E[t, a] = exp(i t w_a / hbar), for w_a / hbar in ``freqs``."""
+    t, w = float(np.abs(times).max()), float(np.abs(freqs).max())
+    if not math.isfinite(t * w):  # the largest |t w_a|, as a Python float, which overflows silently
+        raise NumericError(f"the phase t w / hbar overflows: times up to {t!r}, frequencies w / hbar up to {w!r}")
     return np.exp(1j * np.outer(times, freqs))
 
 
@@ -416,17 +411,6 @@ def _check_state(rho: DensityState, dim: int) -> None:
         raise ValidationError(f"state dimension {rho.matrix.shape[0]} != {dim}")
 
 
-def _checked_observable(O0, dim: int, tol: float) -> np.ndarray:
-    """O0 as a finite Hermitian (dim, dim) matrix, else ValidationError."""
-    O0 = as_matrix(O0, "observable")
-    require_finite(O0, "observable")
-    if not is_hermitian(O0, tol):
-        raise ValidationError("observable is not Hermitian within tolerance")
-    if O0.shape != (dim, dim):
-        raise ValidationError(f"dimension mismatch: {O0.shape} vs {(dim, dim)}")
-    return O0
-
-
 # ---------------------------------------------------------------------------
 # unitary dynamics
 
@@ -445,7 +429,7 @@ def evolve_unitary_heisenberg(
     per-sample matrix is formed. [H, O(t)] = U^dag [H, O] U, so both
     generator speeds are constant. ``probes`` are the matrices M whose series
     the trajectory keeps."""
-    O0 = _checked_observable(O0, gen.dim, tol)
+    O0 = checked_hermitian(O0, "observable", tol, gen.dim)
     _check_state(rho, gen.dim)
 
     w, V = np.linalg.eigh(gen.H)
@@ -648,6 +632,9 @@ def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool, limit
     silently."""
     B, d = y0.shape[:2]
     Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
+    if not math.isfinite(h * float(np.abs(Lv).max())):  # a Python float, which overflows silently
+        raise NumericError(f"the exact propagator exp(h L) overflows: the step h = {h!r} times the generator L "
+                           "is not finite")
     P = mat_exp(h * Lv)
     y = y0.reshape(B, d * d, 1)
     for start, end in spans:
@@ -735,11 +722,19 @@ def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) 
     ]
 
 
-def lindblad_trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float = DEFAULT_TOL):
+def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float = DEFAULT_TOL) -> list[Trajectory]:
     """The Heisenberg trajectories of O0s[b] under gens[b] in the states
-    rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]``."""
-    chunks = lindblad_chunks(gens, O0s, grid, heisenberg=True)
-    return _reduce_chunks("lindblad", chunks, rhos, grid, probes, tol)
+    rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]``: the
+    batch-first kernel of the generators' one kind, :func:`lindblad_chunks`
+    for Lindblad generators and :func:`_kraus_chunks` for Kraus families."""
+    kinds = sorted({gen.kind for gen in gens})
+    if kinds == ["lindblad"]:
+        chunks = lindblad_chunks(gens, O0s, grid, heisenberg=True)
+    elif kinds == ["kraus"]:
+        chunks = _kraus_chunks(gens, np.asarray(O0s, dtype=complex), grid, tol)
+    else:
+        raise ValidationError(f"a batch of trajectories needs generators of one open kind, got {', '.join(kinds)}")
+    return _reduce_chunks(kinds[0], chunks, rhos, grid, probes, tol)
 
 
 def evolve_lindblad_heisenberg(
@@ -751,11 +746,11 @@ def evolve_lindblad_heisenberg(
     probes=(),
 ) -> Trajectory:
     """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through
-    :func:`lindblad_trajectories`; ``probes`` are the matrices M whose
-    series tr(O(t) M) the trajectory keeps."""
-    O0 = _checked_observable(O0, gen.dim, tol)
+    :func:`trajectories`; ``probes`` are the matrices M whose series
+    tr(O(t) M) the trajectory keeps."""
+    O0 = checked_hermitian(O0, "observable", tol, gen.dim)
     _check_state(rho, gen.dim)
-    return lindblad_trajectories([gen], O0[None], [rho], grid, [probes], tol)[0]
+    return trajectories([gen], O0[None], [rho], grid, [probes], tol)[0]
 
 
 def evolve_lindblad_schrodinger(
@@ -844,13 +839,6 @@ def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
 # Kraus dynamics
 
 
-def kraus_trajectories(families, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float = DEFAULT_TOL):
-    """The Heisenberg trajectories of O0s[b] under the Kraus family families[b]
-    in the states rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]``."""
-    chunks = _kraus_chunks(families, np.asarray(O0s, dtype=complex), grid, tol)
-    return _reduce_chunks("kraus", chunks, rhos, grid, probes, tol)
-
-
 def evolve_kraus_heisenberg(
     O0: np.ndarray,
     family: Union[DephasingKraus, TabulatedKraus],
@@ -861,10 +849,10 @@ def evolve_kraus_heisenberg(
 ) -> Trajectory:
     """O(t) = sum_i K_i^dag(t) O(0) K_i(t) on the grid, with the summed
     speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| that the Kraus-map bound reads,
-    through :func:`kraus_trajectories`."""
-    O0 = _checked_observable(O0, family.dim, tol)
+    through :func:`trajectories`."""
+    O0 = checked_hermitian(O0, "observable", tol, family.dim)
     _check_state(rho, family.dim)
-    return kraus_trajectories([family], O0[None], [rho], grid, [probes], tol)[0]
+    return trajectories([family], O0[None], [rho], grid, [probes], tol)[0]
 
 
 def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid, tol: float):

@@ -7,6 +7,7 @@ Intended scale is dimension <= a few hundred; everything is dense.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,9 +48,34 @@ def require_finite(M: np.ndarray, name: str = "matrix") -> None:
         raise ValidationError(f"{name} has non-finite entries")
 
 
+def require_squarable(M: np.ndarray, name: str = "matrix") -> None:
+    """Reject a d x d matrix with an entry above sqrt(float max) / d. Below
+    it ||M||_op <= ||M||_HS <= sqrt(float max), so no entry of M @ M or
+    M^dag M, and no <M>^2 or <M^2>, overflows; at sqrt(float max / d) the
+    square of <M> still can."""
+    limit = math.sqrt(np.finfo(float).max) / M.shape[-1]
+    top = float(np.abs(M).max(initial=0.0))
+    if top > limit:
+        raise ValidationError(f"{name} has an entry of magnitude {top:.6g} above sqrt(float max) / d = {limit:.6g}")
+
+
 def is_hermitian(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     M = as_matrix(M)
     return bool(np.abs(M - M.conj().T).max() <= tol)
+
+
+def checked_hermitian(M, name: str, tol: float, dim: int | None = None) -> np.ndarray:
+    """M as a finite square complex matrix whose square cannot overflow,
+    Hermitian within ``tol`` and, when ``dim`` is given, of shape (dim, dim);
+    else a ValidationError that names it ``name``."""
+    M = as_matrix(M, name)
+    require_finite(M, name)
+    require_squarable(M, name)
+    if not is_hermitian(M, tol):
+        raise ValidationError(f"{name} is not Hermitian within tolerance")
+    if dim is not None and M.shape != (dim, dim):
+        raise ValidationError(f"dimension mismatch: {M.shape} vs {(dim, dim)}")
+    return M
 
 
 def op_norm(M: np.ndarray) -> float:
@@ -202,12 +228,7 @@ class DensityState:
 
 def expectation(O: np.ndarray, rho: DensityState, tol: float = DEFAULT_TOL) -> float:
     """<O> = Re tr(O rho) for a Hermitian observable."""
-    O = as_matrix(O, "observable")
-    require_finite(O, "observable")
-    if not is_hermitian(O, tol):
-        raise ValidationError("observable is not Hermitian within tolerance")
-    if O.shape != rho.matrix.shape:
-        raise ValidationError(f"dimension mismatch: {O.shape} vs {rho.matrix.shape}")
+    O = checked_hermitian(O, "observable", tol, rho.dim)
     val = complex(np.trace(O @ rho.matrix))
     if abs(val.imag) > max(tol, tol * abs(val.real)):
         raise NumericError(f"expectation has imaginary part {val.imag:.3e} beyond tolerance")

@@ -56,7 +56,7 @@ from .dynamics import (
     TabulatedKraus,
     UnitaryGenerator,
 )
-from .linalg import DEFAULT_TOL, DensityState, PAULI, ValidationError, is_hermitian
+from .linalg import DEFAULT_TOL, DensityState, PAULI, ValidationError, checked_hermitian, require_squarable
 
 MAX_DIM = 512
 
@@ -248,16 +248,14 @@ def parse_pauli_expr(src: str, n_qubits: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """Fully validated description of one experiment."""
+    """Fully validated description of one experiment. Its dynamics is the
+    ``generator`` alone: a UnitaryGenerator, a LindbladGenerator or a Kraus
+    family, each naming its ``kind``."""
 
     dim: int
-    hbar: float
-    kind: str
-    hamiltonian: np.ndarray
+    generator: GeneratorSpec
     initial_state: DensityState
     observables: dict
-    jumps: tuple
-    kraus: object = None
     metadata: dict = field(default_factory=dict)
 
     def observable(self, name: str) -> np.ndarray:
@@ -266,21 +264,6 @@ class SystemSpec:
                 f"unknown observable {name!r}; declared: {sorted(self.observables) or 'none'}"
             )
         return self.observables[name]
-
-    def generator(self, hbar: float | None = None, tol: float = DEFAULT_TOL) -> GeneratorSpec:
-        """The system's dynamics, its Kraus family for a kraus system, with
-        ``hbar`` in place of the file's when given; ``tol`` is the
-        Hamiltonian's Hermiticity tolerance."""
-        hbar = self.hbar if hbar is None else hbar
-        if self.kind == "unitary":
-            return UnitaryGenerator(H=self.hamiltonian, hbar=hbar, tol=tol)
-        if self.kind == "lindblad":
-            return LindbladGenerator(H=self.hamiltonian, jumps=self.jumps, hbar=hbar, tol=tol)
-        if self.kind == "kraus":
-            if self.kraus is None:
-                raise ValidationError("kraus kind requires a kraus family")
-            return self.kraus
-        raise ValidationError(f"unknown dynamics kind {self.kind!r}")
 
 
 @dataclass
@@ -445,10 +428,11 @@ def _choice(what: str, options: tuple):
     return convert
 
 
-def _parse_operator(decl: _Decl | None, dim: int, n_qubits, diags: list[Diagnostic], hermitian=None, tol=DEFAULT_TOL):
+def _parse_operator(decl: _Decl | None, dim: int, n_qubits, diags: list[Diagnostic], name=None, tol=None):
     """A 'pauli =' declaration, or any other as a matrix literal, as a dim x
-    dim matrix; None after a diagnostic or without a declaration. When
-    ``hermitian`` names the operator it must be Hermitian within ``tol``."""
+    dim matrix; None after a diagnostic or without a declaration. An
+    operator called ``name`` must pass :func:`~oqsl.linalg.checked_hermitian`
+    within ``tol``, or without one :func:`~oqsl.linalg.require_squarable`."""
     if decl is None:
         return None
     try:
@@ -464,12 +448,16 @@ def _parse_operator(decl: _Decl | None, dim: int, n_qubits, diags: list[Diagnost
             except ParseError as exc:
                 d = exc.diagnostics[0]
                 _fail(decl.line, decl.value_col + d.col - 1, d.message)
-        if hermitian is not None and not is_hermitian(M, tol):
-            _fail(decl.line, decl.value_col, f"{hermitian} is not Hermitian within tolerance")
+        if tol is not None:
+            checked_hermitian(M, name, tol)
+        elif name is not None:
+            require_squarable(M, name)
         return M
     except ParseError as exc:
         diags.extend(exc.diagnostics)
-        return None
+    except ValidationError as exc:
+        diags.append(Diagnostic(decl.line, decl.value_col, str(exc)))
+    return None
 
 
 def _parse_state(decl: _Decl | None, dim: int, tol: float, diags: list[Diagnostic]):
@@ -541,7 +529,8 @@ def _parse_kraus(sec: _Section, slots: dict, dim: int, diags: list[Diagnostic]):
 
 
 def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
-    """Parse and validate a complete ``.sys`` description.
+    """Parse and validate a complete ``.sys`` description, and build its
+    generator once every positioned check has passed.
 
     Raises :class:`ParseError` carrying positioned diagnostics on any syntax
     or validation failure; a partially-valid spec is never returned.
@@ -581,9 +570,9 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
     H = _parse_operator(slots("hamiltonian").get("operator"), dim, n_qubits, diags, "hamiltonian", tol)
     state = _parse_state(slots("state").get("state"), dim, tol, diags)
     jumps = []
-    for _, jump in found.get("jump", []):
+    for k, (_, jump) in enumerate(found.get("jump", [])):
         rate = _convert(jump.get("rate"), _real(lambda v: v >= 0, "negative rate {!r}"), diags, 1.0)
-        L = _parse_operator(jump.get("operator"), dim, n_qubits, diags)
+        L = _parse_operator(jump.get("operator"), dim, n_qubits, diags, f"jump operator {k}")
         if L is not None:
             jumps.append((L, rate))
     observables: dict[str, np.ndarray] = {}
@@ -591,7 +580,7 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
         M = _parse_operator(obs.get("operator"), dim, n_qubits, diags, f"observable {sec.arg!r}", tol)
         if M is not None:
             observables[sec.arg] = M
-    kraus = _parse_kraus(*found["kraus"][0], dim, diags) if "kraus" in found else None
+    generator = _parse_kraus(*found["kraus"][0], dim, diags) if "kraus" in found else None
 
     if kind is None:
         kind = "kraus" if "kraus" in found else "lindblad" if "jump" in found else "unitary"
@@ -604,17 +593,11 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
 
     if diags:
         raise ParseError(diags)
-    return SystemSpec(
-        dim=dim,
-        hbar=hbar,
-        kind=kind,
-        hamiltonian=np.zeros((dim, dim), dtype=complex) if H is None else H,
-        initial_state=state,
-        observables=observables,
-        jumps=tuple(jumps),
-        kraus=kraus,
-        metadata={"source_digest": hashlib.sha256(text.encode("utf-8")).hexdigest()},
-    )
+    if kind != "kraus":  # else the [kraus] family is the generator
+        H = np.zeros((dim, dim), dtype=complex) if H is None else H
+        generator = LindbladGenerator(H, jumps, hbar, tol) if kind == "lindblad" else UnitaryGenerator(H, hbar, tol)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return SystemSpec(dim, generator, state, observables, metadata={"source_digest": digest})
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +614,28 @@ def _format_matrix(M: np.ndarray) -> str:
 
 
 def serialize_system(spec: SystemSpec) -> str:
-    """Canonical text form; reparsing reproduces every matrix bit-exactly."""
-    out = ["[system]", f"dim = {spec.dim}", f"hbar = {spec.hbar!r}", f"kind = {spec.kind}", ""]
-    if spec.kind != "kraus":
-        out += ["[hamiltonian]", f"matrix = {_format_matrix(spec.hamiltonian)}", ""]
+    """Canonical text form; reparsing reproduces every matrix bit-exactly.
+    A Kraus family reads no hbar and no Hamiltonian, so a kraus system
+    prints neither."""
+    gen = spec.generator
+    out = ["[system]", f"dim = {spec.dim}"]
+    if gen.kind == "kraus":
+        out += ["kind = kraus", ""]
+    else:
+        out += [f"hbar = {gen.hbar!r}", f"kind = {gen.kind}", ""]
+        out += ["[hamiltonian]", f"matrix = {_format_matrix(gen.H)}", ""]
     out += ["[state]", f"matrix = {_format_matrix(spec.initial_state.matrix)}", ""]
-    for L, rate in spec.jumps:
+    for L, rate in gen.jumps if gen.kind == "lindblad" else ():
         if not isinstance(rate, (int, float)):
             raise ValidationError("only constant jump rates are serializable; tabulated rates are API-only")
         out += ["[jump]", f"matrix = {_format_matrix(L)}", f"rate = {float(rate)!r}", ""]
     for name in sorted(spec.observables):
         out += [f"[observable {name}]", f"matrix = {_format_matrix(spec.observables[name])}", ""]
-    if isinstance(spec.kraus, DephasingKraus):
-        out += ["[kraus]", "family = dephasing", f"gamma = {spec.kraus.gamma!r}", ""]
-    elif isinstance(spec.kraus, TabulatedKraus):
+    if isinstance(gen, DephasingKraus):
+        out += ["[kraus]", "family = dephasing", f"gamma = {gen.gamma!r}", ""]
+    elif isinstance(gen, TabulatedKraus):
         out += ["[kraus]", "family = tabulated"]
-        for t, K in zip(spec.kraus.times, spec.kraus.ops):
+        for t, K in zip(gen.times, gen.ops):
             out.append(f"time = {float(t)!r}")
             for k in K:
                 out.append(f"K = {_format_matrix(k)}")

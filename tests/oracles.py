@@ -53,7 +53,6 @@ from oqsl.dynamics import (
     _check_stable,
     _check_state,
     _check_trace,
-    _checked_observable,
     _fused_form,
     _norms,
     _op_norms,
@@ -70,6 +69,7 @@ from oqsl.linalg import (
     DensityState,
     ValidationError,
     as_matrix,
+    checked_hermitian,
     hs_norm,
     is_hermitian,
     mat_exp,
@@ -367,6 +367,8 @@ class FunctionKraus:
     called once per time: the per-time reference for the library's
     grid-vectorized families."""
 
+    kind = "kraus"
+
     def __init__(self, fn, dim: int, n_ops: int):
         self.fn = fn
         self.dim = int(dim)
@@ -536,7 +538,7 @@ def kraus_full_stack(O0, family, rho, grid: TimeGrid, tol: float = DEFAULT_TOL) 
     the whole grid, the (steps + 1, n_ops, d, d) stacks of K, K^dag O and
     O(t) built and then reduced; dK/dt is ``np.gradient`` along the grid,
     central inside and one-sided at its two ends."""
-    O0 = _checked_observable(O0, family.dim, tol)
+    O0 = checked_hermitian(O0, "observable", tol, family.dim)
     _check_state(rho, family.dim)
     times = grid.times()
     K = family.operators(times)

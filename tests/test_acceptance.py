@@ -57,7 +57,7 @@ def report(criterion, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def fuzz_summary():
     start = time.perf_counter()
-    summary = run_audit(n_qubit=100, n_qutrit=50, seed=42, tol=1e-6)
+    summary = run_audit(n_qubit=100, n_qutrit=50, seed=42)
     elapsed = time.perf_counter() - start
     return summary, elapsed
 

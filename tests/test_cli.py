@@ -2,6 +2,7 @@ import gc
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oqsl
 from oqsl import audit
@@ -131,7 +134,7 @@ def test_bound_all_evolves_once_and_matches_battery_bounds(monkeypatch, tmp_path
     reports = {r["bound_id"]: r for r in json.loads(out)["reports"]}
     spec = parse_system(builtin_text("battery"))
     HB = spec.observable("HB")
-    ct1, ct2 = oqsl.bounds.battery_bounds(HB, spec.hamiltonian - HB, spec.initial_state, TimeGrid(0.0, 1.0, 1000))
+    ct1, ct2 = oqsl.bounds.battery_bounds(HB, spec.generator.H - HB, spec.initial_state, TimeGrid(0.0, 1.0, 1000))
     assert reports["BATTERY_CT1"]["T_qsl"] == pytest.approx(ct1.T_qsl, rel=1e-12)
     assert reports["BATTERY_CT2"]["T_qsl"] == pytest.approx(ct2.T_qsl, rel=1e-12)
     assert reports["BATTERY_CT2"]["inputs_digest"] == ct2.inputs_digest
@@ -193,7 +196,8 @@ def test_bound_explicit_list_keeps_its_order(name, obs, obs_b, tmax, expected):
     other = "KRAUS"
     code, out, err = run_cli(_bound_argv(name, obs, obs_b, tmax, "--bounds", f"{wanted[0]},{other}"))
     assert code == 2 and out == ""
-    assert f"bound(s) not applicable to this {parse_system(builtin_text(name)).kind} system/observable: {other}" in err
+    kind = parse_system(builtin_text(name)).generator.kind
+    assert f"bound(s) not applicable to this {kind} system/observable: {other}" in err
 
 
 @pytest.mark.parametrize(
@@ -293,7 +297,7 @@ def test_bound_numeric_failure_exit_3(tmp_path):
         f"[system]\ndim = {dim}\n[state]\nket = [" + ", ".join(["1"] * dim) + "]\n"
         f"[jump]\npauli = 1.0 Z{'I' * (n - 1)}\nrate = 1e9\n[observable O]\npauli = 1.0 X{'I' * (n - 1)}\n"
     )
-    assert not _takes_exact_route(parse_system(text).generator())
+    assert not _takes_exact_route(parse_system(text).generator)
     p = tmp_path / "stiff.sys"
     p.write_text(text)
     code, out, err = run_cli(
@@ -388,7 +392,7 @@ def test_evolve_hbar_override_applies_to_lindblad(tmp_path):
     # <C> stays 0 from this diagonal state; the generator speeds carry the hbar
     assert outputs["1"]["gen_speed_hs"] != outputs["2"]["gen_speed_hs"]
     spec = parse_system(builtin_text("qutrit_decay"))
-    gen = LindbladGenerator(H=spec.hamiltonian, jumps=spec.jumps, hbar=2.0)
+    gen = LindbladGenerator(H=spec.generator.H, jumps=spec.generator.jumps, hbar=2.0)
     traj = evolve_lindblad_heisenberg(spec.observable("C"), gen, spec.initial_state, TimeGrid(0.0, 1.0, 100))
     assert outputs["2"]["expect"] == traj.expect.tolist()
     assert outputs["2"]["gen_speed_hs"] == traj.gen_speed_hs.tolist()
@@ -468,7 +472,7 @@ def register_text(c=1.0, dim=32):
 @pytest.mark.parametrize("dim", [2, 32], ids=["exact", "rk4"])
 def test_a_large_observable_is_not_unstable(tmp_path, dim):
     # every bound is scale-free, and the Heisenberg flow of a Lindblad generator does not grow O
-    assert _takes_exact_route(parse_system(register_text(dim=dim)).generator()) == (dim == 2)
+    assert _takes_exact_route(parse_system(register_text(dim=dim)).generator) == (dim == 2)
     reports = {}
     for c in (1.0, 1e13):
         path = tmp_path / f"register_{c}.sys"
@@ -506,11 +510,15 @@ def register_path(tmp_path):
         (["evolve", "kraus_dephasing", "O", "1e-310"], "Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite"),
         (["bound", "battery", "HB", "1e308", "--steps", "2"], "GENERATOR_HS: the mean speed lambda_T is inf"),
         (["bound", "two_qubit", "A", "1e308", "--steps", "2"], "GENERATOR_HS: the mean speed lambda_T is inf"),
+        (["evolve", "qutrit_decay", "N", "1e300", "--steps", "76", "--hbar", "1e-12"],
+         "the exact propagator exp(h L) overflows: the step h = 1.3157894736842106e+298"),
+        (["bound", "battery", "HB", "1.2711610061536462e+158", "--hbar", "1e-150", "--steps", "2"],
+         "the phase t w / hbar overflows: times up to 1.2711610061536462e+158"),
     ],
     ids=[
         "mat-exp-dephasing", "mat-exp-qutrit", "rk4-hbar-bound", "rk4-hbar-evolve", "rk4-tmax-bound",
         "rk4-tmax-evolve", "hbar-dephasing", "hbar-qutrit", "kraus-bound", "kraus-evolve", "speed-battery",
-        "speed-two-qubit",
+        "speed-two-qubit", "exact-step-times-generator", "unitary-phases",
     ],
 )
 def test_extreme_inputs_end_with_one_error_line(register_path, argv, message):
@@ -521,6 +529,68 @@ def test_extreme_inputs_end_with_one_error_line(register_path, argv, message):
     # the unitary systems also note that the huge step aliases
     (line,) = [line for line in err.splitlines() if not line.startswith("note: ")]
     assert line.startswith("numeric error: ") and message in line
+
+
+# a qubit under H = X from [1, 0]; {jump} is a [jump] section or nothing
+SQUARED_QUBIT = ("[system]\ndim = 2\nkind = {kind}\n[hamiltonian]\npauli = {h!r} X\n[state]\nket = [1, 0]\n{jump}"
+                 "[observable O]\npauli = {o!r} Z\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind, h, jump, o, message",
+    [
+        ("lindblad", 1.0, 1.0, 1e300, ":12:9: observable 'O' has an entry of magnitude 1e+300 above"),
+        ("unitary", 1.0, None, 1e300, ":9:9: observable 'O' has an entry of magnitude 1e+300 above"),
+        ("lindblad", 1e300, 1.0, 1.0, ":5:9: hamiltonian has an entry of magnitude 1e+300 above"),
+        ("lindblad", 1.0, 1e200, 1.0, ":9:9: jump operator 0 has an entry of magnitude 1e+200 above"),
+    ],
+    ids=["lindblad-observable", "unitary-observable", "hamiltonian", "jump"],
+)
+def test_a_matrix_whose_square_overflows_exits_2_naming_it(tmp_path, kind, h, jump, o, message):
+    # entries above sqrt(float max) / d = 6.7e153 are refused before O @ O, the variance or L^dag L overflow
+    jump = "" if jump is None else f"[jump]\npauli = {jump!r} Z\nrate = 0.5\n"
+    path = tmp_path / "squared.sys"
+    path.write_text(SQUARED_QUBIT.format(kind=kind, h=h, jump=jump, o=o))
+    for argv in (["bound", "--observable", "O", "--tmax", "1"], ["parse"]):
+        code, out, err = run_cli([*argv, "--system", str(path)])
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert message in line and line.endswith("sqrt(float max) / d = 6.7039e+153")
+
+
+BUILTINS = {"battery": "HB", "dephasing": "O", "kraus_dephasing": "O", "qutrit_decay": "N", "tight_qubit": "O",
+            "two_qubit": "A"}
+# 10 ** x for x uniform between the exponents of the least and of nearly the largest float
+LOG_UNIFORM = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda x: 10.0**x) | st.sampled_from(
+    [5e-324, 1e-310, 1e-150, 1.0, 1e150, 1e300, 1.7e308]
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["bound", "evolve"]),
+    name=st.sampled_from(sorted(BUILTINS)),
+    tmax=LOG_UNIFORM,
+    hbar=st.none() | LOG_UNIFORM,
+    steps=st.integers(2, 300),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+@example(command="evolve", name="qutrit_decay", tmax=1e300, hbar=1e-12, steps=76, tol=1e-9)
+@example(command="bound", name="battery", tmax=1.2711610061536462e158, hbar=1e-150, steps=2, tol=1e-9)
+def test_extreme_cli_inputs_end_in_one_error_line_and_no_warning(command, name, tmax, hbar, steps, tol):
+    argv = [command, "--system", str(SYSTEMS / f"{name}.sys"), "--observable", BUILTINS[name]]
+    argv += ["--tmax", repr(tmax), "--steps", str(steps), "--tol", repr(tol)]
+    argv += ["--hbar", repr(hbar)] if hbar is not None else []
+    if command == "bound":
+        argv += ["--bounds", "ALL"] + (["--observable-b", "B"] if name == "two_qubit" else [])
+    code, out, err = run_cli(argv)
+    assert code in (0, 2, 3), err
+    if code == 3 and out:  # a bound whose valid flag is false: the table is printed
+        assert "false" in {row["valid"] for row in parse_csv(out)}
+    elif code:
+        assert err.splitlines()[-1].startswith(("error: ", "numeric error: ")), err
 
 
 def test_o_h_is_decomposed_once(monkeypatch):
@@ -599,7 +669,7 @@ def test_parse_round_trip(dephasing_path, tmp_path):
     assert code == 0, err
     orig = parse_system(builtin_text("dephasing"))
     again = parse_system(out)
-    assert orig.hamiltonian.tobytes() == again.hamiltonian.tobytes()
+    assert orig.generator.H.tobytes() == again.generator.H.tobytes()
     assert orig.initial_state.matrix.tobytes() == again.initial_state.matrix.tobytes()
 
 

@@ -37,7 +37,6 @@ from oqsl.dynamics import (
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
     evolve_unitary_heisenberg,
-    lindblad_final_state,
 )
 from oqsl.linalg import DensityState, sigma_x, sigma_y
 from oqsl.sysdl import SystemSpec, serialize_system
@@ -98,7 +97,7 @@ def context(kind, system, hbar=1.0, T=1.0, V=None):
         B=conj(system["B"]),
         self_inverse=conj(system["self_inverse"]),
         projector=conj(system["projector"]),
-        final_state=lindblad_final_state,
+        final_state=True,
     )
 
 
@@ -151,7 +150,7 @@ def test_cli_hbar_with_doubled_hamiltonian_leaves_every_bound_unchanged(tmp_path
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     tables = []
     for scale, hbar in ((1.0, None), (2.0, "2")):
-        spec = SystemSpec(3, 1.0, "lindblad", scale * H, rho, {"A": A, "B": B}, (jump,))
+        spec = SystemSpec(3, LindbladGenerator(scale * H, (jump,)), rho, {"A": A, "B": B})
         path = tmp_path / f"h{scale}.sys"
         path.write_text(serialize_system(spec), encoding="utf-8")
         argv = ["bound", "--system", str(path), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]

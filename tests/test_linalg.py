@@ -146,7 +146,7 @@ def _liouvillian_steps(gens, h):
 def _builtin_lindblad():
     # the CLI's default 1000 steps over the README horizons
     return [
-        _liouvillian_steps([parse_system(builtin_text(name)).generator()], T / 1000)
+        _liouvillian_steps([parse_system(builtin_text(name)).generator], T / 1000)
         for name, T in (("dephasing", 1.5708), ("qutrit_decay", 1.0))
     ]
 

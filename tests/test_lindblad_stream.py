@@ -19,12 +19,12 @@ from oqsl.dynamics import (
     RateTable,
     TabulatedKraus,
     TimeGrid,
+    UnitaryGenerator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,
-    kraus_trajectories,
     lindblad_chunks,
-    lindblad_trajectories,
+    trajectories,
 )
 from oqsl.linalg import DEFAULT_TOL, DensityState, NumericError, ValidationError, mat_exp, op_norm
 
@@ -75,7 +75,7 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
     Os, speeds = oracles.propagate_lindblad(gens, O0s, grid, heisenberg=True)
     norms, calls = dynamics._norms, []
     monkeypatch.setattr(dynamics, "_norms", lambda X: calls.append(X.shape[1]) or norms(X))
-    trajs = lindblad_trajectories(gens, O0s, rhos, grid, probes)
+    trajs = trajectories(gens, O0s, rhos, grid, probes)
     # both routes take the speeds once per chunk
     assert calls == np.diff(starts + [steps + 1]).tolist()
     if batch == 1:
@@ -151,6 +151,16 @@ def test_streamed_kraus_equals_whole_grid_kernel(name, steps, monkeypatch):
         assert np.abs(ours.at(0) - O).max() > 0.1  # O(t0) is evolved
 
 
+@pytest.mark.parametrize("kinds", [("lindblad", "kraus"), ("unitary",)], ids=["mixed", "unitary"])
+def test_a_batch_of_another_kind_than_one_open_kind_is_refused(kinds):
+    rho = DensityState.pure([1.0, 1.0])
+    gens = {"lindblad": _case(2, 0)[0], "kraus": DephasingKraus(1.0), "unitary": UnitaryGenerator(np.eye(2))}
+    batch = [gens[kind] for kind in kinds]
+    O0s, grid, n = np.stack([np.eye(2)] * len(batch)), TimeGrid(0.0, 0.5, 10), len(batch)
+    with pytest.raises(ValidationError, match=f"one open kind, got {', '.join(sorted(kinds))}$"):
+        trajectories(batch, O0s, [rho] * n, grid, [()] * n)
+
+
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("name", ["dephasing", "tabulated"])
 def test_batched_kraus_equals_per_family_kernel(name, steps, monkeypatch):
@@ -168,7 +178,7 @@ def test_batched_kraus_equals_per_family_kernel(name, steps, monkeypatch):
     starts = {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
     assert [c[0] for c in chunks] == starts
     samples, speeds = (np.concatenate([c[i] for c in chunks], axis=1) for i in (1, 2))
-    trajs = kraus_trajectories(families, O0s, rhos, grid, [()] * len(families))
+    trajs = trajectories(families, O0s, rhos, grid, [()] * len(families))
     for family, O, rho, Os, Ss, traj in zip(families, O0s, rhos, samples, speeds, trajs):
         # the reference cuts its chunks elsewhere: by its operators alone
         ref = list(oracles.kraus_chunks_per_family(family, O, grid))
@@ -241,7 +251,7 @@ def test_speeds_match_the_gram_norms_they_replaced(dim, rate, monkeypatch):
     cases = [_case(dim, seed, rate) for seed in range(3)]
     gens, O0s = [c[0] for c in cases], np.stack([c[1] for c in cases])
     grid = TimeGrid(0.0, 0.5, 40)
-    trajs = lindblad_trajectories(gens, O0s, [c[3] for c in cases], grid, [()] * 3)
+    trajs = trajectories(gens, O0s, [c[3] for c in cases], grid, [()] * 3)
     monkeypatch.setattr(oracles, "_norms", oracles.gram_norms)
     _, ref = oracles.propagate_lindblad(gens, O0s, grid, heisenberg=True)
     for traj, speeds in zip(trajs, ref):

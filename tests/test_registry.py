@@ -140,7 +140,7 @@ def _counting(monkeypatch, module, name, calls, fail=False):
 def test_cli_delcampo_evolves_the_state_once_and_the_observable_never(monkeypatch):
     # DELCAMPO reads only rho(T): no Schrodinger trajectory is built
     calls = []
-    _counting(monkeypatch, oqsl.cli, "lindblad_final_state", calls)
+    _counting(monkeypatch, oqsl.bounds, "lindblad_final_state", calls)
     _counting(monkeypatch, oqsl.cli, "evolve_lindblad_schrodinger", calls, fail=True)
     _counting(monkeypatch, oqsl.cli, "evolve_lindblad_heisenberg", calls, fail=True)
     out, err = io.StringIO(), io.StringIO()

@@ -1,9 +1,11 @@
 """Smoke tests of the experiment scripts, each in its own interpreter, so a
 change to the public API they import shows up here."""
 
+import importlib
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,15 @@ def test_bound_sweep_script():
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "gamma,generator_hs,state_indep,delcampo,T"
     assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "1"]
+
+
+def test_every_bench_site_resolves_to_a_callable():
+    # the traced benchmark wraps each (module, attribute) of bench/layers.py;
+    # a name that oqsl drops leaves its span unattached. run_path compiles the
+    # file without writing bytecode, so nothing under bench/ changes
+    sites = runpy.run_path(str(ROOT / "bench" / "layers.py"))["SITES"]
+    missing = [(m, a) for m, a, _ in sites if not callable(getattr(importlib.import_module(m), a, None))]
+    assert sites and not missing
 
 
 def test_plot_dephasing_script_without_plot(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqsl.cli import main
-from oqsl.dynamics import DephasingKraus, TabulatedKraus
+from oqsl.dynamics import DephasingKraus, LindbladGenerator, TabulatedKraus, UnitaryGenerator
 from oqsl.linalg import PAULI, ValidationError, sigma_x, sigma_z
 from oqsl.sysdl import (
     _SECTIONS,
@@ -48,9 +48,10 @@ pauli = 1.0 X
 
 
 def spec_matrices_equal(a: SystemSpec, b: SystemSpec) -> bool:
-    if (a.dim, a.hbar, a.kind) != (b.dim, b.hbar, b.kind):
+    ga, gb = a.generator, b.generator
+    if a.dim != b.dim or type(ga) is not type(gb):
         return False
-    if a.hamiltonian.tobytes() != b.hamiltonian.tobytes():
+    if ga.kind != "kraus" and (ga.hbar != gb.hbar or ga.H.tobytes() != gb.H.tobytes()):
         return False
     if a.initial_state.matrix.tobytes() != b.initial_state.matrix.tobytes():
         return False
@@ -58,18 +59,15 @@ def spec_matrices_equal(a: SystemSpec, b: SystemSpec) -> bool:
         return False
     if any(a.observables[k].tobytes() != b.observables[k].tobytes() for k in a.observables):
         return False
-    if len(a.jumps) != len(b.jumps):
+    def jumps(g):
+        return [(L.tobytes(), rate) for L, rate in g.jumps] if g.kind == "lindblad" else []
+
+    if jumps(ga) != jumps(gb):
         return False
-    for (La, ga), (Lb, gb) in zip(a.jumps, b.jumps):
-        if La.tobytes() != Lb.tobytes() or ga != gb:
-            return False
-    if type(a.kraus) is not type(b.kraus):
+    if isinstance(ga, DephasingKraus) and ga.gamma != gb.gamma:
         return False
-    if isinstance(a.kraus, DephasingKraus) and a.kraus.gamma != b.kraus.gamma:
-        return False
-    if isinstance(a.kraus, TabulatedKraus) and (
-        a.kraus.times.tobytes() != b.kraus.times.tobytes()
-        or a.kraus.ops.tobytes() != b.kraus.ops.tobytes()
+    if isinstance(ga, TabulatedKraus) and (
+        ga.times.tobytes() != gb.times.tobytes() or ga.ops.tobytes() != gb.ops.tobytes()
     ):
         return False
     return True
@@ -204,9 +202,10 @@ def test_pauli_real_coefficients_give_hermitian(n, seed, terms):
 
 def test_parse_dephasing_text_matches_hand_built():
     spec = parse_system(DEPHASING_TEXT)
-    assert spec.dim == 2 and spec.hbar == 1.0 and spec.kind == "lindblad"
-    assert np.abs(spec.hamiltonian).max() == 0.0
-    (L, rate), = spec.jumps
+    gen = spec.generator
+    assert spec.dim == 2 and gen.hbar == 1.0 and gen.kind == "lindblad"
+    assert np.abs(gen.H).max() == 0.0
+    (L, rate), = gen.jumps
     assert rate == 1.0
     assert L.tobytes() == (float("0.70710678") * sigma_z).tobytes()
     amp = float("0.70710678")
@@ -235,9 +234,9 @@ def test_builtin_unknown_name():
 
 def test_empty_hamiltonian_is_zero_matrix():
     spec = parse_system("[system]\ndim = 3\n[state]\nket = [1, 0, 0]\n")
-    assert spec.hamiltonian.shape == (3, 3)
-    assert np.abs(spec.hamiltonian).max() == 0.0
-    assert spec.kind == "unitary"
+    assert spec.generator.H.shape == (3, 3)
+    assert np.abs(spec.generator.H).max() == 0.0
+    assert spec.generator.kind == "unitary"
 
 
 def test_negative_rate_diagnostic_position():
@@ -375,16 +374,16 @@ def test_readme_format_example_parses():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
     spec = parse_system(block)
-    assert spec.kind == "lindblad" and set(spec.observables) == {"O"}
+    assert spec.generator.kind == "lindblad" and set(spec.observables) == {"O"}
 
 
 def test_kind_inference_and_override():
     base = "[system]\ndim = 2\n{extra}[state]\nket = [1, 0]\n{body}"
-    assert parse_system(base.format(extra="", body="")).kind == "unitary"
+    assert parse_system(base.format(extra="", body="")).generator.kind == "unitary"
     lind = base.format(extra="", body="[jump]\npauli = 1.0 Z\nrate = 0.5\n")
-    assert parse_system(lind).kind == "lindblad"
+    assert parse_system(lind).generator.kind == "lindblad"
     kraus = base.format(extra="", body="[kraus]\nfamily = dephasing\ngamma = 1.0\n")
-    assert parse_system(kraus).kind == "kraus"
+    assert parse_system(kraus).generator.kind == "kraus"
     both = base.format(
         extra="", body="[jump]\npauli = 1.0 Z\nrate = 0.5\n[kraus]\nfamily = dephasing\ngamma = 1.0\n"
     )
@@ -393,7 +392,7 @@ def test_kind_inference_and_override():
     assert "declare kind" in str(exc_info.value)
     # a declared kind overrides the inference, here from no section at all
     resolved = base.format(extra="kind = lindblad\n", body="")
-    assert parse_system(resolved).kind == "lindblad"
+    assert parse_system(resolved).generator.kind == "lindblad"
     with pytest.raises(ParseError):
         parse_system(base.format(extra="kind = kraus\n", body=""))
 
@@ -432,8 +431,8 @@ def test_tabulated_kraus_parse_and_round_trip():
         "time = 0.5\nK = [[0.8, 0], [0, 0.8]]\nK = [[0.6, 0], [0, -0.6]]\n"
     )
     spec = parse_system(text)
-    assert isinstance(spec.kraus, TabulatedKraus)
-    assert spec.kraus.n_ops == 2 and spec.kraus.times.tolist() == [0.0, 0.5]
+    assert isinstance(spec.generator, TabulatedKraus)
+    assert spec.generator.n_ops == 2 and spec.generator.times.tolist() == [0.0, 0.5]
     again = parse_system(serialize_system(spec))
     assert spec_matrices_equal(spec, again)
 
@@ -462,12 +461,11 @@ def test_observable_lookup_error():
 
 def test_generator_construction_by_kind():
     spec = parse_system(builtin_text("tight_qubit"))
-    gen = spec.generator()
-    assert gen.H.tobytes() == spec.hamiltonian.tobytes()
+    assert isinstance(spec.generator, UnitaryGenerator) and spec.generator.H.shape == (2, 2)
     spec = parse_system(builtin_text("dephasing"))
-    assert len(spec.generator().jumps) == 1
+    assert isinstance(spec.generator, LindbladGenerator) and len(spec.generator.jumps) == 1
     spec = parse_system(builtin_text("kraus_dephasing"))
-    assert spec.generator() is spec.kraus and isinstance(spec.kraus, DephasingKraus)
+    assert isinstance(spec.generator, DephasingKraus) and spec.generator.kind == "kraus"
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +615,7 @@ def test_scalar_outside_the_ascii_grammar_exits_2_where_written(key, value, tmp_
 
 def test_scalars_in_the_grammar_parse():
     spec = parse_system("[system]\ndim = +2\nhbar = 2.\n[state]\nket = [1, 0]\n[jump]\npauli = 1.0 Z\nrate = .5e-1\n")
-    assert (spec.dim, spec.hbar, spec.jumps[0][1]) == (2, 2.0, 0.05)
+    assert (spec.dim, spec.generator.hbar, spec.generator.jumps[0][1]) == (2, 2.0, 0.05)
 
 
 @settings(max_examples=100, deadline=None)
