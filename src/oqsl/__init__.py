@@ -27,7 +27,6 @@ from .bounds import (
 from .dynamics import (
     DephasingKraus,
     LindbladGenerator,
-    RateTable,
     TabulatedKraus,
     TimeGrid,
     Trajectory,

@@ -35,7 +35,6 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     UnitaryGenerator,
-    _constant_rates,
     evolve_unitary_heisenberg,
     lindblad_apply,
     lindblad_final_state,
@@ -501,12 +500,11 @@ def commutator_qsl(B0: np.ndarray, traj: Trajectory, rho: DensityState, tol: flo
 
 def rate_probe(ctx: EvalContext) -> np.ndarray:
     """The matrix M whose series tr(O(t) M) is d<O>/dt, by duality:
-    (i/hbar)[rho, H] under unitary dynamics, L[rho] under Lindblad dynamics
-    with rates constant in time."""
+    (i/hbar)[rho, H] under unitary dynamics, L[rho] under Lindblad dynamics."""
     if ctx.kind == "unitary":
         return 1j / ctx.hbar * (ctx.rho.matrix @ ctx.H - ctx.H @ ctx.rho.matrix)
-    if ctx.kind != "lindblad" or not _constant_rates(ctx.generator):
-        raise ValidationError("rate audit applies to unitary or lindblad trajectories, with rates constant in time")
+    if ctx.kind != "lindblad":
+        raise ValidationError("rate audit applies to unitary or lindblad trajectories")
     return lindblad_apply(ctx.generator, ctx.rho.matrix)
 
 
@@ -659,7 +657,7 @@ def _state_mt(c: EvalContext) -> BoundReport:
 
 
 def _delcampo(c: EvalContext) -> BoundReport:
-    lrho0_hs2 = hs_norm(lindblad_apply(c.generator, c.rho.matrix, 0.0)) ** 2
+    lrho0_hs2 = hs_norm(lindblad_apply(c.generator, c.rho.matrix)) ** 2
     return qsl_delcampo(c.rho, c.rho_T, lrho0_hs2, c.T)
 
 

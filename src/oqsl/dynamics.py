@@ -16,10 +16,11 @@ observable. Its generator speeds are constant.
 Lindblad and Kraus kernels are batch-first and stream the grid in chunks of
 about CHUNK_BYTES, which one reducer turns into trajectories as they arrive,
 so evolving a batch of observables holds O(steps) scalars per entry, one
-chunk and, on the exact Lindblad route, the d^4 propagators. With rates
-constant in time and d <= EXACT_MAX_DIM, :func:`lindblad_chunks` steps by
-one batched BLAS product with the exact propagator exp(h L); otherwise by
-RK4 on the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, whose
+chunk and, on the exact Lindblad route, the d^4 propagators. Every jump
+rate is a constant float, so the route depends on the dimension alone: for
+d <= EXACT_MAX_DIM, :func:`lindblad_chunks` steps by one batched BLAS
+product with the exact propagator exp(h L); above it by RK4 on the fused
+form A y + y A^dag + sum_k gamma_k left_k y right_k, built once, whose
 first stage gives the speeds. Both routes take an observable's speeds, once per
 chunk, from L^dag[O(t)], which is Hermitian: its operator norm is its
 largest |eigenvalue|, in closed form for d = 2. An observable that is
@@ -105,44 +106,7 @@ class TimeGrid:
 
 
 # ---------------------------------------------------------------------------
-# rates and generators
-
-
-@dataclass(frozen=True, eq=False)
-class RateTable:
-    """Piecewise-linear nonnegative rate gamma(t) tabulated on increasing
-    times, held as read-only copies, so that the rates stay as checked."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        v = np.array(self.values, dtype=float)
-        if t.ndim != 1 or v.shape != t.shape or t.size < 2:
-            raise ValidationError("rate table needs matching 1-D times/values, length >= 2")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise ValidationError("rate table entries must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValidationError("rate table times must be strictly increasing")
-        if v.min() < 0:
-            raise ValidationError(f"negative rate {v.min()!r} in rate table")
-        t.flags.writeable = v.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def at(self, t) -> np.ndarray:
-        return np.interp(t, self.times, self.values)
-
-
-Rate = Union[float, RateTable]
-
-
-def rate_at(rate: Rate, t) -> np.ndarray:
-    """Evaluate a constant or tabulated rate at scalar or array times."""
-    if isinstance(rate, RateTable):
-        return rate.at(t)
-    return np.full_like(np.asarray(t, dtype=float), float(rate))
+# generators
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +132,7 @@ class UnitaryGenerator:
 @dataclass(frozen=True, eq=False)
 class LindbladGenerator:
     """Markovian open dynamics: a Hamiltonian, Hermitian within ``tol``, plus
-    jump operators with rates."""
+    jump operators, each with a constant rate held as a checked float."""
 
     kind = "lindblad"
     H: np.ndarray
@@ -185,12 +149,14 @@ class LindbladGenerator:
             require_squarable(L, f"jump operator {k}")
             if L.shape != H.shape:
                 raise ValidationError(f"jump operator {k} has shape {L.shape}, expected {H.shape}")
-            if not isinstance(rate, RateTable):
+            try:
                 rate = float(rate)
-                if not np.isfinite(rate):
-                    raise ValidationError(f"non-finite rate {rate!r} for jump operator {k}")
-                if rate < 0:
-                    raise ValidationError(f"negative rate {rate!r} for jump operator {k}")
+            except (TypeError, ValueError):
+                raise ValidationError(f"non-real rate {rate!r} for jump operator {k}") from None
+            if not np.isfinite(rate):
+                raise ValidationError(f"non-finite rate {rate!r} for jump operator {k}")
+            if rate < 0:
+                raise ValidationError(f"negative rate {rate!r} for jump operator {k}")
             jumps.append((L, rate))
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "jumps", tuple(jumps))
@@ -457,15 +423,15 @@ def evolve_unitary_heisenberg(
 # Lindblad dynamics
 
 
-def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
+def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     """Schrodinger-picture generator acting on a state:
 
-    -(i/hbar)[H, rho] + sum_k gamma_k(t) (L_k rho L_k^dag - (1/2){L_k^dag L_k, rho}).
+    -(i/hbar)[H, rho] + sum_k gamma_k (L_k rho L_k^dag - (1/2){L_k^dag L_k, rho}).
     """
     rho = as_matrix(rho, "state")
     if rho.shape != gen.H.shape:
         raise ValidationError(f"dimension mismatch: {rho.shape} vs {gen.H.shape}")
-    return _fused_form([gen], heisenberg=False)(t, rho[None])[0]
+    return _fused_form([gen], heisenberg=False)(rho[None])[0]
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
@@ -506,34 +472,23 @@ def _check_trace(states: np.ndarray) -> None:
         raise NumericError("trace not preserved to 1e-8; reduce the step size")
 
 
-def _constant_rates(gen: LindbladGenerator) -> bool:
-    """Whether no jump rate of gen varies in time."""
-    return all(not isinstance(r, RateTable) or (r.values == r.values[0]).all() for _, r in gen.jumps)
-
-
-def _takes_exact_route(gen: LindbladGenerator) -> bool:
-    return gen.dim <= EXACT_MAX_DIM and _constant_rates(gen)
-
-
 def liouvillian(gen: LindbladGenerator, heisenberg: bool) -> np.ndarray:
     """The d^2 x d^2 matrix of the adjoint generator (``heisenberg``) or of the
-    Schrodinger generator, acting on row-major vec(X), for constant rates:
-    column i d + j is the generator applied to the matrix unit E_ij."""
-    if not _constant_rates(gen):
-        raise ValidationError("a Liouvillian matrix needs rates constant in time")
+    Schrodinger generator, acting on row-major vec(X): column i d + j is the
+    generator applied to the matrix unit E_ij."""
     n = gen.dim * gen.dim
-    return _fused_form([gen], heisenberg)(0.0, np.eye(n).reshape(n, gen.dim, gen.dim)).reshape(n, n).T
+    return _fused_form([gen], heisenberg)(np.eye(n).reshape(n, gen.dim, gen.dim)).reshape(n, n).T
 
 
 def _fused_form(gens, heisenberg: bool):
-    """The generators in fused form, f(t, y) on a stack y of shape (B, d, d)
+    """The generators in fused form, f(y) on a stack y of shape (B, d, d)
     (y[b] under gens[b]; y need not be Hermitian), with 2 + 2J matmuls:
-    f(y) = A y + y A' + sum_k gamma_k(t) left_k y right_k, where
+    f(y) = A y + y A' + sum_k gamma_k left_k y right_k, where
     A = c H - K, A' = -c H - K (A^dag for a Hermitian H) and
-    K = (1/2) sum_k gamma_k(t) L_k^dag L_k; c = i/hbar and (left, right) =
+    K = (1/2) sum_k gamma_k L_k^dag L_k; c = i/hbar and (left, right) =
     (L^dag, L) for observables, c = -i/hbar and (L, L^dag) for states. The
-    terms are built once for constant rates; ``f.terms(t)`` returns
-    (A, A', gamma_k(t) left_k), each stacked over the batch."""
+    terms are built once, and ``f.terms`` is (A, A', gamma_k left_k), each
+    stacked over the batch."""
     d, J = gens[0].dim, len(gens[0].jumps)
     Ls = np.array([[L for L, _ in gen.jumps] for gen in gens], dtype=complex).reshape(len(gens), J, d, d)
     Lds = Ls.conj().swapaxes(-1, -2)
@@ -545,30 +500,19 @@ def _fused_form(gens, heisenberg: bool):
         bad = np.flatnonzero(~np.isfinite(2.0 * np.abs(cH).sum(axis=(1, 2))))
     if bad.size:
         raise NumericError(f"the Hamiltonian term i H / hbar overflows at hbar = {gens[bad[0]].hbar!r}")
-    constant = all(_constant_rates(gen) for gen in gens)
+    g = np.array([[rate for _, rate in gen.jumps] for gen in gens], dtype=float).reshape(len(gens), J)
+    K = np.einsum("bk,bkij->bij", g, half_LdL)
+    A, Ad, g_left = cH - K, -cH - K, g[:, :, None, None] * left
 
-    @functools.lru_cache(maxsize=1)  # RK4's second and third stages share a time
-    def terms(t):
-        g = np.concatenate([_rates_at(gen, t) for gen in gens])
-        K = np.einsum("bk,bkij->bij", g, half_LdL)
-        return cH - K, -cH - K, g[:, :, None, None] * left
-
-    def f(t, y):
-        A, Ad, g_left = terms(0.0 if constant else t)
+    def f(y):
         out = A @ y
         out += y @ Ad
         for k in range(J):
             out += g_left[:, k] @ y @ right[:, k]
         return out
 
-    f.terms = terms
+    f.terms = A, Ad, g_left
     return f
-
-
-def _rates_at(gen: LindbladGenerator, times) -> np.ndarray:
-    """The jump rates at each of the given times, shape (n_times, J)."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    return np.array([rate_at(rate, times) for _, rate in gen.jumps]).reshape(len(gen.jumps), times.size).T
 
 
 def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
@@ -583,11 +527,11 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
 
     A chunk's samples take at most CHUNK_BYTES (:func:`_spans`).
 
-    When every rate is constant and d <= EXACT_MAX_DIM, each step is one
-    batched BLAS product with the exact propagator exp(h L), computed once
-    per generator, and the speeds apply L to each chunk. Otherwise the master
-    equation is integrated by fixed-step RK4 on the fused generator, whose
-    first stage gives the speeds. The exact route rejects a blow-up on every
+    For d <= EXACT_MAX_DIM each step is one batched BLAS product with the
+    exact propagator exp(h L), computed once per generator, and the speeds
+    apply L to each chunk. Above it the master equation is integrated by
+    fixed-step RK4 on the fused generator, whose first stage gives the
+    speeds. The exact route rejects a blow-up on every
     chunk and RK4 at every step: an entry of y[b] above INSTABILITY_LIMIT
     times max(1, max |y0[b]|), as the Heisenberg flow does not grow an
     observable's norm and a state's entries are at most 1; a state's trace
@@ -600,10 +544,10 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     with np.errstate(over="ignore"):  # a huge observable's limit is the largest float
         limit = INSTABILITY_LIMIT * np.abs(y0).reshape(B, -1).max(axis=1)
     limit = np.clip(limit, INSTABILITY_LIMIT, np.finfo(float).max)
-    if all(_takes_exact_route(gen) for gen in gens):
+    if d <= EXACT_MAX_DIM:
         chunks = _exact_chunks(gens, y0, grid.h, spans, heisenberg, limit)
     else:
-        chunks = _rk4_chunks(_fused_form(gens, heisenberg), y0, times, spans, heisenberg, limit)
+        chunks = _rk4_chunks(_fused_form(gens, heisenberg), y0, times[1] - times[0], spans, heisenberg, limit)
     if heisenberg:
         yield from chunks  # which holds no chunk between yields
         return
@@ -649,13 +593,12 @@ def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool, limit
         yield start, out.reshape(B, end - start, d, d), speeds
 
 
-def _rk4_chunks(f, y: np.ndarray, times: np.ndarray, spans, heisenberg: bool, limit):
-    """The chunks of :func:`lindblad_chunks` by classical fixed-step RK4 of
-    dy/dt = f(t, y), a blow-up beyond ``limit`` checked at every step. The
-    first stage is f at the sample, so an observable's speeds there are the
-    norms of it, taken once per chunk."""
-    h = times[1] - times[0]
-    last = times.size - 1
+def _rk4_chunks(f, y: np.ndarray, h: float, spans, heisenberg: bool, limit):
+    """The chunks of :func:`lindblad_chunks` by classical RK4 of dy/dt = f(y)
+    with step h, a blow-up beyond ``limit`` checked at every step. The first
+    stage is f at the sample, so an observable's speeds there are the norms
+    of it, taken once per chunk."""
+    last = spans[-1][1] - 1
     for start, end in spans:
         out = np.empty((y.shape[0], end - start) + y.shape[1:], dtype=complex)
         k1s = np.empty_like(out) if heisenberg else None
@@ -663,15 +606,14 @@ def _rk4_chunks(f, y: np.ndarray, times: np.ndarray, spans, heisenberg: bool, li
             for j, i in enumerate(range(start, end)):
                 out[:, j] = y
                 if i < last or heisenberg:
-                    k1 = f(times[i], y)
+                    k1 = f(y)
                 if heisenberg:
                     k1s[:, j] = k1
                 if i == last:
                     break
-                t = times[i]
-                k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-                k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-                k4 = f(t + h, y + h * k3)
+                k2 = f(y + (0.5 * h) * k1)
+                k3 = f(y + (0.5 * h) * k2)
+                k4 = f(y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 _check_stable(y, limit)
         yield start, out, _norms(k1s) if heisenberg else None
@@ -782,20 +724,20 @@ def lindblad_final_state(
     """The state rho(T) = exp(T L) rho0 at the end of the grid, with no
     trajectory and no d^2 x d^2 matrix.
 
-    For constant rates, the action of exp(T L) is s equal substeps of a
-    degree-m Taylor series summed term by term on the fused generator
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011). With the bound
+    The action of exp(T L) is s equal substeps of a degree-m Taylor series
+    summed term by term on the fused generator (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 2011). With the bound
     ||L|| <= ||A||_2 + ||A'||_2 + sum_k gamma_k ||L_k||_2^2 in the
     Frobenius-induced norm, s = ceil(T ||L|| / theta) for theta = 1/2 and
-    m = taylor_degree(T ||L|| / s). When the rates vary, or the series would
-    apply L more often than RK4 on the grid (s m > 4 steps, as for stiff
-    rates), rho(T) is the last sample of :func:`lindblad_chunks` instead.
+    m = taylor_degree(T ||L|| / s). When the series would apply L more
+    often than RK4 on the grid (s m > 4 steps, as for stiff rates), rho(T)
+    is the last sample of :func:`lindblad_chunks` instead.
     Either way a blow-up is rejected, the trace is verified to 1e-8 and
     rho(T) is validated, positivity loss beyond tolerance being a warning.
     """
     _check_state(rho0, gen.dim)
     f = _fused_form([gen], heisenberg=False)
-    order = _action_order(gen, f, grid) if _constant_rates(gen) else None
+    order = _action_order(gen, f, grid)
     if order is None:
         for _, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], grid, heisenberg=False):
             pass
@@ -807,7 +749,7 @@ def lindblad_final_state(
         for _ in range(s):
             term, y = y, y.copy()
             for j in range(1, m + 1):
-                term = f(0.0, term)
+                term = f(term)
                 term *= h / j
                 y += term
             _check_stable(y)
@@ -817,16 +759,16 @@ def lindblad_final_state(
 
 
 def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
-    """The substeps s and degree m of the Taylor action of exp(T L) for
-    constant rates, or None when s m > 4 steps (RK4's generator calls)."""
-    A, Ad, _ = f.terms(0.0)
+    """The substeps s and degree m of the Taylor action of exp(T L), or None
+    when s m > 4 steps (RK4's generator calls)."""
+    A, Ad, _ = f.terms
     M = np.stack([A[0], Ad[0], *(L for L, _ in gen.jumps)])
     if not np.isfinite(M).all():  # jumps so large that K overflows
         return None
     theta, budget = 0.5, 4 * grid.steps
     norms = np.linalg.svd(M, compute_uv=False)[:, 0]
     with np.errstate(over="ignore"):
-        bound = norms[0] + norms[1] + _rates_at(gen, 0.0)[0] @ norms[2:] ** 2
+        bound = norms[0] + norms[1] + np.array([rate for _, rate in gen.jumps]) @ norms[2:] ** 2
         x = grid.duration * bound / theta
     if not x <= budget:  # an infinite norm included, before ceil can overflow
         return None

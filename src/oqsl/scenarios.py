@@ -93,7 +93,7 @@ def scenario_dephasing(
     grid = TimeGrid(0.0, t_max, steps)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, rho, grid)
     states = evolve_lindblad_schrodinger(rho, gen, grid)
-    lrho0_hs2 = hs_norm(lindblad_apply(gen, rho.matrix, 0.0)) ** 2
+    lrho0_hs2 = hs_norm(lindblad_apply(gen, rho.matrix)) ** 2
 
     stride = steps // n_points
     rows = []

@@ -626,9 +626,7 @@ def serialize_system(spec: SystemSpec) -> str:
         out += ["[hamiltonian]", f"matrix = {_format_matrix(gen.H)}", ""]
     out += ["[state]", f"matrix = {_format_matrix(spec.initial_state.matrix)}", ""]
     for L, rate in gen.jumps if gen.kind == "lindblad" else ():
-        if not isinstance(rate, (int, float)):
-            raise ValidationError("only constant jump rates are serializable; tabulated rates are API-only")
-        out += ["[jump]", f"matrix = {_format_matrix(L)}", f"rate = {float(rate)!r}", ""]
+        out += ["[jump]", f"matrix = {_format_matrix(L)}", f"rate = {rate!r}", ""]
     for name in sorted(spec.observables):
         out += [f"[observable {name}]", f"matrix = {_format_matrix(spec.observables[name])}", ""]
     if isinstance(gen, DephasingKraus):

@@ -47,6 +47,7 @@ from importlib import resources
 import numpy as np
 import scipy.linalg
 
+from oqsl import dynamics
 from oqsl.dynamics import (
     TimeGrid,
     Trajectory,
@@ -56,12 +57,9 @@ from oqsl.dynamics import (
     _fused_form,
     _norms,
     _op_norms,
-    _rates_at,
     _spans,
     _spread,
-    _takes_exact_route,
     liouvillian,
-    rate_at,
 )
 from oqsl.bounds import _mt_integral_core, _ratio, _report
 from oqsl.linalg import (
@@ -286,23 +284,21 @@ def rk4_lindblad_route(H, Ls, gammas, y0, times, hbar: float = 1.0, heisenberg: 
     return np.stack(out, axis=1)
 
 
-def lindblad_matrix_form(gens, y, t, heisenberg: bool = True) -> np.ndarray:
+def lindblad_matrix_form(gens, y, heisenberg: bool = True) -> np.ndarray:
     """The Lindblad generator in matrix form, 2 + 4J matmuls per call: the
     route the fused generator replaced,
 
-    c [H, y] + sum_k gamma_k(t) (left_k y right_k - (1/2){L_k^dag L_k, y}),
+    c [H, y] + sum_k gamma_k (left_k y right_k - (1/2){L_k^dag L_k, y}),
 
     with c = i/hbar, (left, right) = (L^dag, L) for observables
     (``heisenberg``) and c = -i/hbar, (left, right) = (L, L^dag) for states.
-    y[b] (shape (B, d, d)) is acted on by gens[b], with every rate evaluated
-    at t: one time, or one time per matrix.
+    y[b] (shape (B, d, d)) is acted on by gens[b].
     """
     y = np.asarray(y, dtype=complex)
     H = np.stack([gen.H for gen in gens])
     Ls = np.stack([np.array([L for L, _ in gen.jumps], dtype=complex).reshape(-1, gen.dim, gen.dim) for gen in gens])
     hbar = np.array([gen.hbar for gen in gens])[:, None, None]
-    times = np.broadcast_to(np.asarray(t, dtype=float), (len(gens),))
-    g = np.array([[float(rate_at(rate, tb)) for _, rate in gen.jumps] for gen, tb in zip(gens, times)])
+    g = np.array([[rate for _, rate in gen.jumps] for gen in gens])
     Lds = Ls.conj().swapaxes(-1, -2)
     LdLs = Lds @ Ls
     left, right = (Lds, Ls) if heisenberg else (Ls, Lds)
@@ -315,7 +311,7 @@ def lindblad_matrix_form(gens, y, t, heisenberg: bool = True) -> np.ndarray:
 
 
 def kron_liouvillian(gen, heisenberg: bool) -> np.ndarray:
-    """The d^2 x d^2 Liouvillian on row-major vec(X) for constant rates, from
+    """The d^2 x d^2 Liouvillian on row-major vec(X), from
     vec(A X B) = (A kron B^T) vec(X): the construction the library's
     matrix-unit route replaced."""
     H, I = gen.H, np.eye(gen.dim)
@@ -324,7 +320,7 @@ def kron_liouvillian(gen, heisenberg: bool) -> np.ndarray:
         LdL = L.conj().T @ L
         anti = np.kron(LdL, I) + np.kron(I, LdL.T)
         jump = np.kron(L.conj().T, L.T) if heisenberg else np.kron(L, L.conj())
-        out = out + float(rate_at(rate, 0.0)) * (jump - 0.5 * anti)
+        out = out + rate * (jump - 0.5 * anti)
     return out
 
 
@@ -349,16 +345,16 @@ def unitary_propagator(H, t: float, hbar: float = 1.0) -> np.ndarray:
     return scipy_expm(-1j * float(t) / hbar * H)
 
 
-def lindblad_adjoint(gen, O, t: float = 0.0) -> np.ndarray:
+def lindblad_adjoint(gen, O) -> np.ndarray:
     """The adjoint generator on one observable, term by term:
 
-    (i/hbar)[H, O] + sum_k gamma_k(t) (L_k^dag O L_k - (1/2){L_k^dag L_k, O}).
+    (i/hbar)[H, O] + sum_k gamma_k (L_k^dag O L_k - (1/2){L_k^dag L_k, O}).
     """
     O = np.asarray(O, dtype=complex)
     out = (1j / gen.hbar) * (gen.H @ O - O @ gen.H)
     for L, rate in gen.jumps:
         Ld = L.conj().T
-        out = out + float(rate_at(rate, t)) * (Ld @ O @ L - 0.5 * (Ld @ L @ O + O @ Ld @ L))
+        out = out + rate * (Ld @ O @ L - 0.5 * (Ld @ L @ O + O @ Ld @ L))
     return out
 
 
@@ -442,22 +438,18 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     Hilbert-Schmidt and operator norms of L^dag[O(t)] there, shape
     (B, steps + 1, 2) (for states, None).
 
-    When every rate is constant and d <= EXACT_MAX_DIM, each step is one
-    batched mat-vec with the exact propagator exp(h L), computed once per
-    generator, and the speeds apply L to the samples. Otherwise the master
-    equation is integrated by fixed-step RK4 on the fused generator, whose
-    first stage gives the speeds. Both routes reject a blow-up, and a
-    state's trace is checked at every sample.
+    For d <= dynamics.EXACT_MAX_DIM, each step is one batched mat-vec with
+    the exact propagator exp(h L), computed once per generator, and the
+    speeds apply L to the samples. Above it the master equation is
+    integrated by fixed-step RK4 on the fused generator, whose first stage
+    gives the speeds. Both routes reject a blow-up, and a state's trace is
+    checked at every sample.
     """
     times = grid.times()
-    for gen in gens:
-        bad = np.flatnonzero((_rates_at(gen, times) < 0).any(axis=0))
-        if bad.size:
-            raise ValidationError(f"jump operator {bad[0]} has negative rate on the grid")
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
     speeds = np.empty((B, times.size, 2)) if heisenberg else None
-    if all(_takes_exact_route(gen) for gen in gens):
+    if d <= dynamics.EXACT_MAX_DIM:
         Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
         P = mat_exp(grid.h * Lv)
         out = np.empty((B, times.size, d * d), dtype=complex)
@@ -491,7 +483,7 @@ def einsum_exact_samples(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool)
 
 
 def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.ndarray:
-    """Classical fixed-step RK4 of dy/dt = f(t, y) on a batch y0 of shape
+    """Classical fixed-step RK4 of dy/dt = f(y) on a batch y0 of shape
     (B, d, d); returns the samples at every grid time, shape (B, n_times, d, d).
     The first stage is f at the sample, so ``speeds`` (shape (B, n_times, 2)),
     when given, takes the norms of f at every sample from it."""
@@ -501,18 +493,17 @@ def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.
     out[:, 0] = y0
     y = y0
     for i in range(n):
-        t = times[i]
-        k1 = f(t, y)
+        k1 = f(y)
         if speeds is not None:
             speeds[:, i] = _norms(k1)
-        k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-        k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-        k4 = f(t + h, y + h * k3)
+        k2 = f(y + (0.5 * h) * k1)
+        k3 = f(y + (0.5 * h) * k2)
+        k4 = f(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_stable(y)
         out[:, i + 1] = y
     if speeds is not None:
-        speeds[:, n] = _norms(f(times[n], y))
+        speeds[:, n] = _norms(f(y))
     return out
 
 

@@ -87,7 +87,7 @@ def test_criterion_2_dephasing_figure_data():
     grid = TimeGrid(0.0, t_max, steps)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
     states = evolve_lindblad_schrodinger(PLUS, gen, grid)
-    l2 = hs_norm(lindblad_apply(gen, PLUS.matrix, 0.0)) ** 2
+    l2 = hs_norm(lindblad_apply(gen, PLUS.matrix)) ** 2
     stride = steps // n_points
     worst_oqsl = worst_qsl = 0.0
     dominance = True

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oqsl
 from oqsl import audit
 from oqsl.cli import TOL_FLOOR, main
-from oqsl.dynamics import EXACT_MAX_DIM, LindbladGenerator, TimeGrid, _takes_exact_route, evolve_lindblad_heisenberg
+from oqsl.dynamics import EXACT_MAX_DIM, LindbladGenerator, TimeGrid, evolve_lindblad_heisenberg
 from oqsl.sysdl import parse_system
 
 from oracles import builtin_text
@@ -297,7 +297,7 @@ def test_bound_numeric_failure_exit_3(tmp_path):
         f"[system]\ndim = {dim}\n[state]\nket = [" + ", ".join(["1"] * dim) + "]\n"
         f"[jump]\npauli = 1.0 Z{'I' * (n - 1)}\nrate = 1e9\n[observable O]\npauli = 1.0 X{'I' * (n - 1)}\n"
     )
-    assert not _takes_exact_route(parse_system(text).generator)
+    assert parse_system(text).generator.dim > EXACT_MAX_DIM
     p = tmp_path / "stiff.sys"
     p.write_text(text)
     code, out, err = run_cli(
@@ -472,7 +472,7 @@ def register_text(c=1.0, dim=32):
 @pytest.mark.parametrize("dim", [2, 32], ids=["exact", "rk4"])
 def test_a_large_observable_is_not_unstable(tmp_path, dim):
     # every bound is scale-free, and the Heisenberg flow of a Lindblad generator does not grow O
-    assert _takes_exact_route(parse_system(register_text(dim=dim)).generator) == (dim == 2)
+    assert (parse_system(register_text(dim=dim)).generator.dim <= EXACT_MAX_DIM) == (dim == 2)
     reports = {}
     for c in (1.0, 1e13):
         path = tmp_path / f"register_{c}.sys"

@@ -1,13 +1,18 @@
+import io
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqsl import cli, dynamics
 from oqsl.bounds import EvalContext, evaluate_all
 from oqsl.dynamics import (
     DephasingKraus,
     LindbladGenerator,
-    RateTable,
     TabulatedKraus,
     TimeGrid,
     UnitaryGenerator,
@@ -75,34 +80,11 @@ def test_time_grid_validation():
     assert g.times() is g.times() and not g.times().flags.writeable
 
 
-def test_rate_table_validation():
-    with pytest.raises(ValidationError):
-        RateTable(times=[0.0, 1.0], values=[0.5, -0.1])
-    with pytest.raises(ValidationError):
-        RateTable(times=[1.0, 0.0], values=[0.5, 0.5])
-    table = RateTable(times=[0.0, 1.0], values=[0.0, 1.0])
-    assert table.at(0.5) == pytest.approx(0.5)
+def _forbid_exact_route(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the exact Lindblad route was taken")
 
-
-def test_rate_table_keeps_its_checked_rates():
-    # the table holds read-only copies, so a rate cannot turn negative after the check
-    values = np.array([0.5, 1.0])
-    table = RateTable(times=np.array([0.0, 1.0]), values=values)
-    for arr in (table.times, table.values):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = -1.0
-    values[0] = -1.0
-    assert table.values[0] == 0.5 and table.at(0.0) == 0.5
-
-
-def test_constant_rate_table_matches_constant_rate():
-    table = RateTable(times=[0.0, 2.0], values=[0.5, 0.5])
-    gen_c = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 0.5),))
-    gen_t = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, table),))
-    grid = TimeGrid(0.0, 1.0, 200)
-    a = evolve_lindblad_heisenberg(sigma_x, gen_c, PLUS, grid)
-    b = evolve_lindblad_heisenberg(sigma_x, gen_t, PLUS, grid)
-    assert np.abs(a.expect - b.expect).max() <= 1e-12
+    monkeypatch.setattr(dynamics, "_exact_chunks", fail)
 
 
 def test_negative_constant_rate_rejected():
@@ -112,10 +94,15 @@ def test_negative_constant_rate_rejected():
 
 @pytest.mark.parametrize(
     "rate, message",
-    [(-0.5, "negative rate -0.5"), (np.nan, "non-finite rate nan"), (np.inf, "non-finite rate inf")],
+    [
+        (-0.5, "negative rate -0.5"),
+        (np.nan, "non-finite rate nan"),
+        (np.inf, "non-finite rate inf"),
+        ([0.1, 0.2], "non-real rate [0.1, 0.2]"),
+    ],
 )
 def test_constant_rate_fault_is_named(rate, message):
-    with pytest.raises(ValidationError, match=f"^{message} for jump operator 0$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)} for jump operator 0$"):
         LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, rate),))
 
 
@@ -125,15 +112,29 @@ def test_dephasing_generator_rejects_non_finite_strength(gamma):
         dephasing_generator(gamma)
 
 
-def test_linear_rate_table_against_analytic_decay():
-    # dephasing strength ramping as gamma(t) = t: x component decays as
-    # exp(-integral_0^t s ds) = exp(-t^2 / 2)
-    table = RateTable(times=[0.0, 2.0], values=[0.0, 1.0])
-    gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, table),))
-    grid = TimeGrid(0.0, 2.0, 2000)
-    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
-    t = grid.times()
-    assert np.abs(traj.expect - np.exp(-(t**2) / 2.0)).max() <= 1e-8
+def test_time_dependent_dephasing_as_tabulated_kraus_family(tmp_path):
+    # dephasing at the rate gamma(t) = t multiplies the coherence by
+    # exp(-integral_0^t s ds) = exp(-t^2 / 2): the Kraus family
+    # K0 = sqrt((1 + c) / 2) I, K1 = sqrt((1 - c) / 2) Z with c(t) = exp(-t^2 / 2),
+    # tabulated on the evolve grid in a .sys file
+    grid = TimeGrid(0.0, 2.0, 400)
+    lines = ["[system]", "dim = 2", "kind = kraus", "[state]", "ket = [1, 1]", "[observable X]", "pauli = 1.0 X",
+             "[kraus]", "family = tabulated"]
+    for t in grid.times().tolist():
+        c = math.exp(-(t**2) / 2.0)
+        a, b = math.sqrt((1.0 + c) / 2.0), math.sqrt((1.0 - c) / 2.0)
+        lines += [f"time = {t!r}", f"K = [[{a!r}, 0], [0, {a!r}]]", f"K = [[{b!r}, 0], [0, {-b!r}]]"]
+    path = tmp_path / "gaussian_dephasing.sys"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["--system", str(path), "--observable", "X", "--tmax", "2", "--steps", "400", "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["evolve", *argv], out=out, err=err) == 0, err.getvalue()
+    expect = np.array(json.loads(out.getvalue())["expect"])
+    assert np.abs(expect - np.exp(-(grid.times() ** 2) / 2.0)).max() <= 1e-12
+    out = io.StringIO()
+    assert cli.main(["bound", *argv], out=out, err=err) == 0, err.getvalue()
+    (report,) = json.loads(out.getvalue())["reports"]
+    assert report["bound_id"] == "KRAUS" and report["valid"]
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +285,17 @@ def test_lindblad_zero_rates_reduce_to_unitary(rng):
             assert ra.T_qsl == pytest.approx(rb.T_qsl, rel=1e-8), (hbar, ra.bound_id)
 
 
-def test_rk4_fourth_order_convergence():
-    # a time-varying rate keeps this on RK4: the ramp gamma(t) = t / 2, whose
-    # x component decays as exp(-t^2 / 2)
-    table = RateTable(times=[0.0, 2.0], values=[0.0, 1.0])
-    gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, table),))
+def test_rk4_fourth_order_convergence(monkeypatch):
+    # the qubit takes RK4 once the exact route's limit is below its dimension;
+    # its x component decays as exp(-t)
+    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", 1)
+    _forbid_exact_route(monkeypatch)
+    gen = dephasing_generator(1.0)
     errors = {}
     for steps in (100, 200):
         grid = TimeGrid(0.0, np.pi / 2, steps)
         traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
-        errors[steps] = np.abs(traj.expect - np.exp(-(grid.times() ** 2) / 2.0)).max()
+        errors[steps] = np.abs(traj.expect - np.exp(-grid.times())).max()
     ratio = errors[100] / errors[200]
     assert 12.0 <= ratio <= 20.0
 
@@ -327,22 +329,23 @@ def test_every_hamiltonian_entry_point_applies_one_check(H, message):
 
 
 def test_matrix_holders_compare_and_hash_by_identity():
-    """States, generators, rate tables and systems that differ only in their
-    matrices are not equal, and none raises on == or hash."""
+    """States, generators and systems that differ only in their matrices are
+    not equal, and none raises on == or hash."""
     assert DensityState.pure([1.0, 0.0]) != DensityState.pure([0.0, 1.0])
     unitary = UnitaryGenerator(sigma_x), UnitaryGenerator(sigma_z)
     lindblad = [LindbladGenerator(H=sigma_z, jumps=((sigma_x, 1.0),)) for _ in range(2)]
-    tables = RateTable([0.0, 1.0], [0.1, 0.2]), RateTable([0.0, 1.0], [0.3, 0.4])
     text = builtin_text("tight_qubit")
     systems = parse_system(text), parse_system(text.replace("pauli = 1.0 Z", "pauli = 1.0 X"))
-    for a, b in (unitary, lindblad, tables, systems):
+    for a, b in (unitary, lindblad, systems):
         assert a == a and a != b and len({a, b}) == 2
 
 
-def test_lindblad_instability_detected():
-    # a time-varying rate keeps this on RK4, where h * gamma ~ 1e8 blows up
-    table = RateTable(times=[0.0, 1.0], values=[1e9, 2e9])
-    gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, table),))
+def test_lindblad_instability_detected(monkeypatch):
+    # the qubit takes RK4 once the exact route's limit is below its
+    # dimension, and there h * gamma ~ 1e8 blows up
+    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", 1)
+    _forbid_exact_route(monkeypatch)
+    gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
     with pytest.raises(NumericError):
         evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 10))
 

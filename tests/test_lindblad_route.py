@@ -15,7 +15,6 @@ from oqsl import audit, bounds, dynamics
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
     LindbladGenerator,
-    RateTable,
     TimeGrid,
     _fused_form,
     dephasing_generator,
@@ -34,19 +33,26 @@ HBAR = 1.7
 GRID = TimeGrid(0.0, 0.6, 300)
 
 
-def _random_case(dim, seed=0, n_jumps=2, rate=None):
-    """A random generator with n_jumps jumps, each at a random constant rate
-    or at ``rate``, a random observable and a random pure state."""
+def _random_case(dim, seed=0, n_jumps=2):
+    """A random generator with n_jumps jumps, each at a random constant rate,
+    a random observable and a random pure state."""
     rng = np.random.default_rng([seed, dim])
     H = oracles.random_hermitian(rng, dim)
     jumps = []
     for _ in range(n_jumps):
         L = oracles.random_matrix(rng, dim)
-        jumps.append((0.5 * L / op_norm(L), float(rng.uniform(0.1, 1.0)) if rate is None else rate))
+        jumps.append((0.5 * L / op_norm(L), float(rng.uniform(0.1, 1.0))))
     gen = LindbladGenerator(H=H / op_norm(H), jumps=tuple(jumps), hbar=HBAR)
     O = oracles.random_hermitian(rng, dim)
     rho = DensityState.pure(oracles.random_ket(rng, dim))
     return gen, O / op_norm(O), rho
+
+
+def _exact_route_calls(monkeypatch) -> list:
+    """The batch sizes of the exact route's calls, recorded from now on."""
+    calls, exact = [], dynamics._exact_chunks
+    monkeypatch.setattr(dynamics, "_exact_chunks", lambda gens, *args: calls.append(len(gens)) or exact(gens, *args))
+    return calls
 
 
 def _rk4_reference(gen, y0, grid, heisenberg):
@@ -92,39 +98,36 @@ def test_rk4_route_above_crossover_matches_reference():
     assert np.abs(oracles.samples_from_probes(traj) - _rk4_reference(gen, O, grid, True)).max() <= 1e-12
 
 
-RAMP = RateTable([0.0, 0.3, 1.0], [0.1, 0.9, 0.4])
-
-
 @pytest.mark.parametrize("heisenberg", [True, False])
 @pytest.mark.parametrize(
     "case",
     [
-        # (dim, n_jumps, rate of every jump or None for random constants, times)
-        (4, 2, None, [0.0, 0.7]),
-        (5, 3, RAMP, [0.0, 0.15, 0.3, 0.65, 1.0]),
-        (3, 0, None, [0.0, 0.2]),
+        # (dim, n_jumps), each a batch of three generators at random constant rates
+        (4, 2),
+        (5, 3),  # the id of a case that once tabulated its rates in time
+        (3, 0),
     ],
     ids=["constant-batch", "varying-table", "no-jumps"],
 )
 def test_fused_form_matches_matrix_form_reference(case, heisenberg):
-    dim, n_jumps, rate, times = case
-    gens = [_random_case(dim, seed=s, n_jumps=n_jumps, rate=rate)[0] for s in range(3)]
+    dim, n_jumps = case
+    gens = [_random_case(dim, seed=s, n_jumps=n_jumps)[0] for s in range(3)]
     rng = np.random.default_rng(dim)
     y = np.stack([oracles.random_matrix(rng, dim) for _ in gens])  # not Hermitian
     f = _fused_form(gens, heisenberg)
-    for t in times:
-        ref = oracles.lindblad_matrix_form(gens, y, t, heisenberg)
-        assert np.abs(f(t, y) - ref).max() <= 1e-13
+    assert np.abs(f(y) - oracles.lindblad_matrix_form(gens, y, heisenberg)).max() <= 1e-13
 
 
-def test_rk4_speeds_are_the_generator_at_every_sample():
-    # a ramp rate keeps the RK4 route, whose speeds come from the first stage
+def test_rk4_speeds_are_the_generator_at_every_sample(monkeypatch):
+    # above EXACT_MAX_DIM the RK4 route's speeds come from the first stage
     dim = EXACT_MAX_DIM + 1
-    gen, O, rho = _random_case(dim, seed=4, rate=RAMP)
+    gen, O, rho = _random_case(dim, seed=4)
     grid = TimeGrid(0.0, 1.0, 25)
+    exact_calls = _exact_route_calls(monkeypatch)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
+    assert not exact_calls
     n = grid.steps + 1
-    rhs = oracles.lindblad_matrix_form([gen] * n, oracles.samples_from_probes(traj), grid.times())
+    rhs = oracles.lindblad_matrix_form([gen] * n, oracles.samples_from_probes(traj))
     assert np.abs(traj.gen_speed_hs - np.linalg.norm(rhs, axis=(1, 2))).max() <= 1e-13
     assert np.abs(traj.gen_speed_op - np.linalg.svd(rhs, compute_uv=False)[:, 0]).max() <= 1e-13
     assert traj.gen_speed_op[-1] == pytest.approx(oracles.jacobi_singular_values(rhs[-1])[0], abs=1e-12)
@@ -138,7 +141,7 @@ def test_liouvillians_match_matrix_forms_and_are_adjoint():
     schr = liouvillian(gen, heisenberg=False)
     assert np.abs((heis @ X.reshape(-1)).reshape(3, 3) - lindblad_adjoint(gen, X)).max() <= 1e-13
     assert np.abs((schr @ X.reshape(-1)).reshape(3, 3) - lindblad_apply(gen, X)).max() <= 1e-13
-    ref = oracles.lindblad_matrix_form([gen], X[None], 0.0, heisenberg=False)[0]
+    ref = oracles.lindblad_matrix_form([gen], X[None], heisenberg=False)[0]
     assert np.abs((schr @ X.reshape(-1)).reshape(3, 3) - ref).max() <= 1e-13
     for M, heisenberg in ((heis, True), (schr, False)):
         assert np.abs(M - oracles.kron_liouvillian(gen, heisenberg)).max() <= 1e-13
@@ -233,16 +236,19 @@ PLUS = DensityState.pure([1.0, 1.0])
     [
         # stiff: the series would need more generator calls than RK4 on 10 steps
         (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(0.0, 1.0, 10)),
-        # rates varying in time
-        (*_random_case(5, seed=7, rate=RAMP)[::2], TimeGrid(0.0, 1.0, 25)),  # (gen, rho)
+        # so would it at d = EXACT_MAX_DIM + 1 on 10 steps, where the kernel
+        # takes RK4 (the id of a case that once tabulated its rates in time)
+        (*_random_case(EXACT_MAX_DIM + 1, seed=7)[::2], TimeGrid(0.0, 1.0, 10)),  # (gen, rho)
         # T ||L|| overflows
         (dephasing_generator(1.0), PLUS, TimeGrid(0.0, 1e308, 10)),
     ],
     ids=["stiff", "ramp", "huge-T"],
 )
-def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
+def test_final_state_falls_back_to_the_kernel(gen, rho, grid, monkeypatch):
     kernel = oracles.propagate_lindblad([gen], rho.matrix[None], grid, heisenberg=False)[0][0, -1]
+    exact_calls = _exact_route_calls(monkeypatch)
     assert np.array_equal(lindblad_final_state(rho, gen, grid).matrix, kernel)
+    assert exact_calls == ([] if gen.dim > EXACT_MAX_DIM else [1])
 
 
 def test_final_state_memory_does_not_grow_with_steps():

@@ -16,7 +16,6 @@ from oqsl.dynamics import (
     EXACT_MAX_DIM,
     DephasingKraus,
     LindbladGenerator,
-    RateTable,
     TabulatedKraus,
     TimeGrid,
     UnitaryGenerator,
@@ -31,28 +30,39 @@ from oqsl.linalg import DEFAULT_TOL, DensityState, NumericError, ValidationError
 import oracles
 
 CHUNK = 4  # samples per chunk in the boundary tests
-RAMP = RateTable([0.0, 0.2, 0.5], [0.1, 0.9, 0.4])
 
 
-def _case(dim, seed, rate=None):
-    """A random generator with two jumps (at random constant rates, or at
-    ``rate``), observable, second observable and pure state."""
+def _case(dim, seed):
+    """A random generator with two jumps at random constant rates,
+    observable, second observable and pure state."""
     rng = np.random.default_rng([seed, dim])
     H = oracles.random_hermitian(rng, dim)
     jumps = []
     for _ in range(2):
         L = oracles.random_matrix(rng, dim)
-        jumps.append((0.5 * L / op_norm(L), float(rng.uniform(0.1, 1.0)) if rate is None else rate))
+        jumps.append((0.5 * L / op_norm(L), float(rng.uniform(0.1, 1.0))))
     gen = LindbladGenerator(H=H / op_norm(H), jumps=tuple(jumps), hbar=1.3)
     O, B = (oracles.random_hermitian(rng, dim) for _ in range(2))
     return gen, O / op_norm(O), B, DensityState.pure(oracles.random_ket(rng, dim))
 
 
+def _take_rk4_at(dim, monkeypatch):
+    """Send dimension ``dim`` to the RK4 route, lowering EXACT_MAX_DIM below
+    it if need be, and fail on any call of the exact route."""
+    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", min(EXACT_MAX_DIM, dim - 1))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the exact Lindblad route was taken")
+
+    monkeypatch.setattr(dynamics, "_exact_chunks", fail)
+
+
 ROUTES = {
-    # (dimension, rate of every jump or None for random constants)
-    "exact": (3, None),
-    "rk4": (EXACT_MAX_DIM + 1, None),
-    "ramp": (3, RAMP),
+    # (dimension, whether it takes RK4); "ramp" is RK4 at a dimension that
+    # the exact route would take, the id of a case that once ramped its rates
+    "exact": (3, False),
+    "rk4": (EXACT_MAX_DIM + 1, True),
+    "ramp": (3, True),
 }
 
 
@@ -60,8 +70,10 @@ ROUTES = {
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, monkeypatch):
-    dim, rate = ROUTES[route]
-    cases = [_case(dim, seed, rate) for seed in range(batch)]
+    dim, rk4 = ROUTES[route]
+    if rk4:
+        _take_rk4_at(dim, monkeypatch)
+    cases = [_case(dim, seed) for seed in range(batch)]
     gens = [c[0] for c in cases]
     O0s = np.stack([c[1] for c in cases])
     rhos = [c[3] for c in cases]
@@ -107,7 +119,7 @@ def test_exact_step_matches_einsum_step(dim, batch, heisenberg):
     # batches shaped like the audit's qubit and qutrit blocks and at d = 16
     cases = [_case(dim, seed) for seed in range(batch)]
     gens = [c[0] for c in cases]
-    assert all(dynamics._takes_exact_route(gen) for gen in gens)
+    assert dim <= EXACT_MAX_DIM  # the exact route
     y0s = np.stack([c[1] if heisenberg else c[3].matrix for c in cases])
     grid = TimeGrid(0.0, 2.0, 300)
     samples = np.concatenate([s for _, s, _ in lindblad_chunks(gens, y0s, grid, heisenberg)], axis=1)
@@ -241,14 +253,16 @@ def test_audit_block_equals_full_stack_reductions(steps, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "dim,rate",
-    [(2, None), (3, None), (2, RAMP), (EXACT_MAX_DIM + 1, None)],
+    "dim,rk4",
+    [(2, False), (3, False), (2, True), (EXACT_MAX_DIM + 1, True)],
     ids=["exact-closed-form", "exact-eigvalsh", "rk4-closed-form", "rk4-eigvalsh"],
 )
-def test_speeds_match_the_gram_norms_they_replaced(dim, rate, monkeypatch):
+def test_speeds_match_the_gram_norms_they_replaced(dim, rk4, monkeypatch):
     # the speeds read L^dag[O(t)] as Hermitian; the full-stack kernel with
     # the Gram-per-trial norms it used is the reference
-    cases = [_case(dim, seed, rate) for seed in range(3)]
+    if rk4:
+        _take_rk4_at(dim, monkeypatch)
+    cases = [_case(dim, seed) for seed in range(3)]
     gens, O0s = [c[0] for c in cases], np.stack([c[1] for c in cases])
     grid = TimeGrid(0.0, 0.5, 40)
     trajs = trajectories(gens, O0s, [c[3] for c in cases], grid, [()] * 3)
