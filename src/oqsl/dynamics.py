@@ -57,8 +57,8 @@ from .linalg import (
 )
 
 INSTABILITY_LIMIT = 1e12
-# the largest dimension at which constant-rate Lindblad evolution takes the
-# exact route; at 1000 steps it beats RK4 up to d = 18 (README), but d = 17
+# the largest dimension at which Lindblad evolution takes the exact route;
+# at 1000 steps it beats RK4 up to d = 18 (README), but d = 17
 # stays the smallest RK4 dimension that the tests and digests pin
 EXACT_MAX_DIM = 16
 # the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
@@ -531,8 +531,8 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     exact propagator exp(h L), computed once per generator, and the speeds
     apply L to each chunk. Above it the master equation is integrated by
     fixed-step RK4 on the fused generator, whose first stage gives the
-    speeds. The exact route rejects a blow-up on every
-    chunk and RK4 at every step: an entry of y[b] above INSTABILITY_LIMIT
+    speeds. The exact route rejects a blow-up on every chunk and RK4 at
+    every step: an entry of y[b] above INSTABILITY_LIMIT
     times max(1, max |y0[b]|), as the Heisenberg flow does not grow an
     observable's norm and a state's entries are at most 1; a state's trace
     is checked on every chunk.
@@ -573,12 +573,26 @@ def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool, limit
     BLAS product P @ y a step with y held as a column, shape (B, d^2, 1). A
     blow-up beyond ``limit`` is checked once per chunk, on its samples,
     before the speeds, so the steps that overflow on the way there do so
-    silently."""
+    silently.
+
+    A step h L with an entry above 2^53 whose jumps damp less than a factor
+    e within it, h sum_k gamma_k ||L_k||_2^2 < 1, is rejected: that entry
+    is then the phase that i H / hbar turns in one step, beyond double
+    precision, so the propagator's phases are rounding noise, which for a
+    tiny hbar no step count fixes. A large step that the jumps damp is left
+    to the propagator."""
     B, d = y0.shape[:2]
     Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
-    if not math.isfinite(h * float(np.abs(Lv).max())):  # a Python float, which overflows silently
+    scale = h * float(np.abs(Lv).max())  # a Python float, which overflows silently
+    if not math.isfinite(scale):
         raise NumericError(f"the exact propagator exp(h L) overflows: the step h = {h!r} times the generator L "
                            "is not finite")
+    if scale > 2.0**53:
+        for gen, L in zip(gens, Lv):
+            phase = h * float(np.abs(L).max())
+            if phase > 2.0**53 and h * sum(rate * np.linalg.norm(Lk, 2) ** 2 for Lk, rate in gen.jumps) < 1.0:
+                raise NumericError(f"the Hamiltonian term i H / hbar at hbar = {gen.hbar!r} turns phases of "
+                                   f"{phase:.6g} rad in one step h = {h!r}, beyond double precision (2^53)")
     P = mat_exp(h * Lv)
     y = y0.reshape(B, d * d, 1)
     for start, end in spans:

@@ -3,8 +3,8 @@
 A file is a sequence of ``[section]`` headers with one ``key = value``
 declaration per line; ``#`` starts a comment. Sections and their keys:
 
-* ``[system]`` -- ``dim`` (required), ``hbar`` (default 1.0), optional
-  ``kind`` (unitary | lindblad | kraus).
+* ``[system]`` -- ``dim`` (required), ``hbar`` (default 1.0; not for
+  kraus), optional ``kind`` (unitary | lindblad | kraus).
 * ``[hamiltonian]`` -- ``pauli = <expr>`` or ``matrix = <literal>``; an empty
   or absent section means the zero matrix.
 * ``[state]`` -- ``ket = [c, ...]`` (normalized on parse) or
@@ -23,7 +23,8 @@ When ``kind`` is omitted it is ``kraus`` with a ``[kraus]`` section,
 ``lindblad`` with a ``[jump]`` and ``unitary`` otherwise. A second table,
 ``_UNREAD``, lists the sections each kind does not read: ``[jump]`` and
 ``[kraus]`` for unitary, ``[kraus]`` for lindblad, ``[hamiltonian]`` and
-``[jump]`` for kraus. Each such section is an error at its header.
+``[jump]`` for kraus. Each such section is an error at its header, and so
+is ``hbar`` in a kraus file, at its key.
 
 Ket and matrix literals nest comma-separated entries in brackets. An entry,
 like a Pauli coefficient, is ``a``, ``a+bi``, ``a-bi``, ``a+i``, ``a-i``,
@@ -590,6 +591,9 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
         for sec, _ in found.get(name, []):
             message = f"[{name}] section is not read by kind = {kind}: remove it, or declare kind as one that reads it"
             diags.append(Diagnostic(sec.line, 1, message))
+    if kind == "kraus" and "hbar" in system:  # a Kraus family reads no hbar
+        message = "hbar is not read by kind = kraus: remove it, or declare kind as one that reads it"
+        diags.append(Diagnostic(system["hbar"].line, system["hbar"].key_col, message))
 
     if diags:
         raise ParseError(diags)

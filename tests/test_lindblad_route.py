@@ -48,13 +48,6 @@ def _random_case(dim, seed=0, n_jumps=2):
     return gen, O / op_norm(O), rho
 
 
-def _exact_route_calls(monkeypatch) -> list:
-    """The batch sizes of the exact route's calls, recorded from now on."""
-    calls, exact = [], dynamics._exact_chunks
-    monkeypatch.setattr(dynamics, "_exact_chunks", lambda gens, *args: calls.append(len(gens)) or exact(gens, *args))
-    return calls
-
-
 def _rk4_reference(gen, y0, grid, heisenberg):
     Ls = np.array([[L for L, _ in gen.jumps]])
     gammas = np.array([[g for _, g in gen.jumps]])
@@ -104,7 +97,7 @@ def test_rk4_route_above_crossover_matches_reference():
     [
         # (dim, n_jumps), each a batch of three generators at random constant rates
         (4, 2),
-        (5, 3),  # the id of a case that once tabulated its rates in time
+        (5, 3),
         (3, 0),
     ],
     ids=["constant-batch", "varying-table", "no-jumps"],
@@ -118,14 +111,13 @@ def test_fused_form_matches_matrix_form_reference(case, heisenberg):
     assert np.abs(f(y) - oracles.lindblad_matrix_form(gens, y, heisenberg)).max() <= 1e-13
 
 
-def test_rk4_speeds_are_the_generator_at_every_sample(monkeypatch):
-    # above EXACT_MAX_DIM the RK4 route's speeds come from the first stage
+def test_rk4_speeds_are_the_generator_at_every_sample(take_rk4):
+    # the RK4 route's speeds come from the first stage
     dim = EXACT_MAX_DIM + 1
     gen, O, rho = _random_case(dim, seed=4)
     grid = TimeGrid(0.0, 1.0, 25)
-    exact_calls = _exact_route_calls(monkeypatch)
+    take_rk4(dim)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
-    assert not exact_calls
     n = grid.steps + 1
     rhs = oracles.lindblad_matrix_form([gen] * n, oracles.samples_from_probes(traj))
     assert np.abs(traj.gen_speed_hs - np.linalg.norm(rhs, axis=(1, 2))).max() <= 1e-13
@@ -236,19 +228,18 @@ PLUS = DensityState.pure([1.0, 1.0])
     [
         # stiff: the series would need more generator calls than RK4 on 10 steps
         (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(0.0, 1.0, 10)),
-        # so would it at d = EXACT_MAX_DIM + 1 on 10 steps, where the kernel
-        # takes RK4 (the id of a case that once tabulated its rates in time)
+        # so would it at d = EXACT_MAX_DIM + 1 on 10 steps, where the kernel takes RK4
         (*_random_case(EXACT_MAX_DIM + 1, seed=7)[::2], TimeGrid(0.0, 1.0, 10)),  # (gen, rho)
         # T ||L|| overflows
         (dephasing_generator(1.0), PLUS, TimeGrid(0.0, 1e308, 10)),
     ],
     ids=["stiff", "ramp", "huge-T"],
 )
-def test_final_state_falls_back_to_the_kernel(gen, rho, grid, monkeypatch):
+def test_final_state_falls_back_to_the_kernel(gen, rho, grid, take_rk4):
     kernel = oracles.propagate_lindblad([gen], rho.matrix[None], grid, heisenberg=False)[0][0, -1]
-    exact_calls = _exact_route_calls(monkeypatch)
+    if gen.dim > EXACT_MAX_DIM:
+        take_rk4(gen.dim)
     assert np.array_equal(lindblad_final_state(rho, gen, grid).matrix, kernel)
-    assert exact_calls == ([] if gen.dim > EXACT_MAX_DIM else [1])
 
 
 def test_final_state_memory_does_not_grow_with_steps():

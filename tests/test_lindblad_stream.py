@@ -46,20 +46,8 @@ def _case(dim, seed):
     return gen, O / op_norm(O), B, DensityState.pure(oracles.random_ket(rng, dim))
 
 
-def _take_rk4_at(dim, monkeypatch):
-    """Send dimension ``dim`` to the RK4 route, lowering EXACT_MAX_DIM below
-    it if need be, and fail on any call of the exact route."""
-    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", min(EXACT_MAX_DIM, dim - 1))
-
-    def fail(*args, **kwargs):
-        raise AssertionError("the exact Lindblad route was taken")
-
-    monkeypatch.setattr(dynamics, "_exact_chunks", fail)
-
-
 ROUTES = {
-    # (dimension, whether it takes RK4); "ramp" is RK4 at a dimension that
-    # the exact route would take, the id of a case that once ramped its rates
+    # (dimension, whether it takes RK4); "ramp" is RK4 at d = 3, below the exact route's limit
     "exact": (3, False),
     "rk4": (EXACT_MAX_DIM + 1, True),
     "ramp": (3, True),
@@ -69,10 +57,10 @@ ROUTES = {
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, monkeypatch):
+def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, monkeypatch, take_rk4):
     dim, rk4 = ROUTES[route]
     if rk4:
-        _take_rk4_at(dim, monkeypatch)
+        take_rk4(dim)
     cases = [_case(dim, seed) for seed in range(batch)]
     gens = [c[0] for c in cases]
     O0s = np.stack([c[1] for c in cases])
@@ -257,11 +245,11 @@ def test_audit_block_equals_full_stack_reductions(steps, monkeypatch):
     [(2, False), (3, False), (2, True), (EXACT_MAX_DIM + 1, True)],
     ids=["exact-closed-form", "exact-eigvalsh", "rk4-closed-form", "rk4-eigvalsh"],
 )
-def test_speeds_match_the_gram_norms_they_replaced(dim, rk4, monkeypatch):
+def test_speeds_match_the_gram_norms_they_replaced(dim, rk4, monkeypatch, take_rk4):
     # the speeds read L^dag[O(t)] as Hermitian; the full-stack kernel with
     # the Gram-per-trial norms it used is the reference
     if rk4:
-        _take_rk4_at(dim, monkeypatch)
+        take_rk4(dim)
     cases = [_case(dim, seed) for seed in range(3)]
     gens, O0s = [c[0] for c in cases], np.stack([c[1] for c in cases])
     grid = TimeGrid(0.0, 0.5, 40)

@@ -319,7 +319,7 @@ FULL = {
     "observable": ["pauli = 1.0 X"],
 }
 FULL_KRAUS = {
-    "system": ["dim = 2", "hbar = 1.0", "kind = kraus"],
+    "system": ["dim = 2", "kind = kraus"],
     "state": ["ket = [1, 0]"],
     "observable": ["pauli = 1.0 X"],
     "kraus": ["family = dephasing", "gamma = 1.0"],
@@ -421,6 +421,19 @@ def test_sections_the_kind_does_not_read_are_errors(kind, body, unread, tmp_path
     message = "section is not read by kind = {}: remove it, or declare kind as one that reads it"
     expected = [f"{path}:{headers[name]}:1: [{name}] {message.format(kind)}" for name in unread]
     assert err.getvalue().splitlines() == expected and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("kind", ["kind = kraus\n", ""], ids=["declared", "inferred"])
+def test_hbar_in_a_kraus_file_is_an_error_at_its_key(kind, tmp_path):
+    # a Kraus family reads no hbar: it was dropped without a word, and parse exited 0
+    text = f"[system]\ndim = 2\n{kind}  hbar = 5.0\n[state]\nket = [1, 0]\n[kraus]\nfamily = dephasing\ngamma = 1.0\n"
+    path = tmp_path / "kraus_hbar.sys"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["parse", "--system", str(path)], out=out, err=err) == 2
+    line = 3 + bool(kind)
+    message = "hbar is not read by kind = kraus: remove it, or declare kind as one that reads it"
+    assert err.getvalue().splitlines() == [f"{path}:{line}:3: {message}"] and out.getvalue() == ""
 
 
 def test_tabulated_kraus_parse_and_round_trip():
