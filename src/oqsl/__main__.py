@@ -1,20 +1,28 @@
 """The process entry of ``python -m oqsl`` and of the installed ``oqsl``
-script; :func:`oqsl.cli.main` is the in-process API."""
+script; :func:`oqsl.cli.main` is the in-process API.
+
+Importing this module imports nothing of the program: the package namespace
+is lazy, and :func:`run` imports the command line itself, with the
+collector off."""
 
 import gc
 import os
 import sys
 
-from .cli import main
-
 
 def run() -> int:
-    """Run the command line of this process. Once the imports are done, the
-    heap they built is frozen: the interpreter's final collections skip it,
-    and a forked audit child shares its pages instead of copying them. A
-    reader that closes stdout early ends the process with exit 1 and no
-    traceback."""
+    """Run the command line of this process. The collector is off while
+    numpy and the program import, which allocate only objects that live as
+    long as the process, and the heap they built is frozen before it is
+    switched back on: no collection walks it, neither during the import nor
+    at exit, and a forked audit child shares its pages instead of copying
+    them. A reader that closes stdout early ends the process with exit 1 and
+    no traceback."""
+    gc.disable()
+    from .cli import main
+
     gc.freeze()
+    gc.enable()
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,20 +55,14 @@ KRAUS_GRID = TimeGrid(0.0, KRAUS_T, KRAUS_STEPS)
 TOL = 1e-6
 
 
-@dataclass(frozen=True)
 class AuditRow:
-    check: str
-    kind: str
-    max_violation: float
-    trials: int
+    def __init__(self, check: str, kind: str, max_violation: float, trials: int):
+        self.check, self.kind, self.max_violation, self.trials = check, kind, max_violation, trials
 
 
-@dataclass(frozen=True)
 class AuditSummary:
-    seed: int
-    n_qubit: int
-    n_qutrit: int
-    rows: list = field(compare=False)
+    def __init__(self, seed: int, n_qubit: int, n_qutrit: int, rows: list):
+        self.seed, self.n_qubit, self.n_qutrit, self.rows = seed, n_qubit, n_qutrit, rows
 
     @property
     def passed(self) -> bool:
@@ -107,22 +100,20 @@ def random_jump(rng, dim: int, norm: float = 0.5):
     return norm * G / op_norm(G), float(rng.uniform(0.0, 1.0))
 
 
-@dataclass
 class _Trial:
-    index: int
-    dim: int
-    H: np.ndarray
-    O: np.ndarray
-    O_si: np.ndarray
-    P: np.ndarray
-    rho: DensityState
-    jumps: tuple
-    kraus_gamma: float
-    B: np.ndarray  # the commutator bounds' second observable, independent of O
-    # batched-integration results, attached after sampling
-    lindblad: bounds.EvalContext | None = None  # its trajectory already evolved
-    kraus: bounds.EvalContext | None = None  # qubit trials only, likewise
-    lind_rho_expect: np.ndarray | None = None  # tr(O rho(t)), Schrodinger picture
+    """One random trial's inputs; ``B`` is the commutator bounds' second
+    observable, independent of O. The batched integration attaches
+    ``lindblad`` (its trajectory already evolved), ``kraus`` (qubit trials
+    only, likewise) and ``lind_rho_expect``, tr(O rho(t)) in the
+    Schrodinger picture, after sampling."""
+
+    def __init__(self, index: int, dim: int, H: np.ndarray, O: np.ndarray, O_si: np.ndarray, P: np.ndarray,
+                 rho: DensityState, jumps: tuple, kraus_gamma: float, B: np.ndarray,
+                 lindblad: bounds.EvalContext | None = None, kraus: bounds.EvalContext | None = None,
+                 lind_rho_expect: np.ndarray | None = None):
+        self.index, self.dim, self.H, self.O, self.O_si, self.P = index, dim, H, O, O_si, P
+        self.rho, self.jumps, self.kraus_gamma, self.B = rho, jumps, kraus_gamma, B
+        self.lindblad, self.kraus, self.lind_rho_expect = lindblad, kraus, lind_rho_expect
 
 
 def _sample_trial(seed: int, dim: int, index: int) -> _Trial:

@@ -22,9 +22,7 @@ Conventions shared by all bounds:
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -59,18 +57,16 @@ VALID_TOL = 1e-6
 SPREAD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class BoundReport:
     """One bound evaluation: identifier, horizon T, bound value, validity,
     and the inputs the value was computed from, hashed on first read of
     :attr:`inputs_digest`."""
 
-    bound_id: str
-    T: float
-    T_qsl: float
-    valid: bool
-    details: dict = field(default_factory=dict, compare=False)
-    inputs: tuple = field(default=(), repr=False, compare=False)
+    def __init__(self, bound_id: str, T: float, T_qsl: float, valid: bool, details: dict | None = None,
+                 inputs: tuple = ()):
+        self.bound_id, self.T, self.T_qsl, self.valid = bound_id, T, T_qsl, valid
+        self.details = {} if details is None else details
+        self.inputs = inputs
 
     @cached_property
     def inputs_digest(self) -> str:
@@ -78,6 +74,8 @@ class BoundReport:
 
 
 def _digest(*parts) -> str:
+    import hashlib  # here, so that the commands that print no digest do not load it
+
     h = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
@@ -534,7 +532,6 @@ def rate_audit(ctx: EvalContext) -> dict:
 # the bound registry
 
 
-@dataclass(eq=False)
 class EvalContext:
     """What the bounds read for one observable O under one dynamics, which
     ``generator`` alone states: a UnitaryGenerator, a LindbladGenerator or a
@@ -558,18 +555,13 @@ class EvalContext:
     :func:`~oqsl.dynamics.lindblad_final_state` computes with no trajectory.
     """
 
-    generator: GeneratorSpec
-    grid: TimeGrid
-    O: np.ndarray
-    rho: DensityState
-    evolve: Callable[..., Trajectory] | None
-    tol: float = DEFAULT_TOL
-    B: np.ndarray | None = None
-    self_inverse: np.ndarray | None = None
-    projector: np.ndarray | None = None
-    final_state: bool = False
-    rates: bool = False
-    ids: Sequence[str] | None = None
+    def __init__(self, generator: GeneratorSpec, grid: TimeGrid, O: np.ndarray, rho: DensityState,
+                 evolve: Callable[..., Trajectory] | None, tol: float = DEFAULT_TOL, B: np.ndarray | None = None,
+                 self_inverse: np.ndarray | None = None, projector: np.ndarray | None = None,
+                 final_state: bool = False, rates: bool = False, ids: Sequence[str] | None = None):
+        self.generator, self.grid, self.O, self.rho, self.evolve, self.tol = generator, grid, O, rho, evolve, tol
+        self.B, self.self_inverse, self.projector = B, self_inverse, projector
+        self.final_state, self.rates, self.ids = final_state, rates, ids
 
     @property
     def kind(self) -> str:
@@ -661,18 +653,15 @@ def _delcampo(c: EvalContext) -> BoundReport:
     return qsl_delcampo(c.rho, c.rho_T, lrho0_hs2, c.T)
 
 
-@dataclass(frozen=True)
 class BoundSpec:
     """A bound: its id, the dynamics kinds it applies to, the context entries
     it needs (:meth:`EvalContext.has`), its evaluation on a context, and the
     probe matrix M whose series tr(O(t) M) it reads from the trajectory
     (:attr:`EvalContext.probes`)."""
 
-    id: str
-    kinds: tuple
-    needs: tuple
-    evaluate: Callable[[EvalContext], BoundReport]
-    probe: Callable[[EvalContext], np.ndarray] | None = None
+    def __init__(self, id: str, kinds: tuple, needs: tuple, evaluate: Callable[[EvalContext], BoundReport],
+                 probe: Callable[[EvalContext], np.ndarray] | None = None):
+        self.id, self.kinds, self.needs, self.evaluate, self.probe = id, kinds, needs, evaluate, probe
 
     def applies(self, ctx: EvalContext) -> bool:
         return ctx.kind in self.kinds and all(ctx.has(n) for n in self.needs)

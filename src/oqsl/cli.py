@@ -11,16 +11,16 @@ reprints the system instead); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import bounds
 from .dynamics import (
+    LindbladGenerator,
     TimeGrid,
+    UnitaryGenerator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
     evolve_lindblad_schrodinger,  # not called here, but bench/layers.py wraps it in this module
@@ -57,11 +57,14 @@ def write_result(out, fmt: str, columns, rows, /, **payload) -> None:
 
 def _generator(spec: SystemSpec, args: argparse.Namespace):
     """The system's generator, with --hbar in place of the file's when given."""
+    gen = spec.generator
     if args.hbar is None:
-        return spec.generator
-    if spec.generator.kind == "kraus":
+        return gen
+    if gen.kind == "kraus":
         raise ValidationError("--hbar does not apply to a kraus system: its Kraus family has no hbar")
-    return dataclasses.replace(spec.generator, hbar=args.hbar)
+    if gen.kind == "unitary":
+        return UnitaryGenerator(gen.H, args.hbar, gen.tol)
+    return LindbladGenerator(gen.H, gen.jumps, args.hbar, gen.tol)
 
 
 def _evolve(O: np.ndarray, gen, rho, grid: TimeGrid, tol: float, probes=()):
@@ -134,7 +137,8 @@ def _read_system(args: argparse.Namespace) -> SystemSpec:
     if not args.system:
         raise ValidationError("missing --system file path")
     try:
-        text = Path(args.system).read_text(encoding="utf-8")
+        with open(args.system, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read system file: {exc}") from exc
     return parse_system(text, tol=args.tol)

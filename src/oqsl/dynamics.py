@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -57,6 +56,8 @@ from .linalg import (
 )
 
 INSTABILITY_LIMIT = 1e12
+# how far a state's trace may drift from 1 along a Lindblad evolution
+TRACE_TOL = 1e-8
 # the largest dimension at which Lindblad evolution takes the exact route;
 # at 1000 steps it beats RK4 up to d = 18 (README), but d = 17
 # stays the smallest RK4 dimension that the tests and digests pin
@@ -70,21 +71,17 @@ CHUNK_BYTES = 1 << 20
 # time grid
 
 
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of ``steps`` cells on [t0, t1] (steps + 1 sample points)."""
 
-    t0: float
-    t1: float
-    steps: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.t0) and np.isfinite(self.t1)):
+    def __init__(self, t0: float, t1: float, steps: int):
+        if not (np.isfinite(t0) and np.isfinite(t1)):
             raise ValidationError("grid endpoints must be finite")
-        if self.t1 <= self.t0:
+        if t1 <= t0:
             raise ValidationError("grid requires t1 > t0")
-        if int(self.steps) != self.steps or self.steps < 2:
+        if not (2 <= steps < math.inf and int(steps) == steps):  # NaN and inf fail the comparison
             raise ValidationError("grid requires an integer steps >= 2")
+        self.t0, self.t1, self.steps = t0, t1, steps
 
     @property
     def h(self) -> float:
@@ -109,41 +106,33 @@ class TimeGrid:
 # generators
 
 
-@dataclass(frozen=True, eq=False)
 class UnitaryGenerator:
     """Closed dynamics generated by a time-independent Hermitian Hamiltonian,
     Hermitian within ``tol``."""
 
     kind = "unitary"
-    H: np.ndarray
-    hbar: float = 1.0
-    tol: float = DEFAULT_TOL
 
-    def __post_init__(self):
-        object.__setattr__(self, "H", checked_hermitian(self.H, "hamiltonian", self.tol))
-        if not (np.isfinite(self.hbar) and self.hbar > 0):
-            raise ValidationError(f"hbar must be positive and finite, got {self.hbar!r}")
+    def __init__(self, H: np.ndarray, hbar: float = 1.0, tol: float = DEFAULT_TOL):
+        self.H = checked_hermitian(H, "hamiltonian", tol)
+        if not (np.isfinite(hbar) and hbar > 0):
+            raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
+        self.hbar, self.tol = hbar, tol
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
     """Markovian open dynamics: a Hamiltonian, Hermitian within ``tol``, plus
     jump operators, each with a constant rate held as a checked float."""
 
     kind = "lindblad"
-    H: np.ndarray
-    jumps: tuple = ()
-    hbar: float = 1.0
-    tol: float = DEFAULT_TOL
 
-    def __post_init__(self):
-        H = UnitaryGenerator(self.H, self.hbar, self.tol).H  # the Hamiltonian part, checked as a closed system's
-        jumps = []
-        for k, (L, rate) in enumerate(self.jumps):
+    def __init__(self, H: np.ndarray, jumps: tuple = (), hbar: float = 1.0, tol: float = DEFAULT_TOL):
+        H = UnitaryGenerator(H, hbar, tol).H  # the Hamiltonian part, checked as a closed system's
+        checked = []
+        for k, (L, rate) in enumerate(jumps):
             L = as_matrix(L, f"jump operator {k}")
             require_finite(L, f"jump operator {k}")
             require_squarable(L, f"jump operator {k}")
@@ -157,9 +146,8 @@ class LindbladGenerator:
                 raise ValidationError(f"non-finite rate {rate!r} for jump operator {k}")
             if rate < 0:
                 raise ValidationError(f"negative rate {rate!r} for jump operator {k}")
-            jumps.append((L, rate))
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "jumps", tuple(jumps))
+            checked.append((L, rate))
+        self.H, self.jumps, self.hbar, self.tol = H, tuple(checked), hbar, tol
 
     @property
     def dim(self) -> int:
@@ -244,7 +232,6 @@ GeneratorSpec = Union[UnitaryGenerator, LindbladGenerator, DephasingKraus, Tabul
 # trajectories
 
 
-@dataclass(eq=False)
 class Trajectory:
     """The reductions of a Heisenberg-picture observable O(t) along a time
     grid: its expectation <O(t)>, spread dO(t) and generator speeds at every
@@ -259,14 +246,12 @@ class Trajectory:
     through :meth:`trace_with` and :meth:`at`.
     """
 
-    kind: str
-    grid: TimeGrid
-    expect: np.ndarray
-    stddev: np.ndarray
-    gen_speed_hs: np.ndarray
-    gen_speed_op: np.ndarray
-    ends: tuple
-    probes: tuple = ()
+    _EXTRA = ()  # the keyword-only fields of a subclass, which prefix() carries over
+
+    def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev: np.ndarray,
+                 gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, ends: tuple, probes: tuple = ()):
+        self.kind, self.grid, self.expect, self.stddev = kind, grid, expect, stddev
+        self.gen_speed_hs, self.gen_speed_op, self.ends, self.probes = gen_speed_hs, gen_speed_op, ends, probes
 
     @property
     def dim(self) -> int:
@@ -298,16 +283,16 @@ class Trajectory:
         if not 2 <= k <= self.grid.steps:
             raise ValidationError(f"prefix length {k} outside [2, {self.grid.steps}]")
         cut = slice(0, k + 1)
-        return replace(
-            self,
-            grid=TimeGrid(self.grid.t0, float(self.grid.times()[k]), k),
-            **{f: getattr(self, f)[cut] for f in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")},
-            ends=(self.ends[0], self.ends[1] if k == self.grid.steps else None),
-            probes=tuple((M, series[cut]) for M, series in self.probes),
+        return type(self)(
+            self.kind,
+            TimeGrid(self.grid.t0, float(self.grid.times()[k]), k),
+            *(getattr(self, f)[cut] for f in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")),
+            (self.ends[0], self.ends[1] if k == self.grid.steps else None),
+            tuple((M, series[cut]) for M, series in self.probes),
+            **{f: getattr(self, f) for f in self._EXTRA},
         )
 
 
-@dataclass(eq=False, kw_only=True)
 class UnitaryTrajectory(Trajectory):
     """A :class:`Trajectory` under a constant Hamiltonian H = V diag(w) V^dag,
     with its eigen data: w / hbar, V, O~ = V^dag O V and rho~ = V^dag rho V.
@@ -315,11 +300,13 @@ class UnitaryTrajectory(Trajectory):
     off the grid (:meth:`stddev_at`) and another observable's expectation
     (:meth:`expect_of`)."""
 
-    freqs: np.ndarray
-    vectors: np.ndarray
-    O_eig: np.ndarray
-    rho_eig: np.ndarray
-    tol: float
+    _EXTRA = ("freqs", "vectors", "O_eig", "rho_eig", "tol")
+
+    def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev: np.ndarray,
+                 gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, ends: tuple, probes: tuple = (), *,
+                 freqs: np.ndarray, vectors: np.ndarray, O_eig: np.ndarray, rho_eig: np.ndarray, tol: float):
+        super().__init__(kind, grid, expect, stddev, gen_speed_hs, gen_speed_op, ends, probes)
+        self.freqs, self.vectors, self.O_eig, self.rho_eig, self.tol = freqs, vectors, O_eig, rho_eig, tol
 
     def stddev_at(self, times) -> np.ndarray:
         """dO(t) at arbitrary times, from the closed form."""
@@ -468,7 +455,7 @@ def _check_stable(y: np.ndarray, limit=INSTABILITY_LIMIT) -> None:
 
 def _check_trace(states: np.ndarray) -> None:
     trace = np.einsum("...aa->...", states.real)  # one temporary of the batch shape
-    if max(trace.max() - 1.0, 1.0 - trace.min()) > 1e-8:
+    if max(trace.max() - 1.0, 1.0 - trace.min()) > TRACE_TOL:
         raise NumericError("trace not preserved to 1e-8; reduce the step size")
 
 
@@ -545,7 +532,7 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
         limit = INSTABILITY_LIMIT * np.abs(y0).reshape(B, -1).max(axis=1)
     limit = np.clip(limit, INSTABILITY_LIMIT, np.finfo(float).max)
     if d <= EXACT_MAX_DIM:
-        chunks = _exact_chunks(gens, y0, grid.h, spans, heisenberg, limit)
+        chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit)
     else:
         chunks = _rk4_chunks(_fused_form(gens, heisenberg), y0, times[1] - times[0], spans, heisenberg, limit)
     if heisenberg:
@@ -568,31 +555,34 @@ def _spans(n: int, sample_bytes: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _exact_chunks(gens, y0: np.ndarray, h: float, spans, heisenberg: bool, limit):
+def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool, limit):
     """The chunks of :func:`lindblad_chunks` by the exact propagator, one
     BLAS product P @ y a step with y held as a column, shape (B, d^2, 1). A
     blow-up beyond ``limit`` is checked once per chunk, on its samples,
     before the speeds, so the steps that overflow on the way there do so
     silently.
 
-    A step h L with an entry above 2^53 whose jumps damp less than a factor
-    e within it, h sum_k gamma_k ||L_k||_2^2 < 1, is rejected: that entry
-    is then the phase that i H / hbar turns in one step, beyond double
-    precision, so the propagator's phases are rounding noise, which for a
-    tiny hbar no step count fixes. A large step that the jumps damp is left
-    to the propagator."""
+    A step h L whose jumps damp less than a factor e within it,
+    h sum_k gamma_k ||L_k||_2^2 < 1, is rejected when its largest entry,
+    the phase that i H / hbar turns in one step, rounds exp(h L) beyond the
+    trace tolerance over the grid: the error grows like
+    steps * phase * 2^-53, which for a small hbar no step count fixes. A
+    large step that the jumps damp is left to the propagator."""
     B, d = y0.shape[:2]
+    h, steps = grid.h, grid.steps
     Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
     scale = h * float(np.abs(Lv).max())  # a Python float, which overflows silently
     if not math.isfinite(scale):
         raise NumericError(f"the exact propagator exp(h L) overflows: the step h = {h!r} times the generator L "
                            "is not finite")
-    if scale > 2.0**53:
+    max_phase = TRACE_TOL * 2.0**53 / steps
+    if scale > max_phase:
         for gen, L in zip(gens, Lv):
             phase = h * float(np.abs(L).max())
-            if phase > 2.0**53 and h * sum(rate * np.linalg.norm(Lk, 2) ** 2 for Lk, rate in gen.jumps) < 1.0:
+            if phase > max_phase and h * sum(rate * np.linalg.norm(Lk, 2) ** 2 for Lk, rate in gen.jumps) < 1.0:
                 raise NumericError(f"the Hamiltonian term i H / hbar at hbar = {gen.hbar!r} turns phases of "
-                                   f"{phase:.6g} rad in one step h = {h!r}, beyond double precision (2^53)")
+                                   f"{phase:.6g} rad in one step h = {h!r}: over {steps} steps, the rounding of "
+                                   "exp(h L) exceeds the trace tolerance 1e-8")
     P = mat_exp(h * Lv)
     y = y0.reshape(B, d * d, 1)
     for start, end in spans:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,12 +145,11 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
     return E
 
 
-@dataclass(frozen=True, eq=False)
 class DensityState:
     """A validated density operator together with its cached purity tr(rho^2)."""
 
-    matrix: np.ndarray
-    purity: float
+    def __init__(self, matrix: np.ndarray, purity: float):
+        self.matrix, self.purity = matrix, purity
 
     @classmethod
     def from_matrix(

@@ -8,8 +8,6 @@ regression suite for the bound evaluators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import bounds
@@ -29,13 +27,10 @@ from .linalg import DensityState, ValidationError, hs_norm, sigma_x, sigma_z
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
 class ScenarioResult:
-    scenario_id: str
-    columns: tuple
-    rows: list = field(compare=False)
-    tolerance: float = 0.0
-    passed: bool = False
+    def __init__(self, scenario_id: str, columns: tuple, rows: list, tolerance: float = 0.0, passed: bool = False):
+        self.scenario_id, self.columns, self.rows = scenario_id, columns, rows
+        self.tolerance, self.passed = tolerance, passed
 
 
 def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:

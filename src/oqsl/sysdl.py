@@ -44,9 +44,7 @@ raises :class:`ParseError` carrying every collected diagnostic.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,11 +72,12 @@ _RE_SECTION = re.compile(r"^\[\s*([A-Za-z_][A-Za-z0-9_-]*)(?:\s+([A-Za-z_][A-Za-
 _RE_PAULI_WORD = re.compile(r"^[IXYZ]+$")
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    line: int
-    col: int
-    message: str
+    def __init__(self, line: int, col: int, message: str):
+        self.line, self.col, self.message = line, col, message
+
+    def __eq__(self, other):
+        return isinstance(other, Diagnostic) and vars(self) == vars(other)
 
     def render(self, filename: str = "<sysdl>") -> str:
         return f"{filename}:{self.line}:{self.col}: {self.message}"
@@ -247,17 +246,15 @@ def parse_pauli_expr(src: str, n_qubits: int) -> np.ndarray:
 # system spec
 
 
-@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """Fully validated description of one experiment. Its dynamics is the
     ``generator`` alone: a UnitaryGenerator, a LindbladGenerator or a Kraus
     family, each naming its ``kind``."""
 
-    dim: int
-    generator: GeneratorSpec
-    initial_state: DensityState
-    observables: dict
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, dim: int, generator: GeneratorSpec, initial_state: DensityState, observables: dict,
+                 metadata: dict | None = None):
+        self.dim, self.generator, self.initial_state, self.observables = dim, generator, initial_state, observables
+        self.metadata = {} if metadata is None else metadata
 
     def observable(self, name: str) -> np.ndarray:
         if name not in self.observables:
@@ -267,34 +264,27 @@ class SystemSpec:
         return self.observables[name]
 
 
-@dataclass
 class _Decl:
-    key: str  # lower case, for matching
-    name: str  # the key as written, for diagnostics
-    value: str
-    line: int
-    key_col: int
-    value_col: int
+    """One ``key = value`` line: ``key`` in lower case, for matching, and
+    ``name`` as written, for diagnostics."""
+
+    def __init__(self, key: str, name: str, value: str, line: int, key_col: int, value_col: int):
+        self.key, self.name, self.value = key, name, value
+        self.line, self.key_col, self.value_col = line, key_col, value_col
 
 
-@dataclass
 class _Section:
-    name: str
-    arg: str | None
-    line: int
-    decls: list
+    def __init__(self, name: str, arg: str | None, line: int, decls: list):
+        self.name, self.arg, self.line, self.decls = name, arg, line, decls
 
 
-@dataclass(frozen=True)
 class _Layout:
     """The keys a section accepts. Each key maps to a slot that holds one
     declaration; keys that share a slot are alternatives, and a key whose
     slot is None may repeat. ``required`` slots must be declared."""
 
-    keys: dict
-    required: tuple = ()
-    repeatable: bool = False
-    named: bool = False
+    def __init__(self, keys: dict, required: tuple = (), repeatable: bool = False, named: bool = False):
+        self.keys, self.required, self.repeatable, self.named = keys, required, repeatable, named
 
 
 _OPERATOR = {"pauli": "operator", "matrix": "operator"}
@@ -600,6 +590,8 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
     if kind != "kraus":  # else the [kraus] family is the generator
         H = np.zeros((dim, dim), dtype=complex) if H is None else H
         generator = LindbladGenerator(H, jumps, hbar, tol) if kind == "lindblad" else UnitaryGenerator(H, hbar, tol)
+    import hashlib  # here, so that a command that parses no system does not load it
+
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return SystemSpec(dim, generator, state, observables, metadata={"source_digest": digest})
 

@@ -516,12 +516,18 @@ def register_path(tmp_path):
         *((["bound", "qutrit_decay", "N", "1", "--hbar", hbar],
            f"i H / hbar at hbar = {hbar} turns phases of ") for hbar in ("1e-300", "1e-305", "1e-307")),
         (["evolve", "qutrit_decay", "N", "1", "--hbar", "1e-300"], "i H / hbar at hbar = 1e-300 turns phases of "),
+        # a small hbar whose phases the propagator rounds beyond the trace tolerance over the grid
+        *(([command, "qutrit_decay", "N", "1", "--hbar", hbar],
+           f"i H / hbar at hbar = {float(hbar)!r} turns phases of {phase} rad in one step h = 0.001: over 1000 steps")
+          for command, hbar, phase in (("bound", "1e-8", "200000"), ("bound", "1e-12", "2e+09"),
+                                       ("evolve", "1e-12", "2e+09"), ("evolve", "1e-15", "2e+12"))),
     ],
     ids=[
         "mat-exp-dephasing", "mat-exp-qutrit", "rk4-hbar-bound", "rk4-hbar-evolve", "rk4-tmax-bound",
         "rk4-tmax-evolve", "hbar-dephasing", "hbar-qutrit", "kraus-bound", "kraus-evolve", "speed-battery",
         "speed-two-qubit", "exact-step-times-generator", "unitary-phases", "tiny-hbar-1e-300", "tiny-hbar-1e-305",
-        "tiny-hbar-1e-307", "tiny-hbar-evolve",
+        "tiny-hbar-1e-307", "tiny-hbar-evolve", "small-hbar-1e-8", "small-hbar-1e-12", "small-hbar-evolve-1e-12",
+        "small-hbar-evolve-1e-15",
     ],
 )
 def test_extreme_inputs_end_with_one_error_line(register_path, argv, message):
@@ -532,6 +538,18 @@ def test_extreme_inputs_end_with_one_error_line(register_path, argv, message):
     # the unitary systems also note that the huge step aliases
     (line,) = [line for line in err.splitlines() if not line.startswith("note: ")]
     assert line.startswith("numeric error: ") and message in line
+
+
+def test_a_small_hbar_below_the_rounding_limit_still_computes():
+    # H, N and rho are diagonal, so <N(t)> does not depend on hbar; at 1e-7 the
+    # rounding of exp(h L) over the grid, 1000 * 2e4 * 2^-53 = 2.2e-9, is within 1e-8
+    argv = ["evolve", "--system", str(SYSTEMS / "qutrit_decay.sys"), "--observable", "N", "--tmax", "1"]
+    expect = {}
+    for hbar in ("1", "1e-7"):
+        code, out, err = run_cli([*argv, "--hbar", hbar, "--format", "json"])
+        assert code == 0, err
+        expect[hbar] = np.array(json.loads(out)["expect"])
+    assert np.abs(expect["1e-7"] - expect["1"]).max() < 1e-8
 
 
 # a qubit under H = X from [1, 0]; {jump} is a [jump] section or nothing
@@ -794,28 +812,96 @@ def test_closed_stdout_exits_without_traceback(fmt):
     assert code == 1 and err == ""
 
 
-@pytest.mark.parametrize(
-    "argv, own",
-    [
-        (["bound", "--system", str(SYSTEMS / "two_qubit.sys"), "--observable", "A", "--tmax", "1"], None),
-        (["evolve", "--system", str(SYSTEMS / "dephasing.sys"), "--observable", "O", "--tmax", "1"], None),
-        (["parse", "--system", str(SYSTEMS / "qutrit_decay.sys")], None),
-        (["scenario", "tight-qubit"], "oqsl.scenarios"),
-    ],
-    ids=["bound", "evolve", "parse", "scenario"],
-)
-def test_process_imports_only_the_modules_of_its_command(argv, own):
+# one short run of each command, as its own process
+COMMAND_ARGV = {
+    "bound": ["bound", "--system", str(SYSTEMS / "two_qubit.sys"), "--observable", "A", "--tmax", "1"],
+    "evolve": ["evolve", "--system", str(SYSTEMS / "dephasing.sys"), "--observable", "O", "--tmax", "1"],
+    "parse": ["parse", "--system", str(SYSTEMS / "qutrit_decay.sys")],
+    "scenario": ["scenario", "tight-qubit"],
+    "audit": ["audit", "--trials", "1"],
+}
+# the modules that each command's process imports beyond what `import numpy`
+# imports: the entry, the command line with its argparse, json and gettext,
+# hashlib for the digest of a parsed system, and the audit's numpy.random
+_ENTRY = {"runpy", "gc", "oqsl", "oqsl.cli", "oqsl.bounds", "oqsl.dynamics", "oqsl.linalg", "oqsl.sysdl",
+          "__future__", "argparse", "gettext", "locale", "_locale", "json", "json.decoder", "json.encoder",
+          "json.scanner", "_json"}
+_HASH = {"hashlib", "_hashlib", "_blake2"}
+_RANDOM = {"numpy.random", "numpy.random._bounded_integers", "numpy.random._common", "numpy.random._generator",
+           "numpy.random._mt19937", "numpy.random._pcg64", "numpy.random._philox", "numpy.random._pickle",
+           "numpy.random._sfc64", "numpy.random.bit_generator", "numpy.random.mtrand", "secrets", "hmac", "base64"}
+IMPORT_BUDGET = {
+    "bound": _ENTRY | _HASH,
+    "evolve": _ENTRY | _HASH,
+    "parse": _ENTRY | _HASH,
+    "scenario": _ENTRY | {"oqsl.scenarios"},
+    "audit": _ENTRY | _HASH | _RANDOM | {"oqsl.audit"},
+}
+
+
+def _imports(*argv) -> dict:
+    """Each module that ``python -X importtime *argv`` imports, mapped to the
+    module whose import imported it (None at the top level)."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "oqsl", *argv],
-        env=_entry_env(),
-        capture_output=True,
-        text=True,
-        timeout=60,
+        [sys.executable, "-X", "importtime", *argv], env=_entry_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    assert "oqsl.cli" in imported and (own is None or own in imported)
-    assert not imported & ({"oqsl.audit", "oqsl.scenarios"} - {own})
+    importer, waiting = {}, {}
+    # one line per import, after the lines of the imports it made, one level deeper
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:") and not line.endswith("| imported package"):
+            text = line.rsplit("|", 1)[-1]
+            name, depth = text.strip(), len(text) - len(text.lstrip())
+            for child in waiting.pop(depth + 2, ()):
+                importer[child] = name
+            waiting.setdefault(depth, []).append(name)
+            importer.setdefault(name, None)
+    return importer
+
+
+@pytest.fixture(scope="module")
+def numpy_imports():
+    return set(_imports("-c", "import numpy"))
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_process_imports_only_the_modules_of_its_command(command, numpy_imports):
+    own = {"scenario": "oqsl.scenarios", "audit": "oqsl.audit"}.get(command)
+    importer = _imports("-m", "oqsl", *COMMAND_ARGV[command])
+    assert "oqsl.cli" in importer and (own is None or own in importer)
+    assert not importer.keys() & ({"oqsl.audit", "oqsl.scenarios"} - {own})
+    # no record class generates code, and only the parser and the bound digests hash
+    assert "dataclasses" not in importer.keys() - numpy_imports
+    if own is not None:
+        assert not (importer.get("hashlib") or "").startswith("oqsl")
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_process_imports_nothing_beyond_its_budget(command, numpy_imports):
+    # a module new here adds to every run's fixed cost: add it to IMPORT_BUDGET only on purpose
+    extra = _imports("-m", "oqsl", *COMMAND_ARGV[command]).keys() - numpy_imports
+    assert not extra - IMPORT_BUDGET[command], f"{command} now imports {sorted(extra - IMPORT_BUDGET[command])}"
+
+
+def test_entry_runs_no_collection_before_the_command():
+    # the parse command starts by opening its system file
+    path = str(SYSTEMS / "two_qubit.sys")
+    code = (
+        "import gc, runpy, sys\n"
+        "gc.collect()  # what start-up allocated is not the entry's to collect\n"
+        "collections, before = [], []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(info))\n"
+        f"sys.addaudithook(lambda event, args: event == 'open' and str(args[0]) == {path!r}"
+        " and before.append(len(collections)))\n"
+        f"sys.argv = ['oqsl', 'parse', '--system', {path!r}]\n"
+        "try:\n"
+        "    runpy.run_module('oqsl', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('collections before the command:', *before, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_entry_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "collections before the command: 0"
 
 
 def test_entry_freezes_the_import_heap_before_the_command():
@@ -842,3 +928,44 @@ def test_installed_script_runs_the_module_entry():
     pyproject = tomllib.loads((Path(oqsl.__file__).parents[2] / "pyproject.toml").read_text(encoding="utf-8"))
     module, func = pyproject["project"]["scripts"]["oqsl"].split(":")
     assert getattr(importlib.import_module(module), func) is importlib.import_module("oqsl.__main__").run
+
+
+# the names the package exports, by the submodule that defines each
+EXPORTS = {
+    "bounds": ("BOUND_IDS REGISTRY BoundReport BoundSpec EvalContext battery_bounds commutator_qsl corr_qsl "
+               "evaluate_all oqsl_generator_hs oqsl_kraus oqsl_min_norm oqsl_mt_integral oqsl_purity_hs "
+               "oqsl_self_inverse oqsl_state_independent qsl_delcampo rate_audit state_qsl_projector "
+               "two_time_correlation").split(),
+    "dynamics": ("DephasingKraus LindbladGenerator TabulatedKraus TimeGrid Trajectory UnitaryGenerator "
+                 "dephasing_generator evolve_kraus_heisenberg evolve_lindblad_heisenberg evolve_lindblad_schrodinger "
+                 "evolve_unitary_heisenberg lindblad_apply lindblad_final_state").split(),
+    "linalg": ("DensityState NumericError ValidationError expectation hs_norm is_hermitian mat_exp op_norm sigma_x "
+               "sigma_y sigma_z tr_norm variance").split(),
+    "sysdl": "ParseError SystemSpec parse_complex parse_pauli_expr parse_system serialize_system".split(),
+}
+
+
+def test_the_package_exports_each_name_of_its_submodules():
+    star = {}
+    exec("from oqsl import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(name for names in EXPORTS.values() for name in names)
+    assert set(star) | set(EXPORTS) <= set(dir(oqsl))
+    for module, names in EXPORTS.items():
+        defined = vars(importlib.import_module(f"oqsl.{module}"))
+        for name in names:
+            imported = {}
+            exec(f"from oqsl import {name}", imported)
+            assert getattr(oqsl, name) is imported[name] is star[name] is defined[name]
+
+
+def test_a_bare_import_loads_no_numpy_until_a_name_is_read():
+    code = (
+        "import sys, oqsl\n"
+        "assert 'numpy' not in sys.modules, 'import oqsl loaded numpy'\n"
+        "print(oqsl.bounds.BOUND_IDS[0], oqsl.dynamics.TimeGrid.__name__, oqsl.linalg.DEFAULT_TOL,\n"
+        "      oqsl.sysdl.parse_system.__name__, oqsl.sigma_x is oqsl.linalg.sigma_x)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_entry_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["MT_INTEGRAL", "TimeGrid", "1e-09", "parse_system", "True"]

@@ -71,8 +71,9 @@ def random_lindblad(rng, dim, n_jumps=2):
 def test_time_grid_validation():
     with pytest.raises(ValidationError):
         TimeGrid(0.0, 0.0, 10)
-    with pytest.raises(ValidationError):
-        TimeGrid(0.0, 1.0, 1)
+    for steps in (1, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="integer steps >= 2"):
+            TimeGrid(0.0, 1.0, steps)
     g = TimeGrid(0.0, 1.0, 4)
     assert g.h == pytest.approx(0.25)
     assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])

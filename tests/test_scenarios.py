@@ -1,6 +1,5 @@
 import io
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,7 +82,8 @@ def test_kraus_dephasing_fails_on_a_wrong_kraus_bound(monkeypatch):
 
     def halved(traj, rho):
         report = kraus(traj, rho)
-        return replace(report, T_qsl=report.T_qsl / 2)
+        T_qsl = report.T_qsl / 2
+        return bounds.BoundReport(report.bound_id, report.T, T_qsl, report.valid, report.details, report.inputs)
 
     monkeypatch.setattr(bounds, "oqsl_kraus", halved)
     res = scenario_kraus_dephasing()
