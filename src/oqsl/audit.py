@@ -11,11 +11,11 @@ Lindblad in both pictures (observables through ``dynamics.trajectories``
 and states through ``dynamics.lindblad_chunks``, by the exact propagator, as
 the audit's rates are constant) and, for qubits, Kraus (``trajectories``).
 Their chunks are reduced as they arrive, so each trial keeps its evaluation
-contexts, whose trajectories hold the scalar series, O(0), O(T) and the
-series its bounds and rate audit declare, and tr(O rho(t)), but no sample
-stack. The two blocks share no data: where the process may use two CPUs and
-runs no other thread, a forked child runs the qutrit block beside the qubit
-block and sends back its per-trial results, and otherwise the qubit block is
+contexts, whose trajectories hold the scalar series and the series its
+bounds and rate audit declare, and tr(O rho(t)), but no sample stack. The
+two blocks share no data: where the process may use two CPUs and runs no
+other thread, a forked child runs the qutrit block beside the qubit block
+and sends back its per-trial results, and otherwise the qubit block is
 evaluated before the qutrit block is integrated. Either way each block runs
 the same arithmetic, so the summary is the same to the last bit.
 """

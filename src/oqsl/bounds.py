@@ -340,16 +340,19 @@ def oqsl_kraus(traj: Trajectory, rho: DensityState) -> BoundReport:
 def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
     """State-independent bound from the Hilbert-Schmidt overlap of O(0), O(T):
 
-    T_qsl = |tr[O(0)O(T)] - tr[O(0)^2]| / (||O(0)||_hs * Lambda_T).
+    T_qsl = |X(T) - X(0)| / (||O(0)||_hs * Lambda_T),
+
+    for the series X(t) = tr[O(t) O(0)] of the probe O(0), which the
+    trajectory must keep, so that X(0) = tr[O(0)^2].
     """
     if traj.kind not in ("unitary", "lindblad"):
         raise ValidationError("STATE_INDEP requires a unitary- or lindblad-kind trajectory")
     O0 = as_matrix(O0, "observable")
-    OT = traj.at(-1)
-    num = abs(complex(np.trace(O0 @ (OT - O0))))
+    X = traj.trace_with(O0)
+    num = abs(complex(X[-1] - X[0]))
     o0_hs = hs_norm(O0)
-    details = {"overlap_change": float(num), "o0_hs": o0_hs}
-    inputs = (O0, OT, traj.gen_speed_hs)
+    details = {"overlap_change": num, "o0_hs": o0_hs}
+    inputs = (O0, X, traj.gen_speed_hs)
     return _speed_bound("STATE_INDEP", traj, num, o0_hs, "||O(0)||_hs * mean speed", inputs, details)
 
 
@@ -514,14 +517,15 @@ def rate_audit(ctx: EvalContext) -> dict:
     Hoelder bound 2 ||H O(t)||_op / hbar apply; for Lindblad trajectories
     the Cauchy-Schwarz bound sqrt(tr rho^2) ||L^dag[O(t)]||_hs applies. A
     unitary trajectory must be generated by ``ctx.H``, which then commutes
-    with U(t), so ||H O(t)||_op = ||H O(0)||_op is constant.
+    with U(t), so ||H O(t)||_op = ||H O(0)||_op is constant, and equal to
+    ||(O H)^dag||_op = ||O H||_op for Hermitian H and O.
     """
     traj = ctx.traj
     lhs = np.abs(traj.trace_with(ctx.rate_matrix).real)
     if traj.kind == "unitary":
         rhs = {
             "RATE_ROBERTSON": 2.0 / ctx.hbar * traj.stddev * ctx.delta_H,
-            "RATE_HOLDER_OP": 2.0 / ctx.hbar * op_norm(ctx.H @ traj.at(0)),
+            "RATE_HOLDER_OP": 2.0 / ctx.hbar * ctx.oh_norms[0],
         }
     else:
         rhs = {"RATE_CS_HS": np.sqrt(ctx.rho.purity) * traj.gen_speed_hs}
@@ -685,7 +689,7 @@ REGISTRY = (
     BoundSpec("PURITY_HS", _U, (), lambda c: oqsl_purity_hs(*c.ends(), c.rho, c.oh_hs, c.T, hbar=c.hbar)),
     BoundSpec("GENERATOR_HS", _UL, (), lambda c: oqsl_generator_hs(c.traj, c.rho)),
     BoundSpec("DELCAMPO", _L, ("final_state",), _delcampo),
-    BoundSpec("STATE_INDEP", _UL, (), lambda c: oqsl_state_independent(c.O, c.traj)),
+    BoundSpec("STATE_INDEP", _UL, (), lambda c: oqsl_state_independent(c.O, c.traj), lambda c: c.O),
     BoundSpec("MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), *c.oh_norms, c.T, hbar=c.hbar)),
     BoundSpec("BATTERY_CT1", _U, ("pure",), _battery_ct1),
     BoundSpec("BATTERY_CT2", _U, ("pure",), _battery_ct2),
@@ -701,7 +705,11 @@ BOUND_IDS = tuple(spec.id for spec in REGISTRY)
 
 def select(ctx: EvalContext) -> list[BoundSpec]:
     """The entries named by ``ctx.ids``, in that order, or every applicable
-    entry when it is None. Naming an entry that does not apply is an error."""
+    entry when it is None. Naming an entry that does not apply, or one
+    entry twice, is an error."""
+    twice = sorted({b for b in ctx.ids or () if list(ctx.ids).count(b) > 1})
+    if twice:
+        raise ValidationError(f"bound(s) named more than once: {', '.join(twice)}")
     specs = {s.id: s for s in REGISTRY if s.applies(ctx)}
     bad = [b for b in ctx.ids or () if b not in specs]
     if bad:

@@ -11,7 +11,6 @@ reprints the system instead); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -42,6 +41,8 @@ def write_result(out, fmt: str, columns, rows, /, **payload) -> None:
     booleans print in lower case and floats as ``.12g``; for json,
     ``payload`` on one line with sorted keys."""
     if fmt == "json":
+        import json  # here, so that a CSV run does not load it
+
         print(json.dumps(payload, sort_keys=True), file=out)
         return
     print(",".join(columns), file=out)
@@ -126,6 +127,8 @@ def _bound_ids(text: str) -> list[str] | None:
     unknown = [b for b in ids if b != "ALL" and b not in bounds.BOUND_IDS]
     if unknown:
         raise ValidationError(f"unknown bound id(s): {', '.join(unknown)}")
+    if "ALL" in ids and len(ids) > 1:
+        raise ValidationError("--bounds ALL names every bound: name no bound id beside it")
     return None if "ALL" in ids else ids
 
 

@@ -3,9 +3,10 @@ trajectories under unitary, Lindblad-adjoint, and Kraus dynamics.
 
 Every evolution of an observable returns a :class:`Trajectory` of
 reductions, all computed before it returns: <O(t)>, dO(t) and both generator
-speeds at every grid point, O(0) and O(T), and tr(O(t) M) for the probe
-matrices M declared before the evolution. No O(t) is kept at an interior
-time: ``trace_with`` of an undeclared M and ``at`` of an interior index raise.
+speeds at every grid point, and tr(O(t) M) for the probe matrices M declared
+before the evolution. No O(t) is kept at any time, the ends included: a
+bound that reads O(t) declares its probe, and ``trace_with`` of an
+undeclared M raises.
 
 Unitary trajectories are exact and form no per-sample matrix: H is
 diagonalized once, and the moments and probe series along the grid come
@@ -234,28 +235,24 @@ GeneratorSpec = Union[UnitaryGenerator, LindbladGenerator, DephasingKraus, Tabul
 
 class Trajectory:
     """The reductions of a Heisenberg-picture observable O(t) along a time
-    grid: its expectation <O(t)>, spread dO(t) and generator speeds at every
-    grid point, O(0) and O(T), and the series tr(O(t) M) of the probe
-    matrices M declared before the evolution. No O(t) is kept per grid point.
+    grid, each a series over its grid points: the expectation <O(t)>, the
+    spread dO(t), the generator speeds and tr(O(t) M) for each probe matrix
+    M declared before the evolution. No O(t) is kept, at any grid point.
 
     ``gen_speed_hs`` / ``gen_speed_op`` hold the Hilbert-Schmidt and operator
     norms of the generator applied to O(t) (for Kraus dynamics: the summed
-    norms of K_i^dag(t) O(0) dK_i/dt). ``ends`` is (O(0), O(T)), with O(T)
-    None on a prefix shorter than the grid; ``probes`` pairs each declared M
-    with its series. Every kind serves the same reads: bounds read O(t) only
-    through :meth:`trace_with` and :meth:`at`.
+    norms of K_i^dag(t) O(0) dK_i/dt). ``dim`` is the dimension of O;
+    ``probes`` pairs each declared M with its series. Every kind serves the
+    same reads: bounds read O(t) only through :meth:`trace_with`, so a
+    :meth:`prefix` serves every bound.
     """
 
     _EXTRA = ()  # the keyword-only fields of a subclass, which prefix() carries over
 
     def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev: np.ndarray,
-                 gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, ends: tuple, probes: tuple = ()):
+                 gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, dim: int, probes: tuple = ()):
         self.kind, self.grid, self.expect, self.stddev = kind, grid, expect, stddev
-        self.gen_speed_hs, self.gen_speed_op, self.ends, self.probes = gen_speed_hs, gen_speed_op, ends, probes
-
-    @property
-    def dim(self) -> int:
-        return self.ends[0].shape[0]
+        self.gen_speed_hs, self.gen_speed_op, self.dim, self.probes = gen_speed_hs, gen_speed_op, dim, probes
 
     def trace_with(self, M: np.ndarray) -> np.ndarray:
         """tr(O(t) M) at every grid point (complex), for a declared probe M,
@@ -269,15 +266,6 @@ class Trajectory:
     def _series_by_probe(self) -> dict:
         return {_probe_key(M): series for M, series in self.probes}
 
-    def at(self, k: int) -> np.ndarray:
-        """O(t_k) at an end of the grid, k = 0 or k = steps (or -1)."""
-        k = range(self.grid.steps + 1)[k]
-        if k == 0:
-            return self.ends[0]
-        if k == self.grid.steps and self.ends[1] is not None:
-            return self.ends[1]
-        raise ValidationError(f"O(t) at index {k} is not kept: only at the two ends of the evolution grid")
-
     def prefix(self, k: int) -> "Trajectory":
         """Restriction to the first k grid cells (k >= 2)."""
         if not 2 <= k <= self.grid.steps:
@@ -287,7 +275,7 @@ class Trajectory:
             self.kind,
             TimeGrid(self.grid.t0, float(self.grid.times()[k]), k),
             *(getattr(self, f)[cut] for f in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")),
-            (self.ends[0], self.ends[1] if k == self.grid.steps else None),
+            self.dim,
             tuple((M, series[cut]) for M, series in self.probes),
             **{f: getattr(self, f) for f in self._EXTRA},
         )
@@ -303,9 +291,9 @@ class UnitaryTrajectory(Trajectory):
     _EXTRA = ("freqs", "vectors", "O_eig", "rho_eig", "tol")
 
     def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev: np.ndarray,
-                 gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, ends: tuple, probes: tuple = (), *,
+                 gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, dim: int, probes: tuple = (), *,
                  freqs: np.ndarray, vectors: np.ndarray, O_eig: np.ndarray, rho_eig: np.ndarray, tol: float):
-        super().__init__(kind, grid, expect, stddev, gen_speed_hs, gen_speed_op, ends, probes)
+        super().__init__(kind, grid, expect, stddev, gen_speed_hs, gen_speed_op, dim, probes)
         self.freqs, self.vectors, self.O_eig, self.rho_eig, self.tol = freqs, vectors, O_eig, rho_eig, tol
 
     def stddev_at(self, times) -> np.ndarray:
@@ -397,11 +385,9 @@ def evolve_unitary_heisenberg(
     speeds = (np.full(grid.steps + 1, x) for x in (hs, np.linalg.svd(comm, compute_uv=False)[0]))
     E = _phases(freqs, grid.times())
     expect, stddev = _moments(O_eig, rho_eig, E, tol)
-    E_ends = E[[0, -1]]
-    ends = V @ (E_ends[:, :, None] * O_eig[None] * E_ends.conj()[:, None, :]) @ Vd
     series = tuple((M, _phase_trace(O_eig * (Vd @ M @ V).T, E)) for M in probes)
     return UnitaryTrajectory(
-        "unitary", grid, expect, stddev, *speeds, (ends[0], ends[1]), series,
+        "unitary", grid, expect, stddev, *speeds, gen.dim, series,
         freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=tol,
     )
 
@@ -639,8 +625,6 @@ def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) 
     expect, var, speeds = np.empty((B, n)), np.empty((B, n)), np.empty((B, n, 2))
     series = [np.empty((len(p), n), dtype=complex) for p in probes]
     for start, samples, chunk_speeds in chunks:
-        if start == 0:
-            first = samples[:, 0].copy()
         cut = slice(start, start + samples.shape[1])
         for b, Os in enumerate(samples):
             expect[b, cut] = np.einsum("tab,ba->t", Os, rho[b]).real
@@ -651,7 +635,6 @@ def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) 
         mean = expect[:, cut]
         var[:, cut] = np.einsum("ntab,ntba->nt", samples, rho_products).real - mean * mean
         speeds[:, cut] = chunk_speeds
-        last = samples[:, -1].copy()
         del samples, rho_products, Os  # freed before the kernel builds the next chunk
     return [
         Trajectory(
@@ -661,7 +644,7 @@ def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) 
             _spread(var[b], tol),
             speeds[b, :, 0],
             speeds[b, :, 1],
-            (first[b], last[b]),
+            rho.shape[-1],
             tuple(zip(probes[b], series[b])),
         )
         for b in range(B)

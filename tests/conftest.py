@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oqsl import dynamics
+from oqsl import audit, dynamics
 
 
 @pytest.fixture
@@ -23,3 +23,17 @@ def take_rk4(monkeypatch):
         monkeypatch.setattr(dynamics, "_exact_chunks", fail)
 
     return take
+
+
+@pytest.fixture
+def block_declares_units(monkeypatch):
+    """Makes the audit's batched blocks declare the d^2 matrix units as probes
+    of every trajectory, besides the probes of its bounds, so that a test
+    can rebuild O(t) from them (oracles.samples_from_probes)."""
+
+    def trajectories(gens, O0s, rhos, grid, probes):
+        d = gens[0].dim
+        units = tuple(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
+        return dynamics.trajectories(gens, O0s, rhos, grid, [(*p, *units) for p in probes])
+
+    monkeypatch.setattr(audit, "trajectories", trajectories)

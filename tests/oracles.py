@@ -15,8 +15,9 @@ the exact route's BLAS step against the einsum step that it replaced
 the streamed Kraus kernel against the whole-grid one
 (:func:`kraus_full_stack`) that it replaced and its batch-first chunks
 against the per-family ones (:func:`kraus_chunks_per_family`), the unitary
-trajectory's declared probe series and ends against the closed forms they
-replaced (:func:`unitary_trace_with`, :func:`unitary_at`), and the fused
+trajectory's declared probe series against the closed form they replaced
+(:func:`unitary_trace_with`) and its O(t), rebuilt from the probes, against
+the matrix closed form (:func:`unitary_at`), and the fused
 Lindblad generator and the Liouvillian built from it against the matrix
 form and the Kronecker construction they replaced. The per-time
 propagator, adjoint generator and Kraus derivative are the references for
@@ -29,8 +30,8 @@ per-entry reprint (:func:`format_matrix_per_entry`) for its flattened one.
 The Gram-matrix Lindblad speeds (:func:`gram_norms`) and a 60-digit 2x2
 eigenvalue are the references for the Hermitian operator norms; the
 per-time Kraus families (:class:`FunctionKraus`, :func:`dephasing_kraus_at`)
-for the grid-vectorized ones. Trajectories keep no O(t) at interior times;
-:func:`samples_from_probes` rebuilds it from the probe series of the
+for the grid-vectorized ones. Trajectories keep no O(t), not even at the
+ends of the grid; :func:`samples_from_probes` rebuilds it from the probe series of the
 matrix units (:func:`matrix_units`) for comparison with these references.
 The battery pair's own evaluator (:func:`battery_core`), which recomputed
 dH and O H from HB + HC, is the reference for the registry entries that
@@ -221,9 +222,10 @@ def matrix_units(d: int) -> np.ndarray:
 
 def samples_from_probes(traj) -> np.ndarray:
     """O(t) at every grid point of ``traj``, shape (steps + 1, d, d), rebuilt
-    entry by entry from tr(O(t) E_ba) = O(t)_ab. A unitary trajectory traces
-    any matrix; any other must have been evolved with ``matrix_units(d)``
-    declared as its probes."""
+    entry by entry from tr(O(t) E_ba) = O(t)_ab. The trajectory, of any
+    kind, must have been evolved with ``matrix_units(d)`` declared as its
+    probes. On the Lindblad and Kraus routes each entry is the kernel's
+    sample bit for bit: the series sums one nonzero product and zeros."""
     d = traj.dim
     units = matrix_units(d)
     out = np.empty((traj.grid.steps + 1, d, d), dtype=complex)
@@ -524,11 +526,12 @@ def stack_stddev(Os: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
 # the whole-grid Kraus kernel that the streamed one replaced
 
 
-def kraus_full_stack(O0, family, rho, grid: TimeGrid, tol: float = DEFAULT_TOL) -> Trajectory:
+def kraus_full_stack(O0, family, rho, grid: TimeGrid, tol: float = DEFAULT_TOL, probes=()) -> Trajectory:
     """O(t) = sum_i K_i^dag(t) O(0) K_i(t) with the family called once, on
     the whole grid, the (steps + 1, n_ops, d, d) stacks of K, K^dag O and
-    O(t) built and then reduced; dK/dt is ``np.gradient`` along the grid,
-    central inside and one-sided at its two ends."""
+    O(t) built and then reduced, with the series tr(O(t) M) of each M in
+    ``probes``; dK/dt is ``np.gradient`` along the grid, central inside and
+    one-sided at its two ends."""
     O0 = checked_hermitian(O0, "observable", tol, family.dim)
     _check_state(rho, family.dim)
     times = grid.times()
@@ -550,7 +553,8 @@ def kraus_full_stack(O0, family, rho, grid: TimeGrid, tol: float = DEFAULT_TOL) 
         stddev=stack_stddev(Os, rho.matrix, tol),
         gen_speed_hs=speed_hs,
         gen_speed_op=speed_op,
-        ends=(Os[0].copy(), Os[-1].copy()),
+        dim=family.dim,
+        probes=tuple((M, np.einsum("tab,ba->t", Os, M)) for M in probes),
     )
 
 
@@ -697,7 +701,8 @@ def unitary_trace_with(traj, M) -> np.ndarray:
 
 def unitary_at(traj, k: int) -> np.ndarray:
     """O(t_k) of a unitary trajectory at any grid index k, from its eigen
-    data: the closed form that the kept ends (O(0), O(T)) replaced."""
+    data as one matrix: the closed form of the ends O(0) and O(T) that the
+    trajectory kept before the probe series replaced them."""
     E = np.exp(1j * np.outer(np.atleast_1d(traj.grid.times()[k]), traj.freqs))
     Ot = E[:, :, None] * traj.O_eig[None] * E.conj()[:, None, :]
     return (traj.vectors @ Ot @ traj.vectors.conj().T)[0]

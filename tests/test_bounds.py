@@ -26,6 +26,7 @@ from oqsl.bounds import (
     two_time_correlation,
 )
 from oqsl.dynamics import (
+    EXACT_MAX_DIM,
     DephasingKraus,
     LindbladGenerator,
     TimeGrid,
@@ -394,7 +395,7 @@ def test_kraus_bound_rejects_other_kinds():
 def test_state_independent_dephasing_saturates():
     T = 1.1
     traj = evolve_lindblad_heisenberg(
-        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(0.0, T, 2000)
+        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(0.0, T, 2000), probes=(sigma_x,)
     )
     rep = oqsl_state_independent(sigma_x, traj)
     assert rep.T_qsl == pytest.approx(T, abs=1e-5)
@@ -402,7 +403,9 @@ def test_state_independent_dephasing_saturates():
 
 
 def test_state_independent_conserved():
-    traj = evolve_unitary_heisenberg(sigma_z, UnitaryGenerator(sigma_z), PLUS, TimeGrid(0.0, 1.0, 100))
+    traj = evolve_unitary_heisenberg(
+        sigma_z, UnitaryGenerator(sigma_z), PLUS, TimeGrid(0.0, 1.0, 100), probes=(sigma_z,)
+    )
     assert oqsl_state_independent(sigma_z, traj).T_qsl == 0.0
 
 
@@ -416,8 +419,30 @@ def test_state_independent_validity_random(rng):
         O = oracles.random_hermitian(rng, dim)
         rho = DensityState.pure(oracles.random_ket(rng, dim))
         T = float(rng.uniform(0.3, 1.0))
-        traj = evolve_lindblad_heisenberg(O, gen, rho, TimeGrid(0.0, T, 800))
+        traj = evolve_lindblad_heisenberg(O, gen, rho, TimeGrid(0.0, T, 800), probes=(O,))
         assert oqsl_state_independent(O, traj).T_qsl <= T + 1e-6
+
+
+@pytest.mark.parametrize("route", ["unitary", "lindblad-exact", "lindblad-rk4"])
+def test_state_independent_on_a_prefix_equals_a_fresh_evolution(route):
+    # the registry's STATE_INDEP reads only the series of its declared probe,
+    # so a prefix to t_k serves it as an evolution to t_k alone does
+    dim = EXACT_MAX_DIM + 1 if route == "lindblad-rk4" else 3
+    rng = np.random.default_rng([dim, len(route)])
+    H, O = oracles.random_hermitian(rng, dim, 0.7), oracles.random_hermitian(rng, dim)
+    rho = DensityState.pure(oracles.random_ket(rng, dim))
+    if route == "unitary":
+        gen, evolve = UnitaryGenerator(H), evolve_unitary_heisenberg
+    else:
+        jump = oracles.random_matrix(rng, dim, 0.5)
+        gen, evolve = LindbladGenerator(H, jumps=((jump, 0.6),)), evolve_lindblad_heisenberg
+    grid, ids = TimeGrid(0.0, 1.2, 60), ("STATE_INDEP",)
+    whole = EvalContext(gen, grid, O, rho, evolve, ids=ids).traj
+    for k in (2, 23, 60):
+        ours = oqsl_state_independent(O, whole.prefix(k))
+        (fresh,) = evaluate_all(EvalContext(gen, TimeGrid(0.0, float(grid.times()[k]), k), O, rho, evolve, ids=ids))
+        assert ours.T == fresh.T and ours.T_qsl > 0.0
+        assert ours.T_qsl == pytest.approx(fresh.T_qsl, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +604,7 @@ def test_corr_qsl_open_value_and_validity():
 def test_corr_qsl_zero_speed_inconsistency():
     # a correlation that changes along a trajectory whose speeds are all zero
     grid, zeros = TimeGrid(0.0, 1.0, 4), np.zeros(5)
-    traj = Trajectory("unitary", grid, zeros, zeros, zeros, zeros, (np.eye(2), np.eye(2)))
+    traj = Trajectory("unitary", grid, zeros, zeros, zeros, zeros, 2)
     with pytest.raises(NumericError):
         corr_qsl(np.linspace(0.0, 1.0, 5).astype(complex), traj, 1.0)
 

@@ -271,6 +271,22 @@ def test_bound_unknown_id_beside_all_is_not_dropped(dephasing_path):
     assert "unknown bound id(s): NOSUCH" in err
 
 
+def test_bound_id_beside_all_is_not_dropped(tight_path):
+    code, out, err = run_cli(
+        ["bound", "--system", tight_path, "--observable", "O", "--tmax", "1.0", "--bounds", "ALL,MT_INTEGRAL"]
+    )
+    assert (code, out) == (2, "")
+    assert "--bounds ALL names every bound" in err
+
+
+def test_bound_named_twice_is_not_repeated(tight_path):
+    code, out, err = run_cli(
+        ["bound", "--system", tight_path, "--observable", "O", "--tmax", "1.0", "--bounds", "MT_INTEGRAL,MT_INTEGRAL"]
+    )
+    assert (code, out) == (2, "")
+    assert "bound(s) named more than once: MT_INTEGRAL" in err
+
+
 def test_bound_inapplicable_bound_rejected(dephasing_path):
     code, out, err = run_cli(
         ["bound", "--system", dephasing_path, "--observable", "O", "--tmax", "1.0", "--bounds", "MT_INTEGRAL"]
@@ -821,11 +837,12 @@ COMMAND_ARGV = {
     "audit": ["audit", "--trials", "1"],
 }
 # the modules that each command's process imports beyond what `import numpy`
-# imports: the entry, the command line with its argparse, json and gettext,
-# hashlib for the digest of a parsed system, and the audit's numpy.random
+# imports: the entry, the command line with its argparse and gettext,
+# hashlib for the digest of a parsed system, and the audit's numpy.random;
+# json only for --format json
 _ENTRY = {"runpy", "gc", "oqsl", "oqsl.cli", "oqsl.bounds", "oqsl.dynamics", "oqsl.linalg", "oqsl.sysdl",
-          "__future__", "argparse", "gettext", "locale", "_locale", "json", "json.decoder", "json.encoder",
-          "json.scanner", "_json"}
+          "__future__", "argparse", "gettext", "locale", "_locale"}
+_JSON = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
 _HASH = {"hashlib", "_hashlib", "_blake2"}
 _RANDOM = {"numpy.random", "numpy.random._bounded_integers", "numpy.random._common", "numpy.random._generator",
            "numpy.random._mt19937", "numpy.random._pcg64", "numpy.random._philox", "numpy.random._pickle",
@@ -881,6 +898,11 @@ def test_process_imports_nothing_beyond_its_budget(command, numpy_imports):
     # a module new here adds to every run's fixed cost: add it to IMPORT_BUDGET only on purpose
     extra = _imports("-m", "oqsl", *COMMAND_ARGV[command]).keys() - numpy_imports
     assert not extra - IMPORT_BUDGET[command], f"{command} now imports {sorted(extra - IMPORT_BUDGET[command])}"
+
+
+def test_a_json_run_imports_json(numpy_imports):
+    extra = _imports("-m", "oqsl", *COMMAND_ARGV["bound"], "--format", "json").keys() - numpy_imports
+    assert _JSON <= extra and not extra - IMPORT_BUDGET["bound"] - _JSON
 
 
 def test_entry_runs_no_collection_before_the_command():

@@ -177,8 +177,6 @@ def test_unitary_trajectory_matches_propagator_route(rng):
     for i, t in enumerate(grid.times()):
         U = unitary_propagator(H, float(t))
         assert np.abs(Os[i] - U.conj().T @ O @ U).max() <= 1e-11
-    for k in (0, -1):
-        assert np.abs(traj.at(k) - Os[k]).max() <= 1e-11
 
 
 def test_conserved_observable_constant():
@@ -363,11 +361,10 @@ def test_hermiticity_preserved_all_kinds(rng):
     H = oracles.random_hermitian(rng, 2)
     unitary = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, grid, probes=tuple(oracles.matrix_units(2)))
     lindblad = evolve_lindblad_heisenberg(O, random_lindblad(rng, 2), rho, grid, probes=tuple(oracles.matrix_units(2)))
-    kraus = evolve_kraus_heisenberg(O, DephasingKraus(0.8), rho, grid)
-    # a Kraus trajectory keeps O(t) at the two ends of its grid only
+    kraus = evolve_kraus_heisenberg(O, DephasingKraus(0.8), rho, grid, probes=tuple(oracles.matrix_units(2)))
     for Ot in [*oracles.samples_from_probes(unitary)[:: grid.steps // 4],
                *oracles.samples_from_probes(lindblad)[:: grid.steps // 4],
-               kraus.at(0), kraus.at(-1)]:
+               *oracles.samples_from_probes(kraus)[[0, -1]]]:
         assert is_hermitian(Ot, 1e-8)
 
 
@@ -431,13 +428,14 @@ def test_heisenberg_schrodinger_duality(dim, seed):
 
 def test_kraus_dephasing_matches_lindblad_solution():
     grid = TimeGrid(0.0, np.pi / 2, 1000)
-    traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, grid)
+    traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, grid, probes=tuple(oracles.matrix_units(2)))
     times = grid.times()
     # O(t) = e^{-t} sigma_x: in |+>, <O(t)> = e^{-t} and dO(t) = 0
     assert np.abs(traj.expect - np.exp(-times)).max() <= 1e-9
     assert np.abs(traj.stddev**2).max() <= 1e-9
+    Os = oracles.samples_from_probes(traj)
     for k in (0, -1):
-        assert np.linalg.norm(traj.at(k) - np.exp(-times[k]) * sigma_x) <= 1e-9
+        assert np.linalg.norm(Os[k] - np.exp(-times[k]) * sigma_x) <= 1e-9
 
 
 def test_kraus_single_unitary_reproduces_unitary():
@@ -452,10 +450,11 @@ def test_kraus_single_unitary_reproduces_unitary():
 
 def test_kraus_identity_is_fixed_point():
     grid = TimeGrid(0.0, 1.0, 100)
-    traj = evolve_kraus_heisenberg(identity(2), DephasingKraus(1.3), PLUS, grid)
+    traj = evolve_kraus_heisenberg(identity(2), DephasingKraus(1.3), PLUS, grid, probes=tuple(oracles.matrix_units(2)))
     assert np.abs(traj.expect - 1.0).max() <= 1e-12
+    Os = oracles.samples_from_probes(traj)
     for k in (0, -1):
-        assert np.abs(traj.at(k) - identity(2)).max() <= 1e-12
+        assert np.abs(Os[k] - identity(2)).max() <= 1e-12
 
 
 def test_kraus_grid_batch_matches_per_sample_route(rng):
@@ -468,14 +467,15 @@ def test_kraus_grid_batch_matches_per_sample_route(rng):
     O = oracles.random_hermitian(rng, 3)
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     grid = TimeGrid(0.0, 0.9, 30)
-    traj = evolve_kraus_heisenberg(O, fam, rho, grid)
+    traj = evolve_kraus_heisenberg(O, fam, rho, grid, probes=tuple(oracles.matrix_units(3)))
     # the grid's exact domain: here t_29 + h rounds above t_30 = T, which must
     # not switch kraus_derivative to a one-sided difference at t_29
     lo, hi = grid.t0, grid.t1
     Os = _kraus_samples(fam, O, grid.times())
     assert np.abs(traj.expect - np.einsum("tab,ba->t", Os, rho.matrix).real).max() <= 1e-12
     assert np.abs(traj.stddev**2 - oracles.three_operand_stddev(Os, rho.matrix) ** 2).max() <= 1e-12
-    assert np.abs(traj.at(0) - Os[0]).max() <= 1e-12 and np.abs(traj.at(-1) - Os[-1]).max() <= 1e-12
+    samples = oracles.samples_from_probes(traj)
+    assert np.abs(samples[0] - Os[0]).max() <= 1e-12 and np.abs(samples[-1] - Os[-1]).max() <= 1e-12
     for j, t in enumerate(grid.times()):
         K = fam.operators(t)
         Ms = [K[i].conj().T @ O @ kraus_derivative(fam, i, t, grid.h, t_min=lo, t_max=hi) for i in range(2)]
@@ -679,10 +679,12 @@ def test_no_trajectory_holds_a_sample_stack(kind, steps):
     else:
         traj = evolve_kraus_heisenberg(O, DephasingKraus(0.8), rho, grid, probes=probes)
     # after every read a bound makes, so nothing is cached by a read either
-    traj.at(0), traj.at(-1), traj.prefix(steps // 2), traj.trace_with(probes[0])
-    stacks = [
-        a.shape
-        for a in _reachable_arrays(vars(traj), set())
-        if a.ndim >= 3 and a.shape[-2:] == (dim, dim) and steps + 1 in a.shape[:-2]
-    ]
-    assert not stacks
+    traj.prefix(steps // 2), traj.trace_with(probes[0])
+    # no sample stack and no O(t), at any time: of the (d, d) matrices, only
+    # the declared probes and the unitary eigen data V, O~ and rho~, and what they view
+    declared = [M for M, _ in traj.probes]
+    if kind == "unitary":
+        declared += [traj.vectors, traj.O_eig, traj.rho_eig]
+    allowed = {id(a) for a in _reachable_arrays(declared, set())}
+    held = [a.shape for a in _reachable_arrays(vars(traj), set()) if a.shape[-2:] == (dim, dim) and id(a) not in allowed]
+    assert not held

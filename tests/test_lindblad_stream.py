@@ -2,7 +2,8 @@
 of the full-stack kernels they replaced (tests/oracles.py) across chunk
 boundaries, the production paths that must never build a (steps + 1, d, d)
 sample stack, the memory that evolving an observable holds, and the errors
-that an undeclared probe and an interior sample raise."""
+that an undeclared probe raises, so that no sample is read unless its
+matrix units were declared."""
 
 import io
 import tracemalloc
@@ -65,7 +66,9 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
     gens = [c[0] for c in cases]
     O0s = np.stack([c[1] for c in cases])
     rhos = [c[3] for c in cases]
-    probes = [(correlation_probe(O, rho), commutator_probe(B, rho)) for _, O, B, rho in cases]
+    # the matrix units too, so that O(t) is rebuilt from their series
+    units = tuple(oracles.matrix_units(dim))
+    probes = [(correlation_probe(O, rho), commutator_probe(B, rho), *units) for _, O, B, rho in cases]
     grid = TimeGrid(0.0, 0.1, steps)
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * batch * dim * dim)
     starts = [start for start, _, _ in lindblad_chunks(gens, O0s, grid, heisenberg=True)]
@@ -87,7 +90,7 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
         assert np.array_equal(traj.stddev, oracles.stack_stddev(Os[b], rho, 1e-9))
         assert np.array_equal(traj.gen_speed_hs, speeds[b, :, 0])
         assert np.array_equal(traj.gen_speed_op, speeds[b, :, 1])
-        assert np.array_equal(traj.at(0), Os[b, 0]) and np.array_equal(traj.at(-1), Os[b, -1])
+        assert np.array_equal(oracles.samples_from_probes(traj), Os[b])
         for M in probes[b]:
             assert np.array_equal(traj.trace_with(M), np.einsum("tab,ba->t", Os[b], M))
 
@@ -142,13 +145,15 @@ def test_streamed_kraus_equals_whole_grid_kernel(name, steps, monkeypatch):
     starts = [start for start, _, _ in dynamics._kraus_chunks([family], O[None], grid, DEFAULT_TOL)]
     assert starts == {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
 
-    ours, ref = evolve_kraus_heisenberg(O, family, rho, grid), oracles.kraus_full_stack(O, family, rho, grid)
+    units = tuple(oracles.matrix_units(family.dim))
+    ours = evolve_kraus_heisenberg(O, family, rho, grid, probes=units)
+    ref = oracles.kraus_full_stack(O, family, rho, grid, probes=units)
     for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
         assert np.array_equal(getattr(ours, series), getattr(ref, series))
-    for k in (0, -1):
-        assert np.array_equal(ours.at(k), ref.at(k))
+    samples = oracles.samples_from_probes(ours)
+    assert np.array_equal(samples, oracles.samples_from_probes(ref))
     if name == "tabulated":
-        assert np.abs(ours.at(0) - O).max() > 0.1  # O(t0) is evolved
+        assert np.abs(samples[0] - O).max() > 0.1  # O(t0) is evolved
 
 
 @pytest.mark.parametrize("kinds", [("lindblad", "kraus"), ("unitary",)], ids=["mixed", "unitary"])
@@ -226,7 +231,7 @@ def test_kraus_memory_grows_only_by_the_scalar_series():
 
 
 @pytest.mark.parametrize("steps", [CHUNK, 2 * CHUNK + 1])
-def test_audit_block_equals_full_stack_reductions(steps, monkeypatch):
+def test_audit_block_equals_full_stack_reductions(steps, monkeypatch, block_declares_units):
     trials = [audit._sample_trial(3, 2, i) for i in range(3)]
     grid = TimeGrid(0.0, audit.LINDBLAD_T, steps)
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * len(trials) * 4)
@@ -237,7 +242,7 @@ def test_audit_block_equals_full_stack_reductions(steps, monkeypatch):
     for t, O_samples, rho_samples in zip(trials, Os, states):
         assert np.array_equal(t.lindblad.traj.expect, oracles.stack_expect(O_samples, t.rho.matrix))
         assert np.array_equal(t.lind_rho_expect, np.einsum("ab,tba->t", t.O, rho_samples).real)
-        assert np.array_equal(t.lindblad.traj.at(-1), O_samples[-1])
+        assert np.array_equal(oracles.samples_from_probes(t.lindblad.traj)[-1], O_samples[-1])
 
 
 @pytest.mark.parametrize(
@@ -349,17 +354,16 @@ def test_undeclared_probes_and_interior_samples_raise():
     assert np.array_equal(series, np.einsum("tab,ba->t", ref[0], declared))
     with pytest.raises(ValidationError, match="declared as a probe"):
         traj.trace_with(commutator_probe(B, rho))
-    for k in (0, -1):
-        assert np.array_equal(traj.at(k), ref[0, k])
-    for k in (1, 17, -2):
-        with pytest.raises(ValidationError, match="only at the two ends"):
-            traj.at(k)
-    with pytest.raises(IndexError):
-        traj.at(grid.steps + 1)
-    # a shorter prefix keeps O(0) and the probe series, but not O(t_17)
+    # no entry of any sample, O(0) and O(T) included, is kept undeclared
+    for unit in oracles.matrix_units(3)[:2]:
+        with pytest.raises(ValidationError, match="declared as a probe"):
+            traj.trace_with(unit)
+    # a prefix keeps the probe series up to its end, and no more
     sub = traj.prefix(17)
     assert np.array_equal(sub.trace_with(declared), series[:18])
-    assert np.array_equal(sub.at(0), ref[0, 0])
-    with pytest.raises(ValidationError, match="only at the two ends"):
-        sub.at(-1)
-    assert np.array_equal(traj.prefix(grid.steps).at(-1), ref[0, -1])
+    # declared, the matrix units rebuild O(0) and O(T) bit for bit, on the grid and on a whole-grid prefix
+    units = tuple(oracles.matrix_units(3))
+    traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=(declared, *units))
+    for whole in (traj, traj.prefix(grid.steps)):
+        samples = oracles.samples_from_probes(whole)
+        assert np.array_equal(samples[0], ref[0, 0]) and np.array_equal(samples[-1], ref[0, -1])

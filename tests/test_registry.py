@@ -83,6 +83,12 @@ def test_context_evaluates_every_unitary_bound_without_samples(rng):
         bounds.select(_unitary_context(O, H, rho, grid, ids=("PURITY_HS", "KRAUS")))
 
 
+def test_a_bound_named_twice_is_an_error(rng):
+    H, O, rho, grid = _unitary_case(rng)
+    with pytest.raises(ValidationError, match="bound\\(s\\) named more than once: PURITY_HS$"):
+        bounds.select(_unitary_context(O, H, rho, grid, ids=("PURITY_HS", "MT_INTEGRAL", "PURITY_HS")))
+
+
 def test_context_memoizes_the_trajectory():
     calls = []
     rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 100)
@@ -144,10 +150,10 @@ def test_cli_delcampo_evolves_the_state_once_and_the_observable_never(monkeypatc
     _counting(monkeypatch, oqsl.cli, "evolve_lindblad_schrodinger", calls, fail=True)
     _counting(monkeypatch, oqsl.cli, "evolve_lindblad_heisenberg", calls, fail=True)
     out, err = io.StringIO(), io.StringIO()
-    argv = ["bound", "--system", DEPHASING, "--observable", "O", "--tmax", "1", "--bounds", "DELCAMPO,DELCAMPO"]
+    argv = ["bound", "--system", DEPHASING, "--observable", "O", "--tmax", "1", "--bounds", "DELCAMPO"]
     assert oqsl.cli.main(argv, out=out, err=err) == 0, err.getvalue()
     assert calls == ["lindblad_final_state"]
-    assert [line.split(",")[0] for line in out.getvalue().splitlines()[1:]] == ["DELCAMPO", "DELCAMPO"]
+    assert [line.split(",")[0] for line in out.getvalue().splitlines()[1:]] == ["DELCAMPO"]
 
 
 def test_cli_rejects_inapplicable_bound_before_evolving(monkeypatch):
@@ -205,14 +211,18 @@ def test_probes_are_declared_by_the_bounds_that_read_them(rng):
     O, B = oracles.random_hermitian(rng, 3), oracles.random_hermitian(rng, 3)
     pure, grid = DensityState.pure(oracles.random_ket(rng, 3)), TimeGrid(0.0, 1.0, 10)
     lindblad, unitary = LindbladGenerator(O), UnitaryGenerator(O)
-    corr, comm = EvalContext(lindblad, grid, O, pure, None, B=B).probes
+    # STATE_INDEP reads tr(O(t) O(0)), in every state
+    indep, corr, comm = EvalContext(lindblad, grid, O, pure, None, B=B).probes
+    assert indep is O
     assert np.array_equal(corr, bounds.correlation_probe(O, pure))
     assert np.array_equal(comm, bounds.commutator_probe(B, pure))
-    assert len(EvalContext(lindblad, grid, O, pure, None).probes) == 1
+    assert len(EvalContext(lindblad, grid, O, pure, None).probes) == 2
     # CORR_OPEN and COMM_OPEN need a pure state, like their closed twins
-    assert EvalContext(lindblad, grid, O, oracles.maximally_mixed(3), None, B=B).probes == ()
-    assert EvalContext(unitary, grid, O, oracles.maximally_mixed(3), None, B=B).probes == ()
-    corr, comm = EvalContext(unitary, grid, O, pure, None, B=B).probes
+    for gen in (lindblad, unitary):
+        (indep,) = EvalContext(gen, grid, O, oracles.maximally_mixed(3), None, B=B).probes
+        assert indep is O
+    indep, corr, comm = EvalContext(unitary, grid, O, pure, None, B=B).probes
+    assert indep is O
     assert np.array_equal(corr, bounds.correlation_probe(O, pure))
     assert np.array_equal(comm, bounds.commutator_probe(B, pure))
     # the rate audit declares its probe last

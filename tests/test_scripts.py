@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import oqsl
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +39,36 @@ def test_every_bench_site_resolves_to_a_callable():
     sites = runpy.run_path(str(ROOT / "bench" / "layers.py"))["SITES"]
     missing = [(m, a) for m, a, _ in sites if not callable(getattr(importlib.import_module(m), a, None))]
     assert sites and not missing
+
+
+# the spans that a traced `bound --bounds ALL` reaches on a built-in system
+TRACED_SPANS = {
+    ("two_qubit.sys", "A"): {
+        "sysdl.parse", "dynamics.evolve_unitary", "bounds.oqsl_generator_hs", "bounds.oqsl_purity_hs",
+        "bounds.oqsl_min_norm", "bounds.oqsl_state_independent", "bounds.two_time_correlation", "bounds.corr_qsl",
+    },
+    ("qutrit_decay.sys", "N"): {
+        "sysdl.parse", "dynamics.evolve_lindblad_heisenberg", "bounds.oqsl_generator_hs",
+        "bounds.oqsl_state_independent", "bounds.qsl_delcampo",
+    },
+    ("kraus_dephasing.sys", "O"): {"sysdl.parse", "dynamics.evolve_kraus", "bounds.oqsl_kraus"},
+}
+
+
+@pytest.mark.parametrize("system, observable", TRACED_SPANS, ids=[s for s, _ in TRACED_SPANS])
+def test_a_traced_run_reaches_its_spans(system, observable, tmp_path):
+    # a site that resolves but is no longer called loses its span; without
+    # bytecode, the traced entry writes nothing under bench/
+    spans = tmp_path / "spans.json"
+    env = {**ENV, "OQSL_BENCH_SPANS": str(spans), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = ["bound", "--system", str(Path(oqsl.__file__).parent / "systems" / system), "--observable", observable,
+            "--tmax", "1", "--bounds", "ALL", "--format", "json"]
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "trace_entry.py"), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text())
+    assert record["unattached"] == []
+    assert {span[2] for span in record["spans"]} == TRACED_SPANS[system, observable]
 
 
 def test_plot_dephasing_script_without_plot(tmp_path):

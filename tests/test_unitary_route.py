@@ -1,5 +1,5 @@
 """The eigenbasis unitary trajectory against the dense per-sample route it
-replaced and against the closed forms its declared probes and ends replaced
+replaced and against the closed forms its declared probes replaced
 (tests/oracles.py), the reads it no longer serves, and the memory that the
 dense route no longer needs."""
 
@@ -83,26 +83,31 @@ def test_moments_and_speeds_match_dense_route(case):
 def test_samples_are_built_on_demand_and_match(case):
     _, A, _, _, _, traj, (Os, *_) = case
     assert not any(isinstance(v, np.ndarray) and v.ndim == 3 for v in vars(traj).values())
-    _close(traj.at(0), A, op_norm(A))
-    _close(traj.at(-1), Os[-1], op_norm(A))
-    _close(oracles.samples_from_probes(traj), Os, op_norm(A))
+    samples = oracles.samples_from_probes(traj)
+    _close(samples[0], A, op_norm(A))
+    _close(samples, Os, op_norm(A))
 
 
 def test_declared_probes_and_ends_equal_the_closed_forms(case):
-    *_, traj, _ = case
+    _, A, *_, traj, _ = case
     for M, series in traj.probes:
         assert np.array_equal(series, oracles.unitary_trace_with(traj, M))
+    # O(0) and O(T), rebuilt from the matrix units, against the matrix closed form
+    samples = oracles.samples_from_probes(traj)
     for k in (0, -1):
-        assert np.array_equal(traj.at(k), oracles.unitary_at(traj, k))
+        _close(samples[k], oracles.unitary_at(traj, k), op_norm(A))
 
 
 def test_undeclared_probes_and_interior_samples_raise(case):
-    _, A, B, rho, _, traj, _ = case
+    H, A, B, rho, hbar, traj, _ = case
     with pytest.raises(ValidationError, match="declared as a probe"):
         traj.trace_with(B)
-    for k in (1, GRID.steps // 2, -2):
-        with pytest.raises(ValidationError, match="only at the two ends"):
-            traj.at(k)
+    # with only its bounds' probes declared, no entry of any O(t_k) can be read
+    bare = evolve_unitary_heisenberg(A, UnitaryGenerator(H, hbar=hbar), rho, GRID,
+                                     probes=_context(A, H, B, rho, hbar).probes)
+    for unit in oracles.matrix_units(A.shape[0])[:2]:
+        with pytest.raises(ValidationError, match="declared as a probe"):
+            bare.trace_with(unit)
 
 
 def test_trace_with_finds_a_probe_by_value():
@@ -126,8 +131,6 @@ def test_prefix_matches_dense_route(case):
     _close(sub.stddev**2, stddev[:18] ** 2, scale)
     _close(sub.gen_speed_hs, speed_hs[:18], scale * op_norm(H) / hbar)
     _close(oracles.samples_from_probes(sub), Os[:18], op_norm(A))
-    with pytest.raises(ValidationError, match="only at the two ends"):
-        sub.at(-1)
 
 
 def test_trace_with_and_midpoint_spread(case):
