@@ -21,7 +21,7 @@ def main() -> int:
     args = ap.parse_args()
 
     rho = DensityState.pure([1.0, 1.0])
-    grid = TimeGrid(0.0, args.tmax, args.steps)
+    grid = TimeGrid(args.tmax, args.steps)
     print("gamma,generator_hs,state_indep,delcampo,T")
     for gamma in args.gammas:
         ctx = EvalContext(
@@ -29,7 +29,7 @@ def main() -> int:
             final_state=True, ids=IDS,
         )
         g, s, d = (r.T_qsl for r in evaluate_all(ctx))
-        print(f"{gamma:.6g},{g:.6g},{s:.6g},{d:.6g},{grid.duration:.6g}")
+        print(f"{gamma:.6g},{g:.6g},{s:.6g},{d:.6g},{grid.T:.6g}")
     return 0
 
 

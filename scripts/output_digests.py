@@ -36,7 +36,12 @@ reads the charging field H - O in place of H. Last, the ``--format csv``
 output of ``bound --bounds ALL`` on the six built-in systems, of ``evolve``
 on ``qutrit_decay.sys`` and ``kraus_dephasing.sys``, of the four scenarios
 and of ``audit --trials 100 --seed 1``, so that a change to how a table is
-printed shows too.
+printed shows too. Last, two ``bound`` runs at ``--tol 1e-6`` (TOL_FILES)
+on systems that pass only at that tolerance: a qubit whose H and O are
+Hermitian only within 5e-8 (``--bounds ALL``), and a tabulated Kraus family
+whose completeness defect is 2e-7. Every other command runs at the default
+tolerance, so only these show a check that ``--tol`` no longer reaches: its
+exit code turns from 0 to 2.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -104,6 +109,9 @@ HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys", RK4_FILE)
 PAIR_FILES, PAIR_RATE = {"pair_unitary.sys": "unitary", "pair_lindblad.sys": "lindblad"}, 0.3
 # a random pure unitary system whose H - A + A differs from H in the last digits
 UNITARY_FILE, UNITARY_DIM, UNITARY_SEED = "unitary_4.sys", 4, 4
+# (file, extra bound arguments) of the systems run at --tol TOL, each with --observable O
+TOL, TOL_FILES = 1e-6, (("loose_qubit.sys", ("--bounds", "ALL", "--tmax", "1")),
+                        ("kraus_defect.sys", ("--tmax", "1", "--steps", "2")))
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -191,6 +199,28 @@ def unitary_system_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def loose_qubit_text() -> str:
+    """A qubit whose H = [[1, 1e-7], [1e-7 + 5e-8i, -1]] and O = X + 5e-8i
+    in the lower corner are Hermitian only within 5e-8, in the state |0>,
+    where dH = 1e-7."""
+    H = np.array([[1.0, 1e-7], [1e-7 + 5e-8j, -1.0]])
+    O = np.array([[0.0, 1.0], [1.0 + 5e-8j, 0.0]])
+    lines = ["[system]", "dim = 2", "kind = unitary", "", "[hamiltonian]", f"matrix = {_matrix_literal(H)}"]
+    lines += ["", "[state]", "ket = [1, 0]", "", "[observable O]", f"matrix = {_matrix_literal(O)}"]
+    return "\n".join(lines) + "\n"
+
+
+def kraus_defect_text() -> str:
+    """A qubit Kraus family tabulated at t = 0, 0.5 and 1 as
+    K = (1.0000001 I, 0), whose completeness defect is 2e-7, with O = X."""
+    K = np.stack([1.0000001 * np.eye(2), np.zeros((2, 2))])
+    lines = ["[system]", "dim = 2", "kind = kraus", "", "[state]", "ket = [1, 0]"]
+    lines += ["", "[observable O]", "pauli = 1.0 X", "", "[kraus]", "family = tabulated"]
+    for t in (0.0, 0.5, 1.0):
+        lines += [f"time = {t!r}", *(f"K = {_matrix_literal(k)}" for k in K)]
+    return "\n".join(lines) + "\n"
+
+
 def commands(workdir: Path):
     """(label, argv) of every command; the generated system is read from
     ``workdir``."""
@@ -237,6 +267,9 @@ def commands(workdir: Path):
     for name in SCENARIOS:
         yield f"scenario:{name}:csv", ["scenario", name, "--format", "csv"]
     yield "audit:csv", ["audit", "--trials", "100", "--seed", "1", "--format", "csv"]
+    for fname, extra in TOL_FILES:
+        argv = ["bound", "--system", str(workdir / fname), "--observable", "O", *extra, "--tol", repr(TOL)]
+        yield f"bound:{fname}:tol={TOL!r}", argv + ["--format", "json"]
 
 
 def _bound_all(fname: str, obs: str, obs_b, tmax: float, fmt: str = "json") -> list:
@@ -336,6 +369,8 @@ def main() -> int:
         for fname, kind in PAIR_FILES.items():
             (workdir / fname).write_text(pair_system_text(kind), encoding="utf-8")
         (workdir / UNITARY_FILE).write_text(unitary_system_text(), encoding="utf-8")
+        for (fname, _), text in zip(TOL_FILES, (loose_qubit_text(), kraus_defect_text())):
+            (workdir / fname).write_text(text, encoding="utf-8")
         for label, argv in commands(workdir):
             proc = subprocess.run(
                 [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT

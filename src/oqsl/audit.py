@@ -48,9 +48,9 @@ LINDBLAD_STEPS = 2000
 KRAUS_T = 1.2
 KRAUS_STEPS = 240
 # one grid per dynamics kind, shared by every trial, so its times are built once
-UNITARY_GRID = TimeGrid(0.0, UNITARY_T, UNITARY_STEPS)
-LINDBLAD_GRID = TimeGrid(0.0, LINDBLAD_T, LINDBLAD_STEPS)
-KRAUS_GRID = TimeGrid(0.0, KRAUS_T, KRAUS_STEPS)
+UNITARY_GRID = TimeGrid(UNITARY_T, UNITARY_STEPS)
+LINDBLAD_GRID = TimeGrid(LINDBLAD_T, LINDBLAD_STEPS)
+KRAUS_GRID = TimeGrid(KRAUS_T, KRAUS_STEPS)
 # the largest violation, T_qsl - T or LHS - RHS, that a check passes with
 TOL = 1e-6
 

@@ -111,11 +111,11 @@ def _speed_bound(bound_id, traj, change, weight, what, inputs, details, op=False
     ``op``, reported as ``lambda_T`` or ``lambda_T_op``."""
     speeds, name = (traj.gen_speed_op, "lambda_T_op") if op else (traj.gen_speed_hs, "lambda_T")
     with np.errstate(over="ignore"):  # a huge step overflows, and raises below
-        lam = float(np.trapezoid(speeds, dx=traj.grid.h)) / traj.grid.duration
+        lam = float(np.trapezoid(speeds, dx=traj.grid.h)) / traj.grid.T
     if not math.isfinite(lam):
-        raise NumericError(f"{bound_id}: the mean speed {name} is {lam} over T = {traj.grid.duration!r}")
+        raise NumericError(f"{bound_id}: the mean speed {name} is {lam} over T = {traj.grid.T!r}")
     tqsl = _ratio(bound_id, change, weight * lam, what)
-    return _report(bound_id, traj.grid.duration, tqsl, inputs, {**details, name: lam})
+    return _report(bound_id, traj.grid.T, tqsl, inputs, {**details, name: lam})
 
 
 def _expect_speed_bound(bound_id, traj, rho, weight, what) -> BoundReport:
@@ -150,7 +150,7 @@ def _mt_integral_core(bound_id, traj, delta_H, hbar):
     usable = mid_std >= EPS_VAR
     contrib = np.where(usable & (d_expect > ZERO_TOL), d_expect / np.where(usable, mid_std, 1.0), 0.0)
     integral = float(contrib.sum())
-    T = traj.grid.duration
+    T = traj.grid.T
     tqsl = hbar / (2.0 * delta_H) * integral
     details = {
         "integral": integral,
@@ -362,7 +362,7 @@ def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
 
 
 def _battery_ct1(c: EvalContext) -> BoundReport:
-    if c.delta_H <= c.tol:
+    if not c.has("spread"):
         # rho is an eigenstate of the drive: nothing evolves
         details = {"delta_H_total": c.delta_H, "integral": 0.0, "stationary": 1}
         return _report("BATTERY_CT1", c.T, 0.0, (c.traj.expect, c.delta_H, c.hbar), details)
@@ -389,9 +389,9 @@ def battery_bounds(
     observable is HB and whose generator is HB + HC.
 
     CT1 is MT_INTEGRAL's path integral with the spread of the total
-    Hamiltonian; CT2 is MIN_NORM's ratio over the smallest of the operator,
-    Hilbert-Schmidt and trace norms of HB(0) (HB + HC). Both require a pure
-    initial state.
+    Hamiltonian, 0 where MT_INTEGRAL does not apply; CT2 is MIN_NORM's ratio
+    over the smallest of the operator, Hilbert-Schmidt and trace norms of
+    HB(0) (HB + HC). Both require a pure initial state.
     """
     HB = as_matrix(HB, "battery hamiltonian")
     HC = as_matrix(HC, "charging hamiltonian")
@@ -400,7 +400,7 @@ def battery_bounds(
     if not rho.is_pure():
         raise ValidationError("BATTERY_CT2 requires a pure initial state")
     gen, ids = UnitaryGenerator(HB + HC, hbar, tol), ("BATTERY_CT1", "BATTERY_CT2")
-    ct1, ct2 = evaluate_all(EvalContext(gen, grid, HB, rho, evolve_unitary_heisenberg, tol=tol, ids=ids))
+    ct1, ct2 = evaluate_all(EvalContext(gen, grid, HB, rho, evolve_unitary_heisenberg, ids=ids))
     return ct1, ct2
 
 
@@ -539,15 +539,15 @@ def rate_audit(ctx: EvalContext) -> dict:
 class EvalContext:
     """What the bounds read for one observable O under one dynamics, which
     ``generator`` alone states: a UnitaryGenerator, a LindbladGenerator or a
-    Kraus family, whose :attr:`kind`, :attr:`H` and :attr:`hbar` the context
-    reads. Each derived quantity (the trajectory, its probes, the rate
-    audit's probe, dH, O H and its norms, the final state) is a
+    Kraus family, whose :attr:`kind`, :attr:`H`, :attr:`hbar` and :attr:`tol`
+    the context reads. Each derived quantity (the trajectory, its probes, the
+    rate audit's probe, dH, O H and its norms, the final state) is a
     ``functools.cached_property``, computed once, on first use.
 
     ``ids`` is the selection that :func:`select`, :attr:`probes` and
     :func:`evaluate_all` read: the bounds named, in order, or every
     applicable one when None. ``evolve`` is an evolution entry point, called
-    as ``evolve(O, generator, rho, grid, tol, probes)`` with the series of
+    as ``evolve(O, generator, rho, grid, probes)`` with the series of
     :attr:`probes` to keep, so bounds are selected before anything evolves;
     a caller that evolves many contexts at once, like the audit's Lindblad
     and Kraus blocks, sets ``traj`` instead. ``rates`` declares the rate
@@ -560,10 +560,10 @@ class EvalContext:
     """
 
     def __init__(self, generator: GeneratorSpec, grid: TimeGrid, O: np.ndarray, rho: DensityState,
-                 evolve: Callable[..., Trajectory] | None, tol: float = DEFAULT_TOL, B: np.ndarray | None = None,
+                 evolve: Callable[..., Trajectory] | None, B: np.ndarray | None = None,
                  self_inverse: np.ndarray | None = None, projector: np.ndarray | None = None,
                  final_state: bool = False, rates: bool = False, ids: Sequence[str] | None = None):
-        self.generator, self.grid, self.O, self.rho, self.evolve, self.tol = generator, grid, O, rho, evolve, tol
+        self.generator, self.grid, self.O, self.rho, self.evolve = generator, grid, O, rho, evolve
         self.B, self.self_inverse, self.projector = B, self_inverse, projector
         self.final_state, self.rates, self.ids = final_state, rates, ids
 
@@ -580,12 +580,16 @@ class EvalContext:
         return self.generator.hbar
 
     @property
+    def tol(self) -> float:
+        return self.generator.tol
+
+    @property
     def T(self) -> float:
-        return self.grid.duration
+        return self.grid.T
 
     @cached_property
     def traj(self) -> Trajectory:
-        traj = self.evolve(self.O, self.generator, self.rho, self.grid, self.tol, probes=self.probes)
+        traj = self.evolve(self.O, self.generator, self.rho, self.grid, probes=self.probes)
         if traj.kind != self.kind:
             raise ValidationError(f"a {traj.kind} evolution does not follow a {self.kind} generator")
         return traj
@@ -627,14 +631,14 @@ class EvalContext:
 
     @cached_property
     def rho_T(self) -> DensityState:
-        return lindblad_final_state(self.rho, self.generator, self.grid, self.tol)
+        return lindblad_final_state(self.rho, self.generator, self.grid)
 
     def ends(self, slot: np.ndarray | None = None) -> tuple[float, float]:
         """<M(0)> and <M(T)> for the slot observable M, by default O; another
         M is read at the two end times alone, in O's unitary eigenbasis."""
         if slot is None or slot is self.O:
             return float(self.traj.expect[0]), float(self.traj.expect[-1])
-        start, end = self.traj.expect_of(slot, (self.grid.t0, self.grid.t1))
+        start, end = self.traj.expect_of(slot, (0.0, self.grid.T))
         return float(start), float(end)
 
     def has(self, need: str) -> bool:

@@ -68,15 +68,15 @@ def _generator(spec: SystemSpec, args: argparse.Namespace):
     return LindbladGenerator(gen.H, gen.jumps, args.hbar, gen.tol)
 
 
-def _evolve(O: np.ndarray, gen, rho, grid: TimeGrid, tol: float, probes=()):
+def _evolve(O: np.ndarray, gen, rho, grid: TimeGrid, probes=()):
     """The Heisenberg trajectory of O under the generator gen, keeping the
     series tr(O(t) M) of the probe matrices M: the evolution of gen's kind,
     each of which takes these arguments."""
     if gen.kind == "unitary":
-        return evolve_unitary_heisenberg(O, gen, rho, grid, tol, probes=probes)
+        return evolve_unitary_heisenberg(O, gen, rho, grid, probes=probes)
     if gen.kind == "lindblad":
-        return evolve_lindblad_heisenberg(O, gen, rho, grid, tol, probes=probes)
-    return evolve_kraus_heisenberg(O, gen, rho, grid, tol, probes=probes)
+        return evolve_lindblad_heisenberg(O, gen, rho, grid, probes=probes)
+    return evolve_kraus_heisenberg(O, gen, rho, grid, probes=probes)
 
 
 def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) -> bounds.EvalContext:
@@ -88,11 +88,10 @@ def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) 
     OO, slot_tol = O @ O, max(args.tol, 1e-9)
     ctx = bounds.EvalContext(
         gen,
-        TimeGrid(0.0, args.tmax, args.steps),
+        TimeGrid(args.tmax, args.steps),
         O,
         spec.initial_state,
         _evolve,
-        tol=args.tol,
         B=B,
         self_inverse=O if np.abs(OO - np.eye(spec.dim)).max() <= slot_tol else None,
         projector=O if np.abs(OO - O).max() <= slot_tol else None,
@@ -170,7 +169,7 @@ def cmd_evolve(args: argparse.Namespace, out, err) -> int:
     spec = _read_system(args)
     O = spec.observable(args.observable)
     gen = _generator(spec, args)
-    traj = _evolve(O, gen, spec.initial_state, TimeGrid(0.0, args.tmax, args.steps), args.tol)
+    traj = _evolve(O, gen, spec.initial_state, TimeGrid(args.tmax, args.steps))
     _note_unresolved(traj, err)
     series = {name: getattr(traj, name).tolist() for name in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")}
     series = {"t": traj.grid.times().tolist(), **series}

@@ -1,12 +1,14 @@
 """Heisenberg-picture observable trajectories and Schrodinger-picture state
 trajectories under unitary, Lindblad-adjoint, and Kraus dynamics.
 
-Every evolution of an observable returns a :class:`Trajectory` of
-reductions, all computed before it returns: <O(t)>, dO(t) and both generator
-speeds at every grid point, and tr(O(t) M) for the probe matrices M declared
-before the evolution. No O(t) is kept at any time, the ends included: a
-bound that reads O(t) declares its probe, and ``trace_with`` of an
-undeclared M raises.
+Each input of an evolution is stated once: its generator states the
+dynamics and the tolerance ``tol`` of every check, and its :class:`TimeGrid`
+runs from t = 0 to the horizon T. Every evolution of an observable returns a
+:class:`Trajectory` of reductions, all computed before it returns: <O(t)>,
+dO(t) and both generator speeds at every grid point, and tr(O(t) M) for the
+probe matrices M declared before the evolution. No O(t) is kept at any time,
+the ends included: a bound that reads O(t) declares its probe, and
+``trace_with`` of an undeclared M raises.
 
 Unitary trajectories are exact and form no per-sample matrix: H is
 diagonalized once, and the moments and probe series along the grid come
@@ -73,24 +75,19 @@ CHUNK_BYTES = 1 << 20
 
 
 class TimeGrid:
-    """Uniform grid of ``steps`` cells on [t0, t1] (steps + 1 sample points)."""
+    """Uniform grid of ``steps`` cells on [0, T] (steps + 1 sample points):
+    every evolution starts at t = 0 and runs to the horizon T."""
 
-    def __init__(self, t0: float, t1: float, steps: int):
-        if not (np.isfinite(t0) and np.isfinite(t1)):
-            raise ValidationError("grid endpoints must be finite")
-        if t1 <= t0:
-            raise ValidationError("grid requires t1 > t0")
+    def __init__(self, T: float, steps: int):
+        if not 0.0 < T < math.inf:  # NaN fails the comparison
+            raise ValidationError(f"the horizon T must be positive and finite, got {float(T)!r}")
         if not (2 <= steps < math.inf and int(steps) == steps):  # NaN and inf fail the comparison
             raise ValidationError("grid requires an integer steps >= 2")
-        self.t0, self.t1, self.steps = t0, t1, steps
+        self.T, self.steps = T, steps
 
     @property
     def h(self) -> float:
-        return (self.t1 - self.t0) / self.steps
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
+        return self.T / self.steps
 
     def times(self) -> np.ndarray:
         """The steps + 1 sample times, built once per grid and read-only."""
@@ -98,7 +95,7 @@ class TimeGrid:
 
     @functools.cached_property
     def _times(self) -> np.ndarray:
-        times = np.linspace(self.t0, self.t1, self.steps + 1)
+        times = np.linspace(0.0, self.T, self.steps + 1)
         times.flags.writeable = False
         return times
 
@@ -156,7 +153,8 @@ class LindbladGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Kraus families, each the generator of its own dynamics
+# Kraus families, each the generator of its own dynamics: like the generators
+# above, each holds the tolerance ``tol`` of every check along its evolutions
 
 
 class DephasingKraus:
@@ -167,11 +165,11 @@ class DephasingKraus:
 
     kind = "kraus"
 
-    def __init__(self, gamma: float):
+    def __init__(self, gamma: float, tol: float = DEFAULT_TOL):
         gamma = float(gamma)
         if not np.isfinite(gamma) or gamma < 0:
             raise ValidationError("dephasing strength must be a nonnegative real")
-        self.gamma = gamma
+        self.gamma, self.tol = gamma, tol
         self.dim = 2
         self.n_ops = 2
 
@@ -191,13 +189,13 @@ class DephasingKraus:
 class TabulatedKraus:
     """Kraus operators given as matrices on a fixed time grid.
 
-    Evaluation is only defined at the tabulated times; evolution grids must
-    therefore line up with the table.
+    Evaluation is only defined at the tabulated times; evolution grids, which
+    start at t = 0, must therefore line up with the table.
     """
 
     kind = "kraus"
 
-    def __init__(self, times, ops):
+    def __init__(self, times, ops, tol: float = DEFAULT_TOL):
         t = np.asarray(times, dtype=float)
         K = np.asarray(ops, dtype=complex)
         if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
@@ -207,8 +205,7 @@ class TabulatedKraus:
                 "tabulated Kraus operators must have shape (n_times, n_ops, d, d)"
             )
         require_finite(K.reshape(-1, K.shape[-1]), "tabulated Kraus operators")
-        self.times = t
-        self.ops = K
+        self.times, self.ops, self.tol = t, K, tol
         self.dim = K.shape[2]
         self.n_ops = K.shape[1]
 
@@ -273,7 +270,7 @@ class Trajectory:
         cut = slice(0, k + 1)
         return type(self)(
             self.kind,
-            TimeGrid(self.grid.t0, float(self.grid.times()[k]), k),
+            TimeGrid(float(self.grid.times()[k]), k),
             *(getattr(self, f)[cut] for f in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")),
             self.dim,
             tuple((M, series[cut]) for M, series in self.probes),
@@ -356,21 +353,15 @@ def _check_state(rho: DensityState, dim: int) -> None:
 # unitary dynamics
 
 
-def evolve_unitary_heisenberg(
-    O0: np.ndarray,
-    gen: UnitaryGenerator,
-    rho: DensityState,
-    grid: TimeGrid,
-    tol: float = DEFAULT_TOL,
-    probes=(),
-) -> UnitaryTrajectory:
+def evolve_unitary_heisenberg(O0: np.ndarray, gen: UnitaryGenerator, rho: DensityState, grid: TimeGrid,
+                              probes=()) -> UnitaryTrajectory:
     """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of
     gen.H, reduced from one phase matrix E[t, a] = exp(i t w_a / hbar):
     tr(O(t) M) is the row sum of (E @ (O~ * M~^T)) * conj(E), so no
     per-sample matrix is formed. [H, O(t)] = U^dag [H, O] U, so both
     generator speeds are constant. ``probes`` are the matrices M whose series
     the trajectory keeps."""
-    O0 = checked_hermitian(O0, "observable", tol, gen.dim)
+    O0 = checked_hermitian(O0, "observable", gen.tol, gen.dim)
     _check_state(rho, gen.dim)
 
     w, V = np.linalg.eigh(gen.H)
@@ -384,11 +375,11 @@ def evolve_unitary_heisenberg(
         raise NumericError(f"generator speed gen_speed_hs = ||[H, O] / hbar||_HS is {hs} at hbar = {gen.hbar!r}")
     speeds = (np.full(grid.steps + 1, x) for x in (hs, np.linalg.svd(comm, compute_uv=False)[0]))
     E = _phases(freqs, grid.times())
-    expect, stddev = _moments(O_eig, rho_eig, E, tol)
+    expect, stddev = _moments(O_eig, rho_eig, E, gen.tol)
     series = tuple((M, _phase_trace(O_eig * (Vd @ M @ V).T, E)) for M in probes)
     return UnitaryTrajectory(
         "unitary", grid, expect, stddev, *speeds, gen.dim, series,
-        freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=tol,
+        freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=gen.tol,
     )
 
 
@@ -609,13 +600,14 @@ def _rk4_chunks(f, y: np.ndarray, h: float, spans, heisenberg: bool, limit):
         yield start, out, _norms(k1s) if heisenberg else None
 
 
-def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) -> list[Trajectory]:
+def _reduce_chunks(gens, chunks, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
     """The trajectories of a stream of observable chunks (start, samples,
     speeds), shaped as :func:`lindblad_chunks` yields them, each chunk
-    reduced as it arrives: batch entry b is read in the state rhos[b] and
-    keeps the series tr(O_b(t) M) of the matrices M in ``probes[b]``. The
-    variance is taken chunk by chunk, so the reducer holds four scalars a
-    sample: <O(t)>, the variance and the two speeds.
+    reduced as it arrives: batch entry b, under gens[b], is read in the state
+    rhos[b] within gens[b].tol and keeps the series tr(O_b(t) M) of the
+    matrices M in ``probes[b]``. The variance is taken chunk by chunk, so the
+    reducer holds four scalars a sample: <O(t)>, the variance and the two
+    speeds.
 
     <O(t)> and the probe series are contracted one batch entry at a time:
     over a batch, numpy's einsum runs their sums in another order.
@@ -638,10 +630,10 @@ def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) 
         del samples, rho_products, Os  # freed before the kernel builds the next chunk
     return [
         Trajectory(
-            kind,
+            gens[b].kind,
             grid,
             expect[b],
-            _spread(var[b], tol),
+            _spread(var[b], gens[b].tol),
             speeds[b, :, 0],
             speeds[b, :, 1],
             rho.shape[-1],
@@ -651,7 +643,7 @@ def _reduce_chunks(kind: str, chunks, rhos, grid: TimeGrid, probes, tol: float) 
     ]
 
 
-def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float = DEFAULT_TOL) -> list[Trajectory]:
+def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
     """The Heisenberg trajectories of O0s[b] under gens[b] in the states
     rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]``: the
     batch-first kernel of the generators' one kind, :func:`lindblad_chunks`
@@ -660,54 +652,38 @@ def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, tol: float
     if kinds == ["lindblad"]:
         chunks = lindblad_chunks(gens, O0s, grid, heisenberg=True)
     elif kinds == ["kraus"]:
-        chunks = _kraus_chunks(gens, np.asarray(O0s, dtype=complex), grid, tol)
+        chunks = _kraus_chunks(gens, np.asarray(O0s, dtype=complex), grid)
     else:
         raise ValidationError(f"a batch of trajectories needs generators of one open kind, got {', '.join(kinds)}")
-    return _reduce_chunks(kinds[0], chunks, rhos, grid, probes, tol)
+    return _reduce_chunks(gens, chunks, rhos, grid, probes)
 
 
-def evolve_lindblad_heisenberg(
-    O0: np.ndarray,
-    gen: LindbladGenerator,
-    rho: DensityState,
-    grid: TimeGrid,
-    tol: float = DEFAULT_TOL,
-    probes=(),
-) -> Trajectory:
+def evolve_lindblad_heisenberg(O0: np.ndarray, gen: LindbladGenerator, rho: DensityState, grid: TimeGrid,
+                               probes=()) -> Trajectory:
     """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through
     :func:`trajectories`; ``probes`` are the matrices M whose series
     tr(O(t) M) the trajectory keeps."""
-    O0 = checked_hermitian(O0, "observable", tol, gen.dim)
+    O0 = checked_hermitian(O0, "observable", gen.tol, gen.dim)
     _check_state(rho, gen.dim)
-    return trajectories([gen], O0[None], [rho], grid, [probes], tol)[0]
+    return trajectories([gen], O0[None], [rho], grid, [probes])[0]
 
 
-def evolve_lindblad_schrodinger(
-    rho0: DensityState,
-    gen: LindbladGenerator,
-    grid: TimeGrid,
-    tol: float = DEFAULT_TOL,
-) -> list[DensityState]:
+def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> list[DensityState]:
     """The state-picture master equation along the grid, the chunks of
     :func:`lindblad_chunks` joined into one stack.
 
     Trace preservation is verified to 1e-8. The samples are validated as one
-    stack; positivity loss beyond tolerance is reported as one warning naming
-    the worst sample rather than as an error.
+    stack within gen.tol; positivity loss beyond it is reported as one
+    warning naming the worst sample rather than as an error.
     """
     _check_state(rho0, gen.dim)
     samples = np.empty((grid.steps + 1, gen.dim, gen.dim), dtype=complex)
     for start, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], grid, heisenberg=False):
         samples[start : start + chunk.shape[1]] = chunk[0]
-    return DensityState.from_stack(samples, tol=tol, on_indefinite="warn")
+    return DensityState.from_stack(samples, tol=gen.tol, on_indefinite="warn")
 
 
-def lindblad_final_state(
-    rho0: DensityState,
-    gen: LindbladGenerator,
-    grid: TimeGrid,
-    tol: float = DEFAULT_TOL,
-) -> DensityState:
+def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> DensityState:
     """The state rho(T) = exp(T L) rho0 at the end of the grid, with no
     trajectory and no d^2 x d^2 matrix.
 
@@ -720,7 +696,7 @@ def lindblad_final_state(
     often than RK4 on the grid (s m > 4 steps, as for stiff rates), rho(T)
     is the last sample of :func:`lindblad_chunks` instead.
     Either way a blow-up is rejected, the trace is verified to 1e-8 and
-    rho(T) is validated, positivity loss beyond tolerance being a warning.
+    rho(T) is validated within gen.tol, positivity loss beyond being a warning.
     """
     _check_state(rho0, gen.dim)
     f = _fused_form([gen], heisenberg=False)
@@ -731,7 +707,7 @@ def lindblad_final_state(
         rho = chunk[0, -1]
     else:
         s, m = order
-        h = grid.duration / s
+        h = grid.T / s
         y = rho0.matrix[None].astype(complex)
         for _ in range(s):
             term, y = y, y.copy()
@@ -742,7 +718,7 @@ def lindblad_final_state(
             _check_stable(y)
         _check_trace(y)
         rho = y[0]
-    return DensityState.from_matrix(rho, tol=tol, on_indefinite="warn")
+    return DensityState.from_matrix(rho, tol=gen.tol, on_indefinite="warn")
 
 
 def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
@@ -756,11 +732,11 @@ def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
     norms = np.linalg.svd(M, compute_uv=False)[:, 0]
     with np.errstate(over="ignore"):
         bound = norms[0] + norms[1] + np.array([rate for _, rate in gen.jumps]) @ norms[2:] ** 2
-        x = grid.duration * bound / theta
+        x = grid.T * bound / theta
     if not x <= budget:  # an infinite norm included, before ceil can overflow
         return None
     s = max(math.ceil(x), 1)
-    m = taylor_degree(grid.duration * bound / s)
+    m = taylor_degree(grid.T * bound / s)
     return None if s * m > budget else (s, m)
 
 
@@ -768,44 +744,40 @@ def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
 # Kraus dynamics
 
 
-def evolve_kraus_heisenberg(
-    O0: np.ndarray,
-    family: Union[DephasingKraus, TabulatedKraus],
-    rho: DensityState,
-    grid: TimeGrid,
-    tol: float = DEFAULT_TOL,
-    probes=(),
-) -> Trajectory:
+def evolve_kraus_heisenberg(O0: np.ndarray, family: Union[DephasingKraus, TabulatedKraus], rho: DensityState,
+                            grid: TimeGrid, probes=()) -> Trajectory:
     """O(t) = sum_i K_i^dag(t) O(0) K_i(t) on the grid, with the summed
     speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| that the Kraus-map bound reads,
     through :func:`trajectories`."""
-    O0 = checked_hermitian(O0, "observable", tol, family.dim)
+    O0 = checked_hermitian(O0, "observable", family.tol, family.dim)
     _check_state(rho, family.dim)
-    return trajectories([family], O0[None], [rho], grid, [probes], tol)[0]
+    return trajectories([family], O0[None], [rho], grid, [probes])[0]
 
 
-def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid, tol: float):
+def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid):
     """The batch-first Kraus kernel, O0s[b] (shape (B, d, d)) under
     families[b] (one dimension, one number of operators): yields chunks like
     :func:`lindblad_chunks`, the speeds being the summed norms of
     K_i^dag(t) O0 dK_i/dt, after checking sum_i K_i^dag K_i = 1 within
-    max(tol, 1e-8). With one more sample on each side of a chunk,
-    ``np.gradient`` gives the central difference along the grid, one-sided
-    at its ends. :func:`_spans` sizes a chunk by its whole working set: the
-    window of K, K^dag O, dK/dt, K^dag O dK/dt and O(t)."""
+    max(tol, 1e-8), tol each family's own. With one more sample on each side
+    of a chunk, ``np.gradient`` gives the central difference along the grid,
+    one-sided at its ends. :func:`_spans` sizes a chunk by its whole working
+    set: the window of K, K^dag O, dK/dt, K^dag O dK/dt and O(t)."""
     times = grid.times()
     B, d = O0s.shape[:2]
     m = families[0].n_ops
+    limits = np.array([max(family.tol, 1e-8) for family in families])[:, None]
     for start, end in _spans(times.size, 16 * B * d * d * (4 * m + 1)):
         lo = max(start - 1, 0)
         window = np.stack([family.operators(times[lo : end + 1]) for family in families])
         own = slice(start - lo, end - lo)
         K = window[:, own]
-        defect = np.abs(np.einsum("ntiab,ntiac->ntbc", K.conj(), K) - np.eye(d)).max(axis=(0, 2, 3))
-        bad = np.flatnonzero(defect > max(tol, 1e-8))
-        if bad.size:
-            j = bad[0]
-            raise ValidationError(f"Kraus completeness violated at t={times[start + j]!r} (defect {defect[j]:.3e})")
+        defect = np.abs(np.einsum("ntiab,ntiac->ntbc", K.conj(), K) - np.eye(d)).max(axis=(2, 3))
+        bad_t, bad_b = np.nonzero((defect > limits).T)  # in time order
+        if bad_t.size:
+            j, b = bad_t[0], bad_b[0]
+            raise ValidationError(f"Kraus completeness violated at t={float(times[start + j])!r} "
+                                  f"(defect {defect[b, j]:.3e})")
         # one product per batch entry, not one per sample
         KdO = (K.conj().swapaxes(-1, -2).reshape(B, -1, d) @ O0s).reshape(K.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step overflows, and raises below

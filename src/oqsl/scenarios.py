@@ -38,7 +38,7 @@ def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:
     expectation swings from +1 to -1 in exactly the minimal time pi/2."""
     T = np.pi / 2.0
     rho = DensityState.pure(PLUS)
-    grid = TimeGrid(0.0, T, steps)
+    grid = TimeGrid(T, steps)
     refs = {"MT_INTEGRAL": T, "SELF_INVERSE": T, "STATE_MT": T, "PURITY_HS": 1.0 / np.sqrt(2.0), "MIN_NORM": 1.0}
     ctx = bounds.EvalContext(
         UnitaryGenerator(sigma_z),
@@ -85,7 +85,7 @@ def scenario_dephasing(
         raise ValidationError(f"steps={steps} must be a multiple of n_points={n_points}")
     rho = DensityState.pure(PLUS)
     gen = dephasing_generator(gamma)
-    grid = TimeGrid(0.0, t_max, steps)
+    grid = TimeGrid(t_max, steps)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, rho, grid)
     states = evolve_lindblad_schrodinger(rho, gen, grid)
     lrho0_hs2 = hs_norm(lindblad_apply(gen, rho.matrix)) ** 2
@@ -95,7 +95,7 @@ def scenario_dephasing(
     for k in range(1, n_points + 1):
         idx = k * stride
         sub = traj.prefix(idx)
-        T = sub.grid.duration
+        T = sub.grid.T
         oqsl = bounds.oqsl_generator_hs(sub, rho).T_qsl
         qsl = bounds.qsl_delcampo(rho, states[idx], lrho0_hs2, T).T_qsl
         ref_oqsl = T / np.sqrt(2.0)
@@ -134,7 +134,7 @@ def scenario_battery_degenerate(steps: int = 2000) -> ScenarioResult:
     HB = sigma_z.copy()
     HC = sigma_z.copy()  # phase drive: relative phase pi at T = pi/4 under HB + HC
     T = np.pi / 4.0
-    grid = TimeGrid(0.0, T, steps)
+    grid = TimeGrid(T, steps)
     ct1, ct2 = bounds.battery_bounds(HB, HC, rho, grid)
 
     # survival probability of the initial state under the same drive
@@ -177,13 +177,13 @@ def scenario_kraus_dephasing(gamma: float = 1.0, t_max: float = np.pi / 2.0, ste
     if gamma <= 0:
         raise ValidationError("dephasing strength gamma must be positive")
     rho = DensityState.pure(PLUS)
-    grid = TimeGrid(0.0, t_max, steps)
+    grid = TimeGrid(t_max, steps)
     traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(gamma), rho, grid)
     times = grid.times()
     analytic = np.exp(-gamma * times)
     max_err = float(np.abs(traj.expect - analytic).max())
     kb = bounds.oqsl_kraus(traj, rho)
-    ref = grid.duration / np.sqrt(2.0)
+    ref = grid.T / np.sqrt(2.0)
     rows = [
         {"quantity": "max_expect_err", "value": max_err, "reference": 0.0, "abs_err": max_err},
         {"quantity": "KRAUS", "value": kb.T_qsl, "reference": ref, "abs_err": abs(kb.T_qsl - ref)},

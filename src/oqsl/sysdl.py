@@ -14,7 +14,8 @@ declaration per line; ``#`` starts a comment. Sections and their keys:
   prefactor already in the operator is never folded a second time.
 * ``[observable NAME]`` -- repeatable; ``pauli``/``matrix``.
 * ``[kraus]`` -- ``family = dephasing`` with ``gamma``, or
-  ``family = tabulated`` with repeated ``time = <t>`` / ``K = <matrix>`` lines.
+  ``family = tabulated`` with repeated ``time = <t>`` / ``K = <matrix>`` lines,
+  a table that holds t = 0, where every evolution starts.
 
 One table, ``_SECTIONS``, lists these keys. A key a section does not accept,
 a second declaration of a key or of its alternative (``pauli``/``matrix``,
@@ -249,12 +250,16 @@ def parse_pauli_expr(src: str, n_qubits: int) -> np.ndarray:
 class SystemSpec:
     """Fully validated description of one experiment. Its dynamics is the
     ``generator`` alone: a UnitaryGenerator, a LindbladGenerator or a Kraus
-    family, each naming its ``kind``."""
+    family, each naming its ``kind`` and its ``dim``."""
 
-    def __init__(self, dim: int, generator: GeneratorSpec, initial_state: DensityState, observables: dict,
+    def __init__(self, generator: GeneratorSpec, initial_state: DensityState, observables: dict,
                  metadata: dict | None = None):
-        self.dim, self.generator, self.initial_state, self.observables = dim, generator, initial_state, observables
+        self.generator, self.initial_state, self.observables = generator, initial_state, observables
         self.metadata = {} if metadata is None else metadata
+
+    @property
+    def dim(self) -> int:
+        return self.generator.dim
 
     def observable(self, name: str) -> np.ndarray:
         if name not in self.observables:
@@ -475,8 +480,9 @@ def _parse_state(decl: _Decl | None, dim: int, tol: float, diags: list[Diagnosti
     return None
 
 
-def _parse_kraus(sec: _Section, slots: dict, dim: int, diags: list[Diagnostic]):
-    """The [kraus] family, or None after a diagnostic."""
+def _parse_kraus(sec: _Section, slots: dict, dim: int, tol: float, diags: list[Diagnostic]):
+    """The [kraus] family, checked within ``tol``, or None after a
+    diagnostic. A table must hold t = 0, where every evolution starts."""
     family = _convert(slots.get("family"), _choice("kraus family", ("dephasing", "tabulated")), diags)
     if family is None:
         return None
@@ -492,7 +498,7 @@ def _parse_kraus(sec: _Section, slots: dict, dim: int, diags: list[Diagnostic]):
         elif "gamma" not in slots:
             diags.append(Diagnostic(sec.line, 1, "dephasing kraus family requires gamma"))
         elif gamma is not None:
-            return DephasingKraus(gamma)
+            return DephasingKraus(gamma, tol)
         return None
     # a bad time or K keeps its place, so that it is the table's only diagnostic
     n_diags = len(diags)
@@ -513,10 +519,18 @@ def _parse_kraus(sec: _Section, slots: dict, dim: int, diags: list[Diagnostic]):
         diags.append(Diagnostic(sec.line, 1, "every tabulated time needs the same number of K operators"))
         return None
     try:
-        return TabulatedKraus(times, np.array(ops))
+        family = TabulatedKraus(times, np.array(ops), tol)
     except ValidationError as exc:
         diags.append(Diagnostic(sec.line, 1, str(exc)))
         return None
+    try:
+        family.operators(0.0)  # within the lookup's own tolerance
+    except ValidationError:
+        first = next(d for d in sec.decls if d.key == "time")
+        message = f"the first tabulated time is {times[0]!r}, but every evolution starts at t = 0"
+        diags.append(Diagnostic(first.line, first.value_col, message))
+        return None
+    return family
 
 
 def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
@@ -571,7 +585,7 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
         M = _parse_operator(obs.get("operator"), dim, n_qubits, diags, f"observable {sec.arg!r}", tol)
         if M is not None:
             observables[sec.arg] = M
-    generator = _parse_kraus(*found["kraus"][0], dim, diags) if "kraus" in found else None
+    generator = _parse_kraus(*found["kraus"][0], dim, tol, diags) if "kraus" in found else None
 
     if kind is None:
         kind = "kraus" if "kraus" in found else "lindblad" if "jump" in found else "unitary"
@@ -593,7 +607,7 @@ def parse_system(text: str, tol: float = DEFAULT_TOL) -> SystemSpec:
     import hashlib  # here, so that a command that parses no system does not load it
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return SystemSpec(dim, generator, state, observables, metadata={"source_digest": digest})
+    return SystemSpec(generator, state, observables, metadata={"source_digest": digest})
 
 
 # ---------------------------------------------------------------------------

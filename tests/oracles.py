@@ -367,10 +367,11 @@ class FunctionKraus:
 
     kind = "kraus"
 
-    def __init__(self, fn, dim: int, n_ops: int):
+    def __init__(self, fn, dim: int, n_ops: int, tol: float = DEFAULT_TOL):
         self.fn = fn
         self.dim = int(dim)
         self.n_ops = int(n_ops)
+        self.tol = tol
 
     def _at(self, t: float) -> np.ndarray:
         K = np.asarray(self.fn(t), dtype=complex)
@@ -715,7 +716,7 @@ def unitary_at(traj, k: int) -> np.ndarray:
 def battery_core(traj, HB, HC, rho, hbar, tol):
     """CT1 and CT2 on ``traj``, the unitary trajectory of HB under HB + HC."""
     HT = HB + HC
-    T = traj.grid.duration
+    T = traj.grid.T
 
     delta_HT = float(np.sqrt(variance(HT, rho, tol)))
     if delta_HT <= tol:

@@ -65,7 +65,7 @@ def fuzz_summary():
 def test_criterion_1_tight_example():
     start = time.perf_counter()
     T = np.pi / 2.0
-    grid = TimeGrid(0.0, T, 4000)
+    grid = TimeGrid(T, 4000)
     traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, grid)
     delta_H = float(np.sqrt(variance(sigma_z, PLUS)))
     mt = oqsl_mt_integral(traj, delta_H).T_qsl
@@ -84,7 +84,7 @@ def test_criterion_2_dephasing_figure_data():
     start = time.perf_counter()
     gamma, t_max, steps, n_points = 1.0, np.pi / 2.0, 3200, 64
     gen = dephasing_generator(gamma)
-    grid = TimeGrid(0.0, t_max, steps)
+    grid = TimeGrid(t_max, steps)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
     states = evolve_lindblad_schrodinger(PLUS, gen, grid)
     l2 = hs_norm(lindblad_apply(gen, PLUS.matrix)) ** 2
@@ -93,7 +93,7 @@ def test_criterion_2_dephasing_figure_data():
     dominance = True
     for k in range(1, n_points + 1):
         sub = traj.prefix(k * stride)
-        T = sub.grid.duration
+        T = sub.grid.T
         oqsl = oqsl_generator_hs(sub, PLUS).T_qsl
         qsl = qsl_delcampo(PLUS, states[k * stride], l2, T).T_qsl
         worst_oqsl = max(worst_oqsl, abs(oqsl - T / np.sqrt(2.0)))
@@ -111,7 +111,7 @@ def test_criterion_2_dephasing_figure_data():
 
 
 def test_criterion_3_dephasing_dynamics():
-    grid = TimeGrid(0.0, np.pi / 2.0, 1000)
+    grid = TimeGrid(np.pi / 2.0, 1000)
     times = grid.times()
     units = oracles.matrix_units(2)
     traj = evolve_lindblad_heisenberg(sigma_x, dephasing_generator(1.0), PLUS, grid, probes=tuple(units))
@@ -161,13 +161,13 @@ def test_criterion_5_duality(fuzz_summary):
 
 
 def test_criterion_6_battery_degenerate():
-    grid = TimeGrid(0.0, np.pi / 4.0, 500)
+    grid = TimeGrid(np.pi / 4.0, 500)
     ct1, ct2 = battery_bounds(sigma_z, sigma_z, PLUS, grid)
     HT = 2.0 * sigma_z
     ptraj = evolve_unitary_heisenberg(PLUS.matrix.copy(), UnitaryGenerator(HT), PLUS, grid)
     pT = float(np.clip(ptraj.expect[-1], 0.0, 1.0))
     smt = state_qsl_projector(
-        1.0, pT, float(np.sqrt(variance(HT, PLUS))), grid.duration
+        1.0, pT, float(np.sqrt(variance(HT, PLUS))), grid.T
     ).T_qsl
     ok = ct1.T_qsl == 0.0 and ct2.T_qsl == 0.0 and smt >= 0.5
     report(

@@ -162,7 +162,7 @@ def test_audit_trial_diagonalizes_h_once(monkeypatch):
     # O, the self-inverse O_si and the projector P all evolve under one H
     trial = audit._sample_trial(1, 3, 0)
     assert np.sqrt(variance(trial.H, trial.rho)) > 1e-9
-    audit._integrate_lindblad_block([trial], audit.TimeGrid(0.0, audit.LINDBLAD_T, audit.LINDBLAD_STEPS))
+    audit._integrate_lindblad_block([trial], audit.TimeGrid(audit.LINDBLAD_T, audit.LINDBLAD_STEPS))
     calls = []
     eigh = np.linalg.eigh
 

@@ -61,7 +61,7 @@ T_HALF_PI = np.pi / 2.0
 
 
 def tight_trajectory(steps=4000):
-    grid = TimeGrid(0.0, T_HALF_PI, steps)
+    grid = TimeGrid(T_HALF_PI, steps)
     return evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, grid)
 
 
@@ -92,7 +92,7 @@ def test_mt_integral_tight_qubit():
 
 
 def test_mt_integral_conserved_observable():
-    grid = TimeGrid(0.0, 2.0, 200)
+    grid = TimeGrid(2.0, 200)
     traj = evolve_unitary_heisenberg(sigma_z, UnitaryGenerator(sigma_z), PLUS, grid)
     assert oqsl_mt_integral(traj, 1.0).T_qsl == 0.0
 
@@ -104,7 +104,7 @@ def test_mt_integral_validity_random_qubits(rng):
         O = oracles.random_hermitian(rng, 2)
         rho = DensityState.pure(oracles.random_ket(rng, 2))
         T = float(rng.uniform(0.3, 1.2))
-        traj = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, TimeGrid(0.0, T, 1500))
+        traj = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, TimeGrid(T, 1500))
         dH = float(np.sqrt(variance(H, rho)))
         if dH < 1e-9:
             continue
@@ -119,7 +119,7 @@ def test_mt_integral_rejects_bad_energy_spread():
 
 def test_mt_integral_requires_unitary_kind():
     traj = evolve_lindblad_heisenberg(
-        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(0.0, 1.0, 100)
+        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(1.0, 100)
     )
     with pytest.raises(ValidationError):
         oqsl_mt_integral(traj, 1.0)
@@ -157,7 +157,7 @@ def test_self_inverse_no_change():
 def test_self_inverse_matches_integral_when_monotone():
     # <O(t)> = cos 2t decreases monotonically over the whole window
     for T, steps in ((T_HALF_PI, 4000), (0.6, 2000)):
-        traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, TimeGrid(0.0, T, steps))
+        traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, TimeGrid(T, steps))
         mt = oqsl_mt_integral(traj, 1.0).T_qsl
         si = oqsl_self_inverse(
             float(traj.expect[0]), float(traj.expect[-1]), 1.0, T
@@ -269,7 +269,7 @@ def test_min_norm_zero_norms_inconsistency():
 @pytest.mark.parametrize("T", [0.4, 0.9, T_HALF_PI])
 def test_generator_hs_dephasing_closed_form(T):
     traj = evolve_lindblad_heisenberg(
-        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(0.0, T, 2000)
+        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(T, 2000)
     )
     rep = oqsl_generator_hs(traj, PLUS)
     assert rep.T_qsl == pytest.approx(T / np.sqrt(2.0), abs=1e-6)
@@ -279,7 +279,7 @@ def test_generator_hs_dephasing_closed_form(T):
 def test_generator_hs_stationary():
     rho = DensityState.from_matrix(np.diag([0.7, 0.3]).astype(complex))
     traj = evolve_lindblad_heisenberg(
-        sigma_z, dephasing_generator(1.0), rho, TimeGrid(0.0, 1.0, 100)
+        sigma_z, dephasing_generator(1.0), rho, TimeGrid(1.0, 100)
     )
     assert oqsl_generator_hs(traj, rho).T_qsl == 0.0
 
@@ -297,7 +297,7 @@ def test_generator_hs_validity_random_lindblad(rng):
         O = oracles.random_hermitian(rng, dim)
         rho = DensityState.pure(oracles.random_ket(rng, dim))
         T = float(rng.uniform(0.3, 1.0))
-        traj = evolve_lindblad_heisenberg(O, gen, rho, TimeGrid(0.0, T, 800))
+        traj = evolve_lindblad_heisenberg(O, gen, rho, TimeGrid(T, 800))
         assert oqsl_generator_hs(traj, rho).T_qsl <= T + 1e-6
 
 
@@ -309,7 +309,7 @@ def test_generator_hs_works_for_unitary_kind():
 
 def test_generator_hs_rejects_kraus_kind():
     traj = evolve_kraus_heisenberg(
-        sigma_x, DephasingKraus(1.0), PLUS, TimeGrid(0.0, 1.0, 100)
+        sigma_x, DephasingKraus(1.0), PLUS, TimeGrid(1.0, 100)
     )
     with pytest.raises(ValidationError):
         oqsl_generator_hs(traj, PLUS)
@@ -321,7 +321,7 @@ def test_generator_hs_rejects_kraus_kind():
 
 def dephasing_delcampo(T, steps=2000, gamma=1.0):
     gen = dephasing_generator(gamma)
-    grid = TimeGrid(0.0, T, steps)
+    grid = TimeGrid(T, steps)
     states = evolve_lindblad_schrodinger(PLUS, gen, grid)
     l2 = hs_norm(lindblad_apply(gen, PLUS.matrix)) ** 2
     return qsl_delcampo(PLUS, states[-1], l2, T)
@@ -341,7 +341,7 @@ def test_delcampo_same_state():
 def test_delcampo_below_generator_bound():
     for T in (0.2, 0.8, T_HALF_PI):
         traj = evolve_lindblad_heisenberg(
-            sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(0.0, T, 1000)
+            sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(T, 1000)
         )
         assert dephasing_delcampo(T, 1000).T_qsl <= oqsl_generator_hs(traj, PLUS).T_qsl
 
@@ -359,7 +359,7 @@ def test_delcampo_rejects_zero_speed_with_change():
 def test_kraus_bound_validity_across_horizons():
     gen = DephasingKraus(1.0)
     for T in (0.3, 0.8, 1.3, T_HALF_PI):
-        traj = evolve_kraus_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, T, 600))
+        traj = evolve_kraus_heisenberg(sigma_x, gen, PLUS, TimeGrid(T, 600))
         rep = oqsl_kraus(traj, PLUS)
         assert rep.T_qsl <= T + 1e-5
 
@@ -368,7 +368,7 @@ def test_kraus_bound_constant_family_zero():
     fam = FunctionKraus(
         lambda t: [np.sqrt(0.5) * identity(2), np.sqrt(0.5) * sigma_z], dim=2, n_ops=2
     )
-    traj = evolve_kraus_heisenberg(sigma_x, fam, PLUS, TimeGrid(0.0, 1.0, 100))
+    traj = evolve_kraus_heisenberg(sigma_x, fam, PLUS, TimeGrid(1.0, 100))
     rep = oqsl_kraus(traj, PLUS)
     assert rep.T_qsl == 0.0
     assert rep.details["lambda_T"] == pytest.approx(0.0, abs=1e-15)
@@ -379,7 +379,7 @@ def test_kraus_bound_single_unitary_family():
         lambda t: [oracles.expm_hermitian_oracle(sigma_z, -1j * t)], dim=2, n_ops=1
     )
     T = 1.0
-    traj = evolve_kraus_heisenberg(sigma_x, fam, PLUS, TimeGrid(0.0, T, 400))
+    traj = evolve_kraus_heisenberg(sigma_x, fam, PLUS, TimeGrid(T, 400))
     assert oqsl_kraus(traj, PLUS).T_qsl <= T + 1e-6
 
 
@@ -395,7 +395,7 @@ def test_kraus_bound_rejects_other_kinds():
 def test_state_independent_dephasing_saturates():
     T = 1.1
     traj = evolve_lindblad_heisenberg(
-        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(0.0, T, 2000), probes=(sigma_x,)
+        sigma_x, dephasing_generator(1.0), PLUS, TimeGrid(T, 2000), probes=(sigma_x,)
     )
     rep = oqsl_state_independent(sigma_x, traj)
     assert rep.T_qsl == pytest.approx(T, abs=1e-5)
@@ -404,7 +404,7 @@ def test_state_independent_dephasing_saturates():
 
 def test_state_independent_conserved():
     traj = evolve_unitary_heisenberg(
-        sigma_z, UnitaryGenerator(sigma_z), PLUS, TimeGrid(0.0, 1.0, 100), probes=(sigma_z,)
+        sigma_z, UnitaryGenerator(sigma_z), PLUS, TimeGrid(1.0, 100), probes=(sigma_z,)
     )
     assert oqsl_state_independent(sigma_z, traj).T_qsl == 0.0
 
@@ -419,7 +419,7 @@ def test_state_independent_validity_random(rng):
         O = oracles.random_hermitian(rng, dim)
         rho = DensityState.pure(oracles.random_ket(rng, dim))
         T = float(rng.uniform(0.3, 1.0))
-        traj = evolve_lindblad_heisenberg(O, gen, rho, TimeGrid(0.0, T, 800), probes=(O,))
+        traj = evolve_lindblad_heisenberg(O, gen, rho, TimeGrid(T, 800), probes=(O,))
         assert oqsl_state_independent(O, traj).T_qsl <= T + 1e-6
 
 
@@ -436,11 +436,11 @@ def test_state_independent_on_a_prefix_equals_a_fresh_evolution(route):
     else:
         jump = oracles.random_matrix(rng, dim, 0.5)
         gen, evolve = LindbladGenerator(H, jumps=((jump, 0.6),)), evolve_lindblad_heisenberg
-    grid, ids = TimeGrid(0.0, 1.2, 60), ("STATE_INDEP",)
+    grid, ids = TimeGrid(1.2, 60), ("STATE_INDEP",)
     whole = EvalContext(gen, grid, O, rho, evolve, ids=ids).traj
     for k in (2, 23, 60):
         ours = oqsl_state_independent(O, whole.prefix(k))
-        (fresh,) = evaluate_all(EvalContext(gen, TimeGrid(0.0, float(grid.times()[k]), k), O, rho, evolve, ids=ids))
+        (fresh,) = evaluate_all(EvalContext(gen, TimeGrid(float(grid.times()[k]), k), O, rho, evolve, ids=ids))
         assert ours.T == fresh.T and ours.T_qsl > 0.0
         assert ours.T_qsl == pytest.approx(fresh.T_qsl, rel=1e-12, abs=0.0)
 
@@ -450,7 +450,7 @@ def test_state_independent_on_a_prefix_equals_a_fresh_evolution(route):
 
 
 def test_battery_degenerate_case_exact_zeros():
-    grid = TimeGrid(0.0, np.pi / 4.0, 500)
+    grid = TimeGrid(np.pi / 4.0, 500)
     ct1, ct2 = battery_bounds(sigma_z, sigma_z, PLUS, grid)
     assert ct1.T_qsl == 0.0
     assert ct2.T_qsl == 0.0
@@ -458,12 +458,12 @@ def test_battery_degenerate_case_exact_zeros():
     HT = 2.0 * sigma_z
     ptraj = evolve_unitary_heisenberg(PLUS.matrix.copy(), UnitaryGenerator(HT), PLUS, grid)
     pT = float(np.clip(ptraj.expect[-1], 0.0, 1.0))
-    smt = state_qsl_projector(1.0, pT, float(np.sqrt(variance(HT, PLUS))), grid.duration)
+    smt = state_qsl_projector(1.0, pT, float(np.sqrt(variance(HT, PLUS))), grid.T)
     assert smt.T_qsl >= 0.5
 
 
 def test_battery_no_charging_field():
-    grid = TimeGrid(0.0, 1.0, 200)
+    grid = TimeGrid(1.0, 200)
     ct1, ct2 = battery_bounds(sigma_z, np.zeros((2, 2)), PLUS, grid)
     assert ct1.T_qsl == 0.0
     assert ct2.T_qsl == 0.0
@@ -471,7 +471,7 @@ def test_battery_no_charging_field():
 
 def test_battery_charging_protocol_validity():
     T = 1.0
-    grid = TimeGrid(0.0, T, 1000)
+    grid = TimeGrid(T, 1000)
     ct1, ct2 = battery_bounds(sigma_z, sigma_x, DensityState.pure([0.0, 1.0]), grid)
     assert 0.0 < ct1.T_qsl <= T + 1e-6
     assert 0.0 < ct2.T_qsl <= T + 1e-6
@@ -479,7 +479,7 @@ def test_battery_charging_protocol_validity():
 
 def test_battery_ct2_requires_pure_state():
     with pytest.raises(ValidationError):
-        battery_bounds(sigma_z, sigma_x, oracles.maximally_mixed(2), TimeGrid(0.0, 1.0, 10))
+        battery_bounds(sigma_z, sigma_x, oracles.maximally_mixed(2), TimeGrid(1.0, 10))
 
 
 def test_battery_mixed_state_is_rejected_before_anything_evolves(monkeypatch):
@@ -487,7 +487,7 @@ def test_battery_mixed_state_is_rejected_before_anything_evolves(monkeypatch):
 
     monkeypatch.setattr(oqsl.bounds, "evolve_unitary_heisenberg", None)
     with pytest.raises(ValidationError, match="BATTERY_CT2 requires a pure initial state"):
-        battery_bounds(sigma_z, sigma_x, oracles.maximally_mixed(2), TimeGrid(0.0, 1.0, 10))
+        battery_bounds(sigma_z, sigma_x, oracles.maximally_mixed(2), TimeGrid(1.0, 10))
 
 
 BATTERY_PAIR = ("BATTERY_CT1", "BATTERY_CT2")
@@ -505,8 +505,8 @@ def test_battery_pair_matches_its_own_evaluator(dim, seed, eigenstate):
         HC = np.diag(rng.uniform(-1.0, 1.0, dim)) - HB
     H = HB + HC
     rho = DensityState.pure(np.eye(dim)[0] if eigenstate else oracles.random_ket(rng, dim))
-    grid, hbar, tol = TimeGrid(0.0, 1.0, 200), 1.0, 1e-9
-    traj = evolve_unitary_heisenberg(HB, UnitaryGenerator(H, hbar, tol), rho, grid, tol)
+    grid, hbar, tol = TimeGrid(1.0, 200), 1.0, 1e-9
+    traj = evolve_unitary_heisenberg(HB, UnitaryGenerator(H, hbar, tol), rho, grid)
     reports = battery_bounds(HB, HC, rho, grid, hbar, tol)
     for report, expected in zip(reports, oracles.battery_core(traj, HB, HC, rho, hbar, tol), strict=True):
         assert (report.bound_id, report.T_qsl, report.details) == (expected.bound_id, expected.T_qsl, expected.details)
@@ -515,11 +515,11 @@ def test_battery_pair_matches_its_own_evaluator(dim, seed, eigenstate):
     # as the CLI reads a file: H is given and the charging field is H - HB,
     # so the oracle's HB + (H - HB) may differ from H in the last digits
     gen = UnitaryGenerator(H, hbar, tol)
-    ctx = EvalContext(gen, grid, HB, rho, evolve_unitary_heisenberg, tol=tol, ids=BATTERY_PAIR)
+    ctx = EvalContext(gen, grid, HB, rho, evolve_unitary_heisenberg, ids=BATTERY_PAIR)
     expected_pair = oracles.battery_core(ctx.traj, HB, H - HB, rho, hbar, tol)
     for report, expected in zip(evaluate_all(ctx), expected_pair, strict=True):
         assert report.bound_id == expected.bound_id
-        assert report.T_qsl == pytest.approx(expected.T_qsl, rel=1e-14, abs=1e-14 * grid.duration)
+        assert report.T_qsl == pytest.approx(expected.T_qsl, rel=1e-14, abs=1e-14 * grid.T)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +531,7 @@ def test_correlation_starts_at_variance(rng):
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     H = oracles.random_hermitian(rng, 3)
     traj = evolve_unitary_heisenberg(
-        A, UnitaryGenerator(H), rho, TimeGrid(0.0, 1.0, 50), probes=(correlation_probe(A, rho),)
+        A, UnitaryGenerator(H), rho, TimeGrid(1.0, 50), probes=(correlation_probe(A, rho),)
     )
     c0 = complex(two_time_correlation(A, traj, rho)[0])
     assert c0.real == pytest.approx(variance(A, rho), abs=1e-10)
@@ -539,7 +539,7 @@ def test_correlation_starts_at_variance(rng):
 
 
 def test_correlation_dephasing_identically_zero():
-    gen, grid = dephasing_generator(1.0), TimeGrid(0.0, 1.0, 200)
+    gen, grid = dephasing_generator(1.0), TimeGrid(1.0, 200)
     probes = lindblad_probes(sigma_x, None, PLUS, grid)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=probes)
     C = two_time_correlation(sigma_x, traj, PLUS)
@@ -550,7 +550,7 @@ def test_correlation_dephasing_identically_zero():
 
 
 def test_correlation_precession_phase():
-    grid = TimeGrid(0.0, 1.2, 800)
+    grid = TimeGrid(1.2, 800)
     traj = evolve_unitary_heisenberg(
         sigma_x, UnitaryGenerator(sigma_z), GROUND, grid, probes=(correlation_probe(sigma_x, GROUND),)
     )
@@ -560,13 +560,13 @@ def test_correlation_precession_phase():
 
 def test_correlation_rejects_mixed_state():
     mixed = oracles.maximally_mixed(2)
-    traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), mixed, TimeGrid(0.0, 1.0, 10))
+    traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), mixed, TimeGrid(1.0, 10))
     with pytest.raises(ValidationError):
         two_time_correlation(sigma_x, traj, mixed)
 
 
 def test_corr_qsl_commuting_case_zero():
-    grid = TimeGrid(0.0, 1.0, 100)
+    grid = TimeGrid(1.0, 100)
     traj = evolve_unitary_heisenberg(
         sigma_z, UnitaryGenerator(sigma_z), GROUND, grid, probes=(correlation_probe(sigma_z, GROUND),)
     )
@@ -578,7 +578,7 @@ def test_corr_qsl_commuting_case_zero():
 
 def test_corr_qsl_closed_value_and_validity():
     T = 1.2
-    grid = TimeGrid(0.0, T, 800)
+    grid = TimeGrid(T, 800)
     hbar = 1.0
     probes = (correlation_probe(sigma_x, GROUND),)
     traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z, hbar=hbar), GROUND, grid, probes=probes)
@@ -590,7 +590,7 @@ def test_corr_qsl_closed_value_and_validity():
 
 def test_corr_qsl_open_value_and_validity():
     T = 1.2
-    grid = TimeGrid(0.0, T, 800)
+    grid = TimeGrid(T, 800)
     traj = evolve_lindblad_heisenberg(
         sigma_x, dephasing_generator(1.0), GROUND, grid, probes=lindblad_probes(sigma_x, None, GROUND, grid)
     )
@@ -603,7 +603,7 @@ def test_corr_qsl_open_value_and_validity():
 
 def test_corr_qsl_zero_speed_inconsistency():
     # a correlation that changes along a trajectory whose speeds are all zero
-    grid, zeros = TimeGrid(0.0, 1.0, 4), np.zeros(5)
+    grid, zeros = TimeGrid(1.0, 4), np.zeros(5)
     traj = Trajectory("unitary", grid, zeros, zeros, zeros, zeros, 2)
     with pytest.raises(NumericError):
         corr_qsl(np.linspace(0.0, 1.0, 5).astype(complex), traj, 1.0)
@@ -625,7 +625,7 @@ def twoq_state():
 
 def test_commutator_closed_locality_toy():
     rho = twoq_state()
-    grid = TimeGrid(0.0, 1.2, 800)
+    grid = TimeGrid(1.2, 800)
     traj = evolve_unitary_heisenberg(
         TWOQ_A, UnitaryGenerator(TWOQ_H), rho, grid, probes=(commutator_probe(TWOQ_B, rho),)
     )
@@ -633,7 +633,7 @@ def test_commutator_closed_locality_toy():
     assert rep.bound_id == "COMM_CLOSED"
     assert rep.details["comm_expect_0"] <= 1e-12
     assert rep.details["comm_expect_T"] > 0.01
-    assert 0.0 < rep.T_qsl <= grid.duration + 1e-6
+    assert 0.0 < rep.T_qsl <= grid.T + 1e-6
 
 
 def test_commutator_closed_commuting_pair_zero():
@@ -641,7 +641,7 @@ def test_commutator_closed_commuting_pair_zero():
     rho = twoq_state()
     A = np.kron(np.eye(2), sigma_x)
     traj = evolve_unitary_heisenberg(
-        A, UnitaryGenerator(TWOQ_H), rho, TimeGrid(0.0, 1.0, 200), probes=(commutator_probe(TWOQ_B, rho),)
+        A, UnitaryGenerator(TWOQ_H), rho, TimeGrid(1.0, 200), probes=(commutator_probe(TWOQ_B, rho),)
     )
     rep = commutator_qsl(TWOQ_B, traj, rho)
     assert rep.T_qsl == 0.0
@@ -654,17 +654,17 @@ def test_commutator_open_validity():
         H=TWOQ_H,
         jumps=((oracles.random_matrix(r, 4, 0.4), 0.6),),
     )
-    grid = TimeGrid(0.0, 0.8, 800)
+    grid = TimeGrid(0.8, 800)
     traj = evolve_lindblad_heisenberg(TWOQ_A, gen, rho, grid, probes=lindblad_probes(TWOQ_A, TWOQ_B, rho, grid))
     rep = commutator_qsl(TWOQ_B, traj, rho)
     assert rep.bound_id == "COMM_OPEN"
     assert rep.details["comm_expect_0"] <= 1e-12
-    assert rep.T_qsl <= grid.duration + 1e-6
+    assert rep.T_qsl <= grid.T + 1e-6
 
 
 def test_commutator_requires_pure_state():
     mixed = oracles.maximally_mixed(4)
-    traj = evolve_unitary_heisenberg(TWOQ_A, UnitaryGenerator(TWOQ_H), mixed, TimeGrid(0.0, 1.0, 10))
+    traj = evolve_unitary_heisenberg(TWOQ_A, UnitaryGenerator(TWOQ_H), mixed, TimeGrid(1.0, 10))
     with pytest.raises(ValidationError):
         commutator_qsl(TWOQ_B, traj, mixed)
 
@@ -672,7 +672,7 @@ def test_commutator_requires_pure_state():
 def test_commutator_kind_must_match_trajectory():
     # a Kraus trajectory has neither a closed nor an open twin
     probes = (commutator_probe(sigma_z, PLUS), correlation_probe(sigma_x, PLUS))
-    traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, TimeGrid(0.0, 1.0, 10), probes=probes)
+    traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, TimeGrid(1.0, 10), probes=probes)
     with pytest.raises(ValidationError, match="COMM requires a unitary- or lindblad-kind trajectory"):
         commutator_qsl(sigma_z, traj, PLUS)
     with pytest.raises(ValidationError, match="CORR requires a unitary- or lindblad-kind trajectory"):
@@ -684,7 +684,7 @@ def test_commutator_kind_must_match_trajectory():
 
 
 def test_rate_audit_tight_qubit_saturates_robertson():
-    violations = rate_audit(audit_context(sigma_x, sigma_z, PLUS, TimeGrid(0.0, T_HALF_PI, 4000)))
+    violations = rate_audit(audit_context(sigma_x, sigma_z, PLUS, TimeGrid(T_HALF_PI, 4000)))
     assert abs(violations["RATE_ROBERTSON"]) <= 1e-5
     assert violations["RATE_HOLDER_OP"] <= 1e-6
 
@@ -694,7 +694,7 @@ def test_rate_audit_is_exact_where_robertson_saturates(steps):
     # O = sigma_x, H = sigma_z, |+>: |d<O>/dt| = 2 |sin 2t| = 2 dO dH at every
     # t, and the central difference of <O(t)> = cos 2t falls short of it by
     # 2 |sin 2t| (1 - sin 2h / 2h), up to (4/3) h^2
-    grid = TimeGrid(0.0, T_HALF_PI, steps)
+    grid = TimeGrid(T_HALF_PI, steps)
     ctx = audit_context(sigma_x, sigma_z, PLUS, grid)
     assert abs(rate_audit(ctx)["RATE_ROBERTSON"]) <= 1e-12
     exact = 2.0 * np.abs(np.sin(2.0 * grid.times()))
@@ -705,20 +705,20 @@ def test_rate_audit_is_exact_where_robertson_saturates(steps):
 
 
 def test_rate_audit_conserved_observable():
-    violations = rate_audit(audit_context(sigma_z, sigma_z, PLUS, TimeGrid(0.0, 1.0, 100)))
+    violations = rate_audit(audit_context(sigma_z, sigma_z, PLUS, TimeGrid(1.0, 100)))
     assert violations["RATE_ROBERTSON"] <= 0.0
     assert violations["RATE_HOLDER_OP"] <= 0.0
 
 
 def test_rate_audit_lindblad_cauchy_schwarz(rng):
     gen = dephasing_generator(1.0)
-    violations = rate_audit(audit_context(sigma_x, np.zeros((2, 2)), PLUS, TimeGrid(0.0, 1.0, 800), gen))
+    violations = rate_audit(audit_context(sigma_x, np.zeros((2, 2)), PLUS, TimeGrid(1.0, 800), gen))
     assert list(violations) == ["RATE_CS_HS"]
     assert violations["RATE_CS_HS"] <= 1e-6
 
 
 def test_rate_audit_rejects_undeclared_probe():
-    grid = TimeGrid(0.0, 1.0, 50)
+    grid = TimeGrid(1.0, 50)
     ctx = EvalContext(UnitaryGenerator(sigma_z), grid, sigma_x, PLUS, evolve_unitary_heisenberg)
     with pytest.raises(ValidationError, match="declared as a probe"):
         rate_audit(ctx)
@@ -726,7 +726,7 @@ def test_rate_audit_rejects_undeclared_probe():
 
 def test_rate_audit_mutation_hook_detects_sign_flip():
     # a negated dH flips the sign of the Robertson right-hand side
-    ctx = audit_context(sigma_x, sigma_z, PLUS, TimeGrid(0.0, T_HALF_PI, 500))
+    ctx = audit_context(sigma_x, sigma_z, PLUS, TimeGrid(T_HALF_PI, 500))
     ctx.delta_H = -ctx.delta_H
     assert rate_audit(ctx)["RATE_ROBERTSON"] > 0.1
 

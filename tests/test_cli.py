@@ -134,7 +134,7 @@ def test_bound_all_evolves_once_and_matches_battery_bounds(monkeypatch, tmp_path
     reports = {r["bound_id"]: r for r in json.loads(out)["reports"]}
     spec = parse_system(builtin_text("battery"))
     HB = spec.observable("HB")
-    ct1, ct2 = oqsl.bounds.battery_bounds(HB, spec.generator.H - HB, spec.initial_state, TimeGrid(0.0, 1.0, 1000))
+    ct1, ct2 = oqsl.bounds.battery_bounds(HB, spec.generator.H - HB, spec.initial_state, TimeGrid(1.0, 1000))
     assert reports["BATTERY_CT1"]["T_qsl"] == pytest.approx(ct1.T_qsl, rel=1e-12)
     assert reports["BATTERY_CT2"]["T_qsl"] == pytest.approx(ct2.T_qsl, rel=1e-12)
     assert reports["BATTERY_CT2"]["inputs_digest"] == ct2.inputs_digest
@@ -224,6 +224,49 @@ def test_bound_tol_reaches_the_generator(jump, tmp_path):
     assert code == 0, err
     code, out, err = run_cli(argv)
     assert code == 2 and "not Hermitian" in err
+
+
+def test_battery_ct1_is_stationary_where_mt_integral_does_not_apply(tmp_path):
+    # dH = 1e-7 lies between the default tolerance and 1e-6: at either --tol
+    # BATTERY_CT1 reads the spread as MT_INTEGRAL does, not as a tolerance
+    p = tmp_path / "near_stationary.sys"
+    p.write_text(
+        "[system]\ndim = 2\n[hamiltonian]\nmatrix = [[1, 1e-7], [1e-7, -1]]\n"
+        "[state]\nket = [1, 0]\n[observable O]\npauli = 1.0 X\n"
+    )
+    argv = ["bound", "--system", str(p), "--observable", "O", "--tmax", "1", "--format", "json"]
+    for tol in ("1e-9", "1e-6"):
+        code, out, err = run_cli(argv + ["--bounds", "MT_INTEGRAL,BATTERY_CT1", "--tol", tol])
+        assert code == 0, err
+        mt, ct1 = json.loads(out)["reports"]
+        assert ct1["bound_id"] == "BATTERY_CT1" and ct1["T_qsl"] == mt["T_qsl"] > 0
+        assert ct1["details"] == mt["details"]
+
+
+@pytest.mark.parametrize("tmax", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["bound", "evolve"])
+def test_a_horizon_that_is_not_positive_is_named(command, tmax, dephasing_path):
+    code, out, err = run_cli([command, "--system", dephasing_path, "--observable", "O", "--tmax", tmax])
+    assert (code, out) == (2, "")
+    assert err == f"error: the horizon T must be positive and finite, got {float(tmax)!r}\n"
+
+
+# a tabulated Kraus family whose completeness defect (1.0000001^2 - 1) lies
+# between the default tolerance and 1e-6
+KRAUS_DEFECT = "[system]\ndim = 2\nkind = kraus\n[state]\nket = [1, 0]\n[observable O]\npauli = 1.0 X\n" \
+    "[kraus]\nfamily = tabulated\n" + "".join(
+        f"time = {t}\nK = [[1.0000001, 0], [0, 1.0000001]]\nK = [[0, 0], [0, 0]]\n" for t in ("0.0", "0.5", "1.0"))
+
+
+def test_kraus_completeness_is_checked_within_tol_and_names_a_float_time(tmp_path):
+    p = tmp_path / "kraus_defect.sys"
+    p.write_text(KRAUS_DEFECT)
+    argv = ["bound", "--system", str(p), "--observable", "O", "--tmax", "1", "--steps", "2"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: Kraus completeness violated at t=0.0 (defect 2.000e-07)\n"
+    code, out, err = run_cli(argv + ["--tol", "1e-6"])
+    assert code == 0, err
 
 
 def test_bound_all_with_mixed_state_skips_pure_only_bounds(tmp_path):
@@ -409,7 +452,7 @@ def test_evolve_hbar_override_applies_to_lindblad(tmp_path):
     assert outputs["1"]["gen_speed_hs"] != outputs["2"]["gen_speed_hs"]
     spec = parse_system(builtin_text("qutrit_decay"))
     gen = LindbladGenerator(H=spec.generator.H, jumps=spec.generator.jumps, hbar=2.0)
-    traj = evolve_lindblad_heisenberg(spec.observable("C"), gen, spec.initial_state, TimeGrid(0.0, 1.0, 100))
+    traj = evolve_lindblad_heisenberg(spec.observable("C"), gen, spec.initial_state, TimeGrid(1.0, 100))
     assert outputs["2"]["expect"] == traj.expect.tolist()
     assert outputs["2"]["gen_speed_hs"] == traj.gen_speed_hs.tolist()
 

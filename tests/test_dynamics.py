@@ -70,11 +70,11 @@ def random_lindblad(rng, dim, n_jumps=2):
 
 def test_time_grid_validation():
     with pytest.raises(ValidationError):
-        TimeGrid(0.0, 0.0, 10)
+        TimeGrid(0.0, 10)
     for steps in (1, 2.5, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="integer steps >= 2"):
-            TimeGrid(0.0, 1.0, steps)
-    g = TimeGrid(0.0, 1.0, 4)
+            TimeGrid(1.0, steps)
+    g = TimeGrid(1.0, 4)
     assert g.h == pytest.approx(0.25)
     assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
     # built once per grid, and read-only, since every caller shares it
@@ -111,7 +111,7 @@ def test_time_dependent_dephasing_as_tabulated_kraus_family(tmp_path):
     # exp(-integral_0^t s ds) = exp(-t^2 / 2): the Kraus family
     # K0 = sqrt((1 + c) / 2) I, K1 = sqrt((1 - c) / 2) Z with c(t) = exp(-t^2 / 2),
     # tabulated on the evolve grid in a .sys file
-    grid = TimeGrid(0.0, 2.0, 400)
+    grid = TimeGrid(2.0, 400)
     lines = ["[system]", "dim = 2", "kind = kraus", "[state]", "ket = [1, 1]", "[observable X]", "pauli = 1.0 X",
              "[kraus]", "family = tabulated"]
     for t in grid.times().tolist():
@@ -159,7 +159,7 @@ def test_propagator_rejects_non_hermitian():
 
 
 def test_unitary_trajectory_pauli_rotation():
-    grid = TimeGrid(0.0, np.pi / 2, 500)
+    grid = TimeGrid(np.pi / 2, 500)
     traj = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, grid)
     assert np.abs(traj.expect - np.cos(2.0 * grid.times())).max() <= 1e-9
     # stddev itself is only sqrt(eps)-accurate where the variance vanishes
@@ -171,7 +171,7 @@ def test_unitary_trajectory_matches_propagator_route(rng):
     H = oracles.random_hermitian(rng, 3)
     O = oracles.random_hermitian(rng, 3)
     rho = DensityState.pure(oracles.random_ket(rng, 3))
-    grid = TimeGrid(0.0, 1.0, 10)
+    grid = TimeGrid(1.0, 10)
     traj = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, grid, probes=tuple(oracles.matrix_units(3)))
     Os = oracles.samples_from_probes(traj)
     for i, t in enumerate(grid.times()):
@@ -180,7 +180,7 @@ def test_unitary_trajectory_matches_propagator_route(rng):
 
 
 def test_conserved_observable_constant():
-    grid = TimeGrid(0.0, 2.0, 100)
+    grid = TimeGrid(2.0, 100)
     traj = evolve_unitary_heisenberg(sigma_z, UnitaryGenerator(sigma_z), PLUS, grid)
     assert np.abs(traj.expect - traj.expect[0]).max() == 0.0
 
@@ -191,7 +191,7 @@ def test_heisenberg_rate_matches_commutator(rng):
     O = oracles.random_hermitian(rng, 2)
     O = O / np.linalg.svd(O, compute_uv=False)[0]
     rho = DensityState.pure(oracles.random_ket(rng, 2))
-    grid = TimeGrid(0.0, 1.0, 2000)
+    grid = TimeGrid(1.0, 2000)
     traj = evolve_unitary_heisenberg(O, UnitaryGenerator(H), rho, grid, probes=(commutator(H, rho.matrix),))
     h = grid.h
     dexp = (traj.expect[2:] - traj.expect[:-2]) / (2 * h)
@@ -205,7 +205,7 @@ def test_unitary_spectrum_constant(rng):
     O = oracles.random_hermitian(rng, 4)
     rho = DensityState.pure(oracles.random_ket(rng, 4))
     traj = evolve_unitary_heisenberg(
-        O, UnitaryGenerator(H), rho, TimeGrid(0.0, 2.0, 50), probes=tuple(oracles.matrix_units(4))
+        O, UnitaryGenerator(H), rho, TimeGrid(2.0, 50), probes=tuple(oracles.matrix_units(4))
     )
     Os = oracles.samples_from_probes(traj)
     ref = np.linalg.eigvalsh(Os[0])
@@ -241,7 +241,7 @@ def test_adjoint_speed_closed_form():
 
 def test_lindblad_dephasing_closed_form():
     gen = dephasing_generator(1.0)
-    grid = TimeGrid(0.0, np.pi / 2, 1000)
+    grid = TimeGrid(np.pi / 2, 1000)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid, probes=tuple(oracles.matrix_units(2)))
     Os = oracles.samples_from_probes(traj)
     times = grid.times()
@@ -255,7 +255,7 @@ def test_lindblad_dephasing_closed_form():
 def test_lindblad_zero_rates_reduce_to_unitary(rng):
     H = oracles.random_hermitian(rng, 2)
     rho = DensityState.pure(oracles.random_ket(rng, 2))
-    grid = TimeGrid(0.0, np.pi / 2, 1000)
+    grid = TimeGrid(np.pi / 2, 1000)
     for hbar in (1.0, 2.0):
         gen = LindbladGenerator(H=H, jumps=((sigma_z, 0.0),), hbar=hbar)
         closed = UnitaryGenerator(H, hbar=hbar)
@@ -283,7 +283,7 @@ def test_rk4_fourth_order_convergence(take_rk4):
     gen = dephasing_generator(1.0)
     errors = {}
     for steps in (100, 200):
-        grid = TimeGrid(0.0, np.pi / 2, steps)
+        grid = TimeGrid(np.pi / 2, steps)
         traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
         errors[steps] = np.abs(traj.expect - np.exp(-grid.times())).max()
     ratio = errors[100] / errors[200]
@@ -335,27 +335,27 @@ def test_lindblad_instability_detected(take_rk4):
     take_rk4(2)
     gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
     with pytest.raises(NumericError):
-        evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 10))
+        evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(1.0, 10))
 
 
 def test_constant_rate_takes_exact_route():
     # the former RK4 inputs: the exact propagator has no step-size error
     gen = dephasing_generator(1.0)
     for steps in (100, 200):
-        grid = TimeGrid(0.0, np.pi / 2, steps)
+        grid = TimeGrid(np.pi / 2, steps)
         traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
         assert np.abs(traj.expect - np.exp(-grid.times())).max() <= 1e-12
 
 
 def test_exact_route_stable_at_huge_rate():
     gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
-    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(0.0, 1.0, 10), probes=tuple(oracles.matrix_units(2)))
+    traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(1.0, 10), probes=tuple(oracles.matrix_units(2)))
     for values in (oracles.samples_from_probes(traj), traj.expect, traj.stddev, traj.gen_speed_hs, traj.gen_speed_op):
         assert np.isfinite(values).all()
 
 
 def test_hermiticity_preserved_all_kinds(rng):
-    grid = TimeGrid(0.0, 1.0, 200)
+    grid = TimeGrid(1.0, 200)
     rho = DensityState.pure(oracles.random_ket(rng, 2))
     O = oracles.random_hermitian(rng, 2)
     H = oracles.random_hermitian(rng, 2)
@@ -374,7 +374,7 @@ def test_hermiticity_preserved_all_kinds(rng):
 
 def test_schrodinger_dephasing_off_diagonal_decay():
     gen = dephasing_generator(1.0)
-    grid = TimeGrid(0.0, np.pi / 2, 1000)
+    grid = TimeGrid(np.pi / 2, 1000)
     states = evolve_lindblad_schrodinger(PLUS, gen, grid)
     times = grid.times()
     errs = [
@@ -385,7 +385,7 @@ def test_schrodinger_dephasing_off_diagonal_decay():
 
 
 def test_schrodinger_samples_validated_as_one_stack(recwarn):
-    states = evolve_lindblad_schrodinger(PLUS, dephasing_generator(1.0), TimeGrid(0.0, 1.0, 100))
+    states = evolve_lindblad_schrodinger(PLUS, dephasing_generator(1.0), TimeGrid(1.0, 100))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert len(states) == 101
     assert all(s.purity == pytest.approx(np.trace(s.matrix @ s.matrix).real, abs=1e-15) for s in states)
@@ -403,7 +403,7 @@ def test_schrodinger_samples_validated_as_one_stack(recwarn):
 def test_schrodinger_diagonal_state_stationary():
     gen = dephasing_generator(1.0)
     rho0 = DensityState.from_matrix(np.diag([0.7, 0.3]).astype(complex))
-    states = evolve_lindblad_schrodinger(rho0, gen, TimeGrid(0.0, 1.0, 100))
+    states = evolve_lindblad_schrodinger(rho0, gen, TimeGrid(1.0, 100))
     assert np.abs(states[-1].matrix - rho0.matrix).max() <= 1e-12
 
 
@@ -414,7 +414,7 @@ def test_heisenberg_schrodinger_duality(dim, seed):
     gen = random_lindblad(r, dim)
     O = oracles.random_hermitian(r, dim)
     rho = DensityState.pure(oracles.random_ket(r, dim))
-    grid = TimeGrid(0.0, 1.0, 400)
+    grid = TimeGrid(1.0, 400)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid)
     states = evolve_lindblad_schrodinger(rho, gen, grid)
     lhs = np.array([np.trace(O @ s.matrix).real for s in states[:: grid.steps // 4]])
@@ -427,7 +427,7 @@ def test_heisenberg_schrodinger_duality(dim, seed):
 
 
 def test_kraus_dephasing_matches_lindblad_solution():
-    grid = TimeGrid(0.0, np.pi / 2, 1000)
+    grid = TimeGrid(np.pi / 2, 1000)
     traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, grid, probes=tuple(oracles.matrix_units(2)))
     times = grid.times()
     # O(t) = e^{-t} sigma_x: in |+>, <O(t)> = e^{-t} and dO(t) = 0
@@ -442,14 +442,14 @@ def test_kraus_single_unitary_reproduces_unitary():
     fam = FunctionKraus(
         lambda t: [oracles.expm_hermitian_oracle(sigma_z, -1j * t)], dim=2, n_ops=1
     )
-    grid = TimeGrid(0.0, 1.0, 200)
+    grid = TimeGrid(1.0, 200)
     a = evolve_kraus_heisenberg(sigma_x, fam, PLUS, grid)
     b = evolve_unitary_heisenberg(sigma_x, UnitaryGenerator(sigma_z), PLUS, grid)
     assert np.abs(a.expect - b.expect).max() <= 1e-10
 
 
 def test_kraus_identity_is_fixed_point():
-    grid = TimeGrid(0.0, 1.0, 100)
+    grid = TimeGrid(1.0, 100)
     traj = evolve_kraus_heisenberg(identity(2), DephasingKraus(1.3), PLUS, grid, probes=tuple(oracles.matrix_units(2)))
     assert np.abs(traj.expect - 1.0).max() <= 1e-12
     Os = oracles.samples_from_probes(traj)
@@ -466,11 +466,11 @@ def test_kraus_grid_batch_matches_per_sample_route(rng):
     fam = FunctionKraus(lambda t: oracles.expm_hermitian_oracle(H, -1j * t) @ K0, dim=3, n_ops=2)
     O = oracles.random_hermitian(rng, 3)
     rho = DensityState.pure(oracles.random_ket(rng, 3))
-    grid = TimeGrid(0.0, 0.9, 30)
+    grid = TimeGrid(0.9, 30)
     traj = evolve_kraus_heisenberg(O, fam, rho, grid, probes=tuple(oracles.matrix_units(3)))
     # the grid's exact domain: here t_29 + h rounds above t_30 = T, which must
     # not switch kraus_derivative to a one-sided difference at t_29
-    lo, hi = grid.t0, grid.t1
+    lo, hi = 0.0, grid.T
     Os = _kraus_samples(fam, O, grid.times())
     assert np.abs(traj.expect - np.einsum("tab,ba->t", Os, rho.matrix).real).max() <= 1e-12
     assert np.abs(traj.stddev**2 - oracles.three_operand_stddev(Os, rho.matrix) ** 2).max() <= 1e-12
@@ -535,7 +535,7 @@ def test_two_by_two_closed_form_matches_eigvalsh(hermitian, gram, shape, scale):
 
 
 def test_kraus_families_on_a_grid_match_per_time_calls():
-    times = TimeGrid(0.0, 3.0, 500).times()
+    times = TimeGrid(3.0, 500).times()
     K = DephasingKraus(1.7).operators(times)
     ref = np.array([oracles.dephasing_kraus_at(1.7, t) for t in times.tolist()])
     assert K.shape == ref.shape == (501, 2, 2, 2)
@@ -563,7 +563,7 @@ def test_spreads_match_three_operand_second_moment(rng):
     W = oracles.random_matrix(rng, 3)
     rho = DensityState.from_matrix(W @ W.conj().T / np.trace(W @ W.conj().T).real)
     O = oracles.random_hermitian(rng, 3)
-    grid = TimeGrid(0.0, 0.9, 30)
+    grid = TimeGrid(0.9, 30)
     Q, _ = np.linalg.qr(oracles.random_matrix(rng, 6))
     H, K0 = oracles.random_hermitian(rng, 3), Q[:, :3].reshape(2, 3, 3)
     fam = FunctionKraus(lambda t: oracles.expm_hermitian_oracle(H, -1j * t) @ K0, dim=3, n_ops=2)
@@ -579,12 +579,12 @@ def test_kraus_completeness_enforced():
         ops=[[0.9 * identity(2)], [0.9 * identity(2)], [0.9 * identity(2)]],
     )
     with pytest.raises(ValidationError):
-        evolve_kraus_heisenberg(sigma_x, bad, PLUS, TimeGrid(0.0, 1.0, 2))
+        evolve_kraus_heisenberg(sigma_x, bad, PLUS, TimeGrid(1.0, 2))
 
 
 def test_tabulated_kraus_grid_alignment():
     fam = DephasingKraus(1.0)
-    grid = TimeGrid(0.0, 1.0, 4)
+    grid = TimeGrid(1.0, 4)
     tab = TabulatedKraus(times=grid.times(), ops=[fam.operators(t) for t in grid.times()])
     a = evolve_kraus_heisenberg(sigma_x, tab, PLUS, grid)
     b = evolve_kraus_heisenberg(sigma_x, fam, PLUS, grid)
@@ -668,7 +668,7 @@ def test_no_trajectory_holds_a_sample_stack(kind, steps):
     dim = 2 if kind == "kraus" else 3
     O = oracles.random_hermitian(rng, dim)
     rho = DensityState.pure(oracles.random_ket(rng, dim))
-    grid, probes = TimeGrid(0.0, 1.0, steps), (O @ rho.matrix,)
+    grid, probes = TimeGrid(1.0, steps), (O @ rho.matrix,)
     if kind == "unitary":
         traj = evolve_unitary_heisenberg(
             O, UnitaryGenerator(oracles.random_hermitian(rng, dim)), rho, grid, probes=probes

@@ -76,7 +76,7 @@ def context(kind, system, hbar=1.0, T=1.0, V=None):
     """The context of system under the dynamics of its kind on [0, T], every
     operator conjugated by the unitary V when given."""
     conj = (lambda M: M) if V is None else (lambda M: V @ M @ V.conj().T)
-    grid = TimeGrid(0.0, T, STEPS)
+    grid = TimeGrid(T, STEPS)
     if kind == "unitary":
         gen = UnitaryGenerator(conj(system["H"]), hbar=hbar)
     elif kind == "lindblad":
@@ -150,7 +150,7 @@ def test_cli_hbar_with_doubled_hamiltonian_leaves_every_bound_unchanged(tmp_path
     rho = DensityState.pure(oracles.random_ket(rng, 3))
     tables = []
     for scale, hbar in ((1.0, None), (2.0, "2")):
-        spec = SystemSpec(3, LindbladGenerator(scale * H, (jump,)), rho, {"A": A, "B": B})
+        spec = SystemSpec(LindbladGenerator(scale * H, (jump,)), rho, {"A": A, "B": B})
         path = tmp_path / f"h{scale}.sys"
         path.write_text(serialize_system(spec), encoding="utf-8")
         argv = ["bound", "--system", str(path), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]

@@ -30,7 +30,7 @@ import oracles
 from oracles import lindblad_adjoint
 
 HBAR = 1.7
-GRID = TimeGrid(0.0, 0.6, 300)
+GRID = TimeGrid(0.6, 300)
 
 
 def _random_case(dim, seed=0, n_jumps=2):
@@ -71,7 +71,7 @@ def test_generator_speeds_match_matrix_form(dim):
     # so its reference is the matrix-form adjoint; d = EXACT_MAX_DIM + 1 takes
     # RK4 on the fused form, so its reference is the Kronecker Liouvillian
     gen, O, rho = _random_case(dim, seed=1)
-    grid = TimeGrid(0.0, 0.5, 20)
+    grid = TimeGrid(0.5, 20)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
     Os = oracles.samples_from_probes(traj)
     if dim <= EXACT_MAX_DIM:
@@ -86,7 +86,7 @@ def test_generator_speeds_match_matrix_form(dim):
 def test_rk4_route_above_crossover_matches_reference():
     dim = EXACT_MAX_DIM + 1
     gen, O, rho = _random_case(dim, seed=2)
-    grid = TimeGrid(0.0, 0.5, 40)
+    grid = TimeGrid(0.5, 40)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
     assert np.abs(oracles.samples_from_probes(traj) - _rk4_reference(gen, O, grid, True)).max() <= 1e-12
 
@@ -115,7 +115,7 @@ def test_rk4_speeds_are_the_generator_at_every_sample(take_rk4):
     # the RK4 route's speeds come from the first stage
     dim = EXACT_MAX_DIM + 1
     gen, O, rho = _random_case(dim, seed=4)
-    grid = TimeGrid(0.0, 1.0, 25)
+    grid = TimeGrid(1.0, 25)
     take_rk4(dim)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
     n = grid.steps + 1
@@ -143,7 +143,7 @@ def test_liouvillians_match_matrix_forms_and_are_adjoint():
 
 
 def test_audit_block_matches_per_trial_evolution(block_declares_units):
-    grid = TimeGrid(0.0, audit.LINDBLAD_T, 200)
+    grid = TimeGrid(audit.LINDBLAD_T, 200)
     for dim in (2, 3):
         trials = [audit._sample_trial(5, dim, i) for i in range(4)]
         audit._integrate_lindblad_block(trials, grid)
@@ -170,7 +170,7 @@ def test_audit_block_matches_per_trial_evolution(block_declares_units):
 def test_audit_block_keeps_no_state_stack():
     # of the Schrodinger samples only tr(O rho(t)) is kept, and of the
     # observable samples only the trajectory's series
-    grid = TimeGrid(0.0, audit.LINDBLAD_T, 50)
+    grid = TimeGrid(audit.LINDBLAD_T, 50)
     for dim in (2, 3):
         trials = [audit._sample_trial(5, dim, i) for i in range(3)]
         audit._integrate_lindblad_block(trials, grid)
@@ -201,9 +201,9 @@ def _no_kernel(monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 17])
 def test_final_state_matches_expm_of_liouvillian(dim, n_jumps, monkeypatch):
     gen, _, rho = _random_case(dim, seed=5, n_jumps=n_jumps)
-    grid = TimeGrid(0.0, 2.5, 100)
+    grid = TimeGrid(2.5, 100)
     _no_kernel(monkeypatch)  # the action route, with no fallback
-    ref = _expm_reference(gen, rho, grid.duration)
+    ref = _expm_reference(gen, rho, grid.T)
     rho_T = lindblad_final_state(rho, gen, grid)
     assert np.abs(rho_T.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -212,7 +212,7 @@ def test_final_state_matches_expm_of_liouvillian(dim, n_jumps, monkeypatch):
 def test_final_state_matches_last_trajectory_sample(dim):
     # d <= EXACT_MAX_DIM: the exact propagator's last sample; above it, RK4's
     gen, _, rho = _random_case(dim, seed=6)
-    grid = TimeGrid(0.0, 1.0, 1000)
+    grid = TimeGrid(1.0, 1000)
     rho_T = lindblad_final_state(rho, gen, grid)
     last = evolve_lindblad_schrodinger(rho, gen, grid)[-1]
     assert np.abs(rho_T.matrix - last.matrix).max() <= 1e-12
@@ -226,11 +226,11 @@ PLUS = DensityState.pure([1.0, 1.0])
     "gen, rho, grid",
     [
         # stiff: the series would need more generator calls than RK4 on 10 steps
-        (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(0.0, 1.0, 10)),
+        (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(1.0, 10)),
         # so would it at d = EXACT_MAX_DIM + 1 on 10 steps, where the kernel takes RK4
-        (*_random_case(EXACT_MAX_DIM + 1, seed=7)[::2], TimeGrid(0.0, 1.0, 10)),  # (gen, rho)
+        (*_random_case(EXACT_MAX_DIM + 1, seed=7)[::2], TimeGrid(1.0, 10)),  # (gen, rho)
         # T ||L|| overflows
-        (dephasing_generator(1.0), PLUS, TimeGrid(0.0, 1e308, 10)),
+        (dephasing_generator(1.0), PLUS, TimeGrid(1e308, 10)),
     ],
     ids=["stiff", "ramp", "huge-T"],
 )
@@ -243,7 +243,7 @@ def test_final_state_falls_back_to_the_kernel(gen, rho, grid, take_rk4):
 
 def test_final_state_memory_does_not_grow_with_steps():
     gen, _, rho = _random_case(2, seed=8)
-    grid = TimeGrid(0.0, 1.0, 10**6)  # a trajectory would hold 64 MB
+    grid = TimeGrid(1.0, 10**6)  # a trajectory would hold 64 MB
     tracemalloc.start()
     try:
         lindblad_final_state(rho, gen, grid)

@@ -26,7 +26,7 @@ from oqsl.dynamics import (
     lindblad_chunks,
     trajectories,
 )
-from oqsl.linalg import DEFAULT_TOL, DensityState, NumericError, ValidationError, mat_exp, op_norm
+from oqsl.linalg import DensityState, NumericError, ValidationError, mat_exp, op_norm
 
 import oracles
 
@@ -69,7 +69,7 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
     # the matrix units too, so that O(t) is rebuilt from their series
     units = tuple(oracles.matrix_units(dim))
     probes = [(correlation_probe(O, rho), commutator_probe(B, rho), *units) for _, O, B, rho in cases]
-    grid = TimeGrid(0.0, 0.1, steps)
+    grid = TimeGrid(0.1, steps)
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * batch * dim * dim)
     starts = [start for start, _, _ in lindblad_chunks(gens, O0s, grid, heisenberg=True)]
     # steps + 1 samples; a one-sample remainder joins the chunk before it
@@ -112,7 +112,7 @@ def test_exact_step_matches_einsum_step(dim, batch, heisenberg):
     gens = [c[0] for c in cases]
     assert dim <= EXACT_MAX_DIM  # the exact route
     y0s = np.stack([c[1] if heisenberg else c[3].matrix for c in cases])
-    grid = TimeGrid(0.0, 2.0, 300)
+    grid = TimeGrid(2.0, 300)
     samples = np.concatenate([s for _, s, _ in lindblad_chunks(gens, y0s, grid, heisenberg)], axis=1)
     ref = oracles.einsum_exact_samples(gens, y0s, grid, heisenberg)
     scale = np.abs(ref).max(axis=(-2, -1))
@@ -135,14 +135,14 @@ def _kraus_family(name, grid, seed=5):
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("name", ["dephasing", "tabulated"])
 def test_streamed_kraus_equals_whole_grid_kernel(name, steps, monkeypatch):
-    grid = TimeGrid(0.0, 0.6, steps)
+    grid = TimeGrid(0.6, steps)
     family = _kraus_family(name, grid)
     rng = np.random.default_rng([steps, family.dim])
     O = oracles.random_hermitian(rng, family.dim)
     W = oracles.random_matrix(rng, family.dim)
     rho = DensityState.from_matrix(W @ W.conj().T / np.trace(W @ W.conj().T).real)
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * family.dim**2 * (4 * family.n_ops + 1))
-    starts = [start for start, _, _ in dynamics._kraus_chunks([family], O[None], grid, DEFAULT_TOL)]
+    starts = [start for start, _, _ in dynamics._kraus_chunks([family], O[None], grid)]
     assert starts == {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
 
     units = tuple(oracles.matrix_units(family.dim))
@@ -156,12 +156,24 @@ def test_streamed_kraus_equals_whole_grid_kernel(name, steps, monkeypatch):
         assert np.abs(samples[0] - O).max() > 0.1  # O(t0) is evolved
 
 
+def test_a_kraus_batch_checks_each_family_within_its_own_tol():
+    grid, rho = TimeGrid(1.0, 2), DensityState.pure([1.0, 0.0])
+    # a completeness defect of 1.0000001^2 - 1 = 2e-7, within 1e-6 only
+    ops = [[1.0000001 * np.eye(2), np.zeros((2, 2))]] * 3
+    O0s = np.stack([np.diag([1.0, -1.0])] * 2)
+    loose = TabulatedKraus(grid.times(), ops, tol=1e-6)
+    trajectories([DephasingKraus(1.0), loose], O0s, [rho] * 2, grid, [()] * 2)
+    strict = TabulatedKraus(grid.times(), ops)
+    with pytest.raises(ValidationError, match=r"^Kraus completeness violated at t=0.0 \(defect 2.000e-07\)$"):
+        trajectories([DephasingKraus(1.0, tol=1e-6), strict], O0s, [rho] * 2, grid, [()] * 2)
+
+
 @pytest.mark.parametrize("kinds", [("lindblad", "kraus"), ("unitary",)], ids=["mixed", "unitary"])
 def test_a_batch_of_another_kind_than_one_open_kind_is_refused(kinds):
     rho = DensityState.pure([1.0, 1.0])
     gens = {"lindblad": _case(2, 0)[0], "kraus": DephasingKraus(1.0), "unitary": UnitaryGenerator(np.eye(2))}
     batch = [gens[kind] for kind in kinds]
-    O0s, grid, n = np.stack([np.eye(2)] * len(batch)), TimeGrid(0.0, 0.5, 10), len(batch)
+    O0s, grid, n = np.stack([np.eye(2)] * len(batch)), TimeGrid(0.5, 10), len(batch)
     with pytest.raises(ValidationError, match=f"one open kind, got {', '.join(sorted(kinds))}$"):
         trajectories(batch, O0s, [rho] * n, grid, [()] * n)
 
@@ -169,7 +181,7 @@ def test_a_batch_of_another_kind_than_one_open_kind_is_refused(kinds):
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("name", ["dephasing", "tabulated"])
 def test_batched_kraus_equals_per_family_kernel(name, steps, monkeypatch):
-    grid = TimeGrid(0.0, 0.6, steps)
+    grid = TimeGrid(0.6, steps)
     if name == "dephasing":
         families = [DephasingKraus(gamma) for gamma in (0.4, 1.3, 2.2)]
     else:
@@ -179,7 +191,7 @@ def test_batched_kraus_equals_per_family_kernel(name, steps, monkeypatch):
     O0s = np.stack([oracles.random_hermitian(rng, d) for _ in families])
     rhos = [DensityState.pure(oracles.random_ket(rng, d)) for _ in families]
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * len(families) * d * d * (4 * n_ops + 1))
-    chunks = list(dynamics._kraus_chunks(families, O0s, grid, DEFAULT_TOL))
+    chunks = list(dynamics._kraus_chunks(families, O0s, grid))
     starts = {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
     assert [c[0] for c in chunks] == starts
     samples, speeds = (np.concatenate([c[i] for c in chunks], axis=1) for i in (1, 2))
@@ -202,7 +214,7 @@ def test_kraus_working_set_stays_within_two_chunks():
     O, rho = oracles.random_hermitian(np.random.default_rng(2), 2), DensityState.pure([1.0, 1.0])
     tracemalloc.start()
     try:
-        evolve_kraus_heisenberg(O, gen, rho, TimeGrid(0.0, 1.0, steps))
+        evolve_kraus_heisenberg(O, gen, rho, TimeGrid(1.0, steps))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,7 +233,7 @@ def test_kraus_memory_grows_only_by_the_scalar_series():
     def peak(steps):
         tracemalloc.start()
         try:
-            evolve_kraus_heisenberg(O, gen, rho, TimeGrid(0.0, 1.0, steps))
+            evolve_kraus_heisenberg(O, gen, rho, TimeGrid(1.0, steps))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -233,7 +245,7 @@ def test_kraus_memory_grows_only_by_the_scalar_series():
 @pytest.mark.parametrize("steps", [CHUNK, 2 * CHUNK + 1])
 def test_audit_block_equals_full_stack_reductions(steps, monkeypatch, block_declares_units):
     trials = [audit._sample_trial(3, 2, i) for i in range(3)]
-    grid = TimeGrid(0.0, audit.LINDBLAD_T, steps)
+    grid = TimeGrid(audit.LINDBLAD_T, steps)
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * len(trials) * 4)
     audit._integrate_lindblad_block(trials, grid)
     gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
@@ -257,7 +269,7 @@ def test_speeds_match_the_gram_norms_they_replaced(dim, rk4, monkeypatch, take_r
         take_rk4(dim)
     cases = [_case(dim, seed) for seed in range(3)]
     gens, O0s = [c[0] for c in cases], np.stack([c[1] for c in cases])
-    grid = TimeGrid(0.0, 0.5, 40)
+    grid = TimeGrid(0.5, 40)
     trajs = trajectories(gens, O0s, [c[3] for c in cases], grid, [()] * 3)
     monkeypatch.setattr(oracles, "_norms", oracles.gram_norms)
     _, ref = oracles.propagate_lindblad(gens, O0s, grid, heisenberg=True)
@@ -273,7 +285,7 @@ def test_exact_route_blow_up_raises_without_warnings(heisenberg, monkeypatch):
     # the one chunk, which is checked before its speeds are taken
     gen, O, _, rho = _case(3, seed=11)
     monkeypatch.setattr(dynamics, "mat_exp", lambda A: 10.0 * mat_exp(A))
-    grid = TimeGrid(0.0, 1.0, 400)
+    grid = TimeGrid(1.0, 400)
     with pytest.raises(NumericError, match="unstable"):
         if heisenberg:
             evolve_lindblad_heisenberg(O, gen, rho, grid)
@@ -334,7 +346,7 @@ def test_production_paths_build_no_sample_stack(tmp_path, monkeypatch):
 def test_observable_evolution_holds_no_sample_stack():
     # d = 32 takes the RK4 route; the stack of 1001 samples alone is 16.4 MB
     gen, O, _, rho = _case(32, seed=9)
-    grid = TimeGrid(0.0, 1.0, 1000)
+    grid = TimeGrid(1.0, 1000)
     tracemalloc.start()
     try:
         evolve_lindblad_heisenberg(O, gen, rho, grid)
@@ -346,7 +358,7 @@ def test_observable_evolution_holds_no_sample_stack():
 
 def test_undeclared_probes_and_interior_samples_raise():
     gen, O, B, rho = _case(3, seed=10)
-    grid = TimeGrid(0.0, 0.7, 60)
+    grid = TimeGrid(0.7, 60)
     declared = correlation_probe(O, rho)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=(declared,))
     ref, _ = oracles.propagate_lindblad([gen], O[None], grid, heisenberg=True)

@@ -41,7 +41,7 @@ def _unitary_case(rng, dim=4):
     H = oracles.random_hermitian(rng, dim)
     O = oracles.random_hermitian(rng, dim)
     rho = DensityState.pure(oracles.random_ket(rng, dim))
-    return H, O, rho, TimeGrid(0.0, 1.0, 200)
+    return H, O, rho, TimeGrid(1.0, 200)
 
 
 def _unitary_context(O, H, rho, grid, **slots):
@@ -66,7 +66,7 @@ def test_second_observable_matches_its_own_evolution(rng):
     ids=["non-hermitian", "non-finite", "wrong-dim"],
 )
 def test_second_observable_keeps_the_input_checks(M):
-    ctx = _unitary_context(sigma_x, sigma_z, DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 10))
+    ctx = _unitary_context(sigma_x, sigma_z, DensityState.pure([1.0, 1.0]), TimeGrid(1.0, 10))
     with pytest.raises(ValidationError):
         ctx.ends(M)
 
@@ -91,7 +91,7 @@ def test_a_bound_named_twice_is_an_error(rng):
 
 def test_context_memoizes_the_trajectory():
     calls = []
-    rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 100)
+    rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(1.0, 100)
 
     def evolve(*args, **kwargs):
         calls.append(1)
@@ -110,7 +110,7 @@ def test_context_reads_hbar_from_its_generator_as_the_cli_does():
     reports = json.loads(out.getvalue())["reports"]
     printed = [(r["bound_id"], r["T_qsl"], r["inputs_digest"], r["details"]) for r in reports]
     spec = parse_system(Path(TIGHT_QUBIT).read_text())
-    gen, grid = UnitaryGenerator(sigma_z, hbar=2.0), TimeGrid(0.0, 1.0, 1000)
+    gen, grid = UnitaryGenerator(sigma_z, hbar=2.0), TimeGrid(1.0, 1000)
     ctx = EvalContext(gen, grid, sigma_x, spec.initial_state, evolve_unitary_heisenberg, self_inverse=sigma_x)
     assert ctx.hbar == 2.0 and ctx.H is gen.H
     assert [(r.bound_id, r.T_qsl, r.inputs_digest, r.details) for r in evaluate_all(ctx)] == printed
@@ -119,7 +119,7 @@ def test_context_reads_hbar_from_its_generator_as_the_cli_does():
 
 
 def test_context_kind_follows_its_generator():
-    grid, rho = TimeGrid(0.0, 1.0, 20), DensityState.pure([1.0, 1.0])
+    grid, rho = TimeGrid(1.0, 20), DensityState.pure([1.0, 1.0])
     ops = np.broadcast_to(np.sqrt(0.5) * np.stack([np.eye(2), sigma_z]), (21, 2, 2, 2))
     ctx = EvalContext(TabulatedKraus(grid.times(), ops), grid, sigma_x, rho, evolve_kraus_heisenberg)
     assert ctx.kind == "kraus" and [s.id for s in bounds.select(ctx)] == ["KRAUS"]
@@ -209,7 +209,7 @@ def test_cli_rejects_observable_b_that_no_selected_bound_reads(monkeypatch):
 
 def test_probes_are_declared_by_the_bounds_that_read_them(rng):
     O, B = oracles.random_hermitian(rng, 3), oracles.random_hermitian(rng, 3)
-    pure, grid = DensityState.pure(oracles.random_ket(rng, 3)), TimeGrid(0.0, 1.0, 10)
+    pure, grid = DensityState.pure(oracles.random_ket(rng, 3)), TimeGrid(1.0, 10)
     lindblad, unitary = LindbladGenerator(O), UnitaryGenerator(O)
     # STATE_INDEP reads tr(O(t) O(0)), in every state
     indep, corr, comm = EvalContext(lindblad, grid, O, pure, None, B=B).probes
@@ -228,3 +228,14 @@ def test_probes_are_declared_by_the_bounds_that_read_them(rng):
     # the rate audit declares its probe last
     *_, rate = EvalContext(UnitaryGenerator(B), grid, O, pure, None, rates=True).probes
     assert np.array_equal(rate, 1j * (pure.matrix @ B - B @ pure.matrix))
+
+
+def test_a_context_checks_within_its_generators_tolerance():
+    # H is Hermitian only within 1e-7: its generator at tol 1e-6 accepts it,
+    # so every check the context makes, dH's included, must accept it too
+    H = sigma_z + np.array([[0.0, 1e-7], [0.0, 0.0]])
+    gen = UnitaryGenerator(H, tol=1e-6)
+    ctx = EvalContext(gen, TimeGrid(1.0, 100), sigma_x, DensityState.pure([1.0, 1.0]), evolve_unitary_heisenberg)
+    assert ctx.tol == 1e-6
+    reports = evaluate_all(ctx)
+    assert "MT_INTEGRAL" in [r.bound_id for r in reports] and all(r.valid for r in reports)

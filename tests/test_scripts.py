@@ -41,34 +41,63 @@ def test_every_bench_site_resolves_to_a_callable():
     assert sites and not missing
 
 
-# the spans that a traced `bound --bounds ALL` reaches on a built-in system
+def _bound_all(system, observable):
+    return ["bound", "--system", str(Path(oqsl.__file__).parent / "systems" / system), "--observable", observable,
+            "--tmax", "1", "--bounds", "ALL", "--format", "json"]
+
+
+# the argv of a traced run and the spans it reaches: `bound --bounds ALL` on
+# a built-in system, each scenario, and the audit, whose set is the same
+# whether or not its qutrit block runs in a forked child (untraced there)
 TRACED_SPANS = {
-    ("two_qubit.sys", "A"): {
+    "two_qubit.sys": (_bound_all("two_qubit.sys", "A"), {
         "sysdl.parse", "dynamics.evolve_unitary", "bounds.oqsl_generator_hs", "bounds.oqsl_purity_hs",
         "bounds.oqsl_min_norm", "bounds.oqsl_state_independent", "bounds.two_time_correlation", "bounds.corr_qsl",
-    },
-    ("qutrit_decay.sys", "N"): {
+    }),
+    "qutrit_decay.sys": (_bound_all("qutrit_decay.sys", "N"), {
         "sysdl.parse", "dynamics.evolve_lindblad_heisenberg", "bounds.oqsl_generator_hs",
         "bounds.oqsl_state_independent", "bounds.qsl_delcampo",
-    },
-    ("kraus_dephasing.sys", "O"): {"sysdl.parse", "dynamics.evolve_kraus", "bounds.oqsl_kraus"},
+    }),
+    "kraus_dephasing.sys": (
+        _bound_all("kraus_dephasing.sys", "O"), {"sysdl.parse", "dynamics.evolve_kraus", "bounds.oqsl_kraus"}
+    ),
+    "scenario-tight-qubit": (["scenario", "tight-qubit"], {
+        "scenarios.run_scenario", "dynamics.evolve_unitary", "bounds.oqsl_mt_integral", "bounds.oqsl_self_inverse",
+        "bounds.state_qsl_projector", "bounds.oqsl_purity_hs", "bounds.oqsl_min_norm",
+    }),
+    "scenario-dephasing": (["scenario", "dephasing"], {
+        "scenarios.run_scenario", "dynamics.evolve_lindblad_heisenberg", "dynamics.evolve_lindblad_schrodinger",
+        "bounds.oqsl_generator_hs", "bounds.qsl_delcampo",
+    }),
+    "scenario-battery-degenerate": (["scenario", "battery-degenerate"], {
+        "scenarios.run_scenario", "dynamics.evolve_unitary", "bounds.battery_bounds", "bounds.state_qsl_projector",
+    }),
+    "scenario-kraus-dephasing": (["scenario", "kraus-dephasing"], {
+        "scenarios.run_scenario", "dynamics.evolve_kraus", "bounds.oqsl_kraus",
+    }),
+    "audit": (["audit", "--trials", "2", "--seed", "1"], {
+        "audit.run_audit", "audit.sample_busy", "audit.lindblad_block", "audit.trial_eval_busy",
+        "dynamics.evolve_unitary", "bounds.oqsl_mt_integral", "bounds.oqsl_self_inverse",
+        "bounds.state_qsl_projector", "bounds.oqsl_purity_hs", "bounds.oqsl_generator_hs",
+        "bounds.oqsl_state_independent", "bounds.oqsl_min_norm", "bounds.two_time_correlation", "bounds.corr_qsl",
+        "bounds.commutator_qsl", "bounds.oqsl_kraus", "bounds.rate_audit",
+    }),
 }
 
 
-@pytest.mark.parametrize("system, observable", TRACED_SPANS, ids=[s for s, _ in TRACED_SPANS])
-def test_a_traced_run_reaches_its_spans(system, observable, tmp_path):
+@pytest.mark.parametrize("run", TRACED_SPANS)
+def test_a_traced_run_reaches_its_spans(run, tmp_path):
     # a site that resolves but is no longer called loses its span; without
     # bytecode, the traced entry writes nothing under bench/
+    argv, expected = TRACED_SPANS[run]
     spans = tmp_path / "spans.json"
     env = {**ENV, "OQSL_BENCH_SPANS": str(spans), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = ["bound", "--system", str(Path(oqsl.__file__).parent / "systems" / system), "--observable", observable,
-            "--tmax", "1", "--bounds", "ALL", "--format", "json"]
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "trace_entry.py"), *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(spans.read_text())
     assert record["unattached"] == []
-    assert {span[2] for span in record["spans"]} == TRACED_SPANS[system, observable]
+    assert {span[2] for span in record["spans"]} == expected
 
 
 def test_plot_dephasing_script_without_plot(tmp_path):
@@ -105,7 +134,7 @@ def test_output_digests_compares_numbers_to_tolerance(tmp_path):
     near = _save_dir(tmp_path / "near", dump(a=1.0 + 1e-13, zero=1e-15, digest="y"))
     proc = run_script("output_digests.py", "--compare", str(old), str(near))
     assert proc.returncode == 0, proc.stdout
-    assert proc.stdout.count("ok ") == 45 and "1.00e-13" in proc.stdout
+    assert proc.stdout.count("ok ") == 47 and "1.00e-13" in proc.stdout
 
     far = _save_dir(tmp_path / "far", dump(a=1.0 + 1e-10, only="audit"))
     proc = run_script("output_digests.py", "--compare", str(old), str(far))

@@ -267,6 +267,27 @@ def test_kraus_table_fault_is_its_only_diagnostic(text, line):
     assert diag.line == line
 
 
+def test_a_kraus_table_without_t0_is_a_diagnostic_at_its_first_time():
+    # every evolution starts at t = 0, so the table could never be read
+    text = KRAUS_TABLE + "time = 0.25\nK = [[1, 0], [0, 1]]\ntime = 0.5\nK = [[1, 0], [0, 1]]\n"
+    with pytest.raises(ParseError) as exc_info:
+        parse_system(text)
+    message = "the first tabulated time is 0.25, but every evolution starts at t = 0"
+    assert exc_info.value.diagnostics == [Diagnostic(8, 8, message)]
+    # within the lookup's own tolerance of 0, the table is read from there
+    spec = parse_system(text.replace("0.25", "1e-13"))
+    assert spec.generator.operators(0.0).shape == (1, 2, 2)
+
+
+def test_a_kraus_family_holds_the_parse_tolerance():
+    tabulated = KRAUS_TABLE + "time = 0.0\nK = [[1, 0], [0, 1]]\ntime = 0.5\nK = [[1, 0], [0, 1]]\n"
+    dephasing = "[system]\ndim = 2\n[state]\nket = [1, 0]\n[kraus]\nfamily = dephasing\ngamma = 1.0\n"
+    for text in (tabulated, dephasing):
+        assert parse_system(text).generator.tol == 1e-9
+        spec = parse_system(text, tol=1e-6)
+        assert (spec.generator.tol, spec.dim) == (1e-6, 2)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

@@ -47,7 +47,7 @@ CASES = {
     "hbar-d8": _random_case(8, 2.5),
     "hbar-degenerate-d4": _random_case(4, 0.4, degenerate=True),
 }
-GRID = TimeGrid(0.0, 1.3, 60)
+GRID = TimeGrid(1.3, 60)
 
 
 def _close(a, b, scale, tol=1e-11):
@@ -111,7 +111,7 @@ def test_undeclared_probes_and_interior_samples_raise(case):
 
 
 def test_trace_with_finds_a_probe_by_value():
-    rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(0.0, 1.0, 10)
+    rho, grid = DensityState.pure([1.0, 1.0]), TimeGrid(1.0, 10)
     declared = np.diag([1.0, -1.0])  # real entries, two of them zero
     traj = evolve_unitary_heisenberg(sigma_z, UnitaryGenerator(sigma_z), rho, grid, probes=(declared,))
     series = traj.trace_with(declared)
@@ -178,7 +178,7 @@ def test_unitary_bounds_stay_far_below_one_sample_stack():
     # d = 64 at 1000 steps: one (1001, 64, 64) complex array is 65.6 MB
     dim, steps = 64, 1000
     H, A, B, rho, _ = _random_case(dim, 1.0, seed=5)
-    grid = TimeGrid(0.0, 1.0, steps)
+    grid = TimeGrid(1.0, steps)
     tracemalloc.start()
     try:
         traj = evolve_unitary_heisenberg(
