@@ -8,10 +8,14 @@ that the Kraus kernel streams several chunks and a change at their
 boundaries shows, the canonical reprint of ``parse`` on
 the six built-in systems, and the ``--format json`` output of
 ``bound --bounds ALL`` and ``evolve`` and the reprint of ``parse`` on a
-d = 17 Lindblad system. No built-in system takes the Lindblad kernel's RK4
-route, so this one is written from a fixed seed into a temporary directory;
-``evolve`` prints every sample, so a change at the kernel's chunk boundaries
-shows, and ``parse`` reads and reprints its ~1,500 random matrix entries.
+d = 17 Lindblad system, and its ``evolve`` at ``--hbar`` STEPPER_HBAR. No
+built-in system takes the Lindblad kernel's Taylor stepper, the route above
+the exact one, so this one is written from a fixed seed into a temporary
+directory; ``evolve`` prints every sample, so a change at the kernel's chunk
+boundaries shows, and ``parse`` reads and reprints its ~1,500 random matrix
+entries. Every other trajectory on it takes the stepper's least degree, 4;
+only at STEPPER_HBAR does the degree rise (to 9), so only it shows a change
+to how the stepper picks or sums its terms.
 Last, the ``--format json`` output of ``evolve`` on a d = 3 Kraus system
 whose operators are tabulated on the evolve grid, also written from a fixed
 seed: only a tabulated family shows how the Kraus kernel stacks operators
@@ -94,16 +98,17 @@ BUILTIN_BOUNDS = (
     ("tight_qubit.sys", "O", None, 1.5707963),
 )
 SCENARIOS = ("tight-qubit", "dephasing", "battery-degenerate", "kraus-dephasing")
-# above the exact route's largest dimension (dynamics.EXACT_MAX_DIM = 16)
-RK4_FILE, RK4_DIM, RK4_SEED = "lindblad_17.sys", 17, 17
+# above the exact route's largest dimension (dynamics.EXACT_MAX_DIM = 16),
+# and an hbar at which the Taylor stepper there takes more than four terms a step
+STEPPER_FILE, STEPPER_DIM, STEPPER_SEED, STEPPER_HBAR = "lindblad_17.sys", 17, 17, 0.01
 # at least three chunks of dynamics.CHUNK_BYTES on kraus_dephasing.sys
 KRAUS_STEPS = 40000
 # a tabulated Kraus family on the evolve grid: --tmax TABLE_T at the default 1000 steps
 TABLE_FILE, TABLE_DIM, TABLE_SEED, TABLE_T, TABLE_STEPS = "kraus_table_3.sys", 3, 3, 1.0, 1000
-# (file, observable, --bounds) of the subset runs, each with --observable-b B; RK4_FILE is the generated one
-SUBSETS = (("two_qubit.sys", "A", "COMM_CLOSED,GENERATOR_HS"), (RK4_FILE, "A", "COMM_OPEN,GENERATOR_HS"))
+# (file, observable, --bounds) of the subset runs, each with --observable-b B; STEPPER_FILE is the generated one
+SUBSETS = (("two_qubit.sys", "A", "COMM_CLOSED,GENERATOR_HS"), (STEPPER_FILE, "A", "COMM_OPEN,GENERATOR_HS"))
 # the systems run again at --hbar HBAR: built-in ones with their BUILTIN_BOUNDS arguments
-HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys", RK4_FILE)
+HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys", STEPPER_FILE)
 # a qubit pair A = X, B = Y that does not commute, as a unitary and as a
 # Lindblad system with the jump Z at PAIR_RATE, each run at --hbar HBAR
 PAIR_FILES, PAIR_RATE = {"pair_unitary.sys": "unitary", "pair_lindblad.sys": "lindblad"}, 0.3
@@ -132,11 +137,11 @@ def _hermitian(rng, d: int) -> np.ndarray:
     return H / np.linalg.norm(H, 2)
 
 
-def rk4_system_text() -> str:
+def stepper_system_text() -> str:
     """A random d = 17 Lindblad system with two jumps at constant rates, a
     pure state, an observable A and B = A^2, which commutes with it."""
-    rng = np.random.default_rng(RK4_SEED)
-    d = RK4_DIM
+    rng = np.random.default_rng(STEPPER_SEED)
+    d = STEPPER_DIM
     H, A = _hermitian(rng, d), _hermitian(rng, d)
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     lines = ["[system]", f"dim = {d}", "kind = lindblad", "", "[hamiltonian]", f"matrix = {_matrix_literal(H)}"]
@@ -238,22 +243,23 @@ def commands(workdir: Path):
     yield f"evolve:kraus_dephasing.sys:{KRAUS_STEPS}", [
         "evolve", "--system", str(SYSTEMS / "kraus_dephasing.sys"), *evolve, "--steps", str(KRAUS_STEPS)
     ]
-    rk4 = ["--system", str(workdir / RK4_FILE), "--observable", "A", "--tmax", "1.0", "--format", "json"]
-    rk4_bound = ["bound", *rk4, "--observable-b", "B", "--bounds", "ALL"]
-    yield f"bound:{RK4_FILE}", rk4_bound
-    yield f"evolve:{RK4_FILE}", ["evolve", *rk4]
-    yield f"parse:{RK4_FILE}", ["parse", "--system", str(workdir / RK4_FILE)]
+    stepper = ["--system", str(workdir / STEPPER_FILE), "--observable", "A", "--tmax", "1.0", "--format", "json"]
+    stepper_bound = ["bound", *stepper, "--observable-b", "B", "--bounds", "ALL"]
+    yield f"bound:{STEPPER_FILE}", stepper_bound
+    yield f"evolve:{STEPPER_FILE}", ["evolve", *stepper]
+    yield f"evolve:{STEPPER_FILE}:hbar={STEPPER_HBAR!r}", ["evolve", *stepper, "--hbar", repr(STEPPER_HBAR)]
+    yield f"parse:{STEPPER_FILE}", ["parse", "--system", str(workdir / STEPPER_FILE)]
     table = ["--system", str(workdir / TABLE_FILE), "--observable", "A", "--tmax", repr(TABLE_T), "--format", "json"]
     yield f"evolve:{TABLE_FILE}", ["evolve", *table]
     for fname, obs, ids in SUBSETS:
-        path = workdir / fname if fname == RK4_FILE else SYSTEMS / fname
+        path = workdir / fname if fname == STEPPER_FILE else SYSTEMS / fname
         argv = ["--system", str(path), "--observable", obs, "--observable-b", "B", "--tmax", "1.0"]
         yield f"bound:{fname}:{ids}", ["bound", *argv, "--bounds", ids, "--format", "json"]
     for fname, obs, obs_b, tmax in BUILTIN_BOUNDS:
         if fname in HBAR_FILES:
             yield f"bound:{fname}:hbar={HBAR!r}", _bound_all(fname, obs, obs_b, tmax) + ["--hbar", repr(HBAR)]
-    if RK4_FILE in HBAR_FILES:
-        yield f"bound:{RK4_FILE}:hbar={HBAR!r}", rk4_bound + ["--hbar", repr(HBAR)]
+    if STEPPER_FILE in HBAR_FILES:
+        yield f"bound:{STEPPER_FILE}:hbar={HBAR!r}", stepper_bound + ["--hbar", repr(HBAR)]
     for fname in PAIR_FILES:
         argv = ["bound", "--system", str(workdir / fname), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]
         yield f"bound:{fname}:hbar={HBAR!r}", argv + ["--bounds", "ALL", "--hbar", repr(HBAR), "--format", "json"]
@@ -364,7 +370,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        (workdir / RK4_FILE).write_text(rk4_system_text(), encoding="utf-8")
+        (workdir / STEPPER_FILE).write_text(stepper_system_text(), encoding="utf-8")
         (workdir / TABLE_FILE).write_text(kraus_table_system_text(), encoding="utf-8")
         for fname, kind in PAIR_FILES.items():
             (workdir / fname).write_text(pair_system_text(kind), encoding="utf-8")

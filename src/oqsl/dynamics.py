@@ -22,19 +22,18 @@ so evolving a batch of observables holds O(steps) scalars per entry, one
 chunk and, on the exact Lindblad route, the d^4 propagators. Every jump
 rate is a constant float, so the route depends on the dimension alone: for
 d <= EXACT_MAX_DIM, :func:`lindblad_chunks` steps by one batched BLAS
-product with the exact propagator exp(h L); above it by RK4 on the fused
-form A y + y A^dag + sum_k gamma_k left_k y right_k, built once, whose
-first stage gives the speeds. Both routes take an observable's speeds, once per
-chunk, from L^dag[O(t)], which is Hermitian: its operator norm is its
-largest |eigenvalue|, in closed form for d = 2. An observable that is
+product with the exact propagator exp(h L); above it by a Taylor series on
+the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, built once,
+whose first term gives the speeds. Both routes take an observable's speeds,
+once per chunk, from L^dag[O(t)], which is Hermitian: its operator norm is
+its largest |eigenvalue|, in closed form for d = 2. An observable that is
 Hermitian only within ``tol`` is read, like ``numpy.linalg.eigvalsh`` reads
 it, through its lower triangle. The Kraus kernel calls each family on a
 chunk's times and one more on each side, so dK/dt is the central difference
 along the grid, one-sided at its ends, whatever the chunking.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
-the action of exp(T L) on rho0 by a Taylor series on the fused form
-(:func:`lindblad_final_state`), with no trajectory.
+that series on one cell of length T (:func:`lindblad_final_state`).
 """
 
 from __future__ import annotations
@@ -61,10 +60,12 @@ from .linalg import (
 INSTABILITY_LIMIT = 1e12
 # how far a state's trace may drift from 1 along a Lindblad evolution
 TRACE_TOL = 1e-8
-# the largest dimension at which Lindblad evolution takes the exact route;
-# at 1000 steps it beats RK4 up to d = 18 (README), but d = 17
-# stays the smallest RK4 dimension that the tests and digests pin
+# the largest dimension at which Lindblad evolution takes the exact route,
+# which at 1000 steps beats the Taylor stepper's four calls a step to d = 18 (README)
 EXACT_MAX_DIM = 16
+# the Taylor stepper's bound on a trajectory's summed truncation remainders
+# relative to ||y0||, its generator calls per grid cell, and its largest ||tau L||
+STEP_TOL, STEP_BUDGET, THETA = 1e-10, 32, 0.5
 # the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
 # working set, may take over the whole batch
 CHUNK_BYTES = 1 << 20
@@ -83,7 +84,7 @@ class TimeGrid:
             raise ValidationError(f"the horizon T must be positive and finite, got {float(T)!r}")
         if not (2 <= steps < math.inf and int(steps) == steps):  # NaN and inf fail the comparison
             raise ValidationError("grid requires an integer steps >= 2")
-        self.T, self.steps = T, steps
+        self.T, self.steps = T, int(steps)
 
     @property
     def h(self) -> float:
@@ -493,25 +494,25 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
 
     For d <= EXACT_MAX_DIM each step is one batched BLAS product with the
     exact propagator exp(h L), computed once per generator, and the speeds
-    apply L to each chunk. Above it the master equation is integrated by
-    fixed-step RK4 on the fused generator, whose first stage gives the
-    speeds. The exact route rejects a blow-up on every chunk and RK4 at
-    every step: an entry of y[b] above INSTABILITY_LIMIT
-    times max(1, max |y0[b]|), as the Heisenberg flow does not grow an
+    apply L to each chunk. Above it each step is a Taylor series on the fused
+    generator (:func:`_taylor_chunks`), whose first term gives the speeds.
+    The exact route rejects a blow-up on every chunk and the series at every
+    substep: an entry of y[b] above INSTABILITY_LIMIT times
+    max(1, max |y0[b]|), as the Heisenberg flow does not grow an
     observable's norm and a state's entries are at most 1; a state's trace
     is checked on every chunk.
     """
-    times = grid.times()
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
-    spans = _spans(times.size, 16 * B * d * d)
+    spans = _spans(grid.steps + 1, 16 * B * d * d)
     with np.errstate(over="ignore"):  # a huge observable's limit is the largest float
         limit = INSTABILITY_LIMIT * np.abs(y0).reshape(B, -1).max(axis=1)
     limit = np.clip(limit, INSTABILITY_LIMIT, np.finfo(float).max)
     if d <= EXACT_MAX_DIM:
         chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit)
     else:
-        chunks = _rk4_chunks(_fused_form(gens, heisenberg), y0, times[1] - times[0], spans, heisenberg, limit)
+        f = _fused_form(gens, heisenberg)
+        chunks = _taylor_chunks(f, y0, grid.h, *_taylor_order(gens, f, grid, trajectory=True), spans, heisenberg, limit)
     if heisenberg:
         yield from chunks  # which holds no chunk between yields
         return
@@ -574,30 +575,65 @@ def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool,
         yield start, out.reshape(B, end - start, d, d), speeds
 
 
-def _rk4_chunks(f, y: np.ndarray, h: float, spans, heisenberg: bool, limit):
-    """The chunks of :func:`lindblad_chunks` by classical RK4 of dy/dt = f(y)
-    with step h, a blow-up beyond ``limit`` checked at every step. The first
-    stage is f at the sample, so an observable's speeds there are the norms
-    of it, taken once per chunk."""
-    last = spans[-1][1] - 1
+def _taylor_chunks(f, y: np.ndarray, h: float, s: int, m: int, spans, heisenberg: bool, limit):
+    """The chunks of :func:`lindblad_chunks` by s substeps tau = h / s a step
+    h, each the degree-m Taylor series of exp(tau L) summed term by term on
+    the fused generator f (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
+    a blow-up beyond ``limit`` checked after each. A step's first term f(y)
+    gives the speeds, once per chunk; the last sample's takes one more call."""
+    tau, last = h / s, spans[-1][1] - 1
     for start, end in spans:
         out = np.empty((y.shape[0], end - start) + y.shape[1:], dtype=complex)
         k1s = np.empty_like(out) if heisenberg else None
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises at its step
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises at its substep
             for j, i in enumerate(range(start, end)):
                 out[:, j] = y
-                if i < last or heisenberg:
-                    k1 = f(y)
-                if heisenberg:
-                    k1s[:, j] = k1
-                if i == last:
-                    break
-                k2 = f(y + (0.5 * h) * k1)
-                k3 = f(y + (0.5 * h) * k2)
-                k4 = f(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                _check_stable(y, limit)
+                for r in range(s if i < last else 0):
+                    term, y = y, y.copy()
+                    for n in range(1, m + 1):
+                        term = f(term)
+                        if heisenberg and r + n == 1:
+                            k1s[:, j] = term
+                        term *= tau / n
+                        y += term
+                    _check_stable(y, limit)
+            if heisenberg and end - 1 == last:
+                k1s[:, -1] = f(y)
         yield start, out, _norms(k1s) if heisenberg else None
+
+
+def _taylor_order(gens, f, grid: TimeGrid, trajectory: bool):
+    """(s, m) for :func:`_taylor_chunks` to apply exp(h L), h the grid's step
+    on a ``trajectory``, else T: s = ceil(h beta / THETA) for the batch's
+    largest beta = ||A||_2 + ||A'||_2 + sum_k gamma_k ||L_k||_2^2 >= ||L||,
+    and m the least degree whose remainder bound (tau beta)^(m+1) / (m+1)!
+    e^(tau beta), tau = h / s, is 2^-53 per substep or, summed over a
+    trajectory, STEP_TOL, with m >= 4 there (no step below fourth order):
+    the flows contract the operator norm (Russo-Dye) and the trace norm, so
+    that sum bounds every sample's error relative to ||y0||. Past
+    STEP_BUDGET generator calls a cell: None, or NumericError on a
+    trajectory."""
+    h, budget, least = (grid.h, STEP_BUDGET, 4) if trajectory else (grid.T, STEP_BUDGET * grid.steps, 0)
+    A, Ad, _ = f.terms
+    hb, hbar = 0.0, gens[0].hbar
+    for b, gen in enumerate(gens):
+        M = np.stack([A[b], Ad[b], *(L for L, _ in gen.jumps)])
+        x = math.inf
+        if np.isfinite(M).all():  # else jumps so large that K overflows
+            norms = np.linalg.svd(M, compute_uv=False)[:, 0]
+            with np.errstate(over="ignore"):
+                x = h * (norms[0] + norms[1] + np.array([rate for _, rate in gen.jumps]) @ norms[2:] ** 2)
+        if not x <= hb:
+            hb, hbar = x, gen.hbar
+    if hb <= budget * THETA:  # not infinite, so neither hb / THETA nor ceil overflows
+        s = max(math.ceil(hb / THETA), 1)
+        m = max(taylor_degree(hb / s, STEP_TOL / (grid.steps * s) if trajectory else 2.0**-53), least)
+        if s * m <= budget:
+            return s, m
+    if trajectory:
+        raise NumericError(f"the Taylor stepper needs s m > {budget} applications of L per step h = {h!r}: "
+                           f"h beta = {hb:.6g} at hbar = {hbar!r}")
+    return None
 
 
 def _reduce_chunks(gens, chunks, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
@@ -685,59 +721,22 @@ def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid
 
 def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> DensityState:
     """The state rho(T) = exp(T L) rho0 at the end of the grid, with no
-    trajectory and no d^2 x d^2 matrix.
-
-    The action of exp(T L) is s equal substeps of a degree-m Taylor series
-    summed term by term on the fused generator (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 2011). With the bound
-    ||L|| <= ||A||_2 + ||A'||_2 + sum_k gamma_k ||L_k||_2^2 in the
-    Frobenius-induced norm, s = ceil(T ||L|| / theta) for theta = 1/2 and
-    m = taylor_degree(T ||L|| / s). When the series would apply L more
-    often than RK4 on the grid (s m > 4 steps, as for stiff rates), rho(T)
-    is the last sample of :func:`lindblad_chunks` instead.
-    Either way a blow-up is rejected, the trace is verified to 1e-8 and
-    rho(T) is validated within gen.tol, positivity loss beyond being a warning.
-    """
+    trajectory and no d^2 x d^2 matrix: :func:`_taylor_chunks` on one cell
+    of length T or, past STEP_BUDGET generator calls a grid step (stiff
+    rates), the last sample of :func:`lindblad_chunks`. Either way a blow-up
+    is rejected, the trace is verified to 1e-8 and rho(T) is validated
+    within gen.tol, positivity loss beyond being a warning."""
     _check_state(rho0, gen.dim)
     f = _fused_form([gen], heisenberg=False)
-    order = _action_order(gen, f, grid)
+    y0, order = rho0.matrix[None].astype(complex), _taylor_order([gen], f, grid, trajectory=False)
     if order is None:
-        for _, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], grid, heisenberg=False):
-            pass
-        rho = chunk[0, -1]
-    else:
-        s, m = order
-        h = grid.T / s
-        y = rho0.matrix[None].astype(complex)
-        for _ in range(s):
-            term, y = y, y.copy()
-            for j in range(1, m + 1):
-                term = f(term)
-                term *= h / j
-                y += term
-            _check_stable(y)
-        _check_trace(y)
-        rho = y[0]
-    return DensityState.from_matrix(rho, tol=gen.tol, on_indefinite="warn")
-
-
-def _action_order(gen: LindbladGenerator, f, grid: TimeGrid):
-    """The substeps s and degree m of the Taylor action of exp(T L), or None
-    when s m > 4 steps (RK4's generator calls)."""
-    A, Ad, _ = f.terms
-    M = np.stack([A[0], Ad[0], *(L for L, _ in gen.jumps)])
-    if not np.isfinite(M).all():  # jumps so large that K overflows
-        return None
-    theta, budget = 0.5, 4 * grid.steps
-    norms = np.linalg.svd(M, compute_uv=False)[:, 0]
-    with np.errstate(over="ignore"):
-        bound = norms[0] + norms[1] + np.array([rate for _, rate in gen.jumps]) @ norms[2:] ** 2
-        x = grid.T * bound / theta
-    if not x <= budget:  # an infinite norm included, before ceil can overflow
-        return None
-    s = max(math.ceil(x), 1)
-    m = taylor_degree(grid.T * bound / s)
-    return None if s * m > budget else (s, m)
+        chunks = lindblad_chunks([gen], y0, grid, heisenberg=False)
+    else:  # one step of length T, sampled at its two ends
+        chunks = _taylor_chunks(f, y0, grid.T, *order, [(0, 2)], False, INSTABILITY_LIMIT)
+    for _, chunk, _ in chunks:
+        pass
+    _check_trace(chunk[:, -1])
+    return DensityState.from_matrix(chunk[0, -1], tol=gen.tol, on_indefinite="warn")
 
 
 # ---------------------------------------------------------------------------

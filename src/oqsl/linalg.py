@@ -98,11 +98,11 @@ def tr_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
-def taylor_degree(theta: float) -> int:
+def taylor_degree(theta: float, target: float = 2.0**-53) -> int:
     """The least degree m whose Taylor remainder bound for e^X with
-    ||X|| <= theta, theta^(m+1) / (m+1)! e^theta, is at most 2^-53."""
+    ||X|| <= theta, theta^(m+1) / (m+1)! e^theta, is at most ``target``."""
     m, remainder = 0, theta * np.exp(theta)
-    while remainder > 2.0**-53:
+    while remainder > target:
         m += 1
         remainder *= theta / (m + 1)
     return m

@@ -10,9 +10,9 @@ def rng():
 
 
 @pytest.fixture
-def take_rk4(monkeypatch):
-    """A function that sends the Lindblad kernel at dimension d to the RK4
-    route, lowering dynamics.EXACT_MAX_DIM below d if need be, and makes any
+def take_stepper(monkeypatch):
+    """A function that sends the Lindblad kernel at dimension d to the Taylor
+    stepper, lowering dynamics.EXACT_MAX_DIM below d if need be, and makes any
     later call of the exact route fail the test."""
 
     def fail(*args, **kwargs):

@@ -60,6 +60,7 @@ from oqsl.dynamics import (
     _op_norms,
     _spans,
     _spread,
+    _taylor_order,
     liouvillian,
 )
 from oqsl.bounds import _mt_integral_core, _ratio, _report
@@ -443,10 +444,10 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
 
     For d <= dynamics.EXACT_MAX_DIM, each step is one batched mat-vec with
     the exact propagator exp(h L), computed once per generator, and the
-    speeds apply L to the samples. Above it the master equation is
-    integrated by fixed-step RK4 on the fused generator, whose first stage
-    gives the speeds. Both routes reject a blow-up, and a state's trace is
-    checked at every sample.
+    speeds apply L to the samples. Above it each step is s substeps of the
+    degree-m Taylor series on the fused generator, (s, m) as the kernel
+    picks them, whose first term gives the speeds. Both routes reject a
+    blow-up, and a state's trace is checked at every sample.
     """
     times = grid.times()
     y0 = np.asarray(y0, dtype=complex)
@@ -465,7 +466,9 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
             for b in range(B):
                 speeds[b] = _norms((out[b].reshape(-1, d * d) @ Lv[b].T).reshape(-1, d, d))
     else:
-        out = _rk4(_fused_form(gens, heisenberg), y0, times, speeds)
+        f = _fused_form(gens, heisenberg)
+        s, m = _taylor_order(gens, f, grid, trajectory=True)
+        out = _taylor(f, y0, grid.h / s, s, m, times.size, speeds)
     if not heisenberg:
         _check_trace(out)
     return out, speeds
@@ -485,28 +488,27 @@ def einsum_exact_samples(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool)
     return out.reshape(B, grid.steps + 1, d, d)
 
 
-def _rk4(f, y0: np.ndarray, times: np.ndarray, speeds: np.ndarray | None) -> np.ndarray:
-    """Classical fixed-step RK4 of dy/dt = f(y) on a batch y0 of shape
-    (B, d, d); returns the samples at every grid time, shape (B, n_times, d, d).
-    The first stage is f at the sample, so ``speeds`` (shape (B, n_times, 2)),
-    when given, takes the norms of f at every sample from it."""
-    n = times.size - 1
-    h = times[1] - times[0]
-    out = np.empty((y0.shape[0], n + 1) + y0.shape[1:], dtype=complex)
-    out[:, 0] = y0
-    y = y0
-    for i in range(n):
-        k1 = f(y)
-        if speeds is not None:
-            speeds[:, i] = _norms(k1)
-        k2 = f(y + (0.5 * h) * k1)
-        k3 = f(y + (0.5 * h) * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_stable(y)
-        out[:, i + 1] = y
+def _taylor(f, y0: np.ndarray, tau: float, s: int, m: int, n: int, speeds: np.ndarray | None) -> np.ndarray:
+    """n samples of dy/dt = f(y) on a batch y0 of shape (B, d, d), each step
+    s substeps tau of the degree-m Taylor series summed term by term; returns
+    the samples, shape (B, n, d, d). The first term of a step is f at the
+    sample, so ``speeds`` (shape (B, n, 2)), when given, takes the norms of f
+    at every sample from it."""
+    out = np.empty((y0.shape[0], n) + y0.shape[1:], dtype=complex)
+    out[:, 0] = y = y0
+    for i in range(1, n):
+        for r in range(s):
+            term, y = y, y.copy()
+            for j in range(1, m + 1):
+                term = f(term)
+                if speeds is not None and r == 0 and j == 1:
+                    speeds[:, i - 1] = _norms(term)
+                term *= tau / j
+                y += term
+            _check_stable(y)
+        out[:, i] = y
     if speeds is not None:
-        speeds[:, n] = _norms(f(y))
+        speeds[:, n - 1] = _norms(f(y))
     return out
 
 

@@ -116,7 +116,7 @@ def test_criterion_3_dephasing_dynamics():
     units = oracles.matrix_units(2)
     traj = evolve_lindblad_heisenberg(sigma_x, dephasing_generator(1.0), PLUS, grid, probes=tuple(units))
     Os = oracles.samples_from_probes(traj)
-    rk4_err = max(
+    lindblad_err = max(
         float(np.linalg.norm(Os[i] - np.exp(-times[i]) * sigma_x))
         for i in range(len(times))
     )
@@ -127,12 +127,12 @@ def test_criterion_3_dephasing_dynamics():
         float(np.abs(ktraj.expect - np.exp(-times)).max()),
         *(float(np.linalg.norm(kOs[k] - np.exp(-times[k]) * sigma_x)) for k in (0, -1)),
     )
-    ok = rk4_err <= 1e-8 and kraus_err <= 1e-9
+    ok = lindblad_err <= 1e-8 and kraus_err <= 1e-9
     report(
         3,
         "dephasing dynamics closed form",
         ok,
-        f"RK4 err {rk4_err:.2e} <= 1e-8, Kraus err {kraus_err:.2e} <= 1e-9",
+        f"Lindblad err {lindblad_err:.2e} <= 1e-8, Kraus err {kraus_err:.2e} <= 1e-9",
     )
 
 

@@ -426,7 +426,8 @@ def test_state_independent_validity_random(rng):
 @pytest.mark.parametrize("route", ["unitary", "lindblad-exact", "lindblad-rk4"])
 def test_state_independent_on_a_prefix_equals_a_fresh_evolution(route):
     # the registry's STATE_INDEP reads only the series of its declared probe,
-    # so a prefix to t_k serves it as an evolution to t_k alone does
+    # so a prefix to t_k serves it as an evolution to t_k alone does;
+    # "lindblad-rk4" is the Taylor stepper, which replaced RK4 above the exact route
     dim = EXACT_MAX_DIM + 1 if route == "lindblad-rk4" else 3
     rng = np.random.default_rng([dim, len(route)])
     H, O = oracles.random_hermitian(rng, dim, 0.7), oracles.random_hermitian(rng, dim)

@@ -348,8 +348,8 @@ def test_bound_parse_failure_exit_2(tmp_path):
 
 def test_bound_numeric_failure_exit_3(tmp_path):
     # .sys rates are constant, so the stiff jump is put on the smallest qubit
-    # register above the exact route's limit: RK4 integrates it, and 10 steps
-    # drive it unstable
+    # register above the exact route's limit: the Taylor stepper would need
+    # ~1e9 substeps a step, which its guard refuses
     n = EXACT_MAX_DIM.bit_length()
     dim = 2**n
     text = (
@@ -518,7 +518,7 @@ def test_overflowed_generator_speed_is_a_numeric_error(name, obs, command):
 
 
 def register_text(c=1.0, dim=32):
-    """A Lindblad register of log2(dim) qubits (the RK4 route at dim = 32, the
+    """A Lindblad register of log2(dim) qubits (the Taylor stepper at dim = 32, the
     exact one at dim = 2): H = X on the first qubit, the jump Z there at rate
     0.5, the all-ones ket, or [1, 0] on one qubit, and O = c Z there."""
     rest = "I" * (dim.bit_length() - 2)
@@ -545,6 +545,10 @@ def test_a_large_observable_is_not_unstable(tmp_path, dim):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (a, b)
 
 
+# the start of the Taylor stepper's refusal of a grid whose steps need too many generator calls
+STEPPER = "the Taylor stepper needs s m > 32 applications of L per step"
+
+
 @pytest.fixture
 def register_path(tmp_path):
     p = tmp_path / "register.sys"
@@ -557,10 +561,14 @@ def register_path(tmp_path):
     [
         (["bound", "dephasing", "O", "1e308", "--steps", "2"], "matrix exponential out of range"),
         (["bound", "qutrit_decay", "N", "1e308", "--steps", "2"], "matrix exponential out of range"),
-        (["bound", "REGISTER", "O", "1", "--hbar", "1e-150"], "integration became unstable"),
-        (["evolve", "REGISTER", "O", "1", "--hbar", "1e-150"], "integration became unstable"),
-        (["bound", "REGISTER", "O", "1e300", "--steps", "50"], "integration became unstable"),
-        (["evolve", "REGISTER", "O", "1e300", "--steps", "50"], "integration became unstable"),
+        # the Taylor stepper's guard, before its first step (the "rk4" ids name the route above the exact one)
+        (["bound", "REGISTER", "O", "1", "--hbar", "1e-150"], f"{STEPPER} h = 0.001: h beta = 2e+147 at hbar = 1e-150"),
+        (["evolve", "REGISTER", "O", "1", "--hbar", "1e-150"],
+         f"{STEPPER} h = 0.001: h beta = 2e+147 at hbar = 1e-150"),
+        (["bound", "REGISTER", "O", "1e300", "--steps", "50"],
+         f"{STEPPER} h = 2.0000000000000002e+298: h beta = 5.12311e+298 at hbar = 1.0"),
+        (["evolve", "REGISTER", "O", "1e300", "--steps", "50"],
+         f"{STEPPER} h = 2.0000000000000002e+298: h beta = 5.12311e+298 at hbar = 1.0"),
         (["bound", "dephasing", "O", "1", "--hbar", "5e-324"], "i H / hbar overflows at hbar = 5e-324"),
         (["bound", "qutrit_decay", "N", "1", "--hbar", "5e-324"], "i H / hbar overflows at hbar = 5e-324"),
         (["bound", "kraus_dephasing", "O", "1e-310"], "Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite"),

@@ -5,12 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oqsl import cli
 from oqsl.bounds import EvalContext, evaluate_all
 from oqsl.dynamics import (
+    STEP_BUDGET,
+    STEP_TOL,
     DephasingKraus,
     LindbladGenerator,
     TabulatedKraus,
@@ -30,6 +32,7 @@ from oqsl.linalg import (
     NumericError,
     ValidationError,
     is_hermitian,
+    op_norm,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -79,6 +82,13 @@ def test_time_grid_validation():
     assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
     # built once per grid, and read-only, since every caller shares it
     assert g.times() is g.times() and not g.times().flags.writeable
+
+
+def test_time_grid_keeps_an_integral_step_count_as_an_int():
+    # np.linspace takes only an integer number of samples
+    g = TimeGrid(1.0, 10.0)
+    assert type(g.steps) is int and g.steps == 10
+    assert np.array_equal(g.times(), np.linspace(0.0, 1.0, 11))
 
 
 def test_negative_constant_rate_rejected():
@@ -277,17 +287,33 @@ def test_lindblad_zero_rates_reduce_to_unitary(rng):
             assert ra.T_qsl == pytest.approx(rb.T_qsl, rel=1e-8), (hbar, ra.bound_id)
 
 
-def test_rk4_fourth_order_convergence(take_rk4):
-    # the qubit on the RK4 route; its x component decays as exp(-t)
-    take_rk4(2)
-    gen = dephasing_generator(1.0)
-    errors = {}
-    for steps in (100, 200):
-        grid = TimeGrid(np.pi / 2, steps)
-        traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
-        errors[steps] = np.abs(traj.expect - np.exp(-grid.times())).max()
-    ratio = errors[100] / errors[200]
-    assert 12.0 <= ratio <= 20.0
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    dim=st.integers(2, 4),
+    log_hbar=st.floats(math.log(0.005), 0.0),
+    steps=st.integers(20, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_taylor_stepper_is_within_its_truncation_target(take_stepper, dim, log_hbar, steps, seed):
+    # |d<O(t)>| <= ||O(t) - O~(t)||_op <= STEP_TOL ||O||_op, as the summed
+    # remainders bound the stepper's error in the operator norm; the horizon
+    # 6 hbar turns H / hbar through 6 rad, so h beta <= 18 / steps keeps
+    # every grid within the budget
+    take_stepper(dim)
+    rng = np.random.default_rng(seed)
+    hbar = math.exp(log_hbar)
+    H, O = (oracles.random_hermitian(rng, dim) for _ in range(2))
+    jumps = []
+    for _ in range(2):
+        L = oracles.random_matrix(rng, dim)
+        jumps.append((0.5 * L / op_norm(L), float(rng.uniform(0.1, 1.0))))
+    gen = LindbladGenerator(H=H / op_norm(H), jumps=tuple(jumps), hbar=hbar)
+    rho = DensityState.pure(oracles.random_ket(rng, dim))
+    grid = TimeGrid(6.0 * hbar, steps)
+    traj = evolve_lindblad_heisenberg(O, gen, rho, grid)
+    Os = oracles.einsum_exact_samples([gen], O[None], grid, heisenberg=True)[0]
+    exact = np.einsum("tab,ba->t", Os, rho.matrix).real
+    assert np.abs(traj.expect - exact).max() <= STEP_TOL * op_norm(O)
 
 
 @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
@@ -330,11 +356,13 @@ def test_matrix_holders_compare_and_hash_by_identity():
         assert a == a and a != b and len({a, b}) == 2
 
 
-def test_lindblad_instability_detected(take_rk4):
-    # the qubit on the RK4 route, where h * gamma ~ 1e8 blows up
-    take_rk4(2)
+def test_lindblad_instability_detected(take_stepper):
+    # the qubit on the Taylor stepper, where h * gamma ~ 1e8 would take
+    # ~1e9 substeps a step: it is refused before the first
+    take_stepper(2)
     gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=f"^the Taylor stepper needs s m > {STEP_BUDGET} applications of L per step"
+                                           r" h = 0\.1: h beta = 2e\+08 at hbar = 1\.0$"):
         evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(1.0, 10))
 
 

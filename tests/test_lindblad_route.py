@@ -1,7 +1,8 @@
 """The Lindblad kernel against the batched RK4 route it replaced for constant
-rates (tests/oracles.py), its fused generator against the matrix form it
-replaced, its Liouvillian matrices against the matrix-form generators, its
-first-stage speeds against the generator at every sample, the audit's
+rates (tests/oracles.py), its Taylor stepper above the exact route against
+the exact propagator's samples, its fused generator against the matrix form
+it replaced, its Liouvillian matrices against the matrix-form generators,
+its first-term speeds against the generator at every sample, the audit's
 batched block against per-trial evolutions, and the final state from the
 action of exp(T L) against the exponential of the Kronecker Liouvillian, the
 last sample of the trajectory it replaced and the full-stack kernel."""
@@ -14,6 +15,7 @@ import pytest
 from oqsl import audit, bounds, dynamics
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
+    STEP_BUDGET,
     LindbladGenerator,
     TimeGrid,
     _fused_form,
@@ -24,7 +26,7 @@ from oqsl.dynamics import (
     lindblad_final_state,
     liouvillian,
 )
-from oqsl.linalg import DensityState, op_norm, sigma_z
+from oqsl.linalg import DensityState, NumericError, op_norm, sigma_z
 
 import oracles
 from oracles import lindblad_adjoint
@@ -69,7 +71,8 @@ def test_exact_route_matches_rk4_reference(dim):
 def test_generator_speeds_match_matrix_form(dim):
     # d = 3 takes the exact route, which takes the speeds from the Liouvillian,
     # so its reference is the matrix-form adjoint; d = EXACT_MAX_DIM + 1 takes
-    # RK4 on the fused form, so its reference is the Kronecker Liouvillian
+    # the Taylor stepper on the fused form, so its reference is the Kronecker
+    # Liouvillian
     gen, O, rho = _random_case(dim, seed=1)
     grid = TimeGrid(0.5, 20)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
@@ -83,12 +86,65 @@ def test_generator_speeds_match_matrix_form(dim):
         assert traj.gen_speed_op[k] == pytest.approx(oracles.jacobi_singular_values(rhs[k])[0], abs=1e-12)
 
 
-def test_rk4_route_above_crossover_matches_reference():
+def test_stepper_route_above_crossover_matches_exact_samples():
     dim = EXACT_MAX_DIM + 1
     gen, O, rho = _random_case(dim, seed=2)
     grid = TimeGrid(0.5, 40)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
-    assert np.abs(oracles.samples_from_probes(traj) - _rk4_reference(gen, O, grid, True)).max() <= 1e-12
+    exact = oracles.einsum_exact_samples([gen], O[None], grid, heisenberg=True)[0]
+    assert np.abs(oracles.samples_from_probes(traj) - exact).max() <= 1e-12
+
+
+def _dense_case(dim, hbar, seed):
+    """A random generator with two jumps at random constant rates, its
+    Hamiltonian of norm 1, the observable a (x) 1 on a factor 4 of dim, and
+    a random pure state."""
+    rng = np.random.default_rng(seed)
+    H = oracles.random_hermitian(rng, dim)
+    A = np.kron(oracles.random_hermitian(rng, 4), np.eye(dim // 4))
+    jumps = []
+    for _ in range(2):
+        L = oracles.random_matrix(rng, dim)
+        jumps.append((0.5 * L / op_norm(L), float(rng.uniform(0.1, 1.0))))
+    gen = LindbladGenerator(H=H / op_norm(H), jumps=tuple(jumps), hbar=hbar)
+    return gen, A, DensityState.pure(oracles.random_ket(rng, dim))
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.1, 0.01, 0.005])
+def test_stepper_is_within_its_target_where_rk4_was_not(hbar):
+    # on this d = 20 system RK4 was off in <A(t)> by 1.2e-9, 2.1e-4 and 7.2e-3
+    # at hbar = 0.1, 0.01 and 0.005: the stepper is within 1e-9 through
+    # evolve and through the bounds' <A(T)>
+    gen, A, rho = _dense_case(20, hbar, seed=3)
+    grid = TimeGrid(1.0, 1000)
+    Os = oracles.einsum_exact_samples([gen], A[None], grid, heisenberg=True)[0]
+    exact = np.einsum("tab,ba->t", Os, rho.matrix).real
+    assert np.abs(evolve_lindblad_heisenberg(A, gen, rho, grid).expect - exact).max() <= 1e-9
+    ctx = bounds.EvalContext(gen, grid, A, rho, evolve_lindblad_heisenberg, ids=("GENERATOR_HS",))
+    (report,) = bounds.evaluate_all(ctx)
+    assert abs(report.details["expectT"] - exact[-1]) <= 1e-9
+
+
+def test_stepper_costs_what_rk4_did_at_small_h_beta(monkeypatch):
+    # d = 32 at hbar = 1 and 1000 steps takes (s, m) = (1, 4): four calls of
+    # the generator a step, as RK4 made, and one for the last sample's speeds
+    gen, A, rho = _dense_case(32, 1.0, seed=7)
+    grid = TimeGrid(1.0, 1000)
+    fused, calls = dynamics._fused_form, []
+
+    def counted(gens, heisenberg):
+        f = fused(gens, heisenberg)
+
+        def g(y):
+            calls.append(y.shape)
+            return f(y)
+
+        g.terms = f.terms
+        return g
+
+    monkeypatch.setattr(dynamics, "_fused_form", counted)
+    evolve_lindblad_heisenberg(A, gen, rho, grid)
+    assert calls == [(1, 32, 32)] * (4 * grid.steps + 1)
 
 
 @pytest.mark.parametrize("heisenberg", [True, False])
@@ -111,12 +167,12 @@ def test_fused_form_matches_matrix_form_reference(case, heisenberg):
     assert np.abs(f(y) - oracles.lindblad_matrix_form(gens, y, heisenberg)).max() <= 1e-13
 
 
-def test_rk4_speeds_are_the_generator_at_every_sample(take_rk4):
-    # the RK4 route's speeds come from the first stage
+def test_stepper_speeds_are_the_generator_at_every_sample(take_stepper):
+    # the stepper's speeds come from the first term of each step
     dim = EXACT_MAX_DIM + 1
     gen, O, rho = _random_case(dim, seed=4)
     grid = TimeGrid(1.0, 25)
-    take_rk4(dim)
+    take_stepper(dim)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
     n = grid.steps + 1
     rhs = oracles.lindblad_matrix_form([gen] * n, oracles.samples_from_probes(traj))
@@ -210,7 +266,7 @@ def test_final_state_matches_expm_of_liouvillian(dim, n_jumps, monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3, 16, EXACT_MAX_DIM + 1])
 def test_final_state_matches_last_trajectory_sample(dim):
-    # d <= EXACT_MAX_DIM: the exact propagator's last sample; above it, RK4's
+    # d <= EXACT_MAX_DIM: the exact propagator's last sample; above it, the stepper's
     gen, _, rho = _random_case(dim, seed=6)
     grid = TimeGrid(1.0, 1000)
     rho_T = lindblad_final_state(rho, gen, grid)
@@ -225,20 +281,32 @@ PLUS = DensityState.pure([1.0, 1.0])
 @pytest.mark.parametrize(
     "gen, rho, grid",
     [
-        # stiff: the series would need more generator calls than RK4 on 10 steps
+        # stiff: the series would apply L more than STEP_BUDGET times per step on 10 steps
         (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(1.0, 10)),
-        # so would it at d = EXACT_MAX_DIM + 1 on 10 steps, where the kernel takes RK4
+        # d = EXACT_MAX_DIM + 1 on 10 steps, where the series once fell back to
+        # RK4: it stays within the budget, so rho(T) is the series'
         (*_random_case(EXACT_MAX_DIM + 1, seed=7)[::2], TimeGrid(1.0, 10)),  # (gen, rho)
         # T ||L|| overflows
         (dephasing_generator(1.0), PLUS, TimeGrid(1e308, 10)),
     ],
     ids=["stiff", "ramp", "huge-T"],
 )
-def test_final_state_falls_back_to_the_kernel(gen, rho, grid, take_rk4):
-    kernel = oracles.propagate_lindblad([gen], rho.matrix[None], grid, heisenberg=False)[0][0, -1]
+def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
+    rho_T = lindblad_final_state(rho, gen, grid).matrix
     if gen.dim > EXACT_MAX_DIM:
-        take_rk4(gen.dim)
-    assert np.array_equal(lindblad_final_state(rho, gen, grid).matrix, kernel)
+        ref = _expm_reference(gen, rho, grid.T)
+        assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
+    else:
+        kernel = oracles.propagate_lindblad([gen], rho.matrix[None], grid, heisenberg=False)[0][0, -1]
+        assert np.array_equal(rho_T, kernel)
+
+
+def test_final_state_over_the_budget_above_the_exact_route_is_refused():
+    # the kernel it falls back to is the stepper, whose guard refuses the grid
+    gen = LindbladGenerator(H=np.zeros((17, 17)), jumps=((np.diag(np.arange(17.0)) / 16, 1e9),))
+    rho = DensityState.pure(np.ones(17))
+    with pytest.raises(NumericError, match=f"^the Taylor stepper needs s m > {STEP_BUDGET} applications of L per"):
+        lindblad_final_state(rho, gen, TimeGrid(1.0, 10))
 
 
 def test_final_state_memory_does_not_grow_with_steps():

@@ -48,7 +48,9 @@ def _case(dim, seed):
 
 
 ROUTES = {
-    # (dimension, whether it takes RK4); "ramp" is RK4 at d = 3, below the exact route's limit
+    # (dimension, whether it takes the Taylor stepper, the route that RK4 took
+    # until the stepper replaced it); "ramp" is the stepper at d = 3, below the
+    # exact route's limit
     "exact": (3, False),
     "rk4": (EXACT_MAX_DIM + 1, True),
     "ramp": (3, True),
@@ -58,10 +60,10 @@ ROUTES = {
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, monkeypatch, take_rk4):
-    dim, rk4 = ROUTES[route]
-    if rk4:
-        take_rk4(dim)
+def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, monkeypatch, take_stepper):
+    dim, stepper = ROUTES[route]
+    if stepper:
+        take_stepper(dim)
     cases = [_case(dim, seed) for seed in range(batch)]
     gens = [c[0] for c in cases]
     O0s = np.stack([c[1] for c in cases])
@@ -258,15 +260,15 @@ def test_audit_block_equals_full_stack_reductions(steps, monkeypatch, block_decl
 
 
 @pytest.mark.parametrize(
-    "dim,rk4",
+    "dim,stepper",
     [(2, False), (3, False), (2, True), (EXACT_MAX_DIM + 1, True)],
     ids=["exact-closed-form", "exact-eigvalsh", "rk4-closed-form", "rk4-eigvalsh"],
 )
-def test_speeds_match_the_gram_norms_they_replaced(dim, rk4, monkeypatch, take_rk4):
+def test_speeds_match_the_gram_norms_they_replaced(dim, stepper, monkeypatch, take_stepper):
     # the speeds read L^dag[O(t)] as Hermitian; the full-stack kernel with
-    # the Gram-per-trial norms it used is the reference
-    if rk4:
-        take_rk4(dim)
+    # the Gram-per-trial norms it used is the reference ("rk4" ids: the stepper)
+    if stepper:
+        take_stepper(dim)
     cases = [_case(dim, seed) for seed in range(3)]
     gens, O0s = [c[0] for c in cases], np.stack([c[1] for c in cases])
     grid = TimeGrid(0.5, 40)
@@ -344,7 +346,7 @@ def test_production_paths_build_no_sample_stack(tmp_path, monkeypatch):
 
 
 def test_observable_evolution_holds_no_sample_stack():
-    # d = 32 takes the RK4 route; the stack of 1001 samples alone is 16.4 MB
+    # d = 32 takes the Taylor stepper; the stack of 1001 samples alone is 16.4 MB
     gen, O, _, rho = _case(32, seed=9)
     grid = TimeGrid(1.0, 1000)
     tracemalloc.start()
