@@ -13,9 +13,12 @@ built-in system takes the Lindblad kernel's Taylor stepper, the route above
 the exact one, so this one is written from a fixed seed into a temporary
 directory; ``evolve`` prints every sample, so a change at the kernel's chunk
 boundaries shows, and ``parse`` reads and reprints its ~1,500 random matrix
-entries. Every other trajectory on it takes the stepper's least degree, 4;
-only at STEPPER_HBAR does the degree rise (to 9), so only it shows a change
-to how the stepper picks or sums its terms.
+entries. At 1000 steps its cells span a chunk each, and at STEPPER_HBAR
+they are shorter, so that a change to how the stepper picks or sums its
+terms shows. Then the ``--format json`` output of ``bound --bounds ALL`` on
+a d = 12 Lindblad system (CELLS_FILE), also generated: it lies between the
+exact route's limit and d = 17, where the exact propagator ran until the
+Taylor cells took every d above 4.
 Last, the ``--format json`` output of ``evolve`` on a d = 3 Kraus system
 whose operators are tabulated on the evolve grid, also written from a fixed
 seed: only a tabulated family shows how the Kraus kernel stacks operators
@@ -98,9 +101,11 @@ BUILTIN_BOUNDS = (
     ("tight_qubit.sys", "O", None, 1.5707963),
 )
 SCENARIOS = ("tight-qubit", "dephasing", "battery-degenerate", "kraus-dephasing")
-# above the exact route's largest dimension (dynamics.EXACT_MAX_DIM = 16),
-# and an hbar at which the Taylor stepper there takes more than four terms a step
+# a Lindblad system on the Taylor stepper, above the exact route's largest
+# dimension (dynamics.EXACT_MAX_DIM = 4), and an hbar at which its cells are shorter
 STEPPER_FILE, STEPPER_DIM, STEPPER_SEED, STEPPER_HBAR = "lindblad_17.sys", 17, 17, 0.01
+# a Lindblad system between d = 5 and 16, which the exact propagator took before the cells
+CELLS_FILE, CELLS_DIM, CELLS_SEED = "lindblad_12.sys", 12, 12
 # at least three chunks of dynamics.CHUNK_BYTES on kraus_dephasing.sys
 KRAUS_STEPS = 40000
 # a tabulated Kraus family on the evolve grid: --tmax TABLE_T at the default 1000 steps
@@ -137,11 +142,10 @@ def _hermitian(rng, d: int) -> np.ndarray:
     return H / np.linalg.norm(H, 2)
 
 
-def stepper_system_text() -> str:
-    """A random d = 17 Lindblad system with two jumps at constant rates, a
-    pure state, an observable A and B = A^2, which commutes with it."""
-    rng = np.random.default_rng(STEPPER_SEED)
-    d = STEPPER_DIM
+def lindblad_system_text(d: int, seed: int) -> str:
+    """A random d-dimensional Lindblad system with two jumps at constant
+    rates, a pure state, an observable A and B = A^2, which commutes with it."""
+    rng = np.random.default_rng(seed)
     H, A = _hermitian(rng, d), _hermitian(rng, d)
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     lines = ["[system]", f"dim = {d}", "kind = lindblad", "", "[hamiltonian]", f"matrix = {_matrix_literal(H)}"]
@@ -249,6 +253,8 @@ def commands(workdir: Path):
     yield f"evolve:{STEPPER_FILE}", ["evolve", *stepper]
     yield f"evolve:{STEPPER_FILE}:hbar={STEPPER_HBAR!r}", ["evolve", *stepper, "--hbar", repr(STEPPER_HBAR)]
     yield f"parse:{STEPPER_FILE}", ["parse", "--system", str(workdir / STEPPER_FILE)]
+    argv = ["--system", str(workdir / CELLS_FILE), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]
+    yield f"bound:{CELLS_FILE}", ["bound", *argv, "--bounds", "ALL", "--format", "json"]
     table = ["--system", str(workdir / TABLE_FILE), "--observable", "A", "--tmax", repr(TABLE_T), "--format", "json"]
     yield f"evolve:{TABLE_FILE}", ["evolve", *table]
     for fname, obs, ids in SUBSETS:
@@ -370,7 +376,8 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        (workdir / STEPPER_FILE).write_text(stepper_system_text(), encoding="utf-8")
+        for fname, d, seed in ((STEPPER_FILE, STEPPER_DIM, STEPPER_SEED), (CELLS_FILE, CELLS_DIM, CELLS_SEED)):
+            (workdir / fname).write_text(lindblad_system_text(d, seed), encoding="utf-8")
         (workdir / TABLE_FILE).write_text(kraus_table_system_text(), encoding="utf-8")
         for fname, kind in PAIR_FILES.items():
             (workdir / fname).write_text(pair_system_text(kind), encoding="utf-8")

@@ -22,18 +22,21 @@ so evolving a batch of observables holds O(steps) scalars per entry, one
 chunk and, on the exact Lindblad route, the d^4 propagators. Every jump
 rate is a constant float, so the route depends on the dimension alone: for
 d <= EXACT_MAX_DIM, :func:`lindblad_chunks` steps by one batched BLAS
-product with the exact propagator exp(h L); above it by a Taylor series on
+product with the exact propagator exp(h L); above it one Taylor series on
 the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, built once,
-whose first term gives the speeds. Both routes take an observable's speeds,
-once per chunk, from L^dag[O(t)], which is Hermitian: its operator norm is
-its largest |eigenvalue|, in closed form for d = 2. An observable that is
+gives the samples and L^dag[O(t)] of a cell of up to a chunk of grid
+steps. Both routes take an observable's speeds, once per chunk, from
+L^dag[O(t)], which is Hermitian: its operator norm is its largest
+|eigenvalue|, in closed form for d = 2. An observable that is
 Hermitian only within ``tol`` is read, like ``numpy.linalg.eigvalsh`` reads
 it, through its lower triangle. The Kraus kernel calls each family on a
 chunk's times and one more on each side, so dK/dt is the central difference
 along the grid, one-sided at its ends, whatever the chunking.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
-that series on one cell of length T (:func:`lindblad_final_state`).
+that series on one cell of length T (:func:`lindblad_final_state`), or the
+last sample where the series would make more generator calls than the grid
+has steps.
 """
 
 from __future__ import annotations
@@ -60,12 +63,13 @@ from .linalg import (
 INSTABILITY_LIMIT = 1e12
 # how far a state's trace may drift from 1 along a Lindblad evolution
 TRACE_TOL = 1e-8
-# the largest dimension at which Lindblad evolution takes the exact route,
-# which at 1000 steps beats the Taylor stepper's four calls a step to d = 18 (README)
-EXACT_MAX_DIM = 16
-# the Taylor stepper's bound on a trajectory's summed truncation remainders
-# relative to ||y0||, its generator calls per grid cell, and its largest ||tau L||
-STEP_TOL, STEP_BUDGET, THETA = 1e-10, 32, 0.5
+# the largest dimension at which Lindblad evolution takes the exact route: the
+# Taylor cells beat it on one trajectory at every d, and the audit's batched
+# qubit blocks and every built-in system stay on it (README)
+EXACT_MAX_DIM = 4
+# the Taylor stepper's generator calls per grid step past which it refuses a
+# grid, and its largest ||tau L|| a series
+STEP_BUDGET, THETA = 32, 0.5
 # the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
 # working set, may take over the whole batch
 CHUNK_BYTES = 1 << 20
@@ -494,10 +498,12 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
 
     For d <= EXACT_MAX_DIM each step is one batched BLAS product with the
     exact propagator exp(h L), computed once per generator, and the speeds
-    apply L to each chunk. Above it each step is a Taylor series on the fused
-    generator (:func:`_taylor_chunks`), whose first term gives the speeds.
-    The exact route rejects a blow-up on every chunk and the series at every
-    substep: an entry of y[b] above INSTABILITY_LIMIT times
+    apply L to each chunk. Above it one Taylor series on the fused generator
+    gives the samples and speeds of a cell of grid steps
+    (:func:`_taylor_chunks`); a grid whose steps would need more than
+    STEP_BUDGET generator calls each is refused before the first. The exact
+    route rejects a blow-up on every chunk and the stepper at the end of
+    every series: an entry of y[b] above INSTABILITY_LIMIT times
     max(1, max |y0[b]|), as the Heisenberg flow does not grow an
     observable's norm and a state's entries are at most 1; a state's trace
     is checked on every chunk.
@@ -512,7 +518,12 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
         chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit)
     else:
         f = _fused_form(gens, heisenberg)
-        chunks = _taylor_chunks(f, y0, grid.h, *_taylor_order(gens, f, grid, trajectory=True), spans, heisenberg, limit)
+        hb, hbar = _h_beta(gens, f, grid.h)
+        order = _taylor_order(hb, STEP_BUDGET, spans[0][1])  # a cell fits in the samples of one chunk
+        if order is None:
+            raise NumericError(f"the Taylor stepper needs s m > {STEP_BUDGET} applications of L per step "
+                               f"h = {grid.h!r}: h beta = {hb:.6g} at hbar = {hbar!r}")
+        chunks = _taylor_chunks(f, y0, grid.h, *order, spans, heisenberg, limit)
     if heisenberg:
         yield from chunks  # which holds no chunk between yields
         return
@@ -575,45 +586,62 @@ def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool,
         yield start, out.reshape(B, end - start, d, d), speeds
 
 
-def _taylor_chunks(f, y: np.ndarray, h: float, s: int, m: int, spans, heisenberg: bool, limit):
-    """The chunks of :func:`lindblad_chunks` by s substeps tau = h / s a step
-    h, each the degree-m Taylor series of exp(tau L) summed term by term on
-    the fused generator f (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011),
-    a blow-up beyond ``limit`` checked after each. A step's first term f(y)
-    gives the speeds, once per chunk; the last sample's takes one more call."""
-    tau, last = h / s, spans[-1][1] - 1
+def _taylor_chunks(f, y: np.ndarray, h: float, s: int, m: int, c: int, spans, heisenberg: bool, limit):
+    """The chunks of :func:`lindblad_chunks` by degree-m Taylor series of
+    exp(tau L) on the fused generator f (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 2011), each series read at several grid points (Taylor dense
+    output: Jorba & Zou, Exp. Math. 14, 2005). The cells of a chunk tile its
+    steps, c at most. From its first sample y a cell of k steps builds the
+    scaled terms U_n = (tau L)^n y / n!, tau = k h / s, for n <= m + 1 (m for
+    states and for k = 1); its samples y(jh) = sum_n (j/k)^n U_n and speeds
+    L[y(jh)] = sum_n (j/k)^n (n + 1) / tau U_(n+1), j < k, are two products
+    with one Vandermonde matrix, written into the chunk. The next cell
+    starts from sum_n U_n, after s - 1 more series when s > 1 (then k = 1).
+    A blow-up beyond ``limit`` is checked at each series' end; the last
+    sample's speeds take one more call."""
+    B, last = y.shape[0], spans[-1][1] - 1
+    terms = np.empty((m + 2 if heisenberg else m + 1,) + y.shape, dtype=complex)
     for start, end in spans:
-        out = np.empty((y.shape[0], end - start) + y.shape[1:], dtype=complex)
-        k1s = np.empty_like(out) if heisenberg else None
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises at its substep
-            for j, i in enumerate(range(start, end)):
-                out[:, j] = y
-                for r in range(s if i < last else 0):
-                    term, y = y, y.copy()
-                    for n in range(1, m + 1):
-                        term = f(term)
-                        if heisenberg and r + n == 1:
-                            k1s[:, j] = term
-                        term *= tau / n
-                        y += term
+        out = np.empty((B, end - start) + y.shape[1:], dtype=complex)
+        derivs = np.empty_like(out) if heisenberg else None
+        stop = min(end, last)
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises at its series' end
+            for i in range(start, stop, c):
+                k = min(c, stop - i)
+                tau = k * h / s
+                for r in range(s):
+                    # U_(m+1) only for speeds past the cell's first sample
+                    top = m + 2 if heisenberg and r == 0 and k > 1 else m + 1
+                    terms[0] = y
+                    for n in range(1, top):
+                        terms[n] = f(terms[n - 1])
+                        terms[n] *= tau / n
+                    if r == 0:
+                        V = (np.arange(k) / k)[:, None] ** np.arange(m + 1)
+                        rows = slice(i - start, i - start + k)
+                        _combine(V, terms[: m + 1], out[:, rows])
+                        if heisenberg:
+                            _combine(V[:, : top - 1] * (np.arange(1, top) / tau), terms[1:top], derivs[:, rows])
+                    y = terms[: m + 1].sum(axis=0)
                     _check_stable(y, limit)
-            if heisenberg and end - 1 == last:
-                k1s[:, -1] = f(y)
-        yield start, out, _norms(k1s) if heisenberg else None
+            if end - 1 == last:
+                out[:, -1] = y
+                if heisenberg:
+                    derivs[:, -1] = f(y)
+        yield start, out, _norms(derivs) if heisenberg else None
 
 
-def _taylor_order(gens, f, grid: TimeGrid, trajectory: bool):
-    """(s, m) for :func:`_taylor_chunks` to apply exp(h L), h the grid's step
-    on a ``trajectory``, else T: s = ceil(h beta / THETA) for the batch's
-    largest beta = ||A||_2 + ||A'||_2 + sum_k gamma_k ||L_k||_2^2 >= ||L||,
-    and m the least degree whose remainder bound (tau beta)^(m+1) / (m+1)!
-    e^(tau beta), tau = h / s, is 2^-53 per substep or, summed over a
-    trajectory, STEP_TOL, with m >= 4 there (no step below fourth order):
-    the flows contract the operator norm (Russo-Dye) and the trace norm, so
-    that sum bounds every sample's error relative to ||y0||. Past
-    STEP_BUDGET generator calls a cell: None, or NumericError on a
-    trajectory."""
-    h, budget, least = (grid.h, STEP_BUDGET, 4) if trajectory else (grid.T, STEP_BUDGET * grid.steps, 0)
+def _combine(V: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
+    """out[b] = sum_n V[:, n] terms[n, b] for each batch entry b, one real
+    BLAS product a batch entry on the (re, im) pairs of the complex terms."""
+    for b in range(out.shape[0]):
+        np.matmul(V, terms[:, b].reshape(len(terms), -1).view(float), out=out[b].reshape(len(V), -1).view(float))
+
+
+def _h_beta(gens, f, h: float):
+    """(h beta, hbar) for the batch's largest beta = ||A||_2 + ||A'||_2 +
+    sum_k gamma_k ||L_k||_2^2 >= ||L|| and the hbar of its generator; h beta
+    is infinite where it overflows."""
     A, Ad, _ = f.terms
     hb, hbar = 0.0, gens[0].hbar
     for b, gen in enumerate(gens):
@@ -625,15 +653,27 @@ def _taylor_order(gens, f, grid: TimeGrid, trajectory: bool):
                 x = h * (norms[0] + norms[1] + np.array([rate for _, rate in gen.jumps]) @ norms[2:] ** 2)
         if not x <= hb:
             hb, hbar = x, gen.hbar
-    if hb <= budget * THETA:  # not infinite, so neither hb / THETA nor ceil overflows
-        s = max(math.ceil(hb / THETA), 1)
-        m = max(taylor_degree(hb / s, STEP_TOL / (grid.steps * s) if trajectory else 2.0**-53), least)
-        if s * m <= budget:
-            return s, m
-    if trajectory:
-        raise NumericError(f"the Taylor stepper needs s m > {budget} applications of L per step h = {h!r}: "
-                           f"h beta = {hb:.6g} at hbar = {hbar!r}")
-    return None
+    return hb, hbar
+
+
+def _taylor_order(hb: float, budget: int, cap: int):
+    """(s, m, c) for :func:`_taylor_chunks` on steps h with h beta = ``hb``
+    (:func:`_h_beta`): a step with h beta <= THETA is read from cells of
+    c = min(floor(THETA / h beta), cap) steps, one series each (s = 1), and a
+    larger one is s = ceil(h beta / THETA) series (c = 1); either way
+    tau beta <= THETA for tau = c h / s. m is the least degree whose
+    remainder bound (tau beta)^(m+1) / (m+1)! e^(tau beta) is 2^-53 a series:
+    the flows contract the operator norm (Russo-Dye) and the trace norm, so
+    that bounds each sample's error, and each speed's by beta 2^-53, relative
+    to ||y0|| a cell. Past ``budget`` generator calls a step: None."""
+    if not hb <= budget * THETA:  # not infinite, so neither hb / THETA nor ceil overflows
+        return None
+    if hb <= THETA:
+        s, c = 1, cap if hb * cap <= THETA else math.floor(THETA / hb)  # THETA / hb may overflow
+    else:
+        s, c = math.ceil(hb / THETA), 1
+    m = taylor_degree(c * hb / s)
+    return (s, m, c) if s * m <= budget else None
 
 
 def _reduce_chunks(gens, chunks, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
@@ -722,13 +762,13 @@ def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid
 def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> DensityState:
     """The state rho(T) = exp(T L) rho0 at the end of the grid, with no
     trajectory and no d^2 x d^2 matrix: :func:`_taylor_chunks` on one cell
-    of length T or, past STEP_BUDGET generator calls a grid step (stiff
-    rates), the last sample of :func:`lindblad_chunks`. Either way a blow-up
+    of length T or, past one generator call a grid step (stiff rates or a
+    long horizon), the last sample of :func:`lindblad_chunks`. Either way a blow-up
     is rejected, the trace is verified to 1e-8 and rho(T) is validated
     within gen.tol, positivity loss beyond being a warning."""
     _check_state(rho0, gen.dim)
     f = _fused_form([gen], heisenberg=False)
-    y0, order = rho0.matrix[None].astype(complex), _taylor_order([gen], f, grid, trajectory=False)
+    y0, order = rho0.matrix[None].astype(complex), _taylor_order(_h_beta([gen], f, grid.T)[0], grid.steps, 1)
     if order is None:
         chunks = lindblad_chunks([gen], y0, grid, heisenberg=False)
     else:  # one step of length T, sampled at its two ends

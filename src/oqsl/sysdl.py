@@ -65,6 +65,10 @@ _UNSIGNED = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _REAL = re.compile(rf"[+-]?{_UNSIGNED}")
 # one literal entry or Pauli coefficient, its i written j, as complex() reads it
 _ENTRY = re.compile(rf"\s*(?:[+-]?{_UNSIGNED}(?:[+-](?:{_UNSIGNED})?j)?|[+-]?(?:{_UNSIGNED})?j)\s*")
+# the characters of a literal, its i written j, in whose entries complex()
+# accepts what _ENTRY matches and no more: no '_', no letter but e, E and j,
+# no parenthesis and no space but ' ' and tab
+_PLAIN = re.compile(r"[0-9.eE+\-j \t,\[\]]*")
 # i -> j, a written j -> '?' (no entry matches it), and -> ' ' the four
 # separators that str.strip() removes but complex() refuses
 _AS_PYTHON = str.maketrans({"i": "j", "j": "?", **dict.fromkeys("\x1c\x1d\x1e\x1f", " ")})
@@ -129,13 +133,15 @@ def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
     """The vector (``rank`` 1) or square matrix (``rank`` 2) literal ``text``
     at ``line``:``col``, split once on brackets and commas. Bracket balance is
     checked before any entry is read; then, row by row, the row's shape is
-    checked and its entries are matched with ``_ENTRY`` and converted."""
+    checked and its entries are converted (:func:`_entries`)."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         _fail(line, col + len(text) - len(text.lstrip()), "expected a bracketed literal")
+    python = text.translate(_AS_PYTHON)
+    plain = _PLAIN.fullmatch(python) is not None
     # text, delimiter, text, ..., text: tokens[k] is a delimiter for odd k,
     # tokens[1] opens the literal and tokens[-2] closes it
-    tokens = _DELIMITER.split(text.translate(_AS_PYTHON))
+    tokens = _DELIMITER.split(python)
 
     def col_of(k: int) -> int:  # the running sum of the token lengths
         return col + sum(map(len, tokens[:k]))
@@ -164,8 +170,7 @@ def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
         k = inner.get(a, close[a])
         entries = tokens[a + 1 : k : 2]
         entries[-1] = "".join(tokens[k - 1 : part_end(k)])
-        bad = [*map(_ENTRY.fullmatch, entries), None].index(None)  # the first entry that does not match
-        v = np.array(list(map(complex, entries[:bad])), dtype=complex)
+        v, bad = _entries(entries, plain)
         bad = min(np.flatnonzero(~np.isfinite(v)), default=bad)
         if bad < len(entries):
             p = a + 1 + 2 * bad
@@ -198,6 +203,20 @@ def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
     if len(rows) != rows[0].size:
         _fail(line, col_of(2), f"matrix literal is {len(rows)}x{rows[0].size}, expected square")
     return np.array(rows)
+
+
+def _entries(entries: list, plain: bool):
+    """The literal entries as complex values up to the first that ``_ENTRY``
+    does not match, and its index (len(entries) if none). The entries of a
+    ``plain`` literal (``_PLAIN``) go straight to complex(); ``_ENTRY`` runs
+    only where it refuses one, to place the diagnostic."""
+    if plain:
+        try:
+            return np.array(list(map(complex, entries)), dtype=complex), len(entries)
+        except ValueError:
+            pass
+    bad = [*map(_ENTRY.fullmatch, entries), None].index(None)
+    return np.array(list(map(complex, entries[:bad])), dtype=complex), bad
 
 
 # ---------------------------------------------------------------------------

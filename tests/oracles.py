@@ -11,7 +11,8 @@ that the exact propagator replaced, the streamed Lindblad kernel and its
 reductions against the full-stack kernel (:func:`propagate_lindblad`) and
 reductions (:func:`stack_expect`, :func:`stack_stddev`) that they replaced,
 the exact route's BLAS step against the einsum step that it replaced
-(:func:`einsum_exact_samples`),
+(:func:`einsum_exact_samples`), the Taylor stepper's cells against the
+per-step stepper that they replaced (:func:`per_step_stepper`),
 the streamed Kraus kernel against the whole-grid one
 (:func:`kraus_full_stack`) that it replaced and its batch-first chunks
 against the per-family ones (:func:`kraus_chunks_per_family`), the unitary
@@ -56,6 +57,7 @@ from oqsl.dynamics import (
     _check_state,
     _check_trace,
     _fused_form,
+    _h_beta,
     _norms,
     _op_norms,
     _spans,
@@ -75,6 +77,7 @@ from oqsl.linalg import (
     mat_exp,
     op_norm,
     require_finite,
+    taylor_degree,
     tr_norm,
     variance,
 )
@@ -444,10 +447,10 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
 
     For d <= dynamics.EXACT_MAX_DIM, each step is one batched mat-vec with
     the exact propagator exp(h L), computed once per generator, and the
-    speeds apply L to the samples. Above it each step is s substeps of the
-    degree-m Taylor series on the fused generator, (s, m) as the kernel
-    picks them, whose first term gives the speeds. Both routes reject a
-    blow-up, and a state's trace is checked at every sample.
+    speeds apply L to the samples. Above it the grid is read from the Taylor
+    cells of the streamed kernel (:func:`taylor_cells`), cut at the chunks
+    that dynamics.CHUNK_BYTES sets and written into one stack. Both routes
+    reject a blow-up, and a state's trace is checked at every sample.
     """
     times = grid.times()
     y0 = np.asarray(y0, dtype=complex)
@@ -466,12 +469,72 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
             for b in range(B):
                 speeds[b] = _norms((out[b].reshape(-1, d * d) @ Lv[b].T).reshape(-1, d, d))
     else:
-        f = _fused_form(gens, heisenberg)
-        s, m = _taylor_order(gens, f, grid, trajectory=True)
-        out = _taylor(f, y0, grid.h / s, s, m, times.size, speeds)
+        out = taylor_cells(gens, y0, grid, heisenberg, speeds)
     if not heisenberg:
         _check_trace(out)
     return out, speeds
+
+
+def taylor_cells(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, speeds: np.ndarray | None) -> np.ndarray:
+    """The Taylor stepper's samples at every grid time, shape
+    (B, steps + 1, d, d), built into one stack: each chunk that
+    dynamics.CHUNK_BYTES sets is tiled by cells of at most c steps, each one
+    series of the scaled terms U_n = (tau L)^n y / n!, n <= m + 1 (m without
+    speeds or for a one-step cell), read at its grid points
+    by one real product a batch entry with the Vandermonde matrix
+    (j / k)^n, and the next cell starts from sum_n U_n ((s, m, c) as the
+    kernel picks them). ``speeds`` (shape (B, steps + 1, 2)), when given,
+    takes the norms of L at every sample from the terms' derivative, and of
+    one more call at the last."""
+    f = _fused_form(gens, heisenberg)
+    B, d = y0.shape[:2]
+    spans = _spans(grid.steps + 1, 16 * B * d * d)
+    s, m, c = _taylor_order(_h_beta(gens, f, grid.h)[0], dynamics.STEP_BUDGET, spans[0][1])
+    last = grid.steps
+    out = np.empty((B, last + 1, d, d), dtype=complex)
+    derivs = np.empty_like(out)
+    y = y0
+    for start, end in spans:
+        for i in range(start, min(end, last), c):
+            k = min(c, min(end, last) - i)
+            tau = k * grid.h / s
+            for r in range(s):
+                U = [y]
+                for n in range(1, m + 2 if r == 0 and k > 1 and speeds is not None else m + 1):
+                    U.append(f(U[-1]) * (tau / n))
+                U = np.stack(U)
+                if r == 0:
+                    V = (np.arange(k) / k)[:, None] ** np.arange(m + 1)
+                    W = V[:, : len(U) - 1] * (np.arange(1, len(U)) / tau)
+                    for b in range(B):
+                        rows = (V @ U[: m + 1, b].reshape(m + 1, -1).view(float)).view(complex)
+                        out[b, i : i + k] = rows.reshape(k, d, d)
+                        if speeds is not None:
+                            rows = (W @ U[1:, b].reshape(len(U) - 1, -1).view(float)).view(complex)
+                            derivs[b, i : i + k] = rows.reshape(k, d, d)
+                y = U[: m + 1].sum(axis=0)
+                _check_stable(y)
+    out[:, last] = y
+    if speeds is not None:
+        derivs[:, last] = f(y)
+        speeds[:] = _norms(derivs)
+    return out
+
+
+def per_step_stepper(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
+    """The Taylor stepper that the cells replaced: each grid step h is
+    s = ceil(h beta / THETA) substeps tau = h / s, each the degree-m Taylor
+    series of exp(tau L) summed term by term, m the least degree, at least
+    4, whose remainders summed over the grid are 1e-10 relative to ||y0||.
+    Returns the samples, shape (B, steps + 1, d, d), and for observables the
+    norms of the first term of each step, shape (B, steps + 1, 2)."""
+    f = _fused_form(gens, heisenberg)
+    y0 = np.asarray(y0, dtype=complex)
+    hb = _h_beta(gens, f, grid.h)[0]
+    s = max(math.ceil(hb / dynamics.THETA), 1)
+    m = max(taylor_degree(hb / s, 1e-10 / (grid.steps * s)), 4)
+    speeds = np.empty((y0.shape[0], grid.steps + 1, 2)) if heisenberg else None
+    return _taylor(f, y0, grid.h / s, s, m, grid.steps + 1, speeds), speeds
 
 
 def einsum_exact_samples(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool) -> np.ndarray:

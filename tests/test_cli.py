@@ -348,22 +348,23 @@ def test_bound_parse_failure_exit_2(tmp_path):
 
 def test_bound_numeric_failure_exit_3(tmp_path):
     # .sys rates are constant, so the stiff jump is put on the smallest qubit
-    # register above the exact route's limit: the Taylor stepper would need
-    # ~1e9 substeps a step, which its guard refuses
-    n = EXACT_MAX_DIM.bit_length()
-    dim = 2**n
-    text = (
-        f"[system]\ndim = {dim}\n[state]\nket = [" + ", ".join(["1"] * dim) + "]\n"
-        f"[jump]\npauli = 1.0 Z{'I' * (n - 1)}\nrate = 1e9\n[observable O]\npauli = 1.0 X{'I' * (n - 1)}\n"
-    )
-    assert parse_system(text).generator.dim > EXACT_MAX_DIM
-    p = tmp_path / "stiff.sys"
-    p.write_text(text)
-    code, out, err = run_cli(
-        ["bound", "--system", str(p), "--observable", "O", "--tmax", "1.0", "--steps", "10"]
-    )
-    assert code == 3
-    assert "numeric error" in err
+    # register above the exact route's limit, and on d = 16, which the exact
+    # propagator once took: the Taylor stepper would need ~1e9 substeps a
+    # step, which its guard refuses
+    for n in (EXACT_MAX_DIM.bit_length(), 4):
+        dim = 2**n
+        text = (
+            f"[system]\ndim = {dim}\n[state]\nket = [" + ", ".join(["1"] * dim) + "]\n"
+            f"[jump]\npauli = 1.0 Z{'I' * (n - 1)}\nrate = 1e9\n[observable O]\npauli = 1.0 X{'I' * (n - 1)}\n"
+        )
+        assert parse_system(text).generator.dim > EXACT_MAX_DIM
+        p = tmp_path / "stiff.sys"
+        p.write_text(text)
+        code, out, err = run_cli(
+            ["bound", "--system", str(p), "--observable", "O", "--tmax", "1.0", "--steps", "10"]
+        )
+        assert code == 3
+        assert f"numeric error: {STEPPER} h = 0.1: h beta = 2e+08 at hbar = 1.0" in err
 
 
 def test_bound_stiff_constant_rate_takes_exact_route(tmp_path):

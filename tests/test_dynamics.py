@@ -12,7 +12,6 @@ from oqsl import cli
 from oqsl.bounds import EvalContext, evaluate_all
 from oqsl.dynamics import (
     STEP_BUDGET,
-    STEP_TOL,
     DephasingKraus,
     LindbladGenerator,
     TabulatedKraus,
@@ -295,8 +294,9 @@ def test_lindblad_zero_rates_reduce_to_unitary(rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_taylor_stepper_is_within_its_truncation_target(take_stepper, dim, log_hbar, steps, seed):
-    # |d<O(t)>| <= ||O(t) - O~(t)||_op <= STEP_TOL ||O||_op, as the summed
-    # remainders bound the stepper's error in the operator norm; the horizon
+    # |d<O(t)>| <= ||O(t) - O~(t)||_op, which the remainders of the series,
+    # each at most 2^-53 ||O||_op and at most one a step, bound by
+    # 200 * 2^-53 ||O||_op = 2.2e-14 ||O||_op, rounding aside; the horizon
     # 6 hbar turns H / hbar through 6 rad, so h beta <= 18 / steps keeps
     # every grid within the budget
     take_stepper(dim)
@@ -313,7 +313,7 @@ def test_taylor_stepper_is_within_its_truncation_target(take_stepper, dim, log_h
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid)
     Os = oracles.einsum_exact_samples([gen], O[None], grid, heisenberg=True)[0]
     exact = np.einsum("tab,ba->t", Os, rho.matrix).real
-    assert np.abs(traj.expect - exact).max() <= STEP_TOL * op_norm(O)
+    assert np.abs(traj.expect - exact).max() <= 1e-13 * op_norm(O)
 
 
 @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])

@@ -1,13 +1,16 @@
 """The Lindblad kernel against the batched RK4 route it replaced for constant
-rates (tests/oracles.py), its Taylor stepper above the exact route against
-the exact propagator's samples, its fused generator against the matrix form
-it replaced, its Liouvillian matrices against the matrix-form generators,
-its first-term speeds against the generator at every sample, the audit's
-batched block against per-trial evolutions, and the final state from the
-action of exp(T L) against the exponential of the Kronecker Liouvillian, the
-last sample of the trajectory it replaced and the full-stack kernel."""
+rates (tests/oracles.py), its Taylor cells above the exact route against
+the exact propagator's samples and the per-step stepper they replaced, its
+fused generator against the matrix form it replaced, its Liouvillian
+matrices against the matrix-form generators, its speeds against the
+generator at every sample, the audit's batched block against per-trial
+evolutions, and the final state from the action of exp(T L) against the
+exponential of the Kronecker Liouvillian, the last sample of the trajectory
+it replaced and the full-stack kernel."""
 
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +30,10 @@ from oqsl.dynamics import (
     liouvillian,
 )
 from oqsl.linalg import DensityState, NumericError, op_norm, sigma_z
+from oqsl.sysdl import parse_system
 
 import oracles
-from oracles import lindblad_adjoint
+from oracles import builtin_text, lindblad_adjoint
 
 HBAR = 1.7
 GRID = TimeGrid(0.6, 300)
@@ -57,8 +61,9 @@ def _rk4_reference(gen, y0, grid, heisenberg):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 16])
-def test_exact_route_matches_rk4_reference(dim):
-    assert dim <= EXACT_MAX_DIM
+def test_exact_route_matches_rk4_reference(dim, monkeypatch):
+    # d = 8 and 16, above the exact route's limit, take it with the limit raised to them
+    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", max(EXACT_MAX_DIM, dim))
     gen, O, rho = _random_case(dim)
     traj = evolve_lindblad_heisenberg(O, gen, rho, GRID, probes=tuple(oracles.matrix_units(dim)))
     assert np.abs(oracles.samples_from_probes(traj) - _rk4_reference(gen, O, GRID, True)).max() <= 1e-9
@@ -67,12 +72,11 @@ def test_exact_route_matches_rk4_reference(dim):
     assert np.abs(rho_t - _rk4_reference(gen, rho.matrix, GRID, False)).max() <= 1e-9
 
 
-@pytest.mark.parametrize("dim", [3, EXACT_MAX_DIM + 1])
+@pytest.mark.parametrize("dim", [3, 17])
 def test_generator_speeds_match_matrix_form(dim):
     # d = 3 takes the exact route, which takes the speeds from the Liouvillian,
-    # so its reference is the matrix-form adjoint; d = EXACT_MAX_DIM + 1 takes
-    # the Taylor stepper on the fused form, so its reference is the Kronecker
-    # Liouvillian
+    # so its reference is the matrix-form adjoint; d = 17 takes the Taylor
+    # stepper on the fused form, so its reference is the Kronecker Liouvillian
     gen, O, rho = _random_case(dim, seed=1)
     grid = TimeGrid(0.5, 20)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
@@ -86,13 +90,27 @@ def test_generator_speeds_match_matrix_form(dim):
         assert traj.gen_speed_op[k] == pytest.approx(oracles.jacobi_singular_values(rhs[k])[0], abs=1e-12)
 
 
-def test_stepper_route_above_crossover_matches_exact_samples():
-    dim = EXACT_MAX_DIM + 1
-    gen, O, rho = _random_case(dim, seed=2)
-    grid = TimeGrid(0.5, 40)
-    traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
+def _check_cells(gen, O, grid):
+    """The stepper's samples of O(t) within 1e-12 of the exact propagator's,
+    and its speeds within 1e-13 of the norms of L^dag at its samples,
+    relative to the largest of each."""
+    chunks = list(dynamics.lindblad_chunks([gen], O[None], grid, heisenberg=True))
+    Os, speeds = (np.concatenate([chunk[i][0] for chunk in chunks]) for i in (1, 2))
     exact = oracles.einsum_exact_samples([gen], O[None], grid, heisenberg=True)[0]
-    assert np.abs(oracles.samples_from_probes(traj) - exact).max() <= 1e-12
+    assert np.abs(Os - exact).max() <= 1e-12 * np.abs(exact).max()
+    rhs = oracles.lindblad_matrix_form([gen] * len(Os), Os)
+    ref = np.stack([np.linalg.norm(rhs, axis=(1, 2)), np.linalg.svd(rhs, compute_uv=False)[:, 0]], axis=-1)
+    assert np.abs(speeds - ref).max() <= 1e-13 * ref.max()
+
+
+def test_stepper_route_above_crossover_matches_exact_samples():
+    for dim in (EXACT_MAX_DIM + 1, 16, 17):
+        gen, O, rho = _random_case(dim, seed=2)
+        grid = TimeGrid(0.5, 40)
+        traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
+        exact = oracles.einsum_exact_samples([gen], O[None], grid, heisenberg=True)[0]
+        assert np.abs(oracles.samples_from_probes(traj) - exact).max() <= 1e-12
+        _check_cells(gen, O, TimeGrid(1.0, 1000))
 
 
 def _dense_case(dim, hbar, seed):
@@ -114,9 +132,11 @@ def _dense_case(dim, hbar, seed):
 def test_stepper_is_within_its_target_where_rk4_was_not(hbar):
     # on this d = 20 system RK4 was off in <A(t)> by 1.2e-9, 2.1e-4 and 7.2e-3
     # at hbar = 0.1, 0.01 and 0.005: the stepper is within 1e-9 through
-    # evolve and through the bounds' <A(T)>
+    # evolve and through the bounds' <A(T)>, and its samples and speeds within
+    # 1e-12 and 1e-13 relative
     gen, A, rho = _dense_case(20, hbar, seed=3)
     grid = TimeGrid(1.0, 1000)
+    _check_cells(gen, A, grid)
     Os = oracles.einsum_exact_samples([gen], A[None], grid, heisenberg=True)[0]
     exact = np.einsum("tab,ba->t", Os, rho.matrix).real
     assert np.abs(evolve_lindblad_heisenberg(A, gen, rho, grid).expect - exact).max() <= 1e-9
@@ -125,10 +145,15 @@ def test_stepper_is_within_its_target_where_rk4_was_not(hbar):
     assert abs(report.details["expectT"] - exact[-1]) <= 1e-9
 
 
-def test_stepper_costs_what_rk4_did_at_small_h_beta(monkeypatch):
-    # d = 32 at hbar = 1 and 1000 steps takes (s, m) = (1, 4): four calls of
-    # the generator a step, as RK4 made, and one for the last sample's speeds
-    gen, A, rho = _dense_case(32, 1.0, seed=7)
+def test_cells_make_a_tenth_of_the_per_step_calls(monkeypatch):
+    # the benchmark's d = 32 Lindblad system at 1000 steps: the per-step
+    # stepper took (s, m) = (1, 4), four calls of the generator a step and one
+    # for the last sample's speeds, 4,001 in all; the cells take one series
+    # of m + 1 = 11 calls a chunk of 64 samples, 177 in all
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    system = workloads["dense_system"](np.random.default_rng(7), "lindblad", 32, (4, 8))
+    gen = LindbladGenerator(H=system["H"], jumps=tuple(system["jumps"]))
+    A, rho = system["A"], DensityState.pure(system["ket"])
     grid = TimeGrid(1.0, 1000)
     fused, calls = dynamics._fused_form, []
 
@@ -143,8 +168,11 @@ def test_stepper_costs_what_rk4_did_at_small_h_beta(monkeypatch):
         return g
 
     monkeypatch.setattr(dynamics, "_fused_form", counted)
-    evolve_lindblad_heisenberg(A, gen, rho, grid)
-    assert calls == [(1, 32, 32)] * (4 * grid.steps + 1)
+    traj = evolve_lindblad_heisenberg(A, gen, rho, grid)
+    assert set(calls) == {(1, 32, 32)} and len(calls) < (4 * grid.steps + 1) / 10
+    monkeypatch.setattr(dynamics, "_fused_form", fused)
+    Os = oracles.per_step_stepper([gen], A[None], grid, heisenberg=True)[0][0]
+    assert np.abs(traj.expect - np.einsum("tab,ba->t", Os, rho.matrix).real).max() <= 1e-13
 
 
 @pytest.mark.parametrize("heisenberg", [True, False])
@@ -168,7 +196,7 @@ def test_fused_form_matches_matrix_form_reference(case, heisenberg):
 
 
 def test_stepper_speeds_are_the_generator_at_every_sample(take_stepper):
-    # the stepper's speeds come from the first term of each step
+    # the stepper's speeds come from the derivative of each cell's series
     dim = EXACT_MAX_DIM + 1
     gen, O, rho = _random_case(dim, seed=4)
     grid = TimeGrid(1.0, 25)
@@ -256,15 +284,17 @@ def _no_kernel(monkeypatch):
 @pytest.mark.parametrize("n_jumps", [0, 1, 2])
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 17])
 def test_final_state_matches_expm_of_liouvillian(dim, n_jumps, monkeypatch):
+    # the series makes up to s m = 8 * 14 = 112 generator calls, within its
+    # budget of one call a grid step
     gen, _, rho = _random_case(dim, seed=5, n_jumps=n_jumps)
-    grid = TimeGrid(2.5, 100)
+    grid = TimeGrid(2.5, 200)
     _no_kernel(monkeypatch)  # the action route, with no fallback
     ref = _expm_reference(gen, rho, grid.T)
     rho_T = lindblad_final_state(rho, gen, grid)
     assert np.abs(rho_T.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("dim", [2, 3, 16, EXACT_MAX_DIM + 1])
+@pytest.mark.parametrize("dim", [2, 3, 16, 17])
 def test_final_state_matches_last_trajectory_sample(dim):
     # d <= EXACT_MAX_DIM: the exact propagator's last sample; above it, the stepper's
     gen, _, rho = _random_case(dim, seed=6)
@@ -281,10 +311,10 @@ PLUS = DensityState.pure([1.0, 1.0])
 @pytest.mark.parametrize(
     "gen, rho, grid",
     [
-        # stiff: the series would apply L more than STEP_BUDGET times per step on 10 steps
+        # stiff: the series would apply L more than once per step on 10 steps
         (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(1.0, 10)),
-        # d = EXACT_MAX_DIM + 1 on 10 steps, where the series once fell back to
-        # RK4: it stays within the budget, so rho(T) is the series'
+        # d = EXACT_MAX_DIM + 1 on 10 steps: the series' s m = 4 * 13 calls are
+        # past its budget, so rho(T) is the Taylor stepper's last sample
         (*_random_case(EXACT_MAX_DIM + 1, seed=7)[::2], TimeGrid(1.0, 10)),  # (gen, rho)
         # T ||L|| overflows
         (dephasing_generator(1.0), PLUS, TimeGrid(1e308, 10)),
@@ -299,6 +329,24 @@ def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
     else:
         kernel = oracles.propagate_lindblad([gen], rho.matrix[None], grid, heisenberg=False)[0][0, -1]
         assert np.array_equal(rho_T, kernel)
+
+
+@pytest.mark.parametrize("T, kernel", [(1.0, False), (300.0, True)])
+def test_a_long_horizon_final_state_takes_the_kernel(T, kernel, monkeypatch):
+    # on qutrit_decay.sys at 1000 steps the series makes 70 generator calls at
+    # T = 1, and 465 * 14 = 6510 at T = 300, past its budget of one a step:
+    # there rho(T) is the last sample of the exact route's 1000 products
+    spec = parse_system(builtin_text("qutrit_decay"))
+    gen, rho, grid = spec.generator, spec.initial_state, TimeGrid(T, 1000)
+    calls, chunks = [], dynamics.lindblad_chunks
+    monkeypatch.setattr(dynamics, "lindblad_chunks", lambda *args, **kwargs: calls.append(1) or chunks(*args, **kwargs))
+    rho_T = lindblad_final_state(rho, gen, grid).matrix
+    assert calls == [1] * kernel
+    if kernel:
+        assert np.array_equal(rho_T, oracles.propagate_lindblad([gen], rho.matrix[None], grid, False)[0][0, -1])
+    else:
+        ref = _expm_reference(gen, rho, T)
+        assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_final_state_over_the_budget_above_the_exact_route_is_refused():

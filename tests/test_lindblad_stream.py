@@ -105,14 +105,16 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
         assert np.array_equal(joined, states[0])
 
 
-@pytest.mark.parametrize("dim, batch", [(2, 100), (3, 50), (EXACT_MAX_DIM, 1)])
+@pytest.mark.parametrize("dim, batch", [(2, 100), (3, 50), (16, 1)])
 @pytest.mark.parametrize("heisenberg", [True, False])
-def test_exact_step_matches_einsum_step(dim, batch, heisenberg):
+def test_exact_step_matches_einsum_step(dim, batch, heisenberg, monkeypatch):
     # the BLAS product against the einsum mat-vec that it replaced, on
-    # batches shaped like the audit's qubit and qutrit blocks and at d = 16
+    # batches shaped like the audit's qubit and qutrit blocks and at d = 16,
+    # which takes the exact route with its limit raised to 16
     cases = [_case(dim, seed) for seed in range(batch)]
     gens = [c[0] for c in cases]
-    assert dim <= EXACT_MAX_DIM  # the exact route
+    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", max(EXACT_MAX_DIM, dim))
+    monkeypatch.setattr(dynamics, "_taylor_chunks", None)  # the exact route
     y0s = np.stack([c[1] if heisenberg else c[3].matrix for c in cases])
     grid = TimeGrid(2.0, 300)
     samples = np.concatenate([s for _, s, _ in lindblad_chunks(gens, y0s, grid, heisenberg)], axis=1)

@@ -3,7 +3,9 @@ replaced (``oracles._parse_vector`` / ``oracles._parse_matrix``): on valid
 literals both give bit-identical arrays, and on every single-character
 mutation of one both give the same first diagnostic. The differences are
 an entry that overflows a float and a non-ASCII digit, which only the new
-reader rejects; the mutations here insert ASCII digits only."""
+reader rejects; the mutations here insert ASCII digits only. The new
+reader's fast path, complex() on each entry of a literal of the ``_PLAIN``
+characters, accepts the language of the entry pattern it skips."""
 
 import re
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oqsl.sysdl import ParseError, _literal, format_complex
+from oqsl.sysdl import _ENTRY, _PLAIN, ParseError, _literal, format_complex
 
 LINE, COL = 7, 10  # where the literal starts, as after "matrix = "
 
@@ -174,3 +176,24 @@ def test_mutated_literals_give_the_same_first_diagnostic(case, where, how, char)
     else:
         text = text[:i] + char + text[i + 1 :]
     assert_same(rank, text)
+
+
+def _complex_reads(s: str) -> bool:
+    try:
+        complex(s)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.text(alphabet="0123456789.eE+-j \t_naifJ()", max_size=12))
+def test_plain_entries_are_read_as_the_entry_pattern_reads_them(s):
+    # over the characters of the literal grammar (i written j) and a few that
+    # complex() reads too: the fast path takes an entry where _ENTRY does
+    assert (_PLAIN.fullmatch(s) is not None and _complex_reads(s)) == (_ENTRY.fullmatch(s) is not None), s
+
+
+@pytest.mark.parametrize("entry", ["1_0", "nan", "inf", "(1+2j)", "1J"])
+def test_plain_refuses_what_only_complex_reads(entry):
+    assert _complex_reads(entry) and not _ENTRY.fullmatch(entry) and not _PLAIN.fullmatch(entry)
