@@ -48,7 +48,12 @@ on systems that pass only at that tolerance: a qubit whose H and O are
 Hermitian only within 5e-8 (``--bounds ALL``), and a tabulated Kraus family
 whose completeness defect is 2e-7. Every other command runs at the default
 tolerance, so only these show a check that ``--tol`` no longer reaches: its
-exit code turns from 0 to 2.
+exit code turns from 0 to 2. Last, ``bound --bounds ALL`` on a random pure
+unitary system whose observable is the projector of its state
+(PROJECTOR_FILE), also written from a fixed seed: its O H is rank one, the
+one shape where rounding can put the Hilbert-Schmidt norm of O H below its
+operator norm, so that a battery row dividing by the smaller of the two
+would leave MIN_NORM; and STATE_MT reads p0 = 1.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -119,6 +124,8 @@ HBAR, HBAR_FILES = 2.0, ("two_qubit.sys", "dephasing.sys", STEPPER_FILE)
 PAIR_FILES, PAIR_RATE = {"pair_unitary.sys": "unitary", "pair_lindblad.sys": "lindblad"}, 0.3
 # a random pure unitary system whose H - A + A differs from H in the last digits
 UNITARY_FILE, UNITARY_DIM, UNITARY_SEED = "unitary_4.sys", 4, 4
+# a random pure unitary system whose observable P is the projector of its state
+PROJECTOR_FILE, PROJECTOR_DIM, PROJECTOR_SEED = "projector_3.sys", 3, 3
 # (file, extra bound arguments) of the systems run at --tol TOL, each with --observable O
 TOL, TOL_FILES = 1e-6, (("loose_qubit.sys", ("--bounds", "ALL", "--tmax", "1")),
                         ("kraus_defect.sys", ("--tmax", "1", "--steps", "2")))
@@ -208,6 +215,19 @@ def unitary_system_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def projector_system_text() -> str:
+    """A random d = 3 unitary system in a pure state whose observable P is
+    that state's projector."""
+    rng = np.random.default_rng(PROJECTOR_SEED)
+    H = _hermitian(rng, PROJECTOR_DIM)
+    ket = rng.standard_normal(PROJECTOR_DIM) + 1j * rng.standard_normal(PROJECTOR_DIM)
+    ket /= np.linalg.norm(ket)
+    lines = ["[system]", f"dim = {PROJECTOR_DIM}", "kind = unitary", "", "[hamiltonian]"]
+    lines += [f"matrix = {_matrix_literal(H)}", "", "[state]", f"ket = {_vector_literal(ket)}"]
+    lines += ["", "[observable P]", f"matrix = {_matrix_literal(np.outer(ket, ket.conj()))}"]
+    return "\n".join(lines) + "\n"
+
+
 def loose_qubit_text() -> str:
     """A qubit whose H = [[1, 1e-7], [1e-7 + 5e-8i, -1]] and O = X + 5e-8i
     in the lower corner are Hermitian only within 5e-8, in the state |0>,
@@ -282,6 +302,8 @@ def commands(workdir: Path):
     for fname, extra in TOL_FILES:
         argv = ["bound", "--system", str(workdir / fname), "--observable", "O", *extra, "--tol", repr(TOL)]
         yield f"bound:{fname}:tol={TOL!r}", argv + ["--format", "json"]
+    argv = ["bound", "--system", str(workdir / PROJECTOR_FILE), "--observable", "P", "--tmax", "1.0"]
+    yield f"bound:{PROJECTOR_FILE}", argv + ["--bounds", "ALL", "--format", "json"]
 
 
 def _bound_all(fname: str, obs: str, obs_b, tmax: float, fmt: str = "json") -> list:
@@ -384,6 +406,7 @@ def main() -> int:
         (workdir / UNITARY_FILE).write_text(unitary_system_text(), encoding="utf-8")
         for (fname, _), text in zip(TOL_FILES, (loose_qubit_text(), kraus_defect_text())):
             (workdir / fname).write_text(text, encoding="utf-8")
+        (workdir / PROJECTOR_FILE).write_text(projector_system_text(), encoding="utf-8")
         for label, argv in commands(workdir):
             proc = subprocess.run(
                 [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT

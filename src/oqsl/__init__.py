@@ -58,7 +58,6 @@ _EXPORTS = {
         "sigma_x",
         "sigma_y",
         "sigma_z",
-        "tr_norm",
         "variance",
     ),
     "sysdl": (

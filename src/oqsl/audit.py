@@ -39,7 +39,7 @@ from .dynamics import (
     lindblad_chunks,
     trajectories,
 )
-from .linalg import DensityState, NumericError, op_norm, sigma_x
+from .linalg import DensityState, NumericError, hermitian_op_norm, op_norm, sigma_x
 
 UNITARY_T = 1.0
 UNITARY_STEPS = 1600
@@ -76,7 +76,7 @@ class AuditSummary:
 def random_hermitian(rng, dim: int, norm: float = 1.0) -> np.ndarray:
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     H = (G + G.conj().T) / 2.0
-    return norm * H / op_norm(H)
+    return norm * H / hermitian_op_norm(H)
 
 
 def random_state(rng, dim: int, pure: bool) -> DensityState:

@@ -46,7 +46,6 @@ from .linalg import (
     checked_hermitian,
     hs_norm,
     op_norm,
-    require_finite,
     variance,
 )
 
@@ -220,7 +219,9 @@ def state_qsl_projector(
     T_qsl = (hbar / dH) |arcsin sqrt(pT) - arcsin sqrt(p0)|,
 
     which for p0 = 1 reduces exactly to (hbar / dH) arccos sqrt(pT), the
-    Mandelstam-Tamm bound.
+    Mandelstam-Tamm bound. A change |pT - p0| within ZERO_TOL yields 0: at
+    p0 = 1 one ulp of pT is an arccos of 1.5e-8, over a dH that may be
+    rounding too.
     """
     if delta_H <= 0:
         raise ValidationError("STATE_MT: energy spread must be positive")
@@ -229,7 +230,9 @@ def state_qsl_projector(
             raise ValidationError(f"STATE_MT: {name}={p!r} outside [0, 1] beyond tolerance")
     p0c = float(np.clip(p0, 0.0, 1.0))
     pTc = float(np.clip(pT, 0.0, 1.0))
-    if p0c == 1.0:
+    if abs(pTc - p0c) <= ZERO_TOL:
+        tqsl = 0.0
+    elif p0c == 1.0:
         tqsl = hbar / delta_H * float(np.arccos(np.sqrt(pTc)))
     elif pTc == 1.0:
         tqsl = hbar / delta_H * float(np.arccos(np.sqrt(p0c)))
@@ -261,18 +264,19 @@ def oqsl_min_norm(
     expect0: float,
     expectT: float,
     oh_op: float,
-    oh_tr: float,
     T: float,
     hbar: float = 1.0,
 ) -> BoundReport:
     """Minimum-norm bound for pure initial states:
 
-    T_qsl = (hbar / 2) |<O(T)> - <O(0)>| / min(||O(0)H||_op, ||O(0)H||_tr).
+    T_qsl = (hbar / 2) |<O(T)> - <O(0)>| / ||O(0)H||_op,
+
+    the paper's min(||O(0)H||_op, ||O(0)H||_tr), which is the operator norm
+    because ||X||_op <= ||X||_tr for every X.
     """
-    inputs = (expect0, expectT, oh_op, oh_tr, hbar, T)
-    details = {"oh_op": float(oh_op), "oh_tr": float(oh_tr)}
-    norm, what = min(oh_op, oh_tr), "min operator/trace norm"
-    return _norm_bound("MIN_NORM", (expect0, expectT), 1.0, norm, what, hbar, T, inputs, details)
+    inputs = (expect0, expectT, oh_op, hbar, T)
+    details = {"oh_op": float(oh_op)}
+    return _norm_bound("MIN_NORM", (expect0, expectT), 1.0, oh_op, "||O(0)H||_op", hbar, T, inputs, details)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +374,9 @@ def _battery_ct1(c: EvalContext) -> BoundReport:
 
 
 def _battery_ct2(c: EvalContext) -> BoundReport:
-    norms = {"op": c.oh_norms[0], "hs": c.oh_hs, "tr": c.oh_norms[1]}
-    details, inputs = {f"hbht_{k}": v for k, v in norms.items()}, (c.O, c.H - c.O, c.rho.matrix, c.T, c.hbar)
-    what = "min norm of HB(0)(HB+HC)"
-    return _norm_bound("BATTERY_CT2", c.ends(), 1.0, min(norms.values()), what, c.hbar, c.T, inputs, details)
+    details, inputs = {"hbht_op": c.oh_op}, (c.O, c.H - c.O, c.rho.matrix, c.T, c.hbar)
+    what = "||HB(0)(HB+HC)||_op"
+    return _norm_bound("BATTERY_CT2", c.ends(), 1.0, c.oh_op, what, c.hbar, c.T, inputs, details)
 
 
 def battery_bounds(
@@ -390,8 +393,8 @@ def battery_bounds(
 
     CT1 is MT_INTEGRAL's path integral with the spread of the total
     Hamiltonian, 0 where MT_INTEGRAL does not apply; CT2 is MIN_NORM's ratio
-    over the smallest of the operator, Hilbert-Schmidt and trace norms of
-    HB(0) (HB + HC). Both require a pure initial state.
+    over the operator norm of HB(0) (HB + HC), the smallest of its operator,
+    Hilbert-Schmidt and trace norms. Both require a pure initial state.
     """
     HB = as_matrix(HB, "battery hamiltonian")
     HC = as_matrix(HC, "charging hamiltonian")
@@ -490,7 +493,7 @@ def commutator_qsl(B0: np.ndarray, traj: Trajectory, rho: DensityState, tol: flo
         raise ValidationError("commutator bound requires a pure state")
     B0 = checked_hermitian(B0, "observable", tol, traj.dim)
     X = traj.trace_with(commutator_probe(B0, rho))
-    b0_op = op_norm(B0)
+    b0_op = float(op_norm(B0))
     details = {"comm_expect_0": abs(complex(X[0])), "comm_expect_T": abs(complex(X[-1])), "b0_op": b0_op}
     return _growth_qsl("COMM", X, traj, b0_op, "B", details, (B0, traj.expect, traj.gen_speed_op, rho.matrix))
 
@@ -525,7 +528,7 @@ def rate_audit(ctx: EvalContext) -> dict:
     if traj.kind == "unitary":
         rhs = {
             "RATE_ROBERTSON": 2.0 / ctx.hbar * traj.stddev * ctx.delta_H,
-            "RATE_HOLDER_OP": 2.0 / ctx.hbar * ctx.oh_norms[0],
+            "RATE_HOLDER_OP": 2.0 / ctx.hbar * ctx.oh_op,
         }
     else:
         rhs = {"RATE_CS_HS": np.sqrt(ctx.rho.purity) * traj.gen_speed_hs}
@@ -617,13 +620,8 @@ class EvalContext:
         return self.O @ self.H
 
     @cached_property
-    def oh_norms(self) -> tuple[float, float]:
-        """The operator and trace norms of O H, as op_norm and tr_norm take
-        them, from one SVD."""
-        oh = as_matrix(self.oh)
-        require_finite(oh)
-        svals = np.linalg.svd(oh, compute_uv=False)
-        return float(svals[0]), float(svals.sum())
+    def oh_op(self) -> float:
+        return float(op_norm(self.oh))
 
     @cached_property
     def oh_hs(self) -> float:
@@ -678,7 +676,7 @@ class BoundSpec:
 _U, _L, _UL = ("unitary",), ("lindblad",), ("unitary", "lindblad")
 _CORR_PROBE, _COMM_PROBE = (lambda c: correlation_probe(c.O, c.rho)), (lambda c: commutator_probe(c.B, c.rho))
 # each twin pair has one evaluation: the trajectory's kind picks the id it reports
-_CORR = lambda c: corr_qsl(two_time_correlation(c.O, c.traj, c.rho, tol=c.tol), c.traj, op_norm(c.O))
+_CORR = lambda c: corr_qsl(two_time_correlation(c.O, c.traj, c.rho, tol=c.tol), c.traj, float(op_norm(c.O)))
 _COMM = lambda c: commutator_qsl(c.B, c.traj, c.rho, tol=c.tol)
 
 REGISTRY = (
@@ -694,7 +692,7 @@ REGISTRY = (
     BoundSpec("GENERATOR_HS", _UL, (), lambda c: oqsl_generator_hs(c.traj, c.rho)),
     BoundSpec("DELCAMPO", _L, ("final_state",), _delcampo),
     BoundSpec("STATE_INDEP", _UL, (), lambda c: oqsl_state_independent(c.O, c.traj), lambda c: c.O),
-    BoundSpec("MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), *c.oh_norms, c.T, hbar=c.hbar)),
+    BoundSpec("MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), c.oh_op, c.T, hbar=c.hbar)),
     BoundSpec("BATTERY_CT1", _U, ("pure",), _battery_ct1),
     BoundSpec("BATTERY_CT2", _U, ("pure",), _battery_ct2),
     BoundSpec("CORR_CLOSED", _U, ("pure",), _CORR, _CORR_PROBE),

@@ -54,7 +54,9 @@ from .linalg import (
     ValidationError,
     as_matrix,
     checked_hermitian,
+    hermitian_op_norm,
     mat_exp,
+    op_norm,
     require_finite,
     require_squarable,
     taylor_degree,
@@ -378,7 +380,7 @@ def evolve_unitary_heisenberg(O0: np.ndarray, gen: UnitaryGenerator, rho: Densit
         hs = np.linalg.norm(comm)
     if not np.isfinite(hs):  # else every frequency and the operator norm, at most hs, are finite
         raise NumericError(f"generator speed gen_speed_hs = ||[H, O] / hbar||_HS is {hs} at hbar = {gen.hbar!r}")
-    speeds = (np.full(grid.steps + 1, x) for x in (hs, np.linalg.svd(comm, compute_uv=False)[0]))
+    speeds = (np.full(grid.steps + 1, x) for x in (hs, op_norm(comm)))
     E = _phases(freqs, grid.times())
     expect, stddev = _moments(O_eig, rho_eig, E, gen.tol)
     series = tuple((M, _phase_trace(O_eig * (Vd @ M @ V).T, E)) for M in probes)
@@ -407,25 +409,7 @@ def _norms(X: np.ndarray) -> np.ndarray:
     """The Hilbert-Schmidt and operator norms of each Hermitian matrix in X
     (read through its lower triangle), shape (..., 2)."""
     hs = np.sqrt(np.einsum("...ab,...ab->...", X.conj(), X).real)
-    return np.stack([hs, _hermitian_op_norms(X)], axis=-1)
-
-
-def _hermitian_op_norms(X: np.ndarray) -> np.ndarray:
-    """The operator norm of each Hermitian matrix in X, shape (...): its
-    largest |eigenvalue|, from the lower triangle as ``eigvalsh`` reads it.
-    For d = 2 that is |m| + hypot((a - c) / 2, |b|) with m = (a + c) / 2,
-    for the diagonal a, c and the lower corner b, with no LAPACK call."""
-    if X.shape[-1] == 2:
-        a, c = X[..., 0, 0].real, X[..., 1, 1].real
-        return np.abs((a + c) / 2) + np.hypot((a - c) / 2, np.abs(X[..., 1, 0]))
-    w = np.linalg.eigvalsh(X)
-    return np.maximum(-w[..., 0], w[..., -1])
-
-
-def _op_norms(X: np.ndarray) -> np.ndarray:
-    """The operator norm of each matrix in X, shape (...), as the square root
-    of the largest eigenvalue of the Gram matrix X^dag X."""
-    return np.sqrt(_hermitian_op_norms(X.conj().swapaxes(-1, -2) @ X))
+    return np.stack([hs, hermitian_op_norm(X)], axis=-1)
 
 
 def _check_stable(y: np.ndarray, limit=INSTABILITY_LIMIT) -> None:
@@ -568,7 +552,7 @@ def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool,
     if scale > max_phase:
         for gen, L in zip(gens, Lv):
             phase = h * float(np.abs(L).max())
-            if phase > max_phase and h * sum(rate * np.linalg.norm(Lk, 2) ** 2 for Lk, rate in gen.jumps) < 1.0:
+            if phase > max_phase and h * sum(rate * op_norm(Lk) ** 2 for Lk, rate in gen.jumps) < 1.0:
                 raise NumericError(f"the Hamiltonian term i H / hbar at hbar = {gen.hbar!r} turns phases of "
                                    f"{phase:.6g} rad in one step h = {h!r}: over {steps} steps, the rounding of "
                                    "exp(h L) exceeds the trace tolerance 1e-8")
@@ -648,7 +632,7 @@ def _h_beta(gens, f, h: float):
         M = np.stack([A[b], Ad[b], *(L for L, _ in gen.jumps)])
         x = math.inf
         if np.isfinite(M).all():  # else jumps so large that K overflows
-            norms = np.linalg.svd(M, compute_uv=False)[:, 0]
+            norms = op_norm(M)
             with np.errstate(over="ignore"):
                 x = h * (norms[0] + norms[1] + np.array([rate for _, rate in gen.jumps]) @ norms[2:] ** 2)
         if not x <= hb:
@@ -821,11 +805,13 @@ def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid):
         KdO = (K.conj().swapaxes(-1, -2).reshape(B, -1, d) @ O0s).reshape(K.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step overflows, and raises below
             M = KdO @ np.gradient(window, grid.h, axis=1)[:, own]
-            speeds = np.stack([np.linalg.norm(M, axis=(-2, -1)).sum(axis=2), _op_norms(M).sum(axis=2)], axis=-1)
-        bad = np.flatnonzero(~np.isfinite(speeds).all(axis=(0, 2)))
+            hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=2)
+        bad = np.flatnonzero(~np.isfinite(hs).all(axis=0))
         if bad.size:
             t = float(times[start + bad[0]])
             raise NumericError(f"Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite at t={t!r}, step h = {grid.h!r}")
+        # M is finite where its HS norms are, and each operator norm is at most its HS norm
+        speeds = np.stack([hs, op_norm(M).sum(axis=2)], axis=-1)
         samples = (KdO @ K).sum(axis=2)
         del window, K, KdO, M  # freed before the reducer reads the chunk
         yield start, samples, speeds

@@ -35,7 +35,6 @@ from oqsl.linalg import (
     op_norm,
     sigma_x,
     sigma_z,
-    tr_norm,
     variance,
 )
 from oqsl.sysdl import parse_system, serialize_system
@@ -194,10 +193,10 @@ def test_criterion_8_norm_inequalities():
         dim = int(rng.integers(2, 9))
         A = oracles.random_matrix(rng, dim)
         B = oracles.random_matrix(rng, dim)
-        op_a, hs_a, tr_a = op_norm(A), hs_norm(A), tr_norm(A)
+        op_a, hs_a, tr_a = op_norm(A), hs_norm(A), oracles.trace_norm(A)
         worst_order = max(worst_order, op_a - hs_a, hs_a - tr_a)
         t = abs(np.trace(A @ B))
-        worst_hoelder = max(worst_hoelder, t - op_a * tr_norm(B))
+        worst_hoelder = max(worst_hoelder, t - op_a * oracles.trace_norm(B))
         worst_cs = max(worst_cs, t - hs_a * hs_norm(B))
     ok = worst_order <= 1e-10 and worst_hoelder <= 1e-10 and worst_cs <= 1e-10
     report(

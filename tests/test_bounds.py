@@ -48,7 +48,6 @@ from oqsl.linalg import (
     sigma_x,
     sigma_y,
     sigma_z,
-    tr_norm,
     variance,
 )
 
@@ -235,13 +234,13 @@ def test_purity_hs_zero_norm_inconsistency():
 
 def test_min_norm_tight_example():
     prod = sigma_x @ sigma_z
-    rep = oqsl_min_norm(1.0, -1.0, op_norm(prod), tr_norm(prod), T_HALF_PI)
+    rep = oqsl_min_norm(1.0, -1.0, op_norm(prod), T_HALF_PI)
     assert rep.T_qsl == pytest.approx(1.0, abs=1e-12)
     assert rep.valid
 
 
 def test_min_norm_no_change():
-    assert oqsl_min_norm(0.2, 0.2, 1.0, 2.0, 1.0).T_qsl == 0.0
+    assert oqsl_min_norm(0.2, 0.2, 1.0, 1.0).T_qsl == 0.0
 
 
 def test_min_norm_dominates_purity_hs_when_op_smaller(rng):
@@ -252,14 +251,14 @@ def test_min_norm_dominates_purity_hs_when_op_smaller(rng):
         prod = O @ H
         if op_norm(prod) >= hs_norm(prod):
             continue
-        a = oqsl_min_norm(0.0, 0.5, op_norm(prod), tr_norm(prod), 1.0).T_qsl
+        a = oqsl_min_norm(0.0, 0.5, op_norm(prod), 1.0).T_qsl
         b = oqsl_purity_hs(0.0, 0.5, rho, hs_norm(prod), 1.0).T_qsl
         assert a >= b - 1e-12
 
 
 def test_min_norm_zero_norms_inconsistency():
     with pytest.raises(NumericError):
-        oqsl_min_norm(0.0, 1.0, 0.0, 0.0, 1.0)
+        oqsl_min_norm(0.0, 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +748,8 @@ def test_every_report_carries_digest_and_details():
 def test_zero_change_rule_returns_exact_zero():
     assert oqsl_self_inverse(0.5, 0.5, 2.0, 1.0).T_qsl == 0.0
     assert state_qsl_projector(0.25, 0.25, 2.0, 1.0).T_qsl == 0.0
+    # p0 = 1 and pT one ulp below it: arccos(sqrt(pT)) ~ 1.5e-8 is rounding
+    assert state_qsl_projector(1.0, 1.0 - 2.0**-53, 1e-8, 1.0).T_qsl == 0.0
     assert oqsl_purity_hs(0.5, 0.5, PLUS, 2.0, 1.0).T_qsl == 0.0
-    assert oqsl_min_norm(0.5, 0.5, 1.0, 1.0, 1.0).T_qsl == 0.0
+    assert oqsl_min_norm(0.5, 0.5, 1.0, 1.0).T_qsl == 0.0
     assert qsl_delcampo(PLUS, PLUS, 1.0, 1.0).T_qsl == 0.0

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tomllib
@@ -17,8 +18,17 @@ from hypothesis import strategies as st
 import oqsl
 from oqsl import audit
 from oqsl.cli import TOL_FLOOR, main
-from oqsl.dynamics import EXACT_MAX_DIM, LindbladGenerator, TimeGrid, evolve_lindblad_heisenberg
-from oqsl.sysdl import parse_system
+from oqsl.dynamics import (
+    EXACT_MAX_DIM,
+    LindbladGenerator,
+    TabulatedKraus,
+    TimeGrid,
+    UnitaryGenerator,
+    evolve_lindblad_heisenberg,
+)
+from oqsl.linalg import DensityState
+from oqsl.scenarios import SCENARIOS
+from oqsl.sysdl import SystemSpec, parse_system, serialize_system
 
 from oracles import builtin_text
 
@@ -680,15 +690,61 @@ def test_extreme_cli_inputs_end_in_one_error_line_and_no_warning(command, name, 
         assert err.splitlines()[-1].startswith(("error: ", "numeric error: ")), err
 
 
-def test_o_h_is_decomposed_once(monkeypatch):
-    # one SVD each for the unitary evolution's operator speed, the norms of O H and CORR's ||O||_op
-    svd, calls = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    argv = ["bound", "--system", str(SYSTEMS / "battery.sys"), "--observable", "HB", "--tmax", "1", "--bounds", "ALL"]
-    code, out, err = run_cli(argv)
+def test_no_command_takes_an_svd(monkeypatch, tmp_path):
+    # every operator norm is linalg.op_norm's scaled Gram matrix or
+    # linalg.hermitian_op_norm's eigvalsh; an SVD, numpy.linalg.norm(X, 2)'s
+    # included, fails the run, also in the audit's forked block
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    dense = tmp_path / "dense.sys"
+    dense.write_text(workloads["sys_text"](workloads["dense_system"](np.random.default_rng(32), "unitary", 32, (4, 8))))
+
+    def svd(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd was called")
+
+    for module in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(module, "svd", svd)
+    bound = ["bound", "--tmax", "1", "--bounds", "ALL"]
+    runs = [bound + ["--system", str(SYSTEMS / f"{name}.sys"), "--observable", obs] for name, obs in BUILTINS.items()]
+    runs += [bound + ["--system", str(dense), "--observable", "A", "--observable-b", "B"]]
+    runs += [["scenario", name] for name in SCENARIOS] + [["audit", "--trials", "4"]]
+    for argv in runs:
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+
+
+def test_state_mt_of_an_eigenket_is_zero(tmp_path):
+    # the ket is a float eigenvector of H, from eigh, and the observable its
+    # projector: dH = 1.3e-8 is rounding, above SPREAD_TOL, and pT = 1 - 1 ulp,
+    # whose arccos(sqrt(pT)) ~ 1.5e-8 read T_qsl = 4.5 > T = 1
+    H = [[0.5137634080440824, -0.2423207867210894 + 0.34685424807440546j],
+         [-0.2423207867210894 - 0.34685424807440546j, 0.25959477377495904]]
+    ket = [0.5968005109768614, 0.45953271864471035 + 0.6577680674772519j]
+    P = [[0.35617084990224285, 0.2742493612977494 - 0.39255631877468655j],
+         [0.2742493612977494 + 0.39255631877468655j, 0.6438291500977571 - 2.3176631226807567e-18j]]
+    path = tmp_path / "eigenket.sys"
+    spec = SystemSpec(UnitaryGenerator(np.array(H)), DensityState.pure(ket), {"P": np.array(P)})
+    path.write_text(serialize_system(spec))
+    code, out, err = run_cli(["bound", "--system", str(path), "--observable", "P", "--tmax", "1", "--format", "json"])
     assert code == 0, err
-    assert {"PURITY_HS", "MIN_NORM", "BATTERY_CT2", "CORR_CLOSED"} <= {r["bound_id"] for r in parse_csv(out)}
-    assert len(calls) == 3
+    (report,) = [r for r in json.loads(out)["reports"] if r["bound_id"] == "STATE_MT"]
+    assert report["details"]["p0"] == 1.0 and 0.0 < 1.0 - report["details"]["pT"] <= 1e-12
+    assert report["T_qsl"] == 0.0
+
+
+def test_a_kraus_speed_whose_gram_matrix_overflows_is_a_numeric_error(tmp_path):
+    # K^dag O dK/dt ~ 4e155: its Gram matrix overflowed into a LinAlgError
+    # traceback; what overflows now is its Hilbert-Schmidt norm
+    times = np.linspace(0.0, 1.0, 21)
+    ops = [[np.diag([np.exp(-100j * t), 1.0, np.exp(100j * t)])] for t in times]
+    O = 4e153 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    spec = SystemSpec(TabulatedKraus(times, ops), DensityState.pure([1.0, 1.0, 1.0]), {"O": O})
+    path = tmp_path / "kraus_gram.sys"
+    path.write_text(serialize_system(spec))
+    code, out, err = run_cli(["bound", "--system", str(path), "--observable", "O", "--tmax", "1", "--steps", "20"])
+    assert code in (0, 3), err
+    if code:
+        (line,) = err.splitlines()
+        assert line.startswith("numeric error: Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite")
 
 
 @pytest.mark.parametrize("command", ["bound", "evolve"])
@@ -1014,7 +1070,7 @@ EXPORTS = {
                  "dephasing_generator evolve_kraus_heisenberg evolve_lindblad_heisenberg evolve_lindblad_schrodinger "
                  "evolve_unitary_heisenberg lindblad_apply lindblad_final_state").split(),
     "linalg": ("DensityState NumericError ValidationError expectation hs_norm is_hermitian mat_exp op_norm sigma_x "
-               "sigma_y sigma_z tr_norm variance").split(),
+               "sigma_y sigma_z variance").split(),
     "sysdl": "ParseError SystemSpec parse_complex parse_pauli_expr parse_system serialize_system".split(),
 }
 

@@ -17,8 +17,6 @@ from oqsl.dynamics import (
     TabulatedKraus,
     TimeGrid,
     UnitaryGenerator,
-    _hermitian_op_norms,
-    _op_norms,
     dephasing_generator,
     evolve_kraus_heisenberg,
     evolve_lindblad_heisenberg,
@@ -30,6 +28,7 @@ from oqsl.linalg import (
     DensityState,
     NumericError,
     ValidationError,
+    hermitian_op_norm,
     is_hermitian,
     op_norm,
     sigma_x,
@@ -515,7 +514,7 @@ def test_kraus_grid_batch_matches_per_sample_route(rng):
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
 def test_op_norms_match_svd(rng, dim):
-    # the Gram-matrix operator norms against the batched SVD they replaced
+    # the scaled Gram-matrix operator norms against the batched SVD they replaced
     u, v = oracles.random_matrix(rng, dim)[:2]
     stacks = {
         "zero": np.zeros((4, 5, dim, dim), dtype=complex),
@@ -523,7 +522,7 @@ def test_op_norms_match_svd(rng, dim):
         "random": np.array([[oracles.random_matrix(rng, dim, s) for s in (1e-6, 1.0, 50.0)] for _ in range(4)]),
     }
     for name, X in stacks.items():
-        got, ref = _op_norms(X), np.linalg.svd(X, compute_uv=False)[..., 0]
+        got, ref = op_norm(X), np.linalg.svd(X, compute_uv=False)[..., 0]
         assert got.shape == ref.shape, name
         assert (np.abs(got - ref) <= 1e-14 * ref).all(), name
 
@@ -552,7 +551,7 @@ def test_two_by_two_closed_form_matches_eigvalsh(hermitian, gram, shape, scale):
     X = scale * np.array([[a, 7.0], [complex(re, im), c]])
     M = np.sqrt(scale) * (np.array(gram[:4]) + 1j * np.array(gram[4:])).reshape(2, 2)
     for Y in (X, M.conj().T @ M):
-        got = _hermitian_op_norms(Y)
+        got = hermitian_op_norm(Y)
         assert abs(got - oracles.largest_abs_eigenvalue_2x2(Y)) <= 2 * np.spacing(got)
         # eigvalsh rescales a matrix below ~1e-146 by a factor that rounds,
         # so it gets the lower triangle scaled by a power of two

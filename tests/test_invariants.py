@@ -11,7 +11,14 @@ evaluated through EvalContext and evaluate_all on small random systems
 
 A last test checks that every bound is valid (T_qsl <= T) on these systems,
 whose B is drawn independently of O, so that the commutator bounds meet
-pairs that do not commute at t = 0.
+pairs that do not commute at t = 0. The orderings between the unitary
+bounds that hold by proof are checked on random unitary contexts (d = 2-5),
+projector observables included:
+
+* PURITY_HS <= GENERATOR_HS, since ||[H, O]||_HS <= 2 ||O H||_HS;
+* MIN_NORM >= PURITY_HS on pure states, since ||O H||_op <= ||O H||_HS;
+* BATTERY_CT2 == MIN_NORM bit for bit: both divide by ||O H||_op, the
+  smallest of the operator, Hilbert-Schmidt and trace norms.
 
 Each T_qsl is compared relative to max(T_qsl, T). Over 100 seeds of each
 kind and d, the largest deviations were 9e-15 (either scaling) and 1e-13
@@ -184,3 +191,50 @@ def test_every_bound_is_valid_on_random_pairs(kind, dim, seed, T):
     system = NONCOMMUTING_QUBIT if seed is None else random_system(kind, dim, seed)
     reports = evaluate_all(context(kind, system, hbar=2.0 if seed is None else 1.0, T=T))
     assert [r.bound_id for r in reports if not r.valid] == []
+
+
+def unitary_context(dim, seed, observable, pure, ids):
+    """The unitary context of random_system's H at T = 1, in its pure state
+    or a random mixed one, for the observable O, the random rank-one
+    projector, or the projector of the state's ket."""
+    system = random_system("unitary", dim, seed)
+    ket = system["ket"]
+    O = np.outer(ket, ket.conj()) if observable == "state projector" else system[observable]
+    if pure:
+        rho = DensityState.pure(ket)
+    else:
+        W = oracles.random_matrix(np.random.default_rng(seed + 1), dim)
+        rho = DensityState.from_matrix(W @ W.conj().T / np.trace(W @ W.conj().T).real)
+    gen = UnitaryGenerator(system["H"])
+    return EvalContext(gen, TimeGrid(1.0, STEPS), O, rho, evolve_unitary_heisenberg, ids=ids)
+
+
+ORDER_DIMS, OBSERVABLES = st.integers(2, 5), st.sampled_from(["O", "projector", "state projector"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=ORDER_DIMS, seed=SEEDS, observable=OBSERVABLES, pure=st.booleans())
+def test_purity_hs_is_at_most_generator_hs(dim, seed, observable, pure):
+    ctx = unitary_context(dim, seed, observable, pure, ("PURITY_HS", "GENERATOR_HS"))
+    purity_hs, generator_hs = (r.T_qsl for r in evaluate_all(ctx))
+    assert purity_hs <= generator_hs * (1 + 1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=ORDER_DIMS, seed=SEEDS, observable=OBSERVABLES)
+def test_min_norm_is_at_least_purity_hs_on_pure_states(dim, seed, observable):
+    ctx = unitary_context(dim, seed, observable, True, ("MIN_NORM", "PURITY_HS"))
+    min_norm, purity_hs = (r.T_qsl for r in evaluate_all(ctx))
+    assert min_norm >= purity_hs * (1 - 1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=ORDER_DIMS, seed=SEEDS, observable=OBSERVABLES)
+@example(dim=2, seed=1, observable="state projector")
+def test_battery_ct2_equals_min_norm(dim, seed, observable):
+    # for a rank-one O H the three norms agree, and rounding may put its
+    # Hilbert-Schmidt norm below the operator norm: the minimum of the three
+    # then differed from MIN_NORM in the last digits
+    ctx = unitary_context(dim, seed, observable, True, ("MIN_NORM", "BATTERY_CT2"))
+    min_norm, battery_ct2 = (r.T_qsl for r in evaluate_all(ctx))
+    assert battery_ct2 == min_norm

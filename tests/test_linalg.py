@@ -11,6 +11,7 @@ from oqsl.linalg import (
     NumericError,
     ValidationError,
     expectation,
+    hermitian_op_norm,
     hs_norm,
     is_hermitian,
     mat_exp,
@@ -18,7 +19,6 @@ from oqsl.linalg import (
     sigma_x,
     sigma_y,
     sigma_z,
-    tr_norm,
     variance,
 )
 from oqsl.sysdl import parse_system
@@ -50,10 +50,9 @@ def test_op_norm_matches_jacobi_oracle(rng):
 
 def test_op_norm_rejects_non_finite():
     M = np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(ValidationError):
-        op_norm(M)
-    with pytest.raises(ValidationError):
-        tr_norm(M)
+    for bad in (M, np.stack([np.eye(2), M.conj()])):
+        with pytest.raises(ValidationError):
+            op_norm(bad)
     with pytest.raises(ValidationError):
         hs_norm(M)
 
@@ -64,17 +63,63 @@ def test_hs_norm_examples():
     assert hs_norm(np.zeros((3, 3))) == 0.0
 
 
-def test_tr_norm_examples(rng):
-    for d in (2, 3, 4):
-        assert tr_norm(identity(d)) == pytest.approx(float(d), abs=1e-12)
-    assert tr_norm(sigma_x @ sigma_z) == pytest.approx(2.0, abs=1e-12)
-    M = oracles.random_matrix(rng, 5)
-    assert tr_norm(M) == pytest.approx(oracles.jacobi_singular_values(M).sum(), abs=1e-10)
+def _norm_cases(rng, n):
+    """(name, matrix, Hermitian) of each shape the operator norms must cover,
+    n x n and of order one."""
+    G = oracles.random_matrix(rng, n)
+    H = oracles.random_hermitian(rng, n)
+    u, v = oracles.random_ket(rng, n), oracles.random_ket(rng, n)
+    return [
+        ("hermitian", H, True),
+        ("anti-hermitian", 1j * H, False),
+        ("non-normal", np.triu(G), False),
+        ("general", G, False),
+        ("rank-one", np.outer(u, v.conj()), False),
+        ("hermitian rank-one", np.outer(u, u.conj()), True),
+        ("zero", np.zeros((n, n), dtype=complex), True),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+def test_norm_routines_match_the_jacobi_oracle_at_every_scale(rng, n, scale):
+    # n = 2 takes the closed form; at 1e-160 the unscaled Gram matrix
+    # underflows, at 1e160 it overflows. The reference is the oracle on the
+    # matrix of order one, times the scale: rounding the scaled entries moves
+    # the norm by at most sqrt(n) ulp
+    for name, M, hermitian in _norm_cases(rng, n):
+        ref = scale * oracles.jacobi_singular_values(M)[0]
+        routines = (op_norm, hermitian_op_norm) if hermitian else (op_norm,)
+        for norm in routines:
+            got = norm(scale * M)
+            assert got.shape == () and abs(got - ref) <= 1e-14 * ref, (name, norm.__name__)
+
+
+def test_op_norms_of_a_stack_are_per_matrix(rng):
+    # a (2, 3, n, n) stack whose matrices span 320 decades: each is scaled on its own
+    scales = np.array([[1e-160, 1.0, 1e160], [3.0, 0.0, 1e-100]])
+    for n in (2, 5):
+        R = np.array([[oracles.random_matrix(rng, n) for _ in row] for row in scales])
+        Rh = (R + R.conj().swapaxes(-1, -2)) / 2
+        for norm, base in ((op_norm, R), (op_norm, Rh), (hermitian_op_norm, Rh)):
+            got = norm(scales[..., None, None] * base)
+            assert got.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                ref = scales[idx] * oracles.jacobi_singular_values(base[idx])[0]
+                assert abs(got[idx] - ref) <= 1e-14 * ref, (n, norm.__name__, idx)
+
+
+def test_op_norm_of_subnormal_entries():
+    # 5e-324 is the least subnormal: an unscaled Gram matrix underflows to zero
+    for n in (2, 3, 4):
+        assert op_norm(np.full((n, n), 5e-324, dtype=complex)) == n * 5e-324
+        assert op_norm(np.diag([5e-324j] + [0.0] * (n - 1))) == 5e-324
 
 
 def test_rectangular_rejected():
-    with pytest.raises(ValidationError):
-        op_norm(np.ones((2, 3)))
+    for M in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 3))):
+        with pytest.raises(ValidationError):
+            op_norm(M)
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,7 +128,7 @@ def test_norm_ordering(dim, seed):
     r = np.random.default_rng(seed)
     M = oracles.random_matrix(r, dim)
     assert op_norm(M) <= hs_norm(M) + 1e-12
-    assert hs_norm(M) <= tr_norm(M) + 1e-12
+    assert hs_norm(M) <= oracles.trace_norm(M) + 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,7 +148,7 @@ def test_hoelder_and_cauchy_schwarz(dim, seed):
     A = oracles.random_matrix(r, dim)
     B = oracles.random_matrix(r, dim)
     tr_ab = abs(np.trace(A @ B))
-    assert tr_ab <= op_norm(A) * tr_norm(B) + 1e-10
+    assert tr_ab <= op_norm(A) * oracles.trace_norm(B) + 1e-10
     assert tr_ab <= hs_norm(A) * hs_norm(B) + 1e-10
 
 
