@@ -53,7 +53,12 @@ unitary system whose observable is the projector of its state
 (PROJECTOR_FILE), also written from a fixed seed: its O H is rank one, the
 one shape where rounding can put the Hilbert-Schmidt norm of O H below its
 operator norm, so that a battery row dividing by the smaller of the two
-would leave MIN_NORM; and STATE_MT reads p0 = 1.
+would leave MIN_NORM; and STATE_MT reads p0 = 1. Last,
+``bound --bounds ALL`` on ``tight_qubit.sys`` and ``dephasing.sys`` with H
+and every rate times 2^RESCALE_EXP and the horizon times 2^-RESCALE_EXP
+(RESCALED), written into the temporary directory: every T_qsl / T but
+those that compare dH with an absolute tolerance is that of the built-in
+run, and only these show a norm whose squares underflow.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -129,6 +134,8 @@ PROJECTOR_FILE, PROJECTOR_DIM, PROJECTOR_SEED = "projector_3.sys", 3, 3
 # (file, extra bound arguments) of the systems run at --tol TOL, each with --observable O
 TOL, TOL_FILES = 1e-6, (("loose_qubit.sys", ("--bounds", "ALL", "--tmax", "1")),
                         ("kraus_defect.sys", ("--tmax", "1", "--steps", "2")))
+# built-in systems run again with H and every rate times 2^RESCALE_EXP, and T times 2^-RESCALE_EXP
+RESCALE_EXP, RESCALED = -540, ("tight_qubit.sys", "dephasing.sys")
 # JSON keys whose values hash floating-point inputs
 DIGEST_KEYS = {"inputs_digest"}
 # --compare passes a number within RTOL relative, or ATOL absolute near zero
@@ -250,6 +257,24 @@ def kraus_defect_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def rescaled_text(fname: str) -> str:
+    """The built-in system ``fname``, whose Hamiltonian is Pauli terms
+    joined by " + ", with each term's coefficient and every jump rate times
+    2^RESCALE_EXP."""
+    lines, section = [], ""
+    for line in (SYSTEMS / fname).read_text(encoding="utf-8").splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        if line.startswith("["):
+            section = line
+        elif section == "[hamiltonian]" and key == "pauli":
+            terms = (term.split() for term in value.split(" + "))
+            line = "pauli = " + " + ".join(f"{math.ldexp(float(c), RESCALE_EXP)!r} {op}" for c, op in terms)
+        elif key == "rate":
+            line = f"rate = {math.ldexp(float(value), RESCALE_EXP)!r}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def commands(workdir: Path):
     """(label, argv) of every command; the generated system is read from
     ``workdir``."""
@@ -304,6 +329,11 @@ def commands(workdir: Path):
         yield f"bound:{fname}:tol={TOL!r}", argv + ["--format", "json"]
     argv = ["bound", "--system", str(workdir / PROJECTOR_FILE), "--observable", "P", "--tmax", "1.0"]
     yield f"bound:{PROJECTOR_FILE}", argv + ["--bounds", "ALL", "--format", "json"]
+    for fname, obs, _, tmax in BUILTIN_BOUNDS:
+        if fname in RESCALED:
+            argv = ["bound", "--system", str(workdir / f"rescaled_{fname}"), "--observable", obs]
+            yield f"bound:rescaled_{fname}", argv + ["--tmax", repr(math.ldexp(tmax, -RESCALE_EXP)), "--bounds", "ALL",
+                                                     "--format", "json"]
 
 
 def _bound_all(fname: str, obs: str, obs_b, tmax: float, fmt: str = "json") -> list:
@@ -407,6 +437,8 @@ def main() -> int:
         for (fname, _), text in zip(TOL_FILES, (loose_qubit_text(), kraus_defect_text())):
             (workdir / fname).write_text(text, encoding="utf-8")
         (workdir / PROJECTOR_FILE).write_text(projector_system_text(), encoding="utf-8")
+        for fname in RESCALED:
+            (workdir / f"rescaled_{fname}").write_text(rescaled_text(fname), encoding="utf-8")
         for label, argv in commands(workdir):
             proc = subprocess.run(
                 [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT

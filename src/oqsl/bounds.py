@@ -299,16 +299,16 @@ def oqsl_generator_hs(traj: Trajectory, rho: DensityState) -> BoundReport:
 def qsl_delcampo(
     rho0: DensityState,
     rhoT: DensityState,
-    lrho0_hs2: float,
+    lrho0_hs: float,
     T: float,
 ) -> BoundReport:
     """Relative-purity state bound for Lindblad dynamics:
 
     theta = arccos(tr[rho0 rhoT] / tr[rho0^2]),
-    T_qsl = |cos theta - 1| tr[rho0^2] / sqrt(tr[(L rho0)^2]),
+    T_qsl = |cos theta - 1| tr[rho0^2] / ||L rho0||_hs,
 
-    where the caller supplies rho(T) and tr[(L rho0)^2] evaluated at the
-    initial state. Only the end points are read, so rho(T) need not come
+    where the caller supplies rho(T) and ||L rho0||_hs, the generator's norm
+    at the initial state. Only the end points are read, so rho(T) need not come
     from a trajectory (:func:`~oqsl.dynamics.lindblad_final_state`).
     """
     overlap = float(np.trace(rho0.matrix @ rhoT.matrix).real)
@@ -317,16 +317,16 @@ def qsl_delcampo(
     if num <= ZERO_TOL:
         tqsl = 0.0
     else:
-        if lrho0_hs2 <= 0:
-            raise ValidationError("DELCAMPO: tr[(L rho0)^2] must be positive")
-        tqsl = num / np.sqrt(lrho0_hs2)
+        if lrho0_hs <= 0:
+            raise ValidationError("DELCAMPO: ||L rho0||_hs must be positive")
+        tqsl = num / lrho0_hs
     details = {
         "cos_theta": cos_theta,
         "theta": float(np.arccos(cos_theta)),
         "purity0": rho0.purity,
-        "lrho0_hs2": float(lrho0_hs2),
+        "lrho0_hs": float(lrho0_hs),
     }
-    return _report("DELCAMPO", T, tqsl, (rho0.matrix, rhoT.matrix, lrho0_hs2, T), details)
+    return _report("DELCAMPO", T, tqsl, (rho0.matrix, rhoT.matrix, lrho0_hs, T), details)
 
 
 def oqsl_kraus(traj: Trajectory, rho: DensityState) -> BoundReport:
@@ -354,7 +354,7 @@ def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
     O0 = as_matrix(O0, "observable")
     X = traj.trace_with(O0)
     num = abs(complex(X[-1] - X[0]))
-    o0_hs = hs_norm(O0)
+    o0_hs = float(hs_norm(O0))
     details = {"overlap_change": num, "o0_hs": o0_hs}
     inputs = (O0, X, traj.gen_speed_hs)
     return _speed_bound("STATE_INDEP", traj, num, o0_hs, "||O(0)||_hs * mean speed", inputs, details)
@@ -625,7 +625,7 @@ class EvalContext:
 
     @cached_property
     def oh_hs(self) -> float:
-        return hs_norm(self.oh)
+        return float(hs_norm(self.oh))
 
     @cached_property
     def rho_T(self) -> DensityState:
@@ -655,8 +655,7 @@ def _state_mt(c: EvalContext) -> BoundReport:
 
 
 def _delcampo(c: EvalContext) -> BoundReport:
-    lrho0_hs2 = hs_norm(lindblad_apply(c.generator, c.rho.matrix)) ** 2
-    return qsl_delcampo(c.rho, c.rho_T, lrho0_hs2, c.T)
+    return qsl_delcampo(c.rho, c.rho_T, float(hs_norm(lindblad_apply(c.generator, c.rho.matrix))), c.T)
 
 
 class BoundSpec:

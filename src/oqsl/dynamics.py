@@ -55,6 +55,7 @@ from .linalg import (
     as_matrix,
     checked_hermitian,
     hermitian_op_norm,
+    hs_norm,
     mat_exp,
     op_norm,
     require_finite,
@@ -377,8 +378,8 @@ def evolve_unitary_heisenberg(O0: np.ndarray, gen: UnitaryGenerator, rho: Densit
         freqs, O_eig, rho_eig = w / gen.hbar, Vd @ O0 @ V, Vd @ rho.matrix @ V
         # [H, O] / hbar in the eigenbasis; both norms are unitarily invariant
         comm = (freqs[:, None] - freqs[None, :]) * O_eig
-        hs = np.linalg.norm(comm)
-    if not np.isfinite(hs):  # else every frequency and the operator norm, at most hs, are finite
+    hs = float(hs_norm(comm)) if np.isfinite(comm).all() else math.inf
+    if not math.isfinite(hs):  # else every frequency and the operator norm, at most hs, are finite
         raise NumericError(f"generator speed gen_speed_hs = ||[H, O] / hbar||_HS is {hs} at hbar = {gen.hbar!r}")
     speeds = (np.full(grid.steps + 1, x) for x in (hs, op_norm(comm)))
     E = _phases(freqs, grid.times())
@@ -408,8 +409,7 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
 def _norms(X: np.ndarray) -> np.ndarray:
     """The Hilbert-Schmidt and operator norms of each Hermitian matrix in X
     (read through its lower triangle), shape (..., 2)."""
-    hs = np.sqrt(np.einsum("...ab,...ab->...", X.conj(), X).real)
-    return np.stack([hs, hermitian_op_norm(X)], axis=-1)
+    return np.stack([hs_norm(X), hermitian_op_norm(X)], axis=-1)
 
 
 def _check_stable(y: np.ndarray, limit=INSTABILITY_LIMIT) -> None:
@@ -805,13 +805,10 @@ def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid):
         KdO = (K.conj().swapaxes(-1, -2).reshape(B, -1, d) @ O0s).reshape(K.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # a subnormal step overflows, and raises below
             M = KdO @ np.gradient(window, grid.h, axis=1)[:, own]
-            hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=2)
-        bad = np.flatnonzero(~np.isfinite(hs).all(axis=0))
-        if bad.size:
-            t = float(times[start + bad[0]])
+        if not np.isfinite(M).all():
+            t = float(times[start + np.flatnonzero(~np.isfinite(M).all(axis=(0, 2, 3, 4)))[0]])
             raise NumericError(f"Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite at t={t!r}, step h = {grid.h!r}")
-        # M is finite where its HS norms are, and each operator norm is at most its HS norm
-        speeds = np.stack([hs, op_norm(M).sum(axis=2)], axis=-1)
+        speeds = np.stack([hs_norm(M).sum(axis=2), op_norm(M).sum(axis=2)], axis=-1)
         samples = (KdO @ K).sum(axis=2)
         del window, K, KdO, M  # freed before the reducer reads the chunk
         yield start, samples, speeds

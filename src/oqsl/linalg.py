@@ -89,29 +89,48 @@ def hermitian_op_norm(X: np.ndarray) -> np.ndarray:
     return np.maximum(-w[..., 0], w[..., -1])
 
 
-def op_norm(X) -> np.ndarray:
-    """The operator (spectral) norm of a square matrix, or of each matrix in
-    a stack of shape (..., n, n), shape (...): the square root of the
-    largest eigenvalue of the Gram matrix Y^dag Y, where Y is the matrix
-    scaled by the power of two at its largest |re| or |im|. That scaling is
-    exact, and neither overflows nor underflows the Gram matrix."""
+def _square_stack(X) -> np.ndarray:
+    """X as a complex square matrix or stack (..., n, n), else a ValidationError."""
     X = np.asarray(X, dtype=complex)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValidationError(f"matrix must be square, got shape {X.shape}")
-    parts = np.ascontiguousarray(X).view(float)
-    top = np.abs(parts).max(axis=(-2, -1), initial=0.0)
+    return X
+
+
+def _scaled(X: np.ndarray, axes=(-2, -1), message: str = "matrix has non-finite entries"):
+    """(Y, k): X times 2^-k over ``axes``, k the exponent of its largest |re|
+    or |im| there, so that Y's largest is in [1/2, 1): exact, and no square
+    of Y overflows. A non-finite entry is a ValidationError with ``message``."""
+    parts = np.ascontiguousarray(X, dtype=complex).view(float)
+    top = np.abs(parts).max(axis=axes, initial=0.0)
     if not np.isfinite(top).all():
-        raise ValidationError("matrix has non-finite entries")
+        raise ValidationError(message)
     k = np.frexp(top)[1]
-    Y = np.ldexp(parts, -k[..., None, None]).view(complex)
+    return np.ldexp(parts, -np.expand_dims(k, axes)).view(complex), k
+
+
+def op_norm(X) -> np.ndarray:
+    """The operator (spectral) norm of a square matrix, or of each matrix in
+    a stack (..., n, n), shape (...): the square root of the largest eigenvalue
+    of Y^dag Y, for Y = :func:`_scaled` X, which neither overflows nor underflows."""
+    Y, k = _scaled(_square_stack(X))
     return np.ldexp(np.sqrt(hermitian_op_norm(Y.conj().swapaxes(-1, -2) @ Y)), k)
 
 
-def hs_norm(M: np.ndarray) -> float:
-    """Hilbert-Schmidt norm sqrt(tr(M^dag M)), i.e. the Frobenius norm."""
-    M = as_matrix(M)
-    require_finite(M)
-    return float(np.linalg.norm(M))
+def hs_norm(X) -> np.ndarray:
+    """The Hilbert-Schmidt norm sqrt(tr(X^dag X)) of a square matrix, or of
+    each matrix in a stack (..., n, n), shape (...): unscaled where the sum of
+    squares is in [2^-900, float max], else from :func:`_scaled` matrices, so
+    no square overflows or loses digits (Blue, ACM TOMS 4, 1978)."""
+    X = _square_stack(X)
+    squares = np.einsum("...ab,...ab->...", X.conj(), X).real
+    bad = ~((squares >= 2.0**-900) & (squares <= np.finfo(float).max))
+    norms = np.sqrt(squares, out=np.empty(np.shape(squares)))  # an array also for one matrix
+    if bad.any():
+        Y, k = _scaled(X[bad])
+        with np.errstate(over="ignore"):  # a norm above float max is inf
+            norms[bad] = np.ldexp(np.sqrt(np.einsum("...ab,...ab->...", Y.conj(), Y).real), k)
+    return norms
 
 
 def taylor_degree(theta: float, target: float = 2.0**-53) -> int:
@@ -133,9 +152,7 @@ def mat_exp(A: np.ndarray) -> np.ndarray:
     is the largest 1-norm over the stack, and m = taylor_degree(theta). The
     degree-m series of A / 2^s is summed by Horner's rule and squared s times.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValidationError(f"matrix must be square, got shape {A.shape}")
+    A = _square_stack(A)
     require_finite(A)
     norm = float(np.abs(A).sum(axis=-2).max(initial=0.0))
     if not np.isfinite(norm):
@@ -220,15 +237,11 @@ class DensityState:
 
     @classmethod
     def pure(cls, ket) -> "DensityState":
-        """Density operator |psi><psi| of a ket, normalized first. Before its
-        norm is taken the ket is scaled by the power of two at its largest
-        |re| or |im|, which is exact, so the norm neither overflows nor
-        underflows."""
-        parts = np.ascontiguousarray(ket, dtype=complex).reshape(-1).view(float)
-        top = np.abs(parts).max(initial=0.0)
-        if not (np.isfinite(top) and top > 0.0):
+        """Density operator |psi><psi| of a ket, normalized first, after
+        :func:`_scaled`, so its norm neither overflows nor underflows."""
+        psi = _scaled(np.reshape(ket, -1), -1, "ket must be a nonzero finite vector")[0]
+        if not psi.any():
             raise ValidationError("ket must be a nonzero finite vector")
-        psi = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
         psi = psi / np.linalg.norm(psi)
         return cls(matrix=np.outer(psi, psi.conj()), purity=1.0)
 

@@ -88,7 +88,7 @@ def scenario_dephasing(
     grid = TimeGrid(t_max, steps)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, rho, grid)
     states = evolve_lindblad_schrodinger(rho, gen, grid)
-    lrho0_hs2 = hs_norm(lindblad_apply(gen, rho.matrix)) ** 2
+    lrho0_hs = float(hs_norm(lindblad_apply(gen, rho.matrix)))
 
     stride = steps // n_points
     rows = []
@@ -97,7 +97,7 @@ def scenario_dephasing(
         sub = traj.prefix(idx)
         T = sub.grid.T
         oqsl = bounds.oqsl_generator_hs(sub, rho).T_qsl
-        qsl = bounds.qsl_delcampo(rho, states[idx], lrho0_hs2, T).T_qsl
+        qsl = bounds.qsl_delcampo(rho, states[idx], lrho0_hs, T).T_qsl
         ref_oqsl = T / np.sqrt(2.0)
         ref_qsl = (1.0 - np.exp(-gamma * T)) / (np.sqrt(2.0) * gamma)
         rows.append(

@@ -71,6 +71,7 @@ from oqsl.linalg import (
     ValidationError,
     as_matrix,
     checked_hermitian,
+    hs_norm,
     is_hermitian,
     mat_exp,
     op_norm,
@@ -613,7 +614,7 @@ def kraus_full_stack(O0, family, rho, grid: TimeGrid, tol: float = DEFAULT_TOL, 
     KdO = K.conj().swapaxes(-1, -2) @ O0
     Os = (KdO @ K).sum(axis=1)
     M = KdO @ np.gradient(K, grid.h, axis=0)
-    speed_hs = np.linalg.norm(M, axis=(-2, -1)).sum(axis=1)
+    speed_hs = hs_norm(M).sum(axis=1)
     speed_op = op_norm(M).sum(axis=1)
     return Trajectory(
         kind="kraus",
@@ -647,7 +648,7 @@ def kraus_chunks_per_family(family, O0: np.ndarray, grid: TimeGrid, tol: float =
             raise ValidationError(f"Kraus completeness violated at t={times[start + j]!r} (defect {defect[j]:.3e})")
         KdO = K.conj().swapaxes(-1, -2) @ O0
         M = KdO @ np.gradient(window, grid.h, axis=0)[own]
-        speeds = np.stack([np.linalg.norm(M, axis=(-2, -1)).sum(axis=1), op_norm(M).sum(axis=1)], axis=-1)
+        speeds = np.stack([hs_norm(M).sum(axis=1), op_norm(M).sum(axis=1)], axis=-1)
         yield start, (KdO @ K).sum(axis=1)[None], speeds[None]
 
 

@@ -86,7 +86,7 @@ def test_criterion_2_dephasing_figure_data():
     grid = TimeGrid(t_max, steps)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, PLUS, grid)
     states = evolve_lindblad_schrodinger(PLUS, gen, grid)
-    l2 = hs_norm(lindblad_apply(gen, PLUS.matrix)) ** 2
+    l_hs = float(hs_norm(lindblad_apply(gen, PLUS.matrix)))
     stride = steps // n_points
     worst_oqsl = worst_qsl = 0.0
     dominance = True
@@ -94,7 +94,7 @@ def test_criterion_2_dephasing_figure_data():
         sub = traj.prefix(k * stride)
         T = sub.grid.T
         oqsl = oqsl_generator_hs(sub, PLUS).T_qsl
-        qsl = qsl_delcampo(PLUS, states[k * stride], l2, T).T_qsl
+        qsl = qsl_delcampo(PLUS, states[k * stride], l_hs, T).T_qsl
         worst_oqsl = max(worst_oqsl, abs(oqsl - T / np.sqrt(2.0)))
         worst_qsl = max(worst_qsl, abs(qsl - (1.0 - np.exp(-T)) / np.sqrt(2.0)))
         dominance = dominance and (oqsl >= qsl)

@@ -322,8 +322,7 @@ def dephasing_delcampo(T, steps=2000, gamma=1.0):
     gen = dephasing_generator(gamma)
     grid = TimeGrid(T, steps)
     states = evolve_lindblad_schrodinger(PLUS, gen, grid)
-    l2 = hs_norm(lindblad_apply(gen, PLUS.matrix)) ** 2
-    return qsl_delcampo(PLUS, states[-1], l2, T)
+    return qsl_delcampo(PLUS, states[-1], float(hs_norm(lindblad_apply(gen, PLUS.matrix))), T)
 
 
 @pytest.mark.parametrize("T", [0.4, 0.9, T_HALF_PI])
@@ -334,7 +333,7 @@ def test_delcampo_dephasing_closed_form(T):
 
 
 def test_delcampo_same_state():
-    assert qsl_delcampo(PLUS, PLUS, 0.5, 1.0).T_qsl == 0.0
+    assert qsl_delcampo(PLUS, PLUS, np.sqrt(0.5), 1.0).T_qsl == 0.0
 
 
 def test_delcampo_below_generator_bound():

@@ -20,6 +20,7 @@ from oqsl import audit
 from oqsl.cli import TOL_FLOOR, main
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
+    DephasingKraus,
     LindbladGenerator,
     TabulatedKraus,
     TimeGrid,
@@ -521,11 +522,14 @@ def test_builtin_systems_pass_at_tol_floor(name, obs, obs_b, tmax):
 @pytest.mark.parametrize("command", ["bound", "evolve"])
 @pytest.mark.parametrize("name,obs", [("tight_qubit", "O"), ("two_qubit", "A"), ("battery", "HB")])
 def test_overflowed_generator_speed_is_a_numeric_error(name, obs, command):
-    # at hbar = 1e-300 the Hilbert-Schmidt norm of [H, O] / hbar overflows
+    # at hbar = 1e-308 [H, O] / hbar itself overflows; at 1e-300 its
+    # Hilbert-Schmidt norm, ~3e300, is finite, and only its squares were not
     argv = [command, "--system", str(SYSTEMS / f"{name}.sys"), "--observable", obs, "--tmax", "1"]
-    code, out, err = run_cli(argv + ["--hbar", "1e-300"])
+    code, out, err = run_cli(argv + ["--hbar", "1e-308"])
     assert code == 3 and out == ""
-    assert "generator speed gen_speed_hs" in err and "is inf at hbar = 1e-300" in err
+    assert "generator speed gen_speed_hs" in err and "is inf at hbar = 1e-308" in err
+    code, out, err = run_cli(argv + ["--hbar", "1e-300"])
+    assert code == 0 and out, err
 
 
 def register_text(c=1.0, dim=32):
@@ -745,6 +749,58 @@ def test_a_kraus_speed_whose_gram_matrix_overflows_is_a_numeric_error(tmp_path):
     if code:
         (line,) = err.splitlines()
         assert line.startswith("numeric error: Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite")
+
+
+def test_kraus_speeds_on_an_aliased_grid_do_not_underflow():
+    # at h = 2e298 the difference quotients of K are ~1e-299 and only at the
+    # first samples: their squares underflowed to 0, and with them the speed
+    argv = ["bound", "--system", str(SYSTEMS / "kraus_dephasing.sys"), "--observable", "O", "--tmax", "1e300"]
+    code, out, err = run_cli(argv + ["--steps", "50"])
+    assert code == 0 and err == "", err
+    (row,) = parse_csv(out)
+    assert row["bound_id"] == "KRAUS" and row["valid"] == "true"
+    assert float(row["T_qsl"]) == pytest.approx(1e300 / math.sqrt(2.0), rel=1e-11)
+
+
+# the rows that compare dH with the absolute SPREAD_TOL, which does not scale with H
+SPREAD_ROWS = {"MT_INTEGRAL", "SELF_INVERSE", "STATE_MT", "BATTERY_CT1"}
+
+
+def _rescaled_text(name, lam):
+    """The built-in system ``name`` with H and every rate (gamma of a Kraus family) times ``lam``."""
+    spec = parse_system(builtin_text(name))
+    gen = spec.generator
+    if gen.kind == "kraus":
+        gen = DephasingKraus(gen.gamma * lam)
+    elif gen.kind == "lindblad":
+        gen = LindbladGenerator(gen.H * lam, tuple((L, rate * lam) for L, rate in gen.jumps), gen.hbar)
+    else:
+        gen = UnitaryGenerator(gen.H * lam, gen.hbar)
+    return serialize_system(SystemSpec(gen, spec.initial_state, spec.observables))
+
+
+@pytest.mark.parametrize(
+    "name,obs,obs_b,tmax", [c[:4] for c in REPORT_ORDER], ids=[f"{c[0]}{'+B' if c[2] else ''}" for c in REPORT_ORDER]
+)
+def test_bounds_are_covariant_under_a_rescaling_of_energies_and_time(tmp_path, name, obs, obs_b, tmax):
+    # H and the rates enter only through H t / hbar and gamma t: times lam
+    # and T / lam leave every T_qsl / T, and the exit code, unchanged
+    def ratios(k):
+        path = tmp_path / f"{name}_{k}.sys"
+        path.write_text(_rescaled_text(name, 2.0**k))
+        argv = ["bound", "--system", str(path), "--observable", obs, "--tmax", repr(float(tmax) * 2.0**-k)]
+        code, out, err = run_cli(argv + ["--observable-b"] * bool(obs_b) + [obs_b] * bool(obs_b)
+                                 + ["--bounds", "ALL", "--format", "json"])
+        assert code == 0, (k, err)
+        reports = json.loads(out)["reports"]
+        return {r["bound_id"]: r["T_qsl"] / r["T"] for r in reports if r["bound_id"] not in SPREAD_ROWS}
+
+    ref = ratios(0)
+    for k in (-1000, -700, -540, -530, -300, 300, 440):
+        got = ratios(k)
+        assert got.keys() == ref.keys(), k
+        for bound_id, r in ref.items():
+            assert abs(got[bound_id] - r) <= 1e-12, (k, bound_id, got[bound_id], r)
 
 
 @pytest.mark.parametrize("command", ["bound", "evolve"])

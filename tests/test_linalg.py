@@ -109,6 +109,56 @@ def test_op_norms_of_a_stack_are_per_matrix(rng):
                 assert abs(got[idx] - ref) <= 1e-14 * ref, (n, norm.__name__, idx)
 
 
+def _hs_oracle(M) -> float:
+    """sqrt(sum sigma^2) from the Jacobi singular values of M."""
+    return float(np.sqrt((oracles.jacobi_singular_values(M) ** 2).sum()))
+
+
+# 1e300 squares to inf, 1e-160 and 1e-300 to below 2^-1022 or to 0
+HS_SCALES = [1.0, 2.0**400, 2.0**-400, 1e-160, 1e-300, 1e300]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("scale", HS_SCALES, ids=["1", "2^400", "2^-400", "1e-160", "1e-300", "1e300"])
+def test_hs_norm_matches_the_jacobi_oracle_at_every_scale(rng, n, scale):
+    # the reference is the oracle on the matrix of order one, times the scale
+    for name, M, _ in _norm_cases(rng, n):
+        ref = scale * _hs_oracle(M)
+        got = hs_norm(scale * M)
+        assert got.shape == () and abs(got - ref) <= 1e-14 * ref, name
+
+
+def test_hs_norms_of_a_stack_are_per_matrix(rng):
+    # a (2, 3, n, n) stack whose matrices span 600 decades, each scaled on its own
+    scales = np.array([[1e-300, 1.0, 1e300], [2.0**400, 0.0, 1e-160]])
+    for n in (2, 5):
+        cases = [M for _, M, _ in _norm_cases(rng, n)]
+        base = np.array([[cases[(3 * i + j) % len(cases)] for j in range(3)] for i in range(2)])
+        got = hs_norm(scales[..., None, None] * base)
+        assert got.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            ref = scales[idx] * _hs_oracle(base[idx])
+            assert abs(got[idx] - ref) <= 1e-14 * ref, (n, idx)
+
+
+def test_hs_norm_of_subnormal_entries(rng):
+    # integer multiples of 2^-1074 are exact: their squares underflow to 0
+    for n in (2, 3, 4):
+        M = rng.integers(-8, 9, (n, n)) + 1j * rng.integers(-8, 9, (n, n))
+        ref = np.ldexp(_hs_oracle(M), -1074)
+        got = hs_norm(np.ldexp(M.real, -1074) + 1j * np.ldexp(M.imag, -1074))
+        assert abs(got - ref) <= 1e-14 * ref
+        assert hs_norm(np.full((n, n), 5e-324)) == n * 5e-324
+
+
+def test_hs_norm_is_the_unscaled_sum_where_no_square_leaves_the_range(rng):
+    # matrices of order 2^-396 to 2^396 keep the bits of the plain sum of squares
+    X = np.stack([oracles.random_matrix(rng, 4, 2.0**k) for k in range(-396, 397, 36)])
+    ref = np.sqrt(np.einsum("...ab,...ab->...", X.conj(), X).real)
+    assert np.array_equal(hs_norm(X), ref)
+    assert all(hs_norm(M) == r for M, r in zip(X, ref))
+
+
 def test_op_norm_of_subnormal_entries():
     # 5e-324 is the least subnormal: an unscaled Gram matrix underflows to zero
     for n in (2, 3, 4):
