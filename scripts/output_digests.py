@@ -80,7 +80,9 @@ infinity meets anything else. It exits 1 when one exceeds RTOL = 1e-12 or
 when anything but a number differs. JSON outputs are compared
 number by number, except their ``inputs_digest`` fields, which hash the
 floats a bound read and so move with any last-digit change; other outputs
-must be identical.
+must be identical. A key that only one output has, as after a rename, is
+named on its command's line (``-`` in OLD only, ``+`` in NEW only) and
+fails it, while the numbers under the keys both share are still compared.
 
 Each command runs as its own ``python -m oqsl`` process against the ``src/``
 tree next to this script.
@@ -348,20 +350,21 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def number_pairs(a, b, path: str = ""):
+def number_pairs(a, b, unmatched: list, path: str = ""):
     """Yield (path, x, y) for the numbers at the same place in two parsed
-    JSON values; raise ValueError where anything else differs."""
+    JSON values, under the keys that both sides share, and append to
+    ``unmatched`` each key that only one side has, marked ``-`` (old) or
+    ``+`` (new); raise ValueError where anything else differs."""
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            raise ValueError(f"{path or '.'}: keys {sorted(a.keys() ^ b.keys())} differ")
+        unmatched += (f"{'-' if key in a else '+'}{path}.{key}" for key in sorted(a.keys() ^ b.keys()))
         for key in a:
-            if key not in DIGEST_KEYS:
-                yield from number_pairs(a[key], b[key], f"{path}.{key}")
+            if key in b and key not in DIGEST_KEYS:
+                yield from number_pairs(a[key], b[key], unmatched, f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise ValueError(f"{path}: lengths {len(a)} and {len(b)} differ")
         for i, (x, y) in enumerate(zip(a, b)):
-            yield from number_pairs(x, y, f"{path}[{i}]")
+            yield from number_pairs(x, y, unmatched, f"{path}[{i}]")
     elif _is_number(a) and _is_number(b):
         yield path, float(a), float(b)
     elif a != b:
@@ -369,17 +372,19 @@ def number_pairs(a, b, path: str = ""):
 
 
 def largest_difference(old: str, new: str):
-    """(difference, path, count) for the two outputs of one command: the
-    largest |a - b| / max(|a|, |b|, ATOL / RTOL) over their numbers (inf
-    where a NaN or an infinity meets anything else), where it occurs, and how
-    many numbers were compared. Raises ValueError when anything but a number
-    differs."""
+    """(difference, path, count, unmatched) for the two outputs of one
+    command: the largest |a - b| / max(|a|, |b|, ATOL / RTOL) over the
+    numbers under their shared keys (inf where a NaN or an infinity meets
+    anything else), where it occurs, how many numbers were compared, and the
+    keys that only one side has (see :func:`number_pairs`). Raises
+    ValueError when anything but a number or a key differs."""
+    unmatched = []
     try:
-        pairs = list(number_pairs(json.loads(old), json.loads(new)))
+        pairs = list(number_pairs(json.loads(old), json.loads(new), unmatched))
     except json.JSONDecodeError:
         if old != new:
             raise ValueError("non-JSON outputs differ") from None
-        return 0.0, "", 0
+        return 0.0, "", 0, []
     worst, where = 0.0, ""
     for path, x, y in pairs:
         if x == y or (math.isnan(x) and math.isnan(y)):
@@ -389,7 +394,7 @@ def largest_difference(old: str, new: str):
             diff = math.inf
         if diff > worst:
             worst, where = diff, path
-    return worst, where, len(pairs)
+    return worst, where, len(pairs), unmatched
 
 
 def _file(label: str) -> str:
@@ -405,14 +410,15 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             failed += 1
             continue
         try:
-            diff, where, count = largest_difference(old.read_text(), new.read_text())
+            diff, where, count, unmatched = largest_difference(old.read_text(), new.read_text())
         except ValueError as exc:
             print(f"DIFFERS  {label}: {exc}")
             failed += 1
             continue
-        ok = diff <= RTOL
-        failed += not ok
-        print(f"{'ok' if ok else 'OVER':7}  {diff:.2e}  {count:6d} numbers  {label}  {where}".rstrip())
+        status = "KEYS" if unmatched else "ok" if diff <= RTOL else "OVER"
+        failed += status != "ok"
+        keys = f"  keys {' '.join(unmatched)}" if unmatched else ""
+        print(f"{status:7}  {diff:.2e}  {count:6d} numbers  {label}  {where}".rstrip() + keys)
     return 1 if failed else 0
 
 

@@ -72,7 +72,6 @@ _PLAIN = re.compile(r"[0-9.eE+\-j \t,\[\]]*")
 # i -> j, a written j -> '?' (no entry matches it), and -> ' ' the four
 # separators that str.strip() removes but complex() refuses
 _AS_PYTHON = str.maketrans({"i": "j", "j": "?", **dict.fromkeys("\x1c\x1d\x1e\x1f", " ")})
-_DELIMITER = re.compile(r"([][,])")
 _RE_SECTION = re.compile(r"^\[\s*([A-Za-z_][A-Za-z0-9_-]*)(?:\s+([A-Za-z_][A-Za-z0-9_]*))?\s*\]$")
 _RE_PAULI_WORD = re.compile(r"^[IXYZ]+$")
 
@@ -131,92 +130,86 @@ def _joined(re: str, im: str) -> str:
 
 def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
     """The vector (``rank`` 1) or square matrix (``rank`` 2) literal ``text``
-    at ``line``:``col``, split once on brackets and commas. Bracket balance is
-    checked before any entry is read; then, row by row, the row's shape is
-    checked and its entries are converted (:func:`_entries`)."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        _fail(line, col + len(text) - len(text.lstrip()), "expected a bracketed literal")
-    python = text.translate(_AS_PYTHON)
+    at ``line``:``col``, read as the grammar nests it: a bracketed list cut
+    at its top-level commas. The outer brackets are checked first, then the
+    balance of every bracket inside them, then each part in order; a matrix
+    row is read the same way, and its width checked before the next row."""
+    python = text.translate(_AS_PYTHON)  # one character for each, so its indices are text's
     plain = _PLAIN.fullmatch(python) is not None
-    # text, delimiter, text, ..., text: tokens[k] is a delimiter for odd k,
-    # tokens[1] opens the literal and tokens[-2] closes it
-    tokens = _DELIMITER.split(python)
 
-    def col_of(k: int) -> int:  # the running sum of the token lengths
-        return col + sum(map(len, tokens[:k]))
+    def parts(i: int, s: str) -> tuple[int, list[str]]:
+        """The index in ``text`` of the body of the bracketed ``s``, which
+        starts at index ``i``, and that body cut at its top-level commas."""
+        body = s.strip()
+        i += len(s) - len(s.lstrip())
+        if not (body.startswith("[") and body.endswith("]")):
+            _fail(line, col + i, "expected a bracketed literal")
+        i, body = i + 1, body[1:-1]
+        groups, depth = [], 0  # the (start, end) of each top-level bracketed group
+        o, c = body.find("["), body.find("]")
+        while c >= 0:
+            if 0 <= o < c:
+                if not depth:
+                    start = o
+                depth += 1
+                o = body.find("[", o + 1)
+            elif depth:
+                depth -= 1
+                if not depth:
+                    groups.append((start, c + 1))
+                c = body.find("]", c + 1)
+            else:
+                _fail(line, col + i + c, "unbalanced ']' in literal")
+        if depth or o >= 0:
+            _fail(line, col + i, "unbalanced '[' in literal")
+        cut, x = [""], 0
+        for g, h in [*groups, (len(body), len(body))]:
+            first, *rest = body[x:g].split(",")
+            cut[-1] += first
+            cut += rest
+            cut[-1] += body[g:h]
+            x = h
+        return i, cut
 
-    # the ']' that closes each '[', and the first '[' inside each group
-    close, inner, opened = {1: len(tokens) - 2}, {}, []
-    for m in re.finditer(r"[][]", "".join(tokens[3:-2:2])):
-        k = 2 * m.start() + 3
-        if tokens[k] == "[":
-            inner.setdefault(opened[-1] if opened else 1, k)
-            opened.append(k)
-        elif opened:
-            close[opened.pop()] = k
-        else:
-            _fail(line, col_of(k), "unbalanced ']' in literal")
-    if opened:
-        _fail(line, col_of(2), "unbalanced '[' in literal")
-
-    def part_end(k: int) -> int:  # the ',' or ']' after any groups that open at tokens[k]
-        while tokens[k] == "[":
-            k = close[k] + 2
-        return k
-
-    def vector(a: int) -> np.ndarray:
-        # one token per entry up to the first '[', whose part then runs on
-        k = inner.get(a, close[a])
-        entries = tokens[a + 1 : k : 2]
-        entries[-1] = "".join(tokens[k - 1 : part_end(k)])
-        v, bad = _entries(entries, plain)
+    def vector(i: int, s: str) -> np.ndarray:
+        # complex() on every entry of a plain literal; _ENTRY runs only where
+        # it refuses one, to place the diagnostic
+        i, entries = parts(i, s)
+        try:
+            v = np.array(list(map(complex, entries)), dtype=complex) if plain else None
+        except ValueError:
+            v = None
+        bad = len(entries)
+        if v is None:
+            bad = [*map(_ENTRY.fullmatch, entries), None].index(None)
+            v = np.array(list(map(complex, entries[:bad])), dtype=complex)
         bad = min(np.flatnonzero(~np.isfinite(v)), default=bad)
         if bad < len(entries):
-            p = a + 1 + 2 * bad
-            entry = text[col_of(p) - col : col_of(part_end(p + 1)) - col].strip()
+            i += sum(map(len, entries[:bad])) + bad
+            entry = text[i : i + len(entries[bad])].strip()
             if not entry:
-                _fail(line, col_of(p), "empty entry in vector literal")
+                _fail(line, col + i, "empty entry in vector literal")
             try:
                 parse_complex(entry)
             except ParseError as exc:
-                _fail(line, col_of(p), exc.diagnostics[0].message)
+                _fail(line, col + i, exc.diagnostics[0].message)
         return v
 
     if rank == 1:
-        return vector(1)
-    rows, p = [], 2
-    while p < len(tokens) - 1:  # the row is tokens[p:end]
-        end = part_end(p + 1)
-        lead, trail = tokens[p], tokens[end - 1]
-        if end == p + 1 and not lead.strip():
-            _fail(line, col_of(p), "empty row in matrix literal")
-        if end == p + 1 or lead.strip() or trail.strip():
-            _fail(line, col_of(p) + len(lead) - len(lead.lstrip()), "expected a bracketed literal")
-        if close[p + 1] != end - 2:
-            _fail(line, col_of(close[p + 1]), "unbalanced ']' in literal")
-        row = vector(p + 1)
-        if rows and row.size != rows[0].size:
-            _fail(line, col_of(p), f"matrix row has {row.size} entries, expected {rows[0].size}")
-        rows.append(row)
-        p = end + 1
-    if len(rows) != rows[0].size:
-        _fail(line, col_of(2), f"matrix literal is {len(rows)}x{rows[0].size}, expected square")
-    return np.array(rows)
-
-
-def _entries(entries: list, plain: bool):
-    """The literal entries as complex values up to the first that ``_ENTRY``
-    does not match, and its index (len(entries) if none). The entries of a
-    ``plain`` literal (``_PLAIN``) go straight to complex(); ``_ENTRY`` runs
-    only where it refuses one, to place the diagnostic."""
-    if plain:
-        try:
-            return np.array(list(map(complex, entries)), dtype=complex), len(entries)
-        except ValueError:
-            pass
-    bad = [*map(_ENTRY.fullmatch, entries), None].index(None)
-    return np.array(list(map(complex, entries[:bad])), dtype=complex), bad
+        return vector(0, python)
+    inside, rows = parts(0, python)
+    M, i = [], inside
+    for row in rows:
+        if not row.strip():
+            _fail(line, col + i, "empty row in matrix literal")
+        v = vector(i, row)
+        if M and v.size != M[0].size:
+            _fail(line, col + i, f"matrix row has {v.size} entries, expected {M[0].size}")
+        M.append(v)
+        i += len(row) + 1
+    if len(M) != M[0].size:
+        _fail(line, col + inside, f"matrix literal is {len(M)}x{M[0].size}, expected square")
+    return np.array(M)
 
 
 # ---------------------------------------------------------------------------

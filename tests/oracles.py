@@ -26,8 +26,9 @@ the library's eigenbasis, Liouvillian and grid-batched routes, and the three-ope
 the trajectories' spreads. The ``.sys`` literal reader that walks a literal
 one character at a time and tries three complex regexes per entry
 (:func:`_parse_vector`, :func:`_parse_matrix`, :func:`parse_complex`) is the
-reference for ``sysdl``'s reader, which splits each literal once, and the
-per-entry reprint (:func:`format_matrix_per_entry`) for its flattened one.
+reference for ``sysdl``'s reader, which finds the brackets with ``str.find``
+and calls complex() on each entry, and the per-entry reprint
+(:func:`format_matrix_per_entry`) for its flattened one.
 The Gram-matrix Lindblad speeds (:func:`gram_norms`) and a 60-digit 2x2
 eigenvalue are the references for the Hermitian operator norms; the
 per-time Kraus families (:class:`FunctionKraus`, :func:`dephasing_kraus_at`)
@@ -653,7 +654,7 @@ def kraus_chunks_per_family(family, O0: np.ndarray, grid: TimeGrid, tol: float =
 
 
 # ---------------------------------------------------------------------------
-# the character-walking literal reader that sysdl's single-split reader replaced
+# the character-walking literal reader that sysdl's find-and-split reader replaced
 
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _SIGNED = rf"[+-]?{_UNSIGNED}"

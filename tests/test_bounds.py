@@ -195,6 +195,12 @@ def test_state_projector_arccos_reduction_exact(pT):
     assert rep.T_qsl == float(np.arccos(np.sqrt(pT)))
 
 
+def test_state_projector_arccos_reduction_exact_at_pT_one():
+    # the mirror of p0 = 1: a final probability of 1 reads arccos sqrt(p0)
+    rep = state_qsl_projector(0.5, 1.0, 1.0, 2.0)
+    assert rep.T_qsl == float(np.arccos(np.sqrt(0.5)))
+
+
 def test_state_projector_rejects_bad_probability():
     with pytest.raises(ValidationError):
         state_qsl_projector(1.2, 0.0, 1.0, 1.0)

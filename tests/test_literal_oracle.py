@@ -153,6 +153,12 @@ def test_valid_literals_read_bit_identically(case):
         (1, "[1 i, 2j]"),
         (1, "[\x1c1\x1c, 2\x85]"),
         (1, "1, 2"),
+        # parts that hold a group, which the cut at top-level commas must place
+        (1, "[1, 2[3], 4]"),
+        (1, "[[1]]"),
+        (2, "[[1]2, [3]]"),
+        (2, "[[1, [2]], [3, 4]]"),
+        (2, "[ [1, 2] ,\t[3, 4] ]"),
     ],
 )
 def test_hand_written_faults_give_the_same_first_diagnostic(rank, text):

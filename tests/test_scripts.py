@@ -153,3 +153,12 @@ def test_output_digests_compares_numbers_to_tolerance(tmp_path):
     other = _save_dir(tmp_path / "other", dump(text="t"))
     proc = run_script("output_digests.py", "--compare", str(old), str(other))
     assert proc.returncode == 1 and "'s' and 't' differ" in proc.stdout
+
+    # a renamed key fails and is named, while the numbers both sides share are still compared
+    renamed = _save_dir(tmp_path / "renamed", lambda label: json.dumps(
+        {"a": 1.5, "inputs_digest": "x", "b2": [0.0, "s"]} if label == "audit" else dump()(label)
+    ))
+    proc = run_script("output_digests.py", "--compare", str(old), str(renamed))
+    assert proc.returncode == 1
+    (keys,) = [line for line in proc.stdout.splitlines() if line.startswith("KEYS")]
+    assert keys.split()[1] == "3.33e-01" and keys.split()[-5:] == ["audit", ".a", "keys", "-.b", "+.b2"]

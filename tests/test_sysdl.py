@@ -320,6 +320,25 @@ def test_a_kraus_family_holds_the_parse_tolerance():
             "[system]\ndim = 2\n[state]\nket = [1, 0]\n[kraus]\nfamily = dephasing\ngamma = 1\nK = [[1, 0], [0, 1]]\n",
             "'K' is a key of family = tabulated",
         ),
+        (
+            "[system]\ndim = 2\n[state]\nket = [1, 0]\n[observable O]\nmatrix = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n",
+            "t.sys:6:10: matrix is 3x3, expected 2x2",
+        ),
+        (
+            "[system]\ndim = 2\n[state]\nmatrix = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]\n",
+            "t.sys:4:10: state is 3x3, expected 2x2",
+        ),
+        (
+            "[system]\ndim = 2\n[state]\nket = [1, 0]\n[kraus]\nfamily = tabulated\nK = [[1, 0], [0, 1]]\n",
+            "t.sys:7:1: 'K =' before any 'time =' declaration",
+        ),
+        (
+            "[system]\ndim = 2\n[state]\nket = [1, 0]\n[kraus]\nfamily = tabulated\n"
+            + "time = 0.0\nK = [[1, 0], [0, 1]]\n" * 2,
+            "t.sys:5:1: tabulated Kraus times must be strictly increasing, length >= 2",
+        ),
+        ("[system]\ndim = 2\n[state]\nket = [1, 0]\n[system]\ndim = 2\n", "t.sys:5:1: duplicate [system] section"),
+        ("[system]\ndim = 2\n[state S]\nket = [1, 0]\n", "t.sys:3:1: section [state] takes no name argument"),
     ],
 )
 def test_validation_diagnostics(text, fragment):
