@@ -24,14 +24,14 @@ rate is a constant float, so the route depends on the dimension alone: for
 d <= EXACT_MAX_DIM, :func:`lindblad_chunks` steps by one batched BLAS
 product with the exact propagator exp(h L); above it one Taylor series on
 the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, built once,
-gives the samples and L^dag[O(t)] of a cell of up to a chunk of grid
-steps. Both routes take an observable's speeds, once per chunk, from
-L^dag[O(t)], which is Hermitian: its operator norm is its largest
-|eigenvalue|, in closed form for d = 2. An observable that is
-Hermitian only within ``tol`` is read, like ``numpy.linalg.eigvalsh`` reads
-it, through its lower triangle. The Kraus kernel calls each family on a
-chunk's times and one more on each side, so dK/dt is the central difference
-along the grid, one-sided at its ends, whatever the chunking.
+gives the samples and L^dag[O(t)] of a cell of grid steps, the cells
+tiling the grid whatever the chunks. Both routes take an observable's
+speeds, once per chunk, from L^dag[O(t)], which is Hermitian: its operator
+norm is its largest |eigenvalue|, in closed form for d = 2. An observable
+that is Hermitian only within ``tol`` is read, like ``numpy.linalg.eigvalsh``
+reads it, through its lower triangle. The Kraus kernel calls each family on
+a chunk's times and one more on each side, so dK/dt is the central
+difference along the grid, one-sided at its ends, whatever the chunking.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
 that series on one cell of length T (:func:`lindblad_final_state`), or the
@@ -483,14 +483,15 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     For d <= EXACT_MAX_DIM each step is one batched BLAS product with the
     exact propagator exp(h L), computed once per generator, and the speeds
     apply L to each chunk. Above it one Taylor series on the fused generator
-    gives the samples and speeds of a cell of grid steps
+    gives the samples and speeds of a cell of grid steps, the cells tiling the
+    grid and the chunks setting only where samples are written
     (:func:`_taylor_chunks`); a grid whose steps would need more than
     STEP_BUDGET generator calls each is refused before the first. The exact
-    route rejects a blow-up on every chunk and the stepper at the end of
-    every series: an entry of y[b] above INSTABILITY_LIMIT times
-    max(1, max |y0[b]|), as the Heisenberg flow does not grow an
-    observable's norm and a state's entries are at most 1; a state's trace
-    is checked on every chunk.
+    route rejects a blow-up on every chunk and the stepper at the end of every
+    series: an entry of y[b] above INSTABILITY_LIMIT times
+    max(1, max |y0[b]|), as the Heisenberg flow does not grow an observable's
+    norm and a state's entries are at most 1; a state's trace is checked on
+    every chunk.
     """
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
@@ -503,7 +504,7 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     else:
         f = _fused_form(gens, heisenberg)
         hb, hbar = _h_beta(gens, f, grid.h)
-        order = _taylor_order(hb, STEP_BUDGET, spans[0][1])  # a cell fits in the samples of one chunk
+        order = _taylor_order(hb, STEP_BUDGET, grid.steps)
         if order is None:
             raise NumericError(f"the Taylor stepper needs s m > {STEP_BUDGET} applications of L per step "
                                f"h = {grid.h!r}: h beta = {hb:.6g} at hbar = {hbar!r}")
@@ -574,40 +575,39 @@ def _taylor_chunks(f, y: np.ndarray, h: float, s: int, m: int, c: int, spans, he
     """The chunks of :func:`lindblad_chunks` by degree-m Taylor series of
     exp(tau L) on the fused generator f (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 2011), each series read at several grid points (Taylor dense
-    output: Jorba & Zou, Exp. Math. 14, 2005). The cells of a chunk tile its
-    steps, c at most. From its first sample y a cell of k steps builds the
-    scaled terms U_n = (tau L)^n y / n!, tau = k h / s, for n <= m + 1 (m for
-    states and for k = 1); its samples y(jh) = sum_n (j/k)^n U_n and speeds
+    output: Jorba & Zou, Exp. Math. 14, 2005). Cells of c steps tile the grid
+    from step 0. From its first sample y a cell of k steps builds the scaled
+    terms U_n = (tau L)^n y / n!, tau = k h / s, for n <= m + 1 (m for states
+    and for k = 1); its samples y(jh) = sum_n (j/k)^n U_n and speeds
     L[y(jh)] = sum_n (j/k)^n (n + 1) / tau U_(n+1), j < k, are two products
-    with one Vandermonde matrix, written into the chunk. The next cell
-    starts from sum_n U_n, after s - 1 more series when s > 1 (then k = 1).
-    A blow-up beyond ``limit`` is checked at each series' end; the last
-    sample's speeds take one more call."""
+    with the Vandermonde rows in a chunk, a cell that crosses chunks holding
+    its terms (s = 1). The next cell starts from sum_n U_n, after s - 1 more
+    series when s > 1 (then c = 1). A blow-up beyond ``limit`` is checked at
+    each series' end; the last sample's speeds take one more call."""
     B, last = y.shape[0], spans[-1][1] - 1
     terms = np.empty((m + 2 if heisenberg else m + 1,) + y.shape, dtype=complex)
     for start, end in spans:
         out = np.empty((B, end - start) + y.shape[1:], dtype=complex)
         derivs = np.empty_like(out) if heisenberg else None
-        stop = min(end, last)
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises at its series' end
-            for i in range(start, stop, c):
-                k = min(c, stop - i)
-                tau = k * h / s
+            for i in range(start - start % c, min(end, last), c):
+                k = min(c, last - i)
+                tau, lo, hi = k * h / s, max(i, start), min(i + k, end)
+                top = m + 2 if heisenberg and k > 1 else m + 1  # U_(m+1) only for speeds past a cell's first sample
                 for r in range(s):
-                    # U_(m+1) only for speeds past the cell's first sample
-                    top = m + 2 if heisenberg and r == 0 and k > 1 else m + 1
-                    terms[0] = y
-                    for n in range(1, top):
-                        terms[n] = f(terms[n - 1])
-                        terms[n] *= tau / n
+                    if i >= start:  # else its terms are held from an earlier chunk
+                        terms[0] = y
+                        for n in range(1, top):
+                            terms[n] = f(terms[n - 1])
+                            terms[n] *= tau / n
+                        y = terms[: m + 1].sum(axis=0)
+                        _check_stable(y, limit)
                     if r == 0:
-                        V = (np.arange(k) / k)[:, None] ** np.arange(m + 1)
-                        rows = slice(i - start, i - start + k)
+                        V = ((np.arange(lo, hi) - i) / k)[:, None] ** np.arange(m + 1)
+                        rows = slice(lo - start, hi - start)
                         _combine(V, terms[: m + 1], out[:, rows])
                         if heisenberg:
                             _combine(V[:, : top - 1] * (np.arange(1, top) / tau), terms[1:top], derivs[:, rows])
-                    y = terms[: m + 1].sum(axis=0)
-                    _check_stable(y, limit)
             if end - 1 == last:
                 out[:, -1] = y
                 if heisenberg:
@@ -643,13 +643,13 @@ def _h_beta(gens, f, h: float):
 def _taylor_order(hb: float, budget: int, cap: int):
     """(s, m, c) for :func:`_taylor_chunks` on steps h with h beta = ``hb``
     (:func:`_h_beta`): a step with h beta <= THETA is read from cells of
-    c = min(floor(THETA / h beta), cap) steps, one series each (s = 1), and a
-    larger one is s = ceil(h beta / THETA) series (c = 1); either way
-    tau beta <= THETA for tau = c h / s. m is the least degree whose
-    remainder bound (tau beta)^(m+1) / (m+1)! e^(tau beta) is 2^-53 a series:
-    the flows contract the operator norm (Russo-Dye) and the trace norm, so
-    that bounds each sample's error, and each speed's by beta 2^-53, relative
-    to ||y0|| a cell. Past ``budget`` generator calls a step: None."""
+    c = min(floor(THETA / h beta), cap) steps (the kernel caps c at the grid),
+    one series each (s = 1), and a larger one is s = ceil(h beta / THETA)
+    series (c = 1); either way tau beta <= THETA for tau = c h / s. m is the
+    least degree whose remainder bound (tau beta)^(m+1) / (m+1)! e^(tau beta)
+    is 2^-53 a series: the flows contract the operator norm (Russo-Dye) and
+    the trace norm, so that bounds each sample's error, and each speed's by
+    beta 2^-53, relative to ||y0|| a cell. Past ``budget`` calls a step: None."""
     if not hb <= budget * THETA:  # not infinite, so neither hb / THETA nor ceil overflows
         return None
     if hb <= THETA:

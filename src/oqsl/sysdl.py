@@ -135,7 +135,6 @@ def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
     balance of every bracket inside them, then each part in order; a matrix
     row is read the same way, and its width checked before the next row."""
     python = text.translate(_AS_PYTHON)  # one character for each, so its indices are text's
-    plain = _PLAIN.fullmatch(python) is not None
 
     def parts(i: int, s: str) -> tuple[int, list[str]]:
         """The index in ``text`` of the body of the bracketed ``s``, which
@@ -172,11 +171,11 @@ def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
         return i, cut
 
     def vector(i: int, s: str) -> np.ndarray:
-        # complex() on every entry of a plain literal; _ENTRY runs only where
-        # it refuses one, to place the diagnostic
+        # complex() on every entry of a plain row; _ENTRY runs only where it
+        # refuses one, to place the diagnostic, or on a row that is not plain
         i, entries = parts(i, s)
         try:
-            v = np.array(list(map(complex, entries)), dtype=complex) if plain else None
+            v = np.array(list(map(complex, entries)), dtype=complex) if _PLAIN.fullmatch(s) else None
         except ValueError:
             v = None
         bad = len(entries)

@@ -12,7 +12,9 @@ reductions against the full-stack kernel (:func:`propagate_lindblad`) and
 reductions (:func:`stack_expect`, :func:`stack_stddev`) that they replaced,
 the exact route's BLAS step against the einsum step that it replaced
 (:func:`einsum_exact_samples`), the Taylor stepper's cells against the
-per-step stepper that they replaced (:func:`per_step_stepper`),
+per-step stepper that they replaced (:func:`per_step_stepper`) and, tiling
+the grid, against the cells capped at a chunk that they replaced
+(:func:`taylor_cells` with ``capped``),
 the streamed Kraus kernel against the whole-grid one
 (:func:`kraus_full_stack`) that it replaced and its batch-first chunks
 against the per-family ones (:func:`kraus_chunks_per_family`), the unitary
@@ -453,9 +455,10 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     For d <= dynamics.EXACT_MAX_DIM, each step is one batched mat-vec with
     the exact propagator exp(h L), computed once per generator, and the
     speeds apply L to the samples. Above it the grid is read from the Taylor
-    cells of the streamed kernel (:func:`taylor_cells`), cut at the chunks
-    that dynamics.CHUNK_BYTES sets and written into one stack. Both routes
-    reject a blow-up, and a state's trace is checked at every sample.
+    cells of the streamed kernel (:func:`taylor_cells`), which tile the grid
+    and are read in the pieces that the chunks dynamics.CHUNK_BYTES sets cut
+    them into, and written into one stack. Both routes reject a blow-up, and
+    a state's trace is checked at every sample.
     """
     times = grid.times()
     y0 = np.asarray(y0, dtype=complex)
@@ -480,45 +483,53 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     return out, speeds
 
 
-def taylor_cells(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, speeds: np.ndarray | None) -> np.ndarray:
+def taylor_cells(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, speeds: np.ndarray | None,
+                 capped: bool = False) -> np.ndarray:
     """The Taylor stepper's samples at every grid time, shape
-    (B, steps + 1, d, d), built into one stack: each chunk that
-    dynamics.CHUNK_BYTES sets is tiled by cells of at most c steps, each one
+    (B, steps + 1, d, d), built into one stack: cells of at most c steps tile
+    the grid from step 0 or, ``capped``, the route they replaced, each chunk
+    that dynamics.CHUNK_BYTES sets (c at most its samples). Each cell is one
     series of the scaled terms U_n = (tau L)^n y / n!, n <= m + 1 (m without
-    speeds or for a one-step cell), read at its grid points
-    by one real product a batch entry with the Vandermonde matrix
-    (j / k)^n, and the next cell starts from sum_n U_n ((s, m, c) as the
-    kernel picks them). ``speeds`` (shape (B, steps + 1, 2)), when given,
-    takes the norms of L at every sample from the terms' derivative, and of
-    one more call at the last."""
+    speeds or for a one-step cell), read at its grid points in the pieces
+    that the chunk starts cut it into, by one real product a batch entry and
+    piece with the rows (j / k)^n of the Vandermonde matrix: numpy sums a
+    one-row piece in another order. The next cell starts from sum_n U_n
+    ((s, m, c) as the kernel picks them). ``speeds`` (shape
+    (B, steps + 1, 2)), when given, takes the norms of L at every sample from
+    the terms' derivative, and of one more call at the last."""
     f = _fused_form(gens, heisenberg)
     B, d = y0.shape[:2]
     spans = _spans(grid.steps + 1, 16 * B * d * d)
-    s, m, c = _taylor_order(_h_beta(gens, f, grid.h)[0], dynamics.STEP_BUDGET, spans[0][1])
     last = grid.steps
+    s, m, c = _taylor_order(_h_beta(gens, f, grid.h)[0], dynamics.STEP_BUDGET, spans[0][1] if capped else last)
+    if capped:
+        cells = [(i, min(c, min(end, last) - i)) for start, end in spans for i in range(start, min(end, last), c)]
+    else:
+        cells = [(i, min(c, last - i)) for i in range(0, last, c)]
+    cuts = [start for start, _ in spans]
     out = np.empty((B, last + 1, d, d), dtype=complex)
     derivs = np.empty_like(out)
     y = y0
-    for start, end in spans:
-        for i in range(start, min(end, last), c):
-            k = min(c, min(end, last) - i)
-            tau = k * grid.h / s
-            for r in range(s):
-                U = [y]
-                for n in range(1, m + 2 if r == 0 and k > 1 and speeds is not None else m + 1):
-                    U.append(f(U[-1]) * (tau / n))
-                U = np.stack(U)
-                if r == 0:
-                    V = (np.arange(k) / k)[:, None] ** np.arange(m + 1)
+    for i, k in cells:
+        tau = k * grid.h / s
+        for r in range(s):
+            U = [y]
+            for n in range(1, m + 2 if r == 0 and k > 1 and speeds is not None else m + 1):
+                U.append(f(U[-1]) * (tau / n))
+            U = np.stack(U)
+            if r == 0:
+                ends = [i] + [x for x in cuts if i < x < i + k] + [i + k]
+                for lo, hi in zip(ends, ends[1:]):
+                    V = ((np.arange(lo, hi) - i) / k)[:, None] ** np.arange(m + 1)
                     W = V[:, : len(U) - 1] * (np.arange(1, len(U)) / tau)
                     for b in range(B):
                         rows = (V @ U[: m + 1, b].reshape(m + 1, -1).view(float)).view(complex)
-                        out[b, i : i + k] = rows.reshape(k, d, d)
+                        out[b, lo:hi] = rows.reshape(hi - lo, d, d)
                         if speeds is not None:
                             rows = (W @ U[1:, b].reshape(len(U) - 1, -1).view(float)).view(complex)
-                            derivs[b, i : i + k] = rows.reshape(k, d, d)
-                y = U[: m + 1].sum(axis=0)
-                _check_stable(y)
+                            derivs[b, lo:hi] = rows.reshape(hi - lo, d, d)
+            y = U[: m + 1].sum(axis=0)
+            _check_stable(y)
     out[:, last] = y
     if speeds is not None:
         derivs[:, last] = f(y)

@@ -1,6 +1,8 @@
 """The Lindblad kernel against the batched RK4 route it replaced for constant
 rates (tests/oracles.py), its Taylor cells above the exact route against
-the exact propagator's samples and the per-step stepper they replaced, its
+the exact propagator's samples, the per-step stepper and the cells capped at
+a chunk that they replaced, their generator calls against the chunk size and
+the batch size, which set neither, its
 fused generator against the matrix form it replaced, its Liouvillian
 matrices against the matrix-form generators, its speeds against the
 generator at every sample, the audit's batched block against per-trial
@@ -8,6 +10,7 @@ evolutions, and the final state from the action of exp(T L) against the
 exponential of the Kronecker Liouvillian, the last sample of the trajectory
 it replaced and the full-stack kernel."""
 
+import math
 import runpy
 import tracemalloc
 from pathlib import Path
@@ -145,16 +148,9 @@ def test_stepper_is_within_its_target_where_rk4_was_not(hbar):
     assert abs(report.details["expectT"] - exact[-1]) <= 1e-9
 
 
-def test_cells_make_a_tenth_of_the_per_step_calls(monkeypatch):
-    # the benchmark's d = 32 Lindblad system at 1000 steps: the per-step
-    # stepper took (s, m) = (1, 4), four calls of the generator a step and one
-    # for the last sample's speeds, 4,001 in all; the cells take one series
-    # of m + 1 = 11 calls a chunk of 64 samples, 177 in all
-    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
-    system = workloads["dense_system"](np.random.default_rng(7), "lindblad", 32, (4, 8))
-    gen = LindbladGenerator(H=system["H"], jumps=tuple(system["jumps"]))
-    A, rho = system["A"], DensityState.pure(system["ket"])
-    grid = TimeGrid(1.0, 1000)
+def _count_calls(monkeypatch) -> list:
+    """The shapes of the batches that the fused generator is applied to,
+    one entry a call, from here on."""
     fused, calls = dynamics._fused_form, []
 
     def counted(gens, heisenberg):
@@ -168,11 +164,108 @@ def test_cells_make_a_tenth_of_the_per_step_calls(monkeypatch):
         return g
 
     monkeypatch.setattr(dynamics, "_fused_form", counted)
+    return calls
+
+
+def _bench_case():
+    """The benchmark's d = 32 Lindblad system (bench/workloads.py, seed 7)."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    system = workloads["dense_system"](np.random.default_rng(7), "lindblad", 32, (4, 8))
+    gen = LindbladGenerator(H=system["H"], jumps=tuple(system["jumps"]))
+    return gen, system["A"], DensityState.pure(system["ket"])
+
+
+def test_cells_make_a_tenth_of_the_per_step_calls(monkeypatch):
+    # the benchmark's d = 32 Lindblad system at 1000 steps: the per-step
+    # stepper took (s, m) = (1, 4), four calls of the generator a step and one
+    # for the last sample's speeds, 4,001 in all; the cells tile the grid,
+    # (s, m, c) = (1, 14, 237), each one series of m + 1 calls, and the last
+    # sample's speeds take one more: 5 * 15 + 1 = 76
+    gen, A, rho = _bench_case()
+    grid = TimeGrid(1.0, 1000)
+    hb = dynamics._h_beta([gen], _fused_form([gen], True), grid.h)[0]
+    s, m, c = dynamics._taylor_order(hb, STEP_BUDGET, grid.steps)
+    assert (s, m, c) == (1, 14, 237)
+    calls = _count_calls(monkeypatch)
     traj = evolve_lindblad_heisenberg(A, gen, rho, grid)
-    assert set(calls) == {(1, 32, 32)} and len(calls) < (4 * grid.steps + 1) / 10
-    monkeypatch.setattr(dynamics, "_fused_form", fused)
+    assert set(calls) == {(1, 32, 32)} and len(calls) == math.ceil(grid.steps / c) * (m + 1) + 1 == 76
+    monkeypatch.setattr(dynamics, "_fused_form", _fused_form)
     Os = oracles.per_step_stepper([gen], A[None], grid, heisenberg=True)[0][0]
     assert np.abs(traj.expect - np.einsum("tab,ba->t", Os, rho.matrix).real).max() <= 1e-13
+
+
+def test_a_batch_makes_the_calls_of_one_trajectory(monkeypatch):
+    # the cells tile the grid, not a chunk, so the batch size, which sets how
+    # many samples a chunk holds (64 alone, 21 in a batch of 3), does not set
+    # how many calls a trajectory makes: 76 either way, where cells capped at
+    # a chunk made 177 alone and 433 in a batch of 3
+    gen, A, rho = _bench_case()
+    grid = TimeGrid(1.0, 1000)
+    calls = _count_calls(monkeypatch)
+    alone = evolve_lindblad_heisenberg(A, gen, rho, grid)
+    assert len(calls) == 76
+    calls.clear()
+    batch = dynamics.trajectories([gen] * 3, np.stack([A] * 3), [rho] * 3, grid, [()] * 3)
+    assert set(calls) == {(3, 32, 32)} and len(calls) == 76
+    for traj in batch:
+        for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
+            ref = getattr(alone, series)
+            assert np.abs(getattr(traj, series) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim", [EXACT_MAX_DIM + 1, 17])
+def test_chunk_size_sets_neither_calls_nor_samples(dim, monkeypatch):
+    # with chunks of 4 samples the cells are read in pieces of at most 4 rows
+    # but keep their length, so the generator calls are those of the default
+    # chunks and the samples agree within 1e-14
+    gen, O, rho = _random_case(dim, seed=9)
+    grid = TimeGrid(1.0, 1000)
+    units = tuple(oracles.matrix_units(dim))
+    calls = _count_calls(monkeypatch)
+    runs = []
+    for chunk_bytes in (dynamics.CHUNK_BYTES, 4 * 16 * dim * dim):
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", chunk_bytes)
+        calls.clear()
+        traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=units)
+        runs.append((len(calls), oracles.samples_from_probes(traj), traj.gen_speed_hs))
+    (calls_default, Os, speeds), (calls_small, Os_small, speeds_small) = runs
+    assert calls_small == calls_default
+    assert np.abs(Os_small - Os).max() <= 1e-14 * np.abs(Os).max()
+    assert np.abs(speeds_small - speeds).max() <= 1e-14 * speeds.max()
+
+
+def test_a_zero_generator_is_one_cell_of_the_whole_grid(monkeypatch):
+    # h beta = 0 above the exact route: one cell of all the steps with m = 0,
+    # whatever the chunks, one call for its speeds' term and one for the last
+    # sample's speeds; O(t) = O, and the speeds are 0
+    dim = EXACT_MAX_DIM + 2
+    gen = LindbladGenerator(H=np.zeros((dim, dim)))
+    O, rho = oracles.random_hermitian(np.random.default_rng(6), dim), DensityState.pure(np.ones(dim))
+    grid = TimeGrid(1.0, 50)
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 4 * 16 * dim * dim)
+    calls = _count_calls(monkeypatch)
+    probe = oracles.random_matrix(np.random.default_rng(7), dim)
+    traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=(probe,))
+    assert len(calls) == 2
+    assert (traj.expect == traj.expect[0]).all()
+    series = traj.trace_with(probe)
+    assert (series == series[0]).all()
+    assert (traj.gen_speed_hs == 0).all() and (traj.gen_speed_op == 0).all()
+
+
+@pytest.mark.parametrize("dim", [EXACT_MAX_DIM + 1, 17, 32])
+def test_grid_cells_match_the_chunk_capped_cells_they_replaced(dim, monkeypatch):
+    # with chunks of 16 samples the replaced route capped each cell at 16
+    # steps; the cells of the whole grid agree with it within 1e-13
+    gen, O, rho = _random_case(dim, seed=10)
+    grid = TimeGrid(1.0, 300)
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 16 * 16 * dim * dim)
+    chunks = list(dynamics.lindblad_chunks([gen], O[None], grid, heisenberg=True))
+    Os, speeds = (np.concatenate([chunk[i][0] for chunk in chunks]) for i in (1, 2))
+    ref_speeds = np.empty((1, grid.steps + 1, 2))
+    ref = oracles.taylor_cells([gen], O[None], grid, True, ref_speeds, capped=True)[0]
+    assert np.abs(Os - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(speeds - ref_speeds[0]).max() <= 1e-13 * ref_speeds.max()
 
 
 @pytest.mark.parametrize("heisenberg", [True, False])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqsl import sysdl
 from oqsl.cli import main
 from oqsl.dynamics import DephasingKraus, LindbladGenerator, TabulatedKraus, UnitaryGenerator
 from oqsl.linalg import PAULI, ValidationError, sigma_x, sigma_z
@@ -684,6 +685,24 @@ def test_reprint_matches_per_entry_format_complex(parts):
     M = np.empty((n, n), dtype=complex)
     M.real, M.imag = np.reshape(parts, (2, n, n))
     assert _format_matrix(M) == oracles.format_matrix_per_entry(M)
+
+
+def test_one_row_outside_the_plain_characters_sends_only_it_through_the_entry_pattern(monkeypatch):
+    # a no-break space, which the grammar reads as whitespace, before the last
+    # ']' of a 256 x 256 literal: only the row that holds it is read entry by
+    # entry with _ENTRY, not all 65,536 entries
+    M = np.random.default_rng(256).standard_normal((256, 256)) * (1 + 1j)
+    text = _format_matrix(M)[:-1] + "\u00a0]"
+    entry, calls = sysdl._ENTRY, []
+
+    class Counted:
+        def fullmatch(self, s):
+            calls.append(s)
+            return entry.fullmatch(s)
+
+    monkeypatch.setattr(sysdl, "_ENTRY", Counted())
+    assert np.array_equal(sysdl._literal(text, 1, 1, 2), M)
+    assert 0 < len(calls) <= 256
 
 
 def test_diagnostic_render_format():
