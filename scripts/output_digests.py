@@ -13,9 +13,11 @@ built-in system takes the Lindblad kernel's Taylor stepper, the route above
 the exact one, so this one is written from a fixed seed into a temporary
 directory; ``evolve`` prints every sample, so a change at the kernel's chunk
 boundaries shows, and ``parse`` reads and reprints its ~1,500 random matrix
-entries. At 1000 steps its cells of 230 steps run across the kernel's
-chunks of 226 samples, and at STEPPER_HBAR they are 2 steps long, so that a
-change to how the stepper picks or sums its terms shows. Then the ``--format json`` output of ``bound --bounds ALL`` on
+entries. At 1000 steps its cells of 461 steps each run across two or three
+of the kernel's chunks of 226 samples, so a cell reads later rows from the
+terms it holds; at STEPPER_HBAR (h beta = 0.2) they are 4 steps long, and
+the chunks that start at samples 226 and 678 start inside one, so that a
+change to how the stepper picks, sums or holds its terms shows. Then the ``--format json`` output of ``bound --bounds ALL`` on
 a d = 12 Lindblad system (CELLS_FILE), also generated: it lies between the
 exact route's limit and d = 17, where the exact propagator ran until the
 Taylor cells took every d above 4.

@@ -141,7 +141,7 @@ def _read_system(args: argparse.Namespace) -> SystemSpec:
     try:
         with open(args.system, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError
         raise ValidationError(f"cannot read system file: {exc}") from exc
     return parse_system(text, tol=args.tol)
 

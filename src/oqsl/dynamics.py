@@ -34,9 +34,9 @@ a chunk's times and one more on each side, so dK/dt is the central
 difference along the grid, one-sided at its ends, whatever the chunking.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
-that series on one cell of length T (:func:`lindblad_final_state`), or the
-last sample where the series would make more generator calls than the grid
-has steps.
+that series on n = ceil(T beta) steps of length T / n
+(:func:`lindblad_final_state`), or the last sample where the series would
+make more generator calls than the grid has steps.
 """
 
 from __future__ import annotations
@@ -70,9 +70,7 @@ TRACE_TOL = 1e-8
 # Taylor cells beat it on one trajectory at every d, and the audit's batched
 # qubit blocks and every built-in system stay on it (README)
 EXACT_MAX_DIM = 4
-# the Taylor stepper's generator calls per grid step past which it refuses a
-# grid, and its largest ||tau L|| a series
-STEP_BUDGET, THETA = 32, 0.5
+THETA = 1.0  # the Taylor stepper's largest ||tau L|| a series, and so a grid step's
 # the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
 # working set, may take over the whole batch
 CHUNK_BYTES = 1 << 20
@@ -485,8 +483,8 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     apply L to each chunk. Above it one Taylor series on the fused generator
     gives the samples and speeds of a cell of grid steps, the cells tiling the
     grid and the chunks setting only where samples are written
-    (:func:`_taylor_chunks`); a grid whose steps would need more than
-    STEP_BUDGET generator calls each is refused before the first. The exact
+    (:func:`_taylor_chunks`); a grid whose step h has h beta > THETA
+    (:func:`_h_beta`) is refused before the first generator call. The exact
     route rejects a blow-up on every chunk and the stepper at the end of every
     series: an entry of y[b] above INSTABILITY_LIMIT times
     max(1, max |y0[b]|), as the Heisenberg flow does not grow an observable's
@@ -504,10 +502,10 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     else:
         f = _fused_form(gens, heisenberg)
         hb, hbar = _h_beta(gens, f, grid.h)
-        order = _taylor_order(hb, STEP_BUDGET, grid.steps)
+        order = _taylor_order(hb, grid.steps)
         if order is None:
-            raise NumericError(f"the Taylor stepper needs s m > {STEP_BUDGET} applications of L per step "
-                               f"h = {grid.h!r}: h beta = {hb:.6g} at hbar = {hbar!r}")
+            raise NumericError(f"the Taylor stepper needs h beta <= {THETA:g}, and the step h = {grid.h!r} "
+                               f"has h beta = {hb:.6g} at hbar = {hbar!r}")
         chunks = _taylor_chunks(f, y0, grid.h, *order, spans, heisenberg, limit)
     if heisenberg:
         yield from chunks  # which holds no chunk between yields
@@ -571,43 +569,40 @@ def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool,
         yield start, out.reshape(B, end - start, d, d), speeds
 
 
-def _taylor_chunks(f, y: np.ndarray, h: float, s: int, m: int, c: int, spans, heisenberg: bool, limit):
+def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg: bool, limit):
     """The chunks of :func:`lindblad_chunks` by degree-m Taylor series of
     exp(tau L) on the fused generator f (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 2011), each series read at several grid points (Taylor dense
     output: Jorba & Zou, Exp. Math. 14, 2005). Cells of c steps tile the grid
-    from step 0. From its first sample y a cell of k steps builds the scaled
-    terms U_n = (tau L)^n y / n!, tau = k h / s, for n <= m + 1 (m for states
-    and for k = 1); its samples y(jh) = sum_n (j/k)^n U_n and speeds
-    L[y(jh)] = sum_n (j/k)^n (n + 1) / tau U_(n+1), j < k, are two products
-    with the Vandermonde rows in a chunk, a cell that crosses chunks holding
-    its terms (s = 1). The next cell starts from sum_n U_n, after s - 1 more
-    series when s > 1 (then c = 1). A blow-up beyond ``limit`` is checked at
-    each series' end; the last sample's speeds take one more call."""
+    from step 0, one series each: from its first sample y a cell of k steps
+    builds the scaled terms U_n = (tau L)^n y / n!, tau = k h, for n <= m + 1
+    (m for states and for k = 1); its samples y(jh) = sum_n (j/k)^n U_n and
+    speeds L[y(jh)] = sum_n (j/k)^n (n + 1) / tau U_(n+1), j < k, are two
+    products with the Vandermonde rows in a chunk, a cell that crosses chunks
+    holding its terms, and the next cell starts from sum_n U_n. A blow-up is
+    checked at each cell's end; the last sample's speeds take one more call."""
     B, last = y.shape[0], spans[-1][1] - 1
     terms = np.empty((m + 2 if heisenberg else m + 1,) + y.shape, dtype=complex)
     for start, end in spans:
         out = np.empty((B, end - start) + y.shape[1:], dtype=complex)
         derivs = np.empty_like(out) if heisenberg else None
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises at its series' end
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises at its cell's end
             for i in range(start - start % c, min(end, last), c):
                 k = min(c, last - i)
-                tau, lo, hi = k * h / s, max(i, start), min(i + k, end)
+                tau, lo, hi = k * h, max(i, start), min(i + k, end)
                 top = m + 2 if heisenberg and k > 1 else m + 1  # U_(m+1) only for speeds past a cell's first sample
-                for r in range(s):
-                    if i >= start:  # else its terms are held from an earlier chunk
-                        terms[0] = y
-                        for n in range(1, top):
-                            terms[n] = f(terms[n - 1])
-                            terms[n] *= tau / n
-                        y = terms[: m + 1].sum(axis=0)
-                        _check_stable(y, limit)
-                    if r == 0:
-                        V = ((np.arange(lo, hi) - i) / k)[:, None] ** np.arange(m + 1)
-                        rows = slice(lo - start, hi - start)
-                        _combine(V, terms[: m + 1], out[:, rows])
-                        if heisenberg:
-                            _combine(V[:, : top - 1] * (np.arange(1, top) / tau), terms[1:top], derivs[:, rows])
+                if i >= start:  # else its terms are held from an earlier chunk
+                    terms[0] = y
+                    for n in range(1, top):
+                        terms[n] = f(terms[n - 1])
+                        terms[n] *= tau / n
+                    y = terms[: m + 1].sum(axis=0)
+                    _check_stable(y, limit)
+                V = ((np.arange(lo, hi) - i) / k)[:, None] ** np.arange(m + 1)
+                rows = slice(lo - start, hi - start)
+                _combine(V, terms[: m + 1], out[:, rows])
+                if heisenberg:
+                    _combine(V[:, : top - 1] * (np.arange(1, top) / tau), terms[1:top], derivs[:, rows])
             if end - 1 == last:
                 out[:, -1] = y
                 if heisenberg:
@@ -640,24 +635,19 @@ def _h_beta(gens, f, h: float):
     return hb, hbar
 
 
-def _taylor_order(hb: float, budget: int, cap: int):
-    """(s, m, c) for :func:`_taylor_chunks` on steps h with h beta = ``hb``
-    (:func:`_h_beta`): a step with h beta <= THETA is read from cells of
-    c = min(floor(THETA / h beta), cap) steps (the kernel caps c at the grid),
-    one series each (s = 1), and a larger one is s = ceil(h beta / THETA)
-    series (c = 1); either way tau beta <= THETA for tau = c h / s. m is the
-    least degree whose remainder bound (tau beta)^(m+1) / (m+1)! e^(tau beta)
-    is 2^-53 a series: the flows contract the operator norm (Russo-Dye) and
-    the trace norm, so that bounds each sample's error, and each speed's by
-    beta 2^-53, relative to ||y0|| a cell. Past ``budget`` calls a step: None."""
-    if not hb <= budget * THETA:  # not infinite, so neither hb / THETA nor ceil overflows
+def _taylor_order(hb: float, cap: int):
+    """(m, c) for :func:`_taylor_chunks` on steps h with h beta = ``hb``
+    (:func:`_h_beta`): cells of c = min(floor(THETA / h beta), cap) steps
+    (the kernel caps c at the grid), one series each, so tau beta <= THETA
+    for tau = c h. m is the least degree whose remainder bound
+    (tau beta)^(m+1) / (m+1)! e^(tau beta) is 2^-53 a series: the flows
+    contract the operator norm (Russo-Dye) and the trace norm, so that bounds
+    each sample's error, and each speed's by beta 2^-53, relative to ||y0|| a
+    cell. A step with h beta > THETA: None."""
+    if not hb <= THETA:  # also NaN
         return None
-    if hb <= THETA:
-        s, c = 1, cap if hb * cap <= THETA else math.floor(THETA / hb)  # THETA / hb may overflow
-    else:
-        s, c = math.ceil(hb / THETA), 1
-    m = taylor_degree(c * hb / s)
-    return (s, m, c) if s * m <= budget else None
+    c = cap if hb * cap <= THETA else math.floor(THETA / hb)  # THETA / hb may overflow
+    return taylor_degree(c * hb), c
 
 
 def _reduce_chunks(gens, chunks, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
@@ -745,22 +735,26 @@ def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid
 
 def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> DensityState:
     """The state rho(T) = exp(T L) rho0 at the end of the grid, with no
-    trajectory and no d^2 x d^2 matrix: :func:`_taylor_chunks` on one cell
-    of length T or, past one generator call a grid step (stiff rates or a
-    long horizon), the last sample of :func:`lindblad_chunks`. Either way a blow-up
-    is rejected, the trace is verified to 1e-8 and rho(T) is validated
-    within gen.tol, positivity loss beyond being a warning."""
+    trajectory and no d^2 x d^2 matrix: :func:`_taylor_chunks` on
+    n = max(1, ceil(T beta)) steps of length T / n, one series each, or,
+    past one generator call a grid step (stiff rates or a long horizon), the
+    last sample of :func:`lindblad_chunks`. Either way a blow-up is
+    rejected, the trace is verified to 1e-8 and rho(T) is validated within
+    gen.tol, positivity loss beyond being a warning."""
     _check_state(rho0, gen.dim)
     f = _fused_form([gen], heisenberg=False)
-    y0, order = rho0.matrix[None].astype(complex), _taylor_order(_h_beta([gen], f, grid.T)[0], grid.steps, 1)
-    if order is None:
-        chunks = lindblad_chunks([gen], y0, grid, heisenberg=False)
-    else:  # one step of length T, sampled at its two ends
-        chunks = _taylor_chunks(f, y0, grid.T, *order, [(0, 2)], False, INSTABILITY_LIMIT)
-    for _, chunk, _ in chunks:
-        pass
-    _check_trace(chunk[:, -1])
-    return DensityState.from_matrix(chunk[0, -1], tol=gen.tol, on_indefinite="warn")
+    y, Tb = rho0.matrix[None].astype(complex), _h_beta([gen], f, grid.T)[0]
+    n = max(1, math.ceil(min(Tb, grid.steps + 1)))  # capped at steps + 1, past which the kernel takes rho(T)
+    order = _taylor_order(Tb / n, 1)
+    if order is None or n * order[0] > grid.steps:
+        for _, chunk, _ in lindblad_chunks([gen], y, grid, heisenberg=False):
+            y = chunk[:, -1]
+    else:
+        for _ in range(n):  # one step of length T / n, sampled at its two ends
+            ((_, chunk, _),) = _taylor_chunks(f, y, grid.T / n, *order, [(0, 2)], False, INSTABILITY_LIMIT)
+            y = chunk[:, -1]
+    _check_trace(y)
+    return DensityState.from_matrix(y[0], tol=gen.tol, on_indefinite="warn")
 
 
 # ---------------------------------------------------------------------------

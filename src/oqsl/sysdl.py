@@ -69,9 +69,6 @@ _ENTRY = re.compile(rf"\s*(?:[+-]?{_UNSIGNED}(?:[+-](?:{_UNSIGNED})?j)?|[+-]?(?:
 # accepts what _ENTRY matches and no more: no '_', no letter but e, E and j,
 # no parenthesis and no space but ' ' and tab
 _PLAIN = re.compile(r"[0-9.eE+\-j \t,\[\]]*")
-# i -> j, a written j -> '?' (no entry matches it), and -> ' ' the four
-# separators that str.strip() removes but complex() refuses
-_AS_PYTHON = str.maketrans({"i": "j", "j": "?", **dict.fromkeys("\x1c\x1d\x1e\x1f", " ")})
 _RE_SECTION = re.compile(r"^\[\s*([A-Za-z_][A-Za-z0-9_-]*)(?:\s+([A-Za-z_][A-Za-z0-9_]*))?\s*\]$")
 _RE_PAULI_WORD = re.compile(r"^[IXYZ]+$")
 
@@ -106,10 +103,18 @@ def _fail(line: int, col: int, message: str):
 # literals
 
 
+def _as_python(text: str) -> str:
+    """``text`` as complex() reads it, one character for each, so its indices are text's: a written j -> '?' (no
+    entry matches it), i -> j, and -> ' ' the four separators that str.strip() removes but complex() refuses; by
+    str.replace, as str.translate takes a per-character path once the text holds a non-ASCII character."""
+    s = text.replace("j", "?").replace("i", "j")
+    return s.replace("\x1c", " ").replace("\x1d", " ").replace("\x1e", " ").replace("\x1f", " ")
+
+
 def parse_complex(literal: str) -> complex:
     """One entry of the literal grammar (see the module docstring) as a
     finite complex."""
-    s = literal.translate(_AS_PYTHON)
+    s = _as_python(literal)
     if not _ENTRY.fullmatch(s):
         _fail(1, 1, f"malformed complex literal {literal.strip()!r}")
     z = complex(s)
@@ -134,7 +139,7 @@ def _literal(text: str, line: int, col: int, rank: int) -> np.ndarray:
     at its top-level commas. The outer brackets are checked first, then the
     balance of every bracket inside them, then each part in order; a matrix
     row is read the same way, and its width checked before the next row."""
-    python = text.translate(_AS_PYTHON)  # one character for each, so its indices are text's
+    python = _as_python(text)
 
     def parts(i: int, s: str) -> tuple[int, list[str]]:
         """The index in ``text`` of the body of the bracketed ``s``, which

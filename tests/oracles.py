@@ -12,9 +12,13 @@ reductions against the full-stack kernel (:func:`propagate_lindblad`) and
 reductions (:func:`stack_expect`, :func:`stack_stddev`) that they replaced,
 the exact route's BLAS step against the einsum step that it replaced
 (:func:`einsum_exact_samples`), the Taylor stepper's cells against the
-per-step stepper that they replaced (:func:`per_step_stepper`) and, tiling
-the grid, against the cells capped at a chunk that they replaced
-(:func:`taylor_cells` with ``capped``),
+per-step stepper that they replaced (:func:`per_step_stepper`), against
+the cells of at most tau beta = 1/2, a step split into s series under a
+budget of 32 generator calls, that they replaced (:func:`taylor_cells` with
+``route="half"``, the rule :func:`half_theta_order`) and, tiling the grid,
+against the cells capped at a chunk that those replaced
+(``route="capped"``), the literal reader's chained replacements against
+the translation table they replaced (:data:`AS_PYTHON`),
 the streamed Kraus kernel against the whole-grid one
 (:func:`kraus_full_stack`) that it replaced and its batch-first chunks
 against the per-family ones (:func:`kraus_chunks_per_family`), the unitary
@@ -483,26 +487,55 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     return out, speeds
 
 
+# the rule of the cells that one series per cell replaced: its largest
+# ||tau L|| a series, and the generator calls per grid step past which it
+# refused a grid
+HALF_THETA, STEP_BUDGET = 0.5, 32
+
+
+def half_theta_order(hb: float, budget: int, cap: int):
+    """(s, m, c) by the rule that one series per cell replaced: a step with
+    h beta <= 1/2 is read from cells of c = min(floor(1/2 / h beta), cap)
+    steps, one series each (s = 1), and a larger one is s = ceil(h beta / 1/2)
+    series (c = 1), tau beta <= 1/2 for tau = c h / s either way; m is the
+    least degree with a remainder of 2^-53 a series, and past ``budget``
+    calls a step the rule gives None."""
+    if not hb <= budget * HALF_THETA:
+        return None
+    if hb <= HALF_THETA:
+        s, c = 1, cap if hb * cap <= HALF_THETA else math.floor(HALF_THETA / hb)
+    else:
+        s, c = math.ceil(hb / HALF_THETA), 1
+    m = taylor_degree(c * hb / s)
+    return (s, m, c) if s * m <= budget else None
+
+
 def taylor_cells(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, speeds: np.ndarray | None,
-                 capped: bool = False) -> np.ndarray:
+                 route: str = "grid") -> np.ndarray:
     """The Taylor stepper's samples at every grid time, shape
     (B, steps + 1, d, d), built into one stack: cells of at most c steps tile
-    the grid from step 0 or, ``capped``, the route they replaced, each chunk
-    that dynamics.CHUNK_BYTES sets (c at most its samples). Each cell is one
-    series of the scaled terms U_n = (tau L)^n y / n!, n <= m + 1 (m without
-    speeds or for a one-step cell), read at its grid points in the pieces
-    that the chunk starts cut it into, by one real product a batch entry and
-    piece with the rows (j / k)^n of the Vandermonde matrix: numpy sums a
-    one-row piece in another order. The next cell starts from sum_n U_n
-    ((s, m, c) as the kernel picks them). ``speeds`` (shape
+    the grid from step 0, (m, c) as the kernel picks them (``route="grid"``)
+    or (s, m, c) as :func:`half_theta_order` did (``"half"``), or, the route
+    those replaced, each chunk that dynamics.CHUNK_BYTES sets, c at most its
+    samples (``"capped"``, by the same rule). Each cell is s series of the
+    scaled terms U_n = (tau L)^n y / n!, tau = k h / s for a cell of k steps,
+    n <= m + 1 (m without speeds or for a one-step cell); its first is read
+    at the cell's grid points in the pieces that the chunk starts cut it
+    into, by one real product a batch entry and piece with the rows (j / k)^n
+    of the Vandermonde matrix: numpy sums a one-row piece in another order.
+    The next series starts from sum_n U_n. ``speeds`` (shape
     (B, steps + 1, 2)), when given, takes the norms of L at every sample from
     the terms' derivative, and of one more call at the last."""
     f = _fused_form(gens, heisenberg)
     B, d = y0.shape[:2]
     spans = _spans(grid.steps + 1, 16 * B * d * d)
     last = grid.steps
-    s, m, c = _taylor_order(_h_beta(gens, f, grid.h)[0], dynamics.STEP_BUDGET, spans[0][1] if capped else last)
-    if capped:
+    hb = _h_beta(gens, f, grid.h)[0]
+    if route == "grid":
+        s, (m, c) = 1, _taylor_order(hb, last)
+    else:
+        s, m, c = half_theta_order(hb, STEP_BUDGET, spans[0][1] if route == "capped" else last)
+    if route == "capped":
         cells = [(i, min(c, min(end, last) - i)) for start, end in spans for i in range(start, min(end, last), c)]
     else:
         cells = [(i, min(c, last - i)) for i in range(0, last, c)]
@@ -539,7 +572,7 @@ def taylor_cells(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, speeds:
 
 def per_step_stepper(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     """The Taylor stepper that the cells replaced: each grid step h is
-    s = ceil(h beta / THETA) substeps tau = h / s, each the degree-m Taylor
+    s = ceil(h beta / (1/2)) substeps tau = h / s, each the degree-m Taylor
     series of exp(tau L) summed term by term, m the least degree, at least
     4, whose remainders summed over the grid are 1e-10 relative to ||y0||.
     Returns the samples, shape (B, steps + 1, d, d), and for observables the
@@ -547,7 +580,7 @@ def per_step_stepper(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     f = _fused_form(gens, heisenberg)
     y0 = np.asarray(y0, dtype=complex)
     hb = _h_beta(gens, f, grid.h)[0]
-    s = max(math.ceil(hb / dynamics.THETA), 1)
+    s = max(math.ceil(hb / HALF_THETA), 1)
     m = max(taylor_degree(hb / s, 1e-10 / (grid.steps * s)), 4)
     speeds = np.empty((y0.shape[0], grid.steps + 1, 2)) if heisenberg else None
     return _taylor(f, y0, grid.h / s, s, m, grid.steps + 1, speeds), speeds
@@ -766,6 +799,11 @@ def format_matrix_per_entry(M) -> str:
 
     rows = ", ".join("[" + ", ".join(entry(z) for z in row) + "]" for row in M)
     return f"[{rows}]"
+
+
+# the translation table that sysdl's chained replacements replaced: i -> j,
+# a written j -> '?' and the four separators \x1c-\x1f -> ' ', for str.translate
+AS_PYTHON = str.maketrans({"i": "j", "j": "?", **dict.fromkeys("\x1c\x1d\x1e\x1f", " ")})
 
 
 # ---------------------------------------------------------------------------

@@ -360,8 +360,8 @@ def test_bound_parse_failure_exit_2(tmp_path):
 def test_bound_numeric_failure_exit_3(tmp_path):
     # .sys rates are constant, so the stiff jump is put on the smallest qubit
     # register above the exact route's limit, and on d = 16, which the exact
-    # propagator once took: the Taylor stepper would need ~1e9 substeps a
-    # step, which its guard refuses
+    # propagator once took: its step has h beta = 2e8, past the one series of
+    # tau beta <= 1 that the Taylor stepper's guard allows a step
     for n in (EXACT_MAX_DIM.bit_length(), 4):
         dim = 2**n
         text = (
@@ -375,7 +375,7 @@ def test_bound_numeric_failure_exit_3(tmp_path):
             ["bound", "--system", str(p), "--observable", "O", "--tmax", "1.0", "--steps", "10"]
         )
         assert code == 3
-        assert f"numeric error: {STEPPER} h = 0.1: h beta = 2e+08 at hbar = 1.0" in err
+        assert f"numeric error: {STEPPER} h = 0.1 has h beta = 2e+08 at hbar = 1.0" in err
 
 
 def test_bound_stiff_constant_rate_takes_exact_route(tmp_path):
@@ -560,8 +560,8 @@ def test_a_large_observable_is_not_unstable(tmp_path, dim):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), (a, b)
 
 
-# the start of the Taylor stepper's refusal of a grid whose steps need too many generator calls
-STEPPER = "the Taylor stepper needs s m > 32 applications of L per step"
+# the start of the Taylor stepper's refusal of a grid whose step h has h beta > 1
+STEPPER = "the Taylor stepper needs h beta <= 1, and the step"
 
 
 @pytest.fixture
@@ -577,13 +577,13 @@ def register_path(tmp_path):
         (["bound", "dephasing", "O", "1e308", "--steps", "2"], "matrix exponential out of range"),
         (["bound", "qutrit_decay", "N", "1e308", "--steps", "2"], "matrix exponential out of range"),
         # the Taylor stepper's guard, before its first step (the "rk4" ids name the route above the exact one)
-        (["bound", "REGISTER", "O", "1", "--hbar", "1e-150"], f"{STEPPER} h = 0.001: h beta = 2e+147 at hbar = 1e-150"),
+        (["bound", "REGISTER", "O", "1", "--hbar", "1e-150"], f"{STEPPER} h = 0.001 has h beta = 2e+147 at hbar = 1e-150"),
         (["evolve", "REGISTER", "O", "1", "--hbar", "1e-150"],
-         f"{STEPPER} h = 0.001: h beta = 2e+147 at hbar = 1e-150"),
+         f"{STEPPER} h = 0.001 has h beta = 2e+147 at hbar = 1e-150"),
         (["bound", "REGISTER", "O", "1e300", "--steps", "50"],
-         f"{STEPPER} h = 2.0000000000000002e+298: h beta = 5.12311e+298 at hbar = 1.0"),
+         f"{STEPPER} h = 2.0000000000000002e+298 has h beta = 5.12311e+298 at hbar = 1.0"),
         (["evolve", "REGISTER", "O", "1e300", "--steps", "50"],
-         f"{STEPPER} h = 2.0000000000000002e+298: h beta = 5.12311e+298 at hbar = 1.0"),
+         f"{STEPPER} h = 2.0000000000000002e+298 has h beta = 5.12311e+298 at hbar = 1.0"),
         (["bound", "dephasing", "O", "1", "--hbar", "5e-324"], "i H / hbar overflows at hbar = 5e-324"),
         (["bound", "qutrit_decay", "N", "1", "--hbar", "5e-324"], "i H / hbar overflows at hbar = 5e-324"),
         (["bound", "kraus_dephasing", "O", "1e-310"], "Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite"),
@@ -909,6 +909,24 @@ def test_parse_takes_no_format(dephasing_path, fmt, capsys):
 def test_parse_missing_file():
     code, out, err = run_cli(["parse", "--system", "/nonexistent/x.sys"])
     assert code == 2
+
+
+def test_a_system_file_that_is_not_utf8_exits_2(tmp_path):
+    # a UTF-16 file starts with the byte-order mark FF FE, which no UTF-8 text does
+    path = tmp_path / "u16.sys"
+    path.write_bytes(builtin_text("dephasing").encode("utf-16"))
+    assert path.read_bytes().startswith(b"\xff\xfe")
+    message = "error: cannot read system file: 'utf-8' codec can't decode byte 0xff in position 0"
+    for argv in (["parse"], ["bound", "--observable", "O", "--tmax", "1"]):
+        code, out, err = run_cli([*argv, "--system", str(path)])
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(message)
+    proc = subprocess.run([sys.executable, "-m", "oqsl", "parse", "--system", str(path)], env=_entry_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(message)
 
 
 # ---------------------------------------------------------------------------

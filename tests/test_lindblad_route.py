@@ -1,9 +1,9 @@
 """The Lindblad kernel against the batched RK4 route it replaced for constant
 rates (tests/oracles.py), its Taylor cells above the exact route against
-the exact propagator's samples, the per-step stepper and the cells capped at
-a chunk that they replaced, their generator calls against the chunk size and
-the batch size, which set neither, its
-fused generator against the matrix form it replaced, its Liouvillian
+the exact propagator's samples, the per-step stepper, the cells of
+tau beta <= 1/2 and the cells capped at a chunk that they replaced, their
+generator calls against the chunk size and the batch size, which set
+neither, its fused generator against the matrix form it replaced, its Liouvillian
 matrices against the matrix-form generators, its speeds against the
 generator at every sample, the audit's batched block against per-trial
 evolutions, and the final state from the action of exp(T L) against the
@@ -21,7 +21,6 @@ import pytest
 from oqsl import audit, bounds, dynamics
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
-    STEP_BUDGET,
     LindbladGenerator,
     TimeGrid,
     _fused_form,
@@ -179,16 +178,16 @@ def test_cells_make_a_tenth_of_the_per_step_calls(monkeypatch):
     # the benchmark's d = 32 Lindblad system at 1000 steps: the per-step
     # stepper took (s, m) = (1, 4), four calls of the generator a step and one
     # for the last sample's speeds, 4,001 in all; the cells tile the grid,
-    # (s, m, c) = (1, 14, 237), each one series of m + 1 calls, and the last
-    # sample's speeds take one more: 5 * 15 + 1 = 76
+    # (m, c) = (18, 474), each one series of m + 1 calls, and the last
+    # sample's speeds take one more: 3 * 19 + 1 = 58 (76 at tau beta <= 1/2)
     gen, A, rho = _bench_case()
     grid = TimeGrid(1.0, 1000)
     hb = dynamics._h_beta([gen], _fused_form([gen], True), grid.h)[0]
-    s, m, c = dynamics._taylor_order(hb, STEP_BUDGET, grid.steps)
-    assert (s, m, c) == (1, 14, 237)
+    m, c = dynamics._taylor_order(hb, grid.steps)
+    assert (m, c) == (18, 474)
     calls = _count_calls(monkeypatch)
     traj = evolve_lindblad_heisenberg(A, gen, rho, grid)
-    assert set(calls) == {(1, 32, 32)} and len(calls) == math.ceil(grid.steps / c) * (m + 1) + 1 == 76
+    assert set(calls) == {(1, 32, 32)} and len(calls) == math.ceil(grid.steps / c) * (m + 1) + 1 == 58
     monkeypatch.setattr(dynamics, "_fused_form", _fused_form)
     Os = oracles.per_step_stepper([gen], A[None], grid, heisenberg=True)[0][0]
     assert np.abs(traj.expect - np.einsum("tab,ba->t", Os, rho.matrix).real).max() <= 1e-13
@@ -197,16 +196,16 @@ def test_cells_make_a_tenth_of_the_per_step_calls(monkeypatch):
 def test_a_batch_makes_the_calls_of_one_trajectory(monkeypatch):
     # the cells tile the grid, not a chunk, so the batch size, which sets how
     # many samples a chunk holds (64 alone, 21 in a batch of 3), does not set
-    # how many calls a trajectory makes: 76 either way, where cells capped at
+    # how many calls a trajectory makes: 58 either way, where cells capped at
     # a chunk made 177 alone and 433 in a batch of 3
     gen, A, rho = _bench_case()
     grid = TimeGrid(1.0, 1000)
     calls = _count_calls(monkeypatch)
     alone = evolve_lindblad_heisenberg(A, gen, rho, grid)
-    assert len(calls) == 76
+    assert len(calls) == 58
     calls.clear()
     batch = dynamics.trajectories([gen] * 3, np.stack([A] * 3), [rho] * 3, grid, [()] * 3)
-    assert set(calls) == {(3, 32, 32)} and len(calls) == 76
+    assert set(calls) == {(3, 32, 32)} and len(calls) == 58
     for traj in batch:
         for series in ("expect", "stddev", "gen_speed_hs", "gen_speed_op"):
             ref = getattr(alone, series)
@@ -263,9 +262,55 @@ def test_grid_cells_match_the_chunk_capped_cells_they_replaced(dim, monkeypatch)
     chunks = list(dynamics.lindblad_chunks([gen], O[None], grid, heisenberg=True))
     Os, speeds = (np.concatenate([chunk[i][0] for chunk in chunks]) for i in (1, 2))
     ref_speeds = np.empty((1, grid.steps + 1, 2))
-    ref = oracles.taylor_cells([gen], O[None], grid, True, ref_speeds, capped=True)[0]
+    ref = oracles.taylor_cells([gen], O[None], grid, True, ref_speeds, route="capped")[0]
     assert np.abs(Os - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.abs(speeds - ref_speeds[0]).max() <= 1e-13 * ref_speeds.max()
+
+
+def test_one_series_a_cell_refuses_exactly_the_steps_the_half_theta_rule_did():
+    # tau beta <= 1/2 under 32 calls a step took s = 1 or 2 series a step:
+    # s = 3 series of tau beta > 1/3 need m >= 13 each, past the budget; so
+    # it took exactly h beta <= 1, the steps that one series of tau beta <= 1
+    # takes
+    assert dynamics._taylor_order(1.0, 1000) == (18, 1)
+    assert dynamics._taylor_order(np.nextafter(1.0, 2.0), 1000) is None
+    sweep = np.concatenate([np.linspace(0.0, 20.0, 8001), np.geomspace(1e-300, 1e300, 601),
+                            np.nextafter(1.0, [0.0, 2.0]), [16.0, math.inf, math.nan]])
+    for hb in sweep:
+        assert (dynamics._taylor_order(hb, 1000) is None) == (oracles.half_theta_order(hb, 32, 1000) is None), hb
+
+
+@pytest.mark.parametrize("hb", [0.002, 0.2, 0.8])
+@pytest.mark.parametrize("dim", [EXACT_MAX_DIM + 1, 17, 32])
+def test_cells_match_the_half_theta_cells_they_replaced(dim, hb):
+    # the replaced rule read these steps from cells of c = 250, 2 and 1 at
+    # tau beta <= 1/2, the last two series a step; one series of tau beta <= 1
+    # a cell agrees with it within 1e-13
+    gen, O, _ = _random_case(dim, seed=11)
+    beta = dynamics._h_beta([gen], _fused_form([gen], True), 1.0)[0]
+    grid = TimeGrid(300 * hb / beta, 300)
+    chunks = list(dynamics.lindblad_chunks([gen], O[None], grid, heisenberg=True))
+    Os, speeds = (np.concatenate([chunk[i][0] for chunk in chunks]) for i in (1, 2))
+    ref_speeds = np.empty((1, grid.steps + 1, 2))
+    ref = oracles.taylor_cells([gen], O[None], grid, True, ref_speeds, route="half")[0]
+    assert np.abs(Os - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(speeds - ref_speeds[0]).max() <= 1e-13 * ref_speeds.max()
+
+
+def test_a_step_near_h_beta_1_is_one_series(monkeypatch):
+    # the d = 20 system at hbar = 0.0025 has h beta = 0.8: one series of
+    # m = 17 calls a step, 17,001 calls in all with the last sample's speeds,
+    # where two series of m = 13 a step made 26,001
+    gen, A, rho = _dense_case(20, 0.0025, seed=3)
+    grid = TimeGrid(1.0, 1000)
+    hb = dynamics._h_beta([gen], _fused_form([gen], True), grid.h)[0]
+    assert dynamics._taylor_order(hb, grid.steps) == (17, 1)
+    calls = _count_calls(monkeypatch)
+    traj = evolve_lindblad_heisenberg(A, gen, rho, grid)
+    assert len(calls) == 17_001
+    Os = oracles.einsum_exact_samples([gen], A[None], grid, heisenberg=True)[0]
+    exact = np.einsum("tab,ba->t", Os, rho.matrix).real
+    assert np.abs(traj.expect - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("heisenberg", [True, False])
@@ -377,7 +422,7 @@ def _no_kernel(monkeypatch):
 @pytest.mark.parametrize("n_jumps", [0, 1, 2])
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 17])
 def test_final_state_matches_expm_of_liouvillian(dim, n_jumps, monkeypatch):
-    # the series makes up to s m = 8 * 14 = 112 generator calls, within its
+    # the series makes up to n m = 4 * 17 = 68 generator calls, within its
     # budget of one call a grid step
     gen, _, rho = _random_case(dim, seed=5, n_jumps=n_jumps)
     grid = TimeGrid(2.5, 200)
@@ -406,7 +451,7 @@ PLUS = DensityState.pure([1.0, 1.0])
     [
         # stiff: the series would apply L more than once per step on 10 steps
         (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(1.0, 10)),
-        # d = EXACT_MAX_DIM + 1 on 10 steps: the series' s m = 4 * 13 calls are
+        # d = EXACT_MAX_DIM + 1 on 10 steps: the series' n m = 2 * 17 calls are
         # past its budget, so rho(T) is the Taylor stepper's last sample
         (*_random_case(EXACT_MAX_DIM + 1, seed=7)[::2], TimeGrid(1.0, 10)),  # (gen, rho)
         # T ||L|| overflows
@@ -426,18 +471,22 @@ def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
 
 @pytest.mark.parametrize("T, kernel", [(1.0, False), (300.0, True)])
 def test_a_long_horizon_final_state_takes_the_kernel(T, kernel, monkeypatch):
-    # on qutrit_decay.sys at 1000 steps the series makes 70 generator calls at
-    # T = 1, and 465 * 14 = 6510 at T = 300, past its budget of one a step:
-    # there rho(T) is the last sample of the exact route's 1000 products
+    # on qutrit_decay.sys at 1000 steps T beta is 2.3 at T = 1, so the series
+    # is n = 3 steps of T / 3 at m = 16, 48 generator calls (5 series of
+    # T / 5 at m = 14 made 70); at T = 300 it would be 697 * 18 = 12546,
+    # past its budget of one a step: there rho(T) is the last sample of the
+    # exact route's 1000 products
     spec = parse_system(builtin_text("qutrit_decay"))
     gen, rho, grid = spec.generator, spec.initial_state, TimeGrid(T, 1000)
     calls, chunks = [], dynamics.lindblad_chunks
     monkeypatch.setattr(dynamics, "lindblad_chunks", lambda *args, **kwargs: calls.append(1) or chunks(*args, **kwargs))
+    generator_calls = _count_calls(monkeypatch)
     rho_T = lindblad_final_state(rho, gen, grid).matrix
     assert calls == [1] * kernel
     if kernel:
         assert np.array_equal(rho_T, oracles.propagate_lindblad([gen], rho.matrix[None], grid, False)[0][0, -1])
     else:
+        assert len(generator_calls) == 48
         ref = _expm_reference(gen, rho, T)
         assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -446,7 +495,7 @@ def test_final_state_over_the_budget_above_the_exact_route_is_refused():
     # the kernel it falls back to is the stepper, whose guard refuses the grid
     gen = LindbladGenerator(H=np.zeros((17, 17)), jumps=((np.diag(np.arange(17.0)) / 16, 1e9),))
     rho = DensityState.pure(np.ones(17))
-    with pytest.raises(NumericError, match=f"^the Taylor stepper needs s m > {STEP_BUDGET} applications of L per"):
+    with pytest.raises(NumericError, match=r"^the Taylor stepper needs h beta <= 1, and the step h = 0\.1 has h beta"):
         lindblad_final_state(rho, gen, TimeGrid(1.0, 10))
 
 

@@ -705,6 +705,14 @@ def test_one_row_outside_the_plain_characters_sends_only_it_through_the_entry_pa
     assert 0 < len(calls) <= 256
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from([*"0123456789.eE+-ij \t,[]\x1c\x1d\x1e\x1f", "\xa0", "\u2003", "\u0663",
+                                         "\xe9", "\U0001d7d9"]), max_size=40))
+def test_literal_text_reads_as_the_translation_table_reads_it(text):
+    # the chained replacements give what str.translate gave, non-ASCII text included
+    assert sysdl._as_python(text) == text.translate(oracles.AS_PYTHON)
+
+
 def test_diagnostic_render_format():
     d = Diagnostic(line=3, col=7, message="boom")
     assert d.render("file.sys") == "file.sys:3:7: boom"
