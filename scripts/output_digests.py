@@ -60,7 +60,11 @@ would leave MIN_NORM; and STATE_MT reads p0 = 1. Last,
 and every rate times 2^RESCALE_EXP and the horizon times 2^-RESCALE_EXP
 (RESCALED), written into the temporary directory: every T_qsl / T but
 those that compare dH with an absolute tolerance is that of the built-in
-run, and only these show a norm whose squares underflow.
+run, and only these show a norm whose squares underflow. Last,
+``bound --bounds DELCAMPO`` on the d = 17 Lindblad system at ``--hbar``
+STEPPER_HBAR: there T beta = 200.2, so rho(T) is the last sample of the
+Taylor stepper on 201 steps of one series each, where every other
+command's rho(T) takes a few steps.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -338,6 +342,9 @@ def commands(workdir: Path):
             argv = ["bound", "--system", str(workdir / f"rescaled_{fname}"), "--observable", obs]
             yield f"bound:rescaled_{fname}", argv + ["--tmax", repr(math.ldexp(tmax, -RESCALE_EXP)), "--bounds", "ALL",
                                                      "--format", "json"]
+    yield f"bound:{STEPPER_FILE}:DELCAMPO:hbar={STEPPER_HBAR!r}", [
+        "bound", *stepper, "--bounds", "DELCAMPO", "--hbar", repr(STEPPER_HBAR)
+    ]
 
 
 def _bound_all(fname: str, obs: str, obs_b, tmax: float, fmt: str = "json") -> list:

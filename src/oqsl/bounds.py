@@ -308,8 +308,8 @@ def qsl_delcampo(
     T_qsl = |cos theta - 1| tr[rho0^2] / ||L rho0||_hs,
 
     where the caller supplies rho(T) and ||L rho0||_hs, the generator's norm
-    at the initial state. Only the end points are read, so rho(T) need not come
-    from a trajectory (:func:`~oqsl.dynamics.lindblad_final_state`).
+    at the initial state. Only the end points are read, so rho(T) may come from
+    the kernel on a grid coarser than the bound's (:func:`~oqsl.dynamics.lindblad_final_state`).
     """
     overlap = float(np.trace(rho0.matrix @ rhoT.matrix).real)
     cos_theta = float(np.clip(overlap / rho0.purity, -1.0, 1.0))
@@ -558,8 +558,8 @@ class EvalContext:
     observables of the SELF_INVERSE and STATE_MT slots: O itself, or other
     observables read at the grid's two ends in O's eigenbasis. ``B`` is the
     commutator bounds' second observable. ``final_state`` makes DELCAMPO
-    applicable: it reads the Schrodinger state at T, which
-    :func:`~oqsl.dynamics.lindblad_final_state` computes with no trajectory.
+    applicable: it reads the Schrodinger state at T, the Lindblad kernel's last
+    sample on a coarser grid (:func:`~oqsl.dynamics.lindblad_final_state`).
     """
 
     def __init__(self, generator: GeneratorSpec, grid: TimeGrid, O: np.ndarray, rho: DensityState,

@@ -2,8 +2,9 @@
 bounds, run built-in scenarios, and drive the randomized audit.
 
 Exit codes: 0 on success (and all validity/pass flags true), 2 on input or
-parse errors, 3 on numeric failures (including failed validity checks), and
-1 from the process entry when stdout is closed before the output is written.
+parse errors and on an input too large for the memory at hand, 3 on numeric
+failures (including failed validity checks), and 1 from the process entry
+when stdout is closed before the output is written.
 Results go to stdout, as CSV or JSON through :func:`write_result` (``parse``
 reprints the system instead); diagnostics go to stderr.
 """
@@ -285,4 +286,7 @@ def main(argv=None, out=None, err=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=err)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=err)
+        return EXIT_INPUT
 

@@ -34,9 +34,9 @@ a chunk's times and one more on each side, so dK/dt is the central
 difference along the grid, one-sided at its ends, whatever the chunking.
 
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
-that series on n = ceil(T beta) steps of length T / n
-(:func:`lindblad_final_state`), or the last sample where the series would
-make more generator calls than the grid has steps.
+the last sample of :func:`lindblad_chunks` on the fewest steps of one
+series each, n = floor(T beta) + 1 and at least 2, or on the grid itself
+where T beta is past its steps (:func:`lindblad_final_state`).
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ from .linalg import (
 INSTABILITY_LIMIT = 1e12
 # how far a state's trace may drift from 1 along a Lindblad evolution
 TRACE_TOL = 1e-8
-# the largest dimension at which Lindblad evolution takes the exact route: the
-# Taylor cells beat it on one trajectory at every d, and the audit's batched
-# qubit blocks and every built-in system stay on it (README)
+# the largest dimension at which Lindblad evolution takes the exact route, the
+# stiff route: it computes a step with h beta > THETA, which the Taylor cells
+# refuse (tests/test_cli.py::test_bound_stiff_constant_rate_takes_exact_route);
+# the cells match or beat its time at every d (scripts/lindblad_routes.py)
 EXACT_MAX_DIM = 4
 THETA = 1.0  # the Taylor stepper's largest ||tau L|| a series, and so a grid step's
 # the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
@@ -734,27 +735,21 @@ def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid
 
 
 def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> DensityState:
-    """The state rho(T) = exp(T L) rho0 at the end of the grid, with no
-    trajectory and no d^2 x d^2 matrix: :func:`_taylor_chunks` on
-    n = max(1, ceil(T beta)) steps of length T / n, one series each, or,
-    past one generator call a grid step (stiff rates or a long horizon), the
-    last sample of :func:`lindblad_chunks`. Either way a blow-up is
-    rejected, the trace is verified to 1e-8 and rho(T) is validated within
-    gen.tol, positivity loss beyond being a warning."""
+    """The state rho(T) = exp(T L) rho0 at the end of the grid: the last
+    sample of :func:`lindblad_chunks` on the fewest steps of one Taylor series
+    each, n = floor(T beta) + 1 >= 2 (:func:`_h_beta`), or on the grid itself
+    where T beta >= its steps. T beta rounds below n only where the exact
+    T beta / n <= 1 - 2^-54, so the kernel's h beta, (T / n) beta rounded
+    twice, is below 1 + 2^-53 and rounds to at most THETA = 1: a whole T beta,
+    where ceil(T beta) steps can be refused, is not. The kernel picks the
+    route and checks the step, stability and trace; rho(T) is validated
+    within gen.tol, positivity loss beyond being a warning."""
     _check_state(rho0, gen.dim)
-    f = _fused_form([gen], heisenberg=False)
-    y, Tb = rho0.matrix[None].astype(complex), _h_beta([gen], f, grid.T)[0]
-    n = max(1, math.ceil(min(Tb, grid.steps + 1)))  # capped at steps + 1, past which the kernel takes rho(T)
-    order = _taylor_order(Tb / n, 1)
-    if order is None or n * order[0] > grid.steps:
-        for _, chunk, _ in lindblad_chunks([gen], y, grid, heisenberg=False):
-            y = chunk[:, -1]
-    else:
-        for _ in range(n):  # one step of length T / n, sampled at its two ends
-            ((_, chunk, _),) = _taylor_chunks(f, y, grid.T / n, *order, [(0, 2)], False, INSTABILITY_LIMIT)
-            y = chunk[:, -1]
-    _check_trace(y)
-    return DensityState.from_matrix(y[0], tol=gen.tol, on_indefinite="warn")
+    Tb = _h_beta([gen], _fused_form([gen], heisenberg=False), grid.T)[0]
+    n = max(2, math.floor(Tb) + 1) if Tb < grid.steps else grid.steps
+    for _, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], TimeGrid(grid.T, n), heisenberg=False):
+        rho_T = chunk[0, -1]
+    return DensityState.from_matrix(rho_T, tol=gen.tol, on_indefinite="warn")
 
 
 # ---------------------------------------------------------------------------

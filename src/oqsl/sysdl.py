@@ -453,7 +453,7 @@ def _parse_operator(decl: _Decl | None, dim: int, n_qubits, diags: list[Diagnost
             if M.shape[0] != dim:
                 _fail(decl.line, decl.value_col, f"matrix is {M.shape[0]}x{M.shape[0]}, expected {dim}x{dim}")
         elif n_qubits is None:
-            _fail(decl.line, decl.value_col, f"pauli expressions need dim a power of 2, got {dim}")
+            _fail(decl.line, decl.value_col, f"pauli expressions need dim a power of 2 of at least 2, got {dim}")
         else:
             try:
                 M = parse_pauli_expr(decl.value, n_qubits)

@@ -1010,6 +1010,24 @@ def test_closed_stdout_exits_without_traceback(fmt):
     assert code == 1 and err == ""
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("command, system", [("bound", "tight_qubit.sys"), ("evolve", "dephasing.sys")])
+def test_out_of_memory_exits_2_in_one_line(command, system):
+    # 10^8 steps need a 763 MiB series, past a 1 GiB address space once numpy is loaded
+    import resource
+
+    def limit():  # in the child alone
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = [sys.executable, "-m", "oqsl", command, "--system", str(SYSTEMS / system), "--observable", "O"]
+    argv += ["--tmax", "1", "--steps", "100000000"]
+    env = {**_entry_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 # one short run of each command, as its own process
 COMMAND_ARGV = {
     "bound": ["bound", "--system", str(SYSTEMS / "two_qubit.sys"), "--observable", "A", "--tmax", "1"],

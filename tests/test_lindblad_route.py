@@ -6,9 +6,9 @@ generator calls against the chunk size and the batch size, which set
 neither, its fused generator against the matrix form it replaced, its Liouvillian
 matrices against the matrix-form generators, its speeds against the
 generator at every sample, the audit's batched block against per-trial
-evolutions, and the final state from the action of exp(T L) against the
-exponential of the Kronecker Liouvillian, the last sample of the trajectory
-it replaced and the full-stack kernel."""
+evolutions, and the final state, the kernel's last sample on floor(T beta) + 1
+steps, against the exponential of the Kronecker Liouvillian, the last sample
+of the trajectory and the full-stack kernel."""
 
 import math
 import runpy
@@ -403,7 +403,7 @@ def test_audit_block_keeps_no_state_stack():
 
 
 # ---------------------------------------------------------------------------
-# the final state rho(T) from the Taylor action of exp(T L)
+# the final state rho(T): the kernel's last sample on the fewest steps of one series each
 
 
 def _expm_reference(gen, rho, T):
@@ -412,21 +412,30 @@ def _expm_reference(gen, rho, T):
     return (oracles.scipy_expm(T * L) @ rho.matrix.reshape(-1)).reshape(d, d)
 
 
-def _no_kernel(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("lindblad_chunks called")
+def _T_beta(gen, T):
+    return dynamics._h_beta([gen], _fused_form([gen], False), T)[0]
 
-    monkeypatch.setattr(dynamics, "lindblad_chunks", fail)
+
+def _kernel_grids(monkeypatch) -> list:
+    """The step counts of the grids that lindblad_chunks is called on, one
+    entry a call, from here on."""
+    grids, chunks = [], dynamics.lindblad_chunks
+
+    def counted(gens, y0, grid, heisenberg):
+        grids.append(grid.steps)
+        return chunks(gens, y0, grid, heisenberg)
+
+    monkeypatch.setattr(dynamics, "lindblad_chunks", counted)
+    return grids
 
 
 @pytest.mark.parametrize("n_jumps", [0, 1, 2])
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 17])
-def test_final_state_matches_expm_of_liouvillian(dim, n_jumps, monkeypatch):
-    # the series makes up to n m = 4 * 17 = 68 generator calls, within its
-    # budget of one call a grid step
+def test_final_state_matches_expm_of_liouvillian(dim, n_jumps):
+    # T beta is at most 4.3 here, so rho(T) is the kernel's last sample on at
+    # most 5 steps: the exact propagator for d <= 4, one series a step above
     gen, _, rho = _random_case(dim, seed=5, n_jumps=n_jumps)
     grid = TimeGrid(2.5, 200)
-    _no_kernel(monkeypatch)  # the action route, with no fallback
     ref = _expm_reference(gen, rho, grid.T)
     rho_T = lindblad_final_state(rho, gen, grid)
     assert np.abs(rho_T.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -449,12 +458,13 @@ PLUS = DensityState.pure([1.0, 1.0])
 @pytest.mark.parametrize(
     "gen, rho, grid",
     [
-        # stiff: the series would apply L more than once per step on 10 steps
+        # stiff: T beta is past the 10 steps, so rho(T) is the exact
+        # propagator's last sample on the grid itself
         (LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),)), PLUS, TimeGrid(1.0, 10)),
-        # d = EXACT_MAX_DIM + 1 on 10 steps: the series' n m = 2 * 17 calls are
-        # past its budget, so rho(T) is the Taylor stepper's last sample
+        # d = EXACT_MAX_DIM + 1 on 10 steps: T beta = 1.6, so rho(T) is the
+        # Taylor stepper's last sample on 2 steps
         (*_random_case(EXACT_MAX_DIM + 1, seed=7)[::2], TimeGrid(1.0, 10)),  # (gen, rho)
-        # T ||L|| overflows
+        # T ||L|| overflows, so the grid is the 10 steps themselves
         (dephasing_generator(1.0), PLUS, TimeGrid(1e308, 10)),
     ],
     ids=["stiff", "ramp", "huge-T"],
@@ -469,30 +479,91 @@ def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
         assert np.array_equal(rho_T, kernel)
 
 
-@pytest.mark.parametrize("T, kernel", [(1.0, False), (300.0, True)])
-def test_a_long_horizon_final_state_takes_the_kernel(T, kernel, monkeypatch):
-    # on qutrit_decay.sys at 1000 steps T beta is 2.3 at T = 1, so the series
-    # is n = 3 steps of T / 3 at m = 16, 48 generator calls (5 series of
-    # T / 5 at m = 14 made 70); at T = 300 it would be 697 * 18 = 12546,
-    # past its budget of one a step: there rho(T) is the last sample of the
-    # exact route's 1000 products
+@pytest.mark.parametrize("T, steps", [(1.0, 3), (300.0, 697)])
+def test_a_long_horizon_final_state_takes_the_kernel(T, steps, monkeypatch):
+    # on qutrit_decay.sys T beta is 2.3 at T = 1 and 696.7 at T = 300: rho(T)
+    # is the exact route's last sample on 3 and 697 steps, never on the
+    # 1000 steps of the grid
     spec = parse_system(builtin_text("qutrit_decay"))
     gen, rho, grid = spec.generator, spec.initial_state, TimeGrid(T, 1000)
-    calls, chunks = [], dynamics.lindblad_chunks
-    monkeypatch.setattr(dynamics, "lindblad_chunks", lambda *args, **kwargs: calls.append(1) or chunks(*args, **kwargs))
-    generator_calls = _count_calls(monkeypatch)
+    grids = _kernel_grids(monkeypatch)
     rho_T = lindblad_final_state(rho, gen, grid).matrix
-    assert calls == [1] * kernel
-    if kernel:
-        assert np.array_equal(rho_T, oracles.propagate_lindblad([gen], rho.matrix[None], grid, False)[0][0, -1])
-    else:
-        assert len(generator_calls) == 48
-        ref = _expm_reference(gen, rho, T)
-        assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert grids == [steps] == [math.floor(_T_beta(gen, T)) + 1]
+    ref = _expm_reference(gen, rho, T)
+    assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim", [EXACT_MAX_DIM + 1, 17])
+def test_final_state_above_the_exact_route_is_one_kernel_run_on_the_fewest_steps(dim, monkeypatch):
+    # T beta = 3.3 and 3.5: one lindblad_chunks call on 4 steps, none on the
+    # grid's 1000 (qutrit_decay.sys on the exact route: the test above)
+    gen, _, rho = _random_case(dim, seed=5)
+    grids = _kernel_grids(monkeypatch)
+    lindblad_final_state(rho, gen, TimeGrid(2.5, 1000))
+    assert grids == [4] == [math.floor(_T_beta(gen, 2.5)) + 1]
+
+
+@pytest.mark.parametrize("dim", range(2, EXACT_MAX_DIM + 1))
+def test_final_state_at_the_exact_route_takes_no_series(dim, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the Taylor stepper was taken")
+
+    monkeypatch.setattr(dynamics, "_taylor_chunks", fail)
+    gen, _, rho = _random_case(dim, seed=5)
+    ref = _expm_reference(gen, rho, 2.5)
+    rho_T = lindblad_final_state(rho, gen, TimeGrid(2.5, 1000)).matrix
+    assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_a_whole_T_beta_is_never_refused_by_rounding(side, monkeypatch):
+    # on this d = 17 system T beta = 13 gives h beta = 1 + 2^-52 on
+    # ceil(T beta) = 13 steps of T / 13, which the stepper refuses; the
+    # least integer above T beta, 14 steps, is not refused, nor are 13 and
+    # 14 steps at the horizons one ulp either side, where T beta is a few
+    # ulps either side of 13
+    gen, _, rho = _random_case(17, seed=4)
+    T = 13.0 / _T_beta(gen, 1.0)
+    for _ in range(64):  # to the horizon at which T beta is exactly 13
+        if _T_beta(gen, T) == 13.0:
+            break
+        T = math.nextafter(T, math.inf if _T_beta(gen, T) < 13.0 else 0.0)
+    assert _T_beta(gen, T) == 13.0 and _T_beta(gen, TimeGrid(T, 13).h) > 1.0  # the refusal that a plain ceil meets
+    if side:
+        T = math.nextafter(T, side * math.inf)
+        assert 0 < side * (_T_beta(gen, T) - 13.0) <= 1e-14
+    grids = _kernel_grids(monkeypatch)
+    rho_T = lindblad_final_state(rho, gen, TimeGrid(T, 1000)).matrix
+    assert grids == [13 if side < 0 else 14]
+    ref = _expm_reference(gen, rho, T)
+    assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_the_fewest_steps_pass_the_kernels_own_step_check(monkeypatch):
+    # at horizons up to 4 ulps either side of every whole T beta from 2 to
+    # 100, the kernel's own h beta on the grid lindblad_final_state picks,
+    # (T / n) beta rounded twice, never exceeds THETA
+    gen, _, rho = _random_case(17, seed=4)
+    beta, accepted = _T_beta(gen, 1.0), []
+
+    def step_check(gens, y0, grid, heisenberg):
+        hb = dynamics._h_beta(gens, _fused_form(gens, heisenberg), grid.h)[0]
+        accepted.append(dynamics._taylor_order(hb, grid.steps) is not None)
+        yield 0, y0[:, None], None
+
+    monkeypatch.setattr(dynamics, "lindblad_chunks", step_check)
+    for k in range(2, 101):
+        T = k / beta
+        for _ in range(4):
+            T = math.nextafter(T, 0.0)
+        for _ in range(9):
+            lindblad_final_state(rho, gen, TimeGrid(T, 1000))
+            T = math.nextafter(T, math.inf)
+    assert len(accepted) == 99 * 9 and all(accepted)
 
 
 def test_final_state_over_the_budget_above_the_exact_route_is_refused():
-    # the kernel it falls back to is the stepper, whose guard refuses the grid
+    # T beta is past the 10 steps, so the grid is those steps, which the stepper's guard refuses
     gen = LindbladGenerator(H=np.zeros((17, 17)), jumps=((np.diag(np.arange(17.0)) / 16, 1e9),))
     rho = DensityState.pure(np.ones(17))
     with pytest.raises(NumericError, match=r"^the Taylor stepper needs h beta <= 1, and the step h = 0\.1 has h beta"):

@@ -325,13 +325,15 @@ pauli = 1.0 ZI
 
 
 def test_production_paths_build_no_sample_stack(tmp_path, monkeypatch):
-    # every bound reads the one streamed evolution: its declared probes and
-    # ends, with no second run of the kernel
+    # every bound reads the one streamed evolution of the observable on the
+    # grid: its declared probes and ends; DELCAMPO's rho(T) is the last sample
+    # of one state run on a coarse grid of floor(T beta) + 1 = 3 steps, so no
+    # second run, of either picture, streams the 1000 steps
     runs = []
 
-    def counted(*args, **kwargs):
-        runs.append(kwargs.get("heisenberg", args[-1]))
-        return kernel(*args, **kwargs)
+    def counted(gens, y0, grid, heisenberg):
+        runs.append((heisenberg, grid.steps))
+        return kernel(gens, y0, grid, heisenberg)
 
     kernel = dynamics.lindblad_chunks
     monkeypatch.setattr(dynamics, "lindblad_chunks", counted)
@@ -342,7 +344,7 @@ def test_production_paths_build_no_sample_stack(tmp_path, monkeypatch):
     assert cli.main(argv, out=out, err=err) == 0, err.getvalue()
     ids = [line.split(",")[0] for line in out.getvalue().splitlines()[1:]]
     assert ids == ["GENERATOR_HS", "DELCAMPO", "STATE_INDEP", "CORR_OPEN", "COMM_OPEN"]
-    assert runs == [True]
+    assert runs == [(True, 1000), (False, 3)]
     assert cli.main(["scenario", "dephasing"], out=io.StringIO(), err=err) == 0, err.getvalue()
     assert audit.run_audit(4, 2).passed
 

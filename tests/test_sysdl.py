@@ -309,6 +309,7 @@ def test_a_kraus_family_holds_the_parse_tolerance():
             "duplicate observable",
         ),
         ("[system]\ndim = 3\n[state]\nket = [1, 0, 0]\n[hamiltonian]\npauli = 1.0 Z\n", "power of 2"),
+        ("[system]\ndim = 1\n[state]\nket = [1]\n[hamiltonian]\npauli = 1 Z\n", "power of 2 of at least 2, got 1"),
         ("key = 1\n", "outside any section"),
         ("[system]\ndim = 2\nhbar = -1\n[state]\nket = [1, 0]\n", "hbar must be positive"),
         (KRAUS_NAN_TIME, "t.sys:10:8: non-finite number 'nan'"),
