@@ -92,6 +92,12 @@ fails it, while the numbers under the keys both share are still compared.
 
 Each command runs as its own ``python -m oqsl`` process against the ``src/``
 tree next to this script.
+
+The outputs of the committed tree are kept in ``tests/digests`` (written by
+``--save tests/digests``), and ``tests/test_digests.py`` runs every command
+in-process through ``oqsl.cli.main`` and compares it with them as
+``--compare`` does, so a change that moves a number saves them again in the
+same commit.
 """
 
 import argparse
@@ -283,9 +289,24 @@ def rescaled_text(fname: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_systems(workdir: Path) -> None:
+    """Write the generated systems that :func:`commands` reads into ``workdir``."""
+    for fname, d, seed in ((STEPPER_FILE, STEPPER_DIM, STEPPER_SEED), (CELLS_FILE, CELLS_DIM, CELLS_SEED)):
+        (workdir / fname).write_text(lindblad_system_text(d, seed), encoding="utf-8")
+    (workdir / TABLE_FILE).write_text(kraus_table_system_text(), encoding="utf-8")
+    for fname, kind in PAIR_FILES.items():
+        (workdir / fname).write_text(pair_system_text(kind), encoding="utf-8")
+    (workdir / UNITARY_FILE).write_text(unitary_system_text(), encoding="utf-8")
+    for (fname, _), text in zip(TOL_FILES, (loose_qubit_text(), kraus_defect_text())):
+        (workdir / fname).write_text(text, encoding="utf-8")
+    (workdir / PROJECTOR_FILE).write_text(projector_system_text(), encoding="utf-8")
+    for fname in RESCALED:
+        (workdir / f"rescaled_{fname}").write_text(rescaled_text(fname), encoding="utf-8")
+
+
 def commands(workdir: Path):
-    """(label, argv) of every command; the generated system is read from
-    ``workdir``."""
+    """(label, argv) of every command; the generated systems are read from
+    ``workdir`` (:func:`write_systems`)."""
     for fname, obs, obs_b, tmax in BUILTIN_BOUNDS:
         yield f"bound:{fname}", _bound_all(fname, obs, obs_b, tmax)
     for name in SCENARIOS:
@@ -443,17 +464,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        for fname, d, seed in ((STEPPER_FILE, STEPPER_DIM, STEPPER_SEED), (CELLS_FILE, CELLS_DIM, CELLS_SEED)):
-            (workdir / fname).write_text(lindblad_system_text(d, seed), encoding="utf-8")
-        (workdir / TABLE_FILE).write_text(kraus_table_system_text(), encoding="utf-8")
-        for fname, kind in PAIR_FILES.items():
-            (workdir / fname).write_text(pair_system_text(kind), encoding="utf-8")
-        (workdir / UNITARY_FILE).write_text(unitary_system_text(), encoding="utf-8")
-        for (fname, _), text in zip(TOL_FILES, (loose_qubit_text(), kraus_defect_text())):
-            (workdir / fname).write_text(text, encoding="utf-8")
-        (workdir / PROJECTOR_FILE).write_text(projector_system_text(), encoding="utf-8")
-        for fname in RESCALED:
-            (workdir / f"rescaled_{fname}").write_text(rescaled_text(fname), encoding="utf-8")
+        write_systems(workdir)
         for label, argv in commands(workdir):
             proc = subprocess.run(
                 [sys.executable, "-m", "oqsl", *argv], capture_output=True, env=env, cwd=ROOT

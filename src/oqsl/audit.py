@@ -73,10 +73,10 @@ class AuditSummary:
 # sampling
 
 
-def random_hermitian(rng, dim: int, norm: float = 1.0) -> np.ndarray:
+def random_hermitian(rng, dim: int) -> np.ndarray:
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     H = (G + G.conj().T) / 2.0
-    return norm * H / hermitian_op_norm(H)
+    return H / hermitian_op_norm(H)
 
 
 def random_state(rng, dim: int, pure: bool) -> DensityState:
@@ -95,9 +95,9 @@ def random_self_inverse(rng, dim: int) -> np.ndarray:
     return (Q * signs) @ Q.conj().T
 
 
-def random_jump(rng, dim: int, norm: float = 0.5):
+def random_jump(rng, dim: int):
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return norm * G / op_norm(G), float(rng.uniform(0.0, 1.0))
+    return 0.5 * G / op_norm(G), float(rng.uniform(0.0, 1.0))
 
 
 class _Trial:

@@ -36,7 +36,8 @@ difference along the grid, one-sided at its ends, whatever the chunking.
 The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
 the last sample of :func:`lindblad_chunks` on the fewest steps of one
 series each, n = floor(T beta) + 1 and at least 2, or on the grid itself
-where T beta is past its steps (:func:`lindblad_final_state`).
+where T beta is past its steps (:func:`lindblad_final_state`), beta being
+the bound the stepper reads, :attr:`LindbladGenerator.beta`.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class TimeGrid:
             raise ValidationError(f"the horizon T must be positive and finite, got {float(T)!r}")
         if not (2 <= steps < math.inf and int(steps) == steps):  # NaN and inf fail the comparison
             raise ValidationError("grid requires an integer steps >= 2")
-        self.T, self.steps = T, int(steps)
+        self.T, self.steps = float(T), int(steps)
 
     @property
     def h(self) -> float:
@@ -121,7 +122,7 @@ class UnitaryGenerator:
         self.H = checked_hermitian(H, "hamiltonian", tol)
         if not (np.isfinite(hbar) and hbar > 0):
             raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
-        self.hbar, self.tol = hbar, tol
+        self.hbar, self.tol = float(hbar), tol
 
     @property
     def dim(self) -> int:
@@ -152,11 +153,24 @@ class LindbladGenerator:
             if rate < 0:
                 raise ValidationError(f"negative rate {rate!r} for jump operator {k}")
             checked.append((L, rate))
-        self.H, self.jumps, self.hbar, self.tol = H, tuple(checked), hbar, tol
+        self.H, self.jumps, self.hbar, self.tol = H, tuple(checked), float(hbar), tol
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
+
+    @functools.cached_property
+    def beta(self) -> float:
+        """beta = ||A||_2 + ||A'||_2 + sum_k gamma_k ||L_k||_2^2 >= ||L|| on the
+        terms of :func:`_fused_form`, taken once and read by the Taylor stepper:
+        one number for both pictures, whose A and A' swap; inf on overflow."""
+        A, Ad, _ = _fused_form([self], heisenberg=True).terms
+        M = np.stack([A[0], Ad[0], *(L for L, _ in self.jumps)])
+        if not np.isfinite(M).all():  # jumps so large that K overflows
+            return math.inf
+        norms = op_norm(M)
+        with np.errstate(over="ignore"):
+            return float(norms[0] + norms[1] + np.array([rate for _, rate in self.jumps]) @ norms[2:] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +498,9 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     apply L to each chunk. Above it one Taylor series on the fused generator
     gives the samples and speeds of a cell of grid steps, the cells tiling the
     grid and the chunks setting only where samples are written
-    (:func:`_taylor_chunks`); a grid whose step h has h beta > THETA
-    (:func:`_h_beta`) is refused before the first generator call. The exact
+    (:func:`_taylor_chunks`); a grid whose step h has h beta > THETA, beta
+    the batch's largest :attr:`LindbladGenerator.beta`, is refused before the
+    first generator call. The exact
     route rejects a blow-up on every chunk and the stepper at the end of every
     series: an entry of y[b] above INSTABILITY_LIMIT times
     max(1, max |y0[b]|), as the Heisenberg flow does not grow an observable's
@@ -502,11 +517,12 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
         chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit)
     else:
         f = _fused_form(gens, heisenberg)
-        hb, hbar = _h_beta(gens, f, grid.h)
+        gen = max(gens, key=lambda g: g.beta)
+        hb = grid.h * gen.beta
         order = _taylor_order(hb, grid.steps)
         if order is None:
             raise NumericError(f"the Taylor stepper needs h beta <= {THETA:g}, and the step h = {grid.h!r} "
-                               f"has h beta = {hb:.6g} at hbar = {hbar!r}")
+                               f"has h beta = {hb:.6g} at hbar = {gen.hbar!r}")
         chunks = _taylor_chunks(f, y0, grid.h, *order, spans, heisenberg, limit)
     if heisenberg:
         yield from chunks  # which holds no chunk between yields
@@ -618,29 +634,11 @@ def _combine(V: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
         np.matmul(V, terms[:, b].reshape(len(terms), -1).view(float), out=out[b].reshape(len(V), -1).view(float))
 
 
-def _h_beta(gens, f, h: float):
-    """(h beta, hbar) for the batch's largest beta = ||A||_2 + ||A'||_2 +
-    sum_k gamma_k ||L_k||_2^2 >= ||L|| and the hbar of its generator; h beta
-    is infinite where it overflows."""
-    A, Ad, _ = f.terms
-    hb, hbar = 0.0, gens[0].hbar
-    for b, gen in enumerate(gens):
-        M = np.stack([A[b], Ad[b], *(L for L, _ in gen.jumps)])
-        x = math.inf
-        if np.isfinite(M).all():  # else jumps so large that K overflows
-            norms = op_norm(M)
-            with np.errstate(over="ignore"):
-                x = h * (norms[0] + norms[1] + np.array([rate for _, rate in gen.jumps]) @ norms[2:] ** 2)
-        if not x <= hb:
-            hb, hbar = x, gen.hbar
-    return hb, hbar
-
-
 def _taylor_order(hb: float, cap: int):
     """(m, c) for :func:`_taylor_chunks` on steps h with h beta = ``hb``
-    (:func:`_h_beta`): cells of c = min(floor(THETA / h beta), cap) steps
-    (the kernel caps c at the grid), one series each, so tau beta <= THETA
-    for tau = c h. m is the least degree whose remainder bound
+    (:attr:`LindbladGenerator.beta`): cells of c = min(floor(THETA / h beta),
+    cap) steps (the kernel caps c at the grid), one series each, so
+    tau beta <= THETA for tau = c h. m is the least degree whose remainder bound
     (tau beta)^(m+1) / (m+1)! e^(tau beta) is 2^-53 a series: the flows
     contract the operator norm (Russo-Dye) and the trace norm, so that bounds
     each sample's error, and each speed's by beta 2^-53, relative to ||y0|| a
@@ -737,15 +735,16 @@ def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid
 def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> DensityState:
     """The state rho(T) = exp(T L) rho0 at the end of the grid: the last
     sample of :func:`lindblad_chunks` on the fewest steps of one Taylor series
-    each, n = floor(T beta) + 1 >= 2 (:func:`_h_beta`), or on the grid itself
-    where T beta >= its steps. T beta rounds below n only where the exact
-    T beta / n <= 1 - 2^-54, so the kernel's h beta, (T / n) beta rounded
-    twice, is below 1 + 2^-53 and rounds to at most THETA = 1: a whole T beta,
-    where ceil(T beta) steps can be refused, is not. The kernel picks the
+    each, n = floor(T beta) + 1 >= 2 (:attr:`LindbladGenerator.beta`), or on
+    the grid itself where T beta >= its steps. T beta rounds below n only
+    where the exact T beta / n <= 1 - 2^-54, so the kernel's h beta,
+    (T / n) beta rounded twice, is below 1 + 2^-53 and rounds to at most
+    THETA = 1: a whole T beta, where ceil(T beta) steps can be refused, is
+    not. The kernel picks the
     route and checks the step, stability and trace; rho(T) is validated
     within gen.tol, positivity loss beyond being a warning."""
     _check_state(rho0, gen.dim)
-    Tb = _h_beta([gen], _fused_form([gen], heisenberg=False), grid.T)[0]
+    Tb = grid.T * gen.beta
     n = max(2, math.floor(Tb) + 1) if Tb < grid.steps else grid.steps
     for _, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], TimeGrid(grid.T, n), heisenberg=False):
         rho_T = chunk[0, -1]

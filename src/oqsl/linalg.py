@@ -249,8 +249,8 @@ class DensityState:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_pure(self, tol: float = 1e-7) -> bool:
-        return self.purity >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity >= 1.0 - 1e-7
 
 
 def expectation(O: np.ndarray, rho: DensityState, tol: float = DEFAULT_TOL) -> float:

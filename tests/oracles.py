@@ -64,7 +64,6 @@ from oqsl.dynamics import (
     _check_state,
     _check_trace,
     _fused_form,
-    _h_beta,
     _norms,
     _spans,
     _spread,
@@ -530,7 +529,7 @@ def taylor_cells(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, speeds:
     B, d = y0.shape[:2]
     spans = _spans(grid.steps + 1, 16 * B * d * d)
     last = grid.steps
-    hb = _h_beta(gens, f, grid.h)[0]
+    hb = grid.h * max(gen.beta for gen in gens)
     if route == "grid":
         s, (m, c) = 1, _taylor_order(hb, last)
     else:
@@ -579,7 +578,7 @@ def per_step_stepper(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     norms of the first term of each step, shape (B, steps + 1, 2)."""
     f = _fused_form(gens, heisenberg)
     y0 = np.asarray(y0, dtype=complex)
-    hb = _h_beta(gens, f, grid.h)[0]
+    hb = grid.h * max(gen.beta for gen in gens)
     s = max(math.ceil(hb / HALF_THETA), 1)
     m = max(taylor_degree(hb / s, 1e-10 / (grid.steps * s)), 4)
     speeds = np.empty((y0.shape[0], grid.steps + 1, 2)) if heisenberg else None

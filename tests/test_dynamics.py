@@ -88,6 +88,21 @@ def test_time_grid_keeps_an_integral_step_count_as_an_int():
     assert np.array_equal(g.times(), np.linspace(0.0, 1.0, 11))
 
 
+def test_numpy_scalars_are_held_and_printed_as_floats(rng):
+    # a numpy horizon or hbar is held as a Python float, so the stepper's
+    # refusal reads h = 0.1 at hbar = 0.01, not h = np.float64(0.1)
+    grid = TimeGrid(np.float64(1.0), 10)
+    assert type(grid.T) is float and type(grid.h) is float
+    assert type(UnitaryGenerator(H=sigma_z, hbar=np.float64(2.0)).hbar) is float
+    gen = LindbladGenerator(H=oracles.random_hermitian(rng, 8), jumps=((oracles.random_matrix(rng, 8), 0.5),),
+                            hbar=np.float64(0.01))
+    assert type(gen.hbar) is float
+    rho = DensityState.pure(oracles.random_ket(rng, 8))
+    with pytest.raises(NumericError, match=r"the step h = 0\.1 has h beta = [0-9.]+ at hbar = 0\.01$") as info:
+        evolve_lindblad_heisenberg(oracles.random_hermitian(rng, 8), gen, rho, grid)
+    assert "np." not in str(info.value)
+
+
 def test_negative_constant_rate_rejected():
     with pytest.raises(ValidationError):
         LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, -0.5),))

@@ -10,15 +10,19 @@ evolutions, and the final state, the kernel's last sample on floor(T beta) + 1
 steps, against the exponential of the Kronecker Liouvillian, the last sample
 of the trajectory and the full-stack kernel."""
 
+import io
 import math
+import re
 import runpy
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oqsl import audit, bounds, dynamics
+from oqsl import audit, bounds, cli, dynamics
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
     LindbladGenerator,
@@ -166,12 +170,81 @@ def _count_calls(monkeypatch) -> list:
     return calls
 
 
-def _bench_case():
-    """The benchmark's d = 32 Lindblad system (bench/workloads.py, seed 7)."""
+def _bench_system():
+    """The benchmark's d = 32 Lindblad system (bench/workloads.py, seed 7)
+    and its .sys text."""
     workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
     system = workloads["dense_system"](np.random.default_rng(7), "lindblad", 32, (4, 8))
+    return system, workloads["sys_text"](system)
+
+
+def _bench_case():
+    system, _ = _bench_system()
     gen = LindbladGenerator(H=system["H"], jumps=tuple(system["jumps"]))
     return gen, system["A"], DensityState.pure(system["ket"])
+
+
+@pytest.mark.parametrize("ids", ["ALL", "DELCAMPO"])
+def test_beta_is_taken_once_a_run(monkeypatch, tmp_path, ids):
+    # beta's 2 + J operator norms, one stack of (A, A', L_1, ..., L_J), are
+    # taken once a generator and read by the trajectory's stepper, rho(T)'s
+    # grid and rho(T)'s stepper, where each took its own: 3 stacks for
+    # --bounds ALL and 2 for DELCAMPO
+    _, text = _bench_system()
+    path = tmp_path / "lindblad_32.sys"
+    path.write_text(text, encoding="utf-8")
+    stacks, norm = [], dynamics.op_norm
+
+    def counted(M):
+        stacks.append(np.shape(M))
+        return norm(M)
+
+    monkeypatch.setattr(dynamics, "op_norm", counted)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["bound", "--system", str(path), "--observable", "A", "--tmax", "1", "--bounds", ids]
+    assert cli.main(argv, out, err) == 0, err.getvalue()
+    assert stacks == [(4, 32, 32)]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    dim=st.integers(2, 8),
+    n_jumps=st.integers(0, 3),
+    batch=st.integers(1, 3),
+    log_hbar=st.floats(math.log(1e-6), math.log(1e6)),
+    heisenberg=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_beta_is_one_number_for_both_pictures_and_a_batch_takes_the_largest(
+        monkeypatch, dim, n_jumps, batch, log_hbar, heisenberg, seed):
+    # gen.beta, from the Heisenberg terms, is the beta of the Schrodinger
+    # terms bit for bit, whose A and A' swap; the stepper's h beta is h times
+    # the batch's largest beta, and a refusal names that generator's hbar
+    rng = np.random.default_rng(seed)
+    gens = [
+        LindbladGenerator(
+            H=oracles.random_hermitian(rng, dim),
+            jumps=tuple((oracles.random_matrix(rng, dim), float(rng.uniform(0.0, 2.0))) for _ in range(n_jumps)),
+            hbar=math.exp(log_hbar) * float(rng.uniform(0.5, 2.0)),
+        )
+        for _ in range(batch)
+    ]
+    for gen in gens:
+        A, Ad, _ = _fused_form([gen], heisenberg=False).terms
+        norms = op_norm(np.stack([A[0], Ad[0], *(L for L, _ in gen.jumps)]))
+        assert norms[0] + norms[1] + np.array([rate for _, rate in gen.jumps]) @ norms[2:] ** 2 == gen.beta
+    seen = []
+
+    def refuse(hb, cap):
+        seen.append(hb)
+
+    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", 1)
+    monkeypatch.setattr(dynamics, "_taylor_order", refuse)
+    grid = TimeGrid(1.0, 10)
+    largest = max(gens, key=lambda gen: gen.beta)
+    with pytest.raises(NumericError, match=f"at hbar = {re.escape(repr(largest.hbar))}$"):
+        next(dynamics.lindblad_chunks(gens, np.zeros((batch, dim, dim)), grid, heisenberg))
+    assert seen == [grid.h * largest.beta]
 
 
 def test_cells_make_a_tenth_of_the_per_step_calls(monkeypatch):
@@ -182,7 +255,7 @@ def test_cells_make_a_tenth_of_the_per_step_calls(monkeypatch):
     # sample's speeds take one more: 3 * 19 + 1 = 58 (76 at tau beta <= 1/2)
     gen, A, rho = _bench_case()
     grid = TimeGrid(1.0, 1000)
-    hb = dynamics._h_beta([gen], _fused_form([gen], True), grid.h)[0]
+    hb = grid.h * gen.beta
     m, c = dynamics._taylor_order(hb, grid.steps)
     assert (m, c) == (18, 474)
     calls = _count_calls(monkeypatch)
@@ -287,7 +360,7 @@ def test_cells_match_the_half_theta_cells_they_replaced(dim, hb):
     # tau beta <= 1/2, the last two series a step; one series of tau beta <= 1
     # a cell agrees with it within 1e-13
     gen, O, _ = _random_case(dim, seed=11)
-    beta = dynamics._h_beta([gen], _fused_form([gen], True), 1.0)[0]
+    beta = gen.beta
     grid = TimeGrid(300 * hb / beta, 300)
     chunks = list(dynamics.lindblad_chunks([gen], O[None], grid, heisenberg=True))
     Os, speeds = (np.concatenate([chunk[i][0] for chunk in chunks]) for i in (1, 2))
@@ -297,13 +370,13 @@ def test_cells_match_the_half_theta_cells_they_replaced(dim, hb):
     assert np.abs(speeds - ref_speeds[0]).max() <= 1e-13 * ref_speeds.max()
 
 
-def test_a_step_near_h_beta_1_is_one_series(monkeypatch):
+def test_a_step_near_hbeta_1_is_one_series(monkeypatch):
     # the d = 20 system at hbar = 0.0025 has h beta = 0.8: one series of
     # m = 17 calls a step, 17,001 calls in all with the last sample's speeds,
     # where two series of m = 13 a step made 26,001
     gen, A, rho = _dense_case(20, 0.0025, seed=3)
     grid = TimeGrid(1.0, 1000)
-    hb = dynamics._h_beta([gen], _fused_form([gen], True), grid.h)[0]
+    hb = grid.h * gen.beta
     assert dynamics._taylor_order(hb, grid.steps) == (17, 1)
     calls = _count_calls(monkeypatch)
     traj = evolve_lindblad_heisenberg(A, gen, rho, grid)
@@ -413,7 +486,7 @@ def _expm_reference(gen, rho, T):
 
 
 def _T_beta(gen, T):
-    return dynamics._h_beta([gen], _fused_form([gen], False), T)[0]
+    return T * gen.beta
 
 
 def _kernel_grids(monkeypatch) -> list:
@@ -547,7 +620,7 @@ def test_the_fewest_steps_pass_the_kernels_own_step_check(monkeypatch):
     beta, accepted = _T_beta(gen, 1.0), []
 
     def step_check(gens, y0, grid, heisenberg):
-        hb = dynamics._h_beta(gens, _fused_form(gens, heisenberg), grid.h)[0]
+        hb = grid.h * max(g.beta for g in gens)
         accepted.append(dynamics._taylor_order(hb, grid.steps) is not None)
         yield 0, y0[:, None], None
 
