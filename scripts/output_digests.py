@@ -85,7 +85,12 @@ absolute (scaled by 1 / RTOL) near zero, and infinite where a NaN or an
 infinity meets anything else. It exits 1 when one exceeds RTOL = 1e-12 or
 when anything but a number differs. JSON outputs are compared
 number by number, except their ``inputs_digest`` fields, which hash the
-floats a bound read and so move with any last-digit change; other outputs
+floats a bound read and so move with any last-digit change. The
+``--format csv`` tables (labels ending in ``:csv``) are compared cell by
+cell: the header, the row count and every cell that is not a number must
+be identical, and the numbers are compared like JSON ones, so that a
+difference printed in the 12th digit of a ``.12g`` cell, as of two
+near-equal values, passes where its JSON twin does. The ``parse`` reprints
 must be identical. A key that only one output has, as after a rename, is
 named on its command's line (``-`` in OLD only, ``+`` in NEW only) and
 fails it, while the numbers under the keys both share are still compared.
@@ -401,16 +406,38 @@ def number_pairs(a, b, unmatched: list, path: str = ""):
         raise ValueError(f"{path}: {a!r} and {b!r} differ")
 
 
-def largest_difference(old: str, new: str):
+def csv_pairs(old: str, new: str):
+    """Yield (path, x, y) for the numeric cells at the same place in two CSV
+    tables, the path naming the row and the column; raise ValueError where
+    the header, the row count, a row's width or a cell that is not a number
+    on both sides differs."""
+    a, b = old.splitlines(), new.splitlines()
+    if len(a) != len(b) or a[:1] != b[:1]:
+        raise ValueError(f"CSV headers or row counts differ: {a[:1]} ({len(a)} lines), {b[:1]} ({len(b)} lines)")
+    header = a[0].split(",") if a else []
+    for i, (row_a, row_b) in enumerate(zip(a[1:], b[1:]), 1):
+        cells_a, cells_b = row_a.split(","), row_b.split(",")
+        if len(cells_a) != len(cells_b):
+            raise ValueError(f"[{i}]: row widths {len(cells_a)} and {len(cells_b)} differ")
+        for column, x, y in zip(header, cells_a, cells_b):
+            try:
+                yield f"[{i}].{column}", float(x), float(y)
+            except ValueError:
+                if x != y:
+                    raise ValueError(f"[{i}].{column}: {x!r} and {y!r} differ") from None
+
+
+def largest_difference(old: str, new: str, csv: bool = False):
     """(difference, path, count, unmatched) for the two outputs of one
     command: the largest |a - b| / max(|a|, |b|, ATOL / RTOL) over the
     numbers under their shared keys (inf where a NaN or an infinity meets
     anything else), where it occurs, how many numbers were compared, and the
-    keys that only one side has (see :func:`number_pairs`). Raises
+    keys that only one side has (see :func:`number_pairs`); with ``csv``,
+    over the numeric cells of two CSV tables (:func:`csv_pairs`). Raises
     ValueError when anything but a number or a key differs."""
     unmatched = []
     try:
-        pairs = list(number_pairs(json.loads(old), json.loads(new), unmatched))
+        pairs = list(csv_pairs(old, new) if csv else number_pairs(json.loads(old), json.loads(new), unmatched))
     except json.JSONDecodeError:
         if old != new:
             raise ValueError("non-JSON outputs differ") from None
@@ -427,6 +454,11 @@ def largest_difference(old: str, new: str):
     return worst, where, len(pairs), unmatched
 
 
+def is_csv(label: str) -> bool:
+    """Whether the command ``label`` prints a ``--format csv`` table."""
+    return label.endswith(":csv")
+
+
 def _file(label: str) -> str:
     return label.replace(":", "_") + ".out"
 
@@ -440,7 +472,7 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             failed += 1
             continue
         try:
-            diff, where, count, unmatched = largest_difference(old.read_text(), new.read_text())
+            diff, where, count, unmatched = largest_difference(old.read_text(), new.read_text(), is_csv(label))
         except ValueError as exc:
             print(f"DIFFERS  {label}: {exc}")
             failed += 1

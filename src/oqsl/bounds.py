@@ -8,8 +8,11 @@ whether the actual horizon T respects the computed lower bound T_qsl.
 the dynamics kinds it applies to, what else it needs (a spread of the
 energy, a pure state, a self-inverse or projector observable, a second
 observable, the final Schrodinger state), and how it evaluates on an
-:class:`EvalContext`. The CLI, the audit and the scenarios all evaluate
-through it, and the table order is the report order.
+:class:`EvalContext`. The CLI, the audit and the ``tight-qubit`` and
+``battery-degenerate`` scenarios evaluate through it, and the table order is
+the report order; the ``dephasing`` and ``kraus-dephasing`` scenarios call
+:func:`oqsl_generator_hs`, :func:`qsl_delcampo` and :func:`oqsl_kraus`
+directly, on prefixes of one trajectory and on a Kraus trajectory.
 Conventions shared by all bounds:
 
 * a numerator within ``ZERO_TOL`` of zero yields T_qsl = 0 exactly (an
@@ -313,13 +316,7 @@ def qsl_delcampo(
     """
     overlap = float(np.trace(rho0.matrix @ rhoT.matrix).real)
     cos_theta = float(np.clip(overlap / rho0.purity, -1.0, 1.0))
-    num = abs(cos_theta - 1.0) * rho0.purity
-    if num <= ZERO_TOL:
-        tqsl = 0.0
-    else:
-        if lrho0_hs <= 0:
-            raise ValidationError("DELCAMPO: ||L rho0||_hs must be positive")
-        tqsl = num / lrho0_hs
+    tqsl = _ratio("DELCAMPO", abs(cos_theta - 1.0) * rho0.purity, lrho0_hs, "||L rho0||_hs")
     details = {
         "cos_theta": cos_theta,
         "theta": float(np.arccos(cos_theta)),

@@ -71,8 +71,11 @@ def _generator(spec: SystemSpec, args: argparse.Namespace):
 
 def _evolve(O: np.ndarray, gen, rho, grid: TimeGrid, probes=()):
     """The Heisenberg trajectory of O under the generator gen, keeping the
-    series tr(O(t) M) of the probe matrices M: the evolution of gen's kind,
-    each of which takes these arguments."""
+    series tr(O(t) M) of the probe matrices M. The three names are one
+    function, ``dynamics.evolve``, which reads the dynamics from gen; this
+    dispatch on gen's kind only calls it under its kind's name, which the
+    traced benchmark wraps in this module (bench/layers.py) to time each
+    kind on its own."""
     if gen.kind == "unitary":
         return evolve_unitary_heisenberg(O, gen, rho, grid, probes=probes)
     if gen.kind == "lindblad":

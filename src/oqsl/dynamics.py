@@ -3,8 +3,10 @@ trajectories under unitary, Lindblad-adjoint, and Kraus dynamics.
 
 Each input of an evolution is stated once: its generator states the
 dynamics and the tolerance ``tol`` of every check, and its :class:`TimeGrid`
-runs from t = 0 to the horizon T. Every evolution of an observable returns a
-:class:`Trajectory` of reductions, all computed before it returns: <O(t)>,
+runs from t = 0 to the horizon T. One function, :func:`evolve`, also named
+``evolve_unitary_heisenberg``, ``evolve_lindblad_heisenberg`` and
+``evolve_kraus_heisenberg``, evolves an observable under the dynamics its
+generator states, and returns a :class:`Trajectory` of reductions, all computed before it returns: <O(t)>,
 dO(t) and both generator speeds at every grid point, and tr(O(t) M) for the
 probe matrices M declared before the evolution. No O(t) is kept at any time,
 the ends included: a bound that reads O(t) declares its probe, and
@@ -37,7 +39,8 @@ The Lindblad state at the end of the grid alone, which DELCAMPO reads, is
 the last sample of :func:`lindblad_chunks` on the fewest steps of one
 series each, n = floor(T beta) + 1 and at least 2, or on the grid itself
 where T beta is past its steps (:func:`lindblad_final_state`), beta being
-the bound the stepper reads, :attr:`LindbladGenerator.beta`.
+the bound the stepper reads, :attr:`LindbladGenerator.beta`. The two
+state-picture entries refuse a generator of any other kind.
 """
 
 from __future__ import annotations
@@ -165,10 +168,7 @@ class LindbladGenerator:
         terms of :func:`_fused_form`, taken once and read by the Taylor stepper:
         one number for both pictures, whose A and A' swap; inf on overflow."""
         A, Ad, _ = _fused_form([self], heisenberg=True).terms
-        M = np.stack([A[0], Ad[0], *(L for L, _ in self.jumps)])
-        if not np.isfinite(M).all():  # jumps so large that K overflows
-            return math.inf
-        norms = op_norm(M)
+        norms = op_norm(np.stack([A[0], Ad[0], *(L for L, _ in self.jumps)]))
         with np.errstate(over="ignore"):
             return float(norms[0] + norms[1] + np.array([rate for _, rate in self.jumps]) @ norms[2:] ** 2)
 
@@ -365,26 +365,42 @@ def _spread(var: np.ndarray, tol: float) -> np.ndarray:
     return np.sqrt(np.clip(var, 0.0, None, out=var), out=var)
 
 
-def _check_state(rho: DensityState, dim: int) -> None:
-    if rho.matrix.shape[0] != dim:
-        raise ValidationError(f"state dimension {rho.matrix.shape[0]} != {dim}")
+def _check_state(rho: DensityState, gen, kind: str | None = None) -> None:
+    """rho has gen's dimension, and gen is of ``kind`` when one is named."""
+    if kind is not None and gen.kind != kind:
+        raise ValidationError(f"the state picture needs a {kind} generator, not a {gen.kind} one")
+    if rho.matrix.shape[0] != gen.dim:
+        raise ValidationError(f"state dimension {rho.matrix.shape[0]} != {gen.dim}")
 
 
 # ---------------------------------------------------------------------------
-# unitary dynamics
+# the Heisenberg evolution, and its unitary closed form
 
 
-def evolve_unitary_heisenberg(O0: np.ndarray, gen: UnitaryGenerator, rho: DensityState, grid: TimeGrid,
-                              probes=()) -> UnitaryTrajectory:
+def evolve(O0: np.ndarray, gen: GeneratorSpec, rho: DensityState, grid: TimeGrid, probes=()) -> Trajectory:
+    """O(t) = Phi_t^dag[O(0)] on the grid in the state rho, under the
+    dynamics of gen's kind: in closed form in the eigenbasis of H for a
+    UnitaryGenerator, else through :func:`trajectories` as a batch of one,
+    dO/dt = (i/hbar)[H, O] + D[O] for a LindbladGenerator and
+    O(t) = sum_i K_i^dag(t) O(0) K_i(t) for a Kraus family. ``probes`` are
+    the matrices M whose series tr(O(t) M) the trajectory keeps."""
+    O0 = checked_hermitian(O0, "observable", gen.tol, gen.dim)
+    _check_state(rho, gen)
+    if gen.kind == "unitary":
+        return _evolve_unitary(O0, gen, rho, grid, probes)
+    return trajectories([gen], O0[None], [rho], grid, [probes])[0]
+
+
+evolve_unitary_heisenberg = evolve_lindblad_heisenberg = evolve_kraus_heisenberg = evolve
+
+
+def _evolve_unitary(O0: np.ndarray, gen: UnitaryGenerator, rho: DensityState, grid: TimeGrid,
+                    probes) -> UnitaryTrajectory:
     """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of
     gen.H, reduced from one phase matrix E[t, a] = exp(i t w_a / hbar):
     tr(O(t) M) is the row sum of (E @ (O~ * M~^T)) * conj(E), so no
     per-sample matrix is formed. [H, O(t)] = U^dag [H, O] U, so both
-    generator speeds are constant. ``probes`` are the matrices M whose series
-    the trajectory keeps."""
-    O0 = checked_hermitian(O0, "observable", gen.tol, gen.dim)
-    _check_state(rho, gen.dim)
-
+    generator speeds are constant."""
     w, V = np.linalg.eigh(gen.H)
     Vd = V.conj().T
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny hbar overflows, and raises below
@@ -454,21 +470,24 @@ def _fused_form(gens, heisenberg: bool):
     K = (1/2) sum_k gamma_k L_k^dag L_k; c = i/hbar and (left, right) =
     (L^dag, L) for observables, c = -i/hbar and (L, L^dag) for states. The
     terms are built once, and ``f.terms`` is (A, A', gamma_k left_k), each
-    stacked over the batch."""
+    stacked over the batch; a term that overflows is refused, naming the
+    hbar or the jump of largest gamma_k max |L_k|^2 and its rate."""
     d, J = gens[0].dim, len(gens[0].jumps)
     Ls = np.array([[L for L, _ in gen.jumps] for gen in gens], dtype=complex).reshape(len(gens), J, d, d)
     Lds = Ls.conj().swapaxes(-1, -2)
-    half_LdL = 0.5 * (Lds @ Ls)
     left, right = (Lds, Ls) if heisenberg else (Ls, Lds)
-    with np.errstate(over="ignore", invalid="ignore"):  # a tiny hbar overflows, and raises below
+    g = np.array([[rate for _, rate in gen.jumps] for gen in gens], dtype=float).reshape(len(gens), J)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         cH = np.stack([(1j if heisenberg else -1j) / gen.hbar * gen.H for gen in gens])
         # twice the sum of |c H| bounds each entry of c H y - y c H where |y| <= 1
         bad = np.flatnonzero(~np.isfinite(2.0 * np.abs(cH).sum(axis=(1, 2))))
-    if bad.size:
-        raise NumericError(f"the Hamiltonian term i H / hbar overflows at hbar = {gens[bad[0]].hbar!r}")
-    g = np.array([[rate for _, rate in gen.jumps] for gen in gens], dtype=float).reshape(len(gens), J)
-    K = np.einsum("bk,bkij->bij", g, half_LdL)
-    A, Ad, g_left = cH - K, -cH - K, g[:, :, None, None] * left
+        if bad.size:
+            raise NumericError(f"the Hamiltonian term i H / hbar overflows at hbar = {gens[bad[0]].hbar!r}")
+        K = np.einsum("bk,bkij->bij", g, 0.5 * (Lds @ Ls))
+        A, Ad, g_left = cH - K, -cH - K, g[:, :, None, None] * left
+        if not (np.isfinite(A).all() and np.isfinite(Ad).all() and np.isfinite(g_left).all()):
+            b, k = np.unravel_index(np.argmax(g * np.abs(Ls).max(axis=(2, 3)) ** 2), g.shape)
+            raise NumericError(f"the dissipator of jump operator {k} at rate {float(g[b, k])!r} overflows")
 
     def f(y):
         out = A @ y
@@ -707,16 +726,6 @@ def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes) -> list[Tr
     return _reduce_chunks(gens, chunks, rhos, grid, probes)
 
 
-def evolve_lindblad_heisenberg(O0: np.ndarray, gen: LindbladGenerator, rho: DensityState, grid: TimeGrid,
-                               probes=()) -> Trajectory:
-    """dO/dt = (i/hbar)[H, O] + D[O] on the grid, through
-    :func:`trajectories`; ``probes`` are the matrices M whose series
-    tr(O(t) M) the trajectory keeps."""
-    O0 = checked_hermitian(O0, "observable", gen.tol, gen.dim)
-    _check_state(rho, gen.dim)
-    return trajectories([gen], O0[None], [rho], grid, [probes])[0]
-
-
 def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> list[DensityState]:
     """The state-picture master equation along the grid, the chunks of
     :func:`lindblad_chunks` joined into one stack.
@@ -725,7 +734,7 @@ def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid
     stack within gen.tol; positivity loss beyond it is reported as one
     warning naming the worst sample rather than as an error.
     """
-    _check_state(rho0, gen.dim)
+    _check_state(rho0, gen, "lindblad")
     samples = np.empty((grid.steps + 1, gen.dim, gen.dim), dtype=complex)
     for start, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], grid, heisenberg=False):
         samples[start : start + chunk.shape[1]] = chunk[0]
@@ -743,7 +752,7 @@ def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeG
     not. The kernel picks the
     route and checks the step, stability and trace; rho(T) is validated
     within gen.tol, positivity loss beyond being a warning."""
-    _check_state(rho0, gen.dim)
+    _check_state(rho0, gen, "lindblad")
     Tb = grid.T * gen.beta
     n = max(2, math.floor(Tb) + 1) if Tb < grid.steps else grid.steps
     for _, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], TimeGrid(grid.T, n), heisenberg=False):
@@ -753,16 +762,6 @@ def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeG
 
 # ---------------------------------------------------------------------------
 # Kraus dynamics
-
-
-def evolve_kraus_heisenberg(O0: np.ndarray, family: Union[DephasingKraus, TabulatedKraus], rho: DensityState,
-                            grid: TimeGrid, probes=()) -> Trajectory:
-    """O(t) = sum_i K_i^dag(t) O(0) K_i(t) on the grid, with the summed
-    speeds sum_i ||K_i^dag(t) O(0) dK_i/dt|| that the Kraus-map bound reads,
-    through :func:`trajectories`."""
-    O0 = checked_hermitian(O0, "observable", family.tol, family.dim)
-    _check_state(rho, family.dim)
-    return trajectories([family], O0[None], [rho], grid, [probes])[0]
 
 
 def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid):

@@ -2,8 +2,9 @@
 returning tables checked against closed forms, which the CLI prints.
 
 Each scenario fixes its grid and parameters, so repeated runs produce
-bit-identical rows. The default parameters double as the golden
-regression suite for the bound evaluators.
+bit-identical rows; the two dephasing scenarios take only the strength
+gamma. The defaults double as the golden regression suite for the bound
+evaluators.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ class ScenarioResult:
         self.tolerance, self.passed = tolerance, passed
 
 
-def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:
+def scenario_tight_qubit() -> ScenarioResult:
     """Qubit precession where the arcsine bound is tight: the observable's
     expectation swings from +1 to -1 in exactly the minimal time pi/2."""
     T = np.pi / 2.0
     rho = DensityState.pure(PLUS)
-    grid = TimeGrid(T, steps)
+    grid = TimeGrid(T, 4000)
     refs = {"MT_INTEGRAL": T, "SELF_INVERSE": T, "STATE_MT": T, "PURITY_HS": 1.0 / np.sqrt(2.0), "MIN_NORM": 1.0}
     ctx = bounds.EvalContext(
         UnitaryGenerator(sigma_z),
@@ -66,14 +67,10 @@ def scenario_tight_qubit(steps: int = 4000) -> ScenarioResult:
     )
 
 
-def scenario_dephasing(
-    gamma: float = 1.0,
-    t_max: float = np.pi / 2.0,
-    steps: int = 3200,
-    n_points: int = 64,
-) -> ScenarioResult:
+def scenario_dephasing(gamma: float = 1.0) -> ScenarioResult:
     """Pure qubit dephasing: the observable-speed bound against the
-    relative-purity state bound on a grid of horizons T in (0, t_max].
+    relative-purity state bound at 64 horizons T, evenly spaced in (0, pi/2],
+    every 50th point of one 3200-step grid.
 
     Closed forms at strength gamma: the observable bound equals T / sqrt(2)
     for every horizon, the state bound (1 - e^{-gamma T}) / (sqrt(2) gamma),
@@ -81,16 +78,14 @@ def scenario_dephasing(
     """
     if gamma <= 0:
         raise ValidationError("dephasing strength gamma must be positive")
-    if steps % n_points != 0:
-        raise ValidationError(f"steps={steps} must be a multiple of n_points={n_points}")
+    stride, n_points = 50, 64
     rho = DensityState.pure(PLUS)
     gen = dephasing_generator(gamma)
-    grid = TimeGrid(t_max, steps)
+    grid = TimeGrid(np.pi / 2.0, stride * n_points)
     traj = evolve_lindblad_heisenberg(sigma_x, gen, rho, grid)
     states = evolve_lindblad_schrodinger(rho, gen, grid)
     lrho0_hs = float(hs_norm(lindblad_apply(gen, rho.matrix)))
 
-    stride = steps // n_points
     rows = []
     for k in range(1, n_points + 1):
         idx = k * stride
@@ -124,7 +119,7 @@ def scenario_dephasing(
     )
 
 
-def scenario_battery_degenerate(steps: int = 2000) -> ScenarioResult:
+def scenario_battery_degenerate() -> ScenarioResult:
     """Battery with degenerate stored energy: a pure phase drive moves the
     state to an orthogonal one while the stored energy never changes, so both
     charging-time bounds are exactly zero while the state bound is not."""
@@ -134,7 +129,7 @@ def scenario_battery_degenerate(steps: int = 2000) -> ScenarioResult:
     HB = sigma_z.copy()
     HC = sigma_z.copy()  # phase drive: relative phase pi at T = pi/4 under HB + HC
     T = np.pi / 4.0
-    grid = TimeGrid(T, steps)
+    grid = TimeGrid(T, 2000)
     ct1, ct2 = bounds.battery_bounds(HB, HC, rho, grid)
 
     # survival probability of the initial state under the same drive
@@ -170,14 +165,14 @@ def scenario_battery_degenerate(steps: int = 2000) -> ScenarioResult:
     )
 
 
-def scenario_kraus_dephasing(gamma: float = 1.0, t_max: float = np.pi / 2.0, steps: int = 1000) -> ScenarioResult:
+def scenario_kraus_dephasing(gamma: float = 1.0) -> ScenarioResult:
     """Dephasing through its closed-form Kraus family: the direct map
     evaluation must match the master-equation solution e^{-gamma t} sigma_x,
     and the KRAUS bound its closed form T / sqrt(2) at every gamma."""
     if gamma <= 0:
         raise ValidationError("dephasing strength gamma must be positive")
     rho = DensityState.pure(PLUS)
-    grid = TimeGrid(t_max, steps)
+    grid = TimeGrid(np.pi / 2.0, 1000)
     traj = evolve_kraus_heisenberg(sigma_x, DephasingKraus(gamma), rho, grid)
     times = grid.times()
     analytic = np.exp(-gamma * times)

@@ -647,7 +647,7 @@ def kraus_full_stack(O0, family, rho, grid: TimeGrid, tol: float = DEFAULT_TOL, 
     ``probes``; dK/dt is ``np.gradient`` along the grid, central inside and
     one-sided at its two ends."""
     O0 = checked_hermitian(O0, "observable", tol, family.dim)
-    _check_state(rho, family.dim)
+    _check_state(rho, family)
     times = grid.times()
     K = family.operators(times)
     defect = np.abs(np.einsum("tiab,tiac->tbc", K.conj(), K) - np.eye(family.dim)).max(axis=(1, 2))

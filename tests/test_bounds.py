@@ -351,9 +351,10 @@ def test_delcampo_below_generator_bound():
 
 
 def test_delcampo_rejects_zero_speed_with_change():
-    other = DensityState.pure([1.0, 0.0])
-    with pytest.raises(ValidationError):
-        qsl_delcampo(PLUS, other, 0.0, 1.0)
+    # a zero denominator under a changed state is an inconsistency, as in every other bound
+    for rho0, rhoT in ((PLUS, DensityState.pure([1.0, 0.0])), (DensityState.pure([1, 0]), DensityState.pure([0, 1]))):
+        with pytest.raises(NumericError, match=r"^DELCAMPO: \|\|L rho0\|\|_hs is zero while the numerator changed$"):
+            qsl_delcampo(rho0, rhoT, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -622,6 +622,32 @@ def test_extreme_inputs_end_with_one_error_line(register_path, argv, message):
     assert line.startswith("numeric error: ") and message in line
 
 
+def _diag_literal(entries, d):
+    """The literal of the d x d diagonal matrix whose diagonal starts with ``entries``, then zeros."""
+    diag = list(entries) + ["0"] * (d - len(entries))
+    return "[" + ", ".join("[" + ", ".join(x if i == j else "0" for j in range(d)) + "]" for i, x in enumerate(diag)) + "]"
+
+
+@pytest.mark.parametrize(
+    "dim, jump, rate",
+    [(2, None, "1e300"), (2, "pauli = 2.0 Z", "1.7e308"), (5, None, "1e300")],
+    ids=["matrix-jump", "pauli-jump", "taylor-cells"],
+)
+@pytest.mark.parametrize("command", ["bound", "evolve"])
+def test_an_overflowing_dissipator_ends_with_one_error_line(tmp_path, command, dim, jump, rate):
+    # every entry is below the parser's cap, but gamma_k L_k^dag L_k overflows: one error
+    # naming the jump, and no RuntimeWarning; at d = 5, with H = O = diag(0, ..., 4), the Taylor cells run
+    jump = jump or f"matrix = {_diag_literal(['1e150', '-1e150'], dim)}"
+    H, O = ("pauli = 1.0 X", "pauli = 1.0 Z") if dim == 2 else (f"matrix = {_diag_literal('01234', dim)}",) * 2
+    path = tmp_path / "overflow.sys"
+    path.write_text(f"[system]\ndim = {dim}\nkind = lindblad\n[hamiltonian]\n{H}\n[state]\nket = [1{', 0' * (dim - 1)}]\n"
+                    f"[jump]\n{jump}\nrate = {rate}\n[observable O]\n{O}\n")
+    code, out, err = run_cli([command, "--system", str(path), "--observable", "O", "--tmax", "1"])
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    assert line == f"numeric error: the dissipator of jump operator 0 at rate {float(rate)!r} overflows"
+
+
 def test_a_small_hbar_below_the_rounding_limit_still_computes():
     # H, N and rho are diagonal, so <N(t)> does not depend on hbar; at 1e-7 the
     # rounding of exp(h L) over the grid, 1000 * 2e4 * 2^-53 = 2.2e-9, is within 1e-8

@@ -1,7 +1,8 @@
 """Every command of scripts/output_digests.py, run in-process through
 ``oqsl.cli.main``, against the outputs committed in tests/digests: each
-number within the script's RTOL relative (ATOL absolute near zero), every
-key and every non-JSON output as saved. A change that moves a number saves
+number within the script's RTOL relative (ATOL absolute near zero), the
+numbers of the CSV tables too, and every key, every other CSV cell and
+every parse reprint as saved. A change that moves a number saves
 them again with ``python scripts/output_digests.py --save tests/digests``."""
 
 import importlib.util
@@ -33,8 +34,8 @@ def test_every_digest_output_matches_its_saved_output(tmp_path):
             continue
         saved = (DIGESTS / script._file(label)).read_text(encoding="utf-8")
         try:
-            diff, where, _, unmatched = script.largest_difference(saved, out.getvalue())
-        except ValueError as exc:  # a non-number differs, or a non-JSON output
+            diff, where, _, unmatched = script.largest_difference(saved, out.getvalue(), script.is_csv(label))
+        except ValueError as exc:  # a non-number differs, or a parse reprint
             failures.append(f"{label}: {exc}")
             continue
         if unmatched or not diff <= script.RTOL:

@@ -22,6 +22,7 @@ from oqsl.dynamics import (
     evolve_lindblad_schrodinger,
     evolve_unitary_heisenberg,
     lindblad_apply,
+    lindblad_final_state,
 )
 from oqsl.linalg import (
     DensityState,
@@ -729,3 +730,20 @@ def test_no_trajectory_holds_a_sample_stack(kind, steps):
     allowed = {id(a) for a in _reachable_arrays(declared, set())}
     held = [a.shape for a in _reachable_arrays(vars(traj), set()) if a.shape[-2:] == (dim, dim) and id(a) not in allowed]
     assert not held
+
+
+def test_one_heisenberg_evolution_reads_the_dynamics_from_its_generator():
+    assert evolve_unitary_heisenberg is evolve_lindblad_heisenberg is evolve_kraus_heisenberg
+    # under any of its names, dephasing at rate 1 shrinks <X> to e^-t, by the master equation or the Kraus map
+    grid = TimeGrid(1.0, 10)
+    traj = evolve_unitary_heisenberg(sigma_x, dephasing_generator(1.0), PLUS, grid)
+    assert traj.kind == "lindblad" and abs(traj.expect[-1] - math.exp(-1.0)) <= 1e-12
+    traj = evolve_unitary_heisenberg(sigma_x, DephasingKraus(1.0), PLUS, grid)
+    assert traj.kind == "kraus" and np.abs(traj.expect - np.exp(-grid.times())).max() <= 1e-12
+
+
+@pytest.mark.parametrize("gen", [UnitaryGenerator(sigma_z), DephasingKraus(1.0)], ids=["unitary", "kraus"])
+@pytest.mark.parametrize("entry", [evolve_lindblad_schrodinger, lindblad_final_state])
+def test_the_state_picture_refuses_another_kind(entry, gen):
+    with pytest.raises(ValidationError, match=f"^the state picture needs a lindblad generator, not a {gen.kind} one$"):
+        entry(PLUS, gen, TimeGrid(1.0, 10))

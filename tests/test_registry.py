@@ -125,8 +125,11 @@ def test_context_kind_follows_its_generator():
     assert ctx.kind == "kraus" and [s.id for s in bounds.select(ctx)] == ["KRAUS"]
     [report] = evaluate_all(ctx)
     assert report.bound_id == "KRAUS" and report.valid
-    # an evolution of another kind than the generator's is refused
-    wrong = EvalContext(LindbladGenerator(sigma_z), grid, sigma_x, rho, evolve_unitary_heisenberg)
+    # an evolution that returns a trajectory of another kind than the generator's is refused
+    def closed(O, gen, rho, grid, probes):  # the unitary evolution of the Lindblad generator's H alone
+        return evolve_unitary_heisenberg(O, UnitaryGenerator(gen.H), rho, grid, probes)
+
+    wrong = EvalContext(LindbladGenerator(sigma_z), grid, sigma_x, rho, closed)
     with pytest.raises(ValidationError, match="a unitary evolution does not follow a lindblad generator"):
         wrong.traj
 

@@ -48,8 +48,6 @@ def test_dephasing_rows_and_dominance():
 def test_dephasing_parameter_validation():
     with pytest.raises(ValidationError):
         scenario_dephasing(gamma=0.0)
-    with pytest.raises(ValidationError):
-        scenario_dephasing(steps=1000, n_points=64)
 
 
 def test_battery_degenerate_exact_zeros():
