@@ -41,16 +41,12 @@ a commutator bound that takes <[B, A](T)> for its change. Last,
 ``bound --bounds ALL`` on a random d = 4 unitary system with a pure state
 (UNITARY_FILE), also written from a fixed seed: in every built-in file
 H - O + O == H holds exactly, so only this one shows a battery row that
-reads the charging field H - O in place of H. Last, the ``--format csv``
-output of ``bound --bounds ALL`` on the six built-in systems, of ``evolve``
-on ``qutrit_decay.sys`` and ``kraus_dephasing.sys``, of the four scenarios
-and of ``audit --trials 100 --seed 1``, so that a change to how a table is
-printed shows too. Last, two ``bound`` runs at ``--tol 1e-6`` (TOL_FILES)
-on systems that pass only at that tolerance: a qubit whose H and O are
-Hermitian only within 5e-8 (``--bounds ALL``), and a tabulated Kraus family
-whose completeness defect is 2e-7. Every other command runs at the default
-tolerance, so only these show a check that ``--tol`` no longer reaches: its
-exit code turns from 0 to 2. Last, ``bound --bounds ALL`` on a random pure
+reads the charging field H - O in place of H. Last, two ``bound`` runs at
+``--tol 1e-6`` (TOL_FILES) on systems that pass only at that tolerance: a
+qubit whose H and O are Hermitian only within 5e-8 (``--bounds ALL``), and
+a tabulated Kraus family whose completeness defect is 2e-7. Every other
+command runs at the default tolerance, so only these show a check that
+``--tol`` no longer reaches: its exit code turns from 0 to 2. Last, ``bound --bounds ALL`` on a random pure
 unitary system whose observable is the projector of its state
 (PROJECTOR_FILE), also written from a fixed seed: its O H is rank one, the
 one shape where rounding can put the Hilbert-Schmidt norm of O H below its
@@ -85,24 +81,23 @@ absolute (scaled by 1 / RTOL) near zero, and infinite where a NaN or an
 infinity meets anything else. It exits 1 when one exceeds RTOL = 1e-12 or
 when anything but a number differs. JSON outputs are compared
 number by number, except their ``inputs_digest`` fields, which hash the
-floats a bound read and so move with any last-digit change. The
-``--format csv`` tables (labels ending in ``:csv``) are compared cell by
-cell: the header, the row count and every cell that is not a number must
-be identical, and the numbers are compared like JSON ones, so that a
-difference printed in the 12th digit of a ``.12g`` cell, as of two
-near-equal values, passes where its JSON twin does. The ``parse`` reprints
-must be identical. A key that only one output has, as after a rename, is
-named on its command's line (``-`` in OLD only, ``+`` in NEW only) and
-fails it, while the numbers under the keys both share are still compared.
+floats a bound read and so move with any last-digit change. The ``parse``
+reprints must be identical. A key that only one output has, as after a
+rename, is named on its command's line (``-`` in OLD only, ``+`` in NEW
+only) and fails it, while the numbers under the keys both share are still
+compared.
 
 Each command runs as its own ``python -m oqsl`` process against the ``src/``
-tree next to this script.
+tree next to this script, on one BLAS thread, so that a saved output does
+not depend on the host's cores.
 
 The outputs of the committed tree are kept in ``tests/digests`` (written by
 ``--save tests/digests``), and ``tests/test_digests.py`` runs every command
 in-process through ``oqsl.cli.main`` and compares it with them as
 ``--compare`` does, so a change that moves a number saves them again in the
-same commit.
+same commit. No CSV table is saved: the test runs each command that takes
+``--format`` again with ``--format csv``, in the same process, and requires
+exactly the table of its JSON output.
 """
 
 import argparse
@@ -350,14 +345,6 @@ def commands(workdir: Path):
         yield f"bound:{fname}:hbar={HBAR!r}", argv + ["--bounds", "ALL", "--hbar", repr(HBAR), "--format", "json"]
     argv = ["--system", str(workdir / UNITARY_FILE), "--observable", "A", "--observable-b", "B", "--tmax", "1.0"]
     yield f"bound:{UNITARY_FILE}", ["bound", *argv, "--bounds", "ALL", "--format", "json"]
-    for fname, obs, obs_b, tmax in BUILTIN_BOUNDS:
-        yield f"bound:{fname}:csv", _bound_all(fname, obs, obs_b, tmax, "csv")
-    for fname, obs, tmax in (("qutrit_decay.sys", "N", "1.0"), ("kraus_dephasing.sys", "O", "1.5708")):
-        argv = ["evolve", "--system", str(SYSTEMS / fname), "--observable", obs, "--tmax", tmax]
-        yield f"evolve:{fname}:csv", argv + ["--format", "csv"]
-    for name in SCENARIOS:
-        yield f"scenario:{name}:csv", ["scenario", name, "--format", "csv"]
-    yield "audit:csv", ["audit", "--trials", "100", "--seed", "1", "--format", "csv"]
     for fname, extra in TOL_FILES:
         argv = ["bound", "--system", str(workdir / fname), "--observable", "O", *extra, "--tol", repr(TOL)]
         yield f"bound:{fname}:tol={TOL!r}", argv + ["--format", "json"]
@@ -373,12 +360,12 @@ def commands(workdir: Path):
     ]
 
 
-def _bound_all(fname: str, obs: str, obs_b, tmax: float, fmt: str = "json") -> list:
-    """The argv of ``bound --bounds ALL --format fmt`` on a built-in system."""
+def _bound_all(fname: str, obs: str, obs_b, tmax: float) -> list:
+    """The argv of ``bound --bounds ALL --format json`` on a built-in system."""
     argv = ["bound", "--system", str(SYSTEMS / fname), "--observable", obs]
     if obs_b:
         argv += ["--observable-b", obs_b]
-    return argv + ["--tmax", repr(tmax), "--bounds", "ALL", "--format", fmt]
+    return argv + ["--tmax", repr(tmax), "--bounds", "ALL", "--format", "json"]
 
 
 def _is_number(x) -> bool:
@@ -406,38 +393,16 @@ def number_pairs(a, b, unmatched: list, path: str = ""):
         raise ValueError(f"{path}: {a!r} and {b!r} differ")
 
 
-def csv_pairs(old: str, new: str):
-    """Yield (path, x, y) for the numeric cells at the same place in two CSV
-    tables, the path naming the row and the column; raise ValueError where
-    the header, the row count, a row's width or a cell that is not a number
-    on both sides differs."""
-    a, b = old.splitlines(), new.splitlines()
-    if len(a) != len(b) or a[:1] != b[:1]:
-        raise ValueError(f"CSV headers or row counts differ: {a[:1]} ({len(a)} lines), {b[:1]} ({len(b)} lines)")
-    header = a[0].split(",") if a else []
-    for i, (row_a, row_b) in enumerate(zip(a[1:], b[1:]), 1):
-        cells_a, cells_b = row_a.split(","), row_b.split(",")
-        if len(cells_a) != len(cells_b):
-            raise ValueError(f"[{i}]: row widths {len(cells_a)} and {len(cells_b)} differ")
-        for column, x, y in zip(header, cells_a, cells_b):
-            try:
-                yield f"[{i}].{column}", float(x), float(y)
-            except ValueError:
-                if x != y:
-                    raise ValueError(f"[{i}].{column}: {x!r} and {y!r} differ") from None
-
-
-def largest_difference(old: str, new: str, csv: bool = False):
+def largest_difference(old: str, new: str):
     """(difference, path, count, unmatched) for the two outputs of one
     command: the largest |a - b| / max(|a|, |b|, ATOL / RTOL) over the
     numbers under their shared keys (inf where a NaN or an infinity meets
     anything else), where it occurs, how many numbers were compared, and the
-    keys that only one side has (see :func:`number_pairs`); with ``csv``,
-    over the numeric cells of two CSV tables (:func:`csv_pairs`). Raises
+    keys that only one side has (see :func:`number_pairs`). Raises
     ValueError when anything but a number or a key differs."""
     unmatched = []
     try:
-        pairs = list(csv_pairs(old, new) if csv else number_pairs(json.loads(old), json.loads(new), unmatched))
+        pairs = list(number_pairs(json.loads(old), json.loads(new), unmatched))
     except json.JSONDecodeError:
         if old != new:
             raise ValueError("non-JSON outputs differ") from None
@@ -454,11 +419,6 @@ def largest_difference(old: str, new: str, csv: bool = False):
     return worst, where, len(pairs), unmatched
 
 
-def is_csv(label: str) -> bool:
-    """Whether the command ``label`` prints a ``--format csv`` table."""
-    return label.endswith(":csv")
-
-
 def _file(label: str) -> str:
     return label.replace(":", "_") + ".out"
 
@@ -472,7 +432,7 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             failed += 1
             continue
         try:
-            diff, where, count, unmatched = largest_difference(old.read_text(), new.read_text(), is_csv(label))
+            diff, where, count, unmatched = largest_difference(old.read_text(), new.read_text())
         except ValueError as exc:
             print(f"DIFFERS  {label}: {exc}")
             failed += 1
@@ -493,7 +453,8 @@ def main() -> int:
         return compare(*args.compare)
     if args.save:
         args.save.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **one_thread)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         write_systems(workdir)

@@ -646,9 +646,11 @@ class EvalContext:
         return getattr(self, need) is not None
 
 
-def _state_mt(c: EvalContext) -> BoundReport:
-    p0, pT = (float(np.clip(p, 0.0, 1.0)) for p in c.ends(c.projector))
-    return state_qsl_projector(p0, pT, c.delta_H, c.T, hbar=c.hbar, tol=c.tol)
+def _slot_ends(c: EvalContext, slot: np.ndarray, low: float) -> tuple[float, float]:
+    """<M(0)> and <M(T)> of a slot observable M, clipped to its range
+    [low, 1]: the CLI admits a slot within max(tol, 1e-9), so an end may
+    leave the range by more than tol."""
+    return tuple(float(np.clip(x, low, 1.0)) for x in c.ends(slot))
 
 
 def _delcampo(c: EvalContext) -> BoundReport:
@@ -677,12 +679,17 @@ _COMM = lambda c: commutator_qsl(c.B, c.traj, c.rho, tol=c.tol)
 
 REGISTRY = (
     BoundSpec("MT_INTEGRAL", _U, ("spread",), lambda c: oqsl_mt_integral(c.traj, c.delta_H, hbar=c.hbar)),
-    BoundSpec("STATE_MT", _U, ("spread", "projector"), _state_mt),
+    BoundSpec(
+        "STATE_MT",
+        _U,
+        ("spread", "projector"),
+        lambda c: state_qsl_projector(*_slot_ends(c, c.projector, 0.0), c.delta_H, c.T, hbar=c.hbar, tol=c.tol),
+    ),
     BoundSpec(
         "SELF_INVERSE",
         _U,
         ("spread", "self_inverse"),
-        lambda c: oqsl_self_inverse(*c.ends(c.self_inverse), c.delta_H, c.T, hbar=c.hbar, tol=c.tol),
+        lambda c: oqsl_self_inverse(*_slot_ends(c, c.self_inverse, -1.0), c.delta_H, c.T, hbar=c.hbar, tol=c.tol),
     ),
     BoundSpec("PURITY_HS", _U, (), lambda c: oqsl_purity_hs(*c.ends(), c.rho, c.oh_hs, c.T, hbar=c.hbar)),
     BoundSpec("GENERATOR_HS", _UL, (), lambda c: oqsl_generator_hs(c.traj, c.rho)),

@@ -365,11 +365,12 @@ def _spread(var: np.ndarray, tol: float) -> np.ndarray:
     return np.sqrt(np.clip(var, 0.0, None, out=var), out=var)
 
 
-def _check_state(rho: DensityState, gen, kind: str | None = None) -> None:
-    """rho has gen's dimension, and gen is of ``kind`` when one is named."""
-    if kind is not None and gen.kind != kind:
-        raise ValidationError(f"the state picture needs a {kind} generator, not a {gen.kind} one")
-    if rho.matrix.shape[0] != gen.dim:
+def _check_state(rho: DensityState | None, gen, entry: str | None = None) -> None:
+    """rho, when given, has gen's dimension, and gen is a Lindblad generator
+    when the ``entry`` that needs one is named."""
+    if entry is not None and gen.kind != "lindblad":
+        raise ValidationError(f"{entry} needs a lindblad generator, not a {gen.kind} one")
+    if rho is not None and rho.matrix.shape[0] != gen.dim:
         raise ValidationError(f"state dimension {rho.matrix.shape[0]} != {gen.dim}")
 
 
@@ -429,6 +430,7 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
 
     -(i/hbar)[H, rho] + sum_k gamma_k (L_k rho L_k^dag - (1/2){L_k^dag L_k, rho}).
     """
+    _check_state(None, gen, "lindblad_apply")
     rho = as_matrix(rho, "state")
     if rho.shape != gen.H.shape:
         raise ValidationError(f"dimension mismatch: {rho.shape} vs {gen.H.shape}")
@@ -458,6 +460,7 @@ def liouvillian(gen: LindbladGenerator, heisenberg: bool) -> np.ndarray:
     """The d^2 x d^2 matrix of the adjoint generator (``heisenberg``) or of the
     Schrodinger generator, acting on row-major vec(X): column i d + j is the
     generator applied to the matrix unit E_ij."""
+    _check_state(None, gen, "liouvillian")
     n = gen.dim * gen.dim
     return _fused_form([gen], heisenberg)(np.eye(n).reshape(n, gen.dim, gen.dim)).reshape(n, n).T
 
@@ -734,7 +737,7 @@ def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid
     stack within gen.tol; positivity loss beyond it is reported as one
     warning naming the worst sample rather than as an error.
     """
-    _check_state(rho0, gen, "lindblad")
+    _check_state(rho0, gen, "evolve_lindblad_schrodinger")
     samples = np.empty((grid.steps + 1, gen.dim, gen.dim), dtype=complex)
     for start, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], grid, heisenberg=False):
         samples[start : start + chunk.shape[1]] = chunk[0]
@@ -752,7 +755,7 @@ def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeG
     not. The kernel picks the
     route and checks the step, stability and trace; rho(T) is validated
     within gen.tol, positivity loss beyond being a warning."""
-    _check_state(rho0, gen, "lindblad")
+    _check_state(rho0, gen, "lindblad_final_state")
     Tb = grid.T * gen.beta
     n = max(2, math.floor(Tb) + 1) if Tb < grid.steps else grid.steps
     for _, chunk, _ in lindblad_chunks([gen], rho0.matrix[None], TimeGrid(grid.T, n), heisenberg=False):

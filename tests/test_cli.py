@@ -761,6 +761,20 @@ def test_state_mt_of_an_eigenket_is_zero(tmp_path):
     assert report["T_qsl"] == 0.0
 
 
+def test_a_self_inverse_slot_admitted_beyond_tol_is_clipped_to_its_range(tmp_path):
+    # the slot is admitted within max(--tol, 1e-9): below --tol 1e-9 SELF_INVERSE
+    # read <O(0)> = 1.0000000004 unclipped and refused it beyond --tol (exit 2)
+    path = tmp_path / "loose_self_inverse.sys"
+    path.write_text("[system]\ndim = 2\nkind = unitary\n\n[hamiltonian]\npauli = 1.0 X\n\n[state]\nket = [1, 0]\n"
+                    "\n[observable O]\nmatrix = [[1.0000000004, 0], [0, -1]]\n")
+    rows = {}
+    for tol in ("1e-9", "1e-10"):
+        code, out, err = run_cli(["bound", "--system", str(path), "--observable", "O", "--tmax", "1", "--tol", tol])
+        assert code == 0, err
+        (rows[tol],) = [row for row in parse_csv(out) if row["bound_id"] == "SELF_INVERSE"]
+    assert rows["1e-10"] == rows["1e-9"]
+
+
 def test_a_kraus_speed_whose_gram_matrix_overflows_is_a_numeric_error(tmp_path):
     # K^dag O dK/dt ~ 4e155: its Gram matrix overflowed into a LinAlgError
     # traceback; what overflows now is its Hilbert-Schmidt norm

@@ -745,5 +745,5 @@ def test_one_heisenberg_evolution_reads_the_dynamics_from_its_generator():
 @pytest.mark.parametrize("gen", [UnitaryGenerator(sigma_z), DephasingKraus(1.0)], ids=["unitary", "kraus"])
 @pytest.mark.parametrize("entry", [evolve_lindblad_schrodinger, lindblad_final_state])
 def test_the_state_picture_refuses_another_kind(entry, gen):
-    with pytest.raises(ValidationError, match=f"^the state picture needs a lindblad generator, not a {gen.kind} one$"):
+    with pytest.raises(ValidationError, match=f"^{entry.__name__} needs a lindblad generator, not a {gen.kind} one$"):
         entry(PLUS, gen, TimeGrid(1.0, 10))

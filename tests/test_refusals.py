@@ -17,6 +17,7 @@ from oqsl.dynamics import (
     dephasing_generator,
     evolve,
     lindblad_apply,
+    liouvillian,
 )
 from oqsl.linalg import DensityState, ValidationError, as_matrix, sigma_x, sigma_z
 from oqsl.scenarios import scenario_kraus_dephasing
@@ -64,7 +65,17 @@ REFUSALS = {
         lambda: lindblad_apply(dephasing_generator(1.0), np.eye(3)),
         "dimension mismatch: (3, 3) vs (2, 2)",
     ),
+    "lindblad-apply-unitary": (
+        lambda: lindblad_apply(UnitaryGenerator(sigma_z), np.eye(2) / 2),
+        "lindblad_apply needs a lindblad generator, not a unitary one",
+    ),
+    "liouvillian-kraus": (
+        lambda: liouvillian(DephasingKraus(1.0), heisenberg=True),
+        "liouvillian needs a lindblad generator, not a kraus one",
+    ),
     "dephasing-negative": (lambda: dephasing_generator(-1.0), "dephasing strength must be nonnegative"),
+    "kraus-dephasing-negative": (lambda: DephasingKraus(-1.0), "dephasing strength must be a nonnegative real"),
+    "kraus-dephasing-nan": (lambda: DephasingKraus(float("nan")), "dephasing strength must be a nonnegative real"),
     "non-square": (lambda: as_matrix(np.zeros((2, 3))), "matrix must be square, got shape (2, 3)"),
     "self-inverse-spread": (
         lambda: bounds.oqsl_self_inverse(1.0, 0.0, 0.0, 1.0),
@@ -77,6 +88,10 @@ REFUSALS = {
     "state-indep-kraus": (
         lambda: bounds.oqsl_state_independent(sigma_x, evolve(sigma_x, DephasingKraus(1.0), PLUS, GRID)),
         "STATE_INDEP requires a unitary- or lindblad-kind trajectory",
+    ),
+    "rates-kraus": (
+        lambda: bounds.EvalContext(DephasingKraus(1.0), GRID, sigma_x, PLUS, evolve, rates=True).probes,
+        "rate audit applies to unitary or lindblad trajectories",
     ),
     "battery-shapes": (
         lambda: bounds.battery_bounds(sigma_z, np.eye(3), PLUS, GRID),
