@@ -8,19 +8,19 @@ that the Kraus kernel streams several chunks and a change at their
 boundaries shows, the canonical reprint of ``parse`` on
 the six built-in systems, and the ``--format json`` output of
 ``bound --bounds ALL`` and ``evolve`` and the reprint of ``parse`` on a
-d = 17 Lindblad system, and its ``evolve`` at ``--hbar`` STEPPER_HBAR. No
-built-in system takes the Lindblad kernel's Taylor stepper, the route above
-the exact one, so this one is written from a fixed seed into a temporary
-directory; ``evolve`` prints every sample, so a change at the kernel's chunk
-boundaries shows, and ``parse`` reads and reprints its ~1,500 random matrix
-entries. At 1000 steps its cells of 461 steps each run across two or three
+d = 17 Lindblad system, and its ``evolve`` at ``--hbar`` STEPPER_HBAR. Every
+built-in Lindblad system takes the Lindblad kernel's Taylor cells too, but
+at d = 2 and 3 on grids whose cells run across no chunk boundary, so this
+one is written from a fixed seed into a temporary directory; ``evolve``
+prints every sample, so a change at the kernel's chunk boundaries shows,
+and ``parse`` reads and reprints its ~1,500 random matrix entries. At 1000
+steps its cells of 461 steps each run across two or three
 of the kernel's chunks of 226 samples, so a cell reads later rows from the
 terms it holds; at STEPPER_HBAR (h beta = 0.2) they are 4 steps long, and
 the chunks that start at samples 226 and 678 start inside one, so that a
 change to how the stepper picks, sums or holds its terms shows. Then the ``--format json`` output of ``bound --bounds ALL`` on
-a d = 12 Lindblad system (CELLS_FILE), also generated: it lies between the
-exact route's limit and d = 17, where the exact propagator ran until the
-Taylor cells took every d above 4.
+a d = 12 Lindblad system (CELLS_FILE), also generated: a mid-sized d
+between the built-in systems and d = 17.
 Last, the ``--format json`` output of ``evolve`` on a d = 3 Kraus system
 whose operators are tabulated on the evolve grid, also written from a fixed
 seed: only a tabulated family shows how the Kraus kernel stacks operators
@@ -60,7 +60,11 @@ run, and only these show a norm whose squares underflow. Last,
 ``bound --bounds DELCAMPO`` on the d = 17 Lindblad system at ``--hbar``
 STEPPER_HBAR: there T beta = 200.2, so rho(T) is the last sample of the
 Taylor stepper on 201 steps of one series each, where every other
-command's rho(T) takes a few steps.
+command's rho(T) takes a few steps. Last, ``bound --bounds ALL`` and
+``evolve`` on ``qutrit_decay.sys`` on a stiff grid, ``--tmax 100 --steps
+10``: its step h = 10 has h beta = 23.2, past the one series of
+tau beta <= 1 that a Taylor cell takes, so only these reach the exact
+propagator exp(h L), the route of a stiff step.
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -125,10 +129,11 @@ BUILTIN_BOUNDS = (
     ("tight_qubit.sys", "O", None, 1.5707963),
 )
 SCENARIOS = ("tight-qubit", "dephasing", "battery-degenerate", "kraus-dephasing")
-# a Lindblad system on the Taylor stepper, above the exact route's largest
-# dimension (dynamics.EXACT_MAX_DIM = 4), and an hbar at which its cells are shorter
+# a Lindblad system whose Taylor cells run across the kernel's chunks, above the
+# stiff route's largest dimension (dynamics.EXACT_MAX_DIM = 4), and an hbar at
+# which its cells are shorter
 STEPPER_FILE, STEPPER_DIM, STEPPER_SEED, STEPPER_HBAR = "lindblad_17.sys", 17, 17, 0.01
-# a Lindblad system between d = 5 and 16, which the exact propagator took before the cells
+# a mid-sized Lindblad system, between d = 5 and 16
 CELLS_FILE, CELLS_DIM, CELLS_SEED = "lindblad_12.sys", 12, 12
 # at least three chunks of dynamics.CHUNK_BYTES on kraus_dephasing.sys
 KRAUS_STEPS = 40000
@@ -358,6 +363,11 @@ def commands(workdir: Path):
     yield f"bound:{STEPPER_FILE}:DELCAMPO:hbar={STEPPER_HBAR!r}", [
         "bound", *stepper, "--bounds", "DELCAMPO", "--hbar", repr(STEPPER_HBAR)
     ]
+    # h beta = 23.2 > 1: the exact propagator's grid
+    stiff = ["--system", str(SYSTEMS / "qutrit_decay.sys"), "--observable", "N", "--tmax", "100", "--steps", "10",
+             "--format", "json"]
+    yield "bound:qutrit_decay.sys:stiff", ["bound", *stiff, "--bounds", "ALL"]
+    yield "evolve:qutrit_decay.sys:stiff", ["evolve", *stiff]
 
 
 def _bound_all(fname: str, obs: str, obs_b, tmax: float) -> list:

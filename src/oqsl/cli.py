@@ -98,7 +98,7 @@ def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) 
         _evolve,
         B=B,
         self_inverse=O if np.abs(OO - np.eye(spec.dim)).max() <= slot_tol else None,
-        projector=O if np.abs(OO - O).max() <= slot_tol else None,
+        projector=O if np.abs(OO - O).max() <= slot_tol * np.abs(O).max() else None,
         final_state=True,
         ids=ids,
     )

@@ -22,12 +22,13 @@ Lindblad and Kraus kernels are batch-first and stream the grid in chunks of
 about CHUNK_BYTES, which one reducer turns into trajectories as they arrive,
 so evolving a batch of observables holds O(steps) scalars per entry, one
 chunk and, on the exact Lindblad route, the d^4 propagators. Every jump
-rate is a constant float, so the route depends on the dimension alone: for
-d <= EXACT_MAX_DIM, :func:`lindblad_chunks` steps by one batched BLAS
-product with the exact propagator exp(h L); above it one Taylor series on
+rate is a constant float, so the route depends on the grid step h alone:
+where h beta <= THETA, :func:`lindblad_chunks` takes one Taylor series on
 the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, built once,
-gives the samples and L^dag[O(t)] of a cell of grid steps, the cells
-tiling the grid whatever the chunks. Both routes take an observable's
+for the samples and L^dag[O(t)] of a cell of grid steps, the cells tiling
+the grid whatever the chunks, at every d; a stiff step, h beta > THETA,
+is one batched BLAS product with the exact propagator exp(h L), for
+d <= EXACT_MAX_DIM, and refused above it. Both routes take an observable's
 speeds, once per chunk, from L^dag[O(t)], which is Hermitian: its operator
 norm is its largest |eigenvalue|, in closed form for d = 2. An observable
 that is Hermitian only within ``tol`` is read, like ``numpy.linalg.eigvalsh``
@@ -70,10 +71,9 @@ from .linalg import (
 INSTABILITY_LIMIT = 1e12
 # how far a state's trace may drift from 1 along a Lindblad evolution
 TRACE_TOL = 1e-8
-# the largest dimension at which Lindblad evolution takes the exact route, the
-# stiff route: it computes a step with h beta > THETA, which the Taylor cells
-# refuse (tests/test_cli.py::test_bound_stiff_constant_rate_takes_exact_route);
-# the cells match or beat its time at every d (scripts/lindblad_routes.py)
+# the largest dimension of the exact route, the stiff route: it computes a step
+# with h beta > THETA, which the Taylor cells refuse, with d^4 propagators
+# (tests/test_cli.py::test_bound_stiff_constant_rate_takes_exact_route)
 EXACT_MAX_DIM = 4
 THETA = 1.0  # the Taylor stepper's largest ||tau L|| a series, and so a grid step's
 # the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
@@ -301,22 +301,25 @@ class Trajectory:
 
 class UnitaryTrajectory(Trajectory):
     """A :class:`Trajectory` under a constant Hamiltonian H = V diag(w) V^dag,
-    with its eigen data: w / hbar, V, O~ = V^dag O V and rho~ = V^dag rho V.
-    It keeps the two closed forms that no declared probe replaces: the spread
-    off the grid (:meth:`stddev_at`) and another observable's expectation
+    with its eigen data: w / hbar, V, O~ = V^dag O V and rho~ = V^dag rho V,
+    and O's variance floor (:func:`_spread`). It keeps the two closed forms
+    that no declared probe replaces: the spread off the grid
+    (:meth:`stddev_at`) and another observable's expectation
     (:meth:`expect_of`)."""
 
-    _EXTRA = ("freqs", "vectors", "O_eig", "rho_eig", "tol")
+    _EXTRA = ("freqs", "vectors", "O_eig", "rho_eig", "tol", "floor")
 
     def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev: np.ndarray,
                  gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, dim: int, probes: tuple = (), *,
-                 freqs: np.ndarray, vectors: np.ndarray, O_eig: np.ndarray, rho_eig: np.ndarray, tol: float):
+                 freqs: np.ndarray, vectors: np.ndarray, O_eig: np.ndarray, rho_eig: np.ndarray, tol: float,
+                 floor: float):
         super().__init__(kind, grid, expect, stddev, gen_speed_hs, gen_speed_op, dim, probes)
-        self.freqs, self.vectors, self.O_eig, self.rho_eig, self.tol = freqs, vectors, O_eig, rho_eig, tol
+        self.freqs, self.vectors, self.O_eig, self.rho_eig = freqs, vectors, O_eig, rho_eig
+        self.tol, self.floor = tol, floor
 
     def stddev_at(self, times) -> np.ndarray:
         """dO(t) at arbitrary times, from the closed form."""
-        return _moments(self.O_eig, self.rho_eig, _phases(self.freqs, np.asarray(times, dtype=float)), self.tol)[1]
+        return _moments(self.O_eig, self.rho_eig, _phases(self.freqs, np.asarray(times, dtype=float)), self.floor)[1]
 
     @functools.cached_property
     def mid_stddev(self) -> np.ndarray:
@@ -350,17 +353,19 @@ def _phase_trace(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.einsum("ta,ta->t", E @ X, E.conj())
 
 
-def _moments(O_eig: np.ndarray, rho_eig: np.ndarray, E: np.ndarray, tol: float):
+def _moments(O_eig: np.ndarray, rho_eig: np.ndarray, E: np.ndarray, floor: float):
     """<O(t)> and dO(t) at the times of the phase rows E."""
     rho_t = rho_eig.T
     mean = _phase_trace(O_eig * rho_t, E).real
     second = _phase_trace((O_eig @ O_eig) * rho_t, E).real
-    return mean, _spread(second - mean * mean, tol)
+    return mean, _spread(second - mean * mean, floor)
 
 
-def _spread(var: np.ndarray, tol: float) -> np.ndarray:
-    """sqrt(var) in place, for var = <O^2> - <O>^2; var below -tol is an error."""
-    if var.min() < -tol:
+def _spread(var: np.ndarray, floor: float) -> np.ndarray:
+    """sqrt(var) in place, for var = <O^2> - <O>^2; var below -floor is an
+    error, the floor being tol times the square of O's largest |entry|, as
+    the rounding of var grows as ||O||^2."""
+    if var.min() < -floor:
         raise NumericError(f"variance {var.min():.3e} below -tolerance along trajectory")
     return np.sqrt(np.clip(var, 0.0, None, out=var), out=var)
 
@@ -412,12 +417,12 @@ def _evolve_unitary(O0: np.ndarray, gen: UnitaryGenerator, rho: DensityState, gr
     if not math.isfinite(hs):  # else every frequency and the operator norm, at most hs, are finite
         raise NumericError(f"generator speed gen_speed_hs = ||[H, O] / hbar||_HS is {hs} at hbar = {gen.hbar!r}")
     speeds = (np.full(grid.steps + 1, x) for x in (hs, op_norm(comm)))
-    E = _phases(freqs, grid.times())
-    expect, stddev = _moments(O_eig, rho_eig, E, gen.tol)
+    E, floor = _phases(freqs, grid.times()), gen.tol * float(np.abs(O0).max()) ** 2
+    expect, stddev = _moments(O_eig, rho_eig, E, floor)
     series = tuple((M, _phase_trace(O_eig * (Vd @ M @ V).T, E)) for M in probes)
     return UnitaryTrajectory(
         "unitary", grid, expect, stddev, *speeds, gen.dim, series,
-        freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=gen.tol,
+        freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=gen.tol, floor=floor,
     )
 
 
@@ -515,14 +520,15 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
 
     A chunk's samples take at most CHUNK_BYTES (:func:`_spans`).
 
-    For d <= EXACT_MAX_DIM each step is one batched BLAS product with the
-    exact propagator exp(h L), computed once per generator, and the speeds
-    apply L to each chunk. Above it one Taylor series on the fused generator
-    gives the samples and speeds of a cell of grid steps, the cells tiling the
-    grid and the chunks setting only where samples are written
-    (:func:`_taylor_chunks`); a grid whose step h has h beta > THETA, beta
-    the batch's largest :attr:`LindbladGenerator.beta`, is refused before the
-    first generator call. The exact
+    A grid whose step h has h beta <= THETA, beta the batch's largest
+    :attr:`LindbladGenerator.beta`, takes the Taylor cells at every d: one
+    series on the fused generator gives the samples and speeds of a cell of
+    grid steps, the cells tiling the grid and the chunks setting only where
+    samples are written (:func:`_taylor_chunks`). A stiff step, h beta >
+    THETA, takes the exact propagator exp(h L) for d <= EXACT_MAX_DIM, one
+    batched BLAS product a step, computed once per generator, the speeds
+    applying L to each chunk (:func:`_exact_chunks`); above it the grid is
+    refused before the first generator call. The exact
     route rejects a blow-up on every chunk and the stepper at the end of every
     series: an entry of y[b] above INSTABILITY_LIMIT times
     max(1, max |y0[b]|), as the Heisenberg flow does not grow an observable's
@@ -535,17 +541,16 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     with np.errstate(over="ignore"):  # a huge observable's limit is the largest float
         limit = INSTABILITY_LIMIT * np.abs(y0).reshape(B, -1).max(axis=1)
     limit = np.clip(limit, INSTABILITY_LIMIT, np.finfo(float).max)
-    if d <= EXACT_MAX_DIM:
+    gen = max(gens, key=lambda g: g.beta)
+    hb = grid.h * gen.beta
+    order = _taylor_order(hb, grid.steps)
+    if order is not None:
+        chunks = _taylor_chunks(_fused_form(gens, heisenberg), y0, grid.h, *order, spans, heisenberg, limit)
+    elif d <= EXACT_MAX_DIM:
         chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit)
     else:
-        f = _fused_form(gens, heisenberg)
-        gen = max(gens, key=lambda g: g.beta)
-        hb = grid.h * gen.beta
-        order = _taylor_order(hb, grid.steps)
-        if order is None:
-            raise NumericError(f"the Taylor stepper needs h beta <= {THETA:g}, and the step h = {grid.h!r} "
-                               f"has h beta = {hb:.6g} at hbar = {gen.hbar!r}")
-        chunks = _taylor_chunks(f, y0, grid.h, *order, spans, heisenberg, limit)
+        raise NumericError(f"the Taylor stepper needs h beta <= {THETA:g}, and the step h = {grid.h!r} "
+                           f"has h beta = {hb:.6g} at hbar = {gen.hbar!r}")
     if heisenberg:
         yield from chunks  # which holds no chunk between yields
         return
@@ -613,13 +618,16 @@ def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg
     exp(tau L) on the fused generator f (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 2011), each series read at several grid points (Taylor dense
     output: Jorba & Zou, Exp. Math. 14, 2005). Cells of c steps tile the grid
-    from step 0, one series each: from its first sample y a cell of k steps
-    builds the scaled terms U_n = (tau L)^n y / n!, tau = k h, for n <= m + 1
-    (m for states and for k = 1); its samples y(jh) = sum_n (j/k)^n U_n and
-    speeds L[y(jh)] = sum_n (j/k)^n (n + 1) / tau U_(n+1), j < k, are two
-    products with the Vandermonde rows in a chunk, a cell that crosses chunks
-    holding its terms, and the next cell starts from sum_n U_n. A blow-up is
-    checked at each cell's end; the last sample's speeds take one more call."""
+    from step 0, one series each: from its first sample y a cell of k steps,
+    tau = k h, holds y and the derivative terms F_n = L U_n of the scaled
+    terms U_n = (tau L)^n y / n!, F_0 = f(y) and F_n = f((tau / n) F_(n-1)),
+    n <= m (n < m for states and for k = 1), each scaled before its call so
+    that no factor divides by tau; its samples y(jh) = sum_n (j/k)^n U_n,
+    U_n = (tau / n) F_(n-1), and speeds L[y(jh)] = sum_n (j/k)^n F_n, j < k,
+    are two products with the Vandermonde rows in a chunk, a cell that
+    crosses chunks holding its terms, and the next cell starts from
+    sum_n U_n. A blow-up is checked at each cell's end; the last sample's
+    speeds take one more call."""
     B, last = y.shape[0], spans[-1][1] - 1
     terms = np.empty((m + 2 if heisenberg else m + 1,) + y.shape, dtype=complex)
     for start, end in spans:
@@ -629,19 +637,19 @@ def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg
             for i in range(start - start % c, min(end, last), c):
                 k = min(c, last - i)
                 tau, lo, hi = k * h, max(i, start), min(i + k, end)
-                top = m + 2 if heisenberg and k > 1 else m + 1  # U_(m+1) only for speeds past a cell's first sample
+                top = m + 2 if heisenberg and k > 1 else m + 1  # F_m only for speeds past a cell's first sample
+                w = np.append(1.0, tau / np.arange(1, m + 1))  # U_n = w_n F_(n-1), U_0 = y
                 if i >= start:  # else its terms are held from an earlier chunk
                     terms[0] = y
                     for n in range(1, top):
-                        terms[n] = f(terms[n - 1])
-                        terms[n] *= tau / n
-                    y = terms[: m + 1].sum(axis=0)
+                        terms[n] = f(w[n - 1] * terms[n - 1])
+                    y = np.tensordot(w, terms[: m + 1], 1)
                     _check_stable(y, limit)
                 V = ((np.arange(lo, hi) - i) / k)[:, None] ** np.arange(m + 1)
                 rows = slice(lo - start, hi - start)
-                _combine(V, terms[: m + 1], out[:, rows])
+                _combine(V * w, terms[: m + 1], out[:, rows])
                 if heisenberg:
-                    _combine(V[:, : top - 1] * (np.arange(1, top) / tau), terms[1:top], derivs[:, rows])
+                    _combine(V[:, : top - 1], terms[1:top], derivs[:, rows])
             if end - 1 == last:
                 out[:, -1] = y
                 if heisenberg:
@@ -671,11 +679,11 @@ def _taylor_order(hb: float, cap: int):
     return taylor_degree(c * hb), c
 
 
-def _reduce_chunks(gens, chunks, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
+def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
     """The trajectories of a stream of observable chunks (start, samples,
     speeds), shaped as :func:`lindblad_chunks` yields them, each chunk
-    reduced as it arrives: batch entry b, under gens[b], is read in the state
-    rhos[b] within gens[b].tol and keeps the series tr(O_b(t) M) of the
+    reduced as it arrives: batch entry b, O0s[b] under gens[b], is read in
+    the state rhos[b] within gens[b].tol and keeps the series tr(O_b(t) M) of the
     matrices M in ``probes[b]``. The variance is taken chunk by chunk, so the
     reducer holds four scalars a sample: <O(t)>, the variance and the two
     speeds.
@@ -704,7 +712,7 @@ def _reduce_chunks(gens, chunks, rhos, grid: TimeGrid, probes) -> list[Trajector
             gens[b].kind,
             grid,
             expect[b],
-            _spread(var[b], gens[b].tol),
+            _spread(var[b], gens[b].tol * float(np.abs(O0s[b]).max()) ** 2),
             speeds[b, :, 0],
             speeds[b, :, 1],
             rho.shape[-1],
@@ -726,7 +734,7 @@ def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes) -> list[Tr
         chunks = _kraus_chunks(gens, np.asarray(O0s, dtype=complex), grid)
     else:
         raise ValidationError(f"a batch of trajectories needs generators of one open kind, got {', '.join(kinds)}")
-    return _reduce_chunks(gens, chunks, rhos, grid, probes)
+    return _reduce_chunks(gens, chunks, O0s, rhos, grid, probes)
 
 
 def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> list[DensityState]:
@@ -752,7 +760,8 @@ def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeG
     where the exact T beta / n <= 1 - 2^-54, so the kernel's h beta,
     (T / n) beta rounded twice, is below 1 + 2^-53 and rounds to at most
     THETA = 1: a whole T beta, where ceil(T beta) steps can be refused, is
-    not. The kernel picks the
+    not. So rho(T) takes the Taylor cells at every d but on a stiff grid,
+    where the exact propagator takes it. The kernel picks the
     route and checks the step, stability and trace; rho(T) is validated
     within gen.tol, positivity loss beyond being a warning."""
     _check_state(rho0, gen, "lindblad_final_state")

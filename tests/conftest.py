@@ -11,16 +11,29 @@ def rng():
 
 @pytest.fixture
 def take_stepper(monkeypatch):
-    """A function that sends the Lindblad kernel at dimension d to the Taylor
-    stepper, lowering dynamics.EXACT_MAX_DIM below d if need be, and makes any
-    later call of the exact route fail the test."""
+    """A function that makes any later call of the exact Lindblad route fail
+    the test, so that every grid the kernel takes runs on the Taylor cells."""
 
     def fail(*args, **kwargs):
         raise AssertionError("the exact Lindblad route was taken")
 
+    return lambda: monkeypatch.setattr(dynamics, "_exact_chunks", fail)
+
+
+@pytest.fixture
+def take_exact(monkeypatch):
+    """A function that sends the Lindblad kernel at dimension d to the exact
+    propagator: every step with h beta > 0 is stiff (dynamics.THETA = 0),
+    dynamics.EXACT_MAX_DIM is raised to d if need be, and any later call of
+    the Taylor cells fails the test."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the Taylor cells were taken")
+
     def take(dim):
-        monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", min(dynamics.EXACT_MAX_DIM, dim - 1))
-        monkeypatch.setattr(dynamics, "_exact_chunks", fail)
+        monkeypatch.setattr(dynamics, "THETA", 0.0)
+        monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", max(dynamics.EXACT_MAX_DIM, dim))
+        monkeypatch.setattr(dynamics, "_taylor_chunks", fail)
 
     return take
 

@@ -17,7 +17,9 @@ the cells of at most tau beta = 1/2, a step split into s series under a
 budget of 32 generator calls, that they replaced (:func:`taylor_cells` with
 ``route="half"``, the rule :func:`half_theta_order`) and, tiling the grid,
 against the cells capped at a chunk that those replaced
-(``route="capped"``), the literal reader's chained replacements against
+(``route="capped"``), and the cells' derivative terms F_n = L U_n against
+the scaled terms U_(n+1) whose speeds divided by tau, which they replaced
+(``division=True``), the literal reader's chained replacements against
 the translation table they replaced (:data:`AS_PYTHON`),
 the streamed Kraus kernel against the whole-grid one
 (:func:`kraus_full_stack`) that it replaced and its batch-first chunks
@@ -455,19 +457,19 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     Hilbert-Schmidt and operator norms of L^dag[O(t)] there, shape
     (B, steps + 1, 2) (for states, None).
 
-    For d <= dynamics.EXACT_MAX_DIM, each step is one batched mat-vec with
-    the exact propagator exp(h L), computed once per generator, and the
-    speeds apply L to the samples. Above it the grid is read from the Taylor
-    cells of the streamed kernel (:func:`taylor_cells`), which tile the grid
-    and are read in the pieces that the chunks dynamics.CHUNK_BYTES sets cut
-    them into, and written into one stack. Both routes reject a blow-up, and
-    a state's trace is checked at every sample.
+    A step that the Taylor cells certify, h beta <= dynamics.THETA, is read
+    from the cells of the streamed kernel (:func:`taylor_cells`), which tile
+    the grid and are read in the pieces that the chunks dynamics.CHUNK_BYTES
+    sets cut them into, and written into one stack. A stiff step is one
+    batched mat-vec with the exact propagator exp(h L), computed once per
+    generator, and the speeds apply L to the samples. Both routes reject a
+    blow-up, and a state's trace is checked at every sample.
     """
     times = grid.times()
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
     speeds = np.empty((B, times.size, 2)) if heisenberg else None
-    if d <= dynamics.EXACT_MAX_DIM:
+    if _taylor_order(grid.h * max(gen.beta for gen in gens), grid.steps) is None:
         Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
         P = mat_exp(grid.h * Lv)
         out = np.empty((B, times.size, d * d), dtype=complex)
@@ -510,19 +512,23 @@ def half_theta_order(hb: float, budget: int, cap: int):
 
 
 def taylor_cells(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, speeds: np.ndarray | None,
-                 route: str = "grid") -> np.ndarray:
+                 route: str = "grid", division: bool = False) -> np.ndarray:
     """The Taylor stepper's samples at every grid time, shape
     (B, steps + 1, d, d), built into one stack: cells of at most c steps tile
     the grid from step 0, (m, c) as the kernel picks them (``route="grid"``)
     or (s, m, c) as :func:`half_theta_order` did (``"half"``), or, the route
     those replaced, each chunk that dynamics.CHUNK_BYTES sets, c at most its
-    samples (``"capped"``, by the same rule). Each cell is s series of the
-    scaled terms U_n = (tau L)^n y / n!, tau = k h / s for a cell of k steps,
-    n <= m + 1 (m without speeds or for a one-step cell); its first is read
-    at the cell's grid points in the pieces that the chunk starts cut it
-    into, by one real product a batch entry and piece with the rows (j / k)^n
-    of the Vandermonde matrix: numpy sums a one-row piece in another order.
-    The next series starts from sum_n U_n. ``speeds`` (shape
+    samples (``"capped"``, by the same rule). Each cell is s series of
+    exp(tau L), tau = k h / s for a cell of k steps, held as the kernel holds
+    them: y and the derivative terms F_0 = L y, F_n = L (tau / n) F_(n-1),
+    n <= m (m - 1 without speeds or for a one-step cell), so that
+    U_n = (tau / n) F_(n-1) and L U_n = F_n; or, with ``division``, as the
+    scaled terms U_n = (tau / n) L U_(n-1), n <= m + 1, whose derivative
+    (n + 1) / tau U_(n+1) divides by tau, which they replaced. Its first
+    series is read at the cell's grid points in the pieces that the chunk
+    starts cut it into, by one real product a batch entry and piece with the
+    rows (j / k)^n of the Vandermonde matrix: numpy sums a one-row piece in
+    another order. The next series starts from sum_n U_n. ``speeds`` (shape
     (B, steps + 1, 2)), when given, takes the norms of L at every sample from
     the terms' derivative, and of one more call at the last."""
     f = _fused_form(gens, heisenberg)
@@ -544,23 +550,34 @@ def taylor_cells(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, speeds:
     y = y0
     for i, k in cells:
         tau = k * grid.h / s
+        w = np.append(1.0, tau / np.arange(1, m + 1))
         for r in range(s):
-            U = [y]
-            for n in range(1, m + 2 if r == 0 and k > 1 and speeds is not None else m + 1):
-                U.append(f(U[-1]) * (tau / n))
-            U = np.stack(U)
+            top = m + 2 if r == 0 and k > 1 and speeds is not None else m + 1
+            if division:
+                terms = [y]
+                for n in range(1, top):
+                    terms.append(f(terms[-1]) * (tau / n))
+                terms = np.stack(terms)
+                coef, dcoef = np.ones(m + 1), np.arange(1, top) / tau
+                y = terms[: m + 1].sum(axis=0)
+            else:
+                terms = [y]
+                for n in range(1, top):
+                    terms.append(f(w[n - 1] * terms[-1]))
+                terms = np.stack(terms)
+                coef, dcoef = w, np.ones(top - 1)
+                y = np.tensordot(w, terms[: m + 1], 1)
             if r == 0:
                 ends = [i] + [x for x in cuts if i < x < i + k] + [i + k]
                 for lo, hi in zip(ends, ends[1:]):
                     V = ((np.arange(lo, hi) - i) / k)[:, None] ** np.arange(m + 1)
-                    W = V[:, : len(U) - 1] * (np.arange(1, len(U)) / tau)
+                    W = V[:, : top - 1] * dcoef
                     for b in range(B):
-                        rows = (V @ U[: m + 1, b].reshape(m + 1, -1).view(float)).view(complex)
+                        rows = ((V * coef) @ terms[: m + 1, b].reshape(m + 1, -1).view(float)).view(complex)
                         out[b, lo:hi] = rows.reshape(hi - lo, d, d)
                         if speeds is not None:
-                            rows = (W @ U[1:, b].reshape(len(U) - 1, -1).view(float)).view(complex)
+                            rows = (W @ terms[1:top, b].reshape(top - 1, -1).view(float)).view(complex)
                             derivs[b, lo:hi] = rows.reshape(hi - lo, d, d)
-            y = U[: m + 1].sum(axis=0)
             _check_stable(y)
     out[:, last] = y
     if speeds is not None:

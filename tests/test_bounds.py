@@ -429,11 +429,14 @@ def test_state_independent_validity_random(rng):
 
 
 @pytest.mark.parametrize("route", ["unitary", "lindblad-exact", "lindblad-rk4"])
-def test_state_independent_on_a_prefix_equals_a_fresh_evolution(route):
+def test_state_independent_on_a_prefix_equals_a_fresh_evolution(route, take_exact):
     # the registry's STATE_INDEP reads only the series of its declared probe,
     # so a prefix to t_k serves it as an evolution to t_k alone does;
-    # "lindblad-rk4" is the Taylor stepper, which replaced RK4 above the exact route
+    # "lindblad-rk4" is the Taylor stepper, which replaced RK4 above the exact
+    # route, and "lindblad-exact" the exact propagator, forced
     dim = EXACT_MAX_DIM + 1 if route == "lindblad-rk4" else 3
+    if route == "lindblad-exact":
+        take_exact(dim)
     rng = np.random.default_rng([dim, len(route)])
     H, O = oracles.random_hermitian(rng, dim, 0.7), oracles.random_hermitian(rng, dim)
     rho = DensityState.pure(oracles.random_ket(rng, dim))

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oqsl
-from oqsl import audit
+from oqsl import audit, dynamics
 from oqsl.cli import TOL_FLOOR, main
 from oqsl.dynamics import (
     EXACT_MAX_DIM,
@@ -393,6 +393,91 @@ def test_bound_stiff_constant_rate_takes_exact_route(tmp_path):
     assert reports and all(np.isfinite(r["T_qsl"]) for r in reports)
 
 
+STIFF_QUTRIT = ["--system", str(SYSTEMS / "qutrit_decay.sys"), "--observable", "N", "--tmax", "100", "--steps", "10"]
+
+
+def _route_fails(monkeypatch, route):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{route} was taken")
+
+    monkeypatch.setattr(dynamics, route, fail)
+
+
+def test_the_lindblad_route_follows_the_step(tmp_path, monkeypatch):
+    # a step that the Taylor cells certify, h beta <= 1, takes them at every
+    # d: the built-in Lindblad systems, the dephasing scenario and the audit
+    # call no exact propagator
+    with monkeypatch.context() as patch:
+        _route_fails(patch, "_exact_chunks")
+        for name, obs in (("dephasing", "O"), ("qutrit_decay", "N")):
+            argv = ["--system", str(SYSTEMS / f"{name}.sys"), "--observable", obs, "--tmax", "1"]
+            for command in (["bound", *argv, "--bounds", "ALL"], ["evolve", *argv]):
+                code, _, err = run_cli(command)
+                assert code == 0, (command, err)
+        for argv in (["scenario", "dephasing"], ["audit", "--trials", "4"]):
+            code, _, err = run_cli(argv)
+            assert code == 0, (argv, err)
+    # a stiff step, h beta > 1, takes the exact propagator within its limit:
+    # on qutrit_decay.sys h = 10 and h beta = 23.2, and the stiff qubit of
+    # test_bound_stiff_constant_rate_takes_exact_route has h beta = 2e8
+    with monkeypatch.context() as patch:
+        _route_fails(patch, "_taylor_chunks")
+        for command in ("bound", "evolve"):
+            code, _, err = run_cli([command, *STIFF_QUTRIT])
+            assert code == 0, (command, err)
+        test_bound_stiff_constant_rate_takes_exact_route(tmp_path)
+    # and above its limit a stiff step is refused
+    text = ("[system]\ndim = 5\n[state]\nket = [1, 1, 1, 1, 1]\n[jump]\nmatrix = "
+            f"{_diag_literal('01234', 5)}\nrate = 1e9\n[observable O]\nmatrix = {_diag_literal('10000', 5)}\n")
+    path = tmp_path / "stiff_5.sys"
+    path.write_text(text)
+    code, out, err = run_cli(["bound", "--system", str(path), "--observable", "O", "--tmax", "1", "--steps", "10"])
+    assert code == 3 and out == "" and err.startswith(f"numeric error: {STEPPER} h = 0.1 has h beta = ")
+
+
+@pytest.mark.parametrize("tmax", ["5e-324", "3e-309"])
+def test_a_subnormal_horizon_on_the_taylor_cells_computes(tmp_path, tmax):
+    # the cells' speeds hold the derivative terms L U_n, not (n + 1) / tau
+    # U_(n+1), which is infinite once tau < 1 / float max: at d = 5 both
+    # horizons compute, as on the exact route, with no warning
+    rng = np.random.default_rng(5)
+    H, O, L = (rng.standard_normal((5, 5)) for _ in range(3))
+    spec = SystemSpec(LindbladGenerator(H + H.T, jumps=((L / 4, 0.5),)), DensityState.pure(np.ones(5)),
+                      {"O": O + O.T})
+    path = tmp_path / "cells_5.sys"
+    path.write_text(serialize_system(spec))
+    for command in ("bound", "evolve"):
+        argv = [command, "--system", str(path), "--observable", "O", "--tmax", tmax, "--steps", "2"]
+        code, out, err = run_cli(argv + (["--bounds", "ALL"] if command == "bound" else []))
+        assert code == 0 and err == "", err
+
+
+def _scaled_tight_qubit(tmp_path, mu):
+    """The rows of ``bound --bounds ALL`` on tight_qubit.sys with O = mu X, as {bound_id: T_qsl / T}."""
+    path = tmp_path / f"tight_{mu!r}.sys"
+    path.write_text((SYSTEMS / "tight_qubit.sys").read_text().replace("pauli = 1.0 X", f"pauli = {mu!r} X"))
+    code, out, err = run_cli(["bound", "--system", str(path), "--observable", "O", "--tmax", "1.5707963",
+                              "--bounds", "ALL", "--format", "json"])
+    assert code == 0, err
+    return {r["bound_id"]: r["T_qsl"] / r["T"] for r in json.loads(out)["reports"]}
+
+
+def test_the_variance_floors_scale_with_the_observable(tmp_path):
+    # the rounding of <O^2> - <O>^2 and of C(0) grows as ||O||^2: at O = 1e5 X
+    # both read about -4e-6, below an absolute floor of -1e-9; scaled by the
+    # square of O's largest |entry|, the run computes, and every row it
+    # shares with O = X reads the same (1e5 X is no longer self-inverse)
+    one, large = _scaled_tight_qubit(tmp_path, 1.0), _scaled_tight_qubit(tmp_path, 1e5)
+    assert set(large) == set(one) - {"SELF_INVERSE"}
+    for bound_id, ratio in large.items():
+        assert abs(ratio - one[bound_id]) <= 1e-12, bound_id
+
+
+def test_the_projector_slot_is_relative_to_the_observable(tmp_path):
+    # |O^2 - O| <= 1e-9 held for O = 1e-10 X, which is no projector
+    assert "STATE_MT" not in _scaled_tight_qubit(tmp_path, 1e-10)
+
+
 def test_bound_json_schema(dephasing_path):
     code, out, err = run_cli(
         ["bound", "--system", dephasing_path, "--observable", "O", "--tmax", "1.0", "--format", "json"]
@@ -533,8 +618,8 @@ def test_overflowed_generator_speed_is_a_numeric_error(name, obs, command):
 
 
 def register_text(c=1.0, dim=32):
-    """A Lindblad register of log2(dim) qubits (the Taylor stepper at dim = 32, the
-    exact one at dim = 2): H = X on the first qubit, the jump Z there at rate
+    """A Lindblad register of log2(dim) qubits (the Taylor stepper at every dim,
+    within the exact route's limit at dim = 2): H = X on the first qubit, the jump Z there at rate
     0.5, the all-ones ket, or [1, 0] on one qubit, and O = c Z there."""
     rest = "I" * (dim.bit_length() - 2)
     ket = ", ".join(["1"] + ["1" if dim > 2 else "0"] * (dim - 1))
@@ -543,9 +628,12 @@ def register_text(c=1.0, dim=32):
 
 
 @pytest.mark.parametrize("dim", [2, 32], ids=["exact", "rk4"])
-def test_a_large_observable_is_not_unstable(tmp_path, dim):
-    # every bound is scale-free, and the Heisenberg flow of a Lindblad generator does not grow O
+def test_a_large_observable_is_not_unstable(tmp_path, dim, take_exact):
+    # every bound is scale-free, and the Heisenberg flow of a Lindblad generator
+    # does not grow O; the "exact" id forces the exact propagator
     assert (parse_system(register_text(dim=dim)).generator.dim <= EXACT_MAX_DIM) == (dim == 2)
+    if dim == 2:
+        take_exact(dim)
     reports = {}
     for c in (1.0, 1e13):
         path = tmp_path / f"register_{c}.sys"

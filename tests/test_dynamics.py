@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oqsl import cli
+from oqsl import cli, dynamics
 from oqsl.bounds import EvalContext, evaluate_all
 from oqsl.dynamics import (
     DephasingKraus,
@@ -313,7 +313,7 @@ def test_taylor_stepper_is_within_its_truncation_target(take_stepper, dim, log_h
     # 200 * 2^-53 ||O||_op = 2.2e-14 ||O||_op, rounding aside; the horizon
     # 6 hbar turns H / hbar through 6 rad, so h beta <= 18 / steps keeps
     # every grid within the budget
-    take_stepper(dim)
+    take_stepper()
     rng = np.random.default_rng(seed)
     hbar = math.exp(log_hbar)
     H, O = (oracles.random_hermitian(rng, dim) for _ in range(2))
@@ -370,18 +370,20 @@ def test_matrix_holders_compare_and_hash_by_identity():
         assert a == a and a != b and len({a, b}) == 2
 
 
-def test_lindblad_instability_detected(take_stepper):
-    # the qubit on the Taylor stepper, where h beta = 2e8 is far past the
-    # one series of tau beta <= 1 a step: it is refused before the first
-    take_stepper(2)
+def test_lindblad_instability_detected(monkeypatch):
+    # the qubit with the exact route's limit lowered below it, where
+    # h beta = 2e8 is far past the one series of tau beta <= 1 a step that
+    # the Taylor stepper takes: it is refused before the first
+    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", 1)
     gen = LindbladGenerator(H=np.zeros((2, 2)), jumps=((sigma_z, 1e9),))
     with pytest.raises(NumericError, match=r"^the Taylor stepper needs h beta <= 1, and the step h = 0\.1 has"
                                            r" h beta = 2e\+08 at hbar = 1\.0$"):
         evolve_lindblad_heisenberg(sigma_x, gen, PLUS, TimeGrid(1.0, 10))
 
 
-def test_constant_rate_takes_exact_route():
-    # the former RK4 inputs: the exact propagator has no step-size error
+def test_constant_rate_takes_exact_route(take_exact):
+    # the former RK4 inputs, forced onto the exact propagator, which has no step-size error
+    take_exact(2)
     gen = dephasing_generator(1.0)
     for steps in (100, 200):
         grid = TimeGrid(np.pi / 2, steps)

@@ -1,6 +1,6 @@
 """The Lindblad kernel against the batched RK4 route it replaced for constant
-rates (tests/oracles.py), its Taylor cells above the exact route against
-the exact propagator's samples, the per-step stepper, the cells of
+rates (tests/oracles.py), its Taylor cells against the exact propagator's
+samples, the per-step stepper, the cells of
 tau beta <= 1/2 and the cells capped at a chunk that they replaced, their
 generator calls against the chunk size and the batch size, which set
 neither, its fused generator against the matrix form it replaced, its Liouvillian
@@ -67,9 +67,9 @@ def _rk4_reference(gen, y0, grid, heisenberg):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 16])
-def test_exact_route_matches_rk4_reference(dim, monkeypatch):
-    # d = 8 and 16, above the exact route's limit, take it with the limit raised to them
-    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", max(EXACT_MAX_DIM, dim))
+def test_exact_route_matches_rk4_reference(dim, take_exact):
+    # every grid forced onto the exact route; d = 8 and 16, above its limit, with the limit raised to them
+    take_exact(dim)
     gen, O, rho = _random_case(dim)
     traj = evolve_lindblad_heisenberg(O, gen, rho, GRID, probes=tuple(oracles.matrix_units(dim)))
     assert np.abs(oracles.samples_from_probes(traj) - _rk4_reference(gen, O, GRID, True)).max() <= 1e-9
@@ -79,10 +79,13 @@ def test_exact_route_matches_rk4_reference(dim, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [3, 17])
-def test_generator_speeds_match_matrix_form(dim):
-    # d = 3 takes the exact route, which takes the speeds from the Liouvillian,
-    # so its reference is the matrix-form adjoint; d = 17 takes the Taylor
-    # stepper on the fused form, so its reference is the Kronecker Liouvillian
+def test_generator_speeds_match_matrix_form(dim, take_exact):
+    # d = 3, forced onto the exact route, takes the speeds from the
+    # Liouvillian, so its reference is the matrix-form adjoint; d = 17 takes
+    # the Taylor stepper on the fused form, so its reference is the Kronecker
+    # Liouvillian
+    if dim <= EXACT_MAX_DIM:
+        take_exact(dim)
     gen, O, rho = _random_case(dim, seed=1)
     grid = TimeGrid(0.5, 20)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
@@ -340,6 +343,26 @@ def test_grid_cells_match_the_chunk_capped_cells_they_replaced(dim, monkeypatch)
     assert np.abs(speeds - ref_speeds[0]).max() <= 1e-13 * ref_speeds.max()
 
 
+@pytest.mark.parametrize("heisenberg", [True, False])
+@pytest.mark.parametrize("dim, batch", [(2, 3), (3, 1), (EXACT_MAX_DIM + 1, 1), (17, 2), (32, 1)])
+def test_derivative_terms_match_the_division_form_they_replaced(dim, batch, heisenberg):
+    # the cells hold F_n = L U_n and read the speeds from them, where the
+    # replaced form held U_(n+1) and divided by tau; with chunks of the
+    # default size the cells of 300 steps cross them, and the two forms agree
+    # within 1e-13 relative, samples and speeds alike
+    cases = [_random_case(dim, seed=12 + b) for b in range(batch)]
+    gens, y0 = [c[0] for c in cases], np.stack([c[1] if heisenberg else c[2].matrix for c in cases])
+    grid = TimeGrid(1.0, 300)
+    chunks = list(dynamics.lindblad_chunks(gens, y0, grid, heisenberg))
+    ys = np.concatenate([chunk[1] for chunk in chunks], axis=1)
+    ref_speeds = np.empty((batch, grid.steps + 1, 2)) if heisenberg else None
+    ref = oracles.taylor_cells(gens, y0, grid, heisenberg, ref_speeds, division=True)
+    assert np.abs(ys - ref).max() <= 1e-13 * np.abs(ref).max()
+    if heisenberg:
+        speeds = np.concatenate([chunk[2] for chunk in chunks], axis=1)
+        assert np.abs(speeds - ref_speeds).max() <= 1e-13 * ref_speeds.max()
+
+
 def test_one_series_a_cell_refuses_exactly_the_steps_the_half_theta_rule_did():
     # tau beta <= 1/2 under 32 calls a step took s = 1 or 2 series a step:
     # s = 3 series of tau beta > 1/3 need m >= 13 each, past the budget; so
@@ -411,7 +434,7 @@ def test_stepper_speeds_are_the_generator_at_every_sample(take_stepper):
     dim = EXACT_MAX_DIM + 1
     gen, O, rho = _random_case(dim, seed=4)
     grid = TimeGrid(1.0, 25)
-    take_stepper(dim)
+    take_stepper()
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=tuple(oracles.matrix_units(dim)))
     n = grid.steps + 1
     rhs = oracles.lindblad_matrix_form([gen] * n, oracles.samples_from_probes(traj))
@@ -506,7 +529,7 @@ def _kernel_grids(monkeypatch) -> list:
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 17])
 def test_final_state_matches_expm_of_liouvillian(dim, n_jumps):
     # T beta is at most 4.3 here, so rho(T) is the kernel's last sample on at
-    # most 5 steps: the exact propagator for d <= 4, one series a step above
+    # most 5 steps, one series a step at every d
     gen, _, rho = _random_case(dim, seed=5, n_jumps=n_jumps)
     grid = TimeGrid(2.5, 200)
     ref = _expm_reference(gen, rho, grid.T)
@@ -516,7 +539,7 @@ def test_final_state_matches_expm_of_liouvillian(dim, n_jumps):
 
 @pytest.mark.parametrize("dim", [2, 3, 16, 17])
 def test_final_state_matches_last_trajectory_sample(dim):
-    # d <= EXACT_MAX_DIM: the exact propagator's last sample; above it, the stepper's
+    # the stepper's last sample on 1000 steps and on the fewest steps, at every d
     gen, _, rho = _random_case(dim, seed=6)
     grid = TimeGrid(1.0, 1000)
     rho_T = lindblad_final_state(rho, gen, grid)
@@ -555,7 +578,7 @@ def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
 @pytest.mark.parametrize("T, steps", [(1.0, 3), (300.0, 697)])
 def test_a_long_horizon_final_state_takes_the_kernel(T, steps, monkeypatch):
     # on qutrit_decay.sys T beta is 2.3 at T = 1 and 696.7 at T = 300: rho(T)
-    # is the exact route's last sample on 3 and 697 steps, never on the
+    # is the Taylor cells' last sample on 3 and 697 steps, never on the
     # 1000 steps of the grid
     spec = parse_system(builtin_text("qutrit_decay"))
     gen, rho, grid = spec.generator, spec.initial_state, TimeGrid(T, 1000)
@@ -569,7 +592,7 @@ def test_a_long_horizon_final_state_takes_the_kernel(T, steps, monkeypatch):
 @pytest.mark.parametrize("dim", [EXACT_MAX_DIM + 1, 17])
 def test_final_state_above_the_exact_route_is_one_kernel_run_on_the_fewest_steps(dim, monkeypatch):
     # T beta = 3.3 and 3.5: one lindblad_chunks call on 4 steps, none on the
-    # grid's 1000 (qutrit_decay.sys on the exact route: the test above)
+    # grid's 1000 (qutrit_decay.sys within the exact route's limit: the test above)
     gen, _, rho = _random_case(dim, seed=5)
     grids = _kernel_grids(monkeypatch)
     lindblad_final_state(rho, gen, TimeGrid(2.5, 1000))
@@ -578,13 +601,18 @@ def test_final_state_above_the_exact_route_is_one_kernel_run_on_the_fewest_steps
 
 @pytest.mark.parametrize("dim", range(2, EXACT_MAX_DIM + 1))
 def test_final_state_at_the_exact_route_takes_no_series(dim, monkeypatch):
+    # the route follows the step: within the exact route's limit, T beta past
+    # the grid's 10 steps makes each step stiff, h beta > 1, and only the
+    # exact propagator takes it
     def fail(*args, **kwargs):
         raise AssertionError("the Taylor stepper was taken")
 
     monkeypatch.setattr(dynamics, "_taylor_chunks", fail)
     gen, _, rho = _random_case(dim, seed=5)
-    ref = _expm_reference(gen, rho, 2.5)
-    rho_T = lindblad_final_state(rho, gen, TimeGrid(2.5, 1000)).matrix
+    grid = TimeGrid(25.0, 10)
+    assert grid.h * gen.beta > dynamics.THETA
+    ref = _expm_reference(gen, rho, grid.T)
+    rho_T = lindblad_final_state(rho, gen, grid).matrix
     assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

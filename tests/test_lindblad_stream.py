@@ -49,8 +49,8 @@ def _case(dim, seed):
 
 ROUTES = {
     # (dimension, whether it takes the Taylor stepper, the route that RK4 took
-    # until the stepper replaced it); "ramp" is the stepper at d = 3, below the
-    # exact route's limit
+    # until the stepper replaced it, or the exact propagator, forced at d = 3);
+    # "ramp" is the stepper at d = 3, within the exact route's limit
     "exact": (3, False),
     "rk4": (EXACT_MAX_DIM + 1, True),
     "ramp": (3, True),
@@ -60,10 +60,12 @@ ROUTES = {
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, monkeypatch, take_stepper):
+def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, monkeypatch, take_stepper, take_exact):
     dim, stepper = ROUTES[route]
     if stepper:
-        take_stepper(dim)
+        take_stepper()
+    else:
+        take_exact(dim)
     cases = [_case(dim, seed) for seed in range(batch)]
     gens = [c[0] for c in cases]
     O0s = np.stack([c[1] for c in cases])
@@ -107,14 +109,13 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
 
 @pytest.mark.parametrize("dim, batch", [(2, 100), (3, 50), (16, 1)])
 @pytest.mark.parametrize("heisenberg", [True, False])
-def test_exact_step_matches_einsum_step(dim, batch, heisenberg, monkeypatch):
+def test_exact_step_matches_einsum_step(dim, batch, heisenberg, take_exact):
     # the BLAS product against the einsum mat-vec that it replaced, on
     # batches shaped like the audit's qubit and qutrit blocks and at d = 16,
-    # which takes the exact route with its limit raised to 16
+    # each forced onto the exact route, its limit raised to 16
     cases = [_case(dim, seed) for seed in range(batch)]
     gens = [c[0] for c in cases]
-    monkeypatch.setattr(dynamics, "EXACT_MAX_DIM", max(EXACT_MAX_DIM, dim))
-    monkeypatch.setattr(dynamics, "_taylor_chunks", None)  # the exact route
+    take_exact(dim)
     y0s = np.stack([c[1] if heisenberg else c[3].matrix for c in cases])
     grid = TimeGrid(2.0, 300)
     samples = np.concatenate([s for _, s, _ in lindblad_chunks(gens, y0s, grid, heisenberg)], axis=1)
@@ -247,18 +248,22 @@ def test_kraus_memory_grows_only_by_the_scalar_series():
 
 
 @pytest.mark.parametrize("steps", [CHUNK, 2 * CHUNK + 1])
-def test_audit_block_equals_full_stack_reductions(steps, monkeypatch, block_declares_units):
-    trials = [audit._sample_trial(3, 2, i) for i in range(3)]
+def test_audit_block_equals_full_stack_reductions(steps, monkeypatch, block_declares_units, take_exact):
+    # on the block's own route, the Taylor cells, and forced onto the exact propagator
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * 3 * 4)
     grid = TimeGrid(audit.LINDBLAD_T, steps)
-    monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * len(trials) * 4)
-    audit._integrate_lindblad_block(trials, grid)
-    gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
-    Os, _ = oracles.propagate_lindblad(gens, np.stack([t.O for t in trials]), grid, heisenberg=True)
-    states, _ = oracles.propagate_lindblad(gens, np.stack([t.rho.matrix for t in trials]), grid, heisenberg=False)
-    for t, O_samples, rho_samples in zip(trials, Os, states):
-        assert np.array_equal(t.lindblad.traj.expect, oracles.stack_expect(O_samples, t.rho.matrix))
-        assert np.array_equal(t.lind_rho_expect, np.einsum("ab,tba->t", t.O, rho_samples).real)
-        assert np.array_equal(oracles.samples_from_probes(t.lindblad.traj)[-1], O_samples[-1])
+    for route in ("cells", "exact"):
+        if route == "exact":
+            take_exact(2)
+        trials = [audit._sample_trial(3, 2, i) for i in range(3)]
+        audit._integrate_lindblad_block(trials, grid)
+        gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
+        Os, _ = oracles.propagate_lindblad(gens, np.stack([t.O for t in trials]), grid, heisenberg=True)
+        states, _ = oracles.propagate_lindblad(gens, np.stack([t.rho.matrix for t in trials]), grid, heisenberg=False)
+        for t, O_samples, rho_samples in zip(trials, Os, states):
+            assert np.array_equal(t.lindblad.traj.expect, oracles.stack_expect(O_samples, t.rho.matrix))
+            assert np.array_equal(t.lind_rho_expect, np.einsum("ab,tba->t", t.O, rho_samples).real)
+            assert np.array_equal(oracles.samples_from_probes(t.lindblad.traj)[-1], O_samples[-1])
 
 
 @pytest.mark.parametrize(
@@ -266,11 +271,14 @@ def test_audit_block_equals_full_stack_reductions(steps, monkeypatch, block_decl
     [(2, False), (3, False), (2, True), (EXACT_MAX_DIM + 1, True)],
     ids=["exact-closed-form", "exact-eigvalsh", "rk4-closed-form", "rk4-eigvalsh"],
 )
-def test_speeds_match_the_gram_norms_they_replaced(dim, stepper, monkeypatch, take_stepper):
+def test_speeds_match_the_gram_norms_they_replaced(dim, stepper, monkeypatch, take_stepper, take_exact):
     # the speeds read L^dag[O(t)] as Hermitian; the full-stack kernel with
-    # the Gram-per-trial norms it used is the reference ("rk4" ids: the stepper)
+    # the Gram-per-trial norms it used is the reference ("rk4" ids: the
+    # stepper; "exact" ids: the exact propagator, forced)
     if stepper:
-        take_stepper(dim)
+        take_stepper()
+    else:
+        take_exact(dim)
     cases = [_case(dim, seed) for seed in range(3)]
     gens, O0s = [c[0] for c in cases], np.stack([c[1] for c in cases])
     grid = TimeGrid(0.5, 40)
@@ -284,10 +292,11 @@ def test_speeds_match_the_gram_norms_they_replaced(dim, stepper, monkeypatch, ta
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("heisenberg", [True, False])
-def test_exact_route_blow_up_raises_without_warnings(heisenberg, monkeypatch):
+def test_exact_route_blow_up_raises_without_warnings(heisenberg, monkeypatch, take_exact):
     # a propagator ten times too large overflows to inf, then NaN, inside
     # the one chunk, which is checked before its speeds are taken
     gen, O, _, rho = _case(3, seed=11)
+    take_exact(3)
     monkeypatch.setattr(dynamics, "mat_exp", lambda A: 10.0 * mat_exp(A))
     grid = TimeGrid(1.0, 400)
     with pytest.raises(NumericError, match="unstable"):
@@ -362,8 +371,9 @@ def test_observable_evolution_holds_no_sample_stack():
     assert peak < 4e6
 
 
-def test_undeclared_probes_and_interior_samples_raise():
+def test_undeclared_probes_and_interior_samples_raise(take_exact):
     gen, O, B, rho = _case(3, seed=10)
+    take_exact(3)
     grid = TimeGrid(0.7, 60)
     declared = correlation_probe(O, rho)
     traj = evolve_lindblad_heisenberg(O, gen, rho, grid, probes=(declared,))
