@@ -8,13 +8,14 @@ that the Kraus kernel streams several chunks and a change at their
 boundaries shows, the canonical reprint of ``parse`` on
 the six built-in systems, and the ``--format json`` output of
 ``bound --bounds ALL`` and ``evolve`` and the reprint of ``parse`` on a
-d = 17 Lindblad system, and its ``evolve`` at ``--hbar`` STEPPER_HBAR. Every
-built-in Lindblad system takes the Lindblad kernel's Taylor cells too, but
-at d = 2 and 3 on grids whose cells run across no chunk boundary, so this
-one is written from a fixed seed into a temporary directory; ``evolve``
-prints every sample, so a change at the kernel's chunk boundaries shows,
-and ``parse`` reads and reprints its ~1,500 random matrix entries. At 1000
-steps its cells of 461 steps each run across two or three
+d = 17 Lindblad system, and its ``evolve`` at ``--hbar`` STEPPER_HBAR. Of
+the built-in Lindblad commands, the trajectories of ``dephasing.sys``, the
+dephasing scenario and the audit take the Lindblad kernel's Taylor cells
+too, but at d = 2 and 3 on grids whose cells run across no chunk boundary,
+so this one is written from a fixed seed into a temporary directory;
+``evolve`` prints every sample, so a change at the kernel's chunk
+boundaries shows, and ``parse`` reads and reprints its ~1,500 random matrix
+entries. At 1000 steps its cells of 461 steps each run across two or three
 of the kernel's chunks of 226 samples, so a cell reads later rows from the
 terms it holds; at STEPPER_HBAR (h beta = 0.2) they are 4 steps long, and
 the chunks that start at samples 226 and 678 start inside one, so that a
@@ -64,7 +65,9 @@ command's rho(T) takes a few steps. Last, ``bound --bounds ALL`` and
 ``evolve`` on ``qutrit_decay.sys`` on a stiff grid, ``--tmax 100 --steps
 10``: its step h = 10 has h beta = 23.2, past the one series of
 tau beta <= 1 that a Taylor cell takes, so only these reach the exact
-propagator exp(h L), the route of a stiff step.
+propagator exp(h L) by the route of a stiff step; the other built-in
+Lindblad commands reach it by cells shorter than dynamics.CELL_MIN_STEPS, on
+``qutrit_decay.sys`` (430 steps) and at every rho(T) (one step).
 
 Run it from two checkouts and diff the lines to show that a refactor leaves
 every output byte-identical:
@@ -130,7 +133,7 @@ BUILTIN_BOUNDS = (
 )
 SCENARIOS = ("tight-qubit", "dephasing", "battery-degenerate", "kraus-dephasing")
 # a Lindblad system whose Taylor cells run across the kernel's chunks, above the
-# stiff route's largest dimension (dynamics.EXACT_MAX_DIM = 4), and an hbar at
+# exact route's largest dimension (dynamics.EXACT_MAX_DIM = 4), and an hbar at
 # which its cells are shorter
 STEPPER_FILE, STEPPER_DIM, STEPPER_SEED, STEPPER_HBAR = "lindblad_17.sys", 17, 17, 0.01
 # a mid-sized Lindblad system, between d = 5 and 16

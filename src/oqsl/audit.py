@@ -8,9 +8,8 @@ seed. Each samples the commutator bounds' second observable B independently
 of O, so the pair need not commute at t = 0. The trials of one dimension
 form a block, evolved through the batched kernels that the CLI also uses:
 Lindblad in both pictures (observables through ``dynamics.trajectories``
-and states through ``dynamics.lindblad_chunks``, on the Taylor cells, as
-every step of the audit's grid is one they certify) and, for qubits, Kraus
-(``trajectories``).
+and states through ``dynamics.lindblad_chunks``, on the route that it picks
+for the audit's grid) and, for qubits, Kraus (``trajectories``).
 Their chunks are reduced as they arrive, so each trial keeps its evaluation
 contexts, whose trajectories hold the scalar series and the series its
 bounds and rate audit declare, and tr(O rho(t)), but no sample stack. The

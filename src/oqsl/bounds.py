@@ -39,6 +39,7 @@ from .dynamics import (
     evolve_unitary_heisenberg,
     lindblad_apply,
     lindblad_final_state,
+    variance_floor,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -439,7 +440,7 @@ def two_time_correlation(
     first = traj.trace_with(probe)
     mean0 = float(np.trace(probe).real)
     C = first - traj.expect * mean0
-    c0, floor = complex(C[0]), max(tol, 1e-8) * float(np.abs(A0).max()) ** 2  # C(0) rounds as ||A||^2
+    c0, floor = complex(C[0]), variance_floor(max(tol, 1e-8), A0)
     if abs(c0.imag) > floor or c0.real < -floor:
         raise NumericError(f"C(0)={c0!r} is not a nonnegative variance within tolerance")
     return C

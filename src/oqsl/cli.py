@@ -26,7 +26,7 @@ from .dynamics import (
     evolve_lindblad_schrodinger,  # not called here, but bench/layers.py wraps it in this module
     evolve_unitary_heisenberg,
 )
-from .linalg import DEFAULT_TOL, NumericError, ValidationError
+from .linalg import DEFAULT_TOL, NumericError, ValidationError, op_norm
 from .sysdl import ParseError, SystemSpec, parse_system, serialize_system
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) 
         _evolve,
         B=B,
         self_inverse=O if np.abs(OO - np.eye(spec.dim)).max() <= slot_tol else None,
-        projector=O if np.abs(OO - O).max() <= slot_tol * np.abs(O).max() else None,
+        projector=O if np.abs(OO - O).max() <= slot_tol * op_norm(O) else None,
         final_state=True,
         ids=ids,
     )

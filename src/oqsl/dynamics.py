@@ -22,13 +22,12 @@ Lindblad and Kraus kernels are batch-first and stream the grid in chunks of
 about CHUNK_BYTES, which one reducer turns into trajectories as they arrive,
 so evolving a batch of observables holds O(steps) scalars per entry, one
 chunk and, on the exact Lindblad route, the d^4 propagators. Every jump
-rate is a constant float, so the route depends on the grid step h alone:
-where h beta <= THETA, :func:`lindblad_chunks` takes one Taylor series on
-the fused form A y + y A^dag + sum_k gamma_k left_k y right_k, built once,
-for the samples and L^dag[O(t)] of a cell of grid steps, the cells tiling
-the grid whatever the chunks, at every d; a stiff step, h beta > THETA,
-is one batched BLAS product with the exact propagator exp(h L), for
-d <= EXACT_MAX_DIM, and refused above it. Both routes take an observable's
+rate is a constant float, so the route depends on h and d: where h beta <=
+THETA, :func:`lindblad_chunks` takes one Taylor series on the fused form
+A y + y A^dag + sum_k gamma_k left_k y right_k, built once, for the samples
+and L^dag[O(t)] of a cell of grid steps, the cells tiling the grid whatever
+the chunks, for d <= EXACT_MAX_DIM only cells of CELL_MIN_STEPS steps or
+more; else, up to that d, one BLAS product a step with exp(h L). Both routes take an observable's
 speeds, once per chunk, from L^dag[O(t)], which is Hermitian: its operator
 norm is its largest |eigenvalue|, in closed form for d = 2. An observable
 that is Hermitian only within ``tol`` is read, like ``numpy.linalg.eigvalsh``
@@ -71,10 +70,12 @@ from .linalg import (
 INSTABILITY_LIMIT = 1e12
 # how far a state's trace may drift from 1 along a Lindblad evolution
 TRACE_TOL = 1e-8
-# the largest dimension of the exact route, the stiff route: it computes a step
-# with h beta > THETA, which the Taylor cells refuse, with d^4 propagators
-# (tests/test_cli.py::test_bound_stiff_constant_rate_takes_exact_route)
+# the largest dimension of the exact route, one d^2 x d^2 product a step, which
+# takes the steps with h beta > THETA and the grids whose cells would span fewer
+# than CELL_MIN_STEPS steps: on one BLAS thread at d = 2-4 the cells, m + 1 ~ 19
+# generator calls each, match it at 200 steps a trajectory, 500 an audit block
 EXACT_MAX_DIM = 4
+CELL_MIN_STEPS = 500
 THETA = 1.0  # the Taylor stepper's largest ||tau L|| a series, and so a grid step's
 # the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
 # working set, may take over the whole batch
@@ -301,25 +302,22 @@ class Trajectory:
 
 class UnitaryTrajectory(Trajectory):
     """A :class:`Trajectory` under a constant Hamiltonian H = V diag(w) V^dag,
-    with its eigen data: w / hbar, V, O~ = V^dag O V and rho~ = V^dag rho V,
-    and O's variance floor (:func:`_spread`). It keeps the two closed forms
-    that no declared probe replaces: the spread off the grid
-    (:meth:`stddev_at`) and another observable's expectation
+    with its eigen data: w / hbar, V, O~ = V^dag O V and rho~ = V^dag rho V.
+    It keeps the two closed forms that no declared probe replaces: the spread
+    off the grid (:meth:`stddev_at`) and another observable's expectation
     (:meth:`expect_of`)."""
 
-    _EXTRA = ("freqs", "vectors", "O_eig", "rho_eig", "tol", "floor")
+    _EXTRA = ("freqs", "vectors", "O_eig", "rho_eig", "tol")
 
     def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev: np.ndarray,
                  gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, dim: int, probes: tuple = (), *,
-                 freqs: np.ndarray, vectors: np.ndarray, O_eig: np.ndarray, rho_eig: np.ndarray, tol: float,
-                 floor: float):
+                 freqs: np.ndarray, vectors: np.ndarray, O_eig: np.ndarray, rho_eig: np.ndarray, tol: float):
         super().__init__(kind, grid, expect, stddev, gen_speed_hs, gen_speed_op, dim, probes)
-        self.freqs, self.vectors, self.O_eig, self.rho_eig = freqs, vectors, O_eig, rho_eig
-        self.tol, self.floor = tol, floor
+        self.freqs, self.vectors, self.O_eig, self.rho_eig, self.tol = freqs, vectors, O_eig, rho_eig, tol
 
     def stddev_at(self, times) -> np.ndarray:
         """dO(t) at arbitrary times, from the closed form."""
-        return _moments(self.O_eig, self.rho_eig, _phases(self.freqs, np.asarray(times, dtype=float)), self.floor)[1]
+        return _moments(self.O_eig, self.rho_eig, _phases(self.freqs, np.asarray(times, dtype=float)), self.tol)[1]
 
     @functools.cached_property
     def mid_stddev(self) -> np.ndarray:
@@ -353,18 +351,22 @@ def _phase_trace(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.einsum("ta,ta->t", E @ X, E.conj())
 
 
-def _moments(O_eig: np.ndarray, rho_eig: np.ndarray, E: np.ndarray, floor: float):
+def _moments(O_eig: np.ndarray, rho_eig: np.ndarray, E: np.ndarray, tol: float):
     """<O(t)> and dO(t) at the times of the phase rows E."""
     rho_t = rho_eig.T
     mean = _phase_trace(O_eig * rho_t, E).real
     second = _phase_trace((O_eig @ O_eig) * rho_t, E).real
-    return mean, _spread(second - mean * mean, floor)
+    return mean, _spread(second - mean * mean, variance_floor(tol, O_eig))
+
+
+def variance_floor(tol: float, O: np.ndarray):
+    """tol ||O||^2 for a Hermitian O: how far below 0 a variance of O may round."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tol * hermitian_op_norm(O) ** 2
 
 
 def _spread(var: np.ndarray, floor: float) -> np.ndarray:
-    """sqrt(var) in place, for var = <O^2> - <O>^2; var below -floor is an
-    error, the floor being tol times the square of O's largest |entry|, as
-    the rounding of var grows as ||O||^2."""
+    """sqrt(var) in place, for var = <O^2> - <O>^2; var below -floor is an error."""
     if var.min() < -floor:
         raise NumericError(f"variance {var.min():.3e} below -tolerance along trajectory")
     return np.sqrt(np.clip(var, 0.0, None, out=var), out=var)
@@ -417,12 +419,12 @@ def _evolve_unitary(O0: np.ndarray, gen: UnitaryGenerator, rho: DensityState, gr
     if not math.isfinite(hs):  # else every frequency and the operator norm, at most hs, are finite
         raise NumericError(f"generator speed gen_speed_hs = ||[H, O] / hbar||_HS is {hs} at hbar = {gen.hbar!r}")
     speeds = (np.full(grid.steps + 1, x) for x in (hs, op_norm(comm)))
-    E, floor = _phases(freqs, grid.times()), gen.tol * float(np.abs(O0).max()) ** 2
-    expect, stddev = _moments(O_eig, rho_eig, E, floor)
+    E = _phases(freqs, grid.times())
+    expect, stddev = _moments(O_eig, rho_eig, E, gen.tol)
     series = tuple((M, _phase_trace(O_eig * (Vd @ M @ V).T, E)) for M in probes)
     return UnitaryTrajectory(
         "unitary", grid, expect, stddev, *speeds, gen.dim, series,
-        freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=gen.tol, floor=floor,
+        freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=gen.tol,
     )
 
 
@@ -521,14 +523,14 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     A chunk's samples take at most CHUNK_BYTES (:func:`_spans`).
 
     A grid whose step h has h beta <= THETA, beta the batch's largest
-    :attr:`LindbladGenerator.beta`, takes the Taylor cells at every d: one
-    series on the fused generator gives the samples and speeds of a cell of
-    grid steps, the cells tiling the grid and the chunks setting only where
-    samples are written (:func:`_taylor_chunks`). A stiff step, h beta >
-    THETA, takes the exact propagator exp(h L) for d <= EXACT_MAX_DIM, one
-    batched BLAS product a step, computed once per generator, the speeds
-    applying L to each chunk (:func:`_exact_chunks`); above it the grid is
-    refused before the first generator call. The exact
+    :attr:`LindbladGenerator.beta`, takes the Taylor cells, for d <= EXACT_MAX_DIM
+    only cells of CELL_MIN_STEPS steps or more: one series on the fused generator
+    gives the samples and speeds of a cell of grid steps, the cells tiling the
+    grid and the chunks setting only where samples are written
+    (:func:`_taylor_chunks`). Any other grid is refused above EXACT_MAX_DIM before
+    the first generator call, and up to it takes one batched BLAS product a step
+    with the exact propagator exp(h L), computed once per generator, the speeds
+    applying L to each chunk. The exact
     route rejects a blow-up on every chunk and the stepper at the end of every
     series: an entry of y[b] above INSTABILITY_LIMIT times
     max(1, max |y0[b]|), as the Heisenberg flow does not grow an observable's
@@ -544,7 +546,7 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     gen = max(gens, key=lambda g: g.beta)
     hb = grid.h * gen.beta
     order = _taylor_order(hb, grid.steps)
-    if order is not None:
+    if order is not None and (d > EXACT_MAX_DIM or order[1] >= CELL_MIN_STEPS):
         chunks = _taylor_chunks(_fused_form(gens, heisenberg), y0, grid.h, *order, spans, heisenberg, limit)
     elif d <= EXACT_MAX_DIM:
         chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit)
@@ -618,16 +620,15 @@ def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg
     exp(tau L) on the fused generator f (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 2011), each series read at several grid points (Taylor dense
     output: Jorba & Zou, Exp. Math. 14, 2005). Cells of c steps tile the grid
-    from step 0, one series each: from its first sample y a cell of k steps,
-    tau = k h, holds y and the derivative terms F_n = L U_n of the scaled
-    terms U_n = (tau L)^n y / n!, F_0 = f(y) and F_n = f((tau / n) F_(n-1)),
-    n <= m (n < m for states and for k = 1), each scaled before its call so
-    that no factor divides by tau; its samples y(jh) = sum_n (j/k)^n U_n,
-    U_n = (tau / n) F_(n-1), and speeds L[y(jh)] = sum_n (j/k)^n F_n, j < k,
-    are two products with the Vandermonde rows in a chunk, a cell that
-    crosses chunks holding its terms, and the next cell starts from
-    sum_n U_n. A blow-up is checked at each cell's end; the last sample's
-    speeds take one more call."""
+    from step 0, one series each: a cell of k steps, tau = k h, holds its
+    first sample y and the derivative terms F_n = L U_n of the scaled terms
+    U_n = (tau L)^n y / n! = (tau / n) F_(n-1), F_0 = f(y), n <= m (n < m for
+    states and for k = 1), each scaled before its call, so no factor divides
+    by tau; its samples y(jh) = sum_n (j/k)^n U_n and speeds
+    L[y(jh)] = sum_n (j/k)^n F_n, j < k, are two products with the
+    Vandermonde rows in a chunk, a cell that crosses chunks holding its
+    terms, and the next cell starts from sum_n U_n. A blow-up is checked at
+    each cell's end; the last sample's speeds take one more call."""
     B, last = y.shape[0], spans[-1][1] - 1
     terms = np.empty((m + 2 if heisenberg else m + 1,) + y.shape, dtype=complex)
     for start, end in spans:
@@ -712,7 +713,7 @@ def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes) -> list[Traj
             gens[b].kind,
             grid,
             expect[b],
-            _spread(var[b], gens[b].tol * float(np.abs(O0s[b]).max()) ** 2),
+            _spread(var[b], variance_floor(gens[b].tol, O0s[b])),
             speeds[b, :, 0],
             speeds[b, :, 1],
             rho.shape[-1],
@@ -760,8 +761,7 @@ def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeG
     where the exact T beta / n <= 1 - 2^-54, so the kernel's h beta,
     (T / n) beta rounded twice, is below 1 + 2^-53 and rounds to at most
     THETA = 1: a whole T beta, where ceil(T beta) steps can be refused, is
-    not. So rho(T) takes the Taylor cells at every d but on a stiff grid,
-    where the exact propagator takes it. The kernel picks the
+    not. The kernel picks the
     route and checks the step, stability and trace; rho(T) is validated
     within gen.tol, positivity loss beyond being a warning."""
     _check_state(rho0, gen, "lindblad_final_state")

@@ -11,13 +11,18 @@ def rng():
 
 @pytest.fixture
 def take_stepper(monkeypatch):
-    """A function that makes any later call of the exact Lindblad route fail
-    the test, so that every grid the kernel takes runs on the Taylor cells."""
+    """A function that sends every grid the Taylor cells certify to them at
+    every d, however few steps a cell spans (dynamics.CELL_MIN_STEPS = 0),
+    and makes any later call of the exact Lindblad route fail the test."""
 
     def fail(*args, **kwargs):
         raise AssertionError("the exact Lindblad route was taken")
 
-    return lambda: monkeypatch.setattr(dynamics, "_exact_chunks", fail)
+    def take():
+        monkeypatch.setattr(dynamics, "CELL_MIN_STEPS", 0)
+        monkeypatch.setattr(dynamics, "_exact_chunks", fail)
+
+    return take
 
 
 @pytest.fixture

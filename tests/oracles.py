@@ -460,16 +460,19 @@ def propagate_lindblad(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     A step that the Taylor cells certify, h beta <= dynamics.THETA, is read
     from the cells of the streamed kernel (:func:`taylor_cells`), which tile
     the grid and are read in the pieces that the chunks dynamics.CHUNK_BYTES
-    sets cut them into, and written into one stack. A stiff step is one
-    batched mat-vec with the exact propagator exp(h L), computed once per
-    generator, and the speeds apply L to the samples. Both routes reject a
-    blow-up, and a state's trace is checked at every sample.
+    sets cut them into, and written into one stack, but for
+    d <= dynamics.EXACT_MAX_DIM only where a cell spans at least
+    dynamics.CELL_MIN_STEPS steps. Any other step is one batched mat-vec with
+    the exact propagator exp(h L), computed once per generator, and the
+    speeds apply L to the samples. Both routes reject a blow-up, and a
+    state's trace is checked at every sample.
     """
     times = grid.times()
     y0 = np.asarray(y0, dtype=complex)
     B, d = y0.shape[:2]
     speeds = np.empty((B, times.size, 2)) if heisenberg else None
-    if _taylor_order(grid.h * max(gen.beta for gen in gens), grid.steps) is None:
+    order = _taylor_order(grid.h * max(gen.beta for gen in gens), grid.steps)
+    if order is None or (d <= dynamics.EXACT_MAX_DIM and order[1] < dynamics.CELL_MIN_STEPS):
         Lv = np.stack([liouvillian(gen, heisenberg) for gen in gens])
         P = mat_exp(grid.h * Lv)
         out = np.empty((B, times.size, d * d), dtype=complex)

@@ -403,28 +403,36 @@ def _route_fails(monkeypatch, route):
     monkeypatch.setattr(dynamics, route, fail)
 
 
-def test_the_lindblad_route_follows_the_step(tmp_path, monkeypatch):
-    # a step that the Taylor cells certify, h beta <= 1, takes them at every
-    # d: the built-in Lindblad systems, the dephasing scenario and the audit
-    # call no exact propagator
+def test_the_lindblad_route_follows_the_cell_length(tmp_path, monkeypatch):
+    # at d <= EXACT_MAX_DIM a grid takes the Taylor cells where each spans at
+    # least CELL_MIN_STEPS steps: dephasing.sys on 1000 steps to T = 1 (cells
+    # of 1000 steps), the dephasing scenario (2037) and the audit (993) call
+    # no exact propagator
     with monkeypatch.context() as patch:
         _route_fails(patch, "_exact_chunks")
-        for name, obs in (("dephasing", "O"), ("qutrit_decay", "N")):
-            argv = ["--system", str(SYSTEMS / f"{name}.sys"), "--observable", obs, "--tmax", "1"]
+        argv = ["evolve", "--system", str(SYSTEMS / "dephasing.sys"), "--observable", "O", "--tmax", "1"]
+        for argv in (argv, ["scenario", "dephasing"], ["audit", "--trials", "4"]):
+            code, _, err = run_cli(argv)
+            assert code == 0, (argv, err)
+    # shorter cells take the exact propagator, one product a step: rho(T),
+    # whose steps have h beta just under 1, qutrit_decay.sys to T = 1 (cells
+    # of 430 steps) and to T = 300 (of 1), and a stiff step, h beta > 1:
+    # qutrit_decay.sys with h = 10 and h beta = 23.2, and the stiff qubit of
+    # test_bound_stiff_constant_rate_takes_exact_route with h beta = 2e8
+    with monkeypatch.context() as patch:
+        taken = []
+        for route in ("_exact_chunks", "_taylor_chunks"):
+            patch.setattr(dynamics, route, lambda *a, _r=route, _f=getattr(dynamics, route): taken.append(_r) or _f(*a))
+        code, _, err = run_cli(["bound", "--system", str(SYSTEMS / "dephasing.sys"), "--observable", "O",
+                                "--tmax", "1", "--bounds", "ALL"])
+        assert code == 0 and sorted(taken) == ["_exact_chunks", "_taylor_chunks"], err
+    with monkeypatch.context() as patch:
+        _route_fails(patch, "_taylor_chunks")
+        qutrit = ["--system", str(SYSTEMS / "qutrit_decay.sys"), "--observable", "N"]
+        for argv in ([*qutrit, "--tmax", "1"], [*qutrit, "--tmax", "300"], STIFF_QUTRIT):
             for command in (["bound", *argv, "--bounds", "ALL"], ["evolve", *argv]):
                 code, _, err = run_cli(command)
                 assert code == 0, (command, err)
-        for argv in (["scenario", "dephasing"], ["audit", "--trials", "4"]):
-            code, _, err = run_cli(argv)
-            assert code == 0, (argv, err)
-    # a stiff step, h beta > 1, takes the exact propagator within its limit:
-    # on qutrit_decay.sys h = 10 and h beta = 23.2, and the stiff qubit of
-    # test_bound_stiff_constant_rate_takes_exact_route has h beta = 2e8
-    with monkeypatch.context() as patch:
-        _route_fails(patch, "_taylor_chunks")
-        for command in ("bound", "evolve"):
-            code, _, err = run_cli([command, *STIFF_QUTRIT])
-            assert code == 0, (command, err)
         test_bound_stiff_constant_rate_takes_exact_route(tmp_path)
     # and above its limit a stiff step is refused
     text = ("[system]\ndim = 5\n[state]\nket = [1, 1, 1, 1, 1]\n[jump]\nmatrix = "
@@ -476,6 +484,17 @@ def test_the_variance_floors_scale_with_the_observable(tmp_path):
 def test_the_projector_slot_is_relative_to_the_observable(tmp_path):
     # |O^2 - O| <= 1e-9 held for O = 1e-10 X, which is no projector
     assert "STATE_MT" not in _scaled_tight_qubit(tmp_path, 1e-10)
+    # the slot's tolerance scales with ||O||, which is 1 for every projector
+    # however its weight is spread: the projector onto the uniform state at
+    # d = 8, its entries 1/8 written as 0.1249999995, has |O^2 - O| = 5e-10 in
+    # each, within 1e-9 but not within 1e-9 times its largest entry
+    row = "[" + ", ".join(["0.1249999995"] * 8) + "]"
+    H = "[" + ", ".join("[" + ", ".join(str(int(i == j) * i) for j in range(8)) + "]" for i in range(8)) + "]"
+    path = tmp_path / "uniform_8.sys"
+    path.write_text(f"[system]\ndim = 8\n[hamiltonian]\nmatrix = {H}\n[state]\nket = [1, 1, 0, 0, 0, 0, 0, 0]\n"
+                    f"[observable P]\nmatrix = [{', '.join([row] * 8)}]\n")
+    code, out, err = run_cli(["bound", "--system", str(path), "--observable", "P", "--tmax", "1", "--bounds", "ALL"])
+    assert code == 0 and "\nSTATE_MT," in out, err
 
 
 def test_bound_json_schema(dephasing_path):
@@ -618,8 +637,8 @@ def test_overflowed_generator_speed_is_a_numeric_error(name, obs, command):
 
 
 def register_text(c=1.0, dim=32):
-    """A Lindblad register of log2(dim) qubits (the Taylor stepper at every dim,
-    within the exact route's limit at dim = 2): H = X on the first qubit, the jump Z there at rate
+    """A Lindblad register of log2(dim) qubits (the Taylor stepper at dim = 32, the
+    exact one at dim = 2): H = X on the first qubit, the jump Z there at rate
     0.5, the all-ones ket, or [1, 0] on one qubit, and O = c Z there."""
     rest = "I" * (dim.bit_length() - 2)
     ket = ", ".join(["1"] + ["1" if dim > 2 else "0"] * (dim - 1))

@@ -345,11 +345,13 @@ def test_grid_cells_match_the_chunk_capped_cells_they_replaced(dim, monkeypatch)
 
 @pytest.mark.parametrize("heisenberg", [True, False])
 @pytest.mark.parametrize("dim, batch", [(2, 3), (3, 1), (EXACT_MAX_DIM + 1, 1), (17, 2), (32, 1)])
-def test_derivative_terms_match_the_division_form_they_replaced(dim, batch, heisenberg):
+def test_derivative_terms_match_the_division_form_they_replaced(dim, batch, heisenberg, take_stepper):
     # the cells hold F_n = L U_n and read the speeds from them, where the
     # replaced form held U_(n+1) and divided by tau; with chunks of the
     # default size the cells of 300 steps cross them, and the two forms agree
-    # within 1e-13 relative, samples and speeds alike
+    # within 1e-13 relative, samples and speeds alike (the cells forced at
+    # d <= EXACT_MAX_DIM, where cells this short take the exact route)
+    take_stepper()
     cases = [_random_case(dim, seed=12 + b) for b in range(batch)]
     gens, y0 = [c[0] for c in cases], np.stack([c[1] if heisenberg else c[2].matrix for c in cases])
     grid = TimeGrid(1.0, 300)
@@ -529,7 +531,7 @@ def _kernel_grids(monkeypatch) -> list:
 @pytest.mark.parametrize("dim", [2, 3, 8, 16, 17])
 def test_final_state_matches_expm_of_liouvillian(dim, n_jumps):
     # T beta is at most 4.3 here, so rho(T) is the kernel's last sample on at
-    # most 5 steps, one series a step at every d
+    # most 5 steps: the exact propagator for d <= 4, one series a step above
     gen, _, rho = _random_case(dim, seed=5, n_jumps=n_jumps)
     grid = TimeGrid(2.5, 200)
     ref = _expm_reference(gen, rho, grid.T)
@@ -539,7 +541,9 @@ def test_final_state_matches_expm_of_liouvillian(dim, n_jumps):
 
 @pytest.mark.parametrize("dim", [2, 3, 16, 17])
 def test_final_state_matches_last_trajectory_sample(dim):
-    # the stepper's last sample on 1000 steps and on the fewest steps, at every d
+    # rho(T) on the fewest steps against the last of the grid's 1000 samples:
+    # for d <= EXACT_MAX_DIM the exact propagator's against the cells' (of
+    # 633 and 643 steps), above it the stepper's on both
     gen, _, rho = _random_case(dim, seed=6)
     grid = TimeGrid(1.0, 1000)
     rho_T = lindblad_final_state(rho, gen, grid)
@@ -578,7 +582,7 @@ def test_final_state_falls_back_to_the_kernel(gen, rho, grid):
 @pytest.mark.parametrize("T, steps", [(1.0, 3), (300.0, 697)])
 def test_a_long_horizon_final_state_takes_the_kernel(T, steps, monkeypatch):
     # on qutrit_decay.sys T beta is 2.3 at T = 1 and 696.7 at T = 300: rho(T)
-    # is the Taylor cells' last sample on 3 and 697 steps, never on the
+    # is the exact route's last sample on 3 and 697 steps, never on the
     # 1000 steps of the grid
     spec = parse_system(builtin_text("qutrit_decay"))
     gen, rho, grid = spec.generator, spec.initial_state, TimeGrid(T, 1000)
@@ -592,7 +596,7 @@ def test_a_long_horizon_final_state_takes_the_kernel(T, steps, monkeypatch):
 @pytest.mark.parametrize("dim", [EXACT_MAX_DIM + 1, 17])
 def test_final_state_above_the_exact_route_is_one_kernel_run_on_the_fewest_steps(dim, monkeypatch):
     # T beta = 3.3 and 3.5: one lindblad_chunks call on 4 steps, none on the
-    # grid's 1000 (qutrit_decay.sys within the exact route's limit: the test above)
+    # grid's 1000 (qutrit_decay.sys on the exact route: the test above)
     gen, _, rho = _random_case(dim, seed=5)
     grids = _kernel_grids(monkeypatch)
     lindblad_final_state(rho, gen, TimeGrid(2.5, 1000))
@@ -601,18 +605,16 @@ def test_final_state_above_the_exact_route_is_one_kernel_run_on_the_fewest_steps
 
 @pytest.mark.parametrize("dim", range(2, EXACT_MAX_DIM + 1))
 def test_final_state_at_the_exact_route_takes_no_series(dim, monkeypatch):
-    # the route follows the step: within the exact route's limit, T beta past
-    # the grid's 10 steps makes each step stiff, h beta > 1, and only the
-    # exact propagator takes it
+    # rho(T)'s steps have h beta just under 1, so its cells would span one
+    # step each, fewer than CELL_MIN_STEPS: within the exact route's limit the
+    # exact propagator takes them, and no series
     def fail(*args, **kwargs):
         raise AssertionError("the Taylor stepper was taken")
 
     monkeypatch.setattr(dynamics, "_taylor_chunks", fail)
     gen, _, rho = _random_case(dim, seed=5)
-    grid = TimeGrid(25.0, 10)
-    assert grid.h * gen.beta > dynamics.THETA
-    ref = _expm_reference(gen, rho, grid.T)
-    rho_T = lindblad_final_state(rho, gen, grid).matrix
+    ref = _expm_reference(gen, rho, 2.5)
+    rho_T = lindblad_final_state(rho, gen, TimeGrid(2.5, 1000)).matrix
     assert np.abs(rho_T - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

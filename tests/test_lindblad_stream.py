@@ -249,11 +249,14 @@ def test_kraus_memory_grows_only_by_the_scalar_series():
 
 @pytest.mark.parametrize("steps", [CHUNK, 2 * CHUNK + 1])
 def test_audit_block_equals_full_stack_reductions(steps, monkeypatch, block_declares_units, take_exact):
-    # on the block's own route, the Taylor cells, and forced onto the exact propagator
+    # on the Taylor cells, the route of the audit's own grid, forced here as
+    # cells this short take the exact propagator, and forced onto that
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * 16 * 3 * 4)
     grid = TimeGrid(audit.LINDBLAD_T, steps)
     for route in ("cells", "exact"):
-        if route == "exact":
+        if route == "cells":
+            monkeypatch.setattr(dynamics, "CELL_MIN_STEPS", 0)
+        else:
             take_exact(2)
         trials = [audit._sample_trial(3, 2, i) for i in range(3)]
         audit._integrate_lindblad_block(trials, grid)
