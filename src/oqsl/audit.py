@@ -6,22 +6,25 @@ stays deterministic and side-effect free. Every trial owns a generator seeded
 from (seed, dim, index); summaries are therefore bit-identical for a fixed
 seed. Each samples the commutator bounds' second observable B independently
 of O, so the pair need not commute at t = 0. The trials of one dimension
-form a block, evolved through the batched kernels that the CLI also uses:
+form two half-blocks, trials [0, n/2) and [n/2, n), each evolved through the
+batched kernels that the CLI also uses:
 Lindblad in both pictures (observables through ``dynamics.trajectories``
 and states through ``dynamics.lindblad_chunks``, on the route that it picks
 for the audit's grid) and, for qubits, Kraus (``trajectories``).
 Their chunks are reduced as they arrive, so each trial keeps its evaluation
-contexts, whose trajectories hold the scalar series and the series its
-bounds and rate audit declare, and tr(O rho(t)), but no sample stack. The
-two blocks share no data: where the process may use two CPUs and runs no
-other thread, a forked child runs the qutrit block beside the qubit block
-and sends back its per-trial results, and otherwise the qubit block is
-evaluated before the qutrit block is integrated. Either way each block runs
-the same arithmetic, so the summary is the same to the last bit.
+contexts, whose trajectories hold the series its bounds and rate audit
+declare (an operator-norm speed on pure trials only), and tr(O rho(t)), but
+no sample stack. The half-blocks share no data: where the process may use
+two CPUs and runs no other thread, a forked child runs the second half of
+each dimension beside the first and sends back its per-trial results, and
+otherwise the four run in turn, each evaluated before the next is
+integrated. Either way each runs the same arithmetic, so the summary is the
+same to the last bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import threading
@@ -150,14 +153,16 @@ def _integrate_lindblad_block(trials: list[_Trial], grid: TimeGrid) -> None:
     gens = [LindbladGenerator(H=t.H, jumps=t.jumps) for t in trials]
     rhos = [t.rho for t in trials]
     contexts = [bounds.EvalContext(gen, grid, t.O, t.rho, None, B=t.B, rates=True) for t, gen in zip(trials, gens)]
-    trajs = trajectories(gens, np.stack([t.O for t in trials]), rhos, grid, [ctx.probes for ctx in contexts])
+    O0s, probes, reads = np.stack([t.O for t in trials]), [c.probes for c in contexts], [c.reads for c in contexts]
+    trajs = trajectories(gens, O0s, rhos, grid, probes, reads)
     for t, ctx, traj in zip(trials, contexts, trajs):
         ctx.traj, t.lindblad = traj, ctx
     if trials[0].dim == 2:
         contexts = [bounds.EvalContext(DephasingKraus(t.kraus_gamma), KRAUS_GRID, sigma_x, t.rho, None) for t in trials]
         families = [ctx.generator for ctx in contexts]
         O0s = np.broadcast_to(sigma_x, (len(trials), 2, 2))
-        trajs = trajectories(families, O0s, rhos, KRAUS_GRID, [ctx.probes for ctx in contexts])
+        probes, reads = [c.probes for c in contexts], [c.reads for c in contexts]
+        trajs = trajectories(families, O0s, rhos, KRAUS_GRID, probes, reads)
         for t, ctx, traj in zip(trials, contexts, trajs):
             ctx.traj, t.kraus = traj, ctx
     rho_expect = np.empty((len(trials), grid.steps + 1))
@@ -201,37 +206,46 @@ def _evaluate_trial(trial: _Trial) -> dict:
 # driver
 
 
-def _run_block(seed: int, dim: int, count: int) -> list[dict]:
-    """The per-trial results of the block of ``count`` trials of dimension
-    ``dim``; its samples are dropped when it returns."""
-    block = [_sample_trial(seed, dim, i) for i in range(count)]
+def _run_block(seed: int, dim: int, start: int, stop: int) -> list[dict]:
+    """The per-trial results of the block of trials [start, stop) of
+    dimension ``dim``; its samples are dropped when it returns."""
+    block = [_sample_trial(seed, dim, i) for i in range(start, stop)]
     _integrate_lindblad_block(block, LINDBLAD_GRID)
     return [_evaluate_trial(t) for t in block]
 
 
+def _run_halves(seed: int, halves) -> list:
+    """The results of each half-block in turn, up to the first that raises,
+    whose exception ends the list (run_audit raises it in the serial order)."""
+    out = []
+    try:
+        for half in halves:
+            out.append(_run_block(seed, *half))
+    except Exception as exc:
+        out.append(exc)
+    return out
+
+
 def _may_fork(n_qubit: int, n_qutrit: int) -> bool:
-    """Whether the two blocks may run in two processes: both have trials, the
-    process may run on two CPUs (``sched_getaffinity`` exists on Linux only),
-    and it has no other thread, which a fork would not copy."""
-    if n_qubit < 1 or n_qutrit < 1 or not hasattr(os, "sched_getaffinity"):
+    """Whether the half-blocks may run in two processes: the parent's first
+    halves have trials, the process may run on two CPUs (``sched_getaffinity``
+    exists on Linux only), and it has no other thread, which a fork would not copy."""
+    if n_qubit // 2 + n_qutrit // 2 < 1 or not hasattr(os, "sched_getaffinity"):
         return False
     return len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
 
 
-def _run_blocks_forked(seed: int, n_qubit: int, n_qutrit: int) -> list[dict]:
-    """The qubit block here and the qutrit block in a forked child, which
-    pickles its results, or the exception it raised, into a pipe; the results
-    come back in the serial order, and no child outlives the call."""
+def _run_halves_forked(seed: int, halves) -> list:
+    """The first half of each dimension here and the second in a forked
+    child, which pickles its outcomes (:func:`_run_halves`) into a pipe; the
+    outcomes come back in the serial order, and no child outlives the call."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            try:
-                payload = _run_block(seed, 3, n_qutrit)
-            except Exception as exc:  # re-raised in the parent
-                payload = exc
+            payload = _run_halves(seed, halves[1::2])
             with os.fdopen(write_fd, "wb") as pipe:
                 pickle.dump(payload, pipe)
             status = 0
@@ -241,7 +255,7 @@ def _run_blocks_forked(seed: int, n_qubit: int, n_qutrit: int) -> list[dict]:
     os.close(write_fd)
     with os.fdopen(read_fd, "rb") as pipe:
         try:
-            qubit = _run_block(seed, 2, n_qubit)
+            first = _run_halves(seed, halves[0::2])
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         except BaseException:
@@ -253,23 +267,21 @@ def _run_blocks_forked(seed: int, n_qubit: int, n_qutrit: int) -> list[dict]:
     if code != 0:
         # the child writes its whole payload, or dies before exit status 0
         raise NumericError(f"the audit's qutrit block ended with exit status {code} and no result")
-    qutrit = pickle.loads(data)  # written by the child above
-    if isinstance(qutrit, Exception):
-        raise qutrit
-    return qubit + qutrit
+    second = pickle.loads(data)  # written by the child above
+    return [x for pair in itertools.zip_longest(first, second) for x in pair if x is not None]
 
 
 def run_audit(n_qubit: int = 100, n_qutrit: int = 50, seed: int = 42) -> AuditSummary:
     """Run the full validity/rate/duality sweep and aggregate max violations."""
-    if _may_fork(n_qubit, n_qutrit):
-        results = _run_blocks_forked(seed, n_qubit, n_qutrit)
-    else:
-        results = _run_block(seed, 2, n_qubit) + _run_block(seed, 3, n_qutrit)
-
+    # the four half-blocks (dim, start, stop) in the serial order
+    halves = [(dim, lo, hi) for dim, n in ((2, n_qubit), (3, n_qutrit)) for lo, hi in ((0, n // 2), (n // 2, n))]
+    outcomes = _run_halves_forked(seed, halves) if _may_fork(n_qubit, n_qutrit) else _run_halves(seed, halves)
     worst: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}
-    for res in results:
-        for key, v in res.items():
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):  # the first in the serial order
+            raise outcome
+        for key, v in (item for res in outcome for item in res.items()):
             worst[key] = max(worst.get(key, float("-inf")), v)
             counts[key] = counts.get(key, 0) + 1
     rows = [

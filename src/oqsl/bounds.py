@@ -7,15 +7,16 @@ whether the actual horizon T respects the computed lower bound T_qsl.
 :data:`REGISTRY` is the one table of bounds: each :class:`BoundSpec` names
 the dynamics kinds it applies to, what else it needs (a spread of the
 energy, a pure state, a self-inverse or projector observable, a second
-observable, the final Schrodinger state), and how it evaluates on an
-:class:`EvalContext`. The CLI, the audit and the ``tight-qubit`` and
+observable, the final Schrodinger state), the series it reads (``reads``),
+and how it evaluates on an :class:`EvalContext`. The CLI, the audit and the ``tight-qubit`` and
 ``battery-degenerate`` scenarios evaluate through it, and the table order is
 the report order; the ``dephasing`` and ``kraus-dephasing`` scenarios call
 :func:`oqsl_generator_hs`, :func:`qsl_delcampo` and :func:`oqsl_kraus`
 directly, on prefixes of one trajectory and on a Kraus trajectory.
 Conventions shared by all bounds:
 
-* a numerator within ``ZERO_TOL`` of zero yields T_qsl = 0 exactly (an
+* a numerator within ``ZERO_TOL`` times its scale (||O||_op for <O>,
+  ||O||_op ||M|| for a probe series tr(O(t) M)) yields T_qsl = 0 exactly (an
   unchanged expectation costs no time);
 * a zero denominator with a nonzero numerator is an inconsistency and raises
   :class:`~oqsl.linalg.NumericError`, never returns infinity;
@@ -48,11 +49,13 @@ from .linalg import (
     ValidationError,
     as_matrix,
     checked_hermitian,
+    hermitian_op_norm,
     hs_norm,
     op_norm,
     variance,
 )
 
+# relative to ||O||_op (a change of <O>, the spread dO) or ||O||_op ||M|| (a probe series)
 ZERO_TOL = 1e-12
 EPS_VAR = 1e-12
 VALID_TOL = 1e-6
@@ -99,25 +102,26 @@ def _report(bound_id, T, T_qsl, inputs, details) -> BoundReport:
     )
 
 
-def _ratio(bound_id, numerator, denominator, what) -> float:
-    if numerator <= ZERO_TOL:
+def _ratio(bound_id, numerator, denominator, what, scale=1.0) -> float:
+    if numerator <= ZERO_TOL * scale:
         return 0.0
     if denominator <= 0.0:
         raise NumericError(f"{bound_id}: {what} is zero while the numerator changed")
     return numerator / denominator
 
 
-def _speed_bound(bound_id, traj, change, weight, what, inputs, details, op=False) -> BoundReport:
-    """T_qsl = change / (weight * Lambda_T): the change of a series whose rate
-    is at most weight times the generator speed, Lambda_T the time average
-    (trapezoid rule) of ``traj.gen_speed_hs``, or of ``gen_speed_op`` when
-    ``op``, reported as ``lambda_T`` or ``lambda_T_op``."""
+def _speed_bound(bound_id, traj, change, weight, what, inputs, details, op=False, scale=1.0) -> BoundReport:
+    """T_qsl = change / (weight * Lambda_T): the change of a series of scale
+    ``scale`` times ||O||_op whose rate is at most weight times the generator
+    speed, Lambda_T the time average (trapezoid rule) of
+    ``traj.gen_speed_hs``, or of ``gen_speed_op`` when ``op``, reported as
+    ``lambda_T`` or ``lambda_T_op``."""
     speeds, name = (traj.gen_speed_op, "lambda_T_op") if op else (traj.gen_speed_hs, "lambda_T")
     with np.errstate(over="ignore"):  # a huge step overflows, and raises below
         lam = float(np.trapezoid(speeds, dx=traj.grid.h)) / traj.grid.T
     if not math.isfinite(lam):
         raise NumericError(f"{bound_id}: the mean speed {name} is {lam} over T = {traj.grid.T!r}")
-    tqsl = _ratio(bound_id, change, weight * lam, what)
+    tqsl = _ratio(bound_id, change, weight * lam, what, scale * traj.o_op)
     return _report(bound_id, traj.grid.T, tqsl, inputs, {**details, name: lam})
 
 
@@ -130,12 +134,12 @@ def _expect_speed_bound(bound_id, traj, rho, weight, what) -> BoundReport:
     return _speed_bound(bound_id, traj, change, weight * np.sqrt(rho.purity), what, inputs, details)
 
 
-def _norm_bound(bound_id, ends, weight, norm, what, hbar, T, inputs, details) -> BoundReport:
+def _norm_bound(bound_id, ends, weight, norm, what, hbar, T, inputs, details, o_op) -> BoundReport:
     """T_qsl = hbar |<O(T)> - <O(0)>| / (2 weight norm) for ``ends`` =
-    (<O(0)>, <O(T)>): the change of <O> at a rate of at most 2 weight norm /
-    hbar."""
+    (<O(0)>, <O(T)>): the change of <O>, of norm ``o_op``, at a rate of at
+    most 2 weight norm / hbar."""
     expect0, expectT = ends
-    tqsl = hbar / (2.0 * weight) * _ratio(bound_id, abs(expectT - expect0), norm, what)
+    tqsl = hbar / (2.0 * weight) * _ratio(bound_id, abs(expectT - expect0), norm, what, o_op)
     return _report(bound_id, T, tqsl, inputs, {"expect0": float(expect0), "expectT": float(expectT), **details})
 
 
@@ -150,8 +154,8 @@ def _mt_integral_core(bound_id, traj, delta_H, hbar):
     # the spread at the true cell midpoints: averaging the endpoint spreads
     # overestimates the integrand where dO -> 0 and can push T_qsl above T
     mid_std = traj.mid_stddev
-    usable = mid_std >= EPS_VAR
-    contrib = np.where(usable & (d_expect > ZERO_TOL), d_expect / np.where(usable, mid_std, 1.0), 0.0)
+    usable = mid_std >= EPS_VAR * traj.o_op
+    contrib = np.where(usable & (d_expect > ZERO_TOL * traj.o_op), d_expect / np.where(usable, mid_std, 1.0), 0.0)
     integral = float(contrib.sum())
     T = traj.grid.T
     tqsl = hbar / (2.0 * delta_H) * integral
@@ -174,7 +178,7 @@ def oqsl_mt_integral(traj: Trajectory, delta_H: float, hbar: float = 1.0) -> Bou
 
     by the midpoint rule over grid cells, with dO evaluated in closed form at
     each cell's midpoint; cells whose midpoint spread falls below ``EPS_VAR``
-    contribute zero and are counted in the details.
+    ||O||_op contribute zero and are counted in the details.
     """
     if traj.kind != "unitary":
         raise ValidationError("MT_INTEGRAL requires a unitary-kind trajectory")
@@ -246,32 +250,21 @@ def state_qsl_projector(
     return _report("STATE_MT", T, tqsl, (p0c, pTc, delta_H, hbar, T), details)
 
 
-def oqsl_purity_hs(
-    expect0: float,
-    expectT: float,
-    rho: DensityState,
-    oh_hs: float,
-    T: float,
-    hbar: float = 1.0,
-) -> BoundReport:
-    """Purity-weighted Hilbert-Schmidt bound:
+def oqsl_purity_hs(expect0: float, expectT: float, rho: DensityState, oh_hs: float, T: float, hbar: float = 1.0,
+                   o_op: float = 1.0) -> BoundReport:
+    """Purity-weighted Hilbert-Schmidt bound, 0 within ZERO_TOL ||O||_op (``o_op``):
 
     T_qsl = (hbar / 2 sqrt(tr rho^2)) |<O(T)> - <O(0)>| / ||O(0) H||_hs.
     """
     inputs = (expect0, expectT, rho.purity, oh_hs, hbar, T)
     details = {"purity": rho.purity, "oh_hs": float(oh_hs)}
-    what = "||O(0)H||_hs"
-    return _norm_bound("PURITY_HS", (expect0, expectT), np.sqrt(rho.purity), oh_hs, what, hbar, T, inputs, details)
+    what, weight = "||O(0)H||_hs", np.sqrt(rho.purity)
+    return _norm_bound("PURITY_HS", (expect0, expectT), weight, oh_hs, what, hbar, T, inputs, details, o_op)
 
 
-def oqsl_min_norm(
-    expect0: float,
-    expectT: float,
-    oh_op: float,
-    T: float,
-    hbar: float = 1.0,
-) -> BoundReport:
-    """Minimum-norm bound for pure initial states:
+def oqsl_min_norm(expect0: float, expectT: float, oh_op: float, T: float, hbar: float = 1.0,
+                  o_op: float = 1.0) -> BoundReport:
+    """Minimum-norm bound for pure initial states, 0 within ZERO_TOL ||O||_op (``o_op``):
 
     T_qsl = (hbar / 2) |<O(T)> - <O(0)>| / ||O(0)H||_op,
 
@@ -280,7 +273,7 @@ def oqsl_min_norm(
     """
     inputs = (expect0, expectT, oh_op, hbar, T)
     details = {"oh_op": float(oh_op)}
-    return _norm_bound("MIN_NORM", (expect0, expectT), 1.0, oh_op, "||O(0)H||_op", hbar, T, inputs, details)
+    return _norm_bound("MIN_NORM", (expect0, expectT), 1.0, oh_op, "||O(0)H||_op", hbar, T, inputs, details, o_op)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +348,7 @@ def oqsl_state_independent(O0: np.ndarray, traj: Trajectory) -> BoundReport:
     o0_hs = float(hs_norm(O0))
     details = {"overlap_change": num, "o0_hs": o0_hs}
     inputs = (O0, X, traj.gen_speed_hs)
-    return _speed_bound("STATE_INDEP", traj, num, o0_hs, "||O(0)||_hs * mean speed", inputs, details)
+    return _speed_bound("STATE_INDEP", traj, num, o0_hs, "||O(0)||_hs * mean speed", inputs, details, scale=o0_hs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +367,7 @@ def _battery_ct1(c: EvalContext) -> BoundReport:
 def _battery_ct2(c: EvalContext) -> BoundReport:
     details, inputs = {"hbht_op": c.oh_op}, (c.O, c.H - c.O, c.rho.matrix, c.T, c.hbar)
     what = "||HB(0)(HB+HC)||_op"
-    return _norm_bound("BATTERY_CT2", c.ends(), 1.0, c.oh_op, what, c.hbar, c.T, inputs, details)
+    return _norm_bound("BATTERY_CT2", c.ends(), 1.0, c.oh_op, what, c.hbar, c.T, inputs, details, c.traj.o_op)
 
 
 def battery_bounds(
@@ -440,7 +433,7 @@ def two_time_correlation(
     first = traj.trace_with(probe)
     mean0 = float(np.trace(probe).real)
     C = first - traj.expect * mean0
-    c0, floor = complex(C[0]), variance_floor(max(tol, 1e-8), A0)
+    c0, floor = complex(C[0]), variance_floor(max(tol, 1e-8), hermitian_op_norm(A0))
     if abs(c0.imag) > floor or c0.real < -floor:
         raise NumericError(f"C(0)={c0!r} is not a nonnegative variance within tolerance")
     return C
@@ -454,12 +447,13 @@ def _growth_qsl(name, X, traj, y_op, y, details, inputs) -> BoundReport:
     T_qsl = |X(T) - X(0)| / (2 ||Y(0)||_op * Lambda_T),
 
     Lambda_T the time average of ``gen_speed_op``, which carries the
-    generator's hbar, and |X(T) - X(0)| the complex modulus."""
+    generator's hbar, and |X(T) - X(0)| the complex modulus, 0 within
+    ZERO_TOL 2 ||A||_op ||Y(0)||_op."""
     if traj.kind not in ("unitary", "lindblad"):
         raise ValidationError(f"{name} requires a unitary- or lindblad-kind trajectory")
     bound_id = f"{name}_{'CLOSED' if traj.kind == 'unitary' else 'OPEN'}"
     what = f"2 ||{y}(0)||_op * mean speed"
-    return _speed_bound(bound_id, traj, abs(complex(X[-1] - X[0])), 2.0 * y_op, what, inputs, details, op=True)
+    return _speed_bound(bound_id, traj, abs(complex(X[-1] - X[0])), 2 * y_op, what, inputs, details, True, 2 * y_op)
 
 
 def corr_qsl(C: np.ndarray, traj: Trajectory, a0_op: float) -> BoundReport:
@@ -545,11 +539,12 @@ class EvalContext:
     rate audit's probe, dH, O H and its norms, the final state) is a
     ``functools.cached_property``, computed once, on first use.
 
-    ``ids`` is the selection that :func:`select`, :attr:`probes` and
-    :func:`evaluate_all` read: the bounds named, in order, or every
-    applicable one when None. ``evolve`` is an evolution entry point, called
-    as ``evolve(O, generator, rho, grid, probes)`` with the series of
-    :attr:`probes` to keep, so bounds are selected before anything evolves;
+    ``ids`` is the selection that :func:`select`, :attr:`probes`,
+    :attr:`reads` and :func:`evaluate_all` read: the bounds named, in order,
+    or every applicable one when None. ``evolve`` is an evolution entry
+    point, called as ``evolve(O, generator, rho, grid, probes, reads)`` with
+    the series of :attr:`probes` to keep and of :attr:`reads` to compute, so
+    bounds are selected before anything evolves;
     a caller that evolves many contexts at once, like the audit's Lindblad
     and Kraus blocks, sets ``traj`` instead. ``rates`` declares the rate
     audit's probe too. ``self_inverse`` and ``projector`` are the
@@ -590,7 +585,7 @@ class EvalContext:
 
     @cached_property
     def traj(self) -> Trajectory:
-        traj = self.evolve(self.O, self.generator, self.rho, self.grid, probes=self.probes)
+        traj = self.evolve(self.O, self.generator, self.rho, self.grid, probes=self.probes, reads=self.reads)
         if traj.kind != self.kind:
             raise ValidationError(f"a {traj.kind} evolution does not follow a {self.kind} generator")
         return traj
@@ -602,6 +597,13 @@ class EvalContext:
         the series tr(O(t) M) the trajectory must keep."""
         probes = tuple(s.probe(self) for s in select(self) if s.probe is not None)
         return probes + (self.rate_matrix,) if self.rates else probes
+
+    @cached_property
+    def reads(self) -> frozenset:
+        """The series that the selected bounds read, and when ``rates`` is
+        set the rate audit's: dO on a unitary context, else the HS speed."""
+        reads = {read for s in select(self) for read in s.reads}
+        return frozenset(reads | ({"stddev" if self.kind == "unitary" else "speed_hs"} if self.rates else set()))
 
     @cached_property
     def rate_matrix(self) -> np.ndarray:
@@ -660,26 +662,29 @@ def _delcampo(c: EvalContext) -> BoundReport:
 
 class BoundSpec:
     """A bound: its id, the dynamics kinds it applies to, the context entries
-    it needs (:meth:`EvalContext.has`), its evaluation on a context, and the
+    it needs (:meth:`EvalContext.has`), its evaluation on a context, the
     probe matrix M whose series tr(O(t) M) it reads from the trajectory
-    (:attr:`EvalContext.probes`)."""
+    (:attr:`EvalContext.probes`), and the other series it reads there, a
+    subset of ``dynamics.READS`` (:attr:`EvalContext.reads`)."""
 
     def __init__(self, id: str, kinds: tuple, needs: tuple, evaluate: Callable[[EvalContext], BoundReport],
-                 probe: Callable[[EvalContext], np.ndarray] | None = None):
+                 probe: Callable[[EvalContext], np.ndarray] | None = None, reads: tuple = ()):
         self.id, self.kinds, self.needs, self.evaluate, self.probe = id, kinds, needs, evaluate, probe
+        self.reads = reads
 
     def applies(self, ctx: EvalContext) -> bool:
         return ctx.kind in self.kinds and all(ctx.has(n) for n in self.needs)
 
 
 _U, _L, _UL = ("unitary",), ("lindblad",), ("unitary", "lindblad")
+_SD, _HS, _OP = ("stddev",), ("speed_hs",), ("speed_op",)
 _CORR_PROBE, _COMM_PROBE = (lambda c: correlation_probe(c.O, c.rho)), (lambda c: commutator_probe(c.B, c.rho))
 # each twin pair has one evaluation: the trajectory's kind picks the id it reports
 _CORR = lambda c: corr_qsl(two_time_correlation(c.O, c.traj, c.rho, tol=c.tol), c.traj, float(op_norm(c.O)))
 _COMM = lambda c: commutator_qsl(c.B, c.traj, c.rho, tol=c.tol)
 
 REGISTRY = (
-    BoundSpec("MT_INTEGRAL", _U, ("spread",), lambda c: oqsl_mt_integral(c.traj, c.delta_H, hbar=c.hbar)),
+    BoundSpec("MT_INTEGRAL", _U, ("spread",), lambda c: oqsl_mt_integral(c.traj, c.delta_H, hbar=c.hbar), reads=_SD),
     BoundSpec(
         "STATE_MT",
         _U,
@@ -692,18 +697,18 @@ REGISTRY = (
         ("spread", "self_inverse"),
         lambda c: oqsl_self_inverse(*_slot_ends(c, c.self_inverse, -1.0), c.delta_H, c.T, hbar=c.hbar, tol=c.tol),
     ),
-    BoundSpec("PURITY_HS", _U, (), lambda c: oqsl_purity_hs(*c.ends(), c.rho, c.oh_hs, c.T, hbar=c.hbar)),
-    BoundSpec("GENERATOR_HS", _UL, (), lambda c: oqsl_generator_hs(c.traj, c.rho)),
+    BoundSpec("PURITY_HS", _U, (), lambda c: oqsl_purity_hs(*c.ends(), c.rho, c.oh_hs, c.T, c.hbar, c.traj.o_op)),
+    BoundSpec("GENERATOR_HS", _UL, (), lambda c: oqsl_generator_hs(c.traj, c.rho), reads=_HS),
     BoundSpec("DELCAMPO", _L, ("final_state",), _delcampo),
-    BoundSpec("STATE_INDEP", _UL, (), lambda c: oqsl_state_independent(c.O, c.traj), lambda c: c.O),
-    BoundSpec("MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), c.oh_op, c.T, hbar=c.hbar)),
-    BoundSpec("BATTERY_CT1", _U, ("pure",), _battery_ct1),
+    BoundSpec("STATE_INDEP", _UL, (), lambda c: oqsl_state_independent(c.O, c.traj), lambda c: c.O, _HS),
+    BoundSpec("MIN_NORM", _U, ("pure",), lambda c: oqsl_min_norm(*c.ends(), c.oh_op, c.T, c.hbar, c.traj.o_op)),
+    BoundSpec("BATTERY_CT1", _U, ("pure",), _battery_ct1, reads=_SD),
     BoundSpec("BATTERY_CT2", _U, ("pure",), _battery_ct2),
-    BoundSpec("CORR_CLOSED", _U, ("pure",), _CORR, _CORR_PROBE),
-    BoundSpec("CORR_OPEN", _L, ("pure",), _CORR, _CORR_PROBE),
-    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), _COMM, _COMM_PROBE),
-    BoundSpec("COMM_OPEN", _L, ("pure", "B"), _COMM, _COMM_PROBE),
-    BoundSpec("KRAUS", ("kraus",), (), lambda c: oqsl_kraus(c.traj, c.rho)),
+    BoundSpec("CORR_CLOSED", _U, ("pure",), _CORR, _CORR_PROBE, _OP),
+    BoundSpec("CORR_OPEN", _L, ("pure",), _CORR, _CORR_PROBE, _OP),
+    BoundSpec("COMM_CLOSED", _U, ("pure", "B"), _COMM, _COMM_PROBE, _OP),
+    BoundSpec("COMM_OPEN", _L, ("pure", "B"), _COMM, _COMM_PROBE, _OP),
+    BoundSpec("KRAUS", ("kraus",), (), lambda c: oqsl_kraus(c.traj, c.rho), reads=_HS),
 )
 
 BOUND_IDS = tuple(spec.id for spec in REGISTRY)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bounds
 from .dynamics import (
+    READS,
     LindbladGenerator,
     TimeGrid,
     UnitaryGenerator,
@@ -69,18 +70,19 @@ def _generator(spec: SystemSpec, args: argparse.Namespace):
     return LindbladGenerator(gen.H, gen.jumps, args.hbar, gen.tol)
 
 
-def _evolve(O: np.ndarray, gen, rho, grid: TimeGrid, probes=()):
+def _evolve(O: np.ndarray, gen, rho, grid: TimeGrid, probes=(), reads=READS):
     """The Heisenberg trajectory of O under the generator gen, keeping the
-    series tr(O(t) M) of the probe matrices M. The three names are one
+    series tr(O(t) M) of the probe matrices M and the series ``reads`` (by
+    default every one, as ``evolve`` prints). The three names are one
     function, ``dynamics.evolve``, which reads the dynamics from gen; this
     dispatch on gen's kind only calls it under its kind's name, which the
     traced benchmark wraps in this module (bench/layers.py) to time each
     kind on its own."""
     if gen.kind == "unitary":
-        return evolve_unitary_heisenberg(O, gen, rho, grid, probes=probes)
+        return evolve_unitary_heisenberg(O, gen, rho, grid, probes=probes, reads=reads)
     if gen.kind == "lindblad":
-        return evolve_lindblad_heisenberg(O, gen, rho, grid, probes=probes)
-    return evolve_kraus_heisenberg(O, gen, rho, grid, probes=probes)
+        return evolve_lindblad_heisenberg(O, gen, rho, grid, probes=probes, reads=reads)
+    return evolve_kraus_heisenberg(O, gen, rho, grid, probes=probes, reads=reads)
 
 
 def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) -> bounds.EvalContext:

@@ -7,10 +7,12 @@ runs from t = 0 to the horizon T. One function, :func:`evolve`, also named
 ``evolve_unitary_heisenberg``, ``evolve_lindblad_heisenberg`` and
 ``evolve_kraus_heisenberg``, evolves an observable under the dynamics its
 generator states, and returns a :class:`Trajectory` of reductions, all computed before it returns: <O(t)>,
-dO(t) and both generator speeds at every grid point, and tr(O(t) M) for the
-probe matrices M declared before the evolution. No O(t) is kept at any time,
-the ends included: a bound that reads O(t) declares its probe, and
-``trace_with`` of an undeclared M raises.
+the series of READS that its caller declares, dO(t) and the generator speeds
+at every grid point, and tr(O(t) M) for the probe matrices M declared before
+the evolution. No O(t) is kept at any time, the ends included: a bound that
+reads O(t) declares its probe, and reading an undeclared M or series raises.
+Each kernel takes one read set per batch entry, so that only the entries
+that read ``speed_op`` take an operator norm, and ``stddev`` the variance.
 
 Unitary trajectories are exact and form no per-sample matrix: H is
 diagonalized once, and the moments and probe series along the grid come
@@ -80,6 +82,8 @@ THETA = 1.0  # the Taylor stepper's largest ||tau L|| a series, and so a grid st
 # the bytes one chunk of streamed Lindblad samples, or of the Kraus kernel's
 # working set, may take over the whole batch
 CHUNK_BYTES = 1 << 20
+# the series of a trajectory that an evolution computes only where they are read
+READS = frozenset({"stddev", "speed_hs", "speed_op"})
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +260,9 @@ class Trajectory:
     """The reductions of a Heisenberg-picture observable O(t) along a time
     grid, each a series over its grid points: the expectation <O(t)>, the
     spread dO(t), the generator speeds and tr(O(t) M) for each probe matrix
-    M declared before the evolution. No O(t) is kept, at any grid point.
+    M declared before the evolution. No O(t) is kept, at any grid point. A
+    series of READS that the evolution did not read is None, and reading it
+    raises. ``o_op``, ||O(0)||_op, scales the bounds' zero tolerances.
 
     ``gen_speed_hs`` / ``gen_speed_op`` hold the Hilbert-Schmidt and operator
     norms of the generator applied to O(t) (for Kraus dynamics: the summed
@@ -268,10 +274,19 @@ class Trajectory:
 
     _EXTRA = ()  # the keyword-only fields of a subclass, which prefix() carries over
 
-    def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev: np.ndarray,
-                 gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, dim: int, probes: tuple = ()):
-        self.kind, self.grid, self.expect, self.stddev = kind, grid, expect, stddev
-        self.gen_speed_hs, self.gen_speed_op, self.dim, self.probes = gen_speed_hs, gen_speed_op, dim, probes
+    def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev, gen_speed_hs, gen_speed_op, dim: int,
+                 probes: tuple = (), o_op: float = 1.0):
+        self.kind, self.grid, self.expect, self.dim, self.probes, self.o_op = kind, grid, expect, dim, probes, o_op
+        self._stddev, self._gen_speed_hs, self._gen_speed_op = stddev, gen_speed_hs, gen_speed_op
+
+    def _read(self, name: str, read: str) -> np.ndarray:
+        if (series := getattr(self, f"_{name}")) is None:
+            raise ValidationError(f"{name} needs {read!r} declared as a read before the evolution")
+        return series
+
+    stddev = property(lambda self: self._read("stddev", "stddev"))
+    gen_speed_hs = property(lambda self: self._read("gen_speed_hs", "speed_hs"))
+    gen_speed_op = property(lambda self: self._read("gen_speed_op", "speed_op"))
 
     def trace_with(self, M: np.ndarray) -> np.ndarray:
         """tr(O(t) M) at every grid point (complex), for a declared probe M,
@@ -293,9 +308,11 @@ class Trajectory:
         return type(self)(
             self.kind,
             TimeGrid(float(self.grid.times()[k]), k),
-            *(getattr(self, f)[cut] for f in ("expect", "stddev", "gen_speed_hs", "gen_speed_op")),
+            self.expect[cut],
+            *(None if x is None else x[cut] for x in (self._stddev, self._gen_speed_hs, self._gen_speed_op)),
             self.dim,
             tuple((M, series[cut]) for M, series in self.probes),
+            self.o_op,
             **{f: getattr(self, f) for f in self._EXTRA},
         )
 
@@ -309,15 +326,15 @@ class UnitaryTrajectory(Trajectory):
 
     _EXTRA = ("freqs", "vectors", "O_eig", "rho_eig", "tol")
 
-    def __init__(self, kind: str, grid: TimeGrid, expect: np.ndarray, stddev: np.ndarray,
-                 gen_speed_hs: np.ndarray, gen_speed_op: np.ndarray, dim: int, probes: tuple = (), *,
-                 freqs: np.ndarray, vectors: np.ndarray, O_eig: np.ndarray, rho_eig: np.ndarray, tol: float):
-        super().__init__(kind, grid, expect, stddev, gen_speed_hs, gen_speed_op, dim, probes)
+    def __init__(self, *args, freqs: np.ndarray, vectors: np.ndarray, O_eig: np.ndarray, rho_eig: np.ndarray,
+                 tol: float):
+        super().__init__(*args)
         self.freqs, self.vectors, self.O_eig, self.rho_eig, self.tol = freqs, vectors, O_eig, rho_eig, tol
 
     def stddev_at(self, times) -> np.ndarray:
         """dO(t) at arbitrary times, from the closed form."""
-        return _moments(self.O_eig, self.rho_eig, _phases(self.freqs, np.asarray(times, dtype=float)), self.tol)[1]
+        E = _phases(self.freqs, np.asarray(times, dtype=float))
+        return _moments(self.O_eig, self.rho_eig, E, variance_floor(self.tol, self.o_op))[1]
 
     @functools.cached_property
     def mid_stddev(self) -> np.ndarray:
@@ -351,18 +368,20 @@ def _phase_trace(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.einsum("ta,ta->t", E @ X, E.conj())
 
 
-def _moments(O_eig: np.ndarray, rho_eig: np.ndarray, E: np.ndarray, tol: float):
-    """<O(t)> and dO(t) at the times of the phase rows E."""
+def _moments(O_eig: np.ndarray, rho_eig: np.ndarray, E: np.ndarray, floor):
+    """<O(t)> and dO(t) (None with no variance ``floor``) at the times of the phase rows E."""
     rho_t = rho_eig.T
     mean = _phase_trace(O_eig * rho_t, E).real
+    if floor is None:
+        return mean, None
     second = _phase_trace((O_eig @ O_eig) * rho_t, E).real
-    return mean, _spread(second - mean * mean, variance_floor(tol, O_eig))
+    return mean, _spread(second - mean * mean, floor)
 
 
-def variance_floor(tol: float, O: np.ndarray):
-    """tol ||O||^2 for a Hermitian O: how far below 0 a variance of O may round."""
+def variance_floor(tol: float, o_op):
+    """tol o_op^2: how far below 0 a variance of a Hermitian O, ||O||_op = o_op, may round."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return tol * hermitian_op_norm(O) ** 2
+        return tol * np.float64(o_op) ** 2
 
 
 def _spread(var: np.ndarray, floor: float) -> np.ndarray:
@@ -385,25 +404,27 @@ def _check_state(rho: DensityState | None, gen, entry: str | None = None) -> Non
 # the Heisenberg evolution, and its unitary closed form
 
 
-def evolve(O0: np.ndarray, gen: GeneratorSpec, rho: DensityState, grid: TimeGrid, probes=()) -> Trajectory:
+def evolve(O0: np.ndarray, gen: GeneratorSpec, rho: DensityState, grid: TimeGrid, probes=(),
+           reads=READS) -> Trajectory:
     """O(t) = Phi_t^dag[O(0)] on the grid in the state rho, under the
     dynamics of gen's kind: in closed form in the eigenbasis of H for a
     UnitaryGenerator, else through :func:`trajectories` as a batch of one,
     dO/dt = (i/hbar)[H, O] + D[O] for a LindbladGenerator and
     O(t) = sum_i K_i^dag(t) O(0) K_i(t) for a Kraus family. ``probes`` are
-    the matrices M whose series tr(O(t) M) the trajectory keeps."""
+    the matrices M whose series tr(O(t) M) the trajectory keeps, and
+    ``reads`` the series of READS it computes, by default all."""
     O0 = checked_hermitian(O0, "observable", gen.tol, gen.dim)
     _check_state(rho, gen)
     if gen.kind == "unitary":
-        return _evolve_unitary(O0, gen, rho, grid, probes)
-    return trajectories([gen], O0[None], [rho], grid, [probes])[0]
+        return _evolve_unitary(O0, gen, rho, grid, probes, reads)
+    return trajectories([gen], O0[None], [rho], grid, [probes], [reads])[0]
 
 
 evolve_unitary_heisenberg = evolve_lindblad_heisenberg = evolve_kraus_heisenberg = evolve
 
 
 def _evolve_unitary(O0: np.ndarray, gen: UnitaryGenerator, rho: DensityState, grid: TimeGrid,
-                    probes) -> UnitaryTrajectory:
+                    probes, reads) -> UnitaryTrajectory:
     """Exact O(t) = U^dag(t) O(0) U(t) on the grid, in the eigenbasis of
     gen.H, reduced from one phase matrix E[t, a] = exp(i t w_a / hbar):
     tr(O(t) M) is the row sum of (E @ (O~ * M~^T)) * conj(E), so no
@@ -418,12 +439,13 @@ def _evolve_unitary(O0: np.ndarray, gen: UnitaryGenerator, rho: DensityState, gr
     hs = float(hs_norm(comm)) if np.isfinite(comm).all() else math.inf
     if not math.isfinite(hs):  # else every frequency and the operator norm, at most hs, are finite
         raise NumericError(f"generator speed gen_speed_hs = ||[H, O] / hbar||_HS is {hs} at hbar = {gen.hbar!r}")
-    speeds = (np.full(grid.steps + 1, x) for x in (hs, op_norm(comm)))
-    E = _phases(freqs, grid.times())
-    expect, stddev = _moments(O_eig, rho_eig, E, gen.tol)
+    speed_hs = np.full(grid.steps + 1, hs) if "speed_hs" in reads else None
+    speed_op = np.full(grid.steps + 1, op_norm(comm)) if "speed_op" in reads else None
+    E, o_op = _phases(freqs, grid.times()), hermitian_op_norm(O_eig)
+    expect, stddev = _moments(O_eig, rho_eig, E, variance_floor(gen.tol, o_op) if "stddev" in reads else None)
     series = tuple((M, _phase_trace(O_eig * (Vd @ M @ V).T, E)) for M in probes)
     return UnitaryTrajectory(
-        "unitary", grid, expect, stddev, *speeds, gen.dim, series,
+        "unitary", grid, expect, stddev, speed_hs, speed_op, gen.dim, series, o_op,
         freqs=freqs, vectors=V, O_eig=O_eig, rho_eig=rho_eig, tol=gen.tol,
     )
 
@@ -444,10 +466,17 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     return _fused_form([gen], heisenberg=False)(rho[None])[0]
 
 
-def _norms(X: np.ndarray) -> np.ndarray:
-    """The Hilbert-Schmidt and operator norms of each Hermitian matrix in X
-    (read through its lower triangle), shape (..., 2)."""
-    return np.stack([hs_norm(X), hermitian_op_norm(X)], axis=-1)
+def _norms(X: np.ndarray, reads, norms=None) -> np.ndarray:
+    """The speeds of each batch entry X[b] (shape (B, n, ...)), shape (B, n, 2):
+    the Hilbert-Schmidt and operator norms of each Hermitian matrix in X[b]
+    (read through its lower triangle), or the pair ``norms``, each only where
+    reads[b] holds ``speed_hs`` or ``speed_op`` (``reads`` None: both), else NaN."""
+    norms = norms or (hs_norm, hermitian_op_norm)
+    out = np.full((len(X), X.shape[1], 2), np.nan)
+    for k, read in enumerate(("speed_hs", "speed_op")):
+        if b := [i for i, r in enumerate(reads or [READS] * len(X)) if read in r]:
+            out[b, :, k] = norms[k](X if len(b) == len(X) else X[b])
+    return out
 
 
 def _check_stable(y: np.ndarray, limit=INSTABILITY_LIMIT) -> None:
@@ -510,15 +539,16 @@ def _fused_form(gens, heisenberg: bool):
     return f
 
 
-def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
+def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, reads=None):
     """The batch-first Lindblad kernel, streamed: evolves y0[b] (shape
     (B, d, d)) under gens[b], observables when ``heisenberg`` else states,
     and yields the grid one chunk of consecutive times at a time, as
     (start, samples, speeds): the samples at grid indices start, start + 1,
     ..., shape (B, n, d, d), and for observables the Hilbert-Schmidt and
-    operator norms of L^dag[O(t)] there, shape (B, n, 2) (for states, None).
-    The generators share one dimension and one number of jumps. Each chunk
-    is a new array.
+    operator norms of L^dag[O(t)] there, shape (B, n, 2), each only where
+    the read set ``reads[b]`` reads it, else NaN (``reads`` None: both; for
+    states, None). The generators share one dimension and one number of
+    jumps. Each chunk is a new array.
 
     A chunk's samples take at most CHUNK_BYTES (:func:`_spans`).
 
@@ -547,9 +577,9 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     hb = grid.h * gen.beta
     order = _taylor_order(hb, grid.steps)
     if order is not None and (d > EXACT_MAX_DIM or order[1] >= CELL_MIN_STEPS):
-        chunks = _taylor_chunks(_fused_form(gens, heisenberg), y0, grid.h, *order, spans, heisenberg, limit)
+        chunks = _taylor_chunks(_fused_form(gens, heisenberg), y0, grid.h, *order, spans, heisenberg, limit, reads)
     elif d <= EXACT_MAX_DIM:
-        chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit)
+        chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit, reads)
     else:
         raise NumericError(f"the Taylor stepper needs h beta <= {THETA:g}, and the step h = {grid.h!r} "
                            f"has h beta = {hb:.6g} at hbar = {gen.hbar!r}")
@@ -573,7 +603,7 @@ def _spans(n: int, sample_bytes: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool, limit):
+def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool, limit, reads):
     """The chunks of :func:`lindblad_chunks` by the exact propagator, one
     BLAS product P @ y a step with y held as a column, shape (B, d^2, 1). A
     blow-up beyond ``limit`` is checked once per chunk, on its samples,
@@ -611,11 +641,11 @@ def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool,
                     y = P @ y
                 out[:, j] = y[..., 0]
         _check_stable(out, limit)
-        speeds = _norms((out @ Lv.swapaxes(-1, -2)).reshape(B, -1, d, d)) if heisenberg else None
+        speeds = _norms((out @ Lv.swapaxes(-1, -2)).reshape(B, -1, d, d), reads) if heisenberg else None
         yield start, out.reshape(B, end - start, d, d), speeds
 
 
-def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg: bool, limit):
+def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg: bool, limit, reads):
     """The chunks of :func:`lindblad_chunks` by degree-m Taylor series of
     exp(tau L) on the fused generator f (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 2011), each series read at several grid points (Taylor dense
@@ -655,7 +685,7 @@ def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg
                 out[:, -1] = y
                 if heisenberg:
                     derivs[:, -1] = f(y)
-        yield start, out, _norms(derivs) if heisenberg else None
+        yield start, out, _norms(derivs, reads) if heisenberg else None
 
 
 def _combine(V: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
@@ -680,20 +710,21 @@ def _taylor_order(hb: float, cap: int):
     return taylor_degree(c * hb), c
 
 
-def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
+def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes, reads) -> list[Trajectory]:
     """The trajectories of a stream of observable chunks (start, samples,
     speeds), shaped as :func:`lindblad_chunks` yields them, each chunk
     reduced as it arrives: batch entry b, O0s[b] under gens[b], is read in
     the state rhos[b] within gens[b].tol and keeps the series tr(O_b(t) M) of the
-    matrices M in ``probes[b]``. The variance is taken chunk by chunk, so the
-    reducer holds four scalars a sample: <O(t)>, the variance and the two
-    speeds.
+    matrices M in ``probes[b]`` and those of ``reads[b]``. The variance is
+    taken chunk by chunk, where read, so the reducer holds four scalars a
+    sample: <O(t)>, the variance and the two speeds.
 
     <O(t)> and the probe series are contracted one batch entry at a time:
     over a batch, numpy's einsum runs their sums in another order.
     """
     B, n = len(rhos), grid.steps + 1
     rho = np.stack([r.matrix for r in rhos])
+    spread = [b for b in range(B) if "stddev" in reads[b]]
     expect, var, speeds = np.empty((B, n)), np.empty((B, n)), np.empty((B, n, 2))
     series = [np.empty((len(p), n), dtype=complex) for p in probes]
     for start, samples, chunk_speeds in chunks:
@@ -702,40 +733,39 @@ def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes) -> list[Traj
             expect[b, cut] = np.einsum("tab,ba->t", Os, rho[b]).real
             for k, M in enumerate(probes[b]):
                 series[b][k, cut] = np.einsum("tab,ba->t", Os, M)
-        # one product per batch entry, not one per sample
-        rho_products = (samples.reshape(B, -1, samples.shape[-1]) @ rho).reshape(samples.shape)
-        mean = expect[:, cut]
-        var[:, cut] = np.einsum("ntab,ntba->nt", samples, rho_products).real - mean * mean
+        if spread:  # one product per batch entry, not one per sample
+            S, R = (samples, rho) if len(spread) == B else (samples[spread], rho[spread])
+            rho_products = (S.reshape(len(S), -1, S.shape[-1]) @ R).reshape(S.shape)
+            mean = expect[spread, cut]
+            var[spread, cut] = np.einsum("ntab,ntba->nt", S, rho_products).real - mean * mean
+            del S, rho_products
         speeds[:, cut] = chunk_speeds
-        del samples, rho_products, Os  # freed before the kernel builds the next chunk
+        del samples, Os  # freed before the kernel builds the next chunk
+    o_ops = hermitian_op_norm(np.asarray(O0s))
     return [
-        Trajectory(
-            gens[b].kind,
-            grid,
-            expect[b],
-            _spread(var[b], variance_floor(gens[b].tol, O0s[b])),
-            speeds[b, :, 0],
-            speeds[b, :, 1],
-            rho.shape[-1],
-            tuple(zip(probes[b], series[b])),
-        )
+        Trajectory(gens[b].kind, grid, expect[b],
+                   _spread(var[b], variance_floor(gens[b].tol, o_ops[b])) if b in spread else None,
+                   *(speeds[b, :, k] if read in reads[b] else None for k, read in enumerate(("speed_hs", "speed_op"))),
+                   rho.shape[-1], tuple(zip(probes[b], series[b])), o_ops[b])
         for b in range(B)
     ]
 
 
-def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes) -> list[Trajectory]:
+def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, reads=None) -> list[Trajectory]:
     """The Heisenberg trajectories of O0s[b] under gens[b] in the states
-    rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]``: the
-    batch-first kernel of the generators' one kind, :func:`lindblad_chunks`
-    for Lindblad generators and :func:`_kraus_chunks` for Kraus families."""
+    rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]`` and
+    those of ``reads[b]`` (``reads`` None: all READS): the batch-first kernel
+    of the generators' one kind, :func:`lindblad_chunks` for Lindblad
+    generators and :func:`_kraus_chunks` for Kraus families."""
+    reads = [READS] * len(gens) if reads is None else reads
     kinds = sorted({gen.kind for gen in gens})
     if kinds == ["lindblad"]:
-        chunks = lindblad_chunks(gens, O0s, grid, heisenberg=True)
+        chunks = lindblad_chunks(gens, O0s, grid, heisenberg=True, reads=reads)
     elif kinds == ["kraus"]:
-        chunks = _kraus_chunks(gens, np.asarray(O0s, dtype=complex), grid)
+        chunks = _kraus_chunks(gens, np.asarray(O0s, dtype=complex), grid, reads)
     else:
         raise ValidationError(f"a batch of trajectories needs generators of one open kind, got {', '.join(kinds)}")
-    return _reduce_chunks(gens, chunks, O0s, rhos, grid, probes)
+    return _reduce_chunks(gens, chunks, O0s, rhos, grid, probes, reads)
 
 
 def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> list[DensityState]:
@@ -776,11 +806,12 @@ def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeG
 # Kraus dynamics
 
 
-def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid):
+def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid, reads=None):
     """The batch-first Kraus kernel, O0s[b] (shape (B, d, d)) under
     families[b] (one dimension, one number of operators): yields chunks like
     :func:`lindblad_chunks`, the speeds being the summed norms of
-    K_i^dag(t) O0 dK_i/dt, after checking sum_i K_i^dag K_i = 1 within
+    K_i^dag(t) O0 dK_i/dt where ``reads[b]`` reads them (an operator norm is
+    an SVD a matrix), after checking sum_i K_i^dag K_i = 1 within
     max(tol, 1e-8), tol each family's own. With one more sample on each side
     of a chunk, ``np.gradient`` gives the central difference along the grid,
     one-sided at its ends. :func:`_spans` sizes a chunk by its whole working
@@ -807,7 +838,7 @@ def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid):
         if not np.isfinite(M).all():
             t = float(times[start + np.flatnonzero(~np.isfinite(M).all(axis=(0, 2, 3, 4)))[0]])
             raise NumericError(f"Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite at t={t!r}, step h = {grid.h!r}")
-        speeds = np.stack([hs_norm(M).sum(axis=2), op_norm(M).sum(axis=2)], axis=-1)
+        speeds = _norms(M, reads, (lambda M: hs_norm(M).sum(axis=2), lambda M: op_norm(M).sum(axis=2)))
         samples = (KdO @ K).sum(axis=2)
         del window, K, KdO, M  # freed before the reducer reads the chunk
         yield start, samples, speeds

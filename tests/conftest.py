@@ -47,9 +47,10 @@ def take_exact(monkeypatch):
 def block_declares_units(monkeypatch):
     """Makes the audit's batched blocks declare the d^2 matrix units as probes
     of every trajectory, besides the probes of its bounds, so that a test
-    can rebuild O(t) from them (oracles.samples_from_probes)."""
+    can rebuild O(t) from them (oracles.samples_from_probes), and every read
+    of dynamics.READS, so that it can compare each series."""
 
-    def trajectories(gens, O0s, rhos, grid, probes):
+    def trajectories(gens, O0s, rhos, grid, probes, reads):
         d = gens[0].dim
         units = tuple(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
         return dynamics.trajectories(gens, O0s, rhos, grid, [(*p, *units) for p in probes])

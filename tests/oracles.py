@@ -66,7 +66,6 @@ from oqsl.dynamics import (
     _check_state,
     _check_trace,
     _fused_form,
-    _norms,
     _spans,
     _spread,
     _taylor_order,
@@ -79,6 +78,7 @@ from oqsl.linalg import (
     ValidationError,
     as_matrix,
     checked_hermitian,
+    hermitian_op_norm,
     hs_norm,
     is_hermitian,
     mat_exp,
@@ -418,6 +418,12 @@ def largest_abs_eigenvalue_2x2(X) -> float:
         a, c = decimal.Decimal(X[0, 0].real), decimal.Decimal(X[1, 1].real)
         re, im = decimal.Decimal(X[1, 0].real), decimal.Decimal(X[1, 0].imag)
         return float(abs((a + c) / 2) + (((a - c) / 2) ** 2 + re * re + im * im).sqrt())
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """The Hilbert-Schmidt and operator norms of each Hermitian matrix in X,
+    shape (..., 2): the Lindblad kernel's speeds with every one read."""
+    return np.stack([hs_norm(X), hermitian_op_norm(X)], axis=-1)
 
 
 def gram_norms(X: np.ndarray) -> np.ndarray:

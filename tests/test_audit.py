@@ -177,22 +177,23 @@ def test_audit_trial_diagonalizes_h_once(monkeypatch):
 
 
 def test_audit_holds_one_block_of_series(serial):
-    # each block is evaluated and dropped before the next is integrated, and
-    # no trial keeps a sample stack; holding every trial's samples until the
-    # last evaluation traced a 52.4 MB peak here
+    # each half-block is evaluated and dropped before the next is integrated,
+    # and no trial keeps a sample stack; holding every trial's samples until
+    # the last evaluation traced a 52.4 MB peak here, and whole blocks 22.3 MB
+    # (13.2 MB in half-blocks)
     tracemalloc.start()
     try:
         assert run_audit(100, 50, seed=1).passed
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+    assert peak < 15.9e6
 
 
 @needs_fork
 def test_audit_forked_parent_holds_one_block(forks):
-    # the parent holds its own block and the child's results, never both
-    # blocks' series
+    # the parent holds one of its half-blocks and the child's results, never
+    # two half-blocks' series: 13.1 MB traced here, 22.3 MB with whole blocks
     tracemalloc.start()
     try:
         assert run_audit(100, 50, seed=1).passed
@@ -200,7 +201,7 @@ def test_audit_forked_parent_holds_one_block(forks):
     finally:
         tracemalloc.stop()
     assert len(forks) == 1
-    assert peak < 30e6
+    assert peak < 15.7e6
 
 
 def test_audit_builds_each_rate_probe_once(serial, monkeypatch):

@@ -481,6 +481,17 @@ def test_the_variance_floors_scale_with_the_observable(tmp_path):
         assert abs(ratio - one[bound_id]) <= 1e-12, bound_id
 
 
+def test_the_zero_tolerances_are_relative_to_the_observable(tmp_path):
+    # at O = 1e-10 X each cell's change of <O> (about 1.6e-13) fell below an
+    # absolute ZERO_TOL of 1e-12, and so did the change of tr(O(t) O): three
+    # rows read 0; at O = 1e5 X the rounding of C(t) rose above it, and
+    # CORR_CLOSED read 1.4e-16 in place of 0
+    one, small, large = (_scaled_tight_qubit(tmp_path, mu) for mu in (1.0, 1e-10, 1e5))
+    for bound_id in ("MT_INTEGRAL", "STATE_INDEP", "BATTERY_CT1"):
+        assert one[bound_id] > 0.5 and abs(small[bound_id] - one[bound_id]) <= 1e-12, bound_id
+    assert one["CORR_CLOSED"] == large["CORR_CLOSED"] == 0.0
+
+
 def test_the_projector_slot_is_relative_to_the_observable(tmp_path):
     # |O^2 - O| <= 1e-9 held for O = 1e-10 X, which is no projector
     assert "STATE_MT" not in _scaled_tight_qubit(tmp_path, 1e-10)

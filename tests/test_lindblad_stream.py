@@ -81,7 +81,7 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
 
     Os, speeds = oracles.propagate_lindblad(gens, O0s, grid, heisenberg=True)
     norms, calls = dynamics._norms, []
-    monkeypatch.setattr(dynamics, "_norms", lambda X: calls.append(X.shape[1]) or norms(X))
+    monkeypatch.setattr(dynamics, "_norms", lambda X, *reads: calls.append(X.shape[1]) or norms(X, *reads))
     trajs = trajectories(gens, O0s, rhos, grid, probes)
     # both routes take the speeds once per chunk
     assert calls == np.diff(starts + [steps + 1]).tolist()
@@ -343,9 +343,9 @@ def test_production_paths_build_no_sample_stack(tmp_path, monkeypatch):
     # second run, of either picture, streams the 1000 steps
     runs = []
 
-    def counted(gens, y0, grid, heisenberg):
+    def counted(gens, y0, grid, heisenberg, reads=None):
         runs.append((heisenberg, grid.steps))
-        return kernel(gens, y0, grid, heisenberg)
+        return kernel(gens, y0, grid, heisenberg, reads)
 
     kernel = dynamics.lindblad_chunks
     monkeypatch.setattr(dynamics, "lindblad_chunks", counted)

@@ -126,8 +126,8 @@ def test_context_kind_follows_its_generator():
     [report] = evaluate_all(ctx)
     assert report.bound_id == "KRAUS" and report.valid
     # an evolution that returns a trajectory of another kind than the generator's is refused
-    def closed(O, gen, rho, grid, probes):  # the unitary evolution of the Lindblad generator's H alone
-        return evolve_unitary_heisenberg(O, UnitaryGenerator(gen.H), rho, grid, probes)
+    def closed(O, gen, rho, grid, probes, reads):  # the unitary evolution of the Lindblad generator's H alone
+        return evolve_unitary_heisenberg(O, UnitaryGenerator(gen.H), rho, grid, probes, reads)
 
     wrong = EvalContext(LindbladGenerator(sigma_z), grid, sigma_x, rho, closed)
     with pytest.raises(ValidationError, match="a unitary evolution does not follow a lindblad generator"):
