@@ -595,14 +595,19 @@ class EvalContext:
         """The probe matrices that the selected bounds declare, in
         :func:`select` order, then the rate audit's when ``rates`` is set:
         the series tr(O(t) M) the trajectory must keep."""
-        probes = tuple(s.probe(self) for s in select(self) if s.probe is not None)
+        probes = tuple(s.probe(self) for s in self.selected if s.probe is not None)
         return probes + (self.rate_matrix,) if self.rates else probes
+
+    @cached_property
+    def selected(self) -> list:
+        """:func:`select` on this context, taken once for the probes, the reads and the evaluation."""
+        return select(self)
 
     @cached_property
     def reads(self) -> frozenset:
         """The series that the selected bounds read, and when ``rates`` is
         set the rate audit's: dO on a unitary context, else the HS speed."""
-        reads = {read for s in select(self) for read in s.reads}
+        reads = {read for s in self.selected for read in s.reads}
         return frozenset(reads | ({"stddev" if self.kind == "unitary" else "speed_hs"} if self.rates else set()))
 
     @cached_property
@@ -730,4 +735,4 @@ def select(ctx: EvalContext) -> list[BoundSpec]:
 
 def evaluate_all(ctx: EvalContext) -> list[BoundReport]:
     """Evaluate the entries :func:`select` picks, in its order."""
-    return [s.evaluate(ctx) for s in select(ctx)]
+    return [s.evaluate(ctx) for s in ctx.selected]
