@@ -110,7 +110,7 @@ def _context(spec: SystemSpec, args: argparse.Namespace, ids: list[str] | None) 
             "--observable-b feeds only COMM_CLOSED/COMM_OPEN, which need a pure state under unitary "
             f"or lindblad dynamics; neither applies to this {ctx.kind} system with a {state} state"
         )
-    if B is not None and not any("B" in s.needs for s in bounds.select(ctx)):
+    if B is not None and not any("B" in s.needs for s in ctx.selected):
         raise ValidationError("--observable-b feeds only COMM_CLOSED/COMM_OPEN, and --bounds selects neither")
     return ctx
 
