@@ -4,13 +4,13 @@ declaration that misses a read, or a kernel that computes a read series
 differently for a subset, shows here as a report that moves between
 ``--bounds ALL`` and ``--bounds <ID>``."""
 
-import importlib.util
 import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_digests import _script
 
 import oqsl
 from oqsl import audit, dynamics, linalg
@@ -18,15 +18,7 @@ from oqsl.cli import main
 from oqsl.dynamics import LindbladGenerator, TimeGrid, UnitaryGenerator, evolve
 from oqsl.linalg import DensityState, ValidationError, sigma_x, sigma_z
 
-ROOT = Path(__file__).resolve().parent.parent
 SYSTEMS = Path(oqsl.__file__).parent / "systems"
-
-
-def _script():
-    spec = importlib.util.spec_from_file_location("output_digests", ROOT / "scripts" / "output_digests.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def _reports(path, obs, obs_b, tmax, ids: str) -> dict:
