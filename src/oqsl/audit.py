@@ -266,7 +266,8 @@ def _run_halves_forked(seed: int, halves) -> list:
             raise
     if code != 0:
         # the child writes its whole payload, or dies before exit status 0
-        raise NumericError(f"the audit's qutrit block ended with exit status {code} and no result")
+        raise NumericError(f"the audit's forked child (the second half of each dimension's trials) ended with "
+                           f"exit status {code} and no result")
     second = pickle.loads(data)  # written by the child above
     return [x for pair in itertools.zip_longest(first, second) for x in pair if x is not None]
 

@@ -11,7 +11,8 @@ the series of READS that its caller declares, dO(t) and the generator speeds
 at every grid point, and tr(O(t) M) for the probe matrices M declared before
 the evolution. No O(t) is kept at any time, the ends included: a bound that
 reads O(t) declares its probe, and reading an undeclared M or series raises.
-Each kernel takes one read set per batch entry, so that only the entries
+The kernels stream the matrices whose norms are the speeds; one reducer,
+:func:`_reduce_chunks`, reads each entry's read set, so only the entries
 that read ``speed_op`` take an operator norm, and ``stddev`` the variance.
 
 Unitary trajectories are exact and form no per-sample matrix: H is
@@ -29,11 +30,12 @@ THETA, :func:`lindblad_chunks` takes one Taylor series on the fused form
 A y + y A^dag + sum_k gamma_k left_k y right_k, built once, for the samples
 and L^dag[O(t)] of a cell of grid steps, the cells tiling the grid whatever
 the chunks, for d <= EXACT_MAX_DIM only cells of CELL_MIN_STEPS steps or
-more; else, up to that d, one BLAS product a step with exp(h L). Both routes take an observable's
-speeds, once per chunk, from L^dag[O(t)], which is Hermitian: its operator
-norm is its largest |eigenvalue|, in closed form for d = 2. An observable
-that is Hermitian only within ``tol`` is read, like ``numpy.linalg.eigvalsh``
-reads it, through its lower triangle. The Kraus kernel calls each family on
+more; else, up to that d, one BLAS product a step with exp(h L). Both
+routes yield an observable's L^dag[O(t)] with its samples, whose norms are
+its speeds. It is Hermitian: its operator norm is its largest |eigenvalue|,
+in closed form for d = 2. An observable that is Hermitian only within
+``tol`` is read, like ``numpy.linalg.eigvalsh`` reads it, through its lower
+triangle. The Kraus kernel calls each family on
 a chunk's times and one more on each side, so dK/dt is the central
 difference along the grid, one-sided at its ends, whatever the chunking.
 
@@ -466,19 +468,6 @@ def lindblad_apply(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     return _fused_form([gen], heisenberg=False)(rho[None])[0]
 
 
-def _norms(X: np.ndarray, reads, norms=None) -> np.ndarray:
-    """The speeds of each batch entry X[b] (shape (B, n, ...)), shape (B, n, 2):
-    the Hilbert-Schmidt and operator norms of each Hermitian matrix in X[b]
-    (read through its lower triangle), or the pair ``norms``, each only where
-    reads[b] holds ``speed_hs`` or ``speed_op`` (``reads`` None: both), else NaN."""
-    norms = norms or (hs_norm, hermitian_op_norm)
-    out = np.full((len(X), X.shape[1], 2), np.nan)
-    for k, read in enumerate(("speed_hs", "speed_op")):
-        if b := [i for i, r in enumerate(reads or [READS] * len(X)) if read in r]:
-            out[b, :, k] = norms[k](X if len(b) == len(X) else X[b])
-    return out
-
-
 def _check_stable(y: np.ndarray, limit=INSTABILITY_LIMIT) -> None:
     """Reject a blow-up: an entry of y[b] above limit, or limit[b] for one
     limit per batch entry."""
@@ -539,28 +528,27 @@ def _fused_form(gens, heisenberg: bool):
     return f
 
 
-def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, reads=None):
+def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool):
     """The batch-first Lindblad kernel, streamed: evolves y0[b] (shape
     (B, d, d)) under gens[b], observables when ``heisenberg`` else states,
     and yields the grid one chunk of consecutive times at a time, as
-    (start, samples, speeds): the samples at grid indices start, start + 1,
-    ..., shape (B, n, d, d), and for observables the Hilbert-Schmidt and
-    operator norms of L^dag[O(t)] there, shape (B, n, 2), each only where
-    the read set ``reads[b]`` reads it, else NaN (``reads`` None: both; for
-    states, None). The generators share one dimension and one number of
-    jumps. Each chunk is a new array.
+    (start, samples, derivs): the samples at grid indices start, start + 1,
+    ..., shape (B, n, d, d), and for observables L^dag[O(t)] there, the same
+    shape, whose norms the reducer takes as the speeds (for states, None).
+    The generators share one dimension and one number of jumps. Each chunk
+    is a new array.
 
     A chunk's samples take at most CHUNK_BYTES (:func:`_spans`).
 
     A grid whose step h has h beta <= THETA, beta the batch's largest
     :attr:`LindbladGenerator.beta`, takes the Taylor cells, for d <= EXACT_MAX_DIM
     only cells of CELL_MIN_STEPS steps or more: one series on the fused generator
-    gives the samples and speeds of a cell of grid steps, the cells tiling the
+    gives the samples and L[y] of a cell of grid steps, the cells tiling the
     grid and the chunks setting only where samples are written
     (:func:`_taylor_chunks`). Any other grid is refused above EXACT_MAX_DIM before
     the first generator call, and up to it takes one batched BLAS product a step
-    with the exact propagator exp(h L), computed once per generator, the speeds
-    applying L to each chunk. The exact
+    with the exact propagator exp(h L), computed once per generator, applying
+    L to each chunk. The exact
     route rejects a blow-up on every chunk and the stepper at the end of every
     series: an entry of y[b] above INSTABILITY_LIMIT times
     max(1, max |y0[b]|), as the Heisenberg flow does not grow an observable's
@@ -577,9 +565,9 @@ def lindblad_chunks(gens, y0: np.ndarray, grid: TimeGrid, heisenberg: bool, read
     hb = grid.h * gen.beta
     order = _taylor_order(hb, grid.steps)
     if order is not None and (d > EXACT_MAX_DIM or order[1] >= CELL_MIN_STEPS):
-        chunks = _taylor_chunks(_fused_form(gens, heisenberg), y0, grid.h, *order, spans, heisenberg, limit, reads)
+        chunks = _taylor_chunks(_fused_form(gens, heisenberg), y0, grid.h, *order, spans, heisenberg, limit)
     elif d <= EXACT_MAX_DIM:
-        chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit, reads)
+        chunks = _exact_chunks(gens, y0, grid, spans, heisenberg, limit)
     else:
         raise NumericError(f"the Taylor stepper needs h beta <= {THETA:g}, and the step h = {grid.h!r} "
                            f"has h beta = {hb:.6g} at hbar = {gen.hbar!r}")
@@ -603,12 +591,12 @@ def _spans(n: int, sample_bytes: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool, limit, reads):
+def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool, limit):
     """The chunks of :func:`lindblad_chunks` by the exact propagator, one
-    BLAS product P @ y a step with y held as a column, shape (B, d^2, 1). A
-    blow-up beyond ``limit`` is checked once per chunk, on its samples,
-    before the speeds, so the steps that overflow on the way there do so
-    silently.
+    BLAS product P @ y a step with y held as a column, shape (B, d^2, 1), and
+    for observables one product with the Liouvillian a chunk. A blow-up
+    beyond ``limit`` is checked once per chunk, on its samples, before that
+    product, so the steps that overflow on the way there do so silently.
 
     A step h L whose jumps damp less than a factor e within it,
     h sum_k gamma_k ||L_k||_2^2 < 1, is rejected when its largest entry,
@@ -641,11 +629,11 @@ def _exact_chunks(gens, y0: np.ndarray, grid: TimeGrid, spans, heisenberg: bool,
                     y = P @ y
                 out[:, j] = y[..., 0]
         _check_stable(out, limit)
-        speeds = _norms((out @ Lv.swapaxes(-1, -2)).reshape(B, -1, d, d), reads) if heisenberg else None
-        yield start, out.reshape(B, end - start, d, d), speeds
+        derivs = (out @ Lv.swapaxes(-1, -2)).reshape(B, -1, d, d) if heisenberg else None
+        yield start, out.reshape(B, end - start, d, d), derivs
 
 
-def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg: bool, limit, reads):
+def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg: bool, limit):
     """The chunks of :func:`lindblad_chunks` by degree-m Taylor series of
     exp(tau L) on the fused generator f (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 2011), each series read at several grid points (Taylor dense
@@ -654,11 +642,11 @@ def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg
     first sample y and the derivative terms F_n = L U_n of the scaled terms
     U_n = (tau L)^n y / n! = (tau / n) F_(n-1), F_0 = f(y), n <= m (n < m for
     states and for k = 1), each scaled before its call, so no factor divides
-    by tau; its samples y(jh) = sum_n (j/k)^n U_n and speeds
+    by tau; its samples y(jh) = sum_n (j/k)^n U_n and derivatives
     L[y(jh)] = sum_n (j/k)^n F_n, j < k, are two products with the
     Vandermonde rows in a chunk, a cell that crosses chunks holding its
     terms, and the next cell starts from sum_n U_n. A blow-up is checked at
-    each cell's end; the last sample's speeds take one more call."""
+    each cell's end; the last sample's derivative takes one more call."""
     B, last = y.shape[0], spans[-1][1] - 1
     terms = np.empty((m + 2 if heisenberg else m + 1,) + y.shape, dtype=complex)
     for start, end in spans:
@@ -668,7 +656,7 @@ def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg
             for i in range(start - start % c, min(end, last), c):
                 k = min(c, last - i)
                 tau, lo, hi = k * h, max(i, start), min(i + k, end)
-                top = m + 2 if heisenberg and k > 1 else m + 1  # F_m only for speeds past a cell's first sample
+                top = m + 2 if heisenberg and k > 1 else m + 1  # F_m only for derivatives past a cell's first sample
                 w = np.append(1.0, tau / np.arange(1, m + 1))  # U_n = w_n F_(n-1), U_0 = y
                 if i >= start:  # else its terms are held from an earlier chunk
                     terms[0] = y
@@ -685,7 +673,7 @@ def _taylor_chunks(f, y: np.ndarray, h: float, m: int, c: int, spans, heisenberg
                 out[:, -1] = y
                 if heisenberg:
                     derivs[:, -1] = f(y)
-        yield start, out, _norms(derivs, reads) if heisenberg else None
+        yield start, out, derivs
 
 
 def _combine(V: np.ndarray, terms: np.ndarray, out: np.ndarray) -> None:
@@ -710,24 +698,26 @@ def _taylor_order(hb: float, cap: int):
     return taylor_degree(c * hb), c
 
 
-def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes, reads) -> list[Trajectory]:
+def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes, reads, norms) -> list[Trajectory]:
     """The trajectories of a stream of observable chunks (start, samples,
-    speeds), shaped as :func:`lindblad_chunks` yields them, each chunk
+    derivs), shaped as :func:`lindblad_chunks` yields them, each chunk
     reduced as it arrives: batch entry b, O0s[b] under gens[b], is read in
     the state rhos[b] within gens[b].tol and keeps the series tr(O_b(t) M) of the
-    matrices M in ``probes[b]`` and those of ``reads[b]``. The variance is
-    taken chunk by chunk, where read, so the reducer holds four scalars a
-    sample: <O(t)>, the variance and the two speeds.
+    matrices M in ``probes[b]`` and those of ``reads[b]``. The speeds are the
+    pair ``norms``, Hilbert-Schmidt and operator, of derivs[b], and they and
+    the variance are taken chunk by chunk, each only for the entries that
+    read it, so the reducer holds four scalars a sample: <O(t)>, the
+    variance and the two speeds.
 
     <O(t)> and the probe series are contracted one batch entry at a time:
     over a batch, numpy's einsum runs their sums in another order.
     """
     B, n = len(rhos), grid.steps + 1
     rho = np.stack([r.matrix for r in rhos])
-    spread = [b for b in range(B) if "stddev" in reads[b]]
+    spread, *speed_reads = ([b for b in range(B) if read in reads[b]] for read in ("stddev", "speed_hs", "speed_op"))
     expect, var, speeds = np.empty((B, n)), np.empty((B, n)), np.empty((B, n, 2))
     series = [np.empty((len(p), n), dtype=complex) for p in probes]
-    for start, samples, chunk_speeds in chunks:
+    for start, samples, derivs in chunks:
         cut = slice(start, start + samples.shape[1])
         for b, Os in enumerate(samples):
             expect[b, cut] = np.einsum("tab,ba->t", Os, rho[b]).real
@@ -739,8 +729,10 @@ def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes, reads) -> li
             mean = expect[spread, cut]
             var[spread, cut] = np.einsum("ntab,ntba->nt", S, rho_products).real - mean * mean
             del S, rho_products
-        speeds[:, cut] = chunk_speeds
-        del samples, Os  # freed before the kernel builds the next chunk
+        for k, entries in enumerate(speed_reads):
+            if entries:
+                speeds[entries, cut, k] = norms[k](derivs if len(entries) == B else derivs[entries])
+        del samples, Os, derivs  # freed before the kernel builds the next chunk
     o_ops = hermitian_op_norm(np.asarray(O0s))
     return [
         Trajectory(gens[b].kind, grid, expect[b],
@@ -754,18 +746,21 @@ def _reduce_chunks(gens, chunks, O0s, rhos, grid: TimeGrid, probes, reads) -> li
 def trajectories(gens, O0s: np.ndarray, rhos, grid: TimeGrid, probes, reads=None) -> list[Trajectory]:
     """The Heisenberg trajectories of O0s[b] under gens[b] in the states
     rhos[b], keeping the series tr(O_b(t) M) of the M in ``probes[b]`` and
-    those of ``reads[b]`` (``reads`` None: all READS): the batch-first kernel
-    of the generators' one kind, :func:`lindblad_chunks` for Lindblad
-    generators and :func:`_kraus_chunks` for Kraus families."""
+    those of ``reads[b]`` (``reads`` None: all READS), by the batch-first
+    kernel of the generators' one kind and the norms of its derivs that are
+    the speeds: :func:`lindblad_chunks` and the Hermitian norms for Lindblad
+    generators, :func:`_kraus_chunks` and the general norms summed over the
+    operators for Kraus families."""
     reads = [READS] * len(gens) if reads is None else reads
     kinds = sorted({gen.kind for gen in gens})
     if kinds == ["lindblad"]:
-        chunks = lindblad_chunks(gens, O0s, grid, heisenberg=True, reads=reads)
+        chunks, norms = lindblad_chunks(gens, O0s, grid, heisenberg=True), (hs_norm, hermitian_op_norm)
     elif kinds == ["kraus"]:
-        chunks = _kraus_chunks(gens, np.asarray(O0s, dtype=complex), grid, reads)
+        chunks = _kraus_chunks(gens, np.asarray(O0s, dtype=complex), grid)
+        norms = (lambda M: hs_norm(M).sum(axis=2), lambda M: op_norm(M).sum(axis=2))
     else:
         raise ValidationError(f"a batch of trajectories needs generators of one open kind, got {', '.join(kinds)}")
-    return _reduce_chunks(gens, chunks, O0s, rhos, grid, probes, reads)
+    return _reduce_chunks(gens, chunks, O0s, rhos, grid, probes, reads, norms)
 
 
 def evolve_lindblad_schrodinger(rho0: DensityState, gen: LindbladGenerator, grid: TimeGrid) -> list[DensityState]:
@@ -806,15 +801,14 @@ def lindblad_final_state(rho0: DensityState, gen: LindbladGenerator, grid: TimeG
 # Kraus dynamics
 
 
-def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid, reads=None):
+def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid):
     """The batch-first Kraus kernel, O0s[b] (shape (B, d, d)) under
     families[b] (one dimension, one number of operators): yields chunks like
-    :func:`lindblad_chunks`, the speeds being the summed norms of
-    K_i^dag(t) O0 dK_i/dt where ``reads[b]`` reads them (an operator norm is
-    an SVD a matrix), after checking sum_i K_i^dag K_i = 1 within
-    max(tol, 1e-8), tol each family's own. With one more sample on each side
-    of a chunk, ``np.gradient`` gives the central difference along the grid,
-    one-sided at its ends. :func:`_spans` sizes a chunk by its whole working
+    :func:`lindblad_chunks`, derivs being K_i^dag(t) O0 dK_i/dt, shape
+    (B, n, n_ops, d, d), whose norms summed over i are the speeds, after
+    checking sum_i K_i^dag K_i = 1 within max(tol, 1e-8), tol each family's
+    own. With one more sample on each side of a chunk, ``np.gradient`` gives
+    the central difference along the grid, one-sided at its ends. :func:`_spans` sizes a chunk by its whole working
     set: the window of K, K^dag O, dK/dt, K^dag O dK/dt and O(t)."""
     times = grid.times()
     B, d = O0s.shape[:2]
@@ -838,10 +832,9 @@ def _kraus_chunks(families, O0s: np.ndarray, grid: TimeGrid, reads=None):
         if not np.isfinite(M).all():
             t = float(times[start + np.flatnonzero(~np.isfinite(M).all(axis=(0, 2, 3, 4)))[0]])
             raise NumericError(f"Kraus speed sum_i ||K_i^dag O dK_i/dt|| is not finite at t={t!r}, step h = {grid.h!r}")
-        speeds = _norms(M, reads, (lambda M: hs_norm(M).sum(axis=2), lambda M: op_norm(M).sum(axis=2)))
         samples = (KdO @ K).sum(axis=2)
-        del window, K, KdO, M  # freed before the reducer reads the chunk
-        yield start, samples, speeds
+        del window, K, KdO  # freed before the reducer reads the chunk
+        yield start, samples, M
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def test_audit_hashes_no_report(serial, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the qubit and qutrit blocks in two processes
+# the two halves of each dimension's trials in two processes
 
 
 @needs_fork
@@ -242,7 +242,7 @@ def test_audit_hashes_no_report(serial, monkeypatch):
 def test_audit_forked_prints_serial_bytes(trials, seed, forks, monkeypatch):
     forked = audit_cli(trials, seed)
     assert forked[0] == 0, forked[2]
-    assert len(forks) == (1 if trials >= 2 else 0)  # --trials 1 has no qutrit block
+    assert len(forks) == (1 if trials >= 2 else 0)  # --trials 1 has no trial in the parent's halves
     assert_no_child()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert audit_cli(trials, seed) == forked
@@ -281,7 +281,7 @@ def test_audit_child_without_result_is_numeric_error(end, status, forks, monkeyp
 
     def ending(trial):
         if trial.dim == 3:
-            assert os.getpid() != parent, "the qutrit block ran in the parent"
+            assert os.getpid() != parent, "the second half of the qutrit trials ran in the parent"
             if end == "exit":
                 os._exit(status)
             raise _Unpicklable("cannot be sent back")
@@ -292,7 +292,8 @@ def test_audit_child_without_result_is_numeric_error(end, status, forks, monkeyp
     assert len(forks) == 1
     assert_no_child()
     assert (code, out) == (3, "")
-    assert err == f"numeric error: the audit's qutrit block ended with exit status {status} and no result\n"
+    assert err == (f"numeric error: the audit's forked child (the second half of each dimension's trials) ended "
+                   f"with exit status {status} and no result\n")
 
 
 def test_audit_with_threaded_blas_prints_one_thread_bytes():

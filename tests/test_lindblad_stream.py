@@ -26,7 +26,7 @@ from oqsl.dynamics import (
     lindblad_chunks,
     trajectories,
 )
-from oqsl.linalg import DensityState, NumericError, ValidationError, mat_exp, op_norm
+from oqsl.linalg import DensityState, NumericError, ValidationError, hs_norm, mat_exp, op_norm
 
 import oracles
 
@@ -80,10 +80,10 @@ def test_streamed_reductions_equal_full_stack_reductions(route, batch, steps, mo
     assert starts == {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
 
     Os, speeds = oracles.propagate_lindblad(gens, O0s, grid, heisenberg=True)
-    norms, calls = dynamics._norms, []
-    monkeypatch.setattr(dynamics, "_norms", lambda X, *reads: calls.append(X.shape[1]) or norms(X, *reads))
+    norm, calls = dynamics.hs_norm, []
+    monkeypatch.setattr(dynamics, "hs_norm", lambda X: calls.append(X.shape[1]) or norm(X))
     trajs = trajectories(gens, O0s, rhos, grid, probes)
-    # both routes take the speeds once per chunk
+    # both routes' speeds are taken once per chunk
     assert calls == np.diff(starts + [steps + 1]).tolist()
     if batch == 1:
         trajs.append(evolve_lindblad_heisenberg(O0s[0], gens[0], rhos[0], grid, probes=probes[0]))
@@ -199,7 +199,9 @@ def test_batched_kraus_equals_per_family_kernel(name, steps, monkeypatch):
     chunks = list(dynamics._kraus_chunks(families, O0s, grid))
     starts = {CHUNK - 1: [0], CHUNK: [0], CHUNK + 1: [0, CHUNK], 2 * CHUNK + 1: [0, CHUNK, 2 * CHUNK]}[steps]
     assert [c[0] for c in chunks] == starts
-    samples, speeds = (np.concatenate([c[i] for c in chunks], axis=1) for i in (1, 2))
+    samples, derivs = (np.concatenate([c[i] for c in chunks], axis=1) for i in (1, 2))
+    # the norms that the reducer takes of K_i^dag O dK_i/dt, summed over i
+    speeds = np.stack([hs_norm(derivs).sum(axis=2), op_norm(derivs).sum(axis=2)], axis=-1)
     trajs = trajectories(families, O0s, rhos, grid, [()] * len(families))
     for family, O, rho, Os, Ss, traj in zip(families, O0s, rhos, samples, speeds, trajs):
         # the reference cuts its chunks elsewhere: by its operators alone
@@ -267,6 +269,50 @@ def test_audit_block_equals_full_stack_reductions(steps, monkeypatch, block_decl
             assert np.array_equal(t.lindblad.traj.expect, oracles.stack_expect(O_samples, t.rho.matrix))
             assert np.array_equal(t.lind_rho_expect, np.einsum("ab,tba->t", t.O, rho_samples).real)
             assert np.array_equal(oracles.samples_from_probes(t.lindblad.traj)[-1], O_samples[-1])
+
+
+# one read set a batch entry, all different: every read, and three subsets
+MIXED_READS = [dynamics.READS, frozenset({"speed_hs"}), frozenset({"stddev"}), frozenset({"speed_op", "stddev"})]
+SERIES = {"stddev": "stddev", "gen_speed_hs": "speed_hs", "gen_speed_op": "speed_op"}
+
+
+@pytest.mark.parametrize("batch", ["cells-2", "cells-17", "exact-3", "kraus"])
+def test_mixed_read_sets_take_the_series_of_a_batch_that_reads_everything(batch, monkeypatch, take_stepper,
+                                                                            take_exact):
+    # the reducer takes each read series of a subset of the batch, through
+    # samples[spread] and derivs[b]: each is, bit for bit, the series of the
+    # same entry in the same batch reading every series, and each unread one
+    # is None; the chunks are short, so the grid streams several
+    grid = TimeGrid(0.6, 2 * CHUNK + 1)
+    if batch == "kraus":
+        # three families, the first twice, beside another observable and state
+        families = [DephasingKraus(gamma) for gamma in (0.4, 1.3, 2.2)]
+        gens, d = [*families, families[0]], 2
+        rng = np.random.default_rng(3)
+        O0s = np.stack([oracles.random_hermitian(rng, d) for _ in gens])
+        rhos = [DensityState.pure(oracles.random_ket(rng, d)) for _ in gens]
+        sample_bytes = 16 * len(gens) * d * d * (4 * gens[0].n_ops + 1)
+    else:
+        route, d = batch.split("-")
+        d = int(d)
+        if route == "cells":
+            take_stepper()
+        else:
+            take_exact(d)
+        cases = [_case(d, seed) for seed in range(len(MIXED_READS))]
+        gens, O0s, rhos = [c[0] for c in cases], np.stack([c[1] for c in cases]), [c[3] for c in cases]
+        sample_bytes = 16 * len(gens) * d * d
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", CHUNK * sample_bytes)
+    probes = [()] * len(gens)
+    whole = trajectories(gens, O0s, rhos, grid, probes)
+    mixed = trajectories(gens, O0s, rhos, grid, probes, MIXED_READS)
+    for reads, ours, ref in zip(MIXED_READS, mixed, whole):
+        assert np.array_equal(ours.expect, ref.expect)
+        for name, read in SERIES.items():
+            if read in reads:
+                assert np.array_equal(getattr(ours, name), getattr(ref, name)), (reads, name)
+            else:
+                assert getattr(ours, f"_{name}") is None, (reads, name)
 
 
 @pytest.mark.parametrize(
@@ -343,9 +389,9 @@ def test_production_paths_build_no_sample_stack(tmp_path, monkeypatch):
     # second run, of either picture, streams the 1000 steps
     runs = []
 
-    def counted(gens, y0, grid, heisenberg, reads=None):
+    def counted(gens, y0, grid, heisenberg):
         runs.append((heisenberg, grid.steps))
-        return kernel(gens, y0, grid, heisenberg, reads)
+        return kernel(gens, y0, grid, heisenberg)
 
     kernel = dynamics.lindblad_chunks
     monkeypatch.setattr(dynamics, "lindblad_chunks", counted)

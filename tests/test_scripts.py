@@ -34,10 +34,12 @@ def test_bound_sweep_script():
 
 def test_every_bench_site_resolves_to_a_callable():
     # the traced benchmark wraps each (module, attribute) of bench/layers.py;
-    # a name that oqsl drops leaves its span unattached. run_path compiles the
-    # file without writing bytecode, so nothing under bench/ changes
+    # a name that oqsl drops, or binds to another package's function, leaves
+    # its span unattached or times the wrong code. run_path compiles the file
+    # without writing bytecode, so nothing under bench/ changes
     sites = runpy.run_path(str(ROOT / "bench" / "layers.py"))["SITES"]
-    missing = [(m, a) for m, a, _ in sites if not callable(getattr(importlib.import_module(m), a, None))]
+    found = [(m, a, getattr(importlib.import_module(m), a, None)) for m, a, _ in sites]
+    missing = [(m, a) for m, a, fn in found if not (callable(fn) and getattr(fn, "__module__", "").startswith("oqsl."))]
     assert sites and not missing
 
 
@@ -48,7 +50,8 @@ def _bound_all(system, observable):
 
 # the argv of a traced run and the spans it reaches: `bound --bounds ALL` on
 # a built-in system, each scenario, and the audit, whose set is the same
-# whether or not its qutrit block runs in a forked child (untraced there)
+# whether or not the second half of each dimension's trials runs in a forked
+# child (untraced there)
 TRACED_SPANS = {
     "two_qubit.sys": (_bound_all("two_qubit.sys", "A"), {
         "sysdl.parse", "dynamics.evolve_unitary", "bounds.oqsl_generator_hs", "bounds.oqsl_purity_hs",
